@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Soft perf-regression gate: compare BENCH_sim.json against the baseline.
 
-Compares per-figure ``events_per_sec`` in a fresh experiment report with
+Compares per-figure ``wall_seconds`` in a fresh experiment report with
 the checked-in pre-optimization baseline and warns (GitHub-annotation
-style) when a figure's throughput regressed by more than the threshold.
+style) when a figure got slower by more than the threshold.  Not
+``events_per_sec``: a change that needs fewer engine events for the same
+simulated work lowers events/s while making every figure faster.
 
 Soft by design: CI machines are noisy and the smoke sweep runs scaled-
 down tasks, so a regression prints ``::warning::`` lines and the script
@@ -24,20 +26,40 @@ import sys
 from pathlib import Path
 
 
-def compare(report: dict, baseline: dict, threshold: float) -> list:
-    """[(figure, baseline events/s, new events/s, ratio), ...] regressions."""
-    regressions = []
+def same_work(stats: dict, base: dict) -> bool:
+    """Both sides ran the same tasks to the same headline results.
+
+    Wall seconds only compare like with like; a ``--smoke`` report set
+    against a full-scale baseline shares no figure in this sense.
+    """
+    tasks, base_tasks = stats.get("tasks", {}), base.get("tasks", {})
+    return (bool(tasks) and tasks.keys() == base_tasks.keys()
+            and all(task.get("headline") == base_tasks[name].get("headline")
+                    for name, task in tasks.items()))
+
+
+def comparable_figures(report: dict, baseline: dict) -> list:
     base_figures = baseline.get("figures", {})
-    for figure, stats in sorted(report.get("figures", {}).items()):
-        base = base_figures.get(figure)
-        if not base:
-            continue
-        old = base.get("events_per_sec")
-        new = stats.get("events_per_sec")
+    return sorted(figure
+                  for figure, stats in report.get("figures", {}).items()
+                  if figure in base_figures
+                  and same_work(stats, base_figures[figure]))
+
+
+def compare(report: dict, baseline: dict, threshold: float) -> list:
+    """[(figure, baseline wall s, new wall s, speed ratio), ...] regressions.
+
+    The speed ratio is baseline wall / new wall; a figure regressed when
+    it fell below ``1 - threshold``.
+    """
+    regressions = []
+    for figure in comparable_figures(report, baseline):
+        old = baseline["figures"][figure].get("wall_seconds")
+        new = report["figures"][figure].get("wall_seconds")
         if not old or not new:
             continue
-        if new < old * (1.0 - threshold):
-            regressions.append((figure, old, new, new / old))
+        if old / new < 1.0 - threshold:
+            regressions.append((figure, old, new, old / new))
     return regressions
 
 
@@ -207,12 +229,13 @@ def check_skew(report: dict, min_sm_advantage: float) -> list:
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="warn when events/s regressed vs the baseline")
+        description="warn when figure wall time regressed vs the baseline")
     parser.add_argument("--report", default="BENCH_sim.json")
     parser.add_argument("--baseline", default="benchmarks/baseline_sim.json")
     parser.add_argument("--threshold", type=float, default=0.15,
-                        help="warn when events/s drops by more than this "
-                             "fraction (default 0.15)")
+                        help="warn when a figure's speed (baseline wall / "
+                             "new wall) drops by more than this fraction "
+                             "(default 0.15)")
     parser.add_argument("--hard", action="store_true",
                         help="exit non-zero on regression instead of warning")
     parser.add_argument("--obs-baseline", default=None,
@@ -220,7 +243,7 @@ def main() -> int:
                              "the report against it at --obs-threshold "
                              "(disabled-tracing overhead check)")
     parser.add_argument("--obs-threshold", type=float, default=0.02,
-                        help="allowed events/s drop vs --obs-baseline "
+                        help="allowed speed drop vs --obs-baseline "
                              "(default 0.02 = 2%%)")
     parser.add_argument("--scale-min-publish-ops", type=float, default=None,
                         help="also gate the report's `scale` section: floor "
@@ -254,10 +277,11 @@ def main() -> int:
     baseline = json.loads(Path(args.baseline).read_text())
     regressions = compare(report, baseline, args.threshold)
 
-    checked = sorted(set(report.get("figures", {}))
-                     & set(baseline.get("figures", {})))
+    checked = comparable_figures(report, baseline)
     if not checked:
-        print("perf gate: no overlapping figures to compare", file=sys.stderr)
+        print("perf gate: no figure ran the same tasks to the same "
+              "headlines as the baseline; nothing to compare",
+              file=sys.stderr)
         # Section-only reports (e.g. the fluid-smoke job's) still run the
         # section gates below.
         if args.scale_min_publish_ops is None \
@@ -268,11 +292,12 @@ def main() -> int:
             return 0
     for figure, old, new, ratio in regressions:
         print(f"::warning title=perf regression::{figure}: "
-              f"{new:,.0f} events/s vs baseline {old:,.0f} "
-              f"({ratio:.2f}x, threshold {1.0 - args.threshold:.2f}x)")
-    if not regressions:
+              f"{new:.2f} s wall vs baseline {old:.2f} s "
+              f"({ratio:.2f}x speed, threshold "
+              f"{1.0 - args.threshold:.2f}x)")
+    if checked and not regressions:
         print(f"perf gate: {len(checked)} figure(s) within "
-              f"{args.threshold:.0%} of baseline events/s "
+              f"{args.threshold:.0%} of baseline speed "
               f"({', '.join(checked)})")
 
     obs_regressions = []
@@ -281,15 +306,14 @@ def main() -> int:
         obs_regressions = compare(report, obs_baseline, args.obs_threshold)
         for figure, old, new, ratio in obs_regressions:
             print(f"::warning title=tracing overhead::{figure}: "
-                  f"{new:,.0f} events/s vs no-obs baseline {old:,.0f} "
-                  f"({ratio:.2f}x, threshold "
+                  f"{new:.2f} s wall vs no-obs baseline {old:.2f} s "
+                  f"({ratio:.2f}x speed, threshold "
                   f"{1.0 - args.obs_threshold:.2f}x)")
         if not obs_regressions:
-            obs_checked = sorted(set(report.get("figures", {}))
-                                 & set(obs_baseline.get("figures", {})))
-            print(f"tracing-overhead gate: {len(obs_checked)} figure(s) "
-                  f"within {args.obs_threshold:.0%} of the no-obs "
-                  f"baseline")
+            obs_checked = comparable_figures(report, obs_baseline)
+            print(f"tracing-overhead gate: {len(obs_checked)} comparable "
+                  f"figure(s) within {args.obs_threshold:.0%} of the "
+                  f"no-obs baseline")
 
     scale_warnings = []
     if args.scale_min_publish_ops is not None:

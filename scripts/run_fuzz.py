@@ -37,7 +37,15 @@ from repro.obs.coverage import coverage_summary  # noqa: E402
 
 
 def replay(paths, arm: str, capacity: int) -> int:
-    """Re-run spec/corpus-entry files; verify recorded digests match."""
+    """Re-run spec/corpus-entry files; verify recorded digests match.
+
+    An entry that records a ``behaviour_digest`` is held to that one: it
+    leaves out the engine track and record positions, so it only moves
+    when the simulated system behaves differently.  Its full ``digest``
+    then moving too (a substrate change: fewer events, other sampling)
+    is reported as a warning.  Entries without one are held to the full
+    digest, as before.
+    """
     failures = 0
     for path in paths:
         spec = load_spec(path)
@@ -45,16 +53,23 @@ def replay(paths, arm: str, capacity: int) -> int:
         meta = data.get("meta", {}) if isinstance(data, dict) else {}
         seed = int(meta.get("run_seed", 0))
         result = evaluate_spec(spec, arm, seed, capacity)
-        digest_ok = (not meta.get("digest")
-                     or meta["digest"] == result["digest"])
+        pinned = "behaviour_digest" if meta.get("behaviour_digest") \
+            else "digest"
+        digest_ok = (not meta.get(pinned)
+                     or meta[pinned] == result[pinned])
         mark = "ok " if digest_ok and not result["violations"] else "FAIL"
         print(f"{mark} {Path(path).name}: digest={result['digest'][:12]} "
-              f"seed={seed} "
+              f"behaviour={result['behaviour_digest'][:12]} seed={seed} "
               f"{coverage_summary(frozenset(result['coverage']))}")
         if not digest_ok:
             failures += 1
-            print(f"::error title=fuzz replay::{path}: journal digest "
-                  f"{result['digest']} != recorded {meta['digest']}")
+            print(f"::error title=fuzz replay::{path}: journal {pinned} "
+                  f"{result[pinned]} != recorded {meta[pinned]}")
+        elif meta.get("digest") and meta["digest"] != result["digest"]:
+            print(f"::warning title=fuzz replay::{path}: behaviour "
+                  f"unchanged, full journal digest moved "
+                  f"({result['digest']} != recorded {meta['digest']}): "
+                  f"the engine executed different events")
         for violation in result["violations"]:
             failures += 1
             print(f"::error title=fuzz replay::{path}: "
@@ -96,6 +111,7 @@ def distill(engine_result, count: int, directory: Path,
         out.entries.append(CorpusEntry(
             spec=minimal, fingerprint=fingerprint,
             run_seed=entry.run_seed, digest=final["digest"],
+            behaviour_digest=final["behaviour_digest"],
             coverage=frozenset(final["coverage"]), novel=target,
             violated=frozenset(v["invariant"]
                                for v in final["violations"]),

@@ -20,7 +20,7 @@ from ..cluster.container import Container
 from ..coordination.zookeeper import NodeExistsError, Session, ZooKeeper
 from ..core.shard_map import Role
 from ..core.spec import AppSpec
-from ..sim.engine import Engine, every
+from ..sim.engine import Engine
 from ..sim.network import AsyncReply, Network, NetworkError
 from .interfaces import NotOwnerError, RequestHandler
 
@@ -90,7 +90,11 @@ class ApplicationServer:
         self.endpoint.on("sm.ping", lambda _payload: "pong")
 
         # §3.2: SM-library-created ephemeral node for failure detection.
-        self.session: Session = zookeeper.create_session()
+        # The library heartbeats every ``zk_heartbeat_interval`` from now
+        # on; the session is leased on that grid instead of ticking.
+        self._heartbeats = zookeeper.heartbeat_grid(zk_heartbeat_interval)
+        self.session: Session = zookeeper.create_session(
+            heartbeats=self._heartbeats)
         servers_root = SERVERS_PATH.format(app=spec.name)
         self._liveness_path = f"{servers_root}/{self._zk_name()}"
         try:
@@ -109,18 +113,12 @@ class ApplicationServer:
                                    "machine": container.machine.machine_id},
                              ephemeral=True, session=self.session,
                              make_parents=True)
-        self._stop_heartbeat = every(engine, zk_heartbeat_interval,
-                                     self._heartbeat)
         self._bootstrap_from_zookeeper()
 
     def _zk_name(self) -> str:
         return self.address.replace("/", ":")
 
     # -- lifecycle ----------------------------------------------------------------
-
-    def _heartbeat(self) -> None:
-        if not self._stopped and not self.session.expired:
-            self.session.heartbeat()
 
     def reconnect_zk(self) -> bool:
         """Re-establish the ZooKeeper session after an expiry.
@@ -133,7 +131,8 @@ class ApplicationServer:
         """
         if self._stopped or not self.session.expired:
             return False
-        self.session = self.zookeeper.create_session()
+        self.session = self.zookeeper.create_session(
+            heartbeats=self._heartbeats)
         data = {"address": self.address, "region": self.region,
                 "machine": self.container.machine.machine_id}
         try:
@@ -172,13 +171,14 @@ class ApplicationServer:
         if self._stopped:
             return
         self._stopped = True
-        self._stop_heartbeat()
         self._shards.clear()
         self.mutations += 1
         if self.network.has_endpoint(self.address):
             self.network.unregister(self.address)
         if graceful:
             self.session.close()
+        else:
+            self.session.stop_heartbeats()
 
     # -- hosting state (used by tests and the orchestrator RPCs) --------------------
 

@@ -70,6 +70,8 @@ class PinnedAllocator(Allocator):
     def __init__(self, spec, placement: PlacementFn, **kwargs) -> None:
         super().__init__(spec, **kwargs)
         self.placement = placement
+        self._shard_index = {shard.shard_id: i
+                             for i, shard in enumerate(spec.shards)}
 
     def _usable_addresses(self, servers: Dict[str, ServerRecord],
                           now: float) -> List[str]:
@@ -80,13 +82,14 @@ class PinnedAllocator(Allocator):
                        load_of=None) -> AllocationPlan:
         """Create missing shards directly at their pinned address."""
         plan = super().emergency_plan(table, servers, now, load_of)
-        addresses = self._usable_addresses(servers, now)
-        if not addresses:
+        if not plan.creates:
             return plan
-        pins = {shard.shard_id: self.placement(i, shard.shard_id, addresses)
-                for i, shard in enumerate(self.spec.shards)}
+        addresses = self._usable_addresses(servers, now)
+        index = self._shard_index
         plan.creates = [
-            CreateReplica(shard_id=c.shard_id, address=pins[c.shard_id],
+            CreateReplica(shard_id=c.shard_id,
+                          address=self.placement(index[c.shard_id],
+                                                 c.shard_id, addresses),
                           role=c.role)
             for c in plan.creates]
         return plan

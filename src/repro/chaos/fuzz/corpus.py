@@ -51,6 +51,9 @@ class CorpusEntry:
     parent: Optional[str] = None     # parent fingerprint (provenance)
     op: str = "seed"                 # seed | mutate | crossover | shrink
     picked: int = 0                  # times chosen as a mutation parent
+    #: Journal.behaviour_digest() of the admitting run: what replay pins,
+    #: because it survives simulator-substrate changes that move `digest`.
+    behaviour_digest: str = ""
 
     def energy(self) -> float:
         """Scheduling weight: novelty up, repeated picks and size down."""
@@ -65,6 +68,7 @@ class CorpusEntry:
                 "fingerprint": self.fingerprint,
                 "run_seed": self.run_seed,
                 "digest": self.digest,
+                "behaviour_digest": self.behaviour_digest,
                 "coverage": sorted(self.coverage),
                 "novel": sorted(self.novel),
                 "violated": sorted(self.violated),
@@ -87,6 +91,7 @@ class CorpusEntry:
             violated=frozenset(meta.get("violated", ())),
             parent=meta.get("parent"),
             op=meta.get("op", "seed"),
+            behaviour_digest=meta.get("behaviour_digest", ""),
         )
 
 

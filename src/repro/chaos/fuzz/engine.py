@@ -55,6 +55,7 @@ def evaluate_spec(spec: ScenarioSpec, arm: str, seed: int,
     result = run_scenario(spec, arm=arm, seed=seed, capacity=capacity)
     return {
         "digest": result.digest,
+        "behaviour_digest": result.behaviour_digest,
         "coverage": list(result.coverage),
         "violations": result.violations,
         "records": result.records,
@@ -238,6 +239,7 @@ class FuzzEngine:
                     entry = CorpusEntry(
                         spec=spec, fingerprint=fingerprint,
                         run_seed=run_seed, digest=result["digest"],
+                        behaviour_digest=result["behaviour_digest"],
                         coverage=coverage,
                         novel=corpus.novel_keys(coverage),
                         violated=violated, parent=parent, op=op)
@@ -288,6 +290,7 @@ class FuzzEngine:
         return CorpusEntry(
             spec=minimal, fingerprint=fingerprint,
             run_seed=entry.run_seed, digest=final["digest"],
+            behaviour_digest=final["behaviour_digest"],
             coverage=frozenset(final["coverage"]),
             novel=entry.novel,
             violated=frozenset(v["invariant"]

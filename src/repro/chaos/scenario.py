@@ -282,6 +282,9 @@ class ScenarioResult:
     #: Sorted coverage fingerprint of the run's merged journal plus its
     #: violation signal (see :mod:`repro.obs.coverage`).
     coverage: Tuple[str, ...] = ()
+    #: :meth:`~repro.obs.tracer.Journal.behaviour_digest` of the same
+    #: journal: stable across simulator-substrate changes.
+    behaviour_digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -289,7 +292,9 @@ class ScenarioResult:
 
     def headline(self) -> Dict[str, Any]:
         return {"scenario": self.name, "arm": self.arm, "seed": self.seed,
-                "digest": self.digest, "records": self.records,
+                "digest": self.digest,
+                "behaviour_digest": self.behaviour_digest,
+                "records": self.records,
                 "violations": self.violations, "faults": self.faults,
                 "recovers": self.recovers,
                 "requests_sent": self.requests_sent,
@@ -756,4 +761,5 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
         requests_failed=run.recorder.failed,
         ready_fraction=run.app.ready_fraction(),
         coverage=coverage,
+        behaviour_digest=journal.behaviour_digest(),
     )

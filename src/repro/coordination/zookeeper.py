@@ -13,14 +13,20 @@ namespace of znodes, per-client sessions whose expiry deletes their
 ephemeral nodes after a session timeout, and one-shot watches on node
 creation/deletion/data changes (ZooKeeper watches are one-shot; re-arm
 after every fire, as real clients do).
+
+Liveness is a *lease*, not a ticker: a client that heartbeats on a fixed
+:class:`HeartbeatGrid` keeps its session alive without a single engine
+event, and the one expiry event is scheduled only when the heartbeats
+stop (see DESIGN.md, "Liveness leases").
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine, EventHandle
 
@@ -73,30 +79,116 @@ class _Znode:
     ephemeral_session: Optional[int] = None
     version: int = 0
     children: Dict[str, "_Znode"] = field(default_factory=dict)
+    #: Creation stamp from one store-wide counter (real ZooKeeper's czxid).
+    #: Siblings sit in ``children`` in creation order, so the tuple of
+    #: stamps along a path orders paths exactly as a pre-order tree walk.
+    czxid: int = 0
+
+
+class HeartbeatGrid:
+    """The instants a client's heartbeats reach the store.
+
+    Beat ``k`` (``k >= 1``) arrives at ``origin + interval + ... +
+    interval`` — the *cumulative* float sum a periodic timer re-armed
+    from each firing produces, which is not ``origin + k * interval`` in
+    floating point.  :meth:`last_before` replays that sum, so a lease
+    anchored on the grid expires at bit-identical instants to a session
+    heartbeated by such a timer.
+    """
+
+    __slots__ = ("origin", "interval", "_beat")
+
+    def __init__(self, origin: float, interval: float) -> None:
+        if interval <= 0:
+            raise ZkError(
+                f"heartbeat interval must be positive, got {interval!r}")
+        self.origin = origin
+        self.interval = interval
+        self._beat = origin  # replay cursor: a grid point already reached
+
+    def last_before(self, when: float) -> float:
+        """The latest beat strictly before ``when`` (``origin`` if none).
+
+        Strict: a heartbeat that ties with whatever stops the client (or
+        with the expiry it would have pre-empted) loses the tie.
+        """
+        interval = self.interval
+        beat = self._beat if self._beat < when else self.origin
+        following = beat + interval
+        while following < when:
+            beat = following
+            following = beat + interval
+        self._beat = beat
+        return beat
 
 
 class Session:
-    """A client session; heartbeats keep it alive, silence expires it."""
+    """A client session; heartbeats keep it alive, silence expires it.
 
-    def __init__(self, store: "ZooKeeper", session_id: int, timeout: float) -> None:
+    Two ways to heartbeat.  A session opened without a grid is kept alive
+    by explicit :meth:`heartbeat` calls, each re-arming its expiry timer.
+    A session opened with a :class:`HeartbeatGrid` holds a *lease*: the
+    client promises a heartbeat at every grid instant until it says
+    otherwise, so while ``timeout > interval`` the session cannot lapse
+    and owns no timer at all.  :meth:`stop_heartbeats` ends the lease and
+    schedules the single expiry the last delivered heartbeat earned.
+    """
+
+    def __init__(self, store: "ZooKeeper", session_id: int, timeout: float,
+                 heartbeats: Optional[HeartbeatGrid] = None) -> None:
         self._store = store
         self.session_id = session_id
         self.timeout = timeout
         self.expired = False
+        self._opened = store._clock()
+        self._heartbeats = heartbeats
         self._expiry_handle: Optional[EventHandle] = None
-        self._arm_expiry()
+        # Paths of the ephemerals this session owns (maintained by
+        # ZooKeeper.create/delete), so expiry never walks the tree.
+        self._ephemerals: set = set()
+        if heartbeats is None:
+            self._arm_expiry(self._opened + timeout)
+        elif timeout <= heartbeats.interval:
+            # The gap between two heartbeats outlasts the timeout: the
+            # session lapses even though the client is healthy.
+            self._arm_lease_expiry(math.inf)
 
-    def _arm_expiry(self) -> None:
+    def _arm_expiry(self, when: float) -> None:
         if self._expiry_handle is not None:
             self._expiry_handle.cancel()
-        self._expiry_handle = self._store.engine.call_after(
-            self.timeout, self._expire)
+        self._expiry_handle = self._store.engine.call_at(when, self._expire)
+
+    def _arm_lease_expiry(self, stop: float) -> None:
+        """Schedule the expiry of a lease whose heartbeats end at ``stop``:
+        ``timeout`` after the last beat strictly before ``stop`` (or after
+        the session opened, if no beat landed in between)."""
+        heartbeats = self._heartbeats
+        if self.timeout <= heartbeats.interval:
+            # Beats after the first armed expiry (opened + timeout) come
+            # too late; at most one lands before it, and the expiry that
+            # one re-arms is due before the next beat could renew it.
+            stop = min(stop, self._opened + self.timeout)
+        renewed = max(self._opened, heartbeats.last_before(stop))
+        self._arm_expiry(renewed + self.timeout)
 
     def heartbeat(self) -> None:
-        """Reset the expiry clock.  Call periodically while alive."""
+        """Reset the expiry clock.  Call periodically while alive.
+
+        On a leased session that is still heartbeating there is no clock
+        to reset: the grid already vouches for it."""
         if self.expired:
             raise SessionExpiredError(f"session {self.session_id} expired")
-        self._arm_expiry()
+        if self._expiry_handle is not None:
+            self._arm_expiry(self._store._clock() + self.timeout)
+
+    def stop_heartbeats(self) -> None:
+        """The client died without closing: no heartbeat arrives from now
+        on.  Ends the lease; failure detection then takes whatever is
+        left of the session timeout.  No-op without a live lease."""
+        if self.expired or self._heartbeats is None:
+            return
+        self._arm_lease_expiry(self._store._clock())
+        self._heartbeats = None
 
     def close(self) -> None:
         """Graceful close: ephemerals vanish immediately."""
@@ -116,7 +208,7 @@ class Session:
         self.expired = True
         if self._expiry_handle is not None:
             self._expiry_handle.cancel()
-        self._store._session_expired(self.session_id)
+        self._store._session_expired(self)
 
 
 class ZooKeeper:
@@ -129,15 +221,30 @@ class ZooKeeper:
         self.default_session_timeout = default_session_timeout
         self._root = _Znode(path="/", data=None)
         self._session_counter = itertools.count(1)
+        self._czxid = itertools.count(1)
         self._sessions: Dict[int, Session] = {}
         self._watches: Dict[str, List[WatchCallback]] = {}
         self._child_watches: Dict[str, List[WatchCallback]] = {}
 
     # -- sessions -------------------------------------------------------------
 
-    def create_session(self, timeout: Optional[float] = None) -> Session:
+    def _clock(self) -> float:
+        """Simulated now: the clock of the engine executing the current
+        callback (under PDES a region engine may be calling in), else
+        the store's own."""
+        return (Engine.current() or self.engine).now
+
+    def heartbeat_grid(self, interval: float) -> HeartbeatGrid:
+        """A grid starting now: first beat ``interval`` from now."""
+        return HeartbeatGrid(self._clock(), interval)
+
+    def create_session(self, timeout: Optional[float] = None,
+                       heartbeats: Optional[HeartbeatGrid] = None) -> Session:
+        """Open a session.  With ``heartbeats`` it is leased on that grid
+        (see :class:`Session`); without, the caller heartbeats by hand."""
         session = Session(self, next(self._session_counter),
-                          timeout or self.default_session_timeout)
+                          timeout or self.default_session_timeout,
+                          heartbeats)
         self._sessions[session.session_id] = session
         return session
 
@@ -154,18 +261,21 @@ class ZooKeeper:
         session.expire()
         return True
 
-    def _session_expired(self, session_id: int) -> None:
-        self._sessions.pop(session_id, None)
-        for path in self._ephemeral_paths(self._root, session_id):
+    def _session_expired(self, session: Session) -> None:
+        self._sessions.pop(session.session_id, None)
+        # Delete in the order a pre-order walk of the tree would find
+        # them, so watchers hear about a dead session's nodes in tree
+        # order no matter in which order the session created them.
+        for path in sorted(session._ephemerals, key=self._walk_order):
             self.delete(path)
 
-    def _ephemeral_paths(self, node: _Znode, session_id: int) -> List[str]:
-        found = []
-        for child in node.children.values():
-            if child.ephemeral_session == session_id:
-                found.append(child.path)
-            found.extend(self._ephemeral_paths(child, session_id))
-        return found
+    def _walk_order(self, path: str) -> Tuple[int, ...]:
+        node = self._root
+        stamps = []
+        for part in self._split(path):
+            node = node.children[part]
+            stamps.append(node.czxid)
+        return tuple(stamps)
 
     # -- namespace helpers ------------------------------------------------------
 
@@ -213,7 +323,8 @@ class ZooKeeper:
                 if node.ephemeral_session is not None:
                     raise NoChildrenForEphemeralsError(node.path)
                 child_path = (node.path.rstrip("/") + "/" + part)
-                child = _Znode(path=child_path, data=None)
+                child = _Znode(path=child_path, data=None,
+                               czxid=next(self._czxid))
                 node.children[part] = child
                 # Implicitly created parents are creations like any other:
                 # a CREATED watch armed on the intermediate path (via
@@ -231,8 +342,11 @@ class ZooKeeper:
             path=path,
             data=data,
             ephemeral_session=session.session_id if ephemeral else None,
+            czxid=next(self._czxid),
         )
         node.children[name] = child
+        if ephemeral:
+            session._ephemerals.add(path)
         self._fire(path, WatchEventType.CREATED, path)
         self._fire(node.path, WatchEventType.CHILD_ADDED, path)
         return path
@@ -279,6 +393,7 @@ class ZooKeeper:
         # ``_child_watches`` forever, never fired and never collected.
         self._delete_descendants(node)
         del parent.children[name]
+        self._disown(node)
         self._fire(path, WatchEventType.DELETED, path)
         self._fire(parent.path, WatchEventType.CHILD_REMOVED, path)
 
@@ -287,8 +402,16 @@ class ZooKeeper:
             child = node.children[name]
             self._delete_descendants(child)
             del node.children[name]
+            self._disown(child)
             self._fire(child.path, WatchEventType.DELETED, child.path)
             self._fire(node.path, WatchEventType.CHILD_REMOVED, child.path)
+
+    def _disown(self, node: _Znode) -> None:
+        """A deleted ephemeral leaves its session's books (another client
+        may delete it first: the fast-restart takeover does)."""
+        owner = self._sessions.get(node.ephemeral_session)
+        if owner is not None:
+            owner._ephemerals.discard(node.path)
 
     def children(self, path: str, watch: Optional[WatchCallback] = None) -> List[str]:
         node = self._require(path)

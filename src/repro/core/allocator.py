@@ -117,8 +117,16 @@ class Allocator:
     def emergency_plan(self, table: AssignmentTable,
                        servers: Dict[str, ServerRecord], now: float,
                        load_of: Optional[LoadFn] = None) -> AllocationPlan:
-        """Recreate missing replicas/primaries on usable servers, fast."""
+        """Recreate missing replicas/primaries on usable servers, fast.
+
+        Walks only the shards the table (built from this allocator's
+        spec) reports as understaffed, so the steady-state tick — nothing
+        missing anywhere — costs O(1), not O(shards).
+        """
         plan = AllocationPlan()
+        understaffed = table.understaffed_shards()
+        if not understaffed:
+            return plan
         usable = [record for record in servers.values() if record.usable(now)]
         if not usable:
             return plan
@@ -176,26 +184,8 @@ class Allocator:
             cursor += 1
             return best.address
 
-        dropped_state = ReplicaState.DROPPED
-        primary_role = Role.PRIMARY
-        spec_has_primaries = self.spec.has_primaries()
-        replicas_view = table.replicas_view
-        for shard in self.spec.shards:
-            replicas = replicas_view(shard.shard_id)
-            # Fast path for the steady state: enough live replicas and a
-            # primary (when the app wants one) mean nothing below would
-            # plan any action for this shard.
-            live_count = 0
-            has_live_primary = False
-            for r in replicas:
-                if r.state is not dropped_state:
-                    live_count += 1
-                    if r.role is primary_role:
-                        has_live_primary = True
-            if (live_count >= shard.replica_count
-                    and (not spec_has_primaries or has_live_primary)):
-                continue
-            live = [r for r in replicas
+        for shard in understaffed:
+            live = [r for r in table.replicas_view(shard.shard_id)
                     if r.state is not ReplicaState.DROPPED]
             missing = shard.replica_count - len(live)
             for _ in range(max(0, missing)):

@@ -66,6 +66,12 @@ class OrchestratorConfig:
         default_factory=lambda: SearchConfig(time_budget=5.0))
 
 
+def _serialize_replica(replica: ReplicaAssignment) -> Dict[str, str]:
+    return {"replica_id": replica.replica_id, "shard_id": replica.shard_id,
+            "address": replica.address, "role": replica.role.value,
+            "state": replica.state.value}
+
+
 class Orchestrator:
     """Control plane for one application (one partition of one app)."""
 
@@ -114,12 +120,12 @@ class Orchestrator:
         self._servers_root = SERVERS_PATH.format(app=spec.name)
         self._assignments_root = ASSIGNMENTS_PATH.format(app=spec.name)
         # Persistence caches: per-address znodes already written at least
-        # once, and the serialized form of each replica (invalidated by
-        # identity/equality checks on the fields it covers).  Both are
-        # per-incarnation — a failover starts a new orchestrator with
-        # empty caches and rewrites everything once.
+        # once, and the serialized form of every replica, keyed by id and
+        # kept in the table's replica order.  Both are per-incarnation —
+        # a failover starts a new orchestrator with empty caches and
+        # rewrites everything once.
         self._assignments_written: Set[str] = set()
-        self._replica_ser: Dict[str, tuple] = {}
+        self._replica_ser: Dict[str, Dict[str, str]] = {}
         self.publishes = 0
         if self.obs.enabled:
             metrics = self.obs.metrics
@@ -323,8 +329,12 @@ class Orchestrator:
         # full snapshot riding alongside.
         snapshot, delta = self.table.snapshot_delta()
         self.discovery.publish(snapshot, delta=delta)
-        self._write_all_assignments()
-        self._persist_state()
+        # Every role / state / address change since the last publish
+        # marked its replica's address dirty; both persistence steps
+        # re-examine only those.
+        dirty_addresses = self.table.consume_dirty_addresses()
+        self._write_all_assignments(dirty_addresses)
+        self._persist_state(dirty_addresses)
         self.publishes += 1
         if self._tracer.enabled:
             self._tracer.instant(
@@ -346,50 +356,46 @@ class Orchestrator:
             self.zookeeper.create(path, data, make_parents=True)
         self._assignments_written.add(address)
 
-    def _write_all_assignments(self) -> None:
+    def _write_all_assignments(self, dirty: Set[str]) -> None:
         # Only addresses whose hosted replicas changed since the last
         # write need a new znode value; nothing watches these nodes (app
         # servers read them once at bootstrap), so skipping an identical
         # rewrite is unobservable.  Every address still gets one initial
         # write so the znode exists before any server bootstraps from it.
-        dirty = self.table.consume_dirty_addresses()
         written = self._assignments_written
         for address in set(self.table.addresses()) | set(self.servers):
             if address in written and address not in dirty:
                 continue
             self._write_assignments(address)
 
-    def _persist_state(self) -> None:
+    def _persist_state(self, dirty_addresses: Set[str]) -> None:
         """Orchestrator persistent state lives in ZooKeeper (§3.2).
 
-        Serialized replica dicts are cached per replica and reused while
-        the covered fields (role, state, address) are unchanged —
-        publishes touch a handful of replicas but persist all of them.
+        Publishes touch a handful of replicas but persist all of them, so
+        the serialized replicas are kept between publishes, in the
+        table's replica order, and patched: dropped replicas come from
+        the table's log, new ones sit at the tail of the table, and only
+        replicas on ``dirty_addresses`` can have changed otherwise.
         """
         path = STATE_PATH.format(app=self.spec.name)
-        cache = self._replica_ser
-        replicas = []
-        append = replicas.append
-        for r in self.table.all_replicas():
-            cached = cache.get(r.replica_id)
-            if (cached is not None and cached[0] is r.role
-                    and cached[1] is r.state and cached[2] == r.address):
-                append(cached[3])
-            else:
-                serialized = {"replica_id": r.replica_id,
-                              "shard_id": r.shard_id,
-                              "address": r.address, "role": r.role.value,
-                              "state": r.state.value}
-                cache[r.replica_id] = (r.role, r.state, r.address,
-                                       serialized)
-                append(serialized)
-        if len(cache) > 2 * len(replicas) + 64:
-            # Prune entries for dropped replicas so the cache stays
-            # proportional to the live table.
-            live = {r.replica_id for r in self.table.all_replicas()}
-            for replica_id in [k for k in cache if k not in live]:
-                del cache[replica_id]
-        data = {"version": self.table.last_version, "replicas": replicas}
+        table = self.table
+        serialized = self._replica_ser
+        for replica_id in table.consume_dropped():
+            serialized.pop(replica_id, None)
+        added = []
+        for r in table.newest_replicas():
+            if r.replica_id in serialized:
+                break
+            added.append(r)
+        # Appending oldest-first keeps the dict in all_replicas() order;
+        # re-assigning an existing key below keeps its position.
+        for r in reversed(added):
+            serialized[r.replica_id] = _serialize_replica(r)
+        for address in dirty_addresses:
+            for r in table.on_address(address):
+                serialized[r.replica_id] = _serialize_replica(r)
+        data = {"version": table.last_version,
+                "replicas": list(serialized.values())}
         if self.zookeeper.exists(path):
             self.zookeeper.set(path, data)
         else:

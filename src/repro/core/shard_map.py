@@ -35,7 +35,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.tracer import NO_TRACER
 from .spec import AppSpec, ShardSpec
@@ -455,6 +455,16 @@ class AssignmentTable:
         # role/state) changed since the orchestrator last persisted
         # per-address assignments; consumed by consume_dirty_addresses.
         self._dirty_addresses: set = set()
+        # Shards short of live replicas, or (in an app with primaries)
+        # without a live primary — the only ones emergency placement can
+        # act on.  Kept current by add/drop/set_state/set_role; relocate
+        # changes neither count nor role, so it stays out of this.
+        self._needs_primary = spec.has_primaries()
+        self._understaffed: set = set(self._by_shard)
+        # Ids of replicas dropped since the orchestrator last persisted
+        # its state (adds need no log: they sit at the tail of
+        # ``_replicas``).
+        self._dropped_log: List[str] = []
 
     def resume_versions_from(self, version: int) -> None:
         """Continue version numbering after a control-plane failover so
@@ -482,9 +492,28 @@ class AssignmentTable:
         self._by_address.setdefault(address, []).append(replica)
         self._dirty.add(shard_id)
         self._dirty_addresses.add(address)
+        if shard_id in self._understaffed:
+            self._restaff(shard_id)
         if self.tracer.enabled:
             self._trace_transition("add", replica)
         return replica
+
+    def _restaff(self, shard_id: str) -> None:
+        """Re-derive one shard's membership in the understaffed set."""
+        live = 0
+        has_primary = not self._needs_primary
+        dropped = ReplicaState.DROPPED
+        primary = Role.PRIMARY
+        for replica in self._by_shard[shard_id]:
+            if replica.state is not dropped:
+                live += 1
+                if replica.role is primary:
+                    has_primary = True
+        index = self._key_index.index_of[shard_id]
+        if has_primary and live >= self.spec.shards[index].replica_count:
+            self._understaffed.discard(shard_id)
+        else:
+            self._understaffed.add(shard_id)
 
     def _trace_transition(self, op: str, replica: ReplicaAssignment) -> None:
         """Journal one replica transition on the ``shards`` track (the
@@ -508,6 +537,8 @@ class AssignmentTable:
             bucket.remove(replica)
             if not bucket:
                 del self._by_address[replica.address]
+        self._dropped_log.append(replica_id)
+        self._restaff(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("drop", replica)
 
@@ -516,6 +547,7 @@ class AssignmentTable:
         replica.state = state
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
+        self._restaff(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("set_state", replica)
 
@@ -530,6 +562,7 @@ class AssignmentTable:
         replica.role = role
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
+        self._restaff(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("set_role", replica)
 
@@ -574,6 +607,26 @@ class AssignmentTable:
         dirty = self._dirty_addresses
         self._dirty_addresses = set()
         return dirty
+
+    def consume_dropped(self) -> List[str]:
+        """Ids of the replicas dropped since the last call."""
+        dropped = self._dropped_log
+        self._dropped_log = []
+        return dropped
+
+    def newest_replicas(self) -> Iterator[ReplicaAssignment]:
+        """Replicas from the most recently added backwards — the reverse
+        of :meth:`all_replicas`, without the copy."""
+        return reversed(self._replicas.values())
+
+    def understaffed_shards(self) -> List[ShardSpec]:
+        """Shards with fewer live replicas than their spec asks for, or
+        lacking a live primary in an app that has primaries — in spec
+        order.  O(understaffed), not O(shards)."""
+        index_of = self._key_index.index_of
+        shards = self.spec.shards
+        return [shards[i] for i in sorted(
+            index_of[shard_id] for shard_id in self._understaffed)]
 
     def primary_of(self, shard_id: str) -> Optional[ReplicaAssignment]:
         for replica in self._by_shard[shard_id]:

@@ -131,6 +131,23 @@ class Journal:
             hasher.update(b"\n")
         return hasher.hexdigest()
 
+    def behaviour_digest(self) -> str:
+        """SHA-256 over what the simulated *system* did, not over how
+        the simulator got there: the ``engine`` track (dispatch samples
+        taken every N-th executed event) and each record's ``seq`` (its
+        position among them) are left out.  A substrate change that
+        executes fewer or different events while every modelled component
+        behaves the same moves :meth:`digest` and leaves this one alone.
+        """
+        hasher = hashlib.sha256()
+        for record in self._records:
+            if record.track != "engine":
+                # The canonical line minus its leading "seq|" field.
+                line = record.canonical().partition("|")[2]
+                hasher.update(line.encode())
+                hasher.update(b"\n")
+        return hasher.hexdigest()
+
     def coverage_keys(self, violations=()):
         """The behavioural coverage fingerprint of this journal (see
         :func:`repro.obs.coverage.coverage_keys`)."""

@@ -198,6 +198,40 @@ class TestZooKeeperIntegration:
         fx.engine.run(until=fx.engine.now + 15.0)
         assert len(fx.zookeeper.children("/sm/app/servers")) == 2
 
+    def test_healthy_servers_cost_no_engine_events(self):
+        """Liveness is a lease: heartbeats are not events."""
+        fx = Fixture()
+        before = fx.engine.processed_events
+        fx.engine.run(until=fx.engine.now + 1000.0)
+        assert fx.engine.processed_events == before
+        assert fx.engine.pending_events == 0
+        assert len(fx.zookeeper.children("/sm/app/servers")) == 3
+
+    def test_crash_is_detected_a_timeout_after_the_last_heartbeat(self):
+        fx = Fixture()                      # servers up at t=0, now t=30
+        fx.engine.run(until=33.0)           # last heartbeat at t=32
+        fx.containers[0].mark_stopped()
+        fx.engine.run(until=41.9)
+        assert len(fx.zookeeper.children("/sm/app/servers")) == 3
+        fx.engine.run(until=42.0)
+        assert len(fx.zookeeper.children("/sm/app/servers")) == 2
+
+    def test_reconnect_after_session_loss_re_leases(self):
+        fx = Fixture()
+        server = fx.server()
+        fx.zookeeper.expire_session(server.session.session_id)
+        assert len(fx.zookeeper.children("/sm/app/servers")) == 2
+        fx.engine.run(until=35.0)
+        assert server.reconnect_zk()
+        assert not server.reconnect_zk()    # already connected
+        fx.engine.run(until=500.0)
+        assert len(fx.zookeeper.children("/sm/app/servers")) == 3
+        fx.containers[0].mark_stopped()     # crash at 500: beat at 498
+        fx.engine.run(until=507.9)
+        assert len(fx.zookeeper.children("/sm/app/servers")) == 3
+        fx.engine.run(until=508.0)
+        assert len(fx.zookeeper.children("/sm/app/servers")) == 2
+
     def test_bootstrap_from_assignments(self):
         fx = Fixture()
         container = fx.containers[0]

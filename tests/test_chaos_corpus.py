@@ -3,7 +3,10 @@
 Every entry under ``tests/fixtures/chaos_corpus/`` is a fuzzer-distilled
 minimal scenario checked in as a permanent regression.  Replaying one
 must be deterministic (two runs, bit-identical journal digests), must
-still produce the novel coverage keys that earned the entry its place,
+reproduce the behaviour digest recorded with it (the journal minus the
+engine track and record positions: it survives simulator-substrate
+changes, so only a change in what the simulated system *does* trips it),
+must still produce the novel coverage keys that earned the entry its place,
 and — for entries distilled from invariant-violating timelines — the
 originally-violated invariants must now pass (the bug the repro caught
 stays fixed).
@@ -41,6 +44,15 @@ def test_corpus_entry_replays_deterministically(path):
     assert first["digest"] == second["digest"], \
         "replaying the same (spec, seed) must be bit-stable"
     assert first["coverage"] == second["coverage"]
+
+
+@pytest.mark.parametrize("path", ENTRY_FILES, ids=lambda p: p.stem)
+def test_corpus_entry_reproduces_its_recorded_behaviour(path):
+    spec, meta = load_entry(path)
+    assert meta.get("behaviour_digest"), \
+        "corpus entries record the behaviour digest replay is held to"
+    result = evaluate_spec(spec, "sm", int(meta.get("run_seed", 0)))
+    assert result["behaviour_digest"] == meta["behaviour_digest"]
 
 
 @pytest.mark.parametrize("path", ENTRY_FILES, ids=lambda p: p.stem)

@@ -115,6 +115,7 @@ def test_shrink_reaches_single_action_for_single_kind_predicate():
 def entry_for(spec, coverage, seed=0):
     return CorpusEntry(spec=spec, fingerprint=spec_fingerprint(spec),
                        run_seed=seed, digest="d" * 64,
+                       behaviour_digest="b" * 64,
                        coverage=frozenset(coverage), novel=frozenset())
 
 
@@ -148,6 +149,8 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert loaded.coverage_set() == corpus.coverage_set()
     assert [e.fingerprint for e in loaded.entries] == \
         [e.fingerprint for e in corpus.entries]
+    assert [(e.digest, e.behaviour_digest) for e in loaded.entries] == \
+        [("d" * 64, "b" * 64)] * len(corpus)
 
 
 def test_energy_weighted_pick_is_deterministic():
@@ -199,6 +202,7 @@ def test_fuzz_candidates_carry_coverage_and_violation_signal():
     for entry in result.corpus.entries:
         assert entry.coverage
         assert entry.digest
+        assert entry.behaviour_digest and entry.behaviour_digest != entry.digest
         assert entry.run_seed == run_seed_for(5, entry.fingerprint)
 
 

@@ -88,6 +88,35 @@ class TestJournal:
         t2.instant("solver", "stage", 1.0, {"calls": 4})
         assert t1.journal.digest() != t2.journal.digest()
 
+    def test_behaviour_digest_ignores_engine_track_and_positions(self):
+        """Same system behaviour, different simulator substrate: one run
+        samples more engine dispatches, which also shifts every later
+        record's seq.  digest() moves, behaviour_digest() does not."""
+        def behave(tracer, engine_samples):
+            span = tracer.begin("net", "rpc", 1.0, {"dst": "a"})
+            for index in range(engine_samples):
+                tracer.instant("engine", "tick", 1.0 + index)
+                tracer.counter("engine", "pending_events", index, 1.0)
+            tracer.instant("shards", "transition", 1.5, {"op": "add"})
+            tracer.end(span, 2.0, {"ok": 1}, track="net", name="rpc")
+
+        t1, t2 = Tracer(Journal()), Tracer(Journal())
+        behave(t1, engine_samples=1)
+        behave(t2, engine_samples=5)
+        assert t1.journal.digest() != t2.journal.digest()
+        assert (t1.journal.behaviour_digest()
+                == t2.journal.behaviour_digest())
+        t2.instant("shards", "transition", 2.5, {"op": "drop"})
+        assert (t1.journal.behaviour_digest()
+                != t2.journal.behaviour_digest())
+
+    def test_behaviour_digest_skips_wall_clock_args(self):
+        t1, t2 = Tracer(Journal()), Tracer(Journal())
+        t1.instant("solver", "stage", 1.0, {"calls": 3, "wall_ms": 1.23})
+        t2.instant("solver", "stage", 1.0, {"calls": 3, "wall_ms": 9.87})
+        assert (t1.journal.behaviour_digest()
+                == t2.journal.behaviour_digest())
+
     def test_null_tracer_records_nothing(self):
         span = NO_TRACER.begin("a", "op", 1.0)
         NO_TRACER.end(span)
