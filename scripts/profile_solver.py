@@ -81,6 +81,7 @@ def main(argv=None) -> int:
             "initial_violations": initial,
             "final_violations": final,
             "solve_time": result.solve_time,
+            "setup_time": result.profile.seconds("setup"),
             "moves": result.moves,
             "swaps": result.swaps,
             "evaluations": result.evaluations,
@@ -94,7 +95,8 @@ def main(argv=None) -> int:
         print(f"{scale.label} ({arm}, seed={args.seed})")
         print(f"  violations: {initial} -> {final}"
               f"{'' if not result.timed_out else '  [TIMED OUT]'}")
-        print(f"  solve time: {result.solve_time:.3f}s  "
+        print(f"  solve time: {result.solve_time:.3f}s "
+              f"(of it set-up {result.profile.seconds('setup'):.3f}s)  "
               f"moves={result.moves} swaps={result.swaps} "
               f"evaluations={result.evaluations} "
               f"({result.evaluations_per_second:,.0f}/s)")

@@ -268,7 +268,7 @@ class Allocator:
         initial_assignment: List[int] = []
         movable_states = (ReplicaState.READY, ReplicaState.PENDING)
         for shard in self.spec.shards:
-            for replica in table.replicas_of(shard.shard_id):
+            for replica in table.replicas_view(shard.shard_id):
                 if replica.state not in movable_states:
                     continue
                 if replica.address not in address_to_index:
@@ -345,7 +345,8 @@ class Allocator:
             if target == replica.address:
                 continue
             # Never co-locate two replicas of one shard on one server.
-            siblings = {r.address for r in table.replicas_of(replica.shard_id)
+            siblings = {r.address
+                        for r in table.replicas_view(replica.shard_id)
                         if r.replica_id != replica.replica_id}
             if target in siblings:
                 continue

@@ -27,7 +27,11 @@ from ..metrics.timeseries import Counter
 from ..obs import NO_TRACER, get_default
 from ..sim.engine import Delay, Engine, Process, Signal, Wait, every
 from ..sim.network import Network
-from ..solver.local_search import OPTIMIZED, SearchConfig
+from ..solver.local_search import (
+    OPTIMIZED,
+    UNJOURNALED_PROFILE_KEYS,
+    SearchConfig,
+)
 from .allocator import (
     Allocator,
     AllocationPlan,
@@ -496,7 +500,8 @@ class Orchestrator:
             if self._tracer.enabled:
                 plan.solve_result.profile.to_trace(
                     self._tracer, "solver", self.engine.now,
-                    prefix=f"{self.spec.name}.")
+                    prefix=f"{self.spec.name}.",
+                    skip=UNJOURNALED_PROFILE_KEYS)
                 self._tracer.instant(
                     "orchestrator", "rebalance", None,
                     {"app": self.spec.name,

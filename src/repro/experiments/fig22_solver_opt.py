@@ -91,9 +91,11 @@ def run(factor: int = 5, seed: int = 0,
 def format_report(result: Fig22Result) -> str:
     def row(arm: SolverArm) -> str:
         status = "timed out" if arm.timed_out else "converged"
+        setup = arm.profile.seconds("setup") if arm.profile else 0.0
         return (f"  {arm.label:10s}: {arm.initial_violations:5d} -> "
                 f"{arm.final_violations:4d} violations in "
-                f"{arm.solve_time:6.2f}s, {arm.moves:6d} moves ({status})")
+                f"{arm.solve_time:6.2f}s (set-up {setup:.3f}s), "
+                f"{arm.moves:6d} moves ({status})")
 
     lines = [
         "Figure 22 — optimized vs baseline local search",

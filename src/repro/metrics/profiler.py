@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Collection, Dict, Iterator, Optional, Tuple
 
 
 class Profiler:
@@ -93,23 +93,28 @@ class Profiler:
         }
 
     def to_trace(self, tracer, track: str = "solver",
-                 time: Optional[float] = None, prefix: str = "") -> None:
+                 time: Optional[float] = None, prefix: str = "",
+                 skip: Collection[str] = ()) -> None:
         """Emit the recorded stages/counters onto a trace track.
 
         Wall-clock values land in ``wall_ms`` args, which the journal
         digest deliberately excludes — so traces stay bit-identical across
-        machines while still carrying solver timing for Perfetto.
+        machines while still carrying solver timing for Perfetto.  Stage
+        names, call counts and counters *are* digested; ``skip`` names
+        the stages and counters to leave out.
         """
         if not tracer.enabled:
             return
         for name in sorted(self._stages):
+            if name in skip:
+                continue
             calls, seconds = self._stages[name]
             tracer.instant(track, prefix + name, time,
                            {"calls": calls, "wall_ms": seconds * 1e3})
-        if self._counters:
-            tracer.instant(track, prefix + "counters", time,
-                           {name: self._counters[name]
-                            for name in sorted(self._counters)})
+        counters = {name: self._counters[name]
+                    for name in sorted(self._counters) if name not in skip}
+        if counters:
+            tracer.instant(track, prefix + "counters", time, counters)
 
     def format(self, total: Optional[float] = None, indent: str = "  ") -> str:
         """An aligned per-stage table; ``total`` (e.g. solve wall-clock)

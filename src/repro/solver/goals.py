@@ -8,6 +8,13 @@ whose values may change" (§5.3): the objective decomposes per server /
 per (shard, domain) term, and a single move touches at most two terms per
 goal.
 
+The search evaluates one replica against a couple of dozen sampled
+targets at a time, so the interface also has the batch form
+``move_deltas(replica, src, targets)``.  The three load goals (capacity,
+utilization, balance) are one :class:`_ThresholdGoal` with different
+limits; its batch form computes the source server's half of the delta
+once and only the destination half per target.
+
 Violation *accounting* is incremental too.  The per-server goals
 (capacity, utilization, balance, drain) derive from
 :class:`_ServerCostGoal`, which keeps
@@ -36,7 +43,7 @@ falls back to a full recount.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .problem import PlacementProblem
 from .specs import (
@@ -75,6 +82,13 @@ class Goal:
 
     def move_delta(self, replica: int, src: int, dst: int) -> float:
         raise NotImplementedError
+
+    def move_deltas(self, replica: int, src: int,
+                    targets: Sequence[int]) -> List[float]:
+        """``move_delta`` of one replica against many targets (none of
+        them ``src``) — what the search calls, once per sampled replica."""
+        move_delta = self.move_delta
+        return [move_delta(replica, src, dst) for dst in targets]
 
     def on_move(self, replica: int, src: int, dst: int) -> None:
         """Called after the problem applied a move (default: stateless)."""
@@ -226,7 +240,56 @@ class _ServerCostGoal(Goal):
         return list(self._viol_list)
 
 
-class CapacityGoal(_ServerCostGoal):
+class _ThresholdGoal(_ServerCostGoal):
+    """A per-server cost of the form ``max(0, usage[metric] - limit)``.
+
+    Capacity, utilization and balance differ only in how ``_limits`` is
+    derived.  A move's delta separates into a source half (the source
+    sheds ``load``) and a destination half (the target gains it);
+    ``move_deltas`` computes the source half once per (replica, src) and
+    only the destination half per target, adding them in the order the
+    single-call form always did, so every float is the same.
+    """
+
+    metric: int
+    _limits: List[float]
+
+    def _cost_of(self, server: int) -> float:
+        return max(0.0, self.problem.usage[server][self.metric]
+                   - self._limits[server])
+
+    def move_deltas(self, replica: int, src: int,
+                    targets: Sequence[int]) -> List[float]:
+        m = self.metric
+        load = self.problem.loads[replica][m]
+        if load == 0.0:
+            return [0.0] * len(targets)
+        usage = self.problem.usage
+        limits = self._limits
+        src_use, src_limit = usage[src][m], limits[src]
+        src_before = max(0.0, src_use - src_limit)
+        src_after = max(0.0, src_use - load - src_limit)
+        source = src_after - src_before
+        deltas = []
+        for dst in targets:
+            # max(0.0, x) spelled as a branch: no builtin call per target.
+            dst_use, dst_limit = usage[dst][m], limits[dst]
+            dst_before = dst_use - dst_limit
+            if not dst_before > 0.0:
+                dst_before = 0.0
+            dst_after = dst_use + load - dst_limit
+            if not dst_after > 0.0:
+                dst_after = 0.0
+            deltas.append(source + (dst_after - dst_before))
+        return deltas
+
+    def move_delta(self, replica: int, src: int, dst: int) -> float:
+        if src == dst:
+            return 0.0
+        return self.move_deltas(replica, src, (dst,))[0]
+
+
+class CapacityGoal(_ThresholdGoal):
     """Hard constraint, surfaced as the highest-priority goal so the search
     fixes overflow first ("earlier batches focus on ... servers out of
     capacity", §5.3).  ``fits`` additionally vetoes moves that would create
@@ -245,37 +308,20 @@ class CapacityGoal(_ServerCostGoal):
             cap[self.metric] * self.headroom for cap in problem.capacity]
         self._init_incremental()
 
-    def _limit(self, server: int) -> float:
-        return self._limits[server]
-
-    def _overflow(self, server: int) -> float:
-        return max(0.0, self.problem.usage[server][self.metric]
-                   - self._limits[server])
-
-    _cost_of = _overflow
-
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
-        load = self.problem.loads[replica][self.metric]
-        if load == 0.0 or src == dst:
-            return 0.0
+    def fitting(self, replica: int, targets: Sequence[int]) -> List[int]:
+        """The ``targets`` this replica fits on without overflow, in order."""
         m = self.metric
+        load = self.problem.loads[replica][m]
         usage = self.problem.usage
         limits = self._limits
-        src_use, src_limit = usage[src][m], limits[src]
-        dst_use, dst_limit = usage[dst][m], limits[dst]
-        src_before = max(0.0, src_use - src_limit)
-        src_after = max(0.0, src_use - load - src_limit)
-        dst_before = max(0.0, dst_use - dst_limit)
-        dst_after = max(0.0, dst_use + load - dst_limit)
-        return (src_after - src_before) + (dst_after - dst_before)
+        return [dst for dst in targets
+                if usage[dst][m] + load <= limits[dst] + 1e-9]
 
     def fits(self, replica: int, dst: int) -> bool:
-        load = self.problem.loads[replica][self.metric]
-        return (self.problem.usage[dst][self.metric] + load
-                <= self._limits[dst] + 1e-9)
+        return bool(self.fitting(replica, (dst,)))
 
 
-class UtilizationGoal(_ServerCostGoal):
+class UtilizationGoal(_ThresholdGoal):
     """Soft goal 4: utilization under a fixed threshold (e.g. 90%)."""
 
     def __init__(self, problem: PlacementProblem, spec: UtilizationSpec,
@@ -290,32 +336,8 @@ class UtilizationGoal(_ServerCostGoal):
             cap[self.metric] * self.threshold for cap in problem.capacity]
         self._init_incremental()
 
-    def _limit(self, server: int) -> float:
-        return self._limits[server]
 
-    def _excess(self, server: int) -> float:
-        return max(0.0, self.problem.usage[server][self.metric]
-                   - self._limits[server])
-
-    _cost_of = _excess
-
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
-        load = self.problem.loads[replica][self.metric]
-        if load == 0.0 or src == dst:
-            return 0.0
-        m = self.metric
-        usage = self.problem.usage
-        limits = self._limits
-        src_use, src_limit = usage[src][m], limits[src]
-        dst_use, dst_limit = usage[dst][m], limits[dst]
-        src_before = max(0.0, src_use - src_limit)
-        src_after = max(0.0, src_use - load - src_limit)
-        dst_before = max(0.0, dst_use - dst_limit)
-        dst_after = max(0.0, dst_use + load - dst_limit)
-        return (src_after - src_before) + (dst_after - dst_before)
-
-
-class BalanceGoal(_ServerCostGoal):
+class BalanceGoal(_ThresholdGoal):
     """Soft goals 5/6: utilization within ``band`` of the (scope) mean.
 
     The global mean utilization (total load / total capacity) is invariant
@@ -376,30 +398,6 @@ class BalanceGoal(_ServerCostGoal):
                                 for cap in capacity]
             # New limits invalidate every cached per-server excess.
             self._invalidate()
-
-    def _limit(self, server: int) -> float:
-        return self._limits[server]
-
-    def _excess(self, server: int) -> float:
-        return max(0.0, self.problem.usage[server][self.metric]
-                   - self._limits[server])
-
-    _cost_of = _excess
-
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
-        load = self.problem.loads[replica][self.metric]
-        if load == 0.0 or src == dst:
-            return 0.0
-        m = self.metric
-        usage = self.problem.usage
-        limits = self._limits
-        src_use, src_limit = usage[src][m], limits[src]
-        dst_use, dst_limit = usage[dst][m], limits[dst]
-        src_before = max(0.0, src_use - src_limit)
-        src_after = max(0.0, src_use - load - src_limit)
-        dst_before = max(0.0, dst_use - dst_limit)
-        dst_after = max(0.0, dst_use + load - dst_limit)
-        return (src_after - src_before) + (dst_after - dst_before)
 
 
 class AffinityGoal(Goal):

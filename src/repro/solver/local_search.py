@@ -23,21 +23,48 @@ experiment can ablate them:
 ``OPTIMIZED`` enables everything; ``BASELINE`` (Fig 22's comparison arm)
 disables them all.
 
-Hot-path notes (this is the most performance-critical loop in the repo —
-it dominates the Fig 21/22 benchmarks):
+Cost model (this is the most performance-critical loop in the repo — it
+dominates the Fig 21/22 benchmarks — and every part of a solve is
+proportional to what the search touches, never to the fleet):
 
-* goal evaluators keep dirty-set-maintained caches, so per-round
+* **set-up** is O(servers + goals): region buckets and the goal lists.
+  Nothing is computed per replica up front; equivalence keys and
+  capacity-normalised sizes are memoised the first time the search meets
+  a replica, the swap path's total loads the first time a swap is tried,
+  and ``changed_replicas`` comes from a first-origin record per moved
+  replica instead of a before/after copy of the whole assignment;
+* **per round**, goal evaluators keep dirty-set-maintained caches, so
   ``refresh`` / ``violating_servers`` / ``violations`` touch only the
-  servers changed since the last round instead of sweeping the fleet;
-* the ``weight * move_delta`` inner loops run over lists of bound methods
-  compiled once per batch (no per-evaluation attribute lookups or
-  generator frames);
-* equivalence-class keys come from a per-replica cache on the problem.
+  servers changed since the last round;
+* **per move, candidates** cost one sort of the hot server's replicas by
+  memoised size, then O(k + skipped): the pinned / ``contributes``
+  filter and the equivalence dedup walk that order lazily and stop at
+  ``k = max_replicas_per_server`` representatives.  Filtering a stably
+  sorted list equals sorting the filtered one, so the walk yields exactly
+  what filtering, sorting, deduplicating and slicing the whole server
+  would;
+* **per move, evaluation** costs, for each candidate replica and goal,
+  one batched ``move_deltas`` call: the source server's half of a
+  threshold goal's delta once, the destination half for each of the
+  <= ``candidate_samples`` sampled targets.
+
+Tie rule: replicas of equal size are tried in the iteration order of the
+server's ``replicas_on`` set (``sorted(reverse=True)`` is stable).  That
+order changes whenever the set is mutated, which is why sizes and keys
+are cached per replica but no sorted order is kept across moves; and the
+``large_first=False`` arm shuffles the fully filtered list, because the
+number of RNG draws depends on its length.  Together these keep the
+``(replica, src, dst)`` sequence, the ``evaluations`` count and the RNG
+draw sequence per seed exactly what the eager implementation produced —
+``tests/test_solver_incremental.py`` holds that eager implementation as
+the oracle.
 
 Every solve carries a :class:`~repro.metrics.profiler.Profiler` in
-``SolveResult.profile`` with per-stage wall-clock (refresh / hot_scan /
-candidates / evaluate / swap / apply) and counters; see
-``scripts/profile_solver.py`` for function-level cProfile output.
+``SolveResult.profile`` with per-stage wall-clock (setup / refresh /
+hot_scan / candidates / evaluate / swap / apply) and counters; the stages
+add up to ``solve_time``, which starts where the caller starts waiting:
+at ``LocalSearch`` construction.  See ``scripts/profile_solver.py`` for
+function-level cProfile output.
 """
 
 from __future__ import annotations
@@ -45,6 +72,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.profiler import Profiler
@@ -105,11 +133,44 @@ class SolveResult:
         return self.evaluations / self.solve_time
 
 
+#: Profile entries that stay off the journal's ``solver`` track: the
+#: golden traces, the chaos corpus and the benchmark's fingerprints pin a
+#: digest of that track, recorded before these entries existed.
+UNJOURNALED_PROFILE_KEYS = frozenset({"setup", "equiv_keys"})
+
+
+class _NormalizedSizes(dict):
+    """replica -> its load as a fraction of one capacity vector, summed
+    over metrics (zero-capacity metrics contribute nothing).
+
+    Filled on first read: a hot server is revisited move after move with
+    all but one of its replicas unchanged, so a revisit costs lookups.
+    """
+
+    __slots__ = ("_loads", "_capacity")
+
+    def __init__(self, loads: List[Tuple[float, ...]],
+                 capacity: Tuple[float, ...]) -> None:
+        super().__init__()
+        self._loads = loads
+        self._capacity = capacity
+
+    def __missing__(self, replica: int) -> float:
+        load = self._loads[replica]
+        total = 0.0
+        for m, cap in enumerate(self._capacity):
+            if cap > 0:
+                total += load[m] / cap
+        self[replica] = total
+        return total
+
+
 class LocalSearch:
     """One solver instance bound to a problem and compiled goals."""
 
     def __init__(self, problem: PlacementProblem, goals: Sequence[Goal],
                  config: SearchConfig = OPTIMIZED) -> None:
+        constructed = time.perf_counter()
         if not goals:
             raise ValueError("at least one goal is required")
         self.problem = problem
@@ -117,7 +178,7 @@ class LocalSearch:
         self.config = config
         self.rng = random.Random(config.rng_seed)
         self.capacity_goals = [g for g in self.goals if isinstance(g, CapacityGoal)]
-        self._fits_checks = [g.fits for g in self.capacity_goals]
+        self._fitting = [g.fitting for g in self.capacity_goals]
         self._affinity = next((g for g in self.goals
                                if isinstance(g, AffinityGoal)), None)
         self._spreads = [g for g in self.goals if isinstance(g, SpreadGoal)]
@@ -128,42 +189,41 @@ class LocalSearch:
         self._groups: List[List[int]] = [[] for _ in range(num_regions)]
         for server, region in enumerate(problem.server_region):
             self._groups[region].append(server)
-        self._all_servers = list(range(len(problem.servers)))
-        # With non-negative loads, a capacity goal's move_delta can never
-        # exceed the veto threshold once ``fits`` accepted the target (the
-        # destination stays within its limit and the source only sheds
-        # load), so _best_target can skip those higher-goal calls.  Swaps
-        # check the veto *before* fits and keep the full list.
-        self._nonneg_loads = all(min(load, default=0.0) >= 0.0
-                                 for load in problem.loads)
-        # Force the per-replica caches used by the hot path to build now,
-        # while we are still in setup, instead of lazily on the first
-        # dedup/swap inside the timed solve loop.
-        if config.equivalence_classes:
-            problem.equivalence_load_keys
-        if config.allow_swaps:
-            problem.replica_total_load
+        self._nonempty_groups = [group for group in self._groups if group]
+        self._all_servers = range(len(problem.servers))
+        # Per-replica memos, filled as the search meets replicas (loads
+        # and preferences are immutable): capacity vector -> sizes, and
+        # replica -> the static part of its equivalence class.
+        self._sizes: Dict[Tuple[float, ...], _NormalizedSizes] = {}
+        self._class_keys: Dict[int, Tuple[Tuple[float, ...], int]] = {}
+        # replica -> the server it sat on before this solve first moved it.
+        self._origin: Dict[int, int] = {}
         # Compiled per-batch evaluation lists (see _solve_batch).
         self._batch_evals: List[Tuple[float, "callable"]] = []
         self._higher_evals: List["callable"] = []
         self._higher_evals_post_fits: List["callable"] = []
         self._contrib_checks: Optional[List["callable"]] = None
+        self._construct_s = time.perf_counter() - constructed
 
     # -- public entry point -----------------------------------------------------
 
     def solve(self) -> SolveResult:
         result = SolveResult()
-        start = time.perf_counter()
+        profile = result.profile
+        # The caller has been waiting since construction began, so that is
+        # where the clock, and with it the time budget, starts.
+        start = time.perf_counter() - self._construct_s
         self._start_wall = start
         deadline = start + self.config.time_budget
         result.initial_violations = self.total_violations()
         result.trace.record(0.0, result.initial_violations)
-        before = self.problem.copy_assignment()
+        self._origin.clear()
 
         if self.config.priority_batches:
             batches = self._priority_batches()
         else:
             batches = [list(self.goals)]
+        profile.add("setup", time.perf_counter() - start)
 
         for batch_index, batch in enumerate(batches):
             # Earlier batches get the larger share of the remaining budget
@@ -184,13 +244,17 @@ class LocalSearch:
         result.solve_time = time.perf_counter() - start
         result.final_violations = self.total_violations()
         result.trace.record(result.solve_time, result.final_violations)
-        result.changed_replicas = self.problem.assignment_diff(before)
+        assignment = self.problem.assignment
+        result.changed_replicas = [
+            (replica, old, assignment[replica])
+            for replica, old in sorted(self._origin.items())
+            if old != assignment[replica]]
         if result.solve_time >= self.config.time_budget:
             result.timed_out = True
-        profile = result.profile
         profile.set_counter("evaluations", result.evaluations)
         profile.set_counter("moves", result.moves)
         profile.set_counter("swaps", result.swaps)
+        profile.set_counter("equiv_keys", len(self._class_keys))
         return result
 
     def total_violations(self) -> int:
@@ -214,11 +278,15 @@ class LocalSearch:
         # Compile the inner evaluation loops once per batch: plain lists of
         # bound methods, so _best_target runs without generator frames or
         # repeated attribute lookups.
-        self._batch_evals = [(g.weight, g.move_delta) for g in batch]
-        self._higher_evals = [g.move_delta for g in higher]
-        self._higher_evals_post_fits = (
-            [g.move_delta for g in higher if not isinstance(g, CapacityGoal)]
-            if self._nonneg_loads else self._higher_evals)
+        self._batch_evals = [(g.weight, g.move_deltas) for g in batch]
+        self._higher_evals = [g.move_deltas for g in higher]
+        # A replica with non-negative loads cannot make a capacity goal's
+        # delta exceed the veto threshold once ``fitting`` accepted the
+        # target (the destination stays within its limit and the source
+        # only sheds load), so _best_target skips those higher-goal calls
+        # for it.  Swaps check the veto *before* fits and use ``higher``.
+        self._higher_evals_post_fits = [
+            g.move_deltas for g in higher if not isinstance(g, CapacityGoal)]
         overridden = [g.contributes for g in batch
                       if type(g).contributes is not Goal.contributes]
         # If any batch goal uses the default always-True contributes, the
@@ -282,7 +350,7 @@ class LocalSearch:
         profile = result.profile
         perf = time.perf_counter
         t0 = perf()
-        replicas = self._candidate_replicas(server, batch)
+        replicas = self._candidate_replicas(server)
         profile.add("candidates", perf() - t0)
         chosen: Optional[int] = None
         target: Optional[int] = None
@@ -294,95 +362,84 @@ class LocalSearch:
                 break
         profile.add("evaluate", perf() - t0)
         if chosen is not None:
-            self._apply_move(chosen, server, target, result)
+            t0 = perf()
+            self._move(chosen, server, target)
+            profile.add("apply", perf() - t0)
+            result.moves += 1
+            if result.moves % self.config.trace_interval == 0:
+                result.trace.record(perf() - self._start_wall,
+                                    self.total_violations())
             return True
         if self.config.allow_swaps and replicas:
             t0 = perf()
-            swapped = self._try_swap(server, replicas[0], result)
+            swapped = self._try_swap(server, replicas[0], batch, higher,
+                                     result)
             profile.add("swap", perf() - t0)
             return swapped
         return False
 
-    def _candidate_replicas(self, server: int, batch: List[Goal]) -> List[int]:
-        pinned = self.problem.replica_pinned
-        checks = self._contrib_checks
-        if checks is None:
-            replicas = [r for r in self.problem.replicas_on[server]
-                        if not pinned[r]]
-        else:
-            replicas = [r for r in self.problem.replicas_on[server]
-                        if not pinned[r]
-                        and any(check(r) for check in checks)]
-        if not replicas:
-            return []
+    def _candidate_replicas(self, server: int) -> List[int]:
+        """Up to ``max_replicas_per_server`` movable replicas of ``server``,
+        one per equivalence class, in the order to try them."""
         config = self.config
+        problem = self.problem
+        replicas = problem.replicas_on[server]
         if config.large_first:
-            # Sort key: load normalized by this server's capacity, summed
-            # over metrics.  Computed inline (no per-element function call
-            # or generator frame); zero-capacity metrics contribute 0.0
-            # exactly as before, so the ordering is unchanged.
-            loads = self.problem.loads
-            capacity = self.problem.capacity[server]
-            sizes = []
-            append = sizes.append
-            for replica in replicas:
-                load = loads[replica]
-                total = 0.0
-                for m, cap in enumerate(capacity):
-                    if cap > 0:
-                        total += load[m] / cap
-                append(total)
-            order = sorted(range(len(replicas)), key=sizes.__getitem__,
-                           reverse=True)
-            replicas = [replicas[i] for i in order]
+            capacity = problem.capacity[server]
+            sizes = self._sizes.get(capacity)
+            if sizes is None:
+                sizes = self._sizes[capacity] = _NormalizedSizes(
+                    problem.loads, capacity)
+            # Stable, so ties keep the set's iteration order; the filter
+            # then runs lazily over the sorted order.
+            movable = filter(self._movable, sorted(
+                replicas, key=sizes.__getitem__, reverse=True))
         else:
-            self.rng.shuffle(replicas)
-        if config.equivalence_classes:
-            replicas = self._dedup_equivalent(replicas)
-        return replicas[:config.max_replicas_per_server]
-
-    def _dedup_equivalent(self, replicas: List[int]) -> List[int]:
-        """Keep one representative per equivalence class.
-
-        Two replicas on the same server are interchangeable when they have
-        the same (quantized) load vector, the same regional preference, and
-        the same spread situation; evaluating one of them covers the class
-        ("it figures out from the mathematical formula which shards are
-        equivalent to one another and reuses the computation", §5.3).
-
-        The quantized load keys are precomputed per replica on the problem
-        (loads are immutable), so this is pure dict lookups.
-        """
-        load_keys = self.problem.equivalence_load_keys
-        pref = (self._affinity.pref_region
-                if self._affinity is not None else None)
+            movable = list(filter(self._movable, replicas))
+            self.rng.shuffle(movable)
+        limit = config.max_replicas_per_server
+        if limit <= 0:
+            return []
+        if not config.equivalence_classes:
+            return list(islice(movable, limit))
+        # One representative per equivalence class: replicas on one server
+        # are interchangeable when they have the same (quantized) load
+        # vector, the same regional preference and the same spread
+        # situation ("it figures out from the mathematical formula which
+        # shards are equivalent to one another and reuses the
+        # computation", §5.3).
+        class_keys = self._class_keys
         spreads = self._spreads
         seen = set()
         kept = []
-        if spreads:
-            for replica in replicas:
-                key = (load_keys[replica],
-                       pref[replica] if pref is not None else -1,
-                       tuple(goal.crowded(replica) for goal in spreads))
-                if key in seen:
-                    continue
-                seen.add(key)
-                kept.append(replica)
-        elif pref is not None:
-            for replica in replicas:
-                key = (load_keys[replica], pref[replica])
-                if key in seen:
-                    continue
-                seen.add(key)
-                kept.append(replica)
-        else:
-            for replica in replicas:
-                key = load_keys[replica]
-                if key in seen:
-                    continue
-                seen.add(key)
-                kept.append(replica)
+        for replica in movable:
+            key = class_keys.get(replica)
+            if key is None:
+                key = class_keys[replica] = (
+                    tuple(round(v, 6) for v in problem.loads[replica]),
+                    self._affinity.pref_region[replica]
+                    if self._affinity is not None else -1)
+            if spreads:
+                key = (key, tuple(goal.crowded(replica) for goal in spreads))
+            if key in seen:
+                continue
+            seen.add(key)
+            kept.append(replica)
+            if len(kept) >= limit:
+                break
         return kept
+
+    def _movable(self, replica: int) -> bool:
+        """Not pinned, and moving it could help some goal of the batch."""
+        if self.problem.replica_pinned[replica]:
+            return False
+        checks = self._contrib_checks
+        if checks is None:
+            return True
+        for check in checks:
+            if check(replica):
+                return True
+        return False
 
     # -- target selection -----------------------------------------------------------
 
@@ -406,7 +463,7 @@ class LocalSearch:
         # suitable move target for goals such as region preference and
         # spread of replicas", §5.3).
         remaining = config.candidate_samples - len(targets)
-        nonempty_groups = [group for group in self._groups if group]
+        nonempty_groups = self._nonempty_groups
         if remaining > 0 and nonempty_groups:
             per_group = max(1, remaining // len(nonempty_groups))
             for group in nonempty_groups:
@@ -423,64 +480,48 @@ class LocalSearch:
 
     def _best_target(self, replica: int, src: int,
                      result: SolveResult) -> Optional[int]:
+        draining = self.problem.server_draining
+        targets = [target for target in self._sample_targets(replica, src)
+                   if not draining[target]]
+        for fitting in self._fitting:
+            targets = fitting(replica, targets)
+        result.evaluations += len(targets)
+        higher_evals = (self._higher_evals_post_fits
+                        if min(self.problem.loads[replica]) >= 0.0
+                        else self._higher_evals)
+        for move_deltas in higher_evals:
+            # Never deteriorate already-solved batches.
+            targets = [target for target, delta
+                       in zip(targets, move_deltas(replica, src, targets))
+                       if not delta > 1e-9]
+        totals = [0.0] * len(targets)
+        for weight, move_deltas in self._batch_evals:
+            totals = [total + weight * delta for total, delta
+                      in zip(totals, move_deltas(replica, src, targets))]
         best_delta = -1e-9
         best_target: Optional[int] = None
-        draining = self.problem.server_draining
-        fits_checks = self._fits_checks
-        higher_evals = self._higher_evals_post_fits
-        batch_evals = self._batch_evals
-        evaluations = 0
-        for target in self._sample_targets(replica, src):
-            if draining[target]:
-                continue
-            fits = True
-            for check in fits_checks:
-                if not check(replica, target):
-                    fits = False
-                    break
-            if not fits:
-                continue
-            evaluations += 1
-            vetoed = False
-            for move_delta in higher_evals:
-                if move_delta(replica, src, target) > 1e-9:
-                    vetoed = True  # never deteriorate already-solved batches
-                    break
-            if vetoed:
-                continue
-            delta = 0.0
-            for weight, move_delta in batch_evals:
-                delta += weight * move_delta(replica, src, target)
+        for target, delta in zip(targets, totals):
             if delta < best_delta:
                 best_delta = delta
                 best_target = target
-        result.evaluations += evaluations
         return best_target
 
     def _fits(self, replica: int, target: int) -> bool:
-        for check in self._fits_checks:
-            if not check(replica, target):
-                return False
-        return True
+        return all(goal.fits(replica, target) for goal in self.capacity_goals)
 
     # -- applying moves ---------------------------------------------------------------
 
-    def _apply_move(self, replica: int, src: int, dst: int,
-                    result: SolveResult) -> None:
-        t0 = time.perf_counter()
+    def _move(self, replica: int, src: int, dst: int) -> None:
+        """Reassign one replica, tell every goal, remember where it began."""
+        self._origin.setdefault(replica, src)
         self.problem.move(replica, dst)
         for goal in self.goals:
             goal.on_move(replica, src, dst)
-        result.profile.add("apply", time.perf_counter() - t0)
-        result.moves += 1
-        if result.moves % self.config.trace_interval == 0:
-            result.trace.record(time.perf_counter() - self._start_wall,
-                                self.total_violations())
 
     # -- swaps -------------------------------------------------------------------------
 
-    def _try_swap(self, hot: int, hot_replica: int,
-                  result: SolveResult) -> bool:
+    def _try_swap(self, hot: int, hot_replica: int, batch: List[Goal],
+                  higher: List[Goal], result: SolveResult) -> bool:
         """Two-way swap: big replica off the hot server, small one back.
 
         Tried only when no single move improves ("in addition to moving
@@ -489,8 +530,6 @@ class LocalSearch:
         """
         problem = self.problem
         total_load = problem.replica_total_load
-        higher_evals = self._higher_evals
-        batch_evals = self._batch_evals
         for cold in self._sample_targets(hot_replica, hot)[:6]:
             cold_replicas = [r for r in problem.replicas_on[cold]
                              if not problem.replica_pinned[r]]
@@ -500,35 +539,30 @@ class LocalSearch:
             if cold_replica == hot_replica:
                 continue
             ok = True
-            for move_delta in higher_evals:
-                combined = (move_delta(hot_replica, hot, cold)
-                            + move_delta(cold_replica, cold, hot))
+            for goal in higher:
+                combined = (goal.move_delta(hot_replica, hot, cold)
+                            + goal.move_delta(cold_replica, cold, hot))
                 if combined > 1e-9:
                     ok = False
                     break
             if not ok:
                 continue
             delta = 0.0
-            for weight, move_delta in batch_evals:
-                delta += weight * (move_delta(hot_replica, hot, cold)
-                                   + move_delta(cold_replica, cold, hot))
+            for goal in batch:
+                delta += goal.weight * (
+                    goal.move_delta(hot_replica, hot, cold)
+                    + goal.move_delta(cold_replica, cold, hot))
             if delta >= -1e-9:
                 continue
             # Capacity check for the pair (approximate: apply out first).
             if not self._fits(hot_replica, cold):
                 continue
-            self.problem.move(hot_replica, cold)
-            for goal in self.goals:
-                goal.on_move(hot_replica, hot, cold)
+            self._move(hot_replica, hot, cold)
             if not self._fits(cold_replica, hot):
                 # Roll back: the swap-in does not fit after all.
-                self.problem.move(hot_replica, hot)
-                for goal in self.goals:
-                    goal.on_move(hot_replica, cold, hot)
+                self._move(hot_replica, cold, hot)
                 continue
-            self.problem.move(cold_replica, hot)
-            for goal in self.goals:
-                goal.on_move(cold_replica, cold, hot)
+            self._move(cold_replica, cold, hot)
             result.swaps += 1
             return True
         return False

@@ -150,8 +150,7 @@ class PlacementProblem:
         # callers may call ``move`` without notifying goals) and fall back
         # to a full recount.
         self.version: int = 0
-        # Lazily built per-replica caches (loads are immutable).
-        self._equiv_load_keys: Optional[List[Tuple[float, ...]]] = None
+        # Lazily built per-replica cache (loads are immutable).
         self._replica_total_load: Optional[List[float]] = None
 
     # -- assignment mutation -------------------------------------------------
@@ -182,20 +181,12 @@ class PlacementProblem:
             self._add_usage(replica_idx, target_server)
         self.version += 1
 
-    # -- per-replica caches ----------------------------------------------------
-
-    @property
-    def equivalence_load_keys(self) -> List[Tuple[float, ...]]:
-        """Quantized load-vector key per replica (for solver equivalence
-        classes).  Loads are immutable, so this is computed once."""
-        if self._equiv_load_keys is None:
-            self._equiv_load_keys = [tuple(round(v, 6) for v in load)
-                                     for load in self.loads]
-        return self._equiv_load_keys
+    # -- per-replica cache -----------------------------------------------------
 
     @property
     def replica_total_load(self) -> List[float]:
-        """``sum(load)`` per replica, cached (used by swap target choice)."""
+        """``sum(load)`` per replica, built on first use (the solver reads
+        it only when it attempts a swap)."""
         if self._replica_total_load is None:
             self._replica_total_load = [sum(load) for load in self.loads]
         return self._replica_total_load

@@ -276,6 +276,31 @@ class TestTracedClusterRuns:
         assert {"engine", "net", "shards", "solver"} <= set(tracks)
         TraceChecker(obs.journal).assert_clean()
 
+    def test_solver_track_leaves_out_unjournaled_profile_entries(self):
+        """The solver's set-up stage and work counter were added after the
+        golden digests were recorded; they stay off the journal."""
+        from repro.metrics.profiler import Profiler
+        from repro.solver.local_search import UNJOURNALED_PROFILE_KEYS
+        profile = Profiler()
+        profile.add("setup", 0.5)
+        profile.add("evaluate", 0.25, calls=7)
+        profile.set_counter("equiv_keys", 3)
+        profile.set_counter("moves", 2)
+        tracer = Tracer(Journal())
+        profile.to_trace(tracer, "solver", 1.0, prefix="app.",
+                         skip=UNJOURNALED_PROFILE_KEYS)
+        records = [(r.name, {k: v for k, v in r.args.items()
+                             if not k.startswith("wall")})
+                   for r in tracer.journal]
+        assert records == [("app.evaluate", {"calls": 7}),
+                           ("app.counters", {"moves": 2})]
+
+        obs, _cluster, _app = traced_app()
+        solver = [r for r in obs.journal if r.track == "solver"]
+        assert solver
+        assert not any(r.name.endswith(".setup") for r in solver)
+        assert not any("equiv_keys" in (r.args or {}) for r in solver)
+
     def test_two_traced_runs_bit_identical(self):
         obs1, _c1, _a1 = traced_app()
         obs2, _c2, _a2 = traced_app()
