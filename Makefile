@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-sim bench-request bench-scale bench-fluid bench-pdes bench-skew fuzz-smoke profile trace-fig17
+.PHONY: test bench bench-quick bench-sim bench-request bench-scale bench-fluid bench-skew fuzz-smoke profile trace-fig17
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -43,14 +43,6 @@ bench-scale:
 # via FLUID_ARGS for the CI-sized pass.
 bench-fluid:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/run_fluid_bench.py $(FLUID_ARGS)
-
-# Region-parallel PDES benchmark: hard digest/headline parity gates
-# (fig17 serial vs --parallel-regions; 3-region scenario workers=1 vs
-# workers=N) plus the wall-clock speedup of region threads over the
-# single-process run, into BENCH_sim.json's `pdes` section.  Append
-# `--smoke` via PDES_ARGS for the CI-sized pass.
-bench-pdes:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/run_pdes_bench.py $(PDES_ARGS)
 
 # Hot-key skew benchmark: SM's load-based solver vs consistent hashing
 # vs static sharding under a Zipfian + scatter-gather workload with a

@@ -124,40 +124,6 @@ def check_fluid(report: dict, min_users_per_sec: float) -> list:
     return warnings
 
 
-def check_pdes(report: dict, min_speedup: float) -> list:
-    """Soft floor for the region-parallel PDES speedup.
-
-    Gates the ``pdes`` section's 3-region benchmark scenario: wall-clock
-    speedup of ``workers=N`` over the single-process serial run must
-    clear the floor.  Soft by necessity, not just CI noise: region
-    threads share the GIL, so pure-Python runs only scale on runners
-    with free cores — the parity flags (also re-checked here) are the
-    hard part of the gate and fail the bench script itself.  Returns
-    GitHub-annotation warning strings.
-    """
-    warnings = []
-    section = report.get("pdes")
-    if not section:
-        return ["::warning title=pdes gate::report has no `pdes` section "
-                "(run scripts/run_pdes_bench.py)"]
-    parity = section.get("parity", {})
-    for name, ok in sorted(parity.items()):
-        if not ok:
-            warnings.append(
-                f"::warning title=pdes gate::parity check `{name}` failed "
-                f"(serial and parallel runs disagree)")
-    scale = section.get("scale", {})
-    speedup = scale.get("speedup_vs_serial", 0.0)
-    if speedup < min_speedup:
-        warnings.append(
-            f"::warning title=pdes gate::workers={scale.get('workers', 0)} "
-            f"speedup {speedup:.2f}x below floor {min_speedup:.2f}x "
-            f"(serial {scale.get('serial_wall_seconds', 0.0):.2f}s vs "
-            f"parallel {scale.get('parallel_wall_seconds', 0.0):.2f}s; "
-            f"GIL-bound on runners without free cores)")
-    return warnings
-
-
 def check_fuzz(report: dict, min_specs_per_sec: float) -> list:
     """Soft floor for the chaos fuzzer's execution throughput.
 
@@ -257,11 +223,6 @@ def main() -> int:
                         help="also gate the report's `fluid` section: floor "
                              "for the 10M-user scenario's simulated users "
                              "per wall second")
-    parser.add_argument("--pdes-min-speedup", type=float, default=None,
-                        help="also gate the report's `pdes` section: floor "
-                             "for the region-parallel speedup over the "
-                             "single-process serial run (soft — thread "
-                             "scaling needs free cores)")
     parser.add_argument("--fuzz-min-specs-per-sec", type=float,
                         default=None,
                         help="also gate the report's `fuzz` section: floor "
@@ -286,7 +247,6 @@ def main() -> int:
         # section gates below.
         if args.scale_min_publish_ops is None \
                 and args.fluid_min_users_per_sec is None \
-                and args.pdes_min_speedup is None \
                 and args.fuzz_min_specs_per_sec is None \
                 and args.skew_min_sm_advantage is None:
             return 0
@@ -340,18 +300,6 @@ def main() -> int:
                   f"(floor {args.fluid_min_users_per_sec:,.0f}), "
                   f"under the event-mode fig18 wall")
 
-    pdes_warnings = []
-    if args.pdes_min_speedup is not None:
-        pdes_warnings = check_pdes(report, args.pdes_min_speedup)
-        for warning in pdes_warnings:
-            print(warning)
-        if not pdes_warnings:
-            scale = report.get("pdes", {}).get("scale", {})
-            print(f"pdes gate: workers={scale.get('workers', 0)} at "
-                  f"{scale.get('speedup_vs_serial', 0.0):.2f}x over serial "
-                  f"(floor {args.pdes_min_speedup:.2f}x), parity checks "
-                  f"green")
-
     fuzz_warnings = []
     if args.fuzz_min_specs_per_sec is not None:
         fuzz_warnings = check_fuzz(report, args.fuzz_min_specs_per_sec)
@@ -380,8 +328,7 @@ def main() -> int:
                   f"digests deterministic")
 
     if regressions or obs_regressions or scale_warnings \
-            or fluid_warnings or pdes_warnings or fuzz_warnings \
-            or skew_warnings:
+            or fluid_warnings or fuzz_warnings or skew_warnings:
         return 1 if args.hard else 0
     return 0
 

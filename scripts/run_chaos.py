@@ -36,7 +36,6 @@ from repro.obs.coverage import coverage_summary  # noqa: E402
 def build_tasks(scenarios: List[str], arms: List[str], seed: int,
                 repeats: int, capacity: int,
                 journal_dir: str | None,
-                parallel_regions: int = 0,
                 file_specs: Dict[str, Dict[str, Any]] | None = None
                 ) -> List[Dict[str, Any]]:
     tasks: List[Dict[str, Any]] = []
@@ -47,8 +46,6 @@ def build_tasks(scenarios: List[str], arms: List[str], seed: int,
                                           "seed": seed, "capacity": capacity}
                 if file_specs and name in file_specs:
                     kwargs["spec"] = file_specs[name]
-                if parallel_regions:
-                    kwargs["parallel_regions"] = parallel_regions
                 if journal_dir:
                     kwargs["journal_path"] = str(
                         Path(journal_dir)
@@ -88,11 +85,6 @@ def main() -> int:
                         help="run cells inline in this process")
     parser.add_argument("--output", default=None,
                         help="write the JSON report to this path")
-    parser.add_argument("--parallel-regions", type=int, default=0,
-                        metavar="N",
-                        help="run each scenario's regions under the PDES "
-                             "coordinator with N region threads (0 = off); "
-                             "digest parity across repeats still applies")
     parser.add_argument("--check-trace", action="store_true",
                         help="fail (exit 1) on any invariant violation or "
                              "digest divergence")
@@ -137,11 +129,9 @@ def main() -> int:
     repeats = 1 if args.no_repeat else 2
     tasks = build_tasks(scenarios, args.arms, args.seed, repeats,
                         args.capacity, args.journal_dir,
-                        parallel_regions=args.parallel_regions,
                         file_specs=file_specs)
     report = runner.run_experiments(
-        tasks, processes=args.processes, serial=args.serial,
-        workers_per_task=max(1, args.parallel_regions))
+        tasks, processes=args.processes, serial=args.serial)
 
     cells = report["figures"]["chaos"]["tasks"]
     failures = 0

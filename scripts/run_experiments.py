@@ -47,13 +47,6 @@ def main() -> int:
                         help="traffic engine for the request-driven "
                              "figures (fig17/fig18): per-request events "
                              "or the hybrid fluid engine")
-    parser.add_argument("--parallel-regions", type=int, default=0,
-                        metavar="N",
-                        help="run each region's event engine under the "
-                             "conservative PDES coordinator (0 = off, "
-                             "1 = windowed serial, N = thread workers); "
-                             "the process pool is shrunk so pool x N "
-                             "does not oversubscribe cores")
     parser.add_argument("--output", default=None,
                         help="write the JSON report to this path")
     parser.add_argument("--baseline", default=None,
@@ -76,8 +69,6 @@ def main() -> int:
     tasks = runner.SMOKE_TASKS if args.smoke else runner.DEFAULT_TASKS
     if args.traffic != "event":
         tasks = runner.with_traffic(tasks, args.traffic)
-    if args.parallel_regions > 0:
-        tasks = runner.with_parallel_regions(tasks, args.parallel_regions)
 
     if args.trace:
         task = runner.select_task(tasks, args.trace_figure)
@@ -100,9 +91,8 @@ def main() -> int:
                          f"(known: {sorted(known)})")
         tasks = [task for task in tasks if task["figure"] in args.figures]
 
-    report = runner.run_experiments(
-        tasks, processes=args.processes, serial=args.serial,
-        workers_per_task=max(1, args.parallel_regions))
+    report = runner.run_experiments(tasks, processes=args.processes,
+                                    serial=args.serial)
     if args.baseline:
         runner.attach_baseline(report, args.baseline)
 

@@ -34,14 +34,8 @@ class AppRuntime:
                  zk_heartbeat_interval: float = 2.0,
                  drop_grace: float = 5.0,
                  on_server_created: Optional[
-                     Callable[[ApplicationServer], None]] = None,
-                 engine_for: Optional[
-                     Callable[[str], Engine]] = None) -> None:
+                     Callable[[ApplicationServer], None]] = None) -> None:
         self.engine = engine
-        #: PDES mode: resolves a region to its engine so each server's
-        #: request handling runs on its own region's engine.  ``None``
-        #: (the default) keeps every server on the runtime engine.
-        self.engine_for = engine_for
         self.network = network
         self.zookeeper = zookeeper
         self.spec = spec
@@ -68,11 +62,8 @@ class AppRuntime:
     def _on_started(self, container: Container) -> None:
         if container.address in self.servers:
             return
-        engine = self.engine
-        if self.engine_for is not None:
-            engine = self.engine_for(container.machine.region)
         server = ApplicationServer(
-            engine=engine,
+            engine=self.engine,
             network=self.network,
             zookeeper=self.zookeeper,
             spec=self.spec,

@@ -77,13 +77,11 @@ def queued_handler_factory(cluster, service_time: float,
                            registry: Optional[Dict[str, "QueuedServiceHandler"]]
                            = None) -> Callable:
     """A ``deploy_app`` handler factory installing one
-    :class:`QueuedServiceHandler` per container (on the container's
-    region engine, so PDES mode schedules departures locally).  Pass a
-    ``registry`` dict to keep handles for queue-depth sampling."""
+    :class:`QueuedServiceHandler` per container.  Pass a ``registry``
+    dict to keep handles for queue-depth sampling."""
 
     def factory(container) -> QueuedServiceHandler:
-        engine = cluster.engine_for(container.machine.region)
-        handler = QueuedServiceHandler(engine, service_time,
+        handler = QueuedServiceHandler(cluster.engine, service_time,
                                        address=container.address)
         if registry is not None:
             registry[container.address] = handler

@@ -549,7 +549,7 @@ class ScenarioRun:
     """One executing scenario: the harness plus chaos bookkeeping."""
 
     def __init__(self, spec: ScenarioSpec, arm: str, seed: int,
-                 obs: Observability, parallel_regions: int = 0) -> None:
+                 obs: Observability) -> None:
         if arm not in ARMS:
             raise KeyError(f"unknown arm {arm!r}; known: {sorted(ARMS)}")
         self.spec = spec
@@ -566,7 +566,6 @@ class ScenarioRun:
             seed=seed,
             zk_session_timeout=spec.zk_session_timeout,
             obs=obs,
-            parallel_regions=parallel_regions,
         )
         self.engine = self.cluster.engine
         app_spec = AppSpec(
@@ -711,24 +710,20 @@ class ScenarioRun:
 
 def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
                  capacity: int = 1 << 20,
-                 journal_path: Optional[str] = None,
-                 parallel_regions: int = 0) -> ScenarioResult:
+                 journal_path: Optional[str] = None) -> ScenarioResult:
     """Execute one scenario under one arm and check every invariant.
 
     Builds a private :class:`Observability` context (scenario journals
     must not interleave with an ambient one), runs the timeline, then
     replays the journal through the TraceChecker plus the scenario's
     expectation bounds.  ``journal_path`` dumps the raw journal (JSONL)
-    for post-mortems.  With ``parallel_regions`` the scenario runs in
-    PDES mode; the digest and checker then cover the merged per-region
-    journal (identical to the plain journal in single-process mode).
+    for post-mortems.
     """
     obs = Observability(capacity=capacity)
     with use(obs):
-        run = ScenarioRun(spec, arm, seed, obs,
-                          parallel_regions=parallel_regions)
+        run = ScenarioRun(spec, arm, seed, obs)
         run.execute()
-    journal = obs.merged_journal()
+    journal = obs.journal
     if journal_path:
         from ..obs.trace_export import write_jsonl
         write_jsonl(journal, journal_path)

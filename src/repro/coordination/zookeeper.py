@@ -140,7 +140,7 @@ class Session:
         self.session_id = session_id
         self.timeout = timeout
         self.expired = False
-        self._opened = store._clock()
+        self._opened = store.engine.now
         self._heartbeats = heartbeats
         self._expiry_handle: Optional[EventHandle] = None
         # Paths of the ephemerals this session owns (maintained by
@@ -179,7 +179,7 @@ class Session:
         if self.expired:
             raise SessionExpiredError(f"session {self.session_id} expired")
         if self._expiry_handle is not None:
-            self._arm_expiry(self._store._clock() + self.timeout)
+            self._arm_expiry(self._store.engine.now + self.timeout)
 
     def stop_heartbeats(self) -> None:
         """The client died without closing: no heartbeat arrives from now
@@ -187,7 +187,7 @@ class Session:
         left of the session timeout.  No-op without a live lease."""
         if self.expired or self._heartbeats is None:
             return
-        self._arm_lease_expiry(self._store._clock())
+        self._arm_lease_expiry(self._store.engine.now)
         self._heartbeats = None
 
     def close(self) -> None:
@@ -228,15 +228,9 @@ class ZooKeeper:
 
     # -- sessions -------------------------------------------------------------
 
-    def _clock(self) -> float:
-        """Simulated now: the clock of the engine executing the current
-        callback (under PDES a region engine may be calling in), else
-        the store's own."""
-        return (Engine.current() or self.engine).now
-
     def heartbeat_grid(self, interval: float) -> HeartbeatGrid:
         """A grid starting now: first beat ``interval`` from now."""
-        return HeartbeatGrid(self._clock(), interval)
+        return HeartbeatGrid(self.engine.now, interval)
 
     def create_session(self, timeout: Optional[float] = None,
                        heartbeats: Optional[HeartbeatGrid] = None) -> Session:

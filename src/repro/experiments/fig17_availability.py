@@ -71,8 +71,7 @@ class Fig17Result:
 def _run_arm(label: str, graceful: bool, with_task_controller: bool,
              shards: int, servers: int, restart_duration: float,
              request_rate: float, seed: int,
-             traffic: str = "event", epoch: float = 2.0,
-             parallel_regions: int = 0) -> UpgradeArm:
+             traffic: str = "event", epoch: float = 2.0) -> UpgradeArm:
     cluster = SimCluster.build(
         regions=("FRC",),
         machines_per_region=servers + 4,
@@ -80,7 +79,6 @@ def _run_arm(label: str, graceful: bool, with_task_controller: bool,
         twine_config=TwineConfig(negotiation_interval=5.0),
         discovery_base_delay=2.0,
         discovery_jitter=3.0,
-        parallel_regions=parallel_regions,
     )
     concurrency = max(1, servers // 10)  # the paper's 10% restart cap
     spec = AppSpec(
@@ -165,7 +163,7 @@ def _run_arm(label: str, graceful: bool, with_task_controller: bool,
 def run(shards: int = 2_000, servers: int = 60,
         restart_duration: float = 60.0, request_rate: float = 60.0,
         seed: int = 0, traffic: str = "event",
-        epoch: float = 2.0, parallel_regions: int = 0) -> Fig17Result:
+        epoch: float = 2.0) -> Fig17Result:
     if traffic not in ("event", "fluid"):
         raise ValueError(f"unknown traffic mode {traffic!r}")
     arms = {
@@ -174,24 +172,21 @@ def run(shards: int = 2_000, servers: int = 60,
             shards=shards, servers=servers,
             restart_duration=restart_duration,
             request_rate=request_rate, seed=seed,
-            traffic=traffic, epoch=epoch,
-            parallel_regions=parallel_regions),
+            traffic=traffic, epoch=epoch),
         "no_graceful_migration": _run_arm(
             "no graceful migration", graceful=False,
             with_task_controller=True,
             shards=shards, servers=servers,
             restart_duration=restart_duration,
             request_rate=request_rate, seed=seed,
-            traffic=traffic, epoch=epoch,
-            parallel_regions=parallel_regions),
+            traffic=traffic, epoch=epoch),
         "no_graceful_no_taskcontroller": _run_arm(
             "no graceful migration & no TaskController",
             graceful=False, with_task_controller=False,
             shards=shards, servers=servers,
             restart_duration=restart_duration,
             request_rate=request_rate, seed=seed,
-            traffic=traffic, epoch=epoch,
-            parallel_regions=parallel_regions),
+            traffic=traffic, epoch=epoch),
     }
     return Fig17Result(arms=arms)
 

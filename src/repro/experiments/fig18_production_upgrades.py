@@ -48,8 +48,7 @@ class Fig18Result:
 def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
         days: int = 2, base_rate: float = 10.0, peak_rate: float = 40.0,
         canary_fraction: float = 0.1, seed: int = 0,
-        traffic: str = "event", epoch: float = 5.0,
-        parallel_regions: int = 0) -> Fig18Result:
+        traffic: str = "event", epoch: float = 5.0) -> Fig18Result:
     """``day_length`` compresses the diurnal period (default: 1h per
     simulated 'day'); upgrade cadence and shapes are unchanged.
 
@@ -65,7 +64,6 @@ def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
         regions=("FRC",),
         machines_per_region=servers + 4,
         seed=seed,
-        parallel_regions=parallel_regions,
     )
     spec = AppSpec(
         name="queue",

@@ -79,12 +79,11 @@ def run(shards: int = 1_000, ec_shards: int = 400,
         request_rate: float = 20.0,
         failure_time: float = 90.0, recovery_time: float = 450.0,
         horizon: float = 560.0, bucket: float = 10.0,
-        seed: int = 0, parallel_regions: int = 0) -> Fig19Result:
+        seed: int = 0) -> Fig19Result:
     cluster = SimCluster.build(
         regions=REGIONS,
         machines_per_region=servers_per_region + 2,
         seed=seed,
-        parallel_regions=parallel_regions,
     )
     key_space = shards * 16
     preferences = {index: "FRC" for index in range(ec_shards)}

@@ -62,8 +62,7 @@ def run(users: int = 10_000_000, shards: int = 1_000,
         servers_per_region: int = 25, day_length: float = 3_600.0,
         days: int = 2, epoch: float = 30.0,
         rate_per_user: float = 0.1, seed: int = 0,
-        regions: Sequence[str] = ("FRC", "PRN", "ODN"),
-        parallel_regions: int = 0) -> FluidScaleResult:
+        regions: Sequence[str] = ("FRC", "PRN", "ODN")) -> FluidScaleResult:
     """Two (compressed) days of follow-the-sun diurnal traffic.
 
     ``rate_per_user`` is the mean request rate of one user; the regional
@@ -78,7 +77,6 @@ def run(users: int = 10_000_000, shards: int = 1_000,
         regions=tuple(regions),
         machines_per_region=servers_per_region + 4,
         seed=seed,
-        parallel_regions=parallel_regions,
     )
     spec = AppSpec(
         name="fluid10m",

@@ -100,7 +100,6 @@ def fluid_scale_task(**kwargs: Any) -> Dict[str, Any]:
 def chaos_task(scenario: str = "", arm: str = "sm", seed: int = 0,
                capacity: int = 1 << 20,
                journal_path: Optional[str] = None,
-               parallel_regions: int = 0,
                spec: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Run one chaos scenario under one arm (see :mod:`repro.chaos`).
 
@@ -123,8 +122,7 @@ def chaos_task(scenario: str = "", arm: str = "sm", seed: int = 0,
         if parent:
             os.makedirs(parent, exist_ok=True)
     result = run_scenario(scenario_spec, arm=arm, seed=seed,
-                          capacity=capacity, journal_path=journal_path,
-                          parallel_regions=parallel_regions)
+                          capacity=capacity, journal_path=journal_path)
     headline = result.headline()
     if journal_path:
         headline["journal_path"] = journal_path
@@ -145,20 +143,6 @@ def fuzz_eval_task(job: Dict[str, Any]) -> Dict[str, Any]:
     spec = ScenarioSpec.from_dict(job["spec"])
     return evaluate_spec(spec, job.get("arm", "sm"), job["seed"],
                          job.get("capacity", 1 << 20))
-
-
-def pdes_scale_task(**kwargs: Any) -> Dict[str, Any]:
-    from . import pdes_scale
-    result = pdes_scale.run(**kwargs)
-    headline = dict(result.headline())
-    headline.update({
-        "wall_seconds": result.wall_seconds,
-        "events_processed": result.events_processed,
-        "windows": result.windows,
-        "deferred_events": result.deferred_events,
-        "clamped_events": result.clamped_events,
-    })
-    return headline
 
 
 #: The default sweep: every sim-heavy figure, Figure 17 split per arm so
@@ -216,9 +200,6 @@ SMOKE_TASKS: List[Dict[str, Any]] = [
 #: Figures that accept the ``traffic=`` kwarg (the hybrid engine switch).
 TRAFFIC_AWARE_FIGURES = ("fig17", "fig18")
 
-#: Figures that accept the ``parallel_regions=`` kwarg (PDES mode).
-PDES_AWARE_FIGURES = ("fig17", "fig18", "fig19")
-
 
 def with_traffic(tasks: List[Dict[str, Any]],
                  traffic: str) -> List[Dict[str, Any]]:
@@ -227,22 +208,6 @@ def with_traffic(tasks: List[Dict[str, Any]],
     for task in tasks:
         if task["figure"] in TRAFFIC_AWARE_FIGURES:
             task = dict(task, kwargs=dict(task["kwargs"], traffic=traffic))
-        out.append(task)
-    return out
-
-
-def with_parallel_regions(tasks: List[Dict[str, Any]],
-                          workers: int) -> List[Dict[str, Any]]:
-    """Copy a task list with PDES enabled on the aware figures.
-
-    ``workers`` is the per-scenario region-thread budget (1 = windowed
-    but serial regions — the determinism baseline).
-    """
-    out: List[Dict[str, Any]] = []
-    for task in tasks:
-        if task["figure"] in PDES_AWARE_FIGURES:
-            task = dict(task, kwargs=dict(task["kwargs"],
-                                          parallel_regions=workers))
         out.append(task)
     return out
 
@@ -306,10 +271,7 @@ def run_traced(task: Dict[str, Any], trace_path: str,
     obs = Observability(capacity=capacity)
     with use(obs):
         result = run_task(task)
-    # Merged view: with --parallel-regions the region engines journal
-    # into per-region segments; serial runs have none and this is the
-    # main journal itself.
-    journal = obs.merged_journal()
+    journal = obs.journal
     write_chrome_trace(journal, trace_path)
     if journal_path:
         write_jsonl(journal, journal_path)
@@ -329,24 +291,19 @@ def run_traced(task: Dict[str, Any], trace_path: str,
 
 def run_experiments(tasks: Optional[List[Dict[str, Any]]] = None,
                     processes: Optional[int] = None,
-                    serial: bool = False,
-                    workers_per_task: int = 1) -> Dict[str, Any]:
+                    serial: bool = False) -> Dict[str, Any]:
     """Run the task list and build the aggregated report dict.
 
-    ``processes`` defaults to ``min(len(tasks), cpu_count //
-    workers_per_task)`` — ``workers_per_task`` is each task's internal
-    thread budget (the ``--parallel-regions`` worker count), so a pool of
-    figures times region threads per figure never oversubscribes the
-    machine.  With one core (or ``serial=True``) tasks run inline — the
-    pool cannot beat serial execution without cores to spread over, and
-    the report's ``processes`` field records what actually happened.
+    ``processes`` defaults to ``min(len(tasks), cpu_count)``.  With one
+    core (or ``serial=True``) tasks run inline — the pool cannot beat
+    serial execution without cores to spread over, and the report's
+    ``processes`` field records what actually happened.
     """
     if tasks is None:
         tasks = DEFAULT_TASKS
     cpus = os.cpu_count() or 1
-    workers_per_task = max(1, workers_per_task)
     if processes is None:
-        processes = min(len(tasks), max(1, cpus // workers_per_task))
+        processes = min(len(tasks), cpus)
     processes = max(1, processes)
     sweep_start = time.perf_counter()
     if serial or processes == 1:

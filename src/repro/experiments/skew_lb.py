@@ -225,8 +225,8 @@ def run_arm(arm: str, params: Optional[SkewParams] = None,
         scatter_client.client.close()
 
         measure_from = params.settle + params.warmup
-        violations = TraceChecker(obs.merged_journal()).check()
-        digest = obs.merged_journal().digest()
+        violations = TraceChecker(obs.journal).check()
+        digest = obs.journal.digest()
 
     steady = [v for t, v in imbalance if t >= measure_from]
     return ArmResult(

@@ -27,23 +27,12 @@ from .discovery.service_discovery import ServiceDiscovery
 from .obs import NO_OBS, Observability, get_default
 from .sim.engine import Engine
 from .sim.network import LatencyModel, Network
-from .sim.pdes import PdesGroup
 from .sim.rng import substream
 
 
 @dataclass
 class SimCluster:
-    """The simulated world shared by every application in a scenario.
-
-    With ``parallel_regions`` set at build time, the cluster runs in
-    conservative-PDES mode: ``engine`` stays the control-plane engine
-    (ZooKeeper, Twines, service discovery, orchestrators), ``engines``
-    maps each region to its own engine driving that region's application
-    servers and clients, and :meth:`run` advances everything through the
-    :class:`~repro.sim.pdes.PdesGroup` window loop.  Single-region
-    scenarios collapse (every region maps to the control engine) and stay
-    bit-identical to the serial path.
-    """
+    """The simulated world shared by every application in a scenario."""
 
     engine: Engine
     topology: Topology
@@ -53,8 +42,6 @@ class SimCluster:
     twines: Dict[str, Twine]
     seed: int
     obs: Observability = field(default_factory=lambda: NO_OBS)
-    pdes: Optional[PdesGroup] = None
-    engines: Dict[str, Engine] = field(default_factory=dict)
 
     @classmethod
     def build(cls, regions: Sequence[str] = ("FRC", "PRN", "ODN"),
@@ -68,11 +55,7 @@ class SimCluster:
               discovery_base_delay: float = 1.0,
               discovery_jitter: float = 1.0,
               zk_session_timeout: float = 10.0,
-              obs: Optional[Observability] = None,
-              parallel_regions: int = 0) -> "SimCluster":
-        """``parallel_regions``: 0 = single-process (default), 1 = PDES
-        window loop with regions advanced serially in rank order (the
-        determinism baseline), N>1 = region phase on N worker threads."""
+              obs: Optional[Observability] = None) -> "SimCluster":
         obs = obs if obs is not None else get_default()
         engine = Engine()
         topology = build_topology(
@@ -97,31 +80,6 @@ class SimCluster:
             obs.metrics.gauge("net.rpcs_sent", lambda: network.rpcs_sent)
             obs.metrics.gauge("net.rpcs_failed", lambda: network.rpcs_failed)
             network.latency_hist = obs.metrics.histogram("net.rpc_latency_ms")
-        pdes: Optional[PdesGroup] = None
-        engines: Dict[str, Engine] = {}
-        if parallel_regions > 0:
-            multi = len(regions) > 1
-            engines = {r: (Engine() if multi else engine) for r in regions}
-            if multi:
-                rngs = {r: substream(seed, "network", r) for r in regions}
-                tracers = hists = None
-                if obs.enabled:
-                    tracers = {}
-                    hists = {}
-                    for r in sorted(regions):
-                        tracer = obs.segment(r)
-                        tracer.bind_clock(engines[r])
-                        engines[r].set_tracer(tracer,
-                                              sample_every=obs.engine_sample)
-                        tracers[r] = tracer
-                        hists[r] = obs.metrics.histogram(
-                            f"net.rpc_latency_ms.{r}")
-                network.split_engines(engines, rngs,
-                                      tracers=tracers, hists=hists)
-            pdes = PdesGroup(
-                engine, engines,
-                lookahead=network.latency.min_inter_region_latency(),
-                workers=parallel_regions)
         zookeeper = ZooKeeper(engine,
                               default_session_timeout=zk_session_timeout)
         discovery = ServiceDiscovery(engine, base_delay=discovery_base_delay,
@@ -138,17 +96,10 @@ class SimCluster:
             )
         return cls(engine=engine, topology=topology, network=network,
                    zookeeper=zookeeper, discovery=discovery, twines=twines,
-                   seed=seed, obs=obs, pdes=pdes, engines=engines)
+                   seed=seed, obs=obs)
 
     def run(self, until: float) -> float:
-        if self.pdes is not None:
-            return self.pdes.run(until)
         return self.engine.run(until=until)
-
-    def engine_for(self, region: str) -> Engine:
-        """The engine driving ``region``'s servers and clients — the
-        region engine in PDES mode, the one global engine otherwise."""
-        return self.engines.get(region, self.engine)
 
     def regions(self) -> List[str]:
         return sorted(self.twines)
@@ -200,7 +151,7 @@ class DeployedApp:
                **router_options) -> ApplicationClient:
         address = name or f"client/{self.spec.name}/{region}"
         return ApplicationClient(
-            cluster.engine_for(region), cluster.network, cluster.discovery,
+            cluster.engine, cluster.network, cluster.discovery,
             self.spec.name, address, region, **router_options)
 
     def fluid_client(self, cluster: SimCluster, region: str,
@@ -249,7 +200,6 @@ def deploy_app(cluster: SimCluster, spec: AppSpec,
         handler_factory=handler_factory or _echo_handler_factory,
         base_loads=base_loads,
         on_server_created=on_server_created,
-        engine_for=cluster.engine_for if cluster.pdes is not None else None,
     )
     containers: List[Container] = []
     for region, count in servers_per_region.items():

@@ -37,7 +37,7 @@ draws, no scheduling).  Wall-clock measurements appear only under
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import trace_export
 from .checker import REQUIRED_PHASES, TraceChecker, Violation
@@ -65,67 +65,18 @@ class Observability:
         #: queue-depth counter sample (1 = every event; engine tracks stay
         #: readable and the journal bounded at figure scale).
         self.engine_sample = max(1, engine_sample)
-        self.capacity = capacity
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(Journal(capacity))
         self.tracer.registry = self.metrics
-        self._segments: Dict[str, Tracer] = {}
 
     @property
     def journal(self) -> Journal:
         return self.tracer.journal
 
-    # -- PDES region segments ------------------------------------------------
-
-    def segment(self, name: str) -> Tracer:
-        """A per-region journal segment for PDES runs.
-
-        Each region engine records into its own tracer + journal so
-        concurrent workers never contend on one ring buffer; span ids are
-        offset per segment (10^7 apart) so spans stay unique across the
-        merge.  Without segments (the single-process path) nothing here
-        runs and digests are untouched.
-        """
-        tracer = self._segments.get(name)
-        if tracer is None:
-            tracer = Tracer(Journal(self.capacity))
-            tracer.registry = self.metrics
-            tracer._next_span = 1 + (len(self._segments) + 1) * 10 ** 7
-            self._segments[name] = tracer
-        return tracer
-
-    def segments(self) -> Dict[str, Tracer]:
-        return dict(self._segments)
-
     def merged_journal(self) -> Journal:
-        """One digest-stable journal merging the main journal (rank 0)
-        and every region segment (ranks by sorted name).
-
-        Records merge in ``(time, rank, seq)`` order — the journal-side
-        image of the PDES ``(time, src_region, seq)`` contract — and are
-        re-sequenced, so a parallel run's merged digest is reproducible
-        run-to-run regardless of worker scheduling.  With no segments this
-        returns the main journal itself (digest bit-identical to serial).
-        """
-        if not self._segments:
-            return self.journal
-        ranked = [(0, self.journal)]
-        for rank, name in enumerate(sorted(self._segments), start=1):
-            ranked.append((rank, self._segments[name].journal))
-        entries = []
-        for rank, journal in ranked:
-            for record in journal:
-                entries.append((record.time, rank, record.seq, record))
-        entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-        merged = Journal(capacity=max(1, len(entries)))
-        for seq, (_, _, _, record) in enumerate(entries):
-            merged.append(TraceRecord(seq, record.kind, record.track,
-                                      record.name, record.time,
-                                      record.span, record.args))
-        return merged
-
-    def merged_digest(self) -> str:
-        return self.merged_journal().digest()
+        # Alias kept because bench/workloads.py, which a change may not
+        # edit, calls it; everything else reads ``journal``.
+        return self.journal
 
 
 class _DisabledObservability(Observability):
@@ -135,13 +86,8 @@ class _DisabledObservability(Observability):
 
     def __init__(self) -> None:
         self.engine_sample = 0
-        self.capacity = 1
         self.metrics = MetricsRegistry()
         self.tracer = NO_TRACER
-        self._segments = {}
-
-    def segment(self, name: str) -> Tracer:
-        return NO_TRACER
 
 
 #: Module-level disabled singleton — the default everywhere.

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -82,21 +81,12 @@ class EventHandle:
         event = self._event
         if event.cancelled:
             return
-        engine = self._engine
-        group = engine._group
-        if group is not None and group.is_foreign(engine):
-            # Cross-engine cancel under PDES: the owning engine may be
-            # running on another worker, so the tombstone + pending
-            # adjustment are applied at the next window barrier.
-            group.defer_cancel(engine, event)
-            return
         event.cancelled = True
-        if not event.done and event.seq >= 0:
+        if not event.done:
             # First cancellation of a not-yet-executed event: it stops
             # counting as pending right away (its heap entry lingers as
-            # a tombstone until popped).  Events with seq < 0 sit in a
-            # PDES defer buffer and were never counted as pending.
-            engine._pending -= 1
+            # a tombstone until popped).
+            self._engine._pending -= 1
 
 
 class Engine:
@@ -108,14 +98,6 @@ class Engine:
     #: the hot loop.
     total_processed_events: int = 0
 
-    #: Thread-local "which engine is executing a callback right now".
-    #: ``run()`` sets/restores it; the PDES scheduling guards consult it
-    #: to detect cross-engine schedules.  Shared across all engines.
-    _tls = threading.local()
-    #: Serializes the total_processed_events bump: under PDES several
-    #: region engines finish windows concurrently.
-    _totals_lock = threading.Lock()
-
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, _Event]] = []
@@ -124,14 +106,8 @@ class Engine:
         self._running = False
         self._processed = 0
         self._pending = 0
-        # PDES membership: when set (a repro.sim.pdes.PdesGroup), schedules
-        # arriving from a *different* engine's execution context are
-        # deferred into the group's barrier buffer instead of touching
-        # this engine's queues (which another worker may be draining).
-        self._group = None
-        # Observability: None keeps run() on the untraced loop (the
-        # common case pays one `is None` check per run() call, not per
-        # event); set via set_tracer().
+        # Observability: None leaves run() with one int compare per
+        # event that never matches; set via set_tracer().
         self._trace = None
         self._trace_sample = 64
 
@@ -141,7 +117,7 @@ class Engine:
         Every ``sample_every``-th executed event records an instant (the
         callback's qualified name) plus a queue-depth counter sample on
         the ``engine`` track.  Passing a disabled tracer (or ``None``)
-        detaches, restoring the untraced run loop verbatim.
+        detaches.
         """
         if tracer is None or not tracer.enabled:
             self._trace = None
@@ -149,11 +125,6 @@ class Engine:
         self._trace = tracer
         self._trace_sample = max(1, sample_every)
         tracer.bind_clock(self)
-
-    @classmethod
-    def current(cls) -> Optional["Engine"]:
-        """The engine executing a callback on this thread, if any."""
-        return getattr(cls._tls, "engine", None)
 
     @property
     def now(self) -> float:
@@ -182,17 +153,7 @@ class Engine:
 
         With ``arg``, the callback is invoked as ``callback(arg)`` — the
         zero-allocation alternative to ``lambda: callback(value)``.
-
-        Under PDES (``_group`` set), a schedule issued while a *different*
-        engine is executing is routed into the group's barrier buffer and
-        applied at the next window boundary (clamped there if needed) —
-        the outbox that keeps per-region queues single-writer.
         """
-        group = self._group
-        if group is not None:
-            src = Engine._tls.__dict__.get("engine")
-            if src is not None and src is not self:
-                return group.defer(src, self, when, callback, arg)
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when:.6f}, current time is {self._now:.6f}"
@@ -204,18 +165,7 @@ class Engine:
 
     def call_after(self, delay: float, callback: Callable[..., None],
                    arg: Any = _NO_ARG) -> EventHandle:
-        """Schedule ``callback`` after ``delay`` seconds.
-
-        Cross-engine sends under PDES resolve the delay against the
-        *sender's* clock (the send time), not this engine's.
-        """
-        group = self._group
-        if group is not None:
-            src = Engine._tls.__dict__.get("engine")
-            if src is not None and src is not self:
-                if delay < 0:
-                    raise SimulationError(f"negative delay {delay!r}")
-                return group.defer(src, self, src._now + delay, callback, arg)
+        """Schedule ``callback`` after ``delay`` seconds."""
         if delay == 0.0:
             event = _Event(self._now, next(self._seq), callback, arg)
             self._immediate.append(event)
@@ -232,12 +182,6 @@ class Engine:
         The workhorse of :meth:`Signal.fire`: one ``_Event`` allocation and
         a deque append per wake, nothing else.
         """
-        group = self._group
-        if group is not None:
-            src = Engine._tls.__dict__.get("engine")
-            if src is not None and src is not self:
-                group.defer(src, self, src._now, callback, arg)
-                return
         self._immediate.append(_Event(self._now, next(self._seq),
                                       callback, arg))
         self._pending += 1
@@ -248,20 +192,26 @@ class Engine:
         Returns the simulated time when the run stopped.  When ``until`` is
         given, the clock is advanced to exactly ``until`` even if the last
         event fired earlier (so repeated ``run(until=...)`` calls tile time).
+
+        With a tracer attached (see :meth:`set_tracer`) every
+        ``sample_every``-th event executed by this call is sampled.
+        Sampling is pure observation: event selection, clock updates and
+        callback invocation do not depend on it, so seeded runs stay
+        bit-identical with tracing on or off.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
-        if self._trace is not None:
-            return self._run_traced(until, max_events)
         self._running = True
         executed = 0
         heap = self._heap
         immediate = self._immediate
         heappop = heapq.heappop
         no_arg = _NO_ARG
-        tls = Engine._tls
-        prev_engine = tls.__dict__.get("engine")
-        tls.engine = self
+        trace = self._trace
+        sample = self._trace_sample
+        # `executed` counts up from 0, so -1 never matches: the untraced
+        # cost is the one int compare below.
+        next_sample = 0 if trace is not None else -1
         try:
             while heap or immediate:
                 # Pick the globally smallest (time, seq): the immediate
@@ -302,129 +252,27 @@ class Engine:
                 # a callback cancelling its own handle is a no-op.
                 event.done = True
                 self._pending -= 1
-                arg = event.arg
-                if arg is no_arg:
-                    event.callback()
-                else:
-                    event.callback(arg)
-                executed += 1
-        finally:
-            tls.engine = prev_engine
-            self._running = False
-            self._processed += executed
-            with Engine._totals_lock:
-                Engine.total_processed_events += executed
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def _run_traced(self, until: Optional[float],
-                    max_events: Optional[int]) -> float:
-        """The run loop with dispatch sampling (see :meth:`set_tracer`).
-
-        A verbatim copy of :meth:`run` plus the sampling block, kept
-        separate so the untraced loop carries zero per-event overhead.
-        Tracing is pure observation: event selection, clock updates and
-        callback invocation are identical, so seeded runs stay
-        bit-identical with tracing on or off.
-        """
-        self._running = True
-        executed = 0
-        heap = self._heap
-        immediate = self._immediate
-        heappop = heapq.heappop
-        no_arg = _NO_ARG
-        trace = self._trace
-        sample = self._trace_sample
-        tls = Engine._tls
-        prev_engine = tls.__dict__.get("engine")
-        tls.engine = self
-        try:
-            while heap or immediate:
-                if immediate:
-                    event = immediate[0]
-                    if heap:
-                        head = heap[0]
-                        if head[0] < event.time or (head[0] == event.time
-                                                    and head[1] < event.seq):
-                            event = head[2]
-                            from_heap = True
-                        else:
-                            from_heap = False
-                    else:
-                        from_heap = False
-                else:
-                    event = heap[0][2]
-                    from_heap = True
-                if event.cancelled:
-                    if from_heap:
-                        heappop(heap)
-                    else:
-                        immediate.popleft()
-                    continue
-                if until is not None and event.time > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                if from_heap:
-                    heappop(heap)
-                else:
-                    immediate.popleft()
-                self._now = event.time
-                event.done = True
-                self._pending -= 1
-                arg = event.arg
-                if executed % sample == 0:
+                if executed == next_sample:
+                    next_sample += sample
                     callback = event.callback
                     name = (getattr(callback, "__qualname__", None)
                             or type(callback).__name__)
                     trace.instant("engine", name, event.time)
                     trace.counter("engine", "pending_events",
                                   self._pending, event.time)
+                arg = event.arg
                 if arg is no_arg:
                     event.callback()
                 else:
                     event.callback(arg)
                 executed += 1
         finally:
-            tls.engine = prev_engine
             self._running = False
             self._processed += executed
-            with Engine._totals_lock:
-                Engine.total_processed_events += executed
+            Engine.total_processed_events += executed
         if until is not None and self._now < until:
             self._now = until
         return self._now
-
-    def run_window(self, horizon: float) -> int:
-        """Advance exactly to ``horizon``, executing every event with
-        ``time <= horizon``; returns the number of events executed.
-
-        The PDES coordinator's unit of work: repeated ``run_window`` calls
-        tile time exactly like one big ``run(until=...)`` — the engine's
-        run loop already executes the identical event sequence either way,
-        which is what keeps single-region PDES runs bit-identical to the
-        single-process path.
-        """
-        if horizon < self._now:
-            raise SimulationError(
-                f"window horizon t={horizon:.6f} is before t={self._now:.6f}")
-        before = self._processed
-        self.run(until=horizon)
-        return self._processed - before
-
-    def _peek_time(self) -> Optional[float]:
-        """Earliest queued event time (tombstones included), or None.
-
-        Conservative on purpose: a cancelled head may report an earlier
-        time than the first live event, which only makes the PDES
-        skip-ahead less aggressive, never wrong.
-        """
-        if self._immediate:
-            return self._now
-        if self._heap:
-            return self._heap[0][0]
-        return None
 
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> "Process":
         """Start a generator-based process immediately."""

@@ -212,39 +212,6 @@ class LatencyModel:
     def regions(self) -> set[str]:
         return {r for pair in self._configured for r in pair}
 
-    def min_inter_region_latency(self) -> float:
-        """Smallest configured one-way latency between two *distinct*
-        regions — the conservative PDES lookahead: no event in one region
-        can affect another sooner than this.  Falls back to the intra
-        latency when no inter-region pair is configured (single-region
-        topologies, where the window size is moot)."""
-        inter = [lat for (a, b), lat in self._matrix.items() if a != b]
-        return min(inter) if inter else self.intra_region
-
-
-class _NetContext:
-    """Region-local delivery context: the engine, RNG, tracer and
-    counters one side of an RPC uses.
-
-    In single-process mode the network has exactly one context (the
-    construction-time engine/rng/tracer), so the hot path is unchanged
-    and bit-identical.  Under PDES, :meth:`Network.split_engines` adds
-    one context per region; each is only ever touched by its own
-    engine's worker (or by the control thread while regions are idle),
-    so RNG draws and counter increments never race and draw *order*
-    within a region is deterministic.
-    """
-
-    __slots__ = ("engine", "rng", "tracer", "latency_hist", "sent", "failed")
-
-    def __init__(self, engine: Engine, rng: random.Random, tracer) -> None:
-        self.engine = engine
-        self.rng = rng
-        self.tracer = tracer
-        self.latency_hist = None
-        self.sent = 0
-        self.failed = 0
-
 
 class _RpcOp:
     """Delivery state machine for one RPC.
@@ -255,14 +222,12 @@ class _RpcOp:
     """
 
     __slots__ = ("net", "call", "src", "dst", "timeout", "start",
-                 "method", "payload", "req_latency", "trace_span",
-                 "src_ctx", "dst_ctx")
+                 "method", "payload", "req_latency", "trace_span")
 
     def __init__(self, net: "Network", call: RpcCall,
                  src: Optional[Endpoint], dst: Optional[Endpoint],
                  method: str, payload: Any, timeout: float,
-                 start: float, src_ctx: _NetContext,
-                 dst_ctx: _NetContext) -> None:
+                 start: float) -> None:
         self.net = net
         self.call = call
         self.src = src
@@ -272,22 +237,16 @@ class _RpcOp:
         self.timeout = timeout
         self.start = start
         self.trace_span = 0  # non-zero only while tracing is enabled
-        # Caller-side and callee-side delivery contexts.  Caller-side
-        # steps (timeouts, completions) run on src_ctx.engine; callee-side
-        # steps (request handling, response send) on dst_ctx.engine.  In
-        # single-process mode both are the network's one context.
-        self.src_ctx = src_ctx
-        self.dst_ctx = dst_ctx
 
     def fail(self, reason: str) -> None:
         """Complete with a failure — the *only* place ``rpcs_failed`` is
         counted, guarded by the call's first-completion-wins check."""
-        ctx = self.src_ctx
+        net = self.net
         call = self.call
         if call.result is None and call._complete(
                 RpcResult(ok=False, error=reason,
-                          latency=ctx.engine.now - self.start)):
-            ctx.failed += 1
+                          latency=net.engine.now - self.start)):
+            net.rpcs_failed += 1
             if self.trace_span:
                 self._trace_end(call.result)
 
@@ -295,12 +254,12 @@ class _RpcOp:
         """Close this RPC's span on the settling completion (winner only:
         both callers sit behind the first-completion-wins guard, so the
         span ends exactly once — the invariant the TraceChecker asserts)."""
-        ctx = self.src_ctx
-        ctx.tracer.end(self.trace_span, ctx.engine.now,
+        net = self.net
+        net.tracer.end(self.trace_span, net.engine.now,
                        {"ok": int(result.ok), "error": result.error,
                         "latency": result.latency},
                        track="net", name=self.method)
-        hist = ctx.latency_hist
+        hist = net.latency_hist
         if hist is not None:
             hist.observe(result.latency * 1e3)
 
@@ -315,8 +274,7 @@ class _RpcOp:
             # latency (not now - start) to keep float arithmetic — and so
             # the event trace — bit-identical to the pre-fast-path engine.
             remaining = self.timeout - self.req_latency
-            self.src_ctx.engine.call_after(max(0.0, remaining),
-                                           self.fail, "timeout")
+            net.engine.call_after(max(0.0, remaining), self.fail, "timeout")
             return
         try:
             value = dst.handle(self.method, self.payload)
@@ -327,9 +285,8 @@ class _RpcOp:
             value._on_settle(self._reply_settled)
             # A reply the server never settles must still time out at the
             # caller (first completion wins if it does settle).
-            remaining = self.timeout - (self.dst_ctx.engine.now - self.start)
-            self.src_ctx.engine.call_after(max(0.0, remaining),
-                                           self.fail, "timeout")
+            remaining = self.timeout - (net.engine.now - self.start)
+            net.engine.call_after(max(0.0, remaining), self.fail, "timeout")
         else:
             self._send_response(True, value, "")
 
@@ -338,18 +295,15 @@ class _RpcOp:
 
     def _send_response(self, ok: bool, value: Any, error: str) -> None:
         net = self.net
-        dst_ctx = self.dst_ctx
-        latency = net.latency.sample(self.dst.region, self.src.region,
-                                     dst_ctx.rng)
+        latency = net.latency.sample(self.dst.region, self.src.region, net.rng)
         if ok:
             # The completion time is known now, so the result object is
             # precomputed and the delivery callback just hands it over.
             result = RpcResult(ok=True, value=value,
-                               latency=dst_ctx.engine.now + latency
-                               - self.start)
-            self.src_ctx.engine.call_after(latency, self._deliver_ok, result)
+                               latency=net.engine.now + latency - self.start)
+            net.engine.call_after(latency, self._deliver_ok, result)
         else:
-            self.src_ctx.engine.call_after(latency, self.fail_response, error)
+            net.engine.call_after(latency, self.fail_response, error)
 
     def _deliver_ok(self, result: RpcResult) -> None:
         if not self.src.up:
@@ -387,77 +341,16 @@ class Network:
         self.default_timeout = default_timeout
         self.loss_probability = loss_probability
         self.tracer = tracer
-        #: Single-process delivery context (construction-time engine, rng
-        #: and tracer).  PDES region contexts are added by
-        #: :meth:`split_engines`; until then every RPC flows through this
-        #: one and the behaviour is bit-identical to the pre-PDES network.
-        self._ctx = _NetContext(engine, self.rng, tracer)
-        self._contexts: List[_NetContext] = [self._ctx]
-        self._region_ctx: Dict[str, _NetContext] = {}
-        self._engine_ctx: Dict[Engine, _NetContext] = {}
+        #: Optional repro.obs Histogram fed with settled-RPC latency (ms);
+        #: wired by the harness when observability is enabled.
+        self.latency_hist = None
         self._endpoints: Dict[str, Endpoint] = {}
         self._partitions: set[frozenset[str]] = set()
+        self.rpcs_sent = 0
+        self.rpcs_failed = 0
         #: Bumped whenever the endpoint table changes; routers key their
         #: address→region caches on it.
         self.registration_epoch = 0
-
-    # -- counters / observability (summed over delivery contexts) ------------
-
-    @property
-    def rpcs_sent(self) -> int:
-        ctxs = self._contexts
-        return ctxs[0].sent if len(ctxs) == 1 else sum(c.sent for c in ctxs)
-
-    @property
-    def rpcs_failed(self) -> int:
-        ctxs = self._contexts
-        return (ctxs[0].failed if len(ctxs) == 1
-                else sum(c.failed for c in ctxs))
-
-    @property
-    def latency_hist(self):
-        """Optional repro.obs Histogram fed with settled-RPC latency (ms);
-        assigned by the harness when observability is enabled (goes to the
-        control context — per-region hists come in via split_engines)."""
-        return self._ctx.latency_hist
-
-    @latency_hist.setter
-    def latency_hist(self, hist) -> None:
-        self._ctx.latency_hist = hist
-
-    # -- PDES region split ---------------------------------------------------
-
-    def split_engines(self, region_engines: Dict[str, Engine],
-                      rngs: Dict[str, random.Random],
-                      tracers: Optional[Dict[str, Any]] = None,
-                      hists: Optional[Dict[str, Any]] = None) -> None:
-        """Install one delivery context per region engine (PDES mode).
-
-        After this, the caller-side of an RPC resolves to the context of
-        whichever engine is executing (``Engine.current()``) and the
-        callee-side to the destination endpoint's region context — the
-        request-delivery schedule onto a foreign engine is exactly the
-        per-region outbox hop (buffered by the engine guards, applied at
-        the next window barrier).  Each region draws latency jitter from
-        its own ``rngs[name]`` substream so draw order inside a region is
-        independent of other regions' progress.
-
-        Regions mapped to the control engine (single-region collapse) are
-        skipped — they keep using the control context, preserving the
-        serial path bit-for-bit.
-        """
-        for name in sorted(region_engines):
-            engine = region_engines[name]
-            if engine is self.engine:
-                continue
-            if name in self._region_ctx:
-                raise NetworkError(f"region {name!r} already split")
-            tracer = (tracers or {}).get(name, NO_TRACER)
-            ctx = _NetContext(engine, rngs[name], tracer)
-            ctx.latency_hist = (hists or {}).get(name)
-            self._region_ctx[name] = ctx
-            self._engine_ctx[engine] = ctx
-            self._contexts.append(ctx)
 
     # -- endpoint management -------------------------------------------------
 
@@ -537,27 +430,19 @@ class Network:
     def rpc(self, src_address: str, dst_address: str, method: str,
             payload: Any = None, timeout: Optional[float] = None) -> RpcCall:
         """Send an RPC; the returned call's ``done`` signal fires exactly once."""
-        src_ctx = self._ctx
-        if self._engine_ctx:
-            current = Engine.current()
-            if current is not None:
-                src_ctx = self._engine_ctx.get(current, self._ctx)
-        engine = src_ctx.engine
+        engine = self.engine
         call = RpcCall(engine)
         if timeout is None:
             timeout = self.default_timeout
-        src_ctx.sent += 1
+        self.rpcs_sent += 1
 
         endpoints = self._endpoints
         src = endpoints.get(src_address)
         dst = endpoints.get(dst_address)
-        dst_ctx = src_ctx
-        if dst is not None and self._region_ctx:
-            dst_ctx = self._region_ctx.get(dst.region, self._ctx)
         op = _RpcOp(self, call, src, dst, method, payload, timeout,
-                    engine.now, src_ctx, dst_ctx)
+                    engine.now)
 
-        tracer = src_ctx.tracer
+        tracer = self.tracer
         if tracer.enabled:
             args = {"src": src_address, "dst": dst_address}
             if src is not None:
@@ -572,12 +457,11 @@ class Network:
         if (dst is None or not src.up or not dst.up
                 or self._partitioned(src.region, dst.region)
                 or (self.loss_probability
-                    and src_ctx.rng.random() < self.loss_probability)):
+                    and self.rng.random() < self.loss_probability)):
             engine.call_after(timeout, op.fail, "timeout")
             return call
 
-        request_latency = self.latency.sample(src.region, dst.region,
-                                              src_ctx.rng)
+        request_latency = self.latency.sample(src.region, dst.region, self.rng)
         op.req_latency = request_latency
-        dst_ctx.engine.call_after(request_latency, op.deliver_request)
+        engine.call_after(request_latency, op.deliver_request)
         return call

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.sim.engine import (
     Delay,
     Engine,
@@ -11,6 +12,18 @@ from repro.sim.engine import (
     Wait,
     every,
 )
+
+
+@pytest.fixture(params=[None, 1, 64],
+                ids=["untraced", "sample_every=1", "sample_every=64"])
+def engine(request):
+    """An engine with dispatch sampling off, on every event, and at the
+    harness default: one run loop serves all three, so the cases that
+    exercise its exits and its bookkeeping run under each."""
+    engine = Engine()
+    if request.param is not None:
+        engine.set_tracer(Tracer(), sample_every=request.param)
+    return engine
 
 
 class TestScheduling:
@@ -60,8 +73,7 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Engine().call_after(-1.0, lambda: None)
 
-    def test_run_until_stops_before_later_events(self):
-        engine = Engine()
+    def test_run_until_stops_before_later_events(self, engine):
         seen = []
         engine.call_after(1.0, lambda: seen.append(1))
         engine.call_after(10.0, lambda: seen.append(10))
@@ -69,23 +81,20 @@ class TestScheduling:
         assert seen == [1]
         assert engine.now == 5.0
 
-    def test_run_until_tiles_time(self):
-        engine = Engine()
+    def test_run_until_tiles_time(self, engine):
         engine.run(until=5.0)
         assert engine.now == 5.0
         engine.run(until=7.0)
         assert engine.now == 7.0
 
-    def test_events_resume_after_partial_run(self):
-        engine = Engine()
+    def test_events_resume_after_partial_run(self, engine):
         seen = []
         engine.call_after(10.0, lambda: seen.append(10))
         engine.run(until=5.0)
         engine.run()
         assert seen == [10]
 
-    def test_cancel_prevents_callback(self):
-        engine = Engine()
+    def test_cancel_prevents_callback(self, engine):
         seen = []
         handle = engine.call_after(1.0, lambda: seen.append(1))
         handle.cancel()
@@ -100,8 +109,7 @@ class TestScheduling:
         handle.cancel()
         engine.run()
 
-    def test_max_events_limits_execution(self):
-        engine = Engine()
+    def test_max_events_limits_execution(self, engine):
         seen = []
         for i in range(5):
             engine.call_after(float(i + 1), lambda i=i: seen.append(i))
@@ -130,8 +138,7 @@ class TestScheduling:
         assert seen == ["first", "second"]
         assert engine.now == 2.0
 
-    def test_reentrant_run_raises(self):
-        engine = Engine()
+    def test_reentrant_run_raises(self, engine):
 
         def nested():
             with pytest.raises(SimulationError):
@@ -418,8 +425,7 @@ class TestPendingEvents:
         handle.cancel()  # idempotent: no double decrement
         assert engine.pending_events == 1
 
-    def test_popping_cancelled_tombstone_does_not_double_count(self):
-        engine = Engine()
+    def test_popping_cancelled_tombstone_does_not_double_count(self, engine):
         handle = engine.call_after(1.0, lambda: None)
         engine.call_after(2.0, lambda: None)
         handle.cancel()
@@ -427,8 +433,7 @@ class TestPendingEvents:
         engine.run()  # pops the tombstone and the live event
         assert engine.pending_events == 0
 
-    def test_cancel_after_execution_is_noop(self):
-        engine = Engine()
+    def test_cancel_after_execution_is_noop(self, engine):
         fired = []
         handle = engine.call_after(1.0, lambda: fired.append(True))
         engine.call_after(2.0, lambda: None)
@@ -437,16 +442,14 @@ class TestPendingEvents:
         handle.cancel()  # already executed: must not decrement
         assert engine.pending_events == 1
 
-    def test_callback_cancelling_own_handle_is_noop(self):
-        engine = Engine()
+    def test_callback_cancelling_own_handle_is_noop(self, engine):
         handles = []
         engine.call_after(2.0, lambda: None)
         handles.append(engine.call_after(1.0, lambda: handles[0].cancel()))
         engine.run(until=1.0)
         assert engine.pending_events == 1
 
-    def test_callback_scheduling_and_cancelling(self):
-        engine = Engine()
+    def test_callback_scheduling_and_cancelling(self, engine):
 
         def spawn_then_cancel():
             handle = engine.call_after(5.0, lambda: None)
@@ -457,8 +460,7 @@ class TestPendingEvents:
         engine.run(until=1.0)
         assert engine.pending_events == 1
 
-    def test_max_events_keeps_deferred_event_pending(self):
-        engine = Engine()
+    def test_max_events_keeps_deferred_event_pending(self, engine):
         engine.call_after(1.0, lambda: None)
         engine.call_after(2.0, lambda: None)
         engine.run(max_events=1)
@@ -481,3 +483,57 @@ class TestPendingEvents:
         naive = sum(1 for _, _, ev in engine._heap
                     if not ev.cancelled and not ev.done)
         assert engine.pending_events == naive
+
+
+class TestDispatchSampling:
+    """The engine track (see ``Engine.set_tracer``) is part of every
+    pinned journal digest, so the sampling rule is pinned here."""
+
+    @staticmethod
+    def engine_track(tracer):
+        return [(r.name, r.time, r.args) for r in tracer.journal
+                if r.track == "engine"]
+
+    def test_sample_every_one_lists_each_callback_in_execution_order(self):
+        engine = Engine()
+        tracer = Tracer()
+        engine.set_tracer(tracer, sample_every=1)
+
+        class Ticker:  # an instance has no __qualname__: the type names it
+            def __call__(self):
+                pass
+
+        def first():
+            engine.call_after(0.0, second)
+
+        def second():
+            pass
+
+        engine.call_after(1.0, first)
+        engine.call_after(2.0, Ticker())
+        engine.call_after(1.0, [].append, "arg")
+        engine.run()
+        # Each event: an instant named after the callback, then the
+        # pending count *after* the event itself stopped counting.
+        assert self.engine_track(tracer) == [
+            (first.__qualname__, 1.0, None),
+            ("pending_events", 1.0, {"value": 2}),
+            ("list.append", 1.0, None),
+            ("pending_events", 1.0, {"value": 2}),
+            (second.__qualname__, 1.0, None),
+            ("pending_events", 1.0, {"value": 1}),
+            ("Ticker", 2.0, None),
+            ("pending_events", 2.0, {"value": 0}),
+        ]
+
+    def test_sampling_counts_from_zero_in_every_run_call(self):
+        engine = Engine()
+        tracer = Tracer()
+        engine.set_tracer(tracer, sample_every=3)
+        for index in range(8):
+            engine.call_at(float(index), lambda: None)
+        engine.run(max_events=4)   # samples its events 0 and 3
+        engine.run()               # samples its events 0 and 3 again
+        times = [time for name, time, _ in self.engine_track(tracer)
+                 if name != "pending_events"]
+        assert times == [0.0, 3.0, 4.0, 7.0]

@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+from repro.obs.metrics import Histogram
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.network import AsyncReply, Network, wait_rpc
 
@@ -203,4 +205,48 @@ class TestFailureCountRegression:
         assert ok_call.result.ok
         assert network.rpcs_failed == len(calls)
         for call in calls + [ok_call]:
+            assert call.done.fire_count == 1
+
+    def test_counters_are_per_network_and_each_failure_route_counts_once(
+            self, engine):
+        """``rpcs_sent`` / ``rpcs_failed`` / ``latency_hist`` are plain
+        values of the one network an RPC went through; a timeout, a
+        handler error and a response to a downed caller each settle the
+        call, close its span and feed the histogram exactly once."""
+        tracer = Tracer()
+        tracer.bind_clock(engine)
+        network = Network(engine, rng=random.Random(1), tracer=tracer)
+        network.latency_hist = Histogram("net.rpc_latency_ms")
+        other = Network(engine, rng=random.Random(1))
+
+        def boom(payload):
+            raise ValueError("boom")
+
+        server = _echo_server(network)
+        server.on("boom", boom)
+        server.on("never", lambda payload: AsyncReply())
+        network.register("client", "FRC")
+        network.register("doomed", "FRC")
+        timed_out = network.rpc("client", "server", "never", timeout=0.5)
+        errored = network.rpc("client", "server", "boom", timeout=5.0)
+        orphaned = network.rpc("doomed", "server", "echo", timeout=5.0)
+        ok_call = network.rpc("client", "server", "echo", timeout=5.0)
+        # Intra-region legs take 1.0-1.1 ms: at 1.5 ms every request has
+        # been handled and no response has landed.
+        engine.run(until=0.0015)
+        network.set_endpoint_up("doomed", False)
+        engine.run()
+
+        assert timed_out.result.error == "timeout"
+        assert errored.result.error == "ValueError: boom"
+        assert orphaned.result.error == "caller down"
+        assert ok_call.result.ok
+        assert (network.rpcs_sent, network.rpcs_failed) == (4, 3)
+        assert network.latency_hist.total == 4
+        assert (other.rpcs_sent, other.rpcs_failed) == (0, 0)
+        assert other.latency_hist is None
+        ends = [r.span for r in tracer.journal
+                if r.track == "net" and r.kind == "E"]
+        assert sorted(ends) == [1, 2, 3, 4]
+        for call in (timed_out, errored, orphaned, ok_call):
             assert call.done.fire_count == 1

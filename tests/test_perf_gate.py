@@ -1,6 +1,8 @@
 """The soft perf gate compares wall seconds of like-for-like figures."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 SCRIPT = (Path(__file__).resolve().parent.parent
@@ -42,3 +44,20 @@ def test_only_the_same_work_is_compared():
                    headline={"requests_failed": 3})
     assert gate.comparable_figures(smoke, baseline) == []
     assert gate.compare(smoke, baseline, 0.15) == []
+
+
+def test_figures_only_report_passes_cleanly(tmp_path, monkeypatch, capsys):
+    """A report with no per-section keys at all: with no section gate
+    selected, none is looked for and none warns about being absent."""
+    current = report(wall=10.0, events=1_000_000)
+    assert set(current) == {"figures"}
+    (tmp_path / "report.json").write_text(json.dumps(current))
+    (tmp_path / "baseline.json").write_text(json.dumps(current))
+    monkeypatch.setattr(sys, "argv", [
+        "check_perf_regression.py", "--hard",
+        "--report", str(tmp_path / "report.json"),
+        "--baseline", str(tmp_path / "baseline.json")])
+    assert gate.main() == 0
+    out = capsys.readouterr().out
+    assert "::warning" not in out
+    assert "1 figure(s) within 15% of baseline speed (fig17)" in out

@@ -129,7 +129,7 @@ class TestScatterGather:
             cluster.run(until=cluster.engine.now + 80.0)
         assert recorder.sent > 0
         assert recorder.succeeded == recorder.sent
-        assert TraceChecker(obs.merged_journal()).check() == []
+        assert TraceChecker(obs.journal).check() == []
 
     def test_validation(self):
         engine_client = object.__new__(ScatterGatherClient)  # no network
