@@ -1,18 +1,18 @@
-"""Shared benchmark plumbing.
+"""Shared plumbing for the shape suite.
 
-Each figure's benchmark runs its experiment once (rounds=1: these are
-simulations, not micro-benchmarks), prints the same series the paper's
-figure reports, and asserts the paper's *shape* — who wins, by roughly
-what factor, where crossovers fall.  Absolute numbers differ from the
-paper by design (simulated substrate, scaled-down sizes; see
-EXPERIMENTS.md).
+Each figure's test runs its experiment once, prints the same series the
+paper's figure reports, and asserts the paper's *shape* on the simulated
+clock — who wins, by roughly what factor, where crossovers fall.
+Absolute numbers differ from the paper by design (simulated substrate,
+scaled-down sizes; see EXPERIMENTS.md).  Nothing here measures how fast
+the simulator runs; that is ``python3 bench/run.py``.
 
 pytest captures stdout of passing tests, so every report is also
 persisted to ``bench_results.txt`` at the repository root — read that
 file (or run with ``-s``) for the full figure-by-figure output.  The
 file is keyed by report title: each ``emit`` call rewrites *its own*
 section in place and leaves every other section untouched, so running a
-subset of benchmarks (``pytest benchmarks/test_fig17*``) refreshes just
+subset of the suite (``pytest benchmarks/test_fig17*``) refreshes just
 those figures instead of truncating the file or appending duplicates
 without bound.
 """
@@ -29,12 +29,6 @@ RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench_results.t
 # Section delimiter: the report title on a line of its own, boxed so a
 # title can never be mistaken for report body text.
 _HEADER = re.compile(r"^==\[ (?P<key>.+) \]==$", re.MULTILINE)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)
 
 
 def _load_sections() -> Dict[str, str]:
@@ -58,7 +52,7 @@ def _load_sections() -> Dict[str, str]:
 def emit(report: str) -> None:
     """Print a figure report and persist it to bench_results.txt.
 
-    The report's first line is its section key: re-running a benchmark
+    The report's first line is its section key: re-running a test
     replaces that section's stale body in place (first-seen order is
     preserved; new sections append at the end).
     """

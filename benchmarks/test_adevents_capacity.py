@@ -1,12 +1,12 @@
 """§2.5 benchmark: AdEvents' 67% machine saving from going geo on SM."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import adevents_capacity as experiment
 
 
-def test_adevents_capacity_saving(benchmark):
-    result = run_once(benchmark, experiment.run)
+def test_adevents_capacity_saving():
+    result = experiment.run()
     emit(experiment.format_report(result))
     # Paper: "SM helped reduce their machine usage by 67%."
     assert 0.55 <= result.saving <= 0.80

@@ -1,6 +1,6 @@
 """Figures 4-9 benchmark: demographics of sharded applications."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import demographics as experiment
 from repro.workloads.fleet import (
@@ -9,8 +9,8 @@ from repro.workloads.fleet import (
 )
 
 
-def test_figs_4_to_9_demographics(benchmark):
-    result = run_once(benchmark, experiment.run, app_count=4000, seed=0)
+def test_figs_4_to_9_demographics():
+    result = experiment.run(app_count=4000, seed=0)
     emit(experiment.format_report(result))
     # The sampled population converges to the published marginals.
     assert result.worst_error() < 0.05

@@ -1,13 +1,12 @@
 """Figure 1 benchmark: planned vs unplanned container stops."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig01_planned_events as experiment
 
 
-def test_fig01_planned_events(benchmark):
-    result = run_once(benchmark, experiment.run,
-                      machines=120, jobs=4, days=60.0)
+def test_fig01_planned_events():
+    result = experiment.run(machines=120, jobs=4, days=60.0)
     emit(experiment.format_report(result))
     # Paper shape: planned events are ~3 orders of magnitude more frequent.
     assert result.planned_stops > 0

@@ -1,12 +1,12 @@
 """Figure 2 benchmark: SM machine adoption 2012-2021."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig02_adoption as experiment
 
 
-def test_fig02_adoption(benchmark):
-    result = run_once(benchmark, experiment.run)
+def test_fig02_adoption():
+    result = experiment.run()
     emit(experiment.format_report(result))
     # Paper anchors: crosses 100K machines mid-history, ends over ~1M.
     assert result.final_machines >= 900_000

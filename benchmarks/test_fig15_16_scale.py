@@ -1,12 +1,12 @@
 """Figures 15/16 benchmark: scale of SM applications and mini-SMs."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import scale as experiment
 
 
-def test_fig15_16_scale(benchmark):
-    result = run_once(benchmark, experiment.run, app_count=500, seed=0)
+def test_fig15_16_scale():
+    result = experiment.run(app_count=500, seed=0)
     emit(experiment.format_report(result))
     max_servers, _ = result.max_app
     max_shards = max(shards for _s, shards in result.app_scatter)

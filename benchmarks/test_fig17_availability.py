@@ -4,15 +4,14 @@ Paper: SM ≈100% success; no-graceful-migration ≈98%; neither <90% but the
 upgrade finishes earliest (800 s vs 1,500 s with SM).
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig17_availability as experiment
 
 
-def test_fig17_availability(benchmark):
-    result = run_once(benchmark, experiment.run,
-                      shards=2_000, servers=60, restart_duration=60.0,
-                      request_rate=60.0)
+def test_fig17_availability():
+    result = experiment.run(shards=2_000, servers=60, restart_duration=60.0,
+                            request_rate=60.0)
     emit(experiment.format_report(result))
     sm = result.sm
     no_graceful = result.no_graceful

@@ -1,13 +1,12 @@
 """Figure 18 benchmark: flat error rate through daily staged upgrades."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig18_production_upgrades as experiment
 
 
-def test_fig18_production_upgrades(benchmark):
-    result = run_once(benchmark, experiment.run,
-                      shards=400, servers=20, days=2)
+def test_fig18_production_upgrades():
+    result = experiment.run(shards=400, servers=20, days=2)
     emit(experiment.format_report(result))
     # Two canary + two full upgrades ran.
     assert result.upgrades_run == 4

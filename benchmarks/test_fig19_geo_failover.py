@@ -1,13 +1,13 @@
 """Figure 19 benchmark: cross-region failover and fail-back latency."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig19_geo_failover as experiment
 
 
-def test_fig19_geo_failover(benchmark):
-    result = run_once(benchmark, experiment.run,
-                      shards=1_000, ec_shards=400, servers_per_region=30)
+def test_fig19_geo_failover():
+    result = experiment.run(shards=1_000, ec_shards=400,
+                            servers_per_region=30)
     emit(experiment.format_report(result))
 
     steady = result.phase_latency(0.0, result.failure_time)

@@ -5,14 +5,13 @@ time grows 6.8x for 5x size.  Default scale-down preserves the 1:3:5
 sweep (our pure-Python solver vs their C++ ReBalancer).
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig21_solver_scale as experiment
 
 
-def test_fig21_solver_scalability(benchmark):
-    result = run_once(benchmark, experiment.run, factor=5,
-                      time_budget=300.0)
+def test_fig21_solver_scalability():
+    result = experiment.run(factor=5, time_budget=300.0)
     emit(experiment.format_report(result))
 
     # "It is able to fix all violations in all stress tests."

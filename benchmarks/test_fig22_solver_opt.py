@@ -4,14 +4,13 @@ Paper: the unoptimized baseline "cannot even finish in 300 seconds and
 the resulting solution requires 22% more shard moves."
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig22_solver_opt as experiment
 
 
-def test_fig22_optimizations(benchmark):
-    result = run_once(benchmark, experiment.run, factor=5,
-                      time_budget=30.0)
+def test_fig22_optimizations():
+    result = experiment.run(factor=5, time_budget=30.0)
     emit(experiment.format_report(result))
 
     optimized = result.optimized

@@ -1,13 +1,12 @@
 """Figure 23 benchmark: continuous load balancing under diurnal load."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import fig23_continuous_lb as experiment
 
 
-def test_fig23_continuous_lb(benchmark):
-    result = run_once(benchmark, experiment.run,
-                      servers=30, shards=200, days=3.0)
+def test_fig23_continuous_lb():
+    result = experiment.run(servers=30, shards=200, days=3.0)
     emit(experiment.format_report(result))
 
     # "LB consistently keeps the P99 CPU utilization under 80%."

@@ -47,8 +47,8 @@ def main() -> None:
     read = client.request(5, {"op": "get", "key": 5})
     scan = client.request(0, {"op": "scan", "low": 0, "high": 100})
     cluster.run(until=cluster.engine.now + 5.0)
-    print("get(5)   ->", read.result.value)
-    print("scan     ->", scan.result.value["items"])
+    print("get(5)   ->", read.outcome.value)
+    print("scan     ->", scan.outcome.value["items"])
 
     # 6. Sustained load, to exercise routing and load reporting.
     recorder = WorkloadRecorder.with_bucket(10.0)
@@ -64,9 +64,9 @@ def main() -> None:
     # 7. Peek at the control plane.
     shard_map = cluster.discovery.latest("kv")
     print(f"shard map v{shard_map.version}: "
-          f"{len(shard_map.entries)} shards, e.g. "
-          f"{shard_map.entries[0].shard_id} -> "
-          f"{shard_map.entries[0].primary}")
+          f"{len(shard_map)} shards, e.g. "
+          f"{shard_map.entry_at(0).shard_id} -> "
+          f"{shard_map.entry_at(0).primary}")
     by_server = {}
     for replica in app.orchestrator.table.all_replicas():
         by_server[replica.address] = by_server.get(replica.address, 0) + 1

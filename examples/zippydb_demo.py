@@ -37,21 +37,13 @@ def main() -> None:
           f"replicas span regions for every shard")
 
     client = app.client(cluster, "PRN", rpc_timeout=5.0)
-    acked = {}
-
-    def write(key, value):
-        process = client.request(key, {"op": "put", "key": key,
-                                       "value": value})
-
-        def on_done(outcome):
-            if outcome.ok:
-                acked[key] = value
-
-        process.done_signal._add_waiter(on_done)
-
-    for index in range(20):
-        write(index, f"value-{index}")
+    writes = {index: f"value-{index}" for index in range(20)}
+    puts = {key: client.request(key, {"op": "put", "key": key,
+                                      "value": value})
+            for key, value in writes.items()}
     cluster.run(until=cluster.engine.now + 10.0)
+    acked = {key: writes[key] for key, put in puts.items()
+             if put.outcome is not None and put.outcome.ok}
     print(f"writes acknowledged by quorum: {len(acked)}/20 "
           f"(paxos commits: {zdb.commits})")
 
@@ -68,17 +60,14 @@ def main() -> None:
           f"(role={new_primary.role.value})")
 
     # Every acknowledged write must still be readable.
-    outcomes = {}
-    for key, expected in acked.items():
-        process = client.request(key, {"op": "get", "key": key},
-                                 prefer_primary=False)
-        process.done_signal._add_waiter(
-            lambda outcome, k=key: outcomes.setdefault(k, outcome))
+    gets = {key: client.request(key, {"op": "get", "key": key},
+                                prefer_primary=False)
+            for key in acked}
     cluster.run(until=cluster.engine.now + 10.0)
 
     lost = [key for key, expected in acked.items()
-            if not outcomes[key].ok
-            or outcomes[key].value["value"] != expected]
+            if not gets[key].outcome.ok
+            or gets[key].outcome.value["value"] != expected]
     print(f"acknowledged writes surviving failover: "
           f"{len(acked) - len(lost)}/{len(acked)}")
     assert not lost, f"lost writes: {lost}"

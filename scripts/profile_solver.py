@@ -34,9 +34,16 @@ from repro.workloads.snapshots import (  # noqa: E402
 )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--factor", type=int, default=5,
+    parser.add_argument("--factor", type=_positive_int, default=5,
                         help="downscale factor for the paper sizes "
                              "(default 5; 1 = full paper scale)")
     parser.add_argument("--point", type=int, default=2, choices=(0, 1, 2),

@@ -133,11 +133,11 @@ def main() -> int:
     report = runner.run_experiments(
         tasks, processes=args.processes, serial=args.serial)
 
-    cells = report["figures"]["chaos"]["tasks"]
+    cells = report["figures"]["chaos"]
     failures = 0
     for name in scenarios:
         for arm in args.arms:
-            headlines = [cells[f"{name}:{arm}#{attempt}"]["headline"]
+            headlines = [cells[f"{name}:{arm}#{attempt}"]
                          for attempt in range(1, repeats + 1)]
             digests = {h["digest"] for h in headlines}
             violations = [v for h in headlines for v in h["violations"]]
@@ -166,8 +166,7 @@ def main() -> int:
             json.dumps(report, indent=1, sort_keys=True) + "\n")
         print(f"wrote {args.output}")
     total = len(scenarios) * len(args.arms)
-    print(f"{total} scenario cells x{repeats}, "
-          f"{report['sweep_wall_seconds']:.1f}s, {failures} failure(s)")
+    print(f"{total} scenario cells x{repeats}, {failures} failure(s)")
     if args.check_trace and failures:
         return 1
     return 0

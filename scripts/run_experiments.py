@@ -1,19 +1,18 @@
 #!/usr/bin/env python
-"""Run the figure experiments (optionally in parallel) and write BENCH_sim.json.
+"""Run the figure experiments (optionally in parallel) and report headlines.
 
 Fans the independent experiment arms over a process pool (they share no
 state — each builds its own engine and RNG substreams from an explicit
-seed) and records per-figure wall-clock and events/second.  With
-``--baseline`` the report also embeds the pre-optimization numbers and
-per-figure speedups.
+seed) and prints every task's headline on the simulated clock.  The
+report is the same bytes for the same seeds on any host; simulator speed
+is measured by ``python3 bench/run.py``.
 
 Examples::
 
     PYTHONPATH=src python scripts/run_experiments.py
     PYTHONPATH=src python scripts/run_experiments.py --smoke --serial
     PYTHONPATH=src python scripts/run_experiments.py \
-        --figures fig17 fig19 --processes 4 --output BENCH_sim.json \
-        --baseline benchmarks/baseline_sim.json
+        --figures fig17 fig19 --processes 4 --output figures.json
     PYTHONPATH=src python scripts/run_experiments.py --smoke \
         --trace-figure fig17:sm --trace trace_fig17.json \
         --journal trace_fig17.jsonl --check-trace
@@ -33,7 +32,7 @@ from repro.experiments import runner  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="parallel experiment sweep -> BENCH_sim.json")
+        description="parallel experiment sweep -> figure headlines")
     parser.add_argument("--figures", nargs="*", default=None,
                         help="subset of figures to run (default: all)")
     parser.add_argument("--processes", type=int, default=None,
@@ -49,8 +48,6 @@ def main() -> int:
                              "or the hybrid fluid engine")
     parser.add_argument("--output", default=None,
                         help="write the JSON report to this path")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline JSON to embed and compare against")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="run ONE figure traced and write a Chrome/"
                              "Perfetto trace JSON to this path")
@@ -93,8 +90,6 @@ def main() -> int:
 
     report = runner.run_experiments(tasks, processes=args.processes,
                                     serial=args.serial)
-    if args.baseline:
-        runner.attach_baseline(report, args.baseline)
 
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.output:

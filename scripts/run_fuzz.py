@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Coverage-guided chaos fuzzing: search, replay, distill, benchmark.
+"""Coverage-guided chaos fuzzing: search, replay, distill.
 
 Runs the :mod:`repro.chaos.fuzz` engine over the fault-action
 vocabulary.  The search is deterministic — ``(seed, budget, config)``
@@ -11,7 +11,7 @@ rather than a flaky hope.
 Examples::
 
     PYTHONPATH=src python scripts/run_fuzz.py --budget 200 --seed 42 \
-        --corpus-dir fuzz_corpus --output BENCH_sim.json
+        --corpus-dir fuzz_corpus --output fuzz_report.json
     PYTHONPATH=src python scripts/run_fuzz.py --budget 120 \
         --determinism-check
     PYTHONPATH=src python scripts/run_fuzz.py \
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -157,8 +156,8 @@ def main() -> int:
                         help="run the search twice; fail on any "
                              "coverage-set or digest divergence")
     parser.add_argument("--output", default=None,
-                        help="merge a `fuzz` section into this "
-                             "BENCH_sim.json")
+                        help="write the search's coverage summary "
+                             "(deterministic per seed) to this path")
     args = parser.parse_args()
 
     if args.replay is not None:
@@ -175,13 +174,10 @@ def main() -> int:
                         shrink_violations=args.shrink,
                         shrink_evals=args.shrink_evals,
                         processes=args.processes)
-    start = time.perf_counter()
     result = FuzzEngine(config).run()
-    wall = time.perf_counter() - start
     stats = result.stats
     keys = result.coverage_set()
-    print(f"fuzz: {stats.executed} specs in {wall:.1f}s "
-          f"({stats.executed / wall:.1f} specs/s), corpus "
+    print(f"fuzz: {stats.executed} specs, corpus "
           f"{len(result.corpus)}, {coverage_summary(keys)}, "
           f"{stats.violating} violating, coverage digest "
           f"{result.coverage_digest()[:12]}")
@@ -226,15 +222,11 @@ def main() -> int:
                 args.capacity, args.shrink_evals)
 
     if args.output:
-        path = Path(args.output)
-        report = (json.loads(path.read_text()) if path.exists() else {})
-        report["fuzz"] = {
+        report = {
             "seed": args.seed,
             "budget": args.budget,
             "arm": args.arm,
             "specs_executed": stats.executed,
-            "wall_seconds": wall,
-            "specs_per_sec": stats.executed / wall if wall > 0 else 0.0,
             "corpus_size": len(result.corpus),
             "distinct_coverage_keys": len(keys),
             "coverage_keys_per_100_runs": (100.0 * len(keys)
@@ -244,9 +236,9 @@ def main() -> int:
             "shrink_evals": stats.shrink_evals,
             "coverage_digest": result.coverage_digest(),
         }
-        path.write_text(json.dumps(report, indent=1, sort_keys=True)
-                        + "\n")
-        print(f"wrote fuzz section to {args.output}")
+        Path(args.output).write_text(
+            json.dumps(report, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {args.output}")
 
     return 1 if failures else 0
 

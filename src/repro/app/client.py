@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 from weakref import WeakKeyDictionary
 
-from ..discovery.router import RequestOutcome, ServiceRouter
+from ..discovery.router import RequestOutcome, ServiceRouter, _RequestOp
 from ..discovery.service_discovery import ServiceDiscovery
 from ..metrics.timeseries import RateWindow, TimeSeries
-from ..sim.engine import Engine, Process
+from ..sim.engine import Engine
 from ..sim.network import Network
 
 #: Floor applied to every rate-curve sample (requests/second).
@@ -196,10 +196,11 @@ class ApplicationClient:
     # -- single requests --------------------------------------------------------
 
     def request(self, key: int, payload: Any = None,
-                prefer_primary: bool = True) -> Process:
-        """Fire one request as a process; its result is a RequestOutcome."""
-        return self.engine.process(
-            self.router.request(key, payload, prefer_primary=prefer_primary))
+                prefer_primary: bool = True) -> _RequestOp:
+        """Fire one request; the returned op's ``outcome`` is the
+        RequestOutcome (``None`` until it settles)."""
+        return self.router.start_request(key, payload,
+                                         prefer_primary=prefer_primary)
 
     # -- workloads ---------------------------------------------------------------
 

@@ -220,8 +220,7 @@ class FluidClient:
         self._map = shard_map
         self.map_updates += 1
         if (delta is not None and previous is not None
-                and delta.base_version == previous.version
-                and not delta.removed):
+                and delta.base_version == previous.version):
             # The PR 6 hook: reprice exactly the changed flows.
             for entry in delta.changed:
                 self._reprice_entry(entry)

@@ -28,7 +28,6 @@ replay checked-in corpus entries exactly this way.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -96,14 +95,12 @@ class FuzzStats:
     violating: int = 0
     shrink_evals: int = 0
     rounds: int = 0
-    wall_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
         return {"executed": self.executed, "admitted": self.admitted,
                 "duplicates": self.duplicates,
                 "violating": self.violating,
-                "shrink_evals": self.shrink_evals, "rounds": self.rounds,
-                "wall_seconds": self.wall_seconds}
+                "shrink_evals": self.shrink_evals, "rounds": self.rounds}
 
 
 @dataclass
@@ -203,7 +200,6 @@ class FuzzEngine:
     def run(self) -> FuzzResult:
         config = self.config
         self.stats = FuzzStats()
-        start = time.perf_counter()
         rng = substream(config.seed, "chaos", "fuzz", "search")
         corpus = Corpus()
         violations: List[CorpusEntry] = []
@@ -262,7 +258,6 @@ class FuzzEngine:
                 pool.close()
                 pool.join()
 
-        self.stats.wall_seconds = time.perf_counter() - start
         return FuzzResult(corpus=corpus, violations=violations,
                           stats=self.stats)
 

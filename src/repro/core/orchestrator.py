@@ -48,20 +48,25 @@ SERVERS_PATH = "/sm/{app}/servers"
 ASSIGNMENTS_PATH = "/sm/{app}/assignments"
 STATE_PATH = "/sm/{app}/state"
 
+#: Region the orchestrator's own endpoint registers in.
+CONTROL_REGION = "FRC"
+#: Dirty marks within this window coalesce into one map publish.
+PUBLISH_MIN_INTERVAL = 0.25
+#: Period of the unavailable-shard check that triggers emergency plans.
+EMERGENCY_CHECK_INTERVAL = 5.0
+#: Worker processes per emergency-create or rebalance-move batch.
+MAX_CONCURRENT_MIGRATIONS = 16
+
 
 @dataclass
 class OrchestratorConfig:
     """Timing and behaviour knobs."""
 
-    control_region: str = "FRC"
     load_poll_interval: float = 10.0
     rebalance_interval: float = 30.0
-    publish_min_interval: float = 0.25
-    emergency_check_interval: float = 5.0
     failover_grace: float = 30.0
     rpc_timeout: float = 1.0
     graceful_migration: bool = True   # Fig 17 ablation arm sets False
-    max_concurrent_migrations: int = 16
     drain_concurrency: int = 4
     drain_pacing: float = 0.0         # extra seconds between drain migrations
     rebalance_enabled: bool = True
@@ -97,8 +102,7 @@ class Orchestrator:
         self._tracer = self.obs.tracer
 
         self.address = f"sm/{spec.name}/orchestrator"
-        self.endpoint = network.register(self.address,
-                                         self.config.control_region)
+        self.endpoint = network.register(self.address, CONTROL_REGION)
         self.table = AssignmentTable(spec, tracer=self._tracer)
         self.servers: Dict[str, ServerRecord] = {}
         self.allocator = Allocator(spec, self.config.search_config, self.rng,
@@ -161,8 +165,7 @@ class Orchestrator:
         self._scan_servers()
         self._watch_servers()
         self._stoppers.append(every(
-            self.engine, self.config.emergency_check_interval,
-            self._emergency_tick))
+            self.engine, EMERGENCY_CHECK_INTERVAL, self._emergency_tick))
         self._stoppers.append(every(
             self.engine, self.config.load_poll_interval, self._poll_loads))
         if self.config.rebalance_enabled:
@@ -315,7 +318,7 @@ class Orchestrator:
         self._dirty = True
         if not self._publish_scheduled:
             self._publish_scheduled = True
-            self.engine.call_after(self.config.publish_min_interval,
+            self.engine.call_after(PUBLISH_MIN_INTERVAL,
                                    self._flush_publish)
 
     def _flush_publish(self) -> None:
@@ -466,20 +469,11 @@ class Orchestrator:
                 except KeyError:
                     continue
                 yield from self.executor.promote(replica)
-            workers = []
-            queue = list(plan.creates)
-
-            def worker() -> Generator[Any, Any, None]:
-                while queue:
-                    create = queue.pop()
-                    yield from self.executor.create_replica(
-                        create.shard_id, create.address, create.role)
-
-            for _ in range(min(self.config.max_concurrent_migrations,
-                               max(1, len(queue)))):
-                workers.append(self.engine.process(worker()))
-            for process in workers:
-                yield process
+            creates = list(plan.creates)
+            yield from self._run_pool(
+                min(MAX_CONCURRENT_MIGRATIONS, max(1, len(creates))), creates,
+                lambda create: self.executor.create_replica(
+                    create.shard_id, create.address, create.role))
         finally:
             self._emergency_running = False
             if span:
@@ -516,20 +510,24 @@ class Orchestrator:
     def _execute_moves(self, moves: List[MoveReplica]
                        ) -> Generator[Any, Any, None]:
         try:
-            queue = list(moves)
-
-            def worker() -> Generator[Any, Any, None]:
-                while queue:
-                    move = queue.pop()
-                    yield from self._execute_one_move(move)
-
-            workers = [self.engine.process(worker())
-                       for _ in range(min(self.config.max_concurrent_migrations,
-                                          max(1, len(queue))))]
-            for process in workers:
-                yield process
+            yield from self._run_pool(
+                min(MAX_CONCURRENT_MIGRATIONS, max(1, len(moves))), moves,
+                self._execute_one_move)
         finally:
             self._rebalance_running = False
+
+    def _run_pool(self, size: int, queue: list,
+                  work) -> Generator[Any, Any, None]:
+        """Drain ``queue`` (from its end) through ``size`` worker
+        processes running ``work(item)``; returns once all have finished."""
+
+        def worker() -> Generator[Any, Any, None]:
+            while queue:
+                yield from work(queue.pop())
+
+        workers = [self.engine.process(worker()) for _ in range(size)]
+        for process in workers:
+            yield process
 
     def _execute_one_move(self, move: MoveReplica
                           ) -> Generator[Any, Any, bool]:
@@ -542,17 +540,18 @@ class Orchestrator:
         target_record = self.servers.get(move.to_address)
         if target_record is None or not target_record.usable(self.engine.now):
             return False
-        if replica.role is Role.PRIMARY:
-            if self.config.graceful_migration:
-                ok = yield from self.executor.graceful_primary_migration(
-                    replica, move.to_address)
-            else:
-                ok = yield from self.executor.abrupt_primary_migration(
-                    replica, move.to_address)
-        else:
-            ok = yield from self.executor.move_secondary(
-                replica, move.to_address)
-        return ok
+        return (yield from self._relocate(replica, move.to_address))
+
+    def _relocate(self, replica: ReplicaAssignment,
+                  target: str) -> Generator[Any, Any, bool]:
+        """Move one replica by the protocol its role calls for."""
+        if replica.role is not Role.PRIMARY:
+            return (yield from self.executor.move_secondary(replica, target))
+        if self.config.graceful_migration:
+            return (yield from self.executor.graceful_primary_migration(
+                replica, target))
+        return (yield from self.executor.abrupt_primary_migration(
+            replica, target))
 
     # -- drains (called by SM's TaskController, §4.1) -------------------------------------------
 
@@ -574,7 +573,6 @@ class Orchestrator:
             replicas = [r for r in self.table.on_address(address)
                         if r.state is ReplicaState.READY
                         and policy.drains(r.role)]
-            queue = list(replicas)
             span = 0
             if tracer.enabled:
                 span = tracer.begin("orchestrator", "drain", None,
@@ -582,32 +580,19 @@ class Orchestrator:
                                      "address": address,
                                      "replicas": len(replicas)})
 
-            def worker() -> Generator[Any, Any, None]:
+            def drain_one(replica: ReplicaAssignment
+                          ) -> Generator[Any, Any, None]:
                 nonlocal moved
-                while queue:
-                    replica = queue.pop()
-                    target = self._pick_drain_target(replica)
-                    if target is None:
-                        continue
-                    if replica.role is Role.PRIMARY:
-                        if self.config.graceful_migration:
-                            ok = yield from self.executor.graceful_primary_migration(
-                                replica, target)
-                        else:
-                            ok = yield from self.executor.abrupt_primary_migration(
-                                replica, target)
-                    else:
-                        ok = yield from self.executor.move_secondary(
-                            replica, target)
-                    if ok:
-                        moved += 1
-                    if self.config.drain_pacing:
-                        yield Delay(self.config.drain_pacing)
+                target = self._pick_drain_target(replica)
+                if target is None:
+                    return
+                if (yield from self._relocate(replica, target)):
+                    moved += 1
+                if self.config.drain_pacing:
+                    yield Delay(self.config.drain_pacing)
 
-            workers = [self.engine.process(worker())
-                       for _ in range(max(1, self.config.drain_concurrency))]
-            for process in workers:
-                yield process
+            yield from self._run_pool(max(1, self.config.drain_concurrency),
+                                      replicas, drain_one)
             if span:
                 tracer.end(span, None, {"outcome": "ok", "moved": moved},
                            track="orchestrator", name="drain")

@@ -17,8 +17,8 @@ a million entries:
   change between publishes (primary address, secondaries tuple).
   Unchanged chunks are shared between versions, so a steady-state
   publish allocates O(changed + chunks) instead of O(shards).
-  :class:`ShardMapEntry` objects are materialized on demand behind the
-  same ``entry()`` / ``entries`` / ``routing_index()`` API.
+  :class:`ShardMapEntry` objects are materialized on demand by
+  ``entry()`` / ``entry_at()``.
 * :meth:`AssignmentTable.snapshot_delta` emits a versioned
   :class:`ShardMapDelta` (changed entries + the base version it applies
   to) straight from the table's dirty-shard bookkeeping, so
@@ -107,16 +107,14 @@ class ShardMapDelta:
 
     Applies on top of the map whose version is ``base_version`` and
     produces the map at ``version``.  ``changed`` carries the full new
-    entry for every shard whose routing info changed; ``removed`` lists
-    shards no longer present (unused by the orchestrator, whose maps
-    always cover the spec, but part of the wire format for generality).
+    entry for every shard whose routing info changed; the shard set and
+    key bounds are the app spec's and never change between versions.
     """
 
     app: str
     version: int
     base_version: int
     changed: Tuple[ShardMapEntry, ...]
-    removed: Tuple[str, ...] = ()
 
 
 class AppKeyIndex:
@@ -162,14 +160,12 @@ class ShardMap:
 
     Columnar storage: the :class:`AppKeyIndex` (shared across versions)
     plus chunked ``primaries`` / ``secondaries`` columns.  Entry objects
-    are materialized on demand; the legacy ``entries`` tuple and
-    ``routing_index()`` views are built lazily and cached for callers
-    that still want whole-map views (tests, exporters, the trace
-    checker).
+    are materialized on demand (``entry_at(i)`` for ``i < len(map)``
+    walks the whole map in publish order).
     """
 
     __slots__ = ("app", "version", "_index", "_primaries", "_secondaries",
-                 "_entries", "_routing", "_entry_cache")
+                 "_entry_cache")
 
     def __init__(self, app: str, version: int,
                  entries: Sequence[ShardMapEntry] = (),
@@ -178,8 +174,6 @@ class ShardMap:
                  secondaries: Optional[List[list]] = None) -> None:
         self.app = app
         self.version = version
-        self._entries: Optional[Tuple[ShardMapEntry, ...]] = None
-        self._routing = None
         self._entry_cache: Dict[int, ShardMapEntry] = {}
         if key_index is not None:
             # Fast path: pre-built columns (snapshot / apply_delta).
@@ -197,7 +191,6 @@ class ShardMap:
         self._secondaries = _chunked(
             [intern.setdefault(e.secondaries, e.secondaries)
              for e in entries])
-        self._entries = entries
 
     # -- core accessors ----------------------------------------------------
 
@@ -261,32 +254,6 @@ class ShardMap:
             return -1
         return entry_index
 
-    # -- whole-map views (lazy, cached) ------------------------------------
-
-    @property
-    def entries(self) -> Tuple[ShardMapEntry, ...]:
-        """All entries in publish order (materialized once, cached)."""
-        cached = self._entries
-        if cached is None:
-            cached = tuple(self.entry_at(i) for i in range(len(self)))
-            self._entries = cached
-        return cached
-
-    def routing_index(self) -> Tuple[List[int], List[ShardMapEntry]]:
-        """``(key_lows, entries)`` sorted by ``key_low``, computed once.
-
-        Legacy whole-map view; the router now bisects the shared
-        :class:`AppKeyIndex` directly and materializes only the entry it
-        routes to.
-        """
-        cached = self._routing
-        if cached is None:
-            order = self._index.sorted_order
-            ordered = [self.entry_at(i) for i in order]
-            cached = ([entry.key_low for entry in ordered], ordered)
-            self._routing = cached
-        return cached
-
     # -- delta application -------------------------------------------------
 
     def apply_delta(self, delta: ShardMapDelta) -> "ShardMap":
@@ -294,8 +261,9 @@ class ShardMap:
 
         Returns a new map sharing every unchanged chunk with this one;
         O(changed + chunks).  Raises ``ValueError`` when the delta does
-        not chain onto this map's version (the caller should resync with
-        a full snapshot instead).
+        not chain onto this map — wrong app or base version, an unknown
+        shard or different key bounds (the caller should resync with a
+        full snapshot instead).
         """
         if delta.app != self.app:
             raise ValueError(
@@ -306,17 +274,16 @@ class ShardMap:
                 f"v{delta.base_version}, have v{self.version}")
         index = self._index
         index_of = index.index_of
-        if delta.removed or any(
-                (i := index_of.get(e.shard_id)) is None
-                or index.key_lows[i] != e.key_low
-                or index.key_highs[i] != e.key_high
-                for e in delta.changed):
-            return self._apply_delta_general(delta)
         primaries = list(self._primaries)
         secondaries = list(self._secondaries)
         copied: set = set()
         for entry in delta.changed:
-            i = index_of[entry.shard_id]
+            i = index_of.get(entry.shard_id)
+            if (i is None or index.key_lows[i] != entry.key_low
+                    or index.key_highs[i] != entry.key_high):
+                raise ValueError(
+                    f"{self.app}: delta v{delta.version} changes the "
+                    f"layout at shard {entry.shard_id!r}")
             chunk = i >> _CHUNK_SHIFT
             if chunk not in copied:
                 primaries[chunk] = primaries[chunk][:]
@@ -327,19 +294,6 @@ class ShardMap:
             secondaries[chunk][offset] = entry.secondaries
         return ShardMap(self.app, delta.version, key_index=index,
                         primaries=primaries, secondaries=secondaries)
-
-    def _apply_delta_general(self, delta: ShardMapDelta) -> "ShardMap":
-        """Layout-changing delta (adds/removes/re-ranges shards): rebuild
-        through the entries path.  Never hit by orchestrator publishes
-        (their maps always cover the full spec) but kept for protocol
-        completeness."""
-        removed = set(delta.removed)
-        merged: Dict[str, ShardMapEntry] = {
-            e.shard_id: e for e in self.entries if e.shard_id not in removed}
-        for entry in delta.changed:
-            merged[entry.shard_id] = entry
-        return ShardMap(self.app, delta.version,
-                        entries=tuple(merged.values()))
 
     # -- equality ----------------------------------------------------------
 
@@ -374,8 +328,8 @@ class ShardMap:
 #
 # The simulator passes map objects by reference, so dissemination "bytes"
 # are modeled analytically: per-entry framing plus the strings it carries.
-# The estimators are what the scale benchmark (and the delta-vs-full
-# headline in BENCH_sim.json) report.
+# The estimators are what ``bench/``'s ``map_publish`` workload reports
+# (``delta_bytes_d1`` vs ``full_map_bytes``).
 
 _ENTRY_OVERHEAD = 24   # two int64 key bounds + field framing
 _HEADER_OVERHEAD = 32  # app name, version(s), entry count
@@ -411,8 +365,6 @@ def delta_wire_bytes(delta: ShardMapDelta) -> int:
     size = _HEADER_OVERHEAD + len(delta.app) + 8  # + base version
     for entry in delta.changed:
         size += entry_wire_bytes(entry)
-    for shard_id in delta.removed:
-        size += len(shard_id) + 4
     return size
 
 

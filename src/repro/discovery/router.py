@@ -14,19 +14,17 @@ Requests run through a slotted :class:`_RequestOp` state machine
 (mirroring the network's ``_RpcOp``): retries, backoff, misroute
 exclusion and outcome recording are precomputed bound-method callbacks,
 so the steady-state request path allocates no closures, generator frames
-or per-request processes.  The generator :meth:`ServiceRouter.request`
-remains as a thin shim over the state machine for callers that join
-requests from simulation processes.
+or per-request processes.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..core.shard_map import AppKeyIndex, ShardMap, ShardMapDelta, ShardMapEntry
-from ..sim.engine import Engine, Signal, Wait
+from ..sim.engine import Engine
 from ..sim.network import Network, RpcResult
 
 
@@ -138,8 +136,7 @@ class ServiceRouter:
         self.map_updates += 1
         if (delta is not None and previous is not None
                 and delta.base_version == previous.version
-                and shard_map.key_index is previous.key_index
-                and not delta.removed):
+                and shard_map.key_index is previous.key_index):
             self._evict_changed(delta)
         else:
             self.map_resyncs += 1
@@ -269,29 +266,12 @@ class ServiceRouter:
         """Fire one logical request through the retry state machine.
 
         ``on_done(outcome)`` runs at completion (success, or after
-        ``attempts`` tries all failed).  This is the allocation-lean entry
-        point used by workload drivers; :meth:`request` is the generator
-        shim over the same machinery.
+        ``attempts`` tries all failed — matching how production clients
+        hide transient misroutes behind retries).  The returned op's
+        ``outcome`` is ``None`` until the request settles.
         """
         return _RequestOp(self, key, payload, method, prefer_primary,
                           on_done)
-
-    def request(self, key: int, payload: Any, method: str = "app.request",
-                prefer_primary: bool = True) -> Generator[Any, Any, RequestOutcome]:
-        """Generator process: send a request, retrying across replicas.
-
-        Run it with ``engine.process(router.request(...))`` or yield it
-        from another process.  A request fails only after ``attempts``
-        tries have all failed — matching how production clients hide
-        transient misroutes behind retries.  (Thin shim over
-        :meth:`start_request`; the retry semantics live in
-        :class:`_RequestOp`.)
-        """
-        op = _RequestOp(self, key, payload, method, prefer_primary, None)
-        if op.outcome is None:
-            op.done = Signal(self.engine)
-            yield Wait(op.done)
-        return op.outcome
 
 
 class _RequestOp:
@@ -300,17 +280,16 @@ class _RequestOp:
     Bound methods of this object are the scheduled callbacks (backoff
     wakeups, RPC completions), so a request costs one slotted object and
     one message dict — no generator frames, closures, processes or
-    per-request signals on the happy path.  The retry semantics are
-    exactly those of the old generator loop: pick a replica (excluding
+    per-request signals.  The retry semantics: pick a replica (excluding
     ones already tried), RPC it, back off ``retry_backoff`` between
     attempts, and fail only after ``attempts`` tries — with a routing
     error on the final attempt still paying the backoff before the
-    failure surfaces, as the generator did.
+    failure surfaces.
     """
 
     __slots__ = ("router", "engine", "message", "method", "prefer_primary",
                  "on_done", "start", "attempt", "tried", "last_error",
-                 "address", "shard_id", "outcome", "done")
+                 "address", "shard_id", "outcome")
 
     def __init__(self, router: ServiceRouter, key: int, payload: Any,
                  method: str, prefer_primary: bool,
@@ -327,7 +306,6 @@ class _RequestOp:
         self.address = ""
         self.shard_id = ""
         self.outcome: Optional[RequestOutcome] = None
-        self.done: Optional[Signal] = None  # lazily set by the shim
         # One message dict per logical request, updated across retries.
         # Safe to reuse: a retry only starts after the previous attempt
         # settled, and servers copy the dict before async forwarding.
@@ -412,5 +390,3 @@ class _RequestOp:
         self.outcome = outcome
         if self.on_done is not None:
             self.on_done(outcome)
-        if self.done is not None:
-            self.done.fire(outcome)

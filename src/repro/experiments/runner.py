@@ -3,11 +3,10 @@
 The figure experiments are embarrassingly parallel — every arm of
 Figure 17 and every figure's ``run()`` builds its own engine, topology
 and RNG substreams from an explicit seed, so arms share no state.  The
-runner dispatches them over a ``multiprocessing`` pool and aggregates
-per-figure wall-clock and events/second (via
-``Engine.total_processed_events``, which each worker process accumulates
-locally) into a machine-readable report (``BENCH_sim.json`` from
-``make bench-sim``).
+runner dispatches them over a ``multiprocessing`` pool and collects each
+task's headline into a report that depends only on the task list — the
+same seeds give the same bytes on any host and pool size.  How fast the
+simulator runs is ``bench/``'s question, not this module's.
 
 Task functions must be *top-level* (picklable); each returns the
 figure's headline numbers as a plain dict so the report stays
@@ -17,10 +16,8 @@ JSON-serializable.
 from __future__ import annotations
 
 import importlib
-import json
 import multiprocessing
 import os
-import time
 from typing import Any, Dict, List, Optional
 
 # -- headline task functions (top-level: the pool pickles references) --------
@@ -74,27 +71,6 @@ def fig23_task(**kwargs: Any) -> Dict[str, Any]:
     from . import fig23_continuous_lb
     result = fig23_continuous_lb.run(**kwargs)
     return {"max_p99": result.max_p99(), "total_moves": result.total_moves()}
-
-
-def fluid_scale_task(**kwargs: Any) -> Dict[str, Any]:
-    from . import fluid_scale
-    result = fluid_scale.run(**kwargs)
-    return {"users": result.users,
-            "sim_seconds": result.sim_seconds,
-            "wall_seconds": result.wall_seconds,
-            "users_per_sec": result.users_per_sec,
-            "sim_rate": result.sim_rate,
-            "arrivals": result.arrivals,
-            "availability": result.availability,
-            "mean_latency_ms": result.mean_latency_ms,
-            "p99_latency_ms": result.p99_latency_ms,
-            "max_utilization": result.max_utilization,
-            "shard_moves": result.shard_moves,
-            "upgrades_run": result.upgrades_run,
-            "epochs": result.epochs,
-            "flows": result.flows,
-            "delta_reprices": result.delta_reprices,
-            "full_reprices": result.full_reprices}
 
 
 def chaos_task(scenario: str = "", arm: str = "sm", seed: int = 0,
@@ -213,29 +189,13 @@ def with_traffic(tasks: List[Dict[str, Any]],
 
 
 def run_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one task, measuring wall-clock and engine events.
-
-    Runs inside a worker process (or inline with ``--serial``); the
-    event count is the delta of the process-wide
-    ``Engine.total_processed_events`` accumulator, so it covers every
-    engine the task creates.
-    """
-    from repro.sim.engine import Engine
-
+    """Execute one task (in a worker process, or inline when serial)."""
     module_name, _, func_name = task["fn"].rpartition(":")
     func = getattr(importlib.import_module(module_name), func_name)
-    events_before = Engine.total_processed_events
-    start = time.perf_counter()
-    headline = func(**task["kwargs"])
-    wall = time.perf_counter() - start
-    events = Engine.total_processed_events - events_before
     return {
         "figure": task["figure"],
         "name": task["name"],
-        "wall_seconds": wall,
-        "events": events,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "headline": headline,
+        "headline": func(**task["kwargs"]),
     }
 
 
@@ -296,64 +256,22 @@ def run_experiments(tasks: Optional[List[Dict[str, Any]]] = None,
 
     ``processes`` defaults to ``min(len(tasks), cpu_count)``.  With one
     core (or ``serial=True``) tasks run inline — the pool cannot beat
-    serial execution without cores to spread over, and the report's
-    ``processes`` field records what actually happened.
+    serial execution without cores to spread over.  The report is
+    ``{"figures": {figure: {task name: headline}}}`` and carries nothing
+    that depends on the host or the pool size.
     """
     if tasks is None:
         tasks = DEFAULT_TASKS
-    cpus = os.cpu_count() or 1
     if processes is None:
-        processes = min(len(tasks), cpus)
-    processes = max(1, processes)
-    sweep_start = time.perf_counter()
-    if serial or processes == 1:
-        processes = 1
+        processes = min(len(tasks), os.cpu_count() or 1)
+    if serial or processes <= 1:
         results = [run_task(task) for task in tasks]
     else:
         with multiprocessing.Pool(processes=processes) as pool:
             results = pool.map(run_task, tasks)
-    sweep_wall = time.perf_counter() - sweep_start
 
     figures: Dict[str, Any] = {}
     for result in results:
-        figure = figures.setdefault(result["figure"], {
-            "wall_seconds": 0.0, "events": 0, "tasks": {}})
-        figure["tasks"][result["name"]] = {
-            "wall_seconds": result["wall_seconds"],
-            "events": result["events"],
-            "events_per_sec": result["events_per_sec"],
-            "headline": result["headline"],
-        }
-        figure["wall_seconds"] += result["wall_seconds"]
-        figure["events"] += result["events"]
-    for figure in figures.values():
-        figure["events_per_sec"] = (
-            figure["events"] / figure["wall_seconds"]
-            if figure["wall_seconds"] > 0 else 0.0)
-
-    total_events = sum(r["events"] for r in results)
-    return {
-        "processes": processes,
-        "cpu_count": cpus,
-        "sweep_wall_seconds": sweep_wall,
-        "total_events": total_events,
-        "total_events_per_sec": (total_events / sweep_wall
-                                 if sweep_wall > 0 else 0.0),
-        "figures": figures,
-    }
-
-
-def attach_baseline(report: Dict[str, Any],
-                    baseline_path: str) -> Dict[str, Any]:
-    """Merge a pre-optimization baseline file and compute speedups."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    report["baseline"] = baseline
-    speedups: Dict[str, float] = {}
-    baseline_figures = baseline.get("figures", {})
-    for name, figure in report["figures"].items():
-        base = baseline_figures.get(name)
-        if base and figure["wall_seconds"] > 0:
-            speedups[name] = base["wall_seconds"] / figure["wall_seconds"]
-    report["speedup_vs_baseline"] = speedups
-    return report
+        figure = figures.setdefault(result["figure"], {})
+        figure[result["name"]] = result["headline"]
+    return {"figures": figures}

@@ -508,7 +508,7 @@ class TraceChecker:
                 explained.add((args.get("app", ""), args.get("shard", ""),
                                args.get("address", "")))
         violations: List[Violation] = []
-        for entry in shard_map.entries:
+        for entry in map(shard_map.entry_at, range(len(shard_map))):
             for address in entry.all_addresses():
                 if (shard_map.app, entry.shard_id, address) not in explained:
                     violations.append(Violation(

@@ -92,12 +92,6 @@ class EventHandle:
 class Engine:
     """Heap-based discrete-event scheduler with a simulated clock."""
 
-    #: Events executed across every engine instance in this process.
-    #: Updated once per ``run()`` call (not per event), so the parallel
-    #: experiment runner can report events/s per worker without touching
-    #: the hot loop.
-    total_processed_events: int = 0
-
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, _Event]] = []
@@ -269,7 +263,6 @@ class Engine:
         finally:
             self._running = False
             self._processed += executed
-            Engine.total_processed_events += executed
         if until is not None and self._now < until:
             self._now = until
         return self._now

@@ -37,14 +37,11 @@ class TestKVStoreEndToEnd:
         cluster.run(until=cluster.engine.now + 60.0)
         assert app.orchestrator.shards_on(victim) == []
 
-        reads = []
-        for key in range(0, 1000, 97):
-            process = client.request(key, {"op": "get", "key": key})
-            process.done_signal._add_waiter(
-                lambda outcome, k=key: reads.append((k, outcome)))
+        reads = {key: client.request(key, {"op": "get", "key": key})
+                 for key in range(0, 1000, 97)}
         cluster.run(until=cluster.engine.now + 5.0)
-        assert all(outcome.ok and outcome.value["value"] == k * 2
-                   for k, outcome in reads)
+        assert all(read.outcome.ok and read.outcome.value["value"] == k * 2
+                   for k, read in reads.items())
 
 
 class TestTwoAppsShareCluster:
@@ -64,9 +61,9 @@ class TestTwoAppsShareCluster:
         pa = client_a.request(5, {"hello": "a"})
         pb = client_b.request(5, {"hello": "b"})
         cluster.run(until=cluster.engine.now + 5.0)
-        assert pa.result.ok and pb.result.ok
-        assert "alpha" in pa.result.value["served_by"]
-        assert "beta" in pb.result.value["served_by"]
+        assert pa.outcome.ok and pb.outcome.ok
+        assert "alpha" in pa.outcome.value["served_by"]
+        assert "beta" in pb.outcome.value["served_by"]
 
 
 class TestZippyDBFailoverSafety:
@@ -85,14 +82,12 @@ class TestZippyDBFailoverSafety:
                              failover_grace=15.0),
                          settle=60.0)
         client = app.client(cluster, "PRN", rpc_timeout=5.0)
-        acked = {}
-        for key in range(0, 100, 10):
-            process = client.request(key, {"op": "put", "key": key,
-                                           "value": f"v{key}"})
-            process.done_signal._add_waiter(
-                lambda outcome, k=key: acked.update({k: True})
-                if outcome.ok else None)
+        puts = {key: client.request(key, {"op": "put", "key": key,
+                                          "value": f"v{key}"})
+                for key in range(0, 100, 10)}
         cluster.run(until=cluster.engine.now + 15.0)
+        acked = [key for key, put in puts.items()
+                 if put.outcome is not None and put.outcome.ok]
         assert len(acked) >= 8  # most writes committed
 
         primary = app.orchestrator.table.primary_of("shard0")
@@ -104,16 +99,13 @@ class TestZippyDBFailoverSafety:
         assert new_primary is not None
         assert new_primary.address != primary.address
 
-        reads = {}
-        for key in acked:
-            process = client.request(key, {"op": "get", "key": key},
+        reads = {key: client.request(key, {"op": "get", "key": key},
                                      prefer_primary=False)
-            process.done_signal._add_waiter(
-                lambda outcome, k=key: reads.update({k: outcome}))
+                 for key in acked}
         cluster.run(until=cluster.engine.now + 10.0)
         for key in acked:
-            assert reads[key].ok
-            assert reads[key].value["value"] == f"v{key}"
+            assert reads[key].outcome.ok
+            assert reads[key].outcome.value["value"] == f"v{key}"
 
 
 class TestAdEventsEndToEnd:
@@ -138,8 +130,8 @@ class TestAdEventsEndToEnd:
 
         process = client.request(10, {"op": "query", "ad_id": 7})
         cluster.run(until=cluster.engine.now + 5.0)
-        assert process.result.ok
-        assert process.result.value["counters"]["clicks"] == 5
+        assert process.outcome.ok
+        assert process.outcome.value["counters"]["clicks"] == 5
         assert ads.replays >= 2  # original owner + post-migration owner
 
 

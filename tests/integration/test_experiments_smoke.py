@@ -15,6 +15,7 @@ from repro.experiments import (
     fig21_solver_scale,
     fig22_solver_opt,
     fig23_continuous_lb,
+    runner,
     scale,
     skew_lb,
 )
@@ -127,3 +128,15 @@ def test_skew_lb_smoke():
     assert sm.violations == 0 and static.violations == 0
     report = skew_lb.format_report({"sm": sm, "static": static})
     assert "sm" in report and "static" in report
+
+
+def test_runner_report_is_deterministic_per_seed():
+    """The sweep report is headlines only: same seeds, same dict, with
+    nothing in it that depends on the host or how long the run took."""
+    tasks = [runner.select_task(runner.SMOKE_TASKS, "fig01"),
+             runner.select_task(runner.SMOKE_TASKS, "fig17:sm")]
+    first = runner.run_experiments(tasks, serial=True)
+    assert first == runner.run_experiments(tasks, serial=True)
+    assert set(first) == {"figures"}
+    assert set(first["figures"]) == {"fig01", "fig17"}
+    assert first["figures"]["fig17"]["sm"]["success_rate"] >= 0.999

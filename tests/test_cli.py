@@ -1,0 +1,34 @@
+"""Command-line scripts reject bad arguments with a usage error (exit 2)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("factor", ["0", "-3"])
+def test_profile_solver_rejects_non_positive_factor(factor, capsys):
+    script = load_script("profile_solver")
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--factor", factor, "--point", "0"])
+    assert exit_info.value.code == 2
+    assert "--factor: must be >= 1" in capsys.readouterr().err
+
+
+def test_run_experiments_has_no_baseline_flag(monkeypatch, capsys):
+    script = load_script("run_experiments")
+    monkeypatch.setattr("sys.argv", ["run_experiments.py", "--smoke",
+                                     "--baseline", "baseline.json"])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --baseline" in capsys.readouterr().err

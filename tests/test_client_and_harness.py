@@ -59,7 +59,7 @@ class TestClient:
                             cluster.discovery, "a", "FRC")
         process = client.request(5, {"x": 1})
         cluster.run(until=cluster.engine.now + 5.0)
-        assert process.result.ok
+        assert process.outcome.ok
 
     def test_close_unsubscribes(self):
         cluster, app = self._deployed()

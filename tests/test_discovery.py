@@ -164,13 +164,11 @@ class TestServiceRouter:
         backup.on("app.request", lambda m: "served-by-b")
         entries = [ShardMapEntry("s0", 0, 100, "a", ("b",))]
         router.on_map_update(make_map(entries=entries))
-        outcomes = []
-        process = engine.process(router.request(5, None))
-        process.done_signal._add_waiter(outcomes.append)
+        op = router.start_request(5, None)
         engine.run()
-        assert outcomes[0].ok
-        assert outcomes[0].value == "served-by-b"
-        assert outcomes[0].attempts == 2
+        assert op.outcome.ok
+        assert op.outcome.value == "served-by-b"
+        assert op.outcome.attempts == 2
 
     def test_request_fails_after_attempts(self, engine):
         network, router = self._router(engine)
@@ -178,9 +176,7 @@ class TestServiceRouter:
         network.set_endpoint_up("a", False)
         entries = [ShardMapEntry("s0", 0, 100, "a", ())]
         router.on_map_update(make_map(entries=entries))
-        outcomes = []
-        process = engine.process(router.request(5, None))
-        process.done_signal._add_waiter(outcomes.append)
+        op = router.start_request(5, None)
         engine.run()
-        assert not outcomes[0].ok
-        assert outcomes[0].attempts == 2
+        assert not op.outcome.ok
+        assert op.outcome.attempts == 2

@@ -207,14 +207,6 @@ class TestImmediateQueue:
         engine.run()
         assert seen == [None]
 
-    def test_total_processed_events_accumulates(self):
-        before = Engine.total_processed_events
-        engine = Engine()
-        for _ in range(4):
-            engine.call_after(1.0, lambda: None)
-        engine.run()
-        assert Engine.total_processed_events - before == 4
-
 
 class TestProcesses:
     def test_process_delays(self):

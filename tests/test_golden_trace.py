@@ -65,7 +65,7 @@ def _run_scenario():
 
     def traced_publish(shard_map, delta=None):
         trace.append(f"publish {engine.now!r} v{shard_map.version} "
-                     f"{len(shard_map.entries)}")
+                     f"{len(shard_map)}")
         original_publish(shard_map, delta=delta)
 
     discovery.publish = traced_publish

@@ -1,0 +1,26 @@
+"""Fence: which modules under ``src/repro`` may read a host clock.
+
+Simulated behaviour and every experiment headline must depend only on
+the seed.  Host time is read in exactly two places: the solver's
+wall-clock budget / ``solve_time`` (the y-axis of Figs 21/22) and the
+stage profiler.  How fast the simulator itself runs is measured from
+outside ``src/``, by ``bench/``.
+"""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+HOST_CLOCK = re.compile(
+    r"\btime\.(?:perf_counter|monotonic|time|process_time)(?:_ns)?\s*\("
+    r"|^\s*from\s+time\s+import\b", re.MULTILINE)
+
+ALLOWED = {"solver/local_search.py", "metrics/profiler.py"}
+
+
+def test_only_solver_and_profiler_read_a_host_clock():
+    readers = {path.relative_to(SRC).as_posix()
+               for path in SRC.rglob("*.py")
+               if HOST_CLOCK.search(path.read_text())}
+    assert readers == ALLOWED

@@ -75,13 +75,18 @@ def mutate_randomly(table, rng, ops=8):
                            f"srv/{rng.randrange(10)}")
 
 
+def all_entries(shard_map):
+    return [shard_map.entry_at(i) for i in range(len(shard_map))]
+
+
 def assert_maps_identical(applied, snapshot):
     """Field-for-field equality, not just the fast columnar __eq__."""
     assert applied == snapshot
     assert applied.app == snapshot.app
     assert applied.version == snapshot.version
     assert applied.entry_count == snapshot.entry_count
-    assert applied.entries == snapshot.entries  # every field of every entry
+    # every field of every entry
+    assert all_entries(applied) == all_entries(snapshot)
 
 
 class TestDeltaProperty:
@@ -110,12 +115,11 @@ class TestDeltaProperty:
         table.relocate(a.replica_id, "srv/c")
         _snapshot, delta = table.snapshot_delta()
         assert [e.shard_id for e in delta.changed] == ["shard3", "shard7"]
-        assert delta.removed == ()
 
     def test_quiet_publish_has_empty_delta(self):
         table = make_table()
         snapshot, delta = table.snapshot_delta()
-        assert len(delta.changed) == len(snapshot.entries)  # first: all
+        assert len(delta.changed) == len(snapshot)  # first: all
         snapshot2, delta2 = table.snapshot_delta()
         assert delta2.changed == ()
         assert delta2.base_version == snapshot.version
@@ -160,22 +164,22 @@ class TestDeltaProperty:
         assert delta.base_version == 1
         assert_maps_identical(last_map.apply_delta(delta), snapshot)
 
-    def test_layout_changing_delta_general_path(self):
-        """Deltas that add or remove shards (never emitted by the
-        orchestrator, but part of the wire format) rebuild correctly."""
+    @pytest.mark.parametrize("changed", [
+        ShardMapEntry("s2", 20, 30, "c", ()),   # unknown shard
+        ShardMapEntry("s1", 10, 25, "c", ()),   # different key bounds
+    ])
+    def test_layout_changing_delta_raises(self, changed):
+        """A delta that does not fit the map's layout does not chain:
+        the subscriber resyncs from the full snapshot instead."""
         base = ShardMap("app", 1, entries=(
             ShardMapEntry("s0", 0, 10, "a", ()),
             ShardMapEntry("s1", 10, 20, "b", ()),
         ))
-        delta = ShardMapDelta(
-            app="app", version=2, base_version=1,
-            changed=(ShardMapEntry("s2", 20, 30, "c", ()),),
-            removed=("s0",))
-        applied = base.apply_delta(delta)
-        assert sorted(e.shard_id for e in applied.entries) == ["s1", "s2"]
-        assert applied.entry("s2").primary == "c"
-        with pytest.raises(KeyError):
-            applied.entry("s0")
+        delta = ShardMapDelta(app="app", version=2, base_version=1,
+                              changed=(changed,))
+        with pytest.raises(ValueError):
+            base.apply_delta(delta)
+        assert base.entry("s1").primary == "b"  # base left untouched
 
 
 class TestColumnarMap:
@@ -208,24 +212,14 @@ class TestColumnarMap:
     def test_entries_view_matches_spec_order(self):
         table = make_table(shards=5)
         snapshot = table.snapshot()
-        assert [e.shard_id for e in snapshot.entries] == [
+        assert [e.shard_id for e in all_entries(snapshot)] == [
             s.shard_id for s in table.spec.shards]
-        assert snapshot.entries is snapshot.entries  # cached
-
-    def test_routing_index_sorted_by_key_low(self):
-        entries = (
-            ShardMapEntry("b", 10, 20, None, ()),
-            ShardMapEntry("a", 0, 10, None, ()),
-        )
-        shard_map = ShardMap(app="x", version=1, entries=entries)
-        lows, ordered = shard_map.routing_index()
-        assert lows == [0, 10]
-        assert [e.shard_id for e in ordered] == ["a", "b"]
+        assert snapshot.entry_at(3) is snapshot.entry_at(3)  # memoised
 
     def test_index_for_key(self):
         shard_map = ShardMap(app="x", version=1, entries=(
+            ShardMapEntry("b", 20, 30, None, ()),  # not in key order
             ShardMapEntry("a", 0, 10, None, ()),
-            ShardMapEntry("b", 20, 30, None, ()),
         ))
         assert shard_map.entry_at(shard_map.index_for_key(5)).shard_id == "a"
         assert shard_map.entry_at(shard_map.index_for_key(25)).shard_id == "b"
@@ -238,7 +232,7 @@ class TestColumnarMap:
         table.add("shard0", "a", Role.PRIMARY, state=ReplicaState.READY)
         snapshot = table.snapshot()
         rebuilt = ShardMap(app=snapshot.app, version=snapshot.version,
-                           entries=snapshot.entries)
+                           entries=all_entries(snapshot))
         assert rebuilt == snapshot and hash(rebuilt) == hash(snapshot)
         table.relocate(table.replicas_of("shard0")[0].replica_id, "b")
         different = table.snapshot()
@@ -332,7 +326,8 @@ class TestSubscriptionProtocol:
         # publisher lost state) must not be forwarded as a delta.
         stray = ShardMapDelta(app="app", version=5, base_version=4,
                               changed=())
-        jump = ShardMap(app="app", version=5, entries=snapshot.entries)
+        jump = ShardMap(app="app", version=5,
+                        entries=all_entries(snapshot))
         discovery.publish(jump, delta=stray)
         assert discovery.delta_publishes == 1  # the first, chained publish
         assert discovery.full_publishes == 1   # the broken-chain one

@@ -410,7 +410,8 @@ class TestMapCoverageAfterFailover:
         checker.assert_clean()
         for partition in partitions:
             snapshot = partition.orchestrator.table.snapshot()
-            assert all(e.primary is not None for e in snapshot.entries)
+            assert all(snapshot.primary_at(i) is not None
+                       for i in range(len(snapshot)))
             assert checker.check_shard_map(snapshot) == []
             with pytest.raises(RuntimeError):
                 partition.start_orchestrator(

@@ -50,8 +50,8 @@ class TestInitialPlacement:
         cluster, app = single_region_app()
         shard_map = cluster.discovery.latest("app")
         assert shard_map is not None
-        for entry in shard_map.entries:
-            assert entry.primary is not None
+        for index in range(len(shard_map)):
+            assert shard_map.primary_at(index) is not None
 
     def test_assignments_mirrored_to_zookeeper(self):
         cluster, app = single_region_app()

@@ -1,16 +1,13 @@
-"""Request-path fast-path tests: `_RequestOp` semantics and seed parity.
+"""Request-path tests: `_RequestOp` retry semantics and seed parity.
 
-The router's retry loop moved from a generator process to the slotted
-:class:`~repro.discovery.router._RequestOp` state machine (with
-:meth:`ServiceRouter.request` kept as a thin shim).  These tests pin the
-contract of that move:
+The router's retry loop is the slotted
+:class:`~repro.discovery.router._RequestOp` state machine.  These tests
+pin its contract:
 
-* the generator shim and ``start_request`` produce identical outcomes
-  and identical completion times for the same scenario;
 * misroute/failure retries exclude already-tried replicas until the
   replica set is exhausted;
-* backoff timing is unchanged, including the quirk that a routing error
-  on the *final* attempt still pays one backoff before failing;
+* backoff timing, including the quirk that a routing error on the
+  *final* attempt still pays one backoff before failing;
 * a zero or negative rate curve cannot stall the engine (satellite of
   the same PR: the clamp now lives in ``repro.app.client.clamped_rate``);
 * a fig18-style diurnal slice replays bit-identically against a golden
@@ -55,28 +52,18 @@ def build_router(attempts=3, rpc_timeout=0.5, retry_backoff=0.1,
     return engine, network, router
 
 
-def run_request(router, key, payload, use_shim):
-    """Fire one request via the shim or the state machine; wait for it."""
+def run_request(router, key, payload):
+    """Fire one request through the state machine; wait for it."""
     outcomes = []
-    if use_shim:
-        process = router.engine.process(router.request(key, payload))
-        process.done_signal._add_waiter(outcomes.append)
-    else:
-        router.start_request(key, payload, on_done=outcomes.append)
+    op = router.start_request(key, payload, on_done=outcomes.append)
+    assert op.outcome is None  # not settled until the engine runs
     router.engine.run()
-    assert len(outcomes) == 1
-    return outcomes[0]
+    assert outcomes == [op.outcome]
+    return op.outcome
 
 
-def outcome_tuple(outcome):
-    return (outcome.ok, outcome.value, outcome.error, outcome.latency,
-            outcome.attempts, outcome.shard_id)
-
-
-class TestShimStateMachineParity:
-    """Generator shim and ``start_request`` are the same machine."""
-
-    def _timeout_retry_success(self, use_shim):
+class TestRetryStateMachine:
+    def test_timeout_then_retry_succeeds(self):
         engine, network, router = build_router(attempts=3)
         network.register("a", "FRC")
         backup = network.register("b", "FRC")
@@ -84,12 +71,7 @@ class TestShimStateMachineParity:
         network.set_endpoint_up("a", False)  # primary times out
         router.on_map_update(make_map(
             entries=[ShardMapEntry("s0", 0, 100, "a", ("b",))]))
-        outcome = run_request(router, 5, "payload", use_shim)
-        return engine.now, outcome
-
-    @pytest.mark.parametrize("use_shim", [False, True])
-    def test_timeout_then_retry_succeeds(self, use_shim):
-        now, outcome = self._timeout_retry_success(use_shim)
+        outcome = run_request(router, 5, "payload")
         assert outcome.ok
         assert outcome.value == "b-served-5"
         assert outcome.attempts == 2  # timeout on a, success on b
@@ -97,13 +79,7 @@ class TestShimStateMachineParity:
         # attempt 1 burned the full rpc_timeout, then one backoff
         assert outcome.latency > 0.5 + 0.1
 
-    def test_timeout_retry_success_parity(self):
-        shim_now, shim_outcome = self._timeout_retry_success(use_shim=True)
-        op_now, op_outcome = self._timeout_retry_success(use_shim=False)
-        assert shim_now == op_now
-        assert outcome_tuple(shim_outcome) == outcome_tuple(op_outcome)
-
-    def _misroute_exhausts_replicas(self, use_shim):
+    def test_misroute_exclusion_exhausts_replicas(self):
         engine, network, router = build_router(attempts=3)
         arrivals = []
 
@@ -117,12 +93,7 @@ class TestShimStateMachineParity:
         network.register("b", "FRC").on("app.request", misrouted("b"))
         router.on_map_update(make_map(
             entries=[ShardMapEntry("s0", 0, 100, "a", ("b",))]))
-        outcome = run_request(router, 5, None, use_shim)
-        return engine.now, arrivals, outcome
-
-    @pytest.mark.parametrize("use_shim", [False, True])
-    def test_misroute_exclusion_exhausts_replicas(self, use_shim):
-        _now, arrivals, outcome = self._misroute_exhausts_replicas(use_shim)
+        outcome = run_request(router, 5, None)
         # Each replica is tried exactly once; the third attempt finds the
         # candidate set empty and surfaces the routing error.
         assert arrivals == [("a", "s0"), ("b", "s0")]
@@ -130,17 +101,9 @@ class TestShimStateMachineParity:
         assert outcome.attempts == 3
         assert "no routable replica" in outcome.error
 
-    def test_misroute_exhaustion_parity(self):
-        shim = self._misroute_exhausts_replicas(use_shim=True)
-        op = self._misroute_exhausts_replicas(use_shim=False)
-        assert shim[0] == op[0]
-        assert shim[1] == op[1]
-        assert outcome_tuple(shim[2]) == outcome_tuple(op[2])
-
 
 class TestBackoffTiming:
-    @pytest.mark.parametrize("use_shim", [False, True])
-    def test_backoff_between_failed_attempts(self, use_shim):
+    def test_backoff_between_failed_attempts(self):
         # Zero jitter: every one-way hop is exactly the 1 ms intra-region
         # base, so attempt timing is fully deterministic.
         engine, network, router = build_router(
@@ -155,7 +118,7 @@ class TestBackoffTiming:
         network.register("b", "FRC").on("app.request", failing)
         router.on_map_update(make_map(
             entries=[ShardMapEntry("s0", 0, 100, "a", ("b",))]))
-        outcome = run_request(router, 5, None, use_shim)
+        outcome = run_request(router, 5, None)
         # attempt 1 arrives after one hop; its error returns one hop
         # later; the retry waits retry_backoff and takes another hop.
         assert times == pytest.approx([0.001, 0.001 + 0.001 + 0.25 + 0.001])
@@ -163,13 +126,12 @@ class TestBackoffTiming:
         # final-attempt RPC failure fails immediately (no trailing backoff)
         assert outcome.latency == pytest.approx(0.254)
 
-    @pytest.mark.parametrize("use_shim", [False, True])
-    def test_routing_error_on_final_attempt_pays_backoff(self, use_shim):
+    def test_routing_error_on_final_attempt_pays_backoff(self):
         # No shard map at all: every attempt raises RoutingError, and the
-        # old generator slept retry_backoff even after the last one.
+        # last one still sleeps retry_backoff before failing.
         engine, _network, router = build_router(
             attempts=2, retry_backoff=0.25, jitter=0.0)
-        outcome = run_request(router, 5, None, use_shim)
+        outcome = run_request(router, 5, None)
         assert not outcome.ok
         assert "no shard map" in outcome.error
         assert engine.now == pytest.approx(0.5)  # two backoffs, no RPCs
@@ -257,7 +219,7 @@ def _run_fig18_slice():
 
     def traced_publish(shard_map, delta=None):
         trace.append(f"publish {engine.now!r} v{shard_map.version} "
-                     f"{len(shard_map.entries)}")
+                     f"{len(shard_map)}")
         original_publish(shard_map, delta=delta)
 
     discovery.publish = traced_publish
