@@ -299,15 +299,6 @@ class ApplicationServer:
         reply = AsyncReply()
         forwarded = dict(message)
         forwarded["forwarded"] = True
-        call = self.network.rpc(self.address, hosted.forward_to,
-                                "app.request", forwarded)
-
-        def on_done(_value: Any) -> None:
-            result = call.result
-            if result is not None and result.ok:
-                reply.complete(result.value)
-            else:
-                reply.fail(result.error if result else "forwarding failed")
-
-        call.done._add_waiter(on_done)
+        self.network.rpc(self.address, hosted.forward_to, "app.request",
+                         forwarded, on_complete=reply.relay)
         return reply

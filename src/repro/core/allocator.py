@@ -53,9 +53,17 @@ class ServerRecord:
     alive: bool = True
     draining: bool = False
     expected_down_until: float = 0.0
+    #: shard id -> load vector, from the server's last ``sm.report_load``.
+    shard_loads: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def usable(self, now: float) -> bool:
         return self.alive and not self.draining and now >= self.expected_down_until
+
+    def load_reported(self, result) -> None:
+        """Completion of one ``sm.report_load`` poll (an ``RpcResult``);
+        a failed poll leaves the previous report standing."""
+        if result.ok:
+            self.shard_loads = result.value or {}
 
 
 @dataclass(frozen=True)

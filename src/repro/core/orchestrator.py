@@ -114,7 +114,6 @@ class Orchestrator:
             rpc_timeout=self.config.rpc_timeout,
             move_report=lambda count: self.move_counter.add(engine.now, count),
         )
-        self._shard_loads_by_address: Dict[str, Dict[str, Dict[str, float]]] = {}
         self._dirty = False
         self._publish_scheduled = False
         # (time, violations seen, moves planned) per rebalance — the
@@ -412,26 +411,20 @@ class Orchestrator:
 
     def _poll_loads(self) -> None:
         for address, record in self.servers.items():
-            if not record.alive:
-                continue
-            call = self.network.rpc(self.address, address, "sm.report_load",
-                                    None, timeout=self.config.rpc_timeout)
+            if record.alive:
+                self.network.rpc(self.address, address, "sm.report_load",
+                                 None, timeout=self.config.rpc_timeout,
+                                 on_complete=record.load_reported)
 
-            def on_done(_value: Any, addr: str = address, c=call) -> None:
-                result = c.result
-                if result is None or not result.ok:
-                    return
-                record_inner = self.servers.get(addr)
-                if record_inner is not None:
-                    record_inner_loads = result.value or {}
-                    self._shard_loads_by_address[addr] = record_inner_loads
-
-            call.done._add_waiter(on_done)
+    def shard_loads_on(self, address: str) -> Dict[str, Dict[str, float]]:
+        """The last load report received from ``address``, by shard."""
+        record = self.servers.get(address)
+        return record.shard_loads if record is not None else {}
 
     def load_of(self, replica: ReplicaAssignment) -> Tuple[float, ...]:
         """Replica load vector aligned with the spec's LB metrics."""
-        report = self._shard_loads_by_address.get(replica.address, {})
-        shard_report = report.get(replica.shard_id, {})
+        shard_report = self.shard_loads_on(replica.address).get(
+            replica.shard_id, {})
         values = []
         for metric in self.spec.lb_metrics:
             if metric == "shard_count":

@@ -79,8 +79,7 @@ class ShardScaler:
             if metric_index is not None:
                 total += self.orchestrator.load_of(replica)[metric_index]
             else:
-                report = self.orchestrator._shard_loads_by_address.get(
-                    replica.address, {})
+                report = self.orchestrator.shard_loads_on(replica.address)
                 total += float(report.get(shard_id, {}).get(
                     self.config.metric, 0.0))
         return total

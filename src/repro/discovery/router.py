@@ -11,7 +11,7 @@ nearest replica by region for secondary-reads, and retries on
 failure/misroute with the freshest map available.
 
 Requests run through a slotted :class:`_RequestOp` state machine
-(mirroring the network's ``_RpcOp``): retries, backoff, misroute
+(mirroring the network's ``RpcCall``): retries, backoff, misroute
 exclusion and outcome recording are precomputed bound-method callbacks,
 so the steady-state request path allocates no closures, generator frames
 or per-request processes.
@@ -32,7 +32,7 @@ class RoutingError(RuntimeError):
     """No routable replica for a key (empty map or unassigned shard)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     """Bookkeeping for one logical client request (across retries)."""
 
@@ -332,10 +332,9 @@ class _RequestOp:
         self.shard_id = shard_id
         message = self.message
         message["shard_id"] = shard_id
-        call = router.network.rpc(router.client_address, address,
-                                  self.method, message,
-                                  timeout=router.rpc_timeout)
-        call.done._add_waiter(self._rpc_done)
+        router.network.rpc(router.client_address, address, self.method,
+                           message, timeout=router.rpc_timeout,
+                           on_complete=self._rpc_done)
 
     def _rpc_done(self, result: RpcResult) -> None:
         if result.ok:

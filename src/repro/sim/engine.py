@@ -11,18 +11,23 @@ The engine is a heap-scheduled event loop with a same-tick fast path:
   *immediate-event deque* for ``delay == 0.0`` work (signal wakes,
   same-tick completions).  Immediate events skip both heap operations —
   O(1) append / popleft instead of two O(log n) sifts.
-* ``call_at`` / ``call_after`` schedule plain callbacks and return a
-  cancellable :class:`EventHandle`.  Both accept an optional ``arg`` so
-  hot paths can schedule ``callback(arg)`` without allocating a closure.
+* ``call_at`` / ``call_after`` schedule plain callbacks and return the
+  scheduled event itself, an :class:`EventHandle`.  Both accept an
+  optional ``arg`` so hot paths can schedule ``callback(arg)`` without
+  allocating a closure, and an optional ``guard`` for callbacks that
+  usually have nothing left to do by the time they are due (timeouts):
+  a guarded event costs no heap operation unless its guard still holds
+  shortly before its deadline.
 * :class:`Process` wraps a generator so sequential simulation code can be
   written in direct style, yielding :class:`Delay`, :class:`Wait` (on a
   :class:`Signal`), or another :class:`Process` to join.
 
-Determinism: every event — heap or immediate — is stamped with a
-monotonically increasing sequence number from one shared counter, and the
-run loop always executes the globally smallest ``(time, seq)`` pair next.
-Two runs with the same seed therefore produce identical event orders, and
-the immediate deque is purely an optimisation: it never reorders events
+Determinism: every event — heap, immediate or guarded — is stamped with a
+monotonically increasing sequence number from one shared counter when it
+is scheduled, and the run loop always executes the globally smallest
+``(time, seq)`` pair next.  Two runs with the same seed therefore produce
+identical event orders, and the immediate deque and the guard buckets are
+purely optimisations: they never reorder callbacks that have an effect
 relative to the heap-only engine (see DESIGN.md, "Determinism contract").
 
 Heap entries are ``(time, seq, event)`` tuples so ordering is resolved by
@@ -32,70 +37,74 @@ themselves are never compared.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 _NO_ARG = object()  # sentinel: "callback takes no argument"
+
+# Width, in simulated seconds, of the buckets guarded events wait in.  A
+# power of two, so the bucket arithmetic in ``call_at`` is exact.
+_GUARD_BUCKET = 0.25
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
 
 
-class _Event:
-    """One scheduled callback (heap- or deque-resident)."""
+class EventHandle:
+    """One scheduled callback, returned by ``call_at``/``call_after``.
 
-    __slots__ = ("time", "seq", "callback", "arg", "cancelled", "done")
+    The event is its own handle.  Its state lives in two of its slots:
+    ``_engine`` is set while the event is still due and ``None`` once it
+    ran, was cancelled or (guarded events) was dropped; ``callback`` is
+    ``None`` only for a cancelled event, which is what the run loop tests
+    to skip a tombstone.
+    """
 
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., None], arg: Any) -> None:
+    __slots__ = ("time", "seq", "callback", "arg", "_engine")
+
+    def __init__(self, time: float, seq: int, callback: Callable[..., None],
+                 arg: Any, engine: "Engine") -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.arg = arg
-        self.cancelled = False
-        self.done = False  # executed by run()
-
-
-class EventHandle:
-    """Cancellable handle returned by ``call_at``/``call_after``."""
-
-    __slots__ = ("_event", "_engine")
-
-    def __init__(self, event: _Event, engine: "Engine") -> None:
-        self._event = event
         self._engine = engine
 
     @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        """Whether :meth:`cancel` prevented the callback from running."""
+        return self.callback is None
 
     def cancel(self) -> None:
-        """Prevent the callback from firing.  Safe to call repeatedly."""
-        event = self._event
-        if event.cancelled:
-            return
-        event.cancelled = True
-        if not event.done:
-            # First cancellation of a not-yet-executed event: it stops
-            # counting as pending right away (its heap entry lingers as
-            # a tombstone until popped).
-            self._engine._pending -= 1
+        """Prevent the callback from firing.  Safe to call repeatedly, and
+        a no-op on an event that already ran."""
+        engine = self._engine
+        if engine is not None:
+            # It stops counting as pending right away; a heap entry
+            # lingers as a tombstone until popped.
+            self._engine = None
+            self.callback = None
+            engine._pending -= 1
 
 
 class Engine:
     """Heap-based discrete-event scheduler with a simulated clock."""
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._heap: list[tuple[float, int, _Event]] = []
-        self._immediate: deque[_Event] = deque()
+        #: Current simulated time in seconds.  Written only by :meth:`run`.
+        self.now = 0.0
+        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._immediate: deque[EventHandle] = deque()
+        # flush time -> [(guard, event)]: guarded events not yet on the heap.
+        self._parked: dict[float, list[tuple[Callable[[], Any],
+                                             EventHandle]]] = {}
+        # Latest deadline of a guarded event dropped unfired.  The no-op it
+        # had become would still have advanced the clock of a run that
+        # drains the queues, so such a run ends no earlier than this.
+        self._dropped_until = 0.0
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
@@ -121,11 +130,6 @@ class Engine:
         tracer.bind_clock(self)
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def processed_events(self) -> int:
         """Number of callbacks executed so far (for instrumentation)."""
         return self._processed
@@ -134,50 +138,91 @@ class Engine:
     def pending_events(self) -> int:
         """Live count of scheduled-but-not-yet-fired callbacks.
 
-        Maintained incrementally (push +1, cancel/execute -1) instead of
-        scanning the heap, which made this property O(heap) and dominated
-        tight instrumentation loops.  Cancelled tombstones still sitting in
-        the heap are already excluded.
+        Maintained incrementally (schedule +1, cancel/execute -1) instead
+        of scanning the heap.  Cancelled tombstones still sitting in the
+        heap are already excluded.  A guarded event counts from the moment
+        it is scheduled, parked or not, until it runs, is cancelled, or is
+        dropped because its guard no longer held.
         """
         return self._pending
 
     def call_at(self, when: float, callback: Callable[..., None],
-                arg: Any = _NO_ARG) -> EventHandle:
+                arg: Any = _NO_ARG,
+                guard: Optional[Callable[[], Any]] = None) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``.
 
         With ``arg``, the callback is invoked as ``callback(arg)`` — the
         zero-allocation alternative to ``lambda: callback(value)``.
+
+        With ``guard``, the caller promises that once ``guard()`` has
+        returned false it stays false and ``callback`` has nothing left to
+        do.  The event takes its ``(time, seq)`` position now, exactly as
+        an unguarded one would, but waits outside the heap; one flush per
+        bucket of deadlines, at least one bucket width ahead of them,
+        pushes the events whose guard still holds (with the ``seq`` they
+        reserved) and drops the rest.  Every callback that has an effect
+        therefore runs in the same total order as without the guard.
         """
-        if when < self._now:
+        now = self.now
+        if not when >= now:  # also rejects nan
             raise SimulationError(
-                f"cannot schedule at t={when:.6f}, current time is {self._now:.6f}"
+                f"cannot schedule at t={when:.6f}, current time is {now:.6f}"
             )
-        event = _Event(when, next(self._seq), callback, arg)
-        heapq.heappush(self._heap, (when, event.seq, event))
+        event = EventHandle(when, next(self._seq), callback, arg, self)
         self._pending += 1
-        return EventHandle(event, self)
+        if guard is not None:
+            flush_at = (when // _GUARD_BUCKET - 1.0) * _GUARD_BUCKET
+            # False when that flush is already in the past, and for an
+            # infinite deadline (nan): those go to the heap like any other.
+            if flush_at >= now:
+                bucket = self._parked.get(flush_at)
+                if bucket is None:
+                    bucket = self._parked[flush_at] = []
+                    self.call_at(flush_at, self._flush_guarded, flush_at)
+                bucket.append((guard, event))
+                return event
+        heappush(self._heap, (when, event.seq, event))
+        return event
+
+    def _flush_guarded(self, flush_at: float) -> None:
+        """Move one bucket's still-guarded events onto the heap."""
+        heap = self._heap
+        dropped = 0
+        dropped_until = self._dropped_until
+        for guard, event in self._parked.pop(flush_at):
+            if event.callback is None:
+                continue  # cancelled while parked: already uncounted
+            if guard():
+                heappush(heap, (event.time, event.seq, event))
+            else:
+                event._engine = None
+                dropped += 1
+                if event.time > dropped_until:
+                    dropped_until = event.time
+        self._pending -= dropped
+        self._dropped_until = dropped_until
 
     def call_after(self, delay: float, callback: Callable[..., None],
-                   arg: Any = _NO_ARG) -> EventHandle:
-        """Schedule ``callback`` after ``delay`` seconds."""
+                   arg: Any = _NO_ARG,
+                   guard: Optional[Callable[[], Any]] = None) -> EventHandle:
+        """Schedule ``callback`` after ``delay`` seconds (``arg`` and
+        ``guard`` as for :meth:`call_at`)."""
         if delay == 0.0:
-            event = _Event(self._now, next(self._seq), callback, arg)
+            event = EventHandle(self.now, next(self._seq), callback, arg,
+                                self)
             self._immediate.append(event)
             self._pending += 1
-            return EventHandle(event, self)
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self._now + delay, callback, arg)
+            return event
+        if not delay > 0:  # also rejects nan
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
+        return self.call_at(self.now + delay, callback, arg, guard)
 
     def _schedule_immediate(self, callback: Callable[..., None],
                             arg: Any = _NO_ARG) -> None:
-        """Same-tick scheduling without the :class:`EventHandle` wrapper.
-
-        The workhorse of :meth:`Signal.fire`: one ``_Event`` allocation and
-        a deque append per wake, nothing else.
-        """
-        self._immediate.append(_Event(self._now, next(self._seq),
-                                      callback, arg))
+        """Same-tick scheduling, the workhorse of :meth:`Signal.fire`:
+        one event allocation and a deque append per wake."""
+        self._immediate.append(
+            EventHandle(self.now, next(self._seq), callback, arg, self))
         self._pending += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -199,56 +244,59 @@ class Engine:
         executed = 0
         heap = self._heap
         immediate = self._immediate
-        heappop = heapq.heappop
         no_arg = _NO_ARG
+        stop_after = float("inf") if until is None else until
+        limit = float("inf") if max_events is None else max_events
         trace = self._trace
         sample = self._trace_sample
         # `executed` counts up from 0, so -1 never matches: the untraced
         # cost is the one int compare below.
         next_sample = 0 if trace is not None else -1
         try:
-            while heap or immediate:
-                # Pick the globally smallest (time, seq): the immediate
-                # deque is FIFO with monotonically increasing seq, so only
-                # its head competes with the heap head.
-                if immediate:
+            while True:
+                if not immediate:
+                    # The common case: nothing queued for this tick, so
+                    # the heap head is next.  Popped first and put back on
+                    # the rare exit, which saves a peek per event.
+                    if not heap:
+                        break  # drained
+                    entry = heappop(heap)
+                    event = entry[2]
+                    callback = event.callback
+                    if callback is None:
+                        continue  # tombstones cost nothing beyond the pop
+                    if entry[0] > stop_after or executed >= limit:
+                        heappush(heap, entry)
+                        break
+                else:
+                    # Pick the globally smallest (time, seq): the deque is
+                    # FIFO with monotonically increasing seq, so only its
+                    # head competes with the heap head.
                     event = immediate[0]
+                    from_heap = False
                     if heap:
                         head = heap[0]
                         if head[0] < event.time or (head[0] == event.time
                                                     and head[1] < event.seq):
                             event = head[2]
                             from_heap = True
-                        else:
-                            from_heap = False
-                    else:
-                        from_heap = False
-                else:
-                    event = heap[0][2]
-                    from_heap = True
-                if event.cancelled:
-                    # Tombstones cost nothing beyond this pop.
+                    callback = event.callback
+                    if callback is not None and (event.time > stop_after
+                                                 or executed >= limit):
+                        break  # we only peeked; the event stays queued
                     if from_heap:
                         heappop(heap)
                     else:
                         immediate.popleft()
-                    continue
-                if until is not None and event.time > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break  # we only peeked; the event stays queued
-                if from_heap:
-                    heappop(heap)
-                else:
-                    immediate.popleft()
-                self._now = event.time
-                # Marked done (and un-counted) before the callback runs, so
-                # a callback cancelling its own handle is a no-op.
-                event.done = True
+                    if callback is None:
+                        continue
+                self.now = event.time
+                # Un-counted before the callback runs, so a callback
+                # cancelling its own handle is a no-op.
+                event._engine = None
                 self._pending -= 1
                 if executed == next_sample:
                     next_sample += sample
-                    callback = event.callback
                     name = (getattr(callback, "__qualname__", None)
                             or type(callback).__name__)
                     trace.instant("engine", name, event.time)
@@ -256,16 +304,19 @@ class Engine:
                                   self._pending, event.time)
                 arg = event.arg
                 if arg is no_arg:
-                    event.callback()
+                    callback()
                 else:
-                    event.callback(arg)
+                    callback(arg)
                 executed += 1
         finally:
             self._running = False
             self._processed += executed
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None:
+            if self.now < until:
+                self.now = until
+        elif not heap and not immediate and self.now < self._dropped_until:
+            self.now = self._dropped_until  # drained: see __init__
+        return self.now
 
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> "Process":
         """Start a generator-based process immediately."""
@@ -280,8 +331,8 @@ class Delay:
     __slots__ = ("seconds",)
 
     def __init__(self, seconds: float) -> None:
-        if seconds < 0:
-            raise SimulationError(f"negative delay {seconds!r}")
+        if not seconds >= 0:  # also rejects nan
+            raise SimulationError(f"delay must be >= 0, got {seconds!r}")
         self.seconds = seconds
 
 

@@ -6,17 +6,19 @@ region-to-region one-way latency matrix plus a small intra-region latency,
 with optional jitter, message loss, downed endpoints and region partitions.
 
 RPCs complete asynchronously: :meth:`Network.rpc` returns an
-:class:`RpcCall` whose ``done`` signal fires with an :class:`RpcResult`.
-Generator processes can simply ``result = yield Wait(call.done)``.
+:class:`RpcCall` that settles with an :class:`RpcResult`.  A state-machine
+caller passes ``on_complete`` and continues inside the event that settles
+the call; a generator process waits on the call's ``done`` signal
+(``result = yield Wait(call.done)``), which exists only once asked for.
 
-The delivery machinery is allocation-lean: each RPC is one
-:class:`_RpcOp` (``__slots__``) whose bound methods serve as the scheduled
-callbacks, so the happy path — synchronous handler, no loss, no partition,
-both endpoints up — is exactly two scheduled events (request delivery,
-response delivery) with no intermediate closures.  The slow paths
-(AsyncReply, drops, partitions, mid-flight crash re-checks) run through
-the same object and are behaviourally identical to the closure-based
-implementation they replaced.
+The delivery machinery is allocation-lean: each RPC is one slotted
+:class:`RpcCall` whose bound methods serve as the scheduled callbacks, so
+the happy path — synchronous handler, no loss, no partition, both
+endpoints up — is exactly two scheduled events (request delivery, response
+delivery) with no intermediate closures.  An ``AsyncReply`` handler adds
+no event of the network's own: its caller-side timeout is a guarded event
+(see :meth:`Engine.call_at`) that reaches the heap only if the call is
+still unsettled shortly before the deadline.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class NetworkError(RuntimeError):
     """Raised for misconfigured network operations."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcResult:
     """Outcome of an RPC: either ``value`` or an ``error`` string."""
 
@@ -56,27 +58,6 @@ class RpcResult:
         if not self.ok:
             raise NetworkError(f"rpc failed: {self.error}")
         return self.value
-
-
-class RpcCall:
-    """Handle for an in-flight RPC."""
-
-    __slots__ = ("done", "result")
-
-    def __init__(self, engine: Engine) -> None:
-        self.done = Signal(engine)
-        self.result: Optional[RpcResult] = None
-
-    def _complete(self, result: RpcResult) -> bool:
-        """First completion (value or timeout) wins; returns whether this
-        call was the winner.  All completion accounting keys off this one
-        guard so late losers (e.g. a timeout firing after an earlier
-        failure) can never double-count."""
-        if self.result is not None:
-            return False
-        self.result = result
-        self.done.fire(result)
-        return True
 
 
 def wait_rpc(call: RpcCall):
@@ -115,6 +96,11 @@ class AsyncReply:
 
     def fail(self, error: str) -> None:
         self._settle(False, None, error)
+
+    def relay(self, result: RpcResult) -> None:
+        """Settle with the outcome of another RPC — usable directly as
+        that RPC's ``on_complete`` (§4.3 request forwarding)."""
+        self._settle(result.ok, result.value, result.error)
 
     def _settle(self, ok: bool, value: Any, error: str) -> None:
         if self._settled:
@@ -205,55 +191,90 @@ class LatencyModel:
         base = self._matrix.get((src_region, dst_region))
         if base is None:
             base = self.base_latency(src_region, dst_region)
-        if not self.jitter_fraction:
+        jitter = self.jitter_fraction
+        if not jitter:
             return base
-        return base * (1.0 + rng.uniform(0.0, self.jitter_fraction))
+        # rng.uniform(0.0, j) is 0.0 + (j - 0.0) * rng.random(): the same
+        # double, one Python call fewer.
+        return base * (1.0 + jitter * rng.random())
 
     def regions(self) -> set[str]:
         return {r for pair in self._configured for r in pair}
 
 
-class _RpcOp:
-    """Delivery state machine for one RPC.
+class RpcCall:
+    """One RPC: the caller's handle and the delivery state machine.
 
-    Bound methods of this object are the scheduled callbacks; together
-    with the engine's ``arg``-aware scheduling this removes the ~6 nested
-    closures the old implementation allocated per call.
+    Callers read ``result`` (``None`` until the call settles) and wait on
+    ``done``.  Bound methods of this object are the scheduled callbacks;
+    together with the engine's ``arg``-aware scheduling that keeps the
+    delivery path free of closures.
     """
 
-    __slots__ = ("net", "call", "src", "dst", "timeout", "start",
-                 "method", "payload", "req_latency", "trace_span")
+    __slots__ = ("net", "src", "dst", "timeout", "start", "method",
+                 "payload", "req_latency", "trace_span", "result",
+                 "on_complete", "_done")
 
-    def __init__(self, net: "Network", call: RpcCall,
-                 src: Optional[Endpoint], dst: Optional[Endpoint],
-                 method: str, payload: Any, timeout: float,
-                 start: float) -> None:
+    def __init__(self, net: "Network", src: Optional[Endpoint],
+                 dst: Optional[Endpoint], method: str, payload: Any,
+                 timeout: float,
+                 on_complete: Optional[Callable[[RpcResult], None]]) -> None:
         self.net = net
-        self.call = call
         self.src = src
         self.dst = dst
         self.method = method
         self.payload = payload
         self.timeout = timeout
-        self.start = start
+        self.start = net.engine.now
         self.trace_span = 0  # non-zero only while tracing is enabled
+        self.result: Optional[RpcResult] = None
+        self.on_complete = on_complete
+        self._done: Optional[Signal] = None
+
+    @property
+    def done(self) -> Signal:
+        """Fires once with the :class:`RpcResult`.  Created on first use;
+        asked for after the call settled, it reports that one fire."""
+        done = self._done
+        if done is None:
+            done = self._done = Signal(self.net.engine)
+            if self.result is not None:
+                done.fire(self.result)
+        return done
+
+    def unsettled(self) -> bool:
+        """The guard of this call's timeout events."""
+        return self.result is None
+
+    def _settle(self, result: RpcResult) -> None:
+        """First completion (value or timeout) wins, and every completion
+        comes through here, so late losers (e.g. a timeout firing after
+        an earlier failure) can never double-count.  The order is part of
+        the determinism contract: result set, failure counted, span
+        ended, ``on_complete`` run, ``done`` fired."""
+        if self.result is not None:
+            return
+        self.result = result
+        if not result.ok:
+            self.net.rpcs_failed += 1
+        if self.trace_span:
+            self._trace_end(result)
+        on_complete = self.on_complete
+        if on_complete is not None:
+            on_complete(result)
+        done = self._done
+        if done is not None:
+            done.fire(result)
 
     def fail(self, reason: str) -> None:
-        """Complete with a failure — the *only* place ``rpcs_failed`` is
-        counted, guarded by the call's first-completion-wins check."""
-        net = self.net
-        call = self.call
-        if call.result is None and call._complete(
-                RpcResult(ok=False, error=reason,
-                          latency=net.engine.now - self.start)):
-            net.rpcs_failed += 1
-            if self.trace_span:
-                self._trace_end(call.result)
+        """Settle with a failure, unless the call already settled."""
+        if self.result is None:
+            self._settle(RpcResult(ok=False, error=reason,
+                                   latency=self.net.engine.now - self.start))
 
     def _trace_end(self, result: RpcResult) -> None:
-        """Close this RPC's span on the settling completion (winner only:
-        both callers sit behind the first-completion-wins guard, so the
-        span ends exactly once — the invariant the TraceChecker asserts)."""
+        """Close this RPC's span on the settling completion (the span ends
+        exactly once — the invariant the TraceChecker asserts)."""
         net = self.net
         net.tracer.end(self.trace_span, net.engine.now,
                        {"ok": int(result.ok), "error": result.error,
@@ -284,9 +305,11 @@ class _RpcOp:
         if isinstance(value, AsyncReply):
             value._on_settle(self._reply_settled)
             # A reply the server never settles must still time out at the
-            # caller (first completion wins if it does settle).
+            # caller (first completion wins if it does settle).  Almost
+            # every reply does settle first, hence the guard.
             remaining = self.timeout - (net.engine.now - self.start)
-            net.engine.call_after(max(0.0, remaining), self.fail, "timeout")
+            net.engine.call_after(max(0.0, remaining), self.fail, "timeout",
+                                  guard=self.unsettled)
         else:
             self._send_response(True, value, "")
 
@@ -306,11 +329,10 @@ class _RpcOp:
             net.engine.call_after(latency, self.fail_response, error)
 
     def _deliver_ok(self, result: RpcResult) -> None:
-        if not self.src.up:
+        if self.src.up:
+            self._settle(result)
+        else:
             self.fail("caller down")
-            return
-        if self.call._complete(result) and self.trace_span:
-            self._trace_end(result)
 
     def fail_response(self, error: str) -> None:
         if not self.src.up:
@@ -326,7 +348,8 @@ class Network:
 
     * ``set_endpoint_up(addr, False)`` — requests to/from it time out;
     * ``partition(region_a, region_b)`` — drop traffic between two regions;
-    * ``loss_probability`` — uniform random message loss (each direction).
+    * ``loss_probability`` — each request is lost with this probability
+      and times out at the caller; responses are never dropped.
     """
 
     def __init__(self, engine: Engine,
@@ -428,10 +451,15 @@ class Network:
     # -- RPC -----------------------------------------------------------------
 
     def rpc(self, src_address: str, dst_address: str, method: str,
-            payload: Any = None, timeout: Optional[float] = None) -> RpcCall:
-        """Send an RPC; the returned call's ``done`` signal fires exactly once."""
+            payload: Any = None, timeout: Optional[float] = None,
+            on_complete: Optional[Callable[[RpcResult], None]] = None
+            ) -> RpcCall:
+        """Send an RPC; the returned call settles exactly once.
+
+        ``on_complete(result)`` runs inside the event that settles the
+        call, before ``done`` fires.
+        """
         engine = self.engine
-        call = RpcCall(engine)
         if timeout is None:
             timeout = self.default_timeout
         self.rpcs_sent += 1
@@ -439,8 +467,7 @@ class Network:
         endpoints = self._endpoints
         src = endpoints.get(src_address)
         dst = endpoints.get(dst_address)
-        op = _RpcOp(self, call, src, dst, method, payload, timeout,
-                    engine.now)
+        call = RpcCall(self, src, dst, method, payload, timeout, on_complete)
 
         tracer = self.tracer
         if tracer.enabled:
@@ -449,19 +476,19 @@ class Network:
                 args["src_region"] = src.region
             if dst is not None:
                 args["dst_region"] = dst.region
-            op.trace_span = tracer.begin("net", method, engine.now, args)
+            call.trace_span = tracer.begin("net", method, engine.now, args)
 
         if src is None:
-            engine.call_after(0.0, op.fail, f"unknown source {src_address!r}")
+            engine.call_after(0.0, call.fail, f"unknown source {src_address!r}")
             return call
         if (dst is None or not src.up or not dst.up
                 or self._partitioned(src.region, dst.region)
                 or (self.loss_probability
                     and self.rng.random() < self.loss_probability)):
-            engine.call_after(timeout, op.fail, "timeout")
+            engine.call_after(timeout, call.fail, "timeout")
             return call
 
         request_latency = self.latency.sample(src.region, dst.region, self.rng)
-        op.req_latency = request_latency
-        engine.call_after(request_latency, op.deliver_request)
+        call.req_latency = request_latency
+        engine.call_after(request_latency, call.deliver_request)
         return call

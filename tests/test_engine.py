@@ -14,6 +14,9 @@ from repro.sim.engine import (
 )
 
 
+NAN = float("nan")
+
+
 @pytest.fixture(params=[None, 1, 64],
                 ids=["untraced", "sample_every=1", "sample_every=64"])
 def engine(request):
@@ -72,6 +75,34 @@ class TestScheduling:
     def test_negative_delay_raises(self):
         with pytest.raises(SimulationError):
             Engine().call_after(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("schedule", [
+        lambda engine: engine.call_at(NAN, lambda: None),
+        lambda engine: engine.call_after(NAN, lambda: None),
+        lambda engine: engine.call_at(NAN, lambda: None, guard=lambda: True),
+        lambda engine: engine.call_after(NAN, lambda: None,
+                                         guard=lambda: True),
+        lambda engine: Delay(NAN),
+    ], ids=["call_at", "call_after", "guarded call_at", "guarded call_after",
+            "Delay"])
+    def test_nan_is_rejected_and_leaves_no_trace(self, schedule):
+        # nan compares false with everything, so `when < now` let it
+        # through; the event then ran with engine.now == nan.
+        engine = Engine()
+        engine.call_after(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            schedule(engine)
+        assert engine.pending_events == 1
+        assert engine.run() == 1.0
+        assert engine.processed_events == 1
+
+    def test_infinite_deadline_is_still_accepted(self):
+        engine = Engine()
+        engine.call_at(float("inf"), lambda: None)
+        engine.call_after(float("inf"), lambda: None, guard=lambda: True)
+        assert engine.pending_events == 2
+        assert engine.run(until=10.0) == 10.0
+        assert engine.pending_events == 2
 
     def test_run_until_stops_before_later_events(self, engine):
         seen = []
@@ -433,6 +464,7 @@ class TestPendingEvents:
         assert fired == [True]
         handle.cancel()  # already executed: must not decrement
         assert engine.pending_events == 1
+        assert not handle.cancelled  # it ran; nothing was prevented
 
     def test_callback_cancelling_own_handle_is_noop(self, engine):
         handles = []
@@ -440,6 +472,7 @@ class TestPendingEvents:
         handles.append(engine.call_after(1.0, lambda: handles[0].cancel()))
         engine.run(until=1.0)
         assert engine.pending_events == 1
+        assert not handles[0].cancelled
 
     def test_callback_scheduling_and_cancelling(self, engine):
 
@@ -458,6 +491,54 @@ class TestPendingEvents:
         engine.run(max_events=1)
         assert engine.pending_events == 1
 
+    def test_parked_guarded_event_counts_until_dropped(self, engine):
+        live = [True]
+        handle = engine.call_at(2.0, lambda: None, guard=lambda: live[0])
+        # Parked, not pushed: the heap holds only the bucket's flush.
+        assert len(engine._heap) == 1
+        assert engine.pending_events == 2  # the event and the flush
+        live[0] = False
+        engine.run(until=1.9)              # the flush drops it
+        assert engine.pending_events == 0
+        assert not engine._heap
+        assert not handle.cancelled        # became a no-op, not cancelled
+        handle.cancel()
+        assert engine.pending_events == 0
+
+    def test_promoted_guarded_event_counts_until_it_runs(self, engine):
+        fired = []
+        engine.call_at(2.0, lambda: fired.append(engine.now),
+                       guard=lambda: True)
+        engine.run(until=1.9)              # the flush pushes it
+        assert engine.pending_events == 1
+        assert len(engine._heap) == 1
+        engine.run()
+        assert fired == [2.0]
+        assert engine.pending_events == 0
+
+    def test_guarded_event_cancelled_while_parked(self, engine):
+        fired = []
+        handle = engine.call_at(2.0, lambda: fired.append(True),
+                                guard=lambda: True)
+        handle.cancel()
+        assert handle.cancelled
+        assert engine.pending_events == 1  # the flush alone
+        engine.run()
+        assert fired == []
+        assert engine.pending_events == 0
+        # A cancelled event moves no clock, but its bucket's flush is an
+        # event like any other and was the last one to run.
+        assert engine.now == 1.75
+
+    def test_guarded_event_too_near_to_park_goes_to_the_heap(self, engine):
+        engine.run(until=1.8)
+        engine.call_at(2.0, lambda: None, guard=lambda: False)
+        # Its bucket's flush instant (1.75) is already past.
+        assert engine.pending_events == 1
+        assert len(engine._heap) == 1
+        assert engine.run() == 2.0
+        assert engine.processed_events == 1
+
     def test_matches_naive_heap_scan(self):
         import random as _random
         rng = _random.Random(7)
@@ -472,8 +553,7 @@ class TestPendingEvents:
         naive = sum(1 for _, _, ev in engine._heap if not ev.cancelled)
         assert engine.pending_events == naive
         engine.run(until=5.0)
-        naive = sum(1 for _, _, ev in engine._heap
-                    if not ev.cancelled and not ev.done)
+        naive = sum(1 for _, _, ev in engine._heap if not ev.cancelled)
         assert engine.pending_events == naive
 
 

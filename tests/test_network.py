@@ -51,6 +51,20 @@ class TestLatencyModel:
             sample = model.sample("FRC", "PRN", rng)
             assert base <= sample <= base * 1.5
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.1, 0.37])
+    def test_sample_is_the_uniform_draw_it_replaced(self, jitter):
+        # Every seeded latency in the repo hangs off this: the inlined
+        # jitter must be the same double, from the same number of draws
+        # (none at all without jitter), as rng.uniform(0.0, jitter).
+        model = LatencyModel(jitter_fraction=jitter)
+        rng, reference = random.Random(7), random.Random(7)
+        for _ in range(500):
+            base = model.base_latency("FRC", "ODN")
+            expected = (base * (1.0 + reference.uniform(0.0, jitter))
+                        if jitter else base)
+            assert model.sample("FRC", "ODN", rng) == expected
+        assert rng.getstate() == reference.getstate()
+
     def test_regions_listed(self):
         assert {"FRC", "PRN", "ODN"} <= LatencyModel().regions()
 

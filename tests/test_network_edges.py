@@ -2,7 +2,9 @@
 
 These pin the slow paths around the RPC fast path: every failure route
 must complete the call exactly once (``done`` fires once, ``rpcs_failed``
-counts once) no matter how many failure conditions race.
+counts once) no matter how many failure conditions race, and a caller
+hears the same completion at the same instant whether it passed
+``on_complete`` or waits on ``done``.
 """
 
 import random
@@ -11,7 +13,7 @@ import pytest
 
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Wait
 from repro.sim.network import AsyncReply, Network, wait_rpc
 
 
@@ -250,3 +252,154 @@ class TestFailureCountRegression:
         assert sorted(ends) == [1, 2, 3, 4]
         for call in (timed_out, errored, orphaned, ok_call):
             assert call.done.fire_count == 1
+
+
+# -- on_complete vs done: one settling step, two ways to hear about it --------
+
+
+def _sync(network, engine):
+    _echo_server(network)
+
+
+def _async_reply(network, engine):
+    def handler(payload):
+        reply = AsyncReply()
+        engine.call_after(0.02, reply.complete, {"echo": payload})
+        return reply
+    network.register("server", "FRC").on("echo", handler)
+
+
+def _forward_chain(network, engine):
+    """§4.3: the old owner relays to the new one and relays the answer."""
+    _echo_server(network, address="new-owner", region="PRN")
+
+    def old_owner(payload):
+        reply = AsyncReply()
+        network.rpc("server", "new-owner", "echo", payload,
+                    on_complete=reply.relay)
+        return reply
+    network.register("server", "FRC").on("echo", old_owner)
+
+
+def _destination_crash_mid_flight(network, engine):
+    _echo_server(network)
+    engine.call_at(0.0005, lambda: network.set_endpoint_up("server", False))
+
+
+def _partition_at_delivery(network, engine):
+    _echo_server(network, region="PRN")
+    engine.call_at(0.0005, lambda: network.partition("FRC", "PRN"))
+
+
+def _caller_down_at_response(network, engine):
+    _echo_server(network)
+    engine.call_at(0.0015, lambda: network.set_endpoint_up("client", False))
+
+
+def _reply_after_deadline(network, engine):
+    def handler(payload):
+        reply = AsyncReply()
+        engine.call_after(2.0, reply.complete, "late")
+        return reply
+    network.register("server", "FRC").on("echo", handler)
+
+
+SETTLE_CASES = {
+    "sync handler": (_sync, True, ""),
+    "AsyncReply": (_async_reply, True, ""),
+    "forward chain": (_forward_chain, True, ""),
+    "destination crash mid-flight": (_destination_crash_mid_flight,
+                                     False, "timeout"),
+    "partition at delivery": (_partition_at_delivery, False, "timeout"),
+    "caller down at response": (_caller_down_at_response,
+                                False, "caller down"),
+    "reply settles after its deadline": (_reply_after_deadline,
+                                         False, "timeout"),
+}
+
+
+def _settle(case, route):
+    """Run one case; hear about the completion through ``route``.  Returns
+    what a caller can observe plus what the continuation saw."""
+    scenario, _, _ = SETTLE_CASES[case]
+    engine = Engine()
+    tracer = Tracer()
+    tracer.bind_clock(engine)
+    network = Network(engine, rng=random.Random(9), tracer=tracer)
+    network.register("client", "FRC")
+    scenario(network, engine)
+    heard = []
+
+    def continuation(result):
+        heard.append((engine.now, result, network.rpcs_failed))
+        tracer.instant("test", "continued", engine.now)
+
+    if route == "on_complete":
+        call = network.rpc("client", "server", "echo", "hi", timeout=1.0,
+                           on_complete=continuation)
+    else:
+        call = network.rpc("client", "server", "echo", "hi", timeout=1.0)
+
+        def waiter():
+            continuation((yield Wait(call.done)))
+
+        engine.process(waiter())
+    engine.run()
+    return call, heard, network, tracer
+
+
+@pytest.mark.parametrize("case", SETTLE_CASES)
+class TestCompletionRoutes:
+    def test_both_routes_hear_the_same_completion(self, case):
+        _, ok, error = SETTLE_CASES[case]
+        direct_call, direct, direct_net, _ = _settle(case, "on_complete")
+        waited_call, waited, waited_net, _ = _settle(case, "done")
+        assert len(direct) == len(waited) == 1  # exactly once, each way
+        (at, result, failed_seen), = direct
+        assert (result.ok, result.error) == (ok, error)
+        assert result is direct_call.result
+        # Same result, same instant, same failure count visible to the
+        # continuation, and the same RNG position afterwards.
+        assert waited == [(at, result, failed_seen)]
+        assert failed_seen == int(not ok)
+        assert direct_net.rpcs_failed == waited_net.rpcs_failed
+        assert direct_net.rng.getstate() == waited_net.rng.getstate()
+
+    @pytest.mark.parametrize("route", ["on_complete", "done"])
+    def test_span_ends_before_the_continuation_journals(self, case, route):
+        call, heard, _, tracer = _settle(case, route)
+        records = list(tracer.journal)
+        first_span = min(r.span for r in records if r.track == "net")
+        end = [i for i, r in enumerate(records) if r.track == "net"
+               and r.kind == "E" and r.span == first_span]
+        continued = [i for i, r in enumerate(records)
+                     if r.track == "test"]
+        assert len(end) == len(continued) == 1
+        assert end[0] < continued[0]
+
+    def test_done_first_touched_after_settlement_reports_one_fire(self,
+                                                                  case):
+        call, heard, _, _ = _settle(case, "on_complete")
+        assert call._done is None  # on_complete alone builds no Signal
+        assert call.done.fire_count == 1
+        assert call.done.last_value is call.result
+        assert len(heard) == 1
+
+
+def test_on_complete_runs_inside_the_settling_event():
+    """What the direct route saves: the continuation is not an event."""
+    def events(route):
+        engine = Engine()
+        network = Network(engine, rng=random.Random(9))
+        _echo_server(network)
+        network.register("client", "FRC")
+        if route == "on_complete":
+            network.rpc("client", "server", "echo", on_complete=lambda r: None)
+        else:
+            call = network.rpc("client", "server", "echo")
+            call.done._add_waiter(lambda r: None)
+        engine.run()
+        return engine.processed_events
+
+    assert events("on_complete") == 2  # request delivery, response delivery
+    assert events("done") == 3         # ... and the waiter's wake-up

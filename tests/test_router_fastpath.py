@@ -201,9 +201,9 @@ def _run_fig18_slice():
     original_rpc = network.rpc
 
     def traced_rpc(src_address, dst_address, method, payload=None,
-                   timeout=None):
+                   timeout=None, **kwargs):
         call = original_rpc(src_address, dst_address, method, payload,
-                            timeout)
+                            timeout, **kwargs)
         trace.append(f"rpc {engine.now!r} {method} {dst_address}")
 
         def record(result, method=method):
