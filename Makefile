@@ -1,10 +1,18 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench figures fuzz-smoke profile trace-fig17
+.PHONY: test test-hashseeds bench figures fuzz-smoke profile trace-fig17
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# Tier-1 under the three hash seeds of CI's `test` matrix: golden traces,
+# corpus digests and figure headlines must not depend on hash order.
+test-hashseeds:
+	for seed in 0 1 7; do \
+		PYTHONHASHSEED=$$seed PYTHONPATH=$(PYTHONPATH) \
+			$(PYTHON) -m pytest -x -q || exit 1; \
+	done
 
 # Speed: how fast the simulator runs and where the time goes (seven
 # workloads, host time with spread, per-layer split; bench/README.md).

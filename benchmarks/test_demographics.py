@@ -10,7 +10,7 @@ from repro.workloads.fleet import (
 
 
 def test_figs_4_to_9_demographics():
-    result = experiment.run(app_count=4000, seed=0)
+    result = experiment.run()
     emit(experiment.format_report(result))
     # The sampled population converges to the published marginals.
     assert result.worst_error() < 0.05

@@ -6,7 +6,7 @@ from repro.experiments import fig01_planned_events as experiment
 
 
 def test_fig01_planned_events():
-    result = experiment.run(machines=120, jobs=4, days=60.0)
+    result = experiment.run()
     emit(experiment.format_report(result))
     # Paper shape: planned events are ~3 orders of magnitude more frequent.
     assert result.planned_stops > 0

@@ -6,7 +6,7 @@ from repro.experiments import scale as experiment
 
 
 def test_fig15_16_scale():
-    result = experiment.run(app_count=500, seed=0)
+    result = experiment.run()
     emit(experiment.format_report(result))
     max_servers, _ = result.max_app
     max_shards = max(shards for _s, shards in result.app_scatter)

@@ -10,8 +10,7 @@ from repro.experiments import fig17_availability as experiment
 
 
 def test_fig17_availability():
-    result = experiment.run(shards=2_000, servers=60, restart_duration=60.0,
-                            request_rate=60.0)
+    result = experiment.run()
     emit(experiment.format_report(result))
     sm = result.sm
     no_graceful = result.no_graceful

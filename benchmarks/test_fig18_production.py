@@ -6,7 +6,7 @@ from repro.experiments import fig18_production_upgrades as experiment
 
 
 def test_fig18_production_upgrades():
-    result = experiment.run(shards=400, servers=20, days=2)
+    result = experiment.run()
     emit(experiment.format_report(result))
     # Two canary + two full upgrades ran.
     assert result.upgrades_run == 4

@@ -6,8 +6,7 @@ from repro.experiments import fig20_appshard_dbshard as experiment
 
 
 def test_fig20_appshard_follows_dbshard():
-    result = experiment.run(shard_count=24, batch_times=(300.0, 900.0),
-                            batch_size=8, horizon=1_500.0)
+    result = experiment.run()
     emit(experiment.format_report(result))
 
     # Steady-state co-location keeps pair latency local.

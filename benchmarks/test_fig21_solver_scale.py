@@ -11,7 +11,7 @@ from repro.experiments import fig21_solver_scale as experiment
 
 
 def test_fig21_solver_scalability():
-    result = experiment.run(factor=5, time_budget=300.0)
+    result = experiment.run()
     emit(experiment.format_report(result))
 
     # "It is able to fix all violations in all stress tests."

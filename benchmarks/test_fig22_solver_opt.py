@@ -10,7 +10,7 @@ from repro.experiments import fig22_solver_opt as experiment
 
 
 def test_fig22_optimizations():
-    result = experiment.run(factor=5, time_budget=30.0)
+    result = experiment.run()
     emit(experiment.format_report(result))
 
     optimized = result.optimized

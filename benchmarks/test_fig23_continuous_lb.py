@@ -6,7 +6,7 @@ from repro.experiments import fig23_continuous_lb as experiment
 
 
 def test_fig23_continuous_lb():
-    result = experiment.run(servers=30, shards=200, days=3.0)
+    result = experiment.run()
     emit(experiment.format_report(result))
 
     # "LB consistently keeps the P99 CPU utilization under 80%."

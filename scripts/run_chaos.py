@@ -86,8 +86,8 @@ def main() -> int:
     parser.add_argument("--output", default=None,
                         help="write the JSON report to this path")
     parser.add_argument("--check-trace", action="store_true",
-                        help="fail (exit 1) on any invariant violation or "
-                             "digest divergence")
+                        help="fail (exit 1) on any invariant violation, "
+                             "digest divergence or truncated journal")
     parser.add_argument("--list", action="store_true",
                         help="list the scenario library and exit")
     args = parser.parse_args()
@@ -141,7 +141,8 @@ def main() -> int:
                          for attempt in range(1, repeats + 1)]
             digests = {h["digest"] for h in headlines}
             violations = [v for h in headlines for v in h["violations"]]
-            ok = len(digests) == 1 and not violations
+            dropped = max(h["dropped"] for h in headlines)
+            ok = len(digests) == 1 and not violations and not dropped
             mark = "ok " if ok else "FAIL"
             first = headlines[0]
             print(f"{mark} {name:36s} {arm:8s} "
@@ -160,6 +161,12 @@ def main() -> int:
                 failures += 1
                 print(f"::error title=chaos invariant::{name}:{arm} "
                       f"{violation['invariant']}: {violation['message']}")
+            if dropped:
+                failures += 1
+                print(f"::error title=chaos journal::{name}:{arm} journal "
+                      f"dropped {dropped} of {first['records']} records at "
+                      f"--capacity {args.capacity}: the invariants above "
+                      f"were checked on a truncated trace")
 
     if args.output:
         Path(args.output).write_text(

@@ -60,7 +60,8 @@ def main() -> int:
                              "(default: fig17)")
     parser.add_argument("--check-trace", action="store_true",
                         help="fail (exit 1) if the TraceChecker finds any "
-                             "invariant violation in the trace")
+                             "invariant violation in the trace, or the "
+                             "journal ring dropped records")
     args = parser.parse_args()
 
     tasks = runner.SMOKE_TASKS if args.smoke else runner.DEFAULT_TASKS
@@ -76,7 +77,13 @@ def main() -> int:
         for violation in violations:
             print(f"::error title=trace invariant::"
                   f"{violation['invariant']}: {violation['message']}")
-        if args.check_trace and violations:
+        dropped = result["trace"]["dropped"]
+        if dropped:
+            print(f"::error title=trace truncated::journal dropped "
+                  f"{dropped} of {result['trace']['records']} records at "
+                  f"capacity {result['trace']['capacity']}: the invariants "
+                  f"were checked on a truncated trace")
+        if args.check_trace and (violations or dropped):
             return 1
         return 0
 

@@ -105,26 +105,27 @@ class WorkloadRecorder:
 class _WorkloadOp:
     """Open-loop Poisson arrival loop as a slotted state machine.
 
-    Each ``_tick`` (a zero-closure scheduled callback) fires one request
-    through the router's retry state machine and schedules the next
-    arrival from the (clamped) rate curve.  The RNG draw order — key
-    sample, request-latency sample inside ``network.rpc``, inter-arrival
-    sample — is exactly the old generator's, so seeded traces are
-    bit-identical.
+    Each ``_tick`` (a zero-closure scheduled callback) starts one request
+    through ``start_request(key, payload, prefer_primary=, on_done=)`` —
+    the router's retry state machine for point reads, a scatter client's
+    fan-out for scatter-gather — and schedules the next arrival from the
+    (clamped) rate curve.  Pinned journal digests depend on the RNG draw
+    order: key sample, the request's own latency samples inside
+    ``network.rpc``, then the inter-arrival sample.
     """
 
-    __slots__ = ("engine", "router", "recorder", "rng", "rate", "key_fn",
-                 "payload", "payload_fn", "prefer_primary", "end_time",
-                 "expovariate", "finished")
+    __slots__ = ("engine", "start_request", "recorder", "rng", "rate",
+                 "key_fn", "payload", "payload_fn", "prefer_primary",
+                 "end_time", "expovariate", "finished")
 
-    def __init__(self, engine: Engine, router: ServiceRouter,
+    def __init__(self, engine: Engine, start_request: Callable[..., Any],
                  duration: float, rate: Callable[[float], float],
                  key_fn: Callable[[random.Random], int],
                  recorder: WorkloadRecorder, rng: random.Random,
                  payload: Any, payload_fn: Optional[Callable[[int], Any]],
                  prefer_primary: bool) -> None:
         self.engine = engine
-        self.router = router
+        self.start_request = start_request
         self.recorder = recorder
         self.rng = rng
         self.rate = rate
@@ -156,9 +157,8 @@ class _WorkloadOp:
         key = self.key_fn(self.rng)
         payload_fn = self.payload_fn
         body = payload_fn(key) if payload_fn is not None else self.payload
-        self.router.start_request(key, body,
-                                  prefer_primary=self.prefer_primary,
-                                  on_done=self._record)
+        self.start_request(key, body, prefer_primary=self.prefer_primary,
+                           on_done=self._record)
         self._schedule_next()
 
     def _record(self, outcome: RequestOutcome) -> None:
@@ -221,8 +221,9 @@ class ApplicationClient:
         the stream passes ``duration``).
         """
         rng = rng or random.Random(0)
-        return _WorkloadOp(self.engine, self.router, duration, rate, key_fn,
-                           recorder, rng, payload, payload_fn, prefer_primary)
+        return _WorkloadOp(self.engine, self.router.start_request, duration,
+                           rate, key_fn, recorder, rng, payload, payload_fn,
+                           prefer_primary)
 
 
 #: network -> {app_name -> next client index}: a monotonic per-app counter
@@ -247,10 +248,9 @@ def get_client(engine: Engine, network: Network, discovery: ServiceDiscovery,
                **router_options: Any) -> ApplicationClient:
     """The paper's client entry point, bound to our simulated substrate.
 
-    Default addresses come from a monotonic per-app counter, not from
-    ``network.rpcs_sent``: the old scheme collided when two clients were
-    created with no traffic in between, and silently depended on how much
-    load had already run.
+    Default addresses come from a monotonic per-app counter, so two
+    clients created back to back never collide and an address does not
+    depend on how much load has already run.
     """
     if address is None:
         index = _next_client_index(network, app_name)

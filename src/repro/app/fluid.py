@@ -18,7 +18,7 @@ only on transitions:
 
 * **map-version changes** — the client subscribes delta-aware, so a
   :class:`~repro.core.shard_map.ShardMapDelta` reprices exactly the
-  changed flows (the PR 6 dissemination hook);
+  changed flows;
 * **migrations / failures / restarts** — detected per epoch through
   per-address fingerprints (the server's hosting-mutation counter plus
   endpoint liveness), repricing only flows of addresses that changed;
@@ -49,6 +49,7 @@ from ..sim.engine import Engine
 from ..sim.fluid import (EpochDriver, jitter_mean_factor, jitter_p99_factor,
                          mgk_utilization, mgk_wait)
 from ..sim.network import Network
+from ..workloads.load import mean_rate
 from .client import WorkloadRecorder, clamped_rate
 from .runtime import AppRuntime
 from .server import HostedState
@@ -57,6 +58,9 @@ __all__ = ["FluidClient", "FluidServer"]
 
 #: p99/mean multiplier for the conditional M/G/k wait (exponential tail).
 _WAIT_TAIL_P99 = 4.605170185988091  # ln(100)
+
+#: Per-address M/G/k utilization at which a server counts as overloaded.
+OVERLOAD_THRESHOLD = 0.95
 
 #: Forwarding chains longer than this count as broken (mirrors the event
 #: path, where each hop is a real RPC and cycles would time out).
@@ -75,16 +79,14 @@ class FluidServer:
     """
 
     __slots__ = ("address", "region", "capacity", "service_time",
-                 "cv_service2", "arrival_rate", "utilization", "wait",
-                 "overloaded")
+                 "arrival_rate", "utilization", "wait", "overloaded")
 
     def __init__(self, address: str, region: str, capacity: int,
-                 service_time: float, cv_service2: float) -> None:
+                 service_time: float) -> None:
         self.address = address
         self.region = region
         self.capacity = capacity
         self.service_time = service_time
-        self.cv_service2 = cv_service2
         self.arrival_rate = 0.0
         self.utilization = 0.0
         self.wait = 0.0
@@ -95,8 +97,7 @@ class FluidServer:
         self.arrival_rate = arrival_rate
         self.utilization = mgk_utilization(arrival_rate, self.service_time,
                                            self.capacity)
-        self.wait = mgk_wait(arrival_rate, self.service_time, self.capacity,
-                             cv_service2=self.cv_service2)
+        self.wait = mgk_wait(arrival_rate, self.service_time, self.capacity)
 
     def served_fraction(self) -> float:
         """Fraction of offered arrivals actually served (rho > 1 sheds)."""
@@ -134,8 +135,6 @@ class FluidClient:
                  discovery: ServiceDiscovery, runtime: AppRuntime,
                  app_name: str, region: str,
                  capacity: int = 8, service_time: float = 0.0,
-                 cv_service2: float = 1.0,
-                 overload_threshold: float = 0.95,
                  load_feed_interval: float = 15.0,
                  tracer: Tracer = NO_TRACER) -> None:
         self.engine = engine
@@ -145,8 +144,6 @@ class FluidClient:
         self.region = region
         self.capacity = capacity
         self.service_time = service_time
-        self.cv_service2 = cv_service2
-        self.overload_threshold = overload_threshold
         self.load_feed_interval = load_feed_interval
         self.tracer = tracer
 
@@ -206,7 +203,7 @@ class FluidClient:
         if driver is None:
             driver = EpochDriver(self.engine, epoch=epoch, tracer=self.tracer)
         driver.add(self)
-        if not driver._started:
+        if not driver.started:
             driver.start(until=self.engine.now + duration)
         self.driver = driver
         return driver
@@ -221,7 +218,8 @@ class FluidClient:
         self.map_updates += 1
         if (delta is not None and previous is not None
                 and delta.base_version == previous.version):
-            # The PR 6 hook: reprice exactly the changed flows.
+            # The delta chains onto the map we hold: reprice exactly
+            # the changed flows.
             for entry in delta.changed:
                 self._reprice_entry(entry)
             self.delta_reprices += len(delta.changed)
@@ -405,7 +403,6 @@ class FluidClient:
         if dt <= 0.0 or self.rate is None:
             return
         self._revalidate()
-        from ..workloads.load import mean_rate
         rate_now = clamped_rate(mean_rate(self.rate, t0, t1))
         arrivals = rate_now * dt
         mid = (t0 + t1) / 2.0
@@ -484,11 +481,11 @@ class FluidClient:
             if server is None:
                 region = self.network.endpoint(address).region
                 server = FluidServer(address, region, self.capacity,
-                                     self.service_time, self.cv_service2)
+                                     self.service_time)
                 servers[address] = server
             arrival = rate_now * share / total_share
             server.offer(arrival)
-            if server.utilization >= self.overload_threshold:
+            if server.utilization >= OVERLOAD_THRESHOLD:
                 if not server.overloaded:
                     server.overloaded = True
                     self.overload_onsets += 1

@@ -31,8 +31,6 @@ class AppRuntime:
     def __init__(self, engine: Engine, network: Network, zookeeper: ZooKeeper,
                  spec: AppSpec, handler_factory: HandlerFactory,
                  base_loads: Optional[Callable[[str], Dict[str, float]]] = None,
-                 zk_heartbeat_interval: float = 2.0,
-                 drop_grace: float = 5.0,
                  on_server_created: Optional[
                      Callable[[ApplicationServer], None]] = None) -> None:
         self.engine = engine
@@ -41,8 +39,6 @@ class AppRuntime:
         self.spec = spec
         self.handler_factory = handler_factory
         self.base_loads = base_loads
-        self.zk_heartbeat_interval = zk_heartbeat_interval
-        self.drop_grace = drop_grace
         self.on_server_created = on_server_created
         self.servers: Dict[str, ApplicationServer] = {}
         self._graceful_stop: Set[str] = set()
@@ -70,8 +66,6 @@ class AppRuntime:
             container=container,
             handler=self.handler_factory(container),
             base_loads=self.base_loads,
-            drop_grace=self.drop_grace,
-            zk_heartbeat_interval=self.zk_heartbeat_interval,
         )
         self.servers[container.address] = server
         machine_id = container.machine.machine_id

@@ -1,10 +1,10 @@
 """Scatter-gather application: fan-out reads merged at the slowest leg.
 
-The workload where shard placement hurts most (ROADMAP item 4(d)): one
-logical request fans out to ``fanout`` shards in parallel and the reply
-is assembled only when the *last* leg lands, so per-request latency is
-the max over K legs.  A single overloaded or mid-migration shard drags
-every scatter request that touches it — tail amplification — which makes
+The workload where shard placement hurts most: one logical request fans
+out to ``fanout`` shards in parallel and the reply is assembled only
+when the *last* leg lands, so per-request latency is the max over K
+legs.  A single overloaded or mid-migration shard drags every scatter
+request that touches it — tail amplification — which makes
 continuous load balancing (Fig 23) visible in client latency rather than
 only in per-server load counters.
 
@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..discovery.router import RequestOutcome
 from ..sim.network import AsyncReply
-from .client import ApplicationClient, WorkloadRecorder, clamped_rate
+from .client import ApplicationClient, WorkloadRecorder, _WorkloadOp
 
 
 class QueuedServiceHandler:
@@ -97,6 +97,7 @@ class _ScatterOp:
                  "done_legs", "failed_legs", "attempts", "on_done")
 
     def __init__(self, client: "ScatterGatherClient", key: int,
+                 prefer_primary: bool,
                  on_done: Optional[Callable[[RequestOutcome], None]]) -> None:
         router = client.client.router
         self.engine = client.engine
@@ -113,7 +114,6 @@ class _ScatterOp:
             "scatter": self.scatter_id, "legs": self.fanout, "key": key})
         key_space = client.key_space
         stride = client.leg_stride
-        prefer_primary = client.prefer_primary
         leg_done = self._leg_done
         for leg in range(self.fanout):
             leg_key = (key + leg * stride) % key_space
@@ -145,50 +145,6 @@ class _ScatterOp:
                 error="" if ok else f"{self.failed_legs} legs failed"))
 
 
-class _ScatterWorkloadOp:
-    """Open-loop Poisson scatter stream, mirroring ``_WorkloadOp``."""
-
-    __slots__ = ("engine", "client", "recorder", "rng", "rate", "key_fn",
-                 "end_time", "expovariate", "finished")
-
-    def __init__(self, client: "ScatterGatherClient", duration: float,
-                 rate: Callable[[float], float],
-                 key_fn: Callable[[random.Random], int],
-                 recorder: WorkloadRecorder, rng: random.Random) -> None:
-        self.engine = client.engine
-        self.client = client
-        self.recorder = recorder
-        self.rng = rng
-        self.rate = rate
-        self.key_fn = key_fn
-        self.end_time = self.engine.now + duration
-        self.expovariate = rng.expovariate
-        self.finished = False
-        if self.engine.now < self.end_time:
-            self._schedule_next()
-        else:
-            self.finished = True
-
-    def _schedule_next(self) -> None:
-        engine = self.engine
-        engine.call_after(
-            self.expovariate(clamped_rate(self.rate(engine.now))),
-            self._tick)
-
-    def _tick(self) -> None:
-        engine = self.engine
-        if engine.now >= self.end_time:
-            self.finished = True
-            return
-        self.recorder.sent += 1
-        key = self.key_fn(self.rng)
-        _ScatterOp(self.client, key, self._record)
-        self._schedule_next()
-
-    def _record(self, outcome: RequestOutcome) -> None:
-        self.recorder.record(self.engine.now, outcome)
-
-
 class ScatterGatherClient:
     """Fan-out reads across ``fanout`` shards through one app client.
 
@@ -200,8 +156,7 @@ class ScatterGatherClient:
     """
 
     def __init__(self, client: ApplicationClient, key_space: int,
-                 fanout: int = 4, leg_stride: Optional[int] = None,
-                 prefer_primary: bool = True) -> None:
+                 fanout: int = 4, leg_stride: Optional[int] = None) -> None:
         if fanout < 1:
             raise ValueError("fanout must be >= 1")
         if key_space < 1:
@@ -212,20 +167,24 @@ class ScatterGatherClient:
         self.fanout = fanout
         self.leg_stride = (key_space // max(1, fanout)
                            if leg_stride is None else leg_stride)
-        self.prefer_primary = prefer_primary
         self._next_id = 0
 
-    def scatter(self, key: int,
-                on_done: Optional[Callable[[RequestOutcome], None]] = None,
-                ) -> _ScatterOp:
-        """Fire one scatter-gather request anchored at ``key``."""
-        return _ScatterOp(self, key, on_done)
+    def start_request(self, key: int, payload: Any = None,
+                      prefer_primary: bool = True,
+                      on_done: Optional[Callable[[RequestOutcome], None]]
+                      = None) -> _ScatterOp:
+        """Fire one scatter-gather request anchored at ``key``.
+
+        Same signature as ``ServiceRouter.start_request``, so the
+        open-loop driver starts either kind of request.  ``payload`` is
+        not sent: every leg carries its scatter id instead.
+        """
+        return _ScatterOp(self, key, prefer_primary, on_done)
 
     def run_workload(self, duration: float, rate: Callable[[float], float],
                      key_fn: Callable[[random.Random], int],
                      recorder: WorkloadRecorder,
-                     rng: Optional[random.Random] = None,
-                     ) -> _ScatterWorkloadOp:
+                     rng: Optional[random.Random] = None) -> _WorkloadOp:
         """Open-loop Poisson scatter stream for ``duration`` seconds.
 
         Each arrival draws one anchor key from ``key_fn`` and fans out
@@ -233,5 +192,6 @@ class ScatterGatherClient:
         scatter (success = all legs succeeded, latency = slowest leg).
         """
         rng = rng or random.Random(0)
-        return _ScatterWorkloadOp(self, duration, rate, key_fn, recorder,
-                                  rng)
+        return _WorkloadOp(self.engine, self.start_request, duration, rate,
+                           key_fn, recorder, rng, payload=None,
+                           payload_fn=None, prefer_primary=True)

@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
 
 from ..cluster.container import Container
+from ..coordination import layout
 from ..coordination.zookeeper import NodeExistsError, Session, ZooKeeper
 from ..core.shard_map import Role
 from ..core.spec import AppSpec
@@ -24,8 +25,12 @@ from ..sim.engine import Engine
 from ..sim.network import AsyncReply, Network, NetworkError
 from .interfaces import NotOwnerError, RequestHandler
 
-SERVERS_PATH = "/sm/{app}/servers"
-ASSIGNMENTS_PATH = "/sm/{app}/assignments"
+#: §4.3 step 5: how long a FORWARDING shard keeps relaying after the
+#: orchestrator drops it, standing in for "until requests stop arriving".
+DROP_GRACE = 5.0
+
+#: Period of the SM library's ZooKeeper heartbeat.
+ZK_HEARTBEAT_INTERVAL = 2.0
 
 
 class HostedState(str, Enum):
@@ -57,9 +62,8 @@ class ApplicationServer:
 
     def __init__(self, engine: Engine, network: Network, zookeeper: ZooKeeper,
                  spec: AppSpec, container: Container, handler: RequestHandler,
-                 base_loads: Optional[Callable[[str], Dict[str, float]]] = None,
-                 drop_grace: float = 5.0,
-                 zk_heartbeat_interval: float = 2.0) -> None:
+                 base_loads: Optional[Callable[[str], Dict[str, float]]] = None
+                 ) -> None:
         self.engine = engine
         self.network = network
         self.zookeeper = zookeeper
@@ -67,7 +71,6 @@ class ApplicationServer:
         self.container = container
         self.handler = handler
         self.base_loads = base_loads
-        self.drop_grace = drop_grace
         self.address = container.address
         self.region = container.machine.region
         self._shards: Dict[str, HostedShard] = {}
@@ -90,33 +93,31 @@ class ApplicationServer:
         self.endpoint.on("sm.ping", lambda _payload: "pong")
 
         # §3.2: SM-library-created ephemeral node for failure detection.
-        # The library heartbeats every ``zk_heartbeat_interval`` from now
+        # The library heartbeats every ``ZK_HEARTBEAT_INTERVAL`` from now
         # on; the session is leased on that grid instead of ticking.
-        self._heartbeats = zookeeper.heartbeat_grid(zk_heartbeat_interval)
-        self.session: Session = zookeeper.create_session(
-            heartbeats=self._heartbeats)
-        servers_root = SERVERS_PATH.format(app=spec.name)
-        self._liveness_path = f"{servers_root}/{self._zk_name()}"
-        try:
-            zookeeper.create(self._liveness_path,
-                             data={"address": self.address,
-                                   "region": self.region,
-                                   "machine": container.machine.machine_id},
-                             ephemeral=True, session=self.session,
-                             make_parents=True)
-        except NodeExistsError:
-            # Fast restart before the old session expired: take over.
-            zookeeper.delete(self._liveness_path)
-            zookeeper.create(self._liveness_path,
-                             data={"address": self.address,
-                                   "region": self.region,
-                                   "machine": container.machine.machine_id},
-                             ephemeral=True, session=self.session,
-                             make_parents=True)
+        self._heartbeats = zookeeper.heartbeat_grid(ZK_HEARTBEAT_INTERVAL)
+        self._zk_name = layout.node_name(self.address)
+        self._liveness_path = (
+            f"{layout.servers_root(spec.name)}/{self._zk_name}")
+        self._open_session()
         self._bootstrap_from_zookeeper()
 
-    def _zk_name(self) -> str:
-        return self.address.replace("/", ":")
+    def _open_session(self) -> None:
+        """Open a leased session and (re-)create the liveness node under
+        it, taking over from a stale node whose old session — a fast
+        restart, or an expiry not yet reaped — still holds the path."""
+        zookeeper = self.zookeeper
+        self.session: Session = zookeeper.create_session(
+            heartbeats=self._heartbeats)
+        data = {"address": self.address, "region": self.region,
+                "machine": self.container.machine.machine_id}
+        try:
+            zookeeper.create(self._liveness_path, data=data, ephemeral=True,
+                             session=self.session, make_parents=True)
+        except NodeExistsError:
+            zookeeper.delete(self._liveness_path)
+            zookeeper.create(self._liveness_path, data=data, ephemeral=True,
+                             session=self.session, make_parents=True)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -131,26 +132,13 @@ class ApplicationServer:
         """
         if self._stopped or not self.session.expired:
             return False
-        self.session = self.zookeeper.create_session(
-            heartbeats=self._heartbeats)
-        data = {"address": self.address, "region": self.region,
-                "machine": self.container.machine.machine_id}
-        try:
-            self.zookeeper.create(self._liveness_path, data=data,
-                                  ephemeral=True, session=self.session,
-                                  make_parents=True)
-        except NodeExistsError:
-            self.zookeeper.delete(self._liveness_path)
-            self.zookeeper.create(self._liveness_path, data=data,
-                                  ephemeral=True, session=self.session,
-                                  make_parents=True)
+        self._open_session()
         return True
 
     def _bootstrap_from_zookeeper(self) -> None:
         """§3.2: read the shard assignment written by the orchestrator,
         'without dependency on the SM control plane'."""
-        path = (ASSIGNMENTS_PATH.format(app=self.spec.name)
-                + f"/{self._zk_name()}")
+        path = f"{layout.assignments_root(self.spec.name)}/{self._zk_name}"
         if not self.zookeeper.exists(path):
             return
         assigned = self.zookeeper.get(path) or []
@@ -212,7 +200,7 @@ class ApplicationServer:
         if hosted.state is HostedState.FORWARDING:
             # §4.3 step 5: keep forwarding until requests stop arriving,
             # modelled as a fixed grace period, then drop.
-            self.engine.call_after(self.drop_grace, self._deferred_drop,
+            self.engine.call_after(DROP_GRACE, self._deferred_drop,
                                    shard_id)
         else:
             del self._shards[shard_id]

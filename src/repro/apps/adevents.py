@@ -56,9 +56,6 @@ class DataBus:
         batch = log[offset:offset + max_events]
         return batch, offset + len(batch)
 
-    def end_offset(self, partition: int) -> int:
-        return len(self._logs[partition])
-
 
 @dataclass
 class _View:

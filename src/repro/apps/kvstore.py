@@ -20,7 +20,7 @@ Operations (request payloads):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..cluster.container import Container
 from ..core.spec import AppSpec
@@ -40,10 +40,6 @@ class ExternalStore:
         self.writes += 1
         self.data[key] = value
 
-    def get(self, key: int) -> Any:
-        self.reads += 1
-        return self.data.get(key)
-
     def range(self, low: int, high: int) -> List[Tuple[int, Any]]:
         self.reads += 1
         return sorted((k, v) for k, v in self.data.items() if low <= k < high)
@@ -52,10 +48,9 @@ class ExternalStore:
 class KVStoreApp:
     """Builds per-container request handlers for the KV store."""
 
-    def __init__(self, spec: AppSpec,
-                 external_store: Optional[ExternalStore] = None) -> None:
+    def __init__(self, spec: AppSpec) -> None:
         self.spec = spec
-        self.external = external_store or ExternalStore()
+        self.external = ExternalStore()
         # Soft state: (address, shard_id) -> {key: value}; lazily
         # (re)hydrated from the external store, so a server restart or a
         # shard migration naturally rebuilds it.

@@ -29,7 +29,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from ..scenario import ScenarioSpec
 from ..spec_io import spec_fingerprint, validate_spec
@@ -179,8 +179,3 @@ class Corpus:
             corpus.seen_keys |= entry.coverage
             corpus.seen_fingerprints.add(entry.fingerprint)
         return corpus
-
-    @staticmethod
-    def iter_entry_files(directory: Union[str, Path]
-                         ) -> Sequence[Path]:
-        return sorted(Path(directory).glob("*.json"))

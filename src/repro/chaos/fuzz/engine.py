@@ -42,6 +42,10 @@ __all__ = ["FuzzConfig", "FuzzStats", "FuzzEngine", "FuzzResult",
            "evaluate_spec", "run_seed_for"]
 
 
+#: Probability a candidate is a two-parent crossover (else mutation).
+CROSSOVER_RATE = 0.2
+
+
 def run_seed_for(seed: int, fingerprint: str) -> int:
     """The deterministic run_scenario seed for one candidate."""
     digest = hashlib.sha256(f"{seed}|{fingerprint}".encode()).digest()
@@ -50,8 +54,19 @@ def run_seed_for(seed: int, fingerprint: str) -> int:
 
 def evaluate_spec(spec: ScenarioSpec, arm: str, seed: int,
                   capacity: int = 1 << 20) -> Dict[str, Any]:
-    """Run one candidate and reduce it to the fuzzer's view of the run."""
+    """Run one candidate and reduce it to the fuzzer's view of the run.
+
+    A run whose journal ring overflowed raises: its coverage keys and
+    invariant verdicts come from a truncated trace, and admitting either
+    into the corpus would steer the search by what the ring happened to
+    keep.
+    """
     result = run_scenario(spec, arm=arm, seed=seed, capacity=capacity)
+    if result.dropped:
+        raise RuntimeError(
+            f"{spec.name}: journal dropped {result.dropped} of "
+            f"{result.records} records at capacity {capacity}; rerun with "
+            f"a larger capacity")
     return {
         "digest": result.digest,
         "behaviour_digest": result.behaviour_digest,
@@ -75,10 +90,6 @@ class FuzzConfig:
     batch: int = 8
     arm: str = "sm"
     capacity: int = 1 << 20
-    #: Probability a candidate is a two-parent crossover (else mutation).
-    crossover_rate: float = 0.2
-    #: Random (parentless) candidates mixed into the initial seeds.
-    extra_random_seeds: int = 3
     #: Delta-debug violating timelines after the search.
     shrink_violations: bool = True
     #: Max predicate evaluations per shrink.
@@ -95,12 +106,6 @@ class FuzzStats:
     violating: int = 0
     shrink_evals: int = 0
     rounds: int = 0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"executed": self.executed, "admitted": self.admitted,
-                "duplicates": self.duplicates,
-                "violating": self.violating,
-                "shrink_evals": self.shrink_evals, "rounds": self.rounds}
 
 
 @dataclass
@@ -172,7 +177,7 @@ class FuzzEngine:
                     child = random_spec(rng, f"cand_{self._counter}")
                     op = "random"
                 elif (len(corpus) >= 2
-                        and rng.random() < self.config.crossover_rate):
+                        and rng.random() < CROSSOVER_RATE):
                     parent = corpus.pick(rng)
                     other = corpus.pick(rng)
                     self._counter += 1
@@ -214,7 +219,7 @@ class FuzzEngine:
                 (spec_named, fingerprint, "seed", None)
                 for spec_named, fingerprint in
                 (self._canonical_candidate(spec) for spec in
-                 seed_specs(seeds_rng, config.extra_random_seeds))
+                 seed_specs(seeds_rng))
             ]
             remaining = config.budget
             while remaining > 0 and pending:

@@ -330,7 +330,11 @@ def random_spec(rng: random.Random, name: str) -> ScenarioSpec:
         expectations=FUZZ_EXPECTATIONS, **BASE_SHAPE))
 
 
-def seed_specs(rng: random.Random, extra_random: int = 3
+#: Random (parentless) multi-action specs mixed into the initial corpus.
+EXTRA_RANDOM_SEEDS = 3
+
+
+def seed_specs(rng: random.Random, extra_random: int = EXTRA_RANDOM_SEEDS
                ) -> List[ScenarioSpec]:
     """The initial corpus: one single-action spec per vocabulary kind
     (guaranteed kind coverage, maximally granular mutation parents)
@@ -474,12 +478,10 @@ def crossover(rng: random.Random, first: ScenarioSpec,
     Both parents share the fuzzer's base shape, so ``second``'s region
     and index params resolve against ``first``'s spec unchanged.
     """
-    from ..spec_io import _REGION_PARAMS
-
     def resolvable(action: FaultAction) -> bool:
         return all(action.param(p) is None or action.param(p)
                    in first.regions
-                   for p in _REGION_PARAMS.get(action.kind, ()))
+                   for p in ACTIONS[action.kind].region_params)
 
     cut = _round(rng.uniform(0.0, first.duration))
     actions = [a for a in first.actions if a.at <= cut]

@@ -6,15 +6,15 @@ machines, crash storms, rack and region blackouts, network partitions,
 ZooKeeper session churn, planned maintenance and upgrades racing
 unplanned faults, and control-plane failovers.
 
-Several scenarios are regression beds for bugs this fault vocabulary
-originally flushed out:
+Several scenarios are regression beds, each for one way overlapping
+faults can go wrong:
 
 * ``crash_overlaps_maintenance`` — a crash landing inside a maintenance
-  window used to double-apply: whichever event ended first silently
-  revived the machine mid-way through the other.  The down-hold
-  mechanism (one hold per cause) keeps the machine down until *both*
-  release, which the mid-window and post-window probes assert.
-* ``crash_burst_stop`` — stopping a crash injector mid-storm used to
+  window must not double-apply (whichever event ends first reviving the
+  machine mid-way through the other).  The down-hold mechanism (one
+  hold per cause) keeps the machine down until *both* release, which
+  the mid-window and post-window probes assert.
+* ``crash_burst_stop`` — stopping a crash injector mid-storm must not
   strand in-flight failures with no repair, leaving machines down
   forever; the fault-recovery invariant fails the run if any injected
   crash lacks its recovery record.
@@ -22,8 +22,8 @@ originally flushed out:
   ephemeral-node lifecycle end to end (expire → delete → recreate under
   a new session).  The tight availability bound proves a reconnect
   faster than the failover grace never drops a shard.  Deploy itself
-  covers the implicit-parent watch fix: the orchestrator's child watch
-  on the servers root is armed against nodes created as side effects of
+  covers implicit parents: the orchestrator's child watch on the
+  servers root must fire for nodes created as side effects of
   ``create(make_parents=True)``.
 
 Every scenario must pass with **zero** violations under both arms

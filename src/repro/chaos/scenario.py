@@ -178,8 +178,9 @@ class ScenarioSpec:
     replica_count: int = 1
     replication: ReplicationStrategy = ReplicationStrategy.PRIMARY_ONLY
     request_rate: float = 4.0
-    #: Zipf exponent of the workload's key popularity; 0 keeps the
-    #: historical uniform sampler (and its exact seeded draw sequence).
+    #: Zipf exponent of the workload's key popularity; 0 selects the
+    #: uniform sampler, whose seeded draw sequence the pinned digests of
+    #: every uniform-traffic scenario depend on.
     zipf_skew: float = 0.0
     settle: float = 60.0
     failover_grace: float = 30.0
@@ -273,6 +274,9 @@ class ScenarioResult:
     sim_duration: float
     digest: str
     records: int
+    #: Records the journal ring evicted.  Non-zero means every checker
+    #: and the coverage fingerprint saw a truncated trace.
+    dropped: int
     violations: List[Dict[str, Any]]
     faults: int
     recovers: int
@@ -288,13 +292,13 @@ class ScenarioResult:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.dropped
 
     def headline(self) -> Dict[str, Any]:
         return {"scenario": self.name, "arm": self.arm, "seed": self.seed,
                 "digest": self.digest,
                 "behaviour_digest": self.behaviour_digest,
-                "records": self.records,
+                "records": self.records, "dropped": self.dropped,
                 "violations": self.violations, "faults": self.faults,
                 "recovers": self.recovers,
                 "requests_sent": self.requests_sent,
@@ -309,14 +313,19 @@ ActionFn = Callable[["ScenarioRun", FaultAction], None]
 ACTIONS: Dict[str, ActionFn] = {}
 
 
-def action(kind: str) -> Callable[[ActionFn], ActionFn]:
+def action(kind: str, region_params: Tuple[str, ...] = ()
+           ) -> Callable[[ActionFn], ActionFn]:
+    """Register the executor of action ``kind``.  ``region_params`` names
+    the params that hold a region; ``validate_spec`` resolves each against
+    ``spec.regions`` before the run goes looking for its target."""
     def register(fn: ActionFn) -> ActionFn:
+        fn.region_params = region_params
         ACTIONS[kind] = fn
         return fn
     return register
 
 
-@action("crash_machine")
+@action("crash_machine", region_params=("region",))
 def _crash_machine(run: "ScenarioRun", act: FaultAction) -> None:
     region = act.param("region", run.spec.regions[0])
     machine = run.machine_at(region, act.param("index", 0))
@@ -324,7 +333,7 @@ def _crash_machine(run: "ScenarioRun", act: FaultAction) -> None:
                        act.duration or 30.0)
 
 
-@action("crash_rack")
+@action("crash_rack", region_params=("region",))
 def _crash_rack(run: "ScenarioRun", act: FaultAction) -> None:
     region = act.param("region", run.spec.regions[0])
     anchor = run.machine_at(region, act.param("index", 0))
@@ -335,7 +344,7 @@ def _crash_rack(run: "ScenarioRun", act: FaultAction) -> None:
                        act.duration or 60.0)
 
 
-@action("crash_region")
+@action("crash_region", region_params=("region",))
 def _crash_region(run: "ScenarioRun", act: FaultAction) -> None:
     region = act.param("region", run.spec.regions[0])
     machine_ids = sorted({c.machine.machine_id
@@ -378,7 +387,7 @@ def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
                        "crash_hot_shard", act.duration or 45.0)
 
 
-@action("isolate_region")
+@action("isolate_region", region_params=("region",))
 def _isolate_region(run: "ScenarioRun", act: FaultAction) -> None:
     region = act.param("region", run.spec.regions[-1])
     fault = run.new_fault("isolate_region", region)
@@ -392,7 +401,7 @@ def _isolate_region(run: "ScenarioRun", act: FaultAction) -> None:
     run.engine.call_after(act.duration or 90.0, heal)
 
 
-@action("partition_pair")
+@action("partition_pair", region_params=("a", "b"))
 def _partition_pair(run: "ScenarioRun", act: FaultAction) -> None:
     region_a = act.param("a", run.spec.regions[0])
     region_b = act.param("b", run.spec.regions[1])
@@ -408,7 +417,7 @@ def _partition_pair(run: "ScenarioRun", act: FaultAction) -> None:
     run.engine.call_after(act.duration or 90.0, heal)
 
 
-@action("zk_expire")
+@action("zk_expire", region_params=("region",))
 def _zk_expire(run: "ScenarioRun", act: FaultAction) -> None:
     """Kill the ZooKeeper sessions of the targeted servers; they
     reconnect (new session + fresh ephemeral) after ``reconnect_after``.
@@ -438,7 +447,7 @@ def _zk_expire(run: "ScenarioRun", act: FaultAction) -> None:
     run.engine.call_after(act.param("reconnect_after", 5.0), reconnect)
 
 
-@action("maintenance")
+@action("maintenance", region_params=("region",))
 def _maintenance(run: "ScenarioRun", act: FaultAction) -> None:
     region = act.param("region", run.spec.regions[0])
     machine = run.machine_at(region, act.param("index", 0))
@@ -453,7 +462,7 @@ def _maintenance(run: "ScenarioRun", act: FaultAction) -> None:
                       "end": start + window})
 
 
-@action("rolling_upgrade")
+@action("rolling_upgrade", region_params=("region",))
 def _rolling_upgrade(run: "ScenarioRun", act: FaultAction) -> None:
     region = act.param("region", run.spec.regions[0])
     concurrency = act.param("concurrency",
@@ -472,7 +481,7 @@ def _rolling_upgrade(run: "ScenarioRun", act: FaultAction) -> None:
                      {"concurrency": concurrency, "restart": restart})
 
 
-@action("crash_burst")
+@action("crash_burst", region_params=("region",))
 def _crash_burst(run: "ScenarioRun", act: FaultAction) -> None:
     """A Poisson crash storm over one region's app machines, stopped
     mid-flight — the regression bed for the injector's stop()/overlap
@@ -512,7 +521,7 @@ def _orchestrator_failover(run: "ScenarioRun", act: FaultAction) -> None:
     run.emit_recover(fault, "orchestrator_failover", run.app.spec.name)
 
 
-@action("probe")
+@action("probe", region_params=("region",))
 def _probe(run: "ScenarioRun", act: FaultAction) -> None:
     """Assert world state mid-scenario; failures become journal records
     that :meth:`TraceChecker.check_fault_recovery` turns into violations.
@@ -749,6 +758,7 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
         sim_duration=run.engine.now - run.t0,
         digest=journal.digest(),
         records=journal.appended,
+        dropped=journal.dropped,
         violations=[v.as_dict() for v in violations],
         faults=faults,
         recovers=recovers,

@@ -32,22 +32,6 @@ class SpecValidationError(ValueError):
     """A structurally valid spec that cannot be scheduled as written."""
 
 
-#: Per action kind, the params that name a region (must resolve against
-#: ``spec.regions`` for the run to find its target).
-_REGION_PARAMS = {
-    "crash_machine": ("region",),
-    "crash_rack": ("region",),
-    "crash_region": ("region",),
-    "isolate_region": ("region",),
-    "partition_pair": ("a", "b"),
-    "zk_expire": ("region",),
-    "maintenance": ("region",),
-    "rolling_upgrade": ("region",),
-    "crash_burst": ("region",),
-    "probe": ("region",),
-}
-
-
 def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """Raise :class:`SpecValidationError` unless ``spec`` is runnable.
 
@@ -87,7 +71,7 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             raise SpecValidationError(
                 f"{spec.name}: action {action.kind!r} has negative "
                 f"duration {action.duration!r}")
-        for param in _REGION_PARAMS.get(action.kind, ()):
+        for param in ACTIONS[action.kind].region_params:
             value = action.param(param)
             if value is not None and value not in regions:
                 raise SpecValidationError(

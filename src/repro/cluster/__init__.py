@@ -16,7 +16,6 @@ from .topology import (
     DEFAULT_CAPACITY,
     FaultDomainLevel,
     Machine,
-    MachineSpec,
     Topology,
     build_topology,
     count_distinct_domains,
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "FaultDomainLevel",
     "Machine",
-    "MachineSpec",
     "Topology",
     "build_topology",
     "count_distinct_domains",

@@ -30,10 +30,6 @@ class PlannedEventStats:
     upgrades: int = 0
     maintenance: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.upgrades + self.maintenance
-
 
 @dataclass
 class MaintenanceSchedule:

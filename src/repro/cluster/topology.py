@@ -28,14 +28,6 @@ class FaultDomainLevel(str, Enum):
     HOST = "host"
 
 
-@dataclass(frozen=True)
-class MachineSpec:
-    """Static description of one machine's hardware."""
-
-    capacity: Dict[str, float]
-    has_storage: bool = False
-
-
 @dataclass
 class Machine:
     """A physical machine; the unit of failure and maintenance."""
@@ -92,9 +84,6 @@ class Topology:
 
     def in_region(self, region: str) -> List[Machine]:
         return [m for m in self.machines if m.region == region]
-
-    def in_domain(self, level: FaultDomainLevel, domain: str) -> List[Machine]:
-        return [m for m in self.machines if m.domain(level) == domain]
 
     def up_machines(self) -> List[Machine]:
         return [m for m in self.machines if m.up]

@@ -34,14 +34,18 @@ from .taskcontrol import (
 from .topology import Machine, Topology
 
 
+#: Container lifecycle durations, seconds: a stop, a start, and the extra
+#: time a cross-machine move spends before its start.
+CONTAINER_STOP_DURATION = 2.0
+CONTAINER_START_DURATION = 10.0
+MOVE_EXTRA_DURATION = 5.0
+
+
 @dataclass
 class TwineConfig:
     """Timing knobs for container lifecycle operations (seconds)."""
 
     negotiation_interval: float = 5.0
-    container_stop_duration: float = 2.0
-    container_start_duration: float = 10.0
-    move_extra_duration: float = 5.0
 
 
 @dataclass
@@ -162,12 +166,9 @@ class Twine:
     def job_containers(self, job: str) -> List[Container]:
         return list(self._jobs.get(job, []))
 
-    def all_containers(self) -> List[Container]:
-        return list(self._containers.values())
-
     def _start_container(self, container: Container) -> None:
         container.state = ContainerState.STARTING
-        self.engine.call_after(self.config.container_start_duration,
+        self.engine.call_after(CONTAINER_START_DURATION,
                                lambda: self._finish_start(container))
 
     def _finish_start(self, container: Container) -> None:
@@ -211,9 +212,6 @@ class Twine:
         for container in containers:
             self.submit_op(OpKind.RESTART, container, OpReason.UPGRADE)
         return upgrade
-
-    def upgrade_status(self, job: str) -> RollingUpgrade:
-        return self._upgrades[job]
 
     def _start_negotiation_loop(self) -> None:
         self._negotiating = True
@@ -283,7 +281,7 @@ class Twine:
     def _do_restart(self, op: ContainerOp, container: Container) -> None:
         upgrade = self._upgrades.get(container.job)
         downtime = upgrade.restart_duration if upgrade else (
-            self.config.container_stop_duration + self.config.container_start_duration)
+            CONTAINER_STOP_DURATION + CONTAINER_START_DURATION)
         container.mark_stopping()
         self.container_stops_planned += 1
 
@@ -298,7 +296,7 @@ class Twine:
 
             self.engine.call_after(downtime, started)
 
-        self.engine.call_after(self.config.container_stop_duration, stopped)
+        self.engine.call_after(CONTAINER_STOP_DURATION, stopped)
 
     def _do_stop(self, op: ContainerOp, container: Container) -> None:
         container.mark_stopping()
@@ -308,11 +306,11 @@ class Twine:
             container.mark_stopped()
             self._finish_op(op)
 
-        self.engine.call_after(self.config.container_stop_duration, stopped)
+        self.engine.call_after(CONTAINER_STOP_DURATION, stopped)
 
     def _do_start(self, op: ContainerOp, container: Container) -> None:
         self._start_container(container)
-        self.engine.call_after(self.config.container_start_duration,
+        self.engine.call_after(CONTAINER_START_DURATION,
                                lambda: self._finish_op(op))
 
     def _do_move(self, op: ContainerOp, container: Container) -> None:
@@ -335,10 +333,10 @@ class Twine:
                 self._finish_op(op)
 
             self.engine.call_after(
-                self.config.move_extra_duration + self.config.container_start_duration,
+                MOVE_EXTRA_DURATION + CONTAINER_START_DURATION,
                 started)
 
-        self.engine.call_after(self.config.container_stop_duration, stopped)
+        self.engine.call_after(CONTAINER_STOP_DURATION, stopped)
 
     # -- unplanned failures -------------------------------------------------------
 

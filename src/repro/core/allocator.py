@@ -102,9 +102,6 @@ class AllocationPlan:
     def empty(self) -> bool:
         return not (self.creates or self.promotes or self.moves)
 
-    def __len__(self) -> int:
-        return len(self.creates) + len(self.promotes) + len(self.moves)
-
 
 LoadFn = Callable[[ReplicaAssignment], Tuple[float, ...]]
 

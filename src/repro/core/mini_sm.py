@@ -65,23 +65,6 @@ class Partition:
         self.orchestrator = orchestrator
         return orchestrator
 
-    def failover_orchestrator(self) -> Orchestrator:
-        """Kill the partition's orchestrator and bring up its successor.
-
-        Simulates a control-plane replica failover (§6.2): the old
-        incarnation stops (releasing its network address), and the new one
-        restores the assignment table from ZooKeeper — no shard moves.
-        """
-        if self.orchestrator is None:
-            raise RuntimeError(
-                f"partition {self.partition_id} has no orchestrator")
-        old = self.orchestrator
-        old.stop()
-        replacement = old.successor()
-        replacement.start()
-        self.orchestrator = replacement
-        return replacement
-
 
 class ApplicationManager:
     """Maps an application to one or more partitions (Figure 14).
@@ -241,8 +224,8 @@ class PartitionRegistry:
     ``(replica_count, creation_seq)``, so each assignment is O(log n)
     instead of a full scan.  Because every mini-SM shares one capacity,
     the least-loaded instance fits whenever *any* instance fits, and the
-    ``creation_seq`` tie-break reproduces the old ``min()`` semantics
-    (first-created wins among equally loaded) exactly.
+    ``creation_seq`` tie-break is the one a ``min()`` over all instances
+    applies: first-created wins among equally loaded.
     """
 
     def __init__(self, replicas_per_mini_sm: int = 1_500_000) -> None:
@@ -308,9 +291,6 @@ class ApplicationRegistry:
             return list(self._apps[app_name])
         except KeyError:
             raise KeyError(f"unknown app {app_name!r}") from None
-
-    def apps(self) -> List[str]:
-        return sorted(self._apps)
 
 
 class Frontend:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..cluster.topology import Topology
+from ..coordination import layout
 from ..coordination.zookeeper import WatchEvent, ZooKeeper
 from ..discovery.service_discovery import ServiceDiscovery
 from ..metrics.timeseries import Counter
@@ -43,10 +44,6 @@ from .allocator import (
 from .migration import MigrationExecutor
 from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState, Role
 from .spec import AppSpec
-
-SERVERS_PATH = "/sm/{app}/servers"
-ASSIGNMENTS_PATH = "/sm/{app}/assignments"
-STATE_PATH = "/sm/{app}/state"
 
 #: Region the orchestrator's own endpoint registers in.
 CONTROL_REGION = "FRC"
@@ -124,8 +121,9 @@ class Orchestrator:
         self._active_migrations = 0
         self._stoppers: List = []
         self._started = False
-        self._servers_root = SERVERS_PATH.format(app=spec.name)
-        self._assignments_root = ASSIGNMENTS_PATH.format(app=spec.name)
+        self._servers_root = layout.servers_root(spec.name)
+        self._assignments_root = layout.assignments_root(spec.name)
+        self._state_path = layout.state_path(spec.name)
         # Persistence caches: per-address znodes already written at least
         # once, and the serialized form of every replica, keyed by id and
         # kept in the table's replica order.  Both are per-incarnation —
@@ -201,12 +199,11 @@ class Orchestrator:
 
     def _restore_state(self) -> None:
         """Rebuild the assignment table from the §3.2 persistent state."""
-        path = STATE_PATH.format(app=self.spec.name)
-        if not self.zookeeper.exists(path):
+        if not self.zookeeper.exists(self._state_path):
             return
         if self.table.all_replicas():
             return  # fresh-deploy path already populated the table
-        data = self.zookeeper.get(path) or {}
+        data = self.zookeeper.get(self._state_path) or {}
         if self._tracer.enabled:
             # New incarnation, new replica ids: tell trace consumers the
             # app's replica state starts over, or the checker would see
@@ -223,27 +220,23 @@ class Orchestrator:
 
     # -- server membership (ZooKeeper ephemerals, §3.2) -----------------------------
 
-    @staticmethod
-    def _decode_node(name: str) -> str:
-        return name.replace(":", "/")
-
     def _scan_servers(self) -> None:
         for name in self.zookeeper.children(self._servers_root):
-            self._server_up(self._decode_node(name),
+            self._server_up(layout.node_address(name),
                             self.zookeeper.get(f"{self._servers_root}/{name}"))
 
     def _watch_servers(self) -> None:
         def on_children_change(_event: WatchEvent) -> None:
             if not self._started:
                 return
-            current = {self._decode_node(name)
+            current = {layout.node_address(name)
                        for name in self.zookeeper.children(self._servers_root)}
             known_alive = {address for address, record in self.servers.items()
                            if record.alive}
             # Sorted iteration: set order depends on the process hash seed,
             # and server-insertion order feeds placement tie-breaking.
             for address in sorted(current - known_alive):
-                name = address.replace("/", ":")
+                name = layout.node_name(address)
                 self._server_up(address,
                                 self.zookeeper.get(
                                     f"{self._servers_root}/{name}"))
@@ -349,8 +342,7 @@ class Orchestrator:
                  "entries": snapshot.entry_count})
 
     def _write_assignments(self, address: str) -> None:
-        name = address.replace("/", ":")
-        path = f"{self._assignments_root}/{name}"
+        path = f"{self._assignments_root}/{layout.node_name(address)}"
         ready = ReplicaState.READY
         pending = ReplicaState.PENDING
         data = [{"shard_id": r.shard_id, "role": r.role.value}
@@ -383,7 +375,6 @@ class Orchestrator:
         the table's log, new ones sit at the tail of the table, and only
         replicas on ``dirty_addresses`` can have changed otherwise.
         """
-        path = STATE_PATH.format(app=self.spec.name)
         table = self.table
         serialized = self._replica_ser
         for replica_id in table.consume_dropped():
@@ -402,6 +393,7 @@ class Orchestrator:
                 serialized[r.replica_id] = _serialize_replica(r)
         data = {"version": table.last_version,
                 "replicas": list(serialized.values())}
+        path = self._state_path
         if self.zookeeper.exists(path):
             self.zookeeper.set(path, data)
         else:

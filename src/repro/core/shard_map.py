@@ -122,8 +122,8 @@ class AppKeyIndex:
 
     Shard ids and key ranges come from the app spec and never change
     between publishes, so every version of an app's map shares one index
-    — including the sorted interval permutation the router bisects, which
-    previously was re-derived per map version.
+    — including the sorted interval permutation the router bisects, so
+    a new map version costs no re-sort.
     """
 
     __slots__ = ("shard_ids", "key_lows", "key_highs", "index_of",
@@ -207,9 +207,6 @@ class ShardMap:
 
     def primary_at(self, index: int) -> Optional[str]:
         return self._primaries[index >> _CHUNK_SHIFT][index & _CHUNK_MASK]
-
-    def secondaries_at(self, index: int) -> Tuple[str, ...]:
-        return self._secondaries[index >> _CHUNK_SHIFT][index & _CHUNK_MASK]
 
     def entry_at(self, index: int) -> ShardMapEntry:
         """Entry at a column index, materialized on first use.

@@ -24,15 +24,21 @@ from .shard_map import ReplicaState, Role
 from .spec import ReplicationStrategy
 
 
+#: A shard scales up when its per-replica load exceeds this fraction of
+#: ``replica_capacity`` and down when it falls below the low one.
+HIGH_WATERMARK = 0.8
+LOW_WATERMARK = 0.2
+
+#: Scaling decisions executed per tick, at most.
+MAX_CHANGES_PER_TICK = 16
+
+
 @dataclass
 class ShardScalerConfig:
     interval: float = 30.0
     metric: str = "request_rate"
-    high_watermark: float = 0.8   # of per-replica capacity
-    low_watermark: float = 0.2
     replica_capacity: float = 100.0  # metric units one replica can absorb
     max_replicas: int = 5
-    max_changes_per_tick: int = 16
 
 
 @dataclass
@@ -102,16 +108,16 @@ class ShardScaler:
                 continue
             load = self.shard_load(shard.shard_id)
             per_replica = load / len(replicas)
-            if (per_replica > config.high_watermark * config.replica_capacity
+            if (per_replica > HIGH_WATERMARK * config.replica_capacity
                     and len(replicas) < config.max_replicas):
                 decisions.append(("up", shard.shard_id))
-            elif (per_replica < config.low_watermark * config.replica_capacity
+            elif (per_replica < LOW_WATERMARK * config.replica_capacity
                     and len(replicas) > shard.replica_count):
                 victim = next((r for r in replicas
                                if r.role is Role.SECONDARY), None)
                 if victim is not None:
                     decisions.append(("down", victim.replica_id))
-            if len(decisions) >= config.max_changes_per_tick:
+            if len(decisions) >= MAX_CHANGES_PER_TICK:
                 break
         return decisions
 

@@ -175,10 +175,6 @@ class SMTaskController:
 
         process.done_signal._add_waiter(mark_done)
 
-    def _drain_finished(self, address: str) -> bool:
-        state = self._drains.get(address)
-        return state is not None and state.phase is _DrainPhase.DONE
-
     # -- cap accounting ------------------------------------------------------------------
 
     def _violates_shard_cap(self, impacted: Set[str],

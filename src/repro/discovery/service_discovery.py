@@ -30,16 +30,14 @@ from typing import Callable, Dict, List, Optional
 from ..core.shard_map import ShardMap, ShardMapDelta
 from ..sim.engine import Engine
 
-MapCallback = Callable[[ShardMap], None]
-
 
 @dataclass
 class Subscription:
     """Handle returned by ``subscribe``; call ``cancel`` to stop updates.
 
     Plain subscriptions (``delta_aware=False``) receive every delivered
-    map, in fan-out order, exactly as before deltas existed — version
-    filtering is the consumer's business (the router ignores stale
+    map, in fan-out order, stale ones included — version filtering is
+    the consumer's business (the router ignores stale
     versions itself, and Fig 17 depends on observing late deliveries).
     Delta-aware subscriptions own the version bookkeeping: stale
     deliveries are dropped here, and the callback receives

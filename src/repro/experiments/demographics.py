@@ -70,7 +70,7 @@ class DemographicsResult:
                    for name in published)
 
 
-def run(app_count: int = 2000, seed: int = 0) -> DemographicsResult:
+def run(app_count: int = 4000, seed: int = 0) -> DemographicsResult:
     apps = generate_fleet(app_count=app_count, seed=seed)
     return DemographicsResult(
         app_count=app_count,

@@ -16,6 +16,7 @@ arithmetic, which this experiment makes explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from ..cluster.maintenance import MaintenanceSchedule
 from ..cluster.topology import build_topology
@@ -81,6 +82,12 @@ def run(machines: int = 120, jobs: int = 4, days: float = 60.0,
         unplanned_stops=twine.container_stops_unplanned,
         simulated_days=days,
     )
+
+
+def headline(result: Fig01Result) -> Dict[str, int]:
+    """The sweep report's numbers for this figure."""
+    return {"planned_stops": result.planned_stops,
+            "unplanned_stops": result.unplanned_stops}
 
 
 def format_report(result: Fig01Result) -> str:

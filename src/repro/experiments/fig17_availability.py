@@ -25,7 +25,7 @@ full-size run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, Tuple
 
 from ..app.client import WorkloadRecorder
 from ..cluster.twine import TwineConfig
@@ -51,6 +51,16 @@ class UpgradeArm:
     shard_moves: int
 
 
+#: The three lines of Figure 17: arm -> (label, graceful migration,
+#: TaskController registered).
+ARMS: Dict[str, Tuple[str, bool, bool]] = {
+    "sm": ("SM", True, True),
+    "no_graceful_migration": ("no graceful migration", False, True),
+    "no_graceful_no_taskcontroller": (
+        "no graceful migration & no TaskController", False, False),
+}
+
+
 @dataclass
 class Fig17Result:
     arms: Dict[str, UpgradeArm]
@@ -68,10 +78,14 @@ class Fig17Result:
         return self.arms["no_graceful_no_taskcontroller"]
 
 
-def _run_arm(label: str, graceful: bool, with_task_controller: bool,
-             shards: int, servers: int, restart_duration: float,
-             request_rate: float, seed: int,
-             traffic: str = "event", epoch: float = 2.0) -> UpgradeArm:
+def run_arm(arm: str, shards: int = 2_000, servers: int = 60,
+            restart_duration: float = 60.0, request_rate: float = 60.0,
+            seed: int = 0, traffic: str = "event",
+            epoch: float = 2.0) -> UpgradeArm:
+    """One line of the figure: the rolling upgrade under ``arm``."""
+    if traffic not in ("event", "fluid"):
+        raise ValueError(f"unknown traffic mode {traffic!r}")
+    label, graceful, with_task_controller = ARMS[arm]
     cluster = SimCluster.build(
         regions=("FRC",),
         machines_per_region=servers + 4,
@@ -160,35 +174,18 @@ def _run_arm(label: str, graceful: bool, with_task_controller: bool,
     )
 
 
-def run(shards: int = 2_000, servers: int = 60,
-        restart_duration: float = 60.0, request_rate: float = 60.0,
-        seed: int = 0, traffic: str = "event",
-        epoch: float = 2.0) -> Fig17Result:
-    if traffic not in ("event", "fluid"):
-        raise ValueError(f"unknown traffic mode {traffic!r}")
-    arms = {
-        "sm": _run_arm(
-            "SM", graceful=True, with_task_controller=True,
-            shards=shards, servers=servers,
-            restart_duration=restart_duration,
-            request_rate=request_rate, seed=seed,
-            traffic=traffic, epoch=epoch),
-        "no_graceful_migration": _run_arm(
-            "no graceful migration", graceful=False,
-            with_task_controller=True,
-            shards=shards, servers=servers,
-            restart_duration=restart_duration,
-            request_rate=request_rate, seed=seed,
-            traffic=traffic, epoch=epoch),
-        "no_graceful_no_taskcontroller": _run_arm(
-            "no graceful migration & no TaskController",
-            graceful=False, with_task_controller=False,
-            shards=shards, servers=servers,
-            restart_duration=restart_duration,
-            request_rate=request_rate, seed=seed,
-            traffic=traffic, epoch=epoch),
-    }
-    return Fig17Result(arms=arms)
+def run(**sizes: Any) -> Fig17Result:
+    """Every arm at the same sizes and seed (:func:`run_arm`'s keywords;
+    its defaults are the figure)."""
+    return Fig17Result(arms={arm: run_arm(arm, **sizes) for arm in ARMS})
+
+
+def headline(arm: UpgradeArm) -> Dict[str, Any]:
+    """The sweep report's numbers for one arm."""
+    return {"success_rate": arm.success_rate,
+            "upgrade_duration": arm.upgrade_duration,
+            "requests_failed": arm.requests_failed,
+            "shard_moves": arm.shard_moves}
 
 
 def format_report(result: Fig17Result) -> str:

@@ -17,7 +17,7 @@ figure: client request rate, client error rate, and shard moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..app.client import WorkloadRecorder
 from ..apps.queue_service import QueueServiceApp
@@ -157,6 +157,14 @@ def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
         order_violations=queue_app.order_violations,
         upgrades_run=upgrades_run,
     )
+
+
+def headline(result: Fig18Result) -> Dict[str, float]:
+    """The sweep report's numbers for this figure."""
+    return {"overall_error_rate": result.overall_error_rate,
+            "order_violations": result.order_violations,
+            "upgrades_run": result.upgrades_run,
+            "peak_moves": result.peak_moves()}
 
 
 def format_report(result: Fig18Result) -> str:

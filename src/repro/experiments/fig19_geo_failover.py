@@ -46,6 +46,16 @@ class Fig19Result:
         window = self.latency_by_bucket.between(start, end)
         return window.mean() if len(window) else float("nan")
 
+    def steady_latency(self) -> float:
+        """Mean latency before the region fails (ms)."""
+        return self.phase_latency(0.0, self.failure_time)
+
+    def outage_latency(self) -> float:
+        """Mean latency on the cross-region plateau (ms): from 30 s after
+        the failure, once failover has settled, until recovery."""
+        return self.phase_latency(self.failure_time + 30.0,
+                                  self.recovery_time)
+
 
 def _ec_shards_in_frc(app, ec_shards: int) -> int:
     table = app.orchestrator.table
@@ -150,10 +160,16 @@ def run(shards: int = 1_000, ec_shards: int = 400,
     )
 
 
+def headline(result: Fig19Result) -> Dict[str, float]:
+    """The sweep report's numbers for this figure."""
+    return {"steady_latency_ms": result.steady_latency(),
+            "outage_latency_ms": result.outage_latency(),
+            "success_rate": result.success_rate}
+
+
 def format_report(result: Fig19Result) -> str:
-    steady = result.phase_latency(0.0, result.failure_time)
-    outage = result.phase_latency(result.failure_time + 30.0,
-                                  result.recovery_time)
+    steady = result.steady_latency()
+    outage = result.outage_latency()
     recovered = result.phase_latency(result.recovery_time + 60.0, 1e12)
     lines = [
         "Figure 19 — geo-distributed failover (client at FRC, EC shards)",

@@ -190,6 +190,12 @@ def run(servers: int = 30, shards: int = 200, replica_count: int = 3,
     )
 
 
+def headline(result: Fig23Result) -> Dict[str, float]:
+    """The sweep report's numbers for this figure."""
+    return {"max_p99": result.max_p99(),
+            "total_moves": result.total_moves()}
+
+
 def format_report(result: Fig23Result) -> str:
     lines = [
         "Figure 23 — continuous load balancing over diurnal load",

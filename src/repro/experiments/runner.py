@@ -8,9 +8,10 @@ task's headline into a report that depends only on the task list — the
 same seeds give the same bytes on any host and pool size.  How fast the
 simulator runs is ``bench/``'s question, not this module's.
 
-Task functions must be *top-level* (picklable); each returns the
-figure's headline numbers as a plain dict so the report stays
-JSON-serializable.
+Task functions must be *top-level* (picklable); each returns headline
+numbers as a plain dict so the report stays JSON-serializable.  What a
+figure's headline is belongs to the figure's module (``headline()``), and
+so do its sizes (the defaults of ``run()``).
 """
 
 from __future__ import annotations
@@ -20,57 +21,22 @@ import multiprocessing
 import os
 from typing import Any, Dict, List, Optional
 
+from .fig17_availability import ARMS as FIG17_ARMS
+
 # -- headline task functions (top-level: the pool pickles references) --------
 
 
-def fig01_task(**kwargs: Any) -> Dict[str, Any]:
-    from . import fig01_planned_events
-    result = fig01_planned_events.run(**kwargs)
-    return {"planned_stops": result.planned_stops,
-            "unplanned_stops": result.unplanned_stops}
+def figure_task(module: str, entry: str = "run",
+                **kwargs: Any) -> Dict[str, Any]:
+    """Run one figure experiment and reduce it to its headline.
 
-
-def fig17_arm_task(arm: str, **kwargs: Any) -> Dict[str, Any]:
-    from . import fig17_availability
-    presets = {
-        "sm": dict(label="SM", graceful=True, with_task_controller=True),
-        "no_graceful_migration": dict(
-            label="no graceful migration", graceful=False,
-            with_task_controller=True),
-        "no_graceful_no_taskcontroller": dict(
-            label="no graceful migration & no TaskController",
-            graceful=False, with_task_controller=False),
-    }
-    result = fig17_availability._run_arm(**presets[arm], **kwargs)
-    return {"success_rate": result.success_rate,
-            "upgrade_duration": result.upgrade_duration,
-            "requests_failed": result.requests_failed,
-            "shard_moves": result.shard_moves}
-
-
-def fig18_task(**kwargs: Any) -> Dict[str, Any]:
-    from . import fig18_production_upgrades
-    result = fig18_production_upgrades.run(**kwargs)
-    return {"overall_error_rate": result.overall_error_rate,
-            "order_violations": result.order_violations,
-            "upgrades_run": result.upgrades_run,
-            "peak_moves": result.peak_moves()}
-
-
-def fig19_task(**kwargs: Any) -> Dict[str, Any]:
-    from . import fig19_geo_failover
-    result = fig19_geo_failover.run(**kwargs)
-    steady = result.phase_latency(0.0, result.failure_time)
-    outage = result.phase_latency(result.failure_time + 30.0,
-                                  result.recovery_time)
-    return {"steady_latency_ms": steady, "outage_latency_ms": outage,
-            "success_rate": result.success_rate}
-
-
-def fig23_task(**kwargs: Any) -> Dict[str, Any]:
-    from . import fig23_continuous_lb
-    result = fig23_continuous_lb.run(**kwargs)
-    return {"max_p99": result.max_p99(), "total_moves": result.total_moves()}
+    ``module`` names a ``repro.experiments`` module that owns
+    ``headline(result)``; ``entry`` is the function to call with
+    ``kwargs`` (``run``, or Figure 17's per-arm ``run_arm``).  Sizes not
+    passed are the module's own defaults, i.e. the figure's.
+    """
+    experiment = importlib.import_module(f"{__package__}.{module}")
+    return experiment.headline(getattr(experiment, entry)(**kwargs))
 
 
 def chaos_task(scenario: str = "", arm: str = "sm", seed: int = 0,
@@ -121,56 +87,43 @@ def fuzz_eval_task(job: Dict[str, Any]) -> Dict[str, Any]:
                          job.get("capacity", 1 << 20))
 
 
-#: The default sweep: every sim-heavy figure, Figure 17 split per arm so
-#: the three arms run concurrently under the pool.
-DEFAULT_TASKS: List[Dict[str, Any]] = [
-    {"figure": "fig17", "name": arm,
-     "fn": "repro.experiments.runner:fig17_arm_task",
-     "kwargs": {"arm": arm, "shards": 2_000, "servers": 60,
-                "restart_duration": 60.0, "request_rate": 60.0, "seed": 0}}
-    for arm in ("sm", "no_graceful_migration",
-                "no_graceful_no_taskcontroller")
-] + [
-    {"figure": "fig01", "name": "default",
-     "fn": "repro.experiments.runner:fig01_task",
-     "kwargs": {"machines": 120, "jobs": 4, "days": 60.0, "seed": 0}},
-    {"figure": "fig18", "name": "default",
-     "fn": "repro.experiments.runner:fig18_task",
-     "kwargs": {"shards": 400, "servers": 20, "day_length": 3_600.0,
-                "days": 2, "seed": 0}},
-    {"figure": "fig19", "name": "default",
-     "fn": "repro.experiments.runner:fig19_task",
-     "kwargs": {"shards": 1_000, "ec_shards": 400,
-                "servers_per_region": 30, "request_rate": 20.0, "seed": 0}},
-    {"figure": "fig23", "name": "default",
-     "fn": "repro.experiments.runner:fig23_task",
-     "kwargs": {"servers": 30, "shards": 200, "days": 3.0, "seed": 0}},
-]
+_FIGURE_TASK = f"{__name__}:figure_task"
+
+
+def _sweep(name: str, sizes: Dict[str, Dict[str, Any]]
+           ) -> List[Dict[str, Any]]:
+    """One task per sim-heavy figure, Figure 17 split per arm so its arms
+    run concurrently under the pool.  ``sizes`` holds, per figure, only
+    the keywords that differ from the figure's own defaults."""
+    def task(figure: str, task_name: str, module: str,
+             **kwargs: Any) -> Dict[str, Any]:
+        return {"figure": figure, "name": task_name, "fn": _FIGURE_TASK,
+                "kwargs": {"module": module, **kwargs,
+                           **sizes.get(figure, {})}}
+
+    return [task("fig17", arm, "fig17_availability", entry="run_arm",
+                 arm=arm) for arm in FIG17_ARMS] + [
+        task("fig01", name, "fig01_planned_events"),
+        task("fig18", name, "fig18_production_upgrades"),
+        task("fig19", name, "fig19_geo_failover"),
+        task("fig23", name, "fig23_continuous_lb"),
+    ]
+
+
+#: The default sweep: every figure at its own ``run()`` defaults.
+DEFAULT_TASKS: List[Dict[str, Any]] = _sweep("default", {})
 
 #: Scaled-down variant for CI and quick local runs.
-SMOKE_TASKS: List[Dict[str, Any]] = [
-    {"figure": "fig17", "name": arm,
-     "fn": "repro.experiments.runner:fig17_arm_task",
-     "kwargs": {"arm": arm, "shards": 300, "servers": 20,
-                "restart_duration": 30.0, "request_rate": 20.0, "seed": 0}}
-    for arm in ("sm", "no_graceful_migration",
-                "no_graceful_no_taskcontroller")
-] + [
-    {"figure": "fig01", "name": "smoke",
-     "fn": "repro.experiments.runner:fig01_task",
-     "kwargs": {"machines": 40, "jobs": 2, "days": 15.0, "seed": 0}},
-    {"figure": "fig18", "name": "smoke",
-     "fn": "repro.experiments.runner:fig18_task",
-     "kwargs": {"shards": 120, "servers": 10, "day_length": 1_200.0,
-                "days": 1, "seed": 0}},
-    {"figure": "fig19", "name": "smoke",
-     "fn": "repro.experiments.runner:fig19_task",
-     "kwargs": {"shards": 100, "ec_shards": 40, "servers_per_region": 6,
-                "request_rate": 10.0, "seed": 0}},
-    {"figure": "fig23", "name": "smoke",
-     "fn": "repro.experiments.runner:fig23_task",
-     "kwargs": {"servers": 15, "shards": 60, "days": 1.0, "seed": 0}},
-]
+SMOKE_TASKS: List[Dict[str, Any]] = _sweep("smoke", {
+    "fig17": {"shards": 300, "servers": 20, "restart_duration": 30.0,
+              "request_rate": 20.0},
+    "fig01": {"machines": 40, "jobs": 2, "days": 15.0},
+    "fig18": {"shards": 120, "servers": 10, "day_length": 1_200.0,
+              "days": 1},
+    "fig19": {"shards": 100, "ec_shards": 40, "servers_per_region": 6,
+              "request_rate": 10.0},
+    "fig23": {"servers": 15, "shards": 60, "days": 1.0},
+})
 
 
 #: Figures that accept the ``traffic=`` kwarg (the hybrid engine switch).
@@ -241,6 +194,7 @@ def run_traced(task: Dict[str, Any], trace_path: str,
         "journal_path": journal_path,
         "records": journal.appended,
         "dropped": journal.dropped,
+        "capacity": capacity,
         "tracks": journal.tracks(),
         "digest": journal.digest(),
         "violations": [v.as_dict() for v in violations],

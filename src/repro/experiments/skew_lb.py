@@ -27,6 +27,7 @@ violations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -50,6 +51,12 @@ from ..solver.local_search import SearchConfig
 
 ARMS: Tuple[str, ...] = ("sm", "consistent_hash", "static")
 
+#: Recorder bucket width and imbalance sampling period, seconds.
+SAMPLE_INTERVAL = 30.0
+
+#: Fraction of the run after which the hot set rotates.
+SHIFT_AT = 0.5
+
 
 @dataclass
 class SkewParams:
@@ -66,8 +73,6 @@ class SkewParams:
     scatter_rate: float = 10.0      # scatter requests / second
     fanout: int = 4
     service_time: float = 0.015     # seconds per request on a server
-    sample_interval: float = 30.0
-    shift_at: float = 0.5           # fraction of duration: hot-set rotation
 
     @property
     def key_space(self) -> int:
@@ -79,15 +84,9 @@ class SkewParams:
         (rank r maps to shard ~r), so the hot *set* spans many shards and
         placement — not sharding granularity — decides who queues."""
         stride = self.keys_per_shard + 1
-        while _gcd(stride, self.key_space) != 1:
+        while math.gcd(stride, self.key_space) != 1:
             stride += 1
         return stride
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -103,20 +102,6 @@ class ArmResult:
     sent: int
     succeeded: int
     failed: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "p99_ms": round(self.p99 * 1e3, 3),
-            "p50_ms": round(self.p50 * 1e3, 3),
-            "scatter_p99_ms": round(self.scatter_p99 * 1e3, 3),
-            "imbalance": round(self.imbalance, 3),
-            "moves": self.moves,
-            "digest": self.digest,
-            "violations": self.violations,
-            "sent": self.sent,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-        }
 
 
 def _allocator_for(arm: str, spec: AppSpec) -> Optional[PinnedAllocator]:
@@ -183,11 +168,11 @@ def run_arm(arm: str, params: Optional[SkewParams] = None,
 
         sampler = ZipfKeySampler(params.key_space, skew=params.skew,
                                  stride=params.stride)
-        engine.call_at(engine.now + params.shift_at * params.duration,
+        engine.call_at(engine.now + SHIFT_AT * params.duration,
                        sampler.rotate, params.key_space // 3)
 
-        point_recorder = WorkloadRecorder.with_bucket(params.sample_interval)
-        scatter_recorder = WorkloadRecorder.with_bucket(params.sample_interval)
+        point_recorder = WorkloadRecorder.with_bucket(SAMPLE_INTERVAL)
+        scatter_recorder = WorkloadRecorder.with_bucket(SAMPLE_INTERVAL)
         client = app.client(cluster, "prod", name="skew-client")
         scatter_client = ScatterGatherClient(
             app.client(cluster, "prod", name="skew-scatter"),
@@ -213,13 +198,13 @@ def run_arm(arm: str, params: Optional[SkewParams] = None,
             for address in sorted(handlers):
                 handler = handlers[address]
                 rates.append((handler.served - previous[address])
-                             / params.sample_interval)
+                             / SAMPLE_INTERVAL)
                 previous[address] = handler.served
             mean = sum(rates) / len(rates) if rates else 0.0
             if mean > 0.0:
                 imbalance.record(engine.now, max(rates) / mean)
 
-        every(engine, params.sample_interval, sample)
+        every(engine, SAMPLE_INTERVAL, sample)
         cluster.run(until=engine.now + params.duration + 5.0)
         client.close()
         scatter_client.client.close()

@@ -24,7 +24,7 @@ from .core.orchestrator import Orchestrator, OrchestratorConfig
 from .core.spec import AppSpec
 from .core.task_controller import SMTaskController, SMTaskControllerConfig
 from .discovery.service_discovery import ServiceDiscovery
-from .obs import NO_OBS, Observability, get_default
+from .obs import ENGINE_SAMPLE, NO_OBS, Observability, get_default
 from .sim.engine import Engine
 from .sim.network import LatencyModel, Network
 from .sim.rng import substream
@@ -72,7 +72,7 @@ class SimCluster:
                           rng=substream(seed, "network"),
                           tracer=obs.tracer)
         if obs.enabled:
-            engine.set_tracer(obs.tracer, sample_every=obs.engine_sample)
+            engine.set_tracer(obs.tracer, sample_every=ENGINE_SAMPLE)
             obs.metrics.gauge("engine.processed_events",
                               lambda: engine.processed_events)
             obs.metrics.gauge("engine.pending_events",
@@ -112,12 +112,12 @@ def _latency_for(regions: Sequence[str]) -> LatencyModel:
     matrix = dict(DEFAULT_REGION_LATENCY)
     known = {r for pair in matrix for r in pair}
     extra = [r for r in regions if r not in known]
-    # Sorted, orientation-aware fill: iterating the *set* of known regions
-    # made the fill order (and thus which (a, b) vs (b, a) orientation got
-    # the default) depend on PYTHONHASHSEED, so two processes with the
-    # same seed could disagree on cross-region latency — the default
-    # could even overwrite a configured pair through the symmetric
-    # expansion in LatencyModel.  See DESIGN.md, "Determinism contract".
+    # Sorted, orientation-aware fill.  The fill order decides which of
+    # (a, b) / (b, a) receives the default, so it must not follow set
+    # iteration order (PYTHONHASHSEED): two processes with the same seed
+    # have to agree on cross-region latency, and a default must never
+    # overwrite a configured pair through LatencyModel's symmetric
+    # expansion.  See DESIGN.md, "Determinism contract".
     all_regions = sorted(known) + extra
     for i, a in enumerate(all_regions):
         for b in all_regions[i + 1:]:

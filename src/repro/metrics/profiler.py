@@ -1,12 +1,10 @@
 """Lightweight wall-clock stage profiler for hot paths.
 
-The solver (and any other subsystem with a measurable inner loop) records
-per-stage cumulative wall-clock time and counters into a :class:`Profiler`.
-The design goal is *negligible overhead*: the hot path calls
-``perf_counter()`` itself and hands the elapsed seconds to :meth:`add`, so
-there is no context-manager or closure allocation per sample on the
-critical path.  The :func:`timed` context manager exists for convenience
-in cold code.
+The solver records per-stage cumulative wall-clock time and counters into
+a :class:`Profiler`.  The design goal is *negligible overhead*: the hot
+path calls ``perf_counter()`` itself and hands the elapsed seconds to
+:meth:`add`, so there is no context-manager or closure allocation per
+sample on the critical path — and this module reads no clock of its own.
 
 ``LocalSearch`` attaches a profiler to every :class:`SolveResult` as
 ``result.profile``; the Fig 21/22 report formatters print it, and
@@ -16,9 +14,7 @@ function-level detail.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Collection, Dict, Iterator, Optional, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 
 class Profiler:
@@ -71,18 +67,7 @@ class Profiler:
     def counters(self) -> Dict[str, int]:
         return dict(self._counters)
 
-    def total_seconds(self) -> float:
-        return sum(entry[1] for entry in self._stages.values())
-
-    # -- combination and presentation -------------------------------------
-
-    def merge(self, other: "Profiler") -> None:
-        """Fold another profiler's samples into this one (for aggregating
-        per-partition or per-scale-point solves)."""
-        for stage, (calls, seconds) in other.stages.items():
-            self.add(stage, seconds, calls)
-        for name, value in other.counters.items():
-            self.count(name, value)
+    # -- presentation ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict view (JSON-friendly) of everything recorded."""
@@ -139,20 +124,3 @@ class Profiler:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Profiler(stages={self.stages!r}, counters={self.counters!r})"
-
-
-@contextmanager
-def timed(profiler: Optional[Profiler], stage: str) -> Iterator[None]:
-    """Convenience timer for cold paths: ``with timed(profiler, "io"): ...``.
-
-    Accepts ``None`` so call sites can make profiling optional without
-    branching.
-    """
-    if profiler is None:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        profiler.add(stage, time.perf_counter() - start)

@@ -1,7 +1,7 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: named gauges and histograms.
 
 One :class:`MetricsRegistry` per :class:`~repro.obs.Observability`
-context absorbs the ad-hoc counters scattered across the codebase
+context puts the plain counters components already keep
 (``Network.rpcs_sent``/``rpcs_failed``, engine event counts, router
 retries, orchestrator publish/move counts) behind a single named
 namespace, without touching the hot paths that maintain them:
@@ -11,40 +11,22 @@ namespace, without touching the hot paths that maintain them:
 * when observability is enabled, the wiring layer registers *callback
   gauges* that read those attributes lazily at snapshot time.
 
-Counters and histograms are for code that is only reached when
-observability is on (instrumentation blocks guarded by
-``tracer.enabled``), so none of these classes need a disabled fast path
-of their own.
+Histograms are fed only from code reached when observability is on
+(instrumentation blocks guarded by ``tracer.enabled``), so they need no
+disabled fast path of their own.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Gauge", "Histogram", "MetricsRegistry"]
 
-#: Default histogram bucket upper bounds (unit chosen by the caller —
-#: the built-in RPC latency histogram feeds milliseconds).
-DEFAULT_BOUNDS: Tuple[float, ...] = (
+#: Histogram bucket upper bounds (unit chosen by the caller — the RPC
+#: latency histogram feeds milliseconds).
+HISTOGRAM_BOUNDS: Tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
-
-
-class Counter:
-    """A monotonically increasing named count."""
-
-    __slots__ = ("name", "value")
-    kind = "counter"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def snapshot(self) -> int:
-        return self.value
 
 
 class Gauge:
@@ -61,10 +43,6 @@ class Gauge:
         self.name = name
         self.fn = fn
 
-    @property
-    def value(self) -> float:
-        return self.fn()
-
     def snapshot(self) -> float:
         return self.fn()
 
@@ -72,21 +50,17 @@ class Gauge:
 class Histogram:
     """Fixed-bound bucketed distribution (upper-bound buckets + overflow)."""
 
-    __slots__ = ("name", "bounds", "counts", "total", "sum")
+    __slots__ = ("name", "counts", "total", "sum")
     kind = "histogram"
 
-    def __init__(self, name: str,
-                 bounds: Sequence[float] = DEFAULT_BOUNDS) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
+        self.counts: List[int] = [0] * (len(HISTOGRAM_BOUNDS) + 1)
         self.total = 0
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
+        self.counts[bisect.bisect_left(HISTOGRAM_BOUNDS, value)] += 1
         self.total += 1
         self.sum += value
 
@@ -94,23 +68,10 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the bucket holding
-        the q-th observation (the last finite bound for overflow)."""
-        if not self.total:
-            return 0.0
-        rank = q * self.total
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                return self.bounds[min(index, len(self.bounds) - 1)]
-        return self.bounds[-1]
-
     def snapshot(self) -> Dict[str, Any]:
         return {"total": self.total, "sum": self.sum, "mean": self.mean,
                 "buckets": {repr(bound): count for bound, count
-                            in zip(self.bounds, self.counts)},
+                            in zip(HISTOGRAM_BOUNDS, self.counts)},
                 "overflow": self.counts[-1]}
 
 
@@ -129,13 +90,6 @@ class MetricsRegistry:
                              f"{existing.kind}, not {kind}")
         return existing
 
-    def counter(self, name: str) -> Counter:
-        existing = self._slot(name, "counter")
-        if existing is None:
-            existing = Counter(name)
-            self._metrics[name] = existing
-        return existing
-
     def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
         existing = self._slot(name, "gauge")
         if existing is None:
@@ -145,19 +99,12 @@ class MetricsRegistry:
             existing.fn = fn  # latest registration wins (e.g. failover)
         return existing
 
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BOUNDS) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         existing = self._slot(name, "histogram")
         if existing is None:
-            existing = Histogram(name, bounds)
+            existing = Histogram(name)
             self._metrics[name] = existing
         return existing
-
-    def get(self, name: str) -> Optional[Any]:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-friendly {name: value} across every registered metric."""

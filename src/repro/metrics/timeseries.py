@@ -85,9 +85,6 @@ class TimeSeries:
             raise ValueError(f"{self.name or 'series'} is empty")
         return sum(self.values) / len(self.values)
 
-    def percentile(self, pct: float) -> float:
-        return percentile(self.values, pct)
-
 
 def percentile(values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile (pct in [0, 100])."""
@@ -122,9 +119,6 @@ class RateWindow:
         self._bucket_index: Optional[int] = None
         self._bucket_ok = 0
         self._bucket_failed = 0
-
-    def _bucket(self, time: float) -> int:
-        return int(time // self.width)
 
     def record(self, time: float, ok: bool, count: int = 1) -> None:
         bucket = int(time // self.width)

@@ -5,8 +5,8 @@ shares:
 
 * a :class:`~repro.obs.tracer.Tracer` writing sim-time spans/instants
   into a bounded ring-buffer :class:`~repro.obs.tracer.Journal`;
-* a :class:`~repro.obs.metrics.MetricsRegistry` of named
-  counters/gauges/histograms;
+* a :class:`~repro.metrics.MetricsRegistry` of named gauges and
+  histograms;
 * the exporters (:mod:`~repro.obs.trace_export`) and the
   :class:`~repro.obs.checker.TraceChecker` that replays the journal
   against cross-layer invariants.
@@ -39,19 +39,24 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from ..metrics.registry import MetricsRegistry
 from . import trace_export
 from .checker import REQUIRED_PHASES, TraceChecker, Violation
 from .coverage import coverage_keys, coverage_summary, violation_invariants
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import NO_TRACER, Journal, NullTracer, TraceRecord, Tracer
 
 __all__ = [
-    "Observability", "NO_OBS", "get_default", "set_default", "use",
+    "Observability", "NO_OBS", "ENGINE_SAMPLE", "get_default", "use",
     "Tracer", "NullTracer", "NO_TRACER", "Journal", "TraceRecord",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "TraceChecker", "Violation", "REQUIRED_PHASES", "trace_export",
     "coverage_keys", "coverage_summary", "violation_invariants",
 ]
+
+
+#: Every ``ENGINE_SAMPLE``-th engine dispatch gets an instant plus a
+#: queue-depth counter sample, which keeps engine tracks readable and the
+#: journal bounded at figure scale.
+ENGINE_SAMPLE = 64
 
 
 class Observability:
@@ -59,12 +64,7 @@ class Observability:
 
     enabled = True
 
-    def __init__(self, capacity: int = 1 << 20,
-                 engine_sample: int = 64) -> None:
-        #: Every ``engine_sample``-th engine dispatch gets an instant +
-        #: queue-depth counter sample (1 = every event; engine tracks stay
-        #: readable and the journal bounded at figure scale).
-        self.engine_sample = max(1, engine_sample)
+    def __init__(self, capacity: int = 1 << 20) -> None:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(Journal(capacity))
         self.tracer.registry = self.metrics
@@ -85,7 +85,6 @@ class _DisabledObservability(Observability):
     enabled = False
 
     def __init__(self) -> None:
-        self.engine_sample = 0
         self.metrics = MetricsRegistry()
         self.tracer = NO_TRACER
 
@@ -100,11 +99,6 @@ _default: Observability = NO_OBS
 def get_default() -> Observability:
     """The ambient observability context (:data:`NO_OBS` unless set)."""
     return _default
-
-
-def set_default(obs: Optional[Observability]) -> None:
-    global _default
-    _default = obs if obs is not None else NO_OBS
 
 
 @contextmanager

@@ -81,12 +81,6 @@ class TraceChecker:
         violations.extend(self.check_scatter())
         return violations
 
-    def coverage(self) -> "frozenset[str]":
-        """Run the full check and fold the verdict into the journal's
-        coverage fingerprint (``violation:<invariant>`` keys included)."""
-        from .coverage import coverage_keys
-        return coverage_keys(self.journal, self.check())
-
     def assert_clean(self) -> None:
         violations = self.check()
         if violations:

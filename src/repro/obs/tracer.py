@@ -114,10 +114,6 @@ class Journal:
     def records(self) -> List[TraceRecord]:
         return list(self._records)
 
-    def clear(self) -> None:
-        self._records.clear()
-        self.appended = 0
-
     def tracks(self) -> List[str]:
         """Sorted distinct track names present in the journal."""
         return sorted({record.track for record in self._records})
@@ -148,12 +144,6 @@ class Journal:
                 hasher.update(b"\n")
         return hasher.hexdigest()
 
-    def coverage_keys(self, violations=()):
-        """The behavioural coverage fingerprint of this journal (see
-        :func:`repro.obs.coverage.coverage_keys`)."""
-        from .coverage import coverage_keys
-        return coverage_keys(self, violations)
-
 
 class Tracer:
     """Records spans / instants / counters into a :class:`Journal`.
@@ -162,7 +152,7 @@ class Tracer:
     tracer; the clock is bound to a simulation engine with
     :meth:`bind_clock` (records made before binding stamp ``t=0.0``).
     ``registry`` points at the owning
-    :class:`~repro.obs.metrics.MetricsRegistry` so instrumented components
+    :class:`~repro.metrics.MetricsRegistry` so instrumented components
     holding only the tracer can also register gauges.
     """
 
@@ -178,10 +168,6 @@ class Tracer:
     def bind_clock(self, engine) -> None:
         """Stamp subsequent records with ``engine.now``."""
         self._engine = engine
-
-    def now(self) -> float:
-        engine = self._engine
-        return engine.now if engine is not None else 0.0
 
     # -- recording -----------------------------------------------------------
 

@@ -141,9 +141,6 @@ class Learner:
             return value
         return None
 
-    def highest_chosen_slot(self) -> int:
-        return max(self.chosen) if self.chosen else -1
-
 
 # Transport: (acceptor_id, method, payload) -> response or None (loss).
 Transport = Callable[[str, str, Any], Any]

@@ -27,8 +27,9 @@ monotonically increasing sequence number from one shared counter when it
 is scheduled, and the run loop always executes the globally smallest
 ``(time, seq)`` pair next.  Two runs with the same seed therefore produce
 identical event orders, and the immediate deque and the guard buckets are
-purely optimisations: they never reorder callbacks that have an effect
-relative to the heap-only engine (see DESIGN.md, "Determinism contract").
+purely optimisations: callbacks that have an effect run in the order an
+engine pushing every event through the heap would run them (see
+DESIGN.md, "Determinism contract").
 
 Heap entries are ``(time, seq, event)`` tuples so ordering is resolved by
 C-level float/int comparison; ``seq`` is unique, so the event objects
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 _NO_ARG = object()  # sentinel: "callback takes no argument"
 
@@ -444,13 +445,9 @@ class Process:
 
 
 def every(engine: Engine, interval: float, callback: Callable[[], None],
-          start_after: Optional[float] = None,
-          jitter: float = 0.0,
-          rng: Optional[Any] = None) -> Callable[[], None]:
+          start_after: Optional[float] = None) -> Callable[[], None]:
     """Run ``callback`` every ``interval`` seconds until the returned
-    stopper is invoked.  ``jitter`` adds ±jitter uniform noise per tick
-    (requires ``rng`` with a ``uniform`` method).
-    """
+    stopper is invoked."""
     if interval <= 0:
         raise SimulationError(f"interval must be positive, got {interval!r}")
     stopped = False
@@ -459,13 +456,7 @@ def every(engine: Engine, interval: float, callback: Callable[[], None],
         if stopped:
             return
         callback()
-        _schedule()
-
-    def _schedule() -> None:
-        delay = interval
-        if jitter and rng is not None:
-            delay = max(0.0, interval + rng.uniform(-jitter, jitter))
-        engine.call_after(delay, _tick)
+        engine.call_after(interval, _tick)
 
     first = interval if start_after is None else start_after
     engine.call_after(first, _tick)
@@ -475,12 +466,3 @@ def every(engine: Engine, interval: float, callback: Callable[[], None],
         stopped = True
 
     return _stop
-
-
-def drain(engine: Engine, signals: Iterable[Signal]) -> Generator[Any, Any, list[Any]]:
-    """Process helper: wait for every signal once, returning their values."""
-    values = []
-    for signal in signals:
-        value = yield Wait(signal)
-        values.append(value)
-    return values

@@ -135,6 +135,11 @@ class EpochDriver:
         self._handle: Optional[EventHandle] = None
         self._started = False
 
+    @property
+    def started(self) -> bool:
+        """True once :meth:`start` has been called."""
+        return self._started
+
     def add(self, process: FluidProcess) -> None:
         self.processes.append(process)
 

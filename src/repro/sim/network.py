@@ -40,6 +40,9 @@ DEFAULT_REGION_LATENCY: Dict[Tuple[str, str], float] = {
 
 DEFAULT_INTRA_REGION_LATENCY = 0.001
 
+#: Caller-side timeout of an RPC sent without an explicit ``timeout``.
+DEFAULT_RPC_TIMEOUT = 1.0
+
 
 class NetworkError(RuntimeError):
     """Raised for misconfigured network operations."""
@@ -53,11 +56,6 @@ class RpcResult:
     value: Any = None
     error: str = ""
     latency: float = 0.0
-
-    def unwrap(self) -> Any:
-        if not self.ok:
-            raise NetworkError(f"rpc failed: {self.error}")
-        return self.value
 
 
 def wait_rpc(call: RpcCall):
@@ -160,9 +158,7 @@ class LatencyModel:
 
     def __init__(self,
                  region_latency: Optional[Dict[Tuple[str, str], float]] = None,
-                 intra_region: float = DEFAULT_INTRA_REGION_LATENCY,
                  jitter_fraction: float = 0.1) -> None:
-        self.intra_region = intra_region
         self.jitter_fraction = jitter_fraction
         self._matrix: Dict[Tuple[str, str], float] = {}
         self._configured: set[Tuple[str, str]] = set()
@@ -172,7 +168,8 @@ class LatencyModel:
             self._configured.add((a, b))
             self._configured.add((b, a))
         for region in {r for pair in self._configured for r in pair}:
-            self._matrix.setdefault((region, region), intra_region)
+            self._matrix.setdefault((region, region),
+                                    DEFAULT_INTRA_REGION_LATENCY)
 
     def base_latency(self, src_region: str, dst_region: str) -> float:
         latency = self._matrix.get((src_region, dst_region))
@@ -181,8 +178,9 @@ class LatencyModel:
         if src_region == dst_region:
             # Regions absent from the matrix still have an intra latency;
             # cache the pair so repeat lookups hit the dict.
-            self._matrix[(src_region, dst_region)] = self.intra_region
-            return self.intra_region
+            self._matrix[(src_region, dst_region)] = (
+                DEFAULT_INTRA_REGION_LATENCY)
+            return DEFAULT_INTRA_REGION_LATENCY
         raise NetworkError(
             f"no latency configured between {src_region!r} and {dst_region!r}"
         )
@@ -291,9 +289,9 @@ class RpcCall:
         # Re-check liveness at delivery time: the destination may have
         # crashed (or a partition formed) while the request was in flight.
         if not dst.up or net._partitioned(self.src.region, dst.region):
-            # Note: remaining time is computed from the sampled request
-            # latency (not now - start) to keep float arithmetic — and so
-            # the event trace — bit-identical to the pre-fast-path engine.
+            # Timeout minus the *sampled* request latency, not minus
+            # ``now - start``: the two differ in the last float bit and
+            # the pinned journal digests record this form.
             remaining = self.timeout - self.req_latency
             net.engine.call_after(max(0.0, remaining), self.fail, "timeout")
             return
@@ -355,13 +353,11 @@ class Network:
     def __init__(self, engine: Engine,
                  latency: Optional[LatencyModel] = None,
                  rng: Optional[random.Random] = None,
-                 default_timeout: float = 1.0,
                  loss_probability: float = 0.0,
                  tracer=NO_TRACER) -> None:
         self.engine = engine
         self.latency = latency or LatencyModel()
         self.rng = rng or random.Random(0)
-        self.default_timeout = default_timeout
         self.loss_probability = loss_probability
         self.tracer = tracer
         #: Optional repro.obs Histogram fed with settled-RPC latency (ms);
@@ -461,7 +457,7 @@ class Network:
         """
         engine = self.engine
         if timeout is None:
-            timeout = self.default_timeout
+            timeout = DEFAULT_RPC_TIMEOUT
         self.rpcs_sent += 1
 
         endpoints = self._endpoints

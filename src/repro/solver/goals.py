@@ -650,11 +650,6 @@ class SpreadGoal(Goal):
         key = (self.problem.shard_of[replica], self.domain_of_server[server])
         return self._counts.get(key, 0) > 1
 
-    def domain_count(self, replica: int, server: int) -> int:
-        self._sync()
-        return self._counts.get(
-            (self.problem.shard_of[replica], self.domain_of_server[server]), 0)
-
     def contributes(self, replica: int) -> bool:
         return self.crowded(replica)
 

@@ -46,7 +46,7 @@ proportional to what the search touches, never to the fleet):
 * **per move, evaluation** costs, for each candidate replica and goal,
   one batched ``move_deltas`` call: the source server's half of a
   threshold goal's delta once, the destination half for each of the
-  <= ``candidate_samples`` sampled targets.
+  <= ``CANDIDATE_SAMPLES`` sampled targets.
 
 Tie rule: replicas of equal size are tried in the iteration order of the
 server's ``replicas_on`` set (``sorted(reverse=True)`` is stable).  That
@@ -81,13 +81,16 @@ from .goals import AffinityGoal, CapacityGoal, Goal, SpreadGoal
 from .problem import PlacementProblem
 
 
+#: Move targets evaluated per candidate replica.
+CANDIDATE_SAMPLES = 24
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and optimization knobs for one solve."""
 
     time_budget: float = 60.0          # wall-clock seconds
     move_budget: int = 1_000_000
-    candidate_samples: int = 24        # move targets evaluated per replica
     max_replicas_per_server: int = 8   # replicas tried per hot server per round
     grouped_sampling: bool = True
     large_first: bool = True
@@ -447,7 +450,7 @@ class LocalSearch:
         config = self.config
         rng = self.rng
         if not config.grouped_sampling:
-            count = min(config.candidate_samples, len(self._all_servers))
+            count = min(CANDIDATE_SAMPLES, len(self._all_servers))
             return rng.sample(self._all_servers, count)
         targets: List[int] = []
         # Domain knowledge 1: replicas with a region preference get targets
@@ -456,13 +459,13 @@ class LocalSearch:
             pref = self._affinity.preferred_region_of(replica)
             if pref != -1 and pref < len(self._groups) and self._groups[pref]:
                 group = self._groups[pref]
-                take = min(max(2, config.candidate_samples // 3), len(group))
+                take = min(max(2, CANDIDATE_SAMPLES // 3), len(group))
                 targets.extend(rng.sample(group, take))
         # Grouped sampling: an even number of candidates from every region
         # group ("sampling across groups has a better chance of finding a
         # suitable move target for goals such as region preference and
         # spread of replicas", §5.3).
-        remaining = config.candidate_samples - len(targets)
+        remaining = CANDIDATE_SAMPLES - len(targets)
         nonempty_groups = self._nonempty_groups
         if remaining > 0 and nonempty_groups:
             per_group = max(1, remaining // len(nonempty_groups))

@@ -31,42 +31,23 @@ SHARDING_SCHEME_BY_APP = {
     "consistent_hashing": 0.10,
     "custom": 0.01,
 }
-# Figure 4 — fractions by server count (drives per-scheme size scaling).
-SHARDING_SCHEME_BY_SERVER = {
-    "sm": 0.34,
-    "static": 0.30,
-    "consistent_hashing": 0.09,
-    "custom": 0.27,
-}
 
 # Figure 5 — SM applications: deployment mode by application count.
 GEO_DISTRIBUTED_BY_APP = 0.67
-GEO_DISTRIBUTED_BY_SERVER = 0.42
 
-# Figure 6 — replication strategy by application count / server count.
+# Figure 6 — replication strategy by application count.
 REPLICATION_BY_APP = {
     ReplicationStrategy.PRIMARY_ONLY: 0.68,
     ReplicationStrategy.PRIMARY_SECONDARY: 0.24,
     ReplicationStrategy.SECONDARY_ONLY: 0.08,
 }
-REPLICATION_BY_SERVER = {
-    ReplicationStrategy.PRIMARY_ONLY: 0.25,
-    ReplicationStrategy.PRIMARY_SECONDARY: 0.41,
-    ReplicationStrategy.SECONDARY_ONLY: 0.34,
-}
 
-# Figure 7 — load-balancing policy by application count / server count.
+# Figure 7 — load-balancing policy by application count.
 LB_POLICY_BY_APP = {
     LoadBalancePolicy.SHARD_COUNT: 0.55,
     LoadBalancePolicy.SINGLE_SYNTHETIC: 0.10,
     LoadBalancePolicy.SINGLE_RESOURCE: 0.10,
     LoadBalancePolicy.MULTI_METRIC: 0.25,
-}
-LB_POLICY_BY_SERVER = {
-    LoadBalancePolicy.SHARD_COUNT: 0.19,
-    LoadBalancePolicy.SINGLE_SYNTHETIC: 0.14,
-    LoadBalancePolicy.SINGLE_RESOURCE: 0.02,
-    LoadBalancePolicy.MULTI_METRIC: 0.65,
 }
 
 # Figure 8 — drain policies.
@@ -75,12 +56,10 @@ DRAIN_SECONDARIES_BY_APP = 0.22
 
 # Figure 9 — storage vs non-storage machines.
 STORAGE_BY_APP = 0.18
-STORAGE_BY_SERVER = 0.38
 
 # Figure 15 — application-scale extremes.
 MAX_SERVERS_PER_APP = 19_000
 MAX_SHARDS_PER_APP = 2_600_000
-LARGE_APP_FRACTION = 0.14  # deployments with >= 1000 servers
 
 
 @dataclass(frozen=True)
@@ -174,7 +153,7 @@ def generate_fleet(app_count: int = 500,
         shards = _shard_count(rng, servers)
         geo = rng.random() < GEO_DISTRIBUTED_BY_APP
         # Geo-distributed deployments skew smaller by server count
-        # (GEO_BY_SERVER 42% < GEO_BY_APP 67%): damp size for geo apps.
+        # (Figure 5: 42% of servers vs 67% of apps): damp size for geo apps.
         if geo and servers > 2000 and rng.random() < 0.5:
             servers = servers // 4
             shards = max(1, shards // 4)

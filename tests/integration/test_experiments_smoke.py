@@ -73,10 +73,7 @@ def test_fig19_smoke():
     result = fig19_geo_failover.run(shards=100, ec_shards=40,
                                     servers_per_region=6,
                                     request_rate=10.0)
-    steady = result.phase_latency(0.0, result.failure_time)
-    outage = result.phase_latency(result.failure_time + 30.0,
-                                  result.recovery_time)
-    assert outage > steady * 3
+    assert result.outage_latency() > result.steady_latency() * 3
     assert "Figure 19" in fig19_geo_failover.format_report(result)
 
 

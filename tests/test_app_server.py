@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.app.runtime import AppRuntime
-from repro.app.server import HostedState
+from repro.app.server import DROP_GRACE, HostedState
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine
 from repro.coordination.zookeeper import ZooKeeper
@@ -141,7 +141,7 @@ class TestLifecycleApis:
                 "role": "primary"})
         fx.rpc(old.address, "sm.drop_shard", {"shard_id": "shard0"})
         assert old.hosted("shard0") is not None  # still forwarding
-        fx.engine.run(until=fx.engine.now + old.drop_grace + 1.0)
+        fx.engine.run(until=fx.engine.now + DROP_GRACE + 1.0)
         assert old.hosted("shard0") is None
 
 

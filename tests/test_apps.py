@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.adevents import AdEventsApp, DataBus
-from repro.apps.kvstore import ExternalStore, KVStoreApp
+from repro.apps.kvstore import KVStoreApp
 from repro.apps.queue_service import QueueServiceApp
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 
@@ -26,23 +26,20 @@ class TestKVStore:
         assert handler("shard0", {"op": "get", "key": 5})["value"] == "v"
 
     def test_writes_go_through_to_external_store(self):
-        store = ExternalStore()
-        app = KVStoreApp(kv_spec(), store)
+        app = KVStoreApp(kv_spec())
         handler = app.handler_factory(FakeContainer())
         handler("shard0", {"op": "put", "key": 5, "value": "v"})
-        assert store.data[5] == "v"
+        assert app.external.data[5] == "v"
 
     def test_soft_state_rebuilds_from_external_store(self):
-        store = ExternalStore()
-        store.put(7, "persisted")
-        app = KVStoreApp(kv_spec(), store)
+        app = KVStoreApp(kv_spec())
+        app.external.put(7, "persisted")
         handler = app.handler_factory(FakeContainer("srv/1"))
         assert handler("shard0", {"op": "get", "key": 7})["value"] == "persisted"
         assert app.cache_rebuilds == 1
 
     def test_restart_drops_and_rebuilds_cache(self):
-        store = ExternalStore()
-        app = KVStoreApp(kv_spec(), store)
+        app = KVStoreApp(kv_spec())
         handler = app.handler_factory(FakeContainer("srv/1"))
         handler("shard0", {"op": "put", "key": 5, "value": "v"})
         app.drop_soft_state("srv/1")

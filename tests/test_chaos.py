@@ -84,6 +84,17 @@ class TestScenarioEngine:
         assert any(v["invariant"] == "fault-recovery"
                    for v in result.violations)
 
+    def test_truncated_journal_fails_the_run(self):
+        spec = small_spec([act(20.0, "crash_machine", 30.0,
+                               region="FRC", index=0)])
+        full = run_scenario(spec, arm="sm", seed=3)
+        assert full.ok and full.headline()["dropped"] == 0
+        clipped = run_scenario(spec, arm="sm", seed=3, capacity=64)
+        assert clipped.records == full.records
+        assert clipped.dropped == full.records - 64
+        assert clipped.headline()["dropped"] == clipped.dropped
+        assert not clipped.ok
+
     def test_unknown_arm_rejected(self):
         spec = small_spec([])
         with pytest.raises(KeyError):

@@ -1,5 +1,7 @@
-"""Command-line scripts reject bad arguments with a usage error (exit 2)."""
+"""Command-line scripts reject bad arguments with a usage error (exit 2)
+and fail ``--check-trace`` on a truncated journal (exit 1)."""
 
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -32,3 +34,32 @@ def test_run_experiments_has_no_baseline_flag(monkeypatch, capsys):
         script.main()
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --baseline" in capsys.readouterr().err
+
+
+def test_run_chaos_check_trace_fails_on_a_truncated_journal(monkeypatch,
+                                                            capsys):
+    script = load_script("run_chaos")
+    argv = ["run_chaos.py", "--scenario", "crash_single", "--arms", "sm",
+            "--no-repeat", "--serial", "--check-trace"]
+    monkeypatch.setattr("sys.argv", argv)
+    assert script.main() == 0
+    assert "0 failure(s)" in capsys.readouterr().out
+    monkeypatch.setattr("sys.argv", argv + ["--capacity", "64"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "FAIL crash_single" in out
+    assert "at --capacity 64" in out and "truncated trace" in out
+
+
+def test_run_experiments_check_trace_fails_on_a_truncated_journal(
+        monkeypatch, capsys, tmp_path):
+    script = load_script("run_experiments")
+    monkeypatch.setattr(script.runner, "run_traced", functools.partial(
+        script.runner.run_traced, capacity=64))
+    monkeypatch.setattr("sys.argv", [
+        "run_experiments.py", "--smoke", "--trace-figure", "fig17:sm",
+        "--trace", str(tmp_path / "trace.json"), "--check-trace"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "::error title=trace truncated::" in out
+    assert "at capacity 64" in out

@@ -22,7 +22,8 @@ from repro.core.allocator import (
     PromoteReplica,
     ServerRecord,
 )
-from repro.core.orchestrator import STATE_PATH, Orchestrator
+from repro.coordination.layout import state_path
+from repro.core.orchestrator import Orchestrator
 from repro.core.shard_map import AssignmentTable, ReplicaState, Role
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.discovery.service_discovery import ServiceDiscovery
@@ -317,7 +318,7 @@ def test_incremental_persist_state_matches_rebuild(replication,
     orchestrator.start()
     table = orchestrator.table
     addresses = sorted(make_servers())
-    path = STATE_PATH.format(app=spec.name)
+    path = state_path(spec.name)
     engine.run(until=1.0)
     assert zookeeper.get(path) == rebuilt_payload(table)
     publishes = orchestrator.publishes

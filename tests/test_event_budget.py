@@ -121,7 +121,9 @@ def test_scatter_is_one_tick_plus_k_reads():
     n = recorder.sent
     assert n > 10 and recorder.succeeded == n
     assert stack.executed() == {
-        "_ScatterWorkloadOp._tick": n + 1,
+        # the same arrival loop as a point-read stream; each tick starts
+        # a scatter instead of a read
+        "_WorkloadOp._tick": n + 1,
         # K legs, each a queued read minus its own arrival tick; the
         # merge runs inside the slowest leg's response delivery
         "RpcCall.deliver_request": fanout * n,

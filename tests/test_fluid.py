@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app.client import _MAX_RATE, _MIN_RATE, WorkloadRecorder, clamped_rate
-from repro.app.server import HostedState
+from repro.app.server import DROP_GRACE, HostedState
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
 from repro.obs import Observability, use
@@ -288,7 +288,7 @@ def test_fluid_client_follows_forwarding_chains():
     server._rpc_drop_shard({"shard_id": shard_id})
     # Simulate the map still pointing at the old owner after the grace
     # drop: the chain breaks and the flow goes unhealthy.
-    cluster.run(until=cluster.engine.now + server.drop_grace + 10.0)
+    cluster.run(until=cluster.engine.now + DROP_GRACE + 10.0)
     assert not fluid._flows[shard_id].healthy
 
 

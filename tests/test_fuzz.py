@@ -2,13 +2,14 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import ScenarioSpec, spec_fingerprint, validate_spec
 from repro.chaos.fuzz import (Corpus, CorpusEntry, FuzzConfig, FuzzEngine,
                               crossover, mutate, seed_specs, shrink)
-from repro.chaos.fuzz.engine import run_seed_for
+from repro.chaos.fuzz.engine import evaluate_spec, run_seed_for
 from repro.chaos.fuzz.mutators import (FUZZ_KINDS, normalize, random_spec,
                                        revert_span)
 from repro.obs.coverage import coverage_summary, violation_invariants
@@ -204,6 +205,16 @@ def test_fuzz_candidates_carry_coverage_and_violation_signal():
         assert entry.digest
         assert entry.behaviour_digest and entry.behaviour_digest != entry.digest
         assert entry.run_seed == run_seed_for(5, entry.fingerprint)
+
+
+def test_candidate_with_a_truncated_journal_is_an_error():
+    """Coverage keys and verdicts from a clipped ring must never reach
+    the corpus: the evaluation fails and says which capacity was used."""
+    spec = seed_specs(random.Random(0), extra_random=0)[0]
+    assert evaluate_spec(spec, "sm", seed=3)["records"] > 64
+    with pytest.raises(RuntimeError, match=r"dropped \d+ of \d+ records "
+                                           r"at capacity 64"):
+        evaluate_spec(spec, "sm", seed=3, capacity=64)
 
 
 # -- coverage helpers ---------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.engine import Engine, Wait
 from repro.sim.network import (
+    DEFAULT_INTRA_REGION_LATENCY,
     AsyncReply,
     LatencyModel,
     Network,
@@ -32,7 +33,8 @@ def _echo_server(network, address="server", region="FRC"):
 class TestLatencyModel:
     def test_intra_region_latency(self):
         model = LatencyModel(jitter_fraction=0.0)
-        assert model.base_latency("FRC", "FRC") == model.intra_region
+        assert (model.base_latency("FRC", "FRC")
+                == DEFAULT_INTRA_REGION_LATENCY)
 
     def test_symmetric_matrix(self):
         model = LatencyModel(jitter_fraction=0.0)

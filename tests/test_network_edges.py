@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.obs.metrics import Histogram
+from repro.metrics import Histogram
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine, Wait
 from repro.sim.network import AsyncReply, Network, wait_rpc

@@ -19,9 +19,9 @@ import pytest
 from repro.core.orchestrator import OrchestratorConfig
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
+from repro.metrics import MetricsRegistry
 from repro.obs import NO_OBS, NO_TRACER, Observability, get_default, use
 from repro.obs.checker import TraceChecker, Violation
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Journal, Tracer
 from repro.obs.trace_export import (
     chrome_trace_events,
@@ -133,25 +133,22 @@ class TestJournal:
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
+    def test_gauge_and_histogram(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c")
-        counter.inc()
-        counter.inc(4)
         value = 7
         registry.gauge("g", lambda: value)
         hist = registry.histogram("h")
         for sample in (0.3, 1.5, 1_000_000.0):
             hist.observe(sample)
         snap = registry.snapshot()
-        assert snap["c"] == 5
         assert snap["g"] == 7
         assert snap["h"]["total"] == 3
+        assert snap["h"]["overflow"] == 1  # past the last bucket bound
         assert hist.mean == pytest.approx((0.3 + 1.5 + 1_000_000.0) / 3)
 
     def test_kind_clash_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.histogram("x")
         with pytest.raises(ValueError):
             registry.gauge("x", lambda: 0)
 
@@ -162,14 +159,6 @@ class TestMetricsRegistry:
         registry.gauge("g", lambda: 1)
         registry.gauge("g", lambda: 2)
         assert registry.snapshot()["g"] == 2
-
-    def test_histogram_quantile(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", bounds=(1.0, 2.0, 4.0))
-        for sample in (0.5, 1.5, 1.5, 3.0):
-            hist.observe(sample)
-        assert hist.quantile(0.5) <= 2.0
-        assert hist.quantile(1.0) == 4.0
 
 
 # -- exporters ---------------------------------------------------------------
