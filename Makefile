@@ -1,10 +1,17 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-hashseeds bench figures fuzz-smoke profile trace-fig17
+.PHONY: test fences test-hashseeds bench figures fuzz-smoke profile trace-fig17
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# The source fences alone (a few seconds): one owner per shared decision,
+# one way to wait, no unused import, nothing outside the standard library
+# imported, no host clock under src/repro.
+fences:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
+		tests/test_single_owner.py tests/test_host_clock.py
 
 # Tier-1 under the three hash seeds of CI's `test` matrix: golden traces,
 # corpus digests and figure headlines must not depend on hash order.

@@ -1,6 +1,6 @@
 """Application-side pieces: SM library, servers, clients, runtime glue."""
 
-from .client import ApplicationClient, WorkloadRecorder, get_client
+from .client import ApplicationClient, WorkloadRecorder
 from .fluid import FluidClient, FluidServer
 from .interfaces import NotOwnerError, RequestHandler, ShardHost
 from .runtime import AppRuntime
@@ -11,7 +11,6 @@ from .server import ApplicationServer, HostedShard, HostedState
 __all__ = [
     "ApplicationClient",
     "WorkloadRecorder",
-    "get_client",
     "FluidClient",
     "FluidServer",
     "NotOwnerError",

@@ -1,4 +1,4 @@
-"""Application clients: ``get_client(app_name, key)`` and workload drivers.
+"""Application clients: :class:`ApplicationClient` and workload drivers.
 
 A client owns a network endpoint, a :class:`~repro.discovery.ServiceRouter`
 fed by service discovery, and helpers to run open-loop request streams
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
-from weakref import WeakKeyDictionary
+from typing import Any, Callable, Optional
 
 from ..discovery.router import RequestOutcome, ServiceRouter, _RequestOp
 from ..discovery.service_discovery import ServiceDiscovery
@@ -224,36 +223,3 @@ class ApplicationClient:
         return _WorkloadOp(self.engine, self.router.start_request, duration,
                            rate, key_fn, recorder, rng, payload, payload_fn,
                            prefer_primary)
-
-
-#: network -> {app_name -> next client index}: a monotonic per-app counter
-#: for default client addresses.  Keyed weakly per network so independent
-#: simulations never share numbering.
-_CLIENT_SEQUENCES: "WeakKeyDictionary[Network, Dict[str, int]]" = (
-    WeakKeyDictionary())
-
-
-def _next_client_index(network: Network, app_name: str) -> int:
-    sequences = _CLIENT_SEQUENCES.get(network)
-    if sequences is None:
-        sequences = {}
-        _CLIENT_SEQUENCES[network] = sequences
-    index = sequences.get(app_name, 0)
-    sequences[app_name] = index + 1
-    return index
-
-
-def get_client(engine: Engine, network: Network, discovery: ServiceDiscovery,
-               app_name: str, region: str, address: Optional[str] = None,
-               **router_options: Any) -> ApplicationClient:
-    """The paper's client entry point, bound to our simulated substrate.
-
-    Default addresses come from a monotonic per-app counter, so two
-    clients created back to back never collide and an address does not
-    depend on how much load has already run.
-    """
-    if address is None:
-        index = _next_client_index(network, app_name)
-        address = f"client/{app_name}/{region}/{index}"
-    return ApplicationClient(engine, network, discovery, app_name,
-                             address, region, **router_options)

@@ -40,19 +40,18 @@ handler side effects (a fluid epoch never invokes handlers).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..discovery.service_discovery import ServiceDiscovery
 from ..metrics.timeseries import TimeSeries
 from ..obs.tracer import NO_TRACER, Tracer
 from ..sim.engine import Engine
-from ..sim.fluid import (EpochDriver, jitter_mean_factor, jitter_p99_factor,
-                         mgk_utilization, mgk_wait)
+from ..sim.fluid import EpochDriver, mgk_utilization, mgk_wait
 from ..sim.network import Network
 from ..workloads.load import mean_rate
 from .client import WorkloadRecorder, clamped_rate
 from .runtime import AppRuntime
-from .server import HostedState
+from .server import Admission, admission
 
 __all__ = ["FluidClient", "FluidServer"]
 
@@ -289,9 +288,9 @@ class FluidClient:
         """The address that would actually serve, following §4.3 chains.
 
         ``None`` means the request the event path would send here fails:
-        no endpoint, endpoint down, no server, shard not hosted, or a
-        PREPARING replica reached directly (it only serves forwarded
-        traffic — exactly ``ApplicationServer._handle_app_request``).
+        no endpoint, endpoint down, no server, or a server whose
+        :func:`~repro.app.server.admission` rejects it (shard not hosted,
+        or a PREPARING replica reached directly).
         """
         if address is None or depth > _MAX_FORWARD_DEPTH:
             return None
@@ -304,15 +303,12 @@ class FluidClient:
         if server is None:
             return None
         hosted = server.hosted(shard_id)
-        if hosted is None:
-            return None
-        state = hosted.state
-        if state is HostedState.ACTIVE:
+        verdict = admission(hosted, forwarded=depth > 0)
+        if verdict is Admission.SERVE:
             return address
-        if state is HostedState.FORWARDING:
+        if verdict is Admission.FORWARD:
             return self._resolve(hosted.forward_to, shard_id, depth + 1)
-        # PREPARING: serves only requests forwarded from the old owner.
-        return address if depth > 0 else None
+        return None
 
     def _fingerprint(self, address: str) -> Tuple[int, bool]:
         network = self.network
@@ -467,9 +463,8 @@ class FluidClient:
         if not share_by_address:
             return None, None, 0.0
         latency = self.network.latency
-        jitter = latency.jitter_fraction
-        j_mean = jitter_mean_factor(jitter)
-        j_p99 = jitter_p99_factor(jitter)
+        j_mean = latency.jitter_mean_factor()
+        j_p99 = latency.jitter_p99_factor()
         servers = self._servers
         tracer = self.tracer
         healthy = self._healthy_share

@@ -8,8 +8,10 @@ An application server implements:
     prepare_add_shard(shardID, current_owner, role)
     prepare_drop_shard(shardID, new_owner, role)
 
-and application clients use ``get_client(app_name, key)`` and call plain
-RPC functions on the returned client.  ``repro.app.server`` provides a
+and application clients call plain RPC functions on a client object (the
+paper's ``get_client(app_name, key)``; here
+:class:`~repro.app.client.ApplicationClient`, built by
+``DeployedApp.client``).  ``repro.app.server`` provides a
 full implementation driven by the orchestrator; applications plug in a
 :class:`RequestHandler` for their business logic only — the intentionally
 tiny surface that made SM easy to adopt.

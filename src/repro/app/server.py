@@ -12,7 +12,7 @@ Application authors supply only a :class:`~repro.app.interfaces.RequestHandler`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
 
@@ -55,6 +55,25 @@ class HostedShard:
     forward_to: Optional[str] = None
     requests_served: int = 0
     requests_forwarded: int = 0
+
+
+Admission = Enum("Admission", "SERVE FORWARD REJECT")
+
+
+def admission(hosted: Optional[HostedShard], forwarded: bool) -> Admission:
+    """§4.3's rule for a request that reaches a server, stated once for
+    the per-request path and the fluid path: an ACTIVE replica serves; a
+    PREPARING one serves only forwarded traffic ("Pnew processes a
+    primary-related request only if the request is forwarded from Pold");
+    a FORWARDING one relays to ``forward_to``; a shard not hosted here is
+    rejected."""
+    if hosted is None:
+        return Admission.REJECT
+    if hosted.state is HostedState.ACTIVE:
+        return Admission.SERVE
+    if hosted.state is HostedState.PREPARING:
+        return Admission.SERVE if forwarded else Admission.REJECT
+    return Admission.FORWARD
 
 
 class ApplicationServer:
@@ -262,21 +281,19 @@ class ApplicationServer:
         # check, one slotted counter bump, then straight into the handler.
         shard_id = message["shard_id"]
         hosted = self._shards.get(shard_id)
+        if hosted is not None and hosted.state is HostedState.ACTIVE:
+            hosted.requests_served += 1
+            return self.handler(shard_id, message["payload"])
+        verdict = admission(hosted, message.get("forwarded", False))
+        if verdict is Admission.SERVE:
+            hosted.requests_served += 1
+            return self.handler(shard_id, message["payload"])
+        if verdict is Admission.FORWARD:
+            return self._forward(hosted, message)
         if hosted is None:
             raise NotOwnerError(f"{self.address} does not own {shard_id}")
-        state = hosted.state
-        if state is HostedState.ACTIVE:
-            hosted.requests_served += 1
-            return self.handler(shard_id, message["payload"])
-        if state is HostedState.PREPARING:
-            if not message.get("forwarded"):
-                # §4.3 step 1: "Pnew processes a primary-related request
-                # only if the request is forwarded from Pold."
-                raise NotOwnerError(
-                    f"{self.address} is preparing {shard_id}, not yet owner")
-            hosted.requests_served += 1
-            return self.handler(shard_id, message["payload"])
-        return self._forward(hosted, message)
+        raise NotOwnerError(
+            f"{self.address} is preparing {shard_id}, not yet owner")
 
     def _forward(self, hosted: HostedShard, message: Dict[str, Any]) -> AsyncReply:
         """§4.3 step 2: relay the request to the new owner, then relay the

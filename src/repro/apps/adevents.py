@@ -21,7 +21,7 @@ Two pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..cluster.container import Container
 from ..core.spec import AppSpec

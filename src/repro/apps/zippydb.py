@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..app.server import ApplicationServer
 from ..core.shard_map import Role, ShardMap
 from ..core.spec import AppSpec
 from ..discovery.service_discovery import ServiceDiscovery
 from ..replication.paxos import Accepted, Acceptor, Ballot, Promise
-from ..sim.engine import Engine, Wait
-from ..sim.network import AsyncReply, Network, RpcResult, wait_rpc
+from ..sim.engine import Engine
+from ..sim.network import AsyncReply, Network, RpcResult
 from ..cluster.container import Container
 
 
@@ -238,7 +238,7 @@ class ZippyDBApp:
         acks = 1 if local.ok else 0
         calls = self._broadcast(address, replicas, "zippydb.accept", payload)
         for call in calls:
-            result: RpcResult = yield from wait_rpc(call)
+            result: RpcResult = yield call
             if result.ok and isinstance(result.value, Accepted) and result.value.ok:
                 acks += 1
         if acks < quorum:
@@ -268,7 +268,7 @@ class ZippyDBApp:
         accepted_entries: List[Tuple[int, Ballot, Any]] = list(local_accepted)
         calls = self._broadcast(address, replicas, "zippydb.lead", payload)
         for call in calls:
-            result: RpcResult = yield from wait_rpc(call)
+            result: RpcResult = yield call
             if result.ok and result.value.get("ok"):
                 promises += 1
                 accepted_entries.extend(result.value.get("accepted", []))
@@ -292,7 +292,7 @@ class ZippyDBApp:
             calls = self._broadcast(address, replicas, "zippydb.accept",
                                     accept_payload)
             for call in calls:
-                result: RpcResult = yield from wait_rpc(call)
+                result: RpcResult = yield call
                 if (result.ok and isinstance(result.value, Accepted)
                         and result.value.ok):
                     acks += 1

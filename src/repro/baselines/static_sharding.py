@@ -9,7 +9,7 @@ accounting) as the baseline legacy scheme for comparisons and examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 @dataclass(frozen=True)

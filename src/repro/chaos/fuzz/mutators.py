@@ -25,7 +25,8 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Tuple
 
 from ...cluster.taskcontrol import MaintenanceImpact
-from ..scenario import ACTIONS, Expectations, FaultAction, ScenarioSpec
+from ..scenario import (ACTIONS, Expectations, FaultAction, ScenarioSpec,
+                        duration_of, param_of)
 
 __all__ = ["FUZZ_KINDS", "MUTATORS", "random_action", "random_spec",
            "seed_specs", "mutate", "crossover", "normalize",
@@ -158,7 +159,8 @@ def _p_crash_hot_shard(rng, spec):
     return {"key": rng.randrange(spec.shards * 16)}
 
 
-#: Per-kind self-revert duration ranges (0 range = instantaneous kinds).
+#: Per-kind self-revert duration ranges (a kind registered without a
+#: duration has none).
 _DURATION_RANGES: Dict[str, Tuple[float, float]] = {
     "crash_machine": (10.0, 90.0),
     "crash_rack": (20.0, 120.0),
@@ -168,9 +170,6 @@ _DURATION_RANGES: Dict[str, Tuple[float, float]] = {
     "partition_pair": (30.0, 120.0),
     "crash_burst": (60.0, 180.0),
     "maintenance": (60.0, 150.0),
-    "zk_expire": (0.0, 0.0),
-    "rolling_upgrade": (0.0, 0.0),
-    "orchestrator_failover": (0.0, 0.0),
 }
 
 
@@ -190,22 +189,14 @@ def random_action(rng: random.Random, spec: ScenarioSpec,
 
 # -- normalization ------------------------------------------------------------
 
-#: Fallback self-revert durations hard-coded by the executors (see
-#: scenario.py) — what ``action.duration == 0`` actually means at run
-#: time for each kind.
-_DEFAULT_REVERTS: Dict[str, float] = {
-    "crash_machine": 30.0,
-    "crash_rack": 60.0,
-    "crash_region": 120.0,
-    "crash_hot_shard": 45.0,
-    "isolate_region": 90.0,
-    "partition_pair": 90.0,
-}
-
 #: Seconds of head-room normalize keeps between an action's full revert
 #: and the scenario end (the run stops dead at ``duration``; a recovery
 #: scheduled exactly on the boundary may never execute).
 _FIT_MARGIN = 1.0
+
+#: Kinds whose revert takes a param's seconds on top of their duration
+#: (a burst's last repair, a maintenance window's advance notice).
+_EXTRA_SECONDS = {"crash_burst": "repair", "maintenance": "notice"}
 
 
 def revert_span(spec: ScenarioSpec, action: FaultAction) -> float:
@@ -221,22 +212,19 @@ def revert_span(spec: ScenarioSpec, action: FaultAction) -> float:
     """
     kind = action.kind
     if kind == "zk_expire":
-        return float(action.param("reconnect_after", 5.0))
-    if kind == "crash_burst":
-        return ((action.duration or 120.0)
-                + float(action.param("repair", 25.0)))
-    if kind == "maintenance":
-        return (float(action.param("notice", 60.0))
-                + (action.duration or 120.0))
+        return float(param_of(spec, action, "reconnect_after"))
     if kind == "rolling_upgrade":
-        concurrency = int(action.param(
-            "concurrency", max(1, spec.servers_per_region // 2)))
-        batches = math.ceil(spec.servers_per_region
-                            / max(1, concurrency))
-        return batches * float(action.param("restart_duration", 30.0))
-    if kind in _DEFAULT_REVERTS:
-        return action.duration or _DEFAULT_REVERTS[kind]
-    return 0.0
+        return (_upgrade_batches(spec, action)
+                * float(param_of(spec, action, "restart_duration")))
+    if kind in _EXTRA_SECONDS:
+        return duration_of(action) + float(
+            param_of(spec, action, _EXTRA_SECONDS[kind]))
+    return duration_of(action)
+
+
+def _upgrade_batches(spec: ScenarioSpec, action: FaultAction) -> int:
+    concurrency = int(param_of(spec, action, "concurrency"))
+    return math.ceil(spec.servers_per_region / max(1, concurrency))
 
 
 def _floor_grid(value: float) -> float:
@@ -273,27 +261,16 @@ def _fit_action(spec: ScenarioSpec, action: FaultAction,
         return _set_param(fitted, "reconnect_after",
                           max(1.0, _floor_grid(window)))
     if kind == "rolling_upgrade":
-        concurrency = int(fitted.param(
-            "concurrency", max(1, spec.servers_per_region // 2)))
-        batches = math.ceil(spec.servers_per_region
-                            / max(1, concurrency))
-        return _set_param(fitted, "restart_duration",
-                          max(1.0, _floor_grid(window / batches)))
-    if kind == "crash_burst":
-        repair = float(fitted.param("repair", 25.0))
-        if repair > window / 2.0:
-            repair = max(1.0, _floor_grid(window / 2.0))
-            fitted = _set_param(fitted, "repair", repair)
-        return replace(fitted,
-                       duration=max(1.0, _floor_grid(window - repair)))
-    if kind == "maintenance":
-        notice = float(fitted.param("notice", 60.0))
-        if notice > window / 2.0:
-            notice = max(1.0, _floor_grid(window / 2.0))
-            fitted = _set_param(fitted, "notice", notice)
-        return replace(fitted,
-                       duration=max(1.0, _floor_grid(window - notice)))
-    return replace(fitted, duration=max(1.0, _floor_grid(window)))
+        return _set_param(
+            fitted, "restart_duration",
+            max(1.0, _floor_grid(window / _upgrade_batches(spec, fitted))))
+    extra, name = 0.0, _EXTRA_SECONDS.get(kind)
+    if name is not None:
+        extra = float(param_of(spec, fitted, name))
+        if extra > window / 2.0:
+            extra = max(1.0, _floor_grid(window / 2.0))
+            fitted = _set_param(fitted, name, extra)
+    return replace(fitted, duration=max(1.0, _floor_grid(window - extra)))
 
 
 def normalize(spec: ScenarioSpec) -> ScenarioSpec:
@@ -479,9 +456,10 @@ def crossover(rng: random.Random, first: ScenarioSpec,
     and index params resolve against ``first``'s spec unchanged.
     """
     def resolvable(action: FaultAction) -> bool:
-        return all(action.param(p) is None or action.param(p)
-                   in first.regions
-                   for p in ACTIONS[action.kind].region_params)
+        return all(action.param(name) is None
+                   or action.param(name) in first.regions
+                   for name, param in ACTIONS[action.kind].params.items()
+                   if param.region)
 
     cut = _round(rng.uniform(0.0, first.duration))
     actions = [a for a in first.actions if a.at <= cut]

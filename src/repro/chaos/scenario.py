@@ -44,7 +44,8 @@ from ..sim.rng import substream
 from ..workloads.load import ZipfKeySampler
 
 __all__ = ["FaultAction", "Expectations", "ScenarioSpec", "ScenarioResult",
-           "ScenarioRun", "run_scenario", "ARMS", "ACTIONS"]
+           "ScenarioRun", "run_scenario", "ARMS", "ACTIONS", "Param",
+           "param_of", "duration_of"]
 
 #: Ablation arms every scenario runs under: SM's full machinery versus a
 #: baseline with neither graceful migration nor a TaskController.
@@ -69,11 +70,13 @@ class FaultAction:
     duration: float = 0.0
     params: Tuple[Tuple[str, Any], ...] = ()
 
-    def param(self, key: str, default: Any = None) -> Any:
+    def param(self, key: str) -> Any:
+        """What the spec wrote for ``key``, or ``None``; executors read
+        params through :func:`param_of`, which knows the default."""
         for name, value in self.params:
             if name == key:
                 return value
-        return default
+        return None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON form; ``params`` flattens back to a plain mapping."""
@@ -313,48 +316,107 @@ ActionFn = Callable[["ScenarioRun", FaultAction], None]
 ACTIONS: Dict[str, ActionFn] = {}
 
 
-def action(kind: str, region_params: Tuple[str, ...] = ()
-           ) -> Callable[[ActionFn], ActionFn]:
-    """Register the executor of action ``kind``.  ``region_params`` names
-    the params that hold a region; ``validate_spec`` resolves each against
-    ``spec.regions`` before the run goes looking for its target."""
-    def register(fn: ActionFn) -> ActionFn:
-        fn.region_params = region_params
-        ACTIONS[kind] = fn
+@dataclass(frozen=True)
+class Param:
+    """One param of an action kind: what a spec may write for it, and the
+    value the executor gets when the spec writes nothing — ``default``
+    itself or, where it depends on the scenario's shape, ``default(spec)``.
+    ``None`` means the executor treats "unset" as a case of its own."""
+
+    type: type                          # int, float (an int will do) or str
+    default: Any = None
+    minimum: Optional[float] = None     # inclusive lower bound
+    above: Optional[float] = None       # exclusive lower bound
+    choices: Tuple[str, ...] = ()
+    region: bool = False                # names one of the spec's regions
+
+    def problem(self, value: Any, spec: "ScenarioSpec") -> str:
+        """Why ``value`` cannot be scheduled; empty when it can."""
+        accepted = (int, float) if self.type is float else self.type
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            return f"must be {self.type.__name__}, got {value!r}"
+        allowed = spec.regions if self.region else self.choices
+        if allowed and value not in allowed:
+            return f"must be one of {sorted(allowed)}, got {value!r}"
+        # Written so that nan fails both.
+        if self.minimum is not None and not value >= self.minimum:
+            return f"must be >= {self.minimum}, got {value!r}"
+        if self.above is not None and not value > self.above:
+            return f"must be > {self.above}, got {value!r}"
+        return ""
+
+
+def action(kind: str, duration: float = 0.0, **params: Param
+           ) -> Callable[[Callable[..., None]], Callable[..., None]]:
+    """Register the executor of action ``kind`` with the one statement of
+    what its timeline entries may say: ``duration`` is how long the fault
+    lasts when an entry gives none, ``params`` the entry's params by name.
+    ``ACTIONS[kind](run, act)`` calls the executor with every param
+    resolved (:func:`param_of`) as a keyword; ``validate_spec`` and the
+    fuzzer's horizon fitting read the same table."""
+    def register(fn: Callable[..., None]) -> Callable[..., None]:
+        def execute(run: "ScenarioRun", act: FaultAction) -> None:
+            fn(run, act, **{name: param_of(run.spec, act, name)
+                            for name in params})
+        execute.duration = duration
+        execute.params = params
+        ACTIONS[kind] = execute
         return fn
     return register
 
 
-@action("crash_machine", region_params=("region",))
-def _crash_machine(run: "ScenarioRun", act: FaultAction) -> None:
-    region = act.param("region", run.spec.regions[0])
-    machine = run.machine_at(region, act.param("index", 0))
+def param_of(spec: "ScenarioSpec", act: FaultAction, name: str) -> Any:
+    """``act``'s param ``name``: what the spec wrote, else the default
+    its kind registered."""
+    value = act.param(name)
+    if value is None:
+        value = ACTIONS[act.kind].params[name].default
+        if callable(value):
+            value = value(spec)
+    return value
+
+
+def duration_of(act: FaultAction) -> float:
+    """How long ``act`` lasts: its own duration, else its kind's."""
+    return act.duration or ACTIONS[act.kind].duration
+
+
+def _seconds(default: float) -> Param:
+    return Param(float, default, minimum=0.0)
+
+
+_REGION = Param(str, lambda spec: spec.regions[0], region=True)
+_MACHINE_INDEX = Param(int, 0, minimum=0)
+
+
+@action("crash_machine", duration=30.0, region=_REGION, index=_MACHINE_INDEX)
+def _crash_machine(run: "ScenarioRun", act: FaultAction, region: str,
+                   index: int) -> None:
+    machine = run.machine_at(region, index)
     run.crash_machines(region, [machine.machine_id], "crash_machine",
-                       act.duration or 30.0)
+                       duration_of(act))
 
 
-@action("crash_rack", region_params=("region",))
-def _crash_rack(run: "ScenarioRun", act: FaultAction) -> None:
-    region = act.param("region", run.spec.regions[0])
-    anchor = run.machine_at(region, act.param("index", 0))
+@action("crash_rack", duration=60.0, region=_REGION, index=_MACHINE_INDEX)
+def _crash_rack(run: "ScenarioRun", act: FaultAction, region: str,
+                index: int) -> None:
+    anchor = run.machine_at(region, index)
     machine_ids = sorted({c.machine.machine_id
                           for c in run.app_containers(region)
                           if c.machine.rack == anchor.rack})
-    run.crash_machines(region, machine_ids, "crash_rack",
-                       act.duration or 60.0)
+    run.crash_machines(region, machine_ids, "crash_rack", duration_of(act))
 
 
-@action("crash_region", region_params=("region",))
-def _crash_region(run: "ScenarioRun", act: FaultAction) -> None:
-    region = act.param("region", run.spec.regions[0])
+@action("crash_region", duration=120.0, region=_REGION)
+def _crash_region(run: "ScenarioRun", act: FaultAction, region: str) -> None:
     machine_ids = sorted({c.machine.machine_id
                           for c in run.app_containers(region)})
     run.crash_machines(region, machine_ids, "crash_region",
-                       act.duration or 120.0)
+                       duration_of(act))
 
 
-@action("crash_hot_shard")
-def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
+@action("crash_hot_shard", duration=45.0, key=Param(int, 0))
+def _crash_hot_shard(run: "ScenarioRun", act: FaultAction, key: int) -> None:
     """Kill the machine hosting the hottest shard's primary, mid-run.
 
     Under a Zipf workload (``zipf_skew`` > 0) rank 0 maps to key 0, so
@@ -366,9 +428,8 @@ def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
     """
     from ..core.shard_map import ReplicaState, Role
 
-    hot_key = act.param("key", 0)
     shard_id = next((s.shard_id for s in run.app.spec.shards
-                     if hot_key in s.key_range), None)
+                     if key in s.key_range), None)
     address = None
     if shard_id is not None and run.app.orchestrator is not None:
         replicas = run.app.orchestrator.table.replicas_of(shard_id)
@@ -384,12 +445,13 @@ def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
     if machine is None:
         machine = run.machine_at(run.spec.regions[0], 0)
     run.crash_machines(machine.region, [machine.machine_id],
-                       "crash_hot_shard", act.duration or 45.0)
+                       "crash_hot_shard", duration_of(act))
 
 
-@action("isolate_region", region_params=("region",))
-def _isolate_region(run: "ScenarioRun", act: FaultAction) -> None:
-    region = act.param("region", run.spec.regions[-1])
+@action("isolate_region", duration=90.0,
+        region=Param(str, lambda spec: spec.regions[-1], region=True))
+def _isolate_region(run: "ScenarioRun", act: FaultAction,
+                    region: str) -> None:
     fault = run.new_fault("isolate_region", region)
     pairs = run.cluster.network.isolate_region(region)
     run.emit_fault(fault, "isolate_region", region)
@@ -398,32 +460,32 @@ def _isolate_region(run: "ScenarioRun", act: FaultAction) -> None:
         run.cluster.network.heal_region(region, pairs)
         run.emit_recover(fault, "isolate_region", region)
 
-    run.engine.call_after(act.duration or 90.0, heal)
+    run.engine.call_after(duration_of(act), heal)
 
 
-@action("partition_pair", region_params=("a", "b"))
-def _partition_pair(run: "ScenarioRun", act: FaultAction) -> None:
-    region_a = act.param("a", run.spec.regions[0])
-    region_b = act.param("b", run.spec.regions[1])
-    target = f"{region_a}|{region_b}"
+@action("partition_pair", duration=90.0, a=_REGION,
+        b=Param(str, lambda spec: spec.regions[1], region=True))
+def _partition_pair(run: "ScenarioRun", act: FaultAction, a: str,
+                    b: str) -> None:
+    target = f"{a}|{b}"
     fault = run.new_fault("partition", target)
-    run.cluster.network.partition(region_a, region_b)
+    run.cluster.network.partition(a, b)
     run.emit_fault(fault, "partition", target)
 
     def heal() -> None:
-        run.cluster.network.heal_partition(region_a, region_b)
+        run.cluster.network.heal_partition(a, b)
         run.emit_recover(fault, "partition", target)
 
-    run.engine.call_after(act.duration or 90.0, heal)
+    run.engine.call_after(duration_of(act), heal)
 
 
-@action("zk_expire", region_params=("region",))
-def _zk_expire(run: "ScenarioRun", act: FaultAction) -> None:
+@action("zk_expire", region=Param(str, region=True),
+        count=Param(int, minimum=0), reconnect_after=_seconds(5.0))
+def _zk_expire(run: "ScenarioRun", act: FaultAction, region: Optional[str],
+               count: Optional[int], reconnect_after: float) -> None:
     """Kill the ZooKeeper sessions of the targeted servers; they
     reconnect (new session + fresh ephemeral) after ``reconnect_after``.
     """
-    region = act.param("region")
-    count = act.param("count")
     servers = [run.app.runtime.servers[address]
                for address in run.app.runtime.running_addresses()]
     if region is not None:
@@ -444,16 +506,18 @@ def _zk_expire(run: "ScenarioRun", act: FaultAction) -> None:
                 server.reconnect_zk()
         run.emit_recover(fault, "zk_expire", target)
 
-    run.engine.call_after(act.param("reconnect_after", 5.0), reconnect)
+    run.engine.call_after(reconnect_after, reconnect)
 
 
-@action("maintenance", region_params=("region",))
-def _maintenance(run: "ScenarioRun", act: FaultAction) -> None:
-    region = act.param("region", run.spec.regions[0])
-    machine = run.machine_at(region, act.param("index", 0))
-    impact = MaintenanceImpact[act.param("impact", "RUNTIME_STATE_LOSS")]
-    notice = act.param("notice", 60.0)
-    window = act.duration or 120.0
+@action("maintenance", duration=120.0, region=_REGION, index=_MACHINE_INDEX,
+        impact=Param(str, "RUNTIME_STATE_LOSS",
+                     choices=tuple(i.name for i in MaintenanceImpact)),
+        notice=_seconds(60.0))
+def _maintenance(run: "ScenarioRun", act: FaultAction, region: str,
+                 index: int, impact: str, notice: float) -> None:
+    machine = run.machine_at(region, index)
+    impact = MaintenanceImpact[impact]
+    window = duration_of(act)
     start = run.engine.now + notice
     run.cluster.twines[region].schedule_maintenance(
         [machine.machine_id], start, start + window, impact)
@@ -462,31 +526,33 @@ def _maintenance(run: "ScenarioRun", act: FaultAction) -> None:
                       "end": start + window})
 
 
-@action("rolling_upgrade", region_params=("region",))
-def _rolling_upgrade(run: "ScenarioRun", act: FaultAction) -> None:
-    region = act.param("region", run.spec.regions[0])
-    concurrency = act.param("concurrency",
-                            max(1, run.spec.servers_per_region // 2))
-    restart = act.param("restart_duration", 30.0)
+@action("rolling_upgrade", region=_REGION,
+        concurrency=Param(
+            int, lambda spec: max(1, spec.servers_per_region // 2), minimum=1),
+        restart_duration=_seconds(30.0))
+def _rolling_upgrade(run: "ScenarioRun", act: FaultAction, region: str,
+                     concurrency: int, restart_duration: float) -> None:
     try:
         run.cluster.twines[region].start_rolling_upgrade(
             run.app.spec.name, max_concurrent=concurrency,
-            restart_duration=restart)
+            restart_duration=restart_duration)
     except RuntimeError:
         # No running containers (e.g. mid-outage): a legal no-op, but
         # leave an audit record so the journal explains the quiet.
         run.emit_planned("rolling_upgrade_skipped", region, {})
         return
     run.emit_planned("rolling_upgrade", region,
-                     {"concurrency": concurrency, "restart": restart})
+                     {"concurrency": concurrency,
+                      "restart": restart_duration})
 
 
-@action("crash_burst", region_params=("region",))
-def _crash_burst(run: "ScenarioRun", act: FaultAction) -> None:
+@action("crash_burst", duration=120.0, region=_REGION,
+        mtbf=Param(float, 60.0, above=0.0), repair=_seconds(25.0))
+def _crash_burst(run: "ScenarioRun", act: FaultAction, region: str,
+                 mtbf: float, repair: float) -> None:
     """A Poisson crash storm over one region's app machines, stopped
     mid-flight — the regression bed for the injector's stop()/overlap
     semantics (deferred crashes, completed in-flight repairs)."""
-    region = act.param("region", run.spec.regions[0])
     twine = run.cluster.twines[region]
     targets = sorted({c.machine.machine_id
                       for c in run.app_containers(region)})
@@ -494,15 +560,15 @@ def _crash_burst(run: "ScenarioRun", act: FaultAction) -> None:
         engine=run.engine,
         rng=substream(run.seed, "chaos", run.spec.name, "burst",
                       repr(act.at)),
-        mtbf=act.param("mtbf", 60.0),
-        repair_time=act.param("repair", 25.0),
+        mtbf=mtbf,
+        repair_time=repair,
         on_fail=lambda mid: twine.fail_machine(mid),
         on_repair=lambda mid: twine.repair_machine(mid),
         down_check=lambda mid: not twine.machine_up(mid),
         tracer=run.tracer,
     )
     injector.start(targets)
-    run.engine.call_after(act.duration or 120.0, injector.stop)
+    run.engine.call_after(duration_of(act), injector.stop)
 
 
 @action("orchestrator_failover")
@@ -521,32 +587,34 @@ def _orchestrator_failover(run: "ScenarioRun", act: FaultAction) -> None:
     run.emit_recover(fault, "orchestrator_failover", run.app.spec.name)
 
 
-@action("probe", region_params=("region",))
-def _probe(run: "ScenarioRun", act: FaultAction) -> None:
+@action("probe", region=_REGION, index=_MACHINE_INDEX,
+        check=Param(str, "ready_fraction",
+                    choices=("machine_down", "machine_up", "ready_fraction",
+                             "server_alive")),
+        min=Param(float, 0.9, minimum=0.0),
+        min_servers=Param(int, lambda spec: spec.servers_per_region,
+                          minimum=0))
+def _probe(run: "ScenarioRun", act: FaultAction, region: str, index: int,
+           check: str, min: float, min_servers: int) -> None:
     """Assert world state mid-scenario; failures become journal records
     that :meth:`TraceChecker.check_fault_recovery` turns into violations.
     """
-    check = act.param("check", "ready_fraction")
     ok = False
     detail = ""
     if check in ("machine_down", "machine_up"):
-        region = act.param("region", run.spec.regions[0])
-        machine = run.machine_at(region, act.param("index", 0))
+        machine = run.machine_at(region, index)
         up = run.cluster.twines[region].machine_up(machine.machine_id)
         ok = up if check == "machine_up" else not up
         detail = f"{machine.machine_id} up={up}"
     elif check == "ready_fraction":
-        minimum = act.param("min", 0.9)
         fraction = run.app.ready_fraction()
-        ok = fraction >= minimum
-        detail = f"ready={fraction:.3f} min={minimum}"
+        ok = fraction >= min
+        detail = f"ready={fraction:.3f} min={min}"
     elif check == "server_alive":
-        region = act.param("region", run.spec.regions[0])
         alive = [a for a, r in run.app.orchestrator.servers.items()
                  if r.alive and r.machine.region == region]
-        minimum = act.param("min_servers", run.spec.servers_per_region)
-        ok = len(alive) >= minimum
-        detail = f"alive={len(alive)} min={minimum}"
+        ok = len(alive) >= min_servers
+        detail = f"alive={len(alive)} min={min_servers}"
     else:
         detail = f"unknown check {check!r}"
     run.emit_probe(ok, check, detail)

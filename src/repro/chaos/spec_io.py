@@ -37,8 +37,10 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
 
     Checks (beyond the shape layer): positive harness dimensions,
     every action kind registered, action times inside ``[0, duration]``,
-    non-negative durations, and region-naming params resolvable against
-    the spec's region list.  Returns the spec for call chaining.
+    non-negative durations, and every param one its kind registered
+    (:func:`repro.chaos.scenario.action`), of that type and in that
+    range — a region-naming param resolvable against the spec's region
+    list.  Nothing is built or run.  Returns the spec for call chaining.
     """
     if spec.duration <= 0:
         raise SpecValidationError(
@@ -57,7 +59,6 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             f"{spec.name}: servers_per_region "
             f"({spec.servers_per_region}) exceeds machines_per_region "
             f"({spec.machines_per_region})")
-    regions = set(spec.regions)
     for action in spec.actions:
         if action.kind not in ACTIONS:
             raise SpecValidationError(
@@ -71,12 +72,17 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             raise SpecValidationError(
                 f"{spec.name}: action {action.kind!r} has negative "
                 f"duration {action.duration!r}")
-        for param in ACTIONS[action.kind].region_params:
-            value = action.param(param)
-            if value is not None and value not in regions:
+        known = ACTIONS[action.kind].params
+        for name, value in action.params:
+            if name not in known:
                 raise SpecValidationError(
-                    f"{spec.name}: action {action.kind!r} targets region "
-                    f"{value!r}, not one of {sorted(regions)}")
+                    f"{spec.name}: action {action.kind!r} has no param "
+                    f"{name!r}; known: {sorted(known)}")
+            problem = known[name].problem(value, spec)
+            if problem:
+                raise SpecValidationError(
+                    f"{spec.name}: action {action.kind!r} param {name!r} "
+                    f"{problem}")
     return spec
 
 

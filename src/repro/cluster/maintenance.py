@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..sim.engine import Engine, every
 from .taskcontrol import MaintenanceImpact

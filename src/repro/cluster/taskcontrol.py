@@ -15,7 +15,7 @@ controllers for baselines live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Protocol, Sequence
 

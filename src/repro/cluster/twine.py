@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..sim.engine import Engine
@@ -31,7 +31,7 @@ from .taskcontrol import (
     OpReason,
     TaskController,
 )
-from .topology import Machine, Topology
+from .topology import Machine
 
 
 #: Container lifecycle durations, seconds: a stop, a start, and the extra

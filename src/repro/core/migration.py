@@ -18,10 +18,10 @@ moves, replica creation and role changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from ..sim.engine import Delay, Engine, Wait
+from ..sim.engine import Engine
 from ..sim.network import Network, RpcResult
 from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState, Role
 
@@ -112,9 +112,9 @@ class MigrationExecutor:
         if self._hosts_sibling(shard_id, address):
             self.stats.failures += 1
             return False
-        call = self._rpc(address, "sm.add_shard",
-                         {"shard_id": shard_id, "role": role.value})
-        result: RpcResult = yield Wait(call.done)
+        result: RpcResult = yield self._rpc(
+            address, "sm.add_shard",
+            {"shard_id": shard_id, "role": role.value})
         if not result.ok:
             self.stats.failures += 1
             return False
@@ -125,9 +125,8 @@ class MigrationExecutor:
         return True
 
     def drop_replica(self, replica: ReplicaAssignment) -> Generator[Any, Any, bool]:
-        call = self._rpc(replica.address, "sm.drop_shard",
-                         {"shard_id": replica.shard_id})
-        result: RpcResult = yield Wait(call.done)
+        result: RpcResult = yield self._rpc(
+            replica.address, "sm.drop_shard", {"shard_id": replica.shard_id})
         # Drop from the table regardless: if the server is unreachable its
         # replica is gone anyway.
         self.table.drop(replica.replica_id)
@@ -139,11 +138,11 @@ class MigrationExecutor:
 
     def change_role(self, replica: ReplicaAssignment,
                     new_role: Role) -> Generator[Any, Any, bool]:
-        call = self._rpc(replica.address, "sm.change_role",
-                         {"shard_id": replica.shard_id,
-                          "current_role": replica.role.value,
-                          "new_role": new_role.value})
-        result: RpcResult = yield Wait(call.done)
+        result: RpcResult = yield self._rpc(
+            replica.address, "sm.change_role",
+            {"shard_id": replica.shard_id,
+             "current_role": replica.role.value,
+             "new_role": new_role.value})
         if not result.ok:
             self.stats.failures += 1
             return False
@@ -177,10 +176,10 @@ class MigrationExecutor:
         # Step 1: prepare the new primary.  It is tracked as a PREPARING
         # secondary until the official handover (the table allows only one
         # primary at a time).
-        call = self._rpc(target_address, "sm.prepare_add_shard",
-                         {"shard_id": shard_id, "current_owner": old.address,
-                          "role": Role.PRIMARY.value})
-        result: RpcResult = yield Wait(call.done)
+        result: RpcResult = yield self._rpc(
+            target_address, "sm.prepare_add_shard",
+            {"shard_id": shard_id, "current_owner": old.address,
+             "role": Role.PRIMARY.value})
         if not result.ok:
             self.stats.failures += 1
             self._trace_end(span, "graceful", "abort_prepare")
@@ -190,10 +189,10 @@ class MigrationExecutor:
         self._trace_phase(span, "prepare")
 
         # Step 2: the old primary starts forwarding.
-        call = self._rpc(old.address, "sm.prepare_drop_shard",
-                         {"shard_id": shard_id, "new_owner": target_address,
-                          "role": Role.PRIMARY.value})
-        result = yield Wait(call.done)
+        result = yield self._rpc(
+            old.address, "sm.prepare_drop_shard",
+            {"shard_id": shard_id, "new_owner": target_address,
+             "role": Role.PRIMARY.value})
         if not result.ok:
             # The old primary may have just died; abort and let failure
             # handling recreate the shard.  Remove the prepared target.
@@ -203,9 +202,9 @@ class MigrationExecutor:
         self._trace_phase(span, "forward")
 
         # Step 3: official handover.
-        call = self._rpc(target_address, "sm.add_shard",
-                         {"shard_id": shard_id, "role": Role.PRIMARY.value})
-        result = yield Wait(call.done)
+        result = yield self._rpc(
+            target_address, "sm.add_shard",
+            {"shard_id": shard_id, "role": Role.PRIMARY.value})
         if not result.ok:
             # Target died mid-migration: reinstate the old primary.
             yield from self._reinstate(old)
@@ -226,8 +225,7 @@ class MigrationExecutor:
 
         # Step 5: drop the old replica; the server keeps forwarding through
         # its grace period for stale in-flight traffic.
-        call = self._rpc(old.address, "sm.drop_shard", {"shard_id": shard_id})
-        yield Wait(call.done)
+        yield self._rpc(old.address, "sm.drop_shard", {"shard_id": shard_id})
         self.table.drop(old.replica_id)
         self._trace_phase(span, "drop_old")
         self.stats.graceful_migrations += 1
@@ -237,17 +235,15 @@ class MigrationExecutor:
 
     def _abort_prepared(self, prepared: ReplicaAssignment
                         ) -> Generator[Any, Any, None]:
-        call = self._rpc(prepared.address, "sm.drop_shard",
-                         {"shard_id": prepared.shard_id})
-        yield Wait(call.done)
+        yield self._rpc(prepared.address, "sm.drop_shard",
+                        {"shard_id": prepared.shard_id})
         self.table.drop(prepared.replica_id)
         self.stats.failures += 1
 
     def _reinstate(self, old: ReplicaAssignment) -> Generator[Any, Any, None]:
         """Cancel forwarding on the old primary after a failed handover."""
-        call = self._rpc(old.address, "sm.add_shard",
-                         {"shard_id": old.shard_id, "role": old.role.value})
-        yield Wait(call.done)
+        yield self._rpc(old.address, "sm.add_shard",
+                        {"shard_id": old.shard_id, "role": old.role.value})
         self.publish()
 
     def abrupt_primary_migration(self, old: ReplicaAssignment,
@@ -269,14 +265,13 @@ class MigrationExecutor:
         # placement doesn't race us into creating a second primary.
         new = self.table.add(shard_id, target_address, Role.SECONDARY,
                              state=ReplicaState.PENDING)
-        call = self._rpc(old.address, "sm.drop_shard", {"shard_id": shard_id})
-        yield Wait(call.done)
+        yield self._rpc(old.address, "sm.drop_shard", {"shard_id": shard_id})
         self.table.drop(old.replica_id)
         self.publish()
         self._trace_phase(span, "drop_old")
-        call = self._rpc(target_address, "sm.add_shard",
-                         {"shard_id": shard_id, "role": Role.PRIMARY.value})
-        result: RpcResult = yield Wait(call.done)
+        result: RpcResult = yield self._rpc(
+            target_address, "sm.add_shard",
+            {"shard_id": shard_id, "role": Role.PRIMARY.value})
         if not result.ok:
             self.table.drop(new.replica_id)
             self.stats.failures += 1
@@ -302,9 +297,9 @@ class MigrationExecutor:
             return False
         span = self._trace_begin("secondary", shard_id, replica.address,
                                  target_address)
-        call = self._rpc(target_address, "sm.add_shard",
-                         {"shard_id": shard_id, "role": Role.SECONDARY.value})
-        result: RpcResult = yield Wait(call.done)
+        result: RpcResult = yield self._rpc(
+            target_address, "sm.add_shard",
+            {"shard_id": shard_id, "role": Role.SECONDARY.value})
         if not result.ok:
             self.stats.failures += 1
             self._trace_end(span, "secondary", "abort_add")
@@ -313,9 +308,8 @@ class MigrationExecutor:
                        state=ReplicaState.READY)
         self.publish()
         self._trace_phase(span, "add_new")
-        call = self._rpc(replica.address, "sm.drop_shard",
-                         {"shard_id": shard_id})
-        yield Wait(call.done)
+        yield self._rpc(replica.address, "sm.drop_shard",
+                        {"shard_id": shard_id})
         self.table.drop(replica.replica_id)
         self.publish()
         self._trace_phase(span, "drop_old")

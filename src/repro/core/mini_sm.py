@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .orchestrator import Orchestrator
-from .spec import AppSpec, ShardSpec
+from .spec import AppSpec
 
 
 @dataclass

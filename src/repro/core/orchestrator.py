@@ -26,21 +26,10 @@ from ..coordination.zookeeper import WatchEvent, ZooKeeper
 from ..discovery.service_discovery import ServiceDiscovery
 from ..metrics.timeseries import Counter
 from ..obs import NO_TRACER, get_default
-from ..sim.engine import Delay, Engine, Process, Signal, Wait, every
+from ..sim.engine import Delay, Engine, Process, every
 from ..sim.network import Network
-from ..solver.local_search import (
-    OPTIMIZED,
-    UNJOURNALED_PROFILE_KEYS,
-    SearchConfig,
-)
-from .allocator import (
-    Allocator,
-    AllocationPlan,
-    CreateReplica,
-    MoveReplica,
-    PromoteReplica,
-    ServerRecord,
-)
+from ..solver.local_search import UNJOURNALED_PROFILE_KEYS, SearchConfig
+from .allocator import Allocator, AllocationPlan, MoveReplica, ServerRecord
 from .migration import MigrationExecutor
 from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState, Role
 from .spec import AppSpec

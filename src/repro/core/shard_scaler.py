@@ -15,8 +15,8 @@ exactly one replica by definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Generator, List, Optional
 
 from ..sim.engine import Engine, every
 from .orchestrator import Orchestrator

@@ -20,7 +20,7 @@ event starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set
 
@@ -28,9 +28,8 @@ from ..cluster.taskcontrol import (
     ContainerOp,
     MaintenanceImpact,
     MaintenanceNotice,
-    OpKind,
 )
-from ..sim.engine import Engine, Wait
+from ..sim.engine import Engine
 from .orchestrator import Orchestrator
 from .shard_map import Role
 
@@ -173,7 +172,7 @@ class SMTaskController:
             if state is not None:
                 state.phase = _DrainPhase.DONE
 
-        process.done_signal._add_waiter(mark_done)
+        process.on_done(mark_done)
 
     # -- cap accounting ------------------------------------------------------------------
 

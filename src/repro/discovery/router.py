@@ -20,7 +20,7 @@ or per-request processes.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from ..core.shard_map import AppKeyIndex, ShardMap, ShardMapDelta, ShardMapEntry

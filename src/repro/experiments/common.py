@@ -8,8 +8,7 @@ reports, building EXPERIMENTS.md's paper-vs-measured tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..metrics.timeseries import TimeSeries, format_table
 

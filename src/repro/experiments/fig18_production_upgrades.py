@@ -17,7 +17,7 @@ figure: client request rate, client error rate, and shard moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..app.client import WorkloadRecorder
 from ..apps.queue_service import QueueServiceApp

@@ -20,7 +20,7 @@ Timeline (scaled 1:1 with the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..app.client import WorkloadRecorder
 from ..core.orchestrator import OrchestratorConfig

@@ -17,7 +17,7 @@ from typing import List
 
 from ..metrics.profiler import Profiler
 from ..metrics.timeseries import TimeSeries, format_table
-from ..solver.local_search import OPTIMIZED, SearchConfig
+from ..solver.local_search import SearchConfig
 from ..workloads.snapshots import (
     PAPER_SCALES,
     SnapshotScale,

@@ -11,7 +11,7 @@ batching and swaps (``SearchConfig.without_optimizations()``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..metrics.profiler import Profiler
 from ..metrics.timeseries import TimeSeries

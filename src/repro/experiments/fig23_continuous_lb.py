@@ -16,7 +16,6 @@ for three scaled days, and sample the figure's three curves.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List
 

@@ -15,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..core.mini_sm import (
-    MiniSM,
-    PartitionRegistry,
-    plan_partition_footprints,
-)
-from ..workloads.fleet import SyntheticApp, generate_fleet, scale_scatter
+from ..core.mini_sm import PartitionRegistry, plan_partition_footprints
+from ..workloads.fleet import generate_fleet, scale_scatter
 
 
 @dataclass

@@ -9,9 +9,8 @@ TaskController).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .app.client import ApplicationClient
 from .app.runtime import AppRuntime

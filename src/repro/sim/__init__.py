@@ -5,16 +5,12 @@ from .engine import (
     Engine,
     EventHandle,
     Process,
-    Signal,
     SimulationError,
-    Wait,
     every,
 )
 from .failures import CrashInjector, FailureRecord
 from .fluid import (
     EpochDriver,
-    jitter_mean_factor,
-    jitter_p99_factor,
     mgk_utilization,
     mgk_wait,
 )
@@ -27,7 +23,6 @@ from .network import (
     NetworkError,
     RpcCall,
     RpcResult,
-    wait_rpc,
 )
 from .rng import make_rng, skewed_loads, substream, weighted_choice
 
@@ -36,15 +31,11 @@ __all__ = [
     "Engine",
     "EventHandle",
     "Process",
-    "Signal",
     "SimulationError",
-    "Wait",
     "every",
     "CrashInjector",
     "FailureRecord",
     "EpochDriver",
-    "jitter_mean_factor",
-    "jitter_p99_factor",
     "mgk_utilization",
     "mgk_wait",
     "DEFAULT_REGION_LATENCY",
@@ -55,7 +46,6 @@ __all__ = [
     "NetworkError",
     "RpcCall",
     "RpcResult",
-    "wait_rpc",
     "make_rng",
     "skewed_loads",
     "substream",

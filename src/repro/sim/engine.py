@@ -5,12 +5,11 @@ evaluation ran on Facebook's production fleet; we reproduce the control
 plane's behaviour on a simulated clock instead (see DESIGN.md,
 "Substitutions").
 
-The engine is a heap-scheduled event loop with a same-tick fast path:
+The engine is a heap-scheduled event loop:
 
-* :class:`Engine` owns the clock, the pending-event heap, and an
-  *immediate-event deque* for ``delay == 0.0`` work (signal wakes,
-  same-tick completions).  Immediate events skip both heap operations —
-  O(1) append / popleft instead of two O(log n) sifts.
+* :class:`Engine` owns the clock and the one pending-event heap.  A
+  ``delay == 0.0`` event (a wake-up, a same-tick completion) is pushed on
+  it with the ``(now, seq)`` any other event would get.
 * ``call_at`` / ``call_after`` schedule plain callbacks and return the
   scheduled event itself, an :class:`EventHandle`.  Both accept an
   optional ``arg`` so hot paths can schedule ``callback(arg)`` without
@@ -19,17 +18,18 @@ The engine is a heap-scheduled event loop with a same-tick fast path:
   a guarded event costs no heap operation unless its guard still holds
   shortly before its deadline.
 * :class:`Process` wraps a generator so sequential simulation code can be
-  written in direct style, yielding :class:`Delay`, :class:`Wait` (on a
-  :class:`Signal`), or another :class:`Process` to join.
+  written in direct style, yielding a :class:`Delay`, another
+  :class:`Process` to join, or an RPC in flight
+  (:class:`repro.sim.network.RpcCall`) — anything else with an
+  ``on_done`` method would do, but nothing else exists.
 
-Determinism: every event — heap, immediate or guarded — is stamped with a
-monotonically increasing sequence number from one shared counter when it
-is scheduled, and the run loop always executes the globally smallest
-``(time, seq)`` pair next.  Two runs with the same seed therefore produce
-identical event orders, and the immediate deque and the guard buckets are
-purely optimisations: callbacks that have an effect run in the order an
-engine pushing every event through the heap would run them (see
-DESIGN.md, "Determinism contract").
+Determinism: every event, guarded or not, is stamped with a monotonically
+increasing sequence number from one shared counter when it is scheduled,
+and the run loop always executes the globally smallest ``(time, seq)``
+pair next.  Two runs with the same seed therefore produce identical event
+orders, and the guard buckets are purely an optimisation: callbacks that
+have an effect run in the order an engine pushing every event through the
+heap at once would run them (see DESIGN.md, "Determinism contract").
 
 Heap entries are ``(time, seq, event)`` tuples so ordering is resolved by
 C-level float/int comparison; ``seq`` is unique, so the event objects
@@ -39,7 +39,6 @@ themselves are never compared.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
@@ -91,6 +90,18 @@ class EventHandle:
             engine._pending -= 1
 
 
+def _push_now(engine: "Engine", callback: Callable[..., None],
+              arg: Any) -> EventHandle:
+    """Push a zero-delay event.  A function, not a method, and called by
+    ``call_after`` and ``_schedule_immediate`` directly: a tool that wraps
+    the scheduling methods to count events then sees each event once."""
+    now = engine.now
+    event = EventHandle(now, next(engine._seq), callback, arg, engine)
+    engine._pending += 1
+    heappush(engine._heap, (now, event.seq, event))
+    return event
+
+
 class Engine:
     """Heap-based discrete-event scheduler with a simulated clock."""
 
@@ -98,13 +109,12 @@ class Engine:
         #: Current simulated time in seconds.  Written only by :meth:`run`.
         self.now = 0.0
         self._heap: list[tuple[float, int, EventHandle]] = []
-        self._immediate: deque[EventHandle] = deque()
         # flush time -> [(guard, event)]: guarded events not yet on the heap.
         self._parked: dict[float, list[tuple[Callable[[], Any],
                                              EventHandle]]] = {}
         # Latest deadline of a guarded event dropped unfired.  The no-op it
         # had become would still have advanced the clock of a run that
-        # drains the queues, so such a run ends no earlier than this.
+        # drains the queue, so such a run ends no earlier than this.
         self._dropped_until = 0.0
         self._seq = itertools.count()
         self._running = False
@@ -209,25 +219,18 @@ class Engine:
         """Schedule ``callback`` after ``delay`` seconds (``arg`` and
         ``guard`` as for :meth:`call_at`)."""
         if delay == 0.0:
-            event = EventHandle(self.now, next(self._seq), callback, arg,
-                                self)
-            self._immediate.append(event)
-            self._pending += 1
-            return event
+            return _push_now(self, callback, arg)
         if not delay > 0:  # also rejects nan
             raise SimulationError(f"delay must be >= 0, got {delay!r}")
         return self.call_at(self.now + delay, callback, arg, guard)
 
     def _schedule_immediate(self, callback: Callable[..., None],
                             arg: Any = _NO_ARG) -> None:
-        """Same-tick scheduling, the workhorse of :meth:`Signal.fire`:
-        one event allocation and a deque append per wake."""
-        self._immediate.append(
-            EventHandle(self.now, next(self._seq), callback, arg, self))
-        self._pending += 1
+        """Same-tick scheduling of a waiter's wake-up (``on_done``)."""
+        _push_now(self, callback, arg)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the queues drain, ``until`` is reached, or ``max_events``.
+        """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
         Returns the simulated time when the run stopped.  When ``until`` is
         given, the clock is advanced to exactly ``until`` even if the last
@@ -244,7 +247,6 @@ class Engine:
         self._running = True
         executed = 0
         heap = self._heap
-        immediate = self._immediate
         no_arg = _NO_ARG
         stop_after = float("inf") if until is None else until
         limit = float("inf") if max_events is None else max_events
@@ -254,43 +256,17 @@ class Engine:
         # cost is the one int compare below.
         next_sample = 0 if trace is not None else -1
         try:
-            while True:
-                if not immediate:
-                    # The common case: nothing queued for this tick, so
-                    # the heap head is next.  Popped first and put back on
-                    # the rare exit, which saves a peek per event.
-                    if not heap:
-                        break  # drained
-                    entry = heappop(heap)
-                    event = entry[2]
-                    callback = event.callback
-                    if callback is None:
-                        continue  # tombstones cost nothing beyond the pop
-                    if entry[0] > stop_after or executed >= limit:
-                        heappush(heap, entry)
-                        break
-                else:
-                    # Pick the globally smallest (time, seq): the deque is
-                    # FIFO with monotonically increasing seq, so only its
-                    # head competes with the heap head.
-                    event = immediate[0]
-                    from_heap = False
-                    if heap:
-                        head = heap[0]
-                        if head[0] < event.time or (head[0] == event.time
-                                                    and head[1] < event.seq):
-                            event = head[2]
-                            from_heap = True
-                    callback = event.callback
-                    if callback is not None and (event.time > stop_after
-                                                 or executed >= limit):
-                        break  # we only peeked; the event stays queued
-                    if from_heap:
-                        heappop(heap)
-                    else:
-                        immediate.popleft()
-                    if callback is None:
-                        continue
+            while heap:
+                # Popped first and put back on the rare exit, which saves
+                # a peek per event.
+                entry = heappop(heap)
+                event = entry[2]
+                callback = event.callback
+                if callback is None:
+                    continue  # tombstones cost nothing beyond the pop
+                if entry[0] > stop_after or executed >= limit:
+                    heappush(heap, entry)
+                    break
                 self.now = event.time
                 # Un-counted before the callback runs, so a callback
                 # cancelling its own handle is a no-op.
@@ -315,7 +291,7 @@ class Engine:
         if until is not None:
             if self.now < until:
                 self.now = until
-        elif not heap and not immediate and self.now < self._dropped_until:
+        elif not heap and self.now < self._dropped_until:
             self.now = self._dropped_until  # drained: see __init__
         return self.now
 
@@ -337,62 +313,20 @@ class Delay:
         self.seconds = seconds
 
 
-class Signal:
-    """A broadcast one-shot-per-fire synchronization point.
-
-    Processes yield ``Wait(signal)`` to suspend until the next ``fire``.
-    ``fire(value)`` wakes every waiter with ``value``.  A Signal can fire
-    many times; each fire wakes only the waiters registered at that moment.
-    """
-
-    __slots__ = ("_engine", "_waiters", "fire_count", "last_value")
-
-    def __init__(self, engine: Engine) -> None:
-        self._engine = engine
-        self._waiters: list[Callable[[Any], None]] = []
-        self.fire_count = 0
-        self.last_value: Any = None
-
-    def _add_waiter(self, callback: Callable[[Any], None]) -> None:
-        self._waiters.append(callback)
-
-    def fire(self, value: Any = None) -> None:
-        self.fire_count += 1
-        self.last_value = value
-        waiters = self._waiters
-        if not waiters:
-            return
-        self._waiters = []
-        # Wake on fresh immediate events so firing inside a process is
-        # safe; each wake is one deque append, no per-waiter closure.
-        schedule = self._engine._schedule_immediate
-        for waiter in waiters:
-            schedule(waiter, value)
-
-
-class Wait:
-    """Yielded by a process to block on a :class:`Signal`."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal: Signal) -> None:
-        self.signal = signal
-
-
 class Process:
     """A generator-driven simulated activity.
 
     The generator may yield:
 
     * ``Delay(seconds)`` — resume after the delay, receiving ``None``;
-    * ``Wait(signal)`` — resume when the signal fires, receiving the value;
-    * another ``Process`` — resume when it finishes, receiving its result.
+    * another ``Process`` — resume when it finishes, receiving its result;
+    * an ``RpcCall`` — resume when it settles, receiving its ``RpcResult``.
 
     The generator's return value becomes :attr:`result`.
     """
 
     __slots__ = ("engine", "name", "_generator", "finished", "result",
-                 "exception", "_done_signal")
+                 "_waiters")
 
     def __init__(self, engine: Engine, generator: Generator[Any, Any, Any], name: str = "") -> None:
         self.engine = engine
@@ -400,12 +334,17 @@ class Process:
         self._generator = generator
         self.finished = False
         self.result: Any = None
-        self.exception: Optional[BaseException] = None
-        self._done_signal = Signal(engine)
+        self._waiters: list[Callable[[Any], None]] = []
 
-    @property
-    def done_signal(self) -> Signal:
-        return self._done_signal
+    def on_done(self, callback: Callable[[Any], None]) -> None:
+        """Run ``callback(result)`` once the process has finished, as its
+        own same-tick event after the one that finished it (so finishing
+        inside another process is safe); subscribers run in subscription
+        order.  On a finished process the event is scheduled at once."""
+        if self.finished:
+            self.engine._schedule_immediate(callback, self.result)
+        else:
+            self._waiters.append(callback)
 
     def _step(self, value: Any) -> None:
         if self.finished:
@@ -415,33 +354,27 @@ class Process:
         except StopIteration as stop:
             self._finish(result=stop.value)
             return
-        except BaseException as exc:  # surface process crashes loudly
-            self.exception = exc
+        except BaseException:  # surface process crashes loudly
             self._finish(result=None)
             raise
-        self._dispatch(yielded)
-
-    def _dispatch(self, yielded: Any) -> None:
         if isinstance(yielded, Delay):
             self.engine.call_after(yielded.seconds, self._step, None)
-        elif isinstance(yielded, Wait):
-            yielded.signal._add_waiter(self._step)
-        elif isinstance(yielded, Process):
-            if yielded.finished:
-                self.engine._schedule_immediate(self._step, yielded.result)
-            else:
-                # The done signal fires with the process result, which is
-                # exactly what the joiner must receive.
-                yielded._done_signal._add_waiter(self._step)
-        else:
+            return
+        try:
+            subscribe = yielded.on_done  # a Process or an RpcCall
+        except AttributeError:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}"
-            )
+            ) from None
+        subscribe(self._step)
 
     def _finish(self, result: Any) -> None:
         self.finished = True
         self.result = result
-        self._done_signal.fire(result)
+        waiters, self._waiters = self._waiters, []
+        schedule = self.engine._schedule_immediate
+        for waiter in waiters:
+            schedule(waiter, result)
 
 
 def every(engine: Engine, interval: float, callback: Callable[[], None],

@@ -18,12 +18,10 @@ This module is the mode-agnostic substrate:
   (the Allen–Cunneen/Sakasegawa approximation) turn per-server arrival
   rates into utilization and expected queueing delay without simulating
   a single request.
-* Analytic latency-jitter factors mirroring the event path's
-  ``LatencyModel.sample`` (two one-way legs, each with multiplicative
-  ``U(0, jitter)`` noise), so fluid latency estimates line up with what
-  the per-request path measures.
 
-The flow processes themselves (per-(app, shard, region) flows mirroring
+The jitter moments the fluid path prices a round trip with live beside
+the distribution they describe, on
+:class:`~repro.sim.network.LatencyModel`.  The flow processes themselves (per-(app, shard, region) flows mirroring
 client/server semantics) live in :mod:`repro.app.fluid`.
 
 Determinism: the driver consumes no RNG and stamps nothing but simulated
@@ -45,13 +43,7 @@ __all__ = [
     "FluidProcess",
     "mgk_utilization",
     "mgk_wait",
-    "jitter_mean_factor",
-    "jitter_p99_factor",
 ]
-
-#: p99 of U(0,1)+U(0,1) (triangular): 2 - sqrt(2 * 0.01).
-_P99_TWO_UNIFORMS = 2.0 - math.sqrt(0.02)
-
 
 def mgk_utilization(arrival_rate: float, service_time: float,
                     servers: int) -> float:
@@ -90,16 +82,6 @@ def mgk_wait(arrival_rate: float, service_time: float, servers: int,
     exponent = math.sqrt(2.0 * (servers + 1)) - 1.0
     return (variability * (service_time / servers)
             * rho ** exponent / (1.0 - rho))
-
-
-def jitter_mean_factor(jitter_fraction: float) -> float:
-    """E[round-trip] / (2 * base) for two U(0, j) multiplicative legs."""
-    return 1.0 + jitter_fraction / 2.0
-
-
-def jitter_p99_factor(jitter_fraction: float) -> float:
-    """p99[round-trip] / (2 * base) for two U(0, j) multiplicative legs."""
-    return 1.0 + jitter_fraction * _P99_TWO_UNIFORMS / 2.0
 
 
 class FluidProcess(Protocol):

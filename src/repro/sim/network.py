@@ -8,8 +8,9 @@ with optional jitter, message loss, downed endpoints and region partitions.
 RPCs complete asynchronously: :meth:`Network.rpc` returns an
 :class:`RpcCall` that settles with an :class:`RpcResult`.  A state-machine
 caller passes ``on_complete`` and continues inside the event that settles
-the call; a generator process waits on the call's ``done`` signal
-(``result = yield Wait(call.done)``), which exists only once asked for.
+the call; a generator process yields the call itself
+(``result = yield net.rpc(...)``) and is resumed, in an event of its own,
+once it has settled — at once if it already had.
 
 The delivery machinery is allocation-lean: each RPC is one slotted
 :class:`RpcCall` whose bound methods serve as the scheduled callbacks, so
@@ -23,12 +24,13 @@ still unsettled shortly before the deadline.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.tracer import NO_TRACER
-from .engine import Engine, Signal
+from .engine import Engine
 
 # One-way latencies in seconds, loosely calibrated to public RTT data for
 # the paper's three experiment regions (§8.3).  Symmetric.
@@ -43,6 +45,9 @@ DEFAULT_INTRA_REGION_LATENCY = 0.001
 #: Caller-side timeout of an RPC sent without an explicit ``timeout``.
 DEFAULT_RPC_TIMEOUT = 1.0
 
+#: p99 of U(0,1)+U(0,1) (triangular): 2 - sqrt(2 * 0.01).
+_P99_TWO_UNIFORMS = 2.0 - math.sqrt(0.02)
+
 
 class NetworkError(RuntimeError):
     """Raised for misconfigured network operations."""
@@ -56,21 +61,6 @@ class RpcResult:
     value: Any = None
     error: str = ""
     latency: float = 0.0
-
-
-def wait_rpc(call: RpcCall):
-    """Process helper: wait for an RPC that may already be complete.
-
-    ``yield Wait(call.done)`` alone deadlocks if the call finished before
-    the wait was registered (signals are edge-triggered); this helper is
-    the safe way to join a call issued earlier — always use it when
-    broadcasting several RPCs before waiting on them.
-    """
-    from .engine import Wait  # local import: engine must not import us
-
-    if call.result is None:
-        yield Wait(call.done)
-    return call.result
 
 
 class AsyncReply:
@@ -196,6 +186,17 @@ class LatencyModel:
         # double, one Python call fewer.
         return base * (1.0 + jitter * rng.random())
 
+    # The two moments of that distribution the fluid path prices a round
+    # trip with: two legs, each ``base * (1 + U(0, jitter))``.
+
+    def jitter_mean_factor(self) -> float:
+        """E[round trip] / (2 * base)."""
+        return 1.0 + self.jitter_fraction / 2.0
+
+    def jitter_p99_factor(self) -> float:
+        """p99[round trip] / (2 * base)."""
+        return 1.0 + self.jitter_fraction * _P99_TWO_UNIFORMS / 2.0
+
     def regions(self) -> set[str]:
         return {r for pair in self._configured for r in pair}
 
@@ -203,15 +204,15 @@ class LatencyModel:
 class RpcCall:
     """One RPC: the caller's handle and the delivery state machine.
 
-    Callers read ``result`` (``None`` until the call settles) and wait on
-    ``done``.  Bound methods of this object are the scheduled callbacks;
-    together with the engine's ``arg``-aware scheduling that keeps the
-    delivery path free of closures.
+    Callers read ``result`` (``None`` until the call settles); a process
+    yields the call to wait for it.  Bound methods of this object are the
+    scheduled callbacks; together with the engine's ``arg``-aware
+    scheduling that keeps the delivery path free of closures.
     """
 
     __slots__ = ("net", "src", "dst", "timeout", "start", "method",
                  "payload", "req_latency", "trace_span", "result",
-                 "on_complete", "_done")
+                 "on_complete", "_waiters")
 
     def __init__(self, net: "Network", src: Optional[Endpoint],
                  dst: Optional[Endpoint], method: str, payload: Any,
@@ -227,18 +228,20 @@ class RpcCall:
         self.trace_span = 0  # non-zero only while tracing is enabled
         self.result: Optional[RpcResult] = None
         self.on_complete = on_complete
-        self._done: Optional[Signal] = None
+        self._waiters: Optional[list[Callable[[RpcResult], None]]] = None
 
-    @property
-    def done(self) -> Signal:
-        """Fires once with the :class:`RpcResult`.  Created on first use;
-        asked for after the call settled, it reports that one fire."""
-        done = self._done
-        if done is None:
-            done = self._done = Signal(self.net.engine)
-            if self.result is not None:
-                done.fire(self.result)
-        return done
+    def on_done(self, callback: Callable[[RpcResult], None]) -> None:
+        """Run ``callback(result)`` once the call has settled, as its own
+        same-tick event after the one that settles it; subscribers run in
+        subscription order.  On a settled call the event is scheduled at
+        once, so joining calls that were broadcast earlier cannot hang.
+        A process that yields the call subscribes through this."""
+        if self.result is not None:
+            self.net.engine._schedule_immediate(callback, self.result)
+        elif self._waiters is None:
+            self._waiters = [callback]
+        else:
+            self._waiters.append(callback)
 
     def unsettled(self) -> bool:
         """The guard of this call's timeout events."""
@@ -249,7 +252,7 @@ class RpcCall:
         comes through here, so late losers (e.g. a timeout firing after
         an earlier failure) can never double-count.  The order is part of
         the determinism contract: result set, failure counted, span
-        ended, ``on_complete`` run, ``done`` fired."""
+        ended, ``on_complete`` run, ``on_done`` subscribers woken."""
         if self.result is not None:
             return
         self.result = result
@@ -260,9 +263,12 @@ class RpcCall:
         on_complete = self.on_complete
         if on_complete is not None:
             on_complete(result)
-        done = self._done
-        if done is not None:
-            done.fire(result)
+        waiters = self._waiters
+        if waiters is not None:
+            self._waiters = None  # a waiting process refers back to the call
+            schedule = self.net.engine._schedule_immediate
+            for waiter in waiters:
+                schedule(waiter, result)
 
     def fail(self, reason: str) -> None:
         """Settle with a failure, unless the call already settled."""
@@ -453,7 +459,7 @@ class Network:
         """Send an RPC; the returned call settles exactly once.
 
         ``on_complete(result)`` runs inside the event that settles the
-        call, before ``done`` fires.
+        call, before any ``on_done`` subscriber is woken.
         """
         engine = self.engine
         if timeout is None:

@@ -15,7 +15,7 @@ concerns" (§5.3): SM's allocator only ever talks to this class.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from .goals import (
     AffinityGoal,

@@ -7,21 +7,21 @@ evaluates a large number of such shard moves and keeps the best one.
 Local search repeats until it either cannot find improvements or uses up
 a predetermined time and move budget."
 
-The four scaling techniques (§5.3) map to config flags so the Fig 22
-experiment can ablate them:
+The four scaling techniques (§5.3), plus swaps, are switched together by
+``SearchConfig.optimized`` — the two arms of the Fig 22 experiment:
 
-* ``grouped_sampling``   — sample move targets across server groups
-  (regions) instead of uniformly, plus domain-knowledge targeting of a
-  replica's preferred region / under-represented spread domains;
-* ``large_first``        — evaluate a hot server's largest replicas first;
-* ``equivalence_classes``— evaluate one representative per class of
+* grouped sampling — sample move targets across server groups (regions)
+  instead of uniformly, plus domain-knowledge targeting of a replica's
+  preferred region / under-represented spread domains;
+* large first — evaluate a hot server's largest replicas first;
+* equivalence classes — evaluate one representative per class of
   replicas that are interchangeable for the active goals;
-* ``priority_batches``   — solve goals in priority order, never
-  deteriorating the already-solved higher-priority batches, with longer
-  per-batch deadlines for the critical early batches.
+* priority batches — solve goals in priority order, never deteriorating
+  the already-solved higher-priority batches, with longer per-batch
+  deadlines for the critical early batches.
 
-``OPTIMIZED`` enables everything; ``BASELINE`` (Fig 22's comparison arm)
-disables them all.
+``OPTIMIZED`` enables everything; ``BASELINE`` (Fig 22's comparison arm,
+``SearchConfig.without_optimizations()``) disables them all.
 
 Cost model (this is the most performance-critical loop in the repo — it
 dominates the Fig 21/22 benchmarks — and every part of a solve is
@@ -39,7 +39,7 @@ proportional to what the search touches, never to the fleet):
 * **per move, candidates** cost one sort of the hot server's replicas by
   memoised size, then O(k + skipped): the pinned / ``contributes``
   filter and the equivalence dedup walk that order lazily and stop at
-  ``k = max_replicas_per_server`` representatives.  Filtering a stably
+  ``k = MAX_REPLICAS_PER_SERVER`` representatives.  Filtering a stably
   sorted list equals sorting the filtered one, so the walk yields exactly
   what filtering, sorting, deduplicating and slicing the whole server
   would;
@@ -52,8 +52,8 @@ Tie rule: replicas of equal size are tried in the iteration order of the
 server's ``replicas_on`` set (``sorted(reverse=True)`` is stable).  That
 order changes whenever the set is mutated, which is why sizes and keys
 are cached per replica but no sorted order is kept across moves; and the
-``large_first=False`` arm shuffles the fully filtered list, because the
-number of RNG draws depends on its length.  Together these keep the
+baseline arm shuffles the fully filtered list, because the number of RNG
+draws depends on its length.  Together these keep the
 ``(replica, src, dst)`` sequence, the ``evaluations`` count and the RNG
 draw sequence per seed exactly what the eager implementation produced —
 ``tests/test_solver_incremental.py`` holds that eager implementation as
@@ -72,7 +72,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.profiler import Profiler
@@ -83,27 +82,24 @@ from .problem import PlacementProblem
 
 #: Move targets evaluated per candidate replica.
 CANDIDATE_SAMPLES = 24
+#: Replicas tried per hot server per round.
+MAX_REPLICAS_PER_SERVER = 8
+#: A trace point is recorded every this many moves.
+TRACE_INTERVAL = 64
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and optimization knobs for one solve."""
+    """The budget of one solve, its seed, and which arm it runs."""
 
     time_budget: float = 60.0          # wall-clock seconds
     move_budget: int = 1_000_000
-    max_replicas_per_server: int = 8   # replicas tried per hot server per round
-    grouped_sampling: bool = True
-    large_first: bool = True
-    equivalence_classes: bool = True
-    priority_batches: bool = True
-    allow_swaps: bool = True
-    trace_interval: int = 64           # record a trace point every N moves
+    #: The §5.3 techniques and swaps, all on or (the baseline arm) all off.
+    optimized: bool = True
     rng_seed: int = 0
 
     def without_optimizations(self) -> "SearchConfig":
-        return replace(self, grouped_sampling=False, large_first=False,
-                       equivalence_classes=False, priority_batches=False,
-                       allow_swaps=False)
+        return replace(self, optimized=False)
 
 
 OPTIMIZED = SearchConfig()
@@ -222,7 +218,7 @@ class LocalSearch:
         result.trace.record(0.0, result.initial_violations)
         self._origin.clear()
 
-        if self.config.priority_batches:
+        if self.config.optimized:
             batches = self._priority_batches()
         else:
             batches = [list(self.goals)]
@@ -236,7 +232,7 @@ class LocalSearch:
             if remaining <= 0:
                 result.timed_out = True
                 break
-            if self.config.priority_batches and batch_index < len(batches) - 1:
+            if self.config.optimized and batch_index < len(batches) - 1:
                 batch_deadline = time.perf_counter() + remaining * 0.5
             else:
                 batch_deadline = deadline
@@ -369,11 +365,11 @@ class LocalSearch:
             self._move(chosen, server, target)
             profile.add("apply", perf() - t0)
             result.moves += 1
-            if result.moves % self.config.trace_interval == 0:
+            if result.moves % TRACE_INTERVAL == 0:
                 result.trace.record(perf() - self._start_wall,
                                     self.total_violations())
             return True
-        if self.config.allow_swaps and replicas:
+        if self.config.optimized and replicas:
             t0 = perf()
             swapped = self._try_swap(server, replicas[0], batch, higher,
                                      result)
@@ -382,29 +378,24 @@ class LocalSearch:
         return False
 
     def _candidate_replicas(self, server: int) -> List[int]:
-        """Up to ``max_replicas_per_server`` movable replicas of ``server``,
-        one per equivalence class, in the order to try them."""
-        config = self.config
+        """Up to ``MAX_REPLICAS_PER_SERVER`` movable replicas of ``server``
+        in the order to try them: largest first, one per equivalence
+        class (baseline arm: shuffled, no classes)."""
         problem = self.problem
         replicas = problem.replicas_on[server]
-        if config.large_first:
-            capacity = problem.capacity[server]
-            sizes = self._sizes.get(capacity)
-            if sizes is None:
-                sizes = self._sizes[capacity] = _NormalizedSizes(
-                    problem.loads, capacity)
-            # Stable, so ties keep the set's iteration order; the filter
-            # then runs lazily over the sorted order.
-            movable = filter(self._movable, sorted(
-                replicas, key=sizes.__getitem__, reverse=True))
-        else:
+        if not self.config.optimized:
             movable = list(filter(self._movable, replicas))
             self.rng.shuffle(movable)
-        limit = config.max_replicas_per_server
-        if limit <= 0:
-            return []
-        if not config.equivalence_classes:
-            return list(islice(movable, limit))
+            return movable[:MAX_REPLICAS_PER_SERVER]
+        capacity = problem.capacity[server]
+        sizes = self._sizes.get(capacity)
+        if sizes is None:
+            sizes = self._sizes[capacity] = _NormalizedSizes(
+                problem.loads, capacity)
+        # Stable, so ties keep the set's iteration order; the filter
+        # then runs lazily over the sorted order.
+        movable = filter(self._movable, sorted(
+            replicas, key=sizes.__getitem__, reverse=True))
         # One representative per equivalence class: replicas on one server
         # are interchangeable when they have the same (quantized) load
         # vector, the same regional preference and the same spread
@@ -428,7 +419,7 @@ class LocalSearch:
                 continue
             seen.add(key)
             kept.append(replica)
-            if len(kept) >= limit:
+            if len(kept) >= MAX_REPLICAS_PER_SERVER:
                 break
         return kept
 
@@ -447,9 +438,8 @@ class LocalSearch:
     # -- target selection -----------------------------------------------------------
 
     def _sample_targets(self, replica: int, src: int) -> List[int]:
-        config = self.config
         rng = self.rng
-        if not config.grouped_sampling:
+        if not self.config.optimized:
             count = min(CANDIDATE_SAMPLES, len(self._all_servers))
             return rng.sample(self._all_servers, count)
         targets: List[int] = []

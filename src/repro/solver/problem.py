@@ -7,18 +7,16 @@ assignment.  The solver mutates the assignment; SM's allocator translates
 the result into shard-migration operations.
 
 Internally everything is index-based (server index, replica index) with
-plain Python lists on the hot path — the metric vectors are tiny (2–3
-entries), where list/tuple arithmetic beats numpy row views by a wide
-margin.  numpy is used for bulk statistics only.
+plain Python lists — the metric vectors are tiny (2–3 entries), which
+list/tuple arithmetic handles faster than an array library's row views,
+so the package needs nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -192,14 +190,6 @@ class PlacementProblem:
         return self._replica_total_load
 
     # -- statistics -----------------------------------------------------------
-
-    def utilization(self) -> np.ndarray:
-        """(servers × metrics) utilization fractions."""
-        cap = np.asarray(self.capacity, dtype=float)
-        use = np.asarray(self.usage, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            util = np.where(cap > 0, use / cap, 0.0)
-        return util
 
     def mean_utilization(self) -> List[float]:
         """Fleet-average utilization per metric (total load / total capacity).

@@ -15,9 +15,8 @@ hard constraints — the exact violation definitions of §8.4.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..sim.rng import skewed_loads, substream
 from ..solver.api import Rebalancer

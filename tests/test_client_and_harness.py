@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.app.client import WorkloadRecorder, get_client
+from repro.app.client import ApplicationClient, WorkloadRecorder
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
 from repro.sim.engine import Engine
@@ -53,10 +53,11 @@ class TestClient:
         app = deploy_app(cluster, spec, {"FRC": 3}, settle=40.0)
         return cluster, app
 
-    def test_get_client_helper(self):
+    def test_client_constructed_directly(self):
         cluster, app = self._deployed()
-        client = get_client(cluster.engine, cluster.network,
-                            cluster.discovery, "a", "FRC")
+        client = ApplicationClient(cluster.engine, cluster.network,
+                                   cluster.discovery, "a", "client/a/FRC/0",
+                                   "FRC")
         process = client.request(5, {"x": 1})
         cluster.run(until=cluster.engine.now + 5.0)
         assert process.outcome.ok

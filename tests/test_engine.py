@@ -7,9 +7,7 @@ from repro.sim.engine import (
     Delay,
     Engine,
     Process,
-    Signal,
     SimulationError,
-    Wait,
     every,
 )
 
@@ -180,8 +178,10 @@ class TestScheduling:
 
 
 class TestImmediateQueue:
-    """delay == 0.0 events take the deque fast path; these pin that the
-    fast path never reorders events relative to a heap-only engine."""
+    """delay == 0.0 ("immediate") events go on the one heap with the
+    ``(now, seq)`` they take when scheduled; these pin the resulting
+    order (the two-queue loop they replaced is the oracle in
+    ``test_one_event_queue.py``)."""
 
     def test_zero_delay_runs_at_current_time(self):
         engine = Engine()
@@ -202,7 +202,7 @@ class TestImmediateQueue:
 
         engine.call_after(1.0, at_one)
         engine.run()
-        # Same timestamp: strict schedule order regardless of queue.
+        # Same timestamp: strict schedule order, zero delay or not.
         assert seen == ["heap", "imm1", "heap2", "imm2"]
 
     def test_zero_delay_runs_before_later_heap_event(self):
@@ -267,43 +267,27 @@ class TestProcesses:
         assert process.finished
         assert process.result == 42
 
-    def test_process_waits_on_signal(self):
+    def test_finished_process_wakes_all_joiners(self):
         engine = Engine()
-        signal = Signal(engine)
-        values = []
-
-        def waiter():
-            value = yield Wait(signal)
-            values.append(value)
-
-        engine.process(waiter())
-        engine.call_after(5.0, lambda: signal.fire("hello"))
-        engine.run()
-        assert values == ["hello"]
-
-    def test_signal_wakes_all_waiters(self):
-        engine = Engine()
-        signal = Signal(engine)
         woken = []
 
-        def waiter(name):
-            yield Wait(signal)
-            woken.append(name)
+        def target():
+            yield Delay(1.0)
+            return "result"
 
-        engine.process(waiter("a"))
-        engine.process(waiter("b"))
-        engine.call_after(1.0, lambda: signal.fire())
-        engine.run()
-        assert sorted(woken) == ["a", "b"]
+        def joiner(name, process):
+            woken.append((name, (yield process), engine.now))
 
-    def test_signal_fires_multiple_times(self):
-        engine = Engine()
-        signal = Signal(engine)
-        engine.call_after(1.0, lambda: signal.fire(1))
-        engine.call_after(2.0, lambda: signal.fire(2))
+        process = engine.process(target())
+        engine.process(joiner("a", process))
+        engine.process(joiner("b", process))
+        process.on_done(lambda result: woken.append(("callback", result,
+                                                     engine.now)))
         engine.run()
-        assert signal.fire_count == 2
-        assert signal.last_value == 2
+        # Each wake-up is its own same-tick event, in subscription order.
+        assert woken == [("a", "result", 1.0), ("b", "result", 1.0),
+                         ("callback", "result", 1.0)]
+        assert engine.processed_events == 4
 
     def test_process_joins_another_process(self):
         engine = Engine()
@@ -367,9 +351,13 @@ class TestProcesses:
             return "x"
 
         process = engine.process(proc())
-        process.done_signal._add_waiter(results.append)
+        process.on_done(results.append)
         engine.run()
         assert results == ["x"]
+        process.on_done(results.append)  # already finished: still an event
+        assert results == ["x"]
+        engine.run()
+        assert results == ["x", "x"]
 
 
 class TestEvery:

@@ -15,7 +15,7 @@ matrix, rather than a timing somewhere else.
 import random
 from collections import Counter
 
-from repro.app.client import WorkloadRecorder, get_client
+from repro.app.client import ApplicationClient, WorkloadRecorder
 from repro.app.scatter import QueuedServiceHandler, ScatterGatherClient
 from repro.core.shard_map import ShardMap, ShardMapEntry
 from repro.discovery.service_discovery import ServiceDiscovery
@@ -49,8 +49,9 @@ class Stack:
             ShardMapEntry(f"s{s}", s * KEYS_PER_SHARD,
                           (s + 1) * KEYS_PER_SHARD, f"srv/{s % 4}", ())
             for s in range(SHARDS))))
-        self.client = get_client(engine, network, discovery, "app", "FRC",
-                                 rpc_timeout=1.0)
+        self.client = ApplicationClient(engine, network, discovery, "app",
+                                        "client/app/FRC/0", "FRC",
+                                        rpc_timeout=1.0)
         engine.run()  # the map is delivered; nothing is left scheduled
         assert engine.pending_events == 0
         self.events_at_setup = engine.processed_events

@@ -20,8 +20,8 @@ from repro.harness import SimCluster, deploy_app
 from repro.obs import Observability, use
 from repro.obs.checker import TraceChecker
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.fluid import (EpochDriver, jitter_mean_factor,
-                             jitter_p99_factor, mgk_utilization, mgk_wait)
+from repro.sim.fluid import EpochDriver, mgk_utilization, mgk_wait
+from repro.sim.network import LatencyModel
 from repro.workloads.load import (ConstantCurve, DiurnalCurve, StepCurve,
                                   mean_rate)
 
@@ -65,17 +65,16 @@ def test_mgk_input_validation():
 
 def test_jitter_factors_match_event_mode_sampling():
     """The analytic factors agree with the event path's empirical RTT:
-    two one-way legs, each base * (1 + U(0, jitter))."""
+    two one-way legs drawn from ``LatencyModel.sample`` itself."""
     import random
     rng = random.Random(7)
-    jitter = 0.1
-    samples = sorted(
-        (1.0 + rng.uniform(0.0, jitter)) + (1.0 + rng.uniform(0.0, jitter))
-        for _ in range(200_000))
+    model = LatencyModel({("A", "B"): 1.0}, jitter_fraction=0.1)
+    samples = sorted(model.sample("A", "B", rng) + model.sample("B", "A", rng)
+                     for _ in range(200_000))
     mean = sum(samples) / len(samples)
     p99 = samples[int(0.99 * len(samples))]
-    assert 2.0 * jitter_mean_factor(jitter) == pytest.approx(mean, rel=1e-3)
-    assert 2.0 * jitter_p99_factor(jitter) == pytest.approx(p99, rel=1e-3)
+    assert 2.0 * model.jitter_mean_factor() == pytest.approx(mean, rel=1e-3)
+    assert 2.0 * model.jitter_p99_factor() == pytest.approx(p99, rel=1e-3)
 
 
 # -- rate curves (shared by both traffic modes) ------------------------------

@@ -55,7 +55,7 @@ def _run_scenario():
         def record(result, method=method):
             trace.append(f"done {engine.now!r} {method} {int(result.ok)}")
 
-        call.done._add_waiter(record)
+        call.on_done(record)
         return call
 
     network.rpc = traced_rpc

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Engine, Wait
+from repro.sim.engine import Engine
 from repro.sim.network import (
     DEFAULT_INTRA_REGION_LATENCY,
     AsyncReply,
@@ -182,8 +182,7 @@ class TestRpc:
         results = []
 
         def proc():
-            call = network.rpc("client", "server", "echo", 7)
-            result = yield Wait(call.done)
+            result = yield network.rpc("client", "server", "echo", 7)
             results.append(result.value)
 
         engine.process(proc())

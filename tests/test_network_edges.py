@@ -1,10 +1,10 @@
 """Edge-case tests for RPC delivery: races, crashes, and late completions.
 
 These pin the slow paths around the RPC fast path: every failure route
-must complete the call exactly once (``done`` fires once, ``rpcs_failed``
-counts once) no matter how many failure conditions race, and a caller
-hears the same completion at the same instant whether it passed
-``on_complete`` or waits on ``done``.
+must complete the call exactly once (each listener hears one completion,
+``rpcs_failed`` counts once) no matter how many failure conditions race,
+and a caller hears the same completion at the same instant whether it
+passed ``on_complete`` or is a process that yielded the call.
 """
 
 import random
@@ -13,8 +13,8 @@ import pytest
 
 from repro.metrics import Histogram
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Engine, Wait
-from repro.sim.network import AsyncReply, Network, wait_rpc
+from repro.sim.engine import Engine
+from repro.sim.network import AsyncReply, Network
 
 
 @pytest.fixture
@@ -33,11 +33,32 @@ def _echo_server(network, address="server", region="FRC"):
     return endpoint
 
 
+def _watched_rpc(engine, network, *args, **kwargs):
+    """``network.rpc`` with both kinds of listener attached before the
+    call can settle: returns the call and the list every completion
+    either of them hears is appended to."""
+    heard = []
+    call = network.rpc(
+        *args, on_complete=lambda r: heard.append(("on_complete", r)),
+        **kwargs)
+
+    def waiter():
+        heard.append(("process", (yield call)))
+
+    engine.process(waiter())
+    return call, heard
+
+
+def _assert_completed_once(call, heard):
+    assert heard == [("on_complete", call.result), ("process", call.result)]
+
+
 class TestMidFlightCrash:
     def test_destination_crash_while_request_in_flight(self, engine, network):
         _echo_server(network)
         network.register("client", "FRC")
-        call = network.rpc("client", "server", "echo", "hi", timeout=1.0)
+        call, heard = _watched_rpc(engine, network, "client", "server",
+                                   "echo", "hi", timeout=1.0)
         # The request is in flight (delivery is scheduled); crash the
         # destination before it arrives.
         network.set_endpoint_up("server", False)
@@ -48,7 +69,7 @@ class TestMidFlightCrash:
         # The failure lands at the full caller timeout, not at delivery.
         assert call.result.latency == pytest.approx(1.0)
         assert network.rpcs_failed == 1
-        assert call.done.fire_count == 1
+        _assert_completed_once(call, heard)
 
     def test_partition_formed_while_request_in_flight(self, engine, network):
         _echo_server(network)
@@ -66,13 +87,14 @@ class TestAsyncReplyTimeout:
         server = network.register("server", "FRC")
         server.on("slow", lambda payload: AsyncReply())  # never settled
         network.register("client", "FRC")
-        call = network.rpc("client", "server", "slow", None, timeout=1.0)
+        call, heard = _watched_rpc(engine, network, "client", "server",
+                                   "slow", None, timeout=1.0)
         engine.run()
         assert not call.result.ok
         assert call.result.error == "timeout"
         assert call.result.latency == pytest.approx(1.0)
         assert network.rpcs_failed == 1
-        assert call.done.fire_count == 1
+        _assert_completed_once(call, heard)
 
     def test_reply_settling_after_timeout_does_not_double_complete(
             self, engine, network):
@@ -86,14 +108,15 @@ class TestAsyncReplyTimeout:
         server = network.register("server", "FRC")
         server.on("slow", slow_handler)
         network.register("client", "FRC")
-        call = network.rpc("client", "server", "slow", None, timeout=0.5)
+        call, heard = _watched_rpc(engine, network, "client", "server",
+                                   "slow", None, timeout=0.5)
         engine.call_after(5.0, lambda: replies[0].complete("late"))
         engine.run()
         # The timeout won; the late settle sends a response the completed
         # call must ignore.
         assert not call.result.ok
         assert call.result.error == "timeout"
-        assert call.done.fire_count == 1
+        _assert_completed_once(call, heard)
         assert network.rpcs_failed == 1
 
     def test_reply_failing_after_timeout_counts_failure_once(
@@ -108,13 +131,14 @@ class TestAsyncReplyTimeout:
         server = network.register("server", "FRC")
         server.on("slow", slow_handler)
         network.register("client", "FRC")
-        call = network.rpc("client", "server", "slow", None, timeout=0.5)
+        call, heard = _watched_rpc(engine, network, "client", "server",
+                                   "slow", None, timeout=0.5)
         # Two failure routes race: the caller timeout and the failed reply.
         engine.call_after(5.0, lambda: replies[0].fail("boom"))
         engine.run()
         assert not call.result.ok
         assert network.rpcs_failed == 1
-        assert call.done.fire_count == 1
+        _assert_completed_once(call, heard)
 
 
 class TestLossAndPartitionInterplay:
@@ -123,12 +147,13 @@ class TestLossAndPartitionInterplay:
         _echo_server(network)
         network.register("client", "PRN")
         network.partition("FRC", "PRN")
-        call = network.rpc("client", "server", "echo", "hi", timeout=1.0)
+        call, heard = _watched_rpc(engine, network, "client", "server",
+                                   "echo", "hi", timeout=1.0)
         engine.run()
         assert not call.result.ok
         assert call.result.error == "timeout"
         assert network.rpcs_failed == 1
-        assert call.done.fire_count == 1
+        _assert_completed_once(call, heard)
 
     def test_healed_partition_still_drops_on_loss(self, engine):
         network = Network(engine, rng=random.Random(1), loss_probability=1.0)
@@ -153,38 +178,44 @@ class TestLossAndPartitionInterplay:
         assert network.rpcs_failed == 0
 
 
-class TestWaitRpcOnCompletedCall:
-    def test_wait_rpc_after_completion_returns_immediately(self, engine,
-                                                           network):
+class TestYieldingACall:
+    def test_yielding_a_settled_call_resumes(self, engine, network):
+        """Broadcast first, collect later: by the time a process yields
+        the call it may have settled, and it must still be resumed."""
         _echo_server(network)
         network.register("client", "FRC")
         call = network.rpc("client", "server", "echo", "hi", timeout=5.0)
         engine.run()
         assert call.result is not None  # already settled
+        settled_at = engine.now
 
         def joiner():
-            result = yield from wait_rpc(call)
-            return result
+            result = yield call
+            return result, engine.now
 
         process = engine.process(joiner())
+        assert not process.finished  # resumed by an event, not in place
         engine.run()
         assert process.finished
-        assert process.result.ok
-        assert process.result.value == {"echo": "hi"}
+        assert process.result == (call.result, settled_at)
+        assert call.result.value == {"echo": "hi"}
 
-    def test_wait_rpc_before_completion_still_works(self, engine, network):
+    def test_yielding_an_unsettled_call_waits(self, engine, network):
         _echo_server(network)
         network.register("client", "FRC")
         call = network.rpc("client", "server", "echo", "hi", timeout=5.0)
 
         def joiner():
-            result = yield from wait_rpc(call)
-            return result
+            result = yield call
+            return result, engine.now
 
         process = engine.process(joiner())
+        engine.run(until=0.0015)  # request handled, response in flight
+        assert call.result is None and not process.finished
         engine.run()
         assert process.finished
-        assert process.result.ok
+        assert process.result == (call.result, call.result.latency)
+        assert call.result.ok
 
 
 class TestFailureCountRegression:
@@ -193,21 +224,24 @@ class TestFailureCountRegression:
         calls, not the number of failure events."""
         _echo_server(network)
         network.register("client", "FRC")
-        calls = []
+        failing = []
         # Unknown destination.
-        calls.append(network.rpc("client", "ghost", "echo", 1, timeout=0.5))
+        failing.append(_watched_rpc(engine, network, "client", "ghost",
+                                    "echo", 1, timeout=0.5))
         # Destination down from the start.
         network.register("down", "FRC")
         network.set_endpoint_up("down", False)
-        calls.append(network.rpc("client", "down", "echo", 2, timeout=0.5))
+        failing.append(_watched_rpc(engine, network, "client", "down",
+                                    "echo", 2, timeout=0.5))
         # Healthy call for contrast.
-        ok_call = network.rpc("client", "server", "echo", 3, timeout=5.0)
+        healthy = _watched_rpc(engine, network, "client", "server",
+                               "echo", 3, timeout=5.0)
         engine.run()
-        assert all(not call.result.ok for call in calls)
-        assert ok_call.result.ok
-        assert network.rpcs_failed == len(calls)
-        for call in calls + [ok_call]:
-            assert call.done.fire_count == 1
+        assert all(not call.result.ok for call, _ in failing)
+        assert healthy[0].result.ok
+        assert network.rpcs_failed == len(failing)
+        for call, heard in failing + [healthy]:
+            _assert_completed_once(call, heard)
 
     def test_counters_are_per_network_and_each_failure_route_counts_once(
             self, engine):
@@ -229,10 +263,17 @@ class TestFailureCountRegression:
         server.on("never", lambda payload: AsyncReply())
         network.register("client", "FRC")
         network.register("doomed", "FRC")
-        timed_out = network.rpc("client", "server", "never", timeout=0.5)
-        errored = network.rpc("client", "server", "boom", timeout=5.0)
-        orphaned = network.rpc("doomed", "server", "echo", timeout=5.0)
-        ok_call = network.rpc("client", "server", "echo", timeout=5.0)
+        watched = [
+            _watched_rpc(engine, network, "client", "server", "never",
+                         timeout=0.5),
+            _watched_rpc(engine, network, "client", "server", "boom",
+                         timeout=5.0),
+            _watched_rpc(engine, network, "doomed", "server", "echo",
+                         timeout=5.0),
+            _watched_rpc(engine, network, "client", "server", "echo",
+                         timeout=5.0),
+        ]
+        timed_out, errored, orphaned, ok_call = [call for call, _ in watched]
         # Intra-region legs take 1.0-1.1 ms: at 1.5 ms every request has
         # been handled and no response has landed.
         engine.run(until=0.0015)
@@ -250,11 +291,11 @@ class TestFailureCountRegression:
         ends = [r.span for r in tracer.journal
                 if r.track == "net" and r.kind == "E"]
         assert sorted(ends) == [1, 2, 3, 4]
-        for call in (timed_out, errored, orphaned, ok_call):
-            assert call.done.fire_count == 1
+        for call, heard in watched:
+            _assert_completed_once(call, heard)
 
 
-# -- on_complete vs done: one settling step, two ways to hear about it --------
+# -- on_complete vs on_done: one settling step, two ways to hear about it ------
 
 
 def _sync(network, engine):
@@ -341,7 +382,7 @@ def _settle(case, route):
         call = network.rpc("client", "server", "echo", "hi", timeout=1.0)
 
         def waiter():
-            continuation((yield Wait(call.done)))
+            continuation((yield call))
 
         engine.process(waiter())
     engine.run()
@@ -377,12 +418,14 @@ class TestCompletionRoutes:
         assert len(end) == len(continued) == 1
         assert end[0] < continued[0]
 
-    def test_done_first_touched_after_settlement_reports_one_fire(self,
-                                                                  case):
+    def test_late_on_done_hears_the_completion(self, case):
         call, heard, _, _ = _settle(case, "on_complete")
-        assert call._done is None  # on_complete alone builds no Signal
-        assert call.done.fire_count == 1
-        assert call.done.last_value is call.result
+        assert call._waiters is None  # on_complete alone builds no list
+        late = []
+        call.on_done(late.append)
+        assert late == []  # an event of its own, like any other wake-up
+        call.net.engine.run()
+        assert late == [call.result]
         assert len(heard) == 1
 
 
@@ -396,8 +439,7 @@ def test_on_complete_runs_inside_the_settling_event():
         if route == "on_complete":
             network.rpc("client", "server", "echo", on_complete=lambda r: None)
         else:
-            call = network.rpc("client", "server", "echo")
-            call.done._add_waiter(lambda r: None)
+            network.rpc("client", "server", "echo").on_done(lambda r: None)
         engine.run()
         return engine.processed_events
 

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.app.client import WorkloadRecorder, clamped_rate, get_client
+from repro.app.client import (ApplicationClient, WorkloadRecorder,
+                              clamped_rate)
 from repro.core.shard_map import ShardMap, ShardMapEntry
 from repro.discovery.router import RoutingError, ServiceRouter
 from repro.discovery.service_discovery import ServiceDiscovery
@@ -151,7 +152,8 @@ class TestRateClamping:
         discovery = ServiceDiscovery(engine, base_delay=0.0, jitter=0.0)
         discovery.publish(make_map(
             entries=[ShardMapEntry("s0", 0, 100, "srv/a", ())]))
-        client = get_client(engine, network, discovery, "app", "FRC")
+        client = ApplicationClient(engine, network, discovery, "app",
+                                   "client/app/FRC/0", "FRC")
         recorder = WorkloadRecorder.with_bucket(10.0)
         op = client.run_workload(
             duration=50.0,
@@ -209,7 +211,7 @@ def _run_fig18_slice():
         def record(result, method=method):
             trace.append(f"done {engine.now!r} {method} {int(result.ok)}")
 
-        call.done._add_waiter(record)
+        call.on_done(record)
         return call
 
     network.rpc = traced_rpc
@@ -240,8 +242,9 @@ def _run_fig18_slice():
         ),
         settle=30.0,
     )
-    client = get_client(engine, network, discovery, spec.name, "FRC",
-                        attempts=2, rpc_timeout=0.5, retry_backoff=0.2)
+    client = ApplicationClient(engine, network, discovery, spec.name,
+                               f"client/{spec.name}/FRC/0", "FRC",
+                               attempts=2, rpc_timeout=0.5, retry_backoff=0.2)
     recorder = WorkloadRecorder.with_bucket(20.0)
     curve = DiurnalCurve(base=2.0, peak=10.0, period=day)
     op = client.run_workload(

@@ -1,14 +1,18 @@
 """Fence: one owner per shared decision, and no option nothing sets.
 
 A source scan in the style of ``test_host_clock.py``.  Each check names a
-format, table or policy that once lived in two or more modules, or a
-constructor value no caller ever varied, and fails when a second copy —
-or the knob — comes back.  The values the removed options had are the
-module constants listed in DESIGN.md, "One owner per shared decision;
-constants, not options".
+format, table or policy that once lived in two or more modules, a
+constructor value no caller ever varied, or a second path that carried no
+traffic, and fails when a second copy — or the knob, or the path — comes
+back.  The values the removed options had are the module constants listed
+in DESIGN.md, "One owner per shared decision; constants, not options".
 """
 
+import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +70,104 @@ def test_replaced_tables_and_tasks_are_gone():
     assert modules_matching(r"_REGION_PARAMS|fig17_arm_task") == []
 
 
+def test_one_event_queue_and_one_way_to_wait():
+    """A process waits by yielding a Delay, a Process or an RpcCall, and
+    a zero-delay event goes on the heap (DESIGN.md, "Simulation substrate
+    fast path")."""
+    assert modules_matching(
+        r"\b(Signal|Wait|wait_rpc|done_signal|numpy)\b") == []
+    assert "deque" not in SOURCES["sim/engine.py"]
+    import repro.sim
+    assert {"Delay", "Process", "every"} <= set(repro.sim.__all__)
+    assert not {"Signal", "Wait", "wait_rpc"} & set(dir(repro.sim))
+    from repro.sim import Process, RpcCall
+    assert not hasattr(RpcCall, "done")
+    assert not hasattr(Process, "done_signal")
+    # Outside repro.sim both are subscribed to through on_done only.
+    assert modules_matching(r"\._waiters\b") == ["sim/engine.py",
+                                                 "sim/network.py"]
+
+
+def test_nothing_outside_the_standard_library_is_imported():
+    """``dependencies = []``: with nothing installed beside the package,
+    an import of a third-party module would be the first failure a user
+    sees.  Run in a fresh interpreter — this one holds pytest."""
+    program = (
+        "import sys\n"
+        "before = set(sys.modules)  # site hooks may have loaded anything\n"
+        "import repro.harness, repro.chaos, repro.experiments.runner\n"
+        "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(top - set(sys.stdlib_module_names)"
+        " - {'repro', '__mp_main__'}))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run([sys.executable, "-c", program], env=env,
+                            capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "[]"
+
+
+def _unused_imports(text: str) -> list:
+    """Names a module imports and never mentions again.  A mention is a
+    ``Name`` node, also inside a string constant that parses as an
+    expression (a quoted annotation, an ``__all__`` entry)."""
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).partition(".")[0]] = (
+                    node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted)
+                        if isinstance(n, ast.Name))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_unused_imports():
+    """``__init__.py`` files exist to re-export and are exempt."""
+    unused = {name: _unused_imports(text) for name, text in SOURCES.items()
+              if not name.endswith("__init__.py")}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_chaos_action_defaults_are_stated_once():
+    """Each action's defaults live in its ``@action(...)`` registration
+    (``chaos/scenario.py``); the fuzzer's horizon fitting reads them
+    through ``param_of`` / ``duration_of`` and keeps no copy.  The
+    duration *ranges* in ``chaos/fuzz/mutators.py`` are the generator's
+    own and stay."""
+    assert modules_matching(r"_DEFAULT_REVERTS") == []
+    for name, text in SOURCES.items():
+        if not name.startswith("chaos/fuzz/"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "param"):
+                assert len(node.args) == 1 and not node.keywords, (
+                    f"{name}:{node.lineno} passes its own default")
+
+
+def test_rules_the_fluid_path_mirrors_have_one_source():
+    # §4.3 admission: decided by app.server.admission for both paths.
+    assert modules_matching(r"HostedState\.(PREPARING|FORWARDING)\b") == [
+        "app/server.py"]
+    assert "HostedState" not in SOURCES["app/fluid.py"]
+    # The jitter distribution and its two moments: LatencyModel.
+    assert modules_matching(r"def jitter_(mean|p99)_factor") == [
+        "sim/network.py"]
+
+
 def test_comments_state_conditions_not_history():
     assert modules_matching(r"PR \d+|ISSUE \d+|ROADMAP item") == []
 
@@ -84,6 +186,13 @@ REMOVED_OPTIONS = [
     (LatencyModel, "intra_region"),
     (Network, "default_timeout"),
     (SearchConfig, "candidate_samples"),
+    (SearchConfig, "grouped_sampling"),
+    (SearchConfig, "large_first"),
+    (SearchConfig, "equivalence_classes"),
+    (SearchConfig, "priority_batches"),
+    (SearchConfig, "allow_swaps"),
+    (SearchConfig, "max_replicas_per_server"),
+    (SearchConfig, "trace_interval"),
     (SkewParams, "sample_interval"),
     (SkewParams, "shift_at"),
     (KVStoreApp, "external_store"),

@@ -37,7 +37,8 @@ from repro.solver.goals import (
     SpreadGoal,
     UtilizationGoal,
 )
-from repro.solver.local_search import BASELINE, OPTIMIZED, LocalSearch, SearchConfig
+from repro.solver.local_search import (BASELINE, MAX_REPLICAS_PER_SERVER,
+                                       OPTIMIZED, LocalSearch, SearchConfig)
 from repro.solver.problem import PlacementProblem, ReplicaInfo, ServerInfo
 from repro.solver.specs import (
     AffinitySpec,
@@ -178,7 +179,6 @@ def _solve(config, seed=11):
 
 @pytest.mark.parametrize("config", [
     pytest.param(OPTIMIZED, id="optimized"),
-    pytest.param(SearchConfig(allow_swaps=False), id="no-swaps"),
     pytest.param(BASELINE, id="baseline"),
 ])
 class TestSolverParity:
@@ -266,8 +266,8 @@ def eager_candidates(search, server, rng):
                 and (checks is None or any(check(r) for check in checks))]
     if not replicas:
         return []
-    config = search.config
-    if config.large_first:
+    optimized = search.config.optimized
+    if optimized:
         capacity = problem.capacity[server]
         sizes = []
         for replica in replicas:
@@ -282,9 +282,9 @@ def eager_candidates(search, server, rng):
         replicas = [replicas[i] for i in order]
     else:
         rng.shuffle(replicas)
-    if config.equivalence_classes:
+    if optimized:
         replicas = eager_dedup(search, replicas)
-    return replicas[:config.max_replicas_per_server]
+    return replicas[:MAX_REPLICAS_PER_SERVER]
 
 
 class EagerSearch(LocalSearch):
@@ -412,13 +412,7 @@ def build_case(case):
     return problem, goals
 
 
-ORACLE_CONFIGS = {
-    "optimized": OPTIMIZED,
-    "baseline": BASELINE,
-    "shuffle+classes": SearchConfig(large_first=False),
-    "sorted, no classes": SearchConfig(equivalence_classes=False,
-                                       max_replicas_per_server=3),
-}
+ORACLE_CONFIGS = {"optimized": OPTIMIZED, "baseline": BASELINE}
 
 
 def assert_same_solve(build, config):

@@ -122,13 +122,6 @@ class TestStats:
             problem.move(rng.randrange(16), rng.randrange(4))
         assert problem.mean_utilization() == pytest.approx(before)
 
-    def test_utilization_matrix_shape(self):
-        problem = small_problem(num_servers=3, num_replicas=6,
-                                metrics=("cpu", "mem"))
-        problem.random_assignment(random.Random(1))
-        util = problem.utilization()
-        assert util.shape == (3, 2)
-
     def test_assignment_diff(self):
         problem = small_problem()
         problem.random_assignment(random.Random(1))

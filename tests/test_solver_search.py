@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.solver.api import Rebalancer, solve_partitioned
-from repro.solver.local_search import BASELINE, OPTIMIZED, LocalSearch, SearchConfig
+from repro.solver.local_search import (BASELINE, OPTIMIZED, TRACE_INTERVAL,
+                                       LocalSearch, SearchConfig)
 from repro.solver.problem import PlacementProblem, ReplicaInfo, ServerInfo
 from repro.solver.specs import (
     AffinitySpec,
@@ -121,11 +122,14 @@ class TestBudgets:
         assert result.solve_time < 2.0  # generous tolerance
 
     def test_trace_is_recorded(self):
-        problem = lb_problem()
+        # Busy enough to need more than TRACE_INTERVAL moves.
+        problem = lb_problem(num_servers=60, num_replicas=3000,
+                             mean_utilization=0.9, seed=3)
         rebalancer = standard_rebalancer(problem)
-        result = rebalancer.solve(SearchConfig(time_budget=20.0,
-                                               trace_interval=8))
-        assert len(result.trace) >= 2
+        result = rebalancer.solve(SearchConfig(time_budget=20.0))
+        # Start and end, plus one point per TRACE_INTERVAL moves.
+        assert result.moves > TRACE_INTERVAL
+        assert len(result.trace) == 2 + result.moves // TRACE_INTERVAL
         assert result.trace.values[0] == result.initial_violations
         assert result.trace.values[-1] == result.final_violations
 
@@ -147,13 +151,13 @@ class TestOptimizationFlags:
                 >= result_a.moves + result_a.swaps)
 
     def test_without_optimizations_flags(self):
-        config = OPTIMIZED.without_optimizations()
-        assert not config.grouped_sampling
-        assert not config.large_first
-        assert not config.equivalence_classes
-        assert not config.priority_batches
-        assert not config.allow_swaps
-        assert BASELINE == config
+        config = SearchConfig(time_budget=3.0, rng_seed=5)
+        assert config.optimized
+        baseline = config.without_optimizations()
+        assert not baseline.optimized
+        assert baseline == SearchConfig(time_budget=3.0, rng_seed=5,
+                                        optimized=False)
+        assert BASELINE == OPTIMIZED.without_optimizations()
 
     def test_higher_priority_goals_never_deteriorate(self):
         rng = random.Random(4)

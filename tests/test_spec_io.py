@@ -8,6 +8,8 @@ from repro.chaos import (ACTIONS, Expectations, FaultAction, ScenarioSpec,
                          SpecValidationError, all_scenarios, canonical_json,
                          dump_spec, load_spec, spec_fingerprint,
                          validate_spec)
+from repro.chaos.fuzz.mutators import revert_span
+from repro.chaos.scenario import duration_of, param_of
 
 
 def small_spec(**overrides):
@@ -93,6 +95,56 @@ def test_validate_rejects_unresolvable_region():
     with pytest.raises(SpecValidationError) as excinfo:
         validate_spec(spec)
     assert "ATL" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("kind, params, needle", [
+    ("maintenance", {"impact": "BOGUS", "index": "abc"}, "'impact'"),
+    ("maintenance", {"index": "abc"}, "'index'"),
+    ("maintenance", {"notice": -5.0}, "'notice'"),
+    ("crash_burst", {"mtbf": 0}, "'mtbf'"),
+    ("crash_burst", {"mtbf": float("nan")}, "'mtbf'"),
+    ("crash_burst", {"repair": -1.0}, "'repair'"),
+    ("crash_machine", {"index": True}, "'index'"),
+    ("crash_machine", {"colour": "red"}, "'colour'"),
+    ("rolling_upgrade", {"concurrency": 0}, "'concurrency'"),
+    ("rolling_upgrade", {"concurrency": 1.5}, "'concurrency'"),
+    ("zk_expire", {"reconnect_after": "soon"}, "'reconnect_after'"),
+    ("partition_pair", {"a": "FRC", "b": 7}, "'b'"),
+    ("orchestrator_failover", {"region": "FRC"}, "'region'"),
+    ("probe", {"check": "vibes"}, "'check'"),
+])
+def test_validate_rejects_malformed_params(kind, params, needle):
+    """A wrong-typed, out-of-range or unknown param is named, with its
+    kind, before anything is built — not found 10 sim-s into the run."""
+    spec = small_spec(actions=(
+        FaultAction(at=30.0, kind=kind,
+                    params=tuple(sorted(params.items()))),))
+    with pytest.raises(SpecValidationError) as excinfo:
+        validate_spec(spec)
+    assert repr(kind) in str(excinfo.value)
+    assert needle in str(excinfo.value)
+
+
+def test_executors_and_fitting_read_one_table_of_defaults():
+    spec = small_spec(servers_per_region=5, machines_per_region=5)
+    bare = FaultAction(at=0.0, kind="rolling_upgrade")
+    assert param_of(spec, bare, "region") == "FRC"       # depends on spec
+    assert param_of(spec, bare, "concurrency") == 2      # servers // 2
+    assert param_of(spec, bare, "restart_duration") == 30.0
+    written = FaultAction(at=0.0, kind="rolling_upgrade",
+                          params=(("concurrency", 5),))
+    assert param_of(spec, written, "concurrency") == 5
+    assert duration_of(FaultAction(at=0.0, kind="crash_rack")) == 60.0
+    assert duration_of(FaultAction(at=0.0, kind="crash_rack",
+                                   duration=7.0)) == 7.0
+    # What the fuzzer fits is what the executor will do: 3 batches x 30 s.
+    assert revert_span(spec, bare) == 90.0
+    assert revert_span(spec, written) == 30.0
+    # Every default passes the check it is registered with.
+    for kind, executor in ACTIONS.items():
+        for name, param in executor.params.items():
+            default = param_of(spec, FaultAction(at=0.0, kind=kind), name)
+            assert default is None or param.problem(default, spec) == ""
 
 
 def test_validate_rejects_more_servers_than_machines():
