@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test fences test-hashseeds bench figures fuzz-smoke profile trace-fig17
+.PHONY: test fences traffic test-hashseeds bench figures fuzz-smoke profile trace-fig17
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -12,6 +12,15 @@ test:
 fences:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
 		tests/test_single_owner.py tests/test_host_clock.py
+
+# A caller is traffic (~2 min): runs the bench workloads, the figure
+# suite, the scripts and the examples under a function-entry recorder
+# and fails on a function under src/repro that none of them enters and
+# tests/audit_traffic.py's allowlist does not excuse, or on a stale
+# allowlist entry.  Writes traffic_table.txt (git-ignored); leaves
+# bench_results.txt as it found it.
+traffic:
+	$(PYTHON) tests/audit_traffic.py
 
 # Tier-1 under the three hash seeds of CI's `test` matrix: golden traces,
 # corpus digests and figure headlines must not depend on hash order.

@@ -28,7 +28,8 @@ from typing import Any, Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.chaos import SCENARIOS, all_scenarios, load_spec  # noqa: E402
+from repro.chaos import (SCENARIOS, SpecValidationError,  # noqa: E402
+                         all_scenarios, load_spec)
 from repro.experiments import runner  # noqa: E402
 from repro.obs.coverage import coverage_summary  # noqa: E402
 
@@ -111,7 +112,11 @@ def main() -> int:
         scenarios = []
         for name in args.scenario:
             if name.startswith("@"):
-                spec = load_spec(name[1:])
+                try:
+                    spec = load_spec(name[1:])
+                except (OSError, SpecValidationError) as error:
+                    print(f"run_chaos.py: {error}", file=sys.stderr)
+                    return 2
                 file_specs[spec.name] = spec.to_dict()
                 scenarios.append(spec.name)
             elif name in SCENARIOS:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.chaos import load_spec  # noqa: E402
+from repro.chaos import SpecValidationError, load_spec  # noqa: E402
 from repro.chaos.fuzz import (Corpus, CorpusEntry, FuzzConfig,  # noqa: E402
                               FuzzEngine, evaluate_spec, shrink)
 from repro.obs.coverage import coverage_summary  # noqa: E402
@@ -163,7 +163,11 @@ def main() -> int:
     if args.replay is not None:
         if not args.replay:
             parser.error("--replay needs at least one spec file")
-        failures = replay(args.replay, args.arm, args.capacity)
+        try:
+            failures = replay(args.replay, args.arm, args.capacity)
+        except (OSError, SpecValidationError) as error:
+            print(f"run_fuzz.py: {error}", file=sys.stderr)
+            return 2
         print(f"replayed {len(args.replay)} spec(s), "
               f"{failures} failure(s)")
         return 1 if failures else 0

@@ -540,10 +540,5 @@ class FluidClient:
 
     # -- introspection -------------------------------------------------------
 
-    def healthy_fraction(self) -> float:
-        if self._total_share <= 0.0:
-            return 0.0
-        return self._healthy_share / self._total_share
-
     def flow_count(self) -> int:
         return len(self._flows)

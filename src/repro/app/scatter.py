@@ -56,11 +56,6 @@ class QueuedServiceHandler:
         self.served = 0
         self.address = address
 
-    def queue_depth(self) -> float:
-        """Backlog ahead of a request arriving now, in requests."""
-        backlog = self.busy_until - self.engine.now
-        return max(0.0, backlog) / self.service_time
-
     def __call__(self, shard_id: str, request: Any) -> AsyncReply:
         now = self.engine.now
         start = self.busy_until if self.busy_until > now else now

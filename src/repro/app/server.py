@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..cluster.container import Container
 from ..coordination import layout
@@ -191,9 +191,6 @@ class ApplicationServer:
 
     def hosted(self, shard_id: str) -> Optional[HostedShard]:
         return self._shards.get(shard_id)
-
-    def hosted_shards(self) -> List[HostedShard]:
-        return list(self._shards.values())
 
     # -- Figure 11 API over RPC -------------------------------------------------------
 

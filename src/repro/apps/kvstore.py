@@ -107,8 +107,3 @@ class KVStoreApp:
         shard = self.spec.shard(shard_id)
         if key not in shard.key_range:
             raise ValueError(f"key {key} outside shard {shard_id}")
-
-    def drop_soft_state(self, address: str) -> None:
-        """Simulate a restart wiping a server's caches."""
-        for key in [k for k in self._caches if k[0] == address]:
-            del self._caches[key]

@@ -31,7 +31,7 @@ from ..app.server import ApplicationServer
 from ..core.shard_map import Role, ShardMap
 from ..core.spec import AppSpec
 from ..discovery.service_discovery import ServiceDiscovery
-from ..replication.paxos import Accepted, Acceptor, Ballot, Promise
+from ..replication.paxos import Accepted, Acceptor, Ballot
 from ..sim.engine import Engine
 from ..sim.network import AsyncReply, Network, RpcResult
 from ..cluster.container import Container
@@ -98,8 +98,6 @@ class ZippyDBApp:
         self._nodes[server.address] = node
         server.endpoint.on("zippydb.lead",
                            lambda p: self._rpc_lead(server.address, p))
-        server.endpoint.on("zippydb.prepare",
-                           lambda p: self._rpc_prepare(server.address, p))
         server.endpoint.on("zippydb.accept",
                            lambda p: self._rpc_accept(server.address, p))
         server.endpoint.on("zippydb.learn",
@@ -132,10 +130,6 @@ class ZippyDBApp:
         ok, promised, accepted = state.acceptor.on_prepare_range(
             payload["from_slot"], payload["ballot"])
         return {"ok": ok, "promised": promised, "accepted": accepted}
-
-    def _rpc_prepare(self, address: str, payload: Dict[str, Any]) -> Promise:
-        state = self._state(address, payload["shard_id"])
-        return state.acceptor.on_prepare(payload["slot"], payload["ballot"])
 
     def _rpc_accept(self, address: str, payload: Dict[str, Any]) -> Accepted:
         state = self._state(address, payload["shard_id"])

@@ -1,14 +1,5 @@
 """Legacy sharding schemes used as baselines (§2.2.1)."""
 
-from .consistent_hashing import ConsistentHashRing
 from .pinned import PinnedAllocator, modulo_placement, ring_placement
-from .static_sharding import ReshardingImpact, StaticSharding
 
-__all__ = [
-    "ConsistentHashRing",
-    "PinnedAllocator",
-    "ReshardingImpact",
-    "StaticSharding",
-    "modulo_placement",
-    "ring_placement",
-]
+__all__ = ["PinnedAllocator", "modulo_placement", "ring_placement"]

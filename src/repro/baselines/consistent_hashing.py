@@ -2,8 +2,9 @@
 
 A classic virtual-node hash ring.  Despite its "theoretical advantage"
 (only ~1/n of keys move when a node joins/leaves), it is 3x *less*
-popular than static sharding at Facebook; the Fig 4 demographics
-generator and the baseline comparisons use this implementation.
+popular than static sharding at Facebook.  A ring is built for one
+membership set and only looked up: ``baselines.pinned.ring_placement``
+builds a new ring when membership changes, so there is no removal.
 """
 
 from __future__ import annotations
@@ -27,48 +28,19 @@ class ConsistentHashRing:
         self._ring: List[int] = []            # sorted virtual-node hashes
         self._owner: Dict[int, str] = {}      # hash -> node
         self._nodes: set = set()
-        self._points: Dict[str, List[int]] = {}  # node -> its inserted points
         for node in nodes:
             self.add_node(node)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def nodes(self) -> List[str]:
-        return sorted(self._nodes)
-
-    def copy(self) -> "ConsistentHashRing":
-        """Independent deep copy (membership changes don't leak back)."""
-        clone = ConsistentHashRing(virtual_nodes=self.virtual_nodes)
-        clone._ring = list(self._ring)
-        clone._owner = dict(self._owner)
-        clone._nodes = set(self._nodes)
-        clone._points = {node: list(pts) for node, pts in self._points.items()}
-        return clone
 
     def add_node(self, node: str) -> None:
         if node in self._nodes:
             raise ValueError(f"node {node!r} already on the ring")
         self._nodes.add(node)
-        points = self._points[node] = []
         for index in range(self.virtual_nodes):
             point = _hash64(f"{node}#{index}")
             if point in self._owner:
                 continue  # astronomically unlikely collision; skip the vnode
             bisect.insort(self._ring, point)
             self._owner[point] = node
-            points.append(point)
-
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            raise KeyError(f"node {node!r} not on the ring")
-        self._nodes.discard(node)
-        # O(vnodes-of-node * log ring): each node's inserted points are
-        # tracked, so no scan over every vnode on the ring is needed.
-        for point in self._points.pop(node):
-            del self._owner[point]
-            index = bisect.bisect_left(self._ring, point)
-            del self._ring[index]
 
     def node_for_key(self, key: int) -> str:
         if not self._ring:
@@ -78,29 +50,3 @@ class ConsistentHashRing:
         if index == len(self._ring):
             index = 0
         return self._owner[self._ring[index]]
-
-    def movement_on_change(self, sample_keys: Sequence[int],
-                           add: Sequence[str] = (),
-                           remove: Sequence[str] = ()) -> float:
-        """Fraction of sampled keys whose owner changes under a membership
-        change — the consistent-hashing selling point (≈ changed/total).
-
-        Pure measurement: the change is applied to a private copy of the
-        ring, so this ring's membership is untouched on return.
-        """
-        if not sample_keys:
-            raise ValueError("need at least one sample key")
-        changed = self.copy()
-        for node in add:
-            changed.add_node(node)
-        for node in remove:
-            changed.remove_node(node)
-        moved = sum(1 for key in sample_keys
-                    if changed.node_for_key(key) != self.node_for_key(key))
-        return moved / len(sample_keys)
-
-    def load_distribution(self, keys: Sequence[int]) -> Dict[str, int]:
-        counts: Dict[str, int] = {node: 0 for node in self._nodes}
-        for key in keys:
-            counts[self.node_for_key(key)] += 1
-        return counts

@@ -10,8 +10,8 @@ from .library import SCENARIOS, all_scenarios, get
 from .scenario import (ACTIONS, ARMS, Expectations, FaultAction,
                        ScenarioResult, ScenarioRun, ScenarioSpec,
                        run_scenario)
-from .spec_io import (SpecValidationError, canonical_json, dump_spec,
-                      load_spec, spec_fingerprint, validate_spec)
+from .spec_io import (SpecValidationError, dump_spec, load_spec,
+                      spec_fingerprint, validate_spec)
 
 __all__ = [
     "ACTIONS",
@@ -24,7 +24,6 @@ __all__ = [
     "ScenarioSpec",
     "SpecValidationError",
     "all_scenarios",
-    "canonical_json",
     "dump_spec",
     "get",
     "load_spec",

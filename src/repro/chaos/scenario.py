@@ -26,6 +26,7 @@ cut each other short.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -52,6 +53,56 @@ __all__ = ["FaultAction", "Expectations", "ScenarioSpec", "ScenarioResult",
 ARMS: Dict[str, Dict[str, bool]] = {
     "sm": {"graceful": True, "with_task_controller": True},
     "baseline": {"graceful": False, "with_task_controller": False},
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One value a spec may write — a param of an action kind or a
+    scenario-level scalar — and, for an action param, the value the
+    executor gets when the spec writes nothing: ``default`` itself or,
+    where it depends on the scenario's shape, ``default(spec)``.  ``None``
+    means the executor treats "unset" as a case of its own."""
+
+    type: type                          # int, float (an int will do) or str
+    default: Any = None
+    minimum: Optional[float] = None     # inclusive lower bound
+    above: Optional[float] = None       # exclusive lower bound
+    choices: Tuple[str, ...] = ()
+    region: bool = False                # names one of the spec's regions
+
+    def problem(self, value: Any, spec: "ScenarioSpec") -> str:
+        """Why ``value`` cannot be scheduled; empty when it can."""
+        accepted = (int, float) if self.type is float else self.type
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            return f"must be {self.type.__name__}, got {value!r}"
+        allowed = spec.regions if self.region else self.choices
+        if allowed and value not in allowed:
+            return f"must be one of {sorted(allowed)}, got {value!r}"
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"must be finite, got {value!r}"
+        if self.minimum is not None and not value >= self.minimum:
+            return f"must be >= {self.minimum}, got {value!r}"
+        if self.above is not None and not value > self.above:
+            return f"must be > {self.above}, got {value!r}"
+        return ""
+
+
+#: The scenario-level scalar fields, in ``to_dict`` order: the type
+#: ``from_dict`` converts each to and the range ``validate_spec`` holds
+#: it to.  Their defaults are the dataclass's.
+SCALAR_FIELDS: Dict[str, Param] = {
+    "duration": Param(float, above=0.0),
+    "machines_per_region": Param(int, minimum=1),
+    "servers_per_region": Param(int, minimum=1),
+    "shards": Param(int, minimum=1),
+    "replica_count": Param(int, minimum=1),
+    "request_rate": Param(float, minimum=0.0),   # 0: no client traffic
+    "zipf_skew": Param(float, minimum=0.0),
+    "settle": Param(float, minimum=0.0),
+    "failover_grace": Param(float, minimum=0.0),
+    "zk_session_timeout": Param(float, above=0.0),
+    "restart_hint": Param(float, minimum=0.0),
 }
 
 
@@ -191,14 +242,6 @@ class ScenarioSpec:
     restart_hint: float = 60.0
     expectations: Expectations = field(default_factory=Expectations)
 
-    #: Fields serialized verbatim (name/title/actions/replication and
-    #: expectations are handled specially by to_dict/from_dict).
-    _SCALAR_FIELDS = ("duration", "machines_per_region",
-                      "servers_per_region", "shards", "replica_count",
-                      "request_rate", "zipf_skew", "settle",
-                      "failover_grace", "zk_session_timeout",
-                      "restart_hint")
-
     def to_dict(self) -> Dict[str, Any]:
         """The JSON form ``run_chaos.py --scenario @file.json`` loads."""
         record: Dict[str, Any] = {
@@ -209,7 +252,7 @@ class ScenarioSpec:
             "replication": self.replication.value,
             "expectations": self.expectations.to_dict(),
         }
-        for field_name in self._SCALAR_FIELDS:
+        for field_name in SCALAR_FIELDS:
             record[field_name] = getattr(self, field_name)
         return record
 
@@ -220,7 +263,7 @@ class ScenarioSpec:
             raise ValueError(f"scenario spec must be an object, "
                              f"got {type(data).__name__}")
         known = {"name", "title", "actions", "regions", "replication",
-                 "expectations", *cls._SCALAR_FIELDS}
+                 "expectations", *SCALAR_FIELDS}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
@@ -243,18 +286,18 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown replication {data.get('replication')!r}; known: "
                 f"{[s.value for s in ReplicationStrategy]}") from None
-        int_fields = {"machines_per_region", "servers_per_region",
-                      "shards", "replica_count"}
         kwargs: Dict[str, Any] = {}
-        for field_name in cls._SCALAR_FIELDS:
+        for field_name, param in SCALAR_FIELDS.items():
             if field_name in data:
                 value = data[field_name]
                 if not isinstance(value, (int, float)) \
                         or isinstance(value, bool):
                     raise ValueError(f"scenario {field_name!r} must be a "
                                      f"number, got {value!r}")
-                kwargs[field_name] = (int(value) if field_name in int_fields
-                                      else float(value))
+                if param.type is int and not float(value).is_integer():
+                    raise ValueError(f"scenario {field_name!r} must be a "
+                                     f"whole number, got {value!r}")
+                kwargs[field_name] = param.type(value)
         return cls(
             name=name,
             title=data.get("title", name),
@@ -293,10 +336,6 @@ class ScenarioResult:
     #: journal: stable across simulator-substrate changes.
     behaviour_digest: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.dropped
-
     def headline(self) -> Dict[str, Any]:
         return {"scenario": self.name, "arm": self.arm, "seed": self.seed,
                 "digest": self.digest,
@@ -314,36 +353,6 @@ class ScenarioResult:
 
 ActionFn = Callable[["ScenarioRun", FaultAction], None]
 ACTIONS: Dict[str, ActionFn] = {}
-
-
-@dataclass(frozen=True)
-class Param:
-    """One param of an action kind: what a spec may write for it, and the
-    value the executor gets when the spec writes nothing — ``default``
-    itself or, where it depends on the scenario's shape, ``default(spec)``.
-    ``None`` means the executor treats "unset" as a case of its own."""
-
-    type: type                          # int, float (an int will do) or str
-    default: Any = None
-    minimum: Optional[float] = None     # inclusive lower bound
-    above: Optional[float] = None       # exclusive lower bound
-    choices: Tuple[str, ...] = ()
-    region: bool = False                # names one of the spec's regions
-
-    def problem(self, value: Any, spec: "ScenarioSpec") -> str:
-        """Why ``value`` cannot be scheduled; empty when it can."""
-        accepted = (int, float) if self.type is float else self.type
-        if not isinstance(value, accepted) or isinstance(value, bool):
-            return f"must be {self.type.__name__}, got {value!r}"
-        allowed = spec.regions if self.region else self.choices
-        if allowed and value not in allowed:
-            return f"must be one of {sorted(allowed)}, got {value!r}"
-        # Written so that nan fails both.
-        if self.minimum is not None and not value >= self.minimum:
-            return f"must be >= {self.minimum}, got {value!r}"
-        if self.above is not None and not value > self.above:
-            return f"must be > {self.above}, got {value!r}"
-        return ""
 
 
 def action(kind: str, duration: float = 0.0, **params: Param
@@ -457,7 +466,8 @@ def _isolate_region(run: "ScenarioRun", act: FaultAction,
     run.emit_fault(fault, "isolate_region", region)
 
     def heal() -> None:
-        run.cluster.network.heal_region(region, pairs)
+        for a, b in pairs:
+            run.cluster.network.heal_partition(a, b)
         run.emit_recover(fault, "isolate_region", region)
 
     run.engine.call_after(duration_of(act), heal)

@@ -9,9 +9,9 @@ scenario end, a region target the harness never builds).  The fuzzer
 calls :func:`validate_spec` on every generated candidate, and the
 property tests assert that every mutator/crossover output passes it.
 
-The canonical JSON form (:func:`canonical_json`) is sorted-key,
-compact-separator JSON — the stable identity the fuzzer hashes to
-derive per-spec run seeds and dedupe the corpus, so
+The canonical JSON form is sorted-key, compact-separator JSON — the
+stable identity :func:`spec_fingerprint` hashes, from which the fuzzer
+derives per-spec run seeds and dedupes the corpus, so
 ``(seed, spec JSON) -> journal digest`` has a well-defined left side.
 """
 
@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Union
 
-from .scenario import ACTIONS, ScenarioSpec
+from .scenario import ACTIONS, SCALAR_FIELDS, ScenarioSpec
 
 __all__ = ["SpecValidationError", "validate_spec", "load_spec",
-           "dump_spec", "canonical_json", "spec_fingerprint"]
+           "dump_spec", "spec_fingerprint"]
 
 
 class SpecValidationError(ValueError):
@@ -35,25 +36,24 @@ class SpecValidationError(ValueError):
 def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """Raise :class:`SpecValidationError` unless ``spec`` is runnable.
 
-    Checks (beyond the shape layer): positive harness dimensions,
-    every action kind registered, action times inside ``[0, duration]``,
-    non-negative durations, and every param one its kind registered
-    (:func:`repro.chaos.scenario.action`), of that type and in that
-    range — a region-naming param resolvable against the spec's region
-    list.  Nothing is built or run.  Returns the spec for call chaining.
+    Checks (beyond the shape layer): every scenario-level scalar finite
+    and in its range (``scenario.SCALAR_FIELDS``), distinct non-empty
+    region names, every action kind registered, action times inside
+    ``[0, duration]``, finite non-negative durations, and every param one
+    its kind registered (:func:`repro.chaos.scenario.action`), of that
+    type and in that range — a region-naming param resolvable against
+    the spec's region list.  Nothing is built or run.  Returns the spec
+    for call chaining.
     """
-    if spec.duration <= 0:
+    for name, param in SCALAR_FIELDS.items():
+        problem = param.problem(getattr(spec, name), spec)
+        if problem:
+            raise SpecValidationError(f"{spec.name}: {name} {problem}")
+    if (not spec.regions or len(set(spec.regions)) != len(spec.regions)
+            or not all(isinstance(r, str) and r for r in spec.regions)):
         raise SpecValidationError(
-            f"{spec.name}: duration must be positive, got {spec.duration!r}")
-    if spec.settle < 0:
-        raise SpecValidationError(
-            f"{spec.name}: settle must be non-negative, got {spec.settle!r}")
-    for dim in ("machines_per_region", "servers_per_region", "shards",
-                "replica_count"):
-        if getattr(spec, dim) < 1:
-            raise SpecValidationError(
-                f"{spec.name}: {dim} must be >= 1, "
-                f"got {getattr(spec, dim)!r}")
+            f"{spec.name}: regions must be distinct non-empty names, "
+            f"got {list(spec.regions)!r}")
     if spec.servers_per_region > spec.machines_per_region:
         raise SpecValidationError(
             f"{spec.name}: servers_per_region "
@@ -68,10 +68,10 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             raise SpecValidationError(
                 f"{spec.name}: action {action.kind!r} at t={action.at!r} "
                 f"is outside [0, {spec.duration!r}]")
-        if action.duration < 0:
+        if not 0.0 <= action.duration < math.inf:
             raise SpecValidationError(
-                f"{spec.name}: action {action.kind!r} has negative "
-                f"duration {action.duration!r}")
+                f"{spec.name}: action {action.kind!r} needs a finite "
+                f"non-negative duration, got {action.duration!r}")
         known = ACTIONS[action.kind].params
         for name, value in action.params:
             if name not in known:
@@ -84,12 +84,6 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
                     f"{spec.name}: action {action.kind!r} param {name!r} "
                     f"{problem}")
     return spec
-
-
-def canonical_json(spec: ScenarioSpec) -> str:
-    """The sorted-key compact JSON identity of a spec."""
-    return json.dumps(spec.to_dict(), sort_keys=True,
-                      separators=(",", ":"))
 
 
 def spec_fingerprint(spec: ScenarioSpec) -> str:
@@ -121,10 +115,9 @@ def load_spec(path: Union[str, Path]) -> ScenarioSpec:
     if isinstance(data, dict) and "spec" in data and "name" not in data:
         data = data["spec"]
     try:
-        spec = ScenarioSpec.from_dict(data)
-    except ValueError as error:
+        return validate_spec(ScenarioSpec.from_dict(data))
+    except ValueError as error:     # shape or schedulability: name the file
         raise SpecValidationError(f"{path}: {error}") from None
-    return validate_spec(spec)
 
 
 def dump_spec(spec: ScenarioSpec, path: Union[str, Path]) -> Path:

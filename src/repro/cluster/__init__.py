@@ -18,7 +18,6 @@ from .topology import (
     Machine,
     Topology,
     build_topology,
-    count_distinct_domains,
 )
 from .twine import RollingUpgrade, Twine, TwineConfig
 
@@ -40,7 +39,6 @@ __all__ = [
     "Machine",
     "Topology",
     "build_topology",
-    "count_distinct_domains",
     "RollingUpgrade",
     "Twine",
     "TwineConfig",

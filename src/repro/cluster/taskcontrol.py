@@ -82,9 +82,6 @@ class MaintenanceNotice:
     impact: MaintenanceImpact
     region: str
 
-    def duration(self) -> float:
-        return self.end_time - self.start_time
-
 
 class TaskController(Protocol):
     """What a cluster manager needs from a controller.

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 class FaultDomainLevel(str, Enum):
@@ -40,19 +40,6 @@ class Machine:
     has_storage: bool = False
     up: bool = True
 
-    def domain(self, level: FaultDomainLevel) -> str:
-        """The fault-domain identifier of this machine at ``level``."""
-        if level is FaultDomainLevel.REGION:
-            return self.region
-        if level is FaultDomainLevel.DATACENTER:
-            return self.datacenter
-        if level is FaultDomainLevel.RACK:
-            return self.rack
-        return self.machine_id
-
-    def capacity_of(self, metric: str) -> float:
-        return self.capacity.get(metric, 0.0)
-
 
 @dataclass
 class Topology:
@@ -73,20 +60,8 @@ class Topology:
         except KeyError:
             raise KeyError(f"unknown machine {machine_id!r}") from None
 
-    def __len__(self) -> int:
-        return len(self.machines)
-
-    def __contains__(self, machine_id: str) -> bool:
-        return machine_id in self._by_id
-
-    def regions(self) -> List[str]:
-        return sorted({m.region for m in self.machines})
-
     def in_region(self, region: str) -> List[Machine]:
         return [m for m in self.machines if m.region == region]
-
-    def up_machines(self) -> List[Machine]:
-        return [m for m in self.machines if m.up]
 
 
 DEFAULT_CAPACITY = {"cpu": 100.0, "memory": 100.0, "shard_count": 1000.0}
@@ -138,9 +113,3 @@ def build_topology(regions: Sequence[str],
                 has_storage=rng.random() < storage_fraction,
             ))
     return topology
-
-
-def count_distinct_domains(machines: Iterable[Machine],
-                           level: FaultDomainLevel) -> int:
-    """How many distinct fault domains at ``level`` a set of machines spans."""
-    return len({m.domain(level) for m in machines})

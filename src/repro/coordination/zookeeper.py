@@ -356,9 +356,6 @@ class ZooKeeper:
             self._watches.setdefault(path, []).append(watch)
         return node.data
 
-    def version(self, path: str) -> int:
-        return self._require(path).version
-
     def set(self, path: str, data: Any,
             expected_version: Optional[int] = None) -> int:
         """Write data; optional compare-and-set on the node version."""

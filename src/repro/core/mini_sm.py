@@ -332,14 +332,3 @@ class Frontend:
             raise KeyError(
                 f"{app_name}: shard {shard_id!r} not in any partition")
         return self.partition_registry.lookup(partition_id)
-
-    def describe(self) -> List[Dict[str, object]]:
-        """Read-service style summary of the whole control plane."""
-        return [
-            {"mini_sm": mini_sm.mini_sm_id,
-             "partitions": len(mini_sm.partitions),
-             "servers": mini_sm.server_count,
-             "shards": mini_sm.shard_count,
-             "replicas": mini_sm.replica_count}
-            for mini_sm in self.partition_registry.mini_sms
-        ]

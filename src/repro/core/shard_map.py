@@ -592,9 +592,6 @@ class AssignmentTable:
     def all_replicas(self) -> List[ReplicaAssignment]:
         return list(self._replicas.values())
 
-    def available_replicas_of(self, shard_id: str) -> List[ReplicaAssignment]:
-        return [r for r in self._by_shard[shard_id] if r.available]
-
     def unavailable_count(self, shard_id: str,
                           down_addresses: Iterable[str] = ()) -> int:
         """How many of a shard's replicas are currently not serving.

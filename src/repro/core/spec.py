@@ -73,9 +73,6 @@ class KeyRange:
     def __contains__(self, key: int) -> bool:
         return self.low <= key < self.high
 
-    def size(self) -> int:
-        return self.high - self.low
-
 
 @dataclass(frozen=True, slots=True)
 class ShardSpec:
@@ -159,17 +156,6 @@ class AppSpec:
         except KeyError:
             raise KeyError(
                 f"app {self.name}: unknown shard {shard_id!r}") from None
-
-    def shard_for_key(self, key: int) -> ShardSpec:
-        """App-key lookup: which shard owns ``key``.
-
-        Linear scan kept simple here; the hot path lives in the service
-        router, which builds a sorted-interval index (``repro.discovery``).
-        """
-        for shard in self.shards:
-            if key in shard.key_range:
-                return shard
-        raise KeyError(f"app {self.name}: no shard covers key {key}")
 
     def total_replicas(self) -> int:
         return sum(shard.replica_count for shard in self.shards)

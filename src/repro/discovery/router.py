@@ -163,10 +163,6 @@ class ServiceRouter:
         self._route_keys_by_shard[0].clear()
         self._route_keys_by_shard[1].clear()
 
-    @property
-    def map_version(self) -> int:
-        return self._map.version if self._map is not None else 0
-
     def entry_for_key(self, key: int) -> ShardMapEntry:
         index = self._index
         if index is None or not len(index):

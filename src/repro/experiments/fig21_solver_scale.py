@@ -5,9 +5,8 @@ ZippyDB production snapshot, starting from a random assignment; the
 allocator "is able to fix all violations in all stress tests", and as the
 problem grows 5x, total solving time grows 6.8x (30 s → 205 s).
 
-The default run scales every size down 10x (preserving the 1:3:5 sweep)
-because our solver is pure Python where ReBalancer is optimized C++;
-pass ``factor=1`` to attempt the paper's full sizes.
+The default run (``factor=5``) scales every size down 5x, preserving the
+1:3:5 sweep; pass ``factor=1`` for the paper's full sizes.
 """
 
 from __future__ import annotations

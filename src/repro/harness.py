@@ -100,9 +100,6 @@ class SimCluster:
     def run(self, until: float) -> float:
         return self.engine.run(until=until)
 
-    def regions(self) -> List[str]:
-        return sorted(self.twines)
-
 
 def _latency_for(regions: Sequence[str]) -> LatencyModel:
     """A latency model covering any region set (defaults for unknown pairs)."""

@@ -14,7 +14,7 @@ function-level detail.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Optional, Tuple
+from typing import Collection, Dict, Optional
 
 
 class Profiler:
@@ -51,30 +51,14 @@ class Profiler:
         entry = self._stages.get(stage)
         return entry[1] if entry is not None else 0.0
 
-    def calls(self, stage: str) -> int:
-        entry = self._stages.get(stage)
-        return entry[0] if entry is not None else 0
-
-    def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
-    @property
-    def stages(self) -> Dict[str, Tuple[int, float]]:
-        return {name: (entry[0], entry[1])
-                for name, entry in self._stages.items()}
-
-    @property
-    def counters(self) -> Dict[str, int]:
-        return dict(self._counters)
-
     # -- presentation ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict view (JSON-friendly) of everything recorded."""
         return {
             "stages": {name: {"calls": calls, "seconds": seconds}
-                       for name, (calls, seconds) in self.stages.items()},
-            "counters": self.counters,
+                       for name, (calls, seconds) in self._stages.items()},
+            "counters": dict(self._counters),
         }
 
     def to_trace(self, tracer, track: str = "solver",
@@ -123,4 +107,4 @@ class Profiler:
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Profiler(stages={self.stages!r}, counters={self.counters!r})"
+        return f"Profiler({self.snapshot()!r})"

@@ -54,11 +54,6 @@ class TimeSeries:
     def __iter__(self):
         return iter(zip(self.times, self.values))
 
-    def last(self) -> Tuple[float, float]:
-        if not self.times:
-            raise ValueError(f"{self.name or 'series'} is empty")
-        return self.times[-1], self.values[-1]
-
     def value_at(self, time: float) -> float:
         """Step-function lookup: the most recent value at or before ``time``."""
         index = bisect.bisect_right(self.times, time) - 1

@@ -111,9 +111,6 @@ class Journal:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    def records(self) -> List[TraceRecord]:
-        return list(self._records)
-
     def tracks(self) -> List[str]:
         """Sorted distinct track names present in the journal."""
         return sorted({record.track for record in self._records})

@@ -1,23 +1,5 @@
-"""Replication substrates (Paxos, for the ZippyDB example)."""
+"""Replication substrates (the Paxos acceptor, for the ZippyDB example)."""
 
-from .paxos import (
-    Accepted,
-    Acceptor,
-    Ballot,
-    Learner,
-    Promise,
-    Proposer,
-    ReplicatedLog,
-    ZERO_BALLOT,
-)
+from .paxos import Accepted, Acceptor, Ballot
 
-__all__ = [
-    "Accepted",
-    "Acceptor",
-    "Ballot",
-    "Learner",
-    "Promise",
-    "Proposer",
-    "ReplicatedLog",
-    "ZERO_BALLOT",
-]
+__all__ = ["Accepted", "Acceptor", "Ballot"]

@@ -24,7 +24,7 @@ from .network import (
     RpcCall,
     RpcResult,
 )
-from .rng import make_rng, skewed_loads, substream, weighted_choice
+from .rng import skewed_loads, substream
 
 __all__ = [
     "Delay",
@@ -46,8 +46,6 @@ __all__ = [
     "NetworkError",
     "RpcCall",
     "RpcResult",
-    "make_rng",
     "skewed_loads",
     "substream",
-    "weighted_choice",
 ]

@@ -73,11 +73,6 @@ class EventHandle:
         self.arg = arg
         self._engine = engine
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` prevented the callback from running."""
-        return self.callback is None
-
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly, and
         a no-op on an event that already ran."""

@@ -416,9 +416,9 @@ class Network:
         model *and* every region with a registered endpoint.
 
         Returns the (region, other) pairs actually added so the caller
-        (the chaos engine) can heal exactly what it cut — an existing
-        partition someone else installed is not returned and therefore
-        not healed by :meth:`heal_region`.
+        (the chaos engine) can heal exactly what it cut, pair by pair
+        with :meth:`heal_partition` — an existing partition someone else
+        installed is not returned and therefore not healed.
         """
         others = set(self.latency.regions())
         others.update(e.region for e in self._endpoints.values())
@@ -430,20 +430,6 @@ class Network:
                 self._partitions.add(pair)
                 added.append((region, other))
         return added
-
-    def heal_region(self, region: str,
-                    pairs: Optional[List[Tuple[str, str]]] = None) -> None:
-        """Heal partitions touching ``region``.
-
-        With ``pairs`` (as returned by :meth:`isolate_region`) only those
-        are healed; without, every partition involving the region goes.
-        """
-        if pairs is not None:
-            for a, b in pairs:
-                self.heal_partition(a, b)
-            return
-        for pair in [p for p in self._partitions if region in p]:
-            self._partitions.discard(pair)
 
     def _partitioned(self, region_a: str, region_b: str) -> bool:
         if not self._partitions:

@@ -9,12 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
-
-
-def make_rng(seed: int) -> random.Random:
-    """A fresh deterministic generator for ``seed``."""
-    return random.Random(seed)
 
 
 def substream(seed: int, *labels: object) -> random.Random:
@@ -44,11 +38,3 @@ def skewed_loads(rng: random.Random, count: int, skew: float = 20.0,
     raw = [low * (high / low) ** rng.random() for _ in range(count)]
     scale = mean * count / sum(raw)
     return [value * scale for value in raw]
-
-
-def weighted_choice(rng: random.Random, options: Sequence[object],
-                    weights: Sequence[float]) -> object:
-    """Single draw from ``options`` with the given weights."""
-    if len(options) != len(weights):
-        raise ValueError("options and weights must have equal length")
-    return rng.choices(list(options), weights=list(weights), k=1)[0]

@@ -1,6 +1,6 @@
 """Generic constraint solver (stand-in for Facebook's ReBalancer)."""
 
-from .api import Rebalancer, solve_partitioned
+from .api import Rebalancer
 from .goals import (
     AffinityGoal,
     BalanceGoal,
@@ -24,7 +24,6 @@ from .specs import (
 
 __all__ = [
     "Rebalancer",
-    "solve_partitioned",
     "AffinityGoal",
     "BalanceGoal",
     "CapacityGoal",

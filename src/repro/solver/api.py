@@ -15,7 +15,7 @@ concerns" (§5.3): SM's allocator only ever talks to this class.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Union
 
 from .goals import (
     AffinityGoal,
@@ -69,10 +69,6 @@ class Rebalancer:
             raise TypeError(f"unsupported spec {spec!r}")
         return self
 
-    @property
-    def goals(self) -> List[Goal]:
-        return list(self._goals)
-
     def violations(self) -> int:
         return sum(goal.violations() for goal in self._goals)
 
@@ -82,21 +78,3 @@ class Rebalancer:
     def solve(self, config: SearchConfig = OPTIMIZED) -> SolveResult:
         search = LocalSearch(self.problem, self._goals, config)
         return search.solve()
-
-
-def solve_partitioned(problems: Sequence[PlacementProblem],
-                      build: "callable",
-                      config: SearchConfig = OPTIMIZED) -> List[SolveResult]:
-    """Solve independent partition problems sequentially.
-
-    The paper solves partitions "on multiple machines in parallel" (§5.3
-    technique 1); partitions are independent, so a sequential loop is
-    behaviour-equivalent (wall-clock in production would be the max, not
-    the sum — EXPERIMENTS.md notes this when reporting solve times).
-    ``build(problem) -> Rebalancer`` attaches each partition's specs.
-    """
-    results = []
-    for problem in problems:
-        rebalancer = build(problem)
-        results.append(rebalancer.solve(config))
-    return results

@@ -122,10 +122,6 @@ class SolveResult:
     profile: Profiler = field(default_factory=Profiler)
 
     @property
-    def solved(self) -> bool:
-        return self.final_violations == 0
-
-    @property
     def evaluations_per_second(self) -> float:
         if self.solve_time <= 0.0:
             return 0.0

@@ -189,33 +189,8 @@ class PlacementProblem:
             self._replica_total_load = [sum(load) for load in self.loads]
         return self._replica_total_load
 
-    # -- statistics -----------------------------------------------------------
-
-    def mean_utilization(self) -> List[float]:
-        """Fleet-average utilization per metric (total load / total capacity).
-
-        Invariant under moves, which makes balance-goal deltas cheap.
-        """
-        out = []
-        for m in range(self.num_metrics):
-            total_cap = sum(c[m] for c in self.capacity)
-            total_use = sum(u[m] for u in self.usage)
-            out.append(total_use / total_cap if total_cap > 0 else 0.0)
-        return out
-
     def random_assignment(self, rng: random.Random) -> None:
         """Uniform random placement — Fig 21's stress-test initial state."""
         num_servers = len(self.servers)
         for replica_idx in range(len(self.replicas)):
             self.move(replica_idx, rng.randrange(num_servers))
-
-    def copy_assignment(self) -> List[int]:
-        return list(self.assignment)
-
-    def assignment_diff(self, baseline: Sequence[int]) -> List[Tuple[int, int, int]]:
-        """(replica, old_server, new_server) for every changed replica."""
-        if len(baseline) != len(self.assignment):
-            raise ValueError("baseline length mismatch")
-        return [(r, old, new)
-                for r, (old, new) in enumerate(zip(baseline, self.assignment))
-                if old != new]

@@ -17,12 +17,8 @@ from .load import (
     DAY,
     ConstantCurve,
     DiurnalCurve,
-    StepCurve,
     ZipfKeySampler,
     mean_rate,
-    noisy,
-    static_shard_loads,
-    zipfian_key_sampler,
 )
 from .snapshots import (
     PAPER_SCALES,
@@ -48,12 +44,8 @@ __all__ = [
     "DAY",
     "ConstantCurve",
     "DiurnalCurve",
-    "StepCurve",
     "ZipfKeySampler",
     "mean_rate",
-    "noisy",
-    "static_shard_loads",
-    "zipfian_key_sampler",
     "PAPER_SCALES",
     "ZIPPYDB_METRICS",
     "SnapshotScale",

@@ -14,7 +14,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 DAY = 86_400.0
 
@@ -73,53 +73,6 @@ class ConstantCurve:
         return self.rate * (t1 - t0)
 
 
-@dataclass(frozen=True)
-class StepCurve:
-    """Piecewise-constant rate: ``steps`` is ((start_time, rate), ...)
-    sorted by start time; before the first step the rate is ``initial``.
-
-    Models step load changes (region drains, product launches) that both
-    traffic modes must see identically.
-    """
-
-    steps: Sequence[tuple]
-    initial: float = 0.0
-
-    def __post_init__(self) -> None:
-        last = -math.inf
-        for start, rate in self.steps:
-            if start <= last:
-                raise ValueError("step times must be strictly increasing")
-            if rate < 0:
-                raise ValueError("step rates must be >= 0")
-            last = start
-        if self.initial < 0:
-            raise ValueError("initial rate must be >= 0")
-
-    def __call__(self, t: float) -> float:
-        rate = self.initial
-        for start, step_rate in self.steps:
-            if t < start:
-                break
-            rate = step_rate
-        return rate
-
-    def integral(self, t0: float, t1: float) -> float:
-        if t1 < t0:
-            raise ValueError("need t0 <= t1")
-        area = 0.0
-        cursor, rate = t0, self(t0)
-        for start, step_rate in self.steps:
-            if start <= cursor:
-                continue
-            if start >= t1:
-                break
-            area += rate * (start - cursor)
-            cursor, rate = start, step_rate
-        area += rate * (t1 - cursor)
-        return area
-
-
 def mean_rate(curve: Callable[[float], float], t0: float, t1: float,
               samples: int = 8) -> float:
     """Average rate of any curve over ``[t0, t1]``.
@@ -147,18 +100,6 @@ def mean_rate(curve: Callable[[float], float], t0: float, t1: float,
     return max(0.0, total * width / 3.0 / (t1 - t0))
 
 
-def noisy(curve: Callable[[float], float], rng: random.Random,
-          fraction: float = 0.05) -> Callable[[float], float]:
-    """Multiplicative uniform noise on top of any rate curve."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("noise fraction must be in [0, 1)")
-
-    def wrapped(t: float) -> float:
-        return curve(t) * (1.0 + rng.uniform(-fraction, fraction))
-
-    return wrapped
-
-
 class ZipfKeySampler:
     """True bounded Zipf(s) key sampler.
 
@@ -174,8 +115,8 @@ class ZipfKeySampler:
     the low end of the key space (adjacent, i.e. concentrated on few
     shards under range sharding); a larger stride scatters the hot ranks
     across the key space so many shards carry a hot key.  ``rotate()``
-    and ``set_skew()`` mutate the mapping/CDF mid-run — the hooks the
-    skew experiments use to shift the hot set while the clock runs.
+    moves the mapping mid-run — the hook the skew experiment uses to
+    shift the hot set while the clock runs.
     """
 
     __slots__ = ("key_space", "skew", "support", "stride", "offset", "_cdf",
@@ -198,14 +139,10 @@ class ZipfKeySampler:
         self.support = support
         self.stride = stride
         self.offset = offset % key_space
-        self._rebuild()
-
-    def _rebuild(self) -> None:
         cdf: List[float] = []
         total = 0.0
-        s = self.skew
-        for rank in range(1, self.support + 1):
-            total += rank ** -s
+        for rank in range(1, support + 1):
+            total += rank ** -skew
             cdf.append(total)
         self._cdf = cdf
         self._total = total
@@ -214,21 +151,9 @@ class ZipfKeySampler:
         """Move the hot set: rank ``i`` now maps to a new key window."""
         self.offset = offset % self.key_space
 
-    def set_skew(self, skew: float) -> None:
-        """Change the Zipf exponent mid-run (rebuilds the CDF)."""
-        if skew < 0:
-            raise ValueError("skew must be >= 0")
-        self.skew = skew
-        self._rebuild()
-
-    def key_for_rank(self, rank: int) -> int:
-        """The key carrying the ``rank``-th most traffic (0-based)."""
-        if not 0 <= rank < self.support:
-            raise ValueError("rank out of range")
-        return (self.offset + rank * self.stride) % self.key_space
-
     def probability(self, rank: int) -> float:
-        """Exact probability mass of the 0-based ``rank``."""
+        """Exact probability mass of the 0-based ``rank`` (what a test
+        holds the sampled frequencies against)."""
         if not 0 <= rank < self.support:
             raise ValueError("rank out of range")
         return (rank + 1) ** -self.skew / self._total
@@ -238,37 +163,3 @@ class ZipfKeySampler:
         if rank >= self.support:  # guard the u == total edge
             rank = self.support - 1
         return (self.offset + rank * self.stride) % self.key_space
-
-
-def zipfian_key_sampler(key_space: int, skew: float = 1.1,
-                        hot_keys: int = 1000,
-                        stride: int = 1) -> ZipfKeySampler:
-    """Bounded Zipf(s) key sampler over ``min(hot_keys, key_space)`` ranks.
-
-    ``hot_keys`` bounds the sampler's support: only the top ``hot_keys``
-    ranks receive traffic (keys beyond the support carry zero mass), and
-    within the support rank ``i`` gets mass proportional to
-    ``(i + 1) ** -skew``.  Pass ``hot_keys=key_space`` for a full-space
-    Zipf.  Shard-level load skew in production comes from key popularity;
-    this sampler gives experiments a realistic, properly rank-ordered
-    hot/cold mix (the previous implementation was a flat two-tier
-    hot/cold split whose ``skew`` knob saturated at a 0.9 hot fraction).
-    """
-    return ZipfKeySampler(key_space, skew=skew,
-                          support=min(hot_keys, key_space), stride=stride)
-
-
-def static_shard_loads(rng: random.Random, shard_ids: Sequence[str],
-                       metrics: Sequence[str], skew: float = 20.0,
-                       mean: float = 1.0) -> Dict[str, Dict[str, float]]:
-    """Per-shard static load vectors with max/min ratio ≈ ``skew``
-    (Fig 21: "the largest shard's load is 20 times higher than that of
-    the smallest shard").  Metrics are correlated but not identical."""
-    from ..sim.rng import skewed_loads
-
-    base = skewed_loads(rng, len(shard_ids), skew=skew, mean=mean)
-    loads: Dict[str, Dict[str, float]] = {}
-    for shard_id, value in zip(shard_ids, base):
-        loads[shard_id] = {
-            metric: value * rng.uniform(0.7, 1.3) for metric in metrics}
-    return loads

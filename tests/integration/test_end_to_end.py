@@ -66,21 +66,46 @@ class TestTwoAppsShareCluster:
         assert "beta" in pb.outcome.value["served_by"]
 
 
+def zippydb_app():
+    cluster = SimCluster.build(regions=("FRC", "PRN", "ODN"),
+                               machines_per_region=4, seed=13)
+    spec = AppSpec(name="z", shards=uniform_shards(2, 200,
+                                                   replica_count=3),
+                   replication=ReplicationStrategy.PRIMARY_SECONDARY)
+    zdb = ZippyDBApp(cluster.engine, cluster.network, cluster.discovery,
+                     spec)
+    app = deploy_app(cluster, spec, {"FRC": 2, "PRN": 2, "ODN": 2},
+                     handler_factory=zdb.handler_factory,
+                     on_server_created=zdb.on_server_created,
+                     orchestrator_config=OrchestratorConfig(
+                         failover_grace=15.0),
+                     settle=60.0)
+    return cluster, app
+
+
 class TestZippyDBFailoverSafety:
+    def test_write_without_a_quorum_is_refused(self):
+        """The Multi-Paxos leader cannot commit alone: with both
+        secondaries unreachable a put fails and is not applied."""
+        cluster, app = zippydb_app()
+        table = app.orchestrator.table
+        for replica in table.replicas_of("shard0"):
+            if replica.role is not Role.PRIMARY:
+                cluster.network.set_endpoint_up(replica.address, False)
+        region = app.orchestrator.servers[
+            table.primary_of("shard0").address].machine.region
+        client = app.client(cluster, region, rpc_timeout=5.0, attempts=1)
+        cluster.run(until=cluster.engine.now + 5.0)   # the map arrives
+        put = client.request(5, {"op": "put", "key": 5, "value": "lost"})
+        cluster.run(until=cluster.engine.now + 10.0)
+        assert not put.outcome.ok
+        assert "no quorum" in put.outcome.error
+        read = client.request(5, {"op": "get", "key": 5})
+        cluster.run(until=cluster.engine.now + 5.0)
+        assert read.outcome.ok and read.outcome.value["value"] is None
+
     def test_acknowledged_writes_survive_primary_crash(self):
-        cluster = SimCluster.build(regions=("FRC", "PRN", "ODN"),
-                                   machines_per_region=4, seed=13)
-        spec = AppSpec(name="z", shards=uniform_shards(2, 200,
-                                                       replica_count=3),
-                       replication=ReplicationStrategy.PRIMARY_SECONDARY)
-        zdb = ZippyDBApp(cluster.engine, cluster.network, cluster.discovery,
-                         spec)
-        app = deploy_app(cluster, spec, {"FRC": 2, "PRN": 2, "ODN": 2},
-                         handler_factory=zdb.handler_factory,
-                         on_server_created=zdb.on_server_created,
-                         orchestrator_config=OrchestratorConfig(
-                             failover_grace=15.0),
-                         settle=60.0)
+        cluster, app = zippydb_app()
         client = app.client(cluster, "PRN", rpc_timeout=5.0)
         puts = {key: client.request(key, {"op": "put", "key": key,
                                           "value": f"v{key}"})

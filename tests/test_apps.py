@@ -38,14 +38,6 @@ class TestKVStore:
         assert handler("shard0", {"op": "get", "key": 7})["value"] == "persisted"
         assert app.cache_rebuilds == 1
 
-    def test_restart_drops_and_rebuilds_cache(self):
-        app = KVStoreApp(kv_spec())
-        handler = app.handler_factory(FakeContainer("srv/1"))
-        handler("shard0", {"op": "put", "key": 5, "value": "v"})
-        app.drop_soft_state("srv/1")
-        assert handler("shard0", {"op": "get", "key": 5})["value"] == "v"
-        assert app.cache_rebuilds == 2
-
     def test_scan_within_shard(self):
         app = KVStoreApp(kv_spec())
         handler = app.handler_factory(FakeContainer())

@@ -1,6 +1,6 @@
 """Unit tests for the legacy sharding baselines."""
 
-import random
+from collections import Counter
 
 import pytest
 
@@ -10,44 +10,42 @@ from repro.baselines.pinned import (
     modulo_placement,
     ring_placement,
 )
-from repro.baselines.static_sharding import StaticSharding
 from repro.cluster.topology import Machine
 from repro.core.allocator import ServerRecord
 from repro.core.shard_map import AssignmentTable, ReplicaState, Role
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 
 
-class TestStaticSharding:
-    def test_modulo_routing(self):
-        sharding = StaticSharding(10)
-        assert sharding.task_for_key(0) == 0
-        assert sharding.task_for_key(25) == 5
+def _moved_fraction(place, before, after, count=10_000):
+    return sum(1 for i in range(count)
+               if place(i, f"s{i}", before) != place(i, f"s{i}", after)) / count
 
-    def test_invalid_task_count(self):
-        with pytest.raises(ValueError):
-            StaticSharding(0)
+
+def _tasks(count):
+    return [f"task{i:02d}" for i in range(count)]
+
+
+class TestStaticSharding:
+    """§2.2.1's taskID-modulo scheme is ``pinned.modulo_placement``."""
+
+    def test_modulo_routing(self):
+        tasks = _tasks(10)
+        assert modulo_placement(0, "s0", tasks) == "task00"
+        assert modulo_placement(25, "s25", tasks) == "task05"
 
     def test_resharding_moves_most_keys(self):
-        sharding = StaticSharding(10)
-        keys = list(range(10_000))
-        impact = sharding.reshard(11, keys)
-        assert impact.moved_fraction > 0.8  # co-prime resize moves ~all
-        assert sharding.total_tasks == 11
+        # A co-prime resize moves ~all keys.
+        assert _moved_fraction(modulo_placement, _tasks(10), _tasks(11)) > 0.8
 
     def test_resharding_to_multiple_moves_fewer(self):
-        sharding = StaticSharding(10)
-        keys = list(range(10_000))
-        impact = sharding.reshard(20, keys)
-        assert impact.moved_fraction == pytest.approx(0.5, abs=0.02)
-
-    def test_reshard_needs_samples(self):
-        with pytest.raises(ValueError):
-            StaticSharding(10).reshard(11, [])
+        moved = _moved_fraction(modulo_placement, _tasks(10), _tasks(20))
+        assert moved == pytest.approx(0.5, abs=0.02)
 
     def test_load_distribution_uniform_for_sequential_keys(self):
-        sharding = StaticSharding(10)
-        counts = sharding.load_distribution(range(1000))
-        assert all(count == 100 for count in counts.values())
+        tasks = _tasks(10)
+        counts = Counter(modulo_placement(i, f"s{i}", tasks)
+                         for i in range(1000))
+        assert all(counts[task] == 100 for task in tasks)
 
 
 class TestConsistentHashRing:
@@ -58,91 +56,45 @@ class TestConsistentHashRing:
 
     def test_all_nodes_get_keys(self):
         ring = ConsistentHashRing(["a", "b", "c"], virtual_nodes=200)
-        counts = ring.load_distribution(range(3000))
-        assert all(count > 0 for count in counts.values())
+        counts = Counter(ring.node_for_key(key) for key in range(3000))
+        assert all(counts[node] > 0 for node in "abc")
 
     def test_balance_with_virtual_nodes(self):
         ring = ConsistentHashRing(["a", "b", "c", "d"], virtual_nodes=300)
-        counts = ring.load_distribution(range(20_000))
+        counts = Counter(ring.node_for_key(key) for key in range(20_000))
         mean = 5000
-        for count in counts.values():
-            assert 0.6 * mean < count < 1.4 * mean
+        for node in "abcd":
+            assert 0.6 * mean < counts[node] < 1.4 * mean
 
     def test_adding_node_moves_about_one_over_n(self):
-        ring = ConsistentHashRing([f"n{i}" for i in range(9)],
-                                  virtual_nodes=200)
-        moved = ring.movement_on_change(range(20_000), add=["n9"])
+        nodes = [f"n{i}" for i in range(10)]
+        moved = _moved_fraction(ring_placement(virtual_nodes=200),
+                                nodes[:9], nodes, count=20_000)
         assert moved == pytest.approx(1 / 10, abs=0.05)
 
     def test_removing_node_moves_only_its_keys(self):
-        ring = ConsistentHashRing([f"n{i}" for i in range(10)],
-                                  virtual_nodes=200)
-        before = ring.load_distribution(range(20_000))
-        moved = ring.movement_on_change(range(20_000), remove=["n0"])
-        assert moved == pytest.approx(before["n0"] / 20_000, abs=0.01)
+        nodes = [f"n{i}" for i in range(10)]
+        place = ring_placement(virtual_nodes=200)
+        on_n0 = sum(1 for i in range(20_000)
+                    if place(i, f"s{i}", nodes) == "n0")
+        moved = _moved_fraction(place, nodes, nodes[1:], count=20_000)
+        assert moved == on_n0 / 20_000
 
     def test_duplicate_add_rejected(self):
         ring = ConsistentHashRing(["a"])
         with pytest.raises(ValueError):
             ring.add_node("a")
 
-    def test_remove_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            ConsistentHashRing(["a"]).remove_node("b")
-
     def test_empty_ring_raises(self):
         with pytest.raises(RuntimeError):
             ConsistentHashRing().node_for_key(1)
 
-    def test_len_and_nodes(self):
-        ring = ConsistentHashRing(["b", "a"])
-        assert len(ring) == 2
-        assert ring.nodes() == ["a", "b"]
-
-    def test_measurement_leaves_ring_unchanged(self):
-        """Regression: movement_on_change used to permanently apply the
-        membership change it was only supposed to measure."""
-        ring = ConsistentHashRing([f"n{i}" for i in range(8)],
-                                  virtual_nodes=100)
-        keys = range(5000)
-        owners_before = [ring.node_for_key(k) for k in keys]
-        ring.movement_on_change(keys, add=["n8"], remove=["n0"])
-        assert ring.nodes() == [f"n{i}" for i in range(8)]
-        assert [ring.node_for_key(k) for k in keys] == owners_before
-
-    def test_measurement_is_repeatable(self):
-        ring = ConsistentHashRing([f"n{i}" for i in range(8)],
-                                  virtual_nodes=100)
-        first = ring.movement_on_change(range(5000), add=["n8"])
-        second = ring.movement_on_change(range(5000), add=["n8"])
-        assert first == second
-
-    def test_copy_is_independent(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        clone = ring.copy()
-        clone.remove_node("a")
-        clone.add_node("d")
-        assert ring.nodes() == ["a", "b", "c"]
-        assert clone.nodes() == ["b", "c", "d"]
-        for key in range(200):
-            assert ring.node_for_key(key) in {"a", "b", "c"}
-
-    def test_remove_then_readd_restores_routing(self):
-        ring = ConsistentHashRing(["a", "b", "c"], virtual_nodes=150)
-        owners = [ring.node_for_key(k) for k in range(2000)]
-        ring.remove_node("b")
-        assert all(ring.node_for_key(k) != "b" for k in range(2000))
-        ring.add_node("b")
-        assert [ring.node_for_key(k) for k in range(2000)] == owners
-
     def test_static_vs_consistent_on_resize(self):
         """The §2.2.1 comparison: consistent hashing's churn advantage."""
-        keys = list(range(10_000))
-        static = StaticSharding(10)
-        static_moved = static.reshard(11, keys).moved_fraction
-        ring = ConsistentHashRing([f"n{i}" for i in range(10)],
-                                  virtual_nodes=200)
-        ch_moved = ring.movement_on_change(keys, add=["n10"])
+        static_moved = _moved_fraction(modulo_placement, _tasks(10),
+                                       _tasks(11))
+        ch_moved = _moved_fraction(ring_placement(virtual_nodes=200),
+                                   _tasks(10), _tasks(11))
         assert ch_moved < static_moved / 3
 
 

@@ -1,5 +1,5 @@
-"""Command-line scripts reject bad arguments with a usage error (exit 2)
-and fail ``--check-trace`` on a truncated journal (exit 1)."""
+"""Command-line scripts reject bad arguments and malformed spec files
+(exit 2) and fail ``--check-trace`` on a truncated journal (exit 1)."""
 
 import functools
 import importlib.util
@@ -63,3 +63,24 @@ def test_run_experiments_check_trace_fails_on_a_truncated_journal(
     out = capsys.readouterr().out
     assert "::error title=trace truncated::" in out
     assert "at capacity 64" in out
+
+
+@pytest.mark.parametrize("script_name, argv", [
+    ("run_chaos", ["--serial", "--scenario", "@{path}"]),
+    ("run_fuzz", ["--replay", "{path}"]),
+])
+def test_malformed_spec_file_is_one_line_on_stderr_and_exit_2(
+        script_name, argv, monkeypatch, capsys, tmp_path):
+    """Duplicate regions used to run to completion and exit 0."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"name": "dup", "actions": [], '
+                    '"regions": ["FRC", "FRC"]}')
+    script = load_script(script_name)
+    monkeypatch.setattr("sys.argv", [f"{script_name}.py"] + [
+        arg.format(path=path) for arg in argv])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{script_name}.py: {path}: dup: regions must "
+                            f"be distinct non-empty names, got "
+                            f"['FRC', 'FRC']\n")

@@ -117,7 +117,7 @@ class TestServiceRouter:
         _network, router = self._router(engine)
         router.on_map_update(make_map(version=5))
         router.on_map_update(make_map(version=3))
-        assert router.map_version == 5
+        assert router._map.version == 5
         assert router.map_updates == 1
 
     def test_primary_preferred(self, engine):

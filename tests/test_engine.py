@@ -129,7 +129,7 @@ class TestScheduling:
         handle.cancel()
         engine.run()
         assert seen == []
-        assert handle.cancelled
+        assert handle.callback is None
 
     def test_cancel_is_idempotent(self):
         engine = Engine()
@@ -452,7 +452,7 @@ class TestPendingEvents:
         assert fired == [True]
         handle.cancel()  # already executed: must not decrement
         assert engine.pending_events == 1
-        assert not handle.cancelled  # it ran; nothing was prevented
+        assert handle.callback is not None  # it ran; nothing was prevented
 
     def test_callback_cancelling_own_handle_is_noop(self, engine):
         handles = []
@@ -460,7 +460,7 @@ class TestPendingEvents:
         handles.append(engine.call_after(1.0, lambda: handles[0].cancel()))
         engine.run(until=1.0)
         assert engine.pending_events == 1
-        assert not handles[0].cancelled
+        assert handles[0].callback is not None
 
     def test_callback_scheduling_and_cancelling(self, engine):
 
@@ -489,7 +489,7 @@ class TestPendingEvents:
         engine.run(until=1.9)              # the flush drops it
         assert engine.pending_events == 0
         assert not engine._heap
-        assert not handle.cancelled        # became a no-op, not cancelled
+        assert handle.callback is not None  # became a no-op, not cancelled
         handle.cancel()
         assert engine.pending_events == 0
 
@@ -509,7 +509,7 @@ class TestPendingEvents:
         handle = engine.call_at(2.0, lambda: fired.append(True),
                                 guard=lambda: True)
         handle.cancel()
-        assert handle.cancelled
+        assert handle.callback is None
         assert engine.pending_events == 1  # the flush alone
         engine.run()
         assert fired == []
@@ -538,10 +538,10 @@ class TestPendingEvents:
             handle.cancel()
         for handle in rng.sample(handles, 40):  # overlaps: re-cancels
             handle.cancel()
-        naive = sum(1 for _, _, ev in engine._heap if not ev.cancelled)
+        naive = sum(1 for _, _, ev in engine._heap if ev.callback is not None)
         assert engine.pending_events == naive
         engine.run(until=5.0)
-        naive = sum(1 for _, _, ev in engine._heap if not ev.cancelled)
+        naive = sum(1 for _, _, ev in engine._heap if ev.callback is not None)
         assert engine.pending_events == naive
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.app.client import _MAX_RATE, _MIN_RATE, WorkloadRecorder, clamped_rate
 from repro.app.server import DROP_GRACE, HostedState
+from repro.core.shard_map import ShardMap, ShardMapDelta, ShardMapEntry
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
 from repro.obs import Observability, use
@@ -22,8 +23,7 @@ from repro.obs.checker import TraceChecker
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.fluid import EpochDriver, mgk_utilization, mgk_wait
 from repro.sim.network import LatencyModel
-from repro.workloads.load import (ConstantCurve, DiurnalCurve, StepCurve,
-                                  mean_rate)
+from repro.workloads.load import ConstantCurve, DiurnalCurve, mean_rate
 
 # -- M/G/k approximation -----------------------------------------------------
 
@@ -95,20 +95,6 @@ def test_constant_curve():
     assert curve.integral(10.0, 30.0) == pytest.approx(250.0)
     with pytest.raises(ValueError):
         ConstantCurve(-1.0)
-
-
-def test_step_curve_call_and_integral():
-    curve = StepCurve(steps=((10.0, 20.0), (30.0, 5.0)), initial=2.0)
-    assert curve(0.0) == 2.0
-    assert curve(10.0) == 20.0
-    assert curve(29.9) == 20.0
-    assert curve(30.0) == 5.0
-    # 2*10 + 20*20 + 5*10 over [0, 40]
-    assert curve.integral(0.0, 40.0) == pytest.approx(470.0)
-    # Interval entirely inside one step.
-    assert curve.integral(12.0, 18.0) == pytest.approx(120.0)
-    with pytest.raises(ValueError):
-        StepCurve(steps=((10.0, 1.0), (10.0, 2.0)))
 
 
 def test_mean_rate_uses_integral_and_simpson_fallback():
@@ -231,7 +217,6 @@ def test_fluid_client_tracks_full_health():
                        recorder=recorder, epoch=5.0)
     cluster.run(until=cluster.engine.now + 70.0)
     assert fluid.flow_count() == 40
-    assert fluid.healthy_fraction() == pytest.approx(1.0)
     assert recorder.succeeded == pytest.approx(6000.0, rel=1e-6)
     assert recorder.failed == pytest.approx(0.0, abs=1e-9)
     # Latency mirrors the event path's analytic RTT (zero queueing).
@@ -245,15 +230,13 @@ def test_fluid_client_sees_server_shutdown_via_fingerprints():
     fluid.run_workload(duration=200.0, rate=ConstantCurve(100.0),
                        recorder=recorder, epoch=5.0)
     cluster.run(until=cluster.engine.now + 20.0)
-    assert fluid.healthy_fraction() == pytest.approx(1.0)
+    assert recorder.failed == pytest.approx(0.0, abs=1e-9)
     # Kill one server's container abruptly: its flows must go unhealthy
     # at the next epoch, without any map publish.
     victim = app.containers[0]
-    hosted = app.runtime.server_at(victim.address).hosted_shards()
-    assert hosted
+    assert app.runtime.server_at(victim.address)._shards
     victim.mark_stopped()  # crash: no "stopping" notification first
     cluster.run(until=cluster.engine.now + 10.0)
-    assert fluid.healthy_fraction() < 1.0
     assert recorder.failed > 0.0
 
 
@@ -271,14 +254,14 @@ def test_fluid_client_follows_forwarding_chains():
     source = app.containers[0].address
     target = app.containers[1].address
     server = app.runtime.server_at(source)
-    shard_id = server.hosted_shards()[0].shard_id
+    shard_id = next(iter(server._shards))
     target_server = app.runtime.server_at(target)
     target_server._rpc_prepare_add_shard(
         {"shard_id": shard_id, "role": "primary"})
     server._rpc_prepare_drop_shard(
         {"shard_id": shard_id, "new_owner": target})
     cluster.run(until=cluster.engine.now + 10.0)
-    assert fluid.healthy_fraction() == pytest.approx(1.0)
+    assert recorder.failed == pytest.approx(0.0, abs=1e-9)
     flow = fluid._flows[shard_id]
     assert flow.routed == source
     assert flow.serving == target
@@ -303,6 +286,99 @@ def test_fluid_overload_sheds_excess():
     assert recorder.failed > 0.0
     served_rate = recorder.succeeded / 100.0
     assert served_rate <= 21.0  # can't serve past capacity
+
+
+def test_fluid_overload_onset_and_recovery_are_journaled():
+    """Offered load above, then below, ``OVERLOAD_THRESHOLD``: one onset
+    and one recovery per server, counted and journaled at the tick that
+    saw the change."""
+    obs = Observability()
+    with use(obs):
+        cluster, app = _small_app(shards=16, servers=2)
+        fluid = app.fluid_client(cluster, "FRC", capacity=1,
+                                 service_time=0.1)
+        start = cluster.engine.now
+        # 2 servers x 10/s: 60/s overloads both, 4/s is 20 % utilization.
+        fluid.run_workload(
+            duration=100.0, recorder=WorkloadRecorder.with_bucket(10.0),
+            rate=lambda t: 60.0 if t < start + 50.0 else 4.0, epoch=5.0)
+        cluster.run(until=start + 110.0)
+    assert (fluid.overload_onsets, fluid.overload_recoveries) == (2, 2)
+    instants = [(record.name, record.time - start, record.args["address"])
+                for record in obs.journal
+                if record.track == "fluid" and record.name.startswith(
+                    "overload_")]
+    servers = sorted(c.address for c in app.containers)
+    assert sorted(instants) == sorted(
+        [("overload_onset", 5.0, address) for address in servers]
+        + [("overload_recovery", 55.0, address) for address in servers])
+    assert all(server.overloaded is False
+               for server in fluid._servers.values())
+    assert TraceChecker(obs.journal).check() == []
+
+
+def _assert_books_balance(fluid):
+    """The aggregates equal a from-scratch sum over the flows."""
+    flows = list(fluid._flows.values())
+    assert fluid._total_share == pytest.approx(sum(f.share for f in flows))
+    assert fluid._healthy_share == pytest.approx(
+        sum(f.share for f in flows if f.healthy))
+    by_address = {}
+    for flow in flows:
+        if flow.healthy:
+            by_address[flow.serving] = (by_address.get(flow.serving, 0.0)
+                                        + flow.share)
+    assert fluid._share_by_address == pytest.approx(by_address)
+    indexed = {address: {f.shard_id for f in flows
+                         if address in (f.routed, f.serving)}
+               for address in fluid._flows_by_address}
+    assert fluid._flows_by_address == indexed
+
+
+def test_fluid_map_update_that_changes_the_shard_set():
+    """A resync (and a delta) whose map splits, adds and removes shards:
+    flows follow the map and every aggregate stays a sum over them."""
+    cluster, app = _small_app(shards=8, servers=2)
+    fluid = app.fluid_client(cluster, "FRC")
+    cluster.run(until=cluster.engine.now + 5.0)
+    current = fluid._map
+    assert fluid.flow_count() == 8
+    entries = [current.entry_at(i) for i in range(len(current))]
+    a, b = sorted(c.address for c in app.containers)
+    # shard0 is split in two, shard1 moves, shard7 disappears.
+    first = entries[0]
+    middle = (first.key_low + first.key_high) // 2
+    resynced = [
+        ShardMapEntry(first.shard_id, first.key_low, middle, first.primary,
+                      ()),
+        ShardMapEntry("shard0b", middle, first.key_high, first.primary, ()),
+        ShardMapEntry(entries[1].shard_id, entries[1].key_low,
+                      entries[1].key_high,
+                      b if entries[1].primary == a else a, ()),
+    ] + entries[2:7]
+    fluid._on_map(ShardMap(current.app, current.version + 1,
+                           entries=resynced))
+    assert fluid.full_reprices == 2
+    assert set(fluid._flows) == {e.shard_id for e in resynced}
+    assert fluid._flows["shard0"].share == float(middle - first.key_low)
+    assert fluid._flows["shard1"].routed == resynced[2].primary
+    assert fluid._total_share == pytest.approx(
+        sum(e.key_high - e.key_low for e in resynced))
+    _assert_books_balance(fluid)
+    # A delta that chains on: shard0b grows back over shard0's half (a
+    # merge), and a shard the client has never seen appears.
+    grown = ShardMapEntry("shard0b", first.key_low, first.key_high, b, ())
+    fresh = ShardMapEntry("shard9", entries[7].key_low, entries[7].key_high,
+                          a, ())
+    delta = ShardMapDelta(current.app, current.version + 2,
+                          current.version + 1, (grown, fresh))
+    fluid._on_map(ShardMap(current.app, current.version + 2,
+                           entries=resynced + [fresh]), delta)
+    assert fluid.delta_reprices == 2
+    assert fluid._flows["shard0b"].share == float(
+        first.key_high - first.key_low)
+    assert fluid._flows["shard9"].routed == a
+    _assert_books_balance(fluid)
 
 
 # -- determinism: same seed + spec -> identical fluid journal digest ---------

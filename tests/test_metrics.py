@@ -31,16 +31,6 @@ class TestTimeSeries:
         series.record(5.0, 2.0)
         assert len(series) == 2
 
-    def test_last(self):
-        series = TimeSeries()
-        series.record(1.0, 5.0)
-        series.record(3.0, 7.0)
-        assert series.last() == (3.0, 7.0)
-
-    def test_last_empty_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().last()
-
     def test_value_at_step_lookup(self):
         series = TimeSeries()
         series.record(0.0, 1.0)

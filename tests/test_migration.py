@@ -160,7 +160,7 @@ class TestRoleChanges:
 def migration_spans(journal):
     """``[(kind, phases, outcome), ...]`` per migration span, in begin order."""
     begins, phases, ends = {}, {}, {}
-    for record in journal.records():
+    for record in journal:
         if record.track == "migration":
             if record.kind == "B":
                 begins[record.span] = record.name
@@ -269,3 +269,144 @@ class TestTracedMigrationFailures:
         TraceChecker(obs.journal).assert_clean()
         if not process.result:
             assert spans[0][2].startswith("abort_")
+
+
+def refuse(_payload):
+    raise RuntimeError("refused")
+
+
+class TestFailureBranches:
+    """Fail the target at each step the happy-path tests walk past:
+    the executor counts the failure, closes its span with the abort it
+    took, and leaves the table in a state the orchestrator can repair."""
+
+    @pytest.mark.parametrize("operation", ["create", "abrupt", "secondary"])
+    def test_sibling_host_is_refused_before_any_rpc(self, operation):
+        obs = Observability()
+        cluster, app = make_app(
+            replication=ReplicationStrategy.PRIMARY_SECONDARY, obs=obs)
+        executor, table = app.orchestrator.executor, app.orchestrator.table
+        primary = table.primary_of("shard0")
+        secondary = next(r for r in table.replicas_of("shard0")
+                         if r.role is Role.SECONDARY)
+        before = [(r.replica_id, r.address, r.role, r.state)
+                  for r in table.replicas_of("shard0")]
+        sent = cluster.network.rpcs_sent
+        records = obs.journal.appended
+        steps = {
+            "create": lambda: executor.create_replica(
+                "shard0", primary.address, Role.SECONDARY),
+            "abrupt": lambda: executor.abrupt_primary_migration(
+                primary, secondary.address),
+            "secondary": lambda: executor.move_secondary(
+                secondary, primary.address),
+        }[operation]()
+        with pytest.raises(StopIteration) as stop:
+            next(steps)                 # returns without yielding an RPC
+        assert stop.value.value is False
+        assert executor.stats.failures == 1
+        assert cluster.network.rpcs_sent == sent
+        assert obs.journal.appended == records      # no span was opened
+        assert [(r.replica_id, r.address, r.role, r.state)
+                for r in table.replicas_of("shard0")] == before
+
+    def test_create_replica_add_shard_failure(self):
+        cluster, app = make_app(
+            replication=ReplicationStrategy.PRIMARY_SECONDARY)
+        executor, table = app.orchestrator.executor, app.orchestrator.table
+        target = fresh_target(app, "shard1")
+        cluster.network.endpoint(target).on("sm.add_shard", refuse)
+        before = len(table.replicas_of("shard1")), executor.stats.creates
+        process = cluster.engine.process(
+            executor.create_replica("shard1", target, Role.SECONDARY))
+        cluster.run(until=cluster.engine.now + 5.0)
+        assert process.result is False
+        assert executor.stats.failures == 1
+        assert (len(table.replicas_of("shard1")),
+                executor.stats.creates) == before
+
+    def test_change_role_failure_leaves_the_role(self):
+        cluster, app = make_app(
+            replication=ReplicationStrategy.PRIMARY_SECONDARY)
+        executor, table = app.orchestrator.executor, app.orchestrator.table
+        secondary = next(r for r in table.replicas_of("shard0")
+                         if r.role is Role.SECONDARY)
+        # The server lost the shard (a restart the orchestrator has not
+        # seen yet): change_role answers NotOwner.
+        del app.runtime.server_at(secondary.address)._shards["shard0"]
+        process = cluster.engine.process(
+            executor.change_role(secondary, Role.PRIMARY))
+        cluster.run(until=cluster.engine.now + 5.0)
+        assert process.result is False
+        assert (executor.stats.failures, executor.stats.role_changes) == (1, 0)
+        assert table.get(secondary.replica_id).role is Role.SECONDARY
+
+    def test_promote_gives_up_when_the_demotion_fails(self):
+        cluster, app = make_app(
+            replication=ReplicationStrategy.PRIMARY_SECONDARY)
+        executor, table = app.orchestrator.executor, app.orchestrator.table
+        primary = table.primary_of("shard0")
+        secondary = next(r for r in table.replicas_of("shard0")
+                         if r.role is Role.SECONDARY)
+        cluster.network.set_endpoint_up(primary.address, False)
+        process = cluster.engine.process(executor.promote(secondary))
+        cluster.run(until=cluster.engine.now + 5.0)
+        assert process.result is False
+        assert (executor.stats.failures, executor.stats.role_changes) == (1, 0)
+        # Never two primaries: the promotion was not attempted.
+        assert table.primary_of("shard0").replica_id == primary.replica_id
+        assert table.get(secondary.replica_id).role is Role.SECONDARY
+        server = app.runtime.server_at(secondary.address)
+        assert server.hosted("shard0").role is Role.SECONDARY
+
+    def test_abrupt_handoff_failure_leaves_the_shard_to_emergency_placement(
+            self):
+        obs = Observability()
+        cluster, app = make_app(obs=obs)
+        executor, table = app.orchestrator.executor, app.orchestrator.table
+        old = table.primary_of("shard0")
+        target = fresh_target(app, "shard0")
+        # The target's container crashes; its ZooKeeper session has not
+        # expired yet, so the orchestrator still believes in it.
+        next(c for c in app.containers
+             if c.address == target).mark_stopped()
+        process = cluster.engine.process(
+            executor.abrupt_primary_migration(old, target))
+        cluster.run(until=cluster.engine.now + 3.0)
+        assert process.result is False
+        assert (executor.stats.failures,
+                executor.stats.abrupt_migrations) == (1, 0)
+        assert ("abrupt", ("drop_old",), "abort_handoff") in migration_spans(
+            obs.journal)
+        # The old primary was dropped and the reserved PENDING replica is
+        # gone with it: the shard has no replica at all, which is what
+        # the emergency path looks for...
+        assert table.replicas_of("shard0") == []
+        # ...and it is placed again, on a live server.
+        cluster.run(until=cluster.engine.now + 60.0)
+        placed = table.primary_of("shard0")
+        assert placed is not None and placed.state is ReplicaState.READY
+        assert placed.address != target
+        assert app.runtime.server_at(placed.address).hosted(
+            "shard0").role is Role.PRIMARY
+        TraceChecker(obs.journal).assert_clean()
+
+    def test_secondary_move_add_failure_keeps_the_old_replica(self):
+        obs = Observability()
+        cluster, app = make_app(
+            replication=ReplicationStrategy.PRIMARY_SECONDARY, obs=obs)
+        executor, table = app.orchestrator.executor, app.orchestrator.table
+        secondary = next(r for r in table.replicas_of("shard0")
+                         if r.role is Role.SECONDARY)
+        target = fresh_target(app, "shard0")
+        cluster.network.set_endpoint_up(target, False)
+        process = cluster.engine.process(
+            executor.move_secondary(secondary, target))
+        cluster.run(until=cluster.engine.now + 5.0)
+        assert process.result is False
+        assert (executor.stats.failures,
+                executor.stats.secondary_moves) == (1, 0)
+        assert ("secondary", (), "abort_add") in migration_spans(obs.journal)
+        addresses = {r.address for r in table.replicas_of("shard0")}
+        assert secondary.address in addresses and target not in addresses
+        TraceChecker(obs.journal).assert_clean()

@@ -122,15 +122,6 @@ class TestFrontend:
         with pytest.raises(KeyError):
             frontend.route("ghost", "shard0")
 
-    def test_describe(self):
-        app_registry = ApplicationRegistry()
-        partition_registry = PartitionRegistry()
-        partition_registry.assign(plan_partition_footprints("a", 5, 50)[0])
-        frontend = Frontend(app_registry, partition_registry)
-        summary = frontend.describe()
-        assert summary[0]["servers"] == 5
-        assert summary[0]["shards"] == 50
-
     def test_duplicate_app_registration(self):
         registry = ApplicationRegistry()
         registry.register("a", [])

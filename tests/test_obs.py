@@ -63,10 +63,10 @@ class TestJournal:
             tracer.instant("t", f"e{index}", float(index))
         journal = tracer.journal
         assert journal.appended == 20
-        assert len(journal.records()) == 8
+        assert len(list(journal)) == 8
         assert journal.dropped == 12
         # Oldest records were evicted; the survivors are the last 8.
-        assert [r.name for r in journal.records()] == [
+        assert [r.name for r in journal] == [
             f"e{i}" for i in range(12, 20)]
 
     def test_digest_is_deterministic(self):
@@ -255,6 +255,36 @@ class TestCheckerNegative:
         assert all(v.invariant == "map-coverage" for v in missing)
 
 
+    @pytest.mark.parametrize("second, invariant", [
+        # The next epoch starts before the previous one ended.
+        ({"t0": 4.0, "t1": 9.0}, "fluid-epochs"),
+        # 100 arrived; 60 + 30 were accounted for.
+        ({"ok": 60.0, "failed": 30.0}, "fluid-conservation"),
+        ({"healthy_share": 1.2}, "fluid-share"),
+        ({"healthy_share": -0.1}, "fluid-share"),
+    ])
+    def test_fluid_epoch_faults_caught(self, second, invariant):
+        def epoch(tracer, **overrides):
+            args = {"app": "x", "client": "c", "t0": 0.0, "t1": 5.0,
+                    "arrivals": 100.0, "ok": 100.0, "failed": 0.0,
+                    "healthy_share": 1.0}
+            args.update(overrides)
+            tracer.instant("fluid", "epoch", args["t1"], args)
+
+        clean = Tracer(Journal())
+        epoch(clean)
+        epoch(clean, t0=5.0, t1=10.0)
+        # Another client's stream may cover the same interval.
+        epoch(clean, client="d")
+        assert TraceChecker(clean.journal).check() == []
+        broken = Tracer(Journal())
+        epoch(broken)
+        epoch(broken, **{"t0": 5.0, "t1": 10.0, **second})
+        violations = TraceChecker(broken.journal).check()
+        assert [v.invariant for v in violations] == [invariant]
+        assert "('x', 'c')" in violations[0].message
+
+
 # -- integration: traced cluster runs ----------------------------------------
 
 
@@ -361,7 +391,7 @@ class TestMapCoverageAfterFailover:
         assert checker.check_shard_map(snapshot) == []
         checker.assert_clean()
         assert any(r.track == "orchestrator" and r.name == "failover"
-                   for r in obs.journal.records())
+                   for r in obs.journal)
 
     def test_mini_sm_partitions_share_instrumentation(self):
         from repro.core.mini_sm import ApplicationManager

@@ -1,18 +1,11 @@
-"""Unit tests for the Paxos library (safety is the whole point)."""
+"""Unit tests for the Paxos acceptor (safety is the whole point).
 
-import random
+The proposer is ZippyDB's Multi-Paxos leader (``repro.apps.zippydb``);
+``tests/integration/test_end_to_end.py`` drives it over the simulated
+network (quorum loss, primary crash).
+"""
 
-import pytest
-
-from repro.replication.paxos import (
-    Acceptor,
-    Ballot,
-    Learner,
-    Promise,
-    Proposer,
-    ReplicatedLog,
-    ZERO_BALLOT,
-)
+from repro.replication.paxos import Acceptor, Ballot, ZERO_BALLOT
 
 
 class TestBallot:
@@ -29,45 +22,48 @@ class TestAcceptor:
     def test_promise_and_accept(self):
         acceptor = Acceptor("a")
         ballot = Ballot(1, "p")
-        promise = acceptor.on_prepare(0, ballot)
-        assert promise.ok
-        accepted = acceptor.on_accept(0, ballot, "v")
-        assert accepted.ok
-        assert acceptor.accepted_value(0) == (ballot, "v")
+        ok, promised, accepted = acceptor.on_prepare_range(0, ballot)
+        assert ok and promised == ballot and accepted == []
+        assert acceptor.on_accept(0, ballot, "v").ok
+        assert acceptor.on_prepare_range(0, Ballot(2, "p"))[2] == [
+            (0, ballot, "v")]
 
     def test_lower_prepare_rejected(self):
         acceptor = Acceptor("a")
-        acceptor.on_prepare(0, Ballot(5, "p"))
-        promise = acceptor.on_prepare(0, Ballot(3, "q"))
-        assert not promise.ok
-        assert promise.ballot == Ballot(5, "p")
+        acceptor.on_prepare_range(0, Ballot(5, "p"))
+        ok, promised, accepted = acceptor.on_prepare_range(0, Ballot(3, "q"))
+        assert not ok
+        assert promised == Ballot(5, "p")
+        assert accepted == []
 
     def test_equal_prepare_rejected(self):
         acceptor = Acceptor("a")
-        acceptor.on_prepare(0, Ballot(5, "p"))
-        assert not acceptor.on_prepare(0, Ballot(5, "p")).ok
+        acceptor.on_prepare_range(0, Ballot(5, "p"))
+        assert not acceptor.on_prepare_range(0, Ballot(5, "p"))[0]
 
     def test_lower_accept_rejected(self):
         acceptor = Acceptor("a")
-        acceptor.on_prepare(0, Ballot(5, "p"))
+        acceptor.on_prepare_range(0, Ballot(5, "p"))
         accepted = acceptor.on_accept(0, Ballot(3, "q"), "v")
         assert not accepted.ok
+        assert accepted.ballot == Ballot(5, "p")
 
     def test_promise_reports_prior_accept(self):
+        """A per-slot accept at a higher ballot than the range floor is
+        what a later, narrower ranged prepare must beat and report."""
         acceptor = Acceptor("a")
-        ballot1 = Ballot(1, "p")
-        acceptor.on_prepare(0, ballot1)
-        acceptor.on_accept(0, ballot1, "old")
-        promise = acceptor.on_prepare(0, Ballot(2, "q"))
-        assert promise.ok
-        assert promise.accepted_ballot == ballot1
-        assert promise.accepted_value == "old"
+        acceptor.on_prepare_range(0, Ballot(1, "p"))
+        acceptor.on_accept(4, Ballot(3, "q"), "old")
+        assert not acceptor.on_prepare_range(2, Ballot(2, "r"))[0]
+        ok, _promised, accepted = acceptor.on_prepare_range(5, Ballot(2, "r"))
+        assert ok and accepted == []      # slot 4 is below from_slot
+        ok, _promised, accepted = acceptor.on_prepare_range(2, Ballot(4, "r"))
+        assert ok and accepted == [(4, Ballot(3, "q"), "old")]
 
     def test_range_promise_blocks_lower_per_slot(self):
         acceptor = Acceptor("a")
         ok, _promised, _accepted = acceptor.on_prepare_range(0, Ballot(5, "l"))
         assert ok
-        assert not acceptor.on_prepare(3, Ballot(4, "q")).ok
         assert not acceptor.on_accept(7, Ballot(4, "q"), "v").ok
         assert acceptor.on_accept(7, Ballot(5, "l"), "v").ok
 
@@ -86,115 +82,3 @@ class TestAcceptor:
         ok, promised, _ = acceptor.on_prepare_range(0, Ballot(5, "l2"))
         assert not ok
         assert promised == Ballot(9, "l1")
-
-
-class TestLearner:
-    def test_quorum_chooses(self):
-        learner = Learner(quorum_size=2)
-        ballot = Ballot(1, "p")
-        assert learner.on_accepted(0, ballot, "v", "a") is None
-        assert learner.on_accepted(0, ballot, "v", "b") == "v"
-        assert learner.chosen[0] == "v"
-
-    def test_duplicate_acks_dont_count_twice(self):
-        learner = Learner(quorum_size=2)
-        ballot = Ballot(1, "p")
-        learner.on_accepted(0, ballot, "v", "a")
-        assert learner.on_accepted(0, ballot, "v", "a") is None
-
-    def test_invalid_quorum(self):
-        with pytest.raises(ValueError):
-            Learner(quorum_size=0)
-
-
-def lossy_transport(acceptors, rng, loss=0.0):
-    def transport(acceptor_id, method, payload):
-        if rng.random() < loss:
-            return None
-        acceptor = acceptors[acceptor_id]
-        if method == "prepare":
-            return acceptor.on_prepare(payload["slot"], payload["ballot"])
-        if method == "accept":
-            return acceptor.on_accept(payload["slot"], payload["ballot"],
-                                      payload["value"])
-        raise AssertionError(method)
-    return transport
-
-
-class TestProposer:
-    def _make(self, loss=0.0, seed=1, proposer_id="p"):
-        acceptors = {name: Acceptor(name) for name in ("a", "b", "c")}
-        transport = lossy_transport(acceptors, random.Random(seed), loss)
-        proposer = Proposer(proposer_id, list(acceptors), transport)
-        return acceptors, proposer
-
-    def test_simple_consensus(self):
-        _acceptors, proposer = self._make()
-        assert proposer.propose(0, "value") == "value"
-        assert proposer.learner.chosen[0] == "value"
-
-    def test_adopts_previously_accepted_value(self):
-        acceptors, proposer = self._make()
-        # Someone else got slot 0 accepted at a majority first.
-        old = Ballot(100, "other")
-        for name in ("a", "b"):
-            acceptors[name].on_prepare(0, old)
-            acceptors[name].on_accept(0, old, "other-value")
-        proposer._round = 200  # our next ballot beats theirs
-        chosen = proposer.propose(0, "mine")
-        assert chosen == "other-value"
-
-    def test_succeeds_under_moderate_loss(self):
-        _acceptors, proposer = self._make(loss=0.2, seed=3)
-        chosen = proposer.propose(0, "v", max_attempts=20)
-        assert chosen == "v"
-
-    def test_fails_without_quorum(self):
-        acceptors = {name: Acceptor(name) for name in ("a", "b", "c")}
-
-        def dead_transport(_acceptor_id, _method, _payload):
-            return None
-
-        proposer = Proposer("p", list(acceptors), dead_transport)
-        assert proposer.propose(0, "v", max_attempts=3) is None
-
-    def test_requires_acceptors(self):
-        with pytest.raises(ValueError):
-            Proposer("p", [], lambda *a: None)
-
-    def test_two_proposers_agree(self):
-        """Safety: whatever both proposers learn for a slot is identical."""
-        acceptors = {name: Acceptor(name) for name in ("a", "b", "c")}
-        rng = random.Random(9)
-        transport = lossy_transport(acceptors, rng, loss=0.3)
-        p1 = Proposer("p1", list(acceptors), transport)
-        p2 = Proposer("p2", list(acceptors), transport)
-        chosen1 = p1.propose(0, "from-p1", max_attempts=10)
-        chosen2 = p2.propose(0, "from-p2", max_attempts=10)
-        if chosen1 is not None and chosen2 is not None:
-            assert chosen1 == chosen2
-
-
-class TestReplicatedLog:
-    def test_appends_sequential_slots(self):
-        acceptors = {name: Acceptor(name) for name in ("a", "b", "c")}
-        transport = lossy_transport(acceptors, random.Random(1))
-        log = ReplicatedLog(Proposer("p", list(acceptors), transport))
-        assert log.append("one") == 0
-        assert log.append("two") == 1
-        assert log.chosen_prefix() == ["one", "two"]
-
-    def test_skips_slots_owned_by_others(self):
-        acceptors = {name: Acceptor(name) for name in ("a", "b", "c")}
-        transport = lossy_transport(acceptors, random.Random(1))
-        # A competing command already won slot 0.
-        other = Ballot(50, "other")
-        for acceptor in acceptors.values():
-            acceptor.on_prepare(0, other)
-            acceptor.on_accept(0, other, "competitor")
-        proposer = Proposer("p", list(acceptors), transport)
-        proposer._round = 100
-        log = ReplicatedLog(proposer)
-        slot = log.append("mine")
-        assert slot == 1
-        assert log.chosen_prefix() == ["competitor", "mine"]

@@ -29,7 +29,7 @@ from repro.discovery.router import RoutingError, ServiceRouter
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.sim.engine import Engine
 from repro.sim.network import LatencyModel, Network
-from repro.workloads.load import DiurnalCurve, zipfian_key_sampler
+from repro.workloads.load import DiurnalCurve, ZipfKeySampler
 
 FIG18_FIXTURE = Path(__file__).parent / "fixtures" / "golden_trace_fig18.json"
 
@@ -250,7 +250,7 @@ def _run_fig18_slice():
     op = client.run_workload(
         duration=2 * day,
         rate=curve,
-        key_fn=zipfian_key_sampler(800, skew=1.3, hot_keys=40),
+        key_fn=ZipfKeySampler(800, skew=1.3, support=40),
         recorder=recorder,
         rng=random.Random(180),
     )

@@ -41,7 +41,7 @@ class TestQueuedServiceHandler:
         for _ in range(3):  # three simultaneous arrivals at t=0
             handler("shard0", {})._on_settle(
                 lambda r: done_at.append(engine.now))
-        assert handler.queue_depth() == pytest.approx(3.0)
+        assert handler.busy_until == pytest.approx(0.3)
         engine.run(until=1.0)
         assert done_at == [pytest.approx(0.1), pytest.approx(0.2),
                            pytest.approx(0.3)]
@@ -51,7 +51,7 @@ class TestQueuedServiceHandler:
         handler = QueuedServiceHandler(engine, 0.1)
         handler("shard0", {})
         engine.run(until=5.0)
-        assert handler.queue_depth() == 0.0
+        assert handler.busy_until <= engine.now
         # A late arrival starts fresh, not behind the long-gone backlog.
         done_at = []
         handler("shard0", {})._on_settle(lambda r: done_at.append(engine.now))
@@ -92,14 +92,14 @@ class TestScatterGather:
         assert len(outcomes) == 1
         outcome = outcomes[0]
         assert outcome.ok
-        legs = [r for r in obs.journal.records()
+        legs = [r for r in obs.journal
                 if r.track == "scatter" and r.name == "leg"]
         assert len(legs) == 4
         # One logical latency: the max over the four legs, measured from
         # the shared fan-out instant.
         assert outcome.latency == pytest.approx(
             max(leg.time for leg in legs) - min(
-                r.time for r in obs.journal.records()
+                r.time for r in obs.journal
                 if r.track == "scatter" and r.name == "fanout"))
         assert outcome.latency >= max(leg.args["latency"] for leg in legs)
 
@@ -112,7 +112,7 @@ class TestScatterGather:
                 fanout=4)
             client.start_request(5)
             cluster.run(until=cluster.engine.now + 20.0)
-        legs = [r.args["shard"] for r in obs.journal.records()
+        legs = [r.args["shard"] for r in obs.journal
                 if r.track == "scatter" and r.name == "leg"]
         assert len(set(legs)) == 4  # stride = key_space/fanout: 4 shards
 
@@ -185,6 +185,15 @@ class TestScatterInvariant:
         self._leg(tracer, "c/0", 1.5)
         self._merge(tracer, "c/0", 3)  # claims 3 legs, journal has 2
         assert self._violations(tracer)
+
+    def test_double_fanout_caught(self):
+        tracer = Tracer(Journal())
+        self._fanout(tracer, "c/0", 1)
+        self._fanout(tracer, "c/0", 1, at=1.1)
+        self._leg(tracer, "c/0", 1.2)
+        self._merge(tracer, "c/0", 1)
+        assert [v.message for v in self._violations(tracer)] == [
+            "scatter 'c/0' fanned out twice"]
 
     def test_double_merge_caught(self):
         tracer = Tracer(Journal())

@@ -89,14 +89,6 @@ class TestAvailability:
         table.add("shard0", "b", Role.SECONDARY, state=ReplicaState.READY)
         assert table.unavailable_count("shard0", down_addresses={"b"}) == 1
 
-    def test_available_replicas(self):
-        table = make_table()
-        ready = table.add("shard0", "a", Role.PRIMARY,
-                          state=ReplicaState.READY)
-        table.add("shard0", "b", Role.SECONDARY,
-                  state=ReplicaState.DRAINING)
-        assert table.available_replicas_of("shard0") == [ready]
-
 
 class TestSnapshot:
     def test_snapshot_versions_increase(self):

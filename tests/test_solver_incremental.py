@@ -422,18 +422,24 @@ def assert_same_solve(build, config):
     search = CheckedSearch(problem, goals, config)
     result = search.solve()
     ref_problem, ref_goals = build()
-    before = ref_problem.copy_assignment()
+    before = list(ref_problem.assignment)
     ref_search = EagerSearch(ref_problem, ref_goals, config)
     reference = ref_search.solve()
-    assert result.changed_replicas == ref_problem.assignment_diff(before)
+    assert result.changed_replicas == [
+        (replica, old, new) for replica, (old, new)
+        in enumerate(zip(before, ref_problem.assignment)) if old != new]
     assert problem.assignment == ref_problem.assignment
     assert (result.moves, result.swaps, result.evaluations) == (
         reference.moves, reference.swaps, reference.evaluations)
     assert (result.initial_violations, result.final_violations) == (
         reference.initial_violations, reference.final_violations)
     assert search.rng.getstate() == ref_search.rng.getstate()
-    for stage in ("candidates", "evaluate", "apply", "swap", "refresh"):
-        assert result.profile.calls(stage) == reference.profile.calls(stage)
+    def calls(profile):
+        return {name: stage["calls"]
+                for name, stage in profile.snapshot()["stages"].items()
+                if name in ("candidates", "evaluate", "apply", "swap",
+                            "refresh")}
+    assert calls(result.profile) == calls(reference.profile)
     return search, result
 
 
@@ -462,7 +468,7 @@ class TestLazySearchMatchesEagerOracle:
 
         def build():
             problem = zippydb_snapshot(scale, seed=4)
-            return problem, attach_zippydb_goals(problem).goals
+            return problem, attach_zippydb_goals(problem)._goals
         search, result = assert_same_solve(build, ORACLE_CONFIGS[config])
         assert result.moves > 0 and search.calls > 0
 
@@ -507,7 +513,7 @@ class TestThresholdDeltaSplit:
 class TestCostFollowsTheSearch:
     def _solve_snapshot(self):
         problem = zippydb_snapshot(scaled(PAPER_SCALES, factor=25)[1], seed=1)
-        search = CheckedSearch(problem, attach_zippydb_goals(problem).goals,
+        search = CheckedSearch(problem, attach_zippydb_goals(problem)._goals,
                                OPTIMIZED)
         return problem, search, search.solve()
 
@@ -517,7 +523,7 @@ class TestCostFollowsTheSearch:
         the fleet — and nothing per replica is built at construction."""
         problem, search, result = self._solve_snapshot()
         replicas_seen = {replica for _server, replica in search.pairs_seen}
-        keys = result.profile.counter("equiv_keys")
+        keys = result.profile.snapshot()["counters"]["equiv_keys"]
         assert 0 < keys <= len(replicas_seen)
         assert len(replicas_seen) < len(problem.replicas) / 2
         assert sum(len(sizes) for sizes in search._sizes.values()) <= len(
@@ -528,11 +534,11 @@ class TestCostFollowsTheSearch:
         """The stages add up to (almost all of) solve_time because set-up
         is one of them, and the budget covers construction too."""
         _problem, _search, result = self._solve_snapshot()
-        profile = result.profile
-        assert profile.calls("setup") == 1
-        assert profile.seconds("setup") > 0.0
-        assert sum(seconds for _calls, seconds
-                   in profile.stages.values()) <= result.solve_time
+        stages = result.profile.snapshot()["stages"]
+        assert stages["setup"]["calls"] == 1
+        assert result.profile.seconds("setup") > 0.0
+        assert sum(stage["seconds"]
+                   for stage in stages.values()) <= result.solve_time
         problem = build_problem()
         search = LocalSearch(problem, _all_goals(problem),
                              SearchConfig(time_budget=5.0))

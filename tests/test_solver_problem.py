@@ -110,28 +110,3 @@ class TestMoves:
             expected = sum(problem.loads[r][0]
                            for r in problem.replicas_on[server])
             assert problem.usage[server][0] == pytest.approx(expected)
-
-
-class TestStats:
-    def test_mean_utilization_invariant_under_moves(self):
-        rng = random.Random(2)
-        problem = small_problem(num_servers=4, num_replicas=16)
-        problem.random_assignment(rng)
-        before = problem.mean_utilization()
-        for _ in range(50):
-            problem.move(rng.randrange(16), rng.randrange(4))
-        assert problem.mean_utilization() == pytest.approx(before)
-
-    def test_assignment_diff(self):
-        problem = small_problem()
-        problem.random_assignment(random.Random(1))
-        baseline = problem.copy_assignment()
-        problem.move(0, (baseline[0] + 1) % 4)
-        diff = problem.assignment_diff(baseline)
-        assert len(diff) == 1
-        assert diff[0][0] == 0
-
-    def test_assignment_diff_length_checked(self):
-        problem = small_problem()
-        with pytest.raises(ValueError):
-            problem.assignment_diff([0])

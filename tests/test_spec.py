@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.shard_map import Role
+from repro.core.shard_map import AssignmentTable, Role
 from repro.core.spec import (
     AppSpec,
     DeploymentMode,
@@ -27,9 +27,6 @@ class TestKeyRange:
         with pytest.raises(ValueError):
             KeyRange(5, 5)
 
-    def test_size(self):
-        assert KeyRange(0, 100).size() == 100
-
 
 class TestShardSpec:
     def test_replica_count_validated(self):
@@ -45,9 +42,9 @@ class TestAppSpec:
             ShardSpec("S1", KeyRange(10, 100)),
             ShardSpec("S2", KeyRange(100, 100001)),
         ])
-        assert spec.shard_for_key(5).shard_id == "S0"
-        assert spec.shard_for_key(99).shard_id == "S1"
-        assert spec.shard_for_key(100000).shard_id == "S2"
+        shard_map = AssignmentTable(spec).snapshot()
+        assert [shard_map.index_for_key(key) for key in (5, 99, 100000)] == [
+            0, 1, 2]
 
     def test_empty_shards_rejected(self):
         with pytest.raises(ValueError):
@@ -81,11 +78,6 @@ class TestAppSpec:
         with pytest.raises(ValueError):
             AppSpec(name="x", shards=shards,
                     max_concurrent_container_ops=0)
-
-    def test_key_outside_ranges_raises(self):
-        spec = AppSpec(name="x", shards=[ShardSpec("a", KeyRange(0, 10))])
-        with pytest.raises(KeyError):
-            spec.shard_for_key(10)
 
     def test_unknown_shard_raises(self):
         spec = AppSpec(name="x", shards=[ShardSpec("a", KeyRange(0, 10))])
@@ -124,14 +116,14 @@ class TestUniformShards:
         shards = uniform_shards(7, key_space=100)
         assert shards[0].key_range.low == 0
         assert shards[-1].key_range.high == 100
-        covered = sum(s.key_range.size() for s in shards)
+        covered = sum(s.key_range.high - s.key_range.low for s in shards)
         assert covered == 100
 
     def test_every_key_has_exactly_one_shard(self):
         shards = uniform_shards(7, key_space=100)
-        spec = AppSpec(name="x", shards=shards)
+        shard_map = AssignmentTable(AppSpec(name="x", shards=shards)).snapshot()
         for key in range(100):
-            spec.shard_for_key(key)  # raises if uncovered
+            assert key in shards[shard_map.index_for_key(key)].key_range
 
     def test_preferred_regions(self):
         shards = uniform_shards(4, key_space=40,

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro.chaos import (ACTIONS, Expectations, FaultAction, ScenarioSpec,
-                         SpecValidationError, all_scenarios, canonical_json,
-                         dump_spec, load_spec, spec_fingerprint,
-                         validate_spec)
+                         SpecValidationError, all_scenarios, dump_spec,
+                         load_spec, spec_fingerprint, validate_spec)
 from repro.chaos.fuzz.mutators import revert_span
 from repro.chaos.scenario import duration_of, param_of
 
@@ -38,7 +37,7 @@ def test_every_library_scenario_round_trips():
 def test_round_trip_preserves_canonical_json_and_fingerprint():
     spec = small_spec()
     rebuilt = ScenarioSpec.from_dict(spec.to_dict())
-    assert canonical_json(rebuilt) == canonical_json(spec)
+    assert rebuilt.to_dict() == spec.to_dict()
     assert spec_fingerprint(rebuilt) == spec_fingerprint(spec)
 
 
@@ -47,7 +46,7 @@ def test_fingerprint_ignores_name_and_title():
     renamed = ScenarioSpec.from_dict(
         dict(spec.to_dict(), name="other", title="other title"))
     assert spec_fingerprint(renamed) == spec_fingerprint(spec)
-    assert canonical_json(renamed) != canonical_json(spec)
+    assert renamed != spec
 
 
 def test_expectations_round_trip():
@@ -179,6 +178,110 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SpecValidationError):
         load_spec(path)
+
+
+def _doc(**overrides):
+    return dict(small_spec().to_dict(), **overrides)
+
+
+def _with_action(**fields):
+    return _doc(actions=[dict({"at": 30.0, "kind": "crash_machine"},
+                              **fields)])
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: One malformed document per ``raise`` of the shape layer
+#: (``FaultAction`` / ``Expectations`` / ``ScenarioSpec.from_dict``) and
+#: of ``validate_spec``'s scenario-level checks, with a piece of the
+#: message that names what is wrong.
+MALFORMED = [
+    # ScenarioSpec.from_dict
+    ([], "scenario spec must be an object"),
+    (_doc(bogus=1), "unknown scenario fields: ['bogus']"),
+    (_doc(name=""), "non-empty string 'name'"),
+    (_doc(name=7), "non-empty string 'name'"),
+    (_doc(actions={}), "'actions' must be a list"),
+    (_doc(regions="FRC"), "'regions' must be a non-empty list"),
+    (_doc(regions=[]), "'regions' must be a non-empty list"),
+    (_doc(regions=["FRC", 3]), "'regions' must be a non-empty list"),
+    (_doc(replication="quorum"), "unknown replication 'quorum'"),
+    (_doc(shards="many"), "'shards' must be a number"),
+    (_doc(settle=True), "'settle' must be a number"),
+    (_doc(shards=7.5), "'shards' must be a whole number"),
+    (_doc(replica_count=NAN), "'replica_count' must be a whole number"),
+    (_doc(machines_per_region=INF),
+     "'machines_per_region' must be a whole number"),
+    # FaultAction.from_dict
+    (_doc(actions=[5]), "fault action must be an object"),
+    (_with_action(when=2.0), "unknown fault-action fields: ['when']"),
+    (_with_action(kind="meteor_strike"), "unknown action kind"),
+    (_with_action(at="soon"), "'at' must be a number"),
+    (_with_action(at=None), "'at' must be a number"),
+    (_with_action(duration=False), "'duration' must be a number"),
+    (_with_action(params=[1]), "'params' must be an object"),
+    # Expectations.from_dict
+    (_doc(expectations=[]), "expectations must be an object"),
+    (_doc(expectations={"vibes": 1}), "unknown expectation fields"),
+    (_doc(expectations={"failover_bound": "soon"}),
+     "'failover_bound' must be a number or null"),
+    (_doc(expectations={"availability_bound": True}),
+     "'availability_bound' must be a number or null"),
+    (_doc(expectations={"final_ready_min": "most"}), "could not convert"),
+    # validate_spec: degenerate scenario scalars, named before any
+    # engine exists.
+    (_doc(duration=NAN, actions=[]), "duration must be finite"),
+    (_doc(duration=0, actions=[]), "duration must be > 0.0"),
+    (_doc(settle=NAN), "settle must be finite"),
+    (_doc(settle=-1.0), "settle must be >= 0.0"),
+    (_doc(request_rate=-1), "request_rate must be >= 0.0"),
+    (_doc(request_rate=INF), "request_rate must be finite"),
+    (_doc(zipf_skew=-0.5), "zipf_skew must be >= 0.0"),
+    (_doc(failover_grace=-3), "failover_grace must be >= 0.0"),
+    (_doc(zk_session_timeout=0), "zk_session_timeout must be > 0.0"),
+    (_doc(restart_hint=NAN), "restart_hint must be finite"),
+    (_doc(shards=0), "shards must be >= 1"),
+    (_doc(replica_count=0), "replica_count must be >= 1"),
+    (_doc(machines_per_region=0, servers_per_region=0),
+     "machines_per_region must be >= 1"),
+    (_doc(servers_per_region=9), "exceeds machines_per_region"),
+    (_doc(regions=["FRC", "FRC"]), "regions must be distinct"),
+    (_doc(regions=["FRC", ""]), "regions must be distinct non-empty"),
+    # validate_spec: actions
+    (_with_action(at=400.0), "is outside [0, 150.0]"),
+    (_with_action(at=NAN), "is outside [0, 150.0]"),
+    (_with_action(duration=-1.0), "finite non-negative duration"),
+    (_with_action(duration=NAN), "finite non-negative duration"),
+    (_with_action(duration=INF), "finite non-negative duration"),
+    (_with_action(params={"index": INF}), "param 'index' must be int"),
+    (_doc(actions=[{"at": 1.0, "kind": "crash_burst",
+                    "params": {"mtbf": INF}}]),
+     "param 'mtbf' must be finite"),
+]
+
+
+@pytest.mark.parametrize("document, needle", MALFORMED)
+def test_load_rejects_malformed_document(tmp_path, document, needle):
+    """Every way a spec file can be wrong is a one-line
+    ``SpecValidationError`` that starts with the file and names the
+    field — never a traceback from inside the harness, never a run."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(SpecValidationError) as excinfo:
+        load_spec(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ")
+    assert needle in message
+    assert "\n" not in message
+
+
+def test_validate_rejects_unregistered_kind_built_in_code():
+    """``from_dict`` stops an unknown kind on the way in from a file; a
+    spec built in code reaches ``validate_spec`` with it."""
+    spec = small_spec(actions=(FaultAction(at=1.0, kind="meteor_strike"),))
+    with pytest.raises(SpecValidationError) as excinfo:
+        validate_spec(spec)
+    assert "meteor_strike" in str(excinfo.value)
 
 
 def test_probe_is_a_known_kind():

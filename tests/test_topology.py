@@ -5,11 +5,9 @@ import random
 import pytest
 
 from repro.cluster.topology import (
-    FaultDomainLevel,
     Machine,
     Topology,
     build_topology,
-    count_distinct_domains,
 )
 
 
@@ -18,26 +16,13 @@ def _machine(machine_id="m0", region="FRC", dc="FRC.dc0", rack="FRC.dc0.rack0"):
                    rack=rack, capacity={"cpu": 100.0})
 
 
-class TestMachine:
-    def test_domain_levels(self):
-        machine = _machine()
-        assert machine.domain(FaultDomainLevel.REGION) == "FRC"
-        assert machine.domain(FaultDomainLevel.DATACENTER) == "FRC.dc0"
-        assert machine.domain(FaultDomainLevel.RACK) == "FRC.dc0.rack0"
-        assert machine.domain(FaultDomainLevel.HOST) == "m0"
-
-    def test_capacity_of_missing_metric(self):
-        assert _machine().capacity_of("nope") == 0.0
-
-
 class TestTopology:
     def test_add_and_get(self):
         topology = Topology()
         machine = _machine()
         topology.add(machine)
         assert topology.get("m0") is machine
-        assert "m0" in topology
-        assert len(topology) == 1
+        assert topology.machines == [machine]
 
     def test_duplicate_id_rejected(self):
         topology = Topology()
@@ -54,22 +39,13 @@ class TestTopology:
         topology.add(_machine("a", region="FRC"))
         topology.add(_machine("b", region="PRN", dc="PRN.dc0",
                               rack="PRN.dc0.rack0"))
-        assert topology.regions() == ["FRC", "PRN"]
         assert [m.machine_id for m in topology.in_region("PRN")] == ["b"]
-
-    def test_up_machines(self):
-        topology = Topology()
-        up, down = _machine("up"), _machine("down")
-        down.up = False
-        topology.add(up)
-        topology.add(down)
-        assert topology.up_machines() == [up]
 
 
 class TestBuildTopology:
     def test_counts(self):
         topology = build_topology(["FRC", "PRN"], machines_per_region=10)
-        assert len(topology) == 20
+        assert len(topology.machines) == 20
         assert len(topology.in_region("FRC")) == 10
 
     def test_fault_domain_structure(self):
@@ -77,8 +53,8 @@ class TestBuildTopology:
                                   datacenters_per_region=2,
                                   racks_per_datacenter=4)
         machines = topology.in_region("FRC")
-        assert count_distinct_domains(machines, FaultDomainLevel.DATACENTER) == 2
-        assert count_distinct_domains(machines, FaultDomainLevel.RACK) == 8
+        assert len({m.datacenter for m in machines}) == 2
+        assert len({m.rack for m in machines}) == 8
 
     def test_capacity_jitter_bounds(self):
         topology = build_topology(["FRC"], machines_per_region=50,

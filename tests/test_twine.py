@@ -204,7 +204,7 @@ class TestMaintenance:
             [twine.machines[0].machine_id], start_time=100.0, end_time=200.0,
             impact=MaintenanceImpact.RUNTIME_STATE_LOSS)
         assert len(notices) == 1
-        assert notices[0].duration() == 100.0
+        assert (notices[0].start_time, notices[0].end_time) == (100.0, 200.0)
 
     def test_machine_down_during_window(self):
         engine, twine = make_twine()

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,9 +20,6 @@ from repro.workloads.load import (
     DAY,
     DiurnalCurve,
     ZipfKeySampler,
-    noisy,
-    static_shard_loads,
-    zipfian_key_sampler,
 )
 from repro.workloads.snapshots import (
     PAPER_SCALES,
@@ -88,24 +86,11 @@ class TestDiurnal:
         with pytest.raises(ValueError):
             DiurnalCurve(base=1.0, peak=2.0, period=0.0)
 
-    def test_noisy_wrapper_stays_close(self):
-        rng = random.Random(1)
-        curve = noisy(lambda t: 100.0, rng, fraction=0.1)
-        for t in range(50):
-            assert 90.0 <= curve(float(t)) <= 110.0
-
     def test_zipfian_sampler_has_hot_set(self):
-        sampler = zipfian_key_sampler(10_000, skew=2.0, hot_keys=100)
+        sampler = ZipfKeySampler(10_000, skew=2.0, support=100)
         rng = random.Random(5)
         hits = sum(1 for _ in range(2000) if sampler(rng) < 100)
         assert hits > 600  # far above the uniform expectation of ~20
-
-    def test_static_shard_loads_skew(self):
-        rng = random.Random(2)
-        loads = static_shard_loads(rng, [f"s{i}" for i in range(500)],
-                                   ["cpu"], skew=20.0, mean=1.0)
-        values = [entry["cpu"] for entry in loads.values()]
-        assert max(values) / min(values) > 5.0
 
 
 class TestZipf:
@@ -169,34 +154,24 @@ class TestZipf:
         assert rng.calls == 50
 
     def test_support_bounds_sampled_keys(self):
-        sampler = zipfian_key_sampler(10_000, skew=1.1, hot_keys=64)
+        sampler = ZipfKeySampler(10_000, skew=1.1, support=64)
         rng = random.Random(9)
         assert all(sampler(rng) < 64 for _ in range(2000))
 
     def test_stride_scatters_hot_ranks(self):
         sampler = ZipfKeySampler(1000, skew=1.4, stride=373)
-        assert sampler.key_for_rank(0) == 0
-        assert sampler.key_for_rank(1) == 373
-        assert sampler.key_for_rank(3) == (3 * 373) % 1000
-        # The affine map stays a bijection: distinct ranks, distinct keys.
-        keys = {sampler.key_for_rank(r) for r in range(1000)}
-        assert len(keys) == 1000
+        rng = random.Random(4)
+        counts = Counter(sampler(rng) for _ in range(20_000))
+        # Rank r is key (r * 373) % 1000: the hottest keys sit far apart.
+        assert [key for key, _ in counts.most_common(4)] == [
+            0, 373, 746, (3 * 373) % 1000]
 
     def test_rotate_moves_hot_set(self):
         sampler = ZipfKeySampler(1000, skew=2.5)
         rng = random.Random(1)
-        assert sampler.key_for_rank(0) == 0
         sampler.rotate(500)
-        assert sampler.key_for_rank(0) == 500
         hits = sum(1 for _ in range(2000) if 500 <= sampler(rng) < 600)
         assert hits > 1500  # the mass followed the rotation
-
-    def test_set_skew_rebuilds_cdf(self):
-        sampler = ZipfKeySampler(1000, skew=0.0)
-        flat = sampler.probability(0)
-        assert flat == pytest.approx(1 / 1000)
-        sampler.set_skew(2.0)
-        assert sampler.probability(0) > 100 * sampler.probability(99)
 
     def test_validation(self):
         with pytest.raises(ValueError):

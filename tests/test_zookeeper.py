@@ -80,10 +80,9 @@ class TestNamespace:
 
     def test_set_bumps_version(self, zk):
         zk.create("/a", data=1)
-        assert zk.version("/a") == 0
-        zk.set("/a", 2)
-        assert zk.version("/a") == 1
-        assert zk.get("/a") == 2
+        assert zk.set("/a", 2) == 1
+        assert zk.set("/a", 3) == 2
+        assert zk.get("/a") == 3
 
     def test_compare_and_set(self, zk):
         zk.create("/a", data=1)
