@@ -216,12 +216,18 @@ class FluidClient:
         self._map = shard_map
         self.map_updates += 1
         if (delta is not None and previous is not None
-                and delta.base_version == previous.version):
-            # The delta chains onto the map we hold: reprice exactly
-            # the changed flows.
-            for entry in delta.changed:
-                self._reprice_entry(entry)
-            self.delta_reprices += len(delta.changed)
+                and delta.base_version == previous.version
+                and delta.key_index is previous.key_index):
+            # The delta chains onto the map we hold and was cut from its
+            # layout, so every shard it names already has a flow with
+            # the right share: reprice exactly those, from the columns.
+            flows = self._flows
+            shard_ids = delta.key_index.shard_ids
+            for i, primary in zip(delta.indices, delta.primaries):
+                flow = flows[shard_ids[i]]
+                self._retract(flow)
+                self._apply_route(flow, primary)
+            self.delta_reprices += len(delta.indices)
         else:
             self._rebuild(shard_map)
 
@@ -266,20 +272,6 @@ class FluidClient:
                 flow = flows.pop(shard_id)
                 self._retract(flow)
                 self._total_share -= flow.share
-
-    def _reprice_entry(self, entry) -> None:
-        flow = self._flows.get(entry.shard_id)
-        share = float(entry.key_high - entry.key_low)
-        if flow is None:
-            flow = _Flow(entry.shard_id, share)
-            self._flows[entry.shard_id] = flow
-            self._total_share += share
-        else:
-            self._retract(flow)  # retract under the old share
-            if share != flow.share:  # split/merge repartition
-                self._total_share += share - flow.share
-                flow.share = share
-        self._apply_route(flow, entry.primary)
 
     # -- serving-side resolution (mirrors ApplicationServer semantics) -------
 

@@ -20,12 +20,14 @@ a million entries:
   :class:`ShardMapEntry` objects are materialized on demand by
   ``entry()`` / ``entry_at()``.
 * :meth:`AssignmentTable.snapshot_delta` emits a versioned
-  :class:`ShardMapDelta` (changed entries + the base version it applies
-  to) straight from the table's dirty-shard bookkeeping, so
-  dissemination cost is proportional to *what changed*, not app size.
-  :meth:`ShardMap.apply_delta` is the subscriber-side inverse; a
-  delta-applied map is bit-identical to the corresponding full
-  snapshot (property-tested in ``tests/test_map_delta.py``).
+  :class:`ShardMapDelta` (the changed shards' column indices and new
+  column values + the base version it applies to) straight from the
+  table's dirty-shard bookkeeping, so dissemination cost is
+  proportional to *what changed*, not app size, and no entry object is
+  built on the write path.  :meth:`ShardMap.apply_delta` is the
+  subscriber-side inverse; a delta-applied map is bit-identical to the
+  corresponding full snapshot (property-tested in
+  ``tests/test_map_delta.py``).
 """
 
 from __future__ import annotations
@@ -40,10 +42,15 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..obs.tracer import NO_TRACER
 from .spec import AppSpec, ShardSpec
 
-#: Chunk geometry for the copy-on-write columns.  1024 entries per chunk
-#: keeps a 10^6-shard map at ~1000 chunks: patching one entry copies one
-#: 1024-slot list, and a new version shares the other ~999 chunks.
-_CHUNK_SHIFT = 10
+#: Chunk geometry for the copy-on-write columns, sized by what a publish
+#: touches.  With N shards in chunks of C, one publish plus one
+#: subscriber's ``apply_delta`` moves about 4*N/C outer-list pointers
+#: (two columns, copied once on each side) plus 8*C per touched chunk
+#: (two columns, copied on each side and freed one version later).
+#: Randomly placed dirty shards each touch their own chunk, so the
+#: second term dominates from a handful of dirty shards up; 256 entries
+#: keeps it small while a 10^6-shard map still has only ~4000 chunks.
+_CHUNK_SHIFT = 8
 _CHUNK = 1 << _CHUNK_SHIFT
 _CHUNK_MASK = _CHUNK - 1
 
@@ -70,7 +77,7 @@ class ReplicaState(str, Enum):
     DROPPED = "dropped"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ReplicaAssignment:
     """One shard replica pinned to one container (identity semantics)."""
 
@@ -99,22 +106,6 @@ class ShardMapEntry:
         if self.primary is None:
             return self.secondaries
         return (self.primary,) + self.secondaries
-
-
-@dataclass(frozen=True, slots=True)
-class ShardMapDelta:
-    """What changed between two consecutive map versions.
-
-    Applies on top of the map whose version is ``base_version`` and
-    produces the map at ``version``.  ``changed`` carries the full new
-    entry for every shard whose routing info changed; the shard set and
-    key bounds are the app spec's and never change between versions.
-    """
-
-    app: str
-    version: int
-    base_version: int
-    changed: Tuple[ShardMapEntry, ...]
 
 
 class AppKeyIndex:
@@ -149,6 +140,35 @@ class AppKeyIndex:
 
     def __len__(self) -> int:
         return len(self.shard_ids)
+
+    def same_layout(self, other: "AppKeyIndex") -> bool:
+        """Same shards with the same key bounds in the same column order."""
+        return self is other or (
+            self.shard_ids == other.shard_ids
+            and self.key_lows == other.key_lows
+            and self.key_highs == other.key_highs)
+
+
+@dataclass(frozen=True, slots=True)
+class ShardMapDelta:
+    """What changed between two consecutive map versions, as columns.
+
+    Applies on top of the map whose version is ``base_version`` and
+    produces the map at ``version``.  ``indices`` names the changed
+    shards as column indices into ``key_index`` (in shard-id order) and
+    ``primaries`` / ``secondaries`` carry their new column values in
+    parallel.  The shard set and key bounds are the app spec's and never
+    change between versions, so a delta cannot add, drop or re-range a
+    shard: it names the layout it was cut from and nothing else.
+    """
+
+    app: str
+    version: int
+    base_version: int
+    key_index: AppKeyIndex
+    indices: Tuple[int, ...]
+    primaries: Tuple[Optional[str], ...]
+    secondaries: Tuple[Tuple[str, ...], ...]
 
 
 def _chunked(values: List) -> List[list]:
@@ -258,9 +278,9 @@ class ShardMap:
 
         Returns a new map sharing every unchanged chunk with this one;
         O(changed + chunks).  Raises ``ValueError`` when the delta does
-        not chain onto this map — wrong app or base version, an unknown
-        shard or different key bounds (the caller should resync with a
-        full snapshot instead).
+        not chain onto this map — wrong app or base version, a delta cut
+        from a different layout or an index outside it (the caller
+        should resync with a full snapshot instead).
         """
         if delta.app != self.app:
             raise ValueError(
@@ -270,25 +290,31 @@ class ShardMap:
                 f"{self.app}: delta v{delta.version} applies to base "
                 f"v{delta.base_version}, have v{self.version}")
         index = self._index
-        index_of = index.index_of
+        # One layout check per delta: every version of an app's map
+        # shares the table's index object, so this is an identity test
+        # except across a publisher failover.
+        if not index.same_layout(delta.key_index):
+            raise ValueError(
+                f"{self.app}: delta v{delta.version} was cut from a "
+                f"different shard layout")
+        size = len(index.shard_ids)
         primaries = list(self._primaries)
         secondaries = list(self._secondaries)
         copied: set = set()
-        for entry in delta.changed:
-            i = index_of.get(entry.shard_id)
-            if (i is None or index.key_lows[i] != entry.key_low
-                    or index.key_highs[i] != entry.key_high):
+        for i, primary, secondary_tuple in zip(
+                delta.indices, delta.primaries, delta.secondaries):
+            if not 0 <= i < size:
                 raise ValueError(
-                    f"{self.app}: delta v{delta.version} changes the "
-                    f"layout at shard {entry.shard_id!r}")
+                    f"{self.app}: delta v{delta.version} names column "
+                    f"{i} of {size}")
             chunk = i >> _CHUNK_SHIFT
             if chunk not in copied:
                 primaries[chunk] = primaries[chunk][:]
                 secondaries[chunk] = secondaries[chunk][:]
                 copied.add(chunk)
             offset = i & _CHUNK_MASK
-            primaries[chunk][offset] = entry.primary
-            secondaries[chunk][offset] = entry.secondaries
+            primaries[chunk][offset] = primary
+            secondaries[chunk][offset] = secondary_tuple
         return ShardMap(self.app, delta.version, key_index=index,
                         primaries=primaries, secondaries=secondaries)
 
@@ -299,11 +325,7 @@ class ShardMap:
             return NotImplemented
         if self.app != other.app or self.version != other.version:
             return False
-        mine, theirs = self._index, other._index
-        if mine is not theirs and (
-                mine.shard_ids != theirs.shard_ids
-                or mine.key_lows != theirs.key_lows
-                or mine.key_highs != theirs.key_highs):
+        if not self._index.same_layout(other._index):
             return False
         for a, b in zip(self._primaries, other._primaries):
             if a is not b and a != b:
@@ -332,15 +354,6 @@ _ENTRY_OVERHEAD = 24   # two int64 key bounds + field framing
 _HEADER_OVERHEAD = 32  # app name, version(s), entry count
 
 
-def entry_wire_bytes(entry: ShardMapEntry) -> int:
-    size = _ENTRY_OVERHEAD + len(entry.shard_id)
-    if entry.primary is not None:
-        size += len(entry.primary)
-    for secondary in entry.secondaries:
-        size += len(secondary)
-    return size
-
-
 def map_wire_bytes(shard_map: ShardMap) -> int:
     """Serialized size of a full snapshot (computed from the columns)."""
     index = shard_map.key_index
@@ -359,9 +372,18 @@ def map_wire_bytes(shard_map: ShardMap) -> int:
 
 
 def delta_wire_bytes(delta: ShardMapDelta) -> int:
+    """Serialized size of a delta: each changed shard travels as a full
+    entry (id, key bounds, addresses), summed from the columns."""
+    shard_ids = delta.key_index.shard_ids
     size = _HEADER_OVERHEAD + len(delta.app) + 8  # + base version
-    for entry in delta.changed:
-        size += entry_wire_bytes(entry)
+    size += _ENTRY_OVERHEAD * len(delta.indices)
+    for i, primary, secondaries in zip(
+            delta.indices, delta.primaries, delta.secondaries):
+        size += len(shard_ids[i])
+        if primary is not None:
+            size += len(primary)
+        for secondary in secondaries:
+            size += len(secondary)
     return size
 
 
@@ -390,12 +412,8 @@ class AssignmentTable:
         self._dirty: set = set(self._by_shard)
         self._key_index = AppKeyIndex.from_spec(spec)
         size = len(self._key_index)
-        self._col_primaries: List[list] = [
-            [None] * min(_CHUNK, size - start)
-            for start in range(0, size, _CHUNK)]
-        self._col_secondaries: List[list] = [
-            [()] * min(_CHUNK, size - start)
-            for start in range(0, size, _CHUNK)]
+        self._col_primaries: List[list] = _chunked([None] * size)
+        self._col_secondaries: List[list] = _chunked([()] * size)
         # Chunks shared with an already-published map must be copied
         # before the next patch (copy-on-write).
         self._chunk_shared = bytearray(len(self._col_primaries))
@@ -613,16 +631,19 @@ class AssignmentTable:
 
     # -- snapshotting -----------------------------------------------------------
 
-    def _rebuild_dirty(self) -> List[str]:
+    def _rebuild_dirty(self) -> Tuple[List[int], List[Optional[str]],
+                                      List[Tuple[str, ...]]]:
         """Recompute the routable columns for every dirty shard.
 
-        Returns the (sorted, deterministic) list of shards rebuilt and
+        Returns what it wrote as three parallel lists — column index,
+        primary, secondaries — in (deterministic) shard-id order, and
         clears the dirty set.  Sound because every mutation goes through
         this table — replica fields are never written from outside, see
         the mutation methods above.
         """
-        if not self._dirty:
-            return []
+        indices: List[int] = []
+        primaries: List[Optional[str]] = []
+        secondary_tuples: List[Tuple[str, ...]] = []
         dirty = sorted(self._dirty)
         self._dirty.clear()
         index_of = self._key_index.index_of
@@ -656,14 +677,17 @@ class AssignmentTable:
             offset = i & _CHUNK_MASK
             primaries_col[chunk][offset] = primary
             secondaries_col[chunk][offset] = secondary_tuple
-        return dirty
+            indices.append(i)
+            primaries.append(primary)
+            secondary_tuples.append(secondary_tuple)
+        return indices, primaries, secondary_tuples
 
     def _make_map(self) -> ShardMap:
         self.last_version = next(self._version)
         # The new map shares the chunk objects; mark them all shared so
         # the next mutation copies before patching.
-        for i in range(len(self._chunk_shared)):
-            self._chunk_shared[i] = 1
+        shared = self._chunk_shared
+        shared[:] = b"\x01" * len(shared)
         return ShardMap(self.spec.name, self.last_version,
                         key_index=self._key_index,
                         primaries=list(self._col_primaries),
@@ -688,18 +712,22 @@ class AssignmentTable:
     def snapshot_delta(self) -> Tuple[ShardMap, ShardMapDelta]:
         """Snapshot plus the :class:`ShardMapDelta` from the previous one.
 
-        The delta's ``changed`` entries are exactly the shards in the
-        dirty set (sorted for determinism) and its ``base_version`` is
-        the previous published version, so ``previous.apply_delta(delta)``
-        reproduces the returned map bit-for-bit.
+        The delta's columns are exactly what the rebuild wrote for the
+        shards in the dirty set (sorted by shard id for determinism) and
+        its ``base_version`` is the previous published version, so
+        ``previous.apply_delta(delta)`` reproduces the returned map
+        bit-for-bit.
         """
         base_version = self.last_version
-        dirty = self._rebuild_dirty()
+        indices, primaries, secondaries = self._rebuild_dirty()
         shard_map = self._make_map()
         delta = ShardMapDelta(
             app=self.spec.name,
             version=shard_map.version,
             base_version=base_version,
-            changed=tuple(shard_map.entry(shard_id) for shard_id in dirty),
+            key_index=self._key_index,
+            indices=tuple(indices),
+            primaries=tuple(primaries),
+            secondaries=tuple(secondaries),
         )
         return shard_map, delta

@@ -23,7 +23,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from ..core.shard_map import AppKeyIndex, ShardMap, ShardMapDelta, ShardMapEntry
+from ..core.shard_map import AppKeyIndex, ShardMap, ShardMapDelta
 from ..sim.engine import Engine
 from ..sim.network import Network, RpcResult
 
@@ -136,6 +136,7 @@ class ServiceRouter:
         self.map_updates += 1
         if (delta is not None and previous is not None
                 and delta.base_version == previous.version
+                and delta.key_index is previous.key_index
                 and shard_map.key_index is previous.key_index):
             self._evict_changed(delta)
         else:
@@ -144,13 +145,15 @@ class ServiceRouter:
 
     def _evict_changed(self, delta: ShardMapDelta) -> None:
         """O(changed) eviction: drop cached routes only for shards whose
-        entry changed in this delta."""
-        caches = self._route_caches
-        buckets = self._route_keys_by_shard
-        for entry in delta.changed:
-            shard_id = entry.shard_id
-            for cache, bucket in zip(caches, buckets):
-                keys = bucket.pop(shard_id, None)
+        columns changed in this delta.  A cache that holds no route (its
+        reverse index is empty) is not walked at all."""
+        shard_ids = delta.key_index.shard_ids
+        for cache, bucket in zip(self._route_caches,
+                                 self._route_keys_by_shard):
+            if not bucket:
+                continue
+            for i in delta.indices:
+                keys = bucket.pop(shard_ids[i], None)
                 if keys:
                     self.route_evictions += len(keys)
                     for key in keys:
@@ -163,7 +166,8 @@ class ServiceRouter:
         self._route_keys_by_shard[0].clear()
         self._route_keys_by_shard[1].clear()
 
-    def entry_for_key(self, key: int) -> ShardMapEntry:
+    def index_for_key(self, key: int) -> int:
+        """Column index of the shard covering ``key``."""
         index = self._index
         if index is None or not len(index):
             raise RoutingError("no shard map received yet")
@@ -173,7 +177,7 @@ class ServiceRouter:
         entry_index = index.sorted_order[position]
         if key >= index.key_highs[entry_index]:
             raise RoutingError(f"key {key} not covered by any shard")
-        return self._map.entry_at(entry_index)
+        return entry_index
 
     # -- replica selection ----------------------------------------------------------
 
@@ -196,15 +200,18 @@ class ServiceRouter:
                      exclude: Tuple[str, ...] = ()) -> Tuple[str, str]:
         """(address, shard_id) for a key; nearest replica for reads.
 
-        ``exclude`` lists addresses already tried this request.
+        ``exclude`` lists addresses already tried this request.  A
+        primary-routed key resolves from the map's primary column; an
+        entry is materialised only when the secondaries are needed.
         """
-        entry = self.entry_for_key(key)
+        entry_index = self.index_for_key(key)
+        shard_map = self._map
         if prefer_primary:
-            if entry.primary is not None and entry.primary not in exclude:
-                return entry.primary, entry.shard_id
-            candidates = [a for a in entry.all_addresses() if a not in exclude]
-        else:
-            candidates = [a for a in entry.all_addresses() if a not in exclude]
+            primary = shard_map.primary_at(entry_index)
+            if primary is not None and primary not in exclude:
+                return primary, self._index.shard_ids[entry_index]
+        entry = shard_map.entry_at(entry_index)
+        candidates = [a for a in entry.all_addresses() if a not in exclude]
         if not candidates:
             raise RoutingError(f"shard {entry.shard_id}: no routable replica")
         client_region = self._region_of(self.client_address)

@@ -160,9 +160,6 @@ ALLOW: List[Tuple[str, str]] = [
     ("core/shard_map.py::AssignmentTable.snapshot",
      CHURN + "two lines over _rebuild_dirty / _make_map with ~20 test "
      "call sites"),
-    ("core/shard_map.py::_chunked",
-     CHURN + "ShardMap(entries=...) is how a test hands the router a "
-     "hand-built map"),
 ]
 
 

@@ -90,7 +90,7 @@ class TestServiceRouter:
     def test_no_map_raises(self, engine):
         _network, router = self._router(engine)
         with pytest.raises(RoutingError):
-            router.entry_for_key(5)
+            router.index_for_key(5)
 
     def test_key_lookup_by_interval(self, engine):
         _network, router = self._router(engine)
@@ -99,19 +99,21 @@ class TestServiceRouter:
             ShardMapEntry("s1", 10, 100, "b", ()),
         ]
         router.on_map_update(make_map(entries=entries))
-        assert router.entry_for_key(0).shard_id == "s0"
-        assert router.entry_for_key(9).shard_id == "s0"
-        assert router.entry_for_key(10).shard_id == "s1"
-        assert router.entry_for_key(99).shard_id == "s1"
+        assert router.index_for_key(0) == 0
+        assert router.index_for_key(9) == 0
+        assert router.index_for_key(10) == 1
+        assert router.index_for_key(99) == 1
+        assert router.pick_address(9) == ("a", "s0")
+        assert router.pick_address(10) == ("b", "s1")
 
     def test_uncovered_key_raises(self, engine):
         _network, router = self._router(engine)
         entries = [ShardMapEntry("s0", 10, 20, "a", ())]
         router.on_map_update(make_map(entries=entries))
         with pytest.raises(RoutingError):
-            router.entry_for_key(5)
+            router.index_for_key(5)
         with pytest.raises(RoutingError):
-            router.entry_for_key(25)
+            router.index_for_key(25)
 
     def test_stale_map_update_ignored(self, engine):
         _network, router = self._router(engine)
@@ -147,6 +149,30 @@ class TestServiceRouter:
         router.on_map_update(make_map(entries=entries))
         address, _ = router.pick_address(5, exclude=("a",))
         assert address == "b"
+
+    def test_primary_route_materialises_no_entry(self, engine):
+        """A route-cache miss on a shard with a primary reads the primary
+        column; an entry is built only when the secondaries are needed."""
+        _network, router = self._router(engine)
+        entries = [ShardMapEntry("s0", 0, 10, "a", ("b",)),
+                   ShardMapEntry("s1", 10, 20, "c", ()),
+                   ShardMapEntry("s2", 20, 30, None, ("d",))]
+        shard_map = make_map(entries=entries)
+        router.on_map_update(shard_map)
+        assert router.route_for(5) == ("a", "s0")
+        assert router.route_for(15) == ("c", "s1")
+        assert router.pick_address(5) == ("a", "s0")
+        assert router.route_cache_misses == 2
+        assert shard_map._entry_cache == {}
+        # The secondaries are needed: nearest-replica reads, an excluded
+        # primary, a shard without one.
+        assert router.route_for(5, prefer_primary=False) == ("a", "s0")
+        assert set(shard_map._entry_cache) == {0}
+        assert router.pick_address(5, exclude=("a",)) == ("b", "s0")
+        assert router.route_for(25) == ("d", "s2")
+        assert set(shard_map._entry_cache) == {0, 2}
+        with pytest.raises(RoutingError):
+            router.pick_address(15, exclude=("c",))
 
     def test_no_routable_replica_raises(self, engine):
         _network, router = self._router(engine)

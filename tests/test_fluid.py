@@ -336,8 +336,9 @@ def _assert_books_balance(fluid):
 
 
 def test_fluid_map_update_that_changes_the_shard_set():
-    """A resync (and a delta) whose map splits, adds and removes shards:
-    flows follow the map and every aggregate stays a sum over them."""
+    """Resyncs whose map splits, merges, adds and removes shards: flows
+    follow the map and every aggregate stays a sum over them.  A delta
+    cannot re-partition, so one cut from another layout is a resync."""
     cluster, app = _small_app(shards=8, servers=2)
     fluid = app.fluid_client(cluster, "FRC")
     cluster.run(until=cluster.engine.now + 5.0)
@@ -365,19 +366,38 @@ def test_fluid_map_update_that_changes_the_shard_set():
     assert fluid._total_share == pytest.approx(
         sum(e.key_high - e.key_low for e in resynced))
     _assert_books_balance(fluid)
-    # A delta that chains on: shard0b grows back over shard0's half (a
-    # merge), and a shard the client has never seen appears.
+    # A second re-partition that chains on by version: shard0b grows
+    # back over shard0's half (a merge), and a shard the client has never
+    # seen appears.  Its delta was cut from the new layout, not the one
+    # the client holds, so the client resyncs from the full map.
     grown = ShardMapEntry("shard0b", first.key_low, first.key_high, b, ())
     fresh = ShardMapEntry("shard9", entries[7].key_low, entries[7].key_high,
                           a, ())
-    delta = ShardMapDelta(current.app, current.version + 2,
-                          current.version + 1, (grown, fresh))
-    fluid._on_map(ShardMap(current.app, current.version + 2,
-                           entries=resynced + [fresh]), delta)
-    assert fluid.delta_reprices == 2
+    repartitioned = [resynced[0], grown] + resynced[2:] + [fresh]
+    merged = ShardMap(current.app, current.version + 2,
+                      entries=repartitioned)
+    delta = ShardMapDelta(current.app, merged.version, current.version + 1,
+                          merged.key_index, (1, len(repartitioned) - 1),
+                          (b, a), ((), ()))
+    fluid._on_map(merged, delta)
+    assert fluid.full_reprices == 3
+    assert fluid.delta_reprices == 0
+    assert set(fluid._flows) == {e.shard_id for e in repartitioned}
     assert fluid._flows["shard0b"].share == float(
         first.key_high - first.key_low)
+    assert fluid._flows["shard0b"].routed == b
     assert fluid._flows["shard9"].routed == a
+    assert fluid._total_share == pytest.approx(
+        sum(e.key_high - e.key_low for e in repartitioned))
+    _assert_books_balance(fluid)
+    # A delta cut from the layout the client holds reprices in place.
+    moved = ShardMapDelta(current.app, merged.version + 1, merged.version,
+                          merged.key_index, (len(repartitioned) - 1,),
+                          (b,), ((),))
+    fluid._on_map(merged.apply_delta(moved), moved)
+    assert fluid.full_reprices == 3
+    assert fluid.delta_reprices == 1
+    assert fluid._flows["shard9"].routed == b
     _assert_books_balance(fluid)
 
 

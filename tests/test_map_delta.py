@@ -15,8 +15,12 @@ The contract under test (DESIGN.md "Shard-map delta dissemination"):
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.shard_map import (
+    _CHUNK,
+    AppKeyIndex,
     AssignmentTable,
     ReplicaState,
     Role,
@@ -24,11 +28,10 @@ from repro.core.shard_map import (
     ShardMapDelta,
     ShardMapEntry,
     delta_wire_bytes,
-    entry_wire_bytes,
     map_wire_bytes,
 )
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
-from repro.discovery.router import ServiceRouter
+from repro.discovery.router import RoutingError, ServiceRouter
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -79,6 +82,22 @@ def all_entries(shard_map):
     return [shard_map.entry_at(i) for i in range(len(shard_map))]
 
 
+def changed_ids(delta):
+    """Shard ids a delta names, in the order it names them."""
+    return [delta.key_index.shard_ids[i] for i in delta.indices]
+
+
+def empty_delta(app, version, base_version, key_index):
+    return ShardMapDelta(app, version, base_version, key_index, (), (), ())
+
+
+def two_shard_map():
+    return ShardMap("app", 1, entries=(
+        ShardMapEntry("s0", 0, 10, "a", ()),
+        ShardMapEntry("s1", 10, 20, "b", ()),
+    ))
+
+
 def assert_maps_identical(applied, snapshot):
     """Field-for-field equality, not just the fast columnar __eq__."""
     assert applied == snapshot
@@ -114,14 +133,16 @@ class TestDeltaProperty:
                   state=ReplicaState.READY)
         table.relocate(a.replica_id, "srv/c")
         _snapshot, delta = table.snapshot_delta()
-        assert [e.shard_id for e in delta.changed] == ["shard3", "shard7"]
+        assert changed_ids(delta) == ["shard3", "shard7"]
+        assert delta.primaries == ("srv/c", None)
+        assert delta.secondaries == ((), ("srv/b",))
 
     def test_quiet_publish_has_empty_delta(self):
         table = make_table()
         snapshot, delta = table.snapshot_delta()
-        assert len(delta.changed) == len(snapshot)  # first: all
+        assert len(delta.indices) == len(snapshot)  # first: all
         snapshot2, delta2 = table.snapshot_delta()
-        assert delta2.changed == ()
+        assert delta2.indices == delta2.primaries == delta2.secondaries == ()
         assert delta2.base_version == snapshot.version
         assert snapshot.apply_delta(delta2) == snapshot2
 
@@ -165,21 +186,78 @@ class TestDeltaProperty:
         assert_maps_identical(last_map.apply_delta(delta), snapshot)
 
     @pytest.mark.parametrize("changed", [
-        ShardMapEntry("s2", 20, 30, "c", ()),   # unknown shard
-        ShardMapEntry("s1", 10, 25, "c", ()),   # different key bounds
+        (("s0", "s2"), (0, 20), (10, 30)),   # unknown shard
+        (("s0", "s1"), (0, 10), (10, 25)),   # different key bounds
     ])
     def test_layout_changing_delta_raises(self, changed):
-        """A delta that does not fit the map's layout does not chain:
-        the subscriber resyncs from the full snapshot instead."""
-        base = ShardMap("app", 1, entries=(
-            ShardMapEntry("s0", 0, 10, "a", ()),
-            ShardMapEntry("s1", 10, 20, "b", ()),
-        ))
+        """A delta cut from a layout other than the map's does not
+        chain: the subscriber resyncs from the full snapshot instead."""
+        base = two_shard_map()
         delta = ShardMapDelta(app="app", version=2, base_version=1,
-                              changed=(changed,))
+                              key_index=AppKeyIndex(*changed),
+                              indices=(1,), primaries=("c",),
+                              secondaries=((),))
         with pytest.raises(ValueError):
             base.apply_delta(delta)
         assert base.entry("s1").primary == "b"  # base left untouched
+
+    def test_foreign_but_equal_layout_applies(self):
+        """The layout check is by content when the index objects differ
+        (a failed-over publisher rebuilds its index from the same spec)."""
+        base = two_shard_map()
+        rebuilt = AppKeyIndex(("s0", "s1"), (0, 10), (10, 20))
+        assert rebuilt is not base.key_index
+        delta = ShardMapDelta("app", 2, 1, rebuilt, (1,), ("c",), (("d",),))
+        applied = base.apply_delta(delta)
+        assert applied.key_index is base.key_index
+        assert applied.entry("s1") == ShardMapEntry("s1", 10, 20, "c", ("d",))
+        assert applied.entry("s0") == base.entry("s0")
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_out_of_range_index_raises(self, index):
+        base = two_shard_map()
+        delta = ShardMapDelta("app", 2, 1, base.key_index, (0, index),
+                              ("c", "c"), ((), ()))
+        with pytest.raises(ValueError):
+            base.apply_delta(delta)
+        assert base.entry("s0").primary == "a"  # base left untouched
+
+    @pytest.mark.parametrize("shards", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                        2 * _CHUNK + 1],
+                             ids=["C-1", "C", "C+1", "2C+1"])
+    def test_delta_equals_snapshot_across_chunk_boundaries(self, shards):
+        """The headline property on tables whose last chunk is short,
+        exact, one over and two over: the patched chunk is copied on both
+        sides, every other chunk is the same object in consecutive
+        versions, and the base map is left as it was."""
+        rng = random.Random(shards)
+        table = make_table(shards=shards)
+        published, _ = table.snapshot_delta()
+        replica = published  # a subscriber's own chain of applied deltas
+        edges = sorted({0, _CHUNK - 1, _CHUNK, 2 * _CHUNK, shards - 1}
+                       & set(range(shards)))
+        for round_index in range(12):
+            index = edges[round_index % len(edges)]
+            table.add(f"shard{index}", f"srv/{round_index}", Role.SECONDARY,
+                      state=ReplicaState.READY)
+            if round_index % 3 == 2:
+                mutate_randomly(table, rng, ops=4)
+            before = all_entries(replica)
+            snapshot, delta = table.snapshot_delta()
+            applied = replica.apply_delta(delta)
+            assert_maps_identical(applied, snapshot)
+            assert all_entries(replica) == before  # base unchanged
+            touched = {i // _CHUNK for i in delta.indices}
+            assert index // _CHUNK in touched
+            for new, old in ((snapshot, published), (applied, replica)):
+                assert len(new._primaries) == -(-shards // _CHUNK)
+                for chunk in range(len(new._primaries)):
+                    shared = chunk not in touched
+                    assert (new._primaries[chunk]
+                            is old._primaries[chunk]) == shared
+                    assert (new._secondaries[chunk]
+                            is old._secondaries[chunk]) == shared
+            published, replica = snapshot, applied
 
 
 class TestColumnarMap:
@@ -201,7 +279,7 @@ class TestColumnarMap:
         assert second.key_index is first.key_index
 
     def test_unchanged_chunks_shared_across_versions(self):
-        table = make_table(shards=3000)  # > 2 chunks
+        table = make_table(shards=2 * _CHUNK + 5)  # three chunks
         first = table.snapshot()
         table.add("shard0", "a", Role.PRIMARY, state=ReplicaState.READY)
         second = table.snapshot()
@@ -243,13 +321,18 @@ class TestColumnarMap:
         for i in range(1000):
             table.add(f"shard{i}", f"srv/{i % 37}", Role.PRIMARY,
                       state=ReplicaState.READY)
-        full, _ = table.snapshot_delta()
+        full, full_delta = table.snapshot_delta()
         replica = table.replicas_of("shard500")[0]
         table.relocate(replica.replica_id, "srv/99")
         _snapshot, delta = table.snapshot_delta()
-        assert len(delta.changed) == 1
+        assert changed_ids(delta) == ["shard500"]
         assert delta_wire_bytes(delta) < map_wire_bytes(full) / 100
-        assert delta_wire_bytes(delta) >= entry_wire_bytes(delta.changed[0])
+        # header (32) + app (3) + base version (8) + entry framing (24)
+        # + "shard500" + "srv/99"
+        assert delta_wire_bytes(delta) == 32 + 3 + 8 + 24 + 8 + 6
+        # An everything-changed delta carries the whole map plus its
+        # base version.
+        assert delta_wire_bytes(full_delta) == map_wire_bytes(full) + 8
 
 
 class TestSubscriptionProtocol:
@@ -324,10 +407,9 @@ class TestSubscriptionProtocol:
         discovery.publish(snapshot, delta=delta)
         # A delta not based on the currently published version (e.g. the
         # publisher lost state) must not be forwarded as a delta.
-        stray = ShardMapDelta(app="app", version=5, base_version=4,
-                              changed=())
         jump = ShardMap(app="app", version=5,
                         entries=all_entries(snapshot))
+        stray = empty_delta("app", 5, 4, jump.key_index)
         discovery.publish(jump, delta=stray)
         assert discovery.delta_publishes == 1  # the first, chained publish
         assert discovery.full_publishes == 1   # the broken-chain one
@@ -337,10 +419,12 @@ class TestSubscriptionProtocol:
         discovery = ServiceDiscovery(engine)
         table = make_table(shards=5)
         snapshot, _ = table.snapshot_delta()
-        wrong = ShardMapDelta(app="app", version=99, base_version=0,
-                              changed=())
+        wrong = empty_delta("app", 99, 0, snapshot.key_index)
         with pytest.raises(ValueError):
             discovery.publish(snapshot, delta=wrong)
+        other = empty_delta("other", snapshot.version, 0, snapshot.key_index)
+        with pytest.raises(ValueError):
+            discovery.publish(snapshot, delta=other)
 
     def test_plain_subscribers_unaffected_by_deltas(self):
         """Non-delta subscriptions still see every delivery, stale ones
@@ -420,6 +504,47 @@ class TestTargetedInvalidation:
         assert router.route_for(5) == ("srv/8", "shard0")
         assert router.route_cache_misses == misses + 1
 
+    def test_delta_with_nothing_cached_touches_no_dict(self):
+        """A router that holds no route (both reverse indexes empty)
+        adopts a delta without walking it."""
+
+        class Unwalked(tuple):
+            def __iter__(self):
+                raise AssertionError("the delta's indices were walked")
+
+        class Untouched(dict):
+            def pop(self, *args):
+                raise AssertionError("an empty cache was probed")
+            get = __getitem__ = pop
+
+        engine = Engine()
+        router = self._router(engine)
+        table = self._table()
+        router.on_map_update(*table.snapshot_delta())
+        table.relocate(table.replicas_of("shard2")[0].replica_id, "srv/9")
+        snapshot, delta = table.snapshot_delta()
+        router._route_caches = (Untouched(), Untouched())
+        router._route_keys_by_shard = (Untouched(), Untouched())
+        unwalked = ShardMapDelta(
+            delta.app, delta.version, delta.base_version, delta.key_index,
+            Unwalked(delta.indices), delta.primaries, delta.secondaries)
+        router.on_map_update(snapshot, unwalked)
+        assert router.map_resyncs == 1  # only the first delivery
+        assert router.route_evictions == 0
+        assert router.pick_address(25) == ("srv/9", "shard2")
+
+    def test_one_cold_cache_is_skipped_the_other_evicted(self):
+        engine = Engine()
+        router = self._router(engine)
+        table = self._table()
+        router.on_map_update(*table.snapshot_delta())
+        router.route_for(25)  # primary-routed cache only
+        table.relocate(table.replicas_of("shard2")[0].replica_id, "srv/9")
+        router.on_map_update(*table.snapshot_delta())
+        assert router.route_evictions == 1
+        assert router._route_caches == ({}, {})
+        assert router._route_keys_by_shard == ({}, {})
+
     def test_registration_epoch_still_invalidates(self):
         """The satellite-2 consolidation must keep endpoint-change
         invalidation: replica selection depends on registered regions."""
@@ -439,3 +564,105 @@ class TestTargetedInvalidation:
         # A closer replica registers: the cached route must not survive.
         network.register("srv/s", "FRC")
         assert router.route_for(5, prefer_primary=False) == ("srv/s", "shard0")
+
+
+# -- the entry-based code the columns replaced, kept as the oracle -----------
+
+
+def reference_apply(base, app, version, base_version, changed):
+    """``ShardMap.apply_delta`` as it was over ``changed`` entries."""
+    if app != base.app or base_version != base.version:
+        raise ValueError("does not chain")
+    index = base.key_index
+    entries = all_entries(base)
+    for entry in changed:
+        i = index.index_of.get(entry.shard_id)
+        if (i is None or index.key_lows[i] != entry.key_low
+                or index.key_highs[i] != entry.key_high):
+            raise ValueError("changes the layout")
+        entries[i] = entry
+    return ShardMap(app, version, entries=entries)
+
+
+class EntryEvictingRouter(ServiceRouter):
+    """A router evicting by the changed *entries*, shard by shard across
+    both caches, as ``_evict_changed`` did before the delta was columns."""
+
+    changed = ()
+
+    def _evict_changed(self, delta):
+        caches = self._route_caches
+        buckets = self._route_keys_by_shard
+        for entry in self.changed:
+            shard_id = entry.shard_id
+            for cache, bucket in zip(caches, buckets):
+                keys = bucket.pop(shard_id, None)
+                if keys:
+                    self.route_evictions += len(keys)
+                    for key in keys:
+                        cache.pop(key, None)
+
+
+def route_or_error(router, key, prefer_primary):
+    try:
+        return router.route_for(key, prefer_primary)
+    except RoutingError as exc:
+        return str(exc)
+
+
+ROUNDS = st.lists(st.tuples(
+    st.lists(st.tuples(st.integers(0, 1 << 16), st.booleans()), max_size=10),
+    st.integers(0, 1 << 16),            # mutation seed
+    st.integers(0, 6),                  # mutations before the publish
+    st.sampled_from([True, True, True, False]),  # delivered, or a gap
+), min_size=2, max_size=10)
+
+
+class TestColumnsAgainstEntries:
+    @settings(max_examples=60, deadline=None)
+    @given(shards=st.sampled_from([6, _CHUNK + 2]), rounds=ROUNDS)
+    def test_router_and_replica_match_the_entry_based_code(self, shards,
+                                                           rounds):
+        """Random route_for / mutate / publish rounds: the column walk
+        leaves the same caches, the same eviction count and the same
+        applied map as the entry-based code given the old ``changed``."""
+        engine = Engine()
+        network = Network(engine, rng=random.Random(1))
+        network.register("client", "FRC")
+        router = ServiceRouter(engine, network, "client")
+        oracle = EntryEvictingRouter(engine, network, "client")
+        table = make_table(shards=shards)
+        index_of = table.snapshot().key_index.index_of
+        replica = reference = None
+        for picks, seed, ops, delivered in rounds:
+            # Route to shards that have replicas — the ones mutations
+            # hit — so evictions are the rule, not the exception.
+            hosted = sorted({r.shard_id for r in table.all_replicas()})
+            for pick, prefer_primary in picks:
+                shard = index_of[hosted[pick % len(hosted)]] if hosted else 0
+                key = shard * 10 + pick % 10
+                assert (route_or_error(router, key, prefer_primary)
+                        == route_or_error(oracle, key, prefer_primary))
+            mutate_randomly(table, random.Random(seed), ops=ops)
+            dirty = sorted(table._dirty)
+            base_version = table.last_version
+            snapshot, delta = table.snapshot_delta()
+            changed = tuple(snapshot.entry(s) for s in dirty)
+            assert changed_ids(delta) == dirty
+            if replica is None:
+                replica = reference = snapshot
+            else:
+                replica = replica.apply_delta(delta)
+                reference = reference_apply(
+                    reference, snapshot.app, snapshot.version,
+                    base_version, changed)
+            assert_maps_identical(replica, snapshot)
+            assert_maps_identical(reference, snapshot)
+            if delivered:
+                oracle.changed = changed
+                router.on_map_update(snapshot, delta)
+                oracle.on_map_update(snapshot, delta)
+            assert router._route_caches == oracle._route_caches
+            assert router._route_keys_by_shard == oracle._route_keys_by_shard
+            assert router.route_evictions == oracle.route_evictions
+            assert router.map_resyncs == oracle.map_resyncs
