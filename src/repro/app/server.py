@@ -45,8 +45,9 @@ class HostedShard:
 
     Slotted: the per-request served counter is bumped on every client
     request, so the instance must not carry a ``__dict__``.  The counter
-    is batch accounting — it only accumulates here and is flushed (and
-    normalised to a rate) by ``sm.report_load``.
+    is batch accounting — it only accumulates here, is flushed into a
+    :class:`LoadReport` by ``sm.report_load`` and becomes a rate when the
+    report is read.
     """
 
     shard_id: str
@@ -55,6 +56,42 @@ class HostedShard:
     forward_to: Optional[str] = None
     requests_served: int = 0
     requests_forwarded: int = 0
+
+
+class LoadReport:
+    """One server's answer to ``sm.report_load``: the requests each hosted
+    shard served over ``elapsed`` seconds, plus the application's static
+    metrics per shard (``None`` when the app supplies none).
+
+    A snapshot, read like the mapping ``shard_id -> load vector``: the
+    vector (``request_rate``, ``shard_count``, then the static metrics on
+    top) is built when a shard is looked up, so a report nobody reads
+    costs one dict of counts.
+    """
+
+    __slots__ = ("elapsed", "served", "static")
+
+    def __init__(self, elapsed: float, served: Dict[str, float],
+                 static: Optional[Dict[str, Dict[str, float]]]) -> None:
+        self.elapsed = elapsed
+        self.served = served
+        self.static = static
+
+    def __contains__(self, shard_id: str) -> bool:
+        return shard_id in self.served
+
+    def __len__(self) -> int:
+        return len(self.served)
+
+    def __getitem__(self, shard_id: str) -> Dict[str, float]:
+        load = {"request_rate": self.served[shard_id] / self.elapsed,
+                "shard_count": 1.0}
+        if self.static is not None:
+            load.update(self.static[shard_id])
+        return load
+
+    def get(self, shard_id: str, default=None):
+        return self[shard_id] if shard_id in self else default
 
 
 Admission = Enum("Admission", "SERVE FORWARD REJECT")
@@ -256,20 +293,22 @@ class ApplicationServer:
         self.mutations += 1
         return "ok"
 
-    def _rpc_report_load(self, _payload: Any) -> Dict[str, Dict[str, float]]:
-        """Per-shard load vector: measured request rate plus any
-        application-supplied static metrics (storage bytes, etc.)."""
-        elapsed = max(1e-9, self.engine.now - self._last_report_time)
-        self._last_report_time = self.engine.now
-        report: Dict[str, Dict[str, float]] = {}
-        for shard_id, hosted in self._shards.items():
-            load = {"request_rate": hosted.requests_served / elapsed,
-                    "shard_count": 1.0}
-            if self.base_loads is not None:
-                load.update(self.base_loads(shard_id))
-            report[shard_id] = load
+    def _rpc_report_load(self, _payload: Any) -> LoadReport:
+        """Snapshot the per-shard served counts (and any application-
+        supplied static metrics, evaluated now, once per hosted shard, in
+        hosted order) into a :class:`LoadReport`, and zero the counters."""
+        now = self.engine.now
+        elapsed = max(1e-9, now - self._last_report_time)
+        self._last_report_time = now
+        shards = self._shards
+        served = {shard_id: hosted.requests_served
+                  for shard_id, hosted in shards.items()}
+        for hosted in shards.values():
             hosted.requests_served = 0
-        return report
+        base_loads = self.base_loads
+        static = (None if base_loads is None
+                  else {shard_id: base_loads(shard_id) for shard_id in shards})
+        return LoadReport(elapsed, served, static)
 
     # -- client requests -----------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.topology import FaultDomainLevel, Machine
 from ..solver.api import Rebalancer
@@ -53,8 +53,10 @@ class ServerRecord:
     alive: bool = True
     draining: bool = False
     expected_down_until: float = 0.0
-    #: shard id -> load vector, from the server's last ``sm.report_load``.
-    shard_loads: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: The server's last ``sm.report_load`` answer (an
+    #: ``app.server.LoadReport``; ``{}`` before the first), read as
+    #: shard id -> load vector.
+    shard_loads: Any = field(default_factory=dict)
 
     def usable(self, now: float) -> bool:
         return self.alive and not self.draining and now >= self.expected_down_until
@@ -141,7 +143,7 @@ class Allocator:
         # regardless of dict-insertion order.
         target_order = sorted(
             usable,
-            key=lambda r: (len(table.on_address(r.address)), r.address))
+            key=lambda r: (table.hosted_count(r.address), r.address))
         placements_this_plan: Dict[str, int] = {r.address: 0 for r in usable}
         planned_addresses: Dict[str, set] = {}
         planned_regions: Dict[str, set] = {}
@@ -271,28 +273,32 @@ class Allocator:
         replica_infos = []
         index_to_replica: Dict[int, ReplicaAssignment] = {}
         initial_assignment: List[int] = []
-        movable_states = (ReplicaState.READY, ReplicaState.PENDING)
+        ready, pending = ReplicaState.READY, ReplicaState.PENDING
+        drains = self.spec.drain_policy.drains
+        draining = {record.address for record in candidate_servers
+                    if record.draining}
+        server_index_of = address_to_index.get
+        replicas_view = table.replicas_view
         for shard in self.spec.shards:
-            for replica in table.replicas_view(shard.shard_id):
-                if replica.state not in movable_states:
+            shard_id = shard.shard_id
+            preferred_region = shard.preferred_region
+            preference_weight = shard.preference_weight
+            for replica in replicas_view(shard_id):
+                state = replica.state
+                if state is not ready and state is not pending:
                     continue
-                if replica.address not in address_to_index:
+                address = replica.address
+                server_index = server_index_of(address)
+                if server_index is None:
                     continue  # its server is down; emergency mode handles it
-                record = servers[replica.address]
                 # A replica on a draining server whose role the app chose
                 # not to drain stays put (pinned): it tolerates the restart.
-                pinned = (record.draining
-                          and not self.spec.drain_policy.drains(replica.role))
+                pinned = address in draining and not drains(replica.role)
                 index_to_replica[len(replica_infos)] = replica
                 replica_infos.append(ReplicaInfo(
-                    name=replica.replica_id,
-                    shard=shard.shard_id,
-                    load=load_of(replica),
-                    preferred_region=shard.preferred_region,
-                    preference_weight=shard.preference_weight,
-                    pinned=pinned,
-                ))
-                initial_assignment.append(address_to_index[replica.address])
+                    replica.replica_id, shard_id, load_of(replica),
+                    preferred_region, preference_weight, pinned))
+                initial_assignment.append(server_index)
         if not replica_infos:
             raise RuntimeError("no movable replicas")
         problem = PlacementProblem(metrics, server_infos, replica_infos,

@@ -91,6 +91,14 @@ class Orchestrator:
         self.endpoint = network.register(self.address, CONTROL_REGION)
         self.table = AssignmentTable(spec, tracer=self._tracer)
         self.servers: Dict[str, ServerRecord] = {}
+        # ``servers`` in address order, for the drain-target walk; rebuilt
+        # by ``_servers_in_address_order`` when ``servers`` has grown.
+        self._servers_by_address: List[ServerRecord] = []
+        # Every replica's load vector when shard count is the only metric.
+        lb_metrics = spec.lb_metrics
+        self._unit_load: Optional[Tuple[float, ...]] = (
+            (1.0,) * len(lb_metrics)
+            if all(metric == "shard_count" for metric in lb_metrics) else None)
         self.allocator = Allocator(spec, self.config.search_config, self.rng,
                                    max_moves_per_round=self.config.max_moves_per_round)
         self.move_counter = Counter(name=f"{spec.name}/shard_moves")
@@ -397,22 +405,21 @@ class Orchestrator:
                                  None, timeout=self.config.rpc_timeout,
                                  on_complete=record.load_reported)
 
-    def shard_loads_on(self, address: str) -> Dict[str, Dict[str, float]]:
+    def shard_loads_on(self, address: str):
         """The last load report received from ``address``, by shard."""
         record = self.servers.get(address)
         return record.shard_loads if record is not None else {}
 
     def load_of(self, replica: ReplicaAssignment) -> Tuple[float, ...]:
         """Replica load vector aligned with the spec's LB metrics."""
+        if self._unit_load is not None:
+            return self._unit_load
         shard_report = self.shard_loads_on(replica.address).get(
             replica.shard_id, {})
-        values = []
-        for metric in self.spec.lb_metrics:
-            if metric == "shard_count":
-                values.append(1.0)
-            else:
-                values.append(float(shard_report.get(metric, 0.0)))
-        return tuple(values)
+        return tuple(
+            1.0 if metric == "shard_count"
+            else float(shard_report.get(metric, 0.0))
+            for metric in self.spec.lb_metrics)
 
     # -- emergency placement ---------------------------------------------------------------
 
@@ -574,29 +581,50 @@ class Orchestrator:
 
         return self.engine.process(drain(), name=f"drain:{address}")
 
+    def _servers_in_address_order(self) -> List[ServerRecord]:
+        ordered = self._servers_by_address
+        if len(ordered) != len(self.servers):
+            # Records are added and never removed, so a length check sees
+            # every change; removal would need its own invalidation.
+            if len(ordered) > len(self.servers):
+                raise RuntimeError("a server record was removed")
+            ordered = self._servers_by_address = sorted(
+                self.servers.values(), key=lambda record: record.address)
+        return ordered
+
     def _pick_drain_target(self, replica: ReplicaAssignment) -> Optional[str]:
-        shard = self.spec.shard(replica.shard_id)
-        existing = {r.address for r in self.table.replicas_of(replica.shard_id)}
-        existing_regions = {self.servers[a].machine.region
-                            for a in existing if a in self.servers}
-        candidates = sorted(
-            (record for record in self.servers.values()
-             if record.usable(self.engine.now)
-             and record.address not in existing),
-            key=lambda record: record.address)
-        if not candidates:
-            return None
-
-        def rank(record: ServerRecord) -> Tuple:
-            return (
-                0 if (shard.preferred_region is not None
-                      and record.machine.region == shard.preferred_region) else 1,
-                0 if record.machine.region not in existing_regions else 1,
-                len(self.table.on_address(record.address)),
-                self.rng.random(),
+        """The usable server not hosting the shard that ranks best on
+        (preferred region, region new to the shard, fewest hosted replicas,
+        a random tie-break), first in address order among equals."""
+        servers = self.servers
+        preferred = self.spec.shard(replica.shard_id).preferred_region
+        existing = {r.address
+                    for r in self.table.replicas_view(replica.shard_id)}
+        existing_regions = {servers[a].machine.region
+                            for a in existing if a in servers}
+        now = self.engine.now
+        hosted_count = self.table.hosted_count
+        draw = self.rng.random
+        best: Optional[ServerRecord] = None
+        best_rank: Optional[Tuple] = None
+        for record in self._servers_in_address_order():
+            address = record.address
+            # ``not record.usable(now)``, spelt out to save a call per
+            # server per pick.
+            if (not record.alive or record.draining
+                    or now < record.expected_down_until
+                    or address in existing):
+                continue
+            region = record.machine.region
+            rank = (
+                0 if preferred is not None and region == preferred else 1,
+                0 if region not in existing_regions else 1,
+                hosted_count(address),
+                draw(),
             )
-
-        return min(candidates, key=rank).address
+            if best_rank is None or rank < best_rank:
+                best, best_rank = record, rank
+        return best.address if best is not None else None
 
     def undrain_address(self, address: str) -> None:
         record = self.servers.get(address)

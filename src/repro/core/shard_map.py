@@ -604,6 +604,10 @@ class AssignmentTable:
     def on_address(self, address: str) -> List[ReplicaAssignment]:
         return list(self._by_address.get(address, []))
 
+    def hosted_count(self, address: str) -> int:
+        """``len(on_address(address))`` without the copy."""
+        return len(self._by_address.get(address, ()))
+
     def addresses(self) -> List[str]:
         return list(self._by_address)
 

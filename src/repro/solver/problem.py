@@ -68,22 +68,42 @@ class PlacementProblem:
                 raise ValueError(
                     f"server {server.name}: capacity has {len(server.capacity)} "
                     f"entries, expected {self.num_metrics}")
-        for replica in self.replicas:
-            if len(replica.load) != self.num_metrics:
-                raise ValueError(
-                    f"replica {replica.name}: load has {len(replica.load)} "
-                    f"entries, expected {self.num_metrics}")
-
         self.capacity: List[Tuple[float, ...]] = [s.capacity for s in self.servers]
-        self.loads: List[Tuple[float, ...]] = [r.load for r in self.replicas]
+
+        # One pass over the replicas fills every per-replica column;
+        # preferred regions become indices once the region index exists.
+        self.loads: List[Tuple[float, ...]] = []
+        self.shard_of: List[int] = []
+        self.shard_names: List[str] = []
+        self.replica_pinned: List[bool] = []
+        self.replica_pref_weight: List[float] = []
+        shard_index: Dict[str, int] = {}
+        pref_regions: List[Optional[str]] = []
+        for replica in self.replicas:
+            load = replica.load
+            if len(load) != self.num_metrics:
+                raise ValueError(
+                    f"replica {replica.name}: load has {len(load)} "
+                    f"entries, expected {self.num_metrics}")
+            self.loads.append(load)
+            index = shard_index.get(replica.shard)
+            if index is None:
+                index = shard_index[replica.shard] = len(self.shard_names)
+                self.shard_names.append(replica.shard)
+            self.shard_of.append(index)
+            self.replica_pinned.append(replica.pinned)
+            region = replica.preferred_region
+            pref_regions.append(region)
+            self.replica_pref_weight.append(
+                0.0 if region is None else replica.preference_weight)
 
         # Domain indices for spread/affinity goals.  Preferred regions are
         # included even when no live server is there (a whole-region outage
         # must not make the problem unbuildable — the preference is simply
         # unsatisfiable until the region returns).
         region_names = {s.region for s in self.servers}
-        region_names.update(r.preferred_region for r in self.replicas
-                            if r.preferred_region is not None)
+        region_names.update(pref_regions)
+        region_names.discard(None)
         self.region_names = sorted(region_names)
         self._region_index = {name: i for i, name in enumerate(self.region_names)}
         self.server_region: List[int] = [self._region_index[s.region]
@@ -97,31 +117,10 @@ class PlacementProblem:
         self.server_rack: List[int] = [self._rack_index[s.rack]
                                        for s in self.servers]
         self.server_draining: List[bool] = [s.draining for s in self.servers]
-
-        self.shard_of: List[int] = []
-        self.shard_names: List[str] = []
-        shard_index: Dict[str, int] = {}
-        for replica in self.replicas:
-            if replica.shard not in shard_index:
-                shard_index[replica.shard] = len(self.shard_names)
-                self.shard_names.append(replica.shard)
-            self.shard_of.append(shard_index[replica.shard])
-
-        self.replica_pinned: List[bool] = [r.pinned for r in self.replicas]
-        self.replica_pref_region: List[int] = []
-        self.replica_pref_weight: List[float] = []
-        for replica in self.replicas:
-            if replica.preferred_region is None:
-                self.replica_pref_region.append(-1)
-                self.replica_pref_weight.append(0.0)
-            else:
-                if replica.preferred_region not in self._region_index:
-                    raise ValueError(
-                        f"replica {replica.name}: unknown preferred region "
-                        f"{replica.preferred_region!r}")
-                self.replica_pref_region.append(
-                    self._region_index[replica.preferred_region])
-                self.replica_pref_weight.append(replica.preference_weight)
+        # -1: the replica has no preferred region.
+        pref_index = {None: -1, **self._region_index}
+        self.replica_pref_region: List[int] = [pref_index[region]
+                                               for region in pref_regions]
 
         # Assignment state.
         num_servers = len(self.servers)

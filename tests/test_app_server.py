@@ -171,6 +171,42 @@ class TestRequests:
         report2 = fx.rpc(server.address, "sm.report_load", None)
         assert report2.value["shard0"]["request_rate"] == 0.0
 
+    def test_load_report_is_a_snapshot_read_like_a_mapping(self):
+        fx = Fixture()
+        server = fx.server()
+        for shard_id in ("shard0", "shard1"):
+            fx.rpc(server.address, "sm.add_shard",
+                   {"shard_id": shard_id, "role": "primary"})
+        fx.rpc(server.address, "app.request",
+               {"key": 1, "shard_id": "shard0", "payload": {},
+                "forwarded": False})
+        report = fx.rpc(server.address, "sm.report_load", None).value
+        assert len(report) == 2
+        assert "shard0" in report and "shard1" in report
+        assert report["shard0"] == report.get("shard0")
+        assert report["shard0"]["request_rate"] > 0
+        # Hosted but idle: present, at rate zero.
+        assert report["shard1"] == {"request_rate": 0.0, "shard_count": 1.0}
+        # Not hosted: absent, whichever way it is asked.
+        assert "shard2" not in report
+        assert report.get("shard2") is None
+        assert report.get("shard2", {}) == {}
+        with pytest.raises(KeyError):
+            report["shard2"]
+        # What the server does afterwards does not reach the report.
+        before = {shard_id: report[shard_id] for shard_id in ("shard0",
+                                                              "shard1")}
+        fx.rpc(server.address, "sm.add_shard",
+               {"shard_id": "shard2", "role": "primary"})
+        fx.rpc(server.address, "sm.drop_shard", {"shard_id": "shard1"})
+        fx.rpc(server.address, "app.request",
+               {"key": 1, "shard_id": "shard0", "payload": {},
+                "forwarded": False})
+        assert len(report) == 2
+        assert "shard2" not in report and "shard1" in report
+        assert {shard_id: report[shard_id]
+                for shard_id in ("shard0", "shard1")} == before
+
     def test_ping(self):
         fx = Fixture()
         assert fx.rpc(fx.server().address, "sm.ping", None).value == "pong"

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.solver.problem import PlacementProblem, ReplicaInfo, ServerInfo
 
@@ -73,6 +74,71 @@ class TestConstruction:
         replicas = [ReplicaInfo("r0", "sh0", (1.0,), preferred_region="B")]
         problem = PlacementProblem(["cpu"], servers, replicas)
         assert "B" in problem.region_names
+
+
+def six_pass_columns(num_metrics, servers, replicas):
+    """The per-replica columns as ``PlacementProblem.__init__`` built them
+    before it filled them in one pass — the oracle for that pass."""
+    for replica in replicas:
+        if len(replica.load) != num_metrics:
+            raise ValueError(f"replica {replica.name}: load has "
+                             f"{len(replica.load)} entries")
+    loads = [r.load for r in replicas]
+    region_names = {s.region for s in servers}
+    region_names.update(r.preferred_region for r in replicas
+                        if r.preferred_region is not None)
+    region_names = sorted(region_names)
+    region_index = {name: i for i, name in enumerate(region_names)}
+    shard_of, shard_names, shard_index = [], [], {}
+    for replica in replicas:
+        if replica.shard not in shard_index:
+            shard_index[replica.shard] = len(shard_names)
+            shard_names.append(replica.shard)
+        shard_of.append(shard_index[replica.shard])
+    pinned = [r.pinned for r in replicas]
+    pref_region, pref_weight = [], []
+    for replica in replicas:
+        if replica.preferred_region is None:
+            pref_region.append(-1)
+            pref_weight.append(0.0)
+        else:
+            pref_region.append(region_index[replica.preferred_region])
+            pref_weight.append(replica.preference_weight)
+    return {"loads": loads, "region_names": region_names,
+            "server_region": [region_index[s.region] for s in servers],
+            "shard_of": shard_of, "shard_names": shard_names,
+            "replica_pinned": pinned, "replica_pref_region": pref_region,
+            "replica_pref_weight": pref_weight}
+
+
+_replica = st.tuples(
+    st.integers(0, 5),                                  # shard
+    st.lists(st.floats(0.0, 9.0), min_size=1, max_size=3),
+    st.sampled_from([None, "A", "B", "Z"]),             # "Z": no server
+    st.floats(0.0, 4.0), st.booleans())
+
+
+class TestColumnsAgainstTheSixPassBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(num_metrics=st.integers(1, 3),
+           rows=st.lists(_replica, max_size=12))
+    def test_same_columns_or_same_refusal(self, num_metrics, rows):
+        metrics = [f"m{i}" for i in range(num_metrics)]
+        servers = [ServerInfo(f"s{i}", region, (10.0,) * num_metrics)
+                   for i, region in enumerate(["B", "A", "C"])]
+        replicas = [ReplicaInfo(f"r{i}", f"sh{shard}", tuple(load),
+                                region, weight, pinned)
+                    for i, (shard, load, region, weight, pinned)
+                    in enumerate(rows)]
+        try:
+            expected = six_pass_columns(num_metrics, servers, replicas)
+        except ValueError:
+            with pytest.raises(ValueError, match="load has"):
+                PlacementProblem(metrics, servers, replicas)
+            return
+        problem = PlacementProblem(metrics, servers, replicas)
+        for name, column in expected.items():
+            assert getattr(problem, name) == column, name
 
 
 class TestMoves:
