@@ -1,8 +1,11 @@
 #!/usr/bin/env python
 """Profile one parameterized solve: stage timers plus optional cProfile.
 
-Runs the Fig 21 ZippyDB workload at a chosen scale point and prints the
-solver's built-in per-stage profile (``SolveResult.profile``).  With
+Runs the Fig 21 ZippyDB workload at a chosen scale point and prints a
+``build`` stage (snapshot seconds, goal-attachment seconds and the
+garbage collections the build triggered, per generation) beside the
+solver's built-in per-stage profile (``SolveResult.profile``), so one
+command shows the build : solve split at any ``--factor``.  With
 ``--cprofile`` the solve additionally runs under :mod:`cProfile` for
 function-level attribution of the same run.
 
@@ -18,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import pstats
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -66,8 +71,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scale = scaled(PAPER_SCALES, factor=args.factor)[args.point]
+    collections_before = [g["collections"] for g in gc.get_stats()]
+    started = time.perf_counter()
     problem = zippydb_snapshot(scale, seed=args.seed)
+    snapshot_done = time.perf_counter()
     rebalancer = attach_zippydb_goals(problem)
+    build = {
+        "snapshot_s": snapshot_done - started,
+        "attach_goals_s": time.perf_counter() - snapshot_done,
+        "gc_collections": [g["collections"] - before for g, before
+                           in zip(gc.get_stats(), collections_before)],
+    }
     config = SearchConfig(time_budget=args.time_budget, rng_seed=args.seed)
     if args.baseline:
         config = config.without_optimizations()
@@ -87,6 +101,7 @@ def main(argv=None) -> int:
             "arm": "baseline" if args.baseline else "optimized",
             "initial_violations": initial,
             "final_violations": final,
+            "build": build,
             "solve_time": result.solve_time,
             "setup_time": result.profile.seconds("setup"),
             "moves": result.moves,
@@ -102,6 +117,9 @@ def main(argv=None) -> int:
         print(f"{scale.label} ({arm}, seed={args.seed})")
         print(f"  violations: {initial} -> {final}"
               f"{'' if not result.timed_out else '  [TIMED OUT]'}")
+        print(f"  build: snapshot {build['snapshot_s']:.3f}s + goals "
+              f"{build['attach_goals_s']:.3f}s  (gc collections gen0/1/2: "
+              f"{'/'.join(map(str, build['gc_collections']))})")
         print(f"  solve time: {result.solve_time:.3f}s "
               f"(of it set-up {result.profile.seconds('setup'):.3f}s)  "
               f"moves={result.moves} swaps={result.swaps} "

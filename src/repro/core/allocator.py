@@ -242,11 +242,11 @@ class Allocator:
 
     def build_problem(self, table: AssignmentTable,
                       servers: Dict[str, ServerRecord], now: float,
-                      load_of: LoadFn) -> Tuple[PlacementProblem, Dict[int, ReplicaAssignment]]:
+                      load_of: LoadFn) -> Tuple[PlacementProblem, List[ReplicaAssignment]]:
         """Snapshot the current state into a solver problem.
 
-        Returns the problem plus the replica-index → assignment mapping
-        needed to translate the solved diff back into actions.
+        Returns the problem plus the assignment behind each replica
+        index, needed to translate the solved diff back into actions.
         """
         metrics = list(self.spec.lb_metrics)
         candidate_servers = [record for record in servers.values()
@@ -261,17 +261,12 @@ class Allocator:
             capacity = tuple(machine.capacity.get(metric, 0.0)
                              for metric in metrics)
             server_infos.append(ServerInfo(
-                name=record.address,
-                region=machine.region,
-                datacenter=machine.datacenter,
-                rack=machine.rack,
-                capacity=capacity,
-                draining=record.draining,
-            ))
+                record.address, machine.region, capacity,
+                machine.datacenter, machine.rack, record.draining))
             address_to_index[record.address] = index
 
         replica_infos = []
-        index_to_replica: Dict[int, ReplicaAssignment] = {}
+        index_to_replica: List[ReplicaAssignment] = []
         initial_assignment: List[int] = []
         ready, pending = ReplicaState.READY, ReplicaState.PENDING
         drains = self.spec.drain_policy.drains
@@ -294,7 +289,7 @@ class Allocator:
                 # A replica on a draining server whose role the app chose
                 # not to drain stays put (pinned): it tolerates the restart.
                 pinned = address in draining and not drains(replica.role)
-                index_to_replica[len(replica_infos)] = replica
+                index_to_replica.append(replica)
                 replica_infos.append(ReplicaInfo(
                     replica.replica_id, shard_id, load_of(replica),
                     preferred_region, preference_weight, pinned))

@@ -15,12 +15,10 @@ so the package needs nothing outside the standard library.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class ServerInfo:
+class ServerInfo(NamedTuple):
     """Static description of one server in a placement problem."""
 
     name: str
@@ -31,8 +29,7 @@ class ServerInfo:
     draining: bool = False  # pending maintenance / upgrade (soft goal 3)
 
 
-@dataclass(frozen=True)
-class ReplicaInfo:
+class ReplicaInfo(NamedTuple):
     """One assignable shard replica.
 
     ``pinned`` replicas contribute load but must not be moved (e.g. a
@@ -124,22 +121,17 @@ class PlacementProblem:
 
         # Assignment state.
         num_servers = len(self.servers)
-        if assignment is None:
-            self.assignment: List[int] = [-1] * len(self.replicas)
-        else:
-            if len(assignment) != len(self.replicas):
-                raise ValueError("assignment length must match replica count")
-            for server_idx in assignment:
-                if server_idx != -1 and not 0 <= server_idx < num_servers:
-                    raise ValueError(f"assignment references server {server_idx}")
-            self.assignment = list(assignment)
-
+        self.assignment: List[int] = [-1] * len(self.replicas)
         self.usage: List[List[float]] = [[0.0] * self.num_metrics
                                          for _ in range(num_servers)]
         self.replicas_on: List[set] = [set() for _ in range(num_servers)]
-        for replica_idx, server_idx in enumerate(self.assignment):
-            if server_idx != -1:
-                self._add_usage(replica_idx, server_idx)
+        if assignment is not None:
+            if len(assignment) != len(self.replicas):
+                raise ValueError("assignment length must match replica count")
+            for server_idx in assignment:
+                if not -1 <= server_idx < num_servers:
+                    raise ValueError(f"assignment references server {server_idx}")
+            self._move_all(assignment)
 
         # Mutation counter: bumped by every effective ``move``.  Goal
         # evaluators cache per-server costs keyed on this version so they
@@ -171,12 +163,37 @@ class PlacementProblem:
         current = self.assignment[replica_idx]
         if current == target_server:
             return
+        if not -1 <= target_server < len(self.servers):
+            raise ValueError(f"move targets server {target_server}")
         if current != -1:
             self._remove_usage(replica_idx, current)
         self.assignment[replica_idx] = target_server
         if target_server != -1:
             self._add_usage(replica_idx, target_server)
         self.version += 1
+
+    def _move_all(self, targets: Sequence[int]) -> int:
+        """``move(i, targets[i])`` for every replica in index order without
+        the two calls a replica; returns how many moved.  The caller has
+        checked that every target is -1 or a server index."""
+        assignment, loads = self.assignment, self.loads
+        usage, replicas_on = self.usage, self.replicas_on
+        metric_range = range(self.num_metrics)
+        moved = 0
+        for replica_idx, target in enumerate(targets):
+            current = assignment[replica_idx]
+            if current == target:
+                continue
+            if current != -1:
+                self._remove_usage(replica_idx, current)
+            assignment[replica_idx] = target
+            if target != -1:
+                load, row = loads[replica_idx], usage[target]
+                for m in metric_range:
+                    row[m] += load[m]
+                replicas_on[target].add(replica_idx)
+            moved += 1
+        return moved
 
     # -- per-replica cache -----------------------------------------------------
 
@@ -191,5 +208,5 @@ class PlacementProblem:
     def random_assignment(self, rng: random.Random) -> None:
         """Uniform random placement — Fig 21's stress-test initial state."""
         num_servers = len(self.servers)
-        for replica_idx in range(len(self.replicas)):
-            self.move(replica_idx, rng.randrange(num_servers))
+        self.version += self._move_all(
+            [rng.randrange(num_servers) for _ in self.replicas])

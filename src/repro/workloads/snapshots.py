@@ -70,33 +70,29 @@ def zippydb_snapshot(scale: SnapshotScale, seed: int = 0,
     """
     rng = substream(seed, "zippydb-snapshot", scale.servers, scale.shards)
     base_capacity = 100.0
-    servers = []
-    for index in range(scale.servers):
-        jitter = lambda: 1.0 + rng.uniform(-capacity_heterogeneity,
-                                           capacity_heterogeneity)
-        shard_capacity = max(1.0, scale.shards / scale.servers * 4.0)
-        servers.append(ServerInfo(
-            name=f"server{index:05d}",
-            region="prod",
-            datacenter=f"dc{index % 4}",
-            rack=f"rack{index % 64}",
-            capacity=(base_capacity * jitter(),      # cpu
-                      base_capacity * jitter(),      # storage
-                      shard_capacity),               # shard count
-        ))
+    shard_capacity = max(1.0, scale.shards / scale.servers * 4.0)
+    jitter = lambda: 1.0 + rng.uniform(-capacity_heterogeneity,
+                                       capacity_heterogeneity)
+    servers = [ServerInfo(
+        name=f"server{index:05d}",
+        region="prod",
+        datacenter=f"dc{index % 4}",
+        rack=f"rack{index % 64}",
+        capacity=(base_capacity * jitter(),      # cpu
+                  base_capacity * jitter(),      # storage
+                  shard_capacity),               # shard count
+    ) for index in range(scale.servers)]
     mean_load_per_shard = (mean_utilization * base_capacity * scale.servers
                            / scale.shards)
     cpu_loads = skewed_loads(rng, scale.shards, skew=load_skew,
                              mean=mean_load_per_shard)
+    random = rng.random
     replicas = []
-    for index in range(scale.shards):
-        cpu = cpu_loads[index]
-        storage = cpu * rng.uniform(0.6, 1.4)
+    for index, cpu in enumerate(cpu_loads):
+        name = f"shard{index:06d}"  # one replica a shard: one string for both
+        # storage = cpu * rng.uniform(0.6, 1.4), the call written out.
         replicas.append(ReplicaInfo(
-            name=f"shard{index:06d}",
-            shard=f"shard{index:06d}",
-            load=(cpu, storage, 1.0),
-        ))
+            name, name, (cpu, cpu * (0.6 + (1.4 - 0.6) * random()), 1.0)))
     problem = PlacementProblem(list(ZIPPYDB_METRICS), servers, replicas)
     if randomize_assignment:
         problem.random_assignment(rng)

@@ -3,6 +3,7 @@
 
 import functools
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,16 @@ def test_profile_solver_rejects_non_positive_factor(factor, capsys):
         script.main(["--factor", factor, "--point", "0"])
     assert exit_info.value.code == 2
     assert "--factor: must be >= 1" in capsys.readouterr().err
+
+
+def test_profile_solver_reports_the_build_beside_the_solve(capsys):
+    script = load_script("profile_solver")
+    assert script.main(["--factor", "250", "--point", "0", "--json"]) == 0
+    build = json.loads(capsys.readouterr().out)["build"]
+    assert set(build) == {"snapshot_s", "attach_goals_s", "gc_collections"}
+    assert build["snapshot_s"] > 0.0 and len(build["gc_collections"]) == 3
+    assert script.main(["--factor", "250", "--point", "0"]) == 0
+    assert "build: snapshot" in capsys.readouterr().out
 
 
 def test_run_experiments_has_no_baseline_flag(monkeypatch, capsys):

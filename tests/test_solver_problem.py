@@ -67,6 +67,17 @@ class TestConstruction:
             PlacementProblem(problem.metrics, problem.servers,
                              problem.replicas, assignment=[0])
 
+    def test_records_are_lean_and_immutable(self):
+        """A problem is built from one record per replica, so a record
+        carries no ``__dict__`` and still cannot be edited in place."""
+        for record in (ServerInfo("s", "A", (1.0,)),
+                       ReplicaInfo("r", "sh", (1.0,))):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.name = "other"
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
     def test_unknown_preferred_region_allowed_if_declared(self):
         """A preference for a region with no live servers is representable
         (whole-region outage)."""
@@ -141,6 +152,75 @@ class TestColumnsAgainstTheSixPassBuild:
             assert getattr(problem, name) == column, name
 
 
+def per_replica_initial_fill(problem, assignment):
+    """How ``__init__`` filled usage from an initial assignment before it
+    shared ``random_assignment``'s loop: one ``_add_usage`` a replica."""
+    problem.assignment = list(assignment)
+    for replica_idx, server_idx in enumerate(assignment):
+        if server_idx != -1:
+            problem._add_usage(replica_idx, server_idx)
+
+
+def move_by_move_random_assignment(problem, rng):
+    """``random_assignment`` as it was: draw, ``move``, draw, ``move``."""
+    num_servers = len(problem.servers)
+    for replica_idx in range(len(problem.replicas)):
+        problem.move(replica_idx, rng.randrange(num_servers))
+
+
+def placement_state(problem):
+    return (problem.assignment, problem.usage,
+            [list(on) for on in problem.replicas_on], problem.version)
+
+
+@st.composite
+def _loads(draw):
+    """Up to 40 replicas, every count as likely: ``replicas_on`` order
+    only shows once indices collide in a set's table."""
+    count = draw(st.integers(1, 40))
+    return draw(st.lists(
+        st.lists(st.floats(0.0, 9.0), min_size=2, max_size=2),
+        min_size=count, max_size=count))
+
+
+def _problem(loads, num_servers, assignment=None):
+    servers = [ServerInfo(f"s{i}", "A", (10.0, 10.0))
+               for i in range(num_servers)]
+    replicas = [ReplicaInfo(f"r{i}", f"sh{i}", tuple(load))
+                for i, load in enumerate(loads)]
+    return PlacementProblem(["cpu", "mem"], servers, replicas, assignment)
+
+
+class TestBulkFillAgainstMoveByMove:
+    """Set iteration order is part of the state: the solver breaks ties
+    by it, so ``list(replicas_on[s])`` is compared, not the set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(loads=_loads(), num_servers=st.integers(1, 6), data=st.data())
+    def test_initial_assignment(self, loads, num_servers, data):
+        assignment = data.draw(st.lists(
+            st.integers(-1, num_servers - 1),
+            min_size=len(loads), max_size=len(loads)))
+        oracle = _problem(loads, num_servers)
+        per_replica_initial_fill(oracle, assignment)
+        problem = _problem(loads, num_servers, assignment)
+        assert placement_state(problem) == placement_state(oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(loads=_loads(), num_servers=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32), rounds=st.integers(1, 3))
+    def test_random_assignment(self, loads, num_servers, seed, rounds):
+        """Also from an assigned state (``rounds`` > 1), where a draw can
+        repeat a replica's server and move nothing."""
+        oracle, problem = _problem(loads, num_servers), _problem(loads, num_servers)
+        oracle_rng, rng = random.Random(seed), random.Random(seed)
+        for _ in range(rounds):
+            move_by_move_random_assignment(oracle, oracle_rng)
+            problem.random_assignment(rng)
+            assert placement_state(problem) == placement_state(oracle)
+            assert rng.getstate() == oracle_rng.getstate()
+
+
 class TestMoves:
     def test_move_updates_usage_and_index(self):
         problem = small_problem(num_servers=2, num_replicas=2)
@@ -165,6 +245,21 @@ class TestMoves:
         problem.move(0, -1)
         assert problem.assignment[0] == -1
         assert problem.usage[1][0] == 0.0
+
+    @pytest.mark.parametrize("target", [-2, 4])
+    def test_move_to_a_server_that_does_not_exist_changes_nothing(self, target):
+        """Unchecked, -2 indexes the second-to-last server's row while
+        ``assignment`` records -2, and 4 raises ``IndexError`` only after
+        the replica has left its old server."""
+        problem = small_problem(num_servers=4)
+        problem.move(0, 1)
+        before = ([list(row) for row in problem.usage],
+                  [set(on) for on in problem.replicas_on],
+                  list(problem.assignment), problem.version)
+        with pytest.raises(ValueError, match=f"server {target}"):
+            problem.move(0, target)
+        assert (problem.usage, problem.replicas_on,
+                problem.assignment, problem.version) == before
 
     def test_usage_bookkeeping_matches_recompute(self):
         rng = random.Random(5)

@@ -1,8 +1,10 @@
 """Unit tests for workload and fleet generators."""
 
+import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +219,23 @@ class TestSnapshots:
         b = zippydb_snapshot(SnapshotScale(20, 100), seed=7)
         assert a.assignment == b.assignment
         assert a.loads == b.loads
+
+    def test_one_name_string_per_shard(self):
+        """One replica a shard: the replica is named after its shard by
+        the same string object, not an equal second one."""
+        problem = zippydb_snapshot(SnapshotScale(4, 30), seed=2)
+        assert all(r.name is r.shard for r in problem.replicas)
+
+    @pytest.mark.parametrize("pin", json.loads(
+        (Path(__file__).parent / "fixtures" / "zippydb_snapshot_pins.json")
+        .read_text()), ids=lambda pin: f"{pin['servers']}x{pin['shards']}")
+    def test_same_draws_as_the_pinned_snapshots(self, pin):
+        """Bit-equal to snapshots recorded before the build was rewritten
+        (``uniform`` written out, draws hoisted out of the fill): every
+        Fig 21/22 number and ``solver_place`` fingerprint rests on them."""
+        problem = zippydb_snapshot(
+            SnapshotScale(pin["servers"], pin["shards"]), seed=pin["seed"])
+        assert [list(c) for c in problem.capacity] == pin["capacity"]
+        assert problem.assignment == pin["assignment"]
+        assert [list(load) for load in problem.loads] == pin["loads"]
+        assert problem.usage == pin["usage"]
