@@ -13,11 +13,13 @@ fences:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
 		tests/test_single_owner.py tests/test_host_clock.py
 
-# A caller is traffic (~2 min): runs the bench workloads, the figure
-# suite, the scripts and the examples under a function-entry recorder
-# and fails on a function under src/repro that none of them enters and
-# tests/audit_traffic.py's allowlist does not excuse, or on a stale
-# allowlist entry.  Writes traffic_table.txt (git-ignored); leaves
+# A caller is traffic, and so is an option (~1.5 min on 2 CPUs): runs
+# the bench workloads, the figure suite, the scripts and the examples
+# once under one recorder of function entry and option values, and fails
+# on a function under src/repro that none of them enters, or an option
+# they only ever run with one value, that tests/audit_traffic.py's
+# ALLOW / ALLOW_OPTIONS does not excuse, or on a stale entry.  Writes
+# both tables to traffic_table.txt (git-ignored); leaves
 # bench_results.txt as it found it.
 traffic:
 	$(PYTHON) tests/audit_traffic.py

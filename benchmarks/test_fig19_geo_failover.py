@@ -11,7 +11,7 @@ def test_fig19_geo_failover():
 
     steady = result.steady_latency()
     outage = result.outage_latency()
-    recovered = result.phase_latency(result.recovery_time + 70.0, 1e12)
+    recovered = result.phase_latency(experiment.RECOVERY_TIME + 70.0, 1e12)
 
     # Region preference honoured: every EC shard had an FRC replica, and
     # SM moved them back after the region recovered.

@@ -11,13 +11,13 @@ from repro.experiments import fluid_scale as experiment
 
 
 def test_fluid_scale():
-    rate_per_user = 0.1
-    result = experiment.run(rate_per_user=rate_per_user)
+    result = experiment.run()
     emit(experiment.format_report(result))
 
     # Arrival integration is exact: users x mean rate x simulated time.
     assert result.arrivals == pytest.approx(
-        result.users * rate_per_user * result.sim_seconds, rel=1e-6)
+        result.users * experiment.RATE_PER_USER * result.sim_seconds,
+        rel=1e-6)
     # Two days x three regions of staged upgrades, none of them visible
     # to clients (graceful drains; Fig 18's flat error rate at scale).
     assert result.upgrades_run == 6

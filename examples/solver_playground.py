@@ -37,7 +37,7 @@ def main() -> None:
     ]
     # 120 shards x 2 replicas, 20x load skew, some with region preferences
     # — "shard1 in regionA and a stronger goal of shard2 in regionB".
-    cpu = skewed_loads(rng, 240, skew=20.0, mean=55.0 * 30 / 240)
+    cpu = skewed_loads(rng, 240, mean=55.0 * 30 / 240)
     replicas = []
     for shard in range(120):
         preferred = {0: "regionA", 1: "regionB"}.get(shard)

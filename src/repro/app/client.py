@@ -114,14 +114,14 @@ class _WorkloadOp:
     """
 
     __slots__ = ("engine", "start_request", "recorder", "rng", "rate",
-                 "key_fn", "payload", "payload_fn", "prefer_primary",
+                 "key_fn", "payload_fn", "prefer_primary",
                  "end_time", "expovariate", "finished")
 
     def __init__(self, engine: Engine, start_request: Callable[..., Any],
                  duration: float, rate: Callable[[float], float],
                  key_fn: Callable[[random.Random], int],
                  recorder: WorkloadRecorder, rng: random.Random,
-                 payload: Any, payload_fn: Optional[Callable[[int], Any]],
+                 payload_fn: Optional[Callable[[int], Any]],
                  prefer_primary: bool) -> None:
         self.engine = engine
         self.start_request = start_request
@@ -129,7 +129,6 @@ class _WorkloadOp:
         self.rng = rng
         self.rate = rate
         self.key_fn = key_fn
-        self.payload = payload
         self.payload_fn = payload_fn
         self.prefer_primary = prefer_primary
         self.end_time = engine.now + duration
@@ -155,7 +154,7 @@ class _WorkloadOp:
         recorder.sent += 1
         key = self.key_fn(self.rng)
         payload_fn = self.payload_fn
-        body = payload_fn(key) if payload_fn is not None else self.payload
+        body = payload_fn(key) if payload_fn is not None else None
         self.start_request(key, body, prefer_primary=self.prefer_primary,
                            on_done=self._record)
         self._schedule_next()
@@ -207,7 +206,6 @@ class ApplicationClient:
                      key_fn: Callable[[random.Random], int],
                      recorder: WorkloadRecorder,
                      rng: Optional[random.Random] = None,
-                     payload: Any = None,
                      payload_fn: Optional[Callable[[int], Any]] = None,
                      prefer_primary: bool = True) -> _WorkloadOp:
         """Open-loop Poisson request stream for ``duration`` seconds.
@@ -215,11 +213,11 @@ class ApplicationClient:
         ``rate(t)`` gives the instantaneous requests/second (pass a
         constant via ``lambda t: r``; diurnal curves for Fig 18/23 come
         from ``repro.workloads.load``).  ``payload_fn(key)`` builds a
-        per-request payload; it wins over the static ``payload``.
+        per-request payload (without it the payload is ``None``).
         Returns the running :class:`_WorkloadOp` (``finished`` flips once
         the stream passes ``duration``).
         """
         rng = rng or random.Random(0)
         return _WorkloadOp(self.engine, self.router.start_request, duration,
-                           rate, key_fn, recorder, rng, payload, payload_fn,
+                           rate, key_fn, recorder, rng, payload_fn,
                            prefer_primary)

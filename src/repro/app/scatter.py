@@ -144,14 +144,14 @@ class ScatterGatherClient:
     """Fan-out reads across ``fanout`` shards through one app client.
 
     Leg ``i`` of a scatter anchored at ``key`` reads
-    ``(key + i * leg_stride) % key_space`` — with ``leg_stride`` set to
-    (a multiple of) the per-shard key width, the legs land on ``fanout``
-    distinct shards, which is the point: the reply is only as fast as
-    the slowest shard touched.
+    ``(key + i * leg_stride) % key_space`` with ``leg_stride =
+    key_space // fanout`` — on a uniformly sharded key space the legs
+    land on ``fanout`` distinct shards, which is the point: the reply is
+    only as fast as the slowest shard touched.
     """
 
     def __init__(self, client: ApplicationClient, key_space: int,
-                 fanout: int = 4, leg_stride: Optional[int] = None) -> None:
+                 fanout: int = 4) -> None:
         if fanout < 1:
             raise ValueError("fanout must be >= 1")
         if key_space < 1:
@@ -160,19 +160,18 @@ class ScatterGatherClient:
         self.engine = client.engine
         self.key_space = key_space
         self.fanout = fanout
-        self.leg_stride = (key_space // max(1, fanout)
-                           if leg_stride is None else leg_stride)
+        self.leg_stride = key_space // fanout
         self._next_id = 0
 
-    def start_request(self, key: int, payload: Any = None,
-                      prefer_primary: bool = True,
+    def start_request(self, key: int, payload: Any, prefer_primary: bool,
                       on_done: Optional[Callable[[RequestOutcome], None]]
-                      = None) -> _ScatterOp:
+                      ) -> _ScatterOp:
         """Fire one scatter-gather request anchored at ``key``.
 
-        Same signature as ``ServiceRouter.start_request``, so the
-        open-loop driver starts either kind of request.  ``payload`` is
-        not sent: every leg carries its scatter id instead.
+        The arguments the open-loop driver passes
+        ``ServiceRouter.start_request``, so it starts either kind of
+        request.  ``payload`` is not sent: every leg carries its scatter
+        id instead.
         """
         return _ScatterOp(self, key, prefer_primary, on_done)
 
@@ -188,5 +187,5 @@ class ScatterGatherClient:
         """
         rng = rng or random.Random(0)
         return _WorkloadOp(self.engine, self.start_request, duration, rate,
-                           key_fn, recorder, rng, payload=None,
-                           payload_fn=None, prefer_primary=True)
+                           key_fn, recorder, rng, payload_fn=None,
+                           prefer_primary=True)

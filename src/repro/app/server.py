@@ -169,11 +169,11 @@ class ApplicationServer:
                 "machine": self.container.machine.machine_id}
         try:
             zookeeper.create(self._liveness_path, data=data, ephemeral=True,
-                             session=self.session, make_parents=True)
+                             session=self.session)
         except NodeExistsError:
             zookeeper.delete(self._liveness_path)
             zookeeper.create(self._liveness_path, data=data, ephemeral=True,
-                             session=self.session, make_parents=True)
+                             session=self.session)
 
     # -- lifecycle ----------------------------------------------------------------
 

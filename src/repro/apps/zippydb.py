@@ -36,6 +36,9 @@ from ..sim.engine import Engine
 from ..sim.network import AsyncReply, Network, RpcResult
 from ..cluster.container import Container
 
+#: Caller-side timeout of a replication RPC between replicas, seconds.
+REPLICATION_RPC_TIMEOUT = 0.5
+
 
 @dataclass
 class _ShardReplicaState:
@@ -65,12 +68,10 @@ class ZippyDBApp:
     """Wires ZippyDB's replication into SM application servers."""
 
     def __init__(self, engine: Engine, network: Network,
-                 discovery: ServiceDiscovery, spec: AppSpec,
-                 rpc_timeout: float = 0.5) -> None:
+                 discovery: ServiceDiscovery, spec: AppSpec) -> None:
         self.engine = engine
         self.network = network
         self.spec = spec
-        self.rpc_timeout = rpc_timeout
         self._nodes: Dict[str, _ServerNode] = {}
         self._map: Optional[ShardMap] = None
         self._ballot_counter = itertools.count(1)
@@ -200,7 +201,7 @@ class ZippyDBApp:
             if target == source:
                 continue
             calls.append(self.network.rpc(source, target, method, payload,
-                                          timeout=self.rpc_timeout))
+                                          timeout=REPLICATION_RPC_TIMEOUT))
         return calls
 
     def _replicate(self, address: str, shard_id: str,

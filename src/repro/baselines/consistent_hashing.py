@@ -14,6 +14,10 @@ import hashlib
 from typing import Dict, List, Sequence
 
 
+#: Points each node puts on the ring.
+VIRTUAL_NODES = 64
+
+
 def _hash64(data: str) -> int:
     return int.from_bytes(hashlib.sha256(data.encode()).digest()[:8], "big")
 
@@ -21,10 +25,7 @@ def _hash64(data: str) -> int:
 class ConsistentHashRing:
     """Virtual-node consistent hash ring over string node names."""
 
-    def __init__(self, nodes: Sequence[str] = (), virtual_nodes: int = 100) -> None:
-        if virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self, nodes: Sequence[str]) -> None:
         self._ring: List[int] = []            # sorted virtual-node hashes
         self._owner: Dict[int, str] = {}      # hash -> node
         self._nodes: set = set()
@@ -35,7 +36,7 @@ class ConsistentHashRing:
         if node in self._nodes:
             raise ValueError(f"node {node!r} already on the ring")
         self._nodes.add(node)
-        for index in range(self.virtual_nodes):
+        for index in range(VIRTUAL_NODES):
             point = _hash64(f"{node}#{index}")
             if point in self._owner:
                 continue  # astronomically unlikely collision; skip the vnode

@@ -40,7 +40,7 @@ def modulo_placement(index: int, shard_id: str,
     return addresses[index % len(addresses)]
 
 
-def ring_placement(virtual_nodes: int = 64) -> PlacementFn:
+def ring_placement() -> PlacementFn:
     """Consistent hashing: shard i lives at the ring successor of its
     hash.  The ring is rebuilt (and memoized) per membership set, so a
     node loss moves only the lost node's shards — the scheme's selling
@@ -52,8 +52,7 @@ def ring_placement(virtual_nodes: int = 64) -> PlacementFn:
         key = tuple(addresses)
         ring = rings.get(key)
         if ring is None:
-            ring = rings[key] = ConsistentHashRing(
-                key, virtual_nodes=virtual_nodes)
+            ring = rings[key] = ConsistentHashRing(key)
         return ring.node_for_key(index)
 
     return placement
@@ -78,10 +77,10 @@ class PinnedAllocator(Allocator):
         return sorted(r.address for r in servers.values() if r.usable(now))
 
     def emergency_plan(self, table: AssignmentTable,
-                       servers: Dict[str, ServerRecord], now: float,
-                       load_of=None) -> AllocationPlan:
+                       servers: Dict[str, ServerRecord],
+                       now: float) -> AllocationPlan:
         """Create missing shards directly at their pinned address."""
-        plan = super().emergency_plan(table, servers, now, load_of)
+        plan = super().emergency_plan(table, servers, now)
         if not plan.creates:
             return plan
         addresses = self._usable_addresses(servers, now)

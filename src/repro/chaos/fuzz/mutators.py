@@ -311,11 +311,10 @@ def random_spec(rng: random.Random, name: str) -> ScenarioSpec:
 EXTRA_RANDOM_SEEDS = 3
 
 
-def seed_specs(rng: random.Random, extra_random: int = EXTRA_RANDOM_SEEDS
-               ) -> List[ScenarioSpec]:
+def seed_specs(rng: random.Random) -> List[ScenarioSpec]:
     """The initial corpus: one single-action spec per vocabulary kind
     (guaranteed kind coverage, maximally granular mutation parents)
-    plus ``extra_random`` multi-action random specs."""
+    plus ``EXTRA_RANDOM_SEEDS`` multi-action random specs."""
     specs: List[ScenarioSpec] = []
     for kind in FUZZ_KINDS:
         shell = ScenarioSpec(name=f"seed_{kind}", title=f"seed: {kind}",
@@ -327,7 +326,7 @@ def seed_specs(rng: random.Random, extra_random: int = EXTRA_RANDOM_SEEDS
         specs.append(normalize(ScenarioSpec(
             name=shell.name, title=shell.title, actions=(action,),
             duration=180.0, expectations=FUZZ_EXPECTATIONS, **BASE_SHAPE)))
-    for index in range(extra_random):
+    for index in range(EXTRA_RANDOM_SEEDS):
         specs.append(random_spec(rng, f"seed_random_{index}"))
     return specs
 

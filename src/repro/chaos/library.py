@@ -23,8 +23,7 @@ faults can go wrong:
   a new session).  The tight availability bound proves a reconnect
   faster than the failover grace never drops a shard.  Deploy itself
   covers implicit parents: the orchestrator's child watch on the
-  servers root must fire for nodes created as side effects of
-  ``create(make_parents=True)``.
+  servers root must fire for nodes ``create`` makes as side effects.
 
 Every scenario must pass with **zero** violations under both arms
 ("sm" and "baseline"), so expectation bounds are set to what the

@@ -68,11 +68,15 @@ class Param:
     default: Any = None
     minimum: Optional[float] = None     # inclusive lower bound
     above: Optional[float] = None       # exclusive lower bound
+    maximum: Optional[float] = None     # inclusive upper bound
     choices: Tuple[str, ...] = ()
     region: bool = False                # names one of the spec's regions
+    nullable: bool = False              # ``None`` is a value of its own
 
     def problem(self, value: Any, spec: "ScenarioSpec") -> str:
         """Why ``value`` cannot be scheduled; empty when it can."""
+        if value is None and self.nullable:
+            return ""
         accepted = (int, float) if self.type is float else self.type
         if not isinstance(value, accepted) or isinstance(value, bool):
             return f"must be {self.type.__name__}, got {value!r}"
@@ -85,7 +89,18 @@ class Param:
             return f"must be >= {self.minimum}, got {value!r}"
         if self.above is not None and not value > self.above:
             return f"must be > {self.above}, got {value!r}"
+        if self.maximum is not None and not value <= self.maximum:
+            return f"must be <= {self.maximum}, got {value!r}"
         return ""
+
+
+def _to_float(value: Any, what: str) -> float:
+    """``float(value)`` for a JSON number; one that no double holds (an
+    integer with hundreds of digits) is a ``ValueError`` naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got {value!r}") from None
 
 
 #: The scenario-level scalar fields, in ``to_dict`` order: the type
@@ -103,6 +118,15 @@ SCALAR_FIELDS: Dict[str, Param] = {
     "failover_grace": Param(float, minimum=0.0),
     "zk_session_timeout": Param(float, above=0.0),
     "restart_hint": Param(float, minimum=0.0),
+}
+
+#: The ``expectations`` block's fields, held as ``SCALAR_FIELDS`` are:
+#: ``Expectations.from_dict`` checks each type, ``validate_spec`` each
+#: range.  A ``None`` bound is disabled.
+EXPECTATION_FIELDS: Dict[str, Param] = {
+    "availability_bound": Param(float, minimum=0.0, nullable=True),
+    "failover_bound": Param(float, minimum=0.0, nullable=True),
+    "final_ready_min": Param(float, minimum=0.0, maximum=1.0),
 }
 
 
@@ -153,7 +177,7 @@ class FaultAction:
             raise ValueError(f"unknown fault-action fields: "
                              f"{sorted(unknown)}")
         kind = data.get("kind")
-        if kind not in ACTIONS:
+        if not isinstance(kind, str) or kind not in ACTIONS:
             raise ValueError(f"unknown action kind {kind!r}; "
                              f"known: {sorted(ACTIONS)}")
         at = data.get("at")
@@ -169,7 +193,9 @@ class FaultAction:
         if not isinstance(params, dict):
             raise ValueError(f"action {kind!r}: 'params' must be an "
                              f"object, got {type(params).__name__}")
-        return cls(at=float(at), kind=kind, duration=float(duration),
+        return cls(at=_to_float(at, f"action {kind!r}: 'at'"), kind=kind,
+                   duration=_to_float(duration,
+                                      f"action {kind!r}: 'duration'"),
                    params=tuple(sorted(params.items())))
 
 
@@ -199,21 +225,23 @@ class Expectations:
         if not isinstance(data, dict):
             raise ValueError(f"expectations must be an object, "
                              f"got {type(data).__name__}")
-        unknown = set(data) - {"availability_bound", "failover_bound",
-                               "final_ready_min"}
+        unknown = set(data) - set(EXPECTATION_FIELDS)
         if unknown:
             raise ValueError(f"unknown expectation fields: "
                              f"{sorted(unknown)}")
-        for key in ("availability_bound", "failover_bound"):
+        for key, param in EXPECTATION_FIELDS.items():
             value = data.get(key)
-            if value is not None and (not isinstance(value, (int, float))
-                                      or isinstance(value, bool)):
-                raise ValueError(f"expectations: {key!r} must be a number "
-                                 f"or null, got {value!r}")
+            if key not in data or (value is None and param.nullable):
+                continue
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                null = " or null" if param.nullable else ""
+                raise ValueError(f"expectations: {key!r} must be a "
+                                 f"number{null}, got {value!r}")
         return cls(
             availability_bound=data.get("availability_bound"),
             failover_bound=data.get("failover_bound"),
-            final_ready_min=float(data.get("final_ready_min", 0.95)),
+            final_ready_min=_to_float(data.get("final_ready_min", 0.95),
+                                      "expectations: 'final_ready_min'"),
         )
 
 
@@ -294,10 +322,14 @@ class ScenarioSpec:
                         or isinstance(value, bool):
                     raise ValueError(f"scenario {field_name!r} must be a "
                                      f"number, got {value!r}")
-                if param.type is int and not float(value).is_integer():
-                    raise ValueError(f"scenario {field_name!r} must be a "
-                                     f"whole number, got {value!r}")
-                kwargs[field_name] = param.type(value)
+                if param.type is int:
+                    if isinstance(value, float) and not value.is_integer():
+                        raise ValueError(f"scenario {field_name!r} must be "
+                                         f"a whole number, got {value!r}")
+                    kwargs[field_name] = int(value)
+                else:
+                    kwargs[field_name] = _to_float(
+                        value, f"scenario {field_name!r}")
         return cls(
             name=name,
             title=data.get("title", name),

@@ -23,7 +23,7 @@ import math
 from pathlib import Path
 from typing import Union
 
-from .scenario import ACTIONS, SCALAR_FIELDS, ScenarioSpec
+from .scenario import ACTIONS, EXPECTATION_FIELDS, SCALAR_FIELDS, ScenarioSpec
 
 __all__ = ["SpecValidationError", "validate_spec", "load_spec",
            "dump_spec", "spec_fingerprint"]
@@ -36,8 +36,9 @@ class SpecValidationError(ValueError):
 def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """Raise :class:`SpecValidationError` unless ``spec`` is runnable.
 
-    Checks (beyond the shape layer): every scenario-level scalar finite
-    and in its range (``scenario.SCALAR_FIELDS``), distinct non-empty
+    Checks (beyond the shape layer): every scenario-level scalar and
+    expectation bound finite and in its range (``scenario.SCALAR_FIELDS``,
+    ``scenario.EXPECTATION_FIELDS``), distinct non-empty
     region names, every action kind registered, action times inside
     ``[0, duration]``, finite non-negative durations, and every param one
     its kind registered (:func:`repro.chaos.scenario.action`), of that
@@ -49,6 +50,11 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
         problem = param.problem(getattr(spec, name), spec)
         if problem:
             raise SpecValidationError(f"{spec.name}: {name} {problem}")
+    for name, param in EXPECTATION_FIELDS.items():
+        problem = param.problem(getattr(spec.expectations, name), spec)
+        if problem:
+            raise SpecValidationError(
+                f"{spec.name}: expectations {name} {problem}")
     if (not spec.regions or len(set(spec.regions)) != len(spec.regions)
             or not all(isinstance(r, str) and r for r in spec.regions)):
         raise SpecValidationError(

@@ -30,7 +30,7 @@ HookList = List[Callable[["Container"], None]]
 
 @dataclass(eq=False)
 class Container:
-    """One task of a job, pinned to a machine until moved.
+    """One task of a job, pinned to a machine.
 
     ``eq=False``: containers are identity objects — two containers are the
     same container only if they are the same object.
@@ -46,14 +46,13 @@ class Container:
     on_stopping: HookList = field(default_factory=list)
     on_stopped: HookList = field(default_factory=list)
     restarts: int = 0
-    moves: int = 0
 
     @property
     def address(self) -> str:
         """Stable, globally unique network address (region-qualified:
         multiple regional Twines run the same job with task IDs that each
-        start at zero).  Survives restarts and moves; the endpoint's
-        *region* is re-derived from the machine on every start."""
+        start at zero).  Survives restarts; the endpoint's *region* is
+        re-derived from the machine on every start."""
         return self.container_id
 
     @property
@@ -75,12 +74,3 @@ class Container:
     def mark_stopped(self) -> None:
         self.state = ContainerState.STOPPED
         self._fire(self.on_stopped)
-
-    def relocate(self, machine: Machine) -> None:
-        if self.state is not ContainerState.STOPPED:
-            raise RuntimeError(
-                f"container {self.container_id} must be stopped to move "
-                f"(state={self.state.value})"
-            )
-        self.machine = machine
-        self.moves += 1

@@ -2,13 +2,13 @@
 
 Figure 1 contrasts container stops from planned maintenance/software
 updates with unplanned failures (≈1000x apart).  This module generates
-planned events at configurable cadences so the Fig 1 experiment can count
+planned events at production cadences so the Fig 1 experiment can count
 both kinds over simulated time:
 
-* software upgrades: every job is upgraded roughly ``upgrade_interval``
+* software upgrades: every job is upgraded every ``UPGRADE_INTERVAL``
   seconds (Facebook pushes most services daily, §8.2);
 * hardware/kernel maintenance: each machine receives maintenance every
-  ``maintenance_interval`` seconds ("SM gracefully handles millions of
+  ``MAINTENANCE_INTERVAL`` seconds ("SM gracefully handles millions of
   machine and network maintenance events per month", §8.1).
 """
 
@@ -21,6 +21,13 @@ from typing import List
 from ..sim.engine import Engine, every
 from .taskcontrol import MaintenanceImpact
 from .twine import Twine
+
+UPGRADE_INTERVAL = 86_400.0              # daily releases
+MAINTENANCE_INTERVAL = 30 * 86_400.0     # monthly per machine
+MAINTENANCE_DURATION = 1_800.0
+#: Fraction of a job's containers one upgrade restarts at a time.
+UPGRADE_CONCURRENCY_FRACTION = 0.1
+RESTART_DURATION = 60.0
 
 
 @dataclass
@@ -38,25 +45,20 @@ class MaintenanceSchedule:
     engine: Engine
     twine: Twine
     rng: random.Random
-    upgrade_interval: float = 86_400.0          # daily releases
-    maintenance_interval: float = 30 * 86_400.0  # monthly per machine
-    maintenance_duration: float = 1_800.0
-    upgrade_concurrency_fraction: float = 0.1
-    restart_duration: float = 60.0
     stats: PlannedEventStats = field(default_factory=PlannedEventStats)
     _stoppers: List = field(default_factory=list)
 
     def start(self, jobs: List[str]) -> None:
         for job in jobs:
             # Stagger each job's upgrade within the interval.
-            offset = self.rng.uniform(0, self.upgrade_interval)
-            stopper = every(self.engine, self.upgrade_interval,
+            offset = self.rng.uniform(0, UPGRADE_INTERVAL)
+            stopper = every(self.engine, UPGRADE_INTERVAL,
                             lambda j=job: self._upgrade(j),
                             start_after=offset)
             self._stoppers.append(stopper)
         for machine in self.twine.machines:
-            offset = self.rng.uniform(0, self.maintenance_interval)
-            stopper = every(self.engine, self.maintenance_interval,
+            offset = self.rng.uniform(0, MAINTENANCE_INTERVAL)
+            stopper = every(self.engine, MAINTENANCE_INTERVAL,
                             lambda mid=machine.machine_id: self._maintain(mid),
                             start_after=offset)
             self._stoppers.append(stopper)
@@ -70,16 +72,17 @@ class MaintenanceSchedule:
         containers = [c for c in self.twine.job_containers(job) if c.running]
         if not containers:
             return
-        concurrency = max(1, int(len(containers) * self.upgrade_concurrency_fraction))
+        concurrency = max(1, int(len(containers)
+                                 * UPGRADE_CONCURRENCY_FRACTION))
         try:
-            self.twine.start_rolling_upgrade(job, concurrency, self.restart_duration)
+            self.twine.start_rolling_upgrade(job, concurrency, RESTART_DURATION)
         except RuntimeError:
             return  # an upgrade is already being negotiated; skip this round
         self.stats.upgrades += len(containers)
 
     def _maintain(self, machine_id: str) -> None:
         start = self.engine.now + 60.0  # one minute of advance notice
-        end = start + self.maintenance_duration
+        end = start + MAINTENANCE_DURATION
         if not self.twine.machine_up(machine_id):
             return
         # Count stops when the window actually opens, not at notice time:

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Protocol, Sequence
 
 from .container import Container
 
 
 class OpKind(str, Enum):
-    START = "start"
-    STOP = "stop"
+    """The paper's protocol names start / stop / restart / move; every
+    figure and scenario here negotiates restarts only."""
+
     RESTART = "restart"
-    MOVE = "move"
 
 
 class OpReason(str, Enum):
@@ -56,7 +56,6 @@ class ContainerOp:
     container: Container
     reason: OpReason
     region: str
-    target_machine_id: Optional[str] = None  # for MOVE
 
     def __repr__(self) -> str:  # compact logs
         return f"<{self.kind.value} {self.container.container_id} ({self.reason.value})>"

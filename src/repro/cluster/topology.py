@@ -66,11 +66,15 @@ class Topology:
 
 DEFAULT_CAPACITY = {"cpu": 100.0, "memory": 100.0, "shard_count": 1000.0}
 
+#: Fault domains of a region: machine ``i`` sits in datacenter
+#: ``i % DATACENTERS_PER_REGION`` and rack ``i % (DATACENTERS_PER_REGION *
+#: RACKS_PER_DATACENTER)``.
+DATACENTERS_PER_REGION = 2
+RACKS_PER_DATACENTER = 4
+
 
 def build_topology(regions: Sequence[str],
                    machines_per_region: int,
-                   datacenters_per_region: int = 2,
-                   racks_per_datacenter: int = 4,
                    capacity: Optional[Dict[str, float]] = None,
                    capacity_jitter: float = 0.0,
                    storage_fraction: float = 0.0,
@@ -93,8 +97,9 @@ def build_topology(regions: Sequence[str],
     counter = itertools.count()
     for region in regions:
         for index in range(machines_per_region):
-            dc_index = index % datacenters_per_region
-            rack_index = index % (datacenters_per_region * racks_per_datacenter)
+            dc_index = index % DATACENTERS_PER_REGION
+            rack_index = index % (DATACENTERS_PER_REGION
+                                  * RACKS_PER_DATACENTER)
             datacenter = f"{region}.dc{dc_index}"
             rack = f"{datacenter}.rack{rack_index}"
             if capacity_jitter:

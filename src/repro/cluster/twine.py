@@ -34,11 +34,9 @@ from .taskcontrol import (
 from .topology import Machine
 
 
-#: Container lifecycle durations, seconds: a stop, a start, and the extra
-#: time a cross-machine move spends before its start.
+#: Container lifecycle durations, seconds: a stop and a start.
 CONTAINER_STOP_DURATION = 2.0
 CONTAINER_START_DURATION = 10.0
-MOVE_EXTRA_DURATION = 5.0
 
 
 @dataclass
@@ -70,8 +68,7 @@ class Twine:
 
     def __init__(self, engine: Engine, region: str, machines: Sequence[Machine],
                  config: Optional[TwineConfig] = None,
-                 rng: Optional[random.Random] = None,
-                 machine_network_hook: Optional[Callable[[str, bool], None]] = None) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         for machine in machines:
             if machine.region != region:
                 raise ValueError(
@@ -83,7 +80,7 @@ class Twine:
         self.machines = list(machines)
         self.config = config or TwineConfig()
         self.rng = rng or random.Random(0)
-        self._machine_network_hook = machine_network_hook
+        self._machine_network_hook: Optional[Callable[[str, bool], None]] = None
         self._controller: Optional[TaskController] = None
         self._containers: Dict[str, Container] = {}
         self._jobs: Dict[str, List[Container]] = {}
@@ -113,16 +110,15 @@ class Twine:
     def set_machine_network_hook(self,
                                  hook: Optional[Callable[[str, bool], None]]
                                  ) -> None:
-        """Install the machine→endpoints hook after construction (the
-        harness builds Twines before any application runtime exists)."""
+        """Install the machine→endpoints hook (the harness builds Twines
+        before any application runtime exists)."""
         self._machine_network_hook = hook
 
     # -- job management --------------------------------------------------------
 
-    def create_job(self, job: str, count: int,
-                   machine_filter: Optional[Callable[[Machine], bool]] = None,
-                   start_immediately: bool = True) -> List[Container]:
-        """Deploy ``count`` containers, one per machine, rack-spread.
+    def create_job(self, job: str, count: int) -> List[Container]:
+        """Deploy and start ``count`` containers, one per machine,
+        rack-spread.
 
         Containers get sequential task IDs starting from the job's current
         size (§2.2.1).
@@ -131,11 +127,10 @@ class Twine:
             base_task_id = max(c.task_id for c in self._jobs[job]) + 1
         else:
             base_task_id = 0
-        eligible = [m for m in self.machines
-                    if m.up and (machine_filter is None or machine_filter(m))]
         occupied = {c.machine.machine_id for c in self._containers.values()
                     if c.state is not ContainerState.STOPPED}
-        free = [m for m in eligible if m.machine_id not in occupied]
+        free = [m for m in self.machines
+                if m.up and m.machine_id not in occupied]
         if len(free) < count:
             raise RuntimeError(
                 f"{self.region}: need {count} machines for job {job!r}, "
@@ -159,8 +154,7 @@ class Twine:
             self._containers[container.container_id] = container
             job_list.append(container)
             containers.append(container)
-            if start_immediately:
-                self._start_container(container)
+            self._start_container(container)
         return containers
 
     def job_containers(self, job: str) -> List[Container]:
@@ -177,8 +171,8 @@ class Twine:
 
     # -- negotiable operations (§4.1) -------------------------------------------
 
-    def submit_op(self, kind: OpKind, container: Container, reason: OpReason,
-                  target_machine_id: Optional[str] = None) -> ContainerOp:
+    def submit_op(self, kind: OpKind, container: Container,
+                  reason: OpReason) -> ContainerOp:
         """Queue a negotiable operation for controller review."""
         op = ContainerOp(
             op_id=f"{self.region}/op{next(self._op_counter)}",
@@ -186,7 +180,6 @@ class Twine:
             container=container,
             reason=reason,
             region=self.region,
-            target_machine_id=target_machine_id,
         )
         self._pending_ops.append(op)
         if not self._negotiating:
@@ -256,17 +249,7 @@ class Twine:
 
     def _execute(self, op: ContainerOp) -> None:
         self._in_flight[op.op_id] = op
-        container = op.container
-        if op.kind is OpKind.RESTART:
-            self._do_restart(op, container)
-        elif op.kind is OpKind.STOP:
-            self._do_stop(op, container)
-        elif op.kind is OpKind.START:
-            self._do_start(op, container)
-        elif op.kind is OpKind.MOVE:
-            self._do_move(op, container)
-        else:  # pragma: no cover - enum is exhaustive
-            raise RuntimeError(f"unknown op kind {op.kind!r}")
+        self._do_restart(op, op.container)
 
     def _finish_op(self, op: ContainerOp) -> None:
         self._in_flight.pop(op.op_id, None)
@@ -295,46 +278,6 @@ class Twine:
                 self._finish_op(op)
 
             self.engine.call_after(downtime, started)
-
-        self.engine.call_after(CONTAINER_STOP_DURATION, stopped)
-
-    def _do_stop(self, op: ContainerOp, container: Container) -> None:
-        container.mark_stopping()
-        self.container_stops_planned += 1
-
-        def stopped() -> None:
-            container.mark_stopped()
-            self._finish_op(op)
-
-        self.engine.call_after(CONTAINER_STOP_DURATION, stopped)
-
-    def _do_start(self, op: ContainerOp, container: Container) -> None:
-        self._start_container(container)
-        self.engine.call_after(CONTAINER_START_DURATION,
-                               lambda: self._finish_op(op))
-
-    def _do_move(self, op: ContainerOp, container: Container) -> None:
-        if op.target_machine_id is None:
-            raise RuntimeError(f"move op {op.op_id} has no target machine")
-        target = next((m for m in self.machines
-                       if m.machine_id == op.target_machine_id), None)
-        if target is None:
-            raise RuntimeError(f"unknown target machine {op.target_machine_id!r}")
-        container.mark_stopping()
-        self.container_stops_planned += 1
-
-        def stopped() -> None:
-            container.mark_stopped()
-            container.relocate(target)
-
-            def started() -> None:
-                if target.up:
-                    container.mark_running()
-                self._finish_op(op)
-
-            self.engine.call_after(
-                MOVE_EXTRA_DURATION + CONTAINER_START_DURATION,
-                started)
 
         self.engine.call_after(CONTAINER_STOP_DURATION, stopped)
 
@@ -412,14 +355,14 @@ class Twine:
                 self._start_container(container)
         return True
 
-    def fail_region(self, cause: str = "crash") -> None:
+    def fail_region(self) -> None:
         """Whole-region outage (Fig 19's failure at t=90 s)."""
         for machine in self.machines:
-            self.fail_machine(machine.machine_id, cause)
+            self.fail_machine(machine.machine_id)
 
-    def repair_region(self, cause: str = "crash") -> None:
+    def repair_region(self) -> None:
         for machine in self.machines:
-            self.repair_machine(machine.machine_id, cause)
+            self.repair_machine(machine.machine_id)
 
     def _machine(self, machine_id: str) -> Machine:
         for machine in self.machines:

@@ -301,8 +301,9 @@ class ZooKeeper:
     # -- data operations ----------------------------------------------------------
 
     def create(self, path: str, data: Any = None, ephemeral: bool = False,
-               session: Optional[Session] = None, make_parents: bool = False) -> str:
-        """Create a znode.  Ephemeral nodes require a live session."""
+               session: Optional[Session] = None) -> str:
+        """Create a znode, and any missing parent as a persistent node.
+        Ephemeral nodes require a live session."""
         if ephemeral and (session is None or session.expired):
             raise SessionExpiredError("ephemeral create needs a live session")
         parts = self._split(path)
@@ -312,8 +313,6 @@ class ZooKeeper:
         for part in parts[:-1]:
             child = node.children.get(part)
             if child is None:
-                if not make_parents:
-                    raise NoNodeError("/" + "/".join(parts[:-1]))
                 if node.ephemeral_session is not None:
                     raise NoChildrenForEphemeralsError(node.path)
                 child_path = (node.path.rstrip("/") + "/" + part)
@@ -350,52 +349,29 @@ class ZooKeeper:
             self._watches.setdefault(path, []).append(watch)
         return self._find(path) is not None
 
-    def get(self, path: str, watch: Optional[WatchCallback] = None) -> Any:
-        node = self._require(path)
-        if watch is not None:
-            self._watches.setdefault(path, []).append(watch)
-        return node.data
+    def get(self, path: str) -> Any:
+        return self._require(path).data
 
-    def set(self, path: str, data: Any,
-            expected_version: Optional[int] = None) -> int:
-        """Write data; optional compare-and-set on the node version."""
+    def set(self, path: str, data: Any) -> int:
+        """Write data; returns the node's new version."""
         node = self._require(path)
-        if expected_version is not None and node.version != expected_version:
-            raise ZkError(
-                f"version mismatch on {path}: have {node.version}, "
-                f"expected {expected_version}"
-            )
         node.data = data
         node.version += 1
         self._fire(path, WatchEventType.DATA_CHANGED, path)
         return node.version
 
-    def delete(self, path: str, recursive: bool = False) -> None:
+    def delete(self, path: str) -> None:
         parent = self._require(self._parent_path(path))
         name = self._split(path)[-1]
         node = parent.children.get(name)
         if node is None:
             raise NoNodeError(path)
-        if node.children and not recursive:
+        if node.children:
             raise NotEmptyError(path)
-        # Descendants are deleted depth-first, firing DELETED on each node
-        # and CHILD_REMOVED on its parent — silently discarding the
-        # subtree would leave their armed watches in ``_watches`` /
-        # ``_child_watches`` forever, never fired and never collected.
-        self._delete_descendants(node)
         del parent.children[name]
         self._disown(node)
         self._fire(path, WatchEventType.DELETED, path)
         self._fire(parent.path, WatchEventType.CHILD_REMOVED, path)
-
-    def _delete_descendants(self, node: _Znode) -> None:
-        for name in sorted(node.children):
-            child = node.children[name]
-            self._delete_descendants(child)
-            del node.children[name]
-            self._disown(child)
-            self._fire(child.path, WatchEventType.DELETED, child.path)
-            self._fire(node.path, WatchEventType.CHILD_REMOVED, child.path)
 
     def _disown(self, node: _Znode) -> None:
         """A deleted ephemeral leaves its session's books (another client

@@ -122,8 +122,8 @@ class Allocator:
     # -- emergency mode ----------------------------------------------------------
 
     def emergency_plan(self, table: AssignmentTable,
-                       servers: Dict[str, ServerRecord], now: float,
-                       load_of: Optional[LoadFn] = None) -> AllocationPlan:
+                       servers: Dict[str, ServerRecord],
+                       now: float) -> AllocationPlan:
         """Recreate missing replicas/primaries on usable servers, fast.
 
         Walks only the shards the table (built from this allocator's

@@ -54,14 +54,12 @@ class MigrationExecutor:
 
     def __init__(self, engine: Engine, network: Network, self_address: str,
                  table: AssignmentTable, publish: Callable[[], None],
-                 rpc_timeout: float = 1.0,
-                 move_report: Optional[Callable[[int], None]] = None) -> None:
+                 move_report: Optional[Callable[[], None]] = None) -> None:
         self.engine = engine
         self.network = network
         self.self_address = self_address
         self.table = table
         self.publish = publish
-        self.rpc_timeout = rpc_timeout
         self.stats = MigrationStats()
         self._move_report = move_report
         self._tracer = network.tracer
@@ -89,12 +87,11 @@ class MigrationExecutor:
                              track="migration", name=kind)
 
     def _rpc(self, address: str, method: str, payload: Any):
-        return self.network.rpc(self.self_address, address, method, payload,
-                                timeout=self.rpc_timeout)
+        return self.network.rpc(self.self_address, address, method, payload)
 
-    def _record_moves(self, count: int = 1) -> None:
+    def _record_move(self) -> None:
         if self._move_report is not None:
-            self._move_report(count)
+            self._move_report()
 
     def _hosts_sibling(self, shard_id: str, address: str,
                        exclude_replica_id: str = "") -> bool:
@@ -229,7 +226,7 @@ class MigrationExecutor:
         self.table.drop(old.replica_id)
         self._trace_phase(span, "drop_old")
         self.stats.graceful_migrations += 1
-        self._record_moves()
+        self._record_move()
         self._trace_end(span, "graceful", "ok")
         return True
 
@@ -283,7 +280,7 @@ class MigrationExecutor:
         self.publish()
         self._trace_phase(span, "handoff")
         self.stats.abrupt_migrations += 1
-        self._record_moves()
+        self._record_move()
         self._trace_end(span, "abrupt", "ok")
         return True
 
@@ -314,6 +311,6 @@ class MigrationExecutor:
         self.publish()
         self._trace_phase(span, "drop_old")
         self.stats.secondary_moves += 1
-        self._record_moves()
+        self._record_move()
         self._trace_end(span, "secondary", "ok")
         return True

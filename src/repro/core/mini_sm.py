@@ -10,8 +10,7 @@ same partition."
 This module implements the registries and the partitioning/assignment
 logic: the :class:`ApplicationManager` splits an app spec into partition
 specs, the :class:`PartitionRegistry` bin-packs partitions onto mini-SMs,
-and :class:`MiniSM` hosts any number of partitions, each backed by its
-own :class:`~repro.core.orchestrator.Orchestrator` when run live.  The
+and :class:`MiniSM` hosts any number of partitions.  The
 :class:`Frontend` is the stateless global entry point.
 """
 
@@ -20,10 +19,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .orchestrator import Orchestrator
 from .spec import AppSpec
+
+#: §6.1: "each partition typically comprises thousands of servers and
+#: hundreds of thousands of shard replicas".
+MAX_REPLICAS_PER_PARTITION = 200_000
+#: A mini-SM's replica budget (the paper's largest runs ≈50K servers /
+#: 1.3M shards).
+REPLICAS_PER_MINI_SM = 1_500_000
 
 
 @dataclass
@@ -34,7 +39,6 @@ class Partition:
     app_name: str
     spec: AppSpec               # a sub-spec containing only this slice's shards
     server_count: int = 0       # servers contributed to this partition
-    orchestrator: Optional[Orchestrator] = None
 
     @property
     def shard_count(self) -> int:
@@ -44,27 +48,6 @@ class Partition:
     def replica_count(self) -> int:
         return self.spec.total_replicas()
 
-    def start_orchestrator(self, engine, network, zookeeper, discovery,
-                           topology, config=None, rng=None,
-                           obs=None) -> Orchestrator:
-        """Bring the partition live with its own orchestrator.
-
-        Per §6.1 every partition runs an independent orchestrator over its
-        sub-spec.  Going through this method (rather than constructing an
-        Orchestrator by hand) guarantees the partition's shard-state
-        transitions flow through the same AssignmentTable tracing hooks as
-        single-partition deployments.
-        """
-        if self.orchestrator is not None:
-            raise RuntimeError(
-                f"partition {self.partition_id} already has an orchestrator")
-        orchestrator = Orchestrator(engine, network, zookeeper, discovery,
-                                    self.spec, topology, config=config,
-                                    rng=rng, obs=obs)
-        orchestrator.start()
-        self.orchestrator = orchestrator
-        return orchestrator
-
 
 class ApplicationManager:
     """Maps an application to one or more partitions (Figure 14).
@@ -73,7 +56,8 @@ class ApplicationManager:
     but may divide a large application into multiple partitions."
     """
 
-    def __init__(self, max_replicas_per_partition: int = 200_000) -> None:
+    def __init__(self, max_replicas_per_partition: int
+                 = MAX_REPLICAS_PER_PARTITION) -> None:
         if max_replicas_per_partition <= 0:
             raise ValueError("partition capacity must be positive")
         self.max_replicas_per_partition = max_replicas_per_partition
@@ -144,14 +128,12 @@ class PartitionFootprint:
 
 
 def plan_partition_footprints(app_name: str, servers: int, shards: int,
-                              replicas_per_shard: int = 1,
-                              max_replicas_per_partition: int = 200_000
+                              replicas_per_shard: int = 1
                               ) -> List[PartitionFootprint]:
-    """Numerically split an app into partition footprints (§6.1 sizing:
-    "each partition typically comprises thousands of servers and hundreds
-    of thousands of shard replicas")."""
+    """Numerically split an app into partition footprints of at most
+    ``MAX_REPLICAS_PER_PARTITION`` replicas."""
     total_replicas = shards * replicas_per_shard
-    partition_count = max(1, -(-total_replicas // max_replicas_per_partition))
+    partition_count = max(1, -(-total_replicas // MAX_REPLICAS_PER_PARTITION))
     footprints = []
     for index in range(partition_count):
         share = lambda total: (total // partition_count
@@ -228,7 +210,8 @@ class PartitionRegistry:
     applies: first-created wins among equally loaded.
     """
 
-    def __init__(self, replicas_per_mini_sm: int = 1_500_000) -> None:
+    def __init__(self, replicas_per_mini_sm: int = REPLICAS_PER_MINI_SM
+                 ) -> None:
         self.replicas_per_mini_sm = replicas_per_mini_sm
         self.mini_sms: List[MiniSM] = []
         self._counter = itertools.count()

@@ -51,11 +51,9 @@ class OrchestratorConfig:
     load_poll_interval: float = 10.0
     rebalance_interval: float = 30.0
     failover_grace: float = 30.0
-    rpc_timeout: float = 1.0
     graceful_migration: bool = True   # Fig 17 ablation arm sets False
     drain_concurrency: int = 4
     drain_pacing: float = 0.0         # extra seconds between drain migrations
-    rebalance_enabled: bool = True
     max_moves_per_round: int = 64
     search_config: SearchConfig = field(
         default_factory=lambda: SearchConfig(time_budget=5.0))
@@ -105,8 +103,7 @@ class Orchestrator:
         self.executor = MigrationExecutor(
             engine, network, self.address, self.table,
             publish=self._mark_dirty,
-            rpc_timeout=self.config.rpc_timeout,
-            move_report=lambda count: self.move_counter.add(engine.now, count),
+            move_report=lambda: self.move_counter.add(engine.now),
         )
         self._dirty = False
         self._publish_scheduled = False
@@ -154,7 +151,7 @@ class Orchestrator:
         self.table.tracer = self._tracer  # re-attach after a stop()
         for path in (self._servers_root, self._assignments_root):
             if not self.zookeeper.exists(path):
-                self.zookeeper.create(path, make_parents=True)
+                self.zookeeper.create(path)
         self._restore_state()
         self._scan_servers()
         self._watch_servers()
@@ -162,10 +159,9 @@ class Orchestrator:
             self.engine, EMERGENCY_CHECK_INTERVAL, self._emergency_tick))
         self._stoppers.append(every(
             self.engine, self.config.load_poll_interval, self._poll_loads))
-        if self.config.rebalance_enabled:
-            self._stoppers.append(every(
-                self.engine, self.config.rebalance_interval,
-                self._rebalance_tick))
+        self._stoppers.append(every(
+            self.engine, self.config.rebalance_interval,
+            self._rebalance_tick))
         self._mark_dirty()
 
     def stop(self) -> None:
@@ -348,7 +344,7 @@ class Orchestrator:
         if self.zookeeper.exists(path):
             self.zookeeper.set(path, data)
         else:
-            self.zookeeper.create(path, data, make_parents=True)
+            self.zookeeper.create(path, data)
         self._assignments_written.add(address)
 
     def _write_all_assignments(self, dirty: Set[str]) -> None:
@@ -394,7 +390,7 @@ class Orchestrator:
         if self.zookeeper.exists(path):
             self.zookeeper.set(path, data)
         else:
-            self.zookeeper.create(path, data, make_parents=True)
+            self.zookeeper.create(path, data)
 
     # -- load collection (§3.2, §5) ------------------------------------------------------
 
@@ -402,8 +398,7 @@ class Orchestrator:
         for address, record in self.servers.items():
             if record.alive:
                 self.network.rpc(self.address, address, "sm.report_load",
-                                 None, timeout=self.config.rpc_timeout,
-                                 on_complete=record.load_reported)
+                                 None, on_complete=record.load_reported)
 
     def shard_loads_on(self, address: str):
         """The last load report received from ``address``, by shard."""
@@ -474,7 +469,7 @@ class Orchestrator:
                  len(plan.moves)))
             if self._tracer.enabled:
                 plan.solve_result.profile.to_trace(
-                    self._tracer, "solver", self.engine.now,
+                    self._tracer, self.engine.now,
                     prefix=f"{self.spec.name}.",
                     skip=UNJOURNALED_PROFILE_KEYS)
                 self._tracer.instant(

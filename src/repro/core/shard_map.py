@@ -187,30 +187,30 @@ class ShardMap:
     __slots__ = ("app", "version", "_index", "_primaries", "_secondaries",
                  "_entry_cache")
 
-    def __init__(self, app: str, version: int,
-                 entries: Sequence[ShardMapEntry] = (),
-                 *, key_index: Optional[AppKeyIndex] = None,
-                 primaries: Optional[List[list]] = None,
-                 secondaries: Optional[List[list]] = None) -> None:
+    def __init__(self, app: str, version: int, key_index: AppKeyIndex,
+                 primaries: List[list], secondaries: List[list]) -> None:
         self.app = app
         self.version = version
         self._entry_cache: Dict[int, ShardMapEntry] = {}
-        if key_index is not None:
-            # Fast path: pre-built columns (snapshot / apply_delta).
-            self._index = key_index
-            self._primaries = primaries if primaries is not None else []
-            self._secondaries = secondaries if secondaries is not None else []
-            return
+        self._index = key_index
+        self._primaries = primaries
+        self._secondaries = secondaries
+
+    @classmethod
+    def from_entries(cls, app: str, version: int,
+                     entries: Sequence[ShardMapEntry]) -> "ShardMap":
+        """A map written out entry by entry (how tests build one by
+        hand; the control plane publishes columns)."""
         entries = tuple(entries)
-        self._index = AppKeyIndex(
+        key_index = AppKeyIndex(
             [e.shard_id for e in entries],
             (e.key_low for e in entries),
             (e.key_high for e in entries))
         intern: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        self._primaries = _chunked([e.primary for e in entries])
-        self._secondaries = _chunked(
-            [intern.setdefault(e.secondaries, e.secondaries)
-             for e in entries])
+        return cls(app, version, key_index,
+                   _chunked([e.primary for e in entries]),
+                   _chunked([intern.setdefault(e.secondaries, e.secondaries)
+                             for e in entries]))
 
     # -- core accessors ----------------------------------------------------
 
@@ -315,8 +315,8 @@ class ShardMap:
             offset = i & _CHUNK_MASK
             primaries[chunk][offset] = primary
             secondaries[chunk][offset] = secondary_tuple
-        return ShardMap(self.app, delta.version, key_index=index,
-                        primaries=primaries, secondaries=secondaries)
+        return ShardMap(self.app, delta.version, index, primaries,
+                        secondaries)
 
     # -- equality ----------------------------------------------------------
 
@@ -692,10 +692,9 @@ class AssignmentTable:
         # the next mutation copies before patching.
         shared = self._chunk_shared
         shared[:] = b"\x01" * len(shared)
-        return ShardMap(self.spec.name, self.last_version,
-                        key_index=self._key_index,
-                        primaries=list(self._col_primaries),
-                        secondaries=list(self._col_secondaries))
+        return ShardMap(self.spec.name, self.last_version, self._key_index,
+                        list(self._col_primaries),
+                        list(self._col_secondaries))
 
     def snapshot(self) -> ShardMap:
         """Publishable map: only READY replicas are routable.

@@ -165,9 +165,10 @@ class AppSpec:
 
 
 def uniform_shards(count: int, key_space: int = 1 << 32, replica_count: int = 1,
-                   prefix: str = "shard", preferred_regions: Optional[Dict[int, str]] = None,
+                   preferred_regions: Optional[Dict[int, str]] = None,
                    ) -> List[ShardSpec]:
-    """Evenly split ``[0, key_space)`` into ``count`` shards.
+    """Evenly split ``[0, key_space)`` into ``count`` shards named
+    ``shard0`` … ``shard{count-1}``.
 
     ``preferred_regions`` optionally maps shard index → region preference
     (Fig 19's 400 "east-coast" shards prefer FRC).
@@ -183,7 +184,7 @@ def uniform_shards(count: int, key_space: int = 1 << 32, replica_count: int = 1,
         high = key_space if index == count - 1 else (index + 1) * step
         preferred = (preferred_regions or {}).get(index)
         shards.append(ShardSpec(
-            shard_id=f"{prefix}{index}",
+            shard_id=f"shard{index}",
             key_range=KeyRange(low, high),
             replica_count=replica_count,
             preferred_region=preferred,

@@ -262,7 +262,6 @@ class ServiceRouter:
     # -- the request state machine -------------------------------------------------
 
     def start_request(self, key: int, payload: Any,
-                      method: str = "app.request",
                       prefer_primary: bool = True,
                       on_done: Optional[Callable[[RequestOutcome], None]] = None,
                       ) -> "_RequestOp":
@@ -273,8 +272,7 @@ class ServiceRouter:
         hide transient misroutes behind retries).  The returned op's
         ``outcome`` is ``None`` until the request settles.
         """
-        return _RequestOp(self, key, payload, method, prefer_primary,
-                          on_done)
+        return _RequestOp(self, key, payload, prefer_primary, on_done)
 
 
 class _RequestOp:
@@ -290,16 +288,15 @@ class _RequestOp:
     failure surfaces.
     """
 
-    __slots__ = ("router", "engine", "message", "method", "prefer_primary",
+    __slots__ = ("router", "engine", "message", "prefer_primary",
                  "on_done", "start", "attempt", "tried", "last_error",
                  "address", "shard_id", "outcome")
 
     def __init__(self, router: ServiceRouter, key: int, payload: Any,
-                 method: str, prefer_primary: bool,
+                 prefer_primary: bool,
                  on_done: Optional[Callable[[RequestOutcome], None]]) -> None:
         self.router = router
         self.engine = router.engine
-        self.method = method
         self.prefer_primary = prefer_primary
         self.on_done = on_done
         self.start = router.engine.now
@@ -335,7 +332,7 @@ class _RequestOp:
         self.shard_id = shard_id
         message = self.message
         message["shard_id"] = shard_id
-        router.network.rpc(router.client_address, address, self.method,
+        router.network.rpc(router.client_address, address, "app.request",
                            message, timeout=router.rpc_timeout,
                            on_complete=self._rpc_done)
 

@@ -47,7 +47,6 @@ class Subscription:
 
     app: str
     callback: Callable
-    delay: float
     active: bool = True
     delta_aware: bool = False
     last_version: int = field(default=0, repr=False)
@@ -138,14 +137,13 @@ class ServiceDiscovery:
         for subscription in self._subscribers.get(shard_map.app, []):
             if not subscription.active:
                 continue
-            delay = subscription.delay + self.rng.uniform(0.0, self.jitter)
+            delay = self.base_delay + self.rng.uniform(0.0, self.jitter)
             if pair is None:
                 self.engine.call_after(delay, subscription.deliver, shard_map)
             else:
                 self.engine.call_after(delay, subscription.deliver_pair, pair)
 
     def subscribe(self, app: str, callback: Callable,
-                  delay: Optional[float] = None,
                   deltas: bool = False) -> Subscription:
         """Register for updates; the current map (if any) arrives immediately.
 
@@ -158,7 +156,6 @@ class ServiceDiscovery:
         subscription = Subscription(
             app=app,
             callback=callback,
-            delay=self.base_delay if delay is None else delay,
             delta_aware=deltas,
         )
         self._subscribers.setdefault(app, []).append(subscription)

@@ -31,7 +31,16 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from ..sim.rng import skewed_loads, substream
+from ..sim.rng import LOAD_SKEW, skewed_loads, substream
+
+#: The pre-SM posture: one serving copy plus two standby copies in other
+#: regions.
+REGIONAL_COPIES = 3
+SHARDS = 2_000
+#: Load units one server carries at 100 % (a shard's mean load is 1), and
+#: the utilization both deployments are provisioned to.
+SERVER_CAPACITY = 40.0
+TARGET_UTILIZATION = 0.85
 
 
 @dataclass
@@ -50,7 +59,6 @@ class AdEventsCapacityResult:
     regional: CapacityPlan
     geo: CapacityPlan
     shard_count: int
-    load_skew: float
     balanced_servers: int  # servers needed for the full load, perfectly LB'd
 
     @property
@@ -59,10 +67,9 @@ class AdEventsCapacityResult:
         return 1.0 - self.geo.total_servers / self.regional.total_servers
 
 
-def _servers_for_load(total_load: float, server_capacity: float,
-                      target_utilization: float) -> int:
+def _servers_for_load(total_load: float) -> int:
     return max(1, math.ceil(total_load
-                            / (server_capacity * target_utilization)))
+                            / (SERVER_CAPACITY * TARGET_UTILIZATION)))
 
 
 def _static_imbalance_factor(shard_loads: List[float], servers: int) -> float:
@@ -77,22 +84,14 @@ def _static_imbalance_factor(shard_loads: List[float], servers: int) -> float:
     return max(buckets) / mean if mean > 0 else 1.0
 
 
-def run(regions: int = 5, regional_copies: int = 3, shards: int = 2_000,
-        load_skew: float = 20.0,
-        mean_shard_load: float = 1.0, server_capacity: float = 40.0,
-        target_utilization: float = 0.85, seed: int = 0
-        ) -> AdEventsCapacityResult:
-    """``regional_copies``: the pre-SM posture of one serving copy plus
-    standby copies in other regions (two standbys by default)."""
+def run(regions: int = 5, seed: int = 0) -> AdEventsCapacityResult:
     rng = substream(seed, "adevents-capacity")
-    shard_loads = skewed_loads(rng, shards, skew=load_skew,
-                               mean=mean_shard_load)
+    shard_loads = skewed_loads(rng, SHARDS)
     total_load = sum(shard_loads)
 
     # Geo-distributed SM: one copy globally, balanced by the allocator
     # (imbalance ≈ 1 after LB), plus 1/(R-1) region-outage headroom.
-    balanced_servers = _servers_for_load(total_load, server_capacity,
-                                         target_utilization)
+    balanced_servers = _servers_for_load(total_load)
     outage_headroom = 1.0 + 1.0 / max(1, regions - 1)
     geo_total = math.ceil(balanced_servers * outage_headroom)
     geo = CapacityPlan(label="SM geo-distributed",
@@ -102,19 +101,17 @@ def run(regions: int = 5, regional_copies: int = 3, shards: int = 2_000,
     # Regional/static: a complete copy *per region* (the pre-SM AdEvents
     # posture: serving copy + regional standbys), each copy provisioned
     # for static sharding's imbalance.
-    per_copy_balanced = _servers_for_load(total_load, server_capacity,
-                                          target_utilization)
+    per_copy_balanced = _servers_for_load(total_load)
     imbalance = _static_imbalance_factor(shard_loads, per_copy_balanced)
     per_copy = math.ceil(per_copy_balanced * imbalance)
     regional = CapacityPlan(label="static regional",
                             servers_per_region=per_copy,
-                            regions=min(regions, regional_copies))
+                            regions=min(regions, REGIONAL_COPIES))
 
     return AdEventsCapacityResult(
         regional=regional,
         geo=geo,
-        shard_count=shards,
-        load_skew=load_skew,
+        shard_count=SHARDS,
         balanced_servers=balanced_servers,
     )
 
@@ -123,7 +120,7 @@ def format_report(result: AdEventsCapacityResult) -> str:
     lines = [
         "AdEvents capacity (§2.5): regional/static vs SM geo-distributed",
         f"  shards                  : {result.shard_count} "
-        f"(load skew {result.load_skew:.0f}x)",
+        f"(load skew {LOAD_SKEW:.0f}x)",
         f"  static regional         : {result.regional.servers_per_region} "
         f"servers x {result.regional.regions} copies = "
         f"{result.regional.total_servers}",

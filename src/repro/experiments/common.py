@@ -13,22 +13,25 @@ from typing import Dict, Iterable, List, Tuple
 from ..metrics.timeseries import TimeSeries, format_table
 
 
-def series_rows(series: TimeSeries, time_label: str = "t(s)",
-                value_label: str = "value",
-                max_rows: int = 40) -> str:
+#: Rows a report prints of a time series; longer ones are downsampled.
+MAX_SERIES_ROWS = 40
+
+
+def series_rows(series: TimeSeries, value_label: str = "value") -> str:
     """Render a time series as a table, downsampling long series evenly."""
     count = len(series)
     if count == 0:
-        return f"{time_label}: (empty)"
+        return "t(s): (empty)"
     indices: Iterable[int]
-    if count <= max_rows:
+    if count <= MAX_SERIES_ROWS:
         indices = range(count)
     else:
-        step = count / max_rows
-        indices = sorted({int(i * step) for i in range(max_rows)} | {count - 1})
+        step = count / MAX_SERIES_ROWS
+        indices = sorted({int(i * step) for i in range(MAX_SERIES_ROWS)}
+                         | {count - 1})
     rows = [(f"{series.times[i]:.1f}", f"{series.values[i]:.4g}")
             for i in indices]
-    return format_table([time_label, value_label], rows)
+    return format_table(["t(s)", value_label], rows)
 
 
 def percent(value: float) -> str:

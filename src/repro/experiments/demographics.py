@@ -26,6 +26,9 @@ from ..workloads.fleet import (
 )
 from .common import compare_breakdown, max_abs_error, percent
 
+#: Synthetic application deployments surveyed.
+APP_COUNT = 4000
+
 
 @dataclass
 class DemographicsResult:
@@ -70,10 +73,10 @@ class DemographicsResult:
                    for name in published)
 
 
-def run(app_count: int = 4000, seed: int = 0) -> DemographicsResult:
-    apps = generate_fleet(app_count=app_count, seed=seed)
+def run(seed: int = 0) -> DemographicsResult:
+    apps = generate_fleet(app_count=APP_COUNT, seed=seed)
     return DemographicsResult(
-        app_count=app_count,
+        app_count=APP_COUNT,
         scheme=fleet_mod.scheme_breakdown(apps),
         deployment=fleet_mod.deployment_breakdown(apps),
         replication=fleet_mod.replication_breakdown(apps),

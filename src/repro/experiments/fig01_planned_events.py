@@ -27,6 +27,11 @@ from ..sim.rng import substream
 
 DAY = 86_400.0
 
+#: Unplanned crashes: exponential MTBF of a few machine-years, and the
+#: time a crashed machine takes to come back.
+MACHINE_MTBF_DAYS = 900.0
+REPAIR_MINUTES = 30.0
+
 
 @dataclass
 class Fig01Result:
@@ -40,7 +45,6 @@ class Fig01Result:
 
 
 def run(machines: int = 120, jobs: int = 4, days: float = 60.0,
-        machine_mtbf_days: float = 900.0, repair_minutes: float = 30.0,
         seed: int = 0) -> Fig01Result:
     engine = Engine()
     topology = build_topology(["prod"], machines_per_region=machines,
@@ -60,17 +64,14 @@ def run(machines: int = 120, jobs: int = 4, days: float = 60.0,
         engine=engine,
         twine=twine,
         rng=substream(seed, "fig01-schedule"),
-        upgrade_interval=DAY,
-        maintenance_interval=30 * DAY,
-        restart_duration=60.0,
     )
     schedule.start(job_names)
 
     injector = CrashInjector(
         engine=engine,
         rng=substream(seed, "fig01-crashes"),
-        mtbf=machine_mtbf_days * DAY,
-        repair_time=repair_minutes * 60.0,
+        mtbf=MACHINE_MTBF_DAYS * DAY,
+        repair_time=REPAIR_MINUTES * 60.0,
         on_fail=lambda machine_id: twine.fail_machine(machine_id),
         on_repair=lambda machine_id: twine.repair_machine(machine_id),
     )

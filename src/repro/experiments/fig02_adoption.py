@@ -13,6 +13,9 @@ from typing import List, Tuple
 
 from ..workloads.fleet import adoption_curve, generate_fleet
 
+#: Synthetic application deployments in the fleet.
+APP_COUNT = 500
+
 
 @dataclass
 class Fig02Result:
@@ -31,10 +34,10 @@ class Fig02Result:
         return self.curve[-1][0]
 
 
-def run(app_count: int = 500, seed: int = 0) -> Fig02Result:
+def run(seed: int = 0) -> Fig02Result:
     years = list(range(2012, 2022))
     curve = adoption_curve(years)
-    fleet = generate_fleet(app_count=app_count, seed=seed)
+    fleet = generate_fleet(app_count=APP_COUNT, seed=seed)
     sm_machines = sum(app.servers for app in fleet if app.is_sm)
     return Fig02Result(curve=curve, fleet_sm_machines=sm_machines)
 

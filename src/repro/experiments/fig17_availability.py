@@ -37,6 +37,9 @@ from ..metrics.timeseries import TimeSeries
 from ..workloads.load import ConstantCurve
 from .common import series_rows
 
+#: Fluid epoch of the ``traffic="fluid"`` arm, simulated seconds.
+FLUID_EPOCH = 2.0
+
 
 @dataclass
 class UpgradeArm:
@@ -80,8 +83,7 @@ class Fig17Result:
 
 def run_arm(arm: str, shards: int = 2_000, servers: int = 60,
             restart_duration: float = 60.0, request_rate: float = 60.0,
-            seed: int = 0, traffic: str = "event",
-            epoch: float = 2.0) -> UpgradeArm:
+            seed: int = 0, traffic: str = "event") -> UpgradeArm:
     """One line of the figure: the rolling upgrade under ``arm``."""
     if traffic not in ("event", "fluid"):
         raise ValueError(f"unknown traffic mode {traffic!r}")
@@ -129,7 +131,7 @@ def run_arm(arm: str, shards: int = 2_000, servers: int = 60,
         fluid = app.fluid_client(cluster, "FRC")
         fluid.run_workload(duration=horizon,
                            rate=ConstantCurve(request_rate),
-                           recorder=recorder, epoch=epoch)
+                           recorder=recorder, epoch=FLUID_EPOCH)
     else:
         # attempts=1: the paper's y-axis is the raw client request success
         # rate; retries would mask exactly the drops Figure 17 measures.

@@ -28,6 +28,14 @@ from ..metrics.timeseries import TimeSeries
 from ..workloads.load import DiurnalCurve
 from .common import series_rows
 
+#: The diurnal request curve's trough and peak, requests per second.
+BASE_RATE = 10.0
+PEAK_RATE = 40.0
+#: Fraction of running containers each day's canary restarts.
+CANARY_FRACTION = 0.1
+#: Fluid epoch of the ``traffic="fluid"`` path, simulated seconds.
+FLUID_EPOCH = 5.0
+
 
 @dataclass
 class Fig18Result:
@@ -46,14 +54,14 @@ class Fig18Result:
 
 
 def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
-        days: int = 2, base_rate: float = 10.0, peak_rate: float = 40.0,
-        canary_fraction: float = 0.1, seed: int = 0,
-        traffic: str = "event", epoch: float = 5.0) -> Fig18Result:
+        days: int = 2, seed: int = 0,
+        traffic: str = "event") -> Fig18Result:
     """``day_length`` compresses the diurnal period (default: 1h per
     simulated 'day'); upgrade cadence and shapes are unchanged.
 
     ``traffic`` selects the per-request path (``"event"``) or the hybrid
-    fluid engine (``"fluid"``, advancing flows every ``epoch`` seconds);
+    fluid engine (``"fluid"``, advancing flows every ``FLUID_EPOCH``
+    seconds);
     both land outcomes in the same recorder, so the derived curves and
     headline numbers are comparable across modes.
     """
@@ -84,7 +92,7 @@ def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
                      settle=60.0)
 
     recorder = WorkloadRecorder.with_bucket(day_length / 48.0)
-    curve = DiurnalCurve(base=base_rate, peak=peak_rate, period=day_length,
+    curve = DiurnalCurve(base=BASE_RATE, peak=PEAK_RATE, period=day_length,
                          phase=day_length / 4.0)
     horizon = days * day_length
 
@@ -95,7 +103,7 @@ def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
     if traffic == "fluid":
         fluid = app.fluid_client(cluster, "FRC")
         fluid.run_workload(duration=horizon, rate=curve, recorder=recorder,
-                           epoch=epoch)
+                           epoch=FLUID_EPOCH)
     else:
         client = app.client(cluster, "FRC", attempts=2, rpc_timeout=0.5,
                             retry_backoff=0.2)
@@ -114,7 +122,7 @@ def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
         nonlocal upgrades_run
         containers = [c for c in twine.job_containers(spec.name)
                       if c.running]
-        canary_count = max(1, int(len(containers) * canary_fraction))
+        canary_count = max(1, int(len(containers) * CANARY_FRACTION))
         for container in containers[:canary_count]:
             from ..cluster.taskcontrol import OpKind, OpReason
             twine.submit_op(OpKind.RESTART, container, OpReason.UPGRADE)

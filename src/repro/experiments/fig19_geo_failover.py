@@ -30,14 +30,20 @@ from ..metrics.timeseries import TimeSeries
 from .common import series_rows
 
 REGIONS = ("FRC", "PRN", "ODN")
+#: "two replicas per shard".
+REPLICA_COUNT = 2
+#: The timeline, simulated seconds from the start of the workload.
+FAILURE_TIME = 90.0
+RECOVERY_TIME = 450.0
+HORIZON = 560.0
+#: Latency bucket width, seconds.
+BUCKET = 10.0
 
 
 @dataclass
 class Fig19Result:
     latency_by_bucket: TimeSeries     # mean EC-shard latency per bucket (ms)
     success_rate: float
-    failure_time: float
-    recovery_time: float
     ec_shards_with_frc_replica_before: int
     ec_shards_with_frc_replica_after: int
     cross_region_spread_before: int   # shards whose replicas span 2 regions
@@ -48,13 +54,12 @@ class Fig19Result:
 
     def steady_latency(self) -> float:
         """Mean latency before the region fails (ms)."""
-        return self.phase_latency(0.0, self.failure_time)
+        return self.phase_latency(0.0, FAILURE_TIME)
 
     def outage_latency(self) -> float:
         """Mean latency on the cross-region plateau (ms): from 30 s after
         the failure, once failover has settled, until recovery."""
-        return self.phase_latency(self.failure_time + 30.0,
-                                  self.recovery_time)
+        return self.phase_latency(FAILURE_TIME + 30.0, RECOVERY_TIME)
 
 
 def _ec_shards_in_frc(app, ec_shards: int) -> int:
@@ -85,10 +90,7 @@ def _spread_count(app, shards: int) -> int:
 
 
 def run(shards: int = 1_000, ec_shards: int = 400,
-        servers_per_region: int = 30, replica_count: int = 2,
-        request_rate: float = 20.0,
-        failure_time: float = 90.0, recovery_time: float = 450.0,
-        horizon: float = 560.0, bucket: float = 10.0,
+        servers_per_region: int = 30, request_rate: float = 20.0,
         seed: int = 0) -> Fig19Result:
     cluster = SimCluster.build(
         regions=REGIONS,
@@ -100,7 +102,7 @@ def run(shards: int = 1_000, ec_shards: int = 400,
     spec = AppSpec(
         name="fig19",
         shards=uniform_shards(shards, key_space=key_space,
-                              replica_count=replica_count,
+                              replica_count=REPLICA_COUNT,
                               preferred_regions=preferences),
         replication=ReplicationStrategy.SECONDARY_ONLY,
     )
@@ -120,40 +122,38 @@ def run(shards: int = 1_000, ec_shards: int = 400,
     before_spread = _spread_count(app, shards)
 
     client = app.client(cluster, "FRC")
-    recorder = WorkloadRecorder.with_bucket(bucket)
+    recorder = WorkloadRecorder.with_bucket(BUCKET)
     ec_key_limit = (key_space // shards) * ec_shards
     start = cluster.engine.now
     client.run_workload(
-        duration=horizon,
+        duration=HORIZON,
         rate=lambda t: request_rate,
         key_fn=lambda rng: rng.randrange(ec_key_limit),  # EC shards only
         recorder=recorder,
         prefer_primary=False,
     )
-    cluster.engine.call_at(start + failure_time,
+    cluster.engine.call_at(start + FAILURE_TIME,
                            lambda: cluster.twines["FRC"].fail_region())
-    cluster.engine.call_at(start + recovery_time,
+    cluster.engine.call_at(start + RECOVERY_TIME,
                            lambda: cluster.twines["FRC"].repair_region())
-    cluster.run(until=start + horizon)
+    cluster.run(until=start + HORIZON)
 
     # Bucketed mean latency relative to the experiment start, in ms.
     sums: Dict[int, Tuple[float, int]] = {}
     for time, latency in recorder.latency:
-        index = int((time - start) // bucket)
+        index = int((time - start) // BUCKET)
         total, count = sums.get(index, (0.0, 0))
         sums[index] = (total + latency, count + 1)
     latency_series = TimeSeries(name="ec_latency_ms")
     for index in sorted(sums):
         total, count = sums[index]
-        latency_series.record((index + 0.5) * bucket,
+        latency_series.record((index + 0.5) * BUCKET,
                               1000.0 * total / count)
 
     total = recorder.succeeded + recorder.failed
     return Fig19Result(
         latency_by_bucket=latency_series,
         success_rate=recorder.succeeded / max(1, total),
-        failure_time=failure_time,
-        recovery_time=recovery_time,
         ec_shards_with_frc_replica_before=before_frc,
         ec_shards_with_frc_replica_after=_ec_shards_in_frc(app, ec_shards),
         cross_region_spread_before=before_spread,
@@ -170,7 +170,7 @@ def headline(result: Fig19Result) -> Dict[str, float]:
 def format_report(result: Fig19Result) -> str:
     steady = result.steady_latency()
     outage = result.outage_latency()
-    recovered = result.phase_latency(result.recovery_time + 60.0, 1e12)
+    recovered = result.phase_latency(RECOVERY_TIME + 60.0, 1e12)
     lines = [
         "Figure 19 — geo-distributed failover (client at FRC, EC shards)",
         f"  success rate                : {result.success_rate:.4f}",

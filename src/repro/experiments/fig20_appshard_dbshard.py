@@ -29,6 +29,15 @@ from ..sim.engine import every
 from .common import series_rows
 
 REGIONS = ("FRC", "PRN", "ODN", "LLA")
+SHARD_COUNT = 24
+SERVERS_PER_REGION = 4
+#: Two admin batches of DBShard moves, half an hour (scaled) apart, each
+#: moving ``BATCH_SIZE`` DBShards; the run ends at ``HORIZON``.
+BATCH_TIMES = (300.0, 900.0)
+BATCH_SIZE = 8
+HORIZON = 1_500.0
+#: Latency sampling period, seconds.
+SAMPLE_INTERVAL = 10.0
 
 
 @dataclass
@@ -42,23 +51,20 @@ class Fig20Result:
         return self.latency.value_at(time)
 
 
-def run(shard_count: int = 24, servers_per_region: int = 4,
-        batch_times: tuple = (300.0, 900.0), batch_size: int = 8,
-        horizon: float = 1_500.0, sample_interval: float = 10.0,
-        seed: int = 0) -> Fig20Result:
+def run(seed: int = 0) -> Fig20Result:
     cluster = SimCluster.build(
         regions=REGIONS,
-        machines_per_region=servers_per_region + 2,
+        machines_per_region=SERVERS_PER_REGION + 2,
         seed=seed,
     )
     # DBShards: a static region table, not managed by SM.
     db_region: Dict[int, str] = {
-        index: REGIONS[index % len(REGIONS)] for index in range(shard_count)}
+        index: REGIONS[index % len(REGIONS)] for index in range(SHARD_COUNT)}
     spec = AppSpec(
         name="fig20",
         shards=uniform_shards(
-            shard_count, key_space=shard_count * 8,
-            preferred_regions={i: db_region[i] for i in range(shard_count)}),
+            SHARD_COUNT, key_space=SHARD_COUNT * 8,
+            preferred_regions={i: db_region[i] for i in range(SHARD_COUNT)}),
         replication=ReplicationStrategy.PRIMARY_ONLY,
     )
     orchestrator_config = OrchestratorConfig(
@@ -66,7 +72,7 @@ def run(shard_count: int = 24, servers_per_region: int = 4,
         failover_grace=60.0,
     )
     app = deploy_app(cluster, spec,
-                     {region: servers_per_region for region in REGIONS},
+                     {region: SERVERS_PER_REGION for region in REGIONS},
                      orchestrator_config=orchestrator_config,
                      settle=90.0)
     orchestrator = app.orchestrator
@@ -76,7 +82,7 @@ def run(shard_count: int = 24, servers_per_region: int = 4,
 
     def mean_pair_latency() -> float:
         total, count = 0.0, 0
-        for index in range(shard_count):
+        for index in range(SHARD_COUNT):
             shard_id = f"shard{index}"
             replicas = orchestrator.table.replicas_of(shard_id)
             ready = [r for r in replicas if r.available
@@ -90,17 +96,17 @@ def run(shard_count: int = 24, servers_per_region: int = 4,
         return 1000.0 * total / max(1, count)
 
     start = cluster.engine.now
-    every(cluster.engine, sample_interval,
+    every(cluster.engine, SAMPLE_INTERVAL,
           lambda: latency.record(cluster.engine.now - start,
                                  mean_pair_latency()))
 
     def admin_batch(batch_index: int) -> None:
-        """Move ``batch_size`` DBShards to the next region over, then
+        """Move ``BATCH_SIZE`` DBShards to the next region over, then
         update the impacted AppShards' preferences (two separate admin
         actions, exactly as in the paper's incident)."""
         moved = []
-        for offset in range(batch_size):
-            index = (batch_index * batch_size + offset) % shard_count
+        for offset in range(BATCH_SIZE):
+            index = (batch_index * BATCH_SIZE + offset) % SHARD_COUNT
             current = db_region[index]
             db_region[index] = REGIONS[
                 (REGIONS.index(current) + 1) % len(REGIONS)]
@@ -118,17 +124,17 @@ def run(shard_count: int = 24, servers_per_region: int = 4,
         # shortly after the DB move.
         cluster.engine.call_after(30.0, update_preferences)
 
-    for batch_index, batch_time in enumerate(batch_times):
+    for batch_index, batch_time in enumerate(BATCH_TIMES):
         cluster.engine.call_at(start + batch_time,
                                lambda b=batch_index: admin_batch(b))
 
-    cluster.run(until=start + horizon)
+    cluster.run(until=start + HORIZON)
     moves = orchestrator.move_counter.windowed(60.0)
     return Fig20Result(
         latency=latency,
         app_shard_moves=moves,
         db_shard_moves=db_moves,
-        batches=len(batch_times),
+        batches=len(BATCH_TIMES),
     )
 
 

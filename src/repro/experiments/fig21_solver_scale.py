@@ -57,15 +57,18 @@ class Fig21Result:
                                                 self.points[0].solve_time)
 
 
-def run(factor: int = 5, seed: int = 0,
-        time_budget: float = 300.0) -> Fig21Result:
+#: Host-seconds guard on each solve (every point converges long before).
+TIME_BUDGET = 300.0
+
+
+def run(factor: int = 5, seed: int = 0) -> Fig21Result:
     points = []
     for scale in scaled(PAPER_SCALES, factor=factor):
         problem = zippydb_snapshot(scale, seed=seed)
         rebalancer = attach_zippydb_goals(problem)
         initial = rebalancer.violations()
         result = rebalancer.solve(SearchConfig(
-            time_budget=time_budget, rng_seed=seed))
+            time_budget=TIME_BUDGET, rng_seed=seed))
         points.append(ScalePoint(
             scale=scale,
             initial_violations=initial,

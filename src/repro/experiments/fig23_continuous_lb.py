@@ -33,6 +33,15 @@ from ..sim.rng import substream
 from ..solver.local_search import SearchConfig
 from .common import series_rows
 
+#: ZippyDB-like: three replicas a shard.
+REPLICA_COUNT = 3
+#: A compressed day, in simulated seconds.
+DAY_LENGTH = 3_600.0
+#: Fleet-mean CPU utilization the per-shard loads are sized to.
+MEAN_UTILIZATION = 0.45
+#: Utilization / violation / move sampling period, seconds.
+SAMPLE_INTERVAL = 120.0
+
 
 @dataclass
 class Fig23Result:
@@ -54,10 +63,8 @@ class Fig23Result:
         return sum(1 for _t, v in self.violations if v > 0)
 
 
-def run(servers: int = 30, shards: int = 200, replica_count: int = 3,
-        day_length: float = 3_600.0, days: float = 3.0,
-        mean_utilization: float = 0.45, seed: int = 0,
-        sample_interval: float = 120.0) -> Fig23Result:
+def run(servers: int = 30, shards: int = 200, days: float = 3.0,
+        seed: int = 0) -> Fig23Result:
     rng = substream(seed, "fig23")
     cluster = SimCluster.build(
         regions=("prod",),
@@ -69,7 +76,7 @@ def run(servers: int = 30, shards: int = 200, replica_count: int = 3,
     spec = AppSpec(
         name="fig23",
         shards=uniform_shards(shards, key_space=shards * 8,
-                              replica_count=replica_count),
+                              replica_count=REPLICA_COUNT),
         replication=ReplicationStrategy.PRIMARY_SECONDARY,
         lb_policy=LoadBalancePolicy.MULTI_METRIC,
         lb_metrics=("cpu", "storage", "shard_count"),
@@ -84,21 +91,21 @@ def run(servers: int = 30, shards: int = 200, replica_count: int = 3,
     # what makes new violations keep emerging on different servers.
     engine = cluster.engine
     total_capacity = servers * 100.0
-    base_per_replica = (mean_utilization * total_capacity
-                        / (shards * replica_count))
+    base_per_replica = (MEAN_UTILIZATION * total_capacity
+                        / (shards * REPLICA_COUNT))
     raw_scales = [rng.lognormvariate(0.0, 0.6) for _ in range(shards)]
     scale_norm = len(raw_scales) / sum(raw_scales)
     shard_params: Dict[str, tuple] = {}
     for index in range(shards):
         scale = raw_scales[index] * scale_norm
         amplitude = rng.uniform(0.3, 0.5)
-        phase_jitter = rng.uniform(-0.05, 0.05) * day_length
+        phase_jitter = rng.uniform(-0.05, 0.05) * DAY_LENGTH
         storage = base_per_replica * rng.uniform(0.5, 1.5)
         # Slow per-shard popularity drift (incommensurate period per
         # shard): load keeps redistributing *between* shards, which is
         # what makes "a small number of new violations constantly emerge
         # on different servers" (§8.4).
-        drift_period = day_length * rng.uniform(1.3, 2.9)
+        drift_period = DAY_LENGTH * rng.uniform(1.3, 2.9)
         drift_phase = rng.uniform(0.0, drift_period)
         shard_params[f"shard{index}"] = (scale, amplitude, phase_jitter,
                                          storage, drift_period, drift_phase)
@@ -107,7 +114,7 @@ def run(servers: int = 30, shards: int = 200, replica_count: int = 3,
         (scale, amplitude, phase_jitter, _storage,
          drift_period, drift_phase) = shard_params[shard_id]
         wave = 1.0 + amplitude * math.sin(
-            2.0 * math.pi * (time - phase_jitter) / day_length)
+            2.0 * math.pi * (time - phase_jitter) / DAY_LENGTH)
         drift = 1.0 + 0.25 * math.sin(
             2.0 * math.pi * (time - drift_phase) / drift_period)
         return base_per_replica * scale * wave * drift
@@ -164,8 +171,8 @@ def run(servers: int = 30, shards: int = 200, replica_count: int = 3,
         p99_cpu.record(now, percentile(utils, 99.0))
         violations.record(now, over_threshold + over_band)
 
-    every(engine, sample_interval, sample)
-    cluster.run(until=engine.now + days * day_length)
+    every(engine, SAMPLE_INTERVAL, sample)
+    cluster.run(until=engine.now + days * DAY_LENGTH)
 
     # The paper's violations curve is SM's own instrumentation: what the
     # allocator saw at each rebalance.  Merge it with externally sampled
@@ -184,7 +191,7 @@ def run(servers: int = 30, shards: int = 200, replica_count: int = 3,
         avg_cpu=avg_cpu,
         p99_cpu=p99_cpu,
         violations=solver_seen,
-        shard_moves=orchestrator.move_counter.windowed(sample_interval),
+        shard_moves=orchestrator.move_counter.windowed(SAMPLE_INTERVAL),
         days=days,
     )
 

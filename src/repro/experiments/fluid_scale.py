@@ -19,7 +19,7 @@ over is ``bench/``'s ``fluid_diurnal`` workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from ..core.orchestrator import OrchestratorConfig
 from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
@@ -27,6 +27,20 @@ from ..app.client import WorkloadRecorder
 from ..harness import SimCluster, deploy_app
 from ..sim.fluid import EpochDriver
 from ..workloads.load import DiurnalCurve
+
+# The scenario's set-up.
+USERS = 10_000_000
+SHARDS = 1_000
+SERVERS_PER_REGION = 25
+REGIONS = ("FRC", "PRN", "ODN")
+#: A compressed day, in simulated seconds, and how many of them run.
+DAY_LENGTH = 3_600.0
+DAYS = 2
+#: Fluid epoch, in simulated seconds.
+EPOCH = 30.0
+#: Mean request rate of one user; the regional aggregate curves swing
+#: 0.4x–1.6x around it.
+RATE_PER_USER = 0.1
 
 
 @dataclass
@@ -51,30 +65,25 @@ class FluidScaleResult:
     full_reprices: int
 
 
-def run(users: int = 10_000_000, shards: int = 1_000,
-        servers_per_region: int = 25, day_length: float = 3_600.0,
-        days: int = 2, epoch: float = 30.0,
-        rate_per_user: float = 0.1, seed: int = 0,
-        regions: Sequence[str] = ("FRC", "PRN", "ODN")) -> FluidScaleResult:
-    """Two (compressed) days of follow-the-sun diurnal traffic.
+def run(seed: int = 0) -> FluidScaleResult:
+    """Two (compressed) DAYS of follow-the-sun diurnal traffic.
 
-    ``rate_per_user`` is the mean request rate of one user; the regional
-    aggregate curves swing 0.4x–1.6x around it, phase-shifted a third of
-    a day per region.  Each region runs one staged rolling upgrade per
-    day.  Arrival integration is exact (the curves expose closed-form
+    Each region's aggregate curve is phase-shifted a third of a day from
+    the next, and each region runs one staged rolling upgrade per day.
+    Arrival integration is exact (the curves expose closed-form
     integrals), so epochs can be coarse without aliasing the diurnal
     shape.
     """
     cluster = SimCluster.build(
-        regions=tuple(regions),
-        machines_per_region=servers_per_region + 4,
+        regions=REGIONS,
+        machines_per_region=SERVERS_PER_REGION + 4,
         seed=seed,
     )
     spec = AppSpec(
         name="fluid10m",
-        shards=uniform_shards(shards, key_space=shards * 16),
+        shards=uniform_shards(SHARDS, key_space=SHARDS * 16),
         replication=ReplicationStrategy.PRIMARY_ONLY,
-        max_concurrent_container_ops=max(1, servers_per_region // 10),
+        max_concurrent_container_ops=max(1, SERVERS_PER_REGION // 10),
     )
     orchestrator_config = OrchestratorConfig(
         failover_grace=240.0,
@@ -83,33 +92,33 @@ def run(users: int = 10_000_000, shards: int = 1_000,
         drain_pacing=0.2,
     )
     app = deploy_app(cluster, spec,
-                     {region: servers_per_region for region in regions},
+                     {region: SERVERS_PER_REGION for region in REGIONS},
                      orchestrator_config=orchestrator_config,
                      settle=90.0)
 
-    horizon = days * day_length
+    horizon = DAYS * DAY_LENGTH
     start = cluster.engine.now
-    users_per_region = users // len(regions)
+    users_per_region = USERS // len(REGIONS)
     # Per-server capacity sized so the regional peak lands around 70%
     # utilization — daily peaks push hot servers close to (but normally
     # not over) the overload threshold.
-    peak_regional = 1.6 * rate_per_user * users_per_region
+    peak_regional = 1.6 * RATE_PER_USER * users_per_region
     service_time = 0.0005
     capacity = max(1, int(peak_regional * service_time
-                          / (0.7 * servers_per_region)) + 1)
+                          / (0.7 * SERVERS_PER_REGION)) + 1)
 
-    driver = EpochDriver(cluster.engine, epoch=epoch,
+    driver = EpochDriver(cluster.engine, epoch=EPOCH,
                          tracer=cluster.obs.tracer)
     clients = []
     recorders: List[WorkloadRecorder] = []
-    for index, region in enumerate(regions):
+    for index, region in enumerate(REGIONS):
         curve = DiurnalCurve(
-            base=0.4 * rate_per_user * users_per_region,
-            peak=1.6 * rate_per_user * users_per_region,
-            period=day_length,
-            phase=day_length * index / len(regions),  # follow the sun
+            base=0.4 * RATE_PER_USER * users_per_region,
+            peak=1.6 * RATE_PER_USER * users_per_region,
+            period=DAY_LENGTH,
+            phase=DAY_LENGTH * index / len(REGIONS),  # follow the sun
         )
-        recorder = WorkloadRecorder.with_bucket(day_length / 48.0)
+        recorder = WorkloadRecorder.with_bucket(DAY_LENGTH / 48.0)
         client = app.fluid_client(cluster, region,
                                   capacity=capacity,
                                   service_time=service_time,
@@ -122,7 +131,7 @@ def run(users: int = 10_000_000, shards: int = 1_000,
     # Staged daily upgrades, one region at a time (production cadence:
     # the same fleet-wide release walks the regions).
     upgrades_run = 0
-    concurrency = max(1, servers_per_region // 10)
+    concurrency = max(1, SERVERS_PER_REGION // 10)
 
     def full_upgrade(region: str) -> None:
         nonlocal upgrades_run
@@ -133,9 +142,9 @@ def run(users: int = 10_000_000, shards: int = 1_000,
             return
         upgrades_run += 1
 
-    for day in range(days):
-        for index, region in enumerate(regions):
-            at = start + day * day_length + day_length * (0.2 + 0.15 * index)
+    for day in range(DAYS):
+        for index, region in enumerate(REGIONS):
+            at = start + day * DAY_LENGTH + DAY_LENGTH * (0.2 + 0.15 * index)
             cluster.engine.call_at(at, lambda r=region: full_upgrade(r))
 
     cluster.run(until=start + horizon + 120.0)
@@ -155,10 +164,10 @@ def run(users: int = 10_000_000, shards: int = 1_000,
          for server in client._servers.values()), default=0.0)
 
     return FluidScaleResult(
-        users=users,
-        regions=len(regions),
-        shards=shards,
-        servers=servers_per_region * len(regions),
+        users=USERS,
+        regions=len(REGIONS),
+        shards=SHARDS,
+        servers=SERVERS_PER_REGION * len(REGIONS),
         sim_seconds=horizon,
         arrivals=arrivals,
         availability=ok / arrivals if arrivals > 0 else 0.0,

@@ -168,8 +168,7 @@ def select_task(tasks: List[Dict[str, Any]], spec: str) -> Dict[str, Any]:
 
 
 def run_traced(task: Dict[str, Any], trace_path: str,
-               journal_path: Optional[str] = None,
-               capacity: int = 1 << 20) -> Dict[str, Any]:
+               journal_path: Optional[str] = None) -> Dict[str, Any]:
     """Run one task inline with observability enabled and export traces.
 
     Returns the normal :func:`run_task` result with a ``trace`` section:
@@ -181,7 +180,7 @@ def run_traced(task: Dict[str, Any], trace_path: str,
     from repro.obs.checker import TraceChecker
     from repro.obs.trace_export import write_chrome_trace, write_jsonl
 
-    obs = Observability(capacity=capacity)
+    obs = Observability()
     with use(obs):
         result = run_task(task)
     journal = obs.journal
@@ -194,7 +193,7 @@ def run_traced(task: Dict[str, Any], trace_path: str,
         "journal_path": journal_path,
         "records": journal.appended,
         "dropped": journal.dropped,
-        "capacity": capacity,
+        "capacity": journal.capacity,
         "tracks": journal.tracks(),
         "digest": journal.digest(),
         "violations": [v.as_dict() for v in violations],

@@ -18,6 +18,9 @@ from typing import List, Tuple
 from ..core.mini_sm import PartitionRegistry, plan_partition_footprints
 from ..workloads.fleet import generate_fleet, scale_scatter
 
+#: Synthetic application deployments in the fleet.
+APP_COUNT = 500
+
 
 @dataclass
 class ScaleResult:
@@ -35,14 +38,12 @@ class ScaleResult:
         return max(self.mini_sm_scatter, key=lambda p: p[0])
 
 
-def run(app_count: int = 500, seed: int = 0,
-        max_replicas_per_partition: int = 200_000,
-        replicas_per_mini_sm: int = 1_500_000) -> ScaleResult:
-    apps = generate_fleet(app_count=app_count, seed=seed)
+def run(seed: int = 0) -> ScaleResult:
+    apps = generate_fleet(app_count=APP_COUNT, seed=seed)
     scatter = scale_scatter(apps)
     large = sum(1 for servers, _shards in scatter if servers >= 1000)
 
-    registry = PartitionRegistry(replicas_per_mini_sm=replicas_per_mini_sm)
+    registry = PartitionRegistry()
     for app in apps:
         if not app.is_sm:
             continue
@@ -51,8 +52,7 @@ def run(app_count: int = 500, seed: int = 0,
         }.get(app.replication.value, 3)
         for footprint in plan_partition_footprints(
                 app.name, app.servers, app.shards,
-                replicas_per_shard=replicas_per_shard,
-                max_replicas_per_partition=max_replicas_per_partition):
+                replicas_per_shard=replicas_per_shard):
             registry.assign(footprint)
 
     mini_scatter = [(m.server_count, m.shard_count)

@@ -57,36 +57,29 @@ SAMPLE_INTERVAL = 30.0
 #: Fraction of the run after which the hot set rotates.
 SHIFT_AT = 0.5
 
+# The experiment's cell.
+SERVERS = 12
+SHARDS = 48
+KEYS_PER_SHARD = 16
+KEY_SPACE = SHARDS * KEYS_PER_SHARD
+SKEW = 1.4                     # Zipf exponent of the point reads
+DURATION = 600.0               # workload length, seconds
+SETTLE = 60.0                  # before the workload starts
+WARMUP = 60.0                  # excluded from latency percentiles
+REQUEST_RATE = 120.0           # point reads / second
+SCATTER_RATE = 10.0            # scatter requests / second
+FANOUT = 4
+SERVICE_TIME = 0.015           # seconds per request on a server
 
-@dataclass
-class SkewParams:
-    """One skew-experiment cell (defaults are the bench scale)."""
 
-    servers: int = 12
-    shards: int = 48
-    keys_per_shard: int = 16
-    skew: float = 1.4
-    duration: float = 600.0
-    settle: float = 60.0
-    warmup: float = 60.0            # excluded from latency percentiles
-    request_rate: float = 120.0     # point reads / second
-    scatter_rate: float = 10.0      # scatter requests / second
-    fanout: int = 4
-    service_time: float = 0.015     # seconds per request on a server
-
-    @property
-    def key_space(self) -> int:
-        return self.shards * self.keys_per_shard
-
-    @property
-    def stride(self) -> int:
-        """Coprime stride spreading consecutive Zipf ranks one-per-shard
-        (rank r maps to shard ~r), so the hot *set* spans many shards and
-        placement — not sharding granularity — decides who queues."""
-        stride = self.keys_per_shard + 1
-        while math.gcd(stride, self.key_space) != 1:
-            stride += 1
-        return stride
+def _coprime_stride() -> int:
+    """Coprime stride spreading consecutive Zipf ranks one-per-shard
+    (rank r maps to shard ~r), so the hot *set* spans many shards and
+    placement — not sharding granularity — decides who queues."""
+    stride = KEYS_PER_SHARD + 1
+    while math.gcd(stride, KEY_SPACE) != 1:
+        stride += 1
+    return stride
 
 
 @dataclass
@@ -114,30 +107,28 @@ def _allocator_for(arm: str, spec: AppSpec) -> Optional[PinnedAllocator]:
     raise ValueError(f"unknown arm {arm!r}; known: {', '.join(ARMS)}")
 
 
-def run_arm(arm: str, params: Optional[SkewParams] = None,
-            seed: int = 0) -> ArmResult:
+def run_arm(arm: str, seed: int = 0,
+            duration: float = DURATION) -> ArmResult:
     """Run one arm under its own private observability context."""
     from ..workloads.load import ZipfKeySampler
 
-    params = params or SkewParams()
     obs = Observability()
     with use(obs):
         cluster = SimCluster.build(
             regions=("prod",),
-            machines_per_region=params.servers,
+            machines_per_region=SERVERS,
             seed=seed,
             capacity={
                 # Per-server request-rate capacity with ~30% headroom over
                 # the fair share, so the solver has room to isolate heat.
-                "request_rate": 1.3 * (params.request_rate
-                                       + params.scatter_rate * params.fanout)
-                / params.servers / 0.7,
+                "request_rate": 1.3 * (REQUEST_RATE + SCATTER_RATE * FANOUT)
+                / SERVERS / 0.7,
                 "shard_count": 1000.0,
             },
         )
         spec = AppSpec(
             name="skew",
-            shards=uniform_shards(params.shards, key_space=params.key_space,
+            shards=uniform_shards(SHARDS, key_space=KEY_SPACE,
                                   replica_count=1),
             replication=ReplicationStrategy.PRIMARY_ONLY,
             lb_policy=LoadBalancePolicy.MULTI_METRIC,
@@ -148,9 +139,9 @@ def run_arm(arm: str, params: Optional[SkewParams] = None,
         )
         handlers: Dict[str, QueuedServiceHandler] = {}
         app = deploy_app(
-            cluster, spec, {"prod": params.servers},
+            cluster, spec, {"prod": SERVERS},
             handler_factory=queued_handler_factory(
-                cluster, params.service_time, registry=handlers),
+                cluster, SERVICE_TIME, registry=handlers),
             orchestrator_config=OrchestratorConfig(
                 load_poll_interval=10.0,
                 rebalance_interval=30.0,
@@ -164,27 +155,27 @@ def run_arm(arm: str, params: Optional[SkewParams] = None,
             app.orchestrator.allocator = pinned
 
         engine = cluster.engine
-        cluster.run(until=engine.now + params.settle)
+        cluster.run(until=engine.now + SETTLE)
 
-        sampler = ZipfKeySampler(params.key_space, skew=params.skew,
-                                 stride=params.stride)
-        engine.call_at(engine.now + SHIFT_AT * params.duration,
-                       sampler.rotate, params.key_space // 3)
+        sampler = ZipfKeySampler(KEY_SPACE, skew=SKEW,
+                                 stride=_coprime_stride())
+        engine.call_at(engine.now + SHIFT_AT * duration,
+                       sampler.rotate, KEY_SPACE // 3)
 
         point_recorder = WorkloadRecorder.with_bucket(SAMPLE_INTERVAL)
         scatter_recorder = WorkloadRecorder.with_bucket(SAMPLE_INTERVAL)
         client = app.client(cluster, "prod", name="skew-client")
         scatter_client = ScatterGatherClient(
             app.client(cluster, "prod", name="skew-scatter"),
-            params.key_space, fanout=params.fanout)
+            KEY_SPACE, fanout=FANOUT)
 
         workload_rng = substream(seed, "skew-workload", arm)
         scatter_rng = substream(seed, "skew-scatter", arm)
-        client.run_workload(params.duration, lambda t: params.request_rate,
+        client.run_workload(duration, lambda t: REQUEST_RATE,
                             sampler, point_recorder, rng=workload_rng)
         scatter_client.run_workload(
-            params.duration, lambda t: params.scatter_rate,
-            lambda rng: rng.randrange(params.key_space),
+            duration, lambda t: SCATTER_RATE,
+            lambda rng: rng.randrange(KEY_SPACE),
             scatter_recorder, rng=scatter_rng)
 
         # Per-server request-rate imbalance sampled from the live queue
@@ -205,11 +196,11 @@ def run_arm(arm: str, params: Optional[SkewParams] = None,
                 imbalance.record(engine.now, max(rates) / mean)
 
         every(engine, SAMPLE_INTERVAL, sample)
-        cluster.run(until=engine.now + params.duration + 5.0)
+        cluster.run(until=engine.now + duration + 5.0)
         client.close()
         scatter_client.client.close()
 
-        measure_from = params.settle + params.warmup
+        measure_from = SETTLE + WARMUP
         violations = TraceChecker(obs.journal).check()
         digest = obs.journal.digest()
 
@@ -234,10 +225,9 @@ def _tail(latency: TimeSeries, measure_from: float, q: float) -> float:
     return percentile(values, q) if values else 0.0
 
 
-def run(params: Optional[SkewParams] = None,
-        seed: int = 0) -> Dict[str, ArmResult]:
+def run(seed: int = 0) -> Dict[str, ArmResult]:
     """All three arms at the same seed (each with a private journal)."""
-    return {arm: run_arm(arm, params, seed) for arm in ARMS}
+    return {arm: run_arm(arm, seed) for arm in ARMS}
 
 
 def format_report(results: Dict[str, ArmResult]) -> str:

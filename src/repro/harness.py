@@ -23,7 +23,7 @@ from .core.orchestrator import Orchestrator, OrchestratorConfig
 from .core.spec import AppSpec
 from .core.task_controller import SMTaskController, SMTaskControllerConfig
 from .discovery.service_discovery import ServiceDiscovery
-from .obs import ENGINE_SAMPLE, NO_OBS, Observability, get_default
+from .obs import NO_OBS, Observability, get_default
 from .sim.engine import Engine
 from .sim.network import LatencyModel, Network
 from .sim.rng import substream
@@ -49,7 +49,6 @@ class SimCluster:
               capacity: Optional[Dict[str, float]] = None,
               capacity_jitter: float = 0.0,
               storage_fraction: float = 0.0,
-              latency: Optional[LatencyModel] = None,
               twine_config: Optional[TwineConfig] = None,
               discovery_base_delay: float = 1.0,
               discovery_jitter: float = 1.0,
@@ -65,13 +64,11 @@ class SimCluster:
             storage_fraction=storage_fraction,
             rng=substream(seed, "topology"),
         )
-        if latency is None:
-            latency = _latency_for(regions)
-        network = Network(engine, latency=latency,
+        network = Network(engine, latency=_latency_for(regions),
                           rng=substream(seed, "network"),
                           tracer=obs.tracer)
         if obs.enabled:
-            engine.set_tracer(obs.tracer, sample_every=ENGINE_SAMPLE)
+            engine.set_tracer(obs.tracer)
             obs.metrics.gauge("engine.processed_events",
                               lambda: engine.processed_events)
             obs.metrics.gauge("engine.pending_events",

@@ -29,13 +29,13 @@ class Profiler:
 
     # -- recording ---------------------------------------------------------
 
-    def add(self, stage: str, seconds: float, calls: int = 1) -> None:
-        """Accumulate ``seconds`` of wall-clock into ``stage``."""
+    def add(self, stage: str, seconds: float) -> None:
+        """Accumulate one call of ``seconds`` of wall-clock into ``stage``."""
         entry = self._stages.get(stage)
         if entry is None:
-            self._stages[stage] = [calls, seconds]
+            self._stages[stage] = [1, seconds]
         else:
-            entry[0] += calls
+            entry[0] += 1
             entry[1] += seconds
 
     def count(self, name: str, n: int = 1) -> None:
@@ -61,10 +61,9 @@ class Profiler:
             "counters": dict(self._counters),
         }
 
-    def to_trace(self, tracer, track: str = "solver",
-                 time: Optional[float] = None, prefix: str = "",
-                 skip: Collection[str] = ()) -> None:
-        """Emit the recorded stages/counters onto a trace track.
+    def to_trace(self, tracer, time: Optional[float] = None,
+                 prefix: str = "", skip: Collection[str] = ()) -> None:
+        """Emit the recorded stages/counters onto the ``solver`` track.
 
         Wall-clock values land in ``wall_ms`` args, which the journal
         digest deliberately excludes — so traces stay bit-identical across
@@ -78,12 +77,12 @@ class Profiler:
             if name in skip:
                 continue
             calls, seconds = self._stages[name]
-            tracer.instant(track, prefix + name, time,
+            tracer.instant("solver", prefix + name, time,
                            {"calls": calls, "wall_ms": seconds * 1e3})
         counters = {name: self._counters[name]
                     for name in sorted(self._counters) if name not in skip}
         if counters:
-            tracer.instant(track, prefix + "counters", time, counters)
+            tracer.instant("solver", prefix + "counters", time, counters)
 
     def format(self, total: Optional[float] = None, indent: str = "  ") -> str:
         """An aligned per-stage table; ``total`` (e.g. solve wall-clock)

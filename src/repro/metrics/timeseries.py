@@ -181,11 +181,10 @@ class Counter:
         self.total = 0
         self.events = TimeSeries(name=name)
 
-    def add(self, time: float, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count!r}")
-        self.total += count
-        self.events.record(time, count)
+    def add(self, time: float) -> None:
+        """Count one event at ``time``."""
+        self.total += 1
+        self.events.record(time, 1)
 
     def windowed(self, width: float) -> TimeSeries:
         """Sum of increments per fixed-width window."""

@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from ..metrics.registry import MetricsRegistry
+from ..sim.engine import ENGINE_SAMPLE
 from . import trace_export
 from .checker import REQUIRED_PHASES, TraceChecker, Violation
 from .coverage import coverage_keys, coverage_summary, violation_invariants
@@ -51,12 +52,6 @@ __all__ = [
     "TraceChecker", "Violation", "REQUIRED_PHASES", "trace_export",
     "coverage_keys", "coverage_summary", "violation_invariants",
 ]
-
-
-#: Every ``ENGINE_SAMPLE``-th engine dispatch gets an instant plus a
-#: queue-depth counter sample, which keeps engine tracks readable and the
-#: journal bounded at figure scale.
-ENGINE_SAMPLE = 64
 
 
 class Observability:

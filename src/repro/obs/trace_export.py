@@ -99,15 +99,35 @@ def write_jsonl(journal: Journal, path: str) -> None:
             handle.write("\n")
 
 
+#: What ``read_jsonl`` needs of every line (``span`` and ``args`` may be
+#: left out).
+_RECORD_FIELDS = ("seq", "kind", "track", "name", "t")
+
+
 def read_jsonl(path: str) -> Journal:
-    """Rebuild a journal from a JSONL dump (for offline checking)."""
+    """Rebuild a journal from a JSONL dump (for offline checking).
+
+    A line that is not one JSON object carrying every record field — a
+    truncated write, say — is a ``ValueError`` naming the file and line.
+    """
     journal = Journal()
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
+            where = f"{path}:{number}"
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ValueError(f"{where}: not JSON: {error.msg} (column "
+                                 f"{error.colno})") from None
+            if not isinstance(data, dict):
+                raise ValueError(f"{where}: a record is a JSON object, got "
+                                 f"{type(data).__name__}")
+            missing = [key for key in _RECORD_FIELDS if key not in data]
+            if missing:
+                raise ValueError(f"{where}: record lacks {missing}")
             journal.append(TraceRecord(
                 data["seq"], data["kind"], data["track"], data["name"],
                 data["t"], data.get("span", 0), data.get("args")))

@@ -48,6 +48,11 @@ _NO_ARG = object()  # sentinel: "callback takes no argument"
 # power of two, so the bucket arithmetic in ``call_at`` is exact.
 _GUARD_BUCKET = 0.25
 
+#: Every ``ENGINE_SAMPLE``-th engine dispatch gets an instant plus a
+#: queue-depth counter sample, which keeps engine tracks readable and the
+#: journal bounded at figure scale.
+ENGINE_SAMPLE = 64
+
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
@@ -118,12 +123,12 @@ class Engine:
         # Observability: None leaves run() with one int compare per
         # event that never matches; set via set_tracer().
         self._trace = None
-        self._trace_sample = 64
+        self._trace_sample = ENGINE_SAMPLE
 
-    def set_tracer(self, tracer, sample_every: int = 64) -> None:
+    def set_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer` for dispatch sampling.
 
-        Every ``sample_every``-th executed event records an instant (the
+        Every ``ENGINE_SAMPLE``-th executed event records an instant (the
         callback's qualified name) plus a queue-depth counter sample on
         the ``engine`` track.  Passing a disabled tracer (or ``None``)
         detaches.
@@ -132,7 +137,6 @@ class Engine:
             self._trace = None
             return
         self._trace = tracer
-        self._trace_sample = max(1, sample_every)
         tracer.bind_clock(self)
 
     @property
@@ -232,7 +236,7 @@ class Engine:
         event fired earlier (so repeated ``run(until=...)`` calls tile time).
 
         With a tracer attached (see :meth:`set_tracer`) every
-        ``sample_every``-th event executed by this call is sampled.
+        ``ENGINE_SAMPLE``-th event executed by this call is sampled.
         Sampling is pure observation: event selection, clock updates and
         callback invocation do not depend on it, so seeded runs stay
         bit-identical with tracing on or off.

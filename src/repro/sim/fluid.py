@@ -57,15 +57,15 @@ def mgk_utilization(arrival_rate: float, service_time: float,
     return arrival_rate * service_time / servers
 
 
-def mgk_wait(arrival_rate: float, service_time: float, servers: int,
-             cv_arrival2: float = 1.0, cv_service2: float = 1.0) -> float:
-    """Expected M/G/k queueing delay (excluding service).
+def mgk_wait(arrival_rate: float, service_time: float, servers: int) -> float:
+    """Expected M/M/k queueing delay (excluding service).
 
-    Sakasegawa's closed form with the Allen–Cunneen variability factor::
+    Sakasegawa's closed form; Poisson arrivals and exponential service
+    make the Allen–Cunneen variability factor (Ca^2 + Cs^2) / 2 one::
 
-        Wq  ~=  (Ca^2 + Cs^2) / 2  *  S / k  *  rho^(sqrt(2(k+1)) - 1)
-                                               -----------------------
-                                                      1 - rho
+        Wq  ~=  S / k  *  rho^(sqrt(2(k+1)) - 1)
+                          -----------------------
+                                 1 - rho
 
     Exact for M/M/1, asymptotically exact as rho -> 1, and within a few
     percent of Erlang-C across the load range — plenty for a fluid
@@ -78,10 +78,8 @@ def mgk_wait(arrival_rate: float, service_time: float, servers: int,
         return 0.0
     if rho >= 1.0:
         return math.inf
-    variability = (cv_arrival2 + cv_service2) / 2.0
     exponent = math.sqrt(2.0 * (servers + 1)) - 1.0
-    return (variability * (service_time / servers)
-            * rho ** exponent / (1.0 - rho))
+    return (service_time / servers) * rho ** exponent / (1.0 - rho)
 
 
 class FluidProcess(Protocol):

@@ -3,7 +3,7 @@
 The paper's experiments span three real regions (FRC — Forest City NC,
 PRN — Prineville OR, ODN — Odense DK).  We model the WAN as a symmetric
 region-to-region one-way latency matrix plus a small intra-region latency,
-with optional jitter, message loss, downed endpoints and region partitions.
+with multiplicative jitter, downed endpoints and region partitions.
 
 RPCs complete asynchronously: :meth:`Network.rpc` returns an
 :class:`RpcCall` that settles with an :class:`RpcResult`.  A state-machine
@@ -41,6 +41,9 @@ DEFAULT_REGION_LATENCY: Dict[Tuple[str, str], float] = {
 }
 
 DEFAULT_INTRA_REGION_LATENCY = 0.001
+
+#: Each one-way hop is ``base * (1 + U(0, JITTER_FRACTION))``.
+JITTER_FRACTION = 0.1
 
 #: Caller-side timeout of an RPC sent without an explicit ``timeout``.
 DEFAULT_RPC_TIMEOUT = 1.0
@@ -147,9 +150,9 @@ class LatencyModel:
     """
 
     def __init__(self,
-                 region_latency: Optional[Dict[Tuple[str, str], float]] = None,
-                 jitter_fraction: float = 0.1) -> None:
-        self.jitter_fraction = jitter_fraction
+                 region_latency: Optional[Dict[Tuple[str, str], float]] = None
+                 ) -> None:
+        self.jitter_fraction = JITTER_FRACTION
         self._matrix: Dict[Tuple[str, str], float] = {}
         self._configured: set[Tuple[str, str]] = set()
         for (a, b), lat in (region_latency or DEFAULT_REGION_LATENCY).items():
@@ -179,12 +182,9 @@ class LatencyModel:
         base = self._matrix.get((src_region, dst_region))
         if base is None:
             base = self.base_latency(src_region, dst_region)
-        jitter = self.jitter_fraction
-        if not jitter:
-            return base
         # rng.uniform(0.0, j) is 0.0 + (j - 0.0) * rng.random(): the same
         # double, one Python call fewer.
-        return base * (1.0 + jitter * rng.random())
+        return base * (1.0 + self.jitter_fraction * rng.random())
 
     # The two moments of that distribution the fluid path prices a round
     # trip with: two legs, each ``base * (1 + U(0, jitter))``.
@@ -351,20 +351,16 @@ class Network:
     Failure knobs:
 
     * ``set_endpoint_up(addr, False)`` — requests to/from it time out;
-    * ``partition(region_a, region_b)`` — drop traffic between two regions;
-    * ``loss_probability`` — each request is lost with this probability
-      and times out at the caller; responses are never dropped.
+    * ``partition(region_a, region_b)`` — drop traffic between two regions.
     """
 
     def __init__(self, engine: Engine,
                  latency: Optional[LatencyModel] = None,
                  rng: Optional[random.Random] = None,
-                 loss_probability: float = 0.0,
                  tracer=NO_TRACER) -> None:
         self.engine = engine
         self.latency = latency or LatencyModel()
         self.rng = rng or random.Random(0)
-        self.loss_probability = loss_probability
         self.tracer = tracer
         #: Optional repro.obs Histogram fed with settled-RPC latency (ms);
         #: wired by the harness when observability is enabled.
@@ -470,9 +466,7 @@ class Network:
             engine.call_after(0.0, call.fail, f"unknown source {src_address!r}")
             return call
         if (dst is None or not src.up or not dst.up
-                or self._partitioned(src.region, dst.region)
-                or (self.loss_probability
-                    and self.rng.random() < self.loss_probability)):
+                or self._partitioned(src.region, dst.region)):
             engine.call_after(timeout, call.fail, "timeout")
             return call
 

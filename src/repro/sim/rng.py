@@ -21,20 +21,20 @@ def substream(seed: int, *labels: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def skewed_loads(rng: random.Random, count: int, skew: float = 20.0,
-                 mean: float = 1.0) -> list[float]:
-    """Per-shard loads whose max/min ratio is ≈ ``skew``.
+#: Figure 21's workload: "the largest shard's load is 20 times higher
+#: than that of the smallest shard".
+LOAD_SKEW = 20.0
 
-    Figure 21's workload states "the largest shard's load is 20 times
-    higher than that of the smallest shard"; we sample log-uniformly over
-    that range, then rescale to the requested mean.
+
+def skewed_loads(rng: random.Random, count: int,
+                 mean: float = 1.0) -> list[float]:
+    """Per-shard loads whose max/min ratio is ≈ ``LOAD_SKEW``: sampled
+    log-uniformly over that range, then rescaled to the requested mean.
     """
     if count <= 0:
         return []
-    if skew < 1.0:
-        raise ValueError(f"skew must be >= 1, got {skew!r}")
     low = 1.0
-    high = skew
+    high = LOAD_SKEW
     raw = [low * (high / low) ** rng.random() for _ in range(count)]
     scale = mean * count / sum(raw)
     return [value * scale for value in raw]

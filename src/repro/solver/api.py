@@ -53,10 +53,12 @@ class Rebalancer:
         return self
 
     def add_goal(self, spec: Spec, weight: float = 1.0) -> "Rebalancer":
+        """Add a soft goal.  ``weight`` scales a balance goal's cost; the
+        other goals carry theirs in the spec, or weigh 1."""
         if isinstance(spec, CapacitySpec):
             raise TypeError("capacity is a hard constraint; use add_constraint")
         if isinstance(spec, UtilizationSpec):
-            self._goals.append(UtilizationGoal(self.problem, spec, weight))
+            self._goals.append(UtilizationGoal(self.problem, spec))
         elif isinstance(spec, BalanceSpec):
             self._goals.append(BalanceGoal(self.problem, spec, weight))
         elif isinstance(spec, AffinitySpec):

@@ -324,14 +324,14 @@ class CapacityGoal(_ThresholdGoal):
 class UtilizationGoal(_ThresholdGoal):
     """Soft goal 4: utilization under a fixed threshold (e.g. 90%)."""
 
-    def __init__(self, problem: PlacementProblem, spec: UtilizationSpec,
-                 weight: float = 1.0) -> None:
+    def __init__(self, problem: PlacementProblem,
+                 spec: UtilizationSpec) -> None:
         self.problem = problem
         self.metric = problem.metrics.index(spec.metric)
         self.threshold = spec.threshold
         self.name = f"util[{spec.metric}]<{spec.threshold:.0%}"
         self.priority = spec.priority
-        self.weight = weight
+        self.weight = 1.0
         self._limits: List[float] = [
             cap[self.metric] * self.threshold for cap in problem.capacity]
         self._init_incremental()

@@ -86,6 +86,8 @@ CANDIDATE_SAMPLES = 24
 MAX_REPLICAS_PER_SERVER = 8
 #: A trace point is recorded every this many moves.
 TRACE_INTERVAL = 64
+#: A solve stops after this many moves and swaps.
+MOVE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,6 @@ class SearchConfig:
     """The budget of one solve, its seed, and which arm it runs."""
 
     time_budget: float = 60.0          # wall-clock seconds
-    move_budget: int = 1_000_000
     #: The §5.3 techniques and swaps, all on or (the baseline arm) all off.
     optimized: bool = True
     rng_seed: int = 0
@@ -293,7 +294,7 @@ class LocalSearch:
             if perf() >= deadline:
                 result.timed_out = True
                 return
-            if result.moves + result.swaps >= config.move_budget:
+            if result.moves + result.swaps >= MOVE_BUDGET:
                 return
             t0 = perf()
             for goal in batch:
@@ -311,7 +312,7 @@ class LocalSearch:
                 if perf() >= deadline:
                     result.timed_out = True
                     return
-                if result.moves + result.swaps >= config.move_budget:
+                if result.moves + result.swaps >= MOVE_BUDGET:
                     return
                 if self._improve_server(server, batch, higher, result):
                     progressed = True

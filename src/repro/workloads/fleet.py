@@ -246,14 +246,19 @@ def scale_scatter(apps: Sequence[SyntheticApp]) -> List[Tuple[int, int]]:
     return [(a.servers, a.shards) for a in apps if a.is_sm]
 
 
-def adoption_curve(years: Sequence[int], final_machines: float = 1_100_000,
-                   midpoint_year: float = 2018.0,
-                   steepness: float = 0.75) -> List[Tuple[int, float]]:
+#: Figure 2's logistic adoption model: its plateau (~1.1M machines), the
+#: year it is half-way there, and how steeply it climbs.
+FINAL_MACHINES = 1_100_000
+MIDPOINT_YEAR = 2018.0
+STEEPNESS = 0.75
+
+
+def adoption_curve(years: Sequence[int]) -> List[Tuple[int, float]]:
     """Figure 2: logistic growth of machines running SM applications,
     2012 → 2021 reaching ~1.1M machines."""
     curve = []
     for year in years:
-        machines = final_machines / (1.0 + math.exp(
-            -steepness * (year - midpoint_year)))
+        machines = FINAL_MACHINES / (1.0 + math.exp(
+            -STEEPNESS * (year - MIDPOINT_YEAR)))
         curve.append((year, machines))
     return curve

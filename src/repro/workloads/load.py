@@ -73,8 +73,12 @@ class ConstantCurve:
         return self.rate * (t1 - t0)
 
 
-def mean_rate(curve: Callable[[float], float], t0: float, t1: float,
-              samples: int = 8) -> float:
+#: Simpson intervals :func:`mean_rate` spends on a curve without an exact
+#: integral (even, as Simpson's rule needs).
+SIMPSON_SAMPLES = 8
+
+
+def mean_rate(curve: Callable[[float], float], t0: float, t1: float) -> float:
     """Average rate of any curve over ``[t0, t1]``.
 
     Uses the curve's exact ``integral`` when it has one (the curves in
@@ -90,12 +94,9 @@ def mean_rate(curve: Callable[[float], float], t0: float, t1: float,
     integral = getattr(curve, "integral", None)
     if integral is not None:
         return max(0.0, integral(t0, t1) / (t1 - t0))
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    steps = samples + samples % 2  # Simpson needs an even interval count
-    width = (t1 - t0) / steps
+    width = (t1 - t0) / SIMPSON_SAMPLES
     total = curve(t0) + curve(t1)
-    for i in range(1, steps):
+    for i in range(1, SIMPSON_SAMPLES):
         total += curve(t0 + i * width) * (4.0 if i % 2 else 2.0)
     return max(0.0, total * width / 3.0 / (t1 - t0))
 
@@ -111,7 +112,7 @@ class ZipfKeySampler:
 
     Ranks map to keys through an affine bijection
     ``key = (offset + rank * stride) % key_space`` (``stride`` must be
-    coprime with ``key_space``).  ``stride=1`` keeps the hottest keys at
+    coprime with ``key_space``; ``offset`` starts at 0).  ``stride=1`` keeps the hottest keys at
     the low end of the key space (adjacent, i.e. concentrated on few
     shards under range sharding); a larger stride scatters the hot ranks
     across the key space so many shards carry a hot key.  ``rotate()``
@@ -123,8 +124,7 @@ class ZipfKeySampler:
                  "_total")
 
     def __init__(self, key_space: int, skew: float = 1.1,
-                 support: Optional[int] = None, stride: int = 1,
-                 offset: int = 0) -> None:
+                 support: Optional[int] = None, stride: int = 1) -> None:
         if key_space < 1:
             raise ValueError("key_space must be >= 1")
         if skew < 0:
@@ -138,7 +138,7 @@ class ZipfKeySampler:
         self.skew = skew
         self.support = support
         self.stride = stride
-        self.offset = offset % key_space
+        self.offset = 0
         cdf: List[float] = []
         total = 0.0
         for rank in range(1, support + 1):

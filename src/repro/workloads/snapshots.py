@@ -25,6 +25,16 @@ from ..solver.specs import BalanceSpec, CapacitySpec, UtilizationSpec
 
 ZIPPYDB_METRICS = ("cpu", "storage", "shard_count")
 
+#: Mean server utilization of the snapshot, per metric.
+MEAN_UTILIZATION = 0.70
+#: "The storage capacity varies by up to 20%": each server's cpu and
+#: storage capacity is ``100 * (1 + U(-0.2, 0.2))``.
+CAPACITY_HETEROGENEITY = 0.20
+#: §8.4's two LB goals: utilization below 90 %, and within 10 % of the
+#: mean.
+UTILIZATION_THRESHOLD = 0.9
+BALANCE_BAND = 0.1
+
 
 @dataclass(frozen=True)
 class SnapshotScale:
@@ -56,23 +66,20 @@ def scaled(scales: Tuple[SnapshotScale, ...] = PAPER_SCALES,
             for s in scales]
 
 
-def zippydb_snapshot(scale: SnapshotScale, seed: int = 0,
-                     mean_utilization: float = 0.70,
-                     load_skew: float = 20.0,
-                     capacity_heterogeneity: float = 0.20,
-                     randomize_assignment: bool = True) -> PlacementProblem:
+def zippydb_snapshot(scale: SnapshotScale, seed: int = 0
+                     ) -> PlacementProblem:
     """Build the stress-test problem.
 
-    ``randomize_assignment`` reproduces the experiment's initial state:
-    "each experiment run's initial state starts with a random
-    shard-to-server assignment in order to stress test the allocator with
-    an unusually large number of violations to fix".
+    Its assignment is random, the experiment's initial state: "each
+    experiment run's initial state starts with a random shard-to-server
+    assignment in order to stress test the allocator with an unusually
+    large number of violations to fix".
     """
     rng = substream(seed, "zippydb-snapshot", scale.servers, scale.shards)
     base_capacity = 100.0
     shard_capacity = max(1.0, scale.shards / scale.servers * 4.0)
-    jitter = lambda: 1.0 + rng.uniform(-capacity_heterogeneity,
-                                       capacity_heterogeneity)
+    jitter = lambda: 1.0 + rng.uniform(-CAPACITY_HETEROGENEITY,
+                                       CAPACITY_HETEROGENEITY)
     servers = [ServerInfo(
         name=f"server{index:05d}",
         region="prod",
@@ -82,10 +89,9 @@ def zippydb_snapshot(scale: SnapshotScale, seed: int = 0,
                   base_capacity * jitter(),      # storage
                   shard_capacity),               # shard count
     ) for index in range(scale.servers)]
-    mean_load_per_shard = (mean_utilization * base_capacity * scale.servers
+    mean_load_per_shard = (MEAN_UTILIZATION * base_capacity * scale.servers
                            / scale.shards)
-    cpu_loads = skewed_loads(rng, scale.shards, skew=load_skew,
-                             mean=mean_load_per_shard)
+    cpu_loads = skewed_loads(rng, scale.shards, mean=mean_load_per_shard)
     random = rng.random
     replicas = []
     for index, cpu in enumerate(cpu_loads):
@@ -94,14 +100,11 @@ def zippydb_snapshot(scale: SnapshotScale, seed: int = 0,
         replicas.append(ReplicaInfo(
             name, name, (cpu, cpu * (0.6 + (1.4 - 0.6) * random()), 1.0)))
     problem = PlacementProblem(list(ZIPPYDB_METRICS), servers, replicas)
-    if randomize_assignment:
-        problem.random_assignment(rng)
+    problem.random_assignment(rng)
     return problem
 
 
-def attach_zippydb_goals(problem: PlacementProblem,
-                         utilization_threshold: float = 0.9,
-                         balance_band: float = 0.1) -> Rebalancer:
+def attach_zippydb_goals(problem: PlacementProblem) -> Rebalancer:
     """§8.4's goals: "one LB goal is to prevent a server's resource
     utilization from going above 90% ... another LB goal is to cap the
     difference of server utilization within 10%"."""
@@ -109,7 +112,7 @@ def attach_zippydb_goals(problem: PlacementProblem,
     for metric in ("cpu", "storage"):
         rebalancer.add_constraint(CapacitySpec(metric=metric))
         rebalancer.add_goal(UtilizationSpec(metric=metric,
-                                            threshold=utilization_threshold))
-        rebalancer.add_goal(BalanceSpec(metric=metric, band=balance_band))
+                                            threshold=UTILIZATION_THRESHOLD))
+        rebalancer.add_goal(BalanceSpec(metric=metric, band=BALANCE_BAND))
     rebalancer.add_constraint(CapacitySpec(metric="shard_count"))
     return rebalancer

@@ -1,37 +1,49 @@
-"""A caller is traffic: every function under ``src/repro`` is entered by
-something that is not a unit test, or is excused by name and reason.
+"""A caller is traffic, and an option is traffic too: every function under
+``src/repro`` is entered by something that is not a unit test, and every
+option there runs with two values, or each is excused by name and reason.
 
 Run by ``make traffic`` and CI's ``traffic`` job (not collected by
 tier-1: the file name does not match ``test_*.py``).  It runs all the
 non-test traffic the repository has — the seven ``bench/worker.py``
 workloads, the figure suite, the experiment / chaos / fuzz / profile
-scripts and the five examples — each in a subprocess under the
-function-entry recorder of ``tests/traffic/sitecustomize.py``, and fails
-when
+scripts and the five examples — each in a subprocess under the recorder
+of ``tests/traffic/sitecustomize.py``, which notes every function entered
+and the values every defaulted parameter and config-dataclass field ran
+with.  One run feeds two fences.  It fails when
 
 * a function defined under ``src/repro`` was entered by none of them and
-  matches no ``ALLOW`` pattern, or
-* an ``ALLOW`` pattern matches no function, or every function it matches
-  *was* entered (a stale excuse).
+  matches no ``ALLOW`` pattern,
+* an option (a defaulted parameter of an entered function, or a
+  defaulted field of a ``*Config`` / ``*Params`` / ``*Spec`` /
+  ``MaintenanceSchedule`` dataclass) ran with one value only and matches
+  no ``ALLOW_OPTIONS`` pattern, or
+* an entry of either list matches nothing, or every name it matches is
+  entered / varied (a stale excuse); or ``ALLOW_OPTIONS`` holds more
+  than ``TIER1_SIZE_LIMIT`` TIER1-SIZE entries.
 
-DESIGN.md, "One owner per shared decision", clause two, says why a unit
-test or a re-export does not count as a caller.  The table of every
-function (entered / allowed with its reason / NOT ALLOWED) is written to
-``traffic_table.txt`` (git-ignored).  Needs Python >= 3.11
-(``code.co_qualname``).
+A parameter that ever ran with an object other than a scalar, enum,
+``None`` or tuple of these is a dependency, not an option; one that only
+ever ran with ``None`` is a capability nothing uses and is held to the
+option rule.  DESIGN.md, "One owner per shared decision", says why a
+unit test or a re-export does not count as a caller.  Both tables —
+every function (entered / allowed with its reason / NOT ALLOWED) and
+every option (varied / allowed / NOT ALLOWED, with the values seen) —
+are written to ``traffic_table.txt`` (git-ignored).  Needs Python >=
+3.11 (``code.co_qualname``).
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
+import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -141,16 +153,6 @@ ALLOW: List[Tuple[str, str]] = [
     ("apps/adevents.py::*",
      PAPER + "the AdEvents application of section 2.5; "
      "experiments/adevents_capacity.py reproduces the 67 % without it"),
-    ("cluster/twine.py::Twine._do_st*",
-     PAPER + "Twine START / STOP execution; every figure and scenario "
-     "submits RESTART only"),
-    ("cluster/twine.py::Twine._do_move*",
-     PAPER + "Twine MOVE execution; every figure and scenario submits "
-     "RESTART only"),
-    ("cluster/container.py::Container.relocate",
-     PAPER + "the container half of Twine MOVE"),
-    ("core/mini_sm.py::Partition.start_orchestrator",
-     PAPER + "a partition 'run live'; nothing runs one"),
     ("solver/goals.py::CapacityGoal.fits",
      PAPER + "section 5.3's two-way swap: traffic enters _try_swap but no "
      "instance yet finds an improving pair to capacity-check"),
@@ -160,6 +162,98 @@ ALLOW: List[Tuple[str, str]] = [
     ("core/shard_map.py::AssignmentTable.snapshot",
      CHURN + "two lines over _rebuild_dirty / _make_map with ~20 test "
      "call sites"),
+    ("core/shard_map.py::ShardMap.from_entries",
+     CHURN + "how tests write a map out by hand (ten call sites); traffic "
+     "builds maps from columns"),
+]
+
+# ----------------------------------------------------------------------
+# The option allowlist: ``path::qualname(param)`` / ``path::Class.field``
+# patterns of options every traffic run passes one value, each with the
+# class of reason it stays an option (DESIGN.md, "One owner per shared
+# decision", clause one).  A future need is not a reason: the change that
+# needs a second value adds the option back with its caller.
+# ----------------------------------------------------------------------
+SEED = "SEED: an experiment's seed"
+INPUT = "INPUT: a user sets it through "
+BENCH_KW = "BENCH: bench/workloads.py passes it by keyword: "
+REFERENCE_RUN = "REFERENCE: a pinned test oracle runs it at another value: "
+TIER1_SIZE = "TIER1-SIZE: a tier-1 smoke test shrinks it: "
+TIER1_SIZE_LIMIT = 15
+PAPER_SPEC = ("PAPER: an app-spec / solver-spec field the paper names, "
+              "fenced with ROADMAP item 11's contract")
+SMOKE = "tests/integration/test_experiments_smoke.py"
+
+ALLOW_OPTIONS: List[Tuple[str, str]] = [
+    # -- seeds ------------------------------------------------------------
+    ("experiments/*::run(seed)", SEED),
+    ("experiments/*::run_arm(seed)", SEED),
+    ("experiments/runner.py::chaos_task(seed)", SEED + " (run_chaos.py --seed)"),
+    ("workloads/fleet.py::generate_fleet(seed)",
+     SEED + " (Figs 2, 4 and 15/16 hand theirs down)"),
+    # -- inputs -------------------------------------------------------------
+    ("chaos/scenario.py::ScenarioSpec.*",
+     INPUT + "a scenario spec file; spec_fingerprint hashes the JSON, so "
+     "the chaos-corpus digests carry these values"),
+    ("harness.py::SimCluster.build(zk_session_timeout)",
+     INPUT + "ScenarioSpec.zk_session_timeout"),
+    ("coordination/zookeeper.py::ZooKeeper.__init__(default_session_timeout)",
+     INPUT + "ScenarioSpec.zk_session_timeout, through SimCluster.build"),
+    ("chaos/fuzz/engine.py::FuzzConfig.*",
+     INPUT + "run_fuzz.py's flag of the same name (--no-shrink for "
+     "shrink_violations)"),
+    ("chaos/fuzz/engine.py::evaluate_spec(capacity)",
+     INPUT + "run_fuzz.py --capacity"),
+    ("chaos/fuzz/shrink.py::shrink(max_evals)",
+     INPUT + "run_fuzz.py --shrink-evals"),
+    ("chaos/scenario.py::run_scenario(capacity)",
+     INPUT + "run_chaos.py --capacity"),
+    ("chaos/scenario.py::run_scenario(journal_path)",
+     INPUT + "run_chaos.py --journal-dir"),
+    ("experiments/runner.py::chaos_task(capacity)",
+     INPUT + "run_chaos.py --capacity"),
+    ("experiments/runner.py::chaos_task(journal_path)",
+     INPUT + "run_chaos.py --journal-dir"),
+    ("experiments/runner.py::run_experiments(processes)",
+     INPUT + "run_experiments.py / run_chaos.py --processes"),
+    ("experiments/runner.py::run_experiments(serial)",
+     INPUT + "run_experiments.py / run_chaos.py --serial"),
+    # -- bench/ -------------------------------------------------------------
+    ("obs/__init__.py::Observability.__init__(capacity)",
+     BENCH_KW + "chaos_traced's journal_capacity"),
+    ("core/mini_sm.py::ApplicationManager.__init__(max_replicas_per_partition)",
+     BENCH_KW + "map_lookup's partition size"),
+    # -- references ---------------------------------------------------------
+    ("sim/engine.py::Engine.run(max_events)",
+     REFERENCE_RUN + "test_one_event_queue.py and test_guarded_events.py "
+     "cut runs by event count against their oracles"),
+    ("coordination/zookeeper.py::ZooKeeper.create_session(timeout)",
+     REFERENCE_RUN + "test_zookeeper.py's lease-vs-ticker oracle opens "
+     "sessions at drawn timeouts"),
+    ("coordination/zookeeper.py::ZooKeeper.exists(watch)",
+     REFERENCE_RUN + "the same oracle times each expiry by watching the "
+     "liveness node"),
+    ("workloads/load.py::ZipfKeySampler.__init__(support)",
+     REFERENCE_RUN + "test_router_fastpath.py's pinned Fig 18-style golden "
+     "trace draws from 40 of 800 keys"),
+    # -- tier-1 sizes ---------------------------------------------------------
+    ("experiments/adevents_capacity.py::run(regions)",
+     TIER1_SIZE + SMOKE + " compares 3, 4 and 8 regions"),
+    ("experiments/fig21_solver_scale.py::run(factor)",
+     TIER1_SIZE + SMOKE + " runs factor 25"),
+    ("experiments/fig22_solver_opt.py::run(factor)",
+     TIER1_SIZE + SMOKE + " runs factor 25"),
+    ("experiments/skew_lb.py::run_arm(duration)",
+     TIER1_SIZE + SMOKE + " runs a 180 s workload"),
+    # -- paper-named spec fields ----------------------------------------------
+    ("core/spec.py::AppSpec.max_unavailable_replicas_per_shard", PAPER_SPEC),
+    ("core/spec.py::AppSpec.mode", PAPER_SPEC),
+    ("core/spec.py::AppSpec.needs_storage", PAPER_SPEC),
+    ("core/spec.py::ShardSpec.preference_weight", PAPER_SPEC),
+    ("solver/specs.py::*", PAPER_SPEC),
+    ("*::*(storage_fraction)",
+     PAPER_SPEC + " (the topology half of AppSpec.needs_storage: Fig 9's "
+     "storage / non-storage machines)"),
 ]
 
 
@@ -200,8 +294,12 @@ def traffic(tmp: pathlib.Path) -> List[List[str]]:
     return commands
 
 
-def record(tmp: pathlib.Path) -> Set[str]:
-    """Run the traffic under the recorder; return every function entered."""
+Options = Dict[str, Optional[Set[str]]]
+
+
+def record(tmp: pathlib.Path) -> Tuple[Set[str], Options]:
+    """Run the traffic under the recorder; return every function entered
+    and every option's values (None for a dependency)."""
     out = tmp / "entered"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -234,7 +332,15 @@ def record(tmp: pathlib.Path) -> Set[str]:
     entered: Set[str] = set()
     for path in out.glob("entered.*.txt"):
         entered.update(path.read_text().split())
-    return entered
+    options: Options = {}
+    for path in out.glob("options.*.json"):
+        for option, keys in json.loads(path.read_text()).items():
+            if keys is None or (option in options
+                                and options[option] is None):
+                options[option] = None
+            else:
+                options.setdefault(option, set()).update(keys)
+    return entered, options
 
 
 def defined() -> Dict[str, int]:
@@ -263,21 +369,32 @@ def defined() -> Dict[str, int]:
     return functions
 
 
-def check(functions: Dict[str, int], entered: Set[str]) -> List[str]:
-    """Write the table; return the problems (empty = the fence holds)."""
-    problems: List[str] = []
-    rows: List[str] = []
+def excuses(allow: Sequence[Tuple[str, str]], names: Iterable[str],
+            covered: Set[str], what: str,
+            problems: List[str]) -> Dict[str, str]:
+    """name -> reason for every name an entry matches; a stale entry (it
+    matches nothing, or only names traffic already covers) is a
+    problem."""
+    names = list(names)
     excuse: Dict[str, str] = {}
-    for pattern, reason in ALLOW:
-        matches = fnmatch.filter(functions, pattern)
+    for pattern, reason in allow:
+        matches = fnmatch.filter(names, pattern)
         if not matches:
-            problems.append(f"stale allowlist entry (matches no function): "
+            problems.append(f"stale allowlist entry (matches no {what}): "
                             f"{pattern}")
-        elif all(name in entered for name in matches):
-            problems.append(f"stale allowlist entry (every match is entered "
+        elif all(name in covered for name in matches):
+            problems.append(f"stale allowlist entry (every match is covered "
                             f"by traffic): {pattern}")
         for name in matches:
             excuse.setdefault(name, reason)
+    return excuse
+
+
+def check_functions(functions: Dict[str, int], entered: Set[str],
+                    problems: List[str]) -> List[str]:
+    """The function table; problems are appended."""
+    rows: List[str] = []
+    excuse = excuses(ALLOW, functions, entered, "function", problems)
     for name in sorted(functions):
         if name in entered:
             rows.append(f"entered      {name}")
@@ -293,16 +410,53 @@ def check(functions: Dict[str, int], entered: Set[str]) -> List[str]:
                f"{len(functions) - len(missed)} entered by traffic, "
                f"{len(missed)} not ({sum(functions[n] for n in missed)} "
                f"source lines), {len(ALLOW)} allowlist entries")
-    TABLE.write_text("\n".join([summary] + rows) + "\n")
     print(summary)
-    return problems
+    return [summary] + rows
+
+
+def check_options(options: Options, problems: List[str]) -> List[str]:
+    """The option table; problems are appended."""
+    rows: List[str] = []
+    scalar = {name: keys for name, keys in options.items()
+              if keys is not None}
+    varied = {name for name, keys in scalar.items() if len(keys) > 1}
+    excuse = excuses(ALLOW_OPTIONS, scalar, varied, "option", problems)
+    tier1 = sum(reason.startswith(TIER1_SIZE) for _, reason in ALLOW_OPTIONS)
+    if tier1 > TIER1_SIZE_LIMIT:
+        problems.append(f"{tier1} TIER1-SIZE entries in ALLOW_OPTIONS "
+                        f"(at most {TIER1_SIZE_LIMIT})")
+    counts = {"varied": 0, "allowed": 0, "NOT ALLOWED": 0}
+    for name in sorted(scalar):
+        values = " | ".join(sorted(scalar[name]))
+        if name in varied:
+            status, note = "varied", ""
+        elif name in excuse:
+            status, note = "allowed", f"  # {excuse[name]}"
+        else:
+            status, note = "NOT ALLOWED", ""
+            problems.append(f"{name} runs with one value ({values}) in "
+                            f"every traffic run and no ALLOW_OPTIONS entry "
+                            f"excuses it")
+        counts[status] += 1
+        rows.append(f"{status:<12} {name} = {values}{note}")
+    single = len(scalar) - len(varied)
+    summary = (f"{len(scalar)} options under src/repro "
+               f"({len(options) - len(scalar)} dependencies not counted): "
+               f"{len(varied)} run with two or more values, {single} with "
+               f"one ({counts['allowed']} allowed, {counts['NOT ALLOWED']} "
+               f"not), {len(ALLOW_OPTIONS)} option allowlist entries")
+    print(summary)
+    return [summary] + rows
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-traffic-") as scratch:
         tmp = pathlib.Path(scratch)
-        entered = record(tmp)
-    problems = check(defined(), entered)
+        entered, options = record(tmp)
+    problems: List[str] = []
+    rows = check_functions(defined(), entered, problems)
+    rows += [""] + check_options(options, problems)
+    TABLE.write_text("\n".join(rows) + "\n")
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"table: {TABLE.relative_to(ROOT)}; "

@@ -274,8 +274,7 @@ class TestZooKeeperIntegration:
         address = container.address
         node = address.replace("/", ":")
         fx.zookeeper.create(f"/sm/app/assignments/{node}",
-                            data=[{"shard_id": "shard1", "role": "primary"}],
-                            make_parents=True)
+                            data=[{"shard_id": "shard1", "role": "primary"}])
         # Restart the container: the new server reads its assignment.
         container.mark_stopping()
         container.mark_stopped()

@@ -55,12 +55,12 @@ class TestConsistentHashRing:
         assert ring.node_for_key(12345) == owner
 
     def test_all_nodes_get_keys(self):
-        ring = ConsistentHashRing(["a", "b", "c"], virtual_nodes=200)
+        ring = ConsistentHashRing(["a", "b", "c"])
         counts = Counter(ring.node_for_key(key) for key in range(3000))
         assert all(counts[node] > 0 for node in "abc")
 
     def test_balance_with_virtual_nodes(self):
-        ring = ConsistentHashRing(["a", "b", "c", "d"], virtual_nodes=300)
+        ring = ConsistentHashRing(["a", "b", "c", "d"])
         counts = Counter(ring.node_for_key(key) for key in range(20_000))
         mean = 5000
         for node in "abcd":
@@ -68,13 +68,13 @@ class TestConsistentHashRing:
 
     def test_adding_node_moves_about_one_over_n(self):
         nodes = [f"n{i}" for i in range(10)]
-        moved = _moved_fraction(ring_placement(virtual_nodes=200),
+        moved = _moved_fraction(ring_placement(),
                                 nodes[:9], nodes, count=20_000)
         assert moved == pytest.approx(1 / 10, abs=0.05)
 
     def test_removing_node_moves_only_its_keys(self):
         nodes = [f"n{i}" for i in range(10)]
-        place = ring_placement(virtual_nodes=200)
+        place = ring_placement()
         on_n0 = sum(1 for i in range(20_000)
                     if place(i, f"s{i}", nodes) == "n0")
         moved = _moved_fraction(place, nodes, nodes[1:], count=20_000)
@@ -87,13 +87,13 @@ class TestConsistentHashRing:
 
     def test_empty_ring_raises(self):
         with pytest.raises(RuntimeError):
-            ConsistentHashRing().node_for_key(1)
+            ConsistentHashRing([]).node_for_key(1)
 
     def test_static_vs_consistent_on_resize(self):
         """The §2.2.1 comparison: consistent hashing's churn advantage."""
         static_moved = _moved_fraction(modulo_placement, _tasks(10),
                                        _tasks(11))
-        ch_moved = _moved_fraction(ring_placement(virtual_nodes=200),
+        ch_moved = _moved_fraction(ring_placement(),
                                    _tasks(10), _tasks(11))
         assert ch_moved < static_moved / 3
 
@@ -166,7 +166,7 @@ class TestPinnedAllocator:
 
     def test_ring_placement_is_membership_stable(self):
         addresses = [f"A/app/{i}" for i in range(5)]
-        placement = ring_placement(virtual_nodes=100)
+        placement = ring_placement()
         pins = {i: placement(i, f"shard{i}", addresses) for i in range(40)}
         survivors = addresses[1:]  # lose one node
         moved = sum(

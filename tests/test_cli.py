@@ -64,9 +64,11 @@ def test_run_chaos_check_trace_fails_on_a_truncated_journal(monkeypatch,
 
 def test_run_experiments_check_trace_fails_on_a_truncated_journal(
         monkeypatch, capsys, tmp_path):
+    import repro.obs
     script = load_script("run_experiments")
-    monkeypatch.setattr(script.runner, "run_traced", functools.partial(
-        script.runner.run_traced, capacity=64))
+    # run_traced journals at the default capacity; a tiny ring truncates.
+    monkeypatch.setattr(repro.obs, "Observability", functools.partial(
+        repro.obs.Observability, capacity=64))
     monkeypatch.setattr("sys.argv", [
         "run_experiments.py", "--smoke", "--trace-figure", "fig17:sm",
         "--trace", str(tmp_path / "trace.json"), "--check-trace"])
@@ -74,6 +76,29 @@ def test_run_experiments_check_trace_fails_on_a_truncated_journal(
     out = capsys.readouterr().out
     assert "::error title=trace truncated::" in out
     assert "at capacity 64" in out
+
+
+@pytest.mark.parametrize("expectations, needle", [
+    ({"final_ready_min": None}, "'final_ready_min' must be a number"),
+    ({"final_ready_min": 7}, "final_ready_min must be <= 1.0"),
+    ({"failover_bound": -1}, "failover_bound must be >= 0.0"),
+])
+def test_run_chaos_malformed_expectations_exit_2(expectations, needle,
+                                                  monkeypatch, capsys,
+                                                  tmp_path):
+    """A null final_ready_min used to raise TypeError out of from_dict:
+    a traceback, not the one-line exit 2."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "bad", "actions": [],
+                                "expectations": expectations}))
+    script = load_script("run_chaos")
+    monkeypatch.setattr("sys.argv", ["run_chaos.py", "--serial",
+                                     "--scenario", f"@{path}"])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"run_chaos.py: {path}: ")
+    assert needle in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("script_name, argv", [

@@ -9,7 +9,7 @@ from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
 from repro.sim.engine import Engine
 from repro.sim.failures import CrashInjector
-from repro.sim.rng import skewed_loads, substream
+from repro.sim.rng import LOAD_SKEW, skewed_loads, substream
 
 
 class TestSimCluster:
@@ -159,12 +159,11 @@ class TestRngHelpers:
 
     def test_skewed_loads_properties(self):
         rng = random.Random(3)
-        loads = skewed_loads(rng, 1000, skew=20.0, mean=5.0)
+        loads = skewed_loads(rng, 1000, mean=5.0)
         assert len(loads) == 1000
         assert sum(loads) / len(loads) == pytest.approx(5.0)
-        assert max(loads) / min(loads) <= 20.0 + 1e-6
+        assert max(loads) / min(loads) <= LOAD_SKEW + 1e-6
 
     def test_skewed_loads_validation(self):
         assert skewed_loads(random.Random(1), 0) == []
-        with pytest.raises(ValueError):
-            skewed_loads(random.Random(1), 10, skew=0.5)
+        assert skewed_loads(random.Random(1), -1) == []

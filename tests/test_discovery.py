@@ -14,7 +14,7 @@ from repro.sim.network import Network
 def make_map(version=1, app="app", entries=None):
     if entries is None:
         entries = [ShardMapEntry("s0", 0, 100, "srv/a", ("srv/b",))]
-    return ShardMap(app=app, version=version, entries=tuple(entries))
+    return ShardMap.from_entries(app, version, tuple(entries))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.tracer import Tracer
 from repro.sim.engine import (
+    ENGINE_SAMPLE,
     Delay,
     Engine,
     Process,
@@ -15,15 +16,16 @@ from repro.sim.engine import (
 NAN = float("nan")
 
 
-@pytest.fixture(params=[None, 1, 64],
+@pytest.fixture(params=[None, 1, ENGINE_SAMPLE],
                 ids=["untraced", "sample_every=1", "sample_every=64"])
 def engine(request):
-    """An engine with dispatch sampling off, on every event, and at the
-    harness default: one run loop serves all three, so the cases that
+    """An engine with dispatch sampling off, on every event, and at
+    ``ENGINE_SAMPLE``: one run loop serves all three, so the cases that
     exercise its exits and its bookkeeping run under each."""
     engine = Engine()
     if request.param is not None:
-        engine.set_tracer(Tracer(), sample_every=request.param)
+        engine.set_tracer(Tracer())
+        engine._trace_sample = request.param
     return engine
 
 
@@ -557,7 +559,8 @@ class TestDispatchSampling:
     def test_sample_every_one_lists_each_callback_in_execution_order(self):
         engine = Engine()
         tracer = Tracer()
-        engine.set_tracer(tracer, sample_every=1)
+        engine.set_tracer(tracer)
+        engine._trace_sample = 1
 
         class Ticker:  # an instance has no __qualname__: the type names it
             def __call__(self):
@@ -589,7 +592,8 @@ class TestDispatchSampling:
     def test_sampling_counts_from_zero_in_every_run_call(self):
         engine = Engine()
         tracer = Tracer()
-        engine.set_tracer(tracer, sample_every=3)
+        engine.set_tracer(tracer)
+        engine._trace_sample = 3
         for index in range(8):
             engine.call_at(float(index), lambda: None)
         engine.run(max_events=4)   # samples its events 0 and 3

@@ -4,7 +4,7 @@
 the thing that cost is made of.  Each scenario is a few seeded requests on
 a hand-built stack (engine, network, discovery, one client, endpoints as
 servers — no control plane, so nothing else schedules anything), run with
-the engine's own dispatch sampling at ``sample_every=1``, which journals
+the engine's own dispatch sampling set to every event, which journals
 the qualified name of every callback the engine executes.  The assertion
 is the whole multiset of those names, so a change that puts a per-request
 event back (a timeout that reaches the heap, a completion woken through a
@@ -45,7 +45,7 @@ class Stack:
             else:
                 endpoint.on("app.request", lambda m: m["key"])
         discovery = ServiceDiscovery(engine, base_delay=0.0, jitter=0.0)
-        discovery.publish(ShardMap(app="app", version=1, entries=tuple(
+        discovery.publish(ShardMap.from_entries("app", 1, tuple(
             ShardMapEntry(f"s{s}", s * KEYS_PER_SHARD,
                           (s + 1) * KEYS_PER_SHARD, f"srv/{s % 4}", ())
             for s in range(SHARDS))))
@@ -56,7 +56,8 @@ class Stack:
         assert engine.pending_events == 0
         self.events_at_setup = engine.processed_events
         self.tracer = Tracer()
-        engine.set_tracer(self.tracer, sample_every=1)
+        engine.set_tracer(self.tracer)
+        engine._trace_sample = 1   # every event, not every ENGINE_SAMPLE-th
 
     def executed(self) -> Counter:
         """Qualified name -> times the engine executed it since set-up."""
@@ -115,8 +116,7 @@ def test_queued_async_reply_read_adds_only_the_service_completion():
 def test_scatter_is_one_tick_plus_k_reads():
     fanout = 4
     stack = Stack(queued=True)
-    scatter = ScatterGatherClient(stack.client, KEY_SPACE, fanout=fanout,
-                                  leg_stride=KEYS_PER_SHARD)
+    scatter = ScatterGatherClient(stack.client, KEY_SPACE, fanout=fanout)
     recorder = _burst(scatter.run_workload)
     stack.engine.run()
     n = recorder.sent

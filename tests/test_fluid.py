@@ -68,7 +68,7 @@ def test_jitter_factors_match_event_mode_sampling():
     two one-way legs drawn from ``LatencyModel.sample`` itself."""
     import random
     rng = random.Random(7)
-    model = LatencyModel({("A", "B"): 1.0}, jitter_fraction=0.1)
+    model = LatencyModel({("A", "B"): 1.0})
     samples = sorted(model.sample("A", "B", rng) + model.sample("B", "A", rng)
                      for _ in range(200_000))
     mean = sum(samples) / len(samples)
@@ -101,7 +101,7 @@ def test_mean_rate_uses_integral_and_simpson_fallback():
     curve = DiurnalCurve(base=10.0, peak=40.0, period=3600.0)
     exact = mean_rate(curve, 0.0, 1800.0)
     # A bare callable (no .integral) goes through composite Simpson.
-    fallback = mean_rate(lambda t: curve(t), 0.0, 1800.0, samples=256)
+    fallback = mean_rate(lambda t: curve(t), 0.0, 1800.0)
     assert fallback == pytest.approx(exact, rel=1e-3)
     assert mean_rate(curve, 50.0, 50.0) == pytest.approx(curve(50.0))
 
@@ -357,8 +357,8 @@ def test_fluid_map_update_that_changes_the_shard_set():
                       entries[1].key_high,
                       b if entries[1].primary == a else a, ()),
     ] + entries[2:7]
-    fluid._on_map(ShardMap(current.app, current.version + 1,
-                           entries=resynced))
+    fluid._on_map(ShardMap.from_entries(current.app, current.version + 1,
+                                        resynced))
     assert fluid.full_reprices == 2
     assert set(fluid._flows) == {e.shard_id for e in resynced}
     assert fluid._flows["shard0"].share == float(middle - first.key_low)
@@ -374,8 +374,8 @@ def test_fluid_map_update_that_changes_the_shard_set():
     fresh = ShardMapEntry("shard9", entries[7].key_low, entries[7].key_high,
                           a, ())
     repartitioned = [resynced[0], grown] + resynced[2:] + [fresh]
-    merged = ShardMap(current.app, current.version + 2,
-                      entries=repartitioned)
+    merged = ShardMap.from_entries(current.app, current.version + 2,
+                                   repartitioned)
     delta = ShardMapDelta(current.app, merged.version, current.version + 1,
                           merged.key_index, (1, len(repartitioned) - 1),
                           (b, a), ((), ()))

@@ -36,14 +36,14 @@ def fig17_pair():
     kwargs = dict(shards=200, servers=12, restart_duration=30.0,
                   request_rate=40.0, seed=5)
     return (fig17.run(traffic="event", **kwargs),
-            fig17.run(traffic="fluid", epoch=2.0, **kwargs))
+            fig17.run(traffic="fluid", **kwargs))
 
 
 @pytest.fixture(scope="module")
 def fig18_pair():
     kwargs = dict(shards=120, servers=10, day_length=1_200.0, days=1, seed=3)
     return (fig18.run(traffic="event", **kwargs),
-            fig18.run(traffic="fluid", epoch=5.0, **kwargs))
+            fig18.run(traffic="fluid", **kwargs))
 
 
 def test_fig17_success_rates_agree(fig17_pair):

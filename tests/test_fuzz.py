@@ -60,7 +60,7 @@ def test_crossover_outputs_are_schedulable(seed):
 
 
 def test_seed_specs_cover_the_whole_vocabulary():
-    specs = seed_specs(random.Random(0), extra_random=2)
+    specs = seed_specs(random.Random(0))
     kinds = {spec.actions[0].kind for spec in specs
              if spec.name.startswith("seed_") and spec.actions}
     assert kinds >= set(FUZZ_KINDS)
@@ -210,7 +210,7 @@ def test_fuzz_candidates_carry_coverage_and_violation_signal():
 def test_candidate_with_a_truncated_journal_is_an_error():
     """Coverage keys and verdicts from a clipped ring must never reach
     the corpus: the evaluation fails and says which capacity was used."""
-    spec = seed_specs(random.Random(0), extra_random=0)[0]
+    spec = seed_specs(random.Random(0))[0]
     assert evaluate_spec(spec, "sm", seed=3)["records"] > 64
     with pytest.raises(RuntimeError, match=r"dropped \d+ of \d+ records "
                                            r"at capacity 64"):

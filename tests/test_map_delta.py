@@ -92,7 +92,7 @@ def empty_delta(app, version, base_version, key_index):
 
 
 def two_shard_map():
-    return ShardMap("app", 1, entries=(
+    return ShardMap.from_entries("app", 1, (
         ShardMapEntry("s0", 0, 10, "a", ()),
         ShardMapEntry("s1", 10, 20, "b", ()),
     ))
@@ -295,7 +295,7 @@ class TestColumnarMap:
         assert snapshot.entry_at(3) is snapshot.entry_at(3)  # memoised
 
     def test_index_for_key(self):
-        shard_map = ShardMap(app="x", version=1, entries=(
+        shard_map = ShardMap.from_entries("x", 1, (
             ShardMapEntry("b", 20, 30, None, ()),  # not in key order
             ShardMapEntry("a", 0, 10, None, ()),
         ))
@@ -309,8 +309,8 @@ class TestColumnarMap:
         table = make_table()
         table.add("shard0", "a", Role.PRIMARY, state=ReplicaState.READY)
         snapshot = table.snapshot()
-        rebuilt = ShardMap(app=snapshot.app, version=snapshot.version,
-                           entries=all_entries(snapshot))
+        rebuilt = ShardMap.from_entries(snapshot.app, snapshot.version,
+                                        all_entries(snapshot))
         assert rebuilt == snapshot and hash(rebuilt) == hash(snapshot)
         table.relocate(table.replicas_of("shard0")[0].replica_id, "b")
         different = table.snapshot()
@@ -407,8 +407,7 @@ class TestSubscriptionProtocol:
         discovery.publish(snapshot, delta=delta)
         # A delta not based on the currently published version (e.g. the
         # publisher lost state) must not be forwarded as a delta.
-        jump = ShardMap(app="app", version=5,
-                        entries=all_entries(snapshot))
+        jump = ShardMap.from_entries("app", 5, all_entries(snapshot))
         stray = empty_delta("app", 5, 4, jump.key_index)
         discovery.publish(jump, delta=stray)
         assert discovery.delta_publishes == 1  # the first, chained publish
@@ -581,7 +580,7 @@ def reference_apply(base, app, version, base_version, changed):
                 or index.key_highs[i] != entry.key_high):
             raise ValueError("changes the layout")
         entries[i] = entry
-    return ShardMap(app, version, entries=entries)
+    return ShardMap.from_entries(app, version, entries)
 
 
 class EntryEvictingRouter(ServiceRouter):

@@ -25,8 +25,9 @@ def make_app(replication=ReplicationStrategy.PRIMARY_ONLY, shards=4,
                               replica_count=replica_count),
         replication=replication)
     app = deploy_app(cluster, spec, {"FRC": servers},
+                     # No periodic rebalance within any test's horizon.
                      orchestrator_config=OrchestratorConfig(
-                         rebalance_enabled=False, failover_grace=15.0),
+                         rebalance_interval=1e9, failover_grace=15.0),
                      settle=60.0)
     return cluster, app
 

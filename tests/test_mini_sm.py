@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.mini_sm import (
+    MAX_REPLICAS_PER_PARTITION as CAP,
     ApplicationManager,
     ApplicationRegistry,
     Frontend,
@@ -62,22 +63,23 @@ class TestApplicationManager:
 
 class TestPartitionRegistry:
     def test_assign_packs_least_loaded(self):
-        registry = PartitionRegistry(replicas_per_mini_sm=100)
-        footprints = plan_partition_footprints("app", servers=30, shards=90,
-                                               max_replicas_per_partition=30)
+        registry = PartitionRegistry(replicas_per_mini_sm=3 * CAP + 10)
+        footprints = plan_partition_footprints("app", servers=30,
+                                               shards=3 * CAP)
+        assert [f.replica_count for f in footprints] == [CAP] * 3
         for footprint in footprints:
             registry.assign(footprint)
         assert len(registry.mini_sms) == 1
-        assert registry.mini_sms[0].replica_count == 90
+        assert registry.mini_sms[0].replica_count == 3 * CAP
 
     def test_pool_grows_when_full(self):
-        registry = PartitionRegistry(replicas_per_mini_sm=70)
-        footprints = plan_partition_footprints("app", servers=30, shards=90,
-                                               max_replicas_per_partition=30)
+        registry = PartitionRegistry(replicas_per_mini_sm=2 * CAP + CAP // 3)
+        footprints = plan_partition_footprints("app", servers=30,
+                                               shards=3 * CAP)
         for footprint in footprints:
             registry.assign(footprint)
-        # Two 30-replica partitions fit in one 70-replica mini-SM; the
-        # third forces a second instance.
+        # Two full partitions fit in one mini-SM; the third forces a
+        # second instance.
         assert len(registry.mini_sms) == 2
 
     def test_lookup(self):
@@ -91,14 +93,15 @@ class TestPartitionRegistry:
 
 class TestFootprints:
     def test_counts_conserved(self):
+        shards = 5 * CAP + 7
         footprints = plan_partition_footprints(
-            "app", servers=100, shards=1000, replicas_per_shard=3,
-            max_replicas_per_partition=500)
+            "app", servers=100, shards=shards, replicas_per_shard=3)
+        assert len(footprints) == 16
         assert sum(f.server_count for f in footprints) == 100
-        assert sum(f.shard_count for f in footprints) == 1000
-        assert sum(f.replica_count for f in footprints) == 3000
+        assert sum(f.shard_count for f in footprints) == shards
+        assert sum(f.replica_count for f in footprints) == 3 * shards
         for footprint in footprints:
-            assert footprint.replica_count <= 500
+            assert footprint.replica_count <= CAP
 
 
 class TestFrontend:
@@ -187,9 +190,8 @@ class TestRegistryHeapParity:
         loads = []
         for index in range(300):
             replicas = rng.choice([1, 7, 30, 55, 100, 130])
-            footprint = plan_partition_footprints(
-                f"app{index}", servers=1, shards=replicas,
-                max_replicas_per_partition=10**9)[0]
+            footprint, = plan_partition_footprints(
+                f"app{index}", servers=1, shards=replicas)
             expected = self._reference_assign(loads, capacity, replicas)
             target = registry.assign(footprint)
             assert registry.mini_sms.index(target) == expected
@@ -200,13 +202,13 @@ class TestRegistryHeapParity:
         assert [m.replica_count for m in registry.mini_sms] == loads
 
     def test_cached_counters_recount_after_direct_append(self):
-        registry = PartitionRegistry(replicas_per_mini_sm=1000)
+        registry = PartitionRegistry(replicas_per_mini_sm=3 * CAP)
         footprints = plan_partition_footprints(
-            "app", servers=10, shards=60, max_replicas_per_partition=30)
+            "app", servers=10, shards=2 * CAP)
         mini_sm = registry.assign(footprints[0])
-        assert mini_sm.replica_count == 30
+        assert mini_sm.replica_count == CAP
         # Bypassing add_partition: the lazy recount must still see it.
         mini_sm.partitions.append(footprints[1])
-        assert mini_sm.replica_count == 60
+        assert mini_sm.replica_count == 2 * CAP
         assert mini_sm.server_count == 10
-        assert mini_sm.shard_count == 60
+        assert mini_sm.shard_count == 2 * CAP

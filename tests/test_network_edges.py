@@ -142,30 +142,6 @@ class TestAsyncReplyTimeout:
 
 
 class TestLossAndPartitionInterplay:
-    def test_partitioned_and_lossy_fails_exactly_once(self, engine):
-        network = Network(engine, rng=random.Random(1), loss_probability=1.0)
-        _echo_server(network)
-        network.register("client", "PRN")
-        network.partition("FRC", "PRN")
-        call, heard = _watched_rpc(engine, network, "client", "server",
-                                   "echo", "hi", timeout=1.0)
-        engine.run()
-        assert not call.result.ok
-        assert call.result.error == "timeout"
-        assert network.rpcs_failed == 1
-        _assert_completed_once(call, heard)
-
-    def test_healed_partition_still_drops_on_loss(self, engine):
-        network = Network(engine, rng=random.Random(1), loss_probability=1.0)
-        _echo_server(network)
-        network.register("client", "PRN")
-        network.partition("FRC", "PRN")
-        network.heal_partition("FRC", "PRN")
-        call = network.rpc("client", "server", "echo", "hi", timeout=1.0)
-        engine.run()
-        assert not call.result.ok  # loss still applies after the heal
-        assert network.rpcs_failed == 1
-
     def test_healed_partition_without_loss_succeeds(self, engine, network):
         _echo_server(network)
         network.register("client", "PRN")

@@ -198,6 +198,26 @@ class TestExport:
         assert loaded.appended == obs.journal.appended
         assert loaded.digest() == obs.journal.digest()
 
+    @pytest.mark.parametrize("bad_line, needle", [
+        ('{"seq": 2, "kind": "I", "tr', "not JSON: Unterminated string"),
+        ("[1, 2]", "a record is a JSON object, got list"),
+        ('{"seq": 2, "kind": "I", "track": "x", "name": "y"}',
+         "record lacks ['t']"),
+    ], ids=["truncated", "not an object", "missing field"])
+    def test_jsonl_malformed_line_names_file_and_line(self, tmp_path,
+                                                      bad_line, needle):
+        tracer = Tracer(Journal())
+        tracer.instant("x", "first", 0.0)
+        path = tmp_path / "journal.jsonl"
+        write_jsonl(tracer.journal, str(path))
+        with open(path, "a") as handle:
+            handle.write("\n" + bad_line + "\n")   # a blank line 2
+        with pytest.raises(ValueError) as excinfo:
+            read_jsonl(str(path))
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:3: ")
+        assert needle in message
+
 
 # -- TraceChecker negative tests (fabricated bad journals) -------------------
 
@@ -302,11 +322,12 @@ class TestTracedClusterRuns:
         from repro.solver.local_search import UNJOURNALED_PROFILE_KEYS
         profile = Profiler()
         profile.add("setup", 0.5)
-        profile.add("evaluate", 0.25, calls=7)
+        for _ in range(7):
+            profile.add("evaluate", 0.25)
         profile.set_counter("equiv_keys", 3)
         profile.set_counter("moves", 2)
         tracer = Tracer(Journal())
-        profile.to_trace(tracer, "solver", 1.0, prefix="app.",
+        profile.to_trace(tracer, 1.0, prefix="app.",
                          skip=UNJOURNALED_PROFILE_KEYS)
         records = [(r.name, {k: v for k, v in r.args.items()
                              if not k.startswith("wall")})
@@ -395,6 +416,7 @@ class TestMapCoverageAfterFailover:
 
     def test_mini_sm_partitions_share_instrumentation(self):
         from repro.core.mini_sm import ApplicationManager
+        from repro.core.orchestrator import Orchestrator
         from repro.app.runtime import AppRuntime
         from repro.harness import _echo_handler_factory
 
@@ -408,7 +430,11 @@ class TestMapCoverageAfterFailover:
             manager = ApplicationManager(max_replicas_per_partition=6)
             partitions = manager.partition_app(spec, server_count=6)
             assert len(partitions) == 2
-            for index, partition in enumerate(partitions):
+            # Per §6.1 every partition runs an independent orchestrator
+            # over its sub-spec; their shard-state transitions reach the
+            # one journal through the same AssignmentTable hooks.
+            orchestrators = []
+            for partition in partitions:
                 runtime = AppRuntime(
                     engine=cluster.engine,
                     network=cluster.network,
@@ -419,23 +445,20 @@ class TestMapCoverageAfterFailover:
                 containers = cluster.twines["FRC"].create_job(
                     partition.spec.name, 3)
                 runtime.attach(containers)
-                partition.start_orchestrator(
+                orchestrator = Orchestrator(
                     cluster.engine, cluster.network, cluster.zookeeper,
-                    cluster.discovery, cluster.topology,
-                    config=OrchestratorConfig(rebalance_enabled=False),
+                    cluster.discovery, partition.spec, cluster.topology,
                     obs=obs)
+                orchestrator.start()
+                orchestrators.append(orchestrator)
             cluster.run(until=60.0)
         checker = TraceChecker(obs.journal)
         checker.assert_clean()
-        for partition in partitions:
-            snapshot = partition.orchestrator.table.snapshot()
+        for orchestrator in orchestrators:
+            snapshot = orchestrator.table.snapshot()
             assert all(snapshot.primary_at(i) is not None
                        for i in range(len(snapshot)))
             assert checker.check_shard_map(snapshot) == []
-            with pytest.raises(RuntimeError):
-                partition.start_orchestrator(
-                    cluster.engine, cluster.network, cluster.zookeeper,
-                    cluster.discovery, cluster.topology)
 
 
 class TestViolationType:

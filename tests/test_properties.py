@@ -113,7 +113,7 @@ def test_static_sharding_is_total_and_stable(total_tasks, keys):
 )
 def test_consistent_hashing_total_and_member(node_count, keys):
     nodes = {f"n{i}" for i in range(node_count)}
-    ring = ConsistentHashRing(sorted(nodes), virtual_nodes=32)
+    ring = ConsistentHashRing(sorted(nodes))
     for key in keys:
         assert ring.node_for_key(key) in nodes
 

@@ -28,7 +28,7 @@ from repro.core.shard_map import ShardMap, ShardMapEntry
 from repro.discovery.router import RoutingError, ServiceRouter
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.sim.engine import Engine
-from repro.sim.network import LatencyModel, Network
+from repro.sim.network import JITTER_FRACTION, LatencyModel, Network
 from repro.workloads.load import DiurnalCurve, ZipfKeySampler
 
 FIG18_FIXTURE = Path(__file__).parent / "fixtures" / "golden_trace_fig18.json"
@@ -37,15 +37,15 @@ FIG18_FIXTURE = Path(__file__).parent / "fixtures" / "golden_trace_fig18.json"
 def make_map(version=1, app="app", entries=None):
     if entries is None:
         entries = [ShardMapEntry("s0", 0, 100, "srv/a", ("srv/b",))]
-    return ShardMap(app=app, version=version, entries=tuple(entries))
+    return ShardMap.from_entries(app, version, tuple(entries))
 
 
 def build_router(attempts=3, rpc_timeout=0.5, retry_backoff=0.1,
-                 jitter=0.1, seed=1):
+                 jitter=JITTER_FRACTION, seed=1):
     engine = Engine()
-    network = Network(engine,
-                      latency=LatencyModel(jitter_fraction=jitter),
-                      rng=random.Random(seed))
+    latency = LatencyModel()
+    latency.jitter_fraction = jitter
+    network = Network(engine, latency=latency, rng=random.Random(seed))
     network.register("client", "FRC")
     router = ServiceRouter(engine, network, "client", attempts=attempts,
                            rpc_timeout=rpc_timeout,

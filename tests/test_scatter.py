@@ -87,7 +87,7 @@ class TestScatterGather:
                 app.client(cluster, "prod", name="sc"), key_space=128,
                 fanout=4)
             outcomes = []
-            client.start_request(0, on_done=outcomes.append)
+            client.start_request(0, None, True, outcomes.append)
             cluster.run(until=cluster.engine.now + 20.0)
         assert len(outcomes) == 1
         outcome = outcomes[0]
@@ -110,7 +110,7 @@ class TestScatterGather:
             client = ScatterGatherClient(
                 app.client(cluster, "prod", name="sc"), key_space=128,
                 fanout=4)
-            client.start_request(5)
+            client.start_request(5, None, True, None)
             cluster.run(until=cluster.engine.now + 20.0)
         legs = [r.args["shard"] for r in obs.journal
                 if r.track == "scatter" and r.name == "leg"]

@@ -20,8 +20,9 @@ def scaled_app(load_per_shard, shards=4, servers=6):
     app = deploy_app(
         cluster, spec, {"FRC": servers},
         base_loads=lambda shard_id: {"request_rate": load_per_shard},
+        # No periodic rebalance within any test's horizon.
         orchestrator_config=OrchestratorConfig(load_poll_interval=5.0,
-                                               rebalance_enabled=False),
+                                               rebalance_interval=1e9),
         settle=60.0)
     return cluster, app
 

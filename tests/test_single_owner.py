@@ -1,11 +1,12 @@
-"""Fence: one owner per shared decision, and no option nothing sets.
+"""Fence: one owner per shared decision, and no option one value serves.
 
 A source scan in the style of ``test_host_clock.py``.  Each check names a
-format, table or policy that once lived in two or more modules, a
-constructor value no caller ever varied, or a second path that carried no
-traffic, and fails when a second copy — or the knob, or the path — comes
-back.  The values the removed options had are the module constants listed
-in DESIGN.md, "One owner per shared decision; constants, not options".
+format, table or policy that once lived in two or more modules, an
+option no traffic ran with a second value, or a second path that carried
+no traffic, and fails when a second copy — or the knob, or the path —
+comes back.  The values the removed options had are module constants
+(DESIGN.md, "One owner per shared decision; constants, not options";
+``make traffic`` writes the table of every option and its values).
 """
 
 import ast
@@ -17,20 +18,58 @@ from pathlib import Path
 
 import pytest
 
+from repro.app.client import ApplicationClient
 from repro.app.fluid import FluidClient, FluidServer
 from repro.app.runtime import AppRuntime
 from repro.app.scatter import ScatterGatherClient
 from repro.app.server import ApplicationServer
 from repro.apps.kvstore import KVStoreApp
+from repro.apps.zippydb import ZippyDBApp
+from repro.baselines import PinnedAllocator, ring_placement
+from repro.baselines.consistent_hashing import ConsistentHashRing
 from repro.chaos.fuzz import FuzzConfig
-from repro.cluster.twine import TwineConfig
+from repro.chaos.fuzz.mutators import seed_specs
+from repro.cluster.maintenance import MaintenanceSchedule
+from repro.cluster.topology import build_topology
+from repro.cluster.twine import Twine, TwineConfig
+from repro.coordination.zookeeper import ZooKeeper
+from repro.core.allocator import Allocator
+from repro.core.migration import MigrationExecutor
+from repro.core.mini_sm import plan_partition_footprints
+from repro.core.orchestrator import OrchestratorConfig
 from repro.core.shard_scaler import ShardScalerConfig
-from repro.experiments.skew_lb import SkewParams
-from repro.metrics import Histogram, MetricsRegistry
+from repro.core.spec import uniform_shards
+from repro.discovery.router import ServiceRouter
+from repro.discovery.service_discovery import ServiceDiscovery
+from repro.experiments import (
+    adevents_capacity,
+    demographics,
+    fig01_planned_events,
+    fig02_adoption,
+    fig17_availability,
+    fig18_production_upgrades,
+    fig19_geo_failover,
+    fig20_appshard_dbshard,
+    fig21_solver_scale,
+    fig22_solver_opt,
+    fig23_continuous_lb,
+    fluid_scale,
+    scale,
+    skew_lb,
+)
+from repro.experiments.common import series_rows
+from repro.harness import SimCluster
+from repro.metrics import Counter, Histogram, MetricsRegistry, Profiler
 from repro.obs import Observability
-from repro.sim.engine import every
+from repro.sim.engine import Engine, every
+from repro.sim.fluid import mgk_wait
 from repro.sim.network import LatencyModel, Network
+from repro.sim.rng import skewed_loads
+from repro.solver.goals import UtilizationGoal
 from repro.solver.local_search import SearchConfig
+from repro.workloads.fleet import adoption_curve
+from repro.workloads.load import ZipfKeySampler, mean_rate
+from repro.workloads.snapshots import attach_zippydb_goals, zippydb_snapshot
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SOURCES = {path.relative_to(SRC).as_posix(): path.read_text()
@@ -193,8 +232,8 @@ REMOVED_OPTIONS = [
     (SearchConfig, "allow_swaps"),
     (SearchConfig, "max_replicas_per_server"),
     (SearchConfig, "trace_interval"),
-    (SkewParams, "sample_interval"),
-    (SkewParams, "shift_at"),
+    (skew_lb.run_arm, "sample_interval"),
+    (skew_lb.run_arm, "shift_at"),
     (KVStoreApp, "external_store"),
     (ScatterGatherClient, "prefer_primary"),
     (TwineConfig, "container_stop_duration"),
@@ -207,12 +246,126 @@ REMOVED_OPTIONS = [
     (every, "rng"),
     (Histogram, "bounds"),
     (MetricsRegistry().histogram, "bounds"),
+    # One value in every traffic run (``make traffic``'s option table).
+    (Engine.set_tracer, "sample_every"),
+    (mgk_wait, "cv_arrival2"),
+    (mgk_wait, "cv_service2"),
+    (LatencyModel, "jitter_fraction"),
+    (Network, "loss_probability"),
+    (skewed_loads, "skew"),
+    (ZooKeeper.create, "make_parents"),
+    (ZooKeeper.get, "watch"),
+    (ZooKeeper.set, "expected_version"),
+    (ZooKeeper.delete, "recursive"),
+    (Twine, "machine_network_hook"),
+    (Twine.create_job, "machine_filter"),
+    (Twine.create_job, "start_immediately"),
+    (Twine.submit_op, "target_machine_id"),
+    (Twine.fail_region, "cause"),
+    (Twine.repair_region, "cause"),
+    (build_topology, "datacenters_per_region"),
+    (build_topology, "racks_per_datacenter"),
+    (MaintenanceSchedule, "upgrade_interval"),
+    (MaintenanceSchedule, "maintenance_interval"),
+    (MaintenanceSchedule, "maintenance_duration"),
+    (MaintenanceSchedule, "upgrade_concurrency_fraction"),
+    (MaintenanceSchedule, "restart_duration"),
+    (Allocator.emergency_plan, "load_of"),
+    (PinnedAllocator.emergency_plan, "load_of"),
+    (MigrationExecutor, "rpc_timeout"),
+    (OrchestratorConfig, "rpc_timeout"),
+    (OrchestratorConfig, "rebalance_enabled"),
+    (plan_partition_footprints, "max_replicas_per_partition"),
+    (uniform_shards, "prefix"),
+    (ServiceRouter.start_request, "method"),
+    (ServiceDiscovery.subscribe, "delay"),
+    (ApplicationClient.run_workload, "payload"),
+    (ScatterGatherClient, "leg_stride"),
+    (ZippyDBApp, "rpc_timeout"),
+    (ConsistentHashRing, "virtual_nodes"),
+    (ring_placement, "virtual_nodes"),
+    (seed_specs, "extra_random"),
+    (SimCluster.build, "latency"),
+    (Profiler().add, "calls"),
+    (Profiler().to_trace, "track"),
+    (Counter().add, "count"),
+    (UtilizationGoal, "weight"),
+    (SearchConfig, "move_budget"),
+    (zippydb_snapshot, "mean_utilization"),
+    (zippydb_snapshot, "load_skew"),
+    (zippydb_snapshot, "capacity_heterogeneity"),
+    (zippydb_snapshot, "randomize_assignment"),
+    (attach_zippydb_goals, "utilization_threshold"),
+    (attach_zippydb_goals, "balance_band"),
+    (adoption_curve, "final_machines"),
+    (adoption_curve, "midpoint_year"),
+    (adoption_curve, "steepness"),
+    (ZipfKeySampler, "offset"),
+    (mean_rate, "samples"),
+    (series_rows, "time_label"),
+    (series_rows, "max_rows"),
+    # An experiment's set-up: a module constant beside its run().
+    (adevents_capacity.run, "regional_copies"),
+    (adevents_capacity.run, "shards"),
+    (adevents_capacity.run, "load_skew"),
+    (adevents_capacity.run, "mean_shard_load"),
+    (adevents_capacity.run, "server_capacity"),
+    (adevents_capacity.run, "target_utilization"),
+    (demographics.run, "app_count"),
+    (fig01_planned_events.run, "machine_mtbf_days"),
+    (fig01_planned_events.run, "repair_minutes"),
+    (fig02_adoption.run, "app_count"),
+    (fig17_availability.run_arm, "epoch"),
+    (fig18_production_upgrades.run, "base_rate"),
+    (fig18_production_upgrades.run, "peak_rate"),
+    (fig18_production_upgrades.run, "canary_fraction"),
+    (fig18_production_upgrades.run, "epoch"),
+    (fig19_geo_failover.run, "replica_count"),
+    (fig19_geo_failover.run, "failure_time"),
+    (fig19_geo_failover.run, "recovery_time"),
+    (fig19_geo_failover.run, "horizon"),
+    (fig19_geo_failover.run, "bucket"),
+    (fig20_appshard_dbshard.run, "shard_count"),
+    (fig20_appshard_dbshard.run, "servers_per_region"),
+    (fig20_appshard_dbshard.run, "batch_times"),
+    (fig20_appshard_dbshard.run, "batch_size"),
+    (fig20_appshard_dbshard.run, "horizon"),
+    (fig20_appshard_dbshard.run, "sample_interval"),
+    (fig21_solver_scale.run, "time_budget"),
+    (fig22_solver_opt.run, "time_budget"),
+    (fig23_continuous_lb.run, "replica_count"),
+    (fig23_continuous_lb.run, "day_length"),
+    (fig23_continuous_lb.run, "mean_utilization"),
+    (fig23_continuous_lb.run, "sample_interval"),
+    (fluid_scale.run, "users"),
+    (fluid_scale.run, "shards"),
+    (fluid_scale.run, "servers_per_region"),
+    (fluid_scale.run, "regions"),
+    (fluid_scale.run, "day_length"),
+    (fluid_scale.run, "days"),
+    (fluid_scale.run, "epoch"),
+    (fluid_scale.run, "rate_per_user"),
+    (scale.run, "app_count"),
+    (scale.run, "max_replicas_per_partition"),
+    (scale.run, "replicas_per_mini_sm"),
+    (skew_lb.run_arm, "params"),
+    (skew_lb.run, "params"),
 ]
+
+
+def _label(target) -> str:
+    """``Class.method`` / ``function``; an experiment's ``run`` is named
+    with its module, since every figure has one."""
+    name = getattr(target, "__qualname__", target)
+    module = getattr(target, "__module__", "")
+    if module.startswith("repro.experiments."):
+        return f"{module.rsplit('.', 1)[1]}.{name}"
+    return name
 
 
 @pytest.mark.parametrize(
     "target, name", REMOVED_OPTIONS,
-    ids=[f"{getattr(t, '__qualname__', t)}-{n}" for t, n in REMOVED_OPTIONS])
+    ids=[f"{_label(t)}-{n}" for t, n in REMOVED_OPTIONS])
 def test_removed_option_is_a_type_error(target, name):
     # An unexpected keyword is rejected while the call is bound, before
     # any missing positional argument is looked at.

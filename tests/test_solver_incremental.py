@@ -82,7 +82,7 @@ def build_problem(num_servers=9, num_shards=8, replicas_per_shard=3,
 GOAL_FACTORIES = {
     "capacity": lambda p: CapacityGoal(p, CapacitySpec(metric="cpu")),
     "utilization": lambda p: UtilizationGoal(
-        p, UtilizationSpec(metric="cpu", threshold=0.6), weight=1.0),
+        p, UtilizationSpec(metric="cpu", threshold=0.6)),
     "balance-global": lambda p: BalanceGoal(
         p, BalanceSpec(metric="cpu", band=0.05), weight=1.0),
     "balance-region": lambda p: BalanceGoal(

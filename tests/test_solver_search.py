@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.solver import local_search
 from repro.solver.api import Rebalancer
 from repro.solver.local_search import (BASELINE, OPTIMIZED, TRACE_INTERVAL,
                                        LocalSearch, SearchConfig)
@@ -31,7 +32,7 @@ def lb_problem(num_servers=20, num_replicas=200, seed=1,
         for i in range(num_servers)
     ]
     mean = mean_utilization * 100.0 * num_servers / num_replicas
-    loads = skewed_loads(rng, num_replicas, skew=10.0, mean=mean)
+    loads = skewed_loads(rng, num_replicas, mean=mean)
     replicas = [
         ReplicaInfo(name=f"r{i}", shard=f"sh{i // replicas_per_shard}",
                     load=(loads[i],))
@@ -108,11 +109,11 @@ class TestConvergence:
 
 
 class TestBudgets:
-    def test_move_budget_respected(self):
+    def test_move_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(local_search, "MOVE_BUDGET", 5)
         problem = lb_problem()
         rebalancer = standard_rebalancer(problem)
-        result = rebalancer.solve(SearchConfig(time_budget=20.0,
-                                               move_budget=5))
+        result = rebalancer.solve(SearchConfig(time_budget=20.0))
         assert result.moves + result.swaps <= 5
 
     def test_time_budget_respected(self):
@@ -207,15 +208,15 @@ class TestRebalancerApi:
 
 class TestStops:
     @pytest.mark.parametrize("budget", [0, 3])
-    def test_move_budget_stops_the_search_exactly(self, budget):
-        """``move_budget`` is a count, not a clock: the search stops on
+    def test_move_budget_stops_the_search_exactly(self, budget, monkeypatch):
+        """``MOVE_BUDGET`` is a count, not a clock: the search stops on
         the move that reaches it (between two hot servers for 3, before
         the first round for 0) and does not report a time-out."""
+        monkeypatch.setattr(local_search, "MOVE_BUDGET", budget)
         problem = lb_problem()
         before = list(problem.assignment)
         rebalancer = standard_rebalancer(problem)
-        result = rebalancer.solve(SearchConfig(time_budget=20.0,
-                                               move_budget=budget))
+        result = rebalancer.solve(SearchConfig(time_budget=20.0))
         assert result.moves + result.swaps == budget
         assert result.timed_out is False
         assert result.final_violations > 0          # it was not done

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (ACTIONS, Expectations, FaultAction, ScenarioSpec,
                          SpecValidationError, all_scenarios, dump_spec,
                          load_spec, spec_fingerprint, validate_spec)
 from repro.chaos.fuzz.mutators import revert_span
-from repro.chaos.scenario import duration_of, param_of
+from repro.chaos.scenario import EXPECTATION_FIELDS, duration_of, param_of
 
 
 def small_spec(**overrides):
@@ -227,7 +229,8 @@ MALFORMED = [
      "'failover_bound' must be a number or null"),
     (_doc(expectations={"availability_bound": True}),
      "'availability_bound' must be a number or null"),
-    (_doc(expectations={"final_ready_min": "most"}), "could not convert"),
+    (_doc(expectations={"final_ready_min": "most"}),
+     "must be a number, got 'most'"),
     # validate_spec: degenerate scenario scalars, named before any
     # engine exists.
     (_doc(duration=NAN, actions=[]), "duration must be finite"),
@@ -257,6 +260,26 @@ MALFORMED = [
     (_doc(actions=[{"at": 1.0, "kind": "crash_burst",
                     "params": {"mtbf": INF}}]),
      "param 'mtbf' must be finite"),
+    # Expectations: the type in from_dict, the range in validate_spec
+    # (scenario.EXPECTATION_FIELDS).
+    (_doc(expectations={"final_ready_min": None}),
+     "'final_ready_min' must be a number, got None"),
+    (_doc(expectations={"final_ready_min": True}),
+     "'final_ready_min' must be a number, got True"),
+    (_doc(expectations={"final_ready_min": NAN}),
+     "expectations final_ready_min must be finite"),
+    (_doc(expectations={"final_ready_min": 7}),
+     "expectations final_ready_min must be <= 1.0"),
+    (_doc(expectations={"final_ready_min": -0.1}),
+     "expectations final_ready_min must be >= 0.0"),
+    (_doc(expectations={"availability_bound": -1}),
+     "expectations availability_bound must be >= 0.0"),
+    (_doc(expectations={"availability_bound": INF}),
+     "expectations availability_bound must be finite"),
+    (_doc(expectations={"failover_bound": -5.0}),
+     "expectations failover_bound must be >= 0.0"),
+    (_doc(expectations={"failover_bound": INF}),
+     "expectations failover_bound must be finite"),
 ]
 
 
@@ -290,3 +313,51 @@ def test_probe_is_a_known_kind():
     action = FaultAction.from_dict(
         {"at": 5.0, "kind": "probe", "params": {"check": "ready_fraction"}})
     assert action.kind in ACTIONS
+
+
+# -- arbitrary JSON -------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.just(10 ** 400),                 # a JSON number no double holds
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=5), children,
+                                        max_size=3)),
+    max_leaves=6)
+SPEC_KEYS = sorted(small_spec().to_dict()) + ["bogus"]
+
+
+@st.composite
+def json_specs(draw):
+    """A valid spec's JSON with any of its fields — or its expectations'
+    or its action's — replaced by arbitrary JSON."""
+    document = small_spec().to_dict()
+    document.update(draw(st.dictionaries(st.sampled_from(SPEC_KEYS),
+                                         JSON_VALUES, max_size=3)))
+    if isinstance(document.get("expectations"), dict) and draw(st.booleans()):
+        document["expectations"] = dict(document["expectations"], **draw(
+            st.dictionaries(st.sampled_from(sorted(EXPECTATION_FIELDS)),
+                            JSON_VALUES, min_size=1, max_size=2)))
+    if isinstance(document.get("actions"), list) and draw(st.booleans()):
+        action = dict({"at": 30.0, "kind": "crash_machine"}, **draw(
+            st.dictionaries(st.sampled_from(["at", "kind", "duration",
+                                             "params", "when"]),
+                            JSON_VALUES | st.sampled_from(sorted(ACTIONS)),
+                            min_size=1, max_size=2)))
+        document["actions"] = [action]
+    return document
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=json_specs())
+def test_any_json_document_validates_or_is_a_value_error(document):
+    """Parsing then validating arbitrary JSON ends in a spec that
+    validates (and round-trips) or in a ``ValueError`` — which is what
+    ``load_spec`` turns into the one-line ``SpecValidationError`` the
+    scripts print — never in another exception."""
+    try:
+        spec = validate_spec(ScenarioSpec.from_dict(document))
+    except ValueError:
+        return
+    assert validate_spec(ScenarioSpec.from_dict(spec.to_dict())) == spec

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.cluster.topology import (
+    DATACENTERS_PER_REGION,
+    RACKS_PER_DATACENTER,
     Machine,
     Topology,
     build_topology,
@@ -49,12 +51,11 @@ class TestBuildTopology:
         assert len(topology.in_region("FRC")) == 10
 
     def test_fault_domain_structure(self):
-        topology = build_topology(["FRC"], machines_per_region=16,
-                                  datacenters_per_region=2,
-                                  racks_per_datacenter=4)
+        topology = build_topology(["FRC"], machines_per_region=16)
         machines = topology.in_region("FRC")
-        assert len({m.datacenter for m in machines}) == 2
-        assert len({m.rack for m in machines}) == 8
+        assert len({m.datacenter for m in machines}) == DATACENTERS_PER_REGION
+        assert len({m.rack for m in machines}) == (
+            DATACENTERS_PER_REGION * RACKS_PER_DATACENTER)
 
     def test_capacity_jitter_bounds(self):
         topology = build_topology(["FRC"], machines_per_region=50,

@@ -128,24 +128,13 @@ class TestNegotiation:
         engine, twine = make_twine()
         containers = twine.create_job("web", 2)
         engine.run(until=30.0)
-        twine.submit_op(OpKind.STOP, containers[0], OpReason.MANUAL)
-        engine.run(until=60.0)
+        twine.submit_op(OpKind.RESTART, containers[0], OpReason.MANUAL)
+        engine.run(until=36.0)   # negotiated at 35 s, stopping for 2 s
         assert twine.container_stops_planned == 1
-        assert containers[0].state is ContainerState.STOPPED
-
-    def test_move_relocates_container(self):
-        engine, twine = make_twine(machines=3)
-        containers = twine.create_job("web", 1)
-        engine.run(until=30.0)
-        original = containers[0].machine.machine_id
-        target = next(m for m in twine.machines
-                      if m.machine_id != original)
-        twine.submit_op(OpKind.MOVE, containers[0], OpReason.MANUAL,
-                        target_machine_id=target.machine_id)
-        engine.run(until=120.0)
-        assert containers[0].machine.machine_id == target.machine_id
+        assert containers[0].state is ContainerState.STOPPING
+        engine.run(until=60.0)
         assert containers[0].running
-        assert containers[0].moves == 1
+        assert twine.container_stops_unplanned == 0
 
 
 class TestFailures:
@@ -222,9 +211,9 @@ class TestMaintenance:
         engine = Engine()
         topology = build_topology(["FRC"], machines_per_region=2)
         hook_calls = []
-        twine = Twine(engine, "FRC", topology.machines,
-                      machine_network_hook=lambda mid, up: hook_calls.append(
-                          (mid, up)))
+        twine = Twine(engine, "FRC", topology.machines)
+        twine.set_machine_network_hook(
+            lambda mid, up: hook_calls.append((mid, up)))
         containers = twine.create_job("web", 1)
         engine.run(until=30.0)
         machine_id = containers[0].machine.machine_id

@@ -33,12 +33,8 @@ class TestNamespace:
         zk.create("/a", data=1)
         assert zk.get("/a") == 1
 
-    def test_create_nested_requires_parents(self, zk):
-        with pytest.raises(NoNodeError):
-            zk.create("/a/b/c")
-
     def test_make_parents(self, zk):
-        zk.create("/a/b/c", data="deep", make_parents=True)
+        zk.create("/a/b/c", data="deep")
         assert zk.get("/a/b/c") == "deep"
         assert zk.children("/a") == ["b"]
 
@@ -66,10 +62,12 @@ class TestNamespace:
         assert not zk.exists("/a")
 
     def test_delete_nonempty_requires_recursive(self, zk):
-        zk.create("/a/b", make_parents=True)
+        """A node with children cannot be deleted; they go first."""
+        zk.create("/a/b")
         with pytest.raises(NotEmptyError):
             zk.delete("/a")
-        zk.delete("/a", recursive=True)
+        zk.delete("/a/b")
+        zk.delete("/a")
         assert not zk.exists("/a")
 
     def test_children_sorted(self, zk):
@@ -83,13 +81,6 @@ class TestNamespace:
         assert zk.set("/a", 2) == 1
         assert zk.set("/a", 3) == 2
         assert zk.get("/a") == 3
-
-    def test_compare_and_set(self, zk):
-        zk.create("/a", data=1)
-        zk.set("/a", 2, expected_version=0)
-        with pytest.raises(ZkError):
-            zk.set("/a", 3, expected_version=0)
-
 
 class TestSessionsAndEphemerals:
     def test_ephemeral_requires_session(self, zk):
@@ -145,7 +136,7 @@ class TestWatches:
     def test_data_watch_fires_once(self, engine, zk):
         zk.create("/a", data=1)
         events = []
-        zk.get("/a", watch=events.append)
+        zk.exists("/a", watch=events.append)
         zk.set("/a", 2)
         zk.set("/a", 3)
         engine.run()
@@ -162,7 +153,7 @@ class TestWatches:
     def test_delete_fires_node_watch(self, engine, zk):
         zk.create("/a")
         events = []
-        zk.get("/a", watch=events.append)
+        zk.exists("/a", watch=events.append)
         zk.delete("/a")
         engine.run()
         assert events[0].type is WatchEventType.DELETED
@@ -177,7 +168,7 @@ class TestWatches:
         assert events[0].path == "/dir/kid"
 
     def test_child_watch_on_remove(self, engine, zk):
-        zk.create("/dir/kid", make_parents=True)
+        zk.create("/dir/kid")
         events = []
         zk.children("/dir", watch=events.append)
         zk.delete("/dir/kid")
@@ -204,7 +195,7 @@ class TestWatches:
     def test_watch_delivery_is_async(self, engine, zk):
         zk.create("/a", data=1)
         events = []
-        zk.get("/a", watch=events.append)
+        zk.exists("/a", watch=events.append)
         zk.set("/a", 2)
         assert events == []  # not yet delivered
         engine.run()
@@ -212,14 +203,14 @@ class TestWatches:
 
 
 class TestImplicitParentWatches:
-    """create(make_parents=True) must treat implicit parents as real
+    """create must treat implicit parents as real
     creations: CREATED on the new path, CHILD_ADDED on its parent.
     Silently materialising them left exists-watches armed forever."""
 
     def test_implicit_parent_fires_created_watch(self, engine, zk):
         events = []
         assert not zk.exists("/a/b", watch=events.append)
-        zk.create("/a/b/c", make_parents=True)
+        zk.create("/a/b/c")
         engine.run()
         assert [e.type for e in events] == [WatchEventType.CREATED]
         assert events[0].path == "/a/b"
@@ -228,7 +219,7 @@ class TestImplicitParentWatches:
         zk.create("/a")
         events = []
         zk.children("/a", watch=events.append)
-        zk.create("/a/b/c", make_parents=True)
+        zk.create("/a/b/c")
         engine.run()
         assert events[0].type is WatchEventType.CHILD_ADDED
         assert events[0].path == "/a/b"
@@ -236,13 +227,12 @@ class TestImplicitParentWatches:
     def test_orchestrator_bootstrap_pattern(self, engine, zk):
         """The orchestrator arms an exists-watch on the servers root
         before any server registers; the first server's
-        make_parents=True liveness create must wake it."""
+        liveness create (which makes the root) must wake it."""
         root = "/sm/app/servers"
         events = []
         session = zk.create_session()
         assert not zk.exists(root, watch=events.append)
-        zk.create(f"{root}/server1", ephemeral=True, session=session,
-                  make_parents=True)
+        zk.create(f"{root}/server1", ephemeral=True, session=session)
         engine.run()
         assert [e.type for e in events] == [WatchEventType.CREATED]
         assert events[0].path == root
@@ -259,41 +249,8 @@ class TestEphemeralConstraints:
         session = zk.create_session()
         zk.create("/e", ephemeral=True, session=session)
         with pytest.raises(NoChildrenForEphemeralsError):
-            zk.create("/e/a/b", make_parents=True)
+            zk.create("/e/a/b")
         assert not zk.exists("/e/a")
-
-
-class TestRecursiveDeleteWatches:
-    def test_descendants_fire_deleted_watches(self, engine, zk):
-        zk.create("/a/b/c", make_parents=True)
-        zk.create("/a/d", make_parents=True)
-        deleted = []
-        for path in ("/a/b", "/a/b/c", "/a/d"):
-            zk.get(path, watch=deleted.append)
-        zk.delete("/a", recursive=True)
-        engine.run()
-        assert sorted(e.path for e in deleted) == ["/a/b", "/a/b/c", "/a/d"]
-        assert all(e.type is WatchEventType.DELETED for e in deleted)
-
-    def test_descendants_fire_child_removed_depth_first(self, engine, zk):
-        zk.create("/a/b/c", make_parents=True)
-        removed = []
-        zk.children("/a/b", watch=removed.append)
-        zk.children("/a", watch=removed.append)
-        zk.delete("/a", recursive=True)
-        engine.run()
-        # Depth-first: /a/b loses c before /a loses b.
-        assert [e.path for e in removed] == ["/a/b/c", "/a/b"]
-        assert all(e.type is WatchEventType.CHILD_REMOVED for e in removed)
-
-    def test_no_armed_watches_leak(self, engine, zk):
-        zk.create("/a/b/c", make_parents=True)
-        zk.get("/a/b/c", watch=lambda e: None)
-        zk.children("/a/b", watch=lambda e: None)
-        zk.delete("/a", recursive=True)
-        engine.run()
-        assert "/a/b/c" not in zk._watches
-        assert "/a/b" not in zk._child_watches
 
 
 class TestSessionKillSemantics:
@@ -313,7 +270,7 @@ class TestSessionKillSemantics:
         session = zk.create_session(timeout=1000.0)
         zk.create("/e", ephemeral=True, session=session)
         events = []
-        zk.get("/e", watch=events.append)
+        zk.exists("/e", watch=events.append)
         assert zk.expire_session(session.session_id)
         assert session.expired
         assert not zk.exists("/e")
@@ -403,7 +360,8 @@ class TestSessionEphemeralBookkeeping:
         session = zk.create_session(timeout=5.0)
         zk.create("/dir")
         zk.create("/dir/e", ephemeral=True, session=session)
-        zk.delete("/dir", recursive=True)
+        zk.delete("/dir/e")
+        zk.delete("/dir")
         zk.create("/dir")
         zk.create("/dir/e", data="unrelated")
         engine.run(until=10.0)
@@ -531,8 +489,7 @@ def _client_lifetime(leased, origin, interval, timeout, stop, churn):
             session = zk.create_session(timeout)
         index = len(sessions)
         sessions.append(session)
-        zk.create(f"/live/{index}", ephemeral=True, session=session,
-                  make_parents=True)
+        zk.create(f"/live/{index}", ephemeral=True, session=session)
         zk.exists(f"/live/{index}",
                   watch=lambda _e: expiries.append((index, engine.now)))
 
