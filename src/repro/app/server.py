@@ -59,9 +59,10 @@ class HostedShard:
 
 
 class LoadReport:
-    """One server's answer to ``sm.report_load``: the requests each hosted
-    shard served over ``elapsed`` seconds, plus the application's static
-    metrics per shard (``None`` when the app supplies none).
+    """One server's answer to ``sm.report_load``, read by the orchestrator
+    at a poll tick: the requests each hosted shard served over ``elapsed``
+    seconds, plus the application's static metrics per shard (``None``
+    when the app supplies none).
 
     A snapshot, read like the mapping ``shard_id -> load vector``: the
     vector (``request_rate``, ``shard_count``, then the static metrics on
@@ -79,9 +80,6 @@ class LoadReport:
 
     def __contains__(self, shard_id: str) -> bool:
         return shard_id in self.served
-
-    def __len__(self) -> int:
-        return len(self.served)
 
     def __getitem__(self, shard_id: str) -> Dict[str, float]:
         load = {"request_rate": self.served[shard_id] / self.elapsed,
@@ -296,7 +294,11 @@ class ApplicationServer:
     def _rpc_report_load(self, _payload: Any) -> LoadReport:
         """Snapshot the per-shard served counts (and any application-
         supplied static metrics, evaluated now, once per hosted shard, in
-        hosted order) into a :class:`LoadReport`, and zero the counters."""
+        hosted order) into a :class:`LoadReport`, and zero the counters.
+
+        The one place a report is built.  The orchestrator's poll tick
+        runs it synchronously through ``Network.read``; a tick that cannot
+        reach this server does not run it, so the counts carry over."""
         now = self.engine.now
         elapsed = max(1e-9, now - self._last_report_time)
         self._last_report_time = now

@@ -53,19 +53,13 @@ class ServerRecord:
     alive: bool = True
     draining: bool = False
     expected_down_until: float = 0.0
-    #: The server's last ``sm.report_load`` answer (an
-    #: ``app.server.LoadReport``; ``{}`` before the first), read as
-    #: shard id -> load vector.
+    #: The server's ``sm.report_load`` answer at the last poll tick that
+    #: reached it (an ``app.server.LoadReport``; ``{}`` before the
+    #: first), read as shard id -> load vector.
     shard_loads: Any = field(default_factory=dict)
 
     def usable(self, now: float) -> bool:
         return self.alive and not self.draining and now >= self.expected_down_until
-
-    def load_reported(self, result) -> None:
-        """Completion of one ``sm.report_load`` poll (an ``RpcResult``);
-        a failed poll leaves the previous report standing."""
-        if result.ok:
-            self.shard_loads = result.value or {}
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Responsibilities, each mapped to the paper:
 
 * watch SM-library-created ephemeral ZooKeeper nodes to detect
   application-server joins and failures (§3.2);
-* collect per-shard load from application servers by direct RPC (§3.2);
+* collect per-shard load from application servers (§3.2) — a read of
+  each server's report at every poll tick, and only when some LB metric
+  needs one;
 * run the allocator in emergency mode when shards are unavailable and in
   periodic mode on a timer (§5.1), executing the resulting plan through
   the :class:`~repro.core.migration.MigrationExecutor`;
@@ -157,8 +159,11 @@ class Orchestrator:
         self._watch_servers()
         self._stoppers.append(every(
             self.engine, EMERGENCY_CHECK_INTERVAL, self._emergency_tick))
-        self._stoppers.append(every(
-            self.engine, self.config.load_poll_interval, self._poll_loads))
+        if self._unit_load is None:
+            # Some LB metric reads a report; shard count alone reads none.
+            self._stoppers.append(every(
+                self.engine, self.config.load_poll_interval,
+                self._poll_loads))
         self._stoppers.append(every(
             self.engine, self.config.rebalance_interval,
             self._rebalance_tick))
@@ -395,21 +400,33 @@ class Orchestrator:
     # -- load collection (§3.2, §5) ------------------------------------------------------
 
     def _poll_loads(self) -> None:
+        """Take every live server's ``sm.report_load`` answer as of this
+        tick.  A server the orchestrator cannot reach (down, or cut off by
+        a partition) keeps its previous report, and its counters run on
+        into the next report it does give."""
+        read = self.network.read
+        source = self.address
+        reached = missing = 0
         for address, record in self.servers.items():
             if record.alive:
-                self.network.rpc(self.address, address, "sm.report_load",
-                                 None, on_complete=record.load_reported)
-
-    def shard_loads_on(self, address: str):
-        """The last load report received from ``address``, by shard."""
-        record = self.servers.get(address)
-        return record.shard_loads if record is not None else {}
+                report = read(source, address, "sm.report_load")
+                if report is None:
+                    missing += 1
+                else:
+                    record.shard_loads = report
+                    reached += 1
+        if self._tracer.enabled:
+            self._tracer.instant(
+                "orchestrator", "load_poll", None,
+                {"app": self.spec.name, "reached": reached,
+                 "missing": missing})
 
     def load_of(self, replica: ReplicaAssignment) -> Tuple[float, ...]:
         """Replica load vector aligned with the spec's LB metrics."""
         if self._unit_load is not None:
             return self._unit_load
-        shard_report = self.shard_loads_on(replica.address).get(
+        record = self.servers.get(replica.address)
+        shard_report = (record.shard_loads if record is not None else {}).get(
             replica.shard_id, {})
         return tuple(
             1.0 if metric == "shard_count"

@@ -55,9 +55,15 @@ class ShardScaler:
         if orchestrator.spec.replication is ReplicationStrategy.PRIMARY_ONLY:
             raise ValueError(
                 "primary-only applications cannot scale replica counts")
+        self.config = config or ShardScalerConfig()
+        metrics = orchestrator.spec.lb_metrics
+        if self.config.metric not in metrics:
+            # The orchestrator collects only the loads its LB metrics read.
+            raise ValueError(f"scaling metric {self.config.metric!r} is not "
+                             f"one of the app's LB metrics {metrics!r}")
+        self._metric_index = metrics.index(self.config.metric)
         self.engine = engine
         self.orchestrator = orchestrator
-        self.config = config or ShardScalerConfig()
         self.stats = ShardScalerStats()
         self._stopper = None
         self._running = False
@@ -75,19 +81,9 @@ class ShardScaler:
     def shard_load(self, shard_id: str) -> float:
         """Aggregate measured load over a shard's ready replicas."""
         total = 0.0
-        metric_index = None
-        metrics = self.orchestrator.spec.lb_metrics
-        if self.config.metric in metrics:
-            metric_index = metrics.index(self.config.metric)
         for replica in self.orchestrator.table.replicas_of(shard_id):
-            if not replica.available:
-                continue
-            if metric_index is not None:
-                total += self.orchestrator.load_of(replica)[metric_index]
-            else:
-                report = self.orchestrator.shard_loads_on(replica.address)
-                total += float(report.get(shard_id, {}).get(
-                    self.config.metric, 0.0))
+            if replica.available:
+                total += self.orchestrator.load_of(replica)[self._metric_index]
         return total
 
     def _tick(self) -> None:

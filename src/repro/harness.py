@@ -66,6 +66,7 @@ class SimCluster:
         )
         network = Network(engine, latency=_latency_for(regions),
                           rng=substream(seed, "network"),
+                          control_rng=substream(seed, "network", "control"),
                           tracer=obs.tracer)
         if obs.enabled:
             engine.set_tracer(obs.tracer)

@@ -10,7 +10,10 @@ RPCs complete asynchronously: :meth:`Network.rpc` returns an
 caller passes ``on_complete`` and continues inside the event that settles
 the call; a generator process yields the call itself
 (``result = yield net.rpc(...)``) and is resumed, in an event of its own,
-once it has settled — at once if it already had.
+once it has settled — at once if it already had.  A caller that only
+needs the answer, now, and would do nothing with a failure but keep what
+it had (the orchestrator's load poll) uses :meth:`Network.read` instead:
+the handler runs synchronously if the endpoints can talk.
 
 The delivery machinery is allocation-lean: each RPC is one slotted
 :class:`RpcCall` whose bound methods serve as the scheduled callbacks, so
@@ -211,7 +214,7 @@ class RpcCall:
     """
 
     __slots__ = ("net", "src", "dst", "timeout", "start", "method",
-                 "payload", "req_latency", "trace_span", "result",
+                 "payload", "rng", "req_latency", "trace_span", "result",
                  "on_complete", "_waiters")
 
     def __init__(self, net: "Network", src: Optional[Endpoint],
@@ -322,7 +325,8 @@ class RpcCall:
 
     def _send_response(self, ok: bool, value: Any, error: str) -> None:
         net = self.net
-        latency = net.latency.sample(self.dst.region, self.src.region, net.rng)
+        latency = net.latency.sample(self.dst.region, self.src.region,
+                                     self.rng)
         if ok:
             # The completion time is known now, so the result object is
             # precomputed and the delivery callback just hands it over.
@@ -352,15 +356,23 @@ class Network:
 
     * ``set_endpoint_up(addr, False)`` — requests to/from it time out;
     * ``partition(region_a, region_b)`` — drop traffic between two regions.
+
+    Jitter comes from two streams: control-plane RPCs (``sm.*`` methods)
+    draw from ``control_rng``, everything else from ``rng``, so adding or
+    removing a control RPC leaves every data-plane latency draw where it
+    was.  Without ``control_rng`` both draw from ``rng``.
     """
 
     def __init__(self, engine: Engine,
                  latency: Optional[LatencyModel] = None,
                  rng: Optional[random.Random] = None,
+                 control_rng: Optional[random.Random] = None,
                  tracer=NO_TRACER) -> None:
         self.engine = engine
         self.latency = latency or LatencyModel()
         self.rng = rng or random.Random(0)
+        self.control_rng = control_rng or self.rng
+        self._stream_of: Dict[str, random.Random] = {}
         self.tracer = tracer
         #: Optional repro.obs Histogram fed with settled-RPC latency (ms);
         #: wired by the harness when observability is enabled.
@@ -470,7 +482,30 @@ class Network:
             engine.call_after(timeout, call.fail, "timeout")
             return call
 
-        request_latency = self.latency.sample(src.region, dst.region, self.rng)
+        # One stream per call, the response leg's too; memoised by method.
+        rng = self._stream_of.get(method)
+        if rng is None:
+            rng = self._stream_of[method] = (
+                self.control_rng if method.startswith("sm.") else self.rng)
+        call.rng = rng
+        request_latency = self.latency.sample(src.region, dst.region, rng)
         call.req_latency = request_latency
         engine.call_after(request_latency, call.deliver_request)
         return call
+
+    def read(self, src_address: str, dst_address: str, method: str) -> Any:
+        """Run ``dst_address``'s ``method`` handler now and return what it
+        returns, or ``None`` when the two endpoints could not talk (either
+        is unknown or down, or a partition cuts them apart).
+
+        A read is the synchronous twin of an RPC that would have reached
+        its destination: no latency, no events, no RNG draw, no ``net``
+        span, not counted in ``rpcs_sent``.
+        """
+        endpoints = self._endpoints
+        src = endpoints.get(src_address)
+        dst = endpoints.get(dst_address)
+        if (src is None or dst is None or not src.up or not dst.up
+                or self._partitioned(src.region, dst.region)):
+            return None
+        return dst.handle(method, None)

@@ -181,7 +181,6 @@ class TestRequests:
                {"key": 1, "shard_id": "shard0", "payload": {},
                 "forwarded": False})
         report = fx.rpc(server.address, "sm.report_load", None).value
-        assert len(report) == 2
         assert "shard0" in report and "shard1" in report
         assert report["shard0"] == report.get("shard0")
         assert report["shard0"]["request_rate"] > 0
@@ -202,7 +201,6 @@ class TestRequests:
         fx.rpc(server.address, "app.request",
                {"key": 1, "shard_id": "shard0", "payload": {},
                 "forwarded": False})
-        assert len(report) == 2
         assert "shard2" not in report and "shard1" in report
         assert {shard_id: report[shard_id]
                 for shard_id in ("shard0", "shard1")} == before

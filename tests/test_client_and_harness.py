@@ -7,7 +7,7 @@ import pytest
 from repro.app.client import ApplicationClient, WorkloadRecorder
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, every
 from repro.sim.failures import CrashInjector
 from repro.sim.rng import LOAD_SKEW, skewed_loads, substream
 
@@ -41,6 +41,47 @@ class TestSimCluster:
                          with_task_controller=False, settle=40.0)
         assert app.controller is None
         assert app.ready_fraction() == 1.0
+
+    @staticmethod
+    def _request_latencies(extra_control_rpcs):
+        cluster = SimCluster.build(regions=("FRC", "PRN"),
+                                   machines_per_region=4, seed=5)
+        spec = AppSpec(name="a", shards=uniform_shards(8, 80))
+        app = deploy_app(cluster, spec, {"FRC": 2, "PRN": 2}, settle=30.0)
+        network = cluster.network
+        send = network.rpc
+        latencies = []
+
+        def rpc(src, dst, method, payload=None, timeout=None,
+                on_complete=None):
+            call = send(src, dst, method, payload, timeout, on_complete)
+            if method == "app.request":
+                call.on_done(lambda result, start=call.start: latencies.append(
+                    (start, dst, result.ok, result.latency)))
+            return call
+
+        network.rpc = rpc
+        if extra_control_rpcs:
+            orchestrator = app.orchestrator
+
+            def ping():
+                for address in sorted(orchestrator.servers):
+                    rpc(orchestrator.address, address, "sm.ping")
+
+            every(cluster.engine, 0.7, ping)
+        client = app.client(cluster, "PRN")
+        client.run_workload(duration=40.0, rate=lambda t: 20.0,
+                            key_fn=lambda rng: rng.randrange(80),
+                            recorder=WorkloadRecorder.with_bucket(10.0))
+        cluster.run(until=cluster.engine.now + 45.0)
+        return latencies
+
+    def test_control_rpcs_leave_request_latencies_alone(self):
+        # Control RPCs draw jitter from their own stream, so adding (or
+        # removing) one moves no data-plane draw.
+        plain = self._request_latencies(False)
+        assert len(plain) > 500
+        assert self._request_latencies(True) == plain
 
 
 class TestClient:

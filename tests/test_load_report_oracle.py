@@ -14,7 +14,9 @@ sequences, with ``base_loads`` absent, pure and stateful, both servers
 must report the same dict per shard, give the same ``load_of`` tuple per
 replica under three metric sets, call ``base_loads`` once per hosted
 shard per report in hosted order, and an earlier report must not change
-when the server does.
+when the server does.  The new server's report is taken the way the
+orchestrator takes it: a poll tick (``Orchestrator._poll_loads``) that
+reads it through ``Network.read``.
 
 Mutation check (each applied alone to ``repro/app/server.py``; each
 fails ``test_same_reports_and_load_vectors`` within its budget and the
@@ -179,7 +181,9 @@ class World:
         calls_before = (len(self.new_base.calls)
                         if isinstance(self.new_base, StatefulBaseLoads) else 0)
         eager = self.old._rpc_report_load(None)
-        report = self.new._rpc_report_load(None)
+        poller = self.orchestrators[1]
+        poller._poll_loads()
+        report = poller.servers[self.new.address].shard_loads
         if isinstance(self.new_base, StatefulBaseLoads):
             # Once per hosted shard, now, in hosted order — before any read.
             assert self.new_base.calls[calls_before:] == [
@@ -189,7 +193,7 @@ class World:
         self.check(eager, report, hosted)
 
     def check(self, eager, report, hosted):
-        assert len(report) == len(eager) == len(hosted)
+        assert len(report.served) == len(eager) == len(hosted)
         for shard_id in SHARDS:
             assert (shard_id in report) == (shard_id in eager)
             assert report.get(shard_id) == eager.get(shard_id)
@@ -200,8 +204,8 @@ class World:
                 assert list(report[shard_id]) == list(eager[shard_id])
         address = self.new.address
         for orchestrator in self.orchestrators:
-            orchestrator.servers[address].load_reported(
-                SimpleNamespace(ok=True, value=report))
+            # What a poll tick that reached the server stores.
+            orchestrator.servers[address].shard_loads = report
             lb_metrics = orchestrator.spec.lb_metrics
             for shard_id in SHARDS:
                 replica = SimpleNamespace(address=address, shard_id=shard_id)

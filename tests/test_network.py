@@ -229,3 +229,69 @@ class TestAsyncReply:
         reply.complete(1)
         with pytest.raises(NetworkError):
             reply.complete(2)
+
+
+class TestRead:
+    def test_runs_the_handler_now_and_returns_its_value(self, engine,
+                                                          network):
+        _echo_server(network)
+        network.register("client", "PRN")
+        state = network.rng.getstate()
+        assert network.read("client", "server", "echo") == {"echo": None}
+        # No RPC, no event, no draw.
+        assert network.rpcs_sent == 0
+        assert engine.pending_events == 0
+        assert network.rng.getstate() == state
+
+    @pytest.mark.parametrize("cut", ["unknown source", "unknown destination",
+                                     "source down", "destination down",
+                                     "partition"])
+    def test_none_when_the_endpoints_cannot_talk(self, network, cut):
+        calls = []
+        network.register("server", "FRC").on("echo", calls.append)
+        network.register("client", "PRN")
+        src, dst = "client", "server"
+        if cut == "unknown source":
+            src = "nobody"
+        elif cut == "unknown destination":
+            dst = "nobody"
+        elif cut == "source down":
+            network.set_endpoint_up("client", False)
+        elif cut == "destination down":
+            network.set_endpoint_up("server", False)
+        else:
+            network.partition("FRC", "PRN")
+        assert network.read(src, dst, "echo") is None
+        assert calls == []  # the handler did not run
+
+
+class TestJitterStreams:
+    def _pair(self, engine, control_rng):
+        network = Network(engine, rng=random.Random(1),
+                          control_rng=control_rng)
+        for address in ("a", "b"):
+            endpoint = network.register(address, "FRC")
+            endpoint.on("app.request", lambda payload: payload)
+            endpoint.on("sm.ping", lambda payload: "pong")
+        return network
+
+    def test_control_rpcs_draw_from_their_own_stream(self, engine):
+        control = random.Random(2)
+        network = self._pair(engine, control)
+        data_state = network.rng.getstate()
+        network.rpc("a", "b", "sm.ping")
+        engine.run()
+        # Both legs of the control RPC drew from the control stream.
+        assert network.rng.getstate() == data_state
+        expected = random.Random(2)
+        for _leg in ("request", "response"):
+            expected.random()
+        assert control.getstate() == expected.getstate()
+        network.rpc("a", "b", "app.request")
+        engine.run()
+        assert network.rng.getstate() != data_state
+        assert control.getstate() == expected.getstate()
+
+    def test_without_a_control_stream_everything_shares_one(self, engine):
+        network = self._pair(engine, None)
+        assert network.control_rng is network.rng

@@ -157,6 +157,123 @@ class TestLoadCollection:
         replica = app.orchestrator.table.all_replicas()[0]
         assert app.orchestrator.load_of(replica) == (1.0,)
 
+    @pytest.mark.parametrize("lb_metrics", [("shard_count",),
+                                            ("request_rate", "shard_count")])
+    def test_a_poll_is_scheduled_only_where_a_metric_reads_it(self,
+                                                              lb_metrics):
+        def events(poll_interval):
+            cluster = SimCluster.build(regions=("FRC",),
+                                       machines_per_region=5, seed=11)
+            spec = AppSpec(name="app", shards=uniform_shards(6, 60),
+                           lb_metrics=lb_metrics)
+            deploy_app(cluster, spec, {"FRC": 3},
+                       orchestrator_config=OrchestratorConfig(
+                           load_poll_interval=poll_interval,
+                           rebalance_interval=1e9),
+                       settle=100.0)
+            return cluster.engine.processed_events
+
+        if lb_metrics == ("shard_count",):
+            # Nothing is armed, so the interval changes nothing.
+            assert events(1.0) == events(50.0)
+        else:
+            # 100 ticks against 2: each tick is one event.
+            assert events(1.0) - events(50.0) == 98
+
+    @pytest.mark.parametrize("cut", ["down", "partition"])
+    def test_an_unreachable_server_keeps_its_report_and_counts(self, cut):
+        cluster = SimCluster.build(regions=("FRC", "PRN"),
+                                   machines_per_region=5, seed=11)
+        spec = AppSpec(name="app", shards=uniform_shards(6, 60),
+                       lb_metrics=("request_rate", "shard_count"))
+        app = deploy_app(cluster, spec, {"PRN": 3},
+                         orchestrator_config=OrchestratorConfig(
+                             load_poll_interval=10.0, rebalance_interval=1e9),
+                         settle=35.0)  # ticks at 10, 20, 30
+        orchestrator = app.orchestrator
+        address = sorted(orchestrator.servers)[0]
+        record = orchestrator.servers[address]
+        server = app.runtime.servers[address]
+        shard_id = orchestrator.shards_on(address)[0]
+        report = record.shard_loads
+        assert shard_id in report
+        server.hosted(shard_id).requests_served = 7
+        if cut == "down":
+            cluster.network.set_endpoint_up(address, False)
+        else:
+            cluster.network.partition("FRC", "PRN")
+        cluster.run(until=45.0)  # the tick at 40 cannot reach it
+        assert record.alive
+        assert record.shard_loads is report
+        assert server.hosted(shard_id).requests_served == 7
+        if cut == "down":
+            cluster.network.set_endpoint_up(address, True)
+        else:
+            cluster.network.heal_partition("FRC", "PRN")
+        cluster.run(until=55.0)  # the tick at 50 reads 20 s of counts
+        assert record.shard_loads is not report
+        assert record.shard_loads[shard_id]["request_rate"] == 7 / 20.0
+        assert server.hosted(shard_id).requests_served == 0
+
+    @pytest.mark.parametrize("figure", ["skew_lb", "fig23"])
+    def test_load_reading_figures_get_a_report_every_tick(self, monkeypatch,
+                                                          figure):
+        from repro.core.orchestrator import Orchestrator
+        from repro.experiments import fig23_continuous_lb, skew_lb
+
+        ticks = []
+        poll = Orchestrator._poll_loads
+
+        def counted(self):
+            before = {address: record.shard_loads
+                      for address, record in self.servers.items()}
+            poll(self)
+            alive = [address for address, record in self.servers.items()
+                     if record.alive]
+            fresh = [address for address in alive
+                     if self.servers[address].shard_loads is not before[address]]
+            ticks.append((self.engine.now, len(alive), len(fresh)))
+
+        monkeypatch.setattr(Orchestrator, "_poll_loads", counted)
+        if figure == "skew_lb":
+            skew_lb.run_arm("sm", seed=1, duration=60.0)
+            interval, servers = 10.0, skew_lb.SERVERS
+        else:
+            fig23_continuous_lb.run(servers=8, shards=30, days=0.05)
+            interval, servers = 30.0, 8
+        assert len(ticks) >= 5
+        assert [time for time, _, _ in ticks] == [
+            interval * (index + 1) for index in range(len(ticks))]
+        assert all(fresh == alive for _, alive, fresh in ticks)
+        assert all(alive == servers for _, alive, _ in ticks[1:])
+
+    def test_each_tick_journals_who_it_reached(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        cluster = SimCluster.build(regions=("FRC", "PRN"),
+                                   machines_per_region=5, seed=11, obs=obs)
+        spec = AppSpec(name="app", shards=uniform_shards(6, 60),
+                       lb_metrics=("request_rate", "shard_count"))
+        app = deploy_app(cluster, spec, {"FRC": 2, "PRN": 3},
+                         orchestrator_config=OrchestratorConfig(
+                             load_poll_interval=10.0, rebalance_interval=1e9),
+                         settle=25.0)
+        cluster.network.partition("FRC", "PRN")
+        cluster.run(until=35.0)
+        polls = [(record.time, record.args) for record in obs.journal
+                 if record.track == "orchestrator"
+                 and record.name == "load_poll"]
+        app_args = {"app": app.spec.name}
+        assert [time for time, _args in polls] == [10.0, 20.0, 30.0]
+        # (The servers join between the first two ticks.)
+        assert polls[1:] == [(20.0, {**app_args, "reached": 5, "missing": 0}),
+                             (30.0, {**app_args, "reached": 2, "missing": 3})]
+        # A read is not an RPC: no net span carries the poll.
+        assert not any(record.track == "net"
+                       and record.name == "sm.report_load"
+                       for record in obs.journal)
+
 
 class TestTaskControllerCaps:
     def test_concurrent_ops_capped(self):

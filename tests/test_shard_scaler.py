@@ -37,6 +37,13 @@ class TestShardScaler:
         with pytest.raises(ValueError):
             ShardScaler(cluster.engine, app.orchestrator)
 
+    def test_rejects_a_metric_the_app_does_not_balance_on(self):
+        # Only an LB metric's loads are collected; any other would read 0.
+        cluster, app = scaled_app(load_per_shard=180.0)
+        with pytest.raises(ValueError, match="cpu"):
+            ShardScaler(cluster.engine, app.orchestrator,
+                        ShardScalerConfig(metric="cpu"))
+
     def test_scales_up_under_load(self):
         cluster, app = scaled_app(load_per_shard=180.0)
         scaler = ShardScaler(cluster.engine, app.orchestrator,

@@ -211,6 +211,59 @@ def test_comments_state_conditions_not_history():
     assert modules_matching(r"PR \d+|ISSUE \d+|ROADMAP item") == []
 
 
+ROOT = SRC.parent.parent
+#: Where the repository cites ROADMAP items and is expected to stay
+#: current: the standing documents and every code / config tree.
+#: CHANGES.md is a dated log and ``bench/`` has its own owner.
+CITING = ("DESIGN.md", "README.md", "EXPERIMENTS.md", "Makefile", "src",
+          "tests", "scripts", "benchmarks", "examples", ".github", ".claude")
+CITATION = re.compile(r"ROADMAP(?:\.md)?,?\s+items?\s+(\d+)((?:\([a-z]\))*)")
+
+
+def open_roadmap_items() -> dict:
+    """Item number -> its text, for every numbered item under ROADMAP.md's
+    "Open items" heading (an item runs until the next line that starts
+    in column 0)."""
+    text = (ROOT / "ROADMAP.md").read_text()
+    section = text.split("\n## Open items", 1)[1].split("\n## ", 1)[0]
+    items: dict = {}
+    current = None
+    for line in section.splitlines():
+        match = re.match(r"(\d+)\. ", line)
+        if match:
+            current = items.setdefault(int(match.group(1)), [])
+        elif line[:1] not in ("", " "):
+            current = None
+        if current is not None:
+            current.append(line)
+    return {number: "\n".join(lines) for number, lines in items.items()}
+
+
+def citing_files():
+    for name in CITING:
+        path = ROOT / name
+        if path.is_file():
+            yield path
+        elif path.is_dir():
+            yield from (p for p in sorted(path.rglob("*"))
+                        if p.suffix in (".py", ".md", ".yml", ".txt")
+                        and "__pycache__" not in p.parts)
+
+
+def test_roadmap_citations_name_open_items():
+    items = open_roadmap_items()
+    assert len(items) >= 5  # the parse found the list
+    stale = []
+    for path in citing_files():
+        for number, letters in CITATION.findall(path.read_text()):
+            body = items.get(int(number))
+            if body is None or any(f"({letter})" not in body
+                                   for letter in letters[1::3]):
+                stale.append(f"{path.relative_to(ROOT)}: "
+                             f"item {number}{letters}")
+    assert stale == []
+
+
 REMOVED_OPTIONS = [
     (FuzzConfig, "crossover_rate"),
     (FuzzConfig, "extra_random_seeds"),
