@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test fences traffic test-hashseeds bench figures fuzz-smoke profile trace-fig17
+.PHONY: test fences traffic test-hashseeds bench figures mutants profile trace-fig17
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -25,7 +25,7 @@ traffic:
 	$(PYTHON) tests/audit_traffic.py
 
 # Tier-1 under the three hash seeds of CI's `test` matrix: golden traces,
-# corpus digests and figure headlines must not depend on hash order.
+# library digests and figure headlines must not depend on hash order.
 test-hashseeds:
 	for seed in 0 1 7; do \
 		PYTHONHASHSEED=$$seed PYTHONPATH=$(PYTHONPATH) \
@@ -42,17 +42,12 @@ bench:
 figures:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q
 
-# Coverage-guided chaos fuzzing smoke: a fixed-seed, fixed-budget search
-# (budget counted in runs, so the search is deterministic), run TWICE by
-# --determinism-check — the corpus coverage-key set and every per-spec
-# journal digest must be bit-identical across the two searches.  Saves
-# the corpus and writes the coverage summary to fuzz_report.json (both
-# git-ignored).  Append extra flags via FUZZ_ARGS (e.g. `--budget 1000
-# --processes 4`).
-fuzz-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/run_fuzz.py \
-		--budget 300 --seed 42 --determinism-check \
-		--corpus-dir fuzz_corpus --output fuzz_report.json $(FUZZ_ARGS)
+# Would the oracles notice a wrong system?  Runs the library scenarios
+# and the golden traces under each seeded bug of tests/mutants.py and
+# prints the kill matrix (oracle / crash / pin columns); exits 1 if a
+# mutant tests/fixtures/kill_matrix.md marks as killed survives.
+mutants:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/mutants.py
 
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/profile_solver.py --factor 5 --point 2

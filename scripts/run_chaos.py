@@ -31,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.chaos import (SCENARIOS, SpecValidationError,  # noqa: E402
                          all_scenarios, load_spec)
 from repro.experiments import runner  # noqa: E402
-from repro.obs.coverage import coverage_summary  # noqa: E402
 
 
 def build_tasks(scenarios: List[str], arms: List[str], seed: int,
@@ -68,7 +67,7 @@ def main() -> int:
     parser.add_argument("--scenario", nargs="*", default=None,
                         help="specific scenario names to run, or "
                              "@path/to/spec.json for a file-defined "
-                             "scenario (bare spec or fuzz corpus entry)")
+                             "scenario")
     parser.add_argument("--arms", nargs="*", default=["sm", "baseline"],
                         choices=["sm", "baseline"],
                         help="ablation arms (default: both)")
@@ -155,8 +154,6 @@ def main() -> int:
                   f"faults={first['faults']} recovers={first['recovers']} "
                   f"ready={first['ready_fraction']:.2f} "
                   f"violations={len(violations)}")
-            print(f"     coverage: "
-                  f"{coverage_summary(frozenset(first.get('coverage', ())))}")
             if len(digests) > 1:
                 failures += 1
                 print(f"::error title=chaos determinism::{name}:{arm} "

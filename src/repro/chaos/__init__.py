@@ -10,8 +10,7 @@ from .library import SCENARIOS, all_scenarios, get
 from .scenario import (ACTIONS, ARMS, Expectations, FaultAction,
                        ScenarioResult, ScenarioRun, ScenarioSpec,
                        run_scenario)
-from .spec_io import (SpecValidationError, dump_spec, load_spec,
-                      spec_fingerprint, validate_spec)
+from .spec_io import SpecValidationError, load_spec, validate_spec
 
 __all__ = [
     "ACTIONS",
@@ -24,10 +23,8 @@ __all__ = [
     "ScenarioSpec",
     "SpecValidationError",
     "all_scenarios",
-    "dump_spec",
     "get",
     "load_spec",
     "run_scenario",
-    "spec_fingerprint",
     "validate_spec",
 ]

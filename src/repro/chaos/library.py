@@ -24,6 +24,13 @@ faults can go wrong:
   faster than the failover grace never drops a shard.  Deploy itself
   covers implicit parents: the orchestrator's child watch on the
   servers root must fire for nodes ``create`` makes as side effects.
+* ``compound_storm`` — an upgrade, two crash storms and a hot-shard
+  kill overlapping on a small two-region fleet: the one timeline that
+  reaches a crash deferred because its target is already down, a
+  graceful migration aborted at the forward step (``sm.prepare_drop_shard``
+  failed) and a router misroute.  It was distilled from a search over
+  the action vocabulary, so the behaviour at seed 0 — not the
+  storyline — is what it is kept for.
 
 Every scenario must pass with **zero** violations under both arms
 ("sm" and "baseline"), so expectation bounds are set to what the
@@ -227,6 +234,25 @@ _SPECS: List[ScenarioSpec] = [
         ),
         duration=420.0,
         expectations=Expectations(availability_bound=300.0),
+    ),
+    ScenarioSpec(
+        name="compound_storm",
+        title="A rolling upgrade races two crash storms and a hot-shard kill",
+        actions=(
+            _act(0.0, "rolling_upgrade", concurrency=3),
+            _act(30.0, "crash_burst", mtbf=35.0, repair=14.5),
+            _act(120.0, "crash_burst", 149.5, repair=29.5),
+            _act(220.0, "crash_hot_shard"),
+        ),
+        duration=300.0,
+        regions=("FRC", "PRN"),
+        machines_per_region=5,
+        servers_per_region=3,
+        shards=8,
+        request_rate=2.0,
+        settle=40.0,
+        expectations=Expectations(availability_bound=30.0,
+                                  failover_bound=60.0, final_ready_min=0.9),
     ),
 ]
 

@@ -353,7 +353,7 @@ class ScenarioResult:
     digest: str
     records: int
     #: Records the journal ring evicted.  Non-zero means every checker
-    #: and the coverage fingerprint saw a truncated trace.
+    #: saw a truncated trace.
     dropped: int
     violations: List[Dict[str, Any]]
     faults: int
@@ -361,9 +361,6 @@ class ScenarioResult:
     requests_sent: int
     requests_failed: int
     ready_fraction: float
-    #: Sorted coverage fingerprint of the run's merged journal plus its
-    #: violation signal (see :mod:`repro.obs.coverage`).
-    coverage: Tuple[str, ...] = ()
     #: :meth:`~repro.obs.tracer.Journal.behaviour_digest` of the same
     #: journal: stable across simulator-substrate changes.
     behaviour_digest: str = ""
@@ -377,8 +374,7 @@ class ScenarioResult:
                 "recovers": self.recovers,
                 "requests_sent": self.requests_sent,
                 "requests_failed": self.requests_failed,
-                "ready_fraction": self.ready_fraction,
-                "coverage": list(self.coverage)}
+                "ready_fraction": self.ready_fraction}
 
 
 # -- action executors ---------------------------------------------------------
@@ -393,8 +389,8 @@ def action(kind: str, duration: float = 0.0, **params: Param
     what its timeline entries may say: ``duration`` is how long the fault
     lasts when an entry gives none, ``params`` the entry's params by name.
     ``ACTIONS[kind](run, act)`` calls the executor with every param
-    resolved (:func:`param_of`) as a keyword; ``validate_spec`` and the
-    fuzzer's horizon fitting read the same table."""
+    resolved (:func:`param_of`) as a keyword; ``validate_spec`` reads
+    the same table."""
     def register(fn: Callable[..., None]) -> Callable[..., None]:
         def execute(run: "ScenarioRun", act: FaultAction) -> None:
             fn(run, act, **{name: param_of(run.spec, act, name)
@@ -859,8 +855,6 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
                  if r.track == "chaos" and r.name == "fault")
     recovers = sum(1 for r in journal
                    if r.track == "chaos" and r.name == "recover")
-    from ..obs.coverage import coverage_keys
-    coverage = tuple(sorted(coverage_keys(journal, violations)))
     return ScenarioResult(
         name=spec.name,
         arm=arm,
@@ -875,6 +869,5 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
         requests_sent=run.recorder.sent,
         requests_failed=run.recorder.failed,
         ready_fraction=run.app.ready_fraction(),
-        coverage=coverage,
         behaviour_digest=journal.behaviour_digest(),
     )

@@ -2,22 +2,14 @@
 
 ``ScenarioSpec.to_dict()`` / ``from_dict()`` (on the dataclasses) are
 the shape layer — field names, types, registered action kinds.  This
-module adds the file layer (:func:`load_spec` / :func:`dump_spec`) and
-the *schedulability* layer (:func:`validate_spec`): a spec can be
+module adds the file layer (:func:`load_spec`) and the
+*schedulability* layer (:func:`validate_spec`): a spec can be
 well-formed JSON and still be unrunnable (an action scheduled past the
-scenario end, a region target the harness never builds).  The fuzzer
-calls :func:`validate_spec` on every generated candidate, and the
-property tests assert that every mutator/crossover output passes it.
-
-The canonical JSON form is sorted-key, compact-separator JSON — the
-stable identity :func:`spec_fingerprint` hashes, from which the fuzzer
-derives per-spec run seeds and dedupes the corpus, so
-``(seed, spec JSON) -> journal digest`` has a well-defined left side.
+scenario end, a region target the harness never builds).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -25,8 +17,7 @@ from typing import Union
 
 from .scenario import ACTIONS, EXPECTATION_FIELDS, SCALAR_FIELDS, ScenarioSpec
 
-__all__ = ["SpecValidationError", "validate_spec", "load_spec",
-           "dump_spec", "spec_fingerprint"]
+__all__ = ["SpecValidationError", "validate_spec", "load_spec"]
 
 
 class SpecValidationError(ValueError):
@@ -92,44 +83,16 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
     return spec
 
 
-def spec_fingerprint(spec: ScenarioSpec) -> str:
-    """SHA-256 of the canonical JSON *minus* ``name``/``title`` — the
-    timeline identity the fuzzer uses for corpus dedupe and run-seed
-    derivation, so two identically-shaped candidates collide regardless
-    of the labels they were generated under."""
-    data = spec.to_dict()
-    data.pop("name", None)
-    data.pop("title", None)
-    return hashlib.sha256(json.dumps(data, sort_keys=True,
-                                     separators=(",", ":")).encode()
-                          ).hexdigest()
-
-
 def load_spec(path: Union[str, Path]) -> ScenarioSpec:
-    """Load, parse and validate a spec JSON file.
-
-    Corpus entry files (``{"spec": ..., "meta": ...}``) are accepted
-    too: the ``spec`` object is unwrapped so ``--replay`` works on both
-    bare specs and checked-in corpus entries.
-    """
+    """Load, parse and validate a spec JSON file."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as error:
         raise SpecValidationError(f"{path}: not valid JSON: {error}") \
             from None
-    if isinstance(data, dict) and "spec" in data and "name" not in data:
-        data = data["spec"]
     try:
         return validate_spec(ScenarioSpec.from_dict(data))
     except ValueError as error:     # shape or schedulability: name the file
         raise SpecValidationError(f"{path}: {error}") from None
 
-
-def dump_spec(spec: ScenarioSpec, path: Union[str, Path]) -> Path:
-    """Write a spec as readable JSON, creating parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(spec.to_dict(), indent=1, sort_keys=True)
-                    + "\n")
-    return path

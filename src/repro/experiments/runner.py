@@ -71,22 +71,6 @@ def chaos_task(scenario: str = "", arm: str = "sm", seed: int = 0,
     return headline
 
 
-def fuzz_eval_task(job: Dict[str, Any]) -> Dict[str, Any]:
-    """Evaluate one fuzz candidate in a worker process.
-
-    ``job`` is ``{"spec": ScenarioSpec.to_dict(), "arm", "seed",
-    "capacity"}``; the return value is :func:`repro.chaos.fuzz.engine.
-    evaluate_spec`'s plain dict, so the pool only ever pickles JSON-ish
-    payloads in both directions.
-    """
-    from repro.chaos import ScenarioSpec
-    from repro.chaos.fuzz.engine import evaluate_spec
-
-    spec = ScenarioSpec.from_dict(job["spec"])
-    return evaluate_spec(spec, job.get("arm", "sm"), job["seed"],
-                         job.get("capacity", 1 << 20))
-
-
 _FIGURE_TASK = f"{__name__}:figure_task"
 
 

@@ -43,14 +43,12 @@ from ..metrics.registry import MetricsRegistry
 from ..sim.engine import ENGINE_SAMPLE
 from . import trace_export
 from .checker import REQUIRED_PHASES, TraceChecker, Violation
-from .coverage import coverage_keys, coverage_summary, violation_invariants
 from .tracer import NO_TRACER, Journal, NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "Observability", "NO_OBS", "ENGINE_SAMPLE", "get_default", "use",
     "Tracer", "NullTracer", "NO_TRACER", "Journal", "TraceRecord",
     "TraceChecker", "Violation", "REQUIRED_PHASES", "trace_export",
-    "coverage_keys", "coverage_summary", "violation_invariants",
 ]
 
 

@@ -130,8 +130,9 @@ class SolveResult:
 
 
 #: Profile entries that stay off the journal's ``solver`` track: the
-#: golden traces, the chaos corpus and the benchmark's fingerprints pin a
-#: digest of that track, recorded before these entries existed.
+#: golden traces, the chaos library digests and the benchmark's
+#: fingerprints pin a digest of that track, recorded before these
+#: entries existed.
 UNJOURNALED_PROFILE_KEYS = frozenset({"setup", "equiv_keys"})
 
 

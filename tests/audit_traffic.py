@@ -5,9 +5,9 @@ option there runs with two values, or each is excused by name and reason.
 Run by ``make traffic`` and CI's ``traffic`` job (not collected by
 tier-1: the file name does not match ``test_*.py``).  It runs all the
 non-test traffic the repository has — the seven ``bench/worker.py``
-workloads, the figure suite, the experiment / chaos / fuzz / profile
-scripts and the five examples — each in a subprocess under the recorder
-of ``tests/traffic/sitecustomize.py``, which notes every function entered
+workloads, the figure suite, the experiment / chaos / profile scripts
+and the five examples — each in a subprocess under the recorder of
+``tests/traffic/sitecustomize.py``, which notes every function entered
 and the values every defaulted parameter and config-dataclass field ran
 with.  One run feeds two fences.  It fails when
 
@@ -49,7 +49,18 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 RECORDER = ROOT / "tests" / "traffic"
 TABLE = ROOT / "traffic_table.txt"
-CORPUS = sorted((ROOT / "tests" / "fixtures" / "chaos_corpus").glob("*.json"))
+#: The scenario ``run_chaos.py --scenario @file`` reads, at a second
+#: seed: a network-loss maintenance window on a primary-secondary app,
+#: the one timeline that reaches the section 4.2 demote-and-promote path.
+FILE_SPEC = {"name": "file_network_maintenance",
+             "title": "a network-loss maintenance window read from a file",
+             "actions": [{"at": 0.0, "duration": 60.0, "kind": "maintenance",
+                          "params": {"impact": "NETWORK_LOSS",
+                                     "notice": 30.0}}],
+             "duration": 150.0, "regions": ["FRC", "PRN"],
+             "replication": "primary_secondary", "replica_count": 2,
+             "machines_per_region": 5, "servers_per_region": 3,
+             "shards": 8, "request_rate": 2.0, "settle": 40.0}
 
 BENCH_WORKLOADS = ("upgrade_event", "skew_scatter", "chaos_traced",
                    "map_publish", "map_lookup", "solver_place",
@@ -89,9 +100,6 @@ ALLOW: List[Tuple[str, str]] = [
     ("sim/network.py::AsyncReply.fail",
      ERROR + "a deferred reply that ends in an error (caller down, "
      "ZippyDB without a quorum)"),
-    ("chaos/fuzz/engine.py::FuzzEngine._shrink_violation*",
-     ERROR + "what the fuzzer does with a violating candidate; no search "
-     "has produced one yet (ROADMAP item 4's mutants will)"),
     # -- checkers and their reports ---------------------------------------
     ("obs/checker.py::TraceChecker.check_shard_map",
      CHECKER + "published map against the journal"),
@@ -136,17 +144,6 @@ ALLOW: List[Tuple[str, str]] = [
     # -- formats ----------------------------------------------------------
     ("obs/trace_export.py::read_jsonl",
      FORMAT + "reads the JSONL journal --journal writes"),
-    ("chaos/fuzz/corpus.py::Corpus.load",
-     FORMAT + "reads the directory --corpus-dir writes"),
-    ("chaos/fuzz/corpus.py::CorpusEntry.from_dict",
-     FORMAT + "reads the entry files --corpus-dir writes"),
-    ("chaos/spec_io.py::dump_spec",
-     FORMAT + "writes the spec files --scenario @file and --replay read"),
-    # -- deployment -------------------------------------------------------
-    ("experiments/runner.py::fuzz_eval_task",
-     "deployment setting: the fuzzer's --processes > 0 path (pool workers "
-     "leave through os._exit, so the audit runs serial); same report as "
-     "serial, byte for byte"),
     # -- paper-named, fenced ----------------------------------------------
     ("core/shard_scaler.py::*",
      PAPER + "Fig 10's shard scaler; four unit tests are its only user"),
@@ -188,24 +185,15 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
     # -- seeds ------------------------------------------------------------
     ("experiments/*::run(seed)", SEED),
     ("experiments/*::run_arm(seed)", SEED),
-    ("experiments/runner.py::chaos_task(seed)", SEED + " (run_chaos.py --seed)"),
     ("workloads/fleet.py::generate_fleet(seed)",
      SEED + " (Figs 2, 4 and 15/16 hand theirs down)"),
     # -- inputs -------------------------------------------------------------
     ("chaos/scenario.py::ScenarioSpec.*",
-     INPUT + "a scenario spec file; spec_fingerprint hashes the JSON, so "
-     "the chaos-corpus digests carry these values"),
+     INPUT + "a scenario spec file (run_chaos.py --scenario @file)"),
     ("harness.py::SimCluster.build(zk_session_timeout)",
      INPUT + "ScenarioSpec.zk_session_timeout"),
     ("coordination/zookeeper.py::ZooKeeper.__init__(default_session_timeout)",
      INPUT + "ScenarioSpec.zk_session_timeout, through SimCluster.build"),
-    ("chaos/fuzz/engine.py::FuzzConfig.*",
-     INPUT + "run_fuzz.py's flag of the same name (--no-shrink for "
-     "shrink_violations)"),
-    ("chaos/fuzz/engine.py::evaluate_spec(capacity)",
-     INPUT + "run_fuzz.py --capacity"),
-    ("chaos/fuzz/shrink.py::shrink(max_evals)",
-     INPUT + "run_fuzz.py --shrink-evals"),
     ("chaos/scenario.py::run_scenario(capacity)",
      INPUT + "run_chaos.py --capacity"),
     ("chaos/scenario.py::run_scenario(journal_path)",
@@ -263,9 +251,10 @@ def traffic(tmp: pathlib.Path) -> List[List[str]]:
     recording)."""
     py = sys.executable
     experiments = [py, "scripts/run_experiments.py", "--smoke", "--serial"]
-    chaos = [py, "scripts/run_chaos.py", "--seed", "42", "--serial",
-             "--no-repeat", "--check-trace"]
-    fuzz = [py, "scripts/run_fuzz.py", "--processes", "0"]
+    chaos = [py, "scripts/run_chaos.py", "--serial", "--no-repeat",
+             "--check-trace"]
+    spec_file = tmp / "spec.json"
+    spec_file.write_text(json.dumps(FILE_SPEC))
     commands = [[py, "bench/worker.py", "--workload", name, "--seed", "3"]
                 for name in BENCH_WORKLOADS]
     commands += [
@@ -278,14 +267,8 @@ def traffic(tmp: pathlib.Path) -> List[List[str]]:
         experiments + ["--traffic", "fluid", "--trace-figure", "fig17:sm",
                        "--check-trace",
                        "--trace", str(tmp / "fluid_trace.json")],
-        chaos + ["--all"],
-        chaos + ["--scenario", f"@{CORPUS[0]}"],
-        fuzz + ["--budget", "60", "--seed", "42", "--distill", "3",
-                "--determinism-check",
-                "--corpus-dir", str(tmp / "corpus"),
-                "--distill-dir", str(tmp / "distilled"),
-                "--output", str(tmp / "fuzz_report.json")],
-        fuzz + ["--replay"] + [str(path) for path in CORPUS],
+        chaos + ["--all", "--seed", "42"],
+        chaos + ["--scenario", f"@{spec_file}", "--seed", "7"],
         [py, "scripts/profile_solver.py", "--factor", "5", "--point", "2"],
         [py, "scripts/profile_solver.py", "--factor", "25", "--point", "1",
          "--json"],

@@ -1,0 +1,347 @@
+"""Seeded bugs and the kill matrix: would the oracles notice a wrong system?
+
+Every equivalence test in this repository says the system behaves as it
+did before.  This file asks the other question: break the system on
+purpose, one bug at a time, and see which check fails.  The system does
+not need any of this, so none of it lives under ``src/``.
+
+Each entry of :data:`CATALOGUE` is a :class:`Mutant`, a context manager
+that patches one method or one module constant on entry and puts the
+original object back on exit.  A method patch is either a stand-in that
+does nothing or the method's own source with one fragment rewritten, so a
+mutant whose fragment no longer occurs in the code fails to build instead
+of silently testing nothing.
+
+Running the file (``make mutants``) runs, under each mutant, every library
+scenario in both arms at seed 0 plus the two golden traces, and prints
+one table, deterministic to the byte.  Its killer columns are kept apart:
+
+* **oracle** — a ``TraceChecker`` check, an expectation bound or a probe
+  reported a violation;
+* **crash** — an in-code guard raised out of the run;
+* **pin** — a library run's ``behaviour_digest`` left its pin
+  (``tests/fixtures/chaos_library_digests.json``) or a golden trace moved.
+  Any behaviour change does that, so a pin alone is not a kill.
+
+``first kill`` is the first (scenario, arm, seed) in curriculum order
+that an oracle or a crash killed.  ``failed requests`` sums
+``requests_failed`` over the library runs, unmutated -> mutated.
+
+The checked-in table is ``tests/fixtures/kill_matrix.md``; the run exits
+1 if a mutant that table marks as killed survives.  After a change that
+moves what the matrix shows, regenerate it with::
+
+    PYTHONPATH=src python tests/mutants.py > tests/fixtures/kill_matrix.md
+"""
+
+from __future__ import annotations
+
+import inspect
+import json
+import sys
+import textwrap
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+from repro.app import server  # noqa: E402
+from repro.chaos import ARMS, ScenarioSpec, all_scenarios, run_scenario  # noqa: E402
+from repro.coordination.zookeeper import Session  # noqa: E402
+from repro.core.migration import MigrationExecutor  # noqa: E402
+from repro.core.orchestrator import Orchestrator  # noqa: E402
+from repro.core.task_controller import SMTaskController  # noqa: E402
+from repro.discovery.router import ServiceRouter  # noqa: E402
+from repro.sim.network import RpcCall  # noqa: E402
+from tests.test_chaos import LIBRARY_DIGESTS  # noqa: E402
+from tests.test_golden_trace import FIXTURE as FIG17_FIXTURE  # noqa: E402
+from tests.test_golden_trace import _run_scenario as run_fig17  # noqa: E402
+from tests.test_router_fastpath import FIG18_FIXTURE  # noqa: E402
+from tests.test_router_fastpath import _run_fig18_slice as run_fig18  # noqa: E402
+
+SEED = 0
+TABLE = ROOT / "tests" / "fixtures" / "kill_matrix.md"
+GOLDEN = (("fig17", run_fig17, FIG17_FIXTURE),
+          ("fig18", run_fig18, FIG18_FIXTURE))
+NONE = "—"
+
+
+Make = Callable[[Any], Any]
+
+
+def _recompiled(edit: Callable[[str], str]) -> Make:
+    """Build a function from the original's own source after ``edit``,
+    in the module the original was defined in."""
+    def build(original: Any) -> Any:
+        source = edit(textwrap.dedent(inspect.getsource(original)))
+        namespace: Dict[str, Any] = {}
+        exec(compile(source, f"<mutant of {original.__qualname__}>", "exec"),
+             original.__globals__, namespace)
+        return namespace[original.__name__]
+    return build
+
+
+def _once(source: str, fragment: str) -> None:
+    if source.count(fragment) != 1:
+        raise LookupError(f"{fragment!r} occurs {source.count(fragment)} "
+                          f"times in the source, not once")
+
+
+def rewrite(old: str, new: str) -> Make:
+    """The method with the one occurrence of ``old`` replaced."""
+    def edit(source: str) -> str:
+        _once(source, old)
+        return source.replace(old, new)
+    return _recompiled(edit)
+
+
+def cut(first: str, last: str) -> Make:
+    """The method without the lines from the one holding ``first``
+    through the one holding ``last``."""
+    def edit(source: str) -> str:
+        _once(source, first)
+        _once(source, last)
+        lines = source.splitlines(keepends=True)
+        start = next(i for i, line in enumerate(lines) if first in line)
+        stop = next(i for i, line in enumerate(lines) if last in line)
+        return "".join(lines[:start] + lines[stop + 1:])
+    return _recompiled(edit)
+
+
+def becomes(value: Any) -> Make:
+    return lambda _original: value
+
+
+def does_nothing(*_args: Any) -> None:
+    return None
+
+
+def yields_nothing(*_args: Any):
+    return
+    yield  # a generator, as the process it stands in for
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """One seeded bug: ``owner.attr`` replaced by ``make(original)``
+    while entered, the original object put back on exit."""
+
+    name: str
+    what: str
+    owner: Any
+    attr: str
+    make: Make
+
+    def __enter__(self) -> "Mutant":
+        original = vars(self.owner)[self.attr]
+        object.__setattr__(self, "_saved", original)
+        setattr(self.owner, self.attr, self.make(original))
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        setattr(self.owner, self.attr, self._saved)
+
+
+CATALOGUE: Tuple[Mutant, ...] = (
+    Mutant("skip_forward_phase",
+           "the executor omits the section 4.3 forward phase",
+           MigrationExecutor, "graceful_primary_migration",
+           cut("# Step 2: the old primary starts forwarding.",
+               'self._trace_phase(span, "forward")')),
+    Mutant("zk_never_expires", "a ZooKeeper session never expires",
+           Session, "_arm_expiry", becomes(does_nothing)),
+    Mutant("failover_never", "the orchestrator never fails a server over",
+           Orchestrator, "_failover_address", becomes(does_nothing)),
+    Mutant("rpc_double_complete", "an RPC's on_complete runs twice",
+           RpcCall, "_settle",
+           rewrite("on_complete(result)",
+                   "on_complete(result); on_complete(result)")),
+    Mutant("successor_forgets",
+           "a new orchestrator incarnation restores no state",
+           Orchestrator, "_restore_state", becomes(does_nothing)),
+    Mutant("no_forward", "prepare_drop_shard never starts forwarding",
+           server.ApplicationServer, "_rpc_prepare_drop_shard",
+           rewrite("hosted.state = HostedState.FORWARDING", "pass")),
+    Mutant("drop_no_grace", "DROP_GRACE is 0: no drain before the drop",
+           server, "DROP_GRACE", becomes(0.0)),
+    Mutant("tc_no_global_cap",
+           "the TaskController ignores max_concurrent_container_ops",
+           SMTaskController, "review_ops",
+           rewrite(">= self.spec.max_concurrent_container_ops",
+                   ">= float(\"inf\")")),
+    Mutant("emergency_skips_creates",
+           "every other create is recorded but never reaches its server",
+           MigrationExecutor, "create_replica",
+           rewrite('"sm.add_shard"',
+                   '"sm.ping" if self.stats.creates % 2 else "sm.add_shard"')),
+    Mutant("failover_no_grace", "fail a server over at once, no grace",
+           Orchestrator, "_server_down",
+           rewrite("grace = self.config.failover_grace", "grace = 0.0")),
+    Mutant("forward_forever",
+           "a forwarding replica is never dropped after DROP_GRACE",
+           server.ApplicationServer, "_deferred_drop",
+           becomes(does_nothing)),
+    Mutant("tc_no_shard_cap", "the TaskController ignores the per-shard cap",
+           SMTaskController, "_violates_shard_cap",
+           becomes(lambda *_args: False)),
+    Mutant("router_accepts_regress",
+           "a router adopts a map older than the one it routes with",
+           ServiceRouter, "on_map_update",
+           rewrite("shard_map.version <= previous.version", "False")),
+    Mutant("no_reinstate",
+           "a failed handover leaves the old primary forwarding",
+           MigrationExecutor, "_reinstate", becomes(yields_nothing)),
+    Mutant("ignore_expected_restart",
+           "the orchestrator ignores a planned-restart notice",
+           Orchestrator, "expect_restart", becomes(does_nothing)),
+    Mutant("promote_skips_demote",
+           "a promotion skips demoting the current primary",
+           MigrationExecutor, "promote",
+           rewrite("if current is not None and current.replica_id "
+                   "!= replica.replica_id:", "if False:")),
+)
+
+BY_NAME: Dict[str, Mutant] = {mutant.name: mutant for mutant in CATALOGUE}
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What one library run showed: its violations by check, the guard
+    that raised, its behaviour digest and its failed requests."""
+
+    violations: Tuple[str, ...] = ()
+    crash: str = ""
+    digest: str = ""
+    failed: int = 0
+
+    @property
+    def killed(self) -> bool:
+        return bool(self.violations or self.crash)
+
+
+def observe(spec: ScenarioSpec, arm: str) -> Outcome:
+    try:
+        result = run_scenario(spec, arm=arm, seed=SEED)
+    except Exception as error:  # an in-code guard: the crash column
+        return Outcome(crash=guard(error))
+    return Outcome(
+        violations=tuple(sorted({v["invariant"]
+                                 for v in result.violations})),
+        digest=result.behaviour_digest, failed=result.requests_failed)
+
+
+def guard(error: Exception) -> str:
+    """``Class.method: Error`` of the frame that raised ``error``."""
+    frame = error.__traceback__
+    while frame.tb_next is not None:
+        frame = frame.tb_next
+    owner = frame.tb_frame.f_locals.get("self")
+    where = frame.tb_frame.f_code.co_name
+    if owner is not None:
+        where = f"{type(owner).__name__}.{where}"
+    return f"{where}: {type(error).__name__}"
+
+
+def golden_moved() -> List[str]:
+    moved = []
+    for name, run, fixture in GOLDEN:
+        try:
+            observed = run()["sha256"]
+        except Exception:
+            observed = ""
+        if observed != json.loads(fixture.read_text())["sha256"]:
+            moved.append(name)
+    return moved
+
+
+def row(name: str, outcomes: Dict[Tuple[str, str], Outcome],
+        pinned: Dict[str, Dict[str, str]], golden: List[str],
+        failed_before: int) -> List[str]:
+    checks = sorted({check for o in outcomes.values() for check in o.violations})
+    oracle_runs = sum(1 for o in outcomes.values() if o.violations)
+    crashes = sorted({o.crash for o in outcomes.values() if o.crash})
+    crash_runs = sum(1 for o in outcomes.values() if o.crash)
+    moved = sum(1 for (scenario, arm), o in outcomes.items()
+                if o.digest != pinned[scenario][arm])
+    first = next((f"{scenario}:{arm}:{SEED}"
+                  for (scenario, arm), o in outcomes.items() if o.killed),
+                 NONE)
+    pin = f"{moved}/{len(outcomes)}"
+    if golden:
+        pin += " + golden " + ", ".join(golden)
+    failed = sum(o.failed for o in outcomes.values())
+    return [name,
+            f"{', '.join(checks)} ({oracle_runs} runs)" if checks else NONE,
+            f"{'; '.join(crashes)} ({crash_runs} runs)" if crashes else NONE,
+            pin, first, f"{failed_before:,} -> {failed:,}"]
+
+
+def kill_matrix() -> str:
+    pinned = json.loads(LIBRARY_DIGESTS.read_text())
+    runs = [(spec, arm) for spec in all_scenarios() for arm in ARMS]
+    clean = {(spec.name, arm): observe(spec, arm) for spec, arm in runs}
+    drift = [key for key, o in clean.items()
+             if o.killed or o.digest != pinned[key[0]][key[1]]]
+    if drift or golden_moved():
+        raise SystemExit(f"the unmutated system is not clean or not as "
+                         f"pinned: {drift}; fix that first")
+    failed_before = sum(o.failed for o in clean.values())
+    header = ["mutant", "oracle", "crash", "pin", "first kill",
+              "failed requests"]
+    lines = [f"Kill matrix: {len(CATALOGUE)} mutants x "
+             f"{len(runs) // len(ARMS)} library scenarios x "
+             f"{len(ARMS)} arms at seed {SEED}, plus the golden traces.",
+             "",
+             "| " + " | ".join(header) + " |",
+             "|" + "---|" * len(header)]
+    summary = {"oracle": 0, "crash": 0, "pin only": 0, "nothing": 0}
+    for mutant in CATALOGUE:
+        with mutant:
+            outcomes = {(spec.name, arm): observe(spec, arm)
+                        for spec, arm in runs}
+            golden = golden_moved()
+        cells = row(mutant.name, outcomes, pinned, golden, failed_before)
+        lines.append("| " + " | ".join(cells) + " |")
+        if cells[1] != NONE:
+            summary["oracle"] += 1
+        elif cells[2] != NONE:
+            summary["crash"] += 1
+        elif not cells[3].startswith("0/"):
+            summary["pin only"] += 1
+        else:
+            summary["nothing"] += 1
+    lines += ["", "Killed by an oracle: {oracle}; by a crash only: {crash}; "
+              "pin moved, no kill: {pin only}; nothing moved: "
+              "{nothing}.".format(**summary)]
+    return "\n".join(lines) + "\n"
+
+
+def killed_in(table: str) -> Dict[str, Tuple[str, str]]:
+    """mutant -> (scenario, arm) of its first kill, for every row of a
+    printed table that some oracle or crash killed."""
+    kills = {}
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 6 and cells[0] in BY_NAME and cells[4] != NONE:
+            scenario, arm, _seed = cells[4].split(":")
+            kills[cells[0]] = (scenario, arm)
+    return kills
+
+
+def main() -> int:
+    table = kill_matrix()
+    sys.stdout.write(table)
+    survivors = sorted(set(killed_in(TABLE.read_text()))
+                       - set(killed_in(table)))
+    if survivors:
+        print(f"killed in {TABLE.relative_to(ROOT)}, survived now: "
+              f"{', '.join(survivors)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,12 +1,15 @@
 """Chaos engine tests: scenario determinism, the fault oracle, injector
 overlap semantics, Twine down-holds, and maintenance accounting."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.chaos import (
     ACTIONS,
+    ARMS,
     SCENARIOS,
     Expectations,
     FaultAction,
@@ -138,6 +141,42 @@ class TestScenarioLibrary:
         grace must never drop a shard (tight availability bound)."""
         result = run_scenario(get("zk_session_churn"), arm="sm", seed=11)
         assert not result.violations and not result.dropped, result.violations
+
+
+LIBRARY_DIGESTS = (Path(__file__).parent / "fixtures"
+                   / "chaos_library_digests.json")
+
+
+def write_library_digests():
+    """Re-pin: scenario -> arm -> ``behaviour_digest`` of every library
+    run at seed 0, written to ``chaos_library_digests.json``."""
+    digests = {spec.name: {arm: run_scenario(spec, arm=arm, seed=0)
+                           .behaviour_digest for arm in ARMS}
+               for spec in all_scenarios()}
+    LIBRARY_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True)
+                               + "\n")
+
+
+@pytest.mark.parametrize("name, arm", [(spec.name, arm)
+                                       for spec in all_scenarios()
+                                       for arm in ARMS])
+def test_library_run_is_clean_and_pinned(name, arm):
+    """Every library scenario in both arms at seed 0 runs clean and is
+    held to its ``behaviour_digest`` (the journal minus the engine track
+    and record positions, so only a change in what the simulated system
+    does moves it).  These are the runs ``tests/mutants.py`` seeds bugs
+    into; its pin column counts the ones a mutant moves.  After an
+    intentional behaviour change, regenerate the fixture with::
+
+        PYTHONPATH=src python -c \\
+            "import tests.test_chaos as t; t.write_library_digests()"
+
+    and say in the commit which runs moved and why."""
+    result = run_scenario(get(name), arm=arm, seed=0)
+    assert not result.violations and not result.dropped, result.violations
+    pinned = json.loads(LIBRARY_DIGESTS.read_text())
+    assert set(pinned) == set(SCENARIOS)
+    assert result.behaviour_digest == pinned[name][arm]
 
 
 class TestFaultRecoveryChecker:

@@ -103,7 +103,6 @@ def test_run_chaos_malformed_expectations_exit_2(expectations, needle,
 
 @pytest.mark.parametrize("script_name, argv", [
     ("run_chaos", ["--serial", "--scenario", "@{path}"]),
-    ("run_fuzz", ["--replay", "{path}"]),
 ])
 def test_malformed_spec_file_is_one_line_on_stderr_and_exit_2(
         script_name, argv, monkeypatch, capsys, tmp_path):

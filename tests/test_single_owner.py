@@ -27,8 +27,6 @@ from repro.apps.kvstore import KVStoreApp
 from repro.apps.zippydb import ZippyDBApp
 from repro.baselines import PinnedAllocator, ring_placement
 from repro.baselines.consistent_hashing import ConsistentHashRing
-from repro.chaos.fuzz import FuzzConfig
-from repro.chaos.fuzz.mutators import seed_specs
 from repro.cluster.maintenance import MaintenanceSchedule
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine, TwineConfig
@@ -181,14 +179,10 @@ def test_no_unused_imports():
 
 def test_chaos_action_defaults_are_stated_once():
     """Each action's defaults live in its ``@action(...)`` registration
-    (``chaos/scenario.py``); the fuzzer's horizon fitting reads them
-    through ``param_of`` / ``duration_of`` and keeps no copy.  The
-    duration *ranges* in ``chaos/fuzz/mutators.py`` are the generator's
-    own and stay."""
+    (``chaos/scenario.py``); everything else reads them through
+    ``param_of`` / ``duration_of`` and keeps no copy."""
     assert modules_matching(r"_DEFAULT_REVERTS") == []
     for name, text in SOURCES.items():
-        if not name.startswith("chaos/fuzz/"):
-            continue
         for node in ast.walk(ast.parse(text)):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -265,8 +259,6 @@ def test_roadmap_citations_name_open_items():
 
 
 REMOVED_OPTIONS = [
-    (FuzzConfig, "crossover_rate"),
-    (FuzzConfig, "extra_random_seeds"),
     (Observability, "engine_sample"),
     (FluidClient, "overload_threshold"),
     (FluidClient, "cv_service2"),
@@ -337,7 +329,6 @@ REMOVED_OPTIONS = [
     (ZippyDBApp, "rpc_timeout"),
     (ConsistentHashRing, "virtual_nodes"),
     (ring_placement, "virtual_nodes"),
-    (seed_specs, "extra_random"),
     (SimCluster.build, "latency"),
     (Profiler().add, "calls"),
     (Profiler().to_trace, "track"),
