@@ -6,7 +6,8 @@ scenario's fault timeline, and replays the journal through the
 TraceChecker invariants plus the scenario's expectation bounds.  By
 default every cell runs TWICE and the two journal digests must be
 bit-identical — the determinism contract is part of the oracle, not a
-separate test.
+separate test.  With ``--journal-dir`` each JSONL journal written is read
+back, and its digest must equal the run's.
 
 Examples::
 
@@ -31,6 +32,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.chaos import (SCENARIOS, SpecValidationError,  # noqa: E402
                          all_scenarios, load_spec)
 from repro.experiments import runner  # noqa: E402
+from repro.obs.trace_export import read_jsonl  # noqa: E402
+
+
+def journal_file(journal_dir: str, name: str, arm: str, seed: int,
+                 attempt: int) -> Path:
+    return Path(journal_dir) / f"{name}.{arm}.seed{seed}.run{attempt}.jsonl"
 
 
 def build_tasks(scenarios: List[str], arms: List[str], seed: int,
@@ -47,9 +54,8 @@ def build_tasks(scenarios: List[str], arms: List[str], seed: int,
                 if file_specs and name in file_specs:
                     kwargs["spec"] = file_specs[name]
                 if journal_dir:
-                    kwargs["journal_path"] = str(
-                        Path(journal_dir)
-                        / f"{name}.{arm}.seed{seed}.run{attempt}.jsonl")
+                    kwargs["journal_path"] = str(journal_file(
+                        journal_dir, name, arm, seed, attempt))
                 tasks.append({
                     "figure": "chaos",
                     "name": f"{name}:{arm}#{attempt}",
@@ -146,7 +152,16 @@ def main() -> int:
             digests = {h["digest"] for h in headlines}
             violations = [v for h in headlines for v in h["violations"]]
             dropped = max(h["dropped"] for h in headlines)
-            ok = len(digests) == 1 and not violations and not dropped
+            reloads = []   # (path, reloaded digest, in-run digest)
+            if args.journal_dir:
+                for attempt, headline in enumerate(headlines, start=1):
+                    path = journal_file(args.journal_dir, name, arm,
+                                        args.seed, attempt)
+                    reloaded = read_jsonl(str(path)).digest()
+                    if reloaded != headline["digest"]:
+                        reloads.append((path, reloaded, headline["digest"]))
+            ok = (len(digests) == 1 and not violations and not dropped
+                  and not reloads)
             mark = "ok " if ok else "FAIL"
             first = headlines[0]
             print(f"{mark} {name:36s} {arm:8s} "
@@ -169,6 +184,11 @@ def main() -> int:
                       f"dropped {dropped} of {first['records']} records at "
                       f"--capacity {args.capacity}: the invariants above "
                       f"were checked on a truncated trace")
+            for path, reloaded, in_run in reloads:
+                failures += 1
+                print(f"::error title=chaos journal::{name}:{arm} {path} "
+                      f"reloads with digest {reloaded[:12]}, the run had "
+                      f"{in_run[:12]}")
 
     if args.output:
         Path(args.output).write_text(

@@ -27,11 +27,12 @@ which is how ``--trace`` works for any figure without changing figure
 signatures.
 
 Determinism contract: records carry simulated time and counter-allocated
-ids only; with the same seed, an enabled run journals a byte-identical
-sequence (``Journal.digest()``), and produces the exact same simulation
-results as a disabled run (instrumentation is pure observation — no RNG
-draws, no scheduling).  Wall-clock measurements appear only under
-``wall``-prefixed arg keys, which the digest skips.
+ids only; with the same seed, an enabled run journals identical records
+(``Journal.digest()`` hashes them column by column, each value with its
+type), and produces the exact same simulation results as a disabled run
+(instrumentation is pure observation — no RNG draws, no scheduling).
+Wall-clock measurements appear only under ``wall``-prefixed arg keys,
+which both digests skip.
 """
 
 from __future__ import annotations

@@ -9,8 +9,13 @@ clocks or ``id()`` — so two seeded runs produce byte-identical journals
 
 Wall-clock measurements (e.g. solver stage timings) may ride along in
 record ``args``, but only under keys prefixed ``wall``: the journal's
-:meth:`Journal.digest` skips those keys, keeping the digest a pure
-function of simulation behaviour.
+digests skip those keys, keeping them a pure function of simulation
+behaviour.
+
+The digests hash the journal column by column, not record by record:
+each record field, and each arg key of each arg-key set ("shape"), is
+one column of values encoded in bulk with a type tag (see
+:func:`_hash_records`).
 
 Disabled tracing is the common case and must cost ~nothing: hot paths
 hold a tracer reference and branch on the cached class attribute
@@ -21,8 +26,11 @@ singleton), paying one attribute load + jump per potential record.
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["TraceRecord", "Journal", "Tracer", "NullTracer", "NO_TRACER"]
 
@@ -31,6 +39,96 @@ KIND_BEGIN = "B"
 KIND_END = "E"
 KIND_INSTANT = "I"
 KIND_COUNTER = "C"
+
+#: The record fields each digest column holds, in hashing order.
+_FIELDS = ("seq", "kind", "track", "name", "time", "span")
+
+
+def _packed(code: str, values: Sequence[Any]) -> bytes:
+    """``values`` as a little-endian machine array, whatever the host."""
+    packed = array(code, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _encoded(values: Sequence[Any]) -> Tuple[bytes, bytes]:
+    """One column's type tag and bytes.
+
+    All-``str`` values are joined on NUL (``s``) when none holds a NUL,
+    all-``float`` values are packed as doubles (``d``) and all-``int``
+    values as 64-bit ints (``q``).  Anything else — mixed types, ``bool``,
+    ``None``, lists, an int past 64 bits — is its ``repr`` (``r``).  The
+    tag keeps ``1``, ``1.0`` and ``True`` apart, and each encoding can be
+    decoded, so two different columns never give the same tag and bytes.
+    """
+    try:
+        text = "\0".join(values)
+    except TypeError:
+        pass
+    else:
+        if text.count("\0") == len(values) - 1:
+            return b"s", text.encode("utf-8", "surrogatepass")
+    types = set(map(type, values))
+    if types == {float}:
+        return b"d", _packed("d", values)
+    if types == {int}:
+        try:
+            return b"q", _packed("q", values)
+        except OverflowError:
+            pass
+    return b"r", repr(values).encode("utf-8", "surrogatepass")
+
+
+def _hash_column(hasher: Any, values: Sequence[Any]) -> None:
+    """Feed one column: its type tag, value count and byte count, then
+    its bytes."""
+    tag, payload = _encoded(values)
+    hasher.update(tag + len(values).to_bytes(8, "little")
+                  + len(payload).to_bytes(8, "little"))
+    hasher.update(payload)
+
+
+def _hash_records(records: Sequence[TraceRecord], with_seq: bool) -> str:
+    """SHA-256 over ``records``, one column at a time.
+
+    First the fixed fields, ``seq`` (when ``with_seq``), ``kind``,
+    ``track``, ``name``, ``time`` and ``span``, one column each.  Then the
+    args: a record's *shape* is the sorted tuple of its non-``wall`` keys,
+    numbered in order of first appearance; one column holds each record's
+    shape number, then each shape contributes its key names and one
+    column per key of the values its records carry.  Arg insertion order
+    and ``wall*`` args therefore never reach the hash; every other value
+    does, and so do its type and its record.
+    """
+    hasher = hashlib.sha256()
+    for field in (_FIELDS if with_seq else _FIELDS[1:]):
+        _hash_column(hasher, list(map(attrgetter(field), records)))
+    shape_of_order: Dict[tuple, int] = {}
+    number_of_shape: Dict[tuple, int] = {}
+    shapes: List[tuple] = []
+    groups: List[List[Dict[str, Any]]] = []
+    numbers: List[int] = []
+    for args in map(attrgetter("args"), records):
+        order = tuple(args) if args else ()
+        number = shape_of_order.get(order)
+        if number is None:
+            shape = tuple(sorted(key for key in order
+                                 if not key.startswith("wall")))
+            number = number_of_shape.get(shape)
+            if number is None:
+                number = number_of_shape[shape] = len(shapes)
+                shapes.append(shape)
+                groups.append([])
+            shape_of_order[order] = number
+        numbers.append(number)
+        groups[number].append(args)
+    _hash_column(hasher, numbers)
+    for shape, group in zip(shapes, groups):
+        _hash_column(hasher, shape)
+        for key in shape:
+            _hash_column(hasher, list(map(itemgetter(key), group)))
+    return hasher.hexdigest()
 
 
 class TraceRecord:
@@ -49,21 +147,6 @@ class TraceRecord:
         self.span = span      # 0 for records not tied to a span
         self.args = args      # None or a plain dict of JSON-able values
 
-    def canonical(self) -> str:
-        """Deterministic one-line form, excluding ``wall*`` args.
-
-        Used by :meth:`Journal.digest`: two seeded runs must produce the
-        same lines even though their wall-clock measurements differ.
-        """
-        if self.args:
-            args = ",".join(f"{k}={self.args[k]!r}"
-                            for k in sorted(self.args)
-                            if not k.startswith("wall"))
-        else:
-            args = ""
-        return (f"{self.seq}|{self.kind}|{self.track}|{self.name}|"
-                f"{self.time!r}|{self.span}|{args}")
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly view (the JSONL dump schema)."""
         record: Dict[str, Any] = {"seq": self.seq, "kind": self.kind,
@@ -76,7 +159,7 @@ class TraceRecord:
         return record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TraceRecord {self.canonical()}>"
+        return f"<TraceRecord {self.as_dict()}>"
 
 
 class Journal:
@@ -116,13 +199,12 @@ class Journal:
         return sorted({record.track for record in self._records})
 
     def digest(self) -> str:
-        """SHA-256 over the canonical record lines (``wall*`` args
-        excluded) — the seed-parity fingerprint for enabled tracing."""
-        hasher = hashlib.sha256()
-        for record in self._records:
-            hasher.update(record.canonical().encode())
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        """SHA-256 over every retained record, column by column
+        (``wall*`` args excluded) — the seed-parity fingerprint for
+        enabled tracing.  It covers the ring's window only, so a journal
+        that dropped records hashes like a fresh one holding the same
+        survivors, and a JSONL reload hashes like the original."""
+        return _hash_records(self._records, with_seq=True)
 
     def behaviour_digest(self) -> str:
         """SHA-256 over what the simulated *system* did, not over how
@@ -132,14 +214,8 @@ class Journal:
         executes fewer or different events while every modelled component
         behaves the same moves :meth:`digest` and leaves this one alone.
         """
-        hasher = hashlib.sha256()
-        for record in self._records:
-            if record.track != "engine":
-                # The canonical line minus its leading "seq|" field.
-                line = record.canonical().partition("|")[2]
-                hasher.update(line.encode())
-                hasher.update(b"\n")
-        return hasher.hexdigest()
+        return _hash_records([record for record in self._records
+                              if record.track != "engine"], with_seq=False)
 
 
 class Tracer:

@@ -62,6 +62,31 @@ def test_run_chaos_check_trace_fails_on_a_truncated_journal(monkeypatch,
     assert "at --capacity 64" in out and "truncated trace" in out
 
 
+def test_run_chaos_journal_dir_fails_a_journal_that_reloads_differently(
+        monkeypatch, capsys, tmp_path):
+    import repro.obs.trace_export as trace_export
+    script = load_script("run_chaos")
+    argv = ["run_chaos.py", "--scenario", "crash_single", "--arms", "sm",
+            "--no-repeat", "--serial", "--check-trace",
+            "--journal-dir", str(tmp_path)]
+    monkeypatch.setattr("sys.argv", argv)
+    assert script.main() == 0
+    assert "0 failure(s)" in capsys.readouterr().out
+    written = trace_export.write_jsonl
+
+    def write_one_more(journal, path):
+        written(journal, path)
+        with open(path, "a") as handle:
+            handle.write('{"seq": 0, "kind": "I", "track": "x", "name": "y", '
+                         '"t": 0.0}\n')
+
+    monkeypatch.setattr(trace_export, "write_jsonl", write_one_more)
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "FAIL crash_single" in out
+    assert "crash_single.sm.seed42.run1.jsonl reloads with digest" in out
+
+
 def test_run_experiments_check_trace_fails_on_a_truncated_journal(
         monkeypatch, capsys, tmp_path):
     import repro.obs

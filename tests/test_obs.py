@@ -2,9 +2,10 @@
 
 Covers four layers:
 
-* unit behaviour of the journal ring, record canonicalization, and the
-  metrics registry;
-* exporter structure (Chrome/Perfetto JSON, JSONL roundtrip);
+* unit behaviour of the journal ring, the digest contract (hypothesis),
+  and the metrics registry;
+* exporter structure (Chrome/Perfetto JSON, JSONL roundtrip, also of a
+  library chaos journal);
 * the TraceChecker's invariants, both on fabricated bad journals
   (negative tests) and on real traced cluster runs;
 * the determinism contract — tracing enabled changes *nothing* about
@@ -13,16 +14,20 @@ Covers four layers:
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.chaos import get, run_scenario
 from repro.core.orchestrator import OrchestratorConfig
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
 from repro.metrics import MetricsRegistry
 from repro.obs import NO_OBS, NO_TRACER, Observability, get_default, use
 from repro.obs.checker import TraceChecker, Violation
-from repro.obs.tracer import Journal, Tracer
+from repro.obs.tracer import Journal, TraceRecord, Tracer
 from repro.obs.trace_export import (
     chrome_trace_events,
     read_jsonl,
@@ -132,6 +137,180 @@ class TestJournal:
         assert tracer.journal.tracks() == ["engine", "net", "shards"]
 
 
+# -- the digest contract -----------------------------------------------------
+
+#: Arg keys never start with "wall" (the alphabet has no "w"), and never
+#: end in "q", so ``key + "q"`` is a rename to a key no record holds.
+_KEYS = st.text(alphabet="abkxyz_", min_size=1, max_size=4)
+_WALL_KEYS = st.text(alphabet="ms_", max_size=3).map(lambda s: "wall" + s)
+_VALUES = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False),
+                    st.booleans(), st.none(), st.text(max_size=4),
+                    st.lists(st.integers(), max_size=2))
+#: kind, track, name, time, span, args (``seq`` is the record's position).
+_ROWS = st.lists(st.tuples(
+    st.sampled_from("BEIC"), st.sampled_from(("net", "shards", "chaos")),
+    st.text(max_size=4), st.floats(0.0, 1e6), st.integers(0, 50),
+    st.none() | st.dictionaries(_KEYS, _VALUES, max_size=4)), max_size=12)
+
+#: One change per fixed field: (column index in a row, the change).
+_FIELD_CHANGES = {
+    "seq": (0, lambda seq: seq + 1_000),
+    "kind": (1, lambda kind: "E" if kind == "I" else "I"),
+    "track": (2, lambda track: track + "x"),
+    "name": (3, lambda name: name + "x"),
+    "time": (4, lambda time: math.nextafter(time, math.inf)),
+    "span": (5, lambda span: span + 1),
+}
+
+
+def _journal(rows, capacity=1 << 20):
+    """A journal of ``rows``, each ``(kind, track, name, time, span,
+    args)`` (``seq`` its position) or a full seven-field row."""
+    journal = Journal(capacity)
+    for seq, row in enumerate(rows):
+        fields = row if len(row) == 7 else (seq,) + tuple(row)
+        journal.append(TraceRecord(*fields))
+    return journal
+
+
+def _digests(rows):
+    journal = _journal(rows)
+    return journal.digest(), journal.behaviour_digest()
+
+
+def _with_args(rows, index, args):
+    rows = list(rows)
+    rows[index] = rows[index][:5] + (args,)
+    return rows
+
+
+class TestDigestContract:
+    """Both digests see every record field, every non-``wall`` arg value
+    and its type; they do not see arg insertion order or ``wall*`` args.
+    ``behaviour_digest`` does not see ``seq`` or the ``engine`` track."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_ROWS, walls=st.lists(
+        st.tuples(st.dictionaries(_WALL_KEYS, _VALUES, max_size=2),
+                  st.dictionaries(_WALL_KEYS, _VALUES, max_size=2)),
+        min_size=12, max_size=12), rng=st.randoms())
+    def test_insertion_order_and_wall_args_are_invisible(self, rows, walls,
+                                                         rng):
+        def merged(args, wall, shuffle):
+            items = list((args or {}).items()) + list(wall.items())
+            if shuffle:
+                rng.shuffle(items)
+            return dict(items) if items or args is not None else None
+
+        base = [row[:5] + (merged(row[5], wall_a, False),)
+                for row, (wall_a, _) in zip(rows, walls)]
+        other = [row[:5] + (merged(row[5], wall_b, True),)
+                 for row, (_, wall_b) in zip(rows, walls)]
+        assert _digests(base) == _digests(other)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_ROWS.filter(bool), data=st.data(),
+           field=st.sampled_from(sorted(_FIELD_CHANGES)))
+    def test_a_one_field_change_moves_the_digest(self, rows, data, field):
+        rows = [(seq,) + row for seq, row in enumerate(rows)]
+        index = data.draw(st.integers(0, len(rows) - 1))
+        column, change = _FIELD_CHANGES[field]
+        changed = list(rows)
+        fields = list(rows[index])
+        fields[column] = change(fields[column])
+        changed[index] = tuple(fields)
+        before, after = _digests(rows), _digests(changed)
+        assert before[0] != after[0]
+        if field == "seq":
+            assert before[1] == after[1]
+        else:
+            assert before[1] != after[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS.filter(bool), data=st.data())
+    def test_one_int_float_bool_and_str_hash_apart(self, rows, data):
+        """``"[True]"`` is also the text of ``True``'s column when that
+        record is the only one of its shape: the type tag keeps them
+        apart."""
+        index = data.draw(st.integers(0, len(rows) - 1))
+        args = dict(rows[index][5] or {})
+        values = (1, 1.0, True, "1", "[True]")
+        seen = [_digests(_with_args(rows, index, {**args, "k": value}))
+                for value in values]
+        assert len({digest for digest, _ in seen}) == len(values)
+        assert len({behaviour for _, behaviour in seen}) == len(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS.filter(bool), data=st.data())
+    def test_a_renamed_key_moves_the_digest(self, rows, data):
+        index = data.draw(st.integers(0, len(rows) - 1))
+        args = dict(rows[index][5] or {"a": 0})
+        key = data.draw(st.sampled_from(sorted(args)))
+        renamed = {(name + "q" if name == key else name): value
+                   for name, value in args.items()}
+        before = _digests(_with_args(rows, index, args))
+        after = _digests(_with_args(rows, index, renamed))
+        assert before[0] != after[0] and before[1] != after[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS.filter(lambda rows: len(rows) >= 2), data=st.data())
+    def test_args_stay_with_their_record(self, rows, data):
+        first, second = data.draw(st.lists(
+            st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+            unique=True))
+        args = [rows[first][5], rows[second][5]]
+        assume(repr(sorted((args[0] or {}).items()))
+               != repr(sorted((args[1] or {}).items())))
+        swapped = _with_args(_with_args(rows, first, args[1]), second,
+                             args[0])
+        before, after = _digests(rows), _digests(swapped)
+        assert before[0] != after[0] and before[1] != after[1]
+
+    @pytest.mark.parametrize("column", ["name", "arg"])
+    def test_a_shifted_string_boundary_moves_the_digest(self, column):
+        def two_records(first, second):
+            if column == "name":
+                return [("I", "net", first, 1.0, 0, None),
+                        ("I", "net", second, 2.0, 0, None)]
+            return [("I", "net", "x", 1.0, 0, {"s": first}),
+                    ("I", "net", "x", 2.0, 0, {"s": second})]
+
+        before = _digests(two_records("ab", "c"))
+        after = _digests(two_records("a", "bc"))
+        assert before[0] != after[0] and before[1] != after[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS, data=st.data())
+    def test_behaviour_digest_ignores_engine_records_and_seq(self, rows,
+                                                             data):
+        engine = data.draw(st.lists(st.tuples(
+            st.integers(0, len(rows)), st.sampled_from("IC"),
+            st.floats(0.0, 1e6)), min_size=1, max_size=5))
+        mixed = list(rows)
+        for position, kind, time in sorted(engine, reverse=True):
+            mixed.insert(position, (kind, "engine", "tick", time, 0,
+                                    {"value": 1}))
+        assert _digests(rows)[1] == _digests(mixed)[1]
+        assert _digests(rows)[0] != _digests(mixed)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_ROWS.filter(bool), dropped=st.integers(1, 20))
+    def test_a_truncated_journal_hashes_like_its_survivors(self, rows,
+                                                           dropped):
+        """The digest covers the retained window: a ring that evicted
+        ``dropped`` records equals a fresh journal of what it kept."""
+        evicted = [("I", "net", "gone", 0.0, 0, {"a": index})
+                   for index in range(dropped)]
+        ring = _journal(evicted + rows, capacity=len(rows))
+        assert ring.dropped == dropped
+        fresh = Journal()
+        for record in ring:
+            fresh.append(record)
+        assert ring.digest() == fresh.digest()
+        assert ring.behaviour_digest() == fresh.behaviour_digest()
+        assert [record.seq for record in fresh][0] == dropped
+
+
 class TestMetricsRegistry:
     def test_gauge_and_histogram(self):
         registry = MetricsRegistry()
@@ -197,6 +376,20 @@ class TestExport:
         loaded = read_jsonl(str(path))
         assert loaded.appended == obs.journal.appended
         assert loaded.digest() == obs.journal.digest()
+
+    @pytest.mark.parametrize("arm", ["sm", "baseline"])
+    def test_library_journal_roundtrip_keeps_both_digests(self, tmp_path,
+                                                          arm):
+        """A chaos journal (every track, solver stages with ``wall*`` args)
+        reloaded from JSONL hashes as it did in the run: the typed columns
+        would show an int reloaded as a float, or a float as an int."""
+        path = tmp_path / "journal.jsonl"
+        result = run_scenario(get("compound_storm"), arm=arm, seed=0,
+                              journal_path=str(path))
+        loaded = read_jsonl(str(path))
+        assert loaded.appended == result.records
+        assert loaded.digest() == result.digest
+        assert loaded.behaviour_digest() == result.behaviour_digest
 
     @pytest.mark.parametrize("bad_line, needle", [
         ('{"seq": 2, "kind": "I", "tr', "not JSON: Unterminated string"),
