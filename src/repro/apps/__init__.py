@@ -1,13 +1,10 @@
 """Example applications built on the SM programming model (§2.5)."""
 
-from .adevents import AdEventsApp, DataBus
 from .kvstore import ExternalStore, KVStoreApp
 from .queue_service import QueueServiceApp
 from .zippydb import ZippyDBApp
 
 __all__ = [
-    "AdEventsApp",
-    "DataBus",
     "ExternalStore",
     "KVStoreApp",
     "QueueServiceApp",

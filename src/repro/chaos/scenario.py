@@ -14,8 +14,9 @@ Contract (see DESIGN.md, "Chaos scenarios"):
 * **audited** — every injected fault lands on the ``chaos`` journal
   track with a unique fault id and must be matched by a recovery record
   (:meth:`~repro.obs.checker.TraceChecker.check_fault_recovery`);
-* **checked** — after the run the full TraceChecker invariant set plus
-  the scenario's :class:`Expectations` (availability bound,
+* **checked** — after the run the full TraceChecker invariant set, the
+  final published map against the journal, and the scenario's
+  :class:`Expectations` (availability bound,
   failover-detection bound, end-state health) is the pass/fail oracle.
 
 Faults compose through the cluster layer's down-hold mechanism: chaos
@@ -830,9 +831,9 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
 
     Builds a private :class:`Observability` context (scenario journals
     must not interleave with an ambient one), runs the timeline, then
-    replays the journal through the TraceChecker plus the scenario's
-    expectation bounds.  ``journal_path`` dumps the raw journal (JSONL)
-    for post-mortems.
+    replays the journal through the TraceChecker (the final published
+    map included) plus the scenario's expectation bounds.
+    ``journal_path`` dumps the raw journal (JSONL) for post-mortems.
     """
     obs = Observability(capacity=capacity)
     with use(obs):
@@ -844,6 +845,8 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
         write_jsonl(journal, journal_path)
     checker = TraceChecker(journal)
     violations: List[Violation] = checker.check()
+    violations.extend(checker.check_shard_map(
+        run.cluster.discovery.latest(run.app.spec.name)))
     expectations = spec.expectations
     if expectations.availability_bound is not None:
         violations.extend(checker.check_availability(

@@ -37,7 +37,6 @@ class Machine:
     datacenter: str
     rack: str
     capacity: Dict[str, float]
-    has_storage: bool = False
     up: bool = True
 
 
@@ -77,15 +76,12 @@ def build_topology(regions: Sequence[str],
                    machines_per_region: int,
                    capacity: Optional[Dict[str, float]] = None,
                    capacity_jitter: float = 0.0,
-                   storage_fraction: float = 0.0,
                    rng: Optional[random.Random] = None) -> Topology:
     """Build a balanced topology.
 
     ``capacity_jitter`` models heterogeneous hardware: each machine's
     per-metric capacity is scaled by a uniform factor in
     [1 - jitter, 1 + jitter] (Fig 21 uses up to 20% heterogeneity).
-    ``storage_fraction`` marks that fraction of machines as SSD/HDD
-    machines (Fig 9's storage vs non-storage split).
     """
     if machines_per_region <= 0:
         raise ValueError("machines_per_region must be positive")
@@ -109,12 +105,14 @@ def build_topology(regions: Sequence[str],
                 }
             else:
                 machine_capacity = dict(base_capacity)
+            # Unused draw: it keeps the jitter stream's draws where every
+            # pinned result (Fig 23's capacities among them) expects them.
+            rng.random()
             topology.add(Machine(
                 machine_id=f"m{next(counter):06d}",
                 region=region,
                 datacenter=datacenter,
                 rack=rack,
                 capacity=machine_capacity,
-                has_storage=rng.random() < storage_fraction,
             ))
     return topology

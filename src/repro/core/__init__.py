@@ -28,7 +28,6 @@ from .shard_map import (
     ShardMap,
     ShardMapEntry,
 )
-from .shard_scaler import ShardScaler, ShardScalerConfig, ShardScalerStats
 from .spec import (
     AppSpec,
     DeploymentMode,
@@ -66,9 +65,6 @@ __all__ = [
     "Role",
     "ShardMap",
     "ShardMapEntry",
-    "ShardScaler",
-    "ShardScalerConfig",
-    "ShardScalerStats",
     "AppSpec",
     "DeploymentMode",
     "DrainPolicy",

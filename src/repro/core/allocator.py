@@ -34,7 +34,7 @@ from ..solver.specs import (
     UtilizationSpec,
 )
 from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState, Role
-from .spec import AppSpec, DeploymentMode
+from .spec import AppSpec
 
 _SCOPE_OF_LEVEL = {
     FaultDomainLevel.REGION: Scope.REGION,
@@ -271,7 +271,6 @@ class Allocator:
         for shard in self.spec.shards:
             shard_id = shard.shard_id
             preferred_region = shard.preferred_region
-            preference_weight = shard.preference_weight
             for replica in replicas_view(shard_id):
                 state = replica.state
                 if state is not ready and state is not pending:
@@ -284,9 +283,10 @@ class Allocator:
                 # not to drain stays put (pinned): it tolerates the restart.
                 pinned = address in draining and not drains(replica.role)
                 index_to_replica.append(replica)
+                # Every region preference weighs 1.0.
                 replica_infos.append(ReplicaInfo(
                     replica.replica_id, shard_id, load_of(replica),
-                    preferred_region, preference_weight, pinned))
+                    preferred_region, 1.0, pinned))
                 initial_assignment.append(server_index)
         if not replica_infos:
             raise RuntimeError("no movable replicas")
@@ -304,8 +304,7 @@ class Allocator:
                 metric=metric, threshold=spec.utilization_threshold))
             rebalancer.add_goal(BalanceSpec(metric=metric,
                                             band=spec.balance_band))
-            if (spec.mode is DeploymentMode.GEO_DISTRIBUTED
-                    and len(problem.region_names) > 1):
+            if len(problem.region_names) > 1:
                 rebalancer.add_goal(BalanceSpec(
                     metric=metric, scope=Scope.REGION, band=spec.balance_band,
                     priority=6))

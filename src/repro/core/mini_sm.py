@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence, Tuple
 
 from .spec import AppSpec
@@ -77,26 +77,11 @@ class ApplicationManager:
                                    (index + 1) * per_partition]
             if not subset:
                 continue
-            sub_spec = AppSpec(
-                name=f"{spec.name}.p{index}",
-                shards=list(subset),
-                replication=spec.replication,
-                mode=spec.mode,
-                lb_policy=spec.lb_policy,
-                lb_metrics=spec.lb_metrics,
-                drain_policy=spec.drain_policy,
-                max_concurrent_container_ops=spec.max_concurrent_container_ops,
-                max_unavailable_replicas_per_shard=(
-                    spec.max_unavailable_replicas_per_shard),
-                utilization_threshold=spec.utilization_threshold,
-                balance_band=spec.balance_band,
-                spread_levels=spec.spread_levels,
-                needs_storage=spec.needs_storage,
-            )
             partitions.append(Partition(
                 partition_id=f"{spec.name}/p{index}",
                 app_name=spec.name,
-                spec=sub_spec,
+                spec=replace(spec, name=f"{spec.name}.p{index}",
+                             shards=list(subset)),
             ))
         # Distribute servers proportionally to replica share.
         remaining = server_count

@@ -5,7 +5,9 @@ decides how its key space maps to shards (possibly uneven ranges, e.g.
 ``S0:[1,9], S1:[10,99], S2:[100,100000]``) and may set per-shard policies
 such as a regional placement preference.  The spec below captures that,
 plus the §2.2 demographics dimensions (replication strategy, LB policy,
-drain policy, deployment mode) and the §4.1 availability caps.
+drain policy) and §4.1's global availability cap.  ``DeploymentMode``
+is the demographics' regional / geo-distributed split
+(``repro.workloads.fleet``); every simulated app is geo-distributed.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ class ShardSpec:
     key_range: KeyRange
     replica_count: int = 1
     preferred_region: Optional[str] = None
-    preference_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.replica_count < 1:
@@ -97,18 +98,16 @@ class AppSpec:
     name: str
     shards: List[ShardSpec]
     replication: ReplicationStrategy = ReplicationStrategy.PRIMARY_ONLY
-    mode: DeploymentMode = DeploymentMode.GEO_DISTRIBUTED
     lb_policy: LoadBalancePolicy = LoadBalancePolicy.SHARD_COUNT
     lb_metrics: Tuple[str, ...] = ("shard_count",)
     drain_policy: DrainPolicy = field(default_factory=DrainPolicy)
-    # §4.1 caps: both "account for the containers and shard replicas that
-    # are already unavailable due to ongoing unplanned outage".
+    # §4.1's global cap "accounts for the containers and shard replicas
+    # that are already unavailable due to ongoing unplanned outage"; the
+    # per-shard cap is task_controller.MAX_UNAVAILABLE_REPLICAS_PER_SHARD.
     max_concurrent_container_ops: int = 6
-    max_unavailable_replicas_per_shard: int = 1
     utilization_threshold: float = 0.9
     balance_band: float = 0.1
     spread_levels: Tuple[FaultDomainLevel, ...] = (FaultDomainLevel.REGION,)
-    needs_storage: bool = False
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -132,8 +131,6 @@ class AppSpec:
                 raise ValueError(
                     f"app {self.name}: overlapping key ranges "
                     f"[{lo1},{hi1}) and starting at {lo2}")
-        if self.max_unavailable_replicas_per_shard < 1:
-            raise ValueError("per-shard unavailability cap must be >= 1")
         if self.max_concurrent_container_ops < 1:
             raise ValueError("global concurrent-op cap must be >= 1")
 

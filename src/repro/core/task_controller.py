@@ -33,6 +33,10 @@ from ..sim.engine import Engine
 from .orchestrator import Orchestrator
 from .shard_map import Role
 
+#: §4.1's per-shard cap: at most this many replicas of one shard may be
+#: unavailable at once, counting the ones an unplanned outage already took.
+MAX_UNAVAILABLE_REPLICAS_PER_SHARD = 1
+
 
 class _DrainPhase(str, Enum):
     RUNNING = "running"
@@ -178,11 +182,10 @@ class SMTaskController:
 
     def _violates_shard_cap(self, impacted: Set[str],
                             planned_unavailable: Dict[str, int]) -> bool:
-        cap = self.spec.max_unavailable_replicas_per_shard
         for shard_id in impacted:
             already = self.orchestrator.unavailable_count(shard_id)
             planned = planned_unavailable.get(shard_id, 0)
-            if already + planned + 1 > cap:
+            if already + planned + 1 > MAX_UNAVAILABLE_REPLICAS_PER_SHARD:
                 return True
         return False
 

@@ -48,7 +48,6 @@ class SimCluster:
               seed: int = 0,
               capacity: Optional[Dict[str, float]] = None,
               capacity_jitter: float = 0.0,
-              storage_fraction: float = 0.0,
               twine_config: Optional[TwineConfig] = None,
               discovery_base_delay: float = 1.0,
               discovery_jitter: float = 1.0,
@@ -61,7 +60,6 @@ class SimCluster:
             machines_per_region=machines_per_region,
             capacity=capacity,
             capacity_jitter=capacity_jitter,
-            storage_fraction=storage_fraction,
             rng=substream(seed, "topology"),
         )
         network = Network(engine, latency=_latency_for(regions),

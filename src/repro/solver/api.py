@@ -5,7 +5,7 @@ Mirrors the paper's Figure 13 usage:
     rebalancer = Rebalancer(problem)
     rebalancer.add_constraint(CapacitySpec(metric="cpu"))
     rebalancer.add_goal(BalanceSpec(metric="cpu"), weight=1.0)
-    rebalancer.add_goal(AffinitySpec(affinities=...))
+    rebalancer.add_goal(AffinitySpec())   # each replica's preferred_region
     rebalancer.add_goal(ExclusionSpec(scope=Scope.REGION))
     result = rebalancer.solve(config)
 
@@ -54,7 +54,7 @@ class Rebalancer:
 
     def add_goal(self, spec: Spec, weight: float = 1.0) -> "Rebalancer":
         """Add a soft goal.  ``weight`` scales a balance goal's cost; the
-        other goals carry theirs in the spec, or weigh 1."""
+        other goals weigh 1."""
         if isinstance(spec, CapacitySpec):
             raise TypeError("capacity is a hard constraint; use add_constraint")
         if isinstance(spec, UtilizationSpec):

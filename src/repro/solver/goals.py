@@ -47,6 +47,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .problem import PlacementProblem
 from .specs import (
+    PRIORITY_CAPACITY,
+    PRIORITY_MAINTENANCE_DRAIN,
+    PRIORITY_REGION_PREFERENCE,
+    PRIORITY_UTILIZATION_THRESHOLD,
     AffinitySpec,
     BalanceSpec,
     CapacitySpec,
@@ -292,20 +296,17 @@ class _ThresholdGoal(_ServerCostGoal):
 class CapacityGoal(_ThresholdGoal):
     """Hard constraint, surfaced as the highest-priority goal so the search
     fixes overflow first ("earlier batches focus on ... servers out of
-    capacity", §5.3).  ``fits`` additionally vetoes moves that would create
-    new overflow."""
+    capacity", §5.3).  ``fitting`` additionally vetoes moves that would
+    create new overflow."""
+
+    priority = PRIORITY_CAPACITY
 
     def __init__(self, problem: PlacementProblem, spec: CapacitySpec) -> None:
         self.problem = problem
         self.metric = problem.metrics.index(spec.metric)
-        self.headroom = spec.headroom
         self.name = f"capacity[{spec.metric}]"
-        self.priority = 0
-        self.weight = 1.0
-        # Per-server limits are static: precompute once instead of a
-        # multiply per move_delta call.
-        self._limits: List[float] = [
-            cap[self.metric] * self.headroom for cap in problem.capacity]
+        self._limits: List[float] = [cap[self.metric]
+                                     for cap in problem.capacity]
         self._init_incremental()
 
     def fitting(self, replica: int, targets: Sequence[int]) -> List[int]:
@@ -317,12 +318,11 @@ class CapacityGoal(_ThresholdGoal):
         return [dst for dst in targets
                 if usage[dst][m] + load <= limits[dst] + 1e-9]
 
-    def fits(self, replica: int, dst: int) -> bool:
-        return bool(self.fitting(replica, (dst,)))
-
 
 class UtilizationGoal(_ThresholdGoal):
     """Soft goal 4: utilization under a fixed threshold (e.g. 90%)."""
+
+    priority = PRIORITY_UTILIZATION_THRESHOLD
 
     def __init__(self, problem: PlacementProblem,
                  spec: UtilizationSpec) -> None:
@@ -330,8 +330,6 @@ class UtilizationGoal(_ThresholdGoal):
         self.metric = problem.metrics.index(spec.metric)
         self.threshold = spec.threshold
         self.name = f"util[{spec.metric}]<{spec.threshold:.0%}"
-        self.priority = spec.priority
-        self.weight = 1.0
         self._limits: List[float] = [
             cap[self.metric] * self.threshold for cap in problem.capacity]
         self._init_incremental()
@@ -412,22 +410,13 @@ class AffinityGoal(Goal):
     ``violations()`` O(1).
     """
 
+    priority = PRIORITY_REGION_PREFERENCE
+
     def __init__(self, problem: PlacementProblem, spec: AffinitySpec) -> None:
-        if spec.scope is not Scope.REGION:
-            raise ValueError("affinity is supported at region scope")
         self.problem = problem
         self.name = "region-preference"
-        self.priority = spec.priority
-        self.weight = spec.weight
-        # Explicit affinities override the problem's per-replica fields.
-        self.pref_region = list(problem.replica_pref_region)
-        self.pref_weight = list(problem.replica_pref_weight)
-        if spec.affinities is not None:
-            by_name = {r.name: i for i, r in enumerate(problem.replicas)}
-            for replica_name, region, weight in spec.affinities:
-                idx = by_name[replica_name]
-                self.pref_region[idx] = problem.region_names.index(region)
-                self.pref_weight[idx] = weight
+        self.pref_region = problem.replica_pref_region
+        pref_weight = problem.replica_pref_weight
         # Group replicas by (shard, preferred region).
         self._group_of: Dict[int, Tuple[int, int]] = {}
         self._group_weight: Dict[Tuple[int, int], float] = {}
@@ -439,7 +428,7 @@ class AffinityGoal(Goal):
             key = (problem.shard_of[r], pref)
             self._group_of[r] = key
             self._group_weight[key] = max(self._group_weight.get(key, 0.0),
-                                          self.pref_weight[r])
+                                          pref_weight[r])
             self._group_members.setdefault(key, []).append(r)
         self._in_pref: Dict[Tuple[int, int], int] = {}
         self._unsat_count = 0
@@ -553,7 +542,6 @@ class SpreadGoal(Goal):
         self.scope = spec.scope
         self.name = f"spread[{spec.scope.value}]"
         self.priority = spec.priority
-        self.weight = spec.weight
         self.domain_of_server = _domain_array(problem, spec.scope)
         self._counts: Dict[Tuple[int, int], int] = {}
         self._excess = 0
@@ -662,11 +650,11 @@ class DrainGoal(_ServerCostGoal):
     integer sum alongside the shared cost cache.
     """
 
+    priority = PRIORITY_MAINTENANCE_DRAIN
+
     def __init__(self, problem: PlacementProblem, spec: DrainSpec) -> None:
         self.problem = problem
         self.name = "maintenance-drain"
-        self.priority = spec.priority
-        self.weight = spec.weight
         self._init_incremental()
 
     def _cost_of(self, server: int) -> float:

@@ -281,7 +281,8 @@ class LocalSearch:
         # delta exceed the veto threshold once ``fitting`` accepted the
         # target (the destination stays within its limit and the source
         # only sheds load), so _best_target skips those higher-goal calls
-        # for it.  Swaps check the veto *before* fits and use ``higher``.
+        # for it.  Swaps check the veto *before* ``fitting`` and use
+        # ``higher``.
         self._higher_evals_post_fits = [
             g.move_deltas for g in higher if not isinstance(g, CapacityGoal)]
         overridden = [g.contributes for g in batch
@@ -497,9 +498,6 @@ class LocalSearch:
                 best_target = target
         return best_target
 
-    def _fits(self, replica: int, target: int) -> bool:
-        return all(goal.fits(replica, target) for goal in self.capacity_goals)
-
     # -- applying moves ---------------------------------------------------------------
 
     def _move(self, replica: int, src: int, dst: int) -> None:
@@ -546,10 +544,12 @@ class LocalSearch:
             if delta >= -1e-9:
                 continue
             # Capacity check for the pair (approximate: apply out first).
-            if not self._fits(hot_replica, cold):
+            if not all(fitting(hot_replica, (cold,))
+                       for fitting in self._fitting):
                 continue
             self._move(hot_replica, hot, cold)
-            if not self._fits(cold_replica, hot):
+            if not all(fitting(cold_replica, (hot,))
+                       for fitting in self._fitting):
                 # Roll back: the swap-in does not fit after all.
                 self._move(hot_replica, cold, hot)
                 continue

@@ -9,16 +9,17 @@ vocabulary mirrors the paper's API examples:
     addGoal(AffinitySpec{.scope="region", .affinities=...})
     addGoal(ExclusionSpec{.scope="region", .partition=...})
 
-Priorities follow §5.1's ordering (lower number = more important); each
-spec carries its default priority so SM's allocator can simply add the
-goals it needs.
+Here capacity is per host and affinity per region, and an affinity is
+each replica's ``preferred_region``.  Priorities follow §5.1's ordering
+(lower number = more important): balance and spread specs carry theirs,
+since SM's allocator adds each at two priorities; the other goals read
+the constants below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
 
 
 class Scope(str, Enum):
@@ -43,14 +44,10 @@ PRIORITY_PARALLEL_FAILOVER = 7
 
 @dataclass(frozen=True)
 class CapacitySpec:
-    """Hard constraint: aggregate load on a server must fit its capacity.
-
-    ``headroom`` leaves a safety margin (1.0 = use full capacity).
-    """
+    """Hard constraint: aggregate load on a server must fit its full
+    capacity."""
 
     metric: str
-    scope: Scope = Scope.HOST
-    headroom: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,6 @@ class UtilizationSpec:
 
     metric: str
     threshold: float = 0.9
-    priority: int = PRIORITY_UTILIZATION_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -78,16 +74,8 @@ class BalanceSpec:
 
 @dataclass(frozen=True)
 class AffinitySpec:
-    """Soft goal 1: place specific replicas in specific regions.
-
-    ``affinities`` maps replica name → (region, weight); when omitted the
-    goal falls back to each replica's ``preferred_region`` field.
-    """
-
-    scope: Scope = Scope.REGION
-    affinities: Optional[Tuple[Tuple[str, str, float], ...]] = None
-    priority: int = PRIORITY_REGION_PREFERENCE
-    weight: float = 1.0
+    """Soft goal 1: place each shard in its replicas' ``preferred_region``
+    (weighted by their ``preference_weight``), at region scope."""
 
 
 @dataclass(frozen=True)
@@ -100,12 +88,8 @@ class ExclusionSpec:
 
     scope: Scope = Scope.REGION
     priority: int = PRIORITY_SPREAD
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)
 class DrainSpec:
     """Soft goal 3: move replicas off servers flagged as draining."""
-
-    priority: int = PRIORITY_MAINTENANCE_DRAIN
-    weight: float = 1.0

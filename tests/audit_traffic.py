@@ -42,6 +42,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -74,20 +75,17 @@ EXAMPLES = ("quickstart", "rolling_upgrade", "geo_failover", "zippydb_demo",
 # stays.  The reason classes are the simplicity guide's safety list
 # (DESIGN.md, "One owner per shared decision", spells them out).
 # ----------------------------------------------------------------------
-ERROR = "error handling a call can return: "
-CHECKER = ("oracle that fires only on a broken system; ROADMAP item 4 "
-           "decides checkers by mutants: ")
-REFERENCE = "reference implementation a test compares against: "
-RELEASE = "releases what the object owns: "
-BASE = "base-class declaration or no-op default: "
-REPR = "debugging / failure-message text"
-DOUBLE = ("test double shipped beside the TaskController protocol it "
+ERROR = "ERROR: error handling a call can return: "
+CHECKER = ("CHECKER: oracle that fires only on a broken system; ROADMAP item "
+           "4 decides checkers by mutants: ")
+REFERENCE = "REFERENCE: reference implementation a test compares against: "
+RELEASE = "RELEASE: releases what the object owns: "
+BASE = "BASE: base-class declaration, no-op default or data-model hook: "
+REPR = "REPR: debugging / failure-message text"
+DOUBLE = ("DOUBLE: test double shipped beside the TaskController protocol it "
           "implements")
-FORMAT = "other half of a format traffic reads or writes: "
-PAPER = ("paper-named capability, fenced not settled - ROADMAP gives it "
-         "the contract 'a scenario or figure drives it and a checker "
-         "would notice it broken, or it goes': ")
-CHURN = "not worth the churn: "
+FORMAT = "FORMAT: other half of a format traffic reads or writes: "
+CHURN = "CHURN: not worth the churn: "
 
 ALLOW: List[Tuple[str, str]] = [
     # -- error handling ---------------------------------------------------
@@ -101,8 +99,6 @@ ALLOW: List[Tuple[str, str]] = [
      ERROR + "a deferred reply that ends in an error (caller down, "
      "ZippyDB without a quorum)"),
     # -- checkers and their reports ---------------------------------------
-    ("obs/checker.py::TraceChecker.check_shard_map",
-     CHECKER + "published map against the journal"),
     ("obs/checker.py::TraceChecker.assert_clean",
      CHECKER + "raise-on-violation entry point the tests use"),
     ("obs/checker.py::Violation.as_dict",
@@ -140,21 +136,10 @@ ALLOW: List[Tuple[str, str]] = [
     ("*::*.__repr__", REPR),
     ("obs/checker.py::Violation.__str__", REPR),
     ("core/shard_map.py::ShardMap.__hash__",
-     "keeps ShardMap hashable beside the __eq__ traffic uses"),
+     BASE + "keeps ShardMap hashable beside the __eq__ traffic uses"),
     # -- formats ----------------------------------------------------------
     ("obs/trace_export.py::read_jsonl",
      FORMAT + "reads the JSONL journal --journal writes"),
-    # -- paper-named, fenced ----------------------------------------------
-    ("core/shard_scaler.py::*",
-     PAPER + "Fig 10's shard scaler; four unit tests are its only user"),
-    ("apps/adevents.py::*",
-     PAPER + "the AdEvents application of section 2.5; "
-     "experiments/adevents_capacity.py reproduces the 67 % without it"),
-    ("solver/goals.py::CapacityGoal.fits",
-     PAPER + "section 5.3's two-way swap: traffic enters _try_swap but no "
-     "instance yet finds an improving pair to capacity-check"),
-    ("solver/local_search.py::LocalSearch._fits",
-     PAPER + "section 5.3's two-way swap, as CapacityGoal.fits"),
     # -- churn ------------------------------------------------------------
     ("core/shard_map.py::AssignmentTable.snapshot",
      CHURN + "two lines over _rebuild_dirty / _make_map with ~20 test "
@@ -177,8 +162,6 @@ BENCH_KW = "BENCH: bench/workloads.py passes it by keyword: "
 REFERENCE_RUN = "REFERENCE: a pinned test oracle runs it at another value: "
 TIER1_SIZE = "TIER1-SIZE: a tier-1 smoke test shrinks it: "
 TIER1_SIZE_LIMIT = 15
-PAPER_SPEC = ("PAPER: an app-spec / solver-spec field the paper names, "
-              "fenced with ROADMAP item 11's contract")
 SMOKE = "tests/integration/test_experiments_smoke.py"
 
 ALLOW_OPTIONS: List[Tuple[str, str]] = [
@@ -233,15 +216,6 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
      TIER1_SIZE + SMOKE + " runs factor 25"),
     ("experiments/skew_lb.py::run_arm(duration)",
      TIER1_SIZE + SMOKE + " runs a 180 s workload"),
-    # -- paper-named spec fields ----------------------------------------------
-    ("core/spec.py::AppSpec.max_unavailable_replicas_per_shard", PAPER_SPEC),
-    ("core/spec.py::AppSpec.mode", PAPER_SPEC),
-    ("core/spec.py::AppSpec.needs_storage", PAPER_SPEC),
-    ("core/spec.py::ShardSpec.preference_weight", PAPER_SPEC),
-    ("solver/specs.py::*", PAPER_SPEC),
-    ("*::*(storage_fraction)",
-     PAPER_SPEC + " (the topology half of AppSpec.needs_storage: Fig 9's "
-     "storage / non-storage machines)"),
 ]
 
 
@@ -373,6 +347,14 @@ def excuses(allow: Sequence[Tuple[str, str]], names: Iterable[str],
     return excuse
 
 
+def by_class(reasons: Iterable[str]) -> str:
+    """"16 SEED, 11 INPUT, ...": how many names each reason class excuses
+    (a reason's class is the tag before its first colon)."""
+    counts = Counter(reason.partition(":")[0] for reason in reasons)
+    return ", ".join(f"{count} {tag}" for tag, count
+                     in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
 def check_functions(functions: Dict[str, int], entered: Set[str],
                     problems: List[str]) -> List[str]:
     """The function table; problems are appended."""
@@ -389,10 +371,12 @@ def check_functions(functions: Dict[str, int], entered: Set[str],
                             f"({functions[name]} lines) and no allowlist "
                             f"entry excuses it")
     missed = [name for name in functions if name not in entered]
+    allowed = [excuse[name] for name in missed if name in excuse]
     summary = (f"{len(functions)} functions under src/repro: "
                f"{len(functions) - len(missed)} entered by traffic, "
                f"{len(missed)} not ({sum(functions[n] for n in missed)} "
-               f"source lines), {len(ALLOW)} allowlist entries")
+               f"source lines; allowed: {by_class(allowed)}), "
+               f"{len(ALLOW)} allowlist entries")
     print(summary)
     return [summary] + rows
 
@@ -409,12 +393,14 @@ def check_options(options: Options, problems: List[str]) -> List[str]:
         problems.append(f"{tier1} TIER1-SIZE entries in ALLOW_OPTIONS "
                         f"(at most {TIER1_SIZE_LIMIT})")
     counts = {"varied": 0, "allowed": 0, "NOT ALLOWED": 0}
+    allowed: List[str] = []
     for name in sorted(scalar):
         values = " | ".join(sorted(scalar[name]))
         if name in varied:
             status, note = "varied", ""
         elif name in excuse:
             status, note = "allowed", f"  # {excuse[name]}"
+            allowed.append(excuse[name])
         else:
             status, note = "NOT ALLOWED", ""
             problems.append(f"{name} runs with one value ({values}) in "
@@ -426,8 +412,9 @@ def check_options(options: Options, problems: List[str]) -> List[str]:
     summary = (f"{len(scalar)} options under src/repro "
                f"({len(options) - len(scalar)} dependencies not counted): "
                f"{len(varied)} run with two or more values, {single} with "
-               f"one ({counts['allowed']} allowed, {counts['NOT ALLOWED']} "
-               f"not), {len(ALLOW_OPTIONS)} option allowlist entries")
+               f"one ({counts['allowed']} allowed: {by_class(allowed)}; "
+               f"{counts['NOT ALLOWED']} not), {len(ALLOW_OPTIONS)} option "
+               f"allowlist entries")
     print(summary)
     return [summary] + rows
 

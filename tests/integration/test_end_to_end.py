@@ -3,7 +3,6 @@
 import pytest
 
 from repro.app.client import WorkloadRecorder
-from repro.apps.adevents import AdEventsApp, DataBus
 from repro.apps.kvstore import KVStoreApp
 from repro.apps.zippydb import ZippyDBApp
 from repro.core.orchestrator import OrchestratorConfig
@@ -133,33 +132,6 @@ class TestZippyDBFailoverSafety:
             assert reads[key].outcome.value["value"] == f"v{key}"
 
 
-class TestAdEventsEndToEnd:
-    def test_view_rebuilds_after_migration(self):
-        cluster = SimCluster.build(regions=("FRC",), machines_per_region=5,
-                                   seed=17)
-        spec = AppSpec(name="ads", shards=uniform_shards(4, 400),
-                       replication=ReplicationStrategy.PRIMARY_ONLY)
-        bus = DataBus(4)
-        ads = AdEventsApp(spec, bus)
-        app = deploy_app(cluster, spec, {"FRC": 3},
-                         handler_factory=ads.handler_factory, settle=60.0)
-        client = app.client(cluster, "FRC")
-        for _ in range(5):
-            client.request(10, {"op": "ingest",
-                                "event": {"ad_id": 7, "clicks": 1}})
-        cluster.run(until=cluster.engine.now + 5.0)
-
-        victim = app.orchestrator.table.replicas_of("shard0")[0].address
-        app.orchestrator.drain_address(victim)
-        cluster.run(until=cluster.engine.now + 60.0)
-
-        process = client.request(10, {"op": "query", "ad_id": 7})
-        cluster.run(until=cluster.engine.now + 5.0)
-        assert process.outcome.ok
-        assert process.outcome.value["counters"]["clicks"] == 5
-        assert ads.replays >= 2  # original owner + post-migration owner
-
-
 class TestSecondaryOnlyRestartPacing:
     def test_minimum_replicas_always_available(self):
         """§2.2.5: SM 'can manage the pace of container restarts to ensure
@@ -171,7 +143,6 @@ class TestSecondaryOnlyRestartPacing:
             name="sec",
             shards=uniform_shards(8, 80, replica_count=2),
             replication=ReplicationStrategy.SECONDARY_ONLY,
-            max_unavailable_replicas_per_shard=1,
             max_concurrent_container_ops=3,
             drain_policy=DrainPolicy(drain_primaries=False,
                                      drain_secondaries=False),

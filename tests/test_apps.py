@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apps.adevents import AdEventsApp, DataBus
 from repro.apps.kvstore import KVStoreApp
 from repro.apps.queue_service import QueueServiceApp
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
@@ -109,74 +108,3 @@ class TestQueueService:
         with pytest.raises(ValueError):
             handler("shard0", {"op": "enqueue", "queue": "nope"})
 
-
-class TestDataBus:
-    def test_append_read_roundtrip(self):
-        bus = DataBus(2)
-        offset = bus.append(0, {"x": 1})
-        assert offset == 0
-        events, next_offset = bus.read(0, 0)
-        assert events == [{"x": 1}]
-        assert next_offset == 1
-
-    def test_read_from_offset(self):
-        bus = DataBus(1)
-        for index in range(5):
-            bus.append(0, index)
-        events, next_offset = bus.read(0, 3)
-        assert events == [3, 4]
-        assert next_offset == 5
-
-    def test_read_batching(self):
-        bus = DataBus(1)
-        for index in range(10):
-            bus.append(0, index)
-        events, next_offset = bus.read(0, 0, max_events=4)
-        assert events == [0, 1, 2, 3]
-        assert next_offset == 4
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            DataBus(0)
-        with pytest.raises(ValueError):
-            DataBus(1).read(0, -1)
-
-
-class TestAdEvents:
-    def _make(self, shards=2):
-        spec = AppSpec(name="ads", shards=uniform_shards(shards, shards * 10),
-                       replication=ReplicationStrategy.PRIMARY_ONLY)
-        bus = DataBus(shards)
-        app = AdEventsApp(spec, bus)
-        return app, bus
-
-    def test_ingest_and_query(self):
-        app, _bus = self._make()
-        handler = app.handler_factory(FakeContainer())
-        handler("shard0", {"op": "ingest",
-                           "event": {"ad_id": 1, "clicks": 2, "spend": 1.5}})
-        result = handler("shard0", {"op": "query", "ad_id": 1})
-        assert result["counters"]["clicks"] == 2
-        assert result["counters"]["spend"] == 1.5
-
-    def test_migration_replays_log(self):
-        app, bus = self._make()
-        old = app.handler_factory(FakeContainer("srv/old"))
-        old("shard0", {"op": "ingest", "event": {"ad_id": 1, "clicks": 1}})
-        old("shard0", {"op": "ingest", "event": {"ad_id": 1, "clicks": 1}})
-        # A new owner (different server) rebuilds from the bus.
-        new = app.handler_factory(FakeContainer("srv/new"))
-        result = new("shard0", {"op": "query", "ad_id": 1})
-        assert result["counters"]["clicks"] == 2
-        assert app.replays == 2  # one per owner
-
-    def test_bus_partition_count_checked(self):
-        spec = AppSpec(name="ads", shards=uniform_shards(4, 40),
-                       replication=ReplicationStrategy.PRIMARY_ONLY)
-        with pytest.raises(ValueError):
-            AdEventsApp(spec, DataBus(2))
-
-    def test_unknown_ad_query(self):
-        app, _bus = self._make()
-        handler = app.handler_factory(FakeContainer())
-        assert handler("shard0", {"op": "query", "ad_id": 9})["counters"] is None

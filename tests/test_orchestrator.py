@@ -305,7 +305,6 @@ class TestTaskControllerCaps:
             name="app",
             shards=uniform_shards(4, 40, replica_count=2),
             replication=ReplicationStrategy.SECONDARY_ONLY,
-            max_unavailable_replicas_per_shard=1,
             drain_policy=DrainPolicy(drain_primaries=False,
                                      drain_secondaries=False),
         )

@@ -35,8 +35,7 @@ from repro.core.allocator import Allocator
 from repro.core.migration import MigrationExecutor
 from repro.core.mini_sm import plan_partition_footprints
 from repro.core.orchestrator import OrchestratorConfig
-from repro.core.shard_scaler import ShardScalerConfig
-from repro.core.spec import uniform_shards
+from repro.core.spec import AppSpec, ShardSpec, uniform_shards
 from repro.discovery.router import ServiceRouter
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.experiments import (
@@ -65,6 +64,13 @@ from repro.sim.network import LatencyModel, Network
 from repro.sim.rng import skewed_loads
 from repro.solver.goals import UtilizationGoal
 from repro.solver.local_search import SearchConfig
+from repro.solver.specs import (
+    AffinitySpec,
+    CapacitySpec,
+    DrainSpec,
+    ExclusionSpec,
+    UtilizationSpec,
+)
 from repro.workloads.fleet import adoption_curve
 from repro.workloads.load import ZipfKeySampler, mean_rate
 from repro.workloads.snapshots import attach_zippydb_goals, zippydb_snapshot
@@ -284,9 +290,6 @@ REMOVED_OPTIONS = [
     (TwineConfig, "container_stop_duration"),
     (TwineConfig, "container_start_duration"),
     (TwineConfig, "move_extra_duration"),
-    (ShardScalerConfig, "high_watermark"),
-    (ShardScalerConfig, "low_watermark"),
-    (ShardScalerConfig, "max_changes_per_tick"),
     (every, "jitter"),
     (every, "rng"),
     (Histogram, "bounds"),
@@ -348,6 +351,24 @@ REMOVED_OPTIONS = [
     (mean_rate, "samples"),
     (series_rows, "time_label"),
     (series_rows, "max_rows"),
+    # App-spec and solver-spec fields the paper names that every run set
+    # to one value (the per-shard cap is MAX_UNAVAILABLE_REPLICAS_PER_SHARD).
+    (AppSpec, "mode"),
+    (AppSpec, "max_unavailable_replicas_per_shard"),
+    (AppSpec, "needs_storage"),
+    (ShardSpec, "preference_weight"),
+    (build_topology, "storage_fraction"),
+    (SimCluster.build, "storage_fraction"),
+    (AffinitySpec, "affinities"),
+    (AffinitySpec, "scope"),
+    (AffinitySpec, "priority"),
+    (AffinitySpec, "weight"),
+    (CapacitySpec, "headroom"),
+    (CapacitySpec, "scope"),
+    (DrainSpec, "priority"),
+    (DrainSpec, "weight"),
+    (ExclusionSpec, "weight"),
+    (UtilizationSpec, "priority"),
     # An experiment's set-up: a module constant beside its run().
     (adevents_capacity.run, "regional_copies"),
     (adevents_capacity.run, "shards"),

@@ -92,16 +92,9 @@ class TestCapacityGoal:
                                 replicas_per_shard=1)
         goal = CapacityGoal(problem, CapacitySpec(metric="cpu"))
         problem.move(0, 0)
-        assert not goal.fits(0, 0) or problem.usage[0][0] + 60.0 <= 100.0
-        # An empty server fits a 60-load replica.
-        assert goal.fits(0, 1)
-
-    def test_headroom(self):
-        problem = build_problem(num_servers=2, num_shards=1, load=60.0,
-                                replicas_per_shard=1)
-        goal = CapacityGoal(problem,
-                            CapacitySpec(metric="cpu", headroom=0.5))
-        assert not goal.fits(0, 1)  # 60 > 100 * 0.5
+        # Its own server already carries its 60 (120 > 100); the empty
+        # server fits it.
+        assert goal.fitting(0, (0, 1)) == [1]
 
     def test_delta_consistency(self):
         problem = build_problem(num_servers=3, num_shards=5, load=40.0)
@@ -181,14 +174,6 @@ class TestAffinityGoal:
         assert goal.violations() == 1
         assert goal.contributes(0)
         assert not goal.contributes(2)  # shard 1 has no preference
-
-    def test_explicit_affinities_override(self):
-        problem = build_problem(num_servers=6, num_shards=2)
-        spec = AffinitySpec(affinities=(("sh1#0", "C", 2.0),))
-        goal = AffinityGoal(problem, spec)
-        problem.move(2, 0)  # sh1#0 in region A, prefers C
-        goal.refresh()
-        assert goal.total_cost() >= 2.0
 
     def test_delta_consistency(self):
         problem = build_problem(num_servers=6, num_shards=4)

@@ -307,7 +307,8 @@ class EagerSearch(LocalSearch):
         for target in self._sample_targets(replica, src):
             if self.problem.server_draining[target]:
                 continue
-            if not all(g.fits(replica, target) for g in self.capacity_goals):
+            if not all(g.fitting(replica, (target,))
+                       for g in self.capacity_goals):
                 continue
             result.evaluations += 1
             if any(reference_move_delta(g, replica, src, target) > 1e-9
@@ -507,7 +508,7 @@ class TestThresholdDeltaSplit:
         servers = list(range(len(problem.servers)))
         for replica in range(len(problem.replicas)):
             assert goal.fitting(replica, servers) == [
-                s for s in servers if goal.fits(replica, s)]
+                s for s in servers if goal.fitting(replica, (s,))]
 
 
 class TestCostFollowsTheSearch:

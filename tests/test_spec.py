@@ -74,9 +74,6 @@ class TestAppSpec:
         shards = [ShardSpec("a", KeyRange(0, 1))]
         with pytest.raises(ValueError):
             AppSpec(name="x", shards=shards,
-                    max_unavailable_replicas_per_shard=0)
-        with pytest.raises(ValueError):
-            AppSpec(name="x", shards=shards,
                     max_concurrent_container_ops=0)
 
     def test_unknown_shard_raises(self):

@@ -67,12 +67,20 @@ class TestBuildTopology:
         assert max(values) <= 120.0
         assert len(set(values)) > 1  # actually heterogeneous
 
-    def test_storage_fraction(self):
-        topology = build_topology(["FRC"], machines_per_region=200,
-                                  storage_fraction=0.5,
-                                  rng=random.Random(3))
-        storage = sum(1 for m in topology.machines if m.has_storage)
-        assert 60 <= storage <= 140
+    def test_one_unused_draw_per_machine(self):
+        """Each machine draws once after its capacities, so the jitter
+        stream (Fig 23's capacities) keeps the draws it was pinned with."""
+        rng = random.Random(3)
+        topology = build_topology(["FRC", "PRN"], machines_per_region=3,
+                                  capacity={"cpu": 100.0, "memory": 50.0},
+                                  capacity_jitter=0.2, rng=rng)
+        twin = random.Random(3)
+        for machine in topology.machines:
+            assert machine.capacity == {
+                "cpu": 100.0 * (1.0 + twin.uniform(-0.2, 0.2)),
+                "memory": 50.0 * (1.0 + twin.uniform(-0.2, 0.2))}
+            twin.random()
+        assert rng.getstate() == twin.getstate()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
