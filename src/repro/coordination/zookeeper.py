@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..sim.engine import Engine, EventHandle
+from ..sim.engine import Engine
 
 
 class ZkError(RuntimeError):
@@ -142,7 +142,7 @@ class Session:
         self.expired = False
         self._opened = store.engine.now
         self._heartbeats = heartbeats
-        self._expiry_handle: Optional[EventHandle] = None
+        self._expiry_handle: Optional[list] = None
         # Paths of the ephemerals this session owns (maintained by
         # ZooKeeper.create/delete), so expiry never walks the tree.
         self._ephemerals: set = set()
@@ -154,9 +154,10 @@ class Session:
             self._arm_lease_expiry(math.inf)
 
     def _arm_expiry(self, when: float) -> None:
+        engine = self._store.engine
         if self._expiry_handle is not None:
-            self._expiry_handle.cancel()
-        self._expiry_handle = self._store.engine.call_at(when, self._expire)
+            engine.cancel(self._expiry_handle)
+        self._expiry_handle = engine.call_at(when, self._expire)
 
     def _arm_lease_expiry(self, stop: float) -> None:
         """Schedule the expiry of a lease whose heartbeats end at ``stop``:
@@ -207,7 +208,7 @@ class Session:
             return
         self.expired = True
         if self._expiry_handle is not None:
-            self._expiry_handle.cancel()
+            self._store.engine.cancel(self._expiry_handle)
         self._store._session_expired(self)
 
 

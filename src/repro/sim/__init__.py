@@ -3,7 +3,6 @@
 from .engine import (
     Delay,
     Engine,
-    EventHandle,
     Process,
     SimulationError,
     every,
@@ -29,7 +28,6 @@ from .rng import skewed_loads, substream
 __all__ = [
     "Delay",
     "Engine",
-    "EventHandle",
     "Process",
     "SimulationError",
     "every",

@@ -11,12 +11,12 @@ The engine is a heap-scheduled event loop:
   ``delay == 0.0`` event (a wake-up, a same-tick completion) is pushed on
   it with the ``(now, seq)`` any other event would get.
 * ``call_at`` / ``call_after`` schedule plain callbacks and return the
-  scheduled event itself, an :class:`EventHandle`.  Both accept an
-  optional ``arg`` so hot paths can schedule ``callback(arg)`` without
-  allocating a closure, and an optional ``guard`` for callbacks that
-  usually have nothing left to do by the time they are due (timeouts):
-  a guarded event costs no heap operation unless its guard still holds
-  shortly before its deadline.
+  scheduled event itself, which :meth:`Engine.cancel` takes back.  Both
+  accept an optional ``arg`` so hot paths can schedule ``callback(arg)``
+  without allocating a closure, and an optional ``guard`` for callbacks
+  that usually have nothing left to do by the time they are due
+  (timeouts): a guarded event costs no heap operation unless its guard
+  still holds shortly before its deadline.
 * :class:`Process` wraps a generator so sequential simulation code can be
   written in direct style, yielding a :class:`Delay`, another
   :class:`Process` to join, or an RPC in flight
@@ -31,9 +31,11 @@ orders, and the guard buckets are purely an optimisation: callbacks that
 have an effect run in the order an engine pushing every event through the
 heap at once would run them (see DESIGN.md, "Determinism contract").
 
-Heap entries are ``(time, seq, event)`` tuples so ordering is resolved by
-C-level float/int comparison; ``seq`` is unique, so the event objects
-themselves are never compared.
+An event is its own heap entry: the list ``[time, seq, callback, arg]``,
+ordered by C-level float/int comparison of its first two slots; ``seq``
+is unique, so callbacks are never compared.  Slot 2 is cleared when the
+event runs, is cancelled or (guarded events) is dropped: a popped entry
+with no callback is a tombstone, and a second cancel is a no-op.
 """
 
 from __future__ import annotations
@@ -58,47 +60,14 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
 
 
-class EventHandle:
-    """One scheduled callback, returned by ``call_at``/``call_after``.
-
-    The event is its own handle.  Its state lives in two of its slots:
-    ``_engine`` is set while the event is still due and ``None`` once it
-    ran, was cancelled or (guarded events) was dropped; ``callback`` is
-    ``None`` only for a cancelled event, which is what the run loop tests
-    to skip a tombstone.
-    """
-
-    __slots__ = ("time", "seq", "callback", "arg", "_engine")
-
-    def __init__(self, time: float, seq: int, callback: Callable[..., None],
-                 arg: Any, engine: "Engine") -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.arg = arg
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Safe to call repeatedly, and
-        a no-op on an event that already ran."""
-        engine = self._engine
-        if engine is not None:
-            # It stops counting as pending right away; a heap entry
-            # lingers as a tombstone until popped.
-            self._engine = None
-            self.callback = None
-            engine._pending -= 1
-
-
 def _push_now(engine: "Engine", callback: Callable[..., None],
-              arg: Any) -> EventHandle:
+              arg: Any) -> list:
     """Push a zero-delay event.  A function, not a method, and called by
     ``call_after`` and ``_schedule_immediate`` directly: a tool that wraps
     the scheduling methods to count events then sees each event once."""
-    now = engine.now
-    event = EventHandle(now, next(engine._seq), callback, arg, engine)
+    event = [engine.now, next(engine._seq), callback, arg]
     engine._pending += 1
-    heappush(engine._heap, (now, event.seq, event))
+    heappush(engine._heap, event)
     return event
 
 
@@ -108,10 +77,9 @@ class Engine:
     def __init__(self) -> None:
         #: Current simulated time in seconds.  Written only by :meth:`run`.
         self.now = 0.0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[list] = []
         # flush time -> [(guard, event)]: guarded events not yet on the heap.
-        self._parked: dict[float, list[tuple[Callable[[], Any],
-                                             EventHandle]]] = {}
+        self._parked: dict[float, list[tuple[Callable[[], Any], list]]] = {}
         # Latest deadline of a guarded event dropped unfired.  The no-op it
         # had become would still have advanced the clock of a run that
         # drains the queue, so such a run ends no earlier than this.
@@ -158,7 +126,7 @@ class Engine:
 
     def call_at(self, when: float, callback: Callable[..., None],
                 arg: Any = _NO_ARG,
-                guard: Optional[Callable[[], Any]] = None) -> EventHandle:
+                guard: Optional[Callable[[], Any]] = None) -> list:
         """Schedule ``callback`` at absolute simulated time ``when``.
 
         With ``arg``, the callback is invoked as ``callback(arg)`` — the
@@ -178,7 +146,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={when:.6f}, current time is {now:.6f}"
             )
-        event = EventHandle(when, next(self._seq), callback, arg, self)
+        event = [when, next(self._seq), callback, arg]
         self._pending += 1
         if guard is not None:
             flush_at = (when // _GUARD_BUCKET - 1.0) * _GUARD_BUCKET
@@ -191,8 +159,18 @@ class Engine:
                     self.call_at(flush_at, self._flush_guarded, flush_at)
                 bucket.append((guard, event))
                 return event
-        heappush(self._heap, (when, event.seq, event))
+        heappush(self._heap, event)
         return event
+
+    def cancel(self, event: list) -> None:
+        """Prevent ``event`` (as returned by ``call_at`` / ``call_after``)
+        from firing.  A no-op on an event that already ran, was cancelled
+        or was dropped by its guard."""
+        if event[2] is not None:
+            # It stops counting as pending right away; a heap entry
+            # lingers as a tombstone until popped.
+            event[2] = None
+            self._pending -= 1
 
     def _flush_guarded(self, flush_at: float) -> None:
         """Move one bucket's still-guarded events onto the heap."""
@@ -200,28 +178,27 @@ class Engine:
         dropped = 0
         dropped_until = self._dropped_until
         for guard, event in self._parked.pop(flush_at):
-            if event.callback is None:
+            if event[2] is None:
                 continue  # cancelled while parked: already uncounted
             if guard():
-                heappush(heap, (event.time, event.seq, event))
+                heappush(heap, event)
             else:
-                event._engine = None
+                event[2] = None
                 dropped += 1
-                if event.time > dropped_until:
-                    dropped_until = event.time
+                if event[0] > dropped_until:
+                    dropped_until = event[0]
         self._pending -= dropped
         self._dropped_until = dropped_until
 
     def call_after(self, delay: float, callback: Callable[..., None],
-                   arg: Any = _NO_ARG,
-                   guard: Optional[Callable[[], Any]] = None) -> EventHandle:
-        """Schedule ``callback`` after ``delay`` seconds (``arg`` and
-        ``guard`` as for :meth:`call_at`)."""
+                   arg: Any = _NO_ARG) -> list:
+        """Schedule ``callback`` after ``delay`` seconds (``arg`` as for
+        :meth:`call_at`; a guarded event is scheduled with ``call_at``)."""
         if delay == 0.0:
             return _push_now(self, callback, arg)
         if not delay > 0:  # also rejects nan
             raise SimulationError(f"delay must be >= 0, got {delay!r}")
-        return self.call_at(self.now + delay, callback, arg, guard)
+        return self.call_at(self.now + delay, callback, arg)
 
     def _schedule_immediate(self, callback: Callable[..., None],
                             arg: Any = _NO_ARG) -> None:
@@ -258,27 +235,27 @@ class Engine:
             while heap:
                 # Popped first and put back on the rare exit, which saves
                 # a peek per event.
-                entry = heappop(heap)
-                event = entry[2]
-                callback = event.callback
+                event = heappop(heap)
+                callback = event[2]
                 if callback is None:
                     continue  # tombstones cost nothing beyond the pop
-                if entry[0] > stop_after or executed >= limit:
-                    heappush(heap, entry)
+                when = event[0]
+                if when > stop_after or executed >= limit:
+                    heappush(heap, event)
                     break
-                self.now = event.time
+                self.now = when
                 # Un-counted before the callback runs, so a callback
-                # cancelling its own handle is a no-op.
-                event._engine = None
+                # cancelling its own event is a no-op.
+                event[2] = None
                 self._pending -= 1
                 if executed == next_sample:
                     next_sample += sample
                     name = (getattr(callback, "__qualname__", None)
                             or type(callback).__name__)
-                    trace.instant("engine", name, event.time)
+                    trace.instant("engine", name, when)
                     trace.counter("engine", "pending_events",
-                                  self._pending, event.time)
-                arg = event.arg
+                                  self._pending, when)
+                arg = event[3]
                 if arg is no_arg:
                     callback()
                 else:

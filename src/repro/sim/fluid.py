@@ -36,7 +36,7 @@ import math
 from typing import List, Optional, Protocol
 
 from ..obs.tracer import NO_TRACER, Tracer
-from .engine import Engine, EventHandle, SimulationError
+from .engine import Engine, SimulationError
 
 __all__ = [
     "EpochDriver",
@@ -112,7 +112,7 @@ class EpochDriver:
         self.finished = False
         self._last = engine.now
         self._until: Optional[float] = None
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[list] = None
         self._started = False
 
     @property
@@ -138,7 +138,7 @@ class EpochDriver:
     def stop(self) -> None:
         """Cancel any pending tick; already-integrated epochs stand."""
         if self._handle is not None:
-            self._handle.cancel()
+            self.engine.cancel(self._handle)
             self._handle = None
         self.finished = True
 

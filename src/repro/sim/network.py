@@ -73,17 +73,18 @@ class AsyncReply:
     """Returned by a handler that cannot answer synchronously.
 
     The server completes it later (e.g. after forwarding the request to
-    another server); the network sends the response when it completes.
+    another server); the network, its one subscriber, sends the response
+    when it completes.
     """
 
-    __slots__ = ("_ok", "_value", "_error", "_settled", "_callbacks")
+    __slots__ = ("_ok", "_value", "_error", "_settled", "_subscriber")
 
     def __init__(self) -> None:
         self._ok = False
         self._value: Any = None
         self._error = ""
         self._settled = False
-        self._callbacks: list[Callable[["AsyncReply"], None]] = []
+        self._subscriber: Optional[Callable[["AsyncReply"], None]] = None
 
     def complete(self, value: Any = None) -> None:
         self._settle(True, value, "")
@@ -103,15 +104,18 @@ class AsyncReply:
         self._ok = ok
         self._value = value
         self._error = error
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        subscriber = self._subscriber
+        if subscriber is not None:
+            subscriber(self)
 
     def _on_settle(self, callback: Callable[["AsyncReply"], None]) -> None:
+        """Subscribe the one party that answers for this reply: at once if
+        it has settled, else when it does."""
+        if self._subscriber is not None:
+            raise NetworkError("AsyncReply subscribed to twice")
+        self._subscriber = callback
         if self._settled:
             callback(self)
-        else:
-            self._callbacks.append(callback)
 
 
 class Endpoint:
@@ -314,9 +318,10 @@ class RpcCall:
             # A reply the server never settles must still time out at the
             # caller (first completion wins if it does settle).  Almost
             # every reply does settle first, hence the guard.
-            remaining = self.timeout - (net.engine.now - self.start)
-            net.engine.call_after(max(0.0, remaining), self.fail, "timeout",
-                                  guard=self.unsettled)
+            now = net.engine.now
+            remaining = self.timeout - (now - self.start)
+            net.engine.call_at(now + max(0.0, remaining), self.fail,
+                               "timeout", guard=self.unsettled)
         else:
             self._send_response(True, value, "")
 
@@ -325,16 +330,17 @@ class RpcCall:
 
     def _send_response(self, ok: bool, value: Any, error: str) -> None:
         net = self.net
-        latency = net.latency.sample(self.dst.region, self.src.region,
-                                     self.rng)
+        engine = net.engine
+        arrival = engine.now + net.latency.sample(
+            self.dst.region, self.src.region, self.rng)
         if ok:
             # The completion time is known now, so the result object is
             # precomputed and the delivery callback just hands it over.
             result = RpcResult(ok=True, value=value,
-                               latency=net.engine.now + latency - self.start)
-            net.engine.call_after(latency, self._deliver_ok, result)
+                               latency=arrival - self.start)
+            engine.call_at(arrival, self._deliver_ok, result)
         else:
-            net.engine.call_after(latency, self.fail_response, error)
+            engine.call_at(arrival, self.fail_response, error)
 
     def _deliver_ok(self, result: RpcResult) -> None:
         if self.src.up:
@@ -458,6 +464,8 @@ class Network:
         engine = self.engine
         if timeout is None:
             timeout = DEFAULT_RPC_TIMEOUT
+        elif not timeout > 0:  # also rejects nan
+            raise NetworkError(f"RPC timeout must be > 0, got {timeout!r}")
         self.rpcs_sent += 1
 
         endpoints = self._endpoints
@@ -490,7 +498,7 @@ class Network:
         call.rng = rng
         request_latency = self.latency.sample(src.region, dst.region, rng)
         call.req_latency = request_latency
-        engine.call_after(request_latency, call.deliver_request)
+        engine.call_at(engine.now + request_latency, call.deliver_request)
         return call
 
     def read(self, src_address: str, dst_address: str, method: str) -> Any:

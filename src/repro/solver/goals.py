@@ -432,10 +432,9 @@ class AffinityGoal(Goal):
             self._group_members.setdefault(key, []).append(r)
         self._in_pref: Dict[Tuple[int, int], int] = {}
         self._unsat_count = 0
-        self._synced_version = -1
-        self.refresh()
+        self._rebuild()
 
-    def refresh(self) -> None:
+    def _rebuild(self) -> None:
         self._in_pref = {key: 0 for key in self._group_weight}
         for r, key in self._group_of.items():
             server = self.problem.assignment[r]
@@ -447,7 +446,11 @@ class AffinityGoal(Goal):
 
     def _sync(self) -> None:
         if self._synced_version != self.problem.version:
-            self.refresh()
+            self._rebuild()
+
+    # ``on_move`` keeps the counts exact, so a search round rebuilds them
+    # only after a move the goal was not told about.
+    refresh = _sync
 
     def _unsatisfied(self) -> List[Tuple[int, int]]:
         return [key for key, count in self._in_pref.items() if count == 0]
@@ -545,10 +548,9 @@ class SpreadGoal(Goal):
         self.domain_of_server = _domain_array(problem, spec.scope)
         self._counts: Dict[Tuple[int, int], int] = {}
         self._excess = 0
-        self._synced_version = -1
-        self.refresh()
+        self._rebuild()
 
-    def refresh(self) -> None:
+    def _rebuild(self) -> None:
         self._counts.clear()
         for r, server in enumerate(self.problem.assignment):
             if server == -1:
@@ -561,7 +563,9 @@ class SpreadGoal(Goal):
 
     def _sync(self) -> None:
         if self._synced_version != self.problem.version:
-            self.refresh()
+            self._rebuild()
+
+    refresh = _sync  # as AffinityGoal's: on_move keeps the table exact
 
     def total_cost(self) -> float:
         self._sync()

@@ -145,7 +145,7 @@ def test_healthy_async_reply_rpc_leaves_no_heap_entry_behind():
     assert all(call.result is not None and call.result.ok for call in calls)
     # Ten settled calls, ten timeouts still due at t=1: all parked in one
     # bucket, whose flush is the only thing on the heap.
-    assert [entry[2].callback.__name__ for entry in engine._heap] == \
+    assert [event[2].__name__ for event in engine._heap] == \
         ["_flush_guarded"]
     assert engine.pending_events == 11
     before = engine.processed_events

@@ -27,7 +27,7 @@ and the fixed cases named after it fail too):
   still correct: the property passes, and only the flush instants pinned
   in ``test_engine.py`` move — the engine's "one bucket ahead" is slack,
   not something a tie depends on;
-* take ``seq`` at flush instead of at registration (``event.seq =
+* take ``seq`` at flush instead of at registration (``event[1] =
   next(self._seq)`` in ``_flush_guarded``): a guarded deadline runs after
   a plain event for the same instant that was scheduled after it — the
   log comparison fails (``test_ties_run_in_schedule_order``);
@@ -60,7 +60,7 @@ cancelled_items = st.tuples(st.just("cancelled"), times, delays,
 guarded_items = st.tuples(
     st.just("guarded"), times, delays,
     st.one_of(st.none(), times),  # guard turns false at (None: never)
-    st.booleans(),                # through call_after (else call_at)
+    st.booleans(),                # the oracle schedules via call_after
 )
 programs = st.lists(
     st.one_of(plain_items, cancelled_items, guarded_items, guarded_items),
@@ -74,7 +74,9 @@ drivers = st.one_of(
 
 def _load(program, guarded: bool):
     """Schedule ``program`` on a fresh engine; ``guarded=False`` is the
-    oracle: every event goes straight to the heap through ``call_at``."""
+    oracle: every event goes straight to the heap, a guarded item's
+    through ``call_after`` or ``call_at``.  The guarded side always uses
+    ``call_at(now + delay, ...)``, as the network's timeouts do."""
     engine = Engine()
     log = []
 
@@ -86,7 +88,7 @@ def _load(program, guarded: bool):
         elif kind == "cancelled":
             handle = engine.call_after(delay, log_now, (ident, "never"))
             # Cancelling after it ran must be a no-op, so any order goes.
-            engine.call_at(max(engine.now, rest[0]), handle.cancel)
+            engine.call_at(max(engine.now, rest[0]), engine.cancel, handle)
         else:
             dies_at, via_after = rest
             live = [True]
@@ -100,11 +102,13 @@ def _load(program, guarded: bool):
                 live[0] = False
                 log_now((ident, "die"))
 
-            extra = {"guard": lambda: live[0]} if guarded else {}
-            if via_after:
-                engine.call_after(delay, fire, **extra)
+            if guarded:
+                engine.call_at(engine.now + delay, fire,
+                               guard=lambda: live[0])
+            elif via_after:
+                engine.call_after(delay, fire)
             else:
-                engine.call_at(engine.now + delay, fire, **extra)
+                engine.call_at(engine.now + delay, fire)
             if dies_at is not None:
                 engine.call_at(max(engine.now, dies_at), die)
 

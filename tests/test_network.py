@@ -158,6 +158,23 @@ class TestRpc:
         assert network.rpcs_sent == 2
         assert network.rpcs_failed == 1
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("path", ["healthy", "down", "partitioned"])
+    def test_timeout_not_above_zero_raises_at_the_call(self, engine,
+                                                       network, path,
+                                                       timeout):
+        # The same answer on every path, before anything is scheduled.
+        _echo_server(network)
+        network.register("client", "PRN")
+        if path == "down":
+            network.set_endpoint_up("server", False)
+        elif path == "partitioned":
+            network.partition("FRC", "PRN")
+        with pytest.raises(NetworkError, match="timeout must be > 0"):
+            network.rpc("client", "server", "echo", None, timeout=timeout)
+        assert network.rpcs_sent == 0
+        assert engine.pending_events == 0
+
     def test_duplicate_registration_raises(self, network):
         network.register("x", "FRC")
         with pytest.raises(NetworkError):
@@ -229,6 +246,19 @@ class TestAsyncReply:
         reply.complete(1)
         with pytest.raises(NetworkError):
             reply.complete(2)
+
+    @pytest.mark.parametrize("settled", [False, True])
+    def test_one_subscriber(self, settled):
+        reply = AsyncReply()
+        seen = []
+        if settled:
+            reply.complete(1)
+        reply._on_settle(seen.append)
+        with pytest.raises(NetworkError, match="subscribed to twice"):
+            reply._on_settle(seen.append)
+        if not settled:
+            reply.complete(1)
+        assert seen == [reply]
 
 
 class TestRead:

@@ -21,11 +21,11 @@ Mutation check (each applied alone to ``_push_now`` in
 ``test_same_events_in_the_same_order`` within its budget and the fixed
 case named after it):
 
-* push with a later ``seq`` than the one taken (``event.seq + 2`` in the
-  heap tuple): a zero-delay event runs after a same-instant event
-  scheduled after it (``test_zero_delay_keeps_its_place_among_ties``);
-* push at a later instant (``now + 1e-9`` in the heap tuple): it runs
-  after same-instant heap events scheduled after it
+* push with a later ``seq`` (``next(engine._seq) + 2`` in the event
+  list): a zero-delay event runs after a same-instant event scheduled
+  after it (``test_zero_delay_keeps_its_place_among_ties``);
+* push at a later instant (``engine.now + 1e-9`` in the event list): it
+  runs after same-instant heap events scheduled after it
   (``test_zero_delay_keeps_its_place_among_ties``);
 * forget ``_pending += 1``: ``pending_events`` goes negative and a
   ``max_events`` tiling stops early (both fixed cases).
@@ -36,29 +36,28 @@ from heapq import heappop, heappush
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import (_NO_ARG, Delay, Engine, EventHandle,
-                              SimulationError)
+from repro.sim.engine import _NO_ARG, Delay, Engine, SimulationError
 
 
 class TwoQueueEngine(Engine):
-    """The engine as it was: an immediate-event deque beside the heap."""
+    """The engine as it was: an immediate-event deque beside the heap.
+    Its events are the ``[time, seq, callback, arg]`` lists the heap
+    holds, so ``Engine.cancel`` serves both queues."""
 
     def __init__(self) -> None:
         super().__init__()
         self._immediate = deque()
 
-    def call_after(self, delay, callback, arg=_NO_ARG, guard=None):
+    def call_after(self, delay, callback, arg=_NO_ARG):
         if delay == 0.0:
-            event = EventHandle(self.now, next(self._seq), callback, arg,
-                                self)
+            event = [self.now, next(self._seq), callback, arg]
             self._immediate.append(event)
             self._pending += 1
             return event
-        return super().call_after(delay, callback, arg, guard)
+        return super().call_after(delay, callback, arg)
 
     def _schedule_immediate(self, callback, arg=_NO_ARG):
-        self._immediate.append(
-            EventHandle(self.now, next(self._seq), callback, arg, self))
+        self._immediate.append([self.now, next(self._seq), callback, arg])
         self._pending += 1
 
     def run(self, until=None, max_events=None):
@@ -75,13 +74,12 @@ class TwoQueueEngine(Engine):
                 if not immediate:
                     if not heap:
                         break
-                    entry = heappop(heap)
-                    event = entry[2]
-                    callback = event.callback
+                    event = heappop(heap)
+                    callback = event[2]
                     if callback is None:
                         continue
-                    if entry[0] > stop_after or executed >= limit:
-                        heappush(heap, entry)
+                    if event[0] > stop_after or executed >= limit:
+                        heappush(heap, event)
                         break
                 else:
                     # The deque is FIFO with increasing seq, so only its
@@ -90,12 +88,12 @@ class TwoQueueEngine(Engine):
                     from_heap = False
                     if heap:
                         head = heap[0]
-                        if head[0] < event.time or (head[0] == event.time
-                                                    and head[1] < event.seq):
-                            event = head[2]
+                        if head[0] < event[0] or (head[0] == event[0]
+                                                  and head[1] < event[1]):
+                            event = head
                             from_heap = True
-                    callback = event.callback
-                    if callback is not None and (event.time > stop_after
+                    callback = event[2]
+                    if callback is not None and (event[0] > stop_after
                                                  or executed >= limit):
                         break
                     if from_heap:
@@ -104,13 +102,13 @@ class TwoQueueEngine(Engine):
                         immediate.popleft()
                     if callback is None:
                         continue
-                self.now = event.time
-                event._engine = None
+                self.now = event[0]
+                event[2] = None
                 self._pending -= 1
-                if event.arg is _NO_ARG:
+                if event[3] is _NO_ARG:
                     callback()
                 else:
-                    callback(event.arg)
+                    callback(event[3])
                 executed += 1
         finally:
             self._running = False
@@ -164,7 +162,7 @@ def _load(program, engine):
         log.append(("ran", engine.now) + what)
 
     def scheduled(ident, handle):
-        log.append(("scheduled", ident, handle.time, handle.seq))
+        log.append(("scheduled", ident, handle[0], handle[1]))
 
     def hop(state):
         ident, delay, fanout, depth = state
@@ -186,12 +184,12 @@ def _load(program, engine):
             handle = engine.call_after(delay, ran, (ident, "never?"))
             scheduled(ident, handle)
             if cancel_after is None:
-                handle.cancel()
+                engine.cancel(handle)
             else:
                 # In the same tick when both delays are zero; a no-op if
                 # the event has run by then.
                 scheduled(ident, engine.call_after(cancel_after,
-                                                   handle.cancel))
+                                                   engine.cancel, handle))
         elif kind == "guarded":
             delay, dies_at = rest
             live = [True]
@@ -204,9 +202,9 @@ def _load(program, engine):
                 live[0] = False
                 ran((ident, "die"))
 
-            # Zero delay ignores the guard on both engines.
-            scheduled(ident, engine.call_after(delay, fire,
-                                               guard=lambda: live[0]))
+            # A zero delay's flush instant is past: both engines push it.
+            scheduled(ident, engine.call_at(engine.now + delay, fire,
+                                            guard=lambda: live[0]))
             if dies_at is not None:
                 scheduled(ident, engine.call_at(max(engine.now, dies_at),
                                                 die))
@@ -297,7 +295,7 @@ def test_cancelling_a_zero_delay_event_in_its_own_tick():
     handle = engine.call_after(0.0, seen.append, "cancelled")
     engine.call_after(0.0, seen.append, "kept")
     assert engine.pending_events == 2
-    handle.cancel()
+    engine.cancel(handle)
     assert engine.pending_events == 1
     assert engine.run(max_events=1) == 0.0
     assert seen == ["kept"] and engine.pending_events == 0

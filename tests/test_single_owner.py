@@ -114,15 +114,17 @@ def test_replaced_tables_and_tasks_are_gone():
 
 
 def test_one_event_queue_and_one_way_to_wait():
-    """A process waits by yielding a Delay, a Process or an RpcCall, and
-    a zero-delay event goes on the heap (DESIGN.md, "Simulation substrate
-    fast path")."""
+    """A process waits by yielding a Delay, a Process or an RpcCall, a
+    zero-delay event goes on the heap, and a scheduled event is its own
+    heap entry, with no handle type beside it (DESIGN.md, "Simulation
+    substrate fast path")."""
     assert modules_matching(
-        r"\b(Signal|Wait|wait_rpc|done_signal|numpy)\b") == []
+        r"\b(Signal|Wait|wait_rpc|done_signal|numpy|EventHandle)\b") == []
     assert "deque" not in SOURCES["sim/engine.py"]
     import repro.sim
     assert {"Delay", "Process", "every"} <= set(repro.sim.__all__)
-    assert not {"Signal", "Wait", "wait_rpc"} & set(dir(repro.sim))
+    assert not ({"Signal", "Wait", "wait_rpc", "EventHandle"}
+                & set(dir(repro.sim)))
     from repro.sim import Process, RpcCall
     assert not hasattr(RpcCall, "done")
     assert not hasattr(Process, "done_signal")
@@ -296,6 +298,7 @@ REMOVED_OPTIONS = [
     (MetricsRegistry().histogram, "bounds"),
     # One value in every traffic run (``make traffic``'s option table).
     (Engine.set_tracer, "sample_every"),
+    (Engine.call_after, "guard"),
     (mgk_wait, "cv_arrival2"),
     (mgk_wait, "cv_service2"),
     (LatencyModel, "jitter_fraction"),

@@ -497,7 +497,7 @@ def _client_lifetime(leased, origin, interval, timeout, stop, churn):
         session = sessions[-1]
         if state["stopped"] or session.expired:
             return
-        if session._expiry_handle.time == engine.now:
+        if session._expiry_handle[0] == engine.now:
             state["tie"] = True
         session.heartbeat()
 
