@@ -13,6 +13,7 @@ from repro.app.client import WorkloadRecorder
 from repro.core.orchestrator import OrchestratorConfig
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
+from repro.sim.rng import substream
 
 
 def main() -> None:
@@ -52,7 +53,9 @@ def main() -> None:
     ec_key_limit = (shards * 10 // shards) * ec_shards
     client.run_workload(duration=560.0, rate=lambda t: 20.0,
                         key_fn=lambda rng: rng.randrange(ec_key_limit),
-                        recorder=recorder, prefer_primary=False)
+                        recorder=recorder,
+                        rng=substream(cluster.seed, "workload"),
+                        prefer_primary=False)
 
     t0 = cluster.engine.now
     cluster.engine.call_at(t0 + 90, lambda: cluster.twines["FRC"].fail_region())

@@ -11,6 +11,7 @@ from repro.app.client import WorkloadRecorder
 from repro.apps.kvstore import KVStoreApp
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
+from repro.sim.rng import substream
 
 
 def main() -> None:
@@ -55,6 +56,7 @@ def main() -> None:
     client.run_workload(duration=60.0, rate=lambda t: 50.0,
                         key_fn=lambda rng: rng.randrange(3_000),
                         recorder=recorder,
+                        rng=substream(cluster.seed, "workload"),
                         payload_fn=lambda key: {"op": "get", "key": key})
     cluster.run(until=cluster.engine.now + 70.0)
     print(f"workload: {recorder.succeeded}/{recorder.sent} requests ok "

@@ -13,6 +13,7 @@ from repro.app.client import WorkloadRecorder
 from repro.core.orchestrator import OrchestratorConfig
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
+from repro.sim.rng import substream
 
 
 def main() -> None:
@@ -37,7 +38,8 @@ def main() -> None:
     recorder = WorkloadRecorder.with_bucket(30.0)
     client.run_workload(duration=1_200.0, rate=lambda t: 40.0,
                         key_fn=lambda rng: rng.randrange(shards * 16),
-                        recorder=recorder)
+                        recorder=recorder,
+                        rng=substream(cluster.seed, "workload"))
 
     print("starting rolling upgrade (restart every container)...")
     upgrade = cluster.twines["FRC"].start_rolling_upgrade(

@@ -205,19 +205,19 @@ class ApplicationClient:
     def run_workload(self, duration: float, rate: Callable[[float], float],
                      key_fn: Callable[[random.Random], int],
                      recorder: WorkloadRecorder,
-                     rng: Optional[random.Random] = None,
+                     rng: random.Random,
                      payload_fn: Optional[Callable[[int], Any]] = None,
                      prefer_primary: bool = True) -> _WorkloadOp:
         """Open-loop Poisson request stream for ``duration`` seconds.
 
         ``rate(t)`` gives the instantaneous requests/second (pass a
         constant via ``lambda t: r``; diurnal curves for Fig 18/23 come
-        from ``repro.workloads.load``).  ``payload_fn(key)`` builds a
-        per-request payload (without it the payload is ``None``).
+        from ``repro.workloads.load``).  Arrivals and keys are drawn from
+        ``rng``, which the caller derives from its seed.  ``payload_fn(key)``
+        builds a per-request payload (without it the payload is ``None``).
         Returns the running :class:`_WorkloadOp` (``finished`` flips once
         the stream passes ``duration``).
         """
-        rng = rng or random.Random(0)
         return _WorkloadOp(self.engine, self.router.start_request, duration,
                            rate, key_fn, recorder, rng, payload_fn,
                            prefer_primary)

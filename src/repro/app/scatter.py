@@ -178,14 +178,14 @@ class ScatterGatherClient:
     def run_workload(self, duration: float, rate: Callable[[float], float],
                      key_fn: Callable[[random.Random], int],
                      recorder: WorkloadRecorder,
-                     rng: Optional[random.Random] = None) -> _WorkloadOp:
+                     rng: random.Random) -> _WorkloadOp:
         """Open-loop Poisson scatter stream for ``duration`` seconds.
 
         Each arrival draws one anchor key from ``key_fn`` and fans out
         ``fanout`` legs; the recorder sees one logical outcome per
         scatter (success = all legs succeeded, latency = slowest leg).
+        Arrivals and keys are drawn from ``rng``.
         """
-        rng = rng or random.Random(0)
         return _WorkloadOp(self.engine, self.start_request, duration, rate,
                            key_fn, recorder, rng, payload_fn=None,
                            prefer_primary=True)

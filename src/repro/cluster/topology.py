@@ -105,9 +105,6 @@ def build_topology(regions: Sequence[str],
                 }
             else:
                 machine_capacity = dict(base_capacity)
-            # Unused draw: it keeps the jitter stream's draws where every
-            # pinned result (Fig 23's capacities among them) expects them.
-            rng.random()
             topology.add(Machine(
                 machine_id=f"m{next(counter):06d}",
                 region=region,

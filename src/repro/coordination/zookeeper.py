@@ -142,7 +142,8 @@ class Session:
         self.expired = False
         self._opened = store.engine.now
         self._heartbeats = heartbeats
-        self._expiry_handle: Optional[list] = None
+        # The instant the last armed expiry is due (None: never armed).
+        self._expires_at: Optional[float] = None
         # Paths of the ephemerals this session owns (maintained by
         # ZooKeeper.create/delete), so expiry never walks the tree.
         self._ephemerals: set = set()
@@ -154,10 +155,9 @@ class Session:
             self._arm_lease_expiry(math.inf)
 
     def _arm_expiry(self, when: float) -> None:
-        engine = self._store.engine
-        if self._expiry_handle is not None:
-            engine.cancel(self._expiry_handle)
-        self._expiry_handle = engine.call_at(when, self._expire)
+        self._expires_at = when
+        if when != math.inf:
+            self._store.engine.call_at(when, self._expire, when)
 
     def _arm_lease_expiry(self, stop: float) -> None:
         """Schedule the expiry of a lease whose heartbeats end at ``stop``:
@@ -179,7 +179,7 @@ class Session:
         to reset: the grid already vouches for it."""
         if self.expired:
             raise SessionExpiredError(f"session {self.session_id} expired")
-        if self._expiry_handle is not None:
+        if self._expires_at is not None:
             self._arm_expiry(self._store.engine.now + self.timeout)
 
     def stop_heartbeats(self) -> None:
@@ -203,12 +203,13 @@ class Session:
         if not self.expired:
             self._expire()
 
-    def _expire(self) -> None:
-        if self.expired:
+    def _expire(self, due: Optional[float] = None) -> None:
+        """Expire now; as the timer for ``due``, only if no later expiry
+        was armed since (a re-armed session's earlier timers still run,
+        as no-ops)."""
+        if self.expired or (due is not None and due != self._expires_at):
             return
         self.expired = True
-        if self._expiry_handle is not None:
-            self._store.engine.cancel(self._expiry_handle)
         self._store._session_expired(self)
 
 

@@ -57,8 +57,7 @@ class OrchestratorConfig:
     drain_concurrency: int = 4
     drain_pacing: float = 0.0         # extra seconds between drain migrations
     max_moves_per_round: int = 64
-    search_config: SearchConfig = field(
-        default_factory=lambda: SearchConfig(time_budget=5.0))
+    search_config: SearchConfig = field(default_factory=SearchConfig)
 
 
 def _serialize_replica(replica: ReplicaAssignment) -> Dict[str, str]:

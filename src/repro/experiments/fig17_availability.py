@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from ..app.client import WorkloadRecorder
-from ..cluster.twine import TwineConfig
 from ..core.orchestrator import OrchestratorConfig
 from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from ..core.task_controller import SMTaskControllerConfig
 from ..harness import SimCluster, deploy_app
 from ..metrics.timeseries import TimeSeries
+from ..sim.rng import substream
 from ..workloads.load import ConstantCurve
 from .common import series_rows
 
@@ -92,7 +92,6 @@ def run_arm(arm: str, shards: int = 2_000, servers: int = 60,
         regions=("FRC",),
         machines_per_region=servers + 4,
         seed=seed,
-        twine_config=TwineConfig(negotiation_interval=5.0),
         discovery_base_delay=2.0,
         discovery_jitter=3.0,
     )
@@ -141,6 +140,7 @@ def run_arm(arm: str, shards: int = 2_000, servers: int = 60,
             rate=ConstantCurve(request_rate),
             key_fn=lambda rng: rng.randrange(shards * 16),
             recorder=recorder,
+            rng=substream(seed, "fig17", "workload"),
         )
     upgrade = cluster.twines["FRC"].start_rolling_upgrade(
         spec.name, max_concurrent=concurrency,

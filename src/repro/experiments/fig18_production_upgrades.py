@@ -25,6 +25,7 @@ from ..core.orchestrator import OrchestratorConfig
 from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from ..harness import SimCluster, deploy_app
 from ..metrics.timeseries import TimeSeries
+from ..sim.rng import substream
 from ..workloads.load import DiurnalCurve
 from .common import series_rows
 
@@ -109,6 +110,7 @@ def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
                             retry_backoff=0.2)
         client.run_workload(
             duration=horizon, rate=curve, key_fn=key_fn, recorder=recorder,
+            rng=substream(seed, "fig18", "workload"),
             payload_fn=lambda key: {"op": "enqueue", "queue": key,
                                     "message": f"m{key}"})
 

@@ -27,6 +27,7 @@ from ..core.orchestrator import OrchestratorConfig
 from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from ..harness import SimCluster, deploy_app
 from ..metrics.timeseries import TimeSeries
+from ..sim.rng import substream
 from .common import series_rows
 
 REGIONS = ("FRC", "PRN", "ODN")
@@ -110,7 +111,6 @@ def run(shards: int = 1_000, ec_shards: int = 400,
         failover_grace=20.0,
         rebalance_interval=20.0,
         max_moves_per_round=200,  # fail-back of 400 EC shards is urgent
-        search_config=OrchestratorConfig().search_config,
     )
     app = deploy_app(
         cluster, spec,
@@ -130,6 +130,7 @@ def run(shards: int = 1_000, ec_shards: int = 400,
         rate=lambda t: request_rate,
         key_fn=lambda rng: rng.randrange(ec_key_limit),  # EC shards only
         recorder=recorder,
+        rng=substream(seed, "fig19", "workload"),
         prefer_primary=False,
     )
     cluster.engine.call_at(start + FAILURE_TIME,

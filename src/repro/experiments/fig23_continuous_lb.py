@@ -134,7 +134,7 @@ def run(servers: int = 30, shards: int = 200, days: float = 3.0,
         load_poll_interval=30.0,
         rebalance_interval=60.0,
         failover_grace=120.0,
-        search_config=SearchConfig(time_budget=3.0, rng_seed=seed),
+        search_config=SearchConfig(rng_seed=seed),
     )
     app = deploy_app(cluster, spec, {"prod": servers},
                      base_loads=base_loads,

@@ -146,7 +146,7 @@ def run_arm(arm: str, seed: int = 0,
                 load_poll_interval=10.0,
                 rebalance_interval=30.0,
                 failover_grace=60.0,
-                search_config=SearchConfig(time_budget=2.0, rng_seed=seed),
+                search_config=SearchConfig(rng_seed=seed),
             ),
             settle=0.0,
         )

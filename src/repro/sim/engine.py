@@ -11,12 +11,13 @@ The engine is a heap-scheduled event loop:
   ``delay == 0.0`` event (a wake-up, a same-tick completion) is pushed on
   it with the ``(now, seq)`` any other event would get.
 * ``call_at`` / ``call_after`` schedule plain callbacks and return the
-  scheduled event itself, which :meth:`Engine.cancel` takes back.  Both
-  accept an optional ``arg`` so hot paths can schedule ``callback(arg)``
-  without allocating a closure, and an optional ``guard`` for callbacks
-  that usually have nothing left to do by the time they are due
-  (timeouts): a guarded event costs no heap operation unless its guard
-  still holds shortly before its deadline.
+  scheduled event itself.  There is no cancel: a scheduled event always
+  runs, unless its guard drops it, and a callback with nothing left to
+  do returns.  Both accept an optional ``arg`` so hot paths can schedule
+  ``callback(arg)`` without allocating a closure, and ``call_at`` an
+  optional ``guard`` for callbacks that usually have nothing left to do
+  by the time they are due (timeouts): a guarded event costs no heap
+  operation unless its guard still holds shortly before its deadline.
 * :class:`Process` wraps a generator so sequential simulation code can be
   written in direct style, yielding a :class:`Delay`, another
   :class:`Process` to join, or an RPC in flight
@@ -33,9 +34,7 @@ heap at once would run them (see DESIGN.md, "Determinism contract").
 
 An event is its own heap entry: the list ``[time, seq, callback, arg]``,
 ordered by C-level float/int comparison of its first two slots; ``seq``
-is unique, so callbacks are never compared.  Slot 2 is cleared when the
-event runs, is cancelled or (guarded events) is dropped: a popped entry
-with no callback is a tombstone, and a second cancel is a no-op.
+is unique, so callbacks are never compared.
 """
 
 from __future__ import annotations
@@ -116,11 +115,10 @@ class Engine:
     def pending_events(self) -> int:
         """Live count of scheduled-but-not-yet-fired callbacks.
 
-        Maintained incrementally (schedule +1, cancel/execute -1) instead
-        of scanning the heap.  Cancelled tombstones still sitting in the
-        heap are already excluded.  A guarded event counts from the moment
-        it is scheduled, parked or not, until it runs, is cancelled, or is
-        dropped because its guard no longer held.
+        Maintained incrementally (schedule +1, execute -1) instead of
+        scanning the heap.  A guarded event counts from the moment it is
+        scheduled, parked or not, until it runs or is dropped because its
+        guard no longer held.
         """
         return self._pending
 
@@ -162,28 +160,15 @@ class Engine:
         heappush(self._heap, event)
         return event
 
-    def cancel(self, event: list) -> None:
-        """Prevent ``event`` (as returned by ``call_at`` / ``call_after``)
-        from firing.  A no-op on an event that already ran, was cancelled
-        or was dropped by its guard."""
-        if event[2] is not None:
-            # It stops counting as pending right away; a heap entry
-            # lingers as a tombstone until popped.
-            event[2] = None
-            self._pending -= 1
-
     def _flush_guarded(self, flush_at: float) -> None:
         """Move one bucket's still-guarded events onto the heap."""
         heap = self._heap
         dropped = 0
         dropped_until = self._dropped_until
         for guard, event in self._parked.pop(flush_at):
-            if event[2] is None:
-                continue  # cancelled while parked: already uncounted
             if guard():
                 heappush(heap, event)
             else:
-                event[2] = None
                 dropped += 1
                 if event[0] > dropped_until:
                     dropped_until = event[0]
@@ -236,18 +221,13 @@ class Engine:
                 # Popped first and put back on the rare exit, which saves
                 # a peek per event.
                 event = heappop(heap)
-                callback = event[2]
-                if callback is None:
-                    continue  # tombstones cost nothing beyond the pop
                 when = event[0]
                 if when > stop_after or executed >= limit:
                     heappush(heap, event)
                     break
                 self.now = when
-                # Un-counted before the callback runs, so a callback
-                # cancelling its own event is a no-op.
-                event[2] = None
                 self._pending -= 1
+                callback = event[2]
                 if executed == next_sample:
                     next_sample += sample
                     name = (getattr(callback, "__qualname__", None)

@@ -112,7 +112,6 @@ class EpochDriver:
         self.finished = False
         self._last = engine.now
         self._until: Optional[float] = None
-        self._handle: Optional[list] = None
         self._started = False
 
     @property
@@ -136,19 +135,15 @@ class EpochDriver:
         self._schedule()
 
     def stop(self) -> None:
-        """Cancel any pending tick; already-integrated epochs stand."""
-        if self._handle is not None:
-            self.engine.cancel(self._handle)
-            self._handle = None
+        """End the integration: a pending tick integrates nothing;
+        already-integrated epochs stand."""
         self.finished = True
 
     def _schedule(self) -> None:
         remaining = self._until - self.engine.now
-        self._handle = self.engine.call_after(min(self.epoch, remaining),
-                                              self._tick)
+        self.engine.call_after(min(self.epoch, remaining), self._tick)
 
     def _tick(self) -> None:
-        self._handle = None
         if self.finished:
             return
         t0, t1 = self._last, self.engine.now

@@ -117,7 +117,8 @@ ALLOW: List[Tuple[str, str]] = [
     ("app/fluid.py::FluidClient.close", RELEASE + "its map subscription"),
     ("cluster/maintenance.py::MaintenanceSchedule.stop",
      RELEASE + "its scheduling process"),
-    ("sim/fluid.py::EpochDriver.stop", RELEASE + "its pending epoch tick"),
+    ("sim/fluid.py::EpochDriver.stop",
+     RELEASE + "its epochs; the pending tick then integrates nothing"),
     # -- base classes, doubles, text --------------------------------------
     ("solver/goals.py::Goal.violations", BASE + "every goal overrides it"),
     ("solver/goals.py::Goal.violating_servers",

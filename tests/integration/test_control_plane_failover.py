@@ -8,6 +8,8 @@ predecessor's state from ZooKeeper without reshuffling shards, and the
 data plane keeps serving while the control plane is down.
 """
 
+import random
+
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
@@ -78,7 +80,7 @@ class TestControlPlaneFailover:
         recorder = WorkloadRecorder.with_bucket(10.0)
         client.run_workload(duration=30.0, rate=lambda t: 20.0,
                             key_fn=lambda rng: rng.randrange(80),
-                            recorder=recorder)
+                            recorder=recorder, rng=random.Random(0))
         cluster.run(until=cluster.engine.now + 40.0)
         assert recorder.failed == 0
         assert recorder.succeeded > 400

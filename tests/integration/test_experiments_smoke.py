@@ -69,6 +69,14 @@ def test_fig17_smoke():
     assert "Figure 17" in fig17_availability.format_report(result)
 
 
+def test_fig17_requests_follow_the_seed():
+    """Each seed draws its own arrival and key stream."""
+    sent = {seed: fig17_availability.run_arm(
+        "sm", shards=300, servers=20, restart_duration=30.0,
+        request_rate=20.0, seed=seed).requests_sent for seed in (0, 1)}
+    assert sent[0] != sent[1]
+
+
 def test_fig19_smoke():
     result = fig19_geo_failover.run(shards=100, ec_shards=40,
                                     servers_per_region=6,

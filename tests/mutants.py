@@ -55,7 +55,6 @@ from repro.core.migration import MigrationExecutor  # noqa: E402
 from repro.core.orchestrator import Orchestrator  # noqa: E402
 from repro.core.task_controller import SMTaskController  # noqa: E402
 from repro.discovery.router import ServiceRouter  # noqa: E402
-from repro.sim.engine import Engine  # noqa: E402
 from repro.sim.network import RpcCall  # noqa: E402
 from tests.test_chaos import LIBRARY_DIGESTS  # noqa: E402
 from tests.test_golden_trace import FIXTURE as FIG17_FIXTURE  # noqa: E402
@@ -203,9 +202,6 @@ CATALOGUE: Tuple[Mutant, ...] = (
            MigrationExecutor, "promote",
            rewrite("if current is not None and current.replica_id "
                    "!= replica.replica_id:", "if False:")),
-    Mutant("engine_cancel_lost",
-           "Engine.cancel does nothing: a cancelled event still fires",
-           Engine, "cancel", becomes(does_nothing)),
 )
 
 BY_NAME: Dict[str, Mutant] = {mutant.name: mutant for mutant in CATALOGUE}

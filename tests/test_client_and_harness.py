@@ -72,7 +72,8 @@ class TestSimCluster:
         client = app.client(cluster, "PRN")
         client.run_workload(duration=40.0, rate=lambda t: 20.0,
                             key_fn=lambda rng: rng.randrange(80),
-                            recorder=WorkloadRecorder.with_bucket(10.0))
+                            recorder=WorkloadRecorder.with_bucket(10.0),
+                            rng=random.Random(0))
         cluster.run(until=cluster.engine.now + 45.0)
         return latencies
 
@@ -114,7 +115,7 @@ class TestClient:
         recorder = WorkloadRecorder.with_bucket(5.0)
         client.run_workload(duration=20.0, rate=lambda t: 10.0,
                             key_fn=lambda rng: rng.randrange(400),
-                            recorder=recorder)
+                            recorder=recorder, rng=random.Random(0))
         cluster.run(until=cluster.engine.now + 30.0)
         assert recorder.sent > 100
         assert recorder.succeeded + recorder.failed == recorder.sent
@@ -129,7 +130,7 @@ class TestClient:
         client.run_workload(
             duration=5.0, rate=lambda t: 5.0,
             key_fn=lambda rng: rng.randrange(400),
-            recorder=recorder,
+            recorder=recorder, rng=random.Random(0),
             payload_fn=lambda key: seen_keys.append(key) or {"key": key})
         cluster.run(until=cluster.engine.now + 10.0)
         assert seen_keys

@@ -122,21 +122,6 @@ class TestScheduling:
         engine.run()
         assert seen == [10]
 
-    def test_cancel_prevents_callback(self, engine):
-        seen = []
-        handle = engine.call_after(1.0, lambda: seen.append(1))
-        engine.cancel(handle)
-        engine.run()
-        assert seen == []
-        assert handle[2] is None
-
-    def test_cancel_is_idempotent(self):
-        engine = Engine()
-        handle = engine.call_after(1.0, lambda: None)
-        engine.cancel(handle)
-        engine.cancel(handle)
-        engine.run()
-
     def test_max_events_limits_execution(self, engine):
         seen = []
         for i in range(5):
@@ -211,15 +196,6 @@ class TestImmediateQueue:
         engine.call_after(0.0, lambda: seen.append("now"))
         engine.run()
         assert seen == ["now", "later"]
-
-    def test_zero_delay_handle_is_cancellable(self):
-        engine = Engine()
-        seen = []
-        handle = engine.call_after(0.0, lambda: seen.append(True))
-        engine.cancel(handle)
-        engine.run()
-        assert seen == []
-        assert engine.pending_events == 0
 
     def test_callback_arg_is_passed(self):
         engine = Engine()
@@ -408,7 +384,7 @@ class TestDeterminism:
 
 class TestPendingEvents:
     """The pending-event count is a live counter, not a heap scan; these
-    tests pin the transitions (push, cancel, tombstone pop, execution)."""
+    tests pin the transitions (push, guarded park and drop, execution)."""
 
     def test_counts_scheduled_events(self):
         engine = Engine()
@@ -426,53 +402,6 @@ class TestPendingEvents:
         engine.run()
         assert engine.pending_events == 0
 
-    def test_cancel_decrements_once(self):
-        engine = Engine()
-        handle = engine.call_after(1.0, lambda: None)
-        engine.call_after(2.0, lambda: None)
-        engine.cancel(handle)
-        assert engine.pending_events == 1
-        engine.cancel(handle)  # idempotent: no double decrement
-        assert engine.pending_events == 1
-
-    def test_popping_cancelled_tombstone_does_not_double_count(self, engine):
-        handle = engine.call_after(1.0, lambda: None)
-        engine.call_after(2.0, lambda: None)
-        engine.cancel(handle)
-        assert engine.pending_events == 1
-        engine.run()  # pops the tombstone and the live event
-        assert engine.pending_events == 0
-
-    def test_cancel_after_execution_is_noop(self, engine):
-        fired = []
-        handle = engine.call_after(1.0, lambda: fired.append(True))
-        engine.call_after(2.0, lambda: None)
-        engine.run(until=1.0)
-        assert fired == [True]
-        engine.cancel(handle)  # already executed: must not decrement
-        assert engine.pending_events == 1
-        assert handle[2] is None  # cleared when it ran
-
-    def test_callback_cancelling_own_handle_is_noop(self, engine):
-        handles = []
-        engine.call_after(2.0, lambda: None)
-        handles.append(engine.call_after(
-            1.0, lambda: engine.cancel(handles[0])))
-        engine.run(until=1.0)
-        assert engine.pending_events == 1
-        assert engine.processed_events == 1
-
-    def test_callback_scheduling_and_cancelling(self, engine):
-
-        def spawn_then_cancel():
-            handle = engine.call_after(5.0, lambda: None)
-            engine.cancel(handle)
-            engine.call_after(1.0, lambda: None)
-
-        engine.call_after(1.0, spawn_then_cancel)
-        engine.run(until=1.0)
-        assert engine.pending_events == 1
-
     def test_max_events_keeps_deferred_event_pending(self, engine):
         engine.call_after(1.0, lambda: None)
         engine.call_after(2.0, lambda: None)
@@ -489,9 +418,6 @@ class TestPendingEvents:
         engine.run(until=1.9)              # the flush drops it
         assert engine.pending_events == 0
         assert not engine._heap
-        assert handle[2] is None  # dropped: tombstoned like a cancel
-        engine.cancel(handle)
-        assert engine.pending_events == 0
 
     def test_promoted_guarded_event_counts_until_it_runs(self, engine):
         fired = []
@@ -503,20 +429,6 @@ class TestPendingEvents:
         engine.run()
         assert fired == [2.0]
         assert engine.pending_events == 0
-
-    def test_guarded_event_cancelled_while_parked(self, engine):
-        fired = []
-        handle = engine.call_at(2.0, lambda: fired.append(True),
-                                guard=lambda: True)
-        engine.cancel(handle)
-        assert handle[2] is None
-        assert engine.pending_events == 1  # the flush alone
-        engine.run()
-        assert fired == []
-        assert engine.pending_events == 0
-        # A cancelled event moves no clock, but its bucket's flush is an
-        # event like any other and was the last one to run.
-        assert engine.now == 1.75
 
     def test_guarded_event_too_near_to_park_goes_to_the_heap(self, engine):
         engine.run(until=1.8)
@@ -531,46 +443,11 @@ class TestPendingEvents:
         import random as _random
         rng = _random.Random(7)
         engine = Engine()
-        handles = []
         for _ in range(200):
-            handles.append(engine.call_after(rng.uniform(0, 10), lambda: None))
-        for handle in rng.sample(handles, 80):
-            engine.cancel(handle)
-        for handle in rng.sample(handles, 40):  # overlaps: re-cancels
-            engine.cancel(handle)
-        naive = sum(1 for event in engine._heap if event[2] is not None)
-        assert engine.pending_events == naive
+            engine.call_after(rng.uniform(0, 10), lambda: None)
+        assert engine.pending_events == len(engine._heap)
         engine.run(until=5.0)
-        naive = sum(1 for event in engine._heap if event[2] is not None)
-        assert engine.pending_events == naive
-
-    def test_engine_cancel_contract(self, engine):
-        """``Engine.cancel`` in every state an event can be in.  The
-        callback slot is cleared once, by running, a cancel or a guarded
-        drop, so every later cancel is a no-op (``engine_cancel_lost`` in
-        ``tests/mutants.py`` is the cancel that does nothing)."""
-        fired = []
-        live = [True]
-        ran = engine.call_at(1.0, fired.append, "ran")
-        twice = engine.call_at(1.5, fired.append, "cancelled twice")
-        # Both parked in one bucket, whose flush runs at 2.75.
-        parked = engine.call_at(3.0, fired.append, "cancelled parked",
-                                guard=lambda: True)
-        dropped = engine.call_at(3.0, fired.append, "dropped",
-                                 guard=lambda: live[0])
-        assert engine.pending_events == 5
-        for event in (twice, twice, parked, parked):
-            engine.cancel(event)
-        assert engine.pending_events == 3  # ran, dropped, the flush
-        live[0] = False
-        engine.run(until=2.9)
-        assert fired == ["ran"]
-        assert engine.pending_events == 0
-        for event in (ran, twice, parked, dropped):
-            engine.cancel(event)
-        assert engine.pending_events == 0
-        engine.run()
-        assert fired == ["ran"] and engine.processed_events == 2
+        assert engine.pending_events == len(engine._heap)
 
 
 class TestDispatchSampling:

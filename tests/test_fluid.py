@@ -196,6 +196,21 @@ def test_epoch_driver_stop_cancels_future_ticks():
     assert len(process.intervals) == 2
 
 
+def test_stopped_driver_pending_tick_integrates_nothing():
+    engine = Engine()
+    driver = EpochDriver(engine, epoch=5.0)
+    process = _IntervalLog()
+    driver.add(process)
+    driver.start(until=engine.now + 50.0)
+    engine.run(until=7.0)
+    driver.stop()                          # the t=10 tick is still queued
+    assert engine.pending_events == 1
+    engine.run(until=100.0)
+    assert engine.processed_events == 2    # it ran, as a no-op
+    assert process.intervals == [(0.0, 5.0)]
+    assert driver.epochs_run == 1 and driver.finished
+
+
 # -- FluidClient serving-truth resolution ------------------------------------
 
 

@@ -18,6 +18,7 @@ and explain the change in the commit.
 import hashlib
 import json
 import os
+import random
 from pathlib import Path
 
 from repro.app.client import WorkloadRecorder
@@ -96,6 +97,7 @@ def _run_scenario():
         rate=lambda t: 2.0,
         key_fn=lambda rng: rng.randrange(960),
         recorder=recorder,
+        rng=random.Random(0),
     )
     upgrade = cluster.twines["FRC"].start_rolling_upgrade(
         spec.name, max_concurrent=1, restart_duration=10.0)

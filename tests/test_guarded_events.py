@@ -5,7 +5,7 @@ effect runs at the same ``(time, seq)`` position as if the event had been
 pushed onto the heap when it was scheduled.  The reference below does
 exactly that — the same program with ``guard`` left out — so the two runs
 must log the same effective callbacks at the same instants and stop on the
-same clock, however the program mixes plain, cancelled and guarded events
+same clock, however the program mixes plain and guarded events
 and however the run is cut into ``run(until=...)`` / ``run(max_events=...)``
 calls.
 
@@ -55,15 +55,13 @@ delays = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.875,
 #: Every item is scheduled from a callback at ``at``, for ``at + delay``,
 #: so plain and guarded events take their seq in any interleaving.
 plain_items = st.tuples(st.just("plain"), times, delays)
-cancelled_items = st.tuples(st.just("cancelled"), times, delays,
-                            times)    # cancelled at (maybe after it ran)
 guarded_items = st.tuples(
     st.just("guarded"), times, delays,
     st.one_of(st.none(), times),  # guard turns false at (None: never)
     st.booleans(),                # the oracle schedules via call_after
 )
 programs = st.lists(
-    st.one_of(plain_items, cancelled_items, guarded_items, guarded_items),
+    st.one_of(plain_items, guarded_items, guarded_items),
     min_size=1, max_size=12)
 drivers = st.one_of(
     st.just(("drain",)),
@@ -85,10 +83,6 @@ def _load(program, guarded: bool):
         log.append((engine.now, ident, "schedule"))
         if kind == "plain":
             engine.call_after(delay, log_now, (ident, "plain"))
-        elif kind == "cancelled":
-            handle = engine.call_after(delay, log_now, (ident, "never"))
-            # Cancelling after it ran must be a no-op, so any order goes.
-            engine.call_at(max(engine.now, rest[0]), engine.cancel, handle)
         else:
             dies_at, via_after = rest
             live = [True]

@@ -10,8 +10,8 @@ the same callbacks at the same instants in the same order, and stop with
 the same clock and ``pending_events`` — drained, tiled by
 ``run(until=...)`` or cut by ``run(max_events=...)`` — however it mixes
 zero and non-zero delays, wake-ups through ``_schedule_immediate``,
-cancels (before, during and after the tick), guarded events, callbacks
-that schedule more, and processes that join each other.
+guarded events, callbacks that schedule more, and processes that join
+each other.
 
 Instants and delays come from a few multiples of 1/8 s so that exact
 ties between heap events and zero-delay events are the rule.
@@ -42,7 +42,7 @@ from repro.sim.engine import _NO_ARG, Delay, Engine, SimulationError
 class TwoQueueEngine(Engine):
     """The engine as it was: an immediate-event deque beside the heap.
     Its events are the ``[time, seq, callback, arg]`` lists the heap
-    holds, so ``Engine.cancel`` serves both queues."""
+    holds."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -75,9 +75,6 @@ class TwoQueueEngine(Engine):
                     if not heap:
                         break
                     event = heappop(heap)
-                    callback = event[2]
-                    if callback is None:
-                        continue
                     if event[0] > stop_after or executed >= limit:
                         heappush(heap, event)
                         break
@@ -92,19 +89,15 @@ class TwoQueueEngine(Engine):
                                                   and head[1] < event[1]):
                             event = head
                             from_heap = True
-                    callback = event[2]
-                    if callback is not None and (event[0] > stop_after
-                                                 or executed >= limit):
+                    if event[0] > stop_after or executed >= limit:
                         break
                     if from_heap:
                         heappop(heap)
                     else:
                         immediate.popleft()
-                    if callback is None:
-                        continue
                 self.now = event[0]
-                event[2] = None
                 self._pending -= 1
+                callback = event[2]
                 if event[3] is _NO_ARG:
                     callback()
                 else:
@@ -129,9 +122,6 @@ delays = st.sampled_from([0.0, 0.0, 0.0, 0.125, 0.25, 0.875])
 #: and guarded events take their seq in any interleaving.
 plain_items = st.tuples(st.just("plain"), times, delays)
 wake_items = st.tuples(st.just("wake"), times)  # _schedule_immediate
-cancelled_items = st.tuples(
-    st.just("cancelled"), times, delays,
-    st.one_of(st.none(), delays))  # cancel at once, or after this long
 guarded_items = st.tuples(st.just("guarded"), times, delays,
                           st.one_of(st.none(), times))  # guard dies at
 #: A callback that schedules ``fanout`` children, each of which schedules
@@ -142,8 +132,8 @@ chain_items = st.tuples(st.just("chain"), times, delays,
 #: not) and is itself subscribed to.
 process_items = st.tuples(st.just("process"), times, delays, delays)
 programs = st.lists(
-    st.one_of(plain_items, plain_items, wake_items, cancelled_items,
-              guarded_items, chain_items, process_items),
+    st.one_of(plain_items, plain_items, wake_items, guarded_items,
+              chain_items, process_items),
     min_size=1, max_size=10)
 drivers = st.one_of(
     st.just(("drain",)),
@@ -179,17 +169,6 @@ def _load(program, engine):
             scheduled(ident, engine.call_after(rest[0], ran, (ident, "plain")))
         elif kind == "wake":
             engine._schedule_immediate(ran, (ident, "woken"))
-        elif kind == "cancelled":
-            delay, cancel_after = rest
-            handle = engine.call_after(delay, ran, (ident, "never?"))
-            scheduled(ident, handle)
-            if cancel_after is None:
-                engine.cancel(handle)
-            else:
-                # In the same tick when both delays are zero; a no-op if
-                # the event has run by then.
-                scheduled(ident, engine.call_after(cancel_after,
-                                                   engine.cancel, handle))
         elif kind == "guarded":
             delay, dies_at = rest
             live = [True]
@@ -285,17 +264,3 @@ def test_zero_delay_keeps_its_place_among_ties():
                          ("wake", 1.0)]
     _drive_both([("plain", 0.25, 0.0), ("wake", 0.25), ("plain", 0.25, 0.0),
                  ("chain", 0.25, 0.0, 2, 2)], ("max_events", 1))
-
-
-def test_cancelling_a_zero_delay_event_in_its_own_tick():
-    _drive_both([("cancelled", 0.5, 0.0, 0.0), ("cancelled", 0.5, 0.0, None),
-                 ("plain", 0.5, 0.0)], ("max_events", 2))
-    engine = Engine()
-    seen = []
-    handle = engine.call_after(0.0, seen.append, "cancelled")
-    engine.call_after(0.0, seen.append, "kept")
-    assert engine.pending_events == 2
-    engine.cancel(handle)
-    assert engine.pending_events == 1
-    assert engine.run(max_events=1) == 0.0
-    assert seen == ["kept"] and engine.pending_events == 0

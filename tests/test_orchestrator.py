@@ -1,6 +1,8 @@
 """Unit tests for the orchestrator, migration executor and TaskController,
 run against the full harness (they are meaningless without live servers)."""
 
+import random
+
 import pytest
 
 from repro.cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
@@ -146,7 +148,7 @@ class TestLoadCollection:
         recorder = WorkloadRecorder.with_bucket(10.0)
         client.run_workload(duration=30.0, rate=lambda t: 20.0,
                             key_fn=lambda rng: rng.randrange(80),
-                            recorder=recorder)
+                            recorder=recorder, rng=random.Random(0))
         cluster.run(until=cluster.engine.now + 50.0)
         replica = app.orchestrator.table.all_replicas()[0]
         load = app.orchestrator.load_of(replica)

@@ -160,6 +160,7 @@ class TestRateClamping:
             rate=lambda t: bad_rate,
             key_fn=lambda rng: rng.randrange(100),
             recorder=recorder,
+            rng=random.Random(0),
         )
         # The clamp turns "zero rate" into "next arrival effectively
         # never": the run must terminate (no divide-by-zero, no negative

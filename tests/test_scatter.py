@@ -11,6 +11,8 @@ Three layers:
   merge that lies about its legs must be caught.
 """
 
+import random
+
 import pytest
 
 from repro.app.scatter import QueuedServiceHandler, ScatterGatherClient, \
@@ -125,7 +127,8 @@ class TestScatterGather:
                 fanout=3)
             recorder = WorkloadRecorder.with_bucket(10.0)
             client.run_workload(60.0, lambda t: 4.0,
-                                lambda rng: rng.randrange(128), recorder)
+                                lambda rng: rng.randrange(128), recorder,
+                                random.Random(0))
             cluster.run(until=cluster.engine.now + 80.0)
         assert recorder.sent > 0
         assert recorder.succeeded == recorder.sent

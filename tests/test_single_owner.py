@@ -125,6 +125,10 @@ def test_one_event_queue_and_one_way_to_wait():
     assert {"Delay", "Process", "every"} <= set(repro.sim.__all__)
     assert not ({"Signal", "Wait", "wait_rpc", "EventHandle"}
                 & set(dir(repro.sim)))
+    # A scheduled event always runs unless its guard drops it.
+    from repro.sim import Engine
+    assert not hasattr(Engine, "cancel")
+    assert modules_matching(r"\bengine\.cancel\(") == []
     from repro.sim import Process, RpcCall
     assert not hasattr(RpcCall, "done")
     assert not hasattr(Process, "done_signal")

@@ -533,7 +533,8 @@ class TestCostFollowsTheSearch:
 
     def test_clock_starts_at_construction(self):
         """The stages add up to (almost all of) solve_time because set-up
-        is one of them, and the budget covers construction too."""
+        is one of them, and the time_budget mark covers construction too
+        (it only flags the solve, which still runs)."""
         _problem, _search, result = self._solve_snapshot()
         stages = result.profile.snapshot()["stages"]
         assert stages["setup"]["calls"] == 1
@@ -545,5 +546,5 @@ class TestCostFollowsTheSearch:
                              SearchConfig(time_budget=5.0))
         search._construct_s = 6.0  # as if construction had taken 6 s
         result = search.solve()
-        assert result.timed_out and result.moves == 0
+        assert result.timed_out and result.moves > 0
         assert result.solve_time >= 6.0

@@ -117,10 +117,19 @@ class TestBudgets:
         assert result.moves + result.swaps <= 5
 
     def test_time_budget_respected(self):
-        problem = lb_problem(num_servers=40, num_replicas=2000)
-        rebalancer = standard_rebalancer(problem)
-        result = rebalancer.solve(SearchConfig(time_budget=0.05))
-        assert result.solve_time < 2.0  # generous tolerance
+        """Host time only sets the flag: a spent budget stops nothing."""
+        results = []
+        for budget in (60.0, 0.0):
+            problem = lb_problem(num_servers=40, num_replicas=2000)
+            result = standard_rebalancer(problem).solve(
+                SearchConfig(time_budget=budget))
+            results.append((result, problem.assignment))
+        (free, free_assignment), (spent, spent_assignment) = results
+        assert spent.timed_out and not free.timed_out
+        assert spent_assignment == free_assignment
+        assert (spent.moves, spent.swaps, spent.evaluations) == \
+            (free.moves, free.swaps, free.evaluations)
+        assert spent.changed_replicas == free.changed_replicas
 
     def test_trace_is_recorded(self):
         # Busy enough to need more than TRACE_INTERVAL moves.

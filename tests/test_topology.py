@@ -67,9 +67,10 @@ class TestBuildTopology:
         assert max(values) <= 120.0
         assert len(set(values)) > 1  # actually heterogeneous
 
-    def test_one_unused_draw_per_machine(self):
-        """Each machine draws once after its capacities, so the jitter
-        stream (Fig 23's capacities) keeps the draws it was pinned with."""
+    def test_jitter_draws_once_per_metric_and_machine(self):
+        """Each machine draws one jitter factor per metric, in metric
+        order, and nothing else; without jitter nothing is drawn, so the
+        stream a caller shares with the topology (Fig 23's) is untouched."""
         rng = random.Random(3)
         topology = build_topology(["FRC", "PRN"], machines_per_region=3,
                                   capacity={"cpu": 100.0, "memory": 50.0},
@@ -79,7 +80,8 @@ class TestBuildTopology:
             assert machine.capacity == {
                 "cpu": 100.0 * (1.0 + twin.uniform(-0.2, 0.2)),
                 "memory": 50.0 * (1.0 + twin.uniform(-0.2, 0.2))}
-            twin.random()
+        assert rng.getstate() == twin.getstate()
+        build_topology(["FRC", "PRN"], machines_per_region=3, rng=rng)
         assert rng.getstate() == twin.getstate()
 
     def test_invalid_args(self):

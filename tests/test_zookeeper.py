@@ -108,6 +108,19 @@ class TestSessionsAndEphemerals:
         session.close()
         assert not zk.exists("/e")
 
+    def test_rearmed_session_expires_at_the_rearmed_time(self, engine, zk):
+        session = zk.create_session(timeout=5.0)
+        zk.create("/e", ephemeral=True, session=session)
+        engine.run(until=3.0)
+        session.heartbeat()                # due at 8 now, not at 5
+        engine.run(until=5.0)              # the stale timer runs: a no-op
+        assert engine.processed_events == 1
+        assert not session.expired and zk.exists("/e")
+        engine.run(until=7.9)
+        assert not session.expired
+        engine.run(until=8.0)
+        assert session.expired and not zk.exists("/e")
+
     def test_heartbeat_after_expiry_raises(self, engine, zk):
         session = zk.create_session(timeout=5.0)
         engine.run(until=10.0)
@@ -497,7 +510,7 @@ def _client_lifetime(leased, origin, interval, timeout, stop, churn):
         session = sessions[-1]
         if state["stopped"] or session.expired:
             return
-        if session._expiry_handle[0] == engine.now:
+        if session._expires_at == engine.now:
             state["tie"] = True
         session.heartbeat()
 
