@@ -29,8 +29,8 @@ from typing import Any, Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.chaos import (SCENARIOS, SpecValidationError,  # noqa: E402
-                         all_scenarios, load_spec)
+from repro.chaos import (ARMS, SCENARIOS,  # noqa: E402
+                         SpecValidationError, all_scenarios, load_spec)
 from repro.experiments import runner  # noqa: E402
 from repro.obs.trace_export import read_jsonl  # noqa: E402
 
@@ -74,9 +74,9 @@ def main() -> int:
                         help="specific scenario names to run, or "
                              "@path/to/spec.json for a file-defined "
                              "scenario")
-    parser.add_argument("--arms", nargs="*", default=["sm", "baseline"],
-                        choices=["sm", "baseline"],
-                        help="ablation arms (default: both)")
+    parser.add_argument("--arms", nargs="*", default=list(ARMS),
+                        choices=list(ARMS),
+                        help="ablation arms (default: every arm)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--no-repeat", action="store_true",
                         help="run each cell once (skips the digest-parity "
@@ -123,13 +123,15 @@ def main() -> int:
                     print(f"run_chaos.py: {error}", file=sys.stderr)
                     return 2
                 file_specs[spec.name] = spec.to_dict()
-                scenarios.append(spec.name)
-            elif name in SCENARIOS:
-                scenarios.append(name)
-            else:
+                name = spec.name
+            elif name not in SCENARIOS:
                 parser.error(f"unknown scenario: {name!r} "
                              f"(known: {sorted(SCENARIOS)}; or pass "
                              f"@file.json)")
+            if name in scenarios:
+                parser.error(f"scenario {name!r} is named twice: each "
+                             f"cell runs one spec per name")
+            scenarios.append(name)
     else:
         parser.error("pick scenarios: --all or --scenario NAME [NAME ...]")
 
@@ -164,7 +166,7 @@ def main() -> int:
                   and not reloads)
             mark = "ok " if ok else "FAIL"
             first = headlines[0]
-            print(f"{mark} {name:36s} {arm:8s} "
+            print(f"{mark} {name:36s} {arm:11s} "
                   f"digest={sorted(digests)[0][:12]} "
                   f"faults={first['faults']} recovers={first['recovers']} "
                   f"ready={first['ready_fraction']:.2f} "

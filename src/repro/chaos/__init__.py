@@ -6,7 +6,7 @@ fault is journaled and the run is judged by replaying the journal
 through the :class:`~repro.obs.checker.TraceChecker` invariants.
 """
 
-from .library import SCENARIOS, all_scenarios, get
+from .library import SCENARIOS, all_scenarios, fig17_spec, fig19_spec, get
 from .scenario import (ACTIONS, ARMS, Expectations, FaultAction,
                        ScenarioResult, ScenarioRun, ScenarioSpec,
                        run_scenario)
@@ -23,6 +23,8 @@ __all__ = [
     "ScenarioSpec",
     "SpecValidationError",
     "all_scenarios",
+    "fig17_spec",
+    "fig19_spec",
     "get",
     "load_spec",
     "run_scenario",

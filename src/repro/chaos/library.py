@@ -32,24 +32,67 @@ faults can go wrong:
   the action vocabulary, so the behaviour at seed 0 — not the
   storyline — is what it is kept for.
 
-Every scenario must pass with **zero** violations under both arms
-("sm" and "baseline"), so expectation bounds are set to what the
-*baseline* arm achieves — the arms share an oracle, not a bar.
+``fig17`` and ``fig19`` are paper figures at tier-1 size; the figures
+run the same builders (:func:`fig17_spec`, :func:`fig19_spec`) at full size.
+
+Every scenario must pass with **zero** violations under every arm
+(:data:`~repro.chaos.scenario.ARMS`), so expectation bounds are set to
+what the *baseline* arm achieves — the arms share an oracle, not a bar.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+from ..core.spec import ReplicationStrategy
 from .scenario import Expectations, FaultAction, ScenarioSpec
 
-__all__ = ["SCENARIOS", "all_scenarios", "get"]
+__all__ = ["SCENARIOS", "all_scenarios", "get", "fig17_spec", "fig19_spec"]
 
 
 def _act(at: float, kind: str, duration: float = 0.0,
          **params: object) -> FaultAction:
     return FaultAction(at=at, kind=kind, duration=duration,
                        params=tuple(sorted(params.items())))
+
+
+def fig17_spec(shards: int = 60, servers: int = 6,
+               restart_duration: float = 30.0, request_rate: float = 4.0,
+               duration: float = 480.0) -> ScenarioSpec:
+    """Figure 17: a primary-only app in one region upgrades every
+    container at t=0, 10 % at a time (the paper's cap), under slow
+    discovery and production-paced drains (what stretches SM's upgrade to
+    ~2x the blind restart's duration)."""
+    concurrency = max(1, servers // 10)
+    return ScenarioSpec(
+        name="fig17", title="Every container restarts in a rolling upgrade",
+        actions=(_act(0.0, "rolling_upgrade", concurrency=concurrency,
+                      restart_duration=restart_duration),),
+        duration=duration, regions=("FRC",), machines_per_region=servers + 4,
+        servers_per_region=servers, shards=shards, request_rate=request_rate,
+        failover_grace=2.0 * restart_duration,
+        restart_hint=2.0 * restart_duration,
+        discovery_base_delay=2.0, discovery_jitter=3.0,
+        rebalance_interval=60.0, drain_concurrency=2, drain_pacing=2.0,
+        max_concurrent_container_ops=concurrency)
+
+
+def fig19_spec(shards: int = 60, ec_shards: int = 24,
+               servers_per_region: int = 4,
+               request_rate: float = 4.0) -> ScenarioSpec:
+    """Figure 19: a secondary-only app, two replicas per shard over three
+    regions, its first ``ec_shards`` ("east-coast") shards preferring
+    FRC; FRC fails at t=90 s and recovers at t=450 s."""
+    return ScenarioSpec(
+        name="fig19", title="A region with preferred shards fails and returns",
+        actions=(_act(90.0, "crash_region", 360.0, region="FRC"),),
+        duration=560.0, machines_per_region=servers_per_region + 2,
+        servers_per_region=servers_per_region, shards=shards,
+        replica_count=2, replication=ReplicationStrategy.SECONDARY_ONLY,
+        request_rate=request_rate, settle=90.0, failover_grace=20.0,
+        rebalance_interval=20.0,
+        max_moves_per_round=200,  # fail-back of the EC shards is urgent
+        preferred_shards=ec_shards)
 
 
 _SPECS: List[ScenarioSpec] = [
@@ -254,6 +297,8 @@ _SPECS: List[ScenarioSpec] = [
         expectations=Expectations(availability_bound=30.0,
                                   failover_bound=60.0, final_ready_min=0.9),
     ),
+    fig17_spec(),
+    fig19_spec(),
 ]
 
 SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in _SPECS}

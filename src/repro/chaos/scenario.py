@@ -35,6 +35,7 @@ from ..app.client import WorkloadRecorder
 from ..cluster.container import Container
 from ..cluster.taskcontrol import MaintenanceImpact
 from ..cluster.topology import Machine
+from ..cluster.twine import RollingUpgrade
 from ..core.orchestrator import OrchestratorConfig
 from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from ..core.task_controller import SMTaskControllerConfig
@@ -49,10 +50,12 @@ __all__ = ["FaultAction", "Expectations", "ScenarioSpec", "ScenarioResult",
            "ScenarioRun", "run_scenario", "ARMS", "ACTIONS", "Param",
            "param_of", "duration_of"]
 
-#: Ablation arms every scenario runs under: SM's full machinery versus a
-#: baseline with neither graceful migration nor a TaskController.
+#: Ablation arms every scenario runs under (Fig 17's three lines): SM's
+#: full machinery, SM without graceful migration, and a baseline with
+#: neither graceful migration nor a TaskController.
 ARMS: Dict[str, Dict[str, bool]] = {
     "sm": {"graceful": True, "with_task_controller": True},
+    "no_graceful": {"graceful": False, "with_task_controller": True},
     "baseline": {"graceful": False, "with_task_controller": False},
 }
 
@@ -106,7 +109,8 @@ def _to_float(value: Any, what: str) -> float:
 
 #: The scenario-level scalar fields, in ``to_dict`` order: the type
 #: ``from_dict`` converts each to and the range ``validate_spec`` holds
-#: it to.  Their defaults are the dataclass's.
+#: it to.  Their defaults are the dataclass's.  From ``discovery_base_delay``
+#: on, each forwards to the harness option of the same name.
 SCALAR_FIELDS: Dict[str, Param] = {
     "duration": Param(float, above=0.0),
     "machines_per_region": Param(int, minimum=1),
@@ -119,6 +123,14 @@ SCALAR_FIELDS: Dict[str, Param] = {
     "failover_grace": Param(float, minimum=0.0),
     "zk_session_timeout": Param(float, above=0.0),
     "restart_hint": Param(float, minimum=0.0),
+    "discovery_base_delay": Param(float, minimum=0.0),
+    "discovery_jitter": Param(float, minimum=0.0),
+    "rebalance_interval": Param(float, above=0.0),
+    "drain_concurrency": Param(int, minimum=1),
+    "drain_pacing": Param(float, minimum=0.0),
+    "max_moves_per_round": Param(int, minimum=1),
+    "max_concurrent_container_ops": Param(int, minimum=1, nullable=True),
+    "preferred_shards": Param(int, minimum=0),
 }
 
 #: The ``expectations`` block's fields, held as ``SCALAR_FIELDS`` are:
@@ -269,6 +281,16 @@ class ScenarioSpec:
     failover_grace: float = 30.0
     zk_session_timeout: float = 10.0
     restart_hint: float = 60.0
+    discovery_base_delay: float = 1.0
+    discovery_jitter: float = 1.0
+    rebalance_interval: float = OrchestratorConfig.rebalance_interval
+    drain_concurrency: int = OrchestratorConfig.drain_concurrency
+    drain_pacing: float = OrchestratorConfig.drain_pacing
+    max_moves_per_round: int = OrchestratorConfig.max_moves_per_round
+    #: The app's restart cap; ``None`` is half a region.
+    max_concurrent_container_ops: Optional[int] = None
+    #: The first ``preferred_shards`` shards prefer ``regions[0]``.
+    preferred_shards: int = 0
     expectations: Expectations = field(default_factory=Expectations)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -315,14 +337,22 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown replication {data.get('replication')!r}; known: "
                 f"{[s.value for s in ReplicationStrategy]}") from None
+        title = data.get("title", name)
+        if not isinstance(title, str):
+            raise ValueError(f"scenario 'title' must be a string, "
+                             f"got {title!r}")
         kwargs: Dict[str, Any] = {}
         for field_name, param in SCALAR_FIELDS.items():
             if field_name in data:
                 value = data[field_name]
+                if value is None and param.nullable:
+                    kwargs[field_name] = None
+                    continue
                 if not isinstance(value, (int, float)) \
                         or isinstance(value, bool):
+                    null = " or null" if param.nullable else ""
                     raise ValueError(f"scenario {field_name!r} must be a "
-                                     f"number, got {value!r}")
+                                     f"number{null}, got {value!r}")
                 if param.type is int:
                     if isinstance(value, float) and not value.is_integer():
                         raise ValueError(f"scenario {field_name!r} must be "
@@ -333,7 +363,7 @@ class ScenarioSpec:
                         value, f"scenario {field_name!r}")
         return cls(
             name=name,
-            title=data.get("title", name),
+            title=title,
             actions=tuple(FaultAction.from_dict(a) for a in actions),
             regions=tuple(regions),
             replication=replication,
@@ -572,7 +602,7 @@ def _maintenance(run: "ScenarioRun", act: FaultAction, region: str,
 def _rolling_upgrade(run: "ScenarioRun", act: FaultAction, region: str,
                      concurrency: int, restart_duration: float) -> None:
     try:
-        run.cluster.twines[region].start_rolling_upgrade(
+        upgrade = run.cluster.twines[region].start_rolling_upgrade(
             run.app.spec.name, max_concurrent=concurrency,
             restart_duration=restart_duration)
     except RuntimeError:
@@ -580,6 +610,7 @@ def _rolling_upgrade(run: "ScenarioRun", act: FaultAction, region: str,
         # leave an audit record so the journal explains the quiet.
         run.emit_planned("rolling_upgrade_skipped", region, {})
         return
+    run.upgrades.append(upgrade)
     run.emit_planned("rolling_upgrade", region,
                      {"concurrency": concurrency,
                       "restart": restart_duration})
@@ -680,17 +711,23 @@ class ScenarioRun:
             regions=spec.regions,
             machines_per_region=spec.machines_per_region,
             seed=seed,
+            discovery_base_delay=spec.discovery_base_delay,
+            discovery_jitter=spec.discovery_jitter,
             zk_session_timeout=spec.zk_session_timeout,
             obs=obs,
         )
         self.engine = self.cluster.engine
         app_spec = AppSpec(
             name=f"chaos-{spec.name}",
-            shards=uniform_shards(spec.shards, key_space=spec.shards * 16,
-                                  replica_count=spec.replica_count),
+            shards=uniform_shards(
+                spec.shards, key_space=spec.shards * 16,
+                replica_count=spec.replica_count,
+                preferred_regions={index: spec.regions[0]
+                                   for index in range(spec.preferred_shards)}),
             replication=spec.replication,
-            max_concurrent_container_ops=max(
-                1, spec.servers_per_region // 2),
+            max_concurrent_container_ops=(
+                spec.max_concurrent_container_ops
+                or max(1, spec.servers_per_region // 2)),
         )
         self.app: DeployedApp = deploy_app(
             self.cluster, app_spec,
@@ -698,6 +735,10 @@ class ScenarioRun:
             orchestrator_config=OrchestratorConfig(
                 graceful_migration=preset["graceful"],
                 failover_grace=spec.failover_grace,
+                rebalance_interval=spec.rebalance_interval,
+                drain_concurrency=spec.drain_concurrency,
+                drain_pacing=spec.drain_pacing,
+                max_moves_per_round=spec.max_moves_per_round,
             ),
             controller_config=SMTaskControllerConfig(
                 restart_duration_hint=spec.restart_hint),
@@ -712,6 +753,8 @@ class ScenarioRun:
                 self.app.runtime.set_machine_network)
         self.t0 = self.engine.now
         self.recorder = WorkloadRecorder.with_bucket(30.0)
+        #: Every rolling upgrade the timeline started, in start order.
+        self.upgrades: List[RollingUpgrade] = []
 
     # -- target resolution ---------------------------------------------------
 
@@ -725,11 +768,6 @@ class ScenarioRun:
         if not containers:
             raise RuntimeError(f"no app containers in {region}")
         return containers[index % len(containers)].machine
-
-    def running_addresses_on(self, machine_ids: List[str]) -> List[str]:
-        wanted = set(machine_ids)
-        return sorted(c.address for c in self.app.containers
-                      if c.machine.machine_id in wanted and c.running)
 
     # -- chaos journal records -----------------------------------------------
 
@@ -772,7 +810,9 @@ class ScenarioRun:
         twine = self.cluster.twines[region]
         target = ",".join(machine_ids)
         fault = self.new_fault(kind, target)
-        addresses = self.running_addresses_on(machine_ids)
+        addresses = sorted(c.address for c in self.app.containers
+                           if c.machine.machine_id in machine_ids
+                           and c.running)
         self.emit_fault(fault, kind, target, addresses)
         for machine_id in machine_ids:
             twine.fail_machine(machine_id, cause=fault)
@@ -786,11 +826,15 @@ class ScenarioRun:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self) -> None:
+    def start(self) -> None:
+        """Open the scenario span, schedule the timeline and start the
+        built-in client; the caller runs the cluster (to ``t0 +
+        spec.duration``, or in slices of its own), then :meth:`finish`."""
         spec = self.spec
-        span = self.tracer.begin("chaos", "scenario", None,
-                                 {"scenario": spec.name, "arm": self.arm,
-                                  "seed": self.seed})
+        if self.tracer.enabled:
+            self._span = self.tracer.begin(
+                "chaos", "scenario", None,
+                {"scenario": spec.name, "arm": self.arm, "seed": self.seed})
         for act in spec.actions:
             if act.kind not in ACTIONS:
                 raise KeyError(f"unknown fault action kind {act.kind!r}")
@@ -814,14 +858,16 @@ class ScenarioRun:
                 recorder=self.recorder,
                 rng=substream(self.seed, "chaos", spec.name, "workload"),
             )
-        self.cluster.run(until=self.t0 + spec.duration)
+
+    def finish(self) -> None:
+        """Journal the final readiness probe and close the span."""
         fraction = self.app.ready_fraction()
-        self.emit_probe(fraction >= spec.expectations.final_ready_min,
-                        "final_ready_fraction",
-                        f"ready={fraction:.3f} "
-                        f"min={spec.expectations.final_ready_min}")
-        self.tracer.end(span, None, {"outcome": "done"},
-                        track="chaos", name="scenario")
+        minimum = self.spec.expectations.final_ready_min
+        self.emit_probe(fraction >= minimum, "final_ready_fraction",
+                        f"ready={fraction:.3f} min={minimum}")
+        if self.tracer.enabled:
+            self.tracer.end(self._span, None, {"outcome": "done"},
+                            track="chaos", name="scenario")
 
 
 def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
@@ -838,7 +884,9 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
     obs = Observability(capacity=capacity)
     with use(obs):
         run = ScenarioRun(spec, arm, seed, obs)
-        run.execute()
+        run.start()
+        run.cluster.run(until=run.t0 + spec.duration)
+        run.finish()
     journal = obs.journal
     if journal_path:
         from ..obs.trace_export import write_jsonl

@@ -56,6 +56,10 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             f"{spec.name}: servers_per_region "
             f"({spec.servers_per_region}) exceeds machines_per_region "
             f"({spec.machines_per_region})")
+    if spec.preferred_shards > spec.shards:
+        raise SpecValidationError(
+            f"{spec.name}: preferred_shards ({spec.preferred_shards}) "
+            f"exceeds shards ({spec.shards})")
     for action in spec.actions:
         if action.kind not in ACTIONS:
             raise SpecValidationError(

@@ -355,15 +355,6 @@ class Twine:
                 self._start_container(container)
         return True
 
-    def fail_region(self) -> None:
-        """Whole-region outage (Fig 19's failure at t=90 s)."""
-        for machine in self.machines:
-            self.fail_machine(machine.machine_id)
-
-    def repair_region(self) -> None:
-        for machine in self.machines:
-            self.repair_machine(machine.machine_id)
-
     def _machine(self, machine_id: str) -> Machine:
         for machine in self.machines:
             if machine.machine_id == machine_id:

@@ -4,18 +4,16 @@ Paper setup: "We deploy a primary-only application with 10,000 shards on
 60 servers.  The application's configuration allows up to 10% of its
 containers to be restarted concurrently during a rolling upgrade."
 
-Three arms:
+The timeline is :func:`repro.chaos.fig17_spec`, run under the three arms
+of :data:`repro.chaos.ARMS`:
 
-1. **SM** — TaskController negotiates restarts, shards are gracefully
-   drained with the §4.3 zero-drop migration → success stays ≈100%, the
-   upgrade takes the longest (paper ≈1,500 s);
-2. **no graceful migration** — drains still happen but primaries move
-   with a drop-then-add handoff; requests racing the shard-map update
-   fail → ≈98%;
-3. **no graceful migration & no TaskController** — the cluster manager
-   restarts containers blindly; shards are down for each container's
-   whole restart → success < 90%, but the upgrade finishes earliest
-   (paper ≈800 s).
+1. **SM** (``sm``) — the TaskController negotiates restarts, shards drain
+   by the §4.3 zero-drop migration → success ≈100%, the upgrade takes the
+   longest (paper ≈1,500 s);
+2. **no graceful migration** (``no_graceful``) — primaries move by a
+   drop-then-add handoff; requests racing the map update fail → ≈98%;
+3. **neither** (``baseline``) — blind restarts; shards are down for each
+   whole restart → success < 90%, but the upgrade ends first (≈800 s).
 
 Sizes are scaled down ~5x by default (2,000 shards on 60 servers) with
 the paper's 10% restart concurrency kept; pass ``shards=10_000`` for the
@@ -27,18 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from ..app.client import WorkloadRecorder
-from ..core.orchestrator import OrchestratorConfig
-from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
-from ..core.task_controller import SMTaskControllerConfig
-from ..harness import SimCluster, deploy_app
+from ..chaos import ScenarioRun, fig17_spec
 from ..metrics.timeseries import TimeSeries
-from ..sim.rng import substream
+from ..obs import get_default
 from ..workloads.load import ConstantCurve
 from .common import series_rows
 
 #: Fluid epoch of the ``traffic="fluid"`` arm, simulated seconds.
 FLUID_EPOCH = 2.0
+#: The longest the upgrade may run (the scenario's duration), sim seconds.
+HORIZON = 4_000.0
 
 
 @dataclass
@@ -54,13 +50,13 @@ class UpgradeArm:
     shard_moves: int
 
 
-#: The three lines of Figure 17: arm -> (label, graceful migration,
-#: TaskController registered).
-ARMS: Dict[str, Tuple[str, bool, bool]] = {
-    "sm": ("SM", True, True),
-    "no_graceful_migration": ("no graceful migration", False, True),
+#: The three lines of Figure 17: arm -> (label, the ``repro.chaos`` arm
+#: it runs under).
+ARMS: Dict[str, Tuple[str, str]] = {
+    "sm": ("SM", "sm"),
+    "no_graceful_migration": ("no graceful migration", "no_graceful"),
     "no_graceful_no_taskcontroller": (
-        "no graceful migration & no TaskController", False, False),
+        "no graceful migration & no TaskController", "baseline"),
 }
 
 
@@ -87,80 +83,41 @@ def run_arm(arm: str, shards: int = 2_000, servers: int = 60,
     """One line of the figure: the rolling upgrade under ``arm``."""
     if traffic not in ("event", "fluid"):
         raise ValueError(f"unknown traffic mode {traffic!r}")
-    label, graceful, with_task_controller = ARMS[arm]
-    cluster = SimCluster.build(
-        regions=("FRC",),
-        machines_per_region=servers + 4,
-        seed=seed,
-        discovery_base_delay=2.0,
-        discovery_jitter=3.0,
-    )
-    concurrency = max(1, servers // 10)  # the paper's 10% restart cap
-    spec = AppSpec(
-        name="fig17",
-        shards=uniform_shards(shards, key_space=shards * 16),
-        replication=ReplicationStrategy.PRIMARY_ONLY,
-        max_concurrent_container_ops=concurrency,
-    )
-    orchestrator_config = OrchestratorConfig(
-        graceful_migration=graceful,
-        failover_grace=restart_duration * 2.0,
-        rebalance_interval=60.0,
-        drain_concurrency=2,
-        drain_pacing=2.0,  # production-paced drains (what stretches SM's
-                           # upgrade to ~2x the blind restart's duration)
-    )
-    app = deploy_app(
-        cluster, spec, {"FRC": servers},
-        orchestrator_config=orchestrator_config,
-        controller_config=SMTaskControllerConfig(
-            restart_duration_hint=restart_duration * 2.0),
-        with_task_controller=with_task_controller,
-        settle=60.0,
-    )
-    if app.ready_fraction() < 1.0:
-        cluster.run(until=cluster.engine.now + 60.0)
-
-    recorder = WorkloadRecorder.with_bucket(30.0)
-    horizon = 4_000.0
+    label, chaos_arm = ARMS[arm]
+    # The scenario's client is single-attempt (retries would mask the
+    # drops this figure measures); the fluid arm brings flows instead.
+    spec = fig17_spec(
+        shards=shards, servers=servers, restart_duration=restart_duration,
+        request_rate=request_rate if traffic == "event" else 0.0,
+        duration=HORIZON)
+    run = ScenarioRun(spec, chaos_arm, seed, get_default())
+    run.start()
     if traffic == "fluid":
         # Same workload as flows: the epoch must sit under the discovery
         # fan-out window (2–5 s here) so map-staleness failures resolve
         # on the same timescale the per-request path sees them.
-        fluid = app.fluid_client(cluster, "FRC")
-        fluid.run_workload(duration=horizon,
-                           rate=ConstantCurve(request_rate),
-                           recorder=recorder, epoch=FLUID_EPOCH)
-    else:
-        # attempts=1: the paper's y-axis is the raw client request success
-        # rate; retries would mask exactly the drops Figure 17 measures.
-        client = app.client(cluster, "FRC", attempts=1, rpc_timeout=0.5)
-        client.run_workload(
-            duration=horizon,
-            rate=ConstantCurve(request_rate),
-            key_fn=lambda rng: rng.randrange(shards * 16),
-            recorder=recorder,
-            rng=substream(seed, "fig17", "workload"),
-        )
-    upgrade = cluster.twines["FRC"].start_rolling_upgrade(
-        spec.name, max_concurrent=concurrency,
-        restart_duration=restart_duration)
-    start = cluster.engine.now
+        run.app.fluid_client(run.cluster, "FRC").run_workload(
+            duration=spec.duration, rate=ConstantCurve(request_rate),
+            recorder=run.recorder, epoch=FLUID_EPOCH)
     # Run in slices until the upgrade completes (plus one restart's slack
     # so trailing failures land in the window).
-    while not upgrade.done and cluster.engine.now < start + horizon:
-        cluster.run(until=cluster.engine.now + 60.0)
-    cluster.run(until=cluster.engine.now + restart_duration)
+    engine = run.engine
+    while (not any(upgrade.done for upgrade in run.upgrades)
+           and engine.now < run.t0 + spec.duration):
+        run.cluster.run(until=engine.now + 60.0)
+    run.cluster.run(until=engine.now + restart_duration)
+    run.finish()
 
-    duration = ((upgrade.finished_at - upgrade.started_at)
-                if upgrade.finished_at is not None else float("inf"))
+    upgrade, recorder = run.upgrades[0], run.recorder
+    finished = upgrade.finished_at
+    duration = (finished - upgrade.started_at if finished is not None
+                else float("inf"))
     # Success rate over the upgrade window only (the figure's x-range).
-    window_end = (upgrade.finished_at if upgrade.finished_at is not None
-                  else cluster.engine.now)
+    window_end = finished if finished is not None else engine.now
     ok_total, failed_total = 0.0, 0.0
     for bucket in recorder.success.buckets():
         bucket_time = (bucket + 0.5) * recorder.success.width
-        if start <= bucket_time <= window_end + restart_duration:
+        if run.t0 <= bucket_time <= window_end + restart_duration:
             ok, failed = recorder.success.totals(bucket)
             ok_total += ok
             failed_total += failed
@@ -172,7 +129,7 @@ def run_arm(arm: str, shards: int = 2_000, servers: int = 60,
         requests_sent=int(round(recorder.sent)),
         requests_failed=int(round(recorder.failed)),
         success_series=recorder.success.series(),
-        shard_moves=app.orchestrator.executor.stats.total_moves,
+        shard_moves=run.app.orchestrator.executor.stats.total_moves,
     )
 
 

@@ -6,37 +6,29 @@ coast ...), PRN (west coast ...) and ODN (Odense, Denmark), using 30
 servers per region.  Out of the 1,000 shards, 400 so-called east-coast
 (EC) shards are configured with a region preference for FRC".
 
-Timeline (scaled 1:1 with the paper):
-
-* t < 90 s   — steady state: an FRC client reads EC shards locally, low
-  latency;
-* t = 90 s   — FRC fails; requests fail over to PRN/ODN replicas (latency
-  spike from retries, then a cross-region plateau); SM recreates the lost
-  replicas in the surviving regions;
-* t = 450 s  — FRC recovers; SM migrates one replica of each EC shard
-  back (region preference), restoring local latency.
+The timeline is :func:`repro.chaos.fig19_spec`, 1:1 with the paper: an
+FRC client reads EC shards locally until FRC fails at t=90 s; requests
+fail over to PRN/ODN (a retry spike, then a cross-region plateau) while
+SM recreates the lost replicas; FRC recovers at t=450 s and SM moves one
+replica of each EC shard back (region preference), restoring locality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
-from ..app.client import WorkloadRecorder
-from ..core.orchestrator import OrchestratorConfig
-from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
-from ..harness import SimCluster, deploy_app
+from ..chaos import ScenarioRun, fig19_spec
 from ..metrics.timeseries import TimeSeries
+from ..obs import get_default
 from ..sim.rng import substream
 from .common import series_rows
 
-REGIONS = ("FRC", "PRN", "ODN")
-#: "two replicas per shard".
-REPLICA_COUNT = 2
-#: The timeline, simulated seconds from the start of the workload.
-FAILURE_TIME = 90.0
-RECOVERY_TIME = 450.0
-HORIZON = 560.0
+#: The timeline, simulated seconds from the start of the workload: the
+#: region outage of :func:`repro.chaos.fig19_spec`.
+_OUTAGE = fig19_spec().actions[0]
+FAILURE_TIME = _OUTAGE.at
+RECOVERY_TIME = _OUTAGE.at + _OUTAGE.duration
 #: Latency bucket width, seconds.
 BUCKET = 10.0
 
@@ -63,81 +55,44 @@ class Fig19Result:
         return self.phase_latency(FAILURE_TIME + 30.0, RECOVERY_TIME)
 
 
+def _placed_regions(app, index: int) -> Set[Tuple[str, bool]]:
+    """(region, alive) of each known server holding shard ``index``."""
+    servers = app.orchestrator.servers
+    return {(servers[r.address].machine.region, servers[r.address].alive)
+            for r in app.orchestrator.table.replicas_of(f"shard{index}")
+            if r.address in servers}
+
+
 def _ec_shards_in_frc(app, ec_shards: int) -> int:
-    table = app.orchestrator.table
-    servers = app.orchestrator.servers
-    count = 0
-    for index in range(ec_shards):
-        for replica in table.replicas_of(f"shard{index}"):
-            record = servers.get(replica.address)
-            if (record is not None and record.alive
-                    and record.machine.region == "FRC"):
-                count += 1
-                break
-    return count
-
-
-def _spread_count(app, shards: int) -> int:
-    table = app.orchestrator.table
-    servers = app.orchestrator.servers
-    spread = 0
-    for index in range(shards):
-        regions = {servers[r.address].machine.region
-                   for r in table.replicas_of(f"shard{index}")
-                   if r.address in servers}
-        if len(regions) >= 2:
-            spread += 1
-    return spread
+    return sum(("FRC", True) in _placed_regions(app, index)
+               for index in range(ec_shards))
 
 
 def run(shards: int = 1_000, ec_shards: int = 400,
         servers_per_region: int = 30, request_rate: float = 20.0,
         seed: int = 0) -> Fig19Result:
-    cluster = SimCluster.build(
-        regions=REGIONS,
-        machines_per_region=servers_per_region + 2,
-        seed=seed,
-    )
-    key_space = shards * 16
-    preferences = {index: "FRC" for index in range(ec_shards)}
-    spec = AppSpec(
-        name="fig19",
-        shards=uniform_shards(shards, key_space=key_space,
-                              replica_count=REPLICA_COUNT,
-                              preferred_regions=preferences),
-        replication=ReplicationStrategy.SECONDARY_ONLY,
-    )
-    orchestrator_config = OrchestratorConfig(
-        failover_grace=20.0,
-        rebalance_interval=20.0,
-        max_moves_per_round=200,  # fail-back of 400 EC shards is urgent
-    )
-    app = deploy_app(
-        cluster, spec,
-        {region: servers_per_region for region in REGIONS},
-        orchestrator_config=orchestrator_config,
-        settle=90.0,
-    )
+    # The figure's client replaces the scenario's: it retries, reads
+    # secondaries and reads EC keys only.
+    spec = fig19_spec(shards=shards, ec_shards=ec_shards,
+                      servers_per_region=servers_per_region,
+                      request_rate=0.0)
+    run = ScenarioRun(spec, "sm", seed, get_default())
+    app = run.app
     before_frc = _ec_shards_in_frc(app, ec_shards)
-    before_spread = _spread_count(app, shards)
+    before_spread = sum(
+        len({region for region, _ in _placed_regions(app, index)}) >= 2
+        for index in range(shards))
 
-    client = app.client(cluster, "FRC")
-    recorder = WorkloadRecorder.with_bucket(BUCKET)
-    ec_key_limit = (key_space // shards) * ec_shards
-    start = cluster.engine.now
-    client.run_workload(
-        duration=HORIZON,
-        rate=lambda t: request_rate,
+    recorder, start = run.recorder, run.t0
+    ec_key_limit = app.spec.shards[ec_shards - 1].key_range.high
+    app.client(run.cluster, "FRC").run_workload(
+        duration=spec.duration, rate=lambda t: request_rate,
         key_fn=lambda rng: rng.randrange(ec_key_limit),  # EC shards only
-        recorder=recorder,
-        rng=substream(seed, "fig19", "workload"),
-        prefer_primary=False,
-    )
-    cluster.engine.call_at(start + FAILURE_TIME,
-                           lambda: cluster.twines["FRC"].fail_region())
-    cluster.engine.call_at(start + RECOVERY_TIME,
-                           lambda: cluster.twines["FRC"].repair_region())
-    cluster.run(until=start + HORIZON)
+        recorder=recorder, rng=substream(seed, "fig19", "workload"),
+        prefer_primary=False)
+    run.start()
+    run.cluster.run(until=start + spec.duration)
+    run.finish()
 
     # Bucketed mean latency relative to the experiment start, in ms.
     sums: Dict[int, Tuple[float, int]] = {}
@@ -148,13 +103,11 @@ def run(shards: int = 1_000, ec_shards: int = 400,
     latency_series = TimeSeries(name="ec_latency_ms")
     for index in sorted(sums):
         total, count = sums[index]
-        latency_series.record((index + 0.5) * BUCKET,
-                              1000.0 * total / count)
+        latency_series.record((index + 0.5) * BUCKET, 1000.0 * total / count)
 
-    total = recorder.succeeded + recorder.failed
     return Fig19Result(
         latency_by_bucket=latency_series,
-        success_rate=recorder.succeeded / max(1, total),
+        success_rate=recorder.success.overall_success_rate(),
         ec_shards_with_frc_replica_before=before_frc,
         ec_shards_with_frc_replica_after=_ec_shards_in_frc(app, ec_shards),
         cross_region_spread_before=before_spread,

@@ -62,6 +62,43 @@ def test_run_chaos_check_trace_fails_on_a_truncated_journal(monkeypatch,
     assert "at --capacity 64" in out and "truncated trace" in out
 
 
+def test_run_chaos_takes_its_arms_from_the_chaos_table(monkeypatch, capsys):
+    """Every ``repro.chaos.ARMS`` entry is reachable, and every one runs
+    by default; the script used to keep its own two-arm list."""
+    from repro.chaos import ARMS
+    script = load_script("run_chaos")
+    argv = ["run_chaos.py", "--scenario", "crash_single", "--no-repeat",
+            "--serial", "--check-trace"]
+    for arms, expected in ((["--arms", "no_graceful"], ["no_graceful"]),
+                           ([], list(ARMS))):
+        monkeypatch.setattr("sys.argv", argv + arms)
+        assert script.main() == 0
+        out = capsys.readouterr().out
+        assert [line.split()[2] for line in out.splitlines()
+                if line.startswith("ok ")] == expected
+
+
+@pytest.mark.parametrize("first, second", [
+    ("crash_single", "@{path}"),    # a file spec named like a library one
+    ("@{path}", "@{path}"),         # two files, one name
+])
+def test_run_chaos_rejects_a_scenario_named_twice(first, second, monkeypatch,
+                                                  capsys, tmp_path):
+    """A repeated name used to run one spec under both cells' name (or
+    keep only the last file), never the other."""
+    from repro.chaos import get
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(get("crash_single").to_dict()))
+    script = load_script("run_chaos")
+    monkeypatch.setattr("sys.argv", [
+        "run_chaos.py", "--serial", "--no-repeat", "--arms", "sm",
+        "--scenario", first.format(path=path), second.format(path=path)])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    assert "scenario 'crash_single' is named twice" in capsys.readouterr().err
+
+
 def test_run_chaos_journal_dir_fails_a_journal_that_reloads_differently(
         monkeypatch, capsys, tmp_path):
     import repro.obs.trace_export as trace_export

@@ -113,6 +113,22 @@ def test_replaced_tables_and_tasks_are_gone():
     assert modules_matching(r"_REGION_PARAMS|fig17_arm_task") == []
 
 
+def test_figures_run_through_the_scenario_engine():
+    """Figs 17 and 19 are chaos scenarios: built by ``repro.chaos``, not
+    by hand from the harness, with one table of ablation arms."""
+    for module in ("experiments/fig17_availability.py",
+                   "experiments/fig19_geo_failover.py"):
+        for node in ast.walk(ast.parse(SOURCES[module])):
+            if isinstance(node, ast.ImportFrom):
+                assert "harness" not in (node.module or ""), module
+                assert "harness" not in {a.name for a in node.names}, module
+    assert modules_matching(
+        r"[\"'](graceful|with_task_controller)[\"']\s*:\s*(True|False)"
+    ) == ["chaos/scenario.py"]
+    assert modules_matching(r"\b(graceful_migration|with_task_controller)="
+                            ) == ["chaos/scenario.py"]
+
+
 def test_one_event_queue_and_one_way_to_wait():
     """A process waits by yielding a Delay, a Process or an RpcCall, a
     zero-delay event goes on the heap, and a scheduled event is its own
@@ -316,8 +332,6 @@ REMOVED_OPTIONS = [
     (Twine.create_job, "machine_filter"),
     (Twine.create_job, "start_immediately"),
     (Twine.submit_op, "target_machine_id"),
-    (Twine.fail_region, "cause"),
-    (Twine.repair_region, "cause"),
     (build_topology, "datacenters_per_region"),
     (build_topology, "racks_per_datacenter"),
     (MaintenanceSchedule, "upgrade_interval"),

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (ACTIONS, Expectations, FaultAction, ScenarioSpec,
-                         SpecValidationError, all_scenarios, load_spec,
-                         validate_spec)
+                         SpecValidationError, all_scenarios, fig17_spec,
+                         fig19_spec, load_spec, run_scenario, validate_spec)
 from repro.chaos.scenario import EXPECTATION_FIELDS, duration_of, param_of
 
 
@@ -155,6 +155,19 @@ def test_dump_and_load_round_trip(tmp_path):
     assert load_spec(path) == spec
 
 
+@pytest.mark.parametrize("build", [fig17_spec, fig19_spec])
+def test_a_figure_is_a_spec_file(build, tmp_path):
+    """A figure's tier-1 timeline survives the file layer whole: the
+    loaded spec runs to the same behaviour as the one built in code."""
+    spec = build()
+    path = tmp_path / "figure.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    loaded = load_spec(path)
+    assert loaded == spec
+    assert (run_scenario(loaded).behaviour_digest
+            == run_scenario(spec).behaviour_digest)
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -260,6 +273,13 @@ MALFORMED = [
      "expectations failover_bound must be >= 0.0"),
     (_doc(expectations={"failover_bound": INF}),
      "expectations failover_bound must be finite"),
+    # The title's type, and the fields a figure's spec forwards.
+    (_doc(title=5), "scenario 'title' must be a string, got 5"),
+    (_doc(max_concurrent_container_ops="half"),
+     "'max_concurrent_container_ops' must be a number or null"),
+    (_doc(preferred_shards=9), "preferred_shards (9) exceeds shards (8)"),
+    (_doc(max_concurrent_container_ops=0),
+     "max_concurrent_container_ops must be >= 1"),
 ]
 
 

@@ -157,16 +157,6 @@ class TestFailures:
         engine.run(until=60.0)
         assert containers[0].running
 
-    def test_fail_region_takes_all_down(self):
-        engine, twine = make_twine()
-        containers = twine.create_job("web", 4)
-        engine.run(until=30.0)
-        twine.fail_region()
-        assert all(not c.running for c in containers)
-        twine.repair_region()
-        engine.run(until=60.0)
-        assert all(c.running for c in containers)
-
     def test_fail_is_idempotent(self):
         engine, twine = make_twine()
         containers = twine.create_job("web", 1)
