@@ -54,22 +54,29 @@ def main() -> int:
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="also write the raw journal as JSONL "
                              "(requires --trace)")
-    parser.add_argument("--trace-figure", default="fig17",
+    parser.add_argument("--trace-figure", default=None,
                         metavar="FIG[:ARM]",
                         help="which task to trace, e.g. fig17 or fig17:sm "
-                             "(default: fig17)")
+                             "(requires --trace; default: fig17)")
     parser.add_argument("--check-trace", action="store_true",
                         help="fail (exit 1) if the TraceChecker finds any "
                              "invariant violation in the trace, or the "
-                             "journal ring dropped records")
+                             "journal ring dropped records (requires "
+                             "--trace)")
     args = parser.parse_args()
+    if not args.trace:
+        for flag, value in (("--journal", args.journal),
+                            ("--trace-figure", args.trace_figure),
+                            ("--check-trace", args.check_trace)):
+            if value:
+                parser.error(f"{flag} requires --trace")
 
     tasks = runner.SMOKE_TASKS if args.smoke else runner.DEFAULT_TASKS
     if args.traffic != "event":
         tasks = runner.with_traffic(tasks, args.traffic)
 
     if args.trace:
-        task = runner.select_task(tasks, args.trace_figure)
+        task = runner.select_task(tasks, args.trace_figure or "fig17")
         result = runner.run_traced(task, args.trace,
                                    journal_path=args.journal)
         print(json.dumps(result, indent=1, sort_keys=True))

@@ -173,6 +173,8 @@ class FluidClient:
         self.failed_total = 0.0
         self.overload_onsets = 0
         self.overload_recoveries = 0
+        #: The highest utilization any address this client prices reached.
+        self.peak_utilization = 0.0
 
         self._load_accum = 0.0
         self._last_feed = engine.now
@@ -460,6 +462,7 @@ class FluidClient:
         servers = self._servers
         tracer = self.tracer
         healthy = self._healthy_share
+        peak = self.peak_utilization
         shed_weight = 0.0
         mean_acc = 0.0
         buckets: List[Tuple[float, float]] = []  # (p99, weight)
@@ -472,6 +475,8 @@ class FluidClient:
                 servers[address] = server
             arrival = rate_now * share / total_share
             server.offer(arrival)
+            if server.utilization > peak:
+                peak = server.utilization
             if server.utilization >= OVERLOAD_THRESHOLD:
                 if not server.overloaded:
                     server.overloaded = True
@@ -497,6 +502,7 @@ class FluidClient:
                        + server.service_time)
             mean_acc += share * mean_lat
             buckets.append((p99_lat, share))
+        self.peak_utilization = peak
         if healthy <= 0.0:
             return None, None, 0.0
         mean_latency = mean_acc / healthy

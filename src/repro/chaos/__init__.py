@@ -6,7 +6,8 @@ fault is journaled and the run is judged by replaying the journal
 through the :class:`~repro.obs.checker.TraceChecker` invariants.
 """
 
-from .library import SCENARIOS, all_scenarios, fig17_spec, fig19_spec, get
+from .library import (SCENARIOS, all_scenarios, fig17_spec, fig18_spec,
+                      fig19_spec, get)
 from .scenario import (ACTIONS, ARMS, Expectations, FaultAction,
                        ScenarioResult, ScenarioRun, ScenarioSpec,
                        run_scenario)
@@ -24,6 +25,7 @@ __all__ = [
     "SpecValidationError",
     "all_scenarios",
     "fig17_spec",
+    "fig18_spec",
     "fig19_spec",
     "get",
     "load_spec",

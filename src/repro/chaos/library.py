@@ -32,8 +32,9 @@ faults can go wrong:
   the action vocabulary, so the behaviour at seed 0 — not the
   storyline — is what it is kept for.
 
-``fig17`` and ``fig19`` are paper figures at tier-1 size; the figures
-run the same builders (:func:`fig17_spec`, :func:`fig19_spec`) at full size.
+``fig17``, ``fig18`` and ``fig19`` are paper figures at tier-1 size; the
+figures run the same builders (:func:`fig17_spec`, :func:`fig18_spec`,
+:func:`fig19_spec`) at full size.
 
 Every scenario must pass with **zero** violations under every arm
 (:data:`~repro.chaos.scenario.ARMS`), so expectation bounds are set to
@@ -47,7 +48,8 @@ from typing import Dict, List
 from ..core.spec import ReplicationStrategy
 from .scenario import Expectations, FaultAction, ScenarioSpec
 
-__all__ = ["SCENARIOS", "all_scenarios", "get", "fig17_spec", "fig19_spec"]
+__all__ = ["SCENARIOS", "all_scenarios", "get", "fig17_spec", "fig18_spec",
+           "fig19_spec"]
 
 
 def _act(at: float, kind: str, duration: float = 0.0,
@@ -75,6 +77,25 @@ def fig17_spec(shards: int = 60, servers: int = 6,
         discovery_base_delay=2.0, discovery_jitter=3.0,
         rebalance_interval=60.0, drain_concurrency=2, drain_pacing=2.0,
         max_concurrent_container_ops=concurrency)
+
+
+def fig18_spec(shards: int = 60, servers: int = 6, day_length: float = 240.0,
+               days: int = 1, request_rate: float = 4.0) -> ScenarioSpec:
+    """Figure 18: a primary-only app in one region runs a staged upgrade
+    each day, a canary restart at a quarter of the day and a rolling
+    upgrade of every container, 10 % at a time, at three eighths."""
+    concurrency = max(1, servers // 10)
+    actions = tuple(action for day in range(days) for action in (
+        _act((day + 0.25) * day_length, "canary_restart"),
+        _act((day + 0.375) * day_length, "rolling_upgrade",
+             concurrency=concurrency, restart_duration=30.0)))
+    return ScenarioSpec(
+        name="fig18", title="Daily staged upgrades: a canary, then everyone",
+        actions=actions, duration=days * day_length + 120.0,
+        regions=("FRC",), machines_per_region=servers + 4,
+        servers_per_region=servers, shards=shards, request_rate=request_rate,
+        failover_grace=240.0, restart_hint=120.0, rebalance_interval=120.0,
+        drain_pacing=0.2, max_concurrent_container_ops=concurrency)
 
 
 def fig19_spec(shards: int = 60, ec_shards: int = 24,
@@ -298,6 +319,7 @@ _SPECS: List[ScenarioSpec] = [
                                   failover_bound=60.0, final_ready_min=0.9),
     ),
     fig17_spec(),
+    fig18_spec(),
     fig19_spec(),
 ]
 

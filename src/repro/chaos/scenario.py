@@ -2,8 +2,8 @@
 
 A :class:`ScenarioSpec` is a timeline of :class:`FaultAction`\\ s —
 machine crashes, rack blackouts, region partitions, ZooKeeper session
-kills, planned maintenance, rolling upgrades, control-plane failovers and
-in-scenario probes — executed against the standard harness
+kills, planned maintenance, canary and rolling upgrades, control-plane
+failovers and in-scenario probes — executed against the standard harness
 (:class:`~repro.harness.SimCluster` + :func:`~repro.harness.deploy_app`).
 
 Contract (see DESIGN.md, "Chaos scenarios"):
@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..app.client import WorkloadRecorder
 from ..cluster.container import Container
-from ..cluster.taskcontrol import MaintenanceImpact
+from ..cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
 from ..cluster.topology import Machine
 from ..cluster.twine import RollingUpgrade
 from ..core.orchestrator import OrchestratorConfig
@@ -58,6 +58,9 @@ ARMS: Dict[str, Dict[str, bool]] = {
     "no_graceful": {"graceful": False, "with_task_controller": True},
     "baseline": {"graceful": False, "with_task_controller": False},
 }
+
+#: Fraction of a region's running app containers a canary restarts.
+CANARY_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -292,6 +295,27 @@ class ScenarioSpec:
     #: The first ``preferred_shards`` shards prefer ``regions[0]``.
     preferred_shards: int = 0
     expectations: Expectations = field(default_factory=Expectations)
+
+    @property
+    def key_space(self) -> int:
+        """How many keys the app's shards split: sixteen a shard."""
+        return self.shards * 16
+
+    def app_spec(self) -> AppSpec:
+        """The app this scenario deploys (the one place its shards, key
+        space and restart cap are spelt)."""
+        return AppSpec(
+            name=f"chaos-{self.name}",
+            shards=uniform_shards(
+                self.shards, key_space=self.key_space,
+                replica_count=self.replica_count,
+                preferred_regions={index: self.regions[0]
+                                   for index in range(self.preferred_shards)}),
+            replication=self.replication,
+            max_concurrent_container_ops=(
+                self.max_concurrent_container_ops
+                or max(1, self.servers_per_region // 2)),
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON form ``run_chaos.py --scenario @file.json`` loads."""
@@ -616,6 +640,20 @@ def _rolling_upgrade(run: "ScenarioRun", act: FaultAction, region: str,
                       "restart": restart_duration})
 
 
+@action("canary_restart", region=_REGION)
+def _canary_restart(run: "ScenarioRun", act: FaultAction,
+                    region: str) -> None:
+    """Restart the first ``CANARY_FRACTION`` (at least one) of the
+    region's running app containers at once, each a negotiable upgrade
+    op: the small restart a staged upgrade starts with."""
+    twine = run.cluster.twines[region]
+    running = [c for c in run.app_containers(region) if c.running]
+    canaries = running[:max(1, int(len(running) * CANARY_FRACTION))]
+    for container in canaries:
+        twine.submit_op(OpKind.RESTART, container, OpReason.UPGRADE)
+    run.emit_planned("canary_restart", region, {"count": len(canaries)})
+
+
 @action("crash_burst", duration=120.0, region=_REGION,
         mtbf=Param(float, 60.0, above=0.0), repair=_seconds(25.0))
 def _crash_burst(run: "ScenarioRun", act: FaultAction, region: str,
@@ -696,7 +734,8 @@ class ScenarioRun:
     """One executing scenario: the harness plus chaos bookkeeping."""
 
     def __init__(self, spec: ScenarioSpec, arm: str, seed: int,
-                 obs: Observability) -> None:
+                 obs: Observability,
+                 handler_factory: Optional[Callable] = None) -> None:
         if arm not in ARMS:
             raise KeyError(f"unknown arm {arm!r}; known: {sorted(ARMS)}")
         self.spec = spec
@@ -717,21 +756,10 @@ class ScenarioRun:
             obs=obs,
         )
         self.engine = self.cluster.engine
-        app_spec = AppSpec(
-            name=f"chaos-{spec.name}",
-            shards=uniform_shards(
-                spec.shards, key_space=spec.shards * 16,
-                replica_count=spec.replica_count,
-                preferred_regions={index: spec.regions[0]
-                                   for index in range(spec.preferred_shards)}),
-            replication=spec.replication,
-            max_concurrent_container_ops=(
-                spec.max_concurrent_container_ops
-                or max(1, spec.servers_per_region // 2)),
-        )
         self.app: DeployedApp = deploy_app(
-            self.cluster, app_spec,
+            self.cluster, spec.app_spec(),
             {region: spec.servers_per_region for region in spec.regions},
+            handler_factory=handler_factory,
             orchestrator_config=OrchestratorConfig(
                 graceful_migration=preset["graceful"],
                 failover_grace=spec.failover_grace,
@@ -844,13 +872,13 @@ class ScenarioRun:
         if spec.request_rate > 0:
             client = self.app.client(self.cluster, spec.regions[0],
                                      attempts=1, rpc_timeout=0.5)
+            key_space = spec.key_space
             if spec.zipf_skew > 0:
                 # Hot-key traffic: rank 0 is key 0, so "the hottest
                 # shard" is the one covering the lowest keys.
-                key_fn = ZipfKeySampler(spec.shards * 16,
-                                        skew=spec.zipf_skew)
+                key_fn = ZipfKeySampler(key_space, skew=spec.zipf_skew)
             else:
-                key_fn = lambda rng: rng.randrange(spec.shards * 16)
+                key_fn = lambda rng: rng.randrange(key_space)
             client.run_workload(
                 duration=spec.duration,
                 rate=lambda t: spec.request_rate,

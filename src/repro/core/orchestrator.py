@@ -113,7 +113,8 @@ class Orchestrator:
         self.rebalance_history: List[Tuple[float, int, int]] = []
         self._emergency_running = False
         self._rebalance_running = False
-        self._active_migrations = 0
+        # Replicas a relocation is moving: a drain and a rebalance race here.
+        self._relocating: Set[str] = set()
         self._stoppers: List = []
         self._started = False
         self._servers_root = layout.servers_root(spec.name)
@@ -536,14 +537,23 @@ class Orchestrator:
 
     def _relocate(self, replica: ReplicaAssignment,
                   target: str) -> Generator[Any, Any, bool]:
-        """Move one replica by the protocol its role calls for."""
+        """Move one replica by the protocol its role calls for; False, with
+        no RPC sent, when it is dropped or another relocation is moving it."""
+        replica_id = replica.replica_id
+        if (replica.state is ReplicaState.DROPPED
+                or replica_id in self._relocating):
+            return False
         if replica.role is not Role.PRIMARY:
-            return (yield from self.executor.move_secondary(replica, target))
-        if self.config.graceful_migration:
-            return (yield from self.executor.graceful_primary_migration(
-                replica, target))
-        return (yield from self.executor.abrupt_primary_migration(
-            replica, target))
+            move = self.executor.move_secondary
+        elif self.config.graceful_migration:
+            move = self.executor.graceful_primary_migration
+        else:
+            move = self.executor.abrupt_primary_migration
+        self._relocating.add(replica_id)
+        try:
+            return (yield from move(replica, target))
+        finally:
+            self._relocating.discard(replica_id)
 
     # -- drains (called by SM's TaskController, §4.1) -------------------------------------------
 

@@ -8,10 +8,9 @@ to full-scale upgrades, which cause the big spikes.  Despite the large
 number of concurrent shard moves, the 'client error rate' curve hardly
 changes."
 
-We run the queue-service example over two (scaled) days of diurnal
-traffic, with a staged rolling upgrade per day (a small canary upgrade
-followed by the full-fleet upgrade), and record the three curves of the
-figure: client request rate, client error rate, and shard moves.
+The queue service runs :func:`repro.chaos.fig18_spec` (each scaled day,
+a canary restart, then a rolling upgrade of the fleet) under diurnal
+traffic; the figure's curves are request rate, error rate, shard moves.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from typing import Dict
 
 from ..app.client import WorkloadRecorder
 from ..apps.queue_service import QueueServiceApp
-from ..core.orchestrator import OrchestratorConfig
-from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
-from ..harness import SimCluster, deploy_app
+from ..chaos import ScenarioRun, fig18_spec
 from ..metrics.timeseries import TimeSeries
+from ..obs import get_default
 from ..sim.rng import substream
 from ..workloads.load import DiurnalCurve
 from .common import series_rows
@@ -32,8 +30,6 @@ from .common import series_rows
 #: The diurnal request curve's trough and peak, requests per second.
 BASE_RATE = 10.0
 PEAK_RATE = 40.0
-#: Fraction of running containers each day's canary restarts.
-CANARY_FRACTION = 0.1
 #: Fluid epoch of the ``traffic="fluid"`` path, simulated seconds.
 FLUID_EPOCH = 5.0
 
@@ -57,95 +53,41 @@ class Fig18Result:
 def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
         days: int = 2, seed: int = 0,
         traffic: str = "event") -> Fig18Result:
-    """``day_length`` compresses the diurnal period (default: 1h per
-    simulated 'day'); upgrade cadence and shapes are unchanged.
-
-    ``traffic`` selects the per-request path (``"event"``) or the hybrid
-    fluid engine (``"fluid"``, advancing flows every ``FLUID_EPOCH``
-    seconds);
-    both land outcomes in the same recorder, so the derived curves and
-    headline numbers are comparable across modes.
-    """
+    """``day_length`` compresses the diurnal period (1 h a simulated day
+    by default).  ``traffic`` is the per-request path (``"event"``) or the
+    hybrid fluid engine (``"fluid"``, flows advanced every ``FLUID_EPOCH``
+    seconds); both fill the same recorder, so their curves compare."""
     if traffic not in ("event", "fluid"):
         raise ValueError(f"unknown traffic mode {traffic!r}")
-
-    cluster = SimCluster.build(
-        regions=("FRC",),
-        machines_per_region=servers + 4,
-        seed=seed,
-    )
-    spec = AppSpec(
-        name="queue",
-        shards=uniform_shards(shards, key_space=shards * 8),
-        replication=ReplicationStrategy.PRIMARY_ONLY,
-        max_concurrent_container_ops=max(1, servers // 10),
-    )
-    queue_app = QueueServiceApp(spec)
-    orchestrator_config = OrchestratorConfig(
-        failover_grace=240.0,
-        rebalance_interval=120.0,
-        drain_concurrency=4,
-        drain_pacing=0.2,
-    )
-    app = deploy_app(cluster, spec, {"FRC": servers},
-                     handler_factory=queue_app.handler_factory,
-                     orchestrator_config=orchestrator_config,
-                     settle=60.0)
+    # The queue service's two-attempt enqueue client (or flows) replaces
+    # the scenario's single-attempt one.
+    spec = fig18_spec(shards=shards, servers=servers, day_length=day_length,
+                      days=days, request_rate=0.0)
+    queue_app = QueueServiceApp(spec.app_spec())
+    scenario = ScenarioRun(spec, "sm", seed, get_default(),
+                           handler_factory=queue_app.handler_factory)
+    scenario.start()
 
     recorder = WorkloadRecorder.with_bucket(day_length / 48.0)
     curve = DiurnalCurve(base=BASE_RATE, peak=PEAK_RATE, period=day_length,
                          phase=day_length / 4.0)
     horizon = days * day_length
-
-    def key_fn(rng) -> int:
-        return rng.randrange(shards * 8)
-
-    start = cluster.engine.now
     if traffic == "fluid":
-        fluid = app.fluid_client(cluster, "FRC")
-        fluid.run_workload(duration=horizon, rate=curve, recorder=recorder,
-                           epoch=FLUID_EPOCH)
+        scenario.app.fluid_client(scenario.cluster, "FRC").run_workload(
+            duration=horizon, rate=curve, recorder=recorder,
+            epoch=FLUID_EPOCH)
     else:
-        client = app.client(cluster, "FRC", attempts=2, rpc_timeout=0.5,
-                            retry_backoff=0.2)
+        key_space = spec.key_space
+        client = scenario.app.client(scenario.cluster, "FRC", attempts=2,
+                                     rpc_timeout=0.5, retry_backoff=0.2)
         client.run_workload(
-            duration=horizon, rate=curve, key_fn=key_fn, recorder=recorder,
+            duration=horizon, rate=curve,
+            key_fn=lambda rng: rng.randrange(key_space), recorder=recorder,
             rng=substream(seed, "fig18", "workload"),
             payload_fn=lambda key: {"op": "enqueue", "queue": key,
                                     "message": f"m{key}"})
-
-    # Staged daily upgrades: canary at 25% of the day, full at 37.5%.
-    upgrades_run = 0
-    twine = cluster.twines["FRC"]
-    concurrency = max(1, servers // 10)
-    restart_duration = 30.0
-
-    def canary(day_index: int) -> None:
-        nonlocal upgrades_run
-        containers = [c for c in twine.job_containers(spec.name)
-                      if c.running]
-        canary_count = max(1, int(len(containers) * CANARY_FRACTION))
-        for container in containers[:canary_count]:
-            from ..cluster.taskcontrol import OpKind, OpReason
-            twine.submit_op(OpKind.RESTART, container, OpReason.UPGRADE)
-        upgrades_run += 1
-
-    def full(day_index: int) -> None:
-        nonlocal upgrades_run
-        try:
-            twine.start_rolling_upgrade(spec.name, concurrency,
-                                        restart_duration)
-        except RuntimeError:
-            return
-        upgrades_run += 1
-
-    for day in range(days):
-        cluster.engine.call_at(start + day * day_length + day_length * 0.25,
-                               lambda d=day: canary(d))
-        cluster.engine.call_at(start + day * day_length + day_length * 0.375,
-                               lambda d=day: full(d))
-
-    cluster.run(until=start + horizon + 120.0)
+    scenario.cluster.run(until=scenario.t0 + spec.duration)
+    scenario.finish()
 
     # Derive the three curves, bucketed like the figure.
     bucket = recorder.success.width
@@ -156,16 +98,16 @@ def run(shards: int = 400, servers: int = 20, day_length: float = 3_600.0,
         request_rate.record((index + 0.5) * bucket, ok + failed)
         error_rate.record((index + 0.5) * bucket,
                           failed / max(1, ok + failed))
-    moves = app.orchestrator.move_counter.windowed(bucket)
+    moves = scenario.app.orchestrator.move_counter.windowed(bucket)
 
-    total = recorder.succeeded + recorder.failed
     return Fig18Result(
         request_rate=request_rate,
         error_rate=error_rate,
         shard_moves=moves,
-        overall_error_rate=recorder.failed / max(1, total),
+        overall_error_rate=recorder.failed / max(
+            1, recorder.succeeded + recorder.failed),
         order_violations=queue_app.order_violations,
-        upgrades_run=upgrades_run,
+        upgrades_run=len(scenario.upgrades) + days,  # + a canary a day
     )
 
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.orchestrator import OrchestratorConfig
-from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from ..app.client import WorkloadRecorder
-from ..harness import SimCluster, deploy_app
+from ..chaos import FaultAction, ScenarioRun, ScenarioSpec
+from ..obs import get_default
 from ..sim.fluid import EpochDriver
 from ..workloads.load import DiurnalCurve
 
@@ -41,6 +40,8 @@ EPOCH = 30.0
 #: Mean request rate of one user; the regional aggregate curves swing
 #: 0.4x–1.6x around it.
 RATE_PER_USER = 0.1
+#: Containers a regional rolling upgrade restarts at once.
+UPGRADE_CONCURRENCY = max(1, SERVERS_PER_REGION // 10)
 
 
 @dataclass
@@ -65,6 +66,26 @@ class FluidScaleResult:
     full_reprices: int
 
 
+def spec() -> ScenarioSpec:
+    """The day as a timeline: the same fleet-wide release walks the
+    regions, one rolling upgrade per region and day (production cadence);
+    the fluid clients are the traffic, so the scenario sends none."""
+    upgrades = tuple(
+        FaultAction(at=day * DAY_LENGTH + DAY_LENGTH * (0.2 + 0.15 * index),
+                    kind="rolling_upgrade",
+                    params=(("concurrency", UPGRADE_CONCURRENCY),
+                            ("region", region), ("restart_duration", 60.0)))
+        for day in range(DAYS) for index, region in enumerate(REGIONS))
+    return ScenarioSpec(
+        name="fluid_scale", title="10M users over follow-the-sun diurnal days",
+        actions=upgrades, duration=DAYS * DAY_LENGTH + 120.0, regions=REGIONS,
+        machines_per_region=SERVERS_PER_REGION + 4,
+        servers_per_region=SERVERS_PER_REGION, shards=SHARDS,
+        request_rate=0.0, settle=90.0, failover_grace=240.0,
+        restart_hint=120.0, rebalance_interval=300.0, drain_pacing=0.2,
+        max_concurrent_container_ops=UPGRADE_CONCURRENCY)
+
+
 def run(seed: int = 0) -> FluidScaleResult:
     """Two (compressed) DAYS of follow-the-sun diurnal traffic.
 
@@ -74,30 +95,9 @@ def run(seed: int = 0) -> FluidScaleResult:
     integrals), so epochs can be coarse without aliasing the diurnal
     shape.
     """
-    cluster = SimCluster.build(
-        regions=REGIONS,
-        machines_per_region=SERVERS_PER_REGION + 4,
-        seed=seed,
-    )
-    spec = AppSpec(
-        name="fluid10m",
-        shards=uniform_shards(SHARDS, key_space=SHARDS * 16),
-        replication=ReplicationStrategy.PRIMARY_ONLY,
-        max_concurrent_container_ops=max(1, SERVERS_PER_REGION // 10),
-    )
-    orchestrator_config = OrchestratorConfig(
-        failover_grace=240.0,
-        rebalance_interval=300.0,
-        drain_concurrency=4,
-        drain_pacing=0.2,
-    )
-    app = deploy_app(cluster, spec,
-                     {region: SERVERS_PER_REGION for region in REGIONS},
-                     orchestrator_config=orchestrator_config,
-                     settle=90.0)
-
-    horizon = DAYS * DAY_LENGTH
-    start = cluster.engine.now
+    timeline = spec()
+    scenario = ScenarioRun(timeline, "sm", seed, get_default())
+    scenario.start()
     users_per_region = USERS // len(REGIONS)
     # Per-server capacity sized so the regional peak lands around 70%
     # utilization — daily peaks push hot servers close to (but normally
@@ -107,8 +107,9 @@ def run(seed: int = 0) -> FluidScaleResult:
     capacity = max(1, int(peak_regional * service_time
                           / (0.7 * SERVERS_PER_REGION)) + 1)
 
-    driver = EpochDriver(cluster.engine, epoch=EPOCH,
-                         tracer=cluster.obs.tracer)
+    horizon = DAYS * DAY_LENGTH
+    driver = EpochDriver(scenario.engine, epoch=EPOCH,
+                         tracer=scenario.tracer)
     clients = []
     recorders: List[WorkloadRecorder] = []
     for index, region in enumerate(REGIONS):
@@ -119,35 +120,17 @@ def run(seed: int = 0) -> FluidScaleResult:
             phase=DAY_LENGTH * index / len(REGIONS),  # follow the sun
         )
         recorder = WorkloadRecorder.with_bucket(DAY_LENGTH / 48.0)
-        client = app.fluid_client(cluster, region,
-                                  capacity=capacity,
-                                  service_time=service_time,
-                                  load_feed_interval=60.0)
+        client = scenario.app.fluid_client(scenario.cluster, region,
+                                           capacity=capacity,
+                                           service_time=service_time,
+                                           load_feed_interval=60.0)
         client.run_workload(duration=horizon, rate=curve,
                             recorder=recorder, driver=driver)
         clients.append(client)
         recorders.append(recorder)
 
-    # Staged daily upgrades, one region at a time (production cadence:
-    # the same fleet-wide release walks the regions).
-    upgrades_run = 0
-    concurrency = max(1, SERVERS_PER_REGION // 10)
-
-    def full_upgrade(region: str) -> None:
-        nonlocal upgrades_run
-        try:
-            cluster.twines[region].start_rolling_upgrade(
-                spec.name, concurrency, restart_duration=60.0)
-        except RuntimeError:
-            return
-        upgrades_run += 1
-
-    for day in range(DAYS):
-        for index, region in enumerate(REGIONS):
-            at = start + day * DAY_LENGTH + DAY_LENGTH * (0.2 + 0.15 * index)
-            cluster.engine.call_at(at, lambda r=region: full_upgrade(r))
-
-    cluster.run(until=start + horizon + 120.0)
+    scenario.cluster.run(until=scenario.t0 + timeline.duration)
+    scenario.finish()
 
     arrivals = sum(c.arrivals_total for c in clients)
     ok = sum(c.ok_total for c in clients)
@@ -159,9 +142,6 @@ def run(seed: int = 0) -> FluidScaleResult:
             mean_den += client.ok_total
         if len(client.latency_p99):
             p99 = max(p99, client.latency_p99.max())
-    max_utilization = max(
-        (server.utilization for client in clients
-         for server in client._servers.values()), default=0.0)
 
     return FluidScaleResult(
         users=USERS,
@@ -173,9 +153,9 @@ def run(seed: int = 0) -> FluidScaleResult:
         availability=ok / arrivals if arrivals > 0 else 0.0,
         mean_latency_ms=(mean_num / mean_den * 1e3) if mean_den else 0.0,
         p99_latency_ms=p99 * 1e3,
-        max_utilization=max_utilization,
-        shard_moves=app.orchestrator.executor.stats.total_moves,
-        upgrades_run=upgrades_run,
+        max_utilization=max(c.peak_utilization for c in clients),
+        shard_moves=scenario.app.orchestrator.executor.stats.total_moves,
+        upgrades_run=len(scenario.upgrades),
         epochs=sum(c.epochs for c in clients),
         flows=sum(c.flow_count() for c in clients),
         delta_reprices=sum(c.delta_reprices for c in clients),

@@ -13,15 +13,17 @@ from repro.chaos import (
     SCENARIOS,
     Expectations,
     FaultAction,
+    ScenarioRun,
     ScenarioSpec,
     all_scenarios,
     get,
     run_scenario,
 )
 from repro.cluster.maintenance import MaintenanceSchedule
-from repro.cluster.taskcontrol import MaintenanceImpact
+from repro.cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine
+from repro.obs import Observability
 from repro.obs.checker import TraceChecker
 from repro.obs.tracer import Journal, Tracer
 from repro.sim.engine import Engine
@@ -105,6 +107,48 @@ class TestScenarioEngine:
         spec = small_spec([act(10.0, "meteor_strike")])
         with pytest.raises(KeyError):
             run_scenario(spec, arm="sm", seed=0)
+
+
+class TestCanaryRestart:
+    """``canary_restart`` submits one negotiable upgrade restart for each
+    of the first tenth (at least one) of a region's running containers,
+    and journals how many it submitted."""
+
+    def canary(self, monkeypatch, servers, region_down=False):
+        obs = Observability()
+        run = ScenarioRun(small_spec([], servers_per_region=servers,
+                                     machines_per_region=servers + 2),
+                          "sm", 0, obs)
+        twine = run.cluster.twines["FRC"]
+        if region_down:
+            for container in run.app_containers("FRC"):
+                twine.fail_machine(container.machine.machine_id)
+        submitted = []
+        monkeypatch.setattr(
+            twine, "submit_op", lambda kind, container, reason:
+            submitted.append((kind, container.container_id, reason)))
+        ACTIONS["canary_restart"](run, act(0.0, "canary_restart",
+                                           region="FRC"))
+        planned = [r.args for r in obs.journal
+                   if r.track == "chaos" and r.name == "planned"]
+        return run, submitted, planned
+
+    @pytest.mark.parametrize("servers, count", [(3, 1), (20, 2)])
+    def test_restarts_the_first_tenth(self, monkeypatch, servers, count):
+        run, submitted, planned = self.canary(monkeypatch, servers)
+        first = [c.container_id for c in run.app_containers("FRC")][:count]
+        assert submitted == [(OpKind.RESTART, container_id, OpReason.UPGRADE)
+                             for container_id in first]
+        assert planned == [{"kind": "canary_restart", "target": "FRC",
+                            "count": count}]
+
+    def test_a_region_with_nothing_running_restarts_nothing(self,
+                                                            monkeypatch):
+        _run, submitted, planned = self.canary(monkeypatch, 3,
+                                               region_down=True)
+        assert submitted == []
+        assert planned == [{"kind": "canary_restart", "target": "FRC",
+                            "count": 0}]
 
 
 class TestScenarioLibrary:

@@ -47,6 +47,22 @@ def test_run_experiments_has_no_baseline_flag(monkeypatch, capsys):
     assert "unrecognized arguments: --baseline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--journal", "trace.jsonl"],
+                                  ["--trace-figure", "fig18"],
+                                  ["--check-trace"]])
+def test_run_experiments_trace_flags_require_trace(flag, monkeypatch, capsys,
+                                                   tmp_path):
+    script = load_script("run_experiments")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["run_experiments.py", "--smoke",
+                                     "--figures", "fig01", *flag])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 2
+    assert f"{flag[0]} requires --trace" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_chaos_check_trace_fails_on_a_truncated_journal(monkeypatch,
                                                             capsys):
     script = load_script("run_chaos")

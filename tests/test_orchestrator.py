@@ -140,6 +140,39 @@ class TestDrain:
         assert not app.orchestrator.servers[victim].draining
 
 
+class TestRelocationFence:
+    """One relocation moves a replica at a time: a drain and a rebalance
+    picking the same replica, or a pick of one already dropped, send no
+    RPC."""
+
+    def test_a_replica_already_moving_is_not_moved_again(self):
+        cluster, app = single_region_app()
+        orchestrator = app.orchestrator
+        replica = orchestrator.table.on_address(app.containers[0].address)[0]
+        first, second = (c.address for c in app.containers[1:3])
+        moving = cluster.engine.process(orchestrator._relocate(replica, first))
+        sent = cluster.network.rpcs_sent
+        again = cluster.engine.process(orchestrator._relocate(replica,
+                                                              second))
+        assert again.finished and again.result is False
+        assert cluster.network.rpcs_sent == sent
+        cluster.run(until=cluster.engine.now + 30.0)
+        assert moving.result is True
+        assert [r.address for r in orchestrator.table.replicas_of(
+            replica.shard_id)] == [first]
+
+    def test_a_dropped_replica_is_not_moved(self):
+        cluster, app = single_region_app()
+        orchestrator = app.orchestrator
+        replica = orchestrator.table.on_address(app.containers[0].address)[0]
+        orchestrator.table.drop(replica.replica_id)
+        sent = cluster.network.rpcs_sent
+        process = cluster.engine.process(orchestrator._relocate(
+            replica, app.containers[1].address))
+        assert process.finished and process.result is False
+        assert cluster.network.rpcs_sent == sent
+
+
 class TestLoadCollection:
     def test_loads_polled(self):
         cluster, app = single_region_app()

@@ -114,14 +114,23 @@ def test_replaced_tables_and_tasks_are_gone():
 
 
 def test_figures_run_through_the_scenario_engine():
-    """Figs 17 and 19 are chaos scenarios: built by ``repro.chaos``, not
-    by hand from the harness, with one table of ablation arms."""
+    """Figs 17, 18 and 19 and the fluid day are chaos scenarios: built by
+    ``repro.chaos``, not by hand from the harness, with one table of
+    ablation arms; no experiment drives Twine itself or reads a private
+    attribute."""
     for module in ("experiments/fig17_availability.py",
-                   "experiments/fig19_geo_failover.py"):
+                   "experiments/fig18_production_upgrades.py",
+                   "experiments/fig19_geo_failover.py",
+                   "experiments/fluid_scale.py"):
         for node in ast.walk(ast.parse(SOURCES[module])):
             if isinstance(node, ast.ImportFrom):
                 assert "harness" not in (node.module or ""), module
-                assert "harness" not in {a.name for a in node.names}, module
+                names = {a.name for a in node.names}
+                assert not names & {"harness", "OrchestratorConfig",
+                                    "AppSpec"}, module
+    assert modules_matching(r"\b(start_rolling_upgrade|submit_op)\(",
+                            under="experiments/") == []
+    assert modules_matching(r"\._[a-z]", under="experiments/") == []
     assert modules_matching(
         r"[\"'](graceful|with_task_controller)[\"']\s*:\s*(True|False)"
     ) == ["chaos/scenario.py"]

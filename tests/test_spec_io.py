@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.chaos import (ACTIONS, Expectations, FaultAction, ScenarioSpec,
                          SpecValidationError, all_scenarios, fig17_spec,
-                         fig19_spec, load_spec, run_scenario, validate_spec)
+                         fig18_spec, fig19_spec, load_spec, run_scenario,
+                         validate_spec)
 from repro.chaos.scenario import EXPECTATION_FIELDS, duration_of, param_of
 
 
@@ -155,7 +156,7 @@ def test_dump_and_load_round_trip(tmp_path):
     assert load_spec(path) == spec
 
 
-@pytest.mark.parametrize("build", [fig17_spec, fig19_spec])
+@pytest.mark.parametrize("build", [fig17_spec, fig18_spec, fig19_spec])
 def test_a_figure_is_a_spec_file(build, tmp_path):
     """A figure's tier-1 timeline survives the file layer whole: the
     loaded spec runs to the same behaviour as the one built in code."""
