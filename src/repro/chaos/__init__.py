@@ -6,8 +6,8 @@ fault is journaled and the run is judged by replaying the journal
 through the :class:`~repro.obs.checker.TraceChecker` invariants.
 """
 
-from .library import (SCENARIOS, all_scenarios, fig17_spec, fig18_spec,
-                      fig19_spec, get)
+from .library import (FIG20_BATCHES, FIG20_REACT, SCENARIOS, all_scenarios,
+                      fig17_spec, fig18_spec, fig19_spec, fig20_spec, get)
 from .scenario import (ACTIONS, ARMS, Expectations, FaultAction,
                        ScenarioResult, ScenarioRun, ScenarioSpec,
                        run_scenario)
@@ -16,6 +16,8 @@ from .spec_io import SpecValidationError, load_spec, validate_spec
 __all__ = [
     "ACTIONS",
     "ARMS",
+    "FIG20_BATCHES",
+    "FIG20_REACT",
     "Expectations",
     "FaultAction",
     "SCENARIOS",
@@ -27,6 +29,7 @@ __all__ = [
     "fig17_spec",
     "fig18_spec",
     "fig19_spec",
+    "fig20_spec",
     "get",
     "load_spec",
     "run_scenario",

@@ -32,9 +32,9 @@ faults can go wrong:
   the action vocabulary, so the behaviour at seed 0 — not the
   storyline — is what it is kept for.
 
-``fig17``, ``fig18`` and ``fig19`` are paper figures at tier-1 size; the
-figures run the same builders (:func:`fig17_spec`, :func:`fig18_spec`,
-:func:`fig19_spec`) at full size.
+``fig17`` to ``fig20`` are paper figures at tier-1 size; the figures run
+the same builders (:func:`fig17_spec` to :func:`fig20_spec`, which has
+one size) at full size.
 
 Every scenario must pass with **zero** violations under every arm
 (:data:`~repro.chaos.scenario.ARMS`), so expectation bounds are set to
@@ -49,7 +49,7 @@ from ..core.spec import ReplicationStrategy
 from .scenario import Expectations, FaultAction, ScenarioSpec
 
 __all__ = ["SCENARIOS", "all_scenarios", "get", "fig17_spec", "fig18_spec",
-           "fig19_spec"]
+           "fig19_spec", "fig20_spec", "FIG20_BATCHES", "FIG20_REACT"]
 
 
 def _act(at: float, kind: str, duration: float = 0.0,
@@ -113,7 +113,31 @@ def fig19_spec(shards: int = 60, ec_shards: int = 24,
         request_rate=request_rate, settle=90.0, failover_grace=20.0,
         rebalance_interval=20.0,
         max_moves_per_round=200,  # fail-back of the EC shards is urgent
-        preferred_shards=ec_shards)
+        preferred_regions=("FRC",) * ec_shards)
+
+
+#: Fig 20's two admin batches of DBShard moves, seconds after the start,
+#: and how long after each the admin moves the AppShards' preferences.
+FIG20_BATCHES = (300.0, 900.0)
+FIG20_REACT = 30.0
+
+
+def fig20_spec() -> ScenarioSpec:
+    """Figure 20: a primary-only app over four regions, shard *i* in its
+    DBShard's region, round-robin.  Each batch moves eight DBShards one
+    region over (the figure's table, not SM's); ``FIG20_REACT`` seconds
+    later the admin moves those AppShards' preferences after them."""
+    regions = ("FRC", "PRN", "ODN", "LLA")
+    return ScenarioSpec(
+        name="fig20", title="AppShards follow their DBShards to new regions",
+        actions=tuple(
+            _act(at + FIG20_REACT, "prefer_region", shard=index,
+                 region=regions[(index + 1) % 4])
+            for batch, at in enumerate(FIG20_BATCHES)
+            for index in range(8 * batch, 8 * batch + 8)),
+        duration=1_500.0, regions=regions, machines_per_region=6,
+        servers_per_region=4, shards=24, settle=90.0, failover_grace=60.0,
+        preferred_regions=regions * 6)
 
 
 _SPECS: List[ScenarioSpec] = [
@@ -321,6 +345,7 @@ _SPECS: List[ScenarioSpec] = [
     fig17_spec(),
     fig18_spec(),
     fig19_spec(),
+    fig20_spec(),
 ]
 
 SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec for spec in _SPECS}

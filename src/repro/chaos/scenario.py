@@ -3,8 +3,9 @@
 A :class:`ScenarioSpec` is a timeline of :class:`FaultAction`\\ s —
 machine crashes, rack blackouts, region partitions, ZooKeeper session
 kills, planned maintenance, canary and rolling upgrades, control-plane
-failovers and in-scenario probes — executed against the standard harness
-(:class:`~repro.harness.SimCluster` + :func:`~repro.harness.deploy_app`).
+failovers, region preferences and in-scenario probes — executed against
+the standard harness (:class:`~repro.harness.SimCluster` +
+:func:`~repro.harness.deploy_app`).
 
 Contract (see DESIGN.md, "Chaos scenarios"):
 
@@ -28,7 +29,7 @@ cut each other short.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..app.client import WorkloadRecorder
@@ -75,7 +76,7 @@ class Param:
     default: Any = None
     minimum: Optional[float] = None     # inclusive lower bound
     above: Optional[float] = None       # exclusive lower bound
-    maximum: Optional[float] = None     # inclusive upper bound
+    maximum: Any = None                 # inclusive upper bound; may be f(spec)
     choices: Tuple[str, ...] = ()
     region: bool = False                # names one of the spec's regions
     nullable: bool = False              # ``None`` is a value of its own
@@ -96,8 +97,9 @@ class Param:
             return f"must be >= {self.minimum}, got {value!r}"
         if self.above is not None and not value > self.above:
             return f"must be > {self.above}, got {value!r}"
-        if self.maximum is not None and not value <= self.maximum:
-            return f"must be <= {self.maximum}, got {value!r}"
+        top = self.maximum(spec) if callable(self.maximum) else self.maximum
+        if top is not None and not value <= top:
+            return f"must be <= {top}, got {value!r}"
         return ""
 
 
@@ -133,7 +135,6 @@ SCALAR_FIELDS: Dict[str, Param] = {
     "drain_pacing": Param(float, minimum=0.0),
     "max_moves_per_round": Param(int, minimum=1),
     "max_concurrent_container_ops": Param(int, minimum=1, nullable=True),
-    "preferred_shards": Param(int, minimum=0),
 }
 
 #: The ``expectations`` block's fields, held as ``SCALAR_FIELDS`` are:
@@ -292,8 +293,8 @@ class ScenarioSpec:
     max_moves_per_round: int = OrchestratorConfig.max_moves_per_round
     #: The app's restart cap; ``None`` is half a region.
     max_concurrent_container_ops: Optional[int] = None
-    #: The first ``preferred_shards`` shards prefer ``regions[0]``.
-    preferred_shards: int = 0
+    #: Shard *i* prefers ``preferred_regions[i]`` (none past its end).
+    preferred_regions: Tuple[str, ...] = ()
     expectations: Expectations = field(default_factory=Expectations)
 
     @property
@@ -309,8 +310,7 @@ class ScenarioSpec:
             shards=uniform_shards(
                 self.shards, key_space=self.key_space,
                 replica_count=self.replica_count,
-                preferred_regions={index: self.regions[0]
-                                   for index in range(self.preferred_shards)}),
+                preferred_regions=dict(enumerate(self.preferred_regions))),
             replication=self.replication,
             max_concurrent_container_ops=(
                 self.max_concurrent_container_ops
@@ -324,6 +324,7 @@ class ScenarioSpec:
             "title": self.title,
             "actions": [action.to_dict() for action in self.actions],
             "regions": list(self.regions),
+            "preferred_regions": list(self.preferred_regions),
             "replication": self.replication.value,
             "expectations": self.expectations.to_dict(),
         }
@@ -337,8 +338,8 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ValueError(f"scenario spec must be an object, "
                              f"got {type(data).__name__}")
-        known = {"name", "title", "actions", "regions", "replication",
-                 "expectations", *SCALAR_FIELDS}
+        known = {"name", "title", "actions", "regions", "preferred_regions",
+                 "replication", "expectations", *SCALAR_FIELDS}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
@@ -354,6 +355,11 @@ class ScenarioSpec:
                 or not all(isinstance(r, str) for r in regions)):
             raise ValueError(f"scenario 'regions' must be a non-empty "
                              f"list of strings, got {regions!r}")
+        preferred = data.get("preferred_regions", [])
+        if (not isinstance(preferred, list)
+                or not all(isinstance(r, str) for r in preferred)):
+            raise ValueError(f"scenario 'preferred_regions' must be a list "
+                             f"of strings, got {preferred!r}")
         try:
             replication = ReplicationStrategy(
                 data.get("replication", ReplicationStrategy.PRIMARY_ONLY))
@@ -390,6 +396,7 @@ class ScenarioSpec:
             title=title,
             actions=tuple(FaultAction.from_dict(a) for a in actions),
             regions=tuple(regions),
+            preferred_regions=tuple(preferred),
             replication=replication,
             expectations=Expectations.from_dict(
                 data.get("expectations", {})),
@@ -652,6 +659,21 @@ def _canary_restart(run: "ScenarioRun", act: FaultAction,
     for container in canaries:
         twine.submit_op(OpKind.RESTART, container, OpReason.UPGRADE)
     run.emit_planned("canary_restart", region, {"count": len(canaries)})
+
+
+@action("prefer_region", region=_REGION,
+        shard=Param(int, 0, minimum=0, maximum=lambda spec: spec.shards - 1))
+def _prefer_region(run: "ScenarioRun", act: FaultAction, shard: int,
+                   region: str) -> None:
+    """An operator moves one shard's region preference (Fig 20's admin);
+    the affinity goal does the rest.  The spec gets a new shard list, so
+    an index keyed to the old one (``AppSpec.shard``) rebuilds."""
+    spec = run.app.spec
+    shards = list(spec.shards)
+    shards[shard] = replace(shards[shard], preferred_region=region)
+    spec.shards = shards
+    run.emit_planned("prefer_region", shards[shard].shard_id,
+                     {"region": region})
 
 
 @action("crash_burst", duration=120.0, region=_REGION,

@@ -31,7 +31,8 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
     expectation bound finite and in its range (``scenario.SCALAR_FIELDS``,
     ``scenario.EXPECTATION_FIELDS``), distinct non-empty
     region names, every action kind registered, action times inside
-    ``[0, duration]``, finite non-negative durations, and every param one
+    ``[0, duration]``, finite non-negative durations, a preferred region
+    per shard at most and each one of the spec's, and every param one
     its kind registered (:func:`repro.chaos.scenario.action`), of that
     type and in that range — a region-naming param resolvable against
     the spec's region list.  Nothing is built or run.  Returns the spec
@@ -56,10 +57,16 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             f"{spec.name}: servers_per_region "
             f"({spec.servers_per_region}) exceeds machines_per_region "
             f"({spec.machines_per_region})")
-    if spec.preferred_shards > spec.shards:
+    if len(spec.preferred_regions) > spec.shards:
         raise SpecValidationError(
-            f"{spec.name}: preferred_shards ({spec.preferred_shards}) "
-            f"exceeds shards ({spec.shards})")
+            f"{spec.name}: preferred_regions names "
+            f"{len(spec.preferred_regions)} shards, more than shards "
+            f"({spec.shards})")
+    for region in spec.preferred_regions:
+        if region not in spec.regions:
+            raise SpecValidationError(
+                f"{spec.name}: preferred_regions entry {region!r} is not "
+                f"one of the regions {list(spec.regions)!r}")
     for action in spec.actions:
         if action.kind not in ACTIONS:
             raise SpecValidationError(

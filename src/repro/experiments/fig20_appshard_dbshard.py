@@ -10,32 +10,22 @@ AppShards, which triggers SM to move the AppShards to co-locate with
 their DBShards.  ... Half an hour later, the administrator initiates the
 second batch of DBShard moves and the process repeats."
 
-The SQL database is "not managed by SM": DBShards here are a static
-region table mutated by admin events.  AppShards are a primary-only SM
-application whose per-shard region preferences the admin updates after
-each batch; SM's affinity goal does the rest.
+The timeline is :func:`repro.chaos.fig20_spec`, whose ``prefer_region``
+actions are the admin's preference updates.  The database is "not
+managed by SM": the figure keeps its region table, moving each DBShard
+``FIG20_REACT`` seconds before the update that follows it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass
 
-from ..core.orchestrator import OrchestratorConfig
-from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
-from ..harness import SimCluster, deploy_app
-from ..metrics.timeseries import TimeSeries
+from ..chaos import FIG20_BATCHES, FIG20_REACT, ScenarioRun, fig20_spec
+from ..metrics.timeseries import Counter, TimeSeries
+from ..obs import get_default
 from ..sim.engine import every
 from .common import series_rows
 
-REGIONS = ("FRC", "PRN", "ODN", "LLA")
-SHARD_COUNT = 24
-SERVERS_PER_REGION = 4
-#: Two admin batches of DBShard moves, half an hour (scaled) apart, each
-#: moving ``BATCH_SIZE`` DBShards; the run ends at ``HORIZON``.
-BATCH_TIMES = (300.0, 900.0)
-BATCH_SIZE = 8
-HORIZON = 1_500.0
 #: Latency sampling period, seconds.
 SAMPLE_INTERVAL = 10.0
 
@@ -52,90 +42,42 @@ class Fig20Result:
 
 
 def run(seed: int = 0) -> Fig20Result:
-    cluster = SimCluster.build(
-        regions=REGIONS,
-        machines_per_region=SERVERS_PER_REGION + 2,
-        seed=seed,
-    )
-    # DBShards: a static region table, not managed by SM.
-    db_region: Dict[int, str] = {
-        index: REGIONS[index % len(REGIONS)] for index in range(SHARD_COUNT)}
-    spec = AppSpec(
-        name="fig20",
-        shards=uniform_shards(
-            SHARD_COUNT, key_space=SHARD_COUNT * 8,
-            preferred_regions={i: db_region[i] for i in range(SHARD_COUNT)}),
-        replication=ReplicationStrategy.PRIMARY_ONLY,
-    )
-    orchestrator_config = OrchestratorConfig(
-        rebalance_interval=30.0,
-        failover_grace=60.0,
-    )
-    app = deploy_app(cluster, spec,
-                     {region: SERVERS_PER_REGION for region in REGIONS},
-                     orchestrator_config=orchestrator_config,
-                     settle=90.0)
-    orchestrator = app.orchestrator
-
+    spec = fig20_spec()
+    run = ScenarioRun(spec, "sm", seed, get_default())
+    orchestrator, start = run.app.orchestrator, run.t0
+    servers, latency_of = orchestrator.servers, run.cluster.network.latency
+    db_region = dict(enumerate(spec.preferred_regions))   # DBShard i's
+    pending = list(spec.actions)
     latency = TimeSeries(name="app_db_latency_ms")
     db_moves = TimeSeries(name="db_moves")
 
-    def mean_pair_latency() -> float:
-        total, count = 0.0, 0
-        for index in range(SHARD_COUNT):
-            shard_id = f"shard{index}"
-            replicas = orchestrator.table.replicas_of(shard_id)
-            ready = [r for r in replicas if r.available
-                     and r.address in orchestrator.servers]
-            if not ready:
-                continue
-            app_region = orchestrator.servers[ready[0].address].machine.region
-            total += cluster.network.latency.base_latency(
-                app_region, db_region[index])
-            count += 1
-        return 1000.0 * total / max(1, count)
+    def sample() -> None:
+        now = run.engine.now - start
+        due = [act for act in pending if act.at - FIG20_REACT <= now]
+        for act in due:
+            db_region[act.param("shard")] = act.param("region")
+            pending.remove(act)
+        if due:
+            db_moves.record(now, len(due))
+        pairs = []
+        for index, region in db_region.items():
+            ready = [r for r in orchestrator.table.replicas_of(f"shard{index}")
+                     if r.available and r.address in servers]
+            if ready:
+                pairs.append(latency_of.base_latency(
+                    servers[ready[0].address].machine.region, region))
+        latency.record(now, 1000.0 * sum(pairs) / max(1, len(pairs)))
 
-    start = cluster.engine.now
-    every(cluster.engine, SAMPLE_INTERVAL,
-          lambda: latency.record(cluster.engine.now - start,
-                                 mean_pair_latency()))
-
-    def admin_batch(batch_index: int) -> None:
-        """Move ``BATCH_SIZE`` DBShards to the next region over, then
-        update the impacted AppShards' preferences (two separate admin
-        actions, exactly as in the paper's incident)."""
-        moved = []
-        for offset in range(BATCH_SIZE):
-            index = (batch_index * BATCH_SIZE + offset) % SHARD_COUNT
-            current = db_region[index]
-            db_region[index] = REGIONS[
-                (REGIONS.index(current) + 1) % len(REGIONS)]
-            moved.append(index)
-        db_moves.record(cluster.engine.now - start, len(moved))
-
-        def update_preferences() -> None:
-            for index in moved:
-                shard = spec.shard(f"shard{index}")
-                position = spec.shards.index(shard)
-                spec.shards[position] = replace(
-                    shard, preferred_region=db_region[index])
-
-        # The admin notices the latency regression and updates preferences
-        # shortly after the DB move.
-        cluster.engine.call_after(30.0, update_preferences)
-
-    for batch_index, batch_time in enumerate(BATCH_TIMES):
-        cluster.engine.call_at(start + batch_time,
-                               lambda b=batch_index: admin_batch(b))
-
-    cluster.run(until=start + HORIZON)
-    moves = orchestrator.move_counter.windowed(60.0)
-    return Fig20Result(
-        latency=latency,
-        app_shard_moves=moves,
-        db_shard_moves=db_moves,
-        batches=len(BATCH_TIMES),
-    )
+    every(run.engine, SAMPLE_INTERVAL, sample)
+    run.start()
+    run.cluster.run(until=start + spec.duration)
+    run.finish()
+    # Moves on the figure's clock, like its other two series.
+    moves = Counter(name=orchestrator.move_counter.name)
+    for time, _count in orchestrator.move_counter.events:
+        moves.add(time - start)
+    return Fig20Result(latency=latency, app_shard_moves=moves.windowed(60.0),
+                       db_shard_moves=db_moves, batches=len(FIG20_BATCHES))
 
 
 def format_report(result: Fig20Result) -> str:

@@ -2,8 +2,12 @@
 produces the qualitative shape its figure requires.  (The full-size runs
 live in benchmarks/.)"""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.chaos import FIG20_BATCHES, FIG20_REACT
 from repro.experiments import (
     adevents_capacity,
     demographics,
@@ -90,6 +94,32 @@ def test_fig20_smoke():
     assert result.latency_at(320.0) > result.latency_at(250.0)
     assert result.latency_at(800.0) < result.latency_at(320.0)
     assert "Figure 20" in fig20_appshard_dbshard.format_report(result)
+
+
+def test_fig20_moves_follow_each_preference_update():
+    """The AppShard moves run on the figure's clock, as its latency and
+    DB-move series do: each batch's eight land in the 60 s bucket that
+    holds its preference update."""
+    result = fig20_appshard_dbshard.run()
+    assert list(result.app_shard_moves) == [
+        ((at + FIG20_REACT) // 60.0 * 60.0 + 30.0, 8.0)
+        for at in FIG20_BATCHES]
+
+
+def test_fig20_row_of_experiments_md_is_the_run():
+    """EXPERIMENTS.md's measured Fig 20 cells are this run's numbers."""
+    text = (Path(__file__).parents[2] / "EXPERIMENTS.md").read_text()
+    section = text.split("## Figure 20")[1].split("\n## ")[0]
+    cells = {row.split("|")[1].strip(): row.split("|")[3].strip()
+             for row in section.splitlines() if row.count("|") == 4}
+    result = fig20_appshard_dbshard.run()
+    assert int(cells["batches of admin DBShard moves"]) == result.batches
+    latency = result.latency
+    assert [float(ms) for ms in re.findall(r"([\d.]+) ms", cells["latency"])
+            ] == [round(ms, 2) for ms in (latency.values[0], latency.max(),
+                                           latency.values[-1])]
+    moves = int(cells["AppShard moves"].split()[0])
+    assert moves == sum(value for _t, value in result.app_shard_moves)
 
 
 def test_fig21_smoke():

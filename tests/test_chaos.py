@@ -151,6 +151,27 @@ class TestCanaryRestart:
                             "count": 0}]
 
 
+class TestPreferRegion:
+    def test_the_orchestrator_reads_the_new_preference(self):
+        """``prefer_region`` swaps in a new shard list, so the index
+        ``AppSpec.shard`` keys to the old list (what a drain reads for
+        its target) cannot serve the old preference."""
+        obs = Observability()
+        run = ScenarioRun(small_spec([], preferred_regions=("FRC",) * 8),
+                          "sm", 0, obs)
+        spec = run.app.orchestrator.spec
+        assert spec.shard("shard3").preferred_region == "FRC"   # warm it
+        ACTIONS["prefer_region"](run, act(0.0, "prefer_region", shard=3,
+                                          region="PRN"))
+        assert spec.shard("shard3").preferred_region == "PRN"
+        assert spec.shard("shard3") is spec.shards[3]
+        assert spec.shard("shard2").preferred_region == "FRC"
+        planned = [r.args for r in obs.journal
+                   if r.track == "chaos" and r.name == "planned"]
+        assert planned == [{"kind": "prefer_region", "target": "shard3",
+                            "region": "PRN"}]
+
+
 class TestScenarioLibrary:
     def test_at_least_twelve_scenarios(self):
         assert len(SCENARIOS) >= 12

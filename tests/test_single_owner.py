@@ -114,13 +114,14 @@ def test_replaced_tables_and_tasks_are_gone():
 
 
 def test_figures_run_through_the_scenario_engine():
-    """Figs 17, 18 and 19 and the fluid day are chaos scenarios: built by
+    """Figs 17 to 20 and the fluid day are chaos scenarios: built by
     ``repro.chaos``, not by hand from the harness, with one table of
     ablation arms; no experiment drives Twine itself or reads a private
     attribute."""
     for module in ("experiments/fig17_availability.py",
                    "experiments/fig18_production_upgrades.py",
                    "experiments/fig19_geo_failover.py",
+                   "experiments/fig20_appshard_dbshard.py",
                    "experiments/fluid_scale.py"):
         for node in ast.walk(ast.parse(SOURCES[module])):
             if isinstance(node, ast.ImportFrom):

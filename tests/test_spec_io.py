@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.chaos import (ACTIONS, Expectations, FaultAction, ScenarioSpec,
                          SpecValidationError, all_scenarios, fig17_spec,
-                         fig18_spec, fig19_spec, load_spec, run_scenario,
-                         validate_spec)
+                         fig18_spec, fig19_spec, fig20_spec, load_spec,
+                         run_scenario, validate_spec)
 from repro.chaos.scenario import EXPECTATION_FIELDS, duration_of, param_of
 
 
@@ -156,7 +156,8 @@ def test_dump_and_load_round_trip(tmp_path):
     assert load_spec(path) == spec
 
 
-@pytest.mark.parametrize("build", [fig17_spec, fig18_spec, fig19_spec])
+@pytest.mark.parametrize("build", [fig17_spec, fig18_spec, fig19_spec,
+                                   fig20_spec])
 def test_a_figure_is_a_spec_file(build, tmp_path):
     """A figure's tier-1 timeline survives the file layer whole: the
     loaded spec runs to the same behaviour as the one built in code."""
@@ -278,9 +279,21 @@ MALFORMED = [
     (_doc(title=5), "scenario 'title' must be a string, got 5"),
     (_doc(max_concurrent_container_ops="half"),
      "'max_concurrent_container_ops' must be a number or null"),
-    (_doc(preferred_shards=9), "preferred_shards (9) exceeds shards (8)"),
+    (_doc(preferred_regions=["FRC"] * 9),
+     "preferred_regions names 9 shards, more than shards (8)"),
     (_doc(max_concurrent_container_ops=0),
      "max_concurrent_container_ops must be >= 1"),
+    # preferred_regions: the type in from_dict, the regions in
+    # validate_spec; a prefer_region's shard is named, never wrapped.
+    (_doc(preferred_regions=["FRC", "LLA"]),
+     "preferred_regions entry 'LLA' is not one of the regions"),
+    (_doc(preferred_regions="FRC"),
+     "'preferred_regions' must be a list of strings"),
+    (_doc(preferred_regions=["FRC", 1]),
+     "'preferred_regions' must be a list of strings"),
+    (_doc(actions=[{"at": 1.0, "kind": "prefer_region",
+                    "params": {"shard": 8, "region": "PRN"}}]),
+     "param 'shard' must be <= 7, got 8"),
 ]
 
 
