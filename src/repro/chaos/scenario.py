@@ -952,10 +952,7 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
     if expectations.failover_bound is not None:
         violations.extend(checker.check_failover_detection(
             expectations.failover_bound))
-    faults = sum(1 for r in journal
-                 if r.track == "chaos" and r.name == "fault")
-    recovers = sum(1 for r in journal
-                   if r.track == "chaos" and r.name == "recover")
+    chaos = [record.name for record in checker.records("chaos")]
     return ScenarioResult(
         name=spec.name,
         arm=arm,
@@ -965,8 +962,8 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
         records=journal.appended,
         dropped=journal.dropped,
         violations=[v.as_dict() for v in violations],
-        faults=faults,
-        recovers=recovers,
+        faults=chaos.count("fault"),
+        recovers=chaos.count("recover"),
         requests_sent=run.recorder.sent,
         requests_failed=run.recorder.failed,
         ready_fraction=run.app.ready_fraction(),

@@ -74,7 +74,7 @@ class SimCluster:
                               lambda: engine.pending_events)
             obs.metrics.gauge("net.rpcs_sent", lambda: network.rpcs_sent)
             obs.metrics.gauge("net.rpcs_failed", lambda: network.rpcs_failed)
-            network.latency_hist = obs.metrics.histogram("net.rpc_latency_ms")
+            obs.metrics.gauge("net.rpc_latency_ms", obs.rpc_latency_ms)
         zookeeper = ZooKeeper(engine,
                               default_session_timeout=zk_session_timeout)
         discovery = ServiceDiscovery(engine, base_delay=discovery_base_delay,

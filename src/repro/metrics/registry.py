@@ -1,4 +1,4 @@
-"""The metrics registry: named gauges and histograms.
+"""The metrics registry: named gauges, and the histogram they may report.
 
 One :class:`MetricsRegistry` per :class:`~repro.obs.Observability`
 context puts the plain counters components already keep
@@ -11,9 +11,9 @@ namespace, without touching the hot paths that maintain them:
 * when observability is enabled, the wiring layer registers *callback
   gauges* that read those attributes lazily at snapshot time.
 
-Histograms are fed only from code reached when observability is on
-(instrumentation blocks guarded by ``tracer.enabled``), so they need no
-disabled fast path of their own.
+A distribution the journal already records is a gauge too: it folds the
+journal into a :class:`Histogram` at snapshot time
+(``Observability.rpc_latency_ms``), so no hot path feeds a second copy.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ class Gauge:
     """
 
     __slots__ = ("name", "fn")
-    kind = "gauge"
 
-    def __init__(self, name: str, fn: Callable[[], float]) -> None:
+    def __init__(self, name: str, fn: Callable[[], Any]) -> None:
         self.name = name
         self.fn = fn
 
-    def snapshot(self) -> float:
+    def snapshot(self) -> Any:
         return self.fn()
 
 
@@ -51,7 +50,6 @@ class Histogram:
     """Fixed-bound bucketed distribution (upper-bound buckets + overflow)."""
 
     __slots__ = ("name", "counts", "total", "sum")
-    kind = "histogram"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -76,34 +74,18 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name → metric.  Re-registering a name returns/replaces the
-    existing metric of the same kind (so failover re-wiring is safe) and
-    raises on a kind clash."""
+    """Name → gauge.  Re-registering a name rebinds the existing gauge
+    (so failover re-wiring is safe)."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Any] = {}
+        self._metrics: Dict[str, Gauge] = {}
 
-    def _slot(self, name: str, kind: str):
+    def gauge(self, name: str, fn: Callable[[], Any]) -> Gauge:
         existing = self._metrics.get(name)
-        if existing is not None and existing.kind != kind:
-            raise ValueError(f"metric {name!r} already registered as "
-                             f"{existing.kind}, not {kind}")
-        return existing
-
-    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
-        existing = self._slot(name, "gauge")
         if existing is None:
-            existing = Gauge(name, fn)
-            self._metrics[name] = existing
+            existing = self._metrics[name] = Gauge(name, fn)
         else:
             existing.fn = fn  # latest registration wins (e.g. failover)
-        return existing
-
-    def histogram(self, name: str) -> Histogram:
-        existing = self._slot(name, "histogram")
-        if existing is None:
-            existing = Histogram(name)
-            self._metrics[name] = existing
         return existing
 
     def snapshot(self) -> Dict[str, Any]:

@@ -4,9 +4,9 @@ One :class:`Observability` object bundles the three pieces every layer
 shares:
 
 * a :class:`~repro.obs.tracer.Tracer` writing sim-time spans/instants
-  into a bounded ring-buffer :class:`~repro.obs.tracer.Journal`;
-* a :class:`~repro.metrics.MetricsRegistry` of named gauges and
-  histograms;
+  into the columns of a bounded :class:`~repro.obs.tracer.Journal`;
+* a :class:`~repro.metrics.MetricsRegistry` of named gauges (the RPC
+  latency histogram folds the journal);
 * the exporters (:mod:`~repro.obs.trace_export`) and the
   :class:`~repro.obs.checker.TraceChecker` that replays the journal
   against cross-layer invariants.
@@ -38,13 +38,14 @@ which both digests skip.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
-from ..metrics.registry import MetricsRegistry
+from ..metrics.registry import Histogram, MetricsRegistry
 from ..sim.engine import ENGINE_SAMPLE
 from . import trace_export
 from .checker import REQUIRED_PHASES, TraceChecker, Violation
-from .tracer import NO_TRACER, Journal, NullTracer, TraceRecord, Tracer
+from .tracer import (KIND_END, NO_TRACER, Journal, NullTracer, TraceRecord,
+                     Tracer)
 
 __all__ = [
     "Observability", "NO_OBS", "ENGINE_SAMPLE", "get_default", "use",
@@ -71,6 +72,16 @@ class Observability:
         # Alias kept because bench/workloads.py, which a change may not
         # edit, calls it; everything else reads ``journal``.
         return self.journal
+
+    def rpc_latency_ms(self) -> Dict[str, Any]:
+        """Settled-RPC latency (ms) as a histogram snapshot, folded from
+        the ``net`` span ends (exact while the journal dropped nothing)."""
+        histogram = Histogram("net.rpc_latency_ms")
+        _, kinds, tracks, _, _, _, args = self.journal.columns()
+        for kind, track, values in zip(kinds, tracks, args):
+            if kind == KIND_END and track == "net":
+                histogram.observe(values["latency"] * 1e3)
+        return histogram.snapshot()
 
 
 class _DisabledObservability(Observability):

@@ -22,14 +22,17 @@ that once bypassed the orchestrator's bookkeeping.
 
 The checker tolerates ring-buffer truncation: span ends whose begins were
 evicted, and spans still open when the run stopped, are not violations.
+It reads the journal's columns in place; one pass over the track column
+splits out the tracks the invariants replay (DESIGN.md, "Record schema").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .tracer import KIND_BEGIN, KIND_END, KIND_INSTANT, Journal
+from .tracer import KIND_BEGIN, KIND_END, KIND_INSTANT, Journal, TraceRecord
 
 __all__ = ["Violation", "TraceChecker", "REQUIRED_PHASES"]
 
@@ -57,9 +60,23 @@ class Violation:
                 "seq": self.seq}
 
 
+#: The tracks whose records the invariants replay.
+_REPLAYED = ("shards", "migration", "chaos", "fluid", "scatter",
+             "orchestrator")
+
+
 def _is_subsequence(needle: Tuple[str, ...], haystack: List[str]) -> bool:
     it = iter(haystack)
     return all(item in it for item in needle)
+
+
+def _views(columns: Sequence[List[Any]],
+           rows: List[int]) -> Iterator[TraceRecord]:
+    """Record views of ``rows`` (indices into ``columns``), in order, each
+    built as it is reached: a view no check keeps is freed at once, so
+    the replay does not add up to a garbage collection."""
+    return map(TraceRecord._make, zip(*(map(column.__getitem__, rows)
+                                        for column in columns)))
 
 
 class TraceChecker:
@@ -67,19 +84,31 @@ class TraceChecker:
 
     def __init__(self, journal: Journal) -> None:
         self.journal = journal
+        self._split_at = -1
+        self._rows: Dict[str, List[int]] = {}
+
+    def records(self, track: str) -> Iterator[TraceRecord]:
+        """The window's records on ``track``, one of the replayed tracks
+        (split again only after further appends)."""
+        columns = self.journal.columns()
+        if self._split_at != self.journal.appended:
+            self._split_at = self.journal.appended
+            self._rows = {name: [] for name in _REPLAYED}
+            found = self._rows.get
+            for index, name in enumerate(columns[2]):
+                into = found(name)
+                if into is not None:
+                    into.append(index)
+        return _views(columns, self._rows[track])
 
     # -- entry points --------------------------------------------------------
 
     def check(self) -> List[Violation]:
         """Run the full journal invariant set; [] means clean."""
-        violations: List[Violation] = []
-        violations.extend(self._check_single_completion())
-        violations.extend(self._check_primary_uniqueness())
-        violations.extend(self._check_migration_protocol())
-        violations.extend(self.check_fault_recovery())
-        violations.extend(self.check_fluid())
-        violations.extend(self.check_scatter())
-        return violations
+        return [violation for check in (
+            self._check_single_completion, self._check_primary_uniqueness,
+            self._check_migration_protocol, self.check_fault_recovery,
+            self.check_fluid, self.check_scatter) for violation in check()]
 
     def assert_clean(self) -> None:
         violations = self.check()
@@ -92,10 +121,14 @@ class TraceChecker:
 
     def _check_single_completion(self) -> List[Violation]:
         violations: List[Violation] = []
+        columns = self.journal.columns()
+        spans = [span for kind, span in zip(columns[1], columns[5])
+                 if kind == KIND_END]
+        if len(set(spans)) == len(spans):
+            return violations   # the clean case: no span id ends twice
         ended: Dict[int, Any] = {}  # span -> first end record
-        for record in self.journal:
-            if record.kind != KIND_END:
-                continue
+        ends = [row for row, kind in enumerate(columns[1]) if kind == KIND_END]
+        for record in _views(columns, ends):
             first = ended.get(record.span)
             if first is None:
                 ended[record.span] = record
@@ -120,8 +153,8 @@ class TraceChecker:
         # (app, shard) -> {replica_id: (role, state, address)}
         shards: Dict[Tuple[str, str], Dict[str, Tuple[str, str, str]]] = {}
         flagged: set = set()
-        for record in self.journal:
-            if record.kind != KIND_INSTANT or record.track != "shards":
+        for record in self.records("shards"):
+            if record.kind != KIND_INSTANT:
                 continue
             args = record.args or {}
             if args.get("op") == "reset":
@@ -160,9 +193,7 @@ class TraceChecker:
         violations: List[Violation] = []
         begins: Dict[int, Any] = {}
         phases: Dict[int, List[str]] = {}
-        for record in self.journal:
-            if record.track != "migration":
-                continue
+        for record in self.records("migration"):
             if record.kind == KIND_BEGIN:
                 begins[record.span] = record
                 phases[record.span] = []
@@ -210,8 +241,8 @@ class TraceChecker:
         """
         violations: List[Violation] = []
         pending: Dict[str, Any] = {}  # fault id -> fault record
-        for record in self.journal:
-            if record.kind != KIND_INSTANT or record.track != "chaos":
+        for record in self.records("chaos"):
+            if record.kind != KIND_INSTANT:
                 continue
             args = record.args or {}
             if record.name == "fault":
@@ -258,9 +289,8 @@ class TraceChecker:
         """
         violations: List[Violation] = []
         last_end: Dict[Tuple[str, str], float] = {}
-        for record in self.journal:
-            if (record.kind != KIND_INSTANT or record.track != "fluid"
-                    or record.name != "epoch"):
+        for record in self.records("fluid"):
+            if record.kind != KIND_INSTANT or record.name != "epoch":
                 continue
             args = record.args or {}
             key = (args.get("app", ""), args.get("client", ""))
@@ -314,8 +344,8 @@ class TraceChecker:
         fanouts: Dict[str, Any] = {}     # scatter id -> fanout record
         leg_counts: Dict[str, int] = {}  # scatter id -> legs seen
         merged: set = set()
-        for record in self.journal:
-            if record.kind != KIND_INSTANT or record.track != "scatter":
+        for record in self.records("scatter"):
+            if record.kind != KIND_INSTANT:
                 continue
             args = record.args or {}
             scatter = args.get("scatter", "")
@@ -379,7 +409,8 @@ class TraceChecker:
         faults: List[Tuple[int, float, str, List[str]]] = []
         recovers: Dict[str, float] = {}
         failovers: List[Tuple[float, str]] = []
-        for record in self.journal:
+        for record in chain(self.records("chaos"),
+                            self.records("orchestrator")):
             if record.kind != KIND_INSTANT:
                 continue
             args = record.args or {}
@@ -390,7 +421,7 @@ class TraceChecker:
                                    list(args["addresses"])))
                 elif record.name == "recover":
                     recovers.setdefault(args.get("fault", ""), record.time)
-            elif record.track == "orchestrator" and record.name == "failover":
+            elif record.name == "failover":
                 failovers.append((record.time, args.get("address", "")))
         violations: List[Violation] = []
         for seq, start, fault, addresses in faults:
@@ -428,15 +459,15 @@ class TraceChecker:
         ever_ready: Dict[Tuple[str, str], bool] = {}
         violations: List[Violation] = []
         flagged: set = set()
-        last_time = 0.0
+        times = self.journal.columns()[4]
+        last_time = times[-1] if times else 0.0
 
         def has_ready_primary(key: Tuple[str, str]) -> bool:
             return any(role == "primary" and state == "ready"
                        for role, state in shards.get(key, {}).values())
 
-        for record in self.journal:
-            last_time = record.time
-            if record.kind != KIND_INSTANT or record.track != "shards":
+        for record in self.records("shards"):
+            if record.kind != KIND_INSTANT:
                 continue
             args = record.args or {}
             if args.get("op") == "reset":
@@ -494,8 +525,8 @@ class TraceChecker:
         chokepoint.
         """
         explained: set = set()  # (app, shard, address) seen READY
-        for record in self.journal:
-            if record.kind != KIND_INSTANT or record.track != "shards":
+        for record in self.records("shards"):
+            if record.kind != KIND_INSTANT:
                 continue
             args = record.args or {}
             if args.get("state") == "ready":

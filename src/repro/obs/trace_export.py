@@ -48,16 +48,11 @@ def chrome_trace_events(journal: Journal) -> List[Dict[str, Any]]:
         tid = tids[record.track]
         ts = record.time * _US_PER_SIM_SECOND
         kind = record.kind
-        if kind == KIND_BEGIN:
-            events.append({"ph": "b", "cat": record.track,
-                           "name": record.name, "id": str(record.span),
-                           "pid": _PID, "tid": tid, "ts": ts,
-                           "args": record.args or {}})
-        elif kind == KIND_END:
-            events.append({"ph": "e", "cat": record.track,
-                           "name": record.name, "id": str(record.span),
-                           "pid": _PID, "tid": tid, "ts": ts,
-                           "args": record.args or {}})
+        if kind == KIND_BEGIN or kind == KIND_END:
+            events.append({"ph": "b" if kind == KIND_BEGIN else "e",
+                           "cat": record.track, "name": record.name,
+                           "id": str(record.span), "pid": _PID, "tid": tid,
+                           "ts": ts, "args": record.args or {}})
         elif kind == KIND_INSTANT:
             args = record.args or {}
             wall_ms = args.get("wall_ms")
@@ -99,16 +94,19 @@ def write_jsonl(journal: Journal, path: str) -> None:
             handle.write("\n")
 
 
-#: What ``read_jsonl`` needs of every line (``span`` and ``args`` may be
-#: left out).
-_RECORD_FIELDS = ("seq", "kind", "track", "name", "t")
+#: Each record field's JSON types (a ``bool`` is no ``int``: one value of
+#: another type would change its digest column's encoding).  Every line
+#: carries the first five; ``span`` and ``args`` may be left out.
+_FIELD_TYPES = {"seq": (int,), "kind": (str,), "track": (str,), "name": (str,),
+                "t": (int, float), "span": (int,), "args": (dict,)}
 
 
 def read_jsonl(path: str) -> Journal:
     """Rebuild a journal from a JSONL dump (for offline checking).
 
-    A line that is not one JSON object carrying every record field — a
-    truncated write, say — is a ``ValueError`` naming the file and line.
+    A line that is not one JSON object carrying every record field with
+    its type — a truncated write, say, or a hand-edited ``t`` in quotes —
+    is a ``ValueError`` naming the file and line.
     """
     journal = Journal()
     with open(path) as handle:
@@ -125,9 +123,20 @@ def read_jsonl(path: str) -> Journal:
             if not isinstance(data, dict):
                 raise ValueError(f"{where}: a record is a JSON object, got "
                                  f"{type(data).__name__}")
-            missing = [key for key in _RECORD_FIELDS if key not in data]
+            missing = [key for key in list(_FIELD_TYPES)[:5]
+                       if key not in data]
             if missing:
                 raise ValueError(f"{where}: record lacks {missing}")
+            for key, types in _FIELD_TYPES.items():
+                if key in data and type(data[key]) not in types:
+                    raise ValueError(
+                        f"{where}: {key} must be "
+                        f"{' or '.join(t.__name__ for t in types)}, got "
+                        f"{type(data[key]).__name__}")
+            if data["kind"] not in (KIND_BEGIN, KIND_END, KIND_INSTANT,
+                                    KIND_COUNTER):
+                raise ValueError(f"{where}: kind {data['kind']!r} is not "
+                                 "one of BEIC")
             journal.append(TraceRecord(
                 data["seq"], data["kind"], data["track"], data["name"],
                 data["t"], data.get("span", 0), data.get("args")))

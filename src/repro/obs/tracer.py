@@ -1,11 +1,11 @@
 """Deterministic sim-time tracing: spans, instants, and the ring journal.
 
-The tracer is the write side of the observability subsystem.  It records
-slotted :class:`TraceRecord` objects into a bounded ring-buffer
-:class:`Journal`; records carry *simulated* time only and every id (span
-ids, sequence numbers) comes from per-tracer counters — never from wall
-clocks or ``id()`` — so two seeded runs produce byte-identical journals
-(see DESIGN.md, "Observability").
+The tracer is the write side of the observability subsystem.  It appends
+each record's fields to the columns of a bounded :class:`Journal`;
+records carry *simulated* time only and every id (span ids, sequence
+numbers) comes from per-tracer counters — never from wall clocks or
+``id()`` — so two seeded runs produce byte-identical journals (see
+DESIGN.md, "Observability").
 
 Wall-clock measurements (e.g. solver stage timings) may ride along in
 record ``args``, but only under keys prefixed ``wall``: the journal's
@@ -15,7 +15,7 @@ behaviour.
 The digests hash the journal column by column, not record by record:
 each record field, and each arg key of each arg-key set ("shape"), is
 one column of values encoded in bulk with a type tag (see
-:func:`_hash_records`).
+:func:`_hash_columns`).
 
 Disabled tracing is the common case and must cost ~nothing: hot paths
 hold a tracer reference and branch on the cached class attribute
@@ -28,9 +28,10 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
-from collections import deque
-from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 __all__ = ["TraceRecord", "Journal", "Tracer", "NullTracer", "NO_TRACER"]
 
@@ -39,10 +40,6 @@ KIND_BEGIN = "B"
 KIND_END = "E"
 KIND_INSTANT = "I"
 KIND_COUNTER = "C"
-
-#: The record fields each digest column holds, in hashing order.
-_FIELDS = ("seq", "kind", "track", "name", "time", "span")
-
 
 def _packed(code: str, values: Sequence[Any]) -> bytes:
     """``values`` as a little-endian machine array, whatever the host."""
@@ -89,8 +86,8 @@ def _hash_column(hasher: Any, values: Sequence[Any]) -> None:
     hasher.update(payload)
 
 
-def _hash_records(records: Sequence[TraceRecord], with_seq: bool) -> str:
-    """SHA-256 over ``records``, one column at a time.
+def _hash_columns(columns: Sequence[List[Any]], with_seq: bool) -> str:
+    """SHA-256 over the rows of ``columns``, one column at a time.
 
     First the fixed fields, ``seq`` (when ``with_seq``), ``kind``,
     ``track``, ``name``, ``time`` and ``span``, one column each.  Then the
@@ -102,14 +99,14 @@ def _hash_records(records: Sequence[TraceRecord], with_seq: bool) -> str:
     does, and so do its type and its record.
     """
     hasher = hashlib.sha256()
-    for field in (_FIELDS if with_seq else _FIELDS[1:]):
-        _hash_column(hasher, list(map(attrgetter(field), records)))
+    for values in columns[0 if with_seq else 1:6]:
+        _hash_column(hasher, values)
     shape_of_order: Dict[tuple, int] = {}
     number_of_shape: Dict[tuple, int] = {}
     shapes: List[tuple] = []
     groups: List[List[Dict[str, Any]]] = []
     numbers: List[int] = []
-    for args in map(attrgetter("args"), records):
+    for args in columns[6]:
         order = tuple(args) if args else ()
         number = shape_of_order.get(order)
         if number is None:
@@ -131,21 +128,16 @@ def _hash_records(records: Sequence[TraceRecord], with_seq: bool) -> str:
     return hasher.hexdigest()
 
 
-class TraceRecord:
-    """One journal entry (slotted; ~100 bytes + args)."""
+class TraceRecord(NamedTuple):
+    """A read view of one journal row (the journal keeps columns)."""
 
-    __slots__ = ("seq", "kind", "track", "name", "time", "span", "args")
-
-    def __init__(self, seq: int, kind: str, track: str, name: str,
-                 time: float, span: int,
-                 args: Optional[Dict[str, Any]]) -> None:
-        self.seq = seq
-        self.kind = kind
-        self.track = track
-        self.name = name
-        self.time = time
-        self.span = span      # 0 for records not tied to a span
-        self.args = args      # None or a plain dict of JSON-able values
+    seq: int
+    kind: str
+    track: str
+    name: str
+    time: float
+    span: int                         # 0 for records not tied to a span
+    args: Optional[Dict[str, Any]]    # None or a dict of JSON-able values
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly view (the JSONL dump schema)."""
@@ -158,45 +150,58 @@ class TraceRecord:
             record["args"] = self.args
         return record
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TraceRecord {self.as_dict()}>"
-
 
 class Journal:
-    """Bounded ring buffer of trace records.
+    """Bounded journal of trace records, kept as one list per field.
 
-    Appends are O(1); once ``capacity`` is reached the oldest records are
-    evicted (``dropped`` counts how many).  Bounded by design: a traced
-    figure run keeps the most recent window instead of growing without
-    limit, and the :class:`~repro.obs.checker.TraceChecker` tolerates a
-    truncated prefix (unmatched span ends are ignored).
+    ``len``, iteration, :meth:`columns` and both digests see exactly the
+    last ``capacity`` records (``dropped`` counts the rest).  A read trims
+    the lists to that window and the tracer trims them at twice it, so an
+    append is seven list appends.  Bounded by design: a traced run keeps
+    the most recent window, and the :class:`~repro.obs.checker.TraceChecker`
+    tolerates a truncated prefix (unmatched span ends are ignored).
     """
 
     def __init__(self, capacity: int = 1 << 20) -> None:
         if capacity <= 0:
             raise ValueError("journal capacity must be positive")
         self.capacity = capacity
-        self._records: deque = deque(maxlen=capacity)
-        self.appended = 0
+        self._columns: Tuple[List[Any], ...] = tuple([] for _ in range(7))
+        self._trimmed = 0
 
     def append(self, record: TraceRecord) -> None:
-        self._records.append(record)
-        self.appended += 1
+        for column, value in zip(self._columns, record):
+            column.append(value)
+
+    def columns(self) -> Tuple[List[Any], ...]:
+        """The window's ``seq, kind, track, name, time, span, args``
+        lists, trimmed to it and read in place (not to be modified)."""
+        excess = len(self._columns[0]) - self.capacity
+        if excess > 0:
+            for column in self._columns:
+                del column[:excess]
+            self._trimmed += excess
+        return self._columns
+
+    @property
+    def appended(self) -> int:
+        """Records ever appended, the dropped ones included."""
+        return self._trimmed + len(self._columns[0])
 
     @property
     def dropped(self) -> int:
         """Records evicted by the ring bound."""
-        return self.appended - len(self._records)
+        return self.appended - len(self)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return min(len(self._columns[0]), self.capacity)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(TraceRecord._make, zip(*self.columns()))
 
     def tracks(self) -> List[str]:
         """Sorted distinct track names present in the journal."""
-        return sorted({record.track for record in self._records})
+        return sorted(set(self.columns()[2]))
 
     def digest(self) -> str:
         """SHA-256 over every retained record, column by column
@@ -204,7 +209,7 @@ class Journal:
         enabled tracing.  It covers the ring's window only, so a journal
         that dropped records hashes like a fresh one holding the same
         survivors, and a JSONL reload hashes like the original."""
-        return _hash_records(self._records, with_seq=True)
+        return _hash_columns(self.columns(), with_seq=True)
 
     def behaviour_digest(self) -> str:
         """SHA-256 over what the simulated *system* did, not over how
@@ -214,8 +219,10 @@ class Journal:
         executes fewer or different events while every modelled component
         behaves the same moves :meth:`digest` and leaves this one alone.
         """
-        return _hash_records([record for record in self._records
-                              if record.track != "engine"], with_seq=False)
+        columns = self.columns()
+        kept = [track != "engine" for track in columns[2]]
+        return _hash_columns([list(compress(column, kept))
+                              for column in columns], with_seq=False)
 
 
 class Tracer:
@@ -252,8 +259,17 @@ class Tracer:
             time = engine.now if engine is not None else 0.0
         seq = self._next_seq
         self._next_seq = seq + 1
-        self.journal.append(TraceRecord(seq, kind, track, name, time,
-                                        span, args))
+        journal = self.journal
+        seqs, kinds, tracks, names, times, spans, argss = journal._columns
+        seqs.append(seq)
+        kinds.append(kind)
+        tracks.append(track)
+        names.append(name)
+        times.append(time)
+        spans.append(span)
+        argss.append(args)
+        if len(seqs) > 2 * journal.capacity:
+            journal.columns()   # trims to the window
 
     def begin(self, track: str, name: str, time: Optional[float] = None,
               args: Optional[Dict[str, Any]] = None) -> int:

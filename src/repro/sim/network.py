@@ -291,9 +291,6 @@ class RpcCall:
                        {"ok": int(result.ok), "error": result.error,
                         "latency": result.latency},
                        track="net", name=self.method)
-        hist = net.latency_hist
-        if hist is not None:
-            hist.observe(result.latency * 1e3)
 
     def deliver_request(self) -> None:
         """Request arrives at the destination (scheduled at send time)."""
@@ -380,9 +377,6 @@ class Network:
         self.control_rng = control_rng or self.rng
         self._stream_of: Dict[str, random.Random] = {}
         self.tracer = tracer
-        #: Optional repro.obs Histogram fed with settled-RPC latency (ms);
-        #: wired by the harness when observability is enabled.
-        self.latency_hist = None
         self._endpoints: Dict[str, Endpoint] = {}
         self._partitions: set[frozenset[str]] = set()
         self.rpcs_sent = 0

@@ -141,6 +141,9 @@ ALLOW: List[Tuple[str, str]] = [
     # -- formats ----------------------------------------------------------
     ("obs/trace_export.py::read_jsonl",
      FORMAT + "reads the JSONL journal --journal writes"),
+    ("obs/tracer.py::Journal.append",
+     FORMAT + "read_jsonl's one way into the columns (the tracer appends "
+     "in place)"),
     # -- churn ------------------------------------------------------------
     ("core/shard_map.py::AssignmentTable.snapshot",
      CHURN + "two lines over _rebuild_dirty / _make_map with ~20 test "

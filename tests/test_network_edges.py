@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.metrics import Histogram
+from repro.obs import Observability
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.network import AsyncReply, Network
@@ -221,14 +221,15 @@ class TestFailureCountRegression:
 
     def test_counters_are_per_network_and_each_failure_route_counts_once(
             self, engine):
-        """``rpcs_sent`` / ``rpcs_failed`` / ``latency_hist`` are plain
-        values of the one network an RPC went through; a timeout, a
-        handler error and a response to a downed caller each settle the
-        call, close its span and feed the histogram exactly once."""
-        tracer = Tracer()
+        """``rpcs_sent`` / ``rpcs_failed`` are plain values of the one
+        network an RPC went through; a timeout, a handler error and a
+        response to a downed caller each settle the call and close its
+        span exactly once, so the latency histogram folded from the span
+        ends counts each once, at the latency the call settled with."""
+        obs = Observability()
+        tracer = obs.tracer
         tracer.bind_clock(engine)
         network = Network(engine, rng=random.Random(1), tracer=tracer)
-        network.latency_hist = Histogram("net.rpc_latency_ms")
         other = Network(engine, rng=random.Random(1))
 
         def boom(payload):
@@ -261,9 +262,11 @@ class TestFailureCountRegression:
         assert orphaned.result.error == "caller down"
         assert ok_call.result.ok
         assert (network.rpcs_sent, network.rpcs_failed) == (4, 3)
-        assert network.latency_hist.total == 4
+        latency = obs.rpc_latency_ms()
+        assert latency["total"] == 4
+        assert latency["sum"] == pytest.approx(sum(
+            call.result.latency * 1e3 for call, _ in watched))
         assert (other.rpcs_sent, other.rpcs_failed) == (0, 0)
-        assert other.latency_hist is None
         ends = [r.span for r in tracer.journal
                 if r.track == "net" and r.kind == "E"]
         assert sorted(ends) == [1, 2, 3, 4]

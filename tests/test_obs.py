@@ -24,7 +24,7 @@ from repro.chaos import get, run_scenario
 from repro.core.orchestrator import OrchestratorConfig
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from repro.harness import SimCluster, deploy_app
-from repro.metrics import MetricsRegistry
+from repro.metrics import Histogram, MetricsRegistry
 from repro.obs import NO_OBS, NO_TRACER, Observability, get_default, use
 from repro.obs.checker import TraceChecker, Violation
 from repro.obs.tracer import Journal, TraceRecord, Tracer
@@ -135,6 +135,49 @@ class TestJournal:
         for track in ("net", "engine", "net", "shards"):
             tracer.instant(track, "x", 0.0)
         assert tracer.journal.tracks() == ["engine", "net", "shards"]
+
+    @settings(max_examples=120, deadline=None)
+    @given(capacity=st.integers(1, 8), data=st.data())
+    def test_ring_window_is_a_fresh_journal_of_its_survivors(self, capacity,
+                                                             data):
+        """The columns trim lazily (on a read, or at twice ``capacity``
+        on the write side); whenever it is read, the ring shows exactly
+        its last ``capacity`` records, on either append path, around
+        every trim boundary and with reads between the appends."""
+        count = data.draw(st.sampled_from(
+            (capacity, 2 * capacity - 1, 2 * capacity, 2 * capacity + 1))
+            | st.integers(0, 40))
+        rows = data.draw(st.lists(st.tuples(
+            st.sampled_from(("net", "engine", "shards")),
+            st.text(max_size=2), st.floats(0.0, 1e3),
+            st.none() | st.dictionaries(_KEYS, st.integers(), max_size=2)),
+            min_size=count, max_size=count))
+        reads = set(data.draw(st.lists(st.integers(0, count), max_size=3)))
+        via_tracer = data.draw(st.booleans())
+        tracer = Tracer(Journal(capacity))
+        ring = tracer.journal
+        for seq, (track, name, time, args) in enumerate(rows):
+            if seq in reads:
+                ring.digest()
+            if via_tracer:
+                tracer.instant(track, name, time, args)
+            else:
+                ring.append(TraceRecord(seq, "I", track, name, time, 0,
+                                        args))
+        if via_tracer:   # the write side bounds the lists it grows
+            assert len(ring._columns[0]) <= 2 * capacity
+        first = max(0, count - capacity)
+        fresh = Journal()
+        for seq in range(first, count):
+            fresh.append(TraceRecord(seq, "I", *rows[seq][:3], 0,
+                                     rows[seq][3]))
+        for _ in range(2):   # before the read trims, then after
+            assert (len(ring), ring.dropped, ring.appended) == (
+                count - first, first, count)
+            assert list(ring) == list(fresh)
+        assert ring.tracks() == fresh.tracks()
+        assert ring.digest() == fresh.digest()
+        assert ring.behaviour_digest() == fresh.behaviour_digest()
 
 
 # -- the digest contract -----------------------------------------------------
@@ -313,23 +356,33 @@ class TestDigestContract:
 
 class TestMetricsRegistry:
     def test_gauge_and_histogram(self):
+        """A gauge reports a number or, folded at snapshot time, a
+        histogram's snapshot."""
         registry = MetricsRegistry()
         value = 7
         registry.gauge("g", lambda: value)
-        hist = registry.histogram("h")
+        hist = Histogram("h")
         for sample in (0.3, 1.5, 1_000_000.0):
             hist.observe(sample)
+        registry.gauge("h", hist.snapshot)
         snap = registry.snapshot()
         assert snap["g"] == 7
         assert snap["h"]["total"] == 3
         assert snap["h"]["overflow"] == 1  # past the last bucket bound
         assert hist.mean == pytest.approx((0.3 + 1.5 + 1_000_000.0) / 3)
 
-    def test_kind_clash_rejected(self):
-        registry = MetricsRegistry()
-        registry.histogram("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x", lambda: 0)
+    def test_rpc_latency_is_folded_from_the_journal(self):
+        """The harness's ``net.rpc_latency_ms`` reads the ``net`` span
+        ends at snapshot time: the histogram a per-RPC ``observe`` would
+        have built, bit for bit."""
+        obs, _cluster, _app = traced_app()
+        expected = Histogram("net.rpc_latency_ms")
+        for record in obs.journal:
+            if record.track == "net" and record.kind == "E":
+                expected.observe(record.args["latency"] * 1e3)
+        assert expected.total > 0 and obs.journal.dropped == 0
+        assert (obs.metrics.snapshot()["net.rpc_latency_ms"]
+                == expected.snapshot())
 
     def test_gauge_reregistration_wins(self):
         # A failover starts a fresh orchestrator that re-registers its
@@ -391,12 +444,47 @@ class TestExport:
         assert loaded.digest() == result.digest
         assert loaded.behaviour_digest() == result.behaviour_digest
 
+    def test_jsonl_roundtrip_of_a_ring_that_dropped(self, tmp_path):
+        tracer = Tracer(Journal(capacity=5))
+        for index in range(13):
+            tracer.instant("net" if index % 3 else "engine", "x",
+                           index * 0.5, {"i": index})
+        path = tmp_path / "journal.jsonl"
+        write_jsonl(tracer.journal, str(path))
+        loaded = read_jsonl(str(path))
+        assert [record.seq for record in loaded][0] == 8 == \
+            tracer.journal.dropped
+        assert loaded.digest() == tracer.journal.digest()
+        assert loaded.behaviour_digest() == tracer.journal.behaviour_digest()
+
     @pytest.mark.parametrize("bad_line, needle", [
         ('{"seq": 2, "kind": "I", "tr', "not JSON: Unterminated string"),
         ("[1, 2]", "a record is a JSON object, got list"),
         ('{"seq": 2, "kind": "I", "track": "x", "name": "y"}',
          "record lacks ['t']"),
-    ], ids=["truncated", "not an object", "missing field"])
+        ('{"seq": "2", "kind": "I", "track": "x", "name": "y", "t": 1.0}',
+         "seq must be int, got str"),
+        ('{"seq": true, "kind": "I", "track": "x", "name": "y", "t": 1.0}',
+         "seq must be int, got bool"),
+        ('{"seq": 2, "kind": "E", "track": "x", "name": "y", "t": 1.0, '
+         '"span": 1.0}', "span must be int, got float"),
+        ('{"seq": 2, "kind": "I", "track": "x", "name": "y", "t": "1.0"}',
+         "t must be int or float, got str"),
+        ('{"seq": 2, "kind": "I", "track": "x", "name": "y", "t": false}',
+         "t must be int or float, got bool"),
+        ('{"seq": 2, "kind": "X", "track": "x", "name": "y", "t": 1.0}',
+         "kind 'X' is not one of BEIC"),
+        ('{"seq": 2, "kind": "I", "track": 3, "name": "y", "t": 1.0}',
+         "track must be str, got int"),
+        ('{"seq": 2, "kind": "I", "track": "x", "name": null, "t": 1.0}',
+         "name must be str, got NoneType"),
+        ('{"seq": 2, "kind": "I", "track": "x", "name": "y", "t": 1.0, '
+         '"args": [1]}', "args must be dict, got list"),
+        ('{"seq": 2, "kind": "I", "track": "x", "name": "y", "t": 1.0, '
+         '"args": null}', "args must be dict, got NoneType"),
+    ], ids=["truncated", "not an object", "missing field", "str seq",
+            "bool seq", "float span", "str t", "bool t", "unknown kind",
+            "int track", "null name", "list args", "null args"])
     def test_jsonl_malformed_line_names_file_and_line(self, tmp_path,
                                                       bad_line, needle):
         tracer = Tracer(Journal())

@@ -56,7 +56,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import series_rows
 from repro.harness import SimCluster
-from repro.metrics import Counter, Histogram, MetricsRegistry, Profiler
+from repro.metrics import Counter, Histogram, Profiler
 from repro.obs import Observability
 from repro.sim.engine import Engine, every
 from repro.sim.fluid import mgk_wait
@@ -229,6 +229,46 @@ def test_chaos_action_defaults_are_stated_once():
                     f"{name}:{node.lineno} passes its own default")
 
 
+#: Builtins that walk their argument.
+_WALKING_CALLS = {"iter", "list", "tuple", "set", "sorted", "map", "filter",
+                  "zip", "enumerate", "sum", "any", "all", "min", "max"}
+
+
+def _names_a_journal(node: ast.AST) -> bool:
+    """``journal``, ``<x>.journal`` or ``<x>.merged_journal()``."""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "merged_journal")
+    return (isinstance(node, ast.Name) and node.id == "journal"
+            or isinstance(node, ast.Attribute) and node.attr == "journal")
+
+
+def test_the_journal_is_read_by_column():
+    """The journal keeps columns, and a walk over its rows builds one
+    record view per row: only the exporters walk it
+    (``obs/trace_export.py``) and only ``repro.obs`` builds a
+    ``TraceRecord``.  The checker splits the tracks it replays in one
+    pass over the track column; every other reader takes the columns or
+    the checker's per-track records."""
+    walkers, builders = set(), []
+    for name, text in SOURCES.items():
+        for node in ast.walk(ast.parse(text)):
+            walked = []
+            if isinstance(node, (ast.For, ast.comprehension)):
+                walked.append(node.iter)
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", ""))
+                if callee in _WALKING_CALLS:
+                    walked.extend(node.args)
+                if callee == "TraceRecord" and not name.startswith("obs/"):
+                    builders.append(f"{name}:{node.lineno}")
+            if any(map(_names_a_journal, walked)):
+                walkers.add(name)
+    assert walkers == {"obs/trace_export.py"}
+    assert builders == []
+
+
 def test_rules_the_fluid_path_mirrors_have_one_source():
     # §4.3 admission: decided by app.server.admission for both paths.
     assert modules_matching(r"HostedState\.(PREPARING|FORWARDING)\b") == [
@@ -325,7 +365,6 @@ REMOVED_OPTIONS = [
     (every, "jitter"),
     (every, "rng"),
     (Histogram, "bounds"),
-    (MetricsRegistry().histogram, "bounds"),
     # One value in every traffic run (``make traffic``'s option table).
     (Engine.set_tracer, "sample_every"),
     (Engine.call_after, "guard"),
