@@ -33,7 +33,8 @@ from ..sim.network import Network
 from ..solver.local_search import UNJOURNALED_PROFILE_KEYS, SearchConfig
 from .allocator import Allocator, AllocationPlan, MoveReplica, ServerRecord
 from .migration import MigrationExecutor
-from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState, Role
+from .shard_map import (
+    VALUE_OF, AssignmentTable, ReplicaAssignment, ReplicaState, Role)
 from .spec import AppSpec
 
 #: Region the orchestrator's own endpoint registers in.
@@ -62,8 +63,8 @@ class OrchestratorConfig:
 
 def _serialize_replica(replica: ReplicaAssignment) -> Dict[str, str]:
     return {"replica_id": replica.replica_id, "shard_id": replica.shard_id,
-            "address": replica.address, "role": replica.role.value,
-            "state": replica.state.value}
+            "address": replica.address, "role": VALUE_OF[replica.role],
+            "state": VALUE_OF[replica.state]}
 
 
 class Orchestrator:
@@ -120,12 +121,12 @@ class Orchestrator:
         self._servers_root = layout.servers_root(spec.name)
         self._assignments_root = layout.assignments_root(spec.name)
         self._state_path = layout.state_path(spec.name)
-        # Persistence caches: per-address znodes already written at least
-        # once, and the serialized form of every replica, keyed by id and
-        # kept in the table's replica order.  Both are per-incarnation —
-        # a failover starts a new orchestrator with empty caches and
-        # rewrites everything once.
+        # Persistence caches: per-address znodes written at least once,
+        # servers new since the last publish, and every replica's
+        # serialized form, by id in the table's replica order.  All are
+        # per-incarnation: a failover's successor rewrites everything once.
         self._assignments_written: Set[str] = set()
+        self._joined: Set[str] = set()
         self._replica_ser: Dict[str, Dict[str, str]] = {}
         self.publishes = 0
         if self.obs.enabled:
@@ -250,6 +251,7 @@ class Orchestrator:
         if record is None:
             self.servers[address] = ServerRecord(address=address,
                                                  machine=machine)
+            self._joined.add(address)
         else:
             record.alive = True
             record.machine = machine
@@ -326,12 +328,9 @@ class Orchestrator:
         # full snapshot riding alongside.
         snapshot, delta = self.table.snapshot_delta()
         self.discovery.publish(snapshot, delta=delta)
-        # Every role / state / address change since the last publish
-        # marked its replica's address dirty; both persistence steps
-        # re-examine only those.
-        dirty_addresses = self.table.consume_dirty_addresses()
-        self._write_all_assignments(dirty_addresses)
-        self._persist_state(dirty_addresses)
+        # Persist only what the table marked dirty since the last publish.
+        self._write_all_assignments(self.table.consume_dirty_addresses())
+        self._persist_state()
         self.publishes += 1
         if self._tracer.enabled:
             self._tracer.instant(
@@ -343,8 +342,8 @@ class Orchestrator:
         path = f"{self._assignments_root}/{layout.node_name(address)}"
         ready = ReplicaState.READY
         pending = ReplicaState.PENDING
-        data = [{"shard_id": r.shard_id, "role": r.role.value}
-                for r in self.table.on_address(address)
+        data = [{"shard_id": r.shard_id, "role": VALUE_OF[r.role]}
+                for r in self.table.address_view(address)
                 if r.state is ready or r.state is pending]
         if self.zookeeper.exists(path):
             self.zookeeper.set(path, data)
@@ -356,22 +355,25 @@ class Orchestrator:
         # Only addresses whose hosted replicas changed since the last
         # write need a new znode value; nothing watches these nodes (app
         # servers read them once at bootstrap), so skipping an identical
-        # rewrite is unobservable.  Every address still gets one initial
-        # write so the znode exists before any server bootstraps from it.
+        # rewrite is unobservable.  Every table or server address still
+        # gets one initial write (it is dirty when it first hosts a
+        # replica, or ``_joined``), in an order free of the hash seed.
         written = self._assignments_written
-        for address in set(self.table.addresses()) | set(self.servers):
+        joined, self._joined = self._joined, set()
+        for address in sorted(dirty | joined):
             if address in written and address not in dirty:
                 continue
-            self._write_assignments(address)
+            if self.table.hosted_count(address) or address in self.servers:
+                self._write_assignments(address)
 
-    def _persist_state(self, dirty_addresses: Set[str]) -> None:
+    def _persist_state(self) -> None:
         """Orchestrator persistent state lives in ZooKeeper (§3.2).
 
         Publishes touch a handful of replicas but persist all of them, so
         the serialized replicas are kept between publishes, in the
         table's replica order, and patched: dropped replicas come from
         the table's log, new ones sit at the tail of the table, and only
-        replicas on ``dirty_addresses`` can have changed otherwise.
+        the table's dirty replicas can have changed otherwise.
         """
         table = self.table
         serialized = self._replica_ser
@@ -386,9 +388,8 @@ class Orchestrator:
         # re-assigning an existing key below keeps its position.
         for r in reversed(added):
             serialized[r.replica_id] = _serialize_replica(r)
-        for address in dirty_addresses:
-            for r in table.on_address(address):
-                serialized[r.replica_id] = _serialize_replica(r)
+        for r in table.consume_dirty_replicas():
+            serialized[r.replica_id] = _serialize_replica(r)
         data = {"version": table.last_version,
                 "replicas": list(serialized.values())}
         path = self._state_path
@@ -627,7 +628,7 @@ class Orchestrator:
         hosted_count = self.table.hosted_count
         draw = self.rng.random
         best: Optional[ServerRecord] = None
-        best_rank: Optional[Tuple] = None
+        best_rank = best_draw = 0
         for record in self._servers_in_address_order():
             address = record.address
             # ``not record.usable(now)``, spelt out to save a call per
@@ -637,14 +638,14 @@ class Orchestrator:
                     or address in existing):
                 continue
             region = record.machine.region
-            rank = (
-                0 if preferred is not None and region == preferred else 1,
-                0 if region not in existing_regions else 1,
-                hosted_count(address),
-                draw(),
-            )
-            if best_rank is None or rank < best_rank:
-                best, best_rank = record, rank
+            # Region tests outweigh any count (no preference: all != None).
+            rank = (((region != preferred) << 29)
+                    + ((region in existing_regions) << 28)
+                    + hosted_count(address))
+            tie = draw()
+            if (best is None or rank < best_rank
+                    or rank == best_rank and tie < best_draw):
+                best, best_rank, best_draw = record, rank, tie
         return best.address if best is not None else None
 
     def undrain_address(self, address: str) -> None:

@@ -77,6 +77,10 @@ class ReplicaState(str, Enum):
     DROPPED = "dropped"
 
 
+#: Member -> plain ``str`` value, without ``Enum.value``'s Python descriptor.
+VALUE_OF = {m: m.value for enum in (Role, ReplicaState) for m in enum}
+
+
 @dataclass(slots=True, eq=False)
 class ReplicaAssignment:
     """One shard replica pinned to one container (identity semantics)."""
@@ -419,9 +423,10 @@ class AssignmentTable:
         self._chunk_shared = bytearray(len(self._col_primaries))
         self._sec_intern: Dict[Tuple[str, ...], Tuple[str, ...]] = {(): ()}
         # Addresses whose hosted-replica set (or a hosted replica's
-        # role/state) changed since the orchestrator last persisted
-        # per-address assignments; consumed by consume_dirty_addresses.
+        # role/state) changed, and live replicas whose role, state or
+        # address changed, since the orchestrator last persisted them.
         self._dirty_addresses: set = set()
+        self._dirty_replicas: set = set()
         # Shards short of live replicas, or (in an app with primaries)
         # without a live primary — the only ones emergency placement can
         # act on.  Kept current by add/drop/set_state/set_role; relocate
@@ -488,8 +493,8 @@ class AssignmentTable:
         self.tracer.instant("shards", "transition", None, {
             "app": self.spec.name, "op": op,
             "shard": replica.shard_id, "replica": replica.replica_id,
-            "address": replica.address, "role": replica.role.value,
-            "state": replica.state.value})
+            "address": replica.address, "role": VALUE_OF[replica.role],
+            "state": VALUE_OF[replica.state]})
 
     def drop(self, replica_id: str) -> None:
         replica = self._replicas.pop(replica_id, None)
@@ -499,6 +504,7 @@ class AssignmentTable:
         self._by_shard[replica.shard_id].remove(replica)
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
+        self._dirty_replicas.discard(replica)
         bucket = self._by_address.get(replica.address, [])
         if replica in bucket:
             bucket.remove(replica)
@@ -514,6 +520,7 @@ class AssignmentTable:
         replica.state = state
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
+        self._dirty_replicas.add(replica)
         self._restaff(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("set_state", replica)
@@ -529,6 +536,7 @@ class AssignmentTable:
         replica.role = role
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
+        self._dirty_replicas.add(replica)
         self._restaff(replica.shard_id)
         if self.tracer.enabled:
             self._trace_transition("set_role", replica)
@@ -545,6 +553,7 @@ class AssignmentTable:
         self._by_address.setdefault(new_address, []).append(replica)
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(new_address)
+        self._dirty_replicas.add(replica)
         if self.tracer.enabled:
             self._trace_transition("relocate", replica)
 
@@ -573,6 +582,13 @@ class AssignmentTable:
         """
         dirty = self._dirty_addresses
         self._dirty_addresses = set()
+        return dirty
+
+    def consume_dirty_replicas(self) -> set:
+        """Live replicas whose role, state or address changed since the
+        last call (``add`` marks none); resets the set."""
+        dirty = self._dirty_replicas
+        self._dirty_replicas = set()
         return dirty
 
     def consume_dropped(self) -> List[str]:
@@ -604,12 +620,13 @@ class AssignmentTable:
     def on_address(self, address: str) -> List[ReplicaAssignment]:
         return list(self._by_address.get(address, []))
 
+    def address_view(self, address: str) -> Sequence[ReplicaAssignment]:
+        """:meth:`on_address` without the copy (read-only by contract)."""
+        return self._by_address.get(address, ())
+
     def hosted_count(self, address: str) -> int:
         """``len(on_address(address))`` without the copy."""
         return len(self._by_address.get(address, ()))
-
-    def addresses(self) -> List[str]:
-        return list(self._by_address)
 
     def all_replicas(self) -> List[ReplicaAssignment]:
         return list(self._replicas.values())

@@ -37,9 +37,10 @@ proportional to what the search touches, never to the fleet):
   a replica, the swap path's total loads the first time a swap is tried,
   and ``changed_replicas`` comes from a first-origin record per moved
   replica instead of a before/after copy of the whole assignment;
-* **per round**, goal evaluators keep dirty-set-maintained caches, so
-  ``refresh`` / ``violating_servers`` / ``violations`` touch only the
-  servers changed since the last round;
+* **per round**, dirty-set caches keep ``refresh`` and ``violations`` to
+  the servers changed since the last round.  ``violating_servers`` is
+  not: ``SpreadGoal``'s scans every replica and ``AffinityGoal``'s walks
+  and sorts the unsatisfied groups, in the pinned hot-server order;
 * **per move, candidates** cost one sort of the hot server's replicas by
   memoised size, then O(k + skipped): the pinned / ``contributes``
   filter and the equivalence dedup walk that order lazily and stop at

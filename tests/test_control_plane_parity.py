@@ -1,14 +1,21 @@
 """Randomized parity: the O(changed) idle control plane against full scans.
 
 ``Allocator.emergency_plan`` walks only the shards the assignment table
-reports as understaffed, and ``Orchestrator._persist_state`` patches its
-serialized replica list instead of re-walking the table.  The full-scan
-versions they replaced live on here as oracles: over random
-create / drop / role / state / relocate sequences the plans and the
-persisted payload must stay identical, step by step.
+reports as understaffed, ``Orchestrator._persist_state`` patches its
+serialized replica list from the table's dirty replicas instead of
+re-walking the table, and ``_write_all_assignments`` rewrites only the
+dirty and newly joined addresses.  The full-scan versions they replaced
+live on here as oracles: over random create / drop / role / state /
+relocate sequences the plans, the persisted payload and every
+per-address assignment znode must stay identical, step by step.
 """
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +29,7 @@ from repro.core.allocator import (
     PromoteReplica,
     ServerRecord,
 )
-from repro.coordination.layout import state_path
+from repro.coordination.layout import assignments_root, node_name, state_path
 from repro.core.orchestrator import Orchestrator
 from repro.core.shard_map import AssignmentTable, ReplicaState, Role
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
@@ -299,6 +306,32 @@ def rebuilt_payload(table):
                          for r in table.all_replicas()]}
 
 
+def rebuilt_assignments(orchestrator):
+    """Every address's assignment znode rebuilt from scratch, as every
+    publish used to: one per address of the table or the servers."""
+    table = orchestrator.table
+    live = (ReplicaState.READY, ReplicaState.PENDING)
+    addresses = ({r.address for r in table.all_replicas()}
+                 | set(orchestrator.servers))
+    return {address: [{"shard_id": r.shard_id, "role": r.role.value}
+                      for r in table.on_address(address) if r.state in live]
+            for address in addresses}
+
+
+def written_assignments(orchestrator, addresses):
+    root = assignments_root(orchestrator.spec.name)
+    zookeeper = orchestrator.zookeeper
+    return {address: zookeeper.get(f"{root}/{node_name(address)}")
+            for address in addresses}
+
+
+def assert_persisted_as_rebuilt(orchestrator):
+    expected = rebuilt_assignments(orchestrator)
+    assert written_assignments(orchestrator, expected) == expected
+    assert (orchestrator.zookeeper.get(state_path(orchestrator.spec.name))
+            == rebuilt_payload(orchestrator.table))
+
+
 @pytest.mark.parametrize("replication,replica_count", SPECS)
 @pytest.mark.parametrize("seed", range(4))
 def test_incremental_persist_state_matches_rebuild(replication,
@@ -313,19 +346,86 @@ def test_incremental_persist_state_matches_rebuild(replication,
         discovery=ServiceDiscovery(engine, rng=random.Random(2)),
         spec=spec,
         topology=build_topology(list(REGIONS), machines_per_region=3))
-    # No servers ever join, so the control loops plan nothing and every
-    # table mutation below is this test's own.
+    # Servers join only as dead records, so the control loops plan
+    # nothing and every table mutation below is this test's own.  Some
+    # joiners host replicas of the table, one never hosts anything.
     orchestrator.start()
     table = orchestrator.table
     addresses = sorted(make_servers())
-    path = state_path(spec.name)
+    joiners = [addresses[1], addresses[4], "Z/app/0", addresses[7]]
+    machines = orchestrator.topology.machines
     engine.run(until=1.0)
-    assert zookeeper.get(path) == rebuilt_payload(table)
+    assert_persisted_as_rebuilt(orchestrator)
     publishes = orchestrator.publishes
-    for _step in range(120):
+    for step in range(120):
         for _ in range(rng.choice((1, 1, 2, 5))):
             mutate_table(rng, spec, table, addresses)
+        if step % 30 == 10:
+            address = joiners[step // 30]
+            orchestrator._server_up(
+                address, {"machine": machines[step // 30].machine_id})
+            orchestrator.servers[address].alive = False
         orchestrator._mark_dirty()
         engine.run(until=engine.now + 1.0)
-        assert zookeeper.get(path) == rebuilt_payload(table)
+        assert_persisted_as_rebuilt(orchestrator)
     assert orchestrator.publishes == publishes + 120
+    assert len(orchestrator.servers) == len(joiners)
+
+
+#: Writes one publish after a table change on eight addresses; prints the
+#: ZooKeeper paths the publish wrote, in order.
+PUBLISH_PROBE = r"""
+import json
+import random
+
+from repro.cluster.topology import build_topology
+from repro.coordination.zookeeper import ZooKeeper
+from repro.core.orchestrator import Orchestrator
+from repro.core.shard_map import Role
+from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.discovery.service_discovery import ServiceDiscovery
+from repro.sim.engine import Engine
+from repro.sim.network import Network
+
+engine = Engine()
+zookeeper = ZooKeeper(engine)
+spec = AppSpec(name="app", shards=uniform_shards(8, 80, replica_count=1),
+               replication=ReplicationStrategy.PRIMARY_ONLY)
+orchestrator = Orchestrator(
+    engine=engine, network=Network(engine, rng=random.Random(1)),
+    zookeeper=zookeeper,
+    discovery=ServiceDiscovery(engine, rng=random.Random(2)), spec=spec,
+    topology=build_topology(["A", "B"], machines_per_region=2))
+orchestrator.start()
+engine.run(until=1.0)
+for index, shard in enumerate(spec.shards):
+    orchestrator.table.add(shard.shard_id, f"host-{index * 7919 % 97}",
+                           Role.PRIMARY)
+written = []
+for name in ("create", "set"):
+    def logged(path, *args, _write=getattr(zookeeper, name), **kwargs):
+        written.append(path)
+        return _write(path, *args, **kwargs)
+    setattr(zookeeper, name, logged)
+orchestrator._mark_dirty()
+engine.run(until=2.0)
+print(json.dumps(written))
+"""
+
+
+def _publish_writes(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent
+                              / "src"))
+    done = subprocess.run([sys.executable, "-c", PUBLISH_PROBE], env=env,
+                          text=True, capture_output=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_publish_write_order_is_free_of_the_hash_seed():
+    first, *others = [_publish_writes(seed) for seed in ("0", "1", "7")]
+    # Not vacuous: eight assignment znodes and the state node.
+    assert len(first) == 9
+    assert len({path for path in first if "/assignments/" in path}) == 8
+    for other in others:
+        assert other == first

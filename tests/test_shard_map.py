@@ -1,5 +1,7 @@
 """Unit tests for the assignment table and shard-map snapshots."""
 
+import random
+
 import pytest
 
 from repro.core.shard_map import (
@@ -74,6 +76,52 @@ class TestMutation:
         table.add("shard1", "a", Role.PRIMARY)
         table.add("shard1", "b", Role.SECONDARY)
         assert table.shards_on("a") == ["shard0", "shard1"]
+
+
+class TestDirtyReplicas:
+    """The replicas ``Orchestrator._persist_state`` re-serialises."""
+
+    def test_each_mutator_marks_exactly_its_replica(self):
+        table = make_table()
+        a = table.add("shard0", "a", Role.PRIMARY)
+        b = table.add("shard0", "b", Role.SECONDARY)
+        assert table.consume_dirty_replicas() == set()  # adds mark none
+        table.set_state(a.replica_id, ReplicaState.READY)
+        assert table.consume_dirty_replicas() == {a}
+        table.set_role(a.replica_id, Role.SECONDARY)
+        assert table.consume_dirty_replicas() == {a}
+        table.relocate(b.replica_id, "c")
+        assert table.consume_dirty_replicas() == {b}
+        assert table.consume_dirty_replicas() == set()  # consuming resets
+
+    def test_drop_unmarks(self):
+        table = make_table()
+        a = table.add("shard0", "a", Role.PRIMARY)
+        b = table.add("shard1", "a", Role.PRIMARY)
+        table.set_state(a.replica_id, ReplicaState.READY)
+        table.relocate(b.replica_id, "b")
+        table.drop(a.replica_id)
+        assert table.consume_dirty_replicas() == {b}
+
+    def test_unconsumed_set_stays_within_the_live_replicas(self):
+        """With no orchestrator consuming it (the map-publish bench
+        world), churn must not grow the set past the table."""
+        rng = random.Random(5)
+        table = make_table(shards=50, replica_count=3)
+        addresses = [f"srv{i}" for i in range(20)]
+        for shard in table.spec.shards:
+            table.add(shard.shard_id, rng.choice(addresses), Role.SECONDARY)
+        for step in range(10_000):
+            replica = rng.choice(table.all_replicas())
+            table.relocate(replica.replica_id, rng.choice(addresses))
+            if step % 10 == 0:
+                table.drop(rng.choice(table.all_replicas()).replica_id)
+                table.add(replica.shard_id, rng.choice(addresses),
+                          Role.SECONDARY)
+        live = set(table.all_replicas())
+        dirty = table.consume_dirty_replicas()
+        assert dirty <= live
+        assert len(dirty) > len(live) // 2  # not vacuous
 
 
 class TestAvailability:

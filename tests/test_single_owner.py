@@ -269,6 +269,51 @@ def test_the_journal_is_read_by_column():
     assert builders == []
 
 
+#: Modules besides ``core/shard_map.py`` that write another object's
+#: ``role`` / ``state`` / ``address``, and why that is no replica write.
+OTHER_FIELD_WRITERS = {
+    "app/server.py": "HostedShard, the server's own record of a shard it "
+                     "hosts, is a different class",
+    "cluster/twine.py": "Container, the cluster manager's container, is a "
+                        "different class",
+}
+
+
+def test_only_the_assignment_table_writes_replica_fields():
+    """A ``ReplicaAssignment``'s role, state and address change only in
+    ``AssignmentTable``'s mutators, which mark the replica, its shard and
+    its address dirty: the incremental snapshot and the orchestrator's
+    incremental persistence see every change only because of that.  A
+    ``<x>.role = ...`` (or ``.state``, ``.address``) anywhere else would
+    bypass them.  ``self.<field> = ...`` is a class setting its own
+    field, and ``ReplicaAssignment`` has no method that does."""
+    fields = {"role", "state", "address"}
+    writers = set()
+    for name, text in SOURCES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", "") == "setattr"
+                  and len(node.args) > 1
+                  and getattr(node.args[1], "value", None) in fields):
+                writers.add(name)
+                continue
+            else:
+                continue
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets.extend(target.elts)
+                elif (isinstance(target, ast.Attribute)
+                      and target.attr in fields
+                      and getattr(target.value, "id", "") != "self"):
+                    writers.add(name)
+    assert writers == {"core/shard_map.py", *OTHER_FIELD_WRITERS}
+
+
 def test_rules_the_fluid_path_mirrors_have_one_source():
     # §4.3 admission: decided by app.server.admission for both paths.
     assert modules_matching(r"HostedState\.(PREPARING|FORWARDING)\b") == [
