@@ -24,8 +24,9 @@ fences:
 traffic:
 	$(PYTHON) tests/audit_traffic.py
 
-# Tier-1 under the three hash seeds of CI's `test` matrix: golden traces,
-# library digests and figure headlines must not depend on hash order.
+# Tier-1 under the three hash seeds of CI's `test` matrix: library
+# digests, the skew_lb pins and figure headlines must not depend on hash
+# order.
 test-hashseeds:
 	for seed in 0 1 7; do \
 		PYTHONHASHSEED=$$seed PYTHONPATH=$(PYTHONPATH) \
@@ -43,9 +44,9 @@ figures:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q
 
 # Would the oracles notice a wrong system?  Runs the library scenarios
-# and the golden traces under each seeded bug of tests/mutants.py and
-# prints the kill matrix (oracle / crash / pin columns); exits 1 if a
-# mutant tests/fixtures/kill_matrix.md marks as killed survives.
+# under each seeded bug of tests/mutants.py and prints the kill matrix
+# (oracle / crash / pin columns); exits 1 if a mutant
+# tests/fixtures/kill_matrix.md marks as killed survives.
 mutants:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/mutants.py
 

@@ -21,8 +21,8 @@ react by construction.
 
 Reported per arm: point-read and scatter P99 latency, steady-state load
 imbalance (max/mean per-server request rate), shard moves, journal
-digest (bit-identical across same-seed runs) and TraceChecker
-violations.
+behaviour digest (bit-identical across same-seed runs) and
+TraceChecker violations.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class ArmResult:
     scatter_p99: float        # scatter (max-of-K legs) P99, seconds
     imbalance: float          # steady-state max/mean per-server req rate
     moves: int                # shard moves executed by the orchestrator
-    digest: str               # journal digest (determinism witness)
+    digest: str               # journal behaviour digest (tier-1 pin)
     violations: int           # TraceChecker violations (must be 0)
     sent: int
     succeeded: int
@@ -202,7 +202,7 @@ def run_arm(arm: str, seed: int = 0,
 
         measure_from = SETTLE + WARMUP
         violations = TraceChecker(obs.journal).check()
-        digest = obs.journal.digest()
+        digest = obs.journal.behaviour_digest()
 
     steady = [v for t, v in imbalance if t >= measure_from]
     return ArmResult(

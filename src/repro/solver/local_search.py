@@ -137,9 +137,9 @@ class SolveResult:
 
 
 #: Profile entries that stay off the journal's ``solver`` track: the
-#: golden traces, the chaos library digests and the benchmark's
-#: fingerprints pin a digest of that track, recorded before these
-#: entries existed.
+#: chaos library digests, the skew figure's smoke pins and the benchmark's
+#: fingerprints pin a digest of that track, which leaves these entries
+#: out.
 UNJOURNALED_PROFILE_KEYS = frozenset({"setup", "equiv_keys"})
 
 

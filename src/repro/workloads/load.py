@@ -14,7 +14,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 DAY = 86_400.0
 
@@ -105,7 +105,7 @@ class ZipfKeySampler:
     """True bounded Zipf(s) key sampler.
 
     Rank ``i`` (0-based) carries probability ``(i + 1) ** -s`` normalized
-    over ``support`` ranks — the standard bounded Zipf law.  Sampling is
+    over ``key_space`` ranks — the standard bounded Zipf law.  Sampling is
     one ``rng.random()`` draw binary-searched against the precomputed
     cumulative harmonic sums, so it is O(log n) per key and fully
     deterministic under a seeded RNG.
@@ -120,28 +120,23 @@ class ZipfKeySampler:
     shift the hot set while the clock runs.
     """
 
-    __slots__ = ("key_space", "skew", "support", "stride", "offset", "_cdf",
-                 "_total")
+    __slots__ = ("key_space", "skew", "stride", "offset", "_cdf", "_total")
 
     def __init__(self, key_space: int, skew: float = 1.1,
-                 support: Optional[int] = None, stride: int = 1) -> None:
+                 stride: int = 1) -> None:
         if key_space < 1:
             raise ValueError("key_space must be >= 1")
         if skew < 0:
             raise ValueError("skew must be >= 0")
-        support = key_space if support is None else min(support, key_space)
-        if support < 1:
-            raise ValueError("support must be >= 1")
         if stride < 1 or math.gcd(stride, key_space) != 1:
             raise ValueError("stride must be >= 1 and coprime with key_space")
         self.key_space = key_space
         self.skew = skew
-        self.support = support
         self.stride = stride
         self.offset = 0
         cdf: List[float] = []
         total = 0.0
-        for rank in range(1, support + 1):
+        for rank in range(1, key_space + 1):
             total += rank ** -skew
             cdf.append(total)
         self._cdf = cdf
@@ -154,12 +149,12 @@ class ZipfKeySampler:
     def probability(self, rank: int) -> float:
         """Exact probability mass of the 0-based ``rank`` (what a test
         holds the sampled frequencies against)."""
-        if not 0 <= rank < self.support:
+        if not 0 <= rank < self.key_space:
             raise ValueError("rank out of range")
         return (rank + 1) ** -self.skew / self._total
 
     def __call__(self, rng: random.Random) -> int:
         rank = bisect.bisect_left(self._cdf, rng.random() * self._total)
-        if rank >= self.support:  # guard the u == total edge
-            rank = self.support - 1
+        if rank >= self.key_space:  # guard the u == total edge
+            rank = self.key_space - 1
         return (self.offset + rank * self.stride) % self.key_space

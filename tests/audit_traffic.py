@@ -208,9 +208,6 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
     ("coordination/zookeeper.py::ZooKeeper.exists(watch)",
      REFERENCE_RUN + "the same oracle times each expiry by watching the "
      "liveness node"),
-    ("workloads/load.py::ZipfKeySampler.__init__(support)",
-     REFERENCE_RUN + "test_router_fastpath.py's pinned Fig 18-style golden "
-     "trace draws from 40 of 800 keys"),
     # -- tier-1 sizes ---------------------------------------------------------
     ("experiments/adevents_capacity.py::run(regions)",
      TIER1_SIZE + SMOKE + " compares 3, 4 and 8 regions"),

@@ -13,15 +13,15 @@ mutant whose fragment no longer occurs in the code fails to build instead
 of silently testing nothing.
 
 Running the file (``make mutants``) runs, under each mutant, every library
-scenario in both arms at seed 0 plus the two golden traces, and prints
-one table, deterministic to the byte.  Its killer columns are kept apart:
+scenario in every arm at seed 0, and prints one table, deterministic to
+the byte.  Its killer columns are kept apart:
 
 * **oracle** — a ``TraceChecker`` check, an expectation bound or a probe
   reported a violation;
 * **crash** — an in-code guard raised out of the run;
 * **pin** — a library run's ``behaviour_digest`` left its pin
-  (``tests/fixtures/chaos_library_digests.json``) or a golden trace moved.
-  Any behaviour change does that, so a pin alone is not a kill.
+  (``tests/fixtures/chaos_library_digests.json``).  Any behaviour change
+  does that, so a pin alone is not a kill.
 
 ``first kill`` is the first (scenario, arm, seed) in curriculum order
 that an oracle or a crash killed.  ``failed requests`` sums
@@ -57,15 +57,9 @@ from repro.core.task_controller import SMTaskController  # noqa: E402
 from repro.discovery.router import ServiceRouter  # noqa: E402
 from repro.sim.network import RpcCall  # noqa: E402
 from tests.test_chaos import LIBRARY_DIGESTS  # noqa: E402
-from tests.test_golden_trace import FIXTURE as FIG17_FIXTURE  # noqa: E402
-from tests.test_golden_trace import _run_scenario as run_fig17  # noqa: E402
-from tests.test_router_fastpath import FIG18_FIXTURE  # noqa: E402
-from tests.test_router_fastpath import _run_fig18_slice as run_fig18  # noqa: E402
 
 SEED = 0
 TABLE = ROOT / "tests" / "fixtures" / "kill_matrix.md"
-GOLDEN = (("fig17", run_fig17, FIG17_FIXTURE),
-          ("fig18", run_fig18, FIG18_FIXTURE))
 NONE = "—"
 
 
@@ -245,20 +239,8 @@ def guard(error: Exception) -> str:
     return f"{where}: {type(error).__name__}"
 
 
-def golden_moved() -> List[str]:
-    moved = []
-    for name, run, fixture in GOLDEN:
-        try:
-            observed = run()["sha256"]
-        except Exception:
-            observed = ""
-        if observed != json.loads(fixture.read_text())["sha256"]:
-            moved.append(name)
-    return moved
-
-
 def row(name: str, outcomes: Dict[Tuple[str, str], Outcome],
-        pinned: Dict[str, Dict[str, str]], golden: List[str],
+        pinned: Dict[str, Dict[str, str]],
         failed_before: int) -> List[str]:
     checks = sorted({check for o in outcomes.values() for check in o.violations})
     oracle_runs = sum(1 for o in outcomes.values() if o.violations)
@@ -269,14 +251,12 @@ def row(name: str, outcomes: Dict[Tuple[str, str], Outcome],
     first = next((f"{scenario}:{arm}:{SEED}"
                   for (scenario, arm), o in outcomes.items() if o.killed),
                  NONE)
-    pin = f"{moved}/{len(outcomes)}"
-    if golden:
-        pin += " + golden " + ", ".join(golden)
     failed = sum(o.failed for o in outcomes.values())
     return [name,
             f"{', '.join(checks)} ({oracle_runs} runs)" if checks else NONE,
             f"{'; '.join(crashes)} ({crash_runs} runs)" if crashes else NONE,
-            pin, first, f"{failed_before:,} -> {failed:,}"]
+            f"{moved}/{len(outcomes)}", first,
+            f"{failed_before:,} -> {failed:,}"]
 
 
 def kill_matrix() -> str:
@@ -285,7 +265,7 @@ def kill_matrix() -> str:
     clean = {(spec.name, arm): observe(spec, arm) for spec, arm in runs}
     drift = [key for key, o in clean.items()
              if o.killed or o.digest != pinned[key[0]][key[1]]]
-    if drift or golden_moved():
+    if drift:
         raise SystemExit(f"the unmutated system is not clean or not as "
                          f"pinned: {drift}; fix that first")
     failed_before = sum(o.failed for o in clean.values())
@@ -293,7 +273,7 @@ def kill_matrix() -> str:
               "failed requests"]
     lines = [f"Kill matrix: {len(CATALOGUE)} mutants x "
              f"{len(runs) // len(ARMS)} library scenarios x "
-             f"{len(ARMS)} arms at seed {SEED}, plus the golden traces.",
+             f"{len(ARMS)} arms at seed {SEED}.",
              "",
              "| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
@@ -302,8 +282,7 @@ def kill_matrix() -> str:
         with mutant:
             outcomes = {(spec.name, arm): observe(spec, arm)
                         for spec, arm in runs}
-            golden = golden_moved()
-        cells = row(mutant.name, outcomes, pinned, golden, failed_before)
+        cells = row(mutant.name, outcomes, pinned, failed_before)
         lines.append("| " + " | ".join(cells) + " |")
         if cells[1] != NONE:
             summary["oracle"] += 1

@@ -23,7 +23,7 @@ from repro.cluster.maintenance import MaintenanceSchedule
 from repro.cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine
-from repro.obs import Observability
+from repro.obs import NO_OBS, Observability, use
 from repro.obs.checker import TraceChecker
 from repro.obs.tracer import Journal, Tracer
 from repro.sim.engine import Engine
@@ -242,6 +242,39 @@ def test_library_run_is_clean_and_pinned(name, arm):
     pinned = json.loads(LIBRARY_DIGESTS.read_text())
     assert set(pinned) == set(SCENARIOS)
     assert result.behaviour_digest == pinned[name][arm]
+
+
+def _library_run(spec, obs):
+    """One library timeline in the ``sm`` arm at seed 0, driven as
+    :func:`run_scenario` drives it, under ``obs``."""
+    with use(obs):
+        run = ScenarioRun(spec, "sm", 0, obs)
+        run.start()
+        run.cluster.run(until=run.t0 + spec.duration)
+        run.finish()
+    app = run.app
+    return (run.engine.processed_events,
+            run.cluster.network.rpcs_sent, run.cluster.network.rpcs_failed,
+            run.recorder.sent, run.recorder.failed,
+            tuple(run.recorder.latency),
+            app.orchestrator.move_counter.total,
+            app.orchestrator.table.last_version,
+            run.cluster.discovery.latest(app.spec.name),
+            app.ready_fraction())
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in all_scenarios()])
+def test_library_run_untraced_matches_traced(name):
+    """Tracing changes nothing the simulated system does: each library
+    timeline runs once under ``NO_OBS`` and once traced, and the two
+    agree on events, RPCs, requests (each latency to the bit), moves and
+    the final published map.  The traced run is held to its library pin,
+    so the untraced path is pinned through it."""
+    spec = get(name)
+    traced = Observability()
+    assert _library_run(spec, NO_OBS) == _library_run(spec, traced)
+    pinned = json.loads(LIBRARY_DIGESTS.read_text())
+    assert traced.journal.behaviour_digest() == pinned[name]["sm"]
 
 
 class TestFaultRecoveryChecker:

@@ -1,4 +1,4 @@
-"""Request-path tests: `_RequestOp` retry semantics and seed parity.
+"""Request-path tests: `_RequestOp` retry semantics and rate clamping.
 
 The router's retry loop is the slotted
 :class:`~repro.discovery.router._RequestOp` state machine.  These tests
@@ -8,17 +8,14 @@ pin its contract:
   replica set is exhausted;
 * backoff timing, including the quirk that a routing error on the
   *final* attempt still pays one backoff before failing;
-* a zero or negative rate curve cannot stall the engine (satellite of
-  the same PR: the clamp now lives in ``repro.app.client.clamped_rate``);
-* a fig18-style diurnal slice replays bit-identically against a golden
-  fixture (``GOLDEN_REGEN=1`` regenerates it, as for fig17).
+* a zero or negative rate curve cannot stall the engine (the clamp
+  lives in ``repro.app.client.clamped_rate``).
+
+Seed parity of the request path is pinned by the chaos library's
+``behaviour_digest``s (``tests/test_chaos.py``).
 """
 
-import hashlib
-import json
-import os
 import random
-from pathlib import Path
 
 import pytest
 
@@ -29,9 +26,6 @@ from repro.discovery.router import RoutingError, ServiceRouter
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.sim.engine import Engine
 from repro.sim.network import JITTER_FRACTION, LatencyModel, Network
-from repro.workloads.load import DiurnalCurve, ZipfKeySampler
-
-FIG18_FIXTURE = Path(__file__).parent / "fixtures" / "golden_trace_fig18.json"
 
 
 def make_map(version=1, app="app", entries=None):
@@ -170,114 +164,3 @@ class TestRateClamping:
         assert recorder.sent == 0
         assert engine.now > 50.0
 
-
-# -- fig18-style golden slice -------------------------------------------------
-
-
-def _run_fig18_slice():
-    """A small diurnal-workload slice in the fig18 mould.
-
-    Single region, diurnal request rate over two short "days", zipfian
-    keys, periodic rebalancing — enough churn to exercise the workload
-    driver, the route cache across map updates, and retries, while
-    staying a few sim-minutes long.
-    """
-    from repro.cluster.twine import TwineConfig
-    from repro.core.orchestrator import OrchestratorConfig
-    from repro.core.spec import (AppSpec, LoadBalancePolicy,
-                                 ReplicationStrategy, uniform_shards)
-    from repro.harness import SimCluster, deploy_app
-
-    day = 240.0
-    cluster = SimCluster.build(
-        regions=("FRC",),
-        machines_per_region=8,
-        seed=18,
-        twine_config=TwineConfig(negotiation_interval=5.0),
-        discovery_base_delay=2.0,
-        discovery_jitter=3.0,
-    )
-    engine = cluster.engine
-    trace = []
-
-    network = cluster.network
-    original_rpc = network.rpc
-
-    def traced_rpc(src_address, dst_address, method, payload=None,
-                   timeout=None, **kwargs):
-        call = original_rpc(src_address, dst_address, method, payload,
-                            timeout, **kwargs)
-        trace.append(f"rpc {engine.now!r} {method} {dst_address}")
-
-        def record(result, method=method):
-            trace.append(f"done {engine.now!r} {method} {int(result.ok)}")
-
-        call.on_done(record)
-        return call
-
-    network.rpc = traced_rpc
-
-    discovery = cluster.discovery
-    original_publish = discovery.publish
-
-    def traced_publish(shard_map, delta=None):
-        trace.append(f"publish {engine.now!r} v{shard_map.version} "
-                     f"{len(shard_map)}")
-        original_publish(shard_map, delta=delta)
-
-    discovery.publish = traced_publish
-
-    spec = AppSpec(
-        name="diurnal",
-        shards=uniform_shards(40, key_space=800),
-        replication=ReplicationStrategy.PRIMARY_ONLY,
-        lb_policy=LoadBalancePolicy.SINGLE_RESOURCE,
-        lb_metrics=("request_rate",),
-    )
-    deploy_app(
-        cluster, spec, {"FRC": 5},
-        orchestrator_config=OrchestratorConfig(
-            graceful_migration=True,
-            rebalance_interval=30.0,
-            load_poll_interval=10.0,
-        ),
-        settle=30.0,
-    )
-    client = ApplicationClient(engine, network, discovery, spec.name,
-                               f"client/{spec.name}/FRC/0", "FRC",
-                               attempts=2, rpc_timeout=0.5, retry_backoff=0.2)
-    recorder = WorkloadRecorder.with_bucket(20.0)
-    curve = DiurnalCurve(base=2.0, peak=10.0, period=day)
-    op = client.run_workload(
-        duration=2 * day,
-        rate=curve,
-        key_fn=ZipfKeySampler(800, skew=1.3, support=40),
-        recorder=recorder,
-        rng=random.Random(180),
-    )
-    cluster.run(until=engine.now + 2 * day + 30.0)
-
-    total = recorder.succeeded + recorder.failed
-    return {
-        "events": len(trace),
-        "sha256": hashlib.sha256("\n".join(trace).encode()).hexdigest(),
-        "prefix": trace[:40],
-        "requests": total,
-        "success_rate": recorder.succeeded / max(1, total),
-        "finished": op.finished,
-    }
-
-
-def test_fig18_style_golden_trace():
-    observed = _run_fig18_slice()
-    if os.environ.get("GOLDEN_REGEN"):
-        FIG18_FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-        FIG18_FIXTURE.write_text(json.dumps(observed, indent=1,
-                                            sort_keys=True) + "\n")
-    expected = json.loads(FIG18_FIXTURE.read_text())
-    assert observed["prefix"] == expected["prefix"]
-    assert observed["events"] == expected["events"]
-    assert observed["sha256"] == expected["sha256"]
-    assert observed["requests"] == expected["requests"]
-    assert observed["success_rate"] == expected["success_rate"]
-    assert observed["finished"] == expected["finished"]

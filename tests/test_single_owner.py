@@ -463,6 +463,7 @@ REMOVED_OPTIONS = [
     (adoption_curve, "midpoint_year"),
     (adoption_curve, "steepness"),
     (ZipfKeySampler, "offset"),
+    (ZipfKeySampler, "support"),
     (mean_rate, "samples"),
     (series_rows, "time_label"),
     (series_rows, "max_rows"),

@@ -89,7 +89,7 @@ class TestDiurnal:
             DiurnalCurve(base=1.0, peak=2.0, period=0.0)
 
     def test_zipfian_sampler_has_hot_set(self):
-        sampler = ZipfKeySampler(10_000, skew=2.0, support=100)
+        sampler = ZipfKeySampler(10_000, skew=2.0)
         rng = random.Random(5)
         hits = sum(1 for _ in range(2000) if sampler(rng) < 100)
         assert hits > 600  # far above the uniform expectation of ~20
@@ -102,9 +102,9 @@ class TestZipf:
     def test_rank_frequency_slope_matches_skew(self):
         # On a log-log plot a Zipf(s) rank-frequency line has slope -s.
         skew = 1.2
-        sampler = ZipfKeySampler(5000, skew=skew, support=1000)
+        sampler = ZipfKeySampler(1000, skew=skew)
         rng = random.Random(11)
-        counts = [0] * sampler.support
+        counts = [0] * sampler.key_space
         for _ in range(120_000):
             counts[sampler(rng)] += 1
         # Fit over the top ranks, where counts are large enough that
@@ -155,11 +155,6 @@ class TestZipf:
             sampler(rng)
         assert rng.calls == 50
 
-    def test_support_bounds_sampled_keys(self):
-        sampler = ZipfKeySampler(10_000, skew=1.1, support=64)
-        rng = random.Random(9)
-        assert all(sampler(rng) < 64 for _ in range(2000))
-
     def test_stride_scatters_hot_ranks(self):
         sampler = ZipfKeySampler(1000, skew=1.4, stride=373)
         rng = random.Random(4)
@@ -182,8 +177,6 @@ class TestZipf:
             ZipfKeySampler(100, skew=-1.0)
         with pytest.raises(ValueError):
             ZipfKeySampler(100, stride=10)  # gcd(10, 100) != 1
-        with pytest.raises(ValueError):
-            ZipfKeySampler(100, support=0)
 
 
 class TestSnapshots:
