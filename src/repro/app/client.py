@@ -105,7 +105,7 @@ class _WorkloadOp:
     """Open-loop Poisson arrival loop as a slotted state machine.
 
     Each ``_tick`` (a zero-closure scheduled callback) starts one request
-    through ``start_request(key, payload, prefer_primary=, on_done=)`` —
+    through ``start_request(key, payload, prefer_primary, on_done)`` —
     the router's retry state machine for point reads, a scatter client's
     fan-out for scatter-gather — and schedules the next arrival from the
     (clamped) rate curve.  Pinned journal digests depend on the RNG draw
@@ -155,8 +155,7 @@ class _WorkloadOp:
         key = self.key_fn(self.rng)
         payload_fn = self.payload_fn
         body = payload_fn(key) if payload_fn is not None else None
-        self.start_request(key, body, prefer_primary=self.prefer_primary,
-                           on_done=self._record)
+        self.start_request(key, body, self.prefer_primary, self._record)
         self._schedule_next()
 
     def _record(self, outcome: RequestOutcome) -> None:

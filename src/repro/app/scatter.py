@@ -105,25 +105,26 @@ class _ScatterOp:
         self.failed_legs = 0
         self.attempts = 0
         self.on_done = on_done
-        self.tracer.instant("scatter", "fanout", self.start, {
-            "scatter": self.scatter_id, "legs": self.fanout, "key": key})
+        if self.tracer.enabled:
+            self.tracer.instant("scatter", "fanout", self.start, {
+                "scatter": self.scatter_id, "legs": self.fanout, "key": key})
         key_space = client.key_space
         stride = client.leg_stride
         leg_done = self._leg_done
         for leg in range(self.fanout):
             leg_key = (key + leg * stride) % key_space
             router.start_request(leg_key, {"scatter": self.scatter_id},
-                                 prefer_primary=prefer_primary,
-                                 on_done=leg_done)
+                                 prefer_primary, leg_done)
 
     def _leg_done(self, outcome: RequestOutcome) -> None:
         self.done_legs += 1
         self.attempts += outcome.attempts
         if not outcome.ok:
             self.failed_legs += 1
-        self.tracer.instant("scatter", "leg", self.engine.now, {
-            "scatter": self.scatter_id, "ok": outcome.ok,
-            "shard": outcome.shard_id, "latency": outcome.latency})
+        if self.tracer.enabled:
+            self.tracer.instant("scatter", "leg", self.engine.now, {
+                "scatter": self.scatter_id, "ok": outcome.ok,
+                "shard": outcome.shard_id, "latency": outcome.latency})
         if self.done_legs == self.fanout:
             self._merge()
 
@@ -131,13 +132,14 @@ class _ScatterOp:
         now = self.engine.now
         ok = self.failed_legs == 0
         latency = now - self.start  # merge at the slowest leg: max-of-K
-        self.tracer.instant("scatter", "merge", now, {
-            "scatter": self.scatter_id, "ok": ok, "legs": self.done_legs,
-            "failed_legs": self.failed_legs, "latency": latency})
+        if self.tracer.enabled:
+            self.tracer.instant("scatter", "merge", now, {
+                "scatter": self.scatter_id, "ok": ok, "legs": self.done_legs,
+                "failed_legs": self.failed_legs, "latency": latency})
         if self.on_done is not None:
             self.on_done(RequestOutcome(
-                ok=ok, latency=latency, attempts=self.attempts,
-                error="" if ok else f"{self.failed_legs} legs failed"))
+                ok, None, "" if ok else f"{self.failed_legs} legs failed",
+                latency, self.attempts))
 
 
 class ScatterGatherClient:

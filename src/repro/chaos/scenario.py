@@ -827,25 +827,28 @@ class ScenarioRun:
 
     def emit_fault(self, fault: str, kind: str, target: str,
                    addresses: Optional[List[str]] = None) -> None:
-        args: Dict[str, Any] = {"fault": fault, "kind": kind,
-                                "target": target}
-        if addresses:
-            args["addresses"] = addresses
-        self.tracer.instant("chaos", "fault", None, args)
+        if self.tracer.enabled:
+            args: Dict[str, Any] = {"fault": fault, "kind": kind,
+                                    "target": target}
+            if addresses:
+                args["addresses"] = addresses
+            self.tracer.instant("chaos", "fault", None, args)
 
     def emit_recover(self, fault: str, kind: str, target: str) -> None:
-        self.tracer.instant("chaos", "recover", None,
-                            {"fault": fault, "kind": kind, "target": target})
+        if self.tracer.enabled:
+            self.tracer.instant("chaos", "recover", None, {
+                "fault": fault, "kind": kind, "target": target})
 
     def emit_planned(self, kind: str, target: str,
                      extra: Dict[str, Any]) -> None:
-        args = {"kind": kind, "target": target}
-        args.update(extra)
-        self.tracer.instant("chaos", "planned", None, args)
+        if self.tracer.enabled:
+            self.tracer.instant("chaos", "planned", None,
+                                {"kind": kind, "target": target, **extra})
 
     def emit_probe(self, ok: bool, check: str, detail: str) -> None:
-        self.tracer.instant("chaos", "probe", None,
-                            {"ok": ok, "check": check, "detail": detail})
+        if self.tracer.enabled:
+            self.tracer.instant("chaos", "probe", None,
+                                {"ok": ok, "check": check, "detail": detail})
 
     # -- composite helpers used by executors ---------------------------------
 

@@ -333,15 +333,15 @@ class _RequestOp:
         message = self.message
         message["shard_id"] = shard_id
         router.network.rpc(router.client_address, address, "app.request",
-                           message, timeout=router.rpc_timeout,
-                           on_complete=self._rpc_done)
+                           message, router.rpc_timeout, self._rpc_done)
 
     def _rpc_done(self, result: RpcResult) -> None:
         if result.ok:
-            self._finish(RequestOutcome(
-                ok=True, value=result.value,
-                latency=self.engine.now - self.start,
-                attempts=self.attempt, shard_id=self.shard_id))
+            outcome = self.outcome = RequestOutcome(
+                True, result.value, "", self.engine.now - self.start,
+                self.attempt, self.shard_id)
+            if self.on_done is not None:
+                self.on_done(outcome)
             return
         router = self.router
         self.last_error = result.error
@@ -380,12 +380,8 @@ class _RequestOp:
                            {"client": router.client_address,
                             "shard": self.shard_id,
                             "error": self.last_error})
-        self._finish(RequestOutcome(
-            ok=False, error=self.last_error,
-            latency=self.engine.now - self.start,
-            attempts=router.attempts, shard_id=self.shard_id))
-
-    def _finish(self, outcome: RequestOutcome) -> None:
-        self.outcome = outcome
+        outcome = self.outcome = RequestOutcome(
+            False, None, self.last_error, self.engine.now - self.start,
+            router.attempts, self.shard_id)
         if self.on_done is not None:
             self.on_done(outcome)

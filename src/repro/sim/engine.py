@@ -65,7 +65,6 @@ def _push_now(engine: "Engine", callback: Callable[..., None],
     ``call_after`` and ``_schedule_immediate`` directly: a tool that wraps
     the scheduling methods to count events then sees each event once."""
     event = [engine.now, next(engine._seq), callback, arg]
-    engine._pending += 1
     heappush(engine._heap, event)
     return event
 
@@ -86,7 +85,6 @@ class Engine:
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
-        self._pending = 0
         # Observability: None leaves run() with one int compare per
         # event that never matches; set via set_tracer().
         self._trace = None
@@ -113,14 +111,12 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Live count of scheduled-but-not-yet-fired callbacks.
-
-        Maintained incrementally (schedule +1, execute -1) instead of
-        scanning the heap.  A guarded event counts from the moment it is
+        """Scheduled-but-not-yet-fired callbacks: the heap plus every
+        parked bucket.  A guarded event counts from the moment it is
         scheduled, parked or not, until it runs or is dropped because its
         guard no longer held.
         """
-        return self._pending
+        return len(self._heap) + sum(map(len, self._parked.values()))
 
     def call_at(self, when: float, callback: Callable[..., None],
                 arg: Any = _NO_ARG,
@@ -145,7 +141,6 @@ class Engine:
                 f"cannot schedule at t={when:.6f}, current time is {now:.6f}"
             )
         event = [when, next(self._seq), callback, arg]
-        self._pending += 1
         if guard is not None:
             flush_at = (when // _GUARD_BUCKET - 1.0) * _GUARD_BUCKET
             # False when that flush is already in the past, and for an
@@ -163,16 +158,12 @@ class Engine:
     def _flush_guarded(self, flush_at: float) -> None:
         """Move one bucket's still-guarded events onto the heap."""
         heap = self._heap
-        dropped = 0
         dropped_until = self._dropped_until
         for guard, event in self._parked.pop(flush_at):
             if guard():
                 heappush(heap, event)
-            else:
-                dropped += 1
-                if event[0] > dropped_until:
-                    dropped_until = event[0]
-        self._pending -= dropped
+            elif event[0] > dropped_until:
+                dropped_until = event[0]
         self._dropped_until = dropped_until
 
     def call_after(self, delay: float, callback: Callable[..., None],
@@ -226,7 +217,6 @@ class Engine:
                     heappush(heap, event)
                     break
                 self.now = when
-                self._pending -= 1
                 callback = event[2]
                 if executed == next_sample:
                     next_sample += sample
@@ -234,7 +224,7 @@ class Engine:
                             or type(callback).__name__)
                     trace.instant("engine", name, when)
                     trace.counter("engine", "pending_events",
-                                  self._pending, when)
+                                  self.pending_events, when)
                 arg = event[3]
                 if arg is no_arg:
                     callback()

@@ -73,18 +73,16 @@ class AsyncReply:
     """Returned by a handler that cannot answer synchronously.
 
     The server completes it later (e.g. after forwarding the request to
-    another server); the network, its one subscriber, sends the response
-    when it completes.
+    another server); the network, its one subscriber, is handed
+    ``(ok, value, error)`` and sends the response when it completes.
     """
 
-    __slots__ = ("_ok", "_value", "_error", "_settled", "_subscriber")
+    __slots__ = ("_settled_as", "_subscriber")
 
     def __init__(self) -> None:
-        self._ok = False
-        self._value: Any = None
-        self._error = ""
-        self._settled = False
-        self._subscriber: Optional[Callable[["AsyncReply"], None]] = None
+        # (ok, value, error) once settled.
+        self._settled_as: Optional[Tuple[bool, Any, str]] = None
+        self._subscriber: Optional[Callable[[bool, Any, str], None]] = None
 
     def complete(self, value: Any = None) -> None:
         self._settle(True, value, "")
@@ -98,24 +96,21 @@ class AsyncReply:
         self._settle(result.ok, result.value, result.error)
 
     def _settle(self, ok: bool, value: Any, error: str) -> None:
-        if self._settled:
+        if self._settled_as is not None:
             raise NetworkError("AsyncReply settled twice")
-        self._settled = True
-        self._ok = ok
-        self._value = value
-        self._error = error
+        self._settled_as = (ok, value, error)
         subscriber = self._subscriber
         if subscriber is not None:
-            subscriber(self)
+            subscriber(ok, value, error)
 
-    def _on_settle(self, callback: Callable[["AsyncReply"], None]) -> None:
+    def _on_settle(self, callback: Callable[[bool, Any, str], None]) -> None:
         """Subscribe the one party that answers for this reply: at once if
         it has settled, else when it does."""
         if self._subscriber is not None:
             raise NetworkError("AsyncReply subscribed to twice")
         self._subscriber = callback
-        if self._settled:
-            callback(self)
+        if self._settled_as is not None:
+            callback(*self._settled_as)
 
 
 class Endpoint:
@@ -298,20 +293,24 @@ class RpcCall:
         dst = self.dst
         # Re-check liveness at delivery time: the destination may have
         # crashed (or a partition formed) while the request was in flight.
-        if not dst.up or net._partitioned(self.src.region, dst.region):
+        if not dst.up or (net._partitions
+                          and net._partitioned(self.src.region, dst.region)):
             # Timeout minus the *sampled* request latency, not minus
             # ``now - start``: the two differ in the last float bit and
             # the pinned journal digests record this form.
             remaining = self.timeout - self.req_latency
             net.engine.call_after(max(0.0, remaining), self.fail, "timeout")
             return
+        handler = dst._handlers.get(self.method)
         try:
-            value = dst.handle(self.method, self.payload)
+            # Without a handler, Endpoint.handle raises the NetworkError.
+            value = (handler(self.payload) if handler is not None
+                     else dst.handle(self.method, self.payload))
         except Exception as exc:  # handler errors surface at the caller
             self._send_response(False, None, f"{type(exc).__name__}: {exc}")
             return
         if isinstance(value, AsyncReply):
-            value._on_settle(self._reply_settled)
+            value._on_settle(self._send_response)
             # A reply the server never settles must still time out at the
             # caller (first completion wins if it does settle).  Almost
             # every reply does settle first, hence the guard.
@@ -322,9 +321,6 @@ class RpcCall:
         else:
             self._send_response(True, value, "")
 
-    def _reply_settled(self, reply: AsyncReply) -> None:
-        self._send_response(reply._ok, reply._value, reply._error)
-
     def _send_response(self, ok: bool, value: Any, error: str) -> None:
         net = self.net
         engine = net.engine
@@ -333,8 +329,7 @@ class RpcCall:
         if ok:
             # The completion time is known now, so the result object is
             # precomputed and the delivery callback just hands it over.
-            result = RpcResult(ok=True, value=value,
-                               latency=arrival - self.start)
+            result = RpcResult(True, value, "", arrival - self.start)
             engine.call_at(arrival, self._deliver_ok, result)
         else:
             engine.call_at(arrival, self.fail_response, error)
@@ -440,8 +435,6 @@ class Network:
         return added
 
     def _partitioned(self, region_a: str, region_b: str) -> bool:
-        if not self._partitions:
-            return False
         return frozenset((region_a, region_b)) in self._partitions
 
     # -- RPC -----------------------------------------------------------------
@@ -480,7 +473,8 @@ class Network:
             engine.call_after(0.0, call.fail, f"unknown source {src_address!r}")
             return call
         if (dst is None or not src.up or not dst.up
-                or self._partitioned(src.region, dst.region)):
+                or (self._partitions
+                    and self._partitioned(src.region, dst.region))):
             engine.call_after(timeout, call.fail, "timeout")
             return call
 

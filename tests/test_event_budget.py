@@ -10,10 +10,20 @@ is the whole multiset of those names, so a change that puts a per-request
 event back (a timeout that reaches the heap, a completion woken through a
 signal, a closure hop) fails a count here, on every interpreter of the CI
 matrix, rather than a timing somewhere else.
+
+The second half pins the Python calls an event is made of: every
+function under ``src/repro`` entered per request, on the same three
+stacks.  A frame that models nothing (a trampoline around a handler, a
+relay between a reply and its response, a probe for a partition that
+does not exist) fails a count there.
 """
 
 import random
+import sys
 from collections import Counter
+from pathlib import Path
+
+import repro
 
 from repro.app.client import ApplicationClient, WorkloadRecorder
 from repro.app.scatter import QueuedServiceHandler, ScatterGatherClient
@@ -153,3 +163,109 @@ def test_healthy_async_reply_rpc_leaves_no_heap_entry_behind():
     assert engine.processed_events == before + 1
     assert engine.pending_events == 0
     assert engine.now == 1.0  # where the last no-op would have run
+
+
+# -- the call budget ---------------------------------------------------------
+
+SRC = str(Path(repro.__file__).parent)
+
+#: Calls the measured region makes once, whatever it sends: the recorder
+#: (``with_bucket``, its rate window's ``__init__``, its latency series'
+#: default factory and the series' two arrays), ``run_workload`` and the
+#: driver's ``__init__``, ``Engine.run``, the router's route-cache reset
+#: on the first route, and the rate window opening its one bucket.
+ONCE = Counter({"with_bucket": 1, "<lambda>": 1, "_float_array": 2,
+                "run_workload": 1, "__init__": 2, "run": 1,
+                "_clear_route_caches": 1, "_flush": 1})
+
+
+def _calls(stack: Stack, run_workload) -> tuple:
+    """``(requests sent, co_name -> calls)`` for one ``_burst`` on
+    ``stack``, run to the end.
+
+    Counted with ``sys.setprofile``: every ``call`` event of a function
+    whose code lives under ``src/repro``, keyed by ``co_name`` (not
+    ``co_qualname``, which Python 3.10 lacks).  The engine's dispatch
+    sampler is detached first.  A dataclass ``__init__`` is compiled from
+    ``<string>`` and is not counted; nor are builtins.
+    """
+    stack.engine.set_tracer(None)
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(SRC):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        recorder = _burst(run_workload)
+        stack.engine.run()
+    finally:
+        sys.setprofile(None)
+    return recorder.sent, calls
+
+
+def _arrivals(n: int) -> Counter:
+    """The driver: n ticks that send plus the one that ends the stream,
+    each scheduling the next arrival; n outcomes recorded (the
+    recorder, its rate window and its latency series)."""
+    return Counter({"_tick": n + 1, "_schedule_next": n + 1,
+                    "clamped_rate": n + 1, "call_after": n + 1,
+                    "call_at": n + 1, "_record": n, "record": 3 * n})
+
+
+def _reads(legs: int, misses: int) -> Counter:
+    """``legs`` router requests with a synchronous answer, ``misses`` of
+    them routed through the map on a route-cache miss."""
+    return Counter({
+        "start_request": legs, "_attempt_once": legs, "route_for": legs,
+        "__init__": 2 * legs,          # _RequestOp, RpcCall
+        "rpc": legs, "sample": 2 * legs, "call_at": 2 * legs,
+        "deliver_request": legs,       # the handler runs in this frame
+        "_send_response": legs, "_deliver_ok": legs, "_settle": legs,
+        "_rpc_done": legs,             # and the outcome is built in this
+        "pick_address": misses, "index_for_key": misses,
+        "__len__": misses, "primary_at": misses})
+
+
+def _queued(legs: int) -> Counter:
+    """What a FIFO server's ``AsyncReply`` adds to ``legs`` reads: the
+    handler, its completion event, the parked timeout and the guard that
+    drops it; settling hands the reply straight to ``_send_response``.
+    The timeouts share one bucket, scheduled and flushed once."""
+    return Counter({"__call__": legs, "__init__": legs,
+                    "call_at": 2 * legs + 1, "_on_settle": legs,
+                    "complete": legs, "_settle": legs, "unsettled": legs,
+                    "_flush_guarded": 1})
+
+
+def test_sync_point_read_call_budget():
+    stack = Stack(queued=False)
+    n, calls = _calls(stack, stack.client.run_workload)
+    misses = stack.client.router.route_cache_misses
+    assert calls == ONCE + _arrivals(n) + _reads(n, misses)
+    assert (n, sum(calls.values())) == (40, 1099)   # 27.5 per request
+
+
+def test_queued_read_call_budget():
+    stack = Stack(queued=True)
+    n, calls = _calls(stack, stack.client.run_workload)
+    misses = stack.client.router.route_cache_misses
+    assert calls == ONCE + _arrivals(n) + _reads(n, misses) + _queued(n)
+    assert (n, sum(calls.values())) == (40, 1421)   # 35.5 per request
+
+
+def test_scatter_call_budget():
+    fanout = 4
+    stack = Stack(queued=True)
+    scatter = ScatterGatherClient(stack.client, KEY_SPACE, fanout=fanout)
+    n, calls = _calls(stack, scatter.run_workload)
+    misses = stack.client.router.route_cache_misses
+    legs = fanout * n
+    # One _ScatterOp per arrival, K legs through the router, one merge;
+    # untraced, no scatter instant is built.
+    assert calls == (ONCE + _arrivals(n) + _reads(legs, misses)
+                     + _queued(legs)
+                     + Counter({"start_request": n, "__init__": n,
+                                "_leg_done": legs, "_merge": n}))
+    assert (n, sum(calls.values())) == (40, 4657)   # 116.4 per request

@@ -253,12 +253,14 @@ class TestAsyncReply:
         seen = []
         if settled:
             reply.complete(1)
-        reply._on_settle(seen.append)
+        subscriber = lambda *settled_as: seen.append(settled_as)
+        reply._on_settle(subscriber)
         with pytest.raises(NetworkError, match="subscribed to twice"):
-            reply._on_settle(seen.append)
+            reply._on_settle(subscriber)
         if not settled:
+            assert seen == []
             reply.complete(1)
-        assert seen == [reply]
+        assert seen == [(True, 1, "")]
 
 
 class TestRead:

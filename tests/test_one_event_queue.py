@@ -26,9 +26,13 @@ case named after it):
   after it (``test_zero_delay_keeps_its_place_among_ties``);
 * push at a later instant (``engine.now + 1e-9`` in the event list): it
   runs after same-instant heap events scheduled after it
-  (``test_zero_delay_keeps_its_place_among_ties``);
-* forget ``_pending += 1``: ``pending_events`` goes negative and a
-  ``max_events`` tiling stops early (both fixed cases).
+  (``test_zero_delay_keeps_its_place_among_ties``).
+
+``Engine.pending_events`` is derived from the queues (the heap plus the
+parked buckets); the oracle keeps the incremental count the engine once
+kept — +1 per schedule, -1 per run, -n per guarded drop — and the two
+must agree after every ``run``.  Leaving the parked buckets out of the
+derived count fails ``test_same_events_in_the_same_order``.
 """
 
 from collections import deque
@@ -40,13 +44,29 @@ from repro.sim.engine import _NO_ARG, Delay, Engine, SimulationError
 
 
 class TwoQueueEngine(Engine):
-    """The engine as it was: an immediate-event deque beside the heap.
-    Its events are the ``[time, seq, callback, arg]`` lists the heap
-    holds."""
+    """The engine as it was: an immediate-event deque beside the heap and
+    a pending-event counter.  Its events are the ``[time, seq, callback,
+    arg]`` lists the heap holds."""
 
     def __init__(self) -> None:
         super().__init__()
         self._immediate = deque()
+        self._pending = 0
+
+    @property
+    def pending_events(self) -> int:
+        return self._pending
+
+    def call_at(self, when, callback, arg=_NO_ARG, guard=None):
+        event = super().call_at(when, callback, arg, guard)
+        self._pending += 1
+        return event
+
+    def _flush_guarded(self, flush_at):
+        parked = len(self._parked[flush_at])
+        on_heap = len(self._heap)
+        super()._flush_guarded(flush_at)
+        self._pending -= parked - (len(self._heap) - on_heap)
 
     def call_after(self, delay, callback, arg=_NO_ARG):
         if delay == 0.0:

@@ -31,7 +31,7 @@ class TestQueuedServiceHandler:
         handler = QueuedServiceHandler(engine, 0.1, address="s0")
         done_at = []
         reply = handler("shard0", {})
-        reply._on_settle(lambda r: done_at.append(engine.now))
+        reply._on_settle(lambda *_: done_at.append(engine.now))
         engine.run(until=1.0)
         assert done_at == [pytest.approx(0.1)]
         assert handler.served == 1
@@ -42,7 +42,7 @@ class TestQueuedServiceHandler:
         done_at = []
         for _ in range(3):  # three simultaneous arrivals at t=0
             handler("shard0", {})._on_settle(
-                lambda r: done_at.append(engine.now))
+                lambda *_: done_at.append(engine.now))
         assert handler.busy_until == pytest.approx(0.3)
         engine.run(until=1.0)
         assert done_at == [pytest.approx(0.1), pytest.approx(0.2),
@@ -56,7 +56,7 @@ class TestQueuedServiceHandler:
         assert handler.busy_until <= engine.now
         # A late arrival starts fresh, not behind the long-gone backlog.
         done_at = []
-        handler("shard0", {})._on_settle(lambda r: done_at.append(engine.now))
+        handler("shard0", {})._on_settle(lambda *_: done_at.append(engine.now))
         engine.run(until=10.0)
         assert done_at == [pytest.approx(5.1)]
 

@@ -163,6 +163,56 @@ def test_one_event_queue_and_one_way_to_wait():
                                                  "sim/network.py"]
 
 
+#: The request path: with tracing off, each tracer site in these modules
+#: costs one attribute load (DESIGN.md §5).
+REQUEST_PATH = ("sim/network.py", "discovery/router.py", "app/client.py",
+                "app/scatter.py", "app/server.py")
+_TRACER_CALLS = {"instant", "begin", "end", "counter"}
+_TRACER_GUARDS = {"enabled", "trace_span"}
+
+
+def _unguarded_tracer_calls(text: str) -> list:
+    """``Class.function`` of every ``<tracer>.instant/begin/end/counter``
+    call that no enclosing ``if`` reading ``.enabled`` or ``.trace_span``
+    guards."""
+    found = []
+
+    def visit(node, scope, guarded):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _TRACER_CALLS and not guarded):
+            receiver = node.func.value
+            if "tracer" in getattr(receiver, "id",
+                                   getattr(receiver, "attr", "")):
+                found.append(".".join(scope))
+        if isinstance(node, ast.If):
+            reads = {getattr(n, "attr", None) for n in ast.walk(node.test)}
+            visit(node.test, scope, guarded)
+            for child in node.body:
+                visit(child, scope, guarded or bool(reads & _TRACER_GUARDS))
+            for child in node.orelse:
+                visit(child, scope, guarded)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, guarded)
+
+    visit(ast.parse(text), (), False)
+    return found
+
+
+def test_request_path_tracer_calls_sit_behind_the_guard():
+    """A disabled tracer is skipped, not called: no args dict is built
+    and no ``NullTracer`` method runs per request.  The one exception,
+    ``RpcCall._trace_end``, is called only from ``RpcCall._settle``'s
+    ``if self.trace_span:`` branch."""
+    unguarded = {name: _unguarded_tracer_calls(SOURCES[name])
+                 for name in REQUEST_PATH}
+    assert {name: calls for name, calls in unguarded.items() if calls} == {
+        "sim/network.py": ["RpcCall._trace_end"]}
+
+
 def test_nothing_outside_the_standard_library_is_imported():
     """``dependencies = []``: with nothing installed beside the package,
     an import of a third-party module would be the first failure a user
