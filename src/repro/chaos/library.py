@@ -248,13 +248,14 @@ _SPECS: List[ScenarioSpec] = [
         name="zk_session_churn",
         title="ZooKeeper sessions expire and reconnect under the grace",
         actions=(
-            _act(40.0, "zk_expire", region="FRC", reconnect_after=5.0),
-            _act(80.0, "zk_expire", region="PRN", reconnect_after=5.0),
-            _act(120.0, "zk_expire", region="FRC", reconnect_after=5.0),
-            # Reconnect (5s) beats session timeout (10s) + grace (30s):
-            # the orchestrator must never drop a replica.
-            _act(170.0, "probe", check="server_alive", region="FRC",
-                 min_servers=4),
+            _act(40.0, "zk_expire", 5.0, region="FRC"),
+            _act(80.0, "zk_expire", 5.0, region="PRN"),
+            _act(120.0, "zk_expire", 5.0, region="FRC"),
+            # Each expiry's duration is its reconnect: 5 s beats the
+            # session timeout (zookeeper.SESSION_TIMEOUT, 10 s) plus the
+            # grace (30 s), so the orchestrator must never drop a replica
+            # and every FRC server is alive at the probe.
+            _act(170.0, "probe", check="server_alive", region="FRC"),
             _act(170.0, "probe", check="ready_fraction", min=0.95),
         ),
         duration=360.0,
@@ -268,7 +269,7 @@ _SPECS: List[ScenarioSpec] = [
             _act(40.0, "isolate_region", 100.0, region="ODN"),
             # Sessions die during the partition; servers reconnect only
             # after it heals (t=140) — replicas must fail over meanwhile.
-            _act(45.0, "zk_expire", region="ODN", reconnect_after=110.0),
+            _act(45.0, "zk_expire", 110.0, region="ODN"),
             _act(330.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=480.0,
@@ -281,7 +282,7 @@ _SPECS: List[ScenarioSpec] = [
         actions=(
             # Resolved at fire time: whichever machine hosts the shard
             # covering key 0 (rank 0 of the Zipf workload) goes down.
-            _act(60.0, "crash_hot_shard", 50.0, key=0),
+            _act(60.0, "crash_hot_shard", 50.0),
             _act(200.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=360.0,

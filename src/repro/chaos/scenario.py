@@ -102,14 +102,25 @@ class Param:
             return f"must be <= {top}, got {value!r}"
         return ""
 
-
-def _to_float(value: Any, what: str) -> float:
-    """``float(value)`` for a JSON number; one that no double holds (an
-    integer with hundreds of digits) is a ``ValueError`` naming ``what``."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} must be finite, got {value!r}") from None
+    def from_json(self, value: Any, what: str) -> Any:
+        """A JSON number (or null, where ``None`` is a value) as this
+        type: an int must be whole, a float one that a double holds (not
+        an integer with hundreds of digits).  Anything else is a
+        ``ValueError`` naming ``what``; ``problem`` checks the range."""
+        if value is None and self.nullable:
+            return None
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            null = " or null" if self.nullable else ""
+            raise ValueError(f"{what} must be a number{null}, got {value!r}")
+        if self.type is int:
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{what} must be a whole number, "
+                                 f"got {value!r}")
+            return int(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} must be finite, got {value!r}") from None
 
 
 #: The scenario-level scalar fields, in ``to_dict`` order: the type
@@ -126,7 +137,6 @@ SCALAR_FIELDS: Dict[str, Param] = {
     "zipf_skew": Param(float, minimum=0.0),
     "settle": Param(float, minimum=0.0),
     "failover_grace": Param(float, minimum=0.0),
-    "zk_session_timeout": Param(float, above=0.0),
     "restart_hint": Param(float, minimum=0.0),
     "discovery_base_delay": Param(float, minimum=0.0),
     "discovery_jitter": Param(float, minimum=0.0),
@@ -152,9 +162,11 @@ class FaultAction:
     """One timeline entry: at ``at`` seconds (relative to the scenario
     start, i.e. after deploy + settle), run the ``kind`` executor.
 
-    ``duration`` is how long self-reverting faults last; ``params`` are
-    kind-specific (region, machine index, impact, ...), stored as a
-    tuple of pairs so specs stay hashable/frozen.
+    ``duration`` is how long the fault lasts (a ``zk_expire``: until its
+    servers reconnect); a kind registered without one is instantaneous
+    and takes none.  ``params`` are kind-specific (region, machine index,
+    impact, ...), stored as a tuple of pairs so specs stay
+    hashable/frozen.
     """
 
     at: float
@@ -197,22 +209,15 @@ class FaultAction:
         if not isinstance(kind, str) or kind not in ACTIONS:
             raise ValueError(f"unknown action kind {kind!r}; "
                              f"known: {sorted(ACTIONS)}")
-        at = data.get("at")
-        if not isinstance(at, (int, float)) or isinstance(at, bool):
-            raise ValueError(f"action {kind!r}: 'at' must be a number, "
-                             f"got {at!r}")
-        duration = data.get("duration", 0.0)
-        if not isinstance(duration, (int, float)) or isinstance(duration,
-                                                                bool):
-            raise ValueError(f"action {kind!r}: 'duration' must be a "
-                             f"number, got {duration!r}")
+        seconds = Param(float)
+        at = seconds.from_json(data.get("at"), f"action {kind!r}: 'at'")
+        duration = seconds.from_json(data.get("duration", 0.0),
+                                     f"action {kind!r}: 'duration'")
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"action {kind!r}: 'params' must be an "
                              f"object, got {type(params).__name__}")
-        return cls(at=_to_float(at, f"action {kind!r}: 'at'"), kind=kind,
-                   duration=_to_float(duration,
-                                      f"action {kind!r}: 'duration'"),
+        return cls(at=at, kind=kind, duration=duration,
                    params=tuple(sorted(params.items())))
 
 
@@ -246,20 +251,10 @@ class Expectations:
         if unknown:
             raise ValueError(f"unknown expectation fields: "
                              f"{sorted(unknown)}")
-        for key, param in EXPECTATION_FIELDS.items():
-            value = data.get(key)
-            if key not in data or (value is None and param.nullable):
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                null = " or null" if param.nullable else ""
-                raise ValueError(f"expectations: {key!r} must be a "
-                                 f"number{null}, got {value!r}")
-        return cls(
-            availability_bound=data.get("availability_bound"),
-            failover_bound=data.get("failover_bound"),
-            final_ready_min=_to_float(data.get("final_ready_min", 0.95),
-                                      "expectations: 'final_ready_min'"),
-        )
+        return cls(**{key: param.from_json(data[key],
+                                           f"expectations: {key!r}")
+                      for key, param in EXPECTATION_FIELDS.items()
+                      if key in data})
 
 
 @dataclass(frozen=True)
@@ -283,7 +278,6 @@ class ScenarioSpec:
     zipf_skew: float = 0.0
     settle: float = 60.0
     failover_grace: float = 30.0
-    zk_session_timeout: float = 10.0
     restart_hint: float = 60.0
     discovery_base_delay: float = 1.0
     discovery_jitter: float = 1.0
@@ -371,26 +365,10 @@ class ScenarioSpec:
         if not isinstance(title, str):
             raise ValueError(f"scenario 'title' must be a string, "
                              f"got {title!r}")
-        kwargs: Dict[str, Any] = {}
-        for field_name, param in SCALAR_FIELDS.items():
-            if field_name in data:
-                value = data[field_name]
-                if value is None and param.nullable:
-                    kwargs[field_name] = None
-                    continue
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool):
-                    null = " or null" if param.nullable else ""
-                    raise ValueError(f"scenario {field_name!r} must be a "
-                                     f"number{null}, got {value!r}")
-                if param.type is int:
-                    if isinstance(value, float) and not value.is_integer():
-                        raise ValueError(f"scenario {field_name!r} must be "
-                                         f"a whole number, got {value!r}")
-                    kwargs[field_name] = int(value)
-                else:
-                    kwargs[field_name] = _to_float(
-                        value, f"scenario {field_name!r}")
+        kwargs = {field_name: param.from_json(data[field_name],
+                                              f"scenario {field_name!r}")
+                  for field_name, param in SCALAR_FIELDS.items()
+                  if field_name in data}
         return cls(
             name=name,
             title=title,
@@ -449,7 +427,8 @@ def action(kind: str, duration: float = 0.0, **params: Param
            ) -> Callable[[Callable[..., None]], Callable[..., None]]:
     """Register the executor of action ``kind`` with the one statement of
     what its timeline entries may say: ``duration`` is how long the fault
-    lasts when an entry gives none, ``params`` the entry's params by name.
+    lasts when an entry gives none (0: the kind is instantaneous and an
+    entry may give none either), ``params`` the entry's params by name.
     ``ACTIONS[kind](run, act)`` calls the executor with every param
     resolved (:func:`param_of`) as a keyword; ``validate_spec`` reads
     the same table."""
@@ -514,12 +493,12 @@ def _crash_region(run: "ScenarioRun", act: FaultAction, region: str) -> None:
                        duration_of(act))
 
 
-@action("crash_hot_shard", duration=45.0, key=Param(int, 0))
-def _crash_hot_shard(run: "ScenarioRun", act: FaultAction, key: int) -> None:
+@action("crash_hot_shard", duration=45.0)
+def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
     """Kill the machine hosting the hottest shard's primary, mid-run.
 
     Under a Zipf workload (``zipf_skew`` > 0) rank 0 maps to key 0, so
-    the hottest shard is the one covering ``key`` (default 0).  The
+    the hottest shard is the one covering key 0.  The
     target is resolved *at fire time* from the live assignment table —
     if the orchestrator already moved the hot shard, the fault follows
     it.  Falls back to the first app machine when no owner is resolvable
@@ -528,7 +507,7 @@ def _crash_hot_shard(run: "ScenarioRun", act: FaultAction, key: int) -> None:
     from ..core.shard_map import ReplicaState, Role
 
     shard_id = next((s.shard_id for s in run.app.spec.shards
-                     if key in s.key_range), None)
+                     if 0 in s.key_range), None)
     address = None
     if shard_id is not None and run.app.orchestrator is not None:
         replicas = run.app.orchestrator.table.replicas_of(shard_id)
@@ -579,19 +558,17 @@ def _partition_pair(run: "ScenarioRun", act: FaultAction, a: str,
     run.engine.call_after(duration_of(act), heal)
 
 
-@action("zk_expire", region=Param(str, region=True),
-        count=Param(int, minimum=0), reconnect_after=_seconds(5.0))
-def _zk_expire(run: "ScenarioRun", act: FaultAction, region: Optional[str],
-               count: Optional[int], reconnect_after: float) -> None:
-    """Kill the ZooKeeper sessions of the targeted servers; they
-    reconnect (new session + fresh ephemeral) after ``reconnect_after``.
+@action("zk_expire", duration=5.0, region=Param(str, region=True))
+def _zk_expire(run: "ScenarioRun", act: FaultAction,
+               region: Optional[str]) -> None:
+    """Kill the ZooKeeper sessions of the region's servers (every
+    server's, without a region); they reconnect (new session + fresh
+    ephemeral) after the action's duration.
     """
     servers = [run.app.runtime.servers[address]
                for address in run.app.runtime.running_addresses()]
     if region is not None:
         servers = [s for s in servers if s.region == region]
-    if count is not None:
-        servers = servers[:count]
     addresses = [s.address for s in servers]
     target = region or "all"
     fault = run.new_fault("zk_expire", target)
@@ -606,7 +583,7 @@ def _zk_expire(run: "ScenarioRun", act: FaultAction, region: Optional[str],
                 server.reconnect_zk()
         run.emit_recover(fault, "zk_expire", target)
 
-    run.engine.call_after(reconnect_after, reconnect)
+    run.engine.call_after(duration_of(act), reconnect)
 
 
 @action("maintenance", duration=120.0, region=_REGION, index=_MACHINE_INDEX,
@@ -721,13 +698,12 @@ def _orchestrator_failover(run: "ScenarioRun", act: FaultAction) -> None:
         check=Param(str, "ready_fraction",
                     choices=("machine_down", "machine_up", "ready_fraction",
                              "server_alive")),
-        min=Param(float, 0.9, minimum=0.0),
-        min_servers=Param(int, lambda spec: spec.servers_per_region,
-                          minimum=0))
+        min=Param(float, 0.9, minimum=0.0))
 def _probe(run: "ScenarioRun", act: FaultAction, region: str, index: int,
-           check: str, min: float, min_servers: int) -> None:
+           check: str, min: float) -> None:
     """Assert world state mid-scenario; failures become journal records
     that :meth:`TraceChecker.check_fault_recovery` turns into violations.
+    ``server_alive`` wants every server of the region alive.
     """
     ok = False
     detail = ""
@@ -743,8 +719,9 @@ def _probe(run: "ScenarioRun", act: FaultAction, region: str, index: int,
     elif check == "server_alive":
         alive = [a for a, r in run.app.orchestrator.servers.items()
                  if r.alive and r.machine.region == region]
-        ok = len(alive) >= min_servers
-        detail = f"alive={len(alive)} min={min_servers}"
+        wanted = run.spec.servers_per_region
+        ok = len(alive) >= wanted
+        detail = f"alive={len(alive)} min={wanted}"
     else:
         detail = f"unknown check {check!r}"
     run.emit_probe(ok, check, detail)
@@ -774,7 +751,6 @@ class ScenarioRun:
             seed=seed,
             discovery_base_delay=spec.discovery_base_delay,
             discovery_jitter=spec.discovery_jitter,
-            zk_session_timeout=spec.zk_session_timeout,
             obs=obs,
         )
         self.engine = self.cluster.engine

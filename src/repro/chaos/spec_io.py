@@ -31,8 +31,9 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
     expectation bound finite and in its range (``scenario.SCALAR_FIELDS``,
     ``scenario.EXPECTATION_FIELDS``), distinct non-empty
     region names, every action kind registered, action times inside
-    ``[0, duration]``, finite non-negative durations, a preferred region
-    per shard at most and each one of the spec's, and every param one
+    ``[0, duration]``, finite non-negative durations and none on an
+    instantaneous kind (one registered without a duration), a preferred
+    region per shard at most and each one of the spec's, and every param one
     its kind registered (:func:`repro.chaos.scenario.action`), of that
     type and in that range — a region-naming param resolvable against
     the spec's region list.  Nothing is built or run.  Returns the spec
@@ -80,6 +81,10 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             raise SpecValidationError(
                 f"{spec.name}: action {action.kind!r} needs a finite "
                 f"non-negative duration, got {action.duration!r}")
+        if action.duration and not ACTIONS[action.kind].duration:
+            raise SpecValidationError(
+                f"{spec.name}: action {action.kind!r} is instantaneous and "
+                f"takes no duration, got {action.duration!r}")
         known = ACTIONS[action.kind].params
         for name, value in action.params:
             if name not in known:

@@ -125,45 +125,6 @@ class ApproveAllController:
         return None
 
 
-class TracedTaskController:
-    """Transparent tracing decorator around any :class:`TaskController`.
-
-    The harness registers this wrapper with the cluster manager when
-    observability is enabled, while tests keep direct access to the
-    wrapped controller's internals via ``DeployedApp.controller``.
-    Emission is pure observation: approvals pass through unchanged.
-    """
-
-    __slots__ = ("inner", "_tracer")
-
-    def __init__(self, inner: TaskController, tracer) -> None:
-        self.inner = inner
-        self._tracer = tracer
-
-    def review_ops(self, ops: Sequence[ContainerOp]) -> List[ContainerOp]:
-        approved = self.inner.review_ops(ops)
-        if ops and self._tracer.enabled:
-            self._tracer.instant("taskcontrol", "review", None,
-                                 {"proposed": len(ops),
-                                  "approved": len(approved)})
-        return approved
-
-    def on_op_finished(self, op: ContainerOp) -> None:
-        if self._tracer.enabled:
-            self._tracer.instant("taskcontrol", "op_finished", None,
-                                 {"op": op.op_id, "kind": op.kind.value,
-                                  "reason": op.reason.value})
-        self.inner.on_op_finished(op)
-
-    def on_maintenance_notice(self, notice: MaintenanceNotice) -> None:
-        if self._tracer.enabled:
-            self._tracer.instant("taskcontrol", "maintenance_notice", None,
-                                 {"notice": notice.notice_id,
-                                  "impact": notice.impact.value,
-                                  "machines": len(notice.machine_ids)})
-        self.inner.on_maintenance_notice(notice)
-
-
 @dataclass
 class DenyAllController:
     """Holds every negotiable op forever; useful in tests."""

@@ -30,6 +30,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine
 
+#: Seconds a session outlives its last heartbeat unless it was opened
+#: with a timeout of its own.
+SESSION_TIMEOUT = 10.0
+
 
 class ZkError(RuntimeError):
     """Base class for coordination-store errors."""
@@ -218,9 +222,8 @@ class ZooKeeper:
     time (a real ZK quorum round-trip is microscopic next to the
     shard-management timescales we simulate)."""
 
-    def __init__(self, engine: Engine, default_session_timeout: float = 10.0) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.default_session_timeout = default_session_timeout
         self._root = _Znode(path="/", data=None)
         self._session_counter = itertools.count(1)
         self._czxid = itertools.count(1)
@@ -239,7 +242,7 @@ class ZooKeeper:
         """Open a session.  With ``heartbeats`` it is leased on that grid
         (see :class:`Session`); without, the caller heartbeats by hand."""
         session = Session(self, next(self._session_counter),
-                          timeout or self.default_session_timeout,
+                          timeout or SESSION_TIMEOUT,
                           heartbeats)
         self._sessions[session.session_id] = session
         return session

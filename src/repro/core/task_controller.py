@@ -145,9 +145,18 @@ class SMTaskController:
                     address, self.config.restart_duration_hint)
             approved.append(op)
             self.approved_total += 1
+        tracer = self.orchestrator.obs.tracer
+        if ops and tracer.enabled:
+            tracer.instant("taskcontrol", "review", None,
+                           {"proposed": len(ops), "approved": len(approved)})
         return approved
 
     def on_op_finished(self, op: ContainerOp) -> None:
+        tracer = self.orchestrator.obs.tracer
+        if tracer.enabled:
+            tracer.instant("taskcontrol", "op_finished", None,
+                           {"op": op.op_id, "kind": op.kind.value,
+                            "reason": op.reason.value})
         self._in_flight.pop(op.op_id, None)
         self._impacted_shards.pop(op.op_id, None)
         address = op.container.address
@@ -198,6 +207,12 @@ class SMTaskController:
         * NETWORK_LOSS: leave secondaries, demote primaries and promote
           their replicas on unaffected machines.
         """
+        tracer = self.orchestrator.obs.tracer
+        if tracer.enabled:
+            tracer.instant("taskcontrol", "maintenance_notice", None,
+                           {"notice": notice.notice_id,
+                            "impact": notice.impact.value,
+                            "machines": len(notice.machine_ids)})
         machine_ids = set(notice.machine_ids)
         addresses = [record.address
                      for record in self.orchestrator.servers.values()

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .app.client import ApplicationClient
 from .app.runtime import AppRuntime
 from .cluster.container import Container
-from .cluster.taskcontrol import TracedTaskController
 from .cluster.topology import Topology, build_topology
 from .cluster.twine import Twine, TwineConfig
 from .coordination.zookeeper import ZooKeeper
@@ -51,7 +50,6 @@ class SimCluster:
               twine_config: Optional[TwineConfig] = None,
               discovery_base_delay: float = 1.0,
               discovery_jitter: float = 1.0,
-              zk_session_timeout: float = 10.0,
               obs: Optional[Observability] = None) -> "SimCluster":
         obs = obs if obs is not None else get_default()
         engine = Engine()
@@ -75,8 +73,7 @@ class SimCluster:
             obs.metrics.gauge("net.rpcs_sent", lambda: network.rpcs_sent)
             obs.metrics.gauge("net.rpcs_failed", lambda: network.rpcs_failed)
             obs.metrics.gauge("net.rpc_latency_ms", obs.rpc_latency_ms)
-        zookeeper = ZooKeeper(engine,
-                              default_session_timeout=zk_session_timeout)
+        zookeeper = ZooKeeper(engine)
         discovery = ServiceDiscovery(engine, base_delay=discovery_base_delay,
                                      jitter=discovery_jitter,
                                      rng=substream(seed, "discovery"))
@@ -219,12 +216,8 @@ def deploy_app(cluster: SimCluster, spec: AppSpec,
     if with_task_controller:
         controller = SMTaskController(cluster.engine, orchestrator,
                                       controller_config)
-        # Twine talks to the traced facade; tests keep the raw controller
-        # (DeployedApp.controller) for white-box access to its internals.
-        registered = (TracedTaskController(controller, cluster.obs.tracer)
-                      if cluster.obs.enabled else controller)
         for region in servers_per_region:
-            cluster.twines[region].register_task_controller(registered)
+            cluster.twines[region].register_task_controller(controller)
 
     deployed = DeployedApp(spec=spec, runtime=runtime,
                            orchestrator=orchestrator, controller=controller,

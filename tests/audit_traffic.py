@@ -13,10 +13,11 @@ with.  One run feeds two fences.  It fails when
 
 * a function defined under ``src/repro`` was entered by none of them and
   matches no ``ALLOW`` pattern,
-* an option (a defaulted parameter of an entered function, or a
-  defaulted field of a ``*Config`` / ``*Params`` / ``*Spec`` /
-  ``MaintenanceSchedule`` dataclass) ran with one value only and matches
-  no ``ALLOW_OPTIONS`` pattern, or
+* an option (a defaulted parameter of an entered function, a defaulted
+  field of a ``*Config`` / ``*Params`` / ``*Spec`` /
+  ``MaintenanceSchedule`` dataclass, or a chaos action's param, named
+  ``chaos/scenario.py::ACTIONS.kind(param)``) ran with one value only
+  and matches no ``ALLOW_OPTIONS`` pattern, or
 * an entry of either list matches nothing, or every name it matches is
   entered / varied (a stale excuse); or ``ALLOW_OPTIONS`` holds more
   than ``TIER1_SIZE_LIMIT`` TIER1-SIZE entries.
@@ -165,6 +166,8 @@ INPUT = "INPUT: a user sets it through "
 BENCH_KW = "BENCH: bench/workloads.py passes it by keyword: "
 REFERENCE_RUN = "REFERENCE: a pinned test oracle runs it at another value: "
 TIER1_SIZE = "TIER1-SIZE: a tier-1 smoke test shrinks it: "
+TARGET = ("TARGET: names which machine or region a fault hits, like an "
+          "address")
 TIER1_SIZE_LIMIT = 15
 SMOKE = "tests/integration/test_experiments_smoke.py"
 
@@ -175,12 +178,6 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
     ("workloads/fleet.py::generate_fleet(seed)",
      SEED + " (Figs 2, 4 and 15/16 hand theirs down)"),
     # -- inputs -------------------------------------------------------------
-    ("chaos/scenario.py::ScenarioSpec.*",
-     INPUT + "a scenario spec file (run_chaos.py --scenario @file)"),
-    ("harness.py::SimCluster.build(zk_session_timeout)",
-     INPUT + "ScenarioSpec.zk_session_timeout"),
-    ("coordination/zookeeper.py::ZooKeeper.__init__(default_session_timeout)",
-     INPUT + "ScenarioSpec.zk_session_timeout, through SimCluster.build"),
     ("chaos/scenario.py::run_scenario(capacity)",
      INPUT + "run_chaos.py --capacity"),
     ("chaos/scenario.py::run_scenario(journal_path)",
@@ -208,6 +205,14 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
     ("coordination/zookeeper.py::ZooKeeper.exists(watch)",
      REFERENCE_RUN + "the same oracle times each expiry by watching the "
      "liveness node"),
+    # -- fault targets --------------------------------------------------------
+    ("chaos/scenario.py::ACTIONS.canary_restart(region)", TARGET),
+    ("chaos/scenario.py::ACTIONS.crash_machine(region)", TARGET),
+    ("chaos/scenario.py::ACTIONS.crash_rack(region)", TARGET),
+    ("chaos/scenario.py::ACTIONS.crash_rack(index)", TARGET),
+    ("chaos/scenario.py::ACTIONS.isolate_region(region)", TARGET),
+    ("chaos/scenario.py::ACTIONS.maintenance(region)", TARGET),
+    ("chaos/scenario.py::ACTIONS.partition_pair([ab])", TARGET),
     # -- tier-1 sizes ---------------------------------------------------------
     ("experiments/adevents_capacity.py::run(regions)",
      TIER1_SIZE + SMOKE + " compares 3, 4 and 8 regions"),

@@ -19,7 +19,7 @@ class Fixture:
     def __init__(self, shards=4, servers=3, replication=None):
         self.engine = Engine()
         self.network = Network(self.engine, rng=random.Random(1))
-        self.zookeeper = ZooKeeper(self.engine, default_session_timeout=10.0)
+        self.zookeeper = ZooKeeper(self.engine)
         topology = build_topology(["FRC"], machines_per_region=servers + 1)
         self.twine = Twine(self.engine, "FRC", topology.machines)
         self.spec = AppSpec(

@@ -110,7 +110,7 @@ class World:
     def __init__(self, base_loads_kind):
         self.engine = engine = Engine()
         network = Network(engine, rng=random.Random(1))
-        zookeeper = ZooKeeper(engine, default_session_timeout=10.0)
+        zookeeper = ZooKeeper(engine)
         topology = build_topology(["FRC"], machines_per_region=3)
         twine = Twine(engine, "FRC", topology.machines)
         spec = AppSpec(name="app", shards=uniform_shards(len(SHARDS), 50))

@@ -27,6 +27,7 @@ from repro.apps.kvstore import KVStoreApp
 from repro.apps.zippydb import ZippyDBApp
 from repro.baselines import PinnedAllocator, ring_placement
 from repro.baselines.consistent_hashing import ConsistentHashRing
+from repro.chaos import ACTIONS, ScenarioSpec
 from repro.cluster.maintenance import MaintenanceSchedule
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine, TwineConfig
@@ -498,6 +499,9 @@ REMOVED_OPTIONS = [
     (ConsistentHashRing, "virtual_nodes"),
     (ring_placement, "virtual_nodes"),
     (SimCluster.build, "latency"),
+    (SimCluster.build, "zk_session_timeout"),
+    (ZooKeeper, "default_session_timeout"),
+    (ScenarioSpec, "zk_session_timeout"),
     (Profiler().add, "calls"),
     (Profiler().to_trace, "track"),
     (Counter().add, "count"),
@@ -581,6 +585,11 @@ REMOVED_OPTIONS = [
     (scale.run, "replicas_per_mini_sm"),
     (skew_lb.run_arm, "params"),
     (skew_lb.run, "params"),
+    # Chaos action params, named by kind: registry entries, not keywords.
+    ("zk_expire", "count"),
+    ("zk_expire", "reconnect_after"),
+    ("crash_hot_shard", "key"),
+    ("probe", "min_servers"),
 ]
 
 
@@ -598,6 +607,9 @@ def _label(target) -> str:
     "target, name", REMOVED_OPTIONS,
     ids=[f"{_label(t)}-{n}" for t, n in REMOVED_OPTIONS])
 def test_removed_option_is_a_type_error(target, name):
+    if isinstance(target, str):     # an action kind: validate_spec names it
+        assert name not in ACTIONS[target].params
+        return
     # An unexpected keyword is rejected while the call is bound, before
     # any missing positional argument is looked at.
     with pytest.raises(TypeError,

@@ -236,7 +236,9 @@ MALFORMED = [
     (_doc(request_rate=INF), "request_rate must be finite"),
     (_doc(zipf_skew=-0.5), "zipf_skew must be >= 0.0"),
     (_doc(failover_grace=-3), "failover_grace must be >= 0.0"),
-    (_doc(zk_session_timeout=0), "zk_session_timeout must be > 0.0"),
+    # A knob the traffic ran at one value is a constant, not a field.
+    (_doc(zk_session_timeout=10.0),
+     "unknown scenario fields: ['zk_session_timeout']"),
     (_doc(restart_hint=NAN), "restart_hint must be finite"),
     (_doc(shards=0), "shards must be >= 1"),
     (_doc(replica_count=0), "replica_count must be >= 1"),
@@ -294,6 +296,24 @@ MALFORMED = [
     (_doc(actions=[{"at": 1.0, "kind": "prefer_region",
                     "params": {"shard": 8, "region": "PRN"}}]),
      "param 'shard' must be <= 7, got 8"),
+    # Action params the traffic ran at one value are gone: zk_expire hits
+    # the whole region, crash_hot_shard the shard covering key 0, and a
+    # server_alive probe wants every server of its region.
+    (_doc(actions=[{"at": 1.0, "kind": "zk_expire",
+                    "params": {"count": 2}}]),
+     "action 'zk_expire' has no param 'count'"),
+    (_doc(actions=[{"at": 1.0, "kind": "crash_hot_shard",
+                    "params": {"key": 0}}]),
+     "action 'crash_hot_shard' has no param 'key'"),
+    (_doc(actions=[{"at": 1.0, "kind": "probe",
+                    "params": {"min_servers": 3}}]),
+     "action 'probe' has no param 'min_servers'"),
+    # A kind registered without a duration is instantaneous.
+    (_doc(actions=[{"at": 1.0, "kind": "rolling_upgrade",
+                    "duration": 30.0}]),
+     "action 'rolling_upgrade' is instantaneous and takes no duration"),
+    (_doc(actions=[{"at": 1.0, "kind": "probe", "duration": 5.0}]),
+     "action 'probe' is instantaneous and takes no duration"),
 ]
 
 

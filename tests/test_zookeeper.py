@@ -25,7 +25,7 @@ def engine():
 
 @pytest.fixture
 def zk(engine):
-    return ZooKeeper(engine, default_session_timeout=10.0)
+    return ZooKeeper(engine)
 
 
 class TestNamespace:

@@ -11,7 +11,9 @@ them it records, for every function whose code lives under
 * the distinct values each of its defaulted parameters ran with —
   likewise every defaulted field of a config-like dataclass defined there
   (a class named ``*Config`` / ``*Params`` / ``*Spec`` or
-  ``MaintenanceSchedule``), read at its generated ``__init__``.
+  ``MaintenanceSchedule``), read at its generated ``__init__``, and
+  every chaos action param, read where ``chaos/scenario.py::param_of``
+  returns it to the executor.
 
 A value is keyed by its ``repr`` when it is a scalar, an enum member,
 ``None`` or a tuple of these; any other object makes the parameter a
@@ -22,8 +24,9 @@ the check only while the answer is still open.
 
 At exit it writes ``entered.<pid>.txt`` (one ``path::qualname`` line per
 function) and ``options.<pid>.json`` (``{option: [key, ...] or null}``,
-``null`` for a dependency; option names are ``path::qualname(param)``
-and ``path::Class.field``) to ``REPRO_TRAFFIC_OUT``.
+``null`` for a dependency; option names are ``path::qualname(param)``,
+``path::Class.field`` and ``chaos/scenario.py::ACTIONS.kind(param)``) to
+``REPRO_TRAFFIC_OUT``.
 
 ``atexit`` does not run in a process that leaves through ``os._exit``
 (multiprocessing pool workers), which is why the audit runs every script
@@ -96,12 +99,15 @@ def _install() -> None:
     start = {}            # id(code) -> f_lasti of a generator's first call
     options = {}          # option -> set of keys, or None (dependency)
     files = {}
+    param_of = [None]     # the code object of chaos/scenario.py::param_of
 
     def slots_for(frame, code):
         filename = code.co_filename
         if filename.startswith(prefix):
             rel = filename[cut:]
             entered.add(f"{rel}::{code.co_qualname}")
+            if rel == "chaos/scenario.py" and code.co_name == "param_of":
+                param_of[0] = code
             if rel not in files:
                 files[rel] = _defaulted_params(filename)
             names = files[rel].get((code.co_firstlineno, code.co_name), ())
@@ -144,8 +150,22 @@ def _install() -> None:
                 options[option].add(key)
             slots.remove(slot)
 
+    def resolved(frame, value):
+        """``param_of`` returns ``value`` for its action's param."""
+        local = frame.f_locals
+        option = (f"chaos/scenario.py::ACTIONS.{local['act'].kind}"
+                  f"({local['name']})")
+        keys = options.setdefault(option, set())
+        key = _key(value)
+        if key is None:
+            options[option] = None
+        elif keys is not None:
+            keys.add(key)
+
     def profile(frame, event, arg):
         if event != "call":
+            if event == "return" and frame.f_code is param_of[0]:
+                resolved(frame, arg)
             return
         code = frame.f_code
         slots = watch.get(id(code))
