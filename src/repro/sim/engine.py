@@ -186,7 +186,10 @@ class Engine:
 
         Returns the simulated time when the run stopped.  When ``until`` is
         given, the clock is advanced to exactly ``until`` even if the last
-        event fired earlier (so repeated ``run(until=...)`` calls tile time).
+        event fired earlier (so repeated ``run(until=...)`` calls tile time),
+        unless ``max_events`` cut the run first: then it stays at the last
+        executed event, so the events still due by ``until`` never run on
+        a clock that went backwards.
 
         With a tracer attached (see :meth:`set_tracer`) every
         ``ENGINE_SAMPLE``-th event executed by this call is sampled.
@@ -215,6 +218,8 @@ class Engine:
                 when = event[0]
                 if when > stop_after or executed >= limit:
                     heappush(heap, event)
+                    if when <= stop_after:
+                        until = None  # cut by max_events: the clock stays
                     break
                 self.now = when
                 callback = event[2]

@@ -12,8 +12,9 @@ The search evaluates one replica against a couple of dozen sampled
 targets at a time, so the interface also has the batch form
 ``move_deltas(replica, src, targets)``.  The three load goals (capacity,
 utilization, balance) are one :class:`_ThresholdGoal` with different
-limits; its batch form computes the source server's half of the delta
-once and only the destination half per target.
+limits; its batch form, like :class:`SpreadGoal`'s, computes the source
+server's half of the delta once and only the destination half per
+target.
 
 Violation *accounting* is incremental too.  The per-server goals
 (capacity, utilization, balance, drain) derive from
@@ -536,8 +537,12 @@ class SpreadGoal(Goal):
 
     Cost for a (shard, domain) cell with k co-located replicas is k - 1;
     total cost is the number of "excess" co-located replicas.  A counts
-    table makes deltas O(1), and a cached excess counter makes
-    ``violations()`` O(1).
+    table makes deltas O(1), a cached excess counter makes
+    ``violations()`` O(1), and the set of *crowded* cells (k > 1) keeps
+    ``violating_servers`` to the replicas in those cells: ``on_move``
+    updates the set when a count crosses 1 <-> 2, and a solve with no
+    crowded cell pays O(1) per round.  The shard -> replicas index the
+    cells are read through is built on the first round that needs it.
     """
 
     def __init__(self, problem: PlacementProblem, spec: ExclusionSpec) -> None:
@@ -547,18 +552,21 @@ class SpreadGoal(Goal):
         self.priority = spec.priority
         self.domain_of_server = _domain_array(problem, spec.scope)
         self._counts: Dict[Tuple[int, int], int] = {}
+        self._crowded: Set[Tuple[int, int]] = set()
+        self._replicas_of_shard: Optional[List[List[int]]] = None
         self._excess = 0
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self._counts.clear()
+        counts = self._counts
+        counts.clear()
         for r, server in enumerate(self.problem.assignment):
             if server == -1:
                 continue
             key = (self.problem.shard_of[r], self.domain_of_server[server])
-            self._counts[key] = self._counts.get(key, 0) + 1
-        self._excess = sum(count - 1 for count in self._counts.values()
-                           if count > 1)
+            counts[key] = counts.get(key, 0) + 1
+        self._crowded = {key for key, count in counts.items() if count > 1}
+        self._excess = sum(counts[key] - 1 for key in self._crowded)
         self._synced_version = self.problem.version
 
     def _sync(self) -> None:
@@ -585,33 +593,54 @@ class SpreadGoal(Goal):
         return sum(count - 1 for count in counts.values() if count > 1)
 
     def violating_servers(self) -> List[int]:
+        """Servers holding a replica of a crowded cell, in the order of
+        their smallest such replica index."""
         self._sync()
-        servers = []
-        seen = set()
-        for r, server in enumerate(self.problem.assignment):
-            if server == -1 or server in seen:
-                continue
-            key = (self.problem.shard_of[r], self.domain_of_server[server])
-            if self._counts.get(key, 0) > 1:
-                seen.add(server)
-                servers.append(server)
-        return servers
+        if not self._crowded:
+            return []
+        replicas_of_shard = self._replicas_of_shard
+        if replicas_of_shard is None:
+            replicas_of_shard = self._replicas_of_shard = [
+                [] for _ in self.problem.shard_names]
+            for r, shard in enumerate(self.problem.shard_of):
+                replicas_of_shard[shard].append(r)
+        assignment = self.problem.assignment
+        domain_of = self.domain_of_server
+        crowded = []
+        for shard, domain in self._crowded:
+            for r in replicas_of_shard[shard]:
+                server = assignment[r]
+                if server != -1 and domain_of[server] == domain:
+                    crowded.append(r)
+        crowded.sort()
+        return list(dict.fromkeys(assignment[r] for r in crowded))
+
+    def move_deltas(self, replica: int, src: int,
+                    targets: Sequence[int]) -> List[float]:
+        """Leaving a crowded cell removes one excess (-1.0), entering an
+        occupied one adds one (+1.0); the leave half is taken once."""
+        shard = self.problem.shard_of[replica]
+        domain_of = self.domain_of_server
+        counts = self._counts
+        if src == -1:
+            src_domain = None
+            leave = 0.0
+        else:
+            src_domain = domain_of[src]
+            leave = -1.0 if (shard, src_domain) in self._crowded else 0.0
+        deltas = []
+        for dst in targets:
+            dst_domain = domain_of[dst]
+            if dst_domain == src_domain:
+                deltas.append(0.0)
+            elif (shard, dst_domain) in counts:
+                deltas.append(leave + 1.0)
+            else:
+                deltas.append(leave)
+        return deltas
 
     def move_delta(self, replica: int, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
-        shard = self.problem.shard_of[replica]
-        src_domain = self.domain_of_server[src] if src != -1 else None
-        dst_domain = self.domain_of_server[dst]
-        if src_domain == dst_domain:
-            return 0.0
-        delta = 0.0
-        if src_domain is not None:
-            if self._counts.get((shard, src_domain), 0) > 1:
-                delta -= 1.0  # leaving a crowded domain removes one excess
-        if self._counts.get((shard, dst_domain), 0) >= 1:
-            delta += 1.0  # entering an occupied domain adds one excess
-        return delta
+        return self.move_deltas(replica, src, (dst,))[0]
 
     def on_move(self, replica: int, src: int, dst: int) -> None:
         if not self._note_move():
@@ -623,6 +652,8 @@ class SpreadGoal(Goal):
             count = counts.get(key, 0)
             if count > 1:
                 self._excess -= 1
+                if count == 2:
+                    self._crowded.discard(key)
             if count - 1 <= 0:
                 counts.pop(key, None)
             else:
@@ -632,6 +663,8 @@ class SpreadGoal(Goal):
             count = counts.get(key, 0)
             if count >= 1:
                 self._excess += 1
+                if count == 1:
+                    self._crowded.add(key)
             counts[key] = count + 1
 
     def crowded(self, replica: int) -> bool:
@@ -639,8 +672,8 @@ class SpreadGoal(Goal):
         if server == -1:
             return False
         self._sync()
-        key = (self.problem.shard_of[replica], self.domain_of_server[server])
-        return self._counts.get(key, 0) > 1
+        return ((self.problem.shard_of[replica], self.domain_of_server[server])
+                in self._crowded)
 
     def contributes(self, replica: int) -> bool:
         return self.crowded(replica)

@@ -38,20 +38,25 @@ proportional to what the search touches, never to the fleet):
   and ``changed_replicas`` comes from a first-origin record per moved
   replica instead of a before/after copy of the whole assignment;
 * **per round**, dirty-set caches keep ``refresh`` and ``violations`` to
-  the servers changed since the last round.  ``violating_servers`` is
-  not: ``SpreadGoal``'s scans every replica and ``AffinityGoal``'s walks
-  and sorts the unsatisfied groups, in the pinned hot-server order;
+  the servers changed since the last round, and ``SpreadGoal``'s
+  ``violating_servers`` reads only the replicas of its crowded cells
+  (O(1) when there is none).  ``AffinityGoal``'s still walks and sorts
+  the unsatisfied groups, in the pinned hot-server order;
 * **per move, candidates** cost one sort of the hot server's replicas by
-  memoised size, then O(k + skipped): the pinned / ``contributes``
-  filter and the equivalence dedup walk that order lazily and stop at
-  ``k = MAX_REPLICAS_PER_SERVER`` representatives.  Filtering a stably
-  sorted list equals sorting the filtered one, so the walk yields exactly
-  what filtering, sorting, deduplicating and slicing the whole server
-  would;
+  memoised size, then O(walked): the pinned / ``contributes`` filter and
+  the equivalence dedup walk that order lazily, one representative per
+  pull, and the search stops pulling at the first representative that
+  has an improving target (or at ``MAX_REPLICAS_PER_SERVER``).  A move
+  from the largest movable replica pays for the replicas up to it, not
+  for the server.  Filtering a stably sorted list equals sorting the
+  filtered one, so the walk yields a prefix of what filtering, sorting,
+  deduplicating and slicing the whole server would;
 * **per move, evaluation** costs, for each candidate replica and goal,
-  one batched ``move_deltas`` call: the source server's half of a
-  threshold goal's delta once, the destination half for each of the
-  <= ``CANDIDATE_SAMPLES`` sampled targets.
+  one batched ``move_deltas`` call: the source half of a threshold or
+  spread goal's delta once, the destination half for each of the
+  <= ``CANDIDATE_SAMPLES`` sampled targets.  The walk's pulls and the
+  evaluations interleave; their times are summed apart and booked to
+  ``candidates`` and ``evaluate`` once per hot server.
 
 Tie rule: replicas of equal size are tried in the iteration order of the
 server's ``replicas_on`` set (``sorted(reverse=True)`` is stable).  That
@@ -77,7 +82,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..metrics.profiler import Profiler
 from ..metrics.timeseries import TimeSeries
@@ -335,18 +340,27 @@ class LocalSearch:
                         higher: List[Goal], result: SolveResult) -> bool:
         profile = result.profile
         perf = time.perf_counter
-        t0 = perf()
-        replicas = self._candidate_replicas(server)
-        profile.add("candidates", perf() - t0)
+        # The walk is lazy, so its steps and the evaluations interleave:
+        # each side's time is summed here and booked once per call.
+        walk_s = evaluate_s = 0.0
+        first: Optional[int] = None
         chosen: Optional[int] = None
         target: Optional[int] = None
         t0 = perf()
-        for replica in replicas:
+        for replica in self._candidate_replicas(server):
+            t1 = perf()
+            walk_s += t1 - t0
+            if first is None:
+                first = replica
             target = self._best_target(replica, server, result)
+            t0 = perf()
+            evaluate_s += t0 - t1
             if target is not None:
                 chosen = replica
                 break
-        profile.add("evaluate", perf() - t0)
+        walk_s += perf() - t0
+        profile.add("candidates", walk_s)
+        profile.add("evaluate", evaluate_s)
         if chosen is not None:
             t0 = perf()
             self._move(chosen, server, target)
@@ -356,24 +370,30 @@ class LocalSearch:
                 result.trace.record(perf() - self._start_wall,
                                     self.total_violations())
             return True
-        if self.config.optimized and replicas:
+        if self.config.optimized and first is not None:
             t0 = perf()
-            swapped = self._try_swap(server, replicas[0], batch, higher,
-                                     result)
+            swapped = self._try_swap(server, first, batch, higher, result)
             profile.add("swap", perf() - t0)
             return swapped
         return False
 
-    def _candidate_replicas(self, server: int) -> List[int]:
+    def _candidate_replicas(self, server: int) -> Iterator[int]:
         """Up to ``MAX_REPLICAS_PER_SERVER`` movable replicas of ``server``
         in the order to try them: largest first, one per equivalence
-        class (baseline arm: shuffled, no classes)."""
+        class (baseline arm: shuffled, no classes).
+
+        The caller stops pulling at the first replica that has a target,
+        so the optimized walk goes no further than that one.  The baseline
+        shuffles the whole filtered list on the first pull, because its
+        number of draws is that list's length.
+        """
         problem = self.problem
         replicas = problem.replicas_on[server]
         if not self.config.optimized:
             movable = list(filter(self._movable, replicas))
             self.rng.shuffle(movable)
-            return movable[:MAX_REPLICAS_PER_SERVER]
+            yield from movable[:MAX_REPLICAS_PER_SERVER]
+            return
         capacity = problem.capacity[server]
         sizes = self._sizes.get(capacity)
         if sizes is None:
@@ -392,7 +412,7 @@ class LocalSearch:
         class_keys = self._class_keys
         spreads = self._spreads
         seen = set()
-        kept = []
+        kept = 0
         for replica in movable:
             key = class_keys.get(replica)
             if key is None:
@@ -405,10 +425,10 @@ class LocalSearch:
             if key in seen:
                 continue
             seen.add(key)
-            kept.append(replica)
-            if len(kept) >= MAX_REPLICAS_PER_SERVER:
-                break
-        return kept
+            yield replica
+            kept += 1
+            if kept >= MAX_REPLICAS_PER_SERVER:
+                return
 
     def _movable(self, replica: int) -> bool:
         """Not pinned, and moving it could help some goal of the batch."""

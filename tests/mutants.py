@@ -56,6 +56,7 @@ from repro.core.orchestrator import Orchestrator  # noqa: E402
 from repro.core.task_controller import SMTaskController  # noqa: E402
 from repro.discovery.router import ServiceRouter  # noqa: E402
 from repro.sim.network import RpcCall  # noqa: E402
+from repro.solver.goals import SpreadGoal  # noqa: E402
 from tests.test_chaos import LIBRARY_DIGESTS  # noqa: E402
 
 SEED = 0
@@ -196,6 +197,10 @@ CATALOGUE: Tuple[Mutant, ...] = (
            MigrationExecutor, "promote",
            rewrite("if current is not None and current.replica_id "
                    "!= replica.replica_id:", "if False:")),
+    Mutant("spread_stale_cell",
+           "the spread goal never forgets a crowded cell",
+           SpreadGoal, "on_move",
+           rewrite("self._crowded.discard(key)", "pass")),
 )
 
 BY_NAME: Dict[str, Mutant] = {mutant.name: mutant for mutant in CATALOGUE}

@@ -131,6 +131,24 @@ class TestScheduling:
         engine.run()
         assert seen == [0, 1, 2, 3, 4]
 
+    def test_max_events_cut_leaves_the_clock_at_the_last_event(self, engine):
+        """A run cut by ``max_events`` before ``until`` does not advance
+        the clock to ``until``: the events still due would then run on a
+        clock that went backwards (it returned 10.0, then fired at 2.0)."""
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            engine.call_at(when, lambda: fired.append(engine.now))
+        assert engine.run(until=10.0, max_events=1) == 1.0
+        assert engine.now == 1.0
+        assert engine.run(until=10.0, max_events=1) == 2.0
+        assert engine.run() == 3.0
+        assert fired == [1.0, 2.0, 3.0]
+        # Cut by ``until`` first, or drained inside the budget: it tiles.
+        engine.call_at(4.0, lambda: fired.append(engine.now))
+        assert engine.run(until=3.5, max_events=1) == 3.5
+        assert engine.run(until=10.0, max_events=5) == 10.0
+        assert fired == [1.0, 2.0, 3.0, 4.0]
+
     def test_processed_events_counter(self):
         engine = Engine()
         for _ in range(3):

@@ -7,7 +7,7 @@ exactly that — the same program with ``guard`` left out — so the two runs
 must log the same effective callbacks at the same instants and stop on the
 same clock, however the program mixes plain and guarded events
 and however the run is cut into ``run(until=...)`` / ``run(max_events=...)``
-calls.
+calls, or calls passing both.
 
 Instants and delays are mostly drawn from a few multiples of 1/8 s (half
 the engine's bucket width), so exact ties, bucket boundaries and deadlines
@@ -67,6 +67,8 @@ drivers = st.one_of(
     st.just(("drain",)),
     st.tuples(st.just("tile"), st.sampled_from([0.125, 0.25, 0.3, 1.0])),
     st.tuples(st.just("max_events"), st.integers(1, 4)),
+    st.tuples(st.just("tile_cut"), st.sampled_from([0.125, 0.25, 0.3, 1.0]),
+              st.integers(1, 4)),
 )
 
 
@@ -131,6 +133,22 @@ def _drive_both(program, driver):
         for side in (engine, oracle):
             while side.pending_events:
                 side.run(max_events=driver[1])
+    elif driver[0] == "tile_cut":
+        # Both arguments in one call.  The sides need different numbers
+        # of slices per tile, so only the tile ends must agree; a cut
+        # slice stops on its last event, never past one still due.
+        step, budget = driver[1], driver[2]
+        for tile in range(1, int(8.0 / step) + 1):
+            for side in (engine, oracle):
+                while True:
+                    before = side.processed_events
+                    side.run(until=tile * step, max_events=budget)
+                    assert side.now <= (side._heap[0][0] if side._heap
+                                        else float("inf"))
+                    if side.processed_events - before < budget:
+                        break
+                assert side.now == tile * step
+            assert log == expected
     assert engine.run() == oracle.run()
     assert log == expected
     assert engine.now == oracle.now

@@ -8,10 +8,10 @@ it takes anyway.  ``TwoQueueEngine`` below is the old engine, kept as the
 oracle: the same program must take the same ``seq`` for every event, run
 the same callbacks at the same instants in the same order, and stop with
 the same clock and ``pending_events`` — drained, tiled by
-``run(until=...)`` or cut by ``run(max_events=...)`` — however it mixes
-zero and non-zero delays, wake-ups through ``_schedule_immediate``,
-guarded events, callbacks that schedule more, and processes that join
-each other.
+``run(until=...)``, cut by ``run(max_events=...)`` or both in one call —
+however it mixes zero and non-zero delays, wake-ups through
+``_schedule_immediate``, guarded events, callbacks that schedule more,
+and processes that join each other.
 
 Instants and delays come from a few multiples of 1/8 s so that exact
 ties between heap events and zero-delay events are the rule.
@@ -97,6 +97,8 @@ class TwoQueueEngine(Engine):
                     event = heappop(heap)
                     if event[0] > stop_after or executed >= limit:
                         heappush(heap, event)
+                        if event[0] <= stop_after:
+                            until = None  # cut by max_events
                         break
                 else:
                     # The deque is FIFO with increasing seq, so only its
@@ -110,6 +112,8 @@ class TwoQueueEngine(Engine):
                             event = head
                             from_heap = True
                     if event[0] > stop_after or executed >= limit:
+                        if event[0] <= stop_after:
+                            until = None  # cut by max_events
                         break
                     if from_heap:
                         heappop(heap)
@@ -159,6 +163,8 @@ drivers = st.one_of(
     st.just(("drain",)),
     st.tuples(st.just("tile"), st.sampled_from([0.125, 0.3, 1.0])),
     st.tuples(st.just("max_events"), st.integers(1, 5)),
+    st.tuples(st.just("tile_cut"), st.sampled_from([0.125, 0.3, 1.0]),
+              st.integers(1, 5)),
 )
 
 
@@ -253,6 +259,22 @@ def _drive_both(program, driver):
             assert engine.run(max_events=driver[1]) \
                 == oracle.run(max_events=driver[1])
             same()
+    elif driver[0] == "tile_cut":
+        # Both arguments in one call: each tile is cut into max_events
+        # slices; a cut slice stops on its last event, never past one
+        # still due.
+        step, budget = driver[1], driver[2]
+        for tile in range(1, int(6.0 / step) + 1):
+            while True:
+                before = engine.processed_events
+                assert engine.run(until=tile * step, max_events=budget) \
+                    == oracle.run(until=tile * step, max_events=budget)
+                same()
+                assert engine.now <= (engine._heap[0][0] if engine._heap
+                                      else float("inf"))
+                if engine.processed_events - before < budget:
+                    break
+            assert engine.now == tile * step
     assert engine.run() == oracle.run()
     same()
     assert engine.pending_events == 0

@@ -15,13 +15,15 @@ swaps.
 
 The second half is the oracle for the lazy search: the eager candidate
 selection (filter, normalise, sort, dedup, slice over the whole server),
-the per-target evaluation loop and the single-call threshold
+the per-target evaluation loop and the single-call threshold and spread
 ``move_delta`` the solver used before its cost was made proportional to
 what the search touches are kept *here* as the reference, and random
-problems must produce the same candidates at every call, the same move
-sequence, evaluation count and RNG state, float for float.
+problems must walk a prefix of the same candidates at every call, pick
+the same target for every replica it evaluates, and end with the same
+move sequence, evaluation count and RNG state, float for float.
 """
 
+import functools
 import random
 from dataclasses import replace
 
@@ -218,8 +220,38 @@ class TestDrainSemantics:
 THRESHOLD_GOALS = (CapacityGoal, UtilizationGoal, BalanceGoal)
 
 
+def reference_crowded(goal, replica):
+    """A spread goal's crowded test read off its counts table, not off
+    the crowded-cell set the goal keeps beside it."""
+    server = goal.problem.assignment[replica]
+    return server != -1 and goal._counts.get(
+        (goal.problem.shard_of[replica], goal.domain_of_server[server]),
+        0) > 1
+
+
+def reference_spread_delta(goal, replica, src, dst):
+    """The single-call spread delta, from the counts table."""
+    if src == dst:
+        return 0.0
+    shard = goal.problem.shard_of[replica]
+    src_domain = goal.domain_of_server[src] if src != -1 else None
+    dst_domain = goal.domain_of_server[dst]
+    if src_domain == dst_domain:
+        return 0.0
+    delta = 0.0
+    if src_domain is not None:
+        if goal._counts.get((shard, src_domain), 0) > 1:
+            delta -= 1.0  # leaving a crowded domain removes one excess
+    if goal._counts.get((shard, dst_domain), 0) >= 1:
+        delta += 1.0  # entering an occupied domain adds one excess
+    return delta
+
+
 def reference_move_delta(goal, replica, src, dst):
-    """The single-call delta: the three load goals each carried this body."""
+    """The single-call delta: the three load goals each carried this
+    body, and the spread goal ``reference_spread_delta``'s."""
+    if isinstance(goal, SpreadGoal):
+        return reference_spread_delta(goal, replica, src, dst)
     if not isinstance(goal, THRESHOLD_GOALS):
         return goal.move_delta(replica, src, dst)
     load = goal.problem.loads[replica][goal.metric]
@@ -248,7 +280,8 @@ def eager_dedup(search, replicas):
     for replica in replicas:
         key = (load_keys[replica],
                pref[replica] if pref is not None else -1,
-               tuple(goal.crowded(replica) for goal in search._spreads))
+               tuple(reference_crowded(goal, replica)
+                     for goal in search._spreads))
         if key in seen:
             continue
         seen.add(key)
@@ -261,6 +294,10 @@ def eager_candidates(search, server, rng):
     problem = search.problem
     pinned = problem.replica_pinned
     checks = search._contrib_checks
+    if checks is not None:
+        checks = [functools.partial(reference_crowded, check.__self__)
+                  if isinstance(check.__self__, SpreadGoal) else check
+                  for check in checks]
     replicas = [r for r in problem.replicas_on[server]
                 if not pinned[r]
                 and (checks is None or any(check(r) for check in checks))]
@@ -287,62 +324,110 @@ def eager_candidates(search, server, rng):
     return replicas[:MAX_REPLICAS_PER_SERVER]
 
 
-class EagerSearch(LocalSearch):
-    """The reference: eager candidates, one ``move_delta`` per target."""
+def reference_best_target(search, replica, src, batch, higher):
+    """The per-target loop with single-call deltas: the best improving
+    target (or None) and how many targets were evaluated."""
+    higher = [g for g in higher
+              if not (search.nonneg and isinstance(g, CapacityGoal))]
+    best_delta = -1e-9
+    best_target = None
+    evaluated = 0
+    for target in search._sample_targets(replica, src):
+        if search.problem.server_draining[target]:
+            continue
+        if not all(g.fitting(replica, (target,))
+                   for g in search.capacity_goals):
+            continue
+        evaluated += 1
+        if any(reference_move_delta(g, replica, src, target) > 1e-9
+               for g in higher):
+            continue
+        delta = 0.0
+        for goal in batch:
+            delta += goal.weight * reference_move_delta(
+                goal, replica, src, target)
+        if delta < best_delta:
+            best_delta = delta
+            best_target = target
+    return best_target, evaluated
+
+
+class RecordsBatch(LocalSearch):
+    """Keeps the batch and higher goals of the server being improved."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.nonneg = all(min(load, default=0.0) >= 0.0
+                          for load in self.problem.loads)
 
     def _improve_server(self, server, batch, higher, result):
         self._ref_batch, self._ref_higher = batch, higher
         return super()._improve_server(server, batch, higher, result)
 
+
+class EagerSearch(RecordsBatch):
+    """The reference: eager candidates, one ``move_delta`` per target."""
+
     def _candidate_replicas(self, server):
         return eager_candidates(self, server, self.rng)
 
     def _best_target(self, replica, src, result):
-        nonneg = all(min(load, default=0.0) >= 0.0
-                     for load in self.problem.loads)
-        higher = [g for g in self._ref_higher
-                  if not (nonneg and isinstance(g, CapacityGoal))]
-        best_delta = -1e-9
-        best_target = None
-        for target in self._sample_targets(replica, src):
-            if self.problem.server_draining[target]:
-                continue
-            if not all(g.fitting(replica, (target,))
-                       for g in self.capacity_goals):
-                continue
-            result.evaluations += 1
-            if any(reference_move_delta(g, replica, src, target) > 1e-9
-                   for g in higher):
-                continue
-            delta = 0.0
-            for goal in self._ref_batch:
-                delta += goal.weight * reference_move_delta(
-                    goal, replica, src, target)
-            if delta < best_delta:
-                best_delta = delta
-                best_target = target
-        return best_target
+        target, evaluated = reference_best_target(
+            self, replica, src, self._ref_batch, self._ref_higher)
+        result.evaluations += evaluated
+        return target
 
 
-class CheckedSearch(LocalSearch):
-    """The real search, with every candidate list held to the reference."""
+class CheckedSearch(RecordsBatch):
+    """The real search, held to the reference at every step: the
+    replicas a candidate walk yields are a prefix of the eager list, a
+    swap starts from that list's first replica, and every replica gets
+    the reference's target after the same draws and evaluations."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = 0
         self.pairs_seen = set()  # (server, replica) the search looked at
+        self.expected = []
 
     def _candidate_replicas(self, server):
         twin = random.Random()
         twin.setstate(self.rng.getstate())
-        expected = eager_candidates(self, server, twin)
+        expected = self.expected = eager_candidates(self, server, twin)
         self.pairs_seen.update((server, replica) for replica
                                in self.problem.replicas_on[server])
-        got = super()._candidate_replicas(server)
-        assert got == expected
-        assert self.rng.getstate() == twin.getstate()
         self.calls += 1
-        return got
+        walk = super()._candidate_replicas(server)
+        consumed = 0
+        for replica in walk:
+            if consumed == 0:  # the baseline shuffles on the first pull
+                assert self.rng.getstate() == twin.getstate()
+            assert replica == expected[consumed]
+            consumed += 1
+            yield replica
+        assert consumed == len(expected)
+        if consumed == 0:
+            assert self.rng.getstate() == twin.getstate()
+
+    def _best_target(self, replica, src, result):
+        rng = self.rng
+        self.rng = random.Random()
+        self.rng.setstate(rng.getstate())
+        try:
+            expected, evaluated = reference_best_target(
+                self, replica, src, self._ref_batch, self._ref_higher)
+        finally:
+            twin, self.rng = self.rng, rng
+        before = result.evaluations
+        target = super()._best_target(replica, src, result)
+        assert target == expected
+        assert result.evaluations - before == evaluated
+        assert rng.getstate() == twin.getstate()
+        return target
+
+    def _try_swap(self, hot, hot_replica, batch, higher, result):
+        assert hot_replica == self.expected[0]
+        return super()._try_swap(hot, hot_replica, batch, higher, result)
 
 
 @st.composite
@@ -361,14 +446,29 @@ def solver_cases(draw):
         pinned_share=draw(st.sampled_from([0.0, 0.2])),
         zero_capacity=draw(st.booleans()),
         placement_goals=draw(st.booleans()),
+        region_returns=draw(st.booleans()),
     )
 
 
+#: A region comes back empty after its replicas were re-created in the
+#: other two: every shard has two cells, one of them crowded, and the
+#: spread goals re-plan the lot (the shape of a solve after a region
+#: outage ends, at tiny size).
+REGION_RETURNS = dict(seed=3, num_metrics=2, num_servers=12, num_shards=14,
+                      replicas_per_shard=3, distinct_loads=2, fill=0.7,
+                      pinned_share=0.0, zero_capacity=False,
+                      placement_goals=True, region_returns=True)
+
+
 def build_case(case):
+    """``region_returns`` implies three replicas a shard, placed in
+    regions A and B only, and the placement goals."""
     rng = random.Random(case["seed"])
     num_metrics = case["num_metrics"]
     metrics = ["cpu", "storage", "shard_count"][:num_metrics]
-    num_replicas = case["num_shards"] * case["replicas_per_shard"]
+    region_returns = case["region_returns"]
+    replicas_per_shard = 3 if region_returns else case["replicas_per_shard"]
+    num_replicas = case["num_shards"] * replicas_per_shard
     load_vectors = [tuple(rng.choice([0.0, 1.0, 2.0, 2.5, 4.0])
                           for _ in range(num_metrics))
                     for _ in range(case["distinct_loads"])]
@@ -388,13 +488,22 @@ def build_case(case):
     replicas = []
     for shard in range(case["num_shards"]):
         preferred = rng.choice(["A", "B", None])
-        for copy in range(case["replicas_per_shard"]):
+        for copy in range(replicas_per_shard):
             replicas.append(ReplicaInfo(
                 name=f"sh{shard}#{copy}", shard=f"sh{shard}",
                 load=rng.choice(load_vectors), preferred_region=preferred,
                 pinned=rng.random() < case["pinned_share"]))
     problem = PlacementProblem(metrics, servers, replicas)
-    problem.random_assignment(rng)
+    if region_returns:
+        # Copies 0 and 1 in A and B, copy 2 back in one of them.
+        in_region = [[s for s in range(len(servers))
+                      if servers[s].region == region] for region in "AB"]
+        for replica in range(num_replicas):
+            copy = replica % 3
+            region = copy if copy < 2 else rng.randrange(2)
+            problem.move(replica, rng.choice(in_region[region]))
+    else:
+        problem.random_assignment(rng)
     goals = []
     for metric in metrics:
         goals.append(CapacityGoal(problem, CapacitySpec(metric=metric)))
@@ -404,7 +513,7 @@ def build_case(case):
             problem, BalanceSpec(metric=metric, band=0.05)))
     goals.append(BalanceGoal(problem, BalanceSpec(
         metric=metrics[0], scope=Scope.REGION, band=0.05, priority=6)))
-    if case["placement_goals"]:
+    if case["placement_goals"] or region_returns:
         goals.append(AffinityGoal(problem, AffinitySpec()))
         goals.append(SpreadGoal(problem, ExclusionSpec(scope=Scope.REGION)))
         goals.append(SpreadGoal(problem, ExclusionSpec(scope=Scope.HOST,
@@ -453,6 +562,14 @@ class TestLazySearchMatchesEagerOracle:
         assert_same_solve(lambda: build_case(case),
                           replace(ORACLE_CONFIGS[config], rng_seed=rng_seed))
 
+    @pytest.mark.parametrize("config", sorted(ORACLE_CONFIGS))
+    def test_region_returns(self, config):
+        """Half of the region cells start crowded: the spread batches
+        move replica after replica, most from a first representative."""
+        _search, result = assert_same_solve(
+            lambda: build_case(REGION_RETURNS), ORACLE_CONFIGS[config])
+        assert result.moves > 0
+
     @pytest.mark.parametrize("seed", [2, 6])
     def test_swap_path(self, seed):
         """Seeds on which no single move improves a hot server and the
@@ -476,10 +593,12 @@ class TestLazySearchMatchesEagerOracle:
 
 class TestThresholdDeltaSplit:
     """source half + destination half == the old single-call delta, bit
-    for bit, for each load goal — singly and in the batch form."""
+    for bit, for each load goal and the spread goals — singly and in the
+    batch form."""
 
     @pytest.mark.parametrize("name", ["capacity", "utilization",
-                                      "balance-global", "balance-region"])
+                                      "balance-global", "balance-region",
+                                      "spread-region", "spread-rack"])
     def test_bit_identical(self, name):
         rng = random.Random(13)
         for seed in range(6):
@@ -548,3 +667,91 @@ class TestCostFollowsTheSearch:
         result = search.solve()
         assert result.timed_out and result.moves > 0
         assert result.solve_time >= 6.0
+
+
+class CountingList(list):
+    """A list that counts the items read from it, by index or by
+    iteration."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+class WalkCountingSearch(LocalSearch):
+    """Per ``_improve_server`` call: replicas the candidate walk pulled
+    through the ``_movable`` filter, how many passed it (each gets a class
+    key), targets evaluated, and whether a move was made."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.walks = []
+
+    def _improve_server(self, server, batch, higher, result):
+        self._walked = self._keyed = self._evaluated = 0
+        moves = result.moves
+        moved = super()._improve_server(server, batch, higher, result)
+        self.walks.append((self._walked, self._keyed, self._evaluated,
+                           result.moves > moves))
+        return moved
+
+    def _movable(self, replica):
+        movable = super()._movable(replica)
+        self._walked += 1
+        self._keyed += movable
+        return movable
+
+    def _best_target(self, replica, src, result):
+        self._evaluated += 1
+        return super()._best_target(replica, src, result)
+
+
+class TestSpreadWorkFollowsTheMove:
+    """Work budgets on the region-returns instance, as counts (no
+    timings): a spread solve pays for the cells that are crowded and the
+    replicas the walk reaches, not for the fleet or the whole server."""
+
+    def test_no_crowded_cell_visits_no_replica(self):
+        # Copy 2 of every shard goes to region C, and the fleet is loaded
+        # lightly enough that no move crowds a cell again.
+        problem, goals = build_case(dict(REGION_RETURNS, fill=0.4))
+        in_c = [s for s, server in enumerate(problem.servers)
+                if server.region == "C"]
+        for replica in range(2, len(problem.replicas), 3):
+            problem.move(replica, in_c[replica % len(in_c)])
+        problem.assignment = CountingList(problem.assignment)
+        spreads = [g for g in goals if isinstance(g, SpreadGoal)]
+        visits = []
+        for goal in spreads:
+            def counted(goal=goal, scan=goal.violating_servers):
+                assert goal.violations() == 0
+                before = problem.assignment.reads
+                servers = scan()
+                visits.append(problem.assignment.reads - before)
+                return servers
+            goal.violating_servers = counted
+        result = LocalSearch(problem, goals, OPTIMIZED).solve()
+        assert result.moves == 12
+        assert visits == [0, 0]  # one round of each spread batch
+
+    def test_walk_stops_at_the_accepted_replica(self):
+        problem, goals = build_case(REGION_RETURNS)
+        search = WalkCountingSearch(problem, goals, OPTIMIZED)
+        result = search.solve()
+        first_taken = [(walked, keyed) for walked, keyed, evaluated, moved
+                       in search.walks if moved and evaluated == 1]
+        assert result.moves == 39 and len(first_taken) == 37
+        # One class key a call, the representative's: the replicas walked
+        # before it are the larger ones the filter skipped, and nothing
+        # after it is walked.
+        assert [keyed for _walked, keyed in first_taken] == [1] * 37
+        assert sum(walked for walked, _keyed in first_taken) == 55
