@@ -45,8 +45,8 @@ figures:
 
 # Would the oracles notice a wrong system?  Runs the library scenarios
 # under each seeded bug of tests/mutants.py and prints the kill matrix
-# (oracle / crash / pin columns); exits 1 if a mutant
-# tests/fixtures/kill_matrix.md marks as killed survives.
+# (oracle / crash / pin columns); exits 1, printing the rows that
+# differ, unless it prints tests/fixtures/kill_matrix.md byte for byte.
 mutants:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/mutants.py
 

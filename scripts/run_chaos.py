@@ -3,7 +3,7 @@
 
 Each (scenario, arm) cell builds its own simulated cluster, executes the
 scenario's fault timeline, and replays the journal through the
-TraceChecker invariants plus the scenario's expectation bounds.  By
+TraceChecker invariants plus the outage bound its spec implies.  By
 default every cell runs TWICE and the two journal digests must be
 bit-identical — the determinism contract is part of the oracle, not a
 separate test.  With ``--journal-dir`` each JSONL journal written is read
@@ -31,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.chaos import (ARMS, SCENARIOS,  # noqa: E402
                          SpecValidationError, all_scenarios, load_spec)
+from repro.chaos.scenario import outage_bound  # noqa: E402
 from repro.experiments import runner  # noqa: E402
 from repro.obs.trace_export import read_jsonl  # noqa: E402
 
@@ -100,14 +101,10 @@ def main() -> int:
 
     if args.list:
         for spec in all_scenarios():
-            exp = spec.expectations
-            bounds = []
-            if exp.availability_bound is not None:
-                bounds.append(f"avail<={exp.availability_bound:g}s")
-            if exp.failover_bound is not None:
-                bounds.append(f"failover<={exp.failover_bound:g}s")
-            bounds.append(f"ready>={exp.final_ready_min:g}")
-            print(f"{spec.name:36s} {spec.title}  [{', '.join(bounds)}]")
+            outage = ", ".join(f"{arm} {outage_bound(spec, arm):g}s"
+                               for arm in ARMS)
+            print(f"{spec.name:36s} {spec.title}  [outage<= {outage}; "
+                  f"ready>={spec.expectations.final_ready_min:g}]")
         return 0
 
     file_specs: Dict[str, Dict[str, Any]] = {}

@@ -20,10 +20,10 @@ faults can go wrong:
   crash lacks its recovery record.
 * ``zk_session_churn`` — session expiry + fast reconnect exercises the
   ephemeral-node lifecycle end to end (expire → delete → recreate under
-  a new session).  The tight availability bound proves a reconnect
-  faster than the failover grace never drops a shard.  Deploy itself
-  covers implicit parents: the orchestrator's child watch on the
-  servers root must fire for nodes ``create`` makes as side effects.
+  a new session): in the ``sm`` arm a reconnect faster than the
+  failover grace drops no shard and no request.  Deploy itself covers
+  implicit parents: the orchestrator's child watch on the servers root
+  must fire for nodes ``create`` makes as side effects.
 * ``compound_storm`` — an upgrade, two crash storms and a hot-shard
   kill overlapping on a small two-region fleet: the one timeline that
   reaches a crash deferred because its target is already down, a
@@ -37,8 +37,8 @@ the same builders (:func:`fig17_spec` to :func:`fig20_spec`, which has
 one size) at full size.
 
 Every scenario must pass with **zero** violations under every arm
-(:data:`~repro.chaos.scenario.ARMS`), so expectation bounds are set to
-what the *baseline* arm achieves — the arms share an oracle, not a bar.
+(:data:`~repro.chaos.scenario.ARMS`); how long a shard may go unserved
+is derived (:func:`~repro.chaos.scenario.outage_bound`), not set here.
 """
 
 from __future__ import annotations
@@ -150,8 +150,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(90.0, "probe", check="machine_up", region="FRC", index=0),
         ),
         duration=360.0,
-        expectations=Expectations(availability_bound=180.0,
-                                  failover_bound=120.0),
     ),
     ScenarioSpec(
         name="flapping_machine",
@@ -163,8 +161,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(200.0, "probe", check="machine_up", region="FRC", index=1),
         ),
         duration=420.0,
-        expectations=Expectations(availability_bound=240.0,
-                                  failover_bound=120.0),
     ),
     ScenarioSpec(
         name="crash_overlaps_maintenance",
@@ -180,7 +176,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(270.0, "probe", check="machine_up", region="FRC", index=2),
         ),
         duration=420.0,
-        expectations=Expectations(availability_bound=300.0),
     ),
     ScenarioSpec(
         name="maintenance_racing_upgrade",
@@ -193,7 +188,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(320.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=420.0,
-        expectations=Expectations(availability_bound=300.0),
     ),
     ScenarioSpec(
         name="crash_burst_stop",
@@ -217,8 +211,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(140.0, "probe", check="machine_up", region="FRC", index=0),
         ),
         duration=420.0,
-        expectations=Expectations(availability_bound=240.0,
-                                  failover_bound=180.0),
     ),
     ScenarioSpec(
         name="region_outage_failback",
@@ -229,8 +221,7 @@ _SPECS: List[ScenarioSpec] = [
             _act(380.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=480.0,
-        expectations=Expectations(availability_bound=240.0,
-                                  failover_bound=120.0, final_ready_min=0.9),
+        expectations=Expectations(final_ready_min=0.9),
     ),
     ScenarioSpec(
         name="partition_during_upgrade",
@@ -242,7 +233,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(300.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=420.0,
-        expectations=Expectations(availability_bound=300.0),
     ),
     ScenarioSpec(
         name="zk_session_churn",
@@ -259,8 +249,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(170.0, "probe", check="ready_fraction", min=0.95),
         ),
         duration=360.0,
-        expectations=Expectations(availability_bound=60.0,
-                                  failover_bound=60.0),
     ),
     ScenarioSpec(
         name="partition_isolates_region",
@@ -273,8 +261,7 @@ _SPECS: List[ScenarioSpec] = [
             _act(330.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=480.0,
-        expectations=Expectations(availability_bound=240.0,
-                                  failover_bound=120.0, final_ready_min=0.9),
+        expectations=Expectations(final_ready_min=0.9),
     ),
     ScenarioSpec(
         name="hot_shard_kill",
@@ -287,8 +274,6 @@ _SPECS: List[ScenarioSpec] = [
         ),
         duration=360.0,
         zipf_skew=1.4,
-        expectations=Expectations(availability_bound=180.0,
-                                  failover_bound=120.0),
     ),
     ScenarioSpec(
         name="orchestrator_failover",
@@ -298,7 +283,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(120.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=360.0,
-        expectations=Expectations(availability_bound=60.0),
     ),
     ScenarioSpec(
         name="failover_under_partition",
@@ -309,8 +293,7 @@ _SPECS: List[ScenarioSpec] = [
             _act(300.0, "probe", check="ready_fraction", min=0.85),
         ),
         duration=480.0,
-        expectations=Expectations(availability_bound=300.0,
-                                  final_ready_min=0.85),
+        expectations=Expectations(final_ready_min=0.85),
     ),
     ScenarioSpec(
         name="upgrade_with_orchestrator_failover",
@@ -322,7 +305,6 @@ _SPECS: List[ScenarioSpec] = [
             _act(320.0, "probe", check="ready_fraction", min=0.9),
         ),
         duration=420.0,
-        expectations=Expectations(availability_bound=300.0),
     ),
     ScenarioSpec(
         name="compound_storm",
@@ -340,8 +322,7 @@ _SPECS: List[ScenarioSpec] = [
         shards=8,
         request_rate=2.0,
         settle=40.0,
-        expectations=Expectations(availability_bound=30.0,
-                                  failover_bound=60.0, final_ready_min=0.9),
+        expectations=Expectations(final_ready_min=0.9),
     ),
     fig17_spec(),
     fig18_spec(),

@@ -15,10 +15,9 @@ Contract (see DESIGN.md, "Chaos scenarios"):
 * **audited** — every injected fault lands on the ``chaos`` journal
   track with a unique fault id and must be matched by a recovery record
   (:meth:`~repro.obs.checker.TraceChecker.check_fault_recovery`);
-* **checked** — after the run the full TraceChecker invariant set, the
-  final published map against the journal, and the scenario's
-  :class:`Expectations` (availability bound,
-  failover-detection bound, end-state health) is the pass/fail oracle.
+* **checked** — the full TraceChecker invariant set, the final published
+  map against the journal, every outage against :func:`outage_bound`
+  and the end-state health of :class:`Expectations` are the oracle.
 
 Faults compose through the cluster layer's down-hold mechanism: chaos
 crashes hold machines down under their fault id, planned maintenance
@@ -29,7 +28,7 @@ cut each other short.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..app.client import WorkloadRecorder
@@ -37,19 +36,21 @@ from ..cluster.container import Container
 from ..cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
 from ..cluster.topology import Machine
 from ..cluster.twine import RollingUpgrade
-from ..core.orchestrator import OrchestratorConfig
+from ..coordination.zookeeper import SESSION_TIMEOUT
+from ..core.orchestrator import EMERGENCY_CHECK_INTERVAL, OrchestratorConfig
 from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
 from ..core.task_controller import SMTaskControllerConfig
 from ..harness import DeployedApp, SimCluster, deploy_app
 from ..obs import Observability, use
-from ..obs.checker import TraceChecker, Violation
+from ..obs.checker import Outage, TraceChecker, Violation
 from ..sim.failures import CrashInjector
+from ..sim.network import DEFAULT_RPC_TIMEOUT
 from ..sim.rng import substream
 from ..workloads.load import ZipfKeySampler
 
 __all__ = ["FaultAction", "Expectations", "ScenarioSpec", "ScenarioResult",
            "ScenarioRun", "run_scenario", "ARMS", "ACTIONS", "Param",
-           "param_of", "duration_of"]
+           "param_of", "duration_of", "outage_bound"]
 
 #: Ablation arms every scenario runs under (Fig 17's three lines): SM's
 #: full machinery, SM without graceful migration, and a baseline with
@@ -149,10 +150,8 @@ SCALAR_FIELDS: Dict[str, Param] = {
 
 #: The ``expectations`` block's fields, held as ``SCALAR_FIELDS`` are:
 #: ``Expectations.from_dict`` checks each type, ``validate_spec`` each
-#: range.  A ``None`` bound is disabled.
+#: range.
 EXPECTATION_FIELDS: Dict[str, Param] = {
-    "availability_bound": Param(float, minimum=0.0, nullable=True),
-    "failover_bound": Param(float, minimum=0.0, nullable=True),
     "final_ready_min": Param(float, minimum=0.0, maximum=1.0),
 }
 
@@ -223,24 +222,14 @@ class FaultAction:
 
 @dataclass(frozen=True)
 class Expectations:
-    """Per-scenario invariant bounds (the oracle's tunable half).
+    """The one hand-set bound of a scenario; how long a shard may go
+    unserved is derived from the spec (:func:`outage_bound`)."""
 
-    ``None`` disables a bound — e.g. a scenario whose planned-event
-    suppression legitimately defers failover past any fixed bound.
-    """
-
-    #: Max seconds any shard may lack a READY primary (table-level).
-    availability_bound: Optional[float] = None
-    #: Max seconds between a server-killing fault and its recovery or
-    #: orchestrator failover record.
-    failover_bound: Optional[float] = None
     #: Fraction of desired replicas READY at scenario end.
     final_ready_min: float = 0.95
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"availability_bound": self.availability_bound,
-                "failover_bound": self.failover_bound,
-                "final_ready_min": self.final_ready_min}
+        return {"final_ready_min": self.final_ready_min}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Expectations":
@@ -404,17 +393,13 @@ class ScenarioResult:
     #: :meth:`~repro.obs.tracer.Journal.behaviour_digest` of the same
     #: journal: stable across simulator-substrate changes.
     behaviour_digest: str = ""
+    #: Why the run passed: its longest outage, with the bound it met.
+    longest_outage: Optional[Dict[str, Any]] = None
 
     def headline(self) -> Dict[str, Any]:
-        return {"scenario": self.name, "arm": self.arm, "seed": self.seed,
-                "digest": self.digest,
-                "behaviour_digest": self.behaviour_digest,
-                "records": self.records, "dropped": self.dropped,
-                "violations": self.violations, "faults": self.faults,
-                "recovers": self.recovers,
-                "requests_sent": self.requests_sent,
-                "requests_failed": self.requests_failed,
-                "ready_fraction": self.ready_fraction}
+        record = asdict(self)
+        record["scenario"] = record.pop("name")
+        return record
 
 
 # -- action executors ---------------------------------------------------------
@@ -423,20 +408,22 @@ ActionFn = Callable[["ScenarioRun", FaultAction], None]
 ACTIONS: Dict[str, ActionFn] = {}
 
 
-def action(kind: str, duration: float = 0.0, **params: Param
+def action(kind: str, duration: float = 0.0, unplanned: bool = False,
+           **params: Param
            ) -> Callable[[Callable[..., None]], Callable[..., None]]:
     """Register the executor of action ``kind`` with the one statement of
     what its timeline entries may say: ``duration`` is how long the fault
     lasts when an entry gives none (0: the kind is instantaneous and an
     entry may give none either), ``params`` the entry's params by name.
-    ``ACTIONS[kind](run, act)`` calls the executor with every param
-    resolved (:func:`param_of`) as a keyword; ``validate_spec`` reads
-    the same table."""
+    ``unplanned``: it takes machines or links away unannounced.  The
+    executor gets every param resolved (:func:`param_of`) as a keyword;
+    ``validate_spec`` reads the same table."""
     def register(fn: Callable[..., None]) -> Callable[..., None]:
         def execute(run: "ScenarioRun", act: FaultAction) -> None:
             fn(run, act, **{name: param_of(run.spec, act, name)
                             for name in params})
         execute.duration = duration
+        execute.unplanned = unplanned
         execute.params = params
         ACTIONS[kind] = execute
         return fn
@@ -459,6 +446,33 @@ def duration_of(act: FaultAction) -> float:
     return act.duration or ACTIONS[act.kind].duration
 
 
+def _planned(spec: "ScenarioSpec", arm: str) -> bool:
+    """The ``sm`` arm, and no action of an ``unplanned`` kind."""
+    return arm == "sm" and not any(ACTIONS[act.kind].unplanned
+                                   for act in spec.actions)
+
+
+def outage_bound(spec: "ScenarioSpec", arm: str,
+                 outage: Optional[Outage] = None) -> float:
+    """How long a shard may go without a READY primary on a live server
+    in a run of ``spec`` under ``arm`` (``outage``: in that outage).
+
+    A planned ``sm`` run hands each primary over: no gap, but a role swap
+    demotes before it promotes (``MigrationExecutor.promote``), one RPC.
+    Else a failover: the session expires, the grace passes, and a create,
+    which may wait a tick behind a running emergency, takes one RPC.
+    Chained loss: a create to a stopped server whose session lives times
+    out, and each tick may pick that server again until it expires."""
+    if _planned(spec, arm):
+        swaps = spec.replication is ReplicationStrategy.PRIMARY_SECONDARY
+        return DEFAULT_RPC_TIMEOUT if swaps else 0.0
+    detected = SESSION_TIMEOUT + spec.failover_grace
+    if outage is not None and outage.dead_target_stopped is not None:
+        detected = max(detected, outage.dead_target_stopped
+                       + SESSION_TIMEOUT - outage.start)
+    return detected + EMERGENCY_CHECK_INTERVAL + DEFAULT_RPC_TIMEOUT
+
+
 def _seconds(default: float) -> Param:
     return Param(float, default, minimum=0.0)
 
@@ -467,7 +481,8 @@ _REGION = Param(str, lambda spec: spec.regions[0], region=True)
 _MACHINE_INDEX = Param(int, 0, minimum=0)
 
 
-@action("crash_machine", duration=30.0, region=_REGION, index=_MACHINE_INDEX)
+@action("crash_machine", duration=30.0, unplanned=True, region=_REGION,
+        index=_MACHINE_INDEX)
 def _crash_machine(run: "ScenarioRun", act: FaultAction, region: str,
                    index: int) -> None:
     machine = run.machine_at(region, index)
@@ -475,7 +490,8 @@ def _crash_machine(run: "ScenarioRun", act: FaultAction, region: str,
                        duration_of(act))
 
 
-@action("crash_rack", duration=60.0, region=_REGION, index=_MACHINE_INDEX)
+@action("crash_rack", duration=60.0, unplanned=True, region=_REGION,
+        index=_MACHINE_INDEX)
 def _crash_rack(run: "ScenarioRun", act: FaultAction, region: str,
                 index: int) -> None:
     anchor = run.machine_at(region, index)
@@ -485,7 +501,7 @@ def _crash_rack(run: "ScenarioRun", act: FaultAction, region: str,
     run.crash_machines(region, machine_ids, "crash_rack", duration_of(act))
 
 
-@action("crash_region", duration=120.0, region=_REGION)
+@action("crash_region", duration=120.0, unplanned=True, region=_REGION)
 def _crash_region(run: "ScenarioRun", act: FaultAction, region: str) -> None:
     machine_ids = sorted({c.machine.machine_id
                           for c in run.app_containers(region)})
@@ -493,7 +509,7 @@ def _crash_region(run: "ScenarioRun", act: FaultAction, region: str) -> None:
                        duration_of(act))
 
 
-@action("crash_hot_shard", duration=45.0)
+@action("crash_hot_shard", duration=45.0, unplanned=True)
 def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
     """Kill the machine hosting the hottest shard's primary, mid-run.
 
@@ -526,7 +542,7 @@ def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
                        "crash_hot_shard", duration_of(act))
 
 
-@action("isolate_region", duration=90.0,
+@action("isolate_region", duration=90.0, unplanned=True,
         region=Param(str, lambda spec: spec.regions[-1], region=True))
 def _isolate_region(run: "ScenarioRun", act: FaultAction,
                     region: str) -> None:
@@ -542,7 +558,7 @@ def _isolate_region(run: "ScenarioRun", act: FaultAction,
     run.engine.call_after(duration_of(act), heal)
 
 
-@action("partition_pair", duration=90.0, a=_REGION,
+@action("partition_pair", duration=90.0, unplanned=True, a=_REGION,
         b=Param(str, lambda spec: spec.regions[1], region=True))
 def _partition_pair(run: "ScenarioRun", act: FaultAction, a: str,
                     b: str) -> None:
@@ -653,7 +669,7 @@ def _prefer_region(run: "ScenarioRun", act: FaultAction, shard: int,
                      {"region": region})
 
 
-@action("crash_burst", duration=120.0, region=_REGION,
+@action("crash_burst", duration=120.0, unplanned=True, region=_REGION,
         mtbf=Param(float, 60.0, above=0.0), repair=_seconds(25.0))
 def _crash_burst(run: "ScenarioRun", act: FaultAction, region: str,
                  mtbf: float, repair: float) -> None:
@@ -777,10 +793,22 @@ class ScenarioRun:
         for region in spec.regions:
             self.cluster.twines[region].set_machine_network_hook(
                 self.app.runtime.set_machine_network)
+        #: App server address -> the instants it came up and went down,
+        #: from an up (0.0: since deploy); odd length: up now.  Unjournaled.
+        self.uptime: Dict[str, List[float]] = {}
+        for container in self.app.containers:
+            container.on_started.append(self._server_changed)
+            container.on_stopped.append(self._server_changed)
+            self.uptime[container.address] = [0.0] if container.running else []
         self.t0 = self.engine.now
         self.recorder = WorkloadRecorder.with_bucket(30.0)
         #: Every rolling upgrade the timeline started, in start order.
         self.upgrades: List[RollingUpgrade] = []
+
+    def _server_changed(self, container: Container) -> None:
+        times = self.uptime[container.address]
+        if container.running is not (len(times) % 2 == 1):
+            times.append(self.engine.now)
 
     # -- target resolution ---------------------------------------------------
 
@@ -907,7 +935,7 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
     Builds a private :class:`Observability` context (scenario journals
     must not interleave with an ambient one), runs the timeline, then
     replays the journal through the TraceChecker (the final published
-    map included) plus the scenario's expectation bounds.
+    map included) and holds every outage to :func:`outage_bound`.
     ``journal_path`` dumps the raw journal (JSONL) for post-mortems.
     """
     obs = Observability(capacity=capacity)
@@ -924,13 +952,21 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
     violations: List[Violation] = checker.check()
     violations.extend(checker.check_shard_map(
         run.cluster.discovery.latest(run.app.spec.name)))
-    expectations = spec.expectations
-    if expectations.availability_bound is not None:
-        violations.extend(checker.check_availability(
-            expectations.availability_bound, until=run.engine.now))
-    if expectations.failover_bound is not None:
-        violations.extend(checker.check_failover_detection(
-            expectations.failover_bound))
+    longest: Optional[Dict[str, Any]] = None
+    for outage in checker.outages(run.uptime, run.engine.now):
+        summary = {"shard": outage.shard, "start": outage.start - run.t0,
+                   "length": outage.end - outage.start, "open": outage.open,
+                   "bound": outage_bound(spec, arm, outage)}
+        if summary["length"] > summary["bound"]:
+            violations.append(Violation(
+                "availability", f"no READY primary on a live server: "
+                f"{summary}", outage.seq))
+        if longest is None or summary["length"] > longest["length"]:
+            longest = summary
+    if _planned(spec, arm) and run.recorder.failed:
+        violations.append(Violation(
+            "planned-drops", f"{run.recorder.failed} of "
+            f"{run.recorder.sent} client requests failed", -1))
     chaos = [record.name for record in checker.records("chaos")]
     return ScenarioResult(
         name=spec.name,
@@ -947,4 +983,5 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
         requests_failed=run.recorder.failed,
         ready_fraction=run.app.ready_fraction(),
         behaviour_digest=journal.behaviour_digest(),
+        longest_outage=longest,
     )

@@ -20,6 +20,9 @@ every routable address must be explained by a READY transition record —
 the regression guard for paths (MiniSM partitions, emergency placement)
 that once bypassed the orchestrator's bookkeeping.
 
+:meth:`TraceChecker.outages` measures availability from the servers' live
+intervals, not the control plane's table (``chaos.scenario.outage_bound``).
+
 The checker tolerates ring-buffer truncation: span ends whose begins were
 evicted, and spans still open when the run stopped, are not violations.
 It reads the journal's columns in place; one pass over the track column
@@ -29,12 +32,13 @@ splits out the tracks the invariants replay (DESIGN.md, "Record schema").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_right
+from heapq import merge
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .tracer import KIND_BEGIN, KIND_END, KIND_INSTANT, Journal, TraceRecord
 
-__all__ = ["Violation", "TraceChecker", "REQUIRED_PHASES"]
+__all__ = ["Violation", "Outage", "TraceChecker", "REQUIRED_PHASES"]
 
 #: Per migration kind, the in-order phase sequence an ``ok`` span must show.
 REQUIRED_PHASES: Dict[str, Tuple[str, ...]] = {
@@ -60,9 +64,24 @@ class Violation:
                 "seq": self.seq}
 
 
+@dataclass(frozen=True)
+class Outage:
+    """An interval in which a served shard had no READY primary on a live
+    server (:meth:`TraceChecker.outages`), opened by record ``seq`` (-1: a
+    server's stop).  ``dead_target_stopped``: when the last stopped server
+    a create in it was sent to had stopped (``None``: no such create)."""
+
+    app: str
+    shard: str
+    start: float
+    end: float
+    open: bool      # still open when the run ended
+    seq: int
+    dead_target_stopped: Optional[float] = None
+
+
 #: The tracks whose records the invariants replay.
-_REPLAYED = ("shards", "migration", "chaos", "fluid", "scatter",
-             "orchestrator")
+_REPLAYED = ("shards", "migration", "chaos", "fluid", "scatter")
 
 
 def _is_subsequence(needle: Tuple[str, ...], haystack: List[str]) -> bool:
@@ -396,123 +415,88 @@ class TraceChecker:
                         record.seq))
         return violations
 
-    def check_failover_detection(self, bound: float) -> List[Violation]:
-        """Each crashed server must recover or fail over within ``bound``.
+    # -- availability, measured from the servers ---------------------------
 
-        ``chaos/fault`` records carry the application-server addresses the
-        fault took down (``addresses``); within ``bound`` seconds of the
-        fault, each must either come back (the fault's ``recover``) or
-        receive an ``orchestrator/failover`` instant (replicas recreated
-        elsewhere).  ``bound`` should cover detection (the ZK session
-        timeout) plus the orchestrator's failover grace.
-        """
-        faults: List[Tuple[int, float, str, List[str]]] = []
-        recovers: Dict[str, float] = {}
-        failovers: List[Tuple[float, str]] = []
-        for record in chain(self.records("chaos"),
-                            self.records("orchestrator")):
-            if record.kind != KIND_INSTANT:
+    def outages(self, uptime: Dict[str, List[float]],
+                until: float) -> List[Outage]:
+        """Each interval, after a shard's first READY primary, with none on
+        a live server: one pass over the ``shards`` records and ``uptime``
+        (address -> the instants it came up and went down, from an up).
+        A gap of no length is none; one open at ``until`` ends there."""
+        changes = sorted((time, 0, (index % 2 == 0, address))
+                         for address, times in uptime.items()
+                         for index, time in enumerate(times))
+        shards = ((record.time, 1, record)
+                  for record in self.records("shards"))
+        lost = self._creates_lost_to_stopped_servers(uptime)
+        up: Dict[str, bool] = {}
+        # (app, shard) -> replica id -> address, READY primaries only
+        primaries: Dict[Tuple[str, str], Dict[str, str]] = {}
+        opened: Dict[Tuple[str, str], Tuple[float, int]] = {}  # start, seq
+        served: set = set()     # shards that ever had a served primary
+        found: List[Outage] = []
+
+        def close(key: Tuple[str, str], start: float, end: float,
+                  still_open: bool, seq: int) -> None:
+            found.append(Outage(key[0], key[1], start, end, still_open, seq,
+                                max((stopped for sent, stopped in lost
+                                     if start <= sent <= end), default=None)))
+
+        def settle(key: Tuple[str, str], time: float, seq: int) -> None:
+            if any(map(up.get, primaries.get(key, {}).values())):
+                served.add(key)
+                start, first = opened.pop(key, (time, seq))
+                if time > start:
+                    close(key, start, time, False, first)
+            elif key in served and key not in opened:
+                opened[key] = (time, seq)
+
+        for time, is_record, item in merge(changes, shards):
+            if not is_record:
+                is_up, address = item
+                up[address] = is_up
+                for key, mine in primaries.items():
+                    if address in mine.values():
+                        settle(key, time, -1)
                 continue
-            args = record.args or {}
-            if record.track == "chaos":
-                if record.name == "fault" and args.get("addresses"):
-                    faults.append((record.seq, record.time,
-                                   args.get("fault", ""),
-                                   list(args["addresses"])))
-                elif record.name == "recover":
-                    recovers.setdefault(args.get("fault", ""), record.time)
-            elif record.name == "failover":
-                failovers.append((record.time, args.get("address", "")))
-        violations: List[Violation] = []
-        for seq, start, fault, addresses in faults:
-            recover_time = recovers.get(fault)
-            recovered = (recover_time is not None
-                         and recover_time - start <= bound)
-            for address in addresses:
-                if recovered:
-                    continue
-                if any(start <= t <= start + bound and a == address
-                       for t, a in failovers):
-                    continue
-                violations.append(Violation(
-                    "failover-detection",
-                    f"{address} went down with fault {fault!r} at "
-                    f"t={start!r} and neither recovered nor failed over "
-                    f"within {bound}s",
-                    seq))
-        return violations
-
-    def check_availability(self, bound: float,
-                           until: Optional[float] = None) -> List[Violation]:
-        """No shard may lack a READY primary for longer than ``bound``.
-
-        Replays the ``shards`` transition records and measures, per
-        (app, shard), every interval with no READY primary that *starts
-        after the shard first became available* (initial placement is
-        deploy latency, not an outage).  An interval still open at
-        ``until`` (default: the last journal timestamp) counts against
-        the bound too.
-        """
-        # (app, shard) -> replica_id -> (role, state)
-        shards: Dict[Tuple[str, str], Dict[str, Tuple[str, str]]] = {}
-        gap_start: Dict[Tuple[str, str], float] = {}
-        ever_ready: Dict[Tuple[str, str], bool] = {}
-        violations: List[Violation] = []
-        flagged: set = set()
-        times = self.journal.columns()[4]
-        last_time = times[-1] if times else 0.0
-
-        def has_ready_primary(key: Tuple[str, str]) -> bool:
-            return any(role == "primary" and state == "ready"
-                       for role, state in shards.get(key, {}).values())
-
-        for record in self.records("shards"):
-            if record.kind != KIND_INSTANT:
-                continue
-            args = record.args or {}
+            args = item.args or {}
             if args.get("op") == "reset":
-                app = args.get("app", "")
-                for key in [k for k in shards if k[0] == app]:
-                    shards[key].clear()
-                    # The restore re-adds replicas at the same instant; a
-                    # real gap only opens if it fails to.
-                    if ever_ready.get(key) and key not in gap_start:
-                        gap_start[key] = record.time
+                for key in [k for k in primaries if k[0] == args.get("app")]:
+                    del primaries[key]
+                    settle(key, time, item.seq)
                 continue
             key = (args.get("app", ""), args.get("shard", ""))
-            replicas = shards.setdefault(key, {})
-            replica_id = args.get("replica", "")
-            was_ready = has_ready_primary(key)
-            if args.get("op") == "drop":
-                replicas.pop(replica_id, None)
-            else:
-                replicas[replica_id] = (args.get("role", ""),
-                                        args.get("state", ""))
-            now_ready = has_ready_primary(key)
-            if now_ready:
-                ever_ready[key] = True
-                start = gap_start.pop(key, None)
-                if (start is not None and record.time - start > bound
-                        and key not in flagged):
-                    flagged.add(key)
-                    violations.append(Violation(
-                        "availability",
-                        f"shard {key[1]} of {key[0]} had no READY primary "
-                        f"for {record.time - start:.3f}s (t={start!r}.."
-                        f"{record.time!r}), bound {bound}s",
-                        record.seq))
-            elif was_ready and key not in gap_start:
-                gap_start[key] = record.time
-        end = until if until is not None else last_time
-        for key, start in gap_start.items():
-            if ever_ready.get(key) and end - start > bound and key not in flagged:
-                violations.append(Violation(
-                    "availability",
-                    f"shard {key[1]} of {key[0]} had no READY primary from "
-                    f"t={start!r} to the end of the run "
-                    f"({end - start:.3f}s > {bound}s)",
-                    -1))
-        return violations
+            mine = primaries.setdefault(key, {})
+            mine.pop(args.get("replica", ""), None)
+            if (args.get("op") != "drop" and args.get("role") == "primary"
+                    and args.get("state") == "ready"):
+                mine[args.get("replica", "")] = args.get("address", "")
+            settle(key, time, item.seq)
+        for key, (start, seq) in opened.items():
+            if until > start:
+                close(key, start, until, True, seq)
+        return found
+
+    def _creates_lost_to_stopped_servers(
+            self, uptime: Dict[str, List[float]]) -> List[Tuple[float, float]]:
+        """``(sent, stopped)`` of each failed ``sm.add_shard`` RPC (a
+        ``net`` span) sent to a server that had stopped at ``stopped``."""
+        columns = self.journal.columns()
+        rows = [row for row, name in enumerate(columns[3])
+                if name == "sm.add_shard"]
+        sent: Dict[int, Tuple[float, str]] = {}
+        lost: List[Tuple[float, float]] = []
+        for record in _views(columns, rows):
+            args = record.args or {}
+            if record.kind == KIND_BEGIN:
+                sent[record.span] = (record.time, args.get("dst", ""))
+            elif record.span in sent:
+                time, address = sent.pop(record.span)
+                times = uptime.get(address, [])
+                count = bisect_right(times, time)
+                if not args.get("ok") and count and count % 2 == 0:
+                    lost.append((time, times[count - 1]))
+        return lost
 
     # -- cross-check: final map vs transition records ------------------------
 

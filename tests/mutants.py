@@ -16,8 +16,9 @@ Running the file (``make mutants``) runs, under each mutant, every library
 scenario in every arm at seed 0, and prints one table, deterministic to
 the byte.  Its killer columns are kept apart:
 
-* **oracle** — a ``TraceChecker`` check, an expectation bound or a probe
-  reported a violation;
+* **oracle** — a ``TraceChecker`` check, an outage past the bound the
+  spec implies, a failed request in a planned ``sm`` timeline, or a
+  probe reported a violation;
 * **crash** — an in-code guard raised out of the run;
 * **pin** — a library run's ``behaviour_digest`` left its pin
   (``tests/fixtures/chaos_library_digests.json``).  Any behaviour change
@@ -28,14 +29,18 @@ that an oracle or a crash killed.  ``failed requests`` sums
 ``requests_failed`` over the library runs, unmutated -> mutated.
 
 The checked-in table is ``tests/fixtures/kill_matrix.md``; the run exits
-1 if a mutant that table marks as killed survives.  After a change that
-moves what the matrix shows, regenerate it with::
+1, printing the rows that differ, if the table it prints is not that one.
+After a change that moves what the matrix shows, regenerate it with::
 
     PYTHONPATH=src python tests/mutants.py > tests/fixtures/kill_matrix.md
+
+(that run exits 1, as the shell empties the file before the run reads
+it), and check that ``make mutants`` then exits 0.
 """
 
 from __future__ import annotations
 
+import difflib
 import inspect
 import json
 import sys
@@ -318,11 +323,11 @@ def killed_in(table: str) -> Dict[str, Tuple[str, str]]:
 def main() -> int:
     table = kill_matrix()
     sys.stdout.write(table)
-    survivors = sorted(set(killed_in(TABLE.read_text()))
-                       - set(killed_in(table)))
-    if survivors:
-        print(f"killed in {TABLE.relative_to(ROOT)}, survived now: "
-              f"{', '.join(survivors)}", file=sys.stderr)
+    differ = list(difflib.unified_diff(
+        TABLE.read_text().splitlines(), table.splitlines(),
+        str(TABLE.relative_to(ROOT)), "printed", lineterm="", n=0))
+    if differ:
+        print("\n".join(differ), file=sys.stderr)
         return 1
     return 0
 

@@ -11,7 +11,6 @@ from repro.chaos import (
     ACTIONS,
     ARMS,
     SCENARIOS,
-    Expectations,
     FaultAction,
     ScenarioRun,
     ScenarioSpec,
@@ -19,10 +18,13 @@ from repro.chaos import (
     get,
     run_scenario,
 )
+from repro.chaos.scenario import outage_bound
 from repro.cluster.maintenance import MaintenanceSchedule
 from repro.cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine
+from repro.core.orchestrator import EMERGENCY_CHECK_INTERVAL
+from repro.core.spec import ReplicationStrategy
 from repro.obs import NO_OBS, Observability, use
 from repro.obs.checker import TraceChecker
 from repro.obs.tracer import Journal, Tracer
@@ -74,9 +76,7 @@ class TestScenarioEngine:
 
     def test_faults_paired_and_clean(self):
         spec = small_spec(
-            [act(20.0, "crash_machine", 30.0, region="FRC", index=0)],
-            expectations=Expectations(availability_bound=120.0,
-                                      failover_bound=100.0))
+            [act(20.0, "crash_machine", 30.0, region="FRC", index=0)])
         result = run_scenario(spec, arm="sm", seed=3)
         assert not result.violations and not result.dropped, result.violations
         assert result.faults == result.recovers == 1
@@ -253,6 +253,9 @@ def _library_run(spec, obs):
         run.cluster.run(until=run.t0 + spec.duration)
         run.finish()
     app = run.app
+    # The uptime the outage pass reads ends where the runtime does.
+    assert ({address for address, times in run.uptime.items()
+             if len(times) % 2} == set(app.runtime.servers))
     return (run.engine.processed_events,
             run.cluster.network.rpcs_sent, run.cluster.network.rpcs_failed,
             run.recorder.sent, run.recorder.failed,
@@ -269,7 +272,9 @@ def test_library_run_untraced_matches_traced(name):
     timeline runs once under ``NO_OBS`` and once traced, and the two
     agree on events, RPCs, requests (each latency to the bit), moves and
     the final published map.  The traced run is held to its library pin,
-    so the untraced path is pinned through it."""
+    so the untraced path is pinned through it.  Each run's recorded live
+    servers must end as the runtime's: fails against an uptime record
+    that misses a restart (14 of the 19 timelines)."""
     spec = get(name)
     traced = Observability()
     assert _library_run(spec, NO_OBS) == _library_run(spec, traced)
@@ -317,96 +322,216 @@ class TestFaultRecoveryChecker:
         assert TraceChecker(journal).check_fault_recovery() == []
 
 
-class TestFailoverDetectionChecker:
-    def make(self):
-        journal = Journal()
-        return Tracer(journal), journal
-
-    def test_stranded_address_flagged(self):
-        tracer, journal = self.make()
-        tracer.instant("chaos", "fault", 10.0,
-                       {"fault": "f1", "kind": "crash", "target": "m0",
-                        "addresses": ["FRC/app/0"]})
-        violations = TraceChecker(journal).check_failover_detection(30.0)
-        assert [v.invariant for v in violations] == ["failover-detection"]
-
-    def test_failover_within_bound_passes(self):
-        tracer, journal = self.make()
-        tracer.instant("chaos", "fault", 10.0,
-                       {"fault": "f1", "kind": "crash", "target": "m0",
-                        "addresses": ["FRC/app/0"]})
-        tracer.instant("orchestrator", "failover", 25.0,
-                       {"app": "app", "address": "FRC/app/0",
-                        "replicas_lost": 2})
-        assert TraceChecker(journal).check_failover_detection(30.0) == []
-
-    def test_recovery_within_bound_passes(self):
-        tracer, journal = self.make()
-        tracer.instant("chaos", "fault", 10.0,
-                       {"fault": "f1", "kind": "crash", "target": "m0",
-                        "addresses": ["FRC/app/0"]})
-        tracer.instant("chaos", "recover", 20.0,
-                       {"fault": "f1", "kind": "crash", "target": "m0"})
-        assert TraceChecker(journal).check_failover_detection(30.0) == []
-
-
 class TestAvailabilityChecker:
+    """The outage pass (``TraceChecker.outages``) held to the bound the
+    spec implies (``outage_bound``), on hand-built ``shards`` journals
+    and server uptimes.  ``CRASH`` gets the unplanned bound,
+    ``SESSION_TIMEOUT`` + 30 s grace + one emergency tick + one create
+    (46 s); ``UPGRADE`` is planned, so its ``sm`` run gets 0.  Each test
+    names the broken pass it fails against."""
+
+    CRASH = small_spec([act(20.0, "crash_machine", 30.0)])
+    UPGRADE = small_spec([act(20.0, "rolling_upgrade")])
+
     def make(self):
         journal = Journal()
         return Tracer(journal), journal
 
     @staticmethod
-    def transition(tracer, time, op, replica="s0#1", role="primary",
-                   state="ready"):
+    def transition(tracer, time, op, replica="s0#1", address="a",
+                   role="primary", state="ready"):
         tracer.instant("shards", "transition", time,
                        {"app": "app", "op": op, "shard": "s0",
-                        "replica": replica, "address": "a", "role": role,
-                        "state": state})
+                        "replica": replica, "address": address,
+                        "role": role, "state": state})
 
-    def test_long_gap_flagged(self):
-        tracer, journal = self.make()
-        self.transition(tracer, 0.0, "add")
-        self.transition(tracer, 10.0, "set_state", state="starting")
-        self.transition(tracer, 100.0, "set_state", state="ready")
-        violations = TraceChecker(journal).check_availability(30.0)
-        assert [v.invariant for v in violations] == ["availability"]
+    @staticmethod
+    def create(tracer, sent, settled, address, ok):
+        span = tracer.begin("net", "sm.add_shard", sent,
+                            {"src": "orchestrator", "dst": address})
+        tracer.end(span, settled, {"ok": int(ok)}, track="net",
+                   name="sm.add_shard")
 
-    def test_short_gap_passes(self):
-        tracer, journal = self.make()
-        self.transition(tracer, 0.0, "add")
-        self.transition(tracer, 10.0, "set_state", state="starting")
-        self.transition(tracer, 25.0, "set_state", state="ready")
-        assert TraceChecker(journal).check_availability(30.0) == []
+    @staticmethod
+    def flagged(journal, uptime, until, spec=CRASH, arm="sm"):
+        outages = TraceChecker(journal).outages(uptime, until)
+        return outages, [o for o in outages
+                         if o.end - o.start > outage_bound(spec, arm, o)]
 
     def test_initial_placement_not_an_outage(self):
+        """Fails against a pass that opens a gap before a shard's first
+        READY primary: a slow deploy is no outage."""
         tracer, journal = self.make()
-        self.transition(tracer, 500.0, "add")  # slow deploy, never ready before
-        assert TraceChecker(journal).check_availability(30.0) == []
+        self.transition(tracer, 5.0, "add", state="starting")
+        self.transition(tracer, 500.0, "set_state")
+        assert self.flagged(journal, {"a": [0.0]}, 600.0) == ([], [])
 
-    def test_open_gap_at_end_counts(self):
+    def test_short_gap_passes(self):
+        """A restart inside the bound: the server stops at 10 s and is
+        back at 25 s with the table unchanged.  Fails against a pass that
+        reads the table alone, which sees no gap at all."""
         tracer, journal = self.make()
         self.transition(tracer, 0.0, "add")
-        self.transition(tracer, 10.0, "drop")
-        violations = TraceChecker(journal).check_availability(30.0,
-                                                              until=100.0)
-        assert len(violations) == 1
+        outages, flagged = self.flagged(journal, {"a": [0.0, 10.0, 25.0]},
+                                        100.0)
+        assert [(o.start, o.end) for o in outages] == [(10.0, 25.0)]
+        assert flagged == []
+
+    def test_failover_within_the_bound_passes(self):
+        """A crash replaced by a failover's create 38.1 s after the stop
+        (``crash_single``'s measured outage).  Fails against a pass that
+        measures from the table's drop at 48 s (0.1 s)."""
+        tracer, journal = self.make()
+        self.transition(tracer, 0.0, "add")
+        self.transition(tracer, 48.0, "drop")
+        self.transition(tracer, 48.1, "add", replica="s0#2", address="b")
+        outages, flagged = self.flagged(
+            journal, {"a": [0.0, 10.0], "b": [0.0]}, 100.0)
+        assert [o.end - o.start for o in outages] == [pytest.approx(38.1)]
+        assert flagged == []
+
+    def test_long_gap_flagged(self):
+        """The server stops and comes back 90 s later, never failed over
+        (the table keeps its primary READY).  Fails against a table-only
+        pass."""
+        tracer, journal = self.make()
+        self.transition(tracer, 0.0, "add")
+        _outages, flagged = self.flagged(journal, {"a": [0.0, 10.0, 100.0]},
+                                         200.0)
+        assert [(o.start, o.end, o.open) for o in flagged] == [
+            (10.0, 100.0, False)]
+
+    def test_open_gap_at_end_counts(self):
+        """A crash never replaced: the outage is still open when the run
+        ends, and is flagged up to that end.  Fails against a pass that
+        only closes outages a READY primary ends."""
+        tracer, journal = self.make()
+        self.transition(tracer, 0.0, "add")
+        self.transition(tracer, 50.0, "drop")
+        _outages, flagged = self.flagged(journal, {"a": [0.0, 10.0]}, 100.0)
+        assert [(o.start, o.end, o.open) for o in flagged] == [
+            (10.0, 100.0, True)]
 
     def test_reset_with_immediate_restore_passes(self):
+        """An orchestrator failover restores the primary at the instant
+        of its reset; even the planned ``sm`` bound of 0 holds.  Fails
+        against a pass that counts a gap of no length."""
         tracer, journal = self.make()
         self.transition(tracer, 0.0, "add")
         tracer.instant("shards", "transition", 50.0,
                        {"app": "app", "op": "reset"})
         self.transition(tracer, 50.0, "add", replica="s0#2")
-        assert TraceChecker(journal).check_availability(30.0) == []
+        assert self.flagged(journal, {"a": [0.0]}, 100.0,
+                            spec=self.UPGRADE) == ([], [])
 
     def test_reset_without_restore_flagged(self):
+        """Fails against a pass that ignores ``op=reset`` (the dead
+        incarnation's primary would still count)."""
         tracer, journal = self.make()
         self.transition(tracer, 0.0, "add")
         tracer.instant("shards", "transition", 50.0,
                        {"app": "app", "op": "reset"})
-        violations = TraceChecker(journal).check_availability(30.0,
-                                                              until=200.0)
-        assert len(violations) == 1
+        _outages, flagged = self.flagged(journal, {"a": [0.0]}, 200.0)
+        assert [(o.start, o.open) for o in flagged] == [(50.0, True)]
+
+    def chained_loss(self, end):
+        """``crash_burst_stop`` seed 1: the primary's server stops at
+        38.099 s and is failed over at 78 s, but the creates at 78 s and
+        80 s go to a server that stopped at 72.351 s and whose session
+        lives on; the create at ``end`` lands elsewhere."""
+        tracer, journal = self.make()
+        self.transition(tracer, 0.0, "add")
+        self.transition(tracer, 78.0, "drop")
+        for sent in (78.0, 80.0):
+            self.create(tracer, sent, sent + 1.0, "b", ok=False)
+        self.create(tracer, end - 0.002, end, "c", ok=True)
+        self.transition(tracer, end, "add", replica="s0#2", address="c")
+        uptime = {"a": [0.0, 38.099], "b": [0.0, 72.351], "c": [0.0]}
+        return self.flagged(journal, uptime, 200.0)
+
+    def test_chained_loss_passes_at_its_measured_length(self):
+        """46.903 s, past the single-loss 46 s but inside 50.252 s (the
+        dead target's stop + ``SESSION_TIMEOUT`` + a tick + a create):
+        fails against a bound without the chained-loss term."""
+        outages, flagged = self.chained_loss(85.002)
+        assert [o.end - o.start for o in outages] == [
+            pytest.approx(46.903)]
+        assert outages[0].dead_target_stopped == 72.351
+        assert flagged == []
+
+    def test_chained_loss_fails_one_emergency_tick_longer(self):
+        """The same loss one ``EMERGENCY_CHECK_INTERVAL`` later: fails
+        against a chained term with a tick of slack in it."""
+        _outages, flagged = self.chained_loss(85.002
+                                              + EMERGENCY_CHECK_INTERVAL)
+        assert len(flagged) == 1
+
+    def test_a_planned_role_swap_may_take_one_rpc(self):
+        """A primary-secondary app hands its primary over by demoting it
+        before promoting a secondary: 72 ms with no primary passes, a
+        swap past ``DEFAULT_RPC_TIMEOUT`` does not.  Fails against a
+        planned bound of 0 for every replication."""
+        spec = small_spec([act(20.0, "maintenance", impact="NETWORK_LOSS")],
+                          replication=ReplicationStrategy.PRIMARY_SECONDARY,
+                          replica_count=2)
+        uptime = {"a": [0.0], "b": [0.0]}
+        for promoted, flagged in ((40.074, 0), (41.003, 1)):
+            tracer, journal = self.make()
+            self.transition(tracer, 0.0, "add")
+            self.transition(tracer, 0.0, "add", replica="s0#2",
+                            address="b", role="secondary")
+            self.transition(tracer, 40.002, "set_role", role="secondary")
+            self.transition(tracer, promoted, "set_role", replica="s0#2",
+                            address="b")
+            assert len(self.flagged(journal, uptime, 100.0,
+                                    spec=spec)[1]) == flagged
+
+    def test_any_gap_in_a_planned_sm_timeline_is_flagged(self):
+        """A 2 ms handover gap: the ``sm`` arm's planned bound is 0, the
+        other arms' is the unplanned one.  Fails against a pass that lets
+        a planned timeline lose a primary for any time."""
+        tracer, journal = self.make()
+        self.transition(tracer, 0.0, "add")
+        self.transition(tracer, 60.0, "drop")
+        self.transition(tracer, 60.002, "add", replica="s0#2", address="b")
+        uptime = {"a": [0.0], "b": [0.0]}
+        _outages, flagged = self.flagged(journal, uptime, 100.0,
+                                         spec=self.UPGRADE)
+        assert len(flagged) == 1
+        assert self.flagged(journal, uptime, 100.0, spec=self.UPGRADE,
+                            arm="no_graceful")[1] == []
+
+
+class TestFailoverDetectionChecker:
+    """A crashed primary's address must be failed over or recovered
+    within the crash bound: the outage pass on the two ends a crash can
+    have without a failover, on ``TestAvailabilityChecker``'s journals."""
+
+    helpers = TestAvailabilityChecker
+
+    def test_stranded_address_flagged(self):
+        """The primary's server stops at 10 s and never comes back, and
+        no failover drops it: the table keeps it READY to the end.  Fails
+        against a pass that opens outages on table changes alone."""
+        tracer, journal = self.helpers().make()
+        self.helpers.transition(tracer, 0.0, "add")
+        _outages, flagged = self.helpers.flagged(journal, {"a": [0.0, 10.0]},
+                                                 100.0)
+        assert [(o.start, o.end, o.open) for o in flagged] == [
+            (10.0, 100.0, True)]
+
+    def test_recovery_within_bound_passes(self):
+        """The crashed machine recovers 40 s later, before any failover:
+        the outage ends when its server is up again, inside the 46 s
+        crash bound.  Fails against a pass that waits for a failover's
+        create to close an outage."""
+        tracer, journal = self.helpers().make()
+        self.helpers.transition(tracer, 0.0, "add")
+        outages, flagged = self.helpers.flagged(
+            journal, {"a": [0.0, 10.0, 50.0]}, 100.0)
+        assert [(o.start, o.end, o.open) for o in outages] == [
+            (10.0, 50.0, False)]
+        assert flagged == []
 
 
 class TestInjectorOverlap:

@@ -159,7 +159,7 @@ def test_run_experiments_check_trace_fails_on_a_truncated_journal(
 @pytest.mark.parametrize("expectations, needle", [
     ({"final_ready_min": None}, "'final_ready_min' must be a number"),
     ({"final_ready_min": 7}, "final_ready_min must be <= 1.0"),
-    ({"failover_bound": -1}, "failover_bound must be >= 0.0"),
+    ({"failover_bound": -1}, "unknown expectation fields: ['failover_bound']"),
 ])
 def test_run_chaos_malformed_expectations_exit_2(expectations, needle,
                                                   monkeypatch, capsys,

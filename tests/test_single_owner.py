@@ -27,7 +27,7 @@ from repro.apps.kvstore import KVStoreApp
 from repro.apps.zippydb import ZippyDBApp
 from repro.baselines import PinnedAllocator, ring_placement
 from repro.baselines.consistent_hashing import ConsistentHashRing
-from repro.chaos import ACTIONS, ScenarioSpec
+from repro.chaos import ACTIONS, Expectations, ScenarioSpec
 from repro.cluster.maintenance import MaintenanceSchedule
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine, TwineConfig
@@ -502,6 +502,10 @@ REMOVED_OPTIONS = [
     (SimCluster.build, "zk_session_timeout"),
     (ZooKeeper, "default_session_timeout"),
     (ScenarioSpec, "zk_session_timeout"),
+    # Hand-set outage bounds: the bound is derived from the spec
+    # (chaos.scenario.outage_bound).
+    (Expectations, "availability_bound"),
+    (Expectations, "failover_bound"),
     (Profiler().add, "calls"),
     (Profiler().to_trace, "track"),
     (Counter().add, "count"),

@@ -43,8 +43,7 @@ def test_round_trip_preserves_canonical_json():
 
 
 def test_expectations_round_trip():
-    exp = Expectations(availability_bound=12.5, failover_bound=None,
-                       final_ready_min=0.75)
+    exp = Expectations(final_ready_min=0.75)
     assert Expectations.from_dict(exp.to_dict()) == exp
 
 
@@ -220,10 +219,12 @@ MALFORMED = [
     # Expectations.from_dict
     (_doc(expectations=[]), "expectations must be an object"),
     (_doc(expectations={"vibes": 1}), "unknown expectation fields"),
+    # The hand-set outage bounds are gone: a spec that still writes one
+    # fails with the field named (the bound is derived from the spec).
     (_doc(expectations={"failover_bound": "soon"}),
-     "'failover_bound' must be a number or null"),
+     "unknown expectation fields: ['failover_bound']"),
     (_doc(expectations={"availability_bound": True}),
-     "'availability_bound' must be a number or null"),
+     "unknown expectation fields: ['availability_bound']"),
     (_doc(expectations={"final_ready_min": "most"}),
      "must be a number, got 'most'"),
     # validate_spec: degenerate scenario scalars, named before any
@@ -269,14 +270,17 @@ MALFORMED = [
      "expectations final_ready_min must be <= 1.0"),
     (_doc(expectations={"final_ready_min": -0.1}),
      "expectations final_ready_min must be >= 0.0"),
-    (_doc(expectations={"availability_bound": -1}),
-     "expectations availability_bound must be >= 0.0"),
-    (_doc(expectations={"availability_bound": INF}),
-     "expectations availability_bound must be finite"),
-    (_doc(expectations={"failover_bound": -5.0}),
-     "expectations failover_bound must be >= 0.0"),
-    (_doc(expectations={"failover_bound": INF}),
-     "expectations failover_bound must be finite"),
+    # What an older to_dict wrote, and what the library once set.
+    (_doc(expectations={"availability_bound": None}),
+     "unknown expectation fields: ['availability_bound']"),
+    (_doc(expectations={"availability_bound": 180.0}),
+     "unknown expectation fields: ['availability_bound']"),
+    (_doc(expectations={"failover_bound": None}),
+     "unknown expectation fields: ['failover_bound']"),
+    (_doc(expectations={"availability_bound": None, "failover_bound": None,
+                        "final_ready_min": 0.95}),
+     "unknown expectation fields: ['availability_bound', "
+     "'failover_bound']"),
     # The title's type, and the fields a figure's spec forwards.
     (_doc(title=5), "scenario 'title' must be a string, got 5"),
     (_doc(max_concurrent_container_ops="half"),
