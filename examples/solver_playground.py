@@ -76,7 +76,7 @@ def main() -> None:
     # pushes the other replica to a different region.
     for shard, preferred in (("shard0", "regionA"), ("shard1", "regionB")):
         placements = []
-        for index, replica in enumerate(problem.replicas):
+        for index, replica in enumerate(replicas):
             if replica.shard == shard:
                 server = problem.servers[problem.assignment[index]]
                 placements.append(server.region)

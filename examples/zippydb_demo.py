@@ -12,8 +12,7 @@ Run:  python examples/zippydb_demo.py
 
 from repro.apps.zippydb import ZippyDBApp
 from repro.core.orchestrator import OrchestratorConfig
-from repro.core.shard_map import Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 from repro.harness import SimCluster, deploy_app
 
 

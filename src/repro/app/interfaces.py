@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Protocol
 
-from ..core.shard_map import Role
+from ..core.spec import Role
 
 
 class ShardHost(Protocol):

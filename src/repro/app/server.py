@@ -19,8 +19,7 @@ from typing import Any, Callable, Dict, Optional
 from ..cluster.container import Container
 from ..coordination import layout
 from ..coordination.zookeeper import NodeExistsError, Session, ZooKeeper
-from ..core.shard_map import Role
-from ..core.spec import AppSpec
+from ..core.spec import AppSpec, Role
 from ..sim.engine import Engine
 from ..sim.network import AsyncReply, Network, NetworkError
 from .interfaces import NotOwnerError, RequestHandler

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..app.server import ApplicationServer
-from ..core.shard_map import Role, ShardMap
-from ..core.spec import AppSpec
+from ..core.shard_map import ShardMap
+from ..core.spec import AppSpec, Role
 from ..discovery.service_discovery import ServiceDiscovery
 from ..replication.paxos import Accepted, Acceptor, Ballot
 from ..sim.engine import Engine

@@ -27,7 +27,8 @@ from ..core.allocator import (
     MoveReplica,
     ServerRecord,
 )
-from ..core.shard_map import AssignmentTable, ReplicaState, Role
+from ..core.shard_map import AssignmentTable, ReplicaState
+from ..core.spec import Role
 from .consistent_hashing import ConsistentHashRing
 
 #: placement(shard_index, shard_id, sorted usable addresses) -> address

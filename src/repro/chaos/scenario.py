@@ -38,7 +38,7 @@ from ..cluster.topology import Machine
 from ..cluster.twine import RollingUpgrade
 from ..coordination.zookeeper import SESSION_TIMEOUT
 from ..core.orchestrator import EMERGENCY_CHECK_INTERVAL, OrchestratorConfig
-from ..core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from ..core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 from ..core.task_controller import SMTaskControllerConfig
 from ..harness import DeployedApp, SimCluster, deploy_app
 from ..obs import Observability, use
@@ -520,7 +520,7 @@ def _crash_hot_shard(run: "ScenarioRun", act: FaultAction) -> None:
     it.  Falls back to the first app machine when no owner is resolvable
     (e.g. the shard is mid-failover), so the action is total.
     """
-    from ..core.shard_map import ReplicaState, Role
+    from ..core.shard_map import ReplicaState
 
     shard_id = next((s.shard_id for s in run.app.spec.shards
                      if 0 in s.key_range), None)

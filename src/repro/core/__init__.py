@@ -24,7 +24,6 @@ from .shard_map import (
     AssignmentTable,
     ReplicaAssignment,
     ReplicaState,
-    Role,
     ShardMap,
     ShardMapEntry,
 )
@@ -35,6 +34,7 @@ from .spec import (
     KeyRange,
     LoadBalancePolicy,
     ReplicationStrategy,
+    Role,
     ShardSpec,
     uniform_shards,
 )

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..cluster.topology import FaultDomainLevel, Machine
 from ..solver.api import Rebalancer
 from ..solver.local_search import OPTIMIZED, SearchConfig, SolveResult
-from ..solver.problem import PlacementProblem, ReplicaInfo, ServerInfo
+from ..solver.problem import PlacementProblem, ServerInfo
 from ..solver.specs import (
     AffinitySpec,
     BalanceSpec,
@@ -33,8 +33,8 @@ from ..solver.specs import (
     Scope,
     UtilizationSpec,
 )
-from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState, Role
-from .spec import AppSpec
+from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState
+from .spec import AppSpec, Role
 
 _SCOPE_OF_LEVEL = {
     FaultDomainLevel.REGION: Scope.REGION,
@@ -259,13 +259,12 @@ class Allocator:
                 machine.datacenter, machine.rack, record.draining))
             address_to_index[record.address] = index
 
-        replica_infos = []
+        # One walk writes the solver's columns, in replica-index order.
         index_to_replica: List[ReplicaAssignment] = []
+        shards: List[str] = []
+        regions: List[Optional[str]] = []
         initial_assignment: List[int] = []
         ready, pending = ReplicaState.READY, ReplicaState.PENDING
-        drains = self.spec.drain_policy.drains
-        draining = {record.address for record in candidate_servers
-                    if record.draining}
         server_index_of = address_to_index.get
         replicas_view = table.replicas_view
         for shard in self.spec.shards:
@@ -275,23 +274,29 @@ class Allocator:
                 state = replica.state
                 if state is not ready and state is not pending:
                     continue
-                address = replica.address
-                server_index = server_index_of(address)
+                server_index = server_index_of(replica.address)
                 if server_index is None:
                     continue  # its server is down; emergency mode handles it
-                # A replica on a draining server whose role the app chose
-                # not to drain stays put (pinned): it tolerates the restart.
-                pinned = address in draining and not drains(replica.role)
                 index_to_replica.append(replica)
-                # Every region preference weighs 1.0.
-                replica_infos.append(ReplicaInfo(
-                    replica.replica_id, shard_id, load_of(replica),
-                    preferred_region, 1.0, pinned))
+                shards.append(shard_id)
+                regions.append(preferred_region)
                 initial_assignment.append(server_index)
-        if not replica_infos:
+        if not index_to_replica:
             raise RuntimeError("no movable replicas")
-        problem = PlacementProblem(metrics, server_infos, replica_infos,
-                                   assignment=initial_assignment)
+        # A replica on a draining server whose role the app chose not to
+        # drain stays put (pinned): it tolerates the restart.
+        draining = {record.address for record in candidate_servers
+                    if record.draining}
+        kept_roles = {role for role in Role
+                      if not self.spec.drain_policy.drains(role)}
+        pinned = [r.address in draining and r.role in kept_roles
+                  for r in index_to_replica]
+        # Every region preference weighs 1.0.
+        problem = PlacementProblem.from_columns(
+            metrics, server_infos,
+            lambda index: index_to_replica[index].replica_id,
+            shards, list(map(load_of, index_to_replica)), regions,
+            [1.0] * len(index_to_replica), pinned, initial_assignment)
         return problem, index_to_replica
 
     def attach_goals(self, problem: PlacementProblem) -> Rebalancer:

@@ -23,7 +23,8 @@ from typing import Any, Callable, Generator, Optional
 
 from ..sim.engine import Engine
 from ..sim.network import Network, RpcResult
-from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState, Role
+from .shard_map import AssignmentTable, ReplicaAssignment, ReplicaState
+from .spec import Role
 
 
 @dataclass

@@ -661,11 +661,5 @@ class Orchestrator:
 
     # -- queries used by the TaskController and experiments ------------------------------------------
 
-    def shards_on(self, address: str) -> List[str]:
-        return self.table.shards_on(address)
-
-    def unavailable_count(self, shard_id: str) -> int:
-        return self.table.unavailable_count(shard_id, self.down_addresses())
-
     def replica_total(self) -> int:
         return len(self.table.all_replicas())

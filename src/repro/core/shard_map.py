@@ -37,10 +37,11 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Container, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..obs.tracer import NO_TRACER
-from .spec import AppSpec, ShardSpec
+from .spec import AppSpec, Role, ShardSpec
 
 #: Chunk geometry for the copy-on-write columns, sized by what a publish
 #: touches.  With N shards in chunks of C, one publish plus one
@@ -53,11 +54,6 @@ from .spec import AppSpec, ShardSpec
 _CHUNK_SHIFT = 8
 _CHUNK = 1 << _CHUNK_SHIFT
 _CHUNK_MASK = _CHUNK - 1
-
-
-class Role(str, Enum):
-    PRIMARY = "primary"
-    SECONDARY = "secondary"
 
 
 class ReplicaState(str, Enum):
@@ -632,7 +628,7 @@ class AssignmentTable:
         return list(self._replicas.values())
 
     def unavailable_count(self, shard_id: str,
-                          down_addresses: Iterable[str] = ()) -> int:
+                          down_addresses: Container[str] = ()) -> int:
         """How many of a shard's replicas are currently not serving.
 
         Counts both replicas in non-READY states and READY replicas on
@@ -640,15 +636,14 @@ class AssignmentTable:
         shard replicas that are already unavailable due to ongoing
         unplanned outage".
         """
-        down = set(down_addresses)
         count = 0
         for replica in self._by_shard[shard_id]:
-            if not replica.available or replica.address in down:
+            if not replica.available or replica.address in down_addresses:
                 count += 1
         return count
 
-    def shards_on(self, address: str) -> List[str]:
-        return sorted({r.shard_id for r in self.on_address(address)})
+    def shards_on(self, address: str) -> Set[str]:
+        return {r.shard_id for r in self.address_view(address)}
 
     # -- snapshotting -----------------------------------------------------------
 

@@ -43,6 +43,13 @@ class LoadBalancePolicy(str, Enum):
     MULTI_METRIC = "multi_metric"
 
 
+class Role(str, Enum):
+    """A replica's role (the table in ``shard_map`` assigns it)."""
+
+    PRIMARY = "primary"
+    SECONDARY = "secondary"
+
+
 @dataclass(frozen=True)
 class DrainPolicy:
     """§2.2.5: whether to proactively drain replicas before restarts.
@@ -54,8 +61,7 @@ class DrainPolicy:
     drain_primaries: bool = True
     drain_secondaries: bool = False
 
-    def drains(self, role: "Role") -> bool:
-        from .shard_map import Role  # local import to avoid a cycle
+    def drains(self, role: Role) -> bool:
         if role is Role.PRIMARY:
             return self.drain_primaries
         return self.drain_secondaries

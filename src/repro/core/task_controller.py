@@ -31,7 +31,7 @@ from ..cluster.taskcontrol import (
 )
 from ..sim.engine import Engine
 from .orchestrator import Orchestrator
-from .shard_map import Role
+from .spec import Role
 
 #: §4.1's per-shard cap: at most this many replicas of one shard may be
 #: unavailable at once, counting the ones an unplanned outage already took.
@@ -103,6 +103,8 @@ class SMTaskController:
         # at once would leave the allocator nowhere to put the shards.
         active_drains = sum(1 for state in self._drains.values()
                             if state.phase is _DrainPhase.RUNNING)
+        table = self.orchestrator.table
+        down = self.orchestrator.down_addresses()
 
         for op in ops:
             if op.op_id in self._in_flight:
@@ -112,9 +114,7 @@ class SMTaskController:
                 self.delayed_total += 1
                 continue
             address = op.container.address
-            shards_left = self.orchestrator.shards_on(address)
-            needs_drain = self._needs_drain(address)
-            if needs_drain and shards_left:
+            if self._needs_drain(address):
                 drain = self._drains.get(address)
                 if drain is None:
                     if (active_drains + len(self._in_flight) + len(approved)
@@ -129,8 +129,8 @@ class SMTaskController:
                 self.delayed_total += 1
                 continue  # approve once the drain has emptied the container
             # Safety check on whatever replicas remain on the container.
-            impacted = set(shards_left)
-            if self._violates_shard_cap(impacted, planned_unavailable):
+            impacted = table.shards_on(address)
+            if self._violates_shard_cap(impacted, planned_unavailable, down):
                 self.delayed_total += 1
                 continue
             for shard_id in impacted:
@@ -170,7 +170,7 @@ class SMTaskController:
         policy = self.spec.drain_policy
         if not (policy.drain_primaries or policy.drain_secondaries):
             return False
-        for replica in self.orchestrator.table.on_address(address):
+        for replica in self.orchestrator.table.address_view(address):
             if policy.drains(replica.role):
                 return True
         return False
@@ -190,9 +190,11 @@ class SMTaskController:
     # -- cap accounting ------------------------------------------------------------------
 
     def _violates_shard_cap(self, impacted: Set[str],
-                            planned_unavailable: Dict[str, int]) -> bool:
+                            planned_unavailable: Dict[str, int],
+                            down: Set[str]) -> bool:
+        table = self.orchestrator.table
         for shard_id in impacted:
-            already = self.orchestrator.unavailable_count(shard_id)
+            already = table.unavailable_count(shard_id, down)
             planned = planned_unavailable.get(shard_id, 0)
             if already + planned + 1 > MAX_UNAVAILABLE_REPLICAS_PER_SHARD:
                 return True

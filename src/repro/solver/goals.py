@@ -422,7 +422,7 @@ class AffinityGoal(Goal):
         self._group_of: Dict[int, Tuple[int, int]] = {}
         self._group_weight: Dict[Tuple[int, int], float] = {}
         self._group_members: Dict[Tuple[int, int], List[int]] = {}
-        for r in range(len(problem.replicas)):
+        for r in range(len(problem.loads)):
             pref = self.pref_region[r]
             if pref == -1:
                 continue

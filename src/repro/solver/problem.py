@@ -15,7 +15,8 @@ so the package needs nothing outside the standard library.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class ServerInfo(NamedTuple):
@@ -46,11 +47,44 @@ class ReplicaInfo(NamedTuple):
 
 
 class PlacementProblem:
-    """Index-based problem state, built once, mutated by the solver."""
+    """Index-based problem state, built once, mutated by the solver.
+
+    Built unplaced from :class:`ReplicaInfo` rows, or placed with
+    :meth:`from_columns` from one column per replica field (SM's
+    allocator writes those while it walks its table); both go through one
+    core, :meth:`_build`, and keep neither the rows nor the names.
+    """
 
     def __init__(self, metrics: Sequence[str], servers: Sequence[ServerInfo],
-                 replicas: Sequence[ReplicaInfo],
-                 assignment: Optional[Sequence[int]] = None) -> None:
+                 replicas: Sequence[ReplicaInfo]) -> None:
+        # Unzip the rows, one column per ReplicaInfo field after the name.
+        columns = [list(map(itemgetter(field), replicas))
+                   for field in range(1, len(ReplicaInfo._fields))]
+        self._build(metrics, servers, lambda index: replicas[index].name,
+                    *columns, None)
+
+    @classmethod
+    def from_columns(cls, metrics: Sequence[str],
+                     servers: Sequence[ServerInfo],
+                     name_of: Callable[[int], str], shards: Sequence[str],
+                     loads: Sequence[Tuple[float, ...]],
+                     preferred_regions: Sequence[Optional[str]],
+                     weights: Sequence[float], pinned: Sequence[bool],
+                     assignment: Sequence[int]) -> "PlacementProblem":
+        """The problem :class:`ReplicaInfo` rows holding these columns
+        would build, placed at ``assignment``; ``name_of(index)`` names a
+        replica in an error only."""
+        problem = cls.__new__(cls)
+        problem._build(metrics, servers, name_of, shards, loads,
+                       preferred_regions, weights, pinned, assignment)
+        return problem
+
+    def _build(self, metrics: Sequence[str], servers: Sequence[ServerInfo],
+               name_of: Callable[[int], str], shards: Sequence[str],
+               loads: Sequence[Tuple[float, ...]],
+               preferred_regions: Sequence[Optional[str]],
+               weights: Sequence[float], pinned: Sequence[bool],
+               assignment: Optional[Sequence[int]]) -> None:
         if not metrics:
             raise ValueError("at least one metric is required")
         if not servers:
@@ -58,7 +92,6 @@ class PlacementProblem:
         self.metrics = list(metrics)
         self.num_metrics = len(self.metrics)
         self.servers = list(servers)
-        self.replicas = list(replicas)
 
         for server in self.servers:
             if len(server.capacity) != self.num_metrics:
@@ -67,39 +100,31 @@ class PlacementProblem:
                     f"entries, expected {self.num_metrics}")
         self.capacity: List[Tuple[float, ...]] = [s.capacity for s in self.servers]
 
-        # One pass over the replicas fills every per-replica column;
-        # preferred regions become indices once the region index exists.
-        self.loads: List[Tuple[float, ...]] = []
-        self.shard_of: List[int] = []
-        self.shard_names: List[str] = []
-        self.replica_pinned: List[bool] = []
-        self.replica_pref_weight: List[float] = []
-        shard_index: Dict[str, int] = {}
-        pref_regions: List[Optional[str]] = []
-        for replica in self.replicas:
-            load = replica.load
-            if len(load) != self.num_metrics:
+        self.loads: List[Tuple[float, ...]] = list(loads)
+        for index, size in enumerate(map(len, self.loads)):
+            if size != self.num_metrics:
                 raise ValueError(
-                    f"replica {replica.name}: load has {len(load)} "
+                    f"replica {name_of(index)}: load has {size} "
                     f"entries, expected {self.num_metrics}")
-            self.loads.append(load)
-            index = shard_index.get(replica.shard)
-            if index is None:
-                index = shard_index[replica.shard] = len(self.shard_names)
-                self.shard_names.append(replica.shard)
-            self.shard_of.append(index)
-            self.replica_pinned.append(replica.pinned)
-            region = replica.preferred_region
-            pref_regions.append(region)
-            self.replica_pref_weight.append(
-                0.0 if region is None else replica.preference_weight)
+        if any(len(column) != len(self.loads)
+               for column in (shards, preferred_regions, weights, pinned)):
+            raise ValueError("replica columns must have one length")
+        # Shards are numbered in order of first appearance.
+        shard_index: Dict[str, int] = {}
+        self.shard_of: List[int] = [
+            shard_index.setdefault(shard, len(shard_index)) for shard in shards]
+        self.shard_names: List[str] = list(shard_index)
+        self.replica_pinned: List[bool] = list(pinned)
+        self.replica_pref_weight: List[float] = [
+            0.0 if region is None else weight
+            for region, weight in zip(preferred_regions, weights)]
 
         # Domain indices for spread/affinity goals.  Preferred regions are
         # included even when no live server is there (a whole-region outage
         # must not make the problem unbuildable — the preference is simply
         # unsatisfiable until the region returns).
         region_names = {s.region for s in self.servers}
-        region_names.update(pref_regions)
+        region_names.update(preferred_regions)
         region_names.discard(None)
         self.region_names = sorted(region_names)
         self._region_index = {name: i for i, name in enumerate(self.region_names)}
@@ -117,16 +142,16 @@ class PlacementProblem:
         # -1: the replica has no preferred region.
         pref_index = {None: -1, **self._region_index}
         self.replica_pref_region: List[int] = [pref_index[region]
-                                               for region in pref_regions]
+                                               for region in preferred_regions]
 
         # Assignment state.
         num_servers = len(self.servers)
-        self.assignment: List[int] = [-1] * len(self.replicas)
+        self.assignment: List[int] = [-1] * len(self.loads)
         self.usage: List[List[float]] = [[0.0] * self.num_metrics
                                          for _ in range(num_servers)]
         self.replicas_on: List[set] = [set() for _ in range(num_servers)]
         if assignment is not None:
-            if len(assignment) != len(self.replicas):
+            if len(assignment) != len(self.loads):
                 raise ValueError("assignment length must match replica count")
             for server_idx in assignment:
                 if not -1 <= server_idx < num_servers:
@@ -209,4 +234,4 @@ class PlacementProblem:
         """Uniform random placement — Fig 21's stress-test initial state."""
         num_servers = len(self.servers)
         self.version += self._move_all(
-            [rng.randrange(num_servers) for _ in self.replicas])
+            [rng.randrange(num_servers) for _ in self.loads])

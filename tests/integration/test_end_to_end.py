@@ -6,11 +6,11 @@ from repro.app.client import WorkloadRecorder
 from repro.apps.kvstore import KVStoreApp
 from repro.apps.zippydb import ZippyDBApp
 from repro.core.orchestrator import OrchestratorConfig
-from repro.core.shard_map import Role
 from repro.core.spec import (
     AppSpec,
     DrainPolicy,
     ReplicationStrategy,
+    Role,
     uniform_shards,
 )
 from repro.harness import SimCluster, deploy_app
@@ -34,7 +34,7 @@ class TestKVStoreEndToEnd:
         victim = app.containers[0].address
         app.orchestrator.drain_address(victim)
         cluster.run(until=cluster.engine.now + 60.0)
-        assert app.orchestrator.shards_on(victim) == []
+        assert app.orchestrator.table.shards_on(victim) == set()
 
         reads = {key: client.request(key, {"op": "get", "key": key})
                  for key in range(0, 1000, 97)}

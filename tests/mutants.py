@@ -56,6 +56,7 @@ if __name__ == "__main__":
 from repro.app import server  # noqa: E402
 from repro.chaos import ARMS, ScenarioSpec, all_scenarios, run_scenario  # noqa: E402
 from repro.coordination.zookeeper import Session  # noqa: E402
+from repro.core.allocator import Allocator  # noqa: E402
 from repro.core.migration import MigrationExecutor  # noqa: E402
 from repro.core.orchestrator import Orchestrator  # noqa: E402
 from repro.core.task_controller import SMTaskController  # noqa: E402
@@ -206,6 +207,11 @@ CATALOGUE: Tuple[Mutant, ...] = (
            "the spread goal never forgets a crowded cell",
            SpreadGoal, "on_move",
            rewrite("self._crowded.discard(key)", "pass")),
+    Mutant("allocator_tie_order",
+           "the periodic solve's build walks each shard's replicas in reverse",
+           Allocator, "build_problem",
+           rewrite("replicas_view(shard_id)",
+                   "reversed(replicas_view(shard_id))")),
 )
 
 BY_NAME: Dict[str, Mutant] = {mutant.name: mutant for mutant in CATALOGUE}

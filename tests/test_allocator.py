@@ -6,8 +6,8 @@ import pytest
 
 from repro.cluster.topology import Machine
 from repro.core.allocator import Allocator, ServerRecord
-from repro.core.shard_map import AssignmentTable, ReplicaState, Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.shard_map import AssignmentTable, ReplicaState
+from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 from repro.solver.local_search import SearchConfig
 
 

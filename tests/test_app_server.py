@@ -9,8 +9,7 @@ from repro.app.server import DROP_GRACE, HostedState
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine
 from repro.coordination.zookeeper import ZooKeeper
-from repro.core.shard_map import Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 

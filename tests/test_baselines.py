@@ -12,8 +12,8 @@ from repro.baselines.pinned import (
 )
 from repro.cluster.topology import Machine
 from repro.core.allocator import ServerRecord
-from repro.core.shard_map import AssignmentTable, ReplicaState, Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.shard_map import AssignmentTable, ReplicaState
+from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 
 
 def _moved_fraction(place, before, after, count=10_000):

@@ -4,10 +4,12 @@
 reports as understaffed, ``Orchestrator._persist_state`` patches its
 serialized replica list from the table's dirty replicas instead of
 re-walking the table, and ``_write_all_assignments`` rewrites only the
-dirty and newly joined addresses.  The full-scan versions they replaced
-live on here as oracles: over random create / drop / role / state /
-relocate sequences the plans, the persisted payload and every
-per-address assignment znode must stay identical, step by step.
+dirty and newly joined addresses, and ``Allocator.build_problem`` writes
+the solver's columns without a ``ReplicaInfo`` row per replica.  The
+versions they replaced live on here as oracles: over random create /
+drop / role / state / relocate sequences the plans, the persisted
+payload, every per-address assignment znode and every problem column
+must stay identical, step by step.
 """
 
 import json
@@ -16,6 +18,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -31,11 +34,14 @@ from repro.core.allocator import (
 )
 from repro.coordination.layout import assignments_root, node_name, state_path
 from repro.core.orchestrator import Orchestrator
-from repro.core.shard_map import AssignmentTable, ReplicaState, Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.shard_map import AssignmentTable, ReplicaState
+from repro.core.spec import (AppSpec, DrainPolicy, ReplicationStrategy,
+                              Role, uniform_shards)
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.sim.engine import Engine
 from repro.sim.network import Network
+from repro.solver.problem import PlacementProblem, ReplicaInfo, ServerInfo
+from tests.mutants import BY_NAME, Mutant, rewrite
 
 REGIONS = ("A", "B", "C")
 STATES = list(ReplicaState)
@@ -381,8 +387,7 @@ import random
 from repro.cluster.topology import build_topology
 from repro.coordination.zookeeper import ZooKeeper
 from repro.core.orchestrator import Orchestrator
-from repro.core.shard_map import Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -429,3 +434,171 @@ def test_publish_write_order_is_free_of_the_hash_seed():
     assert len({path for path in first if "/assignments/" in path}) == 8
     for other in others:
         assert other == first
+
+
+# -- the periodic solve's columnar build ------------------------------------------
+
+def rows_build_problem(allocator, table, servers, now, load_of):
+    """``Allocator.build_problem`` as it was before the columnar build:
+    one :class:`ReplicaInfo` row per kept replica, then the public
+    :class:`PlacementProblem` constructor, placed replica by replica in
+    index order."""
+    spec = allocator.spec
+    metrics = list(spec.lb_metrics)
+    candidate_servers = [record for record in servers.values()
+                         if record.alive and now >= record.expected_down_until]
+    if not candidate_servers:
+        raise RuntimeError("no alive servers to place on")
+    server_infos = []
+    address_to_index = {}
+    for index, record in enumerate(sorted(candidate_servers,
+                                          key=lambda r: r.address)):
+        machine = record.machine
+        server_infos.append(ServerInfo(
+            record.address, machine.region,
+            tuple(machine.capacity.get(metric, 0.0) for metric in metrics),
+            machine.datacenter, machine.rack, record.draining))
+        address_to_index[record.address] = index
+    replica_infos = []
+    index_to_replica = []
+    initial_assignment = []
+    draining = {record.address for record in candidate_servers
+                if record.draining}
+    for shard in spec.shards:
+        for replica in table.replicas_view(shard.shard_id):
+            if replica.state not in (ReplicaState.READY, ReplicaState.PENDING):
+                continue
+            server_index = address_to_index.get(replica.address)
+            if server_index is None:
+                continue
+            pinned = (replica.address in draining
+                      and not spec.drain_policy.drains(replica.role))
+            index_to_replica.append(replica)
+            replica_infos.append(ReplicaInfo(
+                replica.replica_id, shard.shard_id, load_of(replica),
+                shard.preferred_region, 1.0, pinned))
+            initial_assignment.append(server_index)
+    if not replica_infos:
+        raise RuntimeError("no movable replicas")
+    problem = PlacementProblem(metrics, server_infos, replica_infos)
+    problem._move_all(initial_assignment)
+    return problem, index_to_replica
+
+
+#: Everything the solver reads off a problem, per server or per replica.
+PROBLEM_COLUMNS = (
+    "metrics", "servers", "capacity", "loads", "shard_of", "shard_names",
+    "replica_pinned", "replica_pref_region", "replica_pref_weight",
+    "region_names", "server_region", "dc_names", "server_dc", "rack_names",
+    "server_rack", "server_draining", "assignment", "usage")
+
+
+def problem_columns(problem):
+    columns = {name: getattr(problem, name) for name in PROBLEM_COLUMNS}
+    # Set iteration order is the solver's tie rule.
+    columns["replicas_on"] = [list(s) for s in problem.replicas_on]
+    return columns
+
+
+def built(build, *args):
+    try:
+        problem, index_to_replica = build(*args)
+    except RuntimeError as error:
+        return str(error)
+    return problem_columns(problem), index_to_replica
+
+
+def two_metric_load(replica):
+    draw = random.Random(replica.replica_id)
+    return (draw.uniform(0.0, 10.0), draw.uniform(0.0, 10.0))
+
+
+DRAIN_POLICIES = [DrainPolicy(primaries, secondaries)
+                  for primaries in (True, False)
+                  for secondaries in (True, False)]
+
+
+def build_sequence(replication, replica_count, seed):
+    """Yield ``(allocator, table, servers, now)`` after each random step
+    from a fully staffed table: create / drop / role / state / relocate
+    on the table, alive / draining / expected-restart flips on the
+    servers."""
+    rng = random.Random(3000 + seed)
+    spec = make_spec(replication, replica_count)
+    spec.lb_metrics = ("cpu", "mem")
+    spec.drain_policy = DRAIN_POLICIES[seed % len(DRAIN_POLICIES)]
+    servers = make_servers()
+    for record in servers.values():
+        record.machine.capacity.update(cpu=40.0, mem=60.0)
+    addresses = sorted(servers)
+    table = AssignmentTable(spec)
+    for index, shard in enumerate(spec.shards):
+        for copy in range(shard.replica_count):
+            role = (Role.PRIMARY if copy == 0 and spec.has_primaries()
+                    else Role.SECONDARY)
+            table.add(shard.shard_id, addresses[(index + 4 * copy) % 9], role,
+                      state=ReplicaState.READY)
+    allocator = Allocator(spec)
+    now = 0.0
+    for _step in range(120):
+        if rng.random() < 0.2:
+            mutate_servers(rng, servers, now)
+        else:
+            mutate_table(rng, spec, table, addresses)
+        now += 1.0
+        yield allocator, table, servers, now
+
+
+def first_difference(replication, replica_count, seed):
+    """The first step at which the columnar build and the row build
+    differ, or None; with what the sequence put in play."""
+    seen = Counter()
+    for allocator, table, servers, now in build_sequence(
+            replication, replica_count, seed):
+        args = (table, servers, now, two_metric_load)
+        columnar = built(allocator.build_problem, *args)
+        if columnar != built(rows_build_problem, allocator, *args):
+            return now, seen
+        if isinstance(columnar, str):
+            continue
+        columns, _ = columnar
+        seen["built"] += 1
+        seen["pinned"] += any(columns["replica_pinned"])
+        seen["preferred"] += any(columns["replica_pref_weight"])
+        seen["shared server"] += any(len(on) > 1
+                                     for on in columns["replicas_on"])
+        seen["siblings kept"] += (len(set(columns["shard_of"]))
+                                  < len(columns["shard_of"]))
+    return None, seen
+
+
+@pytest.mark.parametrize("replication,replica_count", SPECS)
+@pytest.mark.parametrize("seed", range(8))
+def test_columnar_build_matches_replica_rows(replication, replica_count,
+                                             seed):
+    differs_at, seen = first_difference(replication, replica_count, seed)
+    assert differs_at is None
+    # Not vacuous: problems were built with every column in play.
+    assert seen["built"] >= 40
+    assert seen["preferred"] and seen["shared server"] and seen[
+        "siblings kept"]
+    policy = DRAIN_POLICIES[seed % len(DRAIN_POLICIES)]
+    if not (policy.drain_primaries and policy.drain_secondaries):
+        assert seen["pinned"]
+
+
+WRONG_BUILDS = {
+    "reversed walk": BY_NAME["allocator_tie_order"],
+    "pinned from the wrong role": Mutant(
+        "pinned_wrong_role", "pin the replicas whose role drains",
+        Allocator, "build_problem",
+        rewrite("if not self.spec.drain_policy.drains(role)",
+                "if self.spec.drain_policy.drains(role)")),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_BUILDS))
+def test_columnar_parity_catches_a_wrong_build(wrong):
+    with WRONG_BUILDS[wrong]:
+        assert any(first_difference(replication, replica_count, 0)[0]
+                   for replication, replica_count in SPECS)

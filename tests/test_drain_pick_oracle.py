@@ -32,8 +32,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.topology import build_topology
 from repro.coordination.zookeeper import ZooKeeper
 from repro.core.orchestrator import Orchestrator
-from repro.core.shard_map import ReplicaState, Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.shard_map import ReplicaState
+from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 from repro.discovery.service_discovery import ServiceDiscovery
 from repro.harness import SimCluster, deploy_app
 from repro.sim.engine import Engine

@@ -4,8 +4,8 @@ import pytest
 
 from repro.app.server import HostedState
 from repro.core.orchestrator import OrchestratorConfig
-from repro.core.shard_map import ReplicaState, Role
-from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
+from repro.core.shard_map import ReplicaState
+from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 from repro.harness import SimCluster, deploy_app
 from repro.obs import Observability
 from repro.obs.checker import REQUIRED_PHASES, TraceChecker

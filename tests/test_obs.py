@@ -645,7 +645,7 @@ class TestMapCoverageAfterFailover:
     def test_failover_recreates_through_instrumented_path(self):
         obs, cluster, app = traced_app(shards=12, servers=5)
         victim = app.containers[0]
-        hosted = app.orchestrator.shards_on(victim.address)
+        hosted = app.orchestrator.table.shards_on(victim.address)
         assert hosted
         with use(obs):
             cluster.twines["FRC"].fail_machine(victim.machine.machine_id)

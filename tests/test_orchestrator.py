@@ -7,11 +7,12 @@ import pytest
 
 from repro.cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
 from repro.core.orchestrator import OrchestratorConfig
-from repro.core.shard_map import ReplicaState, Role
+from repro.core.shard_map import ReplicaState
 from repro.core.spec import (
     AppSpec,
     DrainPolicy,
     ReplicationStrategy,
+    Role,
     uniform_shards,
 )
 from repro.harness import SimCluster, deploy_app
@@ -72,7 +73,7 @@ class TestFailover:
     def test_server_crash_recreates_shards_elsewhere(self):
         cluster, app = single_region_app()
         victim = app.containers[0]
-        hosted_before = app.orchestrator.shards_on(victim.address)
+        hosted_before = app.orchestrator.table.shards_on(victim.address)
         assert hosted_before
         cluster.twines["FRC"].fail_machine(victim.machine.machine_id)
         # session timeout (10) + failover grace (15) + execution
@@ -85,24 +86,24 @@ class TestFailover:
     def test_quick_restart_does_not_trigger_failover(self):
         cluster, app = single_region_app()
         victim = app.containers[0]
-        hosted_before = set(app.orchestrator.shards_on(victim.address))
+        hosted_before = app.orchestrator.table.shards_on(victim.address)
         machine_id = victim.machine.machine_id
         cluster.twines["FRC"].fail_machine(machine_id)
         cluster.run(until=cluster.engine.now + 5.0)
         cluster.twines["FRC"].repair_machine(machine_id)
         cluster.run(until=cluster.engine.now + 60.0)
-        hosted_after = set(app.orchestrator.shards_on(victim.address))
+        hosted_after = app.orchestrator.table.shards_on(victim.address)
         assert hosted_after == hosted_before
 
     def test_expect_restart_suppresses_failover(self):
         cluster, app = single_region_app()
         victim = app.containers[0]
-        hosted_before = set(app.orchestrator.shards_on(victim.address))
+        hosted_before = app.orchestrator.table.shards_on(victim.address)
         app.orchestrator.expect_restart(victim.address, 120.0)
         cluster.twines["FRC"].fail_machine(victim.machine.machine_id)
         cluster.run(until=cluster.engine.now + 60.0)
         # Still assigned to the (down) server: downtime was planned.
-        assert set(app.orchestrator.shards_on(victim.address)) == hosted_before
+        assert app.orchestrator.table.shards_on(victim.address) == hosted_before
 
 
 class TestDrain:
@@ -112,7 +113,7 @@ class TestDrain:
         process = app.orchestrator.drain_address(victim)
         cluster.run(until=cluster.engine.now + 60.0)
         assert process.finished
-        assert app.orchestrator.shards_on(victim) == []
+        assert app.orchestrator.table.shards_on(victim) == set()
         assert app.ready_fraction() == 1.0
 
     def test_drain_respects_policy_for_secondaries(self):
@@ -229,7 +230,7 @@ class TestLoadCollection:
         address = sorted(orchestrator.servers)[0]
         record = orchestrator.servers[address]
         server = app.runtime.servers[address]
-        shard_id = orchestrator.shards_on(address)[0]
+        shard_id = min(orchestrator.table.shards_on(address))
         report = record.shard_loads
         assert shard_id in report
         server.hosted(shard_id).requests_served = 7
@@ -402,5 +403,5 @@ class TestMaintenanceNotices:
             end_time=cluster.engine.now + 150.0,
             impact=MaintenanceImpact.MACHINE_LOSS)
         cluster.run(until=cluster.engine.now + 85.0)
-        assert app.orchestrator.shards_on(victim.address) == []
+        assert app.orchestrator.table.shards_on(victim.address) == set()
         assert app.ready_fraction() == 1.0

@@ -75,7 +75,7 @@ class TestMutation:
         table.add("shard0", "a", Role.PRIMARY)
         table.add("shard1", "a", Role.PRIMARY)
         table.add("shard1", "b", Role.SECONDARY)
-        assert table.shards_on("a") == ["shard0", "shard1"]
+        assert table.shards_on("a") == {"shard0", "shard1"}
 
 
 class TestDirtyReplicas:

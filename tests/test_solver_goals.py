@@ -53,7 +53,7 @@ def delta_matches_applied_cost(problem, goal, trials=100, seed=3):
     """Property: delta prediction == actual cost change, for random moves."""
     rng = random.Random(seed)
     for _ in range(trials):
-        replica = rng.randrange(len(problem.replicas))
+        replica = rng.randrange(len(problem.loads))
         src = problem.assignment[replica]
         dst = rng.randrange(len(problem.servers))
         if src == dst:
@@ -74,7 +74,7 @@ class TestCapacityGoal:
         goal = CapacityGoal(problem, CapacitySpec(metric="cpu"))
         # 8 replicas x 10 load over 8 servers of 100 capacity: no overflow
         # possible even fully stacked?  Stack them to check the math.
-        for r in range(len(problem.replicas)):
+        for r in range(len(problem.loads)):
             problem.move(r, 0)
         assert goal.violations() == 0 or problem.usage[0][0] <= 100.0 + 1e-9
 

@@ -116,7 +116,7 @@ class TestIncrementalParity:
         goal = factory(problem)
         rng = random.Random(5)
         for step in range(300):
-            replica = rng.randrange(len(problem.replicas))
+            replica = rng.randrange(len(problem.loads))
             src = problem.assignment[replica]
             dst = rng.randrange(len(problem.servers))
             problem.move(replica, dst)
@@ -132,7 +132,7 @@ class TestIncrementalParity:
         goal.violations()  # force the caches to build
         rng = random.Random(6)
         for _ in range(100):
-            replica = rng.randrange(len(problem.replicas))
+            replica = rng.randrange(len(problem.loads))
             problem.move(replica, rng.randrange(len(problem.servers)))
         # No on_move notifications at all: the version guard must detect
         # the drift and fall back to a full recount.
@@ -144,7 +144,7 @@ class TestIncrementalParity:
         goal = factory(problem)
         rng = random.Random(7)
         for step in range(200):
-            replica = rng.randrange(len(problem.replicas))
+            replica = rng.randrange(len(problem.loads))
             src = problem.assignment[replica]
             dst = rng.randrange(len(problem.servers))
             problem.move(replica, dst)
@@ -161,7 +161,7 @@ class TestIncrementalParity:
         goal = factory(problem)
         rng = random.Random(8)
         for _ in range(50):
-            replica = rng.randrange(len(problem.replicas))
+            replica = rng.randrange(len(problem.loads))
             src = problem.assignment[replica]
             goal.on_move(replica, src, src)
         assert_matches_fresh(goal, problem, factory)
@@ -606,7 +606,7 @@ class TestThresholdDeltaSplit:
             goal = GOAL_FACTORIES[name](problem)
             servers = list(range(len(problem.servers)))
             for _ in range(60):
-                replica = rng.randrange(len(problem.replicas))
+                replica = rng.randrange(len(problem.loads))
                 src = problem.assignment[replica]
                 targets = [s for s in rng.sample(servers, 5) if s != src]
                 expected = [reference_move_delta(goal, replica, src, dst)
@@ -625,7 +625,7 @@ class TestThresholdDeltaSplit:
         problem = build_problem(load=31.0)
         goal = GOAL_FACTORIES["capacity"](problem)
         servers = list(range(len(problem.servers)))
-        for replica in range(len(problem.replicas)):
+        for replica in range(len(problem.loads)):
             assert goal.fitting(replica, servers) == [
                 s for s in servers if goal.fitting(replica, (s,))]
 
@@ -645,7 +645,7 @@ class TestCostFollowsTheSearch:
         replicas_seen = {replica for _server, replica in search.pairs_seen}
         keys = result.profile.snapshot()["counters"]["equiv_keys"]
         assert 0 < keys <= len(replicas_seen)
-        assert len(replicas_seen) < len(problem.replicas) / 2
+        assert len(replicas_seen) < len(problem.loads) / 2
         assert sum(len(sizes) for sizes in search._sizes.values()) <= len(
             search.pairs_seen)
         assert problem._replica_total_load is None  # no swap was attempted
@@ -726,7 +726,7 @@ class TestSpreadWorkFollowsTheMove:
         problem, goals = build_case(dict(REGION_RETURNS, fill=0.4))
         in_c = [s for s, server in enumerate(problem.servers)
                 if server.region == "C"]
-        for replica in range(2, len(problem.replicas), 3):
+        for replica in range(2, len(problem.loads), 3):
             problem.move(replica, in_c[replica % len(in_c)])
         problem.assignment = CountingList(problem.assignment)
         spreads = [g for g in goals if isinstance(g, SpreadGoal)]

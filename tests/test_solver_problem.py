@@ -24,6 +24,17 @@ def small_problem(num_servers=4, num_replicas=8, metrics=("cpu",),
     return PlacementProblem(list(metrics), servers, replicas)
 
 
+def placed(metrics, servers, rows, assignment):
+    """The problem ``rows`` build, placed at ``assignment``: the row
+    constructor builds unplaced, so this goes through
+    :meth:`PlacementProblem.from_columns`."""
+    return PlacementProblem.from_columns(
+        metrics, servers, lambda index: rows[index].name,
+        *([getattr(row, field) for row in rows]
+          for field in ReplicaInfo._fields[1:]),
+        assignment)
+
+
 class TestConstruction:
     def test_requires_metrics_and_servers(self):
         with pytest.raises(ValueError):
@@ -37,9 +48,45 @@ class TestConstruction:
                              [ServerInfo("s", "A", (1.0,))], [])
 
     def test_load_length_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="replica r: load has 2"):
             PlacementProblem(["cpu"], [ServerInfo("s", "A", (1.0,))],
                              [ReplicaInfo("r", "sh", (1.0, 2.0))])
+        with pytest.raises(ValueError, match="replica r1: load has 2"):
+            placed(["cpu"], [ServerInfo("s", "A", (1.0,))],
+                   [ReplicaInfo("r0", "sh", (1.0,)),
+                    ReplicaInfo("r1", "sh", (1.0, 2.0))], [0, 0])
+
+    def test_columns_of_unequal_length_rejected(self):
+        """``zip`` would cut the longer columns short."""
+        servers = [ServerInfo("s", "A", (1.0,))]
+        columns = dict(shards=["a", "b"], loads=[(1.0,), (1.0,)],
+                       preferred_regions=[None, None], weights=[1.0, 1.0],
+                       pinned=[False, False])
+        for name in columns:
+            short = dict(columns, **{name: columns[name][:1]})
+            with pytest.raises(ValueError):
+                PlacementProblem.from_columns(
+                    ["cpu"], servers, str, assignment=[0, 0], **short)
+
+    def test_both_constructors_build_one_shape(self):
+        """Whichever way in, a problem has the same attributes and the
+        same columns: a caller cannot read something that only one
+        constructor sets."""
+        problem = small_problem(num_servers=2, num_replicas=4)
+        rows = [ReplicaInfo(f"r{i}", f"sh{i // 2}", (10.0,),
+                            "A" if i == 1 else None, 2.0, i == 3)
+                for i in range(4)]
+        by_rows = PlacementProblem(problem.metrics, problem.servers, rows)
+        by_rows._move_all([0, 1, 1, 0])
+        by_columns = placed(problem.metrics, problem.servers, rows,
+                            [0, 1, 1, 0])
+        assert vars(by_rows).keys() == vars(by_columns).keys()
+        assert not hasattr(by_rows, "replicas")
+        for name, value in vars(by_rows).items():
+            if name != "replicas_on":
+                assert getattr(by_columns, name) == value, name
+        assert ([list(s) for s in by_columns.replicas_on]
+                == [list(s) for s in by_rows.replicas_on])
 
     def test_unassigned_by_default(self):
         problem = small_problem()
@@ -48,24 +95,22 @@ class TestConstruction:
 
     def test_initial_assignment_builds_usage(self):
         problem = small_problem(num_servers=2, num_replicas=4)
-        problem2 = PlacementProblem(
-            problem.metrics,
-            problem.servers,
-            problem.replicas,
-            assignment=[0, 0, 1, 1],
-        )
+        rows = [ReplicaInfo(f"r{i}", f"sh{i // 2}", (10.0,))
+                for i in range(4)]
+        problem2 = placed(problem.metrics, problem.servers, rows,
+                          [0, 0, 1, 1])
         assert problem2.usage[0][0] == 20.0
         assert problem2.usage[1][0] == 20.0
         assert problem2.replicas_on[0] == {0, 1}
 
     def test_bad_assignment_rejected(self):
         problem = small_problem(num_servers=2, num_replicas=2)
-        with pytest.raises(ValueError):
-            PlacementProblem(problem.metrics, problem.servers,
-                             problem.replicas, assignment=[0, 99])
-        with pytest.raises(ValueError):
-            PlacementProblem(problem.metrics, problem.servers,
-                             problem.replicas, assignment=[0])
+        rows = [ReplicaInfo("r0", "sh0", (10.0,)),
+                ReplicaInfo("r1", "sh0", (10.0,))]
+        with pytest.raises(ValueError, match="references server 99"):
+            placed(problem.metrics, problem.servers, rows, [0, 99])
+        with pytest.raises(ValueError, match="assignment length"):
+            placed(problem.metrics, problem.servers, rows, [0])
 
     def test_records_are_lean_and_immutable(self):
         """A problem is built from one record per replica, so a record
@@ -164,7 +209,7 @@ def per_replica_initial_fill(problem, assignment):
 def move_by_move_random_assignment(problem, rng):
     """``random_assignment`` as it was: draw, ``move``, draw, ``move``."""
     num_servers = len(problem.servers)
-    for replica_idx in range(len(problem.replicas)):
+    for replica_idx in range(len(problem.loads)):
         problem.move(replica_idx, rng.randrange(num_servers))
 
 
@@ -188,7 +233,9 @@ def _problem(loads, num_servers, assignment=None):
                for i in range(num_servers)]
     replicas = [ReplicaInfo(f"r{i}", f"sh{i}", tuple(load))
                 for i, load in enumerate(loads)]
-    return PlacementProblem(["cpu", "mem"], servers, replicas, assignment)
+    if assignment is None:
+        return PlacementProblem(["cpu", "mem"], servers, replicas)
+    return placed(["cpu", "mem"], servers, replicas, assignment)
 
 
 class TestBulkFillAgainstMoveByMove:

@@ -19,6 +19,7 @@ from repro.solver.specs import (
     UtilizationSpec,
 )
 from repro.sim.rng import skewed_loads
+from tests.test_solver_problem import placed
 
 
 def lb_problem(num_servers=20, num_replicas=200, seed=1,
@@ -251,8 +252,7 @@ class TestStops:
             ReplicaInfo(name="out", shard="s1", load=(10.0, 8.0)),
             ReplicaInfo(name="in", shard="s2", load=(10.0, 4.0)),
         ]
-        problem = PlacementProblem(["cpu", "mem"], servers, replicas,
-                                   assignment=[0, 0, 1])
+        problem = placed(["cpu", "mem"], servers, replicas, [0, 0, 1])
         rebalancer = Rebalancer(problem)
         rebalancer.add_constraint(CapacitySpec(metric="cpu"))
         rebalancer.add_constraint(CapacitySpec(metric="mem"))

@@ -1,8 +1,10 @@
 """Unit tests for application specs."""
 
+import inspect
+
 import pytest
 
-from repro.core.shard_map import AssignmentTable, Role
+from repro.core.shard_map import AssignmentTable
 from repro.core.spec import (
     AppSpec,
     DeploymentMode,
@@ -10,6 +12,7 @@ from repro.core.spec import (
     KeyRange,
     LoadBalancePolicy,
     ReplicationStrategy,
+    Role,
     ShardSpec,
     uniform_shards,
 )
@@ -106,6 +109,22 @@ class TestDrainPolicy:
     def test_full_drain(self):
         policy = DrainPolicy(drain_primaries=True, drain_secondaries=True)
         assert policy.drains(Role.SECONDARY)
+
+    @pytest.mark.parametrize("primaries", [False, True])
+    @pytest.mark.parametrize("secondaries", [False, True])
+    def test_truth_table(self, primaries, secondaries):
+        policy = DrainPolicy(drain_primaries=primaries,
+                             drain_secondaries=secondaries)
+        assert policy.drains(Role.PRIMARY) is primaries
+        assert policy.drains(Role.SECONDARY) is secondaries
+
+    def test_role_is_the_tables_role(self):
+        """One ``Role`` class: the spec's and the table's are the same
+        object, so ``drains`` can test identity without an import at
+        call time."""
+        from repro.core import shard_map
+        assert shard_map.Role is Role
+        assert "import" not in inspect.getsource(DrainPolicy.drains)
 
 
 class TestUniformShards:

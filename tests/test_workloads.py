@@ -23,6 +23,7 @@ from repro.workloads.load import (
     DiurnalCurve,
     ZipfKeySampler,
 )
+from repro.workloads import snapshots
 from repro.workloads.snapshots import (
     PAPER_SCALES,
     SnapshotScale,
@@ -189,7 +190,7 @@ class TestSnapshots:
         scale = SnapshotScale(servers=50, shards=500)
         problem = zippydb_snapshot(scale, seed=1)
         assert len(problem.servers) == 50
-        assert len(problem.replicas) == 500
+        assert len(problem.loads) == 500
         assert problem.metrics == ["cpu", "storage", "shard_count"]
 
     def test_capacity_heterogeneity(self):
@@ -213,11 +214,18 @@ class TestSnapshots:
         assert a.assignment == b.assignment
         assert a.loads == b.loads
 
-    def test_one_name_string_per_shard(self):
+    def test_one_name_string_per_shard(self, monkeypatch):
         """One replica a shard: the replica is named after its shard by
         the same string object, not an equal second one."""
-        problem = zippydb_snapshot(SnapshotScale(4, 30), seed=2)
-        assert all(r.name is r.shard for r in problem.replicas)
+        rows = []
+        build = snapshots.PlacementProblem
+        monkeypatch.setattr(
+            snapshots, "PlacementProblem",
+            lambda metrics, servers, replicas:
+                rows.extend(replicas) or build(metrics, servers, replicas))
+        zippydb_snapshot(SnapshotScale(4, 30), seed=2)
+        assert len(rows) == 30
+        assert all(r.name is r.shard for r in rows)
 
     @pytest.mark.parametrize("pin", json.loads(
         (Path(__file__).parent / "fixtures" / "zippydb_snapshot_pins.json")
