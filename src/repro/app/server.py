@@ -93,6 +93,14 @@ class LoadReport:
 
 Admission = Enum("Admission", "SERVE FORWARD REJECT")
 
+# Members bound once for the per-request path: on 3.11 each
+# ``Admission.SERVE`` goes through ``EnumType.__getattr__``.
+_SERVE = Admission.SERVE
+_FORWARD = Admission.FORWARD
+_REJECT = Admission.REJECT
+_ACTIVE = HostedState.ACTIVE
+_PREPARING = HostedState.PREPARING
+
 
 def admission(hosted: Optional[HostedShard], forwarded: bool) -> Admission:
     """§4.3's rule for a request that reaches a server, stated once for
@@ -102,12 +110,12 @@ def admission(hosted: Optional[HostedShard], forwarded: bool) -> Admission:
     a FORWARDING one relays to ``forward_to``; a shard not hosted here is
     rejected."""
     if hosted is None:
-        return Admission.REJECT
-    if hosted.state is HostedState.ACTIVE:
-        return Admission.SERVE
-    if hosted.state is HostedState.PREPARING:
-        return Admission.SERVE if forwarded else Admission.REJECT
-    return Admission.FORWARD
+        return _REJECT
+    if hosted.state is _ACTIVE:
+        return _SERVE
+    if hosted.state is _PREPARING:
+        return _SERVE if forwarded else _REJECT
+    return _FORWARD
 
 
 class ApplicationServer:
@@ -318,14 +326,14 @@ class ApplicationServer:
         # check, one slotted counter bump, then straight into the handler.
         shard_id = message["shard_id"]
         hosted = self._shards.get(shard_id)
-        if hosted is not None and hosted.state is HostedState.ACTIVE:
+        if hosted is not None and hosted.state is _ACTIVE:
             hosted.requests_served += 1
             return self.handler(shard_id, message["payload"])
         verdict = admission(hosted, message.get("forwarded", False))
-        if verdict is Admission.SERVE:
+        if verdict is _SERVE:
             hosted.requests_served += 1
             return self.handler(shard_id, message["payload"])
-        if verdict is Admission.FORWARD:
+        if verdict is _FORWARD:
             return self._forward(hosted, message)
         if hosted is None:
             raise NotOwnerError(f"{self.address} does not own {shard_id}")

@@ -37,8 +37,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import (Container, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Container, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..obs.tracer import NO_TRACER
 from .spec import AppSpec, Role, ShardSpec
@@ -76,6 +76,14 @@ class ReplicaState(str, Enum):
 #: Member -> plain ``str`` value, without ``Enum.value``'s Python descriptor.
 VALUE_OF = {m: m.value for enum in (Role, ReplicaState) for m in enum}
 
+# Members bound once: on 3.11 ``Role.PRIMARY`` goes through
+# ``EnumType.__getattr__``, about 4x a module global, and the table reads
+# these once or more per replica it adds or re-staffs.
+_PRIMARY = Role.PRIMARY
+_PENDING = ReplicaState.PENDING
+_READY = ReplicaState.READY
+_DROPPED = ReplicaState.DROPPED
+
 
 @dataclass(slots=True, eq=False)
 class ReplicaAssignment:
@@ -89,7 +97,7 @@ class ReplicaAssignment:
 
     @property
     def available(self) -> bool:
-        return self.state is ReplicaState.READY
+        return self.state is _READY
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,23 +128,27 @@ class AppKeyIndex:
     __slots__ = ("shard_ids", "key_lows", "key_highs", "index_of",
                  "sorted_order", "sorted_lows")
 
-    def __init__(self, shard_ids: Sequence[str], key_lows: Iterable[int],
-                 key_highs: Iterable[int]) -> None:
+    def __init__(self, shard_ids: Sequence[str], key_lows: Sequence[int],
+                 key_highs: Sequence[int]) -> None:
         self.shard_ids: Tuple[str, ...] = tuple(shard_ids)
         self.key_lows = array("q", key_lows)
         self.key_highs = array("q", key_highs)
-        self.index_of: Dict[str, int] = {
-            shard_id: i for i, shard_id in enumerate(self.shard_ids)}
-        lows = self.key_lows
+        size = len(self.shard_ids)
+        self.index_of: Dict[str, int] = dict(zip(self.shard_ids,
+                                                 range(size)))
+        # Sorted from the caller's sequence, not the array, whose items
+        # are boxed anew on every read; the lows in that order are the
+        # sorted lows.
         self.sorted_order: Tuple[int, ...] = tuple(
-            sorted(range(len(self.shard_ids)), key=lows.__getitem__))
-        self.sorted_lows = array("q", (lows[i] for i in self.sorted_order))
+            sorted(range(size), key=key_lows.__getitem__))
+        self.sorted_lows = array("q", sorted(key_lows))
 
     @classmethod
     def from_spec(cls, spec: AppSpec) -> "AppKeyIndex":
-        return cls([s.shard_id for s in spec.shards],
-                   (s.key_range.low for s in spec.shards),
-                   (s.key_range.high for s in spec.shards))
+        shards = spec.shards
+        return cls([s.shard_id for s in shards],
+                   [s.key_range.low for s in shards],
+                   [s.key_range.high for s in shards])
 
     def __len__(self) -> int:
         return len(self.shard_ids)
@@ -204,8 +216,8 @@ class ShardMap:
         entries = tuple(entries)
         key_index = AppKeyIndex(
             [e.shard_id for e in entries],
-            (e.key_low for e in entries),
-            (e.key_high for e in entries))
+            [e.key_low for e in entries],
+            [e.key_high for e in entries])
         intern: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         return cls(app, version, key_index,
                    _chunked([e.primary for e in entries]),
@@ -239,15 +251,11 @@ class ShardMap:
         entry = self._entry_cache.get(index)
         if entry is None:
             idx = self._index
-            entry = ShardMapEntry(
-                shard_id=idx.shard_ids[index],
-                key_low=idx.key_lows[index],
-                key_high=idx.key_highs[index],
-                primary=self._primaries[index >> _CHUNK_SHIFT][
-                    index & _CHUNK_MASK],
-                secondaries=self._secondaries[index >> _CHUNK_SHIFT][
-                    index & _CHUNK_MASK],
-            )
+            chunk, offset = index >> _CHUNK_SHIFT, index & _CHUNK_MASK
+            entry = ShardMapEntry(idx.shard_ids[index], idx.key_lows[index],
+                                  idx.key_highs[index],
+                                  self._primaries[chunk][offset],
+                                  self._secondaries[chunk][offset])
             self._entry_cache[index] = entry
         return entry
 
@@ -443,21 +451,22 @@ class AssignmentTable:
     # -- mutation ----------------------------------------------------------
 
     def add(self, shard_id: str, address: str, role: Role,
-            state: ReplicaState = ReplicaState.PENDING) -> ReplicaAssignment:
-        if shard_id not in self._by_shard:
+            state: ReplicaState = _PENDING) -> ReplicaAssignment:
+        replicas = self._by_shard.get(shard_id)
+        if replicas is None:
             raise KeyError(f"unknown shard {shard_id!r}")
-        if role is Role.PRIMARY and self.primary_of(shard_id) is not None:
+        if (replicas and role is _PRIMARY
+                and self.primary_of(shard_id) is not None):
             raise ValueError(f"shard {shard_id} already has a primary")
-        replica = ReplicaAssignment(
-            replica_id=f"{shard_id}#{next(self._replica_counter)}",
-            shard_id=shard_id,
-            address=address,
-            role=role,
-            state=state,
-        )
-        self._replicas[replica.replica_id] = replica
-        self._by_shard[shard_id].append(replica)
-        self._by_address.setdefault(address, []).append(replica)
+        replica_id = f"{shard_id}#{next(self._replica_counter)}"
+        replica = ReplicaAssignment(replica_id, shard_id, address, role, state)
+        self._replicas[replica_id] = replica
+        replicas.append(replica)
+        hosted = self._by_address.get(address)
+        if hosted is None:
+            self._by_address[address] = [replica]
+        else:
+            hosted.append(replica)
         self._dirty.add(shard_id)
         self._dirty_addresses.add(address)
         if shard_id in self._understaffed:
@@ -470,12 +479,10 @@ class AssignmentTable:
         """Re-derive one shard's membership in the understaffed set."""
         live = 0
         has_primary = not self._needs_primary
-        dropped = ReplicaState.DROPPED
-        primary = Role.PRIMARY
         for replica in self._by_shard[shard_id]:
-            if replica.state is not dropped:
+            if replica.state is not _DROPPED:
                 live += 1
-                if replica.role is primary:
+                if replica.role is _PRIMARY:
                     has_primary = True
         index = self._key_index.index_of[shard_id]
         if has_primary and live >= self.spec.shards[index].replica_count:
@@ -496,7 +503,7 @@ class AssignmentTable:
         replica = self._replicas.pop(replica_id, None)
         if replica is None:
             return
-        replica.state = ReplicaState.DROPPED
+        replica.state = _DROPPED
         self._by_shard[replica.shard_id].remove(replica)
         self._dirty.add(replica.shard_id)
         self._dirty_addresses.add(replica.address)
@@ -523,7 +530,7 @@ class AssignmentTable:
 
     def set_role(self, replica_id: str, role: Role) -> None:
         replica = self._replicas[replica_id]
-        if role is Role.PRIMARY:
+        if role is _PRIMARY:
             current = self.primary_of(replica.shard_id)
             if current is not None and current.replica_id != replica_id:
                 raise ValueError(
@@ -609,7 +616,7 @@ class AssignmentTable:
 
     def primary_of(self, shard_id: str) -> Optional[ReplicaAssignment]:
         for replica in self._by_shard[shard_id]:
-            if replica.role is Role.PRIMARY:
+            if replica.role is _PRIMARY:
                 return replica
         return None
 
@@ -660,22 +667,26 @@ class AssignmentTable:
         indices: List[int] = []
         primaries: List[Optional[str]] = []
         secondary_tuples: List[Tuple[str, ...]] = []
-        dirty = sorted(self._dirty)
+        # With every shard dirty (a first snapshot) the same ids are
+        # sorted from the key index: in spec order they come in long
+        # presorted runs, where the set's hash order has none.
+        key_index = self._key_index
+        shard_ids = key_index.shard_ids
+        dirty = sorted(shard_ids if len(self._dirty) == len(shard_ids)
+                       else self._dirty)
         self._dirty.clear()
-        index_of = self._key_index.index_of
+        index_of = key_index.index_of
         by_shard = self._by_shard
         primaries_col = self._col_primaries
         secondaries_col = self._col_secondaries
         shared = self._chunk_shared
         intern = self._sec_intern
-        ready = ReplicaState.READY
-        primary_role = Role.PRIMARY
         for shard_id in dirty:
             primary: Optional[str] = None
             secondaries: List[str] = []
             for replica in by_shard[shard_id]:
-                if replica.state is ready:
-                    if replica.role is primary_role:
+                if replica.state is _READY:
+                    if replica.role is _PRIMARY:
                         primary = replica.address
                     else:
                         secondaries.append(replica.address)

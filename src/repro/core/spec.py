@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.topology import FaultDomainLevel
@@ -116,27 +118,40 @@ class AppSpec:
     spread_levels: Tuple[FaultDomainLevel, ...] = (FaultDomainLevel.REGION,)
 
     def __post_init__(self) -> None:
-        if not self.shards:
+        # Bulk passes: an app may have 10^6 shards, so validation builds
+        # lists, not an object per shard, and enters no Python frame per
+        # shard.
+        shards = self.shards
+        if not shards:
             raise ValueError(f"app {self.name}: needs at least one shard")
-        seen_ids = set()
-        for shard in self.shards:
-            if shard.shard_id in seen_ids:
-                raise ValueError(f"app {self.name}: duplicate shard "
-                                 f"{shard.shard_id}")
-            seen_ids.add(shard.shard_id)
+        shard_ids = [shard.shard_id for shard in shards]
+        if len(set(shard_ids)) != len(shard_ids):
+            seen_ids = set()
+            for shard_id in shard_ids:
+                if shard_id in seen_ids:
+                    raise ValueError(f"app {self.name}: duplicate shard "
+                                     f"{shard_id}")
+                seen_ids.add(shard_id)
         if self.replication is ReplicationStrategy.PRIMARY_ONLY:
-            for shard in self.shards:
+            for shard in shards:
                 if shard.replica_count != 1:
                     raise ValueError(
                         f"app {self.name}: primary-only shards must have "
                         f"exactly one replica (shard {shard.shard_id} has "
                         f"{shard.replica_count})")
-        ranges = sorted((s.key_range.low, s.key_range.high) for s in self.shards)
-        for (lo1, hi1), (lo2, _hi2) in zip(ranges, ranges[1:]):
-            if lo2 < hi1:
+        # Range order is (low, high): two stable sorts of the ranges
+        # themselves, so no pair or position is built per shard.
+        ranges = sorted([shard.key_range for shard in shards],
+                        key=attrgetter("high"))
+        ranges.sort(key=attrgetter("low"))
+        previous = ranges[0]
+        for current in islice(ranges, 1, None):
+            if current.low < previous.high:
                 raise ValueError(
                     f"app {self.name}: overlapping key ranges "
-                    f"[{lo1},{hi1}) and starting at {lo2}")
+                    f"[{previous.low},{previous.high}) and starting at "
+                    f"{current.low}")
+            previous = current
         if self.max_concurrent_container_ops < 1:
             raise ValueError("global concurrent-op cap must be >= 1")
 
@@ -180,16 +195,12 @@ def uniform_shards(count: int, key_space: int = 1 << 32, replica_count: int = 1,
         raise ValueError("count must be positive")
     if key_space < count:
         raise ValueError("key space smaller than shard count")
-    shards = []
+    regions = preferred_regions or {}
     step = key_space // count
-    for index in range(count):
-        low = index * step
-        high = key_space if index == count - 1 else (index + 1) * step
-        preferred = (preferred_regions or {}).get(index)
-        shards.append(ShardSpec(
-            shard_id=f"shard{index}",
-            key_range=KeyRange(low, high),
-            replica_count=replica_count,
-            preferred_region=preferred,
-        ))
-    return shards
+    # Shard i spans [bounds[i], bounds[i + 1]): one int per bound, shared
+    # by the two shards it separates, and one C-level pass per column.
+    bounds = list(range(0, count * step, step))
+    bounds.append(key_space)
+    return list(map(ShardSpec, [f"shard{index}" for index in range(count)],
+                    map(KeyRange, bounds, islice(bounds, 1, None)),
+                    repeat(replica_count), map(regions.get, range(count))))

@@ -14,6 +14,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Callable, List
 
 DAY = 86_400.0
@@ -134,13 +135,12 @@ class ZipfKeySampler:
         self.skew = skew
         self.stride = stride
         self.offset = 0
-        cdf: List[float] = []
-        total = 0.0
-        for rank in range(1, key_space + 1):
-            total += rank ** -skew
-            cdf.append(total)
-        self._cdf = cdf
-        self._total = total
+        # Left-to-right running sums of ``rank ** -skew`` in one C-level
+        # pass; ``-float(skew)`` keeps every term and sum a float when
+        # ``skew`` is an int.
+        self._cdf: List[float] = list(accumulate(
+            map(pow, range(1, key_space + 1), repeat(-float(skew)))))
+        self._total = self._cdf[-1]
 
     def rotate(self, offset: int) -> None:
         """Move the hot set: rank ``i`` now maps to a new key window."""

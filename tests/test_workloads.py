@@ -171,6 +171,20 @@ class TestZipf:
         hits = sum(1 for _ in range(2000) if 500 <= sampler(rng) < 600)
         assert hits > 1500  # the mass followed the rotation
 
+    @pytest.mark.parametrize("skew", [0, 0.0, 1.1, 1.4, 2])
+    def test_cdf_is_the_loops_running_sum(self, skew):
+        """The one-pass CDF holds, bit for bit, the ``total += rank **
+        -skew`` loop's partial sums (float ones, an int skew included)."""
+        key_space = 50_000
+        cdf, total = [], 0.0
+        for rank in range(1, key_space + 1):
+            total += rank ** -skew
+            cdf.append(total)
+        sampler = ZipfKeySampler(key_space, skew=skew)
+        assert [value.hex() for value in sampler._cdf] == [
+            value.hex() for value in cdf]
+        assert sampler._total.hex() == total.hex()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ZipfKeySampler(0)
