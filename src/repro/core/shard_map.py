@@ -17,8 +17,9 @@ a million entries:
   change between publishes (primary address, secondaries tuple).
   Unchanged chunks are shared between versions, so a steady-state
   publish allocates O(changed + chunks) instead of O(shards).
-  :class:`ShardMapEntry` objects are materialized on demand by
-  ``entry()`` / ``entry_at()``.
+  :class:`ShardMapEntry` objects are built on each ``entry()`` /
+  ``entry_at()`` call and never kept, so reading a map leaves no
+  per-shard object behind for the collector to scan.
 * :meth:`AssignmentTable.snapshot_delta` emits a versioned
   :class:`ShardMapDelta` (the changed shards' column indices and new
   column values + the base version it applies to) straight from the
@@ -192,18 +193,16 @@ class ShardMap:
 
     Columnar storage: the :class:`AppKeyIndex` (shared across versions)
     plus chunked ``primaries`` / ``secondaries`` columns.  Entry objects
-    are materialized on demand (``entry_at(i)`` for ``i < len(map)``
-    walks the whole map in publish order).
+    are built per call and not kept (``entry_at(i)`` for ``i < len(map)``
+    walks the whole map in column order, the app spec's shard order).
     """
 
-    __slots__ = ("app", "version", "_index", "_primaries", "_secondaries",
-                 "_entry_cache")
+    __slots__ = ("app", "version", "_index", "_primaries", "_secondaries")
 
     def __init__(self, app: str, version: int, key_index: AppKeyIndex,
                  primaries: List[list], secondaries: List[list]) -> None:
         self.app = app
         self.version = version
-        self._entry_cache: Dict[int, ShardMapEntry] = {}
         self._index = key_index
         self._primaries = primaries
         self._secondaries = secondaries
@@ -241,23 +240,18 @@ class ShardMap:
         return self._primaries[index >> _CHUNK_SHIFT][index & _CHUNK_MASK]
 
     def entry_at(self, index: int) -> ShardMapEntry:
-        """Entry at a column index, materialized on first use.
+        """Entry at a column index, built on each call.
 
-        The per-map memo keeps repeat lookups (route-cache misses all
-        landing on the same few shards) allocation-free; it holds only
-        the entries actually asked for, so a million-shard map pays for
-        the handful its clients route to.
+        The map keeps no reference to it: an entry per column asked for
+        would live as long as the map and be scanned by every full
+        collection, for a hit that saves one small object's build.
         """
-        entry = self._entry_cache.get(index)
-        if entry is None:
-            idx = self._index
-            chunk, offset = index >> _CHUNK_SHIFT, index & _CHUNK_MASK
-            entry = ShardMapEntry(idx.shard_ids[index], idx.key_lows[index],
-                                  idx.key_highs[index],
-                                  self._primaries[chunk][offset],
-                                  self._secondaries[chunk][offset])
-            self._entry_cache[index] = entry
-        return entry
+        idx = self._index
+        chunk, offset = index >> _CHUNK_SHIFT, index & _CHUNK_MASK
+        return ShardMapEntry(idx.shard_ids[index], idx.key_lows[index],
+                             idx.key_highs[index],
+                             self._primaries[chunk][offset],
+                             self._secondaries[chunk][offset])
 
     def entry(self, shard_id: str) -> ShardMapEntry:
         """O(1) entry lookup by shard id."""

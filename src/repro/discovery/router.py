@@ -8,7 +8,8 @@ The router keeps a sorted-interval index over the latest delivered shard
 map (app-key approach — ranges, not hashes, so prefix scans stay
 possible), picks the primary for primary-routed requests or the
 nearest replica by region for secondary-reads, and retries on
-failure/misroute with the freshest map available.
+failure/misroute with the freshest map available.  Routes are cached
+per shard column, behind a key -> column memo.
 
 Requests run through a slotted :class:`_RequestOp` state machine
 (mirroring the network's ``RpcCall``): retries, backoff, misroute
@@ -19,7 +20,6 @@ or per-request processes.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -69,19 +69,18 @@ class ServiceRouter:
         # the network; endpoint regions are immutable while registered.
         self._region_cache: dict = {}
         self._region_epoch = -1
-        # key -> (address, shard_id) for exclude-free routing, one dict per
-        # prefer_primary flag.  A cached route depends only on the entry
-        # content for that key and on which endpoints are registered, so
-        # invalidation is two-pronged: a delta-carrying map delivery
-        # evicts only the keys of changed shards (via the per-shard key
-        # buckets below), while a delta-less delivery or an endpoint
-        # change clears wholesale.  All clearing funnels through
-        # _clear_route_caches — no double clears.
+        # key -> column index, valid for one AppKeyIndex: a key's column
+        # depends only on the layout, so no delta evicts it.
+        self._key_columns: dict = {}
+        # column index -> (address, shard_id) for exclude-free routing, one
+        # dict per prefer_primary flag.  A cached route depends only on its
+        # shard's column values and on which endpoints are registered, so
+        # a delta-carrying map delivery evicts the delta's columns, while
+        # a delta-less delivery or an endpoint change clears wholesale
+        # through _clear_route_caches.  Keyed by column rather than by key,
+        # neither cache holds a container object per routed key: ints and
+        # tuples of strings are all the collector finds here.
         self._route_caches: Tuple[dict, dict] = ({}, {})
-        # shard_id -> [cached keys], parallel to _route_caches: the
-        # reverse index that makes per-shard eviction O(cached keys of
-        # that shard) instead of O(cache).
-        self._route_keys_by_shard: Tuple[dict, dict] = ({}, {})
         self._route_epoch = -1
         # Routing counters: plain unconditional int bumps on the hot path
         # (cheaper than any guard); surfaced as registry gauges below.
@@ -131,8 +130,11 @@ class ServiceRouter:
         self._map = shard_map
         # The sorted interval index lives on the app's shared AppKeyIndex:
         # one bisect structure per app, reused across every version and
-        # every router, never rebuilt on delivery.
-        self._index = shard_map.key_index
+        # every router, never rebuilt on delivery.  The key -> column memo
+        # holds for as long as that object does.
+        if shard_map.key_index is not self._index:
+            self._index = shard_map.key_index
+            self._key_columns = {}
         self.map_updates += 1
         if (delta is not None and previous is not None
                 and delta.base_version == previous.version
@@ -144,40 +146,32 @@ class ServiceRouter:
             self._clear_route_caches()
 
     def _evict_changed(self, delta: ShardMapDelta) -> None:
-        """O(changed) eviction: drop cached routes only for shards whose
-        columns changed in this delta.  A cache that holds no route (its
-        reverse index is empty) is not walked at all."""
-        shard_ids = delta.key_index.shard_ids
-        for cache, bucket in zip(self._route_caches,
-                                 self._route_keys_by_shard):
-            if not bucket:
+        """O(changed) eviction: drop the cached routes of the columns this
+        delta changed.  A cache that holds no route is not walked."""
+        for cache in self._route_caches:
+            if not cache:
                 continue
             for i in delta.indices:
-                keys = bucket.pop(shard_ids[i], None)
-                if keys:
-                    self.route_evictions += len(keys)
-                    for key in keys:
-                        cache.pop(key, None)
+                if cache.pop(i, None) is not None:
+                    self.route_evictions += 1
 
     def _clear_route_caches(self) -> None:
         """The single wholesale-invalidation site for the route caches."""
         self._route_caches[0].clear()
         self._route_caches[1].clear()
-        self._route_keys_by_shard[0].clear()
-        self._route_keys_by_shard[1].clear()
 
     def index_for_key(self, key: int) -> int:
-        """Column index of the shard covering ``key``."""
-        index = self._index
-        if index is None or not len(index):
-            raise RoutingError("no shard map received yet")
-        position = bisect.bisect_right(index.sorted_lows, key) - 1
-        if position < 0:
-            raise RoutingError(f"key {key} below the key space")
-        entry_index = index.sorted_order[position]
-        if key >= index.key_highs[entry_index]:
+        """Column index of the shard covering ``key``: the map's own
+        :meth:`ShardMap.index_for_key`, with the router's routing errors."""
+        shard_map = self._map
+        column = -1 if shard_map is None else shard_map.index_for_key(key)
+        if column < 0:
+            if shard_map is None or not len(shard_map):
+                raise RoutingError("no shard map received yet")
+            if key < self._index.sorted_lows[0]:
+                raise RoutingError(f"key {key} below the key space")
             raise RoutingError(f"key {key} not covered by any shard")
-        return entry_index
+        return column
 
     # -- replica selection ----------------------------------------------------------
 
@@ -200,17 +194,23 @@ class ServiceRouter:
                      exclude: Tuple[str, ...] = ()) -> Tuple[str, str]:
         """(address, shard_id) for a key; nearest replica for reads.
 
-        ``exclude`` lists addresses already tried this request.  A
-        primary-routed key resolves from the map's primary column; an
-        entry is materialised only when the secondaries are needed.
+        ``exclude`` lists addresses already tried this request.  Uncached:
+        the key is bisected and its column picked afresh.
         """
-        entry_index = self.index_for_key(key)
+        return self._pick_at(self.index_for_key(key), prefer_primary,
+                             exclude)
+
+    def _pick_at(self, column: int, prefer_primary: bool,
+                 exclude: Tuple[str, ...] = ()) -> Tuple[str, str]:
+        """:meth:`pick_address` for a column index.  A primary-routed
+        column resolves from the map's primary column; an entry is
+        materialised only when the secondaries are needed."""
         shard_map = self._map
         if prefer_primary:
-            primary = shard_map.primary_at(entry_index)
+            primary = shard_map.primary_at(column)
             if primary is not None and primary not in exclude:
-                return primary, self._index.shard_ids[entry_index]
-        entry = shard_map.entry_at(entry_index)
+                return primary, self._index.shard_ids[column]
+        entry = shard_map.entry_at(column)
         candidates = [a for a in entry.all_addresses() if a not in exclude]
         if not candidates:
             raise RoutingError(f"shard {entry.shard_id}: no routable replica")
@@ -232,29 +232,25 @@ class ServiceRouter:
         """Cached exclude-free :meth:`pick_address`.
 
         Steady-state requests (no replica excluded yet) resolve through
-        one dict lookup instead of the bisect plus replica-selection walk;
-        the cache is scoped to the current (map version, registration
-        epoch) pair, which is exactly the state ``pick_address`` reads.
-        Routing failures are never cached.
+        two dict probes, key -> column and column -> route, instead of the
+        bisect plus replica-selection walk; the route cache is scoped to
+        the current (map version, registration epoch) pair, which is
+        exactly the state ``_pick_at`` reads.  Routing failures are never
+        cached.
         """
         # Inline _sync_route_epoch: this runs once per request, and the
         # extra call costs ~25% of the whole cache-hit path.
         if self.network.registration_epoch != self._route_epoch:
             self._route_epoch = self.network.registration_epoch
             self._clear_route_caches()
-        which = 1 if prefer_primary else 0
-        cache = self._route_caches[which]
-        route = cache.get(key)
+        column = self._key_columns.get(key)
+        if column is None:
+            column = self._key_columns[key] = self.index_for_key(key)
+        cache = self._route_caches[1 if prefer_primary else 0]
+        route = cache.get(column)
         if route is None:
             self.route_cache_misses += 1
-            route = self.pick_address(key, prefer_primary=prefer_primary)
-            cache[key] = route
-            bucket = self._route_keys_by_shard[which]
-            shard_keys = bucket.get(route[1])
-            if shard_keys is None:
-                bucket[route[1]] = [key]
-            else:
-                shard_keys.append(key)
+            route = cache[column] = self._pick_at(column, prefer_primary)
         else:
             self.route_cache_hits += 1
         return route

@@ -212,6 +212,10 @@ CATALOGUE: Tuple[Mutant, ...] = (
            Allocator, "build_problem",
            rewrite("replicas_view(shard_id)",
                    "reversed(replicas_view(shard_id))")),
+    Mutant("route_cache_keeps_changed_column",
+           "a chained delta evicts no cached route of a column it changed",
+           ServiceRouter, "_evict_changed",
+           rewrite("for i in delta.indices:", "for i in ():")),
 )
 
 BY_NAME: Dict[str, Mutant] = {mutant.name: mutant for mutant in CATALOGUE}

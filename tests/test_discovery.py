@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import shard_map as shard_map_module
 from repro.core.shard_map import ShardMap, ShardMapEntry
 from repro.discovery.router import RoutingError, ServiceRouter
 from repro.discovery.service_discovery import ServiceDiscovery
@@ -150,27 +151,34 @@ class TestServiceRouter:
         address, _ = router.pick_address(5, exclude=("a",))
         assert address == "b"
 
-    def test_primary_route_materialises_no_entry(self, engine):
+    def test_primary_route_materialises_no_entry(self, engine, monkeypatch):
         """A route-cache miss on a shard with a primary reads the primary
         column; an entry is built only when the secondaries are needed."""
         _network, router = self._router(engine)
         entries = [ShardMapEntry("s0", 0, 10, "a", ("b",)),
                    ShardMapEntry("s1", 10, 20, "c", ()),
                    ShardMapEntry("s2", 20, 30, None, ("d",))]
-        shard_map = make_map(entries=entries)
-        router.on_map_update(shard_map)
+        router.on_map_update(make_map(entries=entries))
+        built = []
+
+        def counting_entry(*fields):
+            built.append(fields[0])
+            return ShardMapEntry(*fields)
+
+        monkeypatch.setattr(shard_map_module, "ShardMapEntry", counting_entry)
         assert router.route_for(5) == ("a", "s0")
         assert router.route_for(15) == ("c", "s1")
         assert router.pick_address(5) == ("a", "s0")
         assert router.route_cache_misses == 2
-        assert shard_map._entry_cache == {}
+        assert built == []
         # The secondaries are needed: nearest-replica reads, an excluded
-        # primary, a shard without one.
+        # primary, a shard without one.  Nothing is memoised, so each
+        # such pick builds its entry again.
         assert router.route_for(5, prefer_primary=False) == ("a", "s0")
-        assert set(shard_map._entry_cache) == {0}
+        assert built == ["s0"]
         assert router.pick_address(5, exclude=("a",)) == ("b", "s0")
         assert router.route_for(25) == ("d", "s2")
-        assert set(shard_map._entry_cache) == {0, 2}
+        assert built == ["s0", "s0", "s2"]
         with pytest.raises(RoutingError):
             router.pick_address(15, exclude=("c",))
 

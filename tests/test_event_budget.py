@@ -214,9 +214,11 @@ def _arrivals(n: int) -> Counter:
                     "call_at": n + 1, "_record": n, "record": 3 * n})
 
 
-def _reads(legs: int, misses: int) -> Counter:
-    """``legs`` router requests with a synchronous answer, ``misses`` of
-    them routed through the map on a route-cache miss."""
+def _reads(legs: int, new_keys: int, misses: int) -> Counter:
+    """``legs`` router requests with a synchronous answer: ``new_keys``
+    of them carry a key the router has not seen, which it bisects (its
+    ``index_for_key`` and the map's) once; ``misses`` land on a column
+    the route cache does not hold, which is picked from the map."""
     return Counter({
         "start_request": legs, "_attempt_once": legs, "route_for": legs,
         "__init__": 2 * legs,          # _RequestOp, RpcCall
@@ -224,8 +226,8 @@ def _reads(legs: int, misses: int) -> Counter:
         "deliver_request": legs,       # the handler runs in this frame
         "_send_response": legs, "_deliver_ok": legs, "_settle": legs,
         "_rpc_done": legs,             # and the outcome is built in this
-        "pick_address": misses, "index_for_key": misses,
-        "__len__": misses, "primary_at": misses})
+        "index_for_key": 2 * new_keys,
+        "_pick_at": misses, "primary_at": misses})
 
 
 def _queued(legs: int) -> Counter:
@@ -242,17 +244,20 @@ def _queued(legs: int) -> Counter:
 def test_sync_point_read_call_budget():
     stack = Stack(queued=False)
     n, calls = _calls(stack, stack.client.run_workload)
-    misses = stack.client.router.route_cache_misses
-    assert calls == ONCE + _arrivals(n) + _reads(n, misses)
-    assert (n, sum(calls.values())) == (40, 1099)   # 27.5 per request
+    router = stack.client.router
+    misses, new_keys = router.route_cache_misses, len(router._key_columns)
+    assert calls == ONCE + _arrivals(n) + _reads(n, new_keys, misses)
+    assert (n, sum(calls.values())) == (40, 1053)   # 26.3 per request
 
 
 def test_queued_read_call_budget():
     stack = Stack(queued=True)
     n, calls = _calls(stack, stack.client.run_workload)
-    misses = stack.client.router.route_cache_misses
-    assert calls == ONCE + _arrivals(n) + _reads(n, misses) + _queued(n)
-    assert (n, sum(calls.values())) == (40, 1421)   # 35.5 per request
+    router = stack.client.router
+    misses, new_keys = router.route_cache_misses, len(router._key_columns)
+    assert calls == (ONCE + _arrivals(n) + _reads(n, new_keys, misses)
+                     + _queued(n))
+    assert (n, sum(calls.values())) == (40, 1375)   # 34.4 per request
 
 
 def test_scatter_call_budget():
@@ -260,12 +265,13 @@ def test_scatter_call_budget():
     stack = Stack(queued=True)
     scatter = ScatterGatherClient(stack.client, KEY_SPACE, fanout=fanout)
     n, calls = _calls(stack, scatter.run_workload)
-    misses = stack.client.router.route_cache_misses
+    router = stack.client.router
+    misses, new_keys = router.route_cache_misses, len(router._key_columns)
     legs = fanout * n
     # One _ScatterOp per arrival, K legs through the router, one merge;
     # untraced, no scatter instant is built.
-    assert calls == (ONCE + _arrivals(n) + _reads(legs, misses)
+    assert calls == (ONCE + _arrivals(n) + _reads(legs, new_keys, misses)
                      + _queued(legs)
                      + Counter({"start_request": n, "__init__": n,
                                 "_leg_done": legs, "_merge": n}))
-    assert (n, sum(calls.values())) == (40, 4657)   # 116.4 per request
+    assert (n, sum(calls.values())) == (40, 4513)   # 112.8 per request

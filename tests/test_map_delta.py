@@ -8,8 +8,9 @@ The contract under test (DESIGN.md "Shard-map delta dissemination"):
 * A subscriber whose base version does not chain resyncs from the full
   snapshot instead of applying the delta (reconnect, reordering,
   orchestrator failover via ``resume_versions_from``).
-* The router's targeted invalidation keeps unchanged keys' cached routes
-  warm and evicts changed ones.
+* The router's targeted invalidation keeps unchanged columns' cached
+  routes warm and evicts changed ones, and every cached route is the
+  one an uncached pick would give.
 """
 
 import random
@@ -292,7 +293,8 @@ class TestColumnarMap:
         snapshot = table.snapshot()
         assert [e.shard_id for e in all_entries(snapshot)] == [
             s.shard_id for s in table.spec.shards]
-        assert snapshot.entry_at(3) is snapshot.entry_at(3)  # memoised
+        # Built per call and not kept: equal, not the same object.
+        assert snapshot.entry_at(3) == snapshot.entry_at(3)
 
     def test_index_for_key(self):
         shard_map = ShardMap.from_entries("x", 1, (
@@ -504,8 +506,8 @@ class TestTargetedInvalidation:
         assert router.route_cache_misses == misses + 1
 
     def test_delta_with_nothing_cached_touches_no_dict(self):
-        """A router that holds no route (both reverse indexes empty)
-        adopts a delta without walking it."""
+        """A router that holds no route (both route caches empty) adopts
+        a delta without walking it."""
 
         class Unwalked(tuple):
             def __iter__(self):
@@ -523,7 +525,6 @@ class TestTargetedInvalidation:
         table.relocate(table.replicas_of("shard2")[0].replica_id, "srv/9")
         snapshot, delta = table.snapshot_delta()
         router._route_caches = (Untouched(), Untouched())
-        router._route_keys_by_shard = (Untouched(), Untouched())
         unwalked = ShardMapDelta(
             delta.app, delta.version, delta.base_version, delta.key_index,
             Unwalked(delta.indices), delta.primaries, delta.secondaries)
@@ -542,7 +543,6 @@ class TestTargetedInvalidation:
         router.on_map_update(*table.snapshot_delta())
         assert router.route_evictions == 1
         assert router._route_caches == ({}, {})
-        assert router._route_keys_by_shard == ({}, {})
 
     def test_registration_epoch_still_invalidates(self):
         """The satellite-2 consolidation must keep endpoint-change
@@ -583,30 +583,39 @@ def reference_apply(base, app, version, base_version, changed):
     return ShardMap.from_entries(app, version, entries)
 
 
-class EntryEvictingRouter(ServiceRouter):
-    """A router evicting by the changed *entries*, shard by shard across
-    both caches, as ``_evict_changed`` did before the delta was columns."""
-
-    changed = ()
-
-    def _evict_changed(self, delta):
-        caches = self._route_caches
-        buckets = self._route_keys_by_shard
-        for entry in self.changed:
-            shard_id = entry.shard_id
-            for cache, bucket in zip(caches, buckets):
-                keys = bucket.pop(shard_id, None)
-                if keys:
-                    self.route_evictions += len(keys)
-                    for key in keys:
-                        cache.pop(key, None)
-
-
 def route_or_error(router, key, prefer_primary):
     try:
         return router.route_for(key, prefer_primary)
     except RoutingError as exc:
         return str(exc)
+
+
+def pick_or_error(router, key, prefer_primary):
+    try:
+        return router.pick_address(key, prefer_primary)
+    except RoutingError as exc:
+        return str(exc)
+
+
+def assert_routes_uncached(router, shard_map, keys):
+    """``router.route_for`` answers every key in both routing modes as a
+    fresh router's uncached ``pick_address`` over ``shard_map`` does —
+    route or routing error."""
+    fresh = ServiceRouter(router.engine, router.network,
+                          router.client_address)
+    fresh.on_map_update(shard_map)
+    for key in keys:
+        for prefer_primary in (True, False):
+            assert (route_or_error(router, key, prefer_primary)
+                    == pick_or_error(fresh, key, prefer_primary)), (
+                key, prefer_primary)
+
+
+def shard_bounds(shard_map):
+    """Each shard's first and last key."""
+    index = shard_map.key_index
+    return [key for low, high in zip(index.key_lows, index.key_highs)
+            for key in (low, high - 1)]
 
 
 ROUNDS = st.lists(st.tuples(
@@ -623,13 +632,13 @@ class TestColumnsAgainstEntries:
     def test_router_and_replica_match_the_entry_based_code(self, shards,
                                                            rounds):
         """Random route_for / mutate / publish rounds: the column walk
-        leaves the same caches, the same eviction count and the same
-        applied map as the entry-based code given the old ``changed``."""
+        applies to the same map as the entry-based code given the old
+        ``changed``, and after each delivery the router's cached routes
+        agree with an uncached pick at every shard's bounds."""
         engine = Engine()
         network = Network(engine, rng=random.Random(1))
         network.register("client", "FRC")
         router = ServiceRouter(engine, network, "client")
-        oracle = EntryEvictingRouter(engine, network, "client")
         table = make_table(shards=shards)
         index_of = table.snapshot().key_index.index_of
         replica = reference = None
@@ -639,9 +648,7 @@ class TestColumnsAgainstEntries:
             hosted = sorted({r.shard_id for r in table.all_replicas()})
             for pick, prefer_primary in picks:
                 shard = index_of[hosted[pick % len(hosted)]] if hosted else 0
-                key = shard * 10 + pick % 10
-                assert (route_or_error(router, key, prefer_primary)
-                        == route_or_error(oracle, key, prefer_primary))
+                route_or_error(router, shard * 10 + pick % 10, prefer_primary)
             mutate_randomly(table, random.Random(seed), ops=ops)
             dirty = sorted(table._dirty)
             base_version = table.last_version
@@ -658,10 +665,74 @@ class TestColumnsAgainstEntries:
             assert_maps_identical(replica, snapshot)
             assert_maps_identical(reference, snapshot)
             if delivered:
-                oracle.changed = changed
                 router.on_map_update(snapshot, delta)
-                oracle.on_map_update(snapshot, delta)
-            assert router._route_caches == oracle._route_caches
-            assert router._route_keys_by_shard == oracle._route_keys_by_shard
-            assert router.route_evictions == oracle.route_evictions
-            assert router.map_resyncs == oracle.map_resyncs
+                assert_routes_uncached(router, snapshot,
+                                       shard_bounds(snapshot))
+
+
+REGIONS = ("FRC", "ODN", "PRN")
+
+#: One delivery per item: its kind, and the seed of the mutations before
+#: it (and of the endpoint it re-registers).
+DELIVERIES = st.lists(st.tuples(
+    st.sampled_from(["chained", "gapped", "full", "endpoints",
+                     "relayout"]),
+    st.integers(0, 1 << 16),
+), min_size=1, max_size=8)
+
+
+class TestRouteCacheAgainstUncachedPick:
+    @settings(max_examples=40, deadline=None)
+    @given(shards=st.sampled_from([6, 40]), deliveries=DELIVERIES)
+    def test_route_for_equals_uncached_pick_after_every_delivery(
+            self, shards, deliveries):
+        """Every key is routed after every delivery — a chained delta, a
+        gapped one, a delta-less publish, an endpoint (re)registration or
+        a publisher with another layout — so each delivery meets a warm
+        cache, and every answer must be the uncached one."""
+        engine = Engine()
+        network = Network(engine, rng=random.Random(1))
+        network.register("client", "FRC")
+        for n in range(10):
+            network.register(f"srv/{n}", REGIONS[n % 3])
+        router = ServiceRouter(engine, network, "client")
+        table = make_table(shards=shards)
+        # Two ready replicas in different regions per shard, so a
+        # nearest-replica route depends on where endpoints are registered.
+        for i, shard in enumerate(table.spec.shards):
+            table.add(shard.shard_id, f"srv/{i % 10}", Role.PRIMARY,
+                      state=ReplicaState.READY)
+            table.add(shard.shard_id, f"srv/{(i + 1) % 10}", Role.SECONDARY,
+                      state=ReplicaState.READY)
+        shard_map, delta = table.snapshot_delta()
+        router.on_map_update(shard_map, delta)
+        keys = range(-1, 10 * shards + 12)
+        assert_routes_uncached(router, shard_map, keys)
+        for kind, seed in deliveries:
+            rng = random.Random(seed)
+            if kind == "relayout":
+                # A successor publisher with another layout (one shard
+                # more, or back): the key -> column memo must not survive.
+                successor = make_table(
+                    shards=shards + 1 if len(shard_map) == shards else shards)
+                successor.resume_versions_from(table.last_version)
+                table = successor
+            mutate_randomly(table, rng, ops=rng.randrange(1, 7))
+            if kind == "chained":
+                shard_map, delta = table.snapshot_delta()
+                router.on_map_update(shard_map, delta)
+            elif kind == "gapped":
+                table.snapshot_delta()
+                mutate_randomly(table, rng, ops=rng.randrange(1, 7))
+                shard_map, delta = table.snapshot_delta()
+                router.on_map_update(shard_map, delta)
+            elif kind in ("full", "relayout"):
+                shard_map = table.snapshot()
+                router.on_map_update(shard_map)
+            else:
+                address = f"srv/{rng.randrange(10)}"
+                network.unregister(address)
+                if rng.random() < 0.75:
+                    network.register(address, rng.choice(REGIONS))
+            assert router._map is shard_map
+            assert_routes_uncached(router, shard_map, keys)
