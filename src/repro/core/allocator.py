@@ -57,6 +57,9 @@ class ServerRecord:
     #: reached it (an ``app.server.LoadReport``; ``{}`` before the
     #: first), read as shard id -> load vector.
     shard_loads: Any = field(default_factory=dict)
+    #: An ``sm.add_shard`` to it failed and it has not been heard from
+    #: since (an answered load poll, a replica moved to it, a rejoin).
+    unheard: bool = False
 
     def usable(self, now: float) -> bool:
         return self.alive and not self.draining and now >= self.expected_down_until
@@ -93,6 +96,8 @@ class AllocationPlan:
     promotes: List[PromoteReplica] = field(default_factory=list)
     moves: List[MoveReplica] = field(default_factory=list)
     solve_result: Optional[SolveResult] = None
+    #: The moves continue the last solve's plan; no solve ran.
+    continued: bool = False
 
     @property
     def empty(self) -> bool:
@@ -100,6 +105,8 @@ class AllocationPlan:
 
 
 LoadFn = Callable[[ReplicaAssignment], Tuple[float, ...]]
+#: A move of a solved plan: the replica, its source and its target.
+PlannedMove = Tuple[ReplicaAssignment, str, str]
 
 
 class Allocator:
@@ -112,6 +119,11 @@ class Allocator:
         self.search_config = search_config
         self.rng = rng or random.Random(0)
         self.max_moves_per_round = max_moves_per_round
+        # Kept between rounds: the last solve's input and result, the
+        # unapplied tail, the last round's input, replicas and batch.
+        self._solved: Optional[Tuple[tuple, SolveResult]] = None
+        self._tail: List[PlannedMove] = []
+        self._last: Optional[tuple] = None
 
     # -- emergency mode ----------------------------------------------------------
 
@@ -128,7 +140,7 @@ class Allocator:
         understaffed = table.understaffed_shards()
         if not understaffed:
             return plan
-        usable = [record for record in servers.values() if record.usable(now)]
+        usable = [r for r in servers.values() if r.usable(now) and not r.unheard]
         if not usable:
             return plan
         # Spread new placements over many targets: least-loaded first, then
@@ -332,42 +344,96 @@ class Allocator:
                       servers: Dict[str, ServerRecord], now: float,
                       load_of: LoadFn) -> AllocationPlan:
         """Full optimization pass; returns moves capped for system stability
-        (hard constraint 1: bounded churn per round)."""
+        (hard constraint 1: bounded churn per round).
+
+        Plans once per disturbance: an input equal to the last solve's
+        reuses its result (the search's RNG is seeded from the config);
+        one that is the last round's advanced by the moves handed out
+        then takes the kept tail's next batch, unsolved; any other solves.
+        """
         plan = AllocationPlan()
         try:
             problem, index_to_replica = self.build_problem(
                 table, servers, now, load_of)
         except RuntimeError:
             return plan
-        rebalancer = self.attach_goals(problem)
-        result = rebalancer.solve(self.search_config)
-        plan.solve_result = result
+        # Everything a solve reads that can change between rounds: the
+        # servers (draining flags and the restart filter in), the spec's
+        # shards, and each replica's shard, load, pin and server.
+        inputs = (problem.servers, list(self.spec.shards),
+                  problem.shard_names, problem.shard_of, problem.loads,
+                  problem.replica_pinned, list(problem.assignment))
+        batch: List[PlannedMove] = []
+        if self._solved is None or inputs != self._solved[0]:
+            if self._tail and inputs == self._advanced():
+                batch, tail = self._hand_out(self._tail, table, servers, now)
+                plan.continued = bool(batch)
+            if not batch:
+                self._solved = (inputs, self.attach_goals(problem).solve(
+                    self.search_config))
+        if not plan.continued:
+            plan.solve_result = result = self._solved[1]
+            planned = [(index_to_replica[i], index_to_replica[i].address,
+                        problem.servers[new].name)
+                       for i, _old, new in result.changed_replicas]
+            batch, tail = self._hand_out(
+                [move for move in planned if move[1] != move[2]],
+                table, servers, now)
+        self._tail = tail
+        self._last = (inputs, index_to_replica, batch) if tail else None
+        plan.moves = [MoveReplica(replica.shard_id, replica.replica_id,
+                                  source, target, replica.role)
+                      for replica, source, target in batch]
+        return plan
+
+    def _advanced(self) -> tuple:
+        """The last round's input once the moves it handed out have landed
+        as the migration executor lands them: each successor joins the
+        end of its shard's block, on the target."""
+        (servers, shards, names, shard_of, loads, pinned,
+         assignment), replicas, batch = self._last
+        server_index = {server.name: i for i, server in enumerate(servers)}
+        columns = replicas, loads, pinned, assignment = (
+            list(replicas), list(loads), list(pinned), list(assignment))
+        for replica, _source, target in batch:
+            index = end = replicas.index(replica)
+            while end + 1 < len(shard_of) and shard_of[end + 1] == shard_of[index]:
+                end += 1
+            for column in columns:
+                column.insert(end, column.pop(index))
+            assignment[end] = server_index[target]
+        return servers, shards, names, shard_of, loads, pinned, assignment
+
+    def _hand_out(self, planned: List[PlannedMove], table: AssignmentTable,
+                  servers: Dict[str, ServerRecord], now: float
+                  ) -> Tuple[List[PlannedMove], List[PlannedMove]]:
+        """The next capped batch of ``planned``, and the rest to keep; a
+        move whose replica left its source, or whose target is unusable
+        or hosts a sibling, is dropped."""
+        batch: List[PlannedMove] = []
+        tail: List[PlannedMove] = []
         moves_per_server: Dict[str, int] = {}
-        for replica_index, _old, new in result.changed_replicas:
-            replica = index_to_replica[replica_index]
-            target = problem.servers[new].name
-            if target == replica.address:
+        for position, move in enumerate(planned):
+            replica, source, target = move
+            record = servers.get(target)
+            if (replica.state is ReplicaState.DROPPED
+                    or replica.address != source
+                    or record is None or not record.usable(now)
+                    # Never co-locate two replicas of one shard on one server.
+                    or any(r.address == target
+                           for r in table.replicas_view(replica.shard_id)
+                           if r is not replica)):
                 continue
-            # Never co-locate two replicas of one shard on one server.
-            siblings = {r.address
-                        for r in table.replicas_view(replica.shard_id)
-                        if r.replica_id != replica.replica_id}
-            if target in siblings:
-                continue
-            source_count = moves_per_server.get(replica.address, 0)
+            if len(batch) >= self.max_moves_per_round:
+                tail.extend(planned[position:])
+                break
+            source_count = moves_per_server.get(source, 0)
             target_count = moves_per_server.get(target, 0)
             # Hard constraint 1: cap concurrent moves per server.
             if source_count >= 4 or target_count >= 4:
+                tail.append(move)
                 continue
-            if len(plan.moves) >= self.max_moves_per_round:
-                break
-            moves_per_server[replica.address] = source_count + 1
+            moves_per_server[source] = source_count + 1
             moves_per_server[target] = target_count + 1
-            plan.moves.append(MoveReplica(
-                shard_id=replica.shard_id,
-                replica_id=replica.replica_id,
-                from_address=replica.address,
-                to_address=target,
-                role=replica.role,
-            ))
-        return plan
+            batch.append(move)
+        return batch, tail

@@ -31,7 +31,8 @@ from ..obs import NO_TRACER, get_default
 from ..sim.engine import Delay, Engine, Process, every
 from ..sim.network import Network
 from ..solver.local_search import UNJOURNALED_PROFILE_KEYS, SearchConfig
-from .allocator import Allocator, AllocationPlan, MoveReplica, ServerRecord
+from .allocator import (
+    Allocator, AllocationPlan, CreateReplica, MoveReplica, ServerRecord)
 from .migration import MigrationExecutor
 from .shard_map import (
     VALUE_OF, AssignmentTable, ReplicaAssignment, ReplicaState, Role)
@@ -109,9 +110,9 @@ class Orchestrator:
         )
         self._dirty = False
         self._publish_scheduled = False
-        # (time, violations seen, moves planned) per rebalance — the
-        # instrumentation behind Fig 23's "violations" curve.
-        self.rebalance_history: List[Tuple[float, int, int]] = []
+        # (time, violations seen — None: a kept plan went on unsolved —,
+        # moves planned) per rebalance, behind Fig 23's "violations" curve.
+        self.rebalance_history: List[Tuple[float, Optional[int], int]] = []
         self._emergency_running = False
         self._rebalance_running = False
         # Replicas a relocation is moving: a drain and a rebalance race here.
@@ -254,6 +255,7 @@ class Orchestrator:
             self._joined.add(address)
         else:
             record.alive = True
+            record.unheard = False
             record.machine = machine
         # The server bootstrapped its shards from ZooKeeper; make them
         # routable again.
@@ -415,6 +417,7 @@ class Orchestrator:
                     missing += 1
                 else:
                     record.shard_loads = report
+                    record.unheard = False
                     reached += 1
         if self._tracer.enabled:
             self._tracer.instant(
@@ -466,13 +469,20 @@ class Orchestrator:
             creates = list(plan.creates)
             yield from self._run_pool(
                 min(MAX_CONCURRENT_MIGRATIONS, max(1, len(creates))), creates,
-                lambda create: self.executor.create_replica(
-                    create.shard_id, create.address, create.role))
+                self._create)
         finally:
             self._emergency_running = False
             if span:
                 tracer.end(span, None, {"outcome": "ok"},
                            track="orchestrator", name="emergency")
+
+    def _create(self, create: CreateReplica) -> Generator[Any, Any, None]:
+        """An emergency create; a target that did not take it (stopped, its
+        session still open) is no emergency target until heard from."""
+        created = yield from self.executor.create_replica(
+            create.shard_id, create.address, create.role)
+        if not created and create.address in self.servers:
+            self.servers[create.address].unheard = True
 
     # -- periodic rebalancing (§5) --------------------------------------------------------------
 
@@ -481,19 +491,20 @@ class Orchestrator:
             return
         plan = self.allocator.periodic_plan(self.table, self.servers,
                                             self.engine.now, self.load_of)
-        if plan.solve_result is not None:
+        result = plan.solve_result
+        if result is not None or plan.continued:
+            seen = None if result is None else result.initial_violations
             self.rebalance_history.append(
-                (self.engine.now, plan.solve_result.initial_violations,
-                 len(plan.moves)))
+                (self.engine.now, seen, len(plan.moves)))
             if self._tracer.enabled:
-                plan.solve_result.profile.to_trace(
-                    self._tracer, self.engine.now,
-                    prefix=f"{self.spec.name}.",
-                    skip=UNJOURNALED_PROFILE_KEYS)
+                if result is not None:
+                    result.profile.to_trace(
+                        self._tracer, self.engine.now,
+                        prefix=f"{self.spec.name}.",
+                        skip=UNJOURNALED_PROFILE_KEYS)
                 self._tracer.instant(
                     "orchestrator", "rebalance", None,
-                    {"app": self.spec.name,
-                     "violations": plan.solve_result.initial_violations,
+                    {"app": self.spec.name, "violations": seen,
                      "moves": len(plan.moves)})
         if not plan.moves:
             return
@@ -552,9 +563,12 @@ class Orchestrator:
             move = self.executor.abrupt_primary_migration
         self._relocating.add(replica_id)
         try:
-            return (yield from move(replica, target))
+            moved = yield from move(replica, target)
         finally:
             self._relocating.discard(replica_id)
+        if moved:
+            self.servers[target].unheard = False  # it took the replica
+        return moved
 
     # -- drains (called by SM's TaskController, §4.1) -------------------------------------------
 

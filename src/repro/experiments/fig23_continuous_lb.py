@@ -183,7 +183,7 @@ def run(servers: int = 30, shards: int = 200, days: float = 3.0,
     for index, time in enumerate(violations.times):
         seen = 0
         while entry is not None and entry[0] <= time:
-            seen = max(seen, entry[1])
+            seen = max(seen, entry[1] or 0)
             entry = next(history, None)
         solver_seen.record(time, max(seen, violations.values[index]))
 

@@ -212,6 +212,15 @@ CATALOGUE: Tuple[Mutant, ...] = (
            Allocator, "build_problem",
            rewrite("replicas_view(shard_id)",
                    "reversed(replicas_view(shard_id))")),
+    Mutant("kept_plan_ignores_spec",
+           "the periodic allocator's input leaves out the spec's shards",
+           Allocator, "periodic_plan",
+           rewrite("list(self.spec.shards)", "()")),
+    Mutant("kept_tail_skips_revalidation",
+           "a planned move is handed out without its re-check",
+           Allocator, "_hand_out",
+           rewrite("if (replica.state is ReplicaState.DROPPED",
+                   "if False and (replica.state is ReplicaState.DROPPED")),
     Mutant("route_cache_keeps_changed_column",
            "a chained delta evicts no cached route of a column it changed",
            ServiceRouter, "_evict_changed",
