@@ -1,7 +1,6 @@
 """Cluster substrate: topology, containers, Twine, TaskControl protocol."""
 
 from .container import Container, ContainerState
-from .maintenance import MaintenanceSchedule, PlannedEventStats
 from .taskcontrol import (
     ApproveAllController,
     ContainerOp,
@@ -24,8 +23,6 @@ from .twine import RollingUpgrade, Twine, TwineConfig
 __all__ = [
     "Container",
     "ContainerState",
-    "MaintenanceSchedule",
-    "PlannedEventStats",
     "ApproveAllController",
     "ContainerOp",
     "DenyAllController",

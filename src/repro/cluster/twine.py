@@ -95,7 +95,6 @@ class Twine:
         # release, so an unplanned crash overlapping a maintenance window
         # can neither double-stop containers nor end the window early.
         self._down_holds: Dict[str, Set[str]] = {}
-        self._maint_on_begin: Dict[str, Callable[[MaintenanceNotice, int], None]] = {}
         # Statistics used by experiments.
         self.container_stops_planned = 0
         self.container_stops_unplanned = 0
@@ -156,9 +155,6 @@ class Twine:
             containers.append(container)
             self._start_container(container)
         return containers
-
-    def job_containers(self, job: str) -> List[Container]:
-        return list(self._jobs.get(job, []))
 
     def _start_container(self, container: Container) -> None:
         container.state = ContainerState.STARTING
@@ -364,17 +360,12 @@ class Twine:
     # -- non-negotiable maintenance (§4.2) ----------------------------------------
 
     def schedule_maintenance(self, machine_ids: Sequence[str], start_time: float,
-                             end_time: float, impact: MaintenanceImpact,
-                             on_begin: Optional[Callable[[MaintenanceNotice, int], None]] = None,
+                             end_time: float, impact: MaintenanceImpact
                              ) -> MaintenanceNotice:
         """Announce and later execute a non-negotiable maintenance event.
 
         The controller gets the advance notice immediately; at ``start_time``
         the physical impact is applied and reverted at ``end_time``.
-        ``on_begin`` (if given) fires when the window actually opens, with
-        the notice and the number of containers the window stopped — the
-        accounting hook for schedulers that must not guess at notice time
-        what the fleet will look like 60 s later.
         """
         if start_time < self.engine.now:
             raise ValueError("maintenance cannot start in the past")
@@ -388,15 +379,12 @@ class Twine:
             impact=impact,
             region=self.region,
         )
-        if on_begin is not None:
-            self._maint_on_begin[notice.notice_id] = on_begin
         if self._controller is not None:
             self._controller.on_maintenance_notice(notice)
         self.engine.call_at(start_time, lambda: self._begin_maintenance(notice))
         return notice
 
     def _begin_maintenance(self, notice: MaintenanceNotice) -> None:
-        stopped = 0
         if notice.impact is MaintenanceImpact.NETWORK_LOSS:
             if self._machine_network_hook is not None:
                 for machine_id in notice.machine_ids:
@@ -410,13 +398,10 @@ class Twine:
             # overlapping crash (or second window) cannot double-stop
             # containers or end this window early.
             for machine_id in notice.machine_ids:
-                stopped += self._take_machine_down(
+                self._take_machine_down(
                     machine_id, f"maint:{notice.notice_id}", planned=True)
             self.engine.call_at(notice.end_time,
                                 lambda: self._end_machine_maintenance(notice))
-        on_begin = self._maint_on_begin.pop(notice.notice_id, None)
-        if on_begin is not None:
-            on_begin(notice, stopped)
 
     def _end_network_maintenance(self, notice: MaintenanceNotice) -> None:
         if self._machine_network_hook is not None:

@@ -29,7 +29,6 @@ from .shard_map import (
 )
 from .spec import (
     AppSpec,
-    DeploymentMode,
     DrainPolicy,
     KeyRange,
     LoadBalancePolicy,
@@ -66,7 +65,6 @@ __all__ = [
     "ShardMap",
     "ShardMapEntry",
     "AppSpec",
-    "DeploymentMode",
     "DrainPolicy",
     "KeyRange",
     "LoadBalancePolicy",

@@ -4,10 +4,9 @@ SM chooses the *app-key, app-sharding* abstraction (§3.1): the application
 decides how its key space maps to shards (possibly uneven ranges, e.g.
 ``S0:[1,9], S1:[10,99], S2:[100,100000]``) and may set per-shard policies
 such as a regional placement preference.  The spec below captures that,
-plus the §2.2 demographics dimensions (replication strategy, LB policy,
-drain policy) and §4.1's global availability cap.  ``DeploymentMode``
-is the demographics' regional / geo-distributed split
-(``repro.workloads.fleet``); every simulated app is geo-distributed.
+plus §2.2's per-app dimensions (replication strategy, LB policy, drain
+policy) and §4.1's global availability cap.  Every simulated app is
+geo-distributed: one global pool of servers, not a full copy per region.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ class ReplicationStrategy(str, Enum):
     PRIMARY_ONLY = "primary_only"
     SECONDARY_ONLY = "secondary_only"
     PRIMARY_SECONDARY = "primary_secondary"
-
-
-class DeploymentMode(str, Enum):
-    """§2.2.2: one full copy per region vs. one global pool."""
-
-    REGIONAL = "regional"
-    GEO_DISTRIBUTED = "geo_distributed"
 
 
 class LoadBalancePolicy(str, Enum):

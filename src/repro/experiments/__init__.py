@@ -6,10 +6,6 @@ drives these and asserts the paper's shapes.
 """
 
 from . import (
-    adevents_capacity,
-    demographics,
-    fig01_planned_events,
-    fig02_adoption,
     fig17_availability,
     fig18_production_upgrades,
     fig19_geo_failover,
@@ -22,10 +18,6 @@ from . import (
 )
 
 __all__ = [
-    "adevents_capacity",
-    "demographics",
-    "fig01_planned_events",
-    "fig02_adoption",
     "fig17_availability",
     "fig18_production_upgrades",
     "fig19_geo_failover",

@@ -8,7 +8,7 @@ reports, building EXPERIMENTS.md's paper-vs-measured tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable
 
 from ..metrics.timeseries import TimeSeries, format_table
 
@@ -33,24 +33,3 @@ def series_rows(series: TimeSeries, value_label: str = "value") -> str:
             for i in indices]
     return format_table(["t(s)", value_label], rows)
 
-
-def percent(value: float) -> str:
-    return f"{100.0 * value:.1f}%"
-
-
-def compare_breakdown(measured: Dict[str, float],
-                      published: Dict[str, float]) -> List[Tuple[str, str, str]]:
-    """(category, paper, measured) rows for demographics tables."""
-    rows = []
-    for key in sorted(set(measured) | set(published)):
-        rows.append((key,
-                     percent(published.get(key, 0.0)),
-                     percent(measured.get(key, 0.0))))
-    return rows
-
-
-def max_abs_error(measured: Dict[str, float],
-                  published: Dict[str, float]) -> float:
-    keys = set(measured) | set(published)
-    return max(abs(measured.get(k, 0.0) - published.get(k, 0.0))
-               for k in keys)

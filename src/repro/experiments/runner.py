@@ -87,7 +87,6 @@ def _sweep(name: str, sizes: Dict[str, Dict[str, Any]]
 
     return [task("fig17", arm, "fig17_availability", entry="run_arm",
                  arm=arm) for arm in FIG17_ARMS] + [
-        task("fig01", name, "fig01_planned_events"),
         task("fig18", name, "fig18_production_upgrades"),
         task("fig19", name, "fig19_geo_failover"),
         task("fig23", name, "fig23_continuous_lb"),
@@ -101,7 +100,6 @@ DEFAULT_TASKS: List[Dict[str, Any]] = _sweep("default", {})
 SMOKE_TASKS: List[Dict[str, Any]] = _sweep("smoke", {
     "fig17": {"shards": 300, "servers": 20, "restart_duration": 30.0,
               "request_rate": 20.0},
-    "fig01": {"machines": 40, "jobs": 2, "days": 15.0},
     "fig18": {"shards": 120, "servers": 10, "day_length": 1_200.0,
               "days": 1},
     "fig19": {"shards": 100, "ec_shards": 40, "servers_per_region": 6,

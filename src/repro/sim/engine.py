@@ -328,8 +328,8 @@ class Process:
             schedule(waiter, result)
 
 
-def every(engine: Engine, interval: float, callback: Callable[[], None],
-          start_after: Optional[float] = None) -> Callable[[], None]:
+def every(engine: Engine, interval: float,
+          callback: Callable[[], None]) -> Callable[[], None]:
     """Run ``callback`` every ``interval`` seconds until the returned
     stopper is invoked."""
     if interval <= 0:
@@ -342,8 +342,7 @@ def every(engine: Engine, interval: float, callback: Callable[[], None],
         callback()
         engine.call_after(interval, _tick)
 
-    first = interval if start_after is None else start_after
-    engine.call_after(first, _tick)
+    engine.call_after(interval, _tick)
 
     def _stop() -> None:
         nonlocal stopped

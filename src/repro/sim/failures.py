@@ -1,10 +1,8 @@
 """Unplanned-failure injection.
 
-Planned events (maintenance, upgrades) are first-class citizens of the
-cluster manager (``repro.cluster.maintenance``); unplanned failures are
-injected here.  Figure 1's headline — planned container stops are ≈1000x
-more frequent than unplanned ones — falls out of the default rates used
-by the Fig 1 experiment, not anything hard-coded here.
+Planned events (maintenance windows, upgrades) are first-class citizens
+of the cluster manager (``repro.cluster.twine``); unplanned failures are
+injected here.
 
 The injector coordinates with the cluster layer instead of firing
 blindly: an optional ``down_check`` lets it defer crashes aimed at a

@@ -1,18 +1,5 @@
-"""Workload and fleet generators used by experiments and benchmarks."""
+"""Workload generators used by experiments and benchmarks."""
 
-from .fleet import (
-    Breakdown,
-    SyntheticApp,
-    adoption_curve,
-    deployment_breakdown,
-    drain_breakdown,
-    generate_fleet,
-    lb_policy_breakdown,
-    replication_breakdown,
-    scale_scatter,
-    scheme_breakdown,
-    storage_breakdown,
-)
 from .load import (
     DAY,
     ConstantCurve,
@@ -30,17 +17,6 @@ from .snapshots import (
 )
 
 __all__ = [
-    "Breakdown",
-    "SyntheticApp",
-    "adoption_curve",
-    "deployment_breakdown",
-    "drain_breakdown",
-    "generate_fleet",
-    "lb_policy_breakdown",
-    "replication_breakdown",
-    "scale_scatter",
-    "scheme_breakdown",
-    "storage_breakdown",
     "DAY",
     "ConstantCurve",
     "DiurnalCurve",

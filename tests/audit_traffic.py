@@ -14,10 +14,9 @@ with.  One run feeds two fences.  It fails when
 * a function defined under ``src/repro`` was entered by none of them and
   matches no ``ALLOW`` pattern,
 * an option (a defaulted parameter of an entered function, a defaulted
-  field of a ``*Config`` / ``*Params`` / ``*Spec`` /
-  ``MaintenanceSchedule`` dataclass, or a chaos action's param, named
-  ``chaos/scenario.py::ACTIONS.kind(param)``) ran with one value only
-  and matches no ``ALLOW_OPTIONS`` pattern, or
+  field of a ``*Config`` / ``*Params`` / ``*Spec`` dataclass, or a chaos
+  action's param, named ``chaos/scenario.py::ACTIONS.kind(param)``) ran
+  with one value only and matches no ``ALLOW_OPTIONS`` pattern, or
 * an entry of either list matches nothing, or every name it matches is
   entered / varied (a stale excuse); or ``ALLOW_OPTIONS`` holds more
   than ``TIER1_SIZE_LIMIT`` TIER1-SIZE entries.
@@ -116,8 +115,6 @@ ALLOW: List[Tuple[str, str]] = [
      REFERENCE + "exact pmf the sampled frequencies are held to"),
     # -- release ----------------------------------------------------------
     ("app/fluid.py::FluidClient.close", RELEASE + "its map subscription"),
-    ("cluster/maintenance.py::MaintenanceSchedule.stop",
-     RELEASE + "its scheduling process"),
     ("sim/fluid.py::EpochDriver.stop",
      RELEASE + "its epochs; the pending tick then integrates nothing"),
     # -- base classes, doubles, text --------------------------------------
@@ -175,8 +172,6 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
     # -- seeds ------------------------------------------------------------
     ("experiments/*::run(seed)", SEED),
     ("experiments/*::run_arm(seed)", SEED),
-    ("workloads/fleet.py::generate_fleet(seed)",
-     SEED + " (Figs 2, 4 and 15/16 hand theirs down)"),
     # -- inputs -------------------------------------------------------------
     ("chaos/scenario.py::run_scenario(capacity)",
      INPUT + "run_chaos.py --capacity"),
@@ -195,6 +190,8 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
      BENCH_KW + "chaos_traced's journal_capacity"),
     ("core/mini_sm.py::ApplicationManager.__init__(max_replicas_per_partition)",
      BENCH_KW + "map_lookup's partition size"),
+    ("cluster/twine.py::TwineConfig.negotiation_interval",
+     BENCH_KW + "upgrade_event's twine_config"),
     # -- references ---------------------------------------------------------
     ("sim/engine.py::Engine.run(max_events)",
      REFERENCE_RUN + "test_one_event_queue.py and test_guarded_events.py "
@@ -214,8 +211,6 @@ ALLOW_OPTIONS: List[Tuple[str, str]] = [
     ("chaos/scenario.py::ACTIONS.maintenance(region)", TARGET),
     ("chaos/scenario.py::ACTIONS.partition_pair([ab])", TARGET),
     # -- tier-1 sizes ---------------------------------------------------------
-    ("experiments/adevents_capacity.py::run(regions)",
-     TIER1_SIZE + SMOKE + " compares 3, 4 and 8 regions"),
     ("experiments/fig21_solver_scale.py::run(factor)",
      TIER1_SIZE + SMOKE + " runs factor 25"),
     ("experiments/fig22_solver_opt.py::run(factor)",

@@ -19,7 +19,6 @@ from repro.chaos import (
     run_scenario,
 )
 from repro.chaos.scenario import outage_bound
-from repro.cluster.maintenance import MaintenanceSchedule
 from repro.cluster.taskcontrol import MaintenanceImpact, OpKind, OpReason
 from repro.cluster.topology import build_topology
 from repro.cluster.twine import Twine
@@ -637,44 +636,47 @@ class TestTwineDownHolds:
 
 
 class TestMaintenanceAccounting:
-    def make_schedule(self, twine, engine):
-        return MaintenanceSchedule(engine=engine, twine=twine,
-                                   rng=random.Random(0))
+    """Twine counts a window's planned stops when it opens, not when it
+    is announced: containers start, stop and move in the notice period."""
+
+    def announce(self, twine, engine, machine_id):
+        start = engine.now + 60.0
+        twine.schedule_maintenance([machine_id], start, start + 1_800.0,
+                                   MaintenanceImpact.RUNTIME_STATE_LOSS)
 
     def test_counted_at_window_open_not_notice(self):
         engine, twine = make_twine()
-        twine.create_job("web", 3)
+        containers = twine.create_job("web", 3)
         engine.run(until=30.0)
-        schedule = self.make_schedule(twine, engine)
-        machine_id = twine.job_containers("web")[0].machine.machine_id
-        schedule._maintain(machine_id)
-        assert schedule.stats.maintenance == 0  # notice time: no stops yet
+        before = twine.container_stops_planned
+        self.announce(twine, engine, containers[0].machine.machine_id)
+        assert twine.container_stops_planned == before  # notice: no stops
         engine.run(until=engine.now + 70.0)  # 60 s notice + slack
-        assert schedule.stats.maintenance == 1
+        assert twine.container_stops_planned == before + 1
 
     def test_crash_before_window_opens_counts_zero(self):
         """The count reflects what the window actually stopped: a machine
         that crashed during the notice period contributes nothing."""
         engine, twine = make_twine()
-        twine.create_job("web", 3)
+        containers = twine.create_job("web", 3)
         engine.run(until=30.0)
-        schedule = self.make_schedule(twine, engine)
-        machine_id = twine.job_containers("web")[0].machine.machine_id
-        schedule._maintain(machine_id)
+        before = twine.container_stops_planned
+        machine_id = containers[0].machine.machine_id
+        self.announce(twine, engine, machine_id)
         twine.fail_machine(machine_id)
         engine.run(until=engine.now + 70.0)
-        assert schedule.stats.maintenance == 0
+        assert twine.container_stops_planned == before
 
     def test_down_machine_skipped_entirely(self):
+        """A window on a machine already down stops nothing, and its end
+        does not bring the machine back."""
         engine, twine = make_twine()
-        twine.create_job("web", 3)
+        containers = twine.create_job("web", 3)
         engine.run(until=30.0)
-        schedule = self.make_schedule(twine, engine)
-        machine_id = twine.job_containers("web")[0].machine.machine_id
+        machine_id = containers[0].machine.machine_id
         twine.fail_machine(machine_id)
-        scheduled = []
-        original = twine.schedule_maintenance
-        twine.schedule_maintenance = (
-            lambda *a, **k: scheduled.append(a) or original(*a, **k))
-        schedule._maintain(machine_id)
-        assert scheduled == []  # no window announced for a dead machine
+        before = twine.container_stops_planned
+        self.announce(twine, engine, machine_id)
+        engine.run(until=engine.now + 2_000.0)  # past the window's end
+        assert twine.container_stops_planned == before
+        assert not twine.machine_up(machine_id)

@@ -55,7 +55,7 @@ def test_run_experiments_trace_flags_require_trace(flag, monkeypatch, capsys,
     script = load_script("run_experiments")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.argv", ["run_experiments.py", "--smoke",
-                                     "--figures", "fig01", *flag])
+                                     "--figures", "fig19", *flag])
     with pytest.raises(SystemExit) as exit_info:
         script.main()
     assert exit_info.value.code == 2

@@ -369,13 +369,6 @@ class TestEvery:
         engine.run(until=100.0)
         assert ticks == [10.0, 20.0]
 
-    def test_start_after_overrides_first_interval(self):
-        engine = Engine()
-        ticks = []
-        every(engine, 10.0, lambda: ticks.append(engine.now), start_after=1.0)
-        engine.run(until=25.0)
-        assert ticks == [1.0, 11.0, 21.0]
-
     def test_zero_interval_rejected(self):
         with pytest.raises(SimulationError):
             every(Engine(), 0.0, lambda: None)

@@ -346,10 +346,9 @@ class TestTaskControllerCaps:
         )
         app = deploy_app(cluster, spec, {"FRC": 2, "PRN": 2}, settle=60.0)
         # Restart every container in both regions simultaneously.
-        for region in ("FRC", "PRN"):
-            twine = cluster.twines[region]
-            for container in twine.job_containers("app"):
-                twine.submit_op(OpKind.RESTART, container, OpReason.UPGRADE)
+        for container in app.containers:
+            twine = cluster.twines[container.machine.region]
+            twine.submit_op(OpKind.RESTART, container, OpReason.UPGRADE)
 
         table = app.orchestrator.table
         min_available = {shard.shard_id: 2 for shard in spec.shards}

@@ -7,7 +7,6 @@ import pytest
 from repro.core.shard_map import AssignmentTable
 from repro.core.spec import (
     AppSpec,
-    DeploymentMode,
     DrainPolicy,
     KeyRange,
     LoadBalancePolicy,

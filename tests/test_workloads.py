@@ -1,4 +1,4 @@
-"""Unit tests for workload and fleet generators."""
+"""Unit tests for workload generators."""
 
 import json
 import math
@@ -8,16 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.spec import DeploymentMode, LoadBalancePolicy
-from repro.workloads.fleet import (
-    GEO_DISTRIBUTED_BY_APP,
-    SHARDING_SCHEME_BY_APP,
-    adoption_curve,
-    deployment_breakdown,
-    generate_fleet,
-    scale_scatter,
-    scheme_breakdown,
-)
 from repro.workloads.load import (
     DAY,
     DiurnalCurve,
@@ -31,45 +21,6 @@ from repro.workloads.snapshots import (
     scaled,
     zippydb_snapshot,
 )
-
-
-class TestFleet:
-    def test_deterministic_by_seed(self):
-        assert generate_fleet(50, seed=3) == generate_fleet(50, seed=3)
-
-    def test_scheme_marginals_converge(self):
-        apps = generate_fleet(4000, seed=1)
-        breakdown = scheme_breakdown(apps)
-        for scheme, expected in SHARDING_SCHEME_BY_APP.items():
-            assert abs(breakdown.by_app[scheme] - expected) < 0.05
-
-    def test_geo_marginal_converges(self):
-        apps = generate_fleet(4000, seed=1)
-        breakdown = deployment_breakdown(apps)
-        assert abs(breakdown.by_app[DeploymentMode.GEO_DISTRIBUTED.value]
-                   - GEO_DISTRIBUTED_BY_APP) < 0.05
-
-    def test_scatter_covers_sm_apps_only(self):
-        apps = generate_fleet(200, seed=2)
-        scatter = scale_scatter(apps)
-        assert len(scatter) == sum(1 for a in apps if a.is_sm)
-
-    def test_sizes_within_paper_bounds(self):
-        apps = generate_fleet(2000, seed=4)
-        for app in apps:
-            if app.scheme != "custom":
-                assert 1 <= app.servers <= 19_000
-            assert 1 <= app.shards <= 2_600_000
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            generate_fleet(0)
-
-    def test_adoption_curve_monotonic(self):
-        curve = adoption_curve(range(2012, 2022))
-        values = [machines for _y, machines in curve]
-        assert values == sorted(values)
-        assert values[-1] > 900_000
 
 
 class TestDiurnal:

@@ -10,8 +10,8 @@ them it records, for every function whose code lives under
 * that it was entered, and
 * the distinct values each of its defaulted parameters ran with —
   likewise every defaulted field of a config-like dataclass defined there
-  (a class named ``*Config`` / ``*Params`` / ``*Spec`` or
-  ``MaintenanceSchedule``), read at its generated ``__init__``, and
+  (a class named ``*Config`` / ``*Params`` / ``*Spec``), read at its
+  generated ``__init__``, and
   every chaos action param, read where ``chaos/scenario.py::param_of``
   returns it to the executor.
 
@@ -47,7 +47,7 @@ import threading
 _SRC = os.environ.get("REPRO_TRAFFIC_SRC")
 _OUT = os.environ.get("REPRO_TRAFFIC_OUT")
 
-_CONFIG_CLASS = re.compile(r"(Config|Params|Spec)$|^MaintenanceSchedule$")
+_CONFIG_CLASS = re.compile(r"(Config|Params|Spec)$")
 _SCALARS = (bool, int, float, complex, str, bytes)
 _RESUMABLE = (inspect.CO_GENERATOR | inspect.CO_COROUTINE
               | inspect.CO_ASYNC_GENERATOR)
