@@ -15,9 +15,7 @@ from .mini_sm import (
     Frontend,
     MiniSM,
     Partition,
-    PartitionFootprint,
     PartitionRegistry,
-    plan_partition_footprints,
 )
 from .orchestrator import Orchestrator, OrchestratorConfig
 from .shard_map import (
@@ -53,9 +51,7 @@ __all__ = [
     "Frontend",
     "MiniSM",
     "Partition",
-    "PartitionFootprint",
     "PartitionRegistry",
-    "plan_partition_footprints",
     "Orchestrator",
     "OrchestratorConfig",
     "AssignmentTable",

@@ -58,11 +58,13 @@ class ServerRecord:
     #: first), read as shard id -> load vector.
     shard_loads: Any = field(default_factory=dict)
     #: An ``sm.add_shard`` to it failed and it has not been heard from
-    #: since (an answered load poll, a replica moved to it, a rejoin).
+    #: since (an answered load poll, a replica moved to it, a rejoin);
+    #: until then it is not :meth:`usable`.
     unheard: bool = False
 
     def usable(self, now: float) -> bool:
-        return self.alive and not self.draining and now >= self.expected_down_until
+        return (self.alive and not self.draining and not self.unheard
+                and now >= self.expected_down_until)
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ class Allocator:
         understaffed = table.understaffed_shards()
         if not understaffed:
             return plan
-        usable = [r for r in servers.values() if r.usable(now) and not r.unheard]
+        usable = [r for r in servers.values() if r.usable(now)]
         if not usable:
             return plan
         # Spread new placements over many targets: least-loaded first, then
@@ -200,48 +202,29 @@ class Allocator:
         for shard in understaffed:
             live = [r for r in table.replicas_view(shard.shard_id)
                     if r.state is not ReplicaState.DROPPED]
-            missing = shard.replica_count - len(live)
-            for _ in range(max(0, missing)):
+            missing = max(0, shard.replica_count - len(live))
+            # A shard with no live primary promotes a READY secondary, or
+            # brings its first create up as primary (one beyond the count
+            # when none is missing).
+            role = Role.SECONDARY
+            if (self.spec.has_primaries()
+                    and not any(r.role is Role.PRIMARY for r in live)):
+                ready_secondary = next(
+                    (r for r in live if r.state is ReplicaState.READY), None)
+                if ready_secondary is not None:
+                    plan.promotes.append(PromoteReplica(
+                        shard_id=shard.shard_id,
+                        replica_id=ready_secondary.replica_id))
+                else:
+                    role = Role.PRIMARY
+                    missing = max(1, missing)
+            for _ in range(missing):
                 address = next_target(shard.shard_id, shard.preferred_region)
                 if address is None:
                     break  # no capacity anywhere; the next round retries
-                role = Role.SECONDARY
                 plan.creates.append(CreateReplica(
                     shard_id=shard.shard_id, address=address, role=role))
-            if self.spec.has_primaries():
-                has_primary = any(r.role is Role.PRIMARY for r in live)
-                if not has_primary:
-                    ready_secondary = next(
-                        (r for r in live if r.state is ReplicaState.READY), None)
-                    if ready_secondary is not None:
-                        plan.promotes.append(PromoteReplica(
-                            shard_id=shard.shard_id,
-                            replica_id=ready_secondary.replica_id))
-                    elif not plan.creates or all(
-                            c.shard_id != shard.shard_id for c in plan.creates):
-                        address = next_target(shard.shard_id,
-                                              shard.preferred_region)
-                        if address is not None:
-                            plan.creates.append(CreateReplica(
-                                shard_id=shard.shard_id, address=address,
-                                role=Role.PRIMARY))
-        # Creates for shards without any live replica in a primary app
-        # should bring up a primary directly.
-        if self.spec.has_primaries():
-            primaries_planned = set()
-            for index, create in enumerate(plan.creates):
-                shard_id = create.shard_id
-                live = [r for r in table.replicas_of(shard_id)
-                        if r.state is not ReplicaState.DROPPED]
-                has_primary = any(r.role is Role.PRIMARY for r in live)
-                promote_planned = any(p.shard_id == shard_id
-                                      for p in plan.promotes)
-                if (not has_primary and not promote_planned
-                        and shard_id not in primaries_planned):
-                    plan.creates[index] = CreateReplica(
-                        shard_id=shard_id, address=create.address,
-                        role=Role.PRIMARY)
-                    primaries_planned.add(shard_id)
+                role = Role.SECONDARY
         return plan
 
     # -- periodic mode ----------------------------------------------------------------

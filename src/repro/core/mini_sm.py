@@ -16,19 +16,14 @@ and :class:`MiniSM` hosts any number of partitions.  The
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .spec import AppSpec
 
 #: §6.1: "each partition typically comprises thousands of servers and
 #: hundreds of thousands of shard replicas".
 MAX_REPLICAS_PER_PARTITION = 200_000
-#: A mini-SM's replica budget (the paper's largest runs ≈50K servers /
-#: 1.3M shards).
-REPLICAS_PER_MINI_SM = 1_500_000
 
 
 @dataclass
@@ -96,139 +91,43 @@ class ApplicationManager:
         return partitions
 
 
-@dataclass(frozen=True)
-class PartitionFootprint:
-    """Partition bookkeeping without a full AppSpec.
-
-    The Fig 16 scale experiment partitions a synthetic fleet with millions
-    of shards; building real specs for those would be wasteful.  Any
-    object with these four fields (including :class:`Partition`) can be
-    assigned by the :class:`PartitionRegistry`.
-    """
-
-    partition_id: str
-    server_count: int
-    shard_count: int
-    replica_count: int
-
-
-def plan_partition_footprints(app_name: str, servers: int, shards: int,
-                              replicas_per_shard: int = 1
-                              ) -> List[PartitionFootprint]:
-    """Numerically split an app into partition footprints of at most
-    ``MAX_REPLICAS_PER_PARTITION`` replicas."""
-    total_replicas = shards * replicas_per_shard
-    partition_count = max(1, -(-total_replicas // MAX_REPLICAS_PER_PARTITION))
-    footprints = []
-    for index in range(partition_count):
-        share = lambda total: (total // partition_count
-                               + (1 if index < total % partition_count else 0))
-        footprints.append(PartitionFootprint(
-            partition_id=f"{app_name}/p{index}",
-            server_count=share(servers),
-            shard_count=share(shards),
-            replica_count=share(total_replicas),
-        ))
-    return footprints
-
-
 @dataclass
 class MiniSM:
-    """One control-plane shard: manages some partitions.
-
-    The aggregate counters are cached and maintained incrementally by
-    :meth:`add_partition` — the Fig 16 sweep assigns tens of thousands of
-    partitions, and per-call ``sum()`` made every registry assignment
-    O(partitions).  Appending to ``partitions`` directly still works (the
-    cache is keyed to the list length and recounts lazily); mutating an
-    already-added partition's counts in place does not, and nothing in
-    the codebase does.
-    """
+    """One control-plane shard: manages some partitions, with running
+    totals that :meth:`add_partition` keeps."""
 
     mini_sm_id: str
-    partitions: List[Partition] = field(default_factory=list)
-    _totals: Optional[Tuple[int, int, int]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _counted: int = field(default=-1, init=False, repr=False, compare=False)
+    partitions: List[Partition] = field(default_factory=list, init=False)
+    server_count: int = field(default=0, init=False)
+    shard_count: int = field(default=0, init=False)
+    replica_count: int = field(default=0, init=False)
 
     def add_partition(self, partition: Partition) -> None:
-        servers, shards, replicas = self._ensure_totals()
         self.partitions.append(partition)
-        self._totals = (servers + partition.server_count,
-                        shards + partition.shard_count,
-                        replicas + partition.replica_count)
-        self._counted = len(self.partitions)
-
-    def _ensure_totals(self) -> Tuple[int, int, int]:
-        if self._totals is None or self._counted != len(self.partitions):
-            servers = shards = replicas = 0
-            for partition in self.partitions:
-                servers += partition.server_count
-                shards += partition.shard_count
-                replicas += partition.replica_count
-            self._totals = (servers, shards, replicas)
-            self._counted = len(self.partitions)
-        return self._totals
-
-    @property
-    def server_count(self) -> int:
-        return self._ensure_totals()[0]
-
-    @property
-    def shard_count(self) -> int:
-        return self._ensure_totals()[1]
-
-    @property
-    def replica_count(self) -> int:
-        return self._ensure_totals()[2]
+        self.server_count += partition.server_count
+        self.shard_count += partition.shard_count
+        self.replica_count += partition.replica_count
 
 
 class PartitionRegistry:
-    """Assigns partitions to mini-SMs (least-loaded by replica count),
-    growing the mini-SM pool when every one is at capacity.
+    """Assigns partitions to mini-SMs: the least-loaded instance by
+    replica count, first-created among equals, growing the pool when it
+    is full.  Every mini-SM shares one capacity, so the least-loaded one
+    fits whenever any one does."""
 
-    Selection runs off a lazy-deletion heap keyed by
-    ``(replica_count, creation_seq)``, so each assignment is O(log n)
-    instead of a full scan.  Because every mini-SM shares one capacity,
-    the least-loaded instance fits whenever *any* instance fits, and the
-    ``creation_seq`` tie-break is the one a ``min()`` over all instances
-    applies: first-created wins among equally loaded.
-    """
-
-    def __init__(self, replicas_per_mini_sm: int = REPLICAS_PER_MINI_SM
-                 ) -> None:
+    def __init__(self, replicas_per_mini_sm: int) -> None:
         self.replicas_per_mini_sm = replicas_per_mini_sm
         self.mini_sms: List[MiniSM] = []
-        self._counter = itertools.count()
         self._by_partition: Dict[str, MiniSM] = {}
-        # (replica_count, creation_seq, push_seq, mini_sm); an entry is
-        # stale — and discarded when it surfaces — if its count no longer
-        # matches the mini-SM's live count.  push_seq only breaks the
-        # (count, seq) tie between a mini-SM's own duplicate entries.
-        self._heap: List[Tuple[int, int, int, MiniSM]] = []
-        self._pushes = itertools.count()
-
-    def _new_mini_sm(self) -> MiniSM:
-        sequence = next(self._counter)
-        mini_sm = MiniSM(mini_sm_id=f"mini-sm-{sequence}")
-        self.mini_sms.append(mini_sm)
-        heapq.heappush(self._heap,
-                       (0, sequence, next(self._pushes), mini_sm))
-        return mini_sm
 
     def assign(self, partition: Partition) -> MiniSM:
-        heap = self._heap
-        while heap and heap[0][0] != heap[0][3].replica_count:
-            heapq.heappop(heap)  # superseded by a fresher entry below
-        if heap and (heap[0][0] + partition.replica_count
-                     <= self.replicas_per_mini_sm):
-            count, sequence, _push, target = heap[0]
-        else:
-            target = self._new_mini_sm()
-            sequence = len(self.mini_sms) - 1
+        target = min(self.mini_sms, key=lambda m: m.replica_count,
+                     default=None)
+        if (target is None or target.replica_count + partition.replica_count
+                > self.replicas_per_mini_sm):
+            target = MiniSM(mini_sm_id=f"mini-sm-{len(self.mini_sms)}")
+            self.mini_sms.append(target)
         target.add_partition(partition)
-        heapq.heappush(heap, (target.replica_count, sequence,
-                              next(self._pushes), target))
         self._by_partition[partition.partition_id] = target
         return target
 

@@ -478,7 +478,7 @@ class Orchestrator:
 
     def _create(self, create: CreateReplica) -> Generator[Any, Any, None]:
         """An emergency create; a target that did not take it (stopped, its
-        session still open) is no emergency target until heard from."""
+        session still open) is no target until heard from."""
         created = yield from self.executor.create_replica(
             create.shard_id, create.address, create.role)
         if not created and create.address in self.servers:
@@ -647,7 +647,7 @@ class Orchestrator:
             address = record.address
             # ``not record.usable(now)``, spelt out to save a call per
             # server per pick.
-            if (not record.alive or record.draining
+            if (not record.alive or record.draining or record.unheard
                     or now < record.expected_down_until
                     or address in existing):
                 continue

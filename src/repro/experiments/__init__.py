@@ -13,7 +13,6 @@ from . import (
     fig21_solver_scale,
     fig22_solver_opt,
     fig23_continuous_lb,
-    scale,
     skew_lb,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "fig21_solver_scale",
     "fig22_solver_opt",
     "fig23_continuous_lb",
-    "scale",
     "skew_lb",
 ]

@@ -16,16 +16,8 @@ from repro.experiments import (
     fig22_solver_opt,
     fig23_continuous_lb,
     runner,
-    scale,
     skew_lb,
 )
-
-
-def test_scale_smoke():
-    result = scale.run(seed=1)
-    assert result.mini_sm_count >= 2
-    assert result.mini_sm_scatter
-    assert "mini-SM" in scale.format_report(result)
 
 
 def test_fig17_smoke():

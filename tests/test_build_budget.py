@@ -5,7 +5,7 @@
 first full ``snapshot_delta``) is paid per shard before anything is
 published.  Like ``tests/test_solve_budget.py`` this file pins what that
 cost is made of rather than timing it: every function under
-``src/repro`` the build enters, by ``co_name``.
+``src/repro`` the build enters, by ``co_name`` (``tests/ledger.py``).
 
 Per shard the build may enter the two ``__post_init__`` checks (the key
 range's and the shard's), one ``add`` and the one ``_restaff`` it runs;
@@ -17,41 +17,17 @@ Elsewhere comprehensions are not counted: whether they get a frame of
 their own depends on the interpreter (3.12 inlines them).
 """
 
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core.shard_map import AssignmentTable, ReplicaState
 from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
 
-SRC = str(Path(repro.__file__).parent)
+from tests.ledger import count_calls
+
 SHARDS = 10_000
 SERVERS = 100
-
-
-def traced(build, every_frame: bool = False):
-    """``(calls, result)``: the co_name Counter of the Python frames
-    under ``src/repro`` that ``build()`` enters (comprehensions and
-    generator expressions only with ``every_frame``)."""
-    calls = Counter()
-
-    def profile(frame, event, _arg):
-        if event != "call":
-            return
-        code = frame.f_code
-        if code.co_filename.startswith(SRC) and (
-                every_frame or not code.co_name.startswith("<")):
-            calls[code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
-        result = build()
-    finally:
-        sys.setprofile(None)
-    return calls, result
 
 
 def uniform_app(shards: int) -> AppSpec:
@@ -67,25 +43,25 @@ def add_primaries(table: AssignmentTable) -> list:
 
 
 def test_uniform_app_build_call_budget():
-    calls, shards = traced(
+    calls, shards = count_calls(
         lambda: uniform_shards(SHARDS, key_space=SHARDS * 16))
     # KeyRange's and ShardSpec's checks, once each per shard.
     assert calls == Counter({"uniform_shards": 1,
                              "__post_init__": 2 * SHARDS})
 
-    calls, spec = traced(lambda: AppSpec(name="scale", shards=shards))
+    calls, spec = count_calls(lambda: AppSpec(name="scale", shards=shards))
     assert calls == Counter({"__post_init__": 1})
 
-    calls, table = traced(lambda: AssignmentTable(spec))
+    calls, table = count_calls(lambda: AssignmentTable(spec))
     assert calls == Counter({"__init__": 2, "from_spec": 1, "_chunked": 2,
                              "__len__": 1, "has_primaries": 1})
 
-    calls, replicas = traced(lambda: add_primaries(table))
+    calls, replicas = count_calls(lambda: add_primaries(table))
     assert len(replicas) == SHARDS
     assert calls == Counter({"add": SHARDS, "_restaff": SHARDS})
     assert calls["primary_of"] == 0
 
-    calls, (shard_map, delta) = traced(table.snapshot_delta)
+    calls, (shard_map, delta) = count_calls(table.snapshot_delta)
     assert calls == Counter({"snapshot_delta": 1, "_rebuild_dirty": 1,
                              "_make_map": 1, "__init__": 1})
     assert len(delta.indices) == SHARDS
@@ -99,9 +75,9 @@ def test_bulk_passes_enter_no_frame_per_shard():
     frames = []
     for shards in (SHARDS // 10, SHARDS):
         specs = uniform_shards(shards, key_space=shards * 16)
-        spec_calls, spec = traced(
+        spec_calls, spec = count_calls(
             lambda: AppSpec(name="scale", shards=specs), every_frame=True)
-        table_calls, _table = traced(lambda: AssignmentTable(spec),
+        table_calls, _table = count_calls(lambda: AssignmentTable(spec),
                                      every_frame=True)
         frames.append((spec_calls, table_calls))
     assert frames[0] == frames[1]

@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.topology import build_topology
 from repro.coordination.zookeeper import ZooKeeper
+from repro.core.allocator import MoveReplica
 from repro.core.orchestrator import Orchestrator
 from repro.core.shard_map import ReplicaState
 from repro.core.spec import AppSpec, ReplicationStrategy, Role, uniform_shards
@@ -201,6 +202,34 @@ def test_removing_a_server_record_is_an_error_not_a_stale_pick():
     with pytest.raises(RuntimeError, match="server record was removed"):
         world.orchestrator._pick_drain_target(
             SimpleNamespace(shard_id="shard0"))
+
+
+def test_an_unheard_server_is_no_target():
+    """A server that did not take an emergency create (``unheard``: stopped,
+    its session still open) is no drain target, and a planned move to it
+    is neither handed out nor run."""
+    world = World(seed=1)
+    heard = world.register((0, True, False, 0.0))
+    silent = world.register((1, True, False, 0.0))
+    orchestrator = world.orchestrator
+    orchestrator.servers[silent].unheard = True
+    assert world.both_picks(0) == (heard, heard)
+    world.host(2, 0)
+    replica, = orchestrator.table.replicas_of("shard0")
+    planned = [(replica, replica.address, silent)]
+    assert orchestrator.allocator._hand_out(
+        planned, orchestrator.table, orchestrator.servers, NOW) == ([], [])
+    move = MoveReplica(shard_id="shard0", replica_id=replica.replica_id,
+                       from_address=replica.address, to_address=silent,
+                       role=Role.SECONDARY)
+    with pytest.raises(StopIteration) as stopped:
+        next(orchestrator._execute_one_move(move))
+    assert stopped.value.value is False
+    # Heard from again, it is a target like any other.
+    orchestrator.servers[silent].unheard = False
+    assert orchestrator.allocator._hand_out(
+        planned, orchestrator.table, orchestrator.servers, NOW) == (
+            planned, [])
 
 
 def test_a_successor_builds_its_own_server_order():

@@ -19,11 +19,7 @@ does not exist) fails a count there.
 """
 
 import random
-import sys
 from collections import Counter
-from pathlib import Path
-
-import repro
 
 from repro.app.client import ApplicationClient, WorkloadRecorder
 from repro.app.scatter import QueuedServiceHandler, ScatterGatherClient
@@ -32,6 +28,8 @@ from repro.discovery.service_discovery import ServiceDiscovery
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.network import Network
+
+from tests.ledger import count_calls
 
 SHARDS = 8
 KEYS_PER_SHARD = 16
@@ -167,41 +165,28 @@ def test_healthy_async_reply_rpc_leaves_no_heap_entry_behind():
 
 # -- the call budget ---------------------------------------------------------
 
-SRC = str(Path(repro.__file__).parent)
-
 #: Calls the measured region makes once, whatever it sends: the recorder
-#: (``with_bucket``, its rate window's ``__init__``, its latency series'
-#: default factory and the series' two arrays), ``run_workload`` and the
-#: driver's ``__init__``, ``Engine.run``, the router's route-cache reset
-#: on the first route, and the rate window opening its one bucket.
-ONCE = Counter({"with_bucket": 1, "<lambda>": 1, "_float_array": 2,
+#: (``with_bucket``, its rate window's ``__init__`` and its latency
+#: series' two arrays), ``run_workload`` and the driver's ``__init__``,
+#: ``Engine.run``, the router's route-cache reset on the first route, and
+#: the rate window opening its one bucket.
+ONCE = Counter({"with_bucket": 1, "_float_array": 2,
                 "run_workload": 1, "__init__": 2, "run": 1,
                 "_clear_route_caches": 1, "_flush": 1})
 
 
 def _calls(stack: Stack, run_workload) -> tuple:
     """``(requests sent, co_name -> calls)`` for one ``_burst`` on
-    ``stack``, run to the end.
-
-    Counted with ``sys.setprofile``: every ``call`` event of a function
-    whose code lives under ``src/repro``, keyed by ``co_name`` (not
-    ``co_qualname``, which Python 3.10 lacks).  The engine's dispatch
-    sampler is detached first.  A dataclass ``__init__`` is compiled from
-    ``<string>`` and is not counted; nor are builtins.
-    """
+    ``stack``, run to the end, counted by ``tests/ledger.py`` with
+    the engine's dispatch sampler detached."""
     stack.engine.set_tracer(None)
-    calls = Counter()
 
-    def profile(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename.startswith(SRC):
-            calls[frame.f_code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
+    def burst():
         recorder = _burst(run_workload)
         stack.engine.run()
-    finally:
-        sys.setprofile(None)
+        return recorder
+
+    calls, recorder = count_calls(burst)
     return recorder.sent, calls
 
 
@@ -247,7 +232,7 @@ def test_sync_point_read_call_budget():
     router = stack.client.router
     misses, new_keys = router.route_cache_misses, len(router._key_columns)
     assert calls == ONCE + _arrivals(n) + _reads(n, new_keys, misses)
-    assert (n, sum(calls.values())) == (40, 1053)   # 26.3 per request
+    assert (n, sum(calls.values())) == (40, 1052)   # 26.3 per request
 
 
 def test_queued_read_call_budget():
@@ -257,7 +242,7 @@ def test_queued_read_call_budget():
     misses, new_keys = router.route_cache_misses, len(router._key_columns)
     assert calls == (ONCE + _arrivals(n) + _reads(n, new_keys, misses)
                      + _queued(n))
-    assert (n, sum(calls.values())) == (40, 1375)   # 34.4 per request
+    assert (n, sum(calls.values())) == (40, 1374)   # 34.4 per request
 
 
 def test_scatter_call_budget():
@@ -274,4 +259,4 @@ def test_scatter_call_budget():
                      + _queued(legs)
                      + Counter({"start_request": n, "__init__": n,
                                 "_leg_done": legs, "_merge": n}))
-    assert (n, sum(calls.values())) == (40, 4513)   # 112.8 per request
+    assert (n, sum(calls.values())) == (40, 4512)   # 112.8 per request

@@ -1,6 +1,7 @@
 """Unit tests for the scale-out control plane (mini-SMs, registries)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,6 @@ from repro.core.mini_sm import (
     ApplicationRegistry,
     Frontend,
     PartitionRegistry,
-    plan_partition_footprints,
 )
 from repro.core.spec import AppSpec, ReplicationStrategy, uniform_shards
 
@@ -22,6 +22,15 @@ def big_spec(shards=100, replica_count=3):
                               replica_count=replica_count),
         replication=ReplicationStrategy.PRIMARY_SECONDARY,
     )
+
+
+def footprints(app, count, replicas, servers=10):
+    """``count`` stand-ins for partitions of ``replicas`` replicas each:
+    an id and the three counts are all the registry reads."""
+    return [SimpleNamespace(partition_id=f"{app}/p{index}",
+                            server_count=servers, shard_count=replicas,
+                            replica_count=replicas)
+            for index in range(count)]
 
 
 class TestApplicationManager:
@@ -64,44 +73,28 @@ class TestApplicationManager:
 class TestPartitionRegistry:
     def test_assign_packs_least_loaded(self):
         registry = PartitionRegistry(replicas_per_mini_sm=3 * CAP + 10)
-        footprints = plan_partition_footprints("app", servers=30,
-                                               shards=3 * CAP)
-        assert [f.replica_count for f in footprints] == [CAP] * 3
-        for footprint in footprints:
+        for footprint in footprints("app", 3, CAP):
             registry.assign(footprint)
         assert len(registry.mini_sms) == 1
         assert registry.mini_sms[0].replica_count == 3 * CAP
+        assert registry.mini_sms[0].server_count == 30
+        assert registry.mini_sms[0].shard_count == 3 * CAP
 
     def test_pool_grows_when_full(self):
         registry = PartitionRegistry(replicas_per_mini_sm=2 * CAP + CAP // 3)
-        footprints = plan_partition_footprints("app", servers=30,
-                                               shards=3 * CAP)
-        for footprint in footprints:
+        for footprint in footprints("app", 3, CAP):
             registry.assign(footprint)
         # Two full partitions fit in one mini-SM; the third forces a
         # second instance.
         assert len(registry.mini_sms) == 2
 
     def test_lookup(self):
-        registry = PartitionRegistry()
-        footprint = plan_partition_footprints("app", 10, 10)[0]
+        registry = PartitionRegistry(replicas_per_mini_sm=CAP)
+        footprint, = footprints("app", 1, 10)
         mini_sm = registry.assign(footprint)
         assert registry.lookup(footprint.partition_id) is mini_sm
         with pytest.raises(KeyError):
             registry.lookup("ghost")
-
-
-class TestFootprints:
-    def test_counts_conserved(self):
-        shards = 5 * CAP + 7
-        footprints = plan_partition_footprints(
-            "app", servers=100, shards=shards, replicas_per_shard=3)
-        assert len(footprints) == 16
-        assert sum(f.server_count for f in footprints) == 100
-        assert sum(f.shard_count for f in footprints) == shards
-        assert sum(f.replica_count for f in footprints) == 3 * shards
-        for footprint in footprints:
-            assert footprint.replica_count <= CAP
 
 
 class TestFrontend:
@@ -111,7 +104,7 @@ class TestFrontend:
         partitions = manager.partition_app(spec, server_count=30)
         app_registry = ApplicationRegistry()
         app_registry.register("big", partitions)
-        partition_registry = PartitionRegistry()
+        partition_registry = PartitionRegistry(replicas_per_mini_sm=CAP)
         for partition in partitions:
             partition_registry.assign(partition)
         frontend = Frontend(app_registry, partition_registry)
@@ -121,7 +114,8 @@ class TestFrontend:
             for p in mini_sm.partitions)
 
     def test_route_unknown(self):
-        frontend = Frontend(ApplicationRegistry(), PartitionRegistry())
+        frontend = Frontend(ApplicationRegistry(),
+                            PartitionRegistry(replicas_per_mini_sm=CAP))
         with pytest.raises(KeyError):
             frontend.route("ghost", "shard0")
 
@@ -137,7 +131,7 @@ class TestFrontend:
                                            server_count=5)
         app_registry = ApplicationRegistry()
         app_registry.register("big", partitions)
-        partition_registry = PartitionRegistry()
+        partition_registry = PartitionRegistry(replicas_per_mini_sm=CAP)
         for partition in partitions:
             partition_registry.assign(partition)
         frontend = Frontend(app_registry, partition_registry)
@@ -149,7 +143,7 @@ class TestFrontend:
         registration (new apps — and their shards — become routable)."""
         manager = ApplicationManager(max_replicas_per_partition=1000)
         app_registry = ApplicationRegistry()
-        partition_registry = PartitionRegistry()
+        partition_registry = PartitionRegistry(replicas_per_mini_sm=CAP)
         frontend = Frontend(app_registry, partition_registry)
 
         first = manager.partition_app(big_spec(shards=10), server_count=5)
@@ -170,9 +164,9 @@ class TestFrontend:
 
 
 class TestRegistryHeapParity:
-    """The heap-based assign must reproduce the old linear-scan
-    bin-packing decision for decision: least-loaded instance that fits,
-    first-created among ties, new instance only when none fits."""
+    """``assign`` must make the linear-scan bin-packing decision, decision
+    for decision: least-loaded instance that fits, first-created among
+    ties, new instance only when none fits."""
 
     @staticmethod
     def _reference_assign(loads, capacity, replicas):
@@ -190,8 +184,7 @@ class TestRegistryHeapParity:
         loads = []
         for index in range(300):
             replicas = rng.choice([1, 7, 30, 55, 100, 130])
-            footprint, = plan_partition_footprints(
-                f"app{index}", servers=1, shards=replicas)
+            footprint, = footprints(f"app{index}", 1, replicas, servers=1)
             expected = self._reference_assign(loads, capacity, replicas)
             target = registry.assign(footprint)
             assert registry.mini_sms.index(target) == expected
@@ -200,15 +193,3 @@ class TestRegistryHeapParity:
             else:
                 loads[expected] += replicas
         assert [m.replica_count for m in registry.mini_sms] == loads
-
-    def test_cached_counters_recount_after_direct_append(self):
-        registry = PartitionRegistry(replicas_per_mini_sm=3 * CAP)
-        footprints = plan_partition_footprints(
-            "app", servers=10, shards=2 * CAP)
-        mini_sm = registry.assign(footprints[0])
-        assert mini_sm.replica_count == CAP
-        # Bypassing add_partition: the lazy recount must still see it.
-        mini_sm.partitions.append(footprints[1])
-        assert mini_sm.replica_count == 2 * CAP
-        assert mini_sm.server_count == 10
-        assert mini_sm.shard_count == 2 * CAP

@@ -34,7 +34,6 @@ from repro.cluster.twine import Twine, TwineConfig
 from repro.coordination.zookeeper import ZooKeeper
 from repro.core.allocator import Allocator
 from repro.core.migration import MigrationExecutor
-from repro.core.mini_sm import plan_partition_footprints
 from repro.core.orchestrator import OrchestratorConfig
 from repro.core.spec import AppSpec, ShardSpec, uniform_shards
 from repro.discovery.router import ServiceRouter
@@ -48,7 +47,6 @@ from repro.experiments import (
     fig22_solver_opt,
     fig23_continuous_lb,
     fluid_scale,
-    scale,
     skew_lb,
 )
 from repro.experiments.common import series_rows
@@ -111,7 +109,9 @@ def test_replaced_tables_and_tasks_are_gone():
     # tuned to (EXPERIMENTS.md, "Not reproduced").
     assert modules_matching(
         r"MaintenanceSchedule|adoption_curve|generate_fleet|DeploymentMode"
-        r"|fig01_planned_events|fig02_adoption|adevents_capacity") == []
+        r"|fig01_planned_events|fig02_adoption|adevents_capacity"
+        r"|plan_partition_footprints|PartitionFootprint|experiments.scale"
+    ) == []
 
 
 def test_figures_run_through_the_scenario_engine():
@@ -520,7 +520,6 @@ REMOVED_OPTIONS = [
     (MigrationExecutor, "rpc_timeout"),
     (OrchestratorConfig, "rpc_timeout"),
     (OrchestratorConfig, "rebalance_enabled"),
-    (plan_partition_footprints, "max_replicas_per_partition"),
     (uniform_shards, "prefix"),
     (ServiceRouter.start_request, "method"),
     (ServiceDiscovery.subscribe, "delay"),
@@ -602,9 +601,6 @@ REMOVED_OPTIONS = [
     (fluid_scale.run, "days"),
     (fluid_scale.run, "epoch"),
     (fluid_scale.run, "rate_per_user"),
-    (scale.run, "app_count"),
-    (scale.run, "max_replicas_per_partition"),
-    (scale.run, "replicas_per_mini_sm"),
     (skew_lb.run_arm, "params"),
     (skew_lb.run, "params"),
     # Chaos action params, named by kind: registry entries, not keywords.

@@ -11,23 +11,21 @@ and every ``ReplicaInfo`` row it constructs.
 The one call allowed per kept replica is the app's ``load_of``; the
 rest is per shard (``replicas_view``) or per solve.  A row object per
 replica, a drain-policy test per replica, or a second way into the
-problem's core fails a count here.  Comprehensions, generator expressions and
-lambdas are not counted: whether they get a frame of their own depends
-on the interpreter (3.12 inlines comprehensions).
+problem's core fails a count here.  The counting rule is
+``tests/ledger.py``'s: comprehensions, generator expressions and
+lambdas are not counted.
 """
 
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.chaos import get, run_scenario
 from repro.core.allocator import Allocator
 from repro.solver.problem import ReplicaInfo
 
-SRC = str(Path(repro.__file__).parent)
+from tests.ledger import count_calls
+
 ROW = ReplicaInfo.__new__.__code__
 
 
@@ -40,25 +38,9 @@ def traced_builds(monkeypatch, scenario: str) -> list:
     original = Allocator.build_problem
 
     def counted(allocator, *args):
-        calls = Counter()
-        rows = 0
-
-        def profile(frame, event, _arg):
-            nonlocal rows
-            if event != "call":
-                return
-            code = frame.f_code
-            if code is ROW:
-                rows += 1
-            elif (code.co_filename.startswith(SRC)
-                    and not code.co_name.startswith("<")):
-                calls[code.co_name] += 1
-
-        sys.setprofile(profile)
-        try:
-            problem, index_to_replica = original(allocator, *args)
-        finally:
-            sys.setprofile(None)
+        calls, (problem, index_to_replica) = count_calls(
+            lambda: original(allocator, *args), extra=(ROW, "ReplicaInfo"))
+        rows = calls.pop("ReplicaInfo", 0)
         builds.append((calls, rows, len(allocator.spec.shards),
                        len(index_to_replica)))
         return problem, index_to_replica
