@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Profile one parameterized solve: stage timers plus optional cProfile.
+"""Profile one parameterized solve: its counts plus optional cProfile.
 
 Runs the Fig 21 ZippyDB workload at a chosen scale point and prints a
-``build`` stage (snapshot seconds, goal-attachment seconds and the
+``build`` line (snapshot seconds, goal-attachment seconds and the
 garbage collections the build triggered, per generation) beside the
-solver's built-in per-stage profile (``SolveResult.profile``), so one
-command shows the build : solve split at any ``--factor``.  With
-``--cprofile`` the solve additionally runs under :mod:`cProfile` for
-function-level attribution of the same run.
+solve's time, set-up time and counts (rounds, hot servers, candidate
+walks, swaps tried, moves, swaps, evaluations), so one command shows the
+build : solve split at any ``--factor``.  With ``--cprofile`` the solve
+additionally runs under :mod:`cProfile` for function-level attribution
+of the same run.
 
 Examples::
 
@@ -39,6 +40,11 @@ from repro.workloads.snapshots import (  # noqa: E402
 )
 
 
+#: The ``SolveResult`` counts printed, in order.
+COUNTS = ("rounds", "hot_servers", "walks", "swaps_tried", "moves", "swaps",
+          "evaluations")
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -66,8 +72,8 @@ def main(argv=None) -> int:
     parser.add_argument("--limit", type=int, default=20,
                         help="cProfile rows to print (default 20)")
     parser.add_argument("--json", action="store_true",
-                        help="emit the profile snapshot as JSON instead of "
-                             "the formatted table")
+                        help="emit the times and counts as JSON instead of "
+                             "as text")
     args = parser.parse_args(argv)
 
     scale = scaled(PAPER_SCALES, factor=args.factor)[args.point]
@@ -103,13 +109,10 @@ def main(argv=None) -> int:
             "final_violations": final,
             "build": build,
             "solve_time": result.solve_time,
-            "setup_time": result.profile.seconds("setup"),
-            "moves": result.moves,
-            "swaps": result.swaps,
-            "evaluations": result.evaluations,
-            "evaluations_per_second": result.evaluations_per_second,
+            "setup_time": result.setup_time,
             "timed_out": result.timed_out,
-            "profile": result.profile.snapshot(),
+            "evaluations_per_second": result.evaluations_per_second,
+            "counts": {name: getattr(result, name) for name in COUNTS},
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -121,12 +124,10 @@ def main(argv=None) -> int:
               f"{build['attach_goals_s']:.3f}s  (gc collections gen0/1/2: "
               f"{'/'.join(map(str, build['gc_collections']))})")
         print(f"  solve time: {result.solve_time:.3f}s "
-              f"(of it set-up {result.profile.seconds('setup'):.3f}s)  "
-              f"moves={result.moves} swaps={result.swaps} "
-              f"evaluations={result.evaluations} "
-              f"({result.evaluations_per_second:,.0f}/s)")
-        print("  stage profile:")
-        print(result.profile.format(total=result.solve_time, indent="    "))
+              f"(of it set-up {result.setup_time:.3f}s)  "
+              f"{result.evaluations_per_second:,.0f} evaluations/s")
+        print("  counts: " + ", ".join(f"{name}={getattr(result, name)}"
+                                       for name in COUNTS))
 
     if profiler is not None:
         print()

@@ -30,7 +30,7 @@ from ..metrics.timeseries import Counter
 from ..obs import NO_TRACER, get_default
 from ..sim.engine import Delay, Engine, Process, every
 from ..sim.network import Network
-from ..solver.local_search import UNJOURNALED_PROFILE_KEYS, SearchConfig
+from ..solver.local_search import SearchConfig
 from .allocator import (
     Allocator, AllocationPlan, CreateReplica, MoveReplica, ServerRecord)
 from .migration import MigrationExecutor
@@ -498,10 +498,8 @@ class Orchestrator:
                 (self.engine.now, seen, len(plan.moves)))
             if self._tracer.enabled:
                 if result is not None:
-                    result.profile.to_trace(
-                        self._tracer, self.engine.now,
-                        prefix=f"{self.spec.name}.",
-                        skip=UNJOURNALED_PROFILE_KEYS)
+                    result.journal(self._tracer, self.engine.now,
+                                   f"{self.spec.name}.")
                 self._tracer.instant(
                     "orchestrator", "rebalance", None,
                     {"app": self.spec.name, "violations": seen,

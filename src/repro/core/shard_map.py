@@ -38,8 +38,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import (Container, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Container, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from ..obs.tracer import NO_TRACER
 from .spec import AppSpec, Role, ShardSpec
@@ -101,9 +101,9 @@ class ReplicaAssignment:
         return self.state is _READY
 
 
-@dataclass(frozen=True, slots=True)
-class ShardMapEntry:
-    """Published routing info for one shard."""
+class ShardMapEntry(NamedTuple):
+    """Published routing info for one shard (a named tuple: cheap to
+    build on every lookup)."""
 
     shard_id: str
     key_low: int

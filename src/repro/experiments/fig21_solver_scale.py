@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..metrics.profiler import Profiler
-from ..metrics.timeseries import TimeSeries, format_table
+from ..metrics.timeseries import format_table
 from ..solver.local_search import SearchConfig
 from ..workloads.snapshots import (
     PAPER_SCALES,
@@ -32,10 +31,9 @@ class ScalePoint:
     initial_violations: int
     final_violations: int
     solve_time: float
+    setup_time: float
     moves: int
-    trace: TimeSeries
-    evaluations: int = 0
-    profile: Profiler = None  # per-stage solver timings (SolveResult.profile)
+    evaluations: int
 
     @property
     def solved(self) -> bool:
@@ -74,10 +72,9 @@ def run(factor: int = 5, seed: int = 0) -> Fig21Result:
             initial_violations=initial,
             final_violations=rebalancer.violations(),
             solve_time=result.solve_time,
+            setup_time=result.setup_time,
             moves=result.moves + result.swaps,
-            trace=result.trace,
             evaluations=result.evaluations,
-            profile=result.profile,
         ))
     return Fig21Result(points=points)
 
@@ -85,28 +82,22 @@ def run(factor: int = 5, seed: int = 0) -> Fig21Result:
 def format_report(result: Fig21Result) -> str:
     rows = []
     for point in result.points:
-        setup = point.profile.seconds("setup") if point.profile else 0.0
+        rate = (point.evaluations / point.solve_time
+                if point.solve_time > 0 else 0.0)
         rows.append((point.scale.label,
                      point.initial_violations,
                      point.final_violations,
                      f"{point.solve_time:.2f}s",
-                     f"{setup:.3f}s",
-                     point.moves))
+                     f"{point.setup_time:.3f}s",
+                     point.moves,
+                     f"{rate:,.0f}"))
     lines = [
         "Figure 21 — allocator scalability (violations fixed vs time)",
         format_table(["problem", "initial viol.", "final viol.",
-                      "solve time", "of it set-up", "moves"], rows),
+                      "solve time", "of it set-up", "moves",
+                      "evaluations/s"], rows),
         "",
         f"all violations fixed : {result.all_solved} (paper: yes)",
         f"time growth for 5x size: {result.time_growth:.1f}x (paper: 6.8x)",
     ]
-    for point in result.points:
-        if point.profile is None:
-            continue
-        rate = (point.evaluations / point.solve_time
-                if point.solve_time > 0 else 0.0)
-        lines.append("")
-        lines.append(f"profile — {point.scale.label} "
-                     f"({rate:,.0f} evaluations/s):")
-        lines.append(point.profile.format(total=point.solve_time))
     return "\n".join(lines)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics.profiler import Profiler
-from ..metrics.timeseries import TimeSeries
 from ..solver.local_search import SearchConfig
 from ..workloads.snapshots import (
     PAPER_SCALES,
@@ -31,11 +29,10 @@ class SolverArm:
     initial_violations: int
     final_violations: int
     solve_time: float
+    setup_time: float
     moves: int
     timed_out: bool
-    trace: TimeSeries
-    evaluations: int = 0
-    profile: Profiler = None  # per-stage solver timings (SolveResult.profile)
+    evaluations: int
 
     @property
     def solved(self) -> bool:
@@ -66,11 +63,10 @@ def _solve(label: str, config: SearchConfig, scale: SnapshotScale,
         initial_violations=initial,
         final_violations=rebalancer.violations(),
         solve_time=result.solve_time,
+        setup_time=result.setup_time,
         moves=result.moves + result.swaps,
         timed_out=result.timed_out,
-        trace=result.trace,
         evaluations=result.evaluations,
-        profile=result.profile,
     )
 
 
@@ -94,11 +90,12 @@ def run(factor: int = 5, seed: int = 0) -> Fig22Result:
 def format_report(result: Fig22Result) -> str:
     def row(arm: SolverArm) -> str:
         status = "timed out" if arm.timed_out else "converged"
-        setup = arm.profile.seconds("setup") if arm.profile else 0.0
+        rate = arm.evaluations / arm.solve_time if arm.solve_time > 0 else 0.0
         return (f"  {arm.label:10s}: {arm.initial_violations:5d} -> "
                 f"{arm.final_violations:4d} violations in "
-                f"{arm.solve_time:6.2f}s (set-up {setup:.3f}s), "
-                f"{arm.moves:6d} moves ({status})")
+                f"{arm.solve_time:6.2f}s (set-up {arm.setup_time:.3f}s), "
+                f"{arm.moves:6d} moves, {rate:,.0f} evaluations/s "
+                f"({status})")
 
     lines = [
         "Figure 22 — optimized vs baseline local search",
@@ -107,11 +104,4 @@ def format_report(result: Fig22Result) -> str:
         f"  baseline extra moves: {100 * result.extra_move_fraction:+.0f}% "
         "(paper: +22%, and baseline cannot finish in 300 s)",
     ]
-    for arm in (result.optimized, result.baseline):
-        if arm.profile is None:
-            continue
-        rate = arm.evaluations / arm.solve_time if arm.solve_time > 0 else 0.0
-        lines.append("")
-        lines.append(f"  profile — {arm.label} ({rate:,.0f} evaluations/s):")
-        lines.append(arm.profile.format(total=arm.solve_time, indent="    "))
     return "\n".join(lines)

@@ -22,7 +22,6 @@ from typing import Dict, List
 from ..core.orchestrator import OrchestratorConfig
 from ..core.spec import (
     AppSpec,
-    LoadBalancePolicy,
     ReplicationStrategy,
     uniform_shards,
 )
@@ -78,7 +77,6 @@ def run(servers: int = 30, shards: int = 200, days: float = 3.0,
         shards=uniform_shards(shards, key_space=shards * 8,
                               replica_count=REPLICA_COUNT),
         replication=ReplicationStrategy.PRIMARY_SECONDARY,
-        lb_policy=LoadBalancePolicy.MULTI_METRIC,
         lb_metrics=("cpu", "storage", "shard_count"),
         utilization_threshold=0.85,
         balance_band=0.07,

@@ -38,7 +38,6 @@ from ..baselines import PinnedAllocator, modulo_placement, ring_placement
 from ..core.orchestrator import OrchestratorConfig
 from ..core.spec import (
     AppSpec,
-    LoadBalancePolicy,
     ReplicationStrategy,
     uniform_shards,
 )
@@ -131,7 +130,6 @@ def run_arm(arm: str, seed: int = 0,
             shards=uniform_shards(SHARDS, key_space=KEY_SPACE,
                                   replica_count=1),
             replication=ReplicationStrategy.PRIMARY_ONLY,
-            lb_policy=LoadBalancePolicy.MULTI_METRIC,
             lb_metrics=("request_rate", "shard_count"),
             utilization_threshold=0.85,
             balance_band=0.1,

@@ -9,7 +9,7 @@ a predetermined time and move budget."
 
 Here the budget is ``MOVE_BUDGET`` moves and swaps: a solve stops when it
 converges or reaches it, so its plan depends on the seed alone.  Host
-time is only measured (``solve_time``, the stage profile and the
+time is only measured (``solve_time``, ``setup_time`` and the
 ``timed_out`` flag).
 
 The four scaling techniques (§5.3), plus swaps, are switched together by
@@ -54,9 +54,7 @@ proportional to what the search touches, never to the fleet):
 * **per move, evaluation** costs, for each candidate replica and goal,
   one batched ``move_deltas`` call: the source half of a threshold or
   spread goal's delta once, the destination half for each of the
-  <= ``CANDIDATE_SAMPLES`` sampled targets.  The walk's pulls and the
-  evaluations interleave; their times are summed apart and booked to
-  ``candidates`` and ``evaluate`` once per hot server.
+  <= ``CANDIDATE_SAMPLES`` sampled targets.
 
 Tie rule: replicas of equal size are tried in the iteration order of the
 server's ``replicas_on`` set (``sorted(reverse=True)`` is stable).  That
@@ -69,12 +67,14 @@ draw sequence per seed exactly what the eager implementation produced —
 ``tests/test_solver_incremental.py`` holds that eager implementation as
 the oracle.
 
-Every solve carries a :class:`~repro.metrics.profiler.Profiler` in
-``SolveResult.profile`` with per-stage wall-clock (setup / refresh /
-hot_scan / candidates / evaluate / swap / apply) and counters; the stages
-add up to ``solve_time``, which starts where the caller starts waiting:
-at ``LocalSearch`` construction.  See ``scripts/profile_solver.py`` for
-function-level cProfile output.
+A solve counts what it did (rounds, hot servers, candidate walks, swaps
+tried, beside moves, swaps and evaluations) in plain ``SolveResult``
+fields, which :meth:`SolveResult.journal` writes to the ``solver`` track.
+It reads the host clock only in ``__init__`` and ``solve``: ``solve_time``
+starts where the caller starts waiting, at ``LocalSearch`` construction,
+and ``setup_time`` is its part before the first round.  Where the rest of
+the time goes is ``scripts/profile_solver.py --cprofile``'s question, and
+``bench/``'s.
 """
 
 from __future__ import annotations
@@ -84,8 +84,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..metrics.profiler import Profiler
-from ..metrics.timeseries import TimeSeries
 from .goals import AffinityGoal, CapacityGoal, Goal, SpreadGoal
 from .problem import PlacementProblem
 
@@ -94,8 +92,6 @@ from .problem import PlacementProblem
 CANDIDATE_SAMPLES = 24
 #: Replicas tried per hot server per round.
 MAX_REPLICAS_PER_SERVER = 8
-#: A trace point is recorded every this many moves.
-TRACE_INTERVAL = 64
 #: A solve stops after this many moves and swaps.
 MOVE_BUDGET = 1_000_000
 
@@ -121,18 +117,28 @@ BASELINE = SearchConfig().without_optimizations()
 
 @dataclass
 class SolveResult:
-    """Outcome of one solve."""
+    """Outcome of one solve: what it did, counted, and how long the
+    caller waited."""
 
     moves: int = 0
     swaps: int = 0
     evaluations: int = 0
+    #: Rounds of goal refresh and hot-server scan.
+    rounds: int = 0
+    #: Hot servers found, summed over the rounds.
+    hot_servers: int = 0
+    #: Hot servers the search tried to improve, one candidate walk each.
+    walks: int = 0
+    #: Walks that found no single move and tried a two-way swap.
+    swaps_tried: int = 0
     initial_violations: int = 0
     final_violations: int = 0
+    #: Host seconds from ``LocalSearch`` construction to the plan.
     solve_time: float = 0.0
+    #: The part of ``solve_time`` before the first round.
+    setup_time: float = 0.0
     timed_out: bool = False
-    trace: TimeSeries = field(default_factory=lambda: TimeSeries(name="violations"))
     changed_replicas: List[Tuple[int, int, int]] = field(default_factory=list)
-    profile: Profiler = field(default_factory=Profiler)
 
     @property
     def evaluations_per_second(self) -> float:
@@ -140,12 +146,23 @@ class SolveResult:
             return 0.0
         return self.evaluations / self.solve_time
 
+    def journal(self, tracer, now: float, prefix: str) -> None:
+        """Write this solve to the ``solver`` track: one instant per kind
+        of step that ran, ``{"calls": n}``, then the ``counters``.
 
-#: Profile entries that stay off the journal's ``solver`` track: the
-#: chaos library digests, the skew figure's smoke pins and the benchmark's
-#: fingerprints pin a digest of that track, which leaves these entries
-#: out.
-UNJOURNALED_PROFILE_KEYS = frozenset({"setup", "equiv_keys"})
+        Every journal digest covers these records, their names and their
+        order; no host time goes in.
+        """
+        steps = (("apply", self.moves), ("candidates", self.walks),
+                 ("evaluate", self.walks), ("hot_scan", self.rounds),
+                 ("refresh", self.rounds), ("swap", self.swaps_tried))
+        for name, calls in steps:
+            if calls:
+                tracer.instant("solver", prefix + name, now,
+                               {"calls": calls})
+        tracer.instant("solver", prefix + "counters", now, {
+            "evaluations": self.evaluations, "hot_servers": self.hot_servers,
+            "moves": self.moves, "rounds": self.rounds, "swaps": self.swaps})
 
 
 class _NormalizedSizes(dict):
@@ -218,20 +235,17 @@ class LocalSearch:
 
     def solve(self) -> SolveResult:
         result = SolveResult()
-        profile = result.profile
         # The caller has been waiting since construction began, so that is
         # where solve_time starts.
         start = time.perf_counter() - self._construct_s
-        self._start_wall = start
         result.initial_violations = self.total_violations()
-        result.trace.record(0.0, result.initial_violations)
         self._origin.clear()
 
         if self.config.optimized:
             batches = self._priority_batches()
         else:
             batches = [list(self.goals)]
-        profile.add("setup", time.perf_counter() - start)
+        result.setup_time = time.perf_counter() - start
 
         for batch in batches:
             higher = [g for g in self.goals
@@ -240,17 +254,12 @@ class LocalSearch:
 
         result.solve_time = time.perf_counter() - start
         result.final_violations = self.total_violations()
-        result.trace.record(result.solve_time, result.final_violations)
         assignment = self.problem.assignment
         result.changed_replicas = [
             (replica, old, assignment[replica])
             for replica, old in sorted(self._origin.items())
             if old != assignment[replica]]
         result.timed_out = result.solve_time >= self.config.time_budget
-        profile.set_counter("evaluations", result.evaluations)
-        profile.set_counter("moves", result.moves)
-        profile.set_counter("swaps", result.swaps)
-        profile.set_counter("equiv_keys", len(self._class_keys))
         return result
 
     def total_violations(self) -> int:
@@ -268,9 +277,6 @@ class LocalSearch:
 
     def _solve_batch(self, batch: List[Goal], higher: List[Goal],
                      result: SolveResult) -> None:
-        config = self.config
-        profile = result.profile
-        perf = time.perf_counter
         # Compile the inner evaluation loops once per batch: plain lists of
         # bound methods, so _best_target runs without generator frames or
         # repeated attribute lookups.
@@ -294,15 +300,11 @@ class LocalSearch:
         while True:
             if result.moves + result.swaps >= MOVE_BUDGET:
                 return
-            t0 = perf()
             for goal in batch:
                 goal.refresh()
-            profile.add("refresh", perf() - t0)
-            t0 = perf()
             hot_servers = self._hot_servers(batch)
-            profile.add("hot_scan", perf() - t0)
-            profile.count("rounds")
-            profile.count("hot_servers", len(hot_servers))
+            result.rounds += 1
+            result.hot_servers += len(hot_servers)
             if not hot_servers:
                 return
             progressed = False
@@ -338,43 +340,24 @@ class LocalSearch:
 
     def _improve_server(self, server: int, batch: List[Goal],
                         higher: List[Goal], result: SolveResult) -> bool:
-        profile = result.profile
-        perf = time.perf_counter
-        # The walk is lazy, so its steps and the evaluations interleave:
-        # each side's time is summed here and booked once per call.
-        walk_s = evaluate_s = 0.0
+        result.walks += 1
         first: Optional[int] = None
         chosen: Optional[int] = None
         target: Optional[int] = None
-        t0 = perf()
         for replica in self._candidate_replicas(server):
-            t1 = perf()
-            walk_s += t1 - t0
             if first is None:
                 first = replica
             target = self._best_target(replica, server, result)
-            t0 = perf()
-            evaluate_s += t0 - t1
             if target is not None:
                 chosen = replica
                 break
-        walk_s += perf() - t0
-        profile.add("candidates", walk_s)
-        profile.add("evaluate", evaluate_s)
         if chosen is not None:
-            t0 = perf()
             self._move(chosen, server, target)
-            profile.add("apply", perf() - t0)
             result.moves += 1
-            if result.moves % TRACE_INTERVAL == 0:
-                result.trace.record(perf() - self._start_wall,
-                                    self.total_violations())
             return True
         if self.config.optimized and first is not None:
-            t0 = perf()
-            swapped = self._try_swap(server, first, batch, higher, result)
-            profile.add("swap", perf() - t0)
-            return swapped
+            result.swaps_tried += 1
+            return self._try_swap(server, first, batch, higher, result)
         return False
 
     def _candidate_replicas(self, server: int) -> Iterator[int]:

@@ -594,31 +594,36 @@ class TestTracedClusterRuns:
         assert {"engine", "net", "shards", "solver"} <= set(tracks)
         TraceChecker(obs.journal).assert_clean()
 
-    def test_solver_track_leaves_out_unjournaled_profile_entries(self):
-        """The solver's set-up stage and work counter were added after the
-        library digests were pinned; they stay off the journal."""
-        from repro.metrics.profiler import Profiler
-        from repro.solver.local_search import UNJOURNALED_PROFILE_KEYS
-        profile = Profiler()
-        profile.add("setup", 0.5)
-        for _ in range(7):
-            profile.add("evaluate", 0.25)
-        profile.set_counter("equiv_keys", 3)
-        profile.set_counter("moves", 2)
+    def test_solver_track_carries_exactly_the_counts(self):
+        """A solve journals one instant per kind of step that ran, then its
+        counters, and nothing the host clock measured: no ``wall*`` arg,
+        no ``setup`` stage, no ``equiv_keys`` counter."""
+        from repro.solver.local_search import SolveResult
+        result = SolveResult(moves=2, evaluations=9, rounds=3, hot_servers=4,
+                             walks=4, solve_time=0.5, setup_time=0.25)
         tracer = Tracer(Journal())
-        profile.to_trace(tracer, 1.0, prefix="app.",
-                         skip=UNJOURNALED_PROFILE_KEYS)
-        records = [(r.name, {k: v for k, v in r.args.items()
-                             if not k.startswith("wall")})
-                   for r in tracer.journal]
-        assert records == [("app.evaluate", {"calls": 7}),
-                           ("app.counters", {"moves": 2})]
+        result.journal(tracer, 1.0, "app.")
+        assert [(r.name, r.args) for r in tracer.journal] == [
+            ("app.apply", {"calls": 2}),
+            ("app.candidates", {"calls": 4}),
+            ("app.evaluate", {"calls": 4}),
+            ("app.hot_scan", {"calls": 3}),
+            ("app.refresh", {"calls": 3}),
+            ("app.counters", {"evaluations": 9, "hot_servers": 4,
+                              "moves": 2, "rounds": 3, "swaps": 0})]
 
         obs, _cluster, _app = traced_app()
         solver = [r for r in obs.journal if r.track == "solver"]
         assert solver
-        assert not any(r.name.endswith(".setup") for r in solver)
-        assert not any("equiv_keys" in (r.args or {}) for r in solver)
+        counters = {"evaluations", "hot_servers", "moves", "rounds", "swaps"}
+        for record in solver:
+            step = record.name.rsplit(".", 1)[1]
+            if step == "counters":
+                assert set(record.args) == counters
+            else:
+                assert step in {"apply", "candidates", "evaluate",
+                                "hot_scan", "refresh", "swap"}
+                assert set(record.args) == {"calls"}
 
     def test_two_traced_runs_bit_identical(self):
         obs1, _c1, _a1 = traced_app()

@@ -51,7 +51,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import series_rows
 from repro.harness import SimCluster
-from repro.metrics import Counter, Histogram, Profiler
+from repro.metrics import Counter, Histogram
 from repro.obs import Observability
 from repro.sim.engine import Engine, every
 from repro.sim.fluid import mgk_wait
@@ -96,7 +96,7 @@ def test_one_metrics_package():
     assert occurrences(r"(?m)^class Counter\b") == 1
     assert modules_matching(
         r"(?m)^class (Counter|Gauge|Histogram|MetricsRegistry|TimeSeries"
-        r"|RateWindow|Profiler)\b", under="obs/") == []
+        r"|RateWindow)\b", under="obs/") == []
 
 
 def test_one_open_loop_arrival_sampler():
@@ -112,6 +112,11 @@ def test_replaced_tables_and_tasks_are_gone():
         r"|fig01_planned_events|fig02_adoption|adevents_capacity"
         r"|plan_partition_footprints|PartitionFootprint|experiments.scale"
     ) == []
+    # The solver's in-loop stage timer and its violation trace: a solve
+    # counts its steps in ``SolveResult`` and is timed from outside.
+    assert modules_matching(
+        r"metrics\.profiler|\bProfiler\b|UNJOURNALED_PROFILE_KEYS"
+        r"|TRACE_INTERVAL") == []
 
 
 def test_figures_run_through_the_scenario_engine():
@@ -432,9 +437,9 @@ def test_roadmap_citations_name_open_items():
     assert stale == []
 
 
-#: Standing documents whose backticked ``repro.x[.y...]`` names must
-#: resolve.  ``bench/README.md``'s short names are metric keys, and
-#: ``bench/`` has its own owner.
+#: Standing documents whose backticked ``repro.x[.y...]`` and
+#: ``Class.attr`` names must resolve.  ``bench/README.md``'s short names
+#: are metric keys, and ``bench/`` has its own owner.
 DOCUMENTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
@@ -454,15 +459,79 @@ def resolve(dotted: str) -> object:
     raise ModuleNotFoundError(dotted)
 
 
+#: A backticked ``Class.attr`` (or ``Class.attr()``); it is checked when
+#: a class of that name is defined under ``src/repro``.
+CLASS_ATTR = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
+
+
+def _class_defs() -> dict:
+    """Class name -> ``[(module path, ClassDef)]`` under ``src/repro``."""
+    found = {}
+    for path, text in SOURCES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append((path, node))
+    return found
+
+
+def _self_attributes(node: ast.ClassDef) -> set:
+    """Every ``self.<attr>`` a method of the class assigns."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Assign):
+            targets = child.targets
+        elif isinstance(child, (ast.AnnAssign, ast.AugAssign)):
+            targets = [child.target]
+        else:
+            continue
+        for target in targets:
+            if (isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                names.add(target.attr)
+    return names
+
+
+def _module_of(path: str) -> str:
+    parts = path[:-len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(["repro", *parts])
+
+
+def class_attribute_resolves(defs: dict, cls_name: str, attr: str) -> bool:
+    """``attr`` is a class attribute (inherited ones too), a dataclass
+    field, or assigned to ``self`` in the class or a ``repro`` base."""
+    for path, _node in defs[cls_name]:
+        cls = getattr(importlib.import_module(_module_of(path)), cls_name,
+                      None)
+        if not isinstance(cls, type):
+            continue
+        if hasattr(cls, attr) or attr in getattr(
+                cls, "__dataclass_fields__", {}):
+            return True
+        for base in cls.__mro__:
+            for base_path, node in defs.get(base.__name__, ()):
+                if (_module_of(base_path) == base.__module__
+                        and attr in _self_attributes(node)):
+                    return True
+    return False
+
+
 def test_documented_repro_names_resolve():
+    defs = _class_defs()
     unresolved = []
     for name in DOCUMENTS:
-        for dotted in sorted(set(DOTTED_NAME.findall(
-                (ROOT / name).read_text()))):
+        text = (ROOT / name).read_text()
+        for dotted in sorted(set(DOTTED_NAME.findall(text))):
             try:
                 resolve(dotted)
             except (ImportError, AttributeError):
                 unresolved.append(f"{name}: {dotted}")
+        for cls_name, attr in sorted(set(CLASS_ATTR.findall(text))):
+            if cls_name in defs and not class_attribute_resolves(
+                    defs, cls_name, attr):
+                unresolved.append(f"{name}: {cls_name}.{attr}")
     assert unresolved == []
 
 
@@ -536,8 +605,6 @@ REMOVED_OPTIONS = [
     # (chaos.scenario.outage_bound).
     (Expectations, "availability_bound"),
     (Expectations, "failover_bound"),
-    (Profiler().add, "calls"),
-    (Profiler().to_trace, "track"),
     (Counter().add, "count"),
     (UtilizationGoal, "weight"),
     (SearchConfig, "move_budget"),

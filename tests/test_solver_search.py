@@ -6,8 +6,8 @@ import pytest
 
 from repro.solver import local_search
 from repro.solver.api import Rebalancer
-from repro.solver.local_search import (BASELINE, OPTIMIZED, TRACE_INTERVAL,
-                                       LocalSearch, SearchConfig)
+from repro.solver.local_search import (BASELINE, OPTIMIZED, LocalSearch,
+                                       SearchConfig)
 from repro.solver.problem import PlacementProblem, ReplicaInfo, ServerInfo
 from repro.solver.specs import (
     AffinitySpec,
@@ -131,18 +131,6 @@ class TestBudgets:
         assert (spent.moves, spent.swaps, spent.evaluations) == \
             (free.moves, free.swaps, free.evaluations)
         assert spent.changed_replicas == free.changed_replicas
-
-    def test_trace_is_recorded(self):
-        # Busy enough to need more than TRACE_INTERVAL moves.
-        problem = lb_problem(num_servers=60, num_replicas=3000,
-                             mean_utilization=0.9, seed=3)
-        rebalancer = standard_rebalancer(problem)
-        result = rebalancer.solve(SearchConfig(time_budget=20.0))
-        # Start and end, plus one point per TRACE_INTERVAL moves.
-        assert result.moves > TRACE_INTERVAL
-        assert len(result.trace) == 2 + result.moves // TRACE_INTERVAL
-        assert result.trace.values[0] == result.initial_violations
-        assert result.trace.values[-1] == result.final_violations
 
 
 class TestOptimizationFlags:
