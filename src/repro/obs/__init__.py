@@ -31,8 +31,6 @@ ids only; with the same seed, an enabled run journals identical records
 (``Journal.digest()`` hashes them column by column, each value with its
 type), and produces the exact same simulation results as a disabled run
 (instrumentation is pure observation — no RNG draws, no scheduling).
-Wall-clock measurements appear only under ``wall``-prefixed arg keys,
-which both digests skip.
 """
 
 from __future__ import annotations

@@ -3,10 +3,7 @@
 The Chrome trace format (loadable at https://ui.perfetto.dev or
 ``chrome://tracing``) renders each journal track as one named thread:
 spans become async ``b``/``e`` event pairs keyed by span id, instants
-become ``i`` events, counter samples become ``C`` events, and instants
-carrying a ``wall_ms`` arg (solver stages) become complete ``X`` events
-whose duration is the measured wall-clock — so simulated-time tracks and
-wall-clock solver stages live in one timeline.
+become ``i`` events and counter samples become ``C`` events.
 
 Simulated seconds map to trace microseconds (1 s → 1,000,000 µs).
 """
@@ -54,18 +51,9 @@ def chrome_trace_events(journal: Journal) -> List[Dict[str, Any]]:
                            "id": str(record.span), "pid": _PID, "tid": tid,
                            "ts": ts, "args": record.args or {}})
         elif kind == KIND_INSTANT:
-            args = record.args or {}
-            wall_ms = args.get("wall_ms")
-            if wall_ms is not None:
-                # Wall-clock-measured stage: render as a complete slice
-                # whose duration is the measurement.
-                events.append({"ph": "X", "cat": record.track,
-                               "name": record.name, "pid": _PID, "tid": tid,
-                               "ts": ts, "dur": wall_ms * 1e3, "args": args})
-            else:
-                events.append({"ph": "i", "cat": record.track,
-                               "name": record.name, "pid": _PID, "tid": tid,
-                               "ts": ts, "s": "t", "args": args})
+            events.append({"ph": "i", "cat": record.track,
+                           "name": record.name, "pid": _PID, "tid": tid,
+                           "ts": ts, "s": "t", "args": record.args or {}})
         elif kind == KIND_COUNTER:
             value = (record.args or {}).get("value", 0)
             events.append({"ph": "C", "name": f"{record.track}.{record.name}",

@@ -7,11 +7,6 @@ numbers) comes from per-tracer counters — never from wall clocks or
 ``id()`` — so two seeded runs produce byte-identical journals (see
 DESIGN.md, "Observability").
 
-Wall-clock measurements (e.g. solver stage timings) may ride along in
-record ``args``, but only under keys prefixed ``wall``: the journal's
-digests skip those keys, keeping them a pure function of simulation
-behaviour.
-
 The digests hash the journal column by column, not record by record:
 each record field, and each arg key of each arg-key set ("shape"), is
 one column of values encoded in bulk with a type tag (see
@@ -91,12 +86,12 @@ def _hash_columns(columns: Sequence[List[Any]], with_seq: bool) -> str:
 
     First the fixed fields, ``seq`` (when ``with_seq``), ``kind``,
     ``track``, ``name``, ``time`` and ``span``, one column each.  Then the
-    args: a record's *shape* is the sorted tuple of its non-``wall`` keys,
-    numbered in order of first appearance; one column holds each record's
-    shape number, then each shape contributes its key names and one
-    column per key of the values its records carry.  Arg insertion order
-    and ``wall*`` args therefore never reach the hash; every other value
-    does, and so do its type and its record.
+    args: a record's *shape* is the sorted tuple of its keys, numbered in
+    order of first appearance; one column holds each record's shape
+    number, then each shape contributes its key names and one column per
+    key of the values its records carry.  Arg insertion order therefore
+    never reaches the hash; every value does, and so do its type and its
+    record.
     """
     hasher = hashlib.sha256()
     for values in columns[0 if with_seq else 1:6]:
@@ -110,8 +105,7 @@ def _hash_columns(columns: Sequence[List[Any]], with_seq: bool) -> str:
         order = tuple(args) if args else ()
         number = shape_of_order.get(order)
         if number is None:
-            shape = tuple(sorted(key for key in order
-                                 if not key.startswith("wall")))
+            shape = tuple(sorted(order))
             number = number_of_shape.get(shape)
             if number is None:
                 number = number_of_shape[shape] = len(shapes)
@@ -204,9 +198,8 @@ class Journal:
         return sorted(set(self.columns()[2]))
 
     def digest(self) -> str:
-        """SHA-256 over every retained record, column by column
-        (``wall*`` args excluded) — the seed-parity fingerprint for
-        enabled tracing.  It covers the ring's window only, so a journal
+        """SHA-256 over every retained record, column by column — the
+        seed-parity fingerprint for enabled tracing.  It covers the ring's window only, so a journal
         that dropped records hashes like a fresh one holding the same
         survivors, and a JSONL reload hashes like the original."""
         return _hash_columns(self.columns(), with_seq=True)

@@ -83,14 +83,6 @@ class TestJournal:
         fill(t2)
         assert t1.journal.digest() == t2.journal.digest()
 
-    def test_wall_clock_args_excluded_from_digest(self):
-        t1, t2 = Tracer(Journal()), Tracer(Journal())
-        t1.instant("solver", "stage", 1.0, {"calls": 3, "wall_ms": 1.23})
-        t2.instant("solver", "stage", 1.0, {"calls": 3, "wall_ms": 9.87})
-        assert t1.journal.digest() == t2.journal.digest()
-        t2.instant("solver", "stage", 1.0, {"calls": 4})
-        assert t1.journal.digest() != t2.journal.digest()
-
     def test_behaviour_digest_ignores_engine_track_and_positions(self):
         """Same system behaviour, different simulator substrate: one run
         samples more engine dispatches, which also shifts every later
@@ -112,13 +104,6 @@ class TestJournal:
         t2.instant("shards", "transition", 2.5, {"op": "drop"})
         assert (t1.journal.behaviour_digest()
                 != t2.journal.behaviour_digest())
-
-    def test_behaviour_digest_skips_wall_clock_args(self):
-        t1, t2 = Tracer(Journal()), Tracer(Journal())
-        t1.instant("solver", "stage", 1.0, {"calls": 3, "wall_ms": 1.23})
-        t2.instant("solver", "stage", 1.0, {"calls": 3, "wall_ms": 9.87})
-        assert (t1.journal.behaviour_digest()
-                == t2.journal.behaviour_digest())
 
     def test_null_tracer_records_nothing(self):
         span = NO_TRACER.begin("a", "op", 1.0)
@@ -180,10 +165,9 @@ class TestJournal:
 
 # -- the digest contract -----------------------------------------------------
 
-#: Arg keys never start with "wall" (the alphabet has no "w"), and never
-#: end in "q", so ``key + "q"`` is a rename to a key no record holds.
+#: Arg keys never end in "q", so ``key + "q"`` is a rename to a key no
+#: record holds.
 _KEYS = st.text(alphabet="abkxyz_", min_size=1, max_size=4)
-_WALL_KEYS = st.text(alphabet="ms_", max_size=3).map(lambda s: "wall" + s)
 _VALUES = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False),
                     st.booleans(), st.none(), st.text(max_size=4),
                     st.lists(st.integers(), max_size=2))
@@ -226,28 +210,22 @@ def _with_args(rows, index, args):
 
 
 class TestDigestContract:
-    """Both digests see every record field, every non-``wall`` arg value
-    and its type; they do not see arg insertion order or ``wall*`` args.
-    ``behaviour_digest`` does not see ``seq`` or the ``engine`` track."""
+    """Both digests see every record field, every arg value and its type;
+    they do not see arg insertion order.  ``behaviour_digest`` does not
+    see ``seq`` or the ``engine`` track."""
 
     @settings(max_examples=80, deadline=None)
-    @given(rows=_ROWS, walls=st.lists(
-        st.tuples(st.dictionaries(_WALL_KEYS, _VALUES, max_size=2),
-                  st.dictionaries(_WALL_KEYS, _VALUES, max_size=2)),
-        min_size=12, max_size=12), rng=st.randoms())
-    def test_insertion_order_and_wall_args_are_invisible(self, rows, walls,
-                                                         rng):
-        def merged(args, wall, shuffle):
-            items = list((args or {}).items()) + list(wall.items())
-            if shuffle:
-                rng.shuffle(items)
-            return dict(items) if items or args is not None else None
+    @given(rows=_ROWS, rng=st.randoms())
+    def test_insertion_order_is_invisible(self, rows, rng):
+        def shuffled(args):
+            if args is None:
+                return None
+            items = list(args.items())
+            rng.shuffle(items)
+            return dict(items)
 
-        base = [row[:5] + (merged(row[5], wall_a, False),)
-                for row, (wall_a, _) in zip(rows, walls)]
-        other = [row[:5] + (merged(row[5], wall_b, True),)
-                 for row, (_, wall_b) in zip(rows, walls)]
-        assert _digests(base) == _digests(other)
+        other = [row[:5] + (shuffled(row[5]),) for row in rows]
+        assert _digests(rows) == _digests(other)
 
     @settings(max_examples=80, deadline=None)
     @given(rows=_ROWS.filter(bool), data=st.data(),
@@ -399,16 +377,16 @@ class TestExport:
         tracer = Tracer(Journal())
         span = tracer.begin("net", "echo", 1.0, {"src": "a", "dst": "b"})
         tracer.end(span, 1.5, {"ok": 1}, track="net", name="echo")
-        tracer.instant("solver", "stage", 2.0, {"calls": 1, "wall_ms": 3.0})
+        tracer.instant("solver", "counters", 2.0, {"moves": 1})
         tracer.counter("engine", "pending_events", 9, 2.5)
         events = chrome_trace_events(tracer.journal)
         by_ph = {}
         for event in events:
             by_ph.setdefault(event["ph"], []).append(event)
-        assert {"M", "b", "e", "X", "C"} <= set(by_ph)
+        assert {"M", "b", "e", "i", "C"} == set(by_ph)
         begin = by_ph["b"][0]
         assert begin["name"] == "echo" and begin["ts"] == 1.0 * 1e6
-        assert by_ph["X"][0]["dur"] == 3.0 * 1e3  # wall_ms in microseconds
+        assert by_ph["i"][0]["args"] == {"moves": 1}
         assert by_ph["C"][0]["args"] == {"pending_events": 9}
 
     def test_write_chrome_trace_is_loadable_json(self, tmp_path):
@@ -431,9 +409,9 @@ class TestExport:
     @pytest.mark.parametrize("arm", ["sm", "baseline"])
     def test_library_journal_roundtrip_keeps_both_digests(self, tmp_path,
                                                           arm):
-        """A chaos journal (every track, solver stages with ``wall*`` args)
-        reloaded from JSONL hashes as it did in the run: the typed columns
-        would show an int reloaded as a float, or a float as an int."""
+        """A chaos journal (every track, the solver's included) reloaded
+        from JSONL hashes as it did in the run: the typed columns would
+        show an int reloaded as a float, or a float as an int."""
         path = tmp_path / "journal.jsonl"
         result = run_scenario(get("compound_storm"), arm=arm, seed=0,
                               journal_path=str(path))
