@@ -5,10 +5,9 @@ Runs the Fig 21 ZippyDB workload at a chosen scale point and prints a
 ``build`` line (snapshot seconds, goal-attachment seconds and the
 garbage collections the build triggered, per generation) beside the
 solve's time, set-up time and counts (rounds, hot servers, candidate
-walks, swaps tried, moves, swaps, evaluations), so one command shows the
-build : solve split at any ``--factor``.  With ``--cprofile`` the solve
-additionally runs under :mod:`cProfile` for function-level attribution
-of the same run.
+walks, moves, evaluations), so one command shows the build : solve split
+at any ``--factor``.  With ``--cprofile`` the solve additionally runs
+under :mod:`cProfile` for function-level attribution of the same run.
 
 Examples::
 
@@ -41,8 +40,7 @@ from repro.workloads.snapshots import (  # noqa: E402
 
 
 #: The ``SolveResult`` counts printed, in order.
-COUNTS = ("rounds", "hot_servers", "walks", "swaps_tried", "moves", "swaps",
-          "evaluations")
+COUNTS = ("rounds", "hot_servers", "walks", "moves", "evaluations")
 
 
 def _positive_int(text: str) -> int:

@@ -73,7 +73,7 @@ def run(factor: int = 5, seed: int = 0) -> Fig21Result:
             final_violations=rebalancer.violations(),
             solve_time=result.solve_time,
             setup_time=result.setup_time,
-            moves=result.moves + result.swaps,
+            moves=result.moves,
             evaluations=result.evaluations,
         ))
     return Fig21Result(points=points)

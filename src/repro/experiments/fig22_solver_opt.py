@@ -5,8 +5,8 @@ while "without the optimization, the allocator cannot even finish in 300
 seconds and the resulting solution requires 22% more shard moves."
 
 The ablated optimizations are grouped server sampling + domain-knowledge
-targeting, large-shards-first ordering, equivalence classes, priority
-batching and swaps (``SearchConfig.without_optimizations()``).
+targeting, large-shards-first ordering, equivalence classes and priority
+batching (``SearchConfig.without_optimizations()``).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _solve(label: str, config: SearchConfig, scale: SnapshotScale,
         final_violations=rebalancer.violations(),
         solve_time=result.solve_time,
         setup_time=result.setup_time,
-        moves=result.moves + result.swaps,
+        moves=result.moves,
         timed_out=result.timed_out,
         evaluations=result.evaluations,
     )

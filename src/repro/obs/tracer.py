@@ -199,9 +199,10 @@ class Journal:
 
     def digest(self) -> str:
         """SHA-256 over every retained record, column by column — the
-        seed-parity fingerprint for enabled tracing.  It covers the ring's window only, so a journal
-        that dropped records hashes like a fresh one holding the same
-        survivors, and a JSONL reload hashes like the original."""
+        seed-parity fingerprint for enabled tracing.  It covers the ring's
+        window only, so a journal that dropped records hashes like a fresh
+        one holding the same survivors, and a JSONL reload hashes like the
+        original."""
         return _hash_columns(self.columns(), with_seq=True)
 
     def behaviour_digest(self) -> str:

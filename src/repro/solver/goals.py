@@ -1,20 +1,16 @@
 """Goal evaluators: specs compiled against a concrete problem.
 
-Each evaluator supports *incremental* move evaluation — ``move_delta``
-answers "how does the cost change if replica r moves src → dst" in O(1)
+Each evaluator supports *incremental* move evaluation —
+``move_deltas(replica, src, targets)`` answers "how does the cost change
+if replica r moves src → dst" for each sampled target, in O(1) per target
 (per metric) without recomputing the whole objective.  This is our
 equivalent of ReBalancer's objective tree that "only traverses tree nodes
 whose values may change" (§5.3): the objective decomposes per server /
 per (shard, domain) term, and a single move touches at most two terms per
-goal.
-
-The search evaluates one replica against a couple of dozen sampled
-targets at a time, so the interface also has the batch form
-``move_deltas(replica, src, targets)``.  The three load goals (capacity,
-utilization, balance) are one :class:`_ThresholdGoal` with different
-limits; its batch form, like :class:`SpreadGoal`'s, computes the source
-server's half of the delta once and only the destination half per
-target.
+goal.  Every goal computes the source server's half of the delta once
+and only the destination half per target.  The three load goals
+(capacity, utilization, balance) are one :class:`_ThresholdGoal` with
+different limits.
 
 Violation *accounting* is incremental too.  The per-server goals
 (capacity, utilization, balance, drain) derive from
@@ -85,15 +81,11 @@ class Goal:
         """Server indices whose state this goal wants changed, worst first."""
         raise NotImplementedError
 
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
-        raise NotImplementedError
-
     def move_deltas(self, replica: int, src: int,
                     targets: Sequence[int]) -> List[float]:
-        """``move_delta`` of one replica against many targets (none of
-        them ``src``) — what the search calls, once per sampled replica."""
-        move_delta = self.move_delta
-        return [move_delta(replica, src, dst) for dst in targets]
+        """The cost change of moving ``replica`` from ``src`` to each of
+        ``targets`` — what the search calls, once per sampled replica."""
+        raise NotImplementedError
 
     def on_move(self, replica: int, src: int, dst: int) -> None:
         """Called after the problem applied a move (default: stateless)."""
@@ -250,10 +242,8 @@ class _ThresholdGoal(_ServerCostGoal):
 
     Capacity, utilization and balance differ only in how ``_limits`` is
     derived.  A move's delta separates into a source half (the source
-    sheds ``load``) and a destination half (the target gains it);
-    ``move_deltas`` computes the source half once per (replica, src) and
-    only the destination half per target, adding them in the order the
-    single-call form always did, so every float is the same.
+    sheds ``load``) and a destination half (the target gains it), added
+    in that order.
     """
 
     metric: int
@@ -287,11 +277,6 @@ class _ThresholdGoal(_ServerCostGoal):
                 dst_after = 0.0
             deltas.append(source + (dst_after - dst_before))
         return deltas
-
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
-        return self.move_deltas(replica, src, (dst,))[0]
 
 
 class CapacityGoal(_ThresholdGoal):
@@ -486,21 +471,23 @@ class AffinityGoal(Goal):
         return [s for _cost, s in sorted(
             ((cost, s) for s, cost in counts.items()), reverse=True)]
 
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
+    def move_deltas(self, replica: int, src: int,
+                    targets: Sequence[int]) -> List[float]:
+        """Only a move across the preferred region's border counts:
+        leaving it costs the weight when it takes the shard's last replica
+        there, entering it saves the weight when the shard has none."""
         key = self._group_of.get(replica)
-        if key is None or src == dst:
-            return 0.0
+        if key is None:
+            return [0.0] * len(targets)
         pref = key[1]
         region = self.problem.server_region
-        src_in = src != -1 and region[src] == pref
-        dst_in = region[dst] == pref
-        if src_in == dst_in:
-            return 0.0
         count = self._in_pref[key]
         weight = self._group_weight[key]
-        if src_in:  # leaving the preferred region
-            return weight if count == 1 else 0.0
-        return -weight if count == 0 else 0.0  # entering it
+        if src != -1 and region[src] == pref:
+            leave = weight if count == 1 else 0.0
+            return [0.0 if region[dst] == pref else leave for dst in targets]
+        enter = -weight if count == 0 else 0.0
+        return [enter if region[dst] == pref else 0.0 for dst in targets]
 
     def on_move(self, replica: int, src: int, dst: int) -> None:
         if not self._note_move():
@@ -639,9 +626,6 @@ class SpreadGoal(Goal):
                 deltas.append(leave)
         return deltas
 
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
-        return self.move_deltas(replica, src, (dst,))[0]
-
     def on_move(self, replica: int, src: int, dst: int) -> None:
         if not self._note_move():
             return
@@ -714,10 +698,8 @@ class DrainGoal(_ServerCostGoal):
         return int(sum(self._cost_of(s)
                        for s in range(len(self.problem.servers))))
 
-    def move_delta(self, replica: int, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
+    def move_deltas(self, replica: int, src: int,
+                    targets: Sequence[int]) -> List[float]:
         draining = self.problem.server_draining
         before = 1.0 if (src != -1 and draining[src]) else 0.0
-        after = 1.0 if draining[dst] else 0.0
-        return after - before
+        return [(1.0 if draining[dst] else 0.0) - before for dst in targets]

@@ -7,12 +7,11 @@ evaluates a large number of such shard moves and keeps the best one.
 Local search repeats until it either cannot find improvements or uses up
 a predetermined time and move budget."
 
-Here the budget is ``MOVE_BUDGET`` moves and swaps: a solve stops when it
-converges or reaches it, so its plan depends on the seed alone.  Host
-time is only measured (``solve_time``, ``setup_time`` and the
-``timed_out`` flag).
+Here the budget is ``MOVE_BUDGET`` moves: a solve stops when it converges
+or reaches it, so its plan depends on the seed alone.  Host time is only
+measured (``solve_time``, ``setup_time`` and the ``timed_out`` flag).
 
-The four scaling techniques (§5.3), plus swaps, are switched together by
+The four scaling techniques (§5.3) are switched together by
 ``SearchConfig.optimized`` — the two arms of the Fig 22 experiment:
 
 * grouped sampling — sample move targets across server groups (regions)
@@ -34,9 +33,8 @@ proportional to what the search touches, never to the fleet):
 * **set-up** is O(servers + goals): region buckets and the goal lists.
   Nothing is computed per replica up front; equivalence keys and
   capacity-normalised sizes are memoised the first time the search meets
-  a replica, the swap path's total loads the first time a swap is tried,
-  and ``changed_replicas`` comes from a first-origin record per moved
-  replica instead of a before/after copy of the whole assignment;
+  a replica, and ``changed_replicas`` comes from a first-origin record per
+  moved replica instead of a before/after copy of the whole assignment;
 * **per round**, dirty-set caches keep ``refresh`` and ``violations`` to
   the servers changed since the last round, and ``SpreadGoal``'s
   ``violating_servers`` reads only the replicas of its crowded cells
@@ -52,9 +50,9 @@ proportional to what the search touches, never to the fleet):
   filtered one, so the walk yields a prefix of what filtering, sorting,
   deduplicating and slicing the whole server would;
 * **per move, evaluation** costs, for each candidate replica and goal,
-  one batched ``move_deltas`` call: the source half of a threshold or
-  spread goal's delta once, the destination half for each of the
-  <= ``CANDIDATE_SAMPLES`` sampled targets.
+  one batched ``move_deltas`` call: the source half of the goal's delta
+  once, the destination half for each of the <= ``CANDIDATE_SAMPLES``
+  sampled targets.
 
 Tie rule: replicas of equal size are tried in the iteration order of the
 server's ``replicas_on`` set (``sorted(reverse=True)`` is stable).  That
@@ -67,9 +65,12 @@ draw sequence per seed exactly what the eager implementation produced —
 ``tests/test_solver_incremental.py`` holds that eager implementation as
 the oracle.
 
-A solve counts what it did (rounds, hot servers, candidate walks, swaps
-tried, beside moves, swaps and evaluations) in plain ``SolveResult``
-fields, which :meth:`SolveResult.journal` writes to the ``solver`` track.
+The search moves one replica at a time: §5.3's two-way swaps are not
+reproduced (EXPERIMENTS.md says why).
+
+A solve counts what it did (rounds, hot servers, candidate walks, moves
+and evaluations) in plain ``SolveResult`` fields, which
+:meth:`SolveResult.journal` writes to the ``solver`` track as one record.
 It reads the host clock only in ``__init__`` and ``solve``: ``solve_time``
 starts where the caller starts waiting, at ``LocalSearch`` construction,
 and ``setup_time`` is its part before the first round.  Where the rest of
@@ -92,7 +93,7 @@ from .problem import PlacementProblem
 CANDIDATE_SAMPLES = 24
 #: Replicas tried per hot server per round.
 MAX_REPLICAS_PER_SERVER = 8
-#: A solve stops after this many moves and swaps.
+#: A solve stops after this many moves.
 MOVE_BUDGET = 1_000_000
 
 
@@ -103,7 +104,7 @@ class SearchConfig:
     #: Host seconds past which ``SolveResult.timed_out`` is set; the
     #: solve runs to convergence or ``MOVE_BUDGET`` either way.
     time_budget: float = 60.0
-    #: The §5.3 techniques and swaps, all on or (the baseline arm) all off.
+    #: The §5.3 techniques, all on or (the baseline arm) all off.
     optimized: bool = True
     rng_seed: int = 0
 
@@ -121,6 +122,8 @@ class SolveResult:
     caller waited."""
 
     moves: int = 0
+    # Always 0: kept because bench/worker.py, which a change may not edit,
+    # reads ``moves + swaps``.
     swaps: int = 0
     evaluations: int = 0
     #: Rounds of goal refresh and hot-server scan.
@@ -129,8 +132,6 @@ class SolveResult:
     hot_servers: int = 0
     #: Hot servers the search tried to improve, one candidate walk each.
     walks: int = 0
-    #: Walks that found no single move and tried a two-way swap.
-    swaps_tried: int = 0
     initial_violations: int = 0
     final_violations: int = 0
     #: Host seconds from ``LocalSearch`` construction to the plan.
@@ -147,22 +148,11 @@ class SolveResult:
         return self.evaluations / self.solve_time
 
     def journal(self, tracer, now: float, prefix: str) -> None:
-        """Write this solve to the ``solver`` track: one instant per kind
-        of step that ran, ``{"calls": n}``, then the ``counters``.
-
-        Every journal digest covers these records, their names and their
-        order; no host time goes in.
-        """
-        steps = (("apply", self.moves), ("candidates", self.walks),
-                 ("evaluate", self.walks), ("hot_scan", self.rounds),
-                 ("refresh", self.rounds), ("swap", self.swaps_tried))
-        for name, calls in steps:
-            if calls:
-                tracer.instant("solver", prefix + name, now,
-                               {"calls": calls})
+        """Write this solve to the ``solver`` track: one ``counters``
+        instant.  Every journal digest covers it; no host time goes in."""
         tracer.instant("solver", prefix + "counters", now, {
             "evaluations": self.evaluations, "hot_servers": self.hot_servers,
-            "moves": self.moves, "rounds": self.rounds, "swaps": self.swaps})
+            "moves": self.moves, "rounds": self.rounds, "walks": self.walks})
 
 
 class _NormalizedSizes(dict):
@@ -286,8 +276,7 @@ class LocalSearch:
         # delta exceed the veto threshold once ``fitting`` accepted the
         # target (the destination stays within its limit and the source
         # only sheds load), so _best_target skips those higher-goal calls
-        # for it.  Swaps check the veto *before* ``fitting`` and use
-        # ``higher``.
+        # for it.
         self._higher_evals_post_fits = [
             g.move_deltas for g in higher if not isinstance(g, CapacityGoal)]
         overridden = [g.contributes for g in batch
@@ -298,7 +287,7 @@ class LocalSearch:
                                 else None)
         stall_rounds = 0
         while True:
-            if result.moves + result.swaps >= MOVE_BUDGET:
+            if result.moves >= MOVE_BUDGET:
                 return
             for goal in batch:
                 goal.refresh()
@@ -309,9 +298,9 @@ class LocalSearch:
                 return
             progressed = False
             for server in hot_servers:
-                if result.moves + result.swaps >= MOVE_BUDGET:
+                if result.moves >= MOVE_BUDGET:
                     return
-                if self._improve_server(server, batch, higher, result):
+                if self._improve_server(server, result):
                     progressed = True
             if progressed:
                 stall_rounds = 0
@@ -338,26 +327,15 @@ class LocalSearch:
 
     # -- per-server improvement ------------------------------------------------------
 
-    def _improve_server(self, server: int, batch: List[Goal],
-                        higher: List[Goal], result: SolveResult) -> bool:
+    def _improve_server(self, server: int, result: SolveResult) -> bool:
+        """Move the first candidate replica that has an improving target."""
         result.walks += 1
-        first: Optional[int] = None
-        chosen: Optional[int] = None
-        target: Optional[int] = None
         for replica in self._candidate_replicas(server):
-            if first is None:
-                first = replica
             target = self._best_target(replica, server, result)
             if target is not None:
-                chosen = replica
-                break
-        if chosen is not None:
-            self._move(chosen, server, target)
-            result.moves += 1
-            return True
-        if self.config.optimized and first is not None:
-            result.swaps_tried += 1
-            return self._try_swap(server, first, batch, higher, result)
+                self._move(replica, server, target)
+                result.moves += 1
+                return True
         return False
 
     def _candidate_replicas(self, server: int) -> Iterator[int]:
@@ -497,54 +475,3 @@ class LocalSearch:
         self.problem.move(replica, dst)
         for goal in self.goals:
             goal.on_move(replica, src, dst)
-
-    # -- swaps -------------------------------------------------------------------------
-
-    def _try_swap(self, hot: int, hot_replica: int, batch: List[Goal],
-                  higher: List[Goal], result: SolveResult) -> bool:
-        """Two-way swap: big replica off the hot server, small one back.
-
-        Tried only when no single move improves ("in addition to moving
-        individual shards, it may consider two-way (or n-way) swapping of
-        shards", §5.3).
-        """
-        problem = self.problem
-        total_load = problem.replica_total_load
-        for cold in self._sample_targets(hot_replica, hot)[:6]:
-            cold_replicas = [r for r in problem.replicas_on[cold]
-                             if not problem.replica_pinned[r]]
-            if not cold_replicas:
-                continue
-            cold_replica = min(cold_replicas, key=total_load.__getitem__)
-            if cold_replica == hot_replica:
-                continue
-            ok = True
-            for goal in higher:
-                combined = (goal.move_delta(hot_replica, hot, cold)
-                            + goal.move_delta(cold_replica, cold, hot))
-                if combined > 1e-9:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            delta = 0.0
-            for goal in batch:
-                delta += goal.weight * (
-                    goal.move_delta(hot_replica, hot, cold)
-                    + goal.move_delta(cold_replica, cold, hot))
-            if delta >= -1e-9:
-                continue
-            # Capacity check for the pair (approximate: apply out first).
-            if not all(fitting(hot_replica, (cold,))
-                       for fitting in self._fitting):
-                continue
-            self._move(hot_replica, hot, cold)
-            if not all(fitting(cold_replica, (hot,))
-                       for fitting in self._fitting):
-                # Roll back: the swap-in does not fit after all.
-                self._move(hot_replica, cold, hot)
-                continue
-            self._move(cold_replica, cold, hot)
-            result.swaps += 1
-            return True
-        return False

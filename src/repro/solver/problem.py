@@ -164,8 +164,6 @@ class PlacementProblem:
         # callers may call ``move`` without notifying goals) and fall back
         # to a full recount.
         self.version: int = 0
-        # Lazily built per-replica cache (loads are immutable).
-        self._replica_total_load: Optional[List[float]] = None
 
     # -- assignment mutation -------------------------------------------------
 
@@ -219,16 +217,6 @@ class PlacementProblem:
                 replicas_on[target].add(replica_idx)
             moved += 1
         return moved
-
-    # -- per-replica cache -----------------------------------------------------
-
-    @property
-    def replica_total_load(self) -> List[float]:
-        """``sum(load)`` per replica, built on first use (the solver reads
-        it only when it attempts a swap)."""
-        if self._replica_total_load is None:
-            self._replica_total_load = [sum(load) for load in self.loads]
-        return self._replica_total_load
 
     def random_assignment(self, rng: random.Random) -> None:
         """Uniform random placement — Fig 21's stress-test initial state."""

@@ -121,7 +121,7 @@ ALLOW: List[Tuple[str, str]] = [
     ("solver/goals.py::Goal.violations", BASE + "every goal overrides it"),
     ("solver/goals.py::Goal.violating_servers",
      BASE + "every goal overrides it"),
-    ("solver/goals.py::Goal.move_delta", BASE + "every goal overrides it"),
+    ("solver/goals.py::Goal.move_deltas", BASE + "every goal overrides it"),
     ("solver/goals.py::Goal.on_move", BASE + "stateless goals keep it"),
     ("solver/goals.py::Goal.contributes",
      BASE + "the search skips the always-True default by identity"),

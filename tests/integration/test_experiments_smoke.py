@@ -106,8 +106,8 @@ def test_skew_lb_smoke():
     static = skew_lb.run_arm("static", seed=5, duration=180.0)
     # Both journals are pinned.  No library timeline polls server load
     # (``load_poll_interval``), so these two hold the load-poll loop.
-    assert sm.digest == ("183d6183b239f8810b0ddcee1ea96989"
-                         "b927ad7907db0919db3e12726b4a45e2")
+    assert sm.digest == ("fe87068f771f41f96424a0f91b466118"
+                         "6503f5f3313ba255bdfd1838f9a0b2cf")
     assert static.digest == ("7dfc44e5e44b6b16b501f07ea3115975"
                              "6b91dcd6ad141846c7e14b013d3d8fce")
     # The solver reacts to the hot set (and its mid-run rotation); the

@@ -46,8 +46,7 @@ for scale in scaled(PAPER_SCALES, factor=50):
     rebalancer = attach_zippydb_goals(zippydb_snapshot(scale, seed=3000))
     result = rebalancer.solve(SearchConfig(time_budget=600.0, rng_seed=3))
     out["solver_place"].append({
-        "moves": list(moves), "counts": [result.moves, result.swaps,
-                                         result.evaluations,
+        "moves": list(moves), "counts": [result.moves, result.evaluations,
                                          result.final_violations]})
 
 periodic_plan = Allocator.periodic_plan

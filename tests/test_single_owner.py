@@ -117,6 +117,12 @@ def test_replaced_tables_and_tasks_are_gone():
     assert modules_matching(
         r"metrics\.profiler|\bProfiler\b|UNJOURNALED_PROFILE_KEYS"
         r"|TRACE_INTERVAL") == []
+    # The two-way swap no solve accepted, and what only it kept alive:
+    # ``move_deltas`` is the one delta method a goal implements.
+    assert modules_matching(
+        r"_try_swap|swaps_tried|replica_total_load|\bmove_delta\b") == []
+    from repro.solver.goals import Goal
+    assert not hasattr(Goal, "move_delta")
 
 
 def test_figures_run_through_the_scenario_engine():

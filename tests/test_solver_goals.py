@@ -1,6 +1,6 @@
 """Unit tests for goal evaluators: cost, violations, and delta consistency.
 
-The central invariant, checked for every goal: ``move_delta`` must equal
+The central invariant, checked for every goal: ``move_deltas`` must equal
 the actual change of ``total_cost`` when the move is applied.
 """
 
@@ -59,7 +59,7 @@ def delta_matches_applied_cost(problem, goal, trials=100, seed=3):
         if src == dst:
             continue
         goal.refresh()
-        predicted = goal.move_delta(replica, src, dst)
+        predicted = goal.move_deltas(replica, src, (dst,))[0]
         before = goal.total_cost()
         problem.move(replica, dst)
         goal.on_move(replica, src, dst)
