@@ -16,10 +16,10 @@ The second half is the oracle for the lazy search: the eager candidate
 selection (filter, normalise, sort, dedup, slice over the whole server),
 the per-target evaluation loop and each goal's single-call delta the
 solver used before its cost was made proportional to what the search
-touches are kept *here* as the reference, and random
-problems must walk a prefix of the same candidates at every call, pick
-the same target for every replica it evaluates, and end with the same
-move sequence, evaluation count and RNG state, float for float.
+touches are kept *here* as the reference, and random problems must walk
+a prefix of the same candidates at every call, pick the same target for
+every replica it evaluates, and end with the same move sequence,
+evaluation count and RNG state, float for float.
 """
 
 import functools
