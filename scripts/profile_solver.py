@@ -4,10 +4,11 @@
 Runs the Fig 21 ZippyDB workload at a chosen scale point and prints a
 ``build`` line (snapshot seconds, goal-attachment seconds and the
 garbage collections the build triggered, per generation) beside the
-solve's time, set-up time and counts (rounds, hot servers, candidate
-walks, moves, evaluations), so one command shows the build : solve split
-at any ``--factor``.  With ``--cprofile`` the solve additionally runs
-under :mod:`cProfile` for function-level attribution of the same run.
+solve's time, set-up time and counts (rounds, hot servers, moves,
+evaluations: the ``solver`` track's record), so one command shows the
+build : solve split at any ``--factor``.  With ``--cprofile`` the solve
+additionally runs under :mod:`cProfile` for function-level attribution
+of the same run.
 
 Examples::
 
@@ -40,7 +41,7 @@ from repro.workloads.snapshots import (  # noqa: E402
 
 
 #: The ``SolveResult`` counts printed, in order.
-COUNTS = ("rounds", "hot_servers", "walks", "moves", "evaluations")
+COUNTS = ("rounds", "hot_servers", "moves", "evaluations")
 
 
 def _positive_int(text: str) -> int:

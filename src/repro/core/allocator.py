@@ -98,6 +98,8 @@ class AllocationPlan:
     promotes: List[PromoteReplica] = field(default_factory=list)
     moves: List[MoveReplica] = field(default_factory=list)
     solve_result: Optional[SolveResult] = None
+    #: ``solve_result`` comes from a solve run for this plan, not reused.
+    solved: bool = False
     #: The moves continue the last solve's plan; no solve ran.
     continued: bool = False
 
@@ -354,6 +356,7 @@ class Allocator:
             if not batch:
                 self._solved = (inputs, self.attach_goals(problem).solve(
                     self.search_config))
+                plan.solved = True
         if not plan.continued:
             plan.solve_result = result = self._solved[1]
             planned = [(index_to_replica[i], index_to_replica[i].address,

@@ -497,7 +497,7 @@ class Orchestrator:
             self.rebalance_history.append(
                 (self.engine.now, seen, len(plan.moves)))
             if self._tracer.enabled:
-                if result is not None:
+                if plan.solved:
                     result.journal(self._tracer, self.engine.now,
                                    f"{self.spec.name}.")
                 self._tracer.instant(

@@ -72,6 +72,7 @@ class SimCluster:
                               lambda: engine.pending_events)
             obs.metrics.gauge("net.rpcs_sent", lambda: network.rpcs_sent)
             obs.metrics.gauge("net.rpcs_failed", lambda: network.rpcs_failed)
+            obs.rpc_latency = network.rpc_latency_ms
             obs.metrics.gauge("net.rpc_latency_ms", obs.rpc_latency_ms)
         zookeeper = ZooKeeper(engine)
         discovery = ServiceDiscovery(engine, base_delay=discovery_base_delay,

@@ -11,9 +11,9 @@ namespace, without touching the hot paths that maintain them:
 * when observability is enabled, the wiring layer registers *callback
   gauges* that read those attributes lazily at snapshot time.
 
-A distribution the journal already records is a gauge too: it folds the
-journal into a :class:`Histogram` at snapshot time
-(``Observability.rpc_latency_ms``), so no hot path feeds a second copy.
+A distribution is a :class:`Histogram` its component owns and feeds
+(``Network.rpc_latency_ms``, only while tracing); a gauge reads its
+snapshot (``Observability.rpc_latency_ms``).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ shares:
 
 * a :class:`~repro.obs.tracer.Tracer` writing sim-time spans/instants
   into the columns of a bounded :class:`~repro.obs.tracer.Journal`;
-* a :class:`~repro.metrics.MetricsRegistry` of named gauges (the RPC
-  latency histogram folds the journal);
+* a :class:`~repro.metrics.MetricsRegistry` of named gauges (one reads
+  the network's settled-RPC latency histogram);
 * the exporters (:mod:`~repro.obs.trace_export`) and the
   :class:`~repro.obs.checker.TraceChecker` that replays the journal
   against cross-layer invariants.
@@ -42,8 +42,7 @@ from ..metrics.registry import Histogram, MetricsRegistry
 from ..sim.engine import ENGINE_SAMPLE
 from . import trace_export
 from .checker import REQUIRED_PHASES, TraceChecker, Violation
-from .tracer import (KIND_END, NO_TRACER, Journal, NullTracer, TraceRecord,
-                     Tracer)
+from .tracer import NO_TRACER, Journal, NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "Observability", "NO_OBS", "ENGINE_SAMPLE", "get_default", "use",
@@ -56,6 +55,8 @@ class Observability:
     """An enabled tracing + metrics context for one run."""
 
     enabled = True
+    #: The histogram ``rpc_latency_ms`` reads (set by the wiring layer).
+    rpc_latency: Optional[Histogram] = None
 
     def __init__(self, capacity: int = 1 << 20) -> None:
         self.metrics = MetricsRegistry()
@@ -72,14 +73,11 @@ class Observability:
         return self.journal
 
     def rpc_latency_ms(self) -> Dict[str, Any]:
-        """Settled-RPC latency (ms) as a histogram snapshot, folded from
-        the ``net`` span ends (exact while the journal dropped nothing)."""
-        histogram = Histogram("net.rpc_latency_ms")
-        _, kinds, tracks, _, _, _, args = self.journal.columns()
-        for kind, track, values in zip(kinds, tracks, args):
-            if kind == KIND_END and track == "net":
-                histogram.observe(values["latency"] * 1e3)
-        return histogram.snapshot()
+        """Settled-RPC latency (ms) as a histogram snapshot: the
+        ``net.rpc_latency_ms`` histogram of the network last built under
+        this context (:meth:`repro.harness.SimCluster.build` hands it
+        over; the network owns it)."""
+        return self.rpc_latency.snapshot()
 
 
 class _DisabledObservability(Observability):

@@ -3,9 +3,8 @@
 The :class:`TraceChecker` turns the observability journal into an oracle
 for cross-layer invariants that no single unit test sees end to end:
 
-* **single completion** — no span ends twice; in particular an RPC never
-  both delivers and fails (the class of bug the ``rpcs_failed``
-  double-count fix addressed);
+* **single completion** — no span ends twice (a migration, a drain, a
+  chaos fault);
 * **primary uniqueness** — replaying the ``shards`` transition records,
   a shard never has two READY primaries at any point in time;
 * **migration protocol** — every migration span that ends with
@@ -141,27 +140,22 @@ class TraceChecker:
     def _check_single_completion(self) -> List[Violation]:
         violations: List[Violation] = []
         columns = self.journal.columns()
-        spans = [span for kind, span in zip(columns[1], columns[5])
+        spans = [(track, span) for kind, track, span
+                 in zip(columns[1], columns[2], columns[5])
                  if kind == KIND_END]
         if len(set(spans)) == len(spans):
             return violations   # the clean case: no span id ends twice
-        ended: Dict[int, Any] = {}  # span -> first end record
+        ended: Dict[Tuple[str, int], Any] = {}  # (track, span) -> first end
         ends = [row for row, kind in enumerate(columns[1]) if kind == KIND_END]
         for record in _views(columns, ends):
-            first = ended.get(record.span)
+            first = ended.get((record.track, record.span))
             if first is None:
-                ended[record.span] = record
+                ended[record.track, record.span] = record
                 continue
-            detail = ""
-            if record.track == "net" or first.track == "net":
-                first_ok = (first.args or {}).get("ok")
-                this_ok = (record.args or {}).get("ok")
-                detail = (f" (rpc completed as ok={first_ok} "
-                          f"then again as ok={this_ok})")
             violations.append(Violation(
                 "single-completion",
                 f"span {record.span} ({first.track}/{first.name}) "
-                f"ended more than once{detail}",
+                "ended more than once",
                 record.seq))
         return violations
 
@@ -480,22 +474,16 @@ class TraceChecker:
     def _creates_lost_to_stopped_servers(
             self, uptime: Dict[str, List[float]]) -> List[Tuple[float, float]]:
         """``(sent, stopped)`` of each failed ``sm.add_shard`` RPC (a
-        ``net`` span) sent to a server that had stopped at ``stopped``."""
+        ``net`` instant) sent to a server that had stopped at ``stopped``."""
         columns = self.journal.columns()
-        rows = [row for row, name in enumerate(columns[3])
-                if name == "sm.add_shard"]
-        sent: Dict[int, Tuple[float, str]] = {}
         lost: List[Tuple[float, float]] = []
-        for record in _views(columns, rows):
-            args = record.args or {}
-            if record.kind == KIND_BEGIN:
-                sent[record.span] = (record.time, args.get("dst", ""))
-            elif record.span in sent:
-                time, address = sent.pop(record.span)
-                times = uptime.get(address, [])
-                count = bisect_right(times, time)
-                if not args.get("ok") and count and count % 2 == 0:
-                    lost.append((time, times[count - 1]))
+        for track, name, args in zip(columns[2], columns[3], columns[6]):
+            if name == "sm.add_shard" and track == "net":
+                sent = args["sent"]
+                times = uptime.get(args["dst"], [])
+                count = bisect_right(times, sent)
+                if count and count % 2 == 0:
+                    lost.append((sent, times[count - 1]))
         return lost
 
     # -- cross-check: final map vs transition records ------------------------

@@ -2,8 +2,8 @@
 
 The Chrome trace format (loadable at https://ui.perfetto.dev or
 ``chrome://tracing``) renders each journal track as one named thread:
-spans become async ``b``/``e`` event pairs keyed by span id, instants
-become ``i`` events and counter samples become ``C`` events.
+spans become async ``b``/``e`` event pairs keyed by track and span id,
+instants become ``i`` events and counter samples become ``C`` events.
 
 Simulated seconds map to trace microseconds (1 s → 1,000,000 µs).
 """

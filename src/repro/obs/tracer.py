@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
-from itertools import compress
 from operator import itemgetter
 from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -130,7 +129,7 @@ class TraceRecord(NamedTuple):
     track: str
     name: str
     time: float
-    span: int                         # 0 for records not tied to a span
+    span: int                         # per track; 0: not tied to a span
     args: Optional[Dict[str, Any]]    # None or a dict of JSON-able values
 
     def as_dict(self) -> Dict[str, Any]:
@@ -205,26 +204,42 @@ class Journal:
         original."""
         return _hash_columns(self.columns(), with_seq=True)
 
-    def behaviour_digest(self) -> str:
-        """SHA-256 over what the simulated *system* did, not over how
-        the simulator got there: the ``engine`` track (dispatch samples
-        taken every N-th executed event) and each record's ``seq`` (its
-        position among them) are left out.  A substrate change that
-        executes fewer or different events while every modelled component
-        behaves the same moves :meth:`digest` and leaves this one alone.
-        """
+    def track_digests(self) -> Dict[str, str]:
+        """``{track: sha256}`` over what the simulated *system* did, not
+        over how the simulator got there: one hash per track, each over
+        that track's records alone, with every record's ``seq`` (its
+        position among all tracks) left out, and no ``engine`` track (the
+        dispatch samples taken every N-th executed event).  A change that
+        moves one track leaves every other track's hash alone."""
         columns = self.columns()
-        kept = [track != "engine" for track in columns[2]]
-        return _hash_columns([list(compress(column, kept))
-                              for column in columns], with_seq=False)
+        rows: Dict[str, List[int]] = {}
+        for row, track in enumerate(columns[2]):
+            rows.setdefault(track, []).append(row)
+        rows.pop("engine", None)
+        return {track: _hash_columns(
+                    [list(map(column.__getitem__, kept))
+                     for column in columns], with_seq=False)
+                for track, kept in sorted(rows.items())}
+
+    def behaviour_digest(self) -> str:
+        """SHA-256 over :meth:`track_digests`, sorted by track: a
+        substrate change that executes fewer or different events while
+        every modelled component behaves the same moves :meth:`digest`
+        and leaves this one alone."""
+        hasher = hashlib.sha256()
+        for track, digest in sorted(self.track_digests().items()):
+            hasher.update(f"{track}\0{digest}\0".encode())
+        return hasher.hexdigest()
 
 
 class Tracer:
     """Records spans / instants / counters into a :class:`Journal`.
 
-    Span ids and sequence numbers are small monotonic ints allocated per
-    tracer; the clock is bound to a simulation engine with
-    :meth:`bind_clock` (records made before binding stamp ``t=0.0``).
+    Sequence numbers are small monotonic ints allocated per tracer, span
+    ids per track, so how many spans one track opens never renumbers
+    another's (:meth:`Journal.track_digests`).  The clock is bound to a
+    simulation engine with :meth:`bind_clock` (records made before
+    binding stamp ``t=0.0``).
     ``registry`` points at the owning
     :class:`~repro.metrics.MetricsRegistry` so instrumented components
     holding only the tracer can also register gauges.
@@ -236,7 +251,7 @@ class Tracer:
         self.journal = journal if journal is not None else Journal()
         self.registry = None  # set by Observability
         self._engine = None
-        self._next_span = 1
+        self._last_span: Dict[str, int] = {}
         self._next_seq = 0
 
     def bind_clock(self, engine) -> None:
@@ -267,9 +282,9 @@ class Tracer:
 
     def begin(self, track: str, name: str, time: Optional[float] = None,
               args: Optional[Dict[str, Any]] = None) -> int:
-        """Open a span; returns its id (pass it to :meth:`end`)."""
-        span = self._next_span
-        self._next_span = span + 1
+        """Open a span; returns its id on ``track`` (pass it to
+        :meth:`end`)."""
+        span = self._last_span[track] = self._last_span.get(track, 0) + 1
         self._append(KIND_BEGIN, track, name, time, span, args)
         return span
 

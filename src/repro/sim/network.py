@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..metrics.registry import Histogram
 from ..obs.tracer import NO_TRACER
 from .engine import Engine
 
@@ -213,8 +214,8 @@ class RpcCall:
     """
 
     __slots__ = ("net", "src", "dst", "timeout", "start", "method",
-                 "payload", "rng", "req_latency", "trace_span", "result",
-                 "on_complete", "_waiters")
+                 "payload", "rng", "req_latency", "result", "on_complete",
+                 "_waiters")
 
     def __init__(self, net: "Network", src: Optional[Endpoint],
                  dst: Optional[Endpoint], method: str, payload: Any,
@@ -227,7 +228,6 @@ class RpcCall:
         self.payload = payload
         self.timeout = timeout
         self.start = net.engine.now
-        self.trace_span = 0  # non-zero only while tracing is enabled
         self.result: Optional[RpcResult] = None
         self.on_complete = on_complete
         self._waiters: Optional[list[Callable[[RpcResult], None]]] = None
@@ -253,22 +253,30 @@ class RpcCall:
         """First completion (value or timeout) wins, and every completion
         comes through here, so late losers (e.g. a timeout firing after
         an earlier failure) can never double-count.  The order is part of
-        the determinism contract: result set, failure counted, span
-        ended, ``on_complete`` run, ``on_done`` subscribers woken."""
+        the determinism contract: result set, failure counted, latency
+        observed (and a failure journalled) while tracing, ``on_complete``
+        run, ``on_done`` subscribers woken."""
         if self.result is not None:
             return
         self.result = result
+        net = self.net
         if not result.ok:
-            self.net.rpcs_failed += 1
-        if self.trace_span:
-            self._trace_end(result)
+            net.rpcs_failed += 1
+        if net.tracer.enabled:
+            net.rpc_latency_ms.observe(result.latency * 1e3)
+            if not result.ok:
+                # A failed call is the one RPC the journal keeps: its ends,
+                # send time and error (the outage pass reads them).
+                net.tracer.instant("net", self.method, net.engine.now, {
+                    "src": self.src.address, "dst": self.dst.address,
+                    "sent": self.start, "error": result.error})
         on_complete = self.on_complete
         if on_complete is not None:
             on_complete(result)
         waiters = self._waiters
         if waiters is not None:
             self._waiters = None  # a waiting process refers back to the call
-            schedule = self.net.engine._schedule_immediate
+            schedule = net.engine._schedule_immediate
             for waiter in waiters:
                 schedule(waiter, result)
 
@@ -277,15 +285,6 @@ class RpcCall:
         if self.result is None:
             self._settle(RpcResult(ok=False, error=reason,
                                    latency=self.net.engine.now - self.start))
-
-    def _trace_end(self, result: RpcResult) -> None:
-        """Close this RPC's span on the settling completion (the span ends
-        exactly once — the invariant the TraceChecker asserts)."""
-        net = self.net
-        net.tracer.end(self.trace_span, net.engine.now,
-                       {"ok": int(result.ok), "error": result.error,
-                        "latency": result.latency},
-                       track="net", name=self.method)
 
     def deliver_request(self) -> None:
         """Request arrives at the destination (scheduled at send time)."""
@@ -372,6 +371,10 @@ class Network:
         self.control_rng = control_rng or self.rng
         self._stream_of: Dict[str, random.Random] = {}
         self.tracer = tracer
+        #: Settled-RPC latency in ms, kept only while tracing: an untraced
+        #: network observes nothing.
+        self.rpc_latency_ms: Optional[Histogram] = (
+            Histogram("net.rpc_latency_ms") if tracer.enabled else None)
         self._endpoints: Dict[str, Endpoint] = {}
         self._partitions: set[frozenset[str]] = set()
         self.rpcs_sent = 0
@@ -459,22 +462,17 @@ class Network:
         src = endpoints.get(src_address)
         dst = endpoints.get(dst_address)
         call = RpcCall(self, src, dst, method, payload, timeout, on_complete)
-
-        tracer = self.tracer
-        if tracer.enabled:
-            args = {"src": src_address, "dst": dst_address}
-            if src is not None:
-                args["src_region"] = src.region
-            if dst is not None:
-                args["dst_region"] = dst.region
-            call.trace_span = tracer.begin("net", method, engine.now, args)
-
         if src is None:
+            # An unregistered stand-in names the address a failure record
+            # carries; nothing else reads it.
+            call.src = Endpoint(src_address, "")
             engine.call_after(0.0, call.fail, f"unknown source {src_address!r}")
             return call
         if (dst is None or not src.up or not dst.up
                 or (self._partitions
                     and self._partitioned(src.region, dst.region))):
+            if dst is None:
+                call.dst = Endpoint(dst_address, "")
             engine.call_after(timeout, call.fail, "timeout")
             return call
 
@@ -495,8 +493,8 @@ class Network:
         is unknown or down, or a partition cuts them apart).
 
         A read is the synchronous twin of an RPC that would have reached
-        its destination: no latency, no events, no RNG draw, no ``net``
-        span, not counted in ``rpcs_sent``.
+        its destination: no latency, no events, no RNG draw, no histogram
+        sample or journal record, not counted in ``rpcs_sent``.
         """
         endpoints = self._endpoints
         src = endpoints.get(src_address)

@@ -70,7 +70,9 @@ reproduced (EXPERIMENTS.md says why).
 
 A solve counts what it did (rounds, hot servers, candidate walks, moves
 and evaluations) in plain ``SolveResult`` fields, which
-:meth:`SolveResult.journal` writes to the ``solver`` track as one record.
+:meth:`SolveResult.journal` writes to the ``solver`` track as one record,
+all but ``walks``: it equals ``hot_servers`` unless ``MOVE_BUDGET`` stops
+a round mid-scan.
 It reads the host clock only in ``__init__`` and ``solve``: ``solve_time``
 starts where the caller starts waiting, at ``LocalSearch`` construction,
 and ``setup_time`` is its part before the first round.  Where the rest of
@@ -152,7 +154,7 @@ class SolveResult:
         instant.  Every journal digest covers it; no host time goes in."""
         tracer.instant("solver", prefix + "counters", now, {
             "evaluations": self.evaluations, "hot_servers": self.hot_servers,
-            "moves": self.moves, "rounds": self.rounds, "walks": self.walks})
+            "moves": self.moves, "rounds": self.rounds})
 
 
 class _NormalizedSizes(dict):

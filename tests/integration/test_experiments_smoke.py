@@ -106,10 +106,10 @@ def test_skew_lb_smoke():
     static = skew_lb.run_arm("static", seed=5, duration=180.0)
     # Both journals are pinned.  No library timeline polls server load
     # (``load_poll_interval``), so these two hold the load-poll loop.
-    assert sm.digest == ("fe87068f771f41f96424a0f91b466118"
-                         "6503f5f3313ba255bdfd1838f9a0b2cf")
-    assert static.digest == ("7dfc44e5e44b6b16b501f07ea3115975"
-                             "6b91dcd6ad141846c7e14b013d3d8fce")
+    assert sm.digest == ("dca5142b10e5a2cb69bdd0a5a0d302e3"
+                         "f2590e7e66ebe195ec01da7b3da9bc97")
+    assert static.digest == ("20a1a8fdb82e5e0a4f3ac781dcdbdbf2"
+                             "60176ee9379898443f00bf5b2d90a50b")
     # The solver reacts to the hot set (and its mid-run rotation); the
     # pinned arm cannot move at all in steady state.
     assert sm.moves > 0

@@ -29,6 +29,7 @@ from repro.obs.checker import TraceChecker
 from repro.obs.tracer import Journal, Tracer
 from repro.sim.engine import Engine
 from repro.sim.failures import CrashInjector
+from repro.sim.network import Network
 
 
 def make_twine(machines=10, region="FRC"):
@@ -281,6 +282,37 @@ def test_library_run_untraced_matches_traced(name):
     assert traced.journal.behaviour_digest() == pinned[name]["sm"]
 
 
+def test_a_library_run_samples_each_settled_rpc_and_journals_each_failure(
+        monkeypatch):
+    """The network's share of a traced run: ``net.rpc_latency_ms`` holds
+    one sample per settled RPC and the ``net`` track one instant per
+    failed one, naming its method, ends, send time and error."""
+    calls = []
+    rpc = Network.rpc
+
+    def watched(network, *args, **kwargs):
+        calls.append(rpc(network, *args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(Network, "rpc", watched)
+    obs = Observability()
+    rpcs_failed = _library_run(get("crash_single"), obs)[2]
+    settled = [call for call in calls if call.result is not None]
+    failed = [call for call in settled if not call.result.ok]
+    assert obs.rpc_latency_ms()["total"] == len(settled) > 0
+    assert obs.rpc_latency_ms()["sum"] == pytest.approx(
+        sum(call.result.latency for call in settled) * 1e3)
+    _seq, kinds, tracks, names, _time, _span, args = obs.journal.columns()
+    journalled = sorted((kind, name, values["src"], values["dst"],
+                         values["sent"], values["error"])
+                        for kind, track, name, values
+                        in zip(kinds, tracks, names, args) if track == "net")
+    assert len(journalled) == rpcs_failed == len(failed) > 0
+    assert journalled == sorted(
+        ("I", call.method, call.src.address, call.dst.address, call.start,
+         call.result.error) for call in failed)
+
+
 class TestFaultRecoveryChecker:
     def make(self):
         journal = Journal()
@@ -346,10 +378,12 @@ class TestAvailabilityChecker:
 
     @staticmethod
     def create(tracer, sent, settled, address, ok):
-        span = tracer.begin("net", "sm.add_shard", sent,
-                            {"src": "orchestrator", "dst": address})
-        tracer.end(span, settled, {"ok": int(ok)}, track="net",
-                   name="sm.add_shard")
+        """A create RPC: a settled one journals nothing, a failed one its
+        ``net`` instant."""
+        if not ok:
+            tracer.instant("net", "sm.add_shard", settled,
+                           {"src": "orchestrator", "dst": address,
+                            "sent": sent, "error": "timeout"})
 
     @staticmethod
     def flagged(journal, uptime, until, spec=CRASH, arm="sm"):

@@ -223,9 +223,9 @@ class TestFailureCountRegression:
             self, engine):
         """``rpcs_sent`` / ``rpcs_failed`` are plain values of the one
         network an RPC went through; a timeout, a handler error and a
-        response to a downed caller each settle the call and close its
-        span exactly once, so the latency histogram folded from the span
-        ends counts each once, at the latency the call settled with."""
+        response to a downed caller each settle the call exactly once, so
+        the latency histogram counts each once, at the latency the call
+        settled with, and each failure is one ``net`` instant."""
         obs = Observability()
         tracer = obs.tracer
         tracer.bind_clock(engine)
@@ -262,14 +262,17 @@ class TestFailureCountRegression:
         assert orphaned.result.error == "caller down"
         assert ok_call.result.ok
         assert (network.rpcs_sent, network.rpcs_failed) == (4, 3)
-        latency = obs.rpc_latency_ms()
-        assert latency["total"] == 4
-        assert latency["sum"] == pytest.approx(sum(
+        latency = network.rpc_latency_ms
+        assert latency.total == 4
+        assert latency.sum == pytest.approx(sum(
             call.result.latency * 1e3 for call, _ in watched))
         assert (other.rpcs_sent, other.rpcs_failed) == (0, 0)
-        ends = [r.span for r in tracer.journal
-                if r.track == "net" and r.kind == "E"]
-        assert sorted(ends) == [1, 2, 3, 4]
+        failures = sorted((r.kind, r.name, r.args["src"], r.args["dst"],
+                           r.args["sent"], r.args["error"])
+                          for r in tracer.journal if r.track == "net")
+        assert failures == sorted(
+            ("I", call.method, call.src.address, "server", call.start,
+             call.result.error) for call in (timed_out, errored, orphaned))
         for call, heard in watched:
             _assert_completed_once(call, heard)
 
@@ -352,7 +355,8 @@ def _settle(case, route):
 
     def continuation(result):
         heard.append((engine.now, result, network.rpcs_failed))
-        tracer.instant("test", "continued", engine.now)
+        tracer.instant("test", "continued", engine.now,
+                       {"sampled": network.rpc_latency_ms.total})
 
     if route == "on_complete":
         call = network.rpc("client", "server", "echo", "hi", timeout=1.0,
@@ -386,16 +390,23 @@ class TestCompletionRoutes:
         assert direct_net.rng.getstate() == waited_net.rng.getstate()
 
     @pytest.mark.parametrize("route", ["on_complete", "done"])
-    def test_span_ends_before_the_continuation_journals(self, case, route):
-        call, heard, _, tracer = _settle(case, route)
+    def test_latency_is_sampled_before_the_continuation(self, case, route):
+        """The settle order: the call's latency sample, and for a failure
+        its one ``net`` instant, are in before the continuation runs."""
+        _, ok, error = SETTLE_CASES[case]
+        call, _heard, network, tracer = _settle(case, route)
         records = list(tracer.journal)
-        first_span = min(r.span for r in records if r.track == "net")
-        end = [i for i, r in enumerate(records) if r.track == "net"
-               and r.kind == "E" and r.span == first_span]
-        continued = [i for i, r in enumerate(records)
-                     if r.track == "test"]
-        assert len(end) == len(continued) == 1
-        assert end[0] < continued[0]
+        continued = [i for i, r in enumerate(records) if r.track == "test"]
+        failed = [i for i, r in enumerate(records) if r.track == "net"]
+        assert len(continued) == 1 and len(failed) == int(not ok)
+        assert all(i < continued[0] for i in failed)
+        for index in failed:
+            assert records[index].args["error"] == error
+            assert records[index].args["sent"] == call.start
+        # Every call of the case (the forward chain's relay too) had been
+        # sampled once, and nothing was sampled after.
+        sampled = records[continued[0]].args["sampled"]
+        assert sampled == network.rpc_latency_ms.total == network.rpcs_sent
 
     def test_late_on_done_hears_the_completion(self, case):
         call, heard, _, _ = _settle(case, "on_complete")
@@ -406,6 +417,21 @@ class TestCompletionRoutes:
         call.net.engine.run()
         assert late == [call.result]
         assert len(heard) == 1
+
+
+def test_an_untraced_network_keeps_no_latency_histogram(engine):
+    """Tracing off, a settle samples nothing: the network holds no
+    histogram to feed, on the ok path or the failure path."""
+    network = Network(engine, rng=random.Random(1))
+    assert network.rpc_latency_ms is None
+    _echo_server(network)
+    network.register("client", "FRC")
+    ok = network.rpc("client", "server", "echo")
+    lost = network.rpc("client", "ghost", "echo", timeout=0.5)
+    engine.run()
+    assert ok.result.ok and lost.result.error == "timeout"
+    assert network.rpc_latency_ms is None
+    assert (network.rpcs_sent, network.rpcs_failed) == (2, 1)
 
 
 def test_on_complete_runs_inside_the_settling_event():

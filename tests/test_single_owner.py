@@ -123,6 +123,11 @@ def test_replaced_tables_and_tasks_are_gone():
         r"_try_swap|swaps_tried|replica_total_load|\bmove_delta\b") == []
     from repro.solver.goals import Goal
     assert not hasattr(Goal, "move_delta")
+    # The per-RPC span: a settled RPC is a latency sample, and only a
+    # failed one a record.
+    assert modules_matching(r"\btrace_span\b|RpcCall\._trace_end") == []
+    from repro.sim.network import RpcCall
+    assert not hasattr(RpcCall, "_trace_end")
 
 
 def test_figures_run_through_the_scenario_engine():
@@ -180,13 +185,11 @@ def test_one_event_queue_and_one_way_to_wait():
 REQUEST_PATH = ("sim/network.py", "discovery/router.py", "app/client.py",
                 "app/scatter.py", "app/server.py")
 _TRACER_CALLS = {"instant", "begin", "end", "counter"}
-_TRACER_GUARDS = {"enabled", "trace_span"}
 
 
 def _unguarded_tracer_calls(text: str) -> list:
     """``Class.function`` of every ``<tracer>.instant/begin/end/counter``
-    call that no enclosing ``if`` reading ``.enabled`` or ``.trace_span``
-    guards."""
+    call that no enclosing ``if`` reading ``.enabled`` guards."""
     found = []
 
     def visit(node, scope, guarded):
@@ -203,7 +206,7 @@ def _unguarded_tracer_calls(text: str) -> list:
             reads = {getattr(n, "attr", None) for n in ast.walk(node.test)}
             visit(node.test, scope, guarded)
             for child in node.body:
-                visit(child, scope, guarded or bool(reads & _TRACER_GUARDS))
+                visit(child, scope, guarded or "enabled" in reads)
             for child in node.orelse:
                 visit(child, scope, guarded)
             return
@@ -216,13 +219,10 @@ def _unguarded_tracer_calls(text: str) -> list:
 
 def test_request_path_tracer_calls_sit_behind_the_guard():
     """A disabled tracer is skipped, not called: no args dict is built
-    and no ``NullTracer`` method runs per request.  The one exception,
-    ``RpcCall._trace_end``, is called only from ``RpcCall._settle``'s
-    ``if self.trace_span:`` branch."""
+    and no ``NullTracer`` method runs per request."""
     unguarded = {name: _unguarded_tracer_calls(SOURCES[name])
                  for name in REQUEST_PATH}
-    assert {name: calls for name, calls in unguarded.items() if calls} == {
-        "sim/network.py": ["RpcCall._trace_end"]}
+    assert {name: calls for name, calls in unguarded.items() if calls} == {}
 
 
 def test_nothing_outside_the_standard_library_is_imported():
