@@ -12,10 +12,12 @@ shares:
   against cross-layer invariants.
 
 Wiring pattern: :meth:`repro.harness.SimCluster.build` accepts an ``obs``
-argument and threads the tracer through the engine, network, routers,
-orchestrators and migration executor.  When no explicit ``obs`` is
-passed, the *module default* applies — :data:`NO_OBS` unless a caller
-activated a context with :func:`use`::
+argument and threads the tracer through the network, routers,
+orchestrators and migration executor.  The engine only lends the
+tracer its clock: it journals nothing, so there is no ``engine`` track
+(a run's event count is ``Engine.processed_events``).  When no explicit
+``obs`` is passed, the *module default* applies — :data:`NO_OBS` unless
+a caller activated a context with :func:`use`::
 
     import repro.obs as obs
 
@@ -39,13 +41,12 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
 from ..metrics.registry import Histogram, MetricsRegistry
-from ..sim.engine import ENGINE_SAMPLE
 from . import trace_export
 from .checker import REQUIRED_PHASES, TraceChecker, Violation
 from .tracer import NO_TRACER, Journal, NullTracer, TraceRecord, Tracer
 
 __all__ = [
-    "Observability", "NO_OBS", "ENGINE_SAMPLE", "get_default", "use",
+    "Observability", "NO_OBS", "get_default", "use",
     "Tracer", "NullTracer", "NO_TRACER", "Journal", "TraceRecord",
     "TraceChecker", "Violation", "REQUIRED_PHASES", "trace_export",
 ]

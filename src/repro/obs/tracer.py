@@ -208,14 +208,12 @@ class Journal:
         """``{track: sha256}`` over what the simulated *system* did, not
         over how the simulator got there: one hash per track, each over
         that track's records alone, with every record's ``seq`` (its
-        position among all tracks) left out, and no ``engine`` track (the
-        dispatch samples taken every N-th executed event).  A change that
-        moves one track leaves every other track's hash alone."""
+        position among all tracks) left out.  A change that moves one
+        track leaves every other track's hash alone."""
         columns = self.columns()
         rows: Dict[str, List[int]] = {}
         for row, track in enumerate(columns[2]):
             rows.setdefault(track, []).append(row)
-        rows.pop("engine", None)
         return {track: _hash_columns(
                     [list(map(column.__getitem__, kept))
                      for column in columns], with_seq=False)

@@ -49,11 +49,6 @@ _NO_ARG = object()  # sentinel: "callback takes no argument"
 # power of two, so the bucket arithmetic in ``call_at`` is exact.
 _GUARD_BUCKET = 0.25
 
-#: Every ``ENGINE_SAMPLE``-th engine dispatch gets an instant plus a
-#: queue-depth counter sample, which keeps engine tracks readable and the
-#: journal bounded at figure scale.
-ENGINE_SAMPLE = 64
-
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
@@ -85,23 +80,10 @@ class Engine:
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
-        # Observability: None leaves run() with one int compare per
-        # event that never matches; set via set_tracer().
-        self._trace = None
-        self._trace_sample = ENGINE_SAMPLE
 
     def set_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.obs.Tracer` for dispatch sampling.
-
-        Every ``ENGINE_SAMPLE``-th executed event records an instant (the
-        callback's qualified name) plus a queue-depth counter sample on
-        the ``engine`` track.  Passing a disabled tracer (or ``None``)
-        detaches.
-        """
-        if tracer is None or not tracer.enabled:
-            self._trace = None
-            return
-        self._trace = tracer
+        """Let ``tracer`` stamp records made without an explicit time
+        with this engine's clock.  The engine journals nothing itself."""
         tracer.bind_clock(self)
 
     @property
@@ -190,12 +172,6 @@ class Engine:
         unless ``max_events`` cut the run first: then it stays at the last
         executed event, so the events still due by ``until`` never run on
         a clock that went backwards.
-
-        With a tracer attached (see :meth:`set_tracer`) every
-        ``ENGINE_SAMPLE``-th event executed by this call is sampled.
-        Sampling is pure observation: event selection, clock updates and
-        callback invocation do not depend on it, so seeded runs stay
-        bit-identical with tracing on or off.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
@@ -205,11 +181,6 @@ class Engine:
         no_arg = _NO_ARG
         stop_after = float("inf") if until is None else until
         limit = float("inf") if max_events is None else max_events
-        trace = self._trace
-        sample = self._trace_sample
-        # `executed` counts up from 0, so -1 never matches: the untraced
-        # cost is the one int compare below.
-        next_sample = 0 if trace is not None else -1
         try:
             while heap:
                 # Popped first and put back on the rare exit, which saves
@@ -223,13 +194,6 @@ class Engine:
                     break
                 self.now = when
                 callback = event[2]
-                if executed == next_sample:
-                    next_sample += sample
-                    name = (getattr(callback, "__qualname__", None)
-                            or type(callback).__name__)
-                    trace.instant("engine", name, when)
-                    trace.counter("engine", "pending_events",
-                                  self.pending_events, when)
                 arg = event[3]
                 if arg is no_arg:
                     callback()

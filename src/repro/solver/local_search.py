@@ -68,11 +68,9 @@ the oracle.
 The search moves one replica at a time: §5.3's two-way swaps are not
 reproduced (EXPERIMENTS.md says why).
 
-A solve counts what it did (rounds, hot servers, candidate walks, moves
-and evaluations) in plain ``SolveResult`` fields, which
-:meth:`SolveResult.journal` writes to the ``solver`` track as one record,
-all but ``walks``: it equals ``hot_servers`` unless ``MOVE_BUDGET`` stops
-a round mid-scan.
+A solve counts what it did (rounds, hot servers, moves and evaluations)
+in plain ``SolveResult`` fields, which :meth:`SolveResult.journal` writes
+to the ``solver`` track as one record.
 It reads the host clock only in ``__init__`` and ``solve``: ``solve_time``
 starts where the caller starts waiting, at ``LocalSearch`` construction,
 and ``setup_time`` is its part before the first round.  Where the rest of
@@ -132,8 +130,6 @@ class SolveResult:
     rounds: int = 0
     #: Hot servers found, summed over the rounds.
     hot_servers: int = 0
-    #: Hot servers the search tried to improve, one candidate walk each.
-    walks: int = 0
     initial_violations: int = 0
     final_violations: int = 0
     #: Host seconds from ``LocalSearch`` construction to the plan.
@@ -331,7 +327,6 @@ class LocalSearch:
 
     def _improve_server(self, server: int, result: SolveResult) -> bool:
         """Move the first candidate replica that has an improving target."""
-        result.walks += 1
         for replica in self._candidate_replicas(server):
             target = self._best_target(replica, server, result)
             if target is not None:

@@ -86,6 +86,8 @@ DOUBLE = ("DOUBLE: test double shipped beside the TaskController protocol it "
           "implements")
 FORMAT = "FORMAT: other half of a format traffic reads or writes: "
 CHURN = "CHURN: not worth the churn: "
+BENCH_NAME = ("BENCH: bench/ looks it up by name, and only a benchmark "
+              "change may edit bench/: ")
 
 ALLOW: List[Tuple[str, str]] = [
     # -- error handling ---------------------------------------------------
@@ -142,6 +144,11 @@ ALLOW: List[Tuple[str, str]] = [
     ("obs/tracer.py::Journal.append",
      FORMAT + "read_jsonl's one way into the columns (the tracer appends "
      "in place)"),
+    # -- bench/ -----------------------------------------------------------
+    ("obs/tracer.py::Tracer.counter",
+     BENCH_NAME + "bench/spans.py's CALLS table looks it up with "
+     "cls.__dict__, and a traced bench unit would die with KeyError "
+     "without it"),
     # -- churn ------------------------------------------------------------
     ("core/shard_map.py::AssignmentTable.snapshot",
      CHURN + "two lines over _rebuild_dirty / _make_map with ~20 test "

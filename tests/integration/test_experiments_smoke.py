@@ -79,6 +79,36 @@ def test_fig20_row_of_experiments_md_is_the_run():
     assert moves == sum(value for _t, value in result.app_shard_moves)
 
 
+def test_fig19_rows_of_experiments_md_are_bench_results():
+    """EXPERIMENTS.md's measured Fig 19 cells quote the Figure 19 block
+    of ``bench_results.txt`` (``make figures`` rewrites it): the three
+    headline latencies, the spike (the series' peak) and the EC shards
+    with an FRC replica before and after recovery."""
+    root = Path(__file__).parents[2]
+    block = (root / "bench_results.txt").read_text().split(
+        "==[ Figure 19")[1].split("\n==[")[0].splitlines()
+    headline = {key.strip(): value.split() for key, value in
+                (line.split(":", 1) for line in block if " : " in line)}
+    series = [float(line.split()[1]) for line in block
+              if re.match(r"\d+\.\d+ ", line)]
+    section = (root / "EXPERIMENTS.md").read_text().split(
+        "## Figure 19")[1].split("\n## ")[0]
+    cells = {row.split("|")[1].strip(): row.split("|")[3].strip()
+             for row in section.splitlines() if row.count("|") == 4}
+    quoted = {phase: re.match(r"\*\*([\d.]+) ms\*\*", cells[phase]).group(1)
+              for phase in ("steady state", "at failure", "during outage",
+                            "after recovery")}
+    assert quoted == {
+        "steady state": headline["steady-state latency"][0],
+        "at failure": f"{max(series):.1f}",
+        "during outage": headline["during-outage latency"][0],
+        "after recovery": headline["post-recovery latency"][0]}
+    ec_shards = " ".join(headline["EC shards w/ FRC replica"])
+    assert re.findall(r"\*\*(\d+)\*\*",
+                      cells["EC shards with an FRC replica"]) == \
+        re.findall(r"\d+", ec_shards)
+
+
 def test_fig21_smoke():
     result = fig21_solver_scale.run(factor=25)
     assert result.all_solved

@@ -10,6 +10,10 @@ nor is a dataclass ``__init__`` (compiled from ``<string>``).  Frames named
 whether a comprehension gets a frame of its own depends on the
 interpreter (3.12 inlines them).  A check that must see every frame, as
 the build file's bulk-pass check does, asks for them.
+
+The events a run executes are the frames entered directly from
+``Engine.run``'s own frame (``count_dispatches``), keyed by the qualified
+name of the callback that frame is running.
 """
 
 import sys
@@ -17,8 +21,10 @@ from collections import Counter
 from pathlib import Path
 
 import repro
+from repro.sim.engine import Engine
 
 SRC = str(Path(repro.__file__).parent)
+RUN = Engine.run.__code__
 
 
 def count_calls(run, every_frame=False, extra=None):
@@ -45,3 +51,25 @@ def count_calls(run, every_frame=False, extra=None):
     finally:
         sys.setprofile(None)
     return calls, result
+
+
+def count_dispatches(run):
+    """``(events, result)``: the result of ``run()`` and the Counter of
+    the events the engine executed in it, by the ``__qualname__`` of each
+    event's callback (read from ``Engine.run``'s frame, which works on
+    3.10 too)."""
+    events = Counter()
+
+    def profile(frame, event, _arg):
+        caller = frame.f_back
+        if event == "call" and caller is not None and caller.f_code is RUN:
+            callback = caller.f_locals["callback"]
+            events[getattr(callback, "__qualname__",
+                           type(callback).__qualname__)] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return events, result

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.obs.tracer import Tracer
 from repro.sim.engine import (
-    ENGINE_SAMPLE,
     Delay,
     Engine,
     Process,
@@ -16,17 +14,9 @@ from repro.sim.engine import (
 NAN = float("nan")
 
 
-@pytest.fixture(params=[None, 1, ENGINE_SAMPLE],
-                ids=["untraced", "sample_every=1", "sample_every=64"])
-def engine(request):
-    """An engine with dispatch sampling off, on every event, and at
-    ``ENGINE_SAMPLE``: one run loop serves all three, so the cases that
-    exercise its exits and its bookkeeping run under each."""
-    engine = Engine()
-    if request.param is not None:
-        engine.set_tracer(Tracer())
-        engine._trace_sample = request.param
-    return engine
+@pytest.fixture
+def engine():
+    return Engine()
 
 
 class TestScheduling:
@@ -460,58 +450,3 @@ class TestPendingEvents:
         engine.run(until=5.0)
         assert engine.pending_events == len(engine._heap)
 
-
-class TestDispatchSampling:
-    """The engine track (see ``Engine.set_tracer``) is part of every
-    pinned journal digest, so the sampling rule is pinned here."""
-
-    @staticmethod
-    def engine_track(tracer):
-        return [(r.name, r.time, r.args) for r in tracer.journal
-                if r.track == "engine"]
-
-    def test_sample_every_one_lists_each_callback_in_execution_order(self):
-        engine = Engine()
-        tracer = Tracer()
-        engine.set_tracer(tracer)
-        engine._trace_sample = 1
-
-        class Ticker:  # an instance has no __qualname__: the type names it
-            def __call__(self):
-                pass
-
-        def first():
-            engine.call_after(0.0, second)
-
-        def second():
-            pass
-
-        engine.call_after(1.0, first)
-        engine.call_after(2.0, Ticker())
-        engine.call_after(1.0, [].append, "arg")
-        engine.run()
-        # Each event: an instant named after the callback, then the
-        # pending count *after* the event itself stopped counting.
-        assert self.engine_track(tracer) == [
-            (first.__qualname__, 1.0, None),
-            ("pending_events", 1.0, {"value": 2}),
-            ("list.append", 1.0, None),
-            ("pending_events", 1.0, {"value": 2}),
-            (second.__qualname__, 1.0, None),
-            ("pending_events", 1.0, {"value": 1}),
-            ("Ticker", 2.0, None),
-            ("pending_events", 2.0, {"value": 0}),
-        ]
-
-    def test_sampling_counts_from_zero_in_every_run_call(self):
-        engine = Engine()
-        tracer = Tracer()
-        engine.set_tracer(tracer)
-        engine._trace_sample = 3
-        for index in range(8):
-            engine.call_at(float(index), lambda: None)
-        engine.run(max_events=4)   # samples its events 0 and 3
-        engine.run()               # samples its events 0 and 3 again
-        times = [time for name, time, _ in self.engine_track(tracer)
-                 if name != "pending_events"]
-        assert times == [0.0, 3.0, 4.0, 7.0]

@@ -3,10 +3,10 @@
 ``bench/`` shows what the message path costs in host time; this file pins
 the thing that cost is made of.  Each scenario is a few seeded requests on
 a hand-built stack (engine, network, discovery, one client, endpoints as
-servers — no control plane, so nothing else schedules anything), run with
-the engine's own dispatch sampling set to every event, which journals
-the qualified name of every callback the engine executes.  The assertion
-is the whole multiset of those names, so a change that puts a per-request
+servers — no control plane, so nothing else schedules anything), counted
+by ``tests/ledger.py``'s ``count_dispatches``: the qualified name of
+every callback the engine executes.  The assertion is the whole
+multiset of those names, so a change that puts a per-request
 event back (a timeout that reaches the heap, a completion woken through a
 signal, a closure hop) fails a count here, on every interpreter of the CI
 matrix, rather than a timing somewhere else.
@@ -25,11 +25,10 @@ from repro.app.client import ApplicationClient, WorkloadRecorder
 from repro.app.scatter import QueuedServiceHandler, ScatterGatherClient
 from repro.core.shard_map import ShardMap, ShardMapEntry
 from repro.discovery.service_discovery import ServiceDiscovery
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 
-from tests.ledger import count_calls
+from tests.ledger import count_calls, count_dispatches
 
 SHARDS = 8
 KEYS_PER_SHARD = 16
@@ -63,14 +62,6 @@ class Stack:
         engine.run()  # the map is delivered; nothing is left scheduled
         assert engine.pending_events == 0
         self.events_at_setup = engine.processed_events
-        self.tracer = Tracer()
-        engine.set_tracer(self.tracer)
-        engine._trace_sample = 1   # every event, not every ENGINE_SAMPLE-th
-
-    def executed(self) -> Counter:
-        """Qualified name -> times the engine executed it since set-up."""
-        return Counter(r.name for r in self.tracer.journal
-                       if r.track == "engine" and r.name != "pending_events")
 
 
 def _burst(run_workload, seed: int = 11) -> WorkloadRecorder:
@@ -83,13 +74,25 @@ def _burst(run_workload, seed: int = 11) -> WorkloadRecorder:
     return recorder
 
 
+def _measured(stack: Stack, run_workload, count) -> tuple:
+    """``(recorder, counts)`` for one ``_burst`` on ``stack``, run to
+    the end, counted by ``count`` (a counter of ``tests/ledger.py``)."""
+    def burst():
+        recorder = _burst(run_workload)
+        stack.engine.run()
+        return recorder
+
+    counts, recorder = count(burst)
+    return recorder, counts
+
+
 def test_sync_point_read_is_three_events():
     stack = Stack(queued=False)
-    recorder = _burst(stack.client.run_workload)
-    stack.engine.run()
+    recorder, executed = _measured(stack, stack.client.run_workload,
+                                   count_dispatches)
     n = recorder.sent
     assert n > 10 and recorder.succeeded == n
-    assert stack.executed() == {
+    assert executed == {
         # one arrival tick per request, plus the tick that finds the
         # stream over and sends nothing
         "_WorkloadOp._tick": n + 1,
@@ -104,11 +107,11 @@ def test_sync_point_read_is_three_events():
 
 def test_queued_async_reply_read_adds_only_the_service_completion():
     stack = Stack(queued=True)
-    recorder = _burst(stack.client.run_workload)
-    stack.engine.run()
+    recorder, executed = _measured(stack, stack.client.run_workload,
+                                   count_dispatches)
     n = recorder.sent
     assert n > 10 and recorder.succeeded == n
-    assert stack.executed() == {
+    assert executed == {
         "_WorkloadOp._tick": n + 1,
         "RpcCall.deliver_request": n,
         # the FIFO server finishes the request and settles the reply
@@ -125,11 +128,11 @@ def test_scatter_is_one_tick_plus_k_reads():
     fanout = 4
     stack = Stack(queued=True)
     scatter = ScatterGatherClient(stack.client, KEY_SPACE, fanout=fanout)
-    recorder = _burst(scatter.run_workload)
-    stack.engine.run()
+    recorder, executed = _measured(stack, scatter.run_workload,
+                                   count_dispatches)
     n = recorder.sent
     assert n > 10 and recorder.succeeded == n
-    assert stack.executed() == {
+    assert executed == {
         # the same arrival loop as a point-read stream; each tick starts
         # a scatter instead of a read
         "_WorkloadOp._tick": n + 1,
@@ -177,16 +180,8 @@ ONCE = Counter({"with_bucket": 1, "_float_array": 2,
 
 def _calls(stack: Stack, run_workload) -> tuple:
     """``(requests sent, co_name -> calls)`` for one ``_burst`` on
-    ``stack``, run to the end, counted by ``tests/ledger.py`` with
-    the engine's dispatch sampler detached."""
-    stack.engine.set_tracer(None)
-
-    def burst():
-        recorder = _burst(run_workload)
-        stack.engine.run()
-        return recorder
-
-    calls, recorder = count_calls(burst)
+    ``stack``, run to the end."""
+    recorder, calls = _measured(stack, run_workload, count_calls)
     return recorder.sent, calls
 
 

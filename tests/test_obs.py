@@ -83,21 +83,21 @@ class TestJournal:
         fill(t2)
         assert t1.journal.digest() == t2.journal.digest()
 
-    def test_behaviour_digest_ignores_engine_track_and_positions(self):
-        """Same system behaviour, different simulator substrate: one run
-        samples more engine dispatches, which also shifts every later
-        record's seq.  digest() moves, behaviour_digest() does not."""
-        def behave(tracer, engine_samples):
+    def test_behaviour_digest_ignores_positions(self):
+        """Same records on each track, interleaved across tracks in
+        another order, which shifts their seq: digest() moves,
+        behaviour_digest() does not."""
+        def behave(tracer, shards_first):
+            if shards_first:
+                tracer.instant("shards", "transition", 1.5, {"op": "add"})
             span = tracer.begin("net", "rpc", 1.0, {"dst": "a"})
-            for index in range(engine_samples):
-                tracer.instant("engine", "tick", 1.0 + index)
-                tracer.counter("engine", "pending_events", index, 1.0)
-            tracer.instant("shards", "transition", 1.5, {"op": "add"})
+            if not shards_first:
+                tracer.instant("shards", "transition", 1.5, {"op": "add"})
             tracer.end(span, 2.0, {"ok": 1}, track="net", name="rpc")
 
         t1, t2 = Tracer(Journal()), Tracer(Journal())
-        behave(t1, engine_samples=1)
-        behave(t2, engine_samples=5)
+        behave(t1, shards_first=False)
+        behave(t2, shards_first=True)
         assert t1.journal.digest() != t2.journal.digest()
         assert (t1.journal.behaviour_digest()
                 == t2.journal.behaviour_digest())
@@ -106,8 +106,7 @@ class TestJournal:
                 != t2.journal.behaviour_digest())
 
     def test_track_digests_move_only_the_track_that_changed(self):
-        """One hash per non-``engine`` track, each over that track's rows
-        alone: spans opened on another track renumber none of its spans
+        """One hash per track, each over that track's rows alone: spans opened on another track renumber none of its spans
         (span ids count per track), so only the changed track's hash
         moves, and ``behaviour_digest`` with it."""
         def behave(tracer, drains):
@@ -120,7 +119,6 @@ class TestJournal:
                            {"span": span, "phase": "prepare"})
             tracer.end(span, 2.0, {"outcome": "ok"}, track="migration",
                        name="graceful")
-            tracer.instant("engine", "tick", 1.0)
 
         t1, t2, t3 = Tracer(Journal()), Tracer(Journal()), Tracer(Journal())
         behave(t1, drains=1)
@@ -241,7 +239,7 @@ def _with_args(rows, index, args):
 class TestDigestContract:
     """Both digests see every record field, every arg value and its type;
     they do not see arg insertion order.  ``behaviour_digest`` does not
-    see ``seq`` or the ``engine`` track."""
+    see ``seq``."""
 
     @settings(max_examples=80, deadline=None)
     @given(rows=_ROWS, rng=st.randoms())
@@ -328,18 +326,16 @@ class TestDigestContract:
         assert before[0] != after[0] and before[1] != after[1]
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=_ROWS, data=st.data())
-    def test_behaviour_digest_ignores_engine_records_and_seq(self, rows,
-                                                             data):
-        engine = data.draw(st.lists(st.tuples(
-            st.integers(0, len(rows)), st.sampled_from("IC"),
-            st.floats(0.0, 1e6)), min_size=1, max_size=5))
-        mixed = list(rows)
-        for position, kind, time in sorted(engine, reverse=True):
-            mixed.insert(position, (kind, "engine", "tick", time, 0,
-                                    {"value": 1}))
-        assert _digests(rows)[1] == _digests(mixed)[1]
-        assert _digests(rows)[0] != _digests(mixed)[0]
+    @given(rows=_ROWS,
+           order=st.permutations(("net", "shards", "chaos")))
+    def test_behaviour_digest_ignores_seq(self, rows, order):
+        """The rows regrouped track by track, each track's own order
+        kept: every seq moves with its row, and only ``digest`` sees
+        it."""
+        regrouped = sorted(rows, key=lambda row: order.index(row[1]))
+        before, after = _digests(rows), _digests(regrouped)
+        assert before[1] == after[1]
+        assert (before[0] == after[0]) == (rows == regrouped)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=_ROWS.filter(bool), dropped=st.integers(1, 20))
@@ -596,19 +592,20 @@ class TestTracedClusterRuns:
     def test_tracks_and_invariants(self):
         obs, cluster, _app = traced_app()
         tracks = obs.journal.tracks()
-        assert {"engine", "shards", "solver"} <= set(tracks)
+        assert {"shards", "solver"} <= set(tracks)
+        # The engine journals nothing: it only lends the tracer its clock.
+        assert "engine" not in tracks
         # ``net`` holds failed RPCs only.
         assert ("net" in tracks) == (cluster.network.rpcs_failed > 0)
         TraceChecker(obs.journal).assert_clean()
 
     def test_solver_track_carries_exactly_the_counts(self, monkeypatch):
         """A solve journals one ``counters`` instant and nothing the host
-        clock measured: no ``setup`` stage, no per-step instant, no
-        ``walks`` (it repeats ``hot_servers``), and nothing again for a
-        rebalance that reuses an unchanged solve."""
+        clock measured: no ``setup`` stage, no per-step instant, and
+        nothing again for a rebalance that reuses an unchanged solve."""
         from repro.solver.local_search import LocalSearch, SolveResult
         result = SolveResult(moves=2, evaluations=9, rounds=3, hot_servers=4,
-                             walks=4, solve_time=0.5, setup_time=0.25)
+                             solve_time=0.5, setup_time=0.25)
         tracer = Tracer(Journal())
         result.journal(tracer, 1.0, "app.")
         assert [(r.name, r.args) for r in tracer.journal] == [

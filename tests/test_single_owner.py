@@ -128,6 +128,13 @@ def test_replaced_tables_and_tasks_are_gone():
     assert modules_matching(r"\btrace_span\b|RpcCall\._trace_end") == []
     from repro.sim.network import RpcCall
     assert not hasattr(RpcCall, "_trace_end")
+    # The engine's dispatch samples and the solver's walk count: no
+    # check read either; the events a run executes are counted by
+    # ``processed_events``.
+    assert modules_matching(r"ENGINE_SAMPLE|_trace_sample|\.walks\b") == []
+    engine = Engine()   # the sampler's state was set per instance
+    assert not hasattr(engine, "_trace_sample")
+    assert not hasattr(engine, "_trace")
 
 
 def test_figures_run_through_the_scenario_engine():

@@ -568,9 +568,8 @@ def assert_same_solve(build, config):
         reference.initial_violations, reference.final_violations)
     assert search.rng.getstate() == ref_search.rng.getstate()
     # The steps the journal counts beside them.
-    def steps(solve):
-        return (solve.rounds, solve.hot_servers, solve.walks)
-    assert steps(result) == steps(reference)
+    assert (result.rounds, result.hot_servers) == (
+        reference.rounds, reference.hot_servers)
     return search, result
 
 
