@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import sys
+
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.sim.engine import (
     Delay,
     Engine,
@@ -14,9 +17,49 @@ from repro.sim.engine import (
 NAN = float("nan")
 
 
-@pytest.fixture
-def engine():
-    return Engine()
+@pytest.fixture(params=[None, 1, 64],
+                ids=["untraced", "sample_every=1", "sample_every=64"])
+def engine(request):
+    """A plain engine, and two with a tracer bound whose run loop is
+    watched from outside while the case runs.  The watcher counts every
+    dispatch by ``tests/ledger.py``'s rule (a frame entered directly from
+    ``Engine.run``'s frame) and reads the clock at every
+    ``sample_every``-th dispatch of each ``run`` call.  The cases that
+    exercise the run loop's exits and bookkeeping then also pin that the
+    ledger's count is ``processed_events`` after every exit, that the
+    sampled clock never goes back, and that the engine journals nothing
+    of its own."""
+    engine = Engine()
+    sample_every = request.param
+    if sample_every is None:
+        yield engine
+        return
+    tracer = Tracer()
+    engine.set_tracer(tracer)
+    run_code = Engine.run.__code__
+    dispatches = [0]
+    index = [0]
+    clock = []
+
+    def watch(frame, event, _arg):
+        if event != "call":
+            return
+        if frame.f_code is run_code:
+            index[0] = 0
+        elif frame.f_back is not None and frame.f_back.f_code is run_code:
+            dispatches[0] += 1
+            if index[0] % sample_every == 0:
+                clock.append(engine.now)
+            index[0] += 1
+
+    sys.setprofile(watch)
+    try:
+        yield engine
+    finally:
+        sys.setprofile(None)
+    assert dispatches[0] == engine.processed_events
+    assert clock == sorted(clock)
+    assert len(tracer.journal) == 0
 
 
 class TestScheduling:
