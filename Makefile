@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test fences traffic test-hashseeds bench figures mutants profile trace-fig17
+.PHONY: test fences traffic test-hashseeds bench figures mutants repin profile trace-fig17
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -24,8 +24,8 @@ fences:
 traffic:
 	$(PYTHON) tests/audit_traffic.py
 
-# Tier-1 under the three hash seeds of CI's `test` matrix: library
-# digests, the skew_lb pins and figure headlines must not depend on hash
+# Tier-1 under the three hash seeds of CI's `test` matrix: the pins of
+# tests/fixtures/pins.json and figure headlines must not depend on hash
 # order.
 test-hashseeds:
 	for seed in 0 1 7; do \
@@ -49,6 +49,13 @@ figures:
 # differ, unless it prints tests/fixtures/kill_matrix.md byte for byte.
 mutants:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/mutants.py
+
+# After an intended behaviour change: rewrites tests/fixtures/pins.json
+# (each pinned run's per-track journal digests) and
+# tests/fixtures/kill_matrix.md from this tree, and prints the runs
+# grouped by the tracks that moved, the table a commit quotes.
+repin:
+	PYTHONHASHSEED=0 PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/mutants.py --repin
 
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/profile_solver.py --factor 5 --point 2

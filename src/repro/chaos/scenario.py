@@ -390,9 +390,9 @@ class ScenarioResult:
     requests_sent: int
     requests_failed: int
     ready_fraction: float
-    #: :meth:`~repro.obs.tracer.Journal.behaviour_digest` of the same
+    #: :meth:`~repro.obs.tracer.Journal.track_digests` of the same
     #: journal: stable across simulator-substrate changes.
-    behaviour_digest: str = ""
+    tracks: Dict[str, str]
     #: Why the run passed: its longest outage, with the bound it met.
     longest_outage: Optional[Dict[str, Any]] = None
 
@@ -714,7 +714,7 @@ def _orchestrator_failover(run: "ScenarioRun", act: FaultAction) -> None:
         check=Param(str, "ready_fraction",
                     choices=("machine_down", "machine_up", "ready_fraction",
                              "server_alive")),
-        min=Param(float, 0.9, minimum=0.0))
+        min=Param(float, 0.9, minimum=0.0, maximum=1.0))
 def _probe(run: "ScenarioRun", act: FaultAction, region: str, index: int,
            check: str, min: float) -> None:
     """Assert world state mid-scenario; failures become journal records
@@ -982,6 +982,6 @@ def run_scenario(spec: ScenarioSpec, arm: str = "sm", seed: int = 0,
         requests_sent=run.recorder.sent,
         requests_failed=run.recorder.failed,
         ready_fraction=run.app.ready_fraction(),
-        behaviour_digest=journal.behaviour_digest(),
+        tracks=journal.track_digests(),
         longest_outage=longest,
     )

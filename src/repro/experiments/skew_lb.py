@@ -20,8 +20,8 @@ shards: SM re-solves and moves shards (counted); the pinned arms cannot
 react by construction.
 
 Reported per arm: point-read and scatter P99 latency, steady-state load
-imbalance (max/mean per-server request rate), shard moves, journal
-behaviour digest (bit-identical across same-seed runs) and
+imbalance (max/mean per-server request rate), shard moves, the
+journal's per-track digests (bit-identical across same-seed runs) and
 TraceChecker violations.
 """
 
@@ -89,7 +89,7 @@ class ArmResult:
     scatter_p99: float        # scatter (max-of-K legs) P99, seconds
     imbalance: float          # steady-state max/mean per-server req rate
     moves: int                # shard moves executed by the orchestrator
-    digest: str               # journal behaviour digest (tier-1 pin)
+    tracks: Dict[str, str]    # journal track digests (tier-1 pin)
     violations: int           # TraceChecker violations (must be 0)
     sent: int
     succeeded: int
@@ -200,7 +200,7 @@ def run_arm(arm: str, seed: int = 0,
 
         measure_from = SETTLE + WARMUP
         violations = TraceChecker(obs.journal).check()
-        digest = obs.journal.behaviour_digest()
+        tracks = obs.journal.track_digests()
 
     steady = [v for t, v in imbalance if t >= measure_from]
     return ArmResult(
@@ -210,7 +210,7 @@ def run_arm(arm: str, seed: int = 0,
         scatter_p99=_tail(scatter_recorder.latency, measure_from, 99.0),
         imbalance=(sum(steady) / len(steady)) if steady else 0.0,
         moves=app.orchestrator.move_counter.total,
-        digest=digest,
+        tracks=tracks,
         violations=len(violations),
         sent=point_recorder.sent + scatter_recorder.sent,
         succeeded=int(point_recorder.succeeded + scatter_recorder.succeeded),

@@ -209,7 +209,10 @@ class Journal:
         over how the simulator got there: one hash per track, each over
         that track's records alone, with every record's ``seq`` (its
         position among all tracks) left out.  A change that moves one
-        track leaves every other track's hash alone."""
+        track leaves every other track's hash alone, and a substrate
+        change that executes fewer or different events while every
+        modelled component behaves the same moves :meth:`digest` and
+        none of these."""
         columns = self.columns()
         rows: Dict[str, List[int]] = {}
         for row, track in enumerate(columns[2]):
@@ -218,16 +221,6 @@ class Journal:
                     [list(map(column.__getitem__, kept))
                      for column in columns], with_seq=False)
                 for track, kept in sorted(rows.items())}
-
-    def behaviour_digest(self) -> str:
-        """SHA-256 over :meth:`track_digests`, sorted by track: a
-        substrate change that executes fewer or different events while
-        every modelled component behaves the same moves :meth:`digest`
-        and leaves this one alone."""
-        hasher = hashlib.sha256()
-        for track, digest in sorted(self.track_digests().items()):
-            hasher.update(f"{track}\0{digest}\0".encode())
-        return hasher.hexdigest()
 
 
 class Tracer:

@@ -18,6 +18,7 @@ from repro.experiments import (
     runner,
     skew_lb,
 )
+from tests.mutants import SKEW_LB_DURATION, SKEW_LB_SEED, load_pins, moved
 
 
 def test_fig17_smoke():
@@ -63,12 +64,29 @@ def test_fig20_moves_follow_each_preference_update():
         for at in FIG20_BATCHES]
 
 
+ROOT = Path(__file__).parents[2]
+
+
+def bench_block(figure):
+    """The lines of ``bench_results.txt``'s block for ``figure`` (``make
+    figures`` rewrites it), its title line first."""
+    return (ROOT / "bench_results.txt").read_text().split(
+        f"==[ {figure}")[1].split("\n==[")[0].splitlines()
+
+
+def measured_cells(figure, column=2):
+    """First cell -> ``column``-th cell of each body row of the table in
+    EXPERIMENTS.md's ``figure`` section, in the table's order."""
+    section = (ROOT / "EXPERIMENTS.md").read_text().split(
+        f"## {figure}")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    return {cells[0]: cells[column] for cells in rows[2:]}
+
+
 def test_fig20_row_of_experiments_md_is_the_run():
     """EXPERIMENTS.md's measured Fig 20 cells are this run's numbers."""
-    text = (Path(__file__).parents[2] / "EXPERIMENTS.md").read_text()
-    section = text.split("## Figure 20")[1].split("\n## ")[0]
-    cells = {row.split("|")[1].strip(): row.split("|")[3].strip()
-             for row in section.splitlines() if row.count("|") == 4}
+    cells = measured_cells("Figure 20")
     result = fig20_appshard_dbshard.run()
     assert int(cells["batches of admin DBShard moves"]) == result.batches
     latency = result.latency
@@ -79,22 +97,34 @@ def test_fig20_row_of_experiments_md_is_the_run():
     assert moves == sum(value for _t, value in result.app_shard_moves)
 
 
+def test_fig17_rows_of_experiments_md_are_bench_results():
+    """EXPERIMENTS.md's measured Fig 17 cells quote the Figure 17 block
+    of ``bench_results.txt``: each arm's success and upgrade seconds, in
+    the block's order, and SM's drops."""
+    block = [re.match(r"(.+?) +([\d.]+) +(\d+) +(\d+) +\d+$", line).groups()
+             for line in bench_block("Figure 17")[2:5]]
+    success = measured_cells("Figure 17", 2)
+    seconds = measured_cells("Figure 17", 4)
+    assert len(success) == len(block) == 3
+    for arm, (_name, rate, upgrade, _failed) in zip(success, block):
+        assert re.match(r"\*\*([\d.]+)%\*\*", success[arm]).group(1) == \
+            f"{float(rate) * 100:.2f}"
+        assert seconds[arm].split()[0].replace(",", "") == upgrade
+    sm = next(iter(success))
+    assert re.search(r"\((\d+) drops", success[sm]).group(1) == block[0][3]
+
+
 def test_fig19_rows_of_experiments_md_are_bench_results():
     """EXPERIMENTS.md's measured Fig 19 cells quote the Figure 19 block
-    of ``bench_results.txt`` (``make figures`` rewrites it): the three
-    headline latencies, the spike (the series' peak) and the EC shards
-    with an FRC replica before and after recovery."""
-    root = Path(__file__).parents[2]
-    block = (root / "bench_results.txt").read_text().split(
-        "==[ Figure 19")[1].split("\n==[")[0].splitlines()
+    of ``bench_results.txt``: the three headline latencies, the spike
+    (the series' peak) and the EC shards with an FRC replica before and
+    after recovery."""
+    block = bench_block("Figure 19")
     headline = {key.strip(): value.split() for key, value in
                 (line.split(":", 1) for line in block if " : " in line)}
     series = [float(line.split()[1]) for line in block
               if re.match(r"\d+\.\d+ ", line)]
-    section = (root / "EXPERIMENTS.md").read_text().split(
-        "## Figure 19")[1].split("\n## ")[0]
-    cells = {row.split("|")[1].strip(): row.split("|")[3].strip()
-             for row in section.splitlines() if row.count("|") == 4}
+    cells = measured_cells("Figure 19")
     quoted = {phase: re.match(r"\*\*([\d.]+) ms\*\*", cells[phase]).group(1)
               for phase in ("steady state", "at failure", "during outage",
                             "after recovery")}
@@ -131,15 +161,15 @@ def test_fig23_smoke():
 
 
 def test_skew_lb_smoke():
-    # The figure's cell, with a workload 180 s long instead of 600 s.
-    sm = skew_lb.run_arm("sm", seed=5, duration=180.0)
-    static = skew_lb.run_arm("static", seed=5, duration=180.0)
-    # Both journals are pinned.  No library timeline polls server load
+    # The figure's cell, with a shorter workload.  Both journals are
+    # pinned: no library timeline polls server load
     # (``load_poll_interval``), so these two hold the load-poll loop.
-    assert sm.digest == ("dca5142b10e5a2cb69bdd0a5a0d302e3"
-                         "f2590e7e66ebe195ec01da7b3da9bc97")
-    assert static.digest == ("20a1a8fdb82e5e0a4f3ac781dcdbdbf2"
-                             "60176ee9379898443f00bf5b2d90a50b")
+    sm, static = (skew_lb.run_arm(arm, seed=SKEW_LB_SEED,
+                                  duration=SKEW_LB_DURATION)
+                  for arm in ("sm", "static"))
+    pins = load_pins()
+    assert moved(sm.tracks, pins["skew_lb:sm"]) == []
+    assert moved(static.tracks, pins["skew_lb:static"]) == []
     # The solver reacts to the hot set (and its mid-run rotation); the
     # pinned arm cannot move at all in steady state.
     assert sm.moves > 0

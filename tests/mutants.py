@@ -20,34 +20,42 @@ the byte.  Its killer columns are kept apart:
   spec implies, a failed request in a planned ``sm`` timeline, or a
   probe reported a violation;
 * **crash** — an in-code guard raised out of the run;
-* **pin** — a library run's ``behaviour_digest`` left its pin
-  (``tests/fixtures/chaos_library_digests.json``).  Any behaviour change
-  does that, so a pin alone is not a kill.
+* **pin** — a library run's journal left its pin: the pin column counts
+  the runs whose per-track digests moved and names the tracks, most
+  often moved first.  Any behaviour change does that, so a pin alone is
+  not a kill.
 
 ``first kill`` is the first (scenario, arm, seed) in curriculum order
 that an oracle or a crash killed.  ``failed requests`` sums
 ``requests_failed`` over the library runs, unmutated -> mutated.
 
+This file owns every behaviour pin: :data:`PINS` holds a
+:data:`PREFIX`-hex prefix of each track's digest
+(:meth:`~repro.obs.tracer.Journal.track_digests`) for each run of
+:func:`pinned_runs`, the library at seed 0 and the two ``skew_lb`` arms.
 The checked-in table is ``tests/fixtures/kill_matrix.md``; the run exits
 1, printing the rows that differ, if the table it prints is not that one.
-After a change that moves what the matrix shows, regenerate it with::
+After a change that moves what either shows::
 
-    PYTHONPATH=src python tests/mutants.py > tests/fixtures/kill_matrix.md
+    PYTHONPATH=src python tests/mutants.py --repin    # make repin
 
-(that run exits 1, as the shell empties the file before the run reads
-it), and check that ``make mutants`` then exits 0.
+rewrites both, printing the runs grouped by the tracks that moved; say
+in the commit which tracks moved and why.
 """
 
 from __future__ import annotations
 
+import argparse
 import difflib
 import inspect
 import json
 import sys
 import textwrap
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
@@ -61,13 +69,32 @@ from repro.core.migration import MigrationExecutor  # noqa: E402
 from repro.core.orchestrator import Orchestrator  # noqa: E402
 from repro.core.task_controller import SMTaskController  # noqa: E402
 from repro.discovery.router import ServiceRouter  # noqa: E402
+from repro.experiments import skew_lb  # noqa: E402
 from repro.sim.network import RpcCall  # noqa: E402
 from repro.solver.goals import SpreadGoal  # noqa: E402
-from tests.test_chaos import LIBRARY_DIGESTS  # noqa: E402
 
 SEED = 0
 TABLE = ROOT / "tests" / "fixtures" / "kill_matrix.md"
+PINS = ROOT / "tests" / "fixtures" / "pins.json"
+#: Hex digits of each track digest a pin keeps.
+PREFIX = 16
+#: The ``skew_lb`` cell the pins hold: no library timeline polls server
+#: load, so these two runs hold the load-poll loop.
+SKEW_LB_SEED, SKEW_LB_DURATION = 5, 180.0
 NONE = "—"
+
+
+def load_pins() -> Dict[str, Dict[str, str]]:
+    """Run key -> track -> pinned digest prefix."""
+    return json.loads(PINS.read_text())
+
+
+def moved(tracks: Dict[str, str], pin: Dict[str, str]) -> List[str]:
+    """The tracks whose digest is not as pinned, one that only one side
+    has included."""
+    return sorted(track for track in tracks.keys() | pin.keys()
+                  if tracks.get(track, "")[:PREFIX]
+                  != pin.get(track, "")[:PREFIX])
 
 
 Make = Callable[[Any], Any]
@@ -232,12 +259,12 @@ BY_NAME: Dict[str, Mutant] = {mutant.name: mutant for mutant in CATALOGUE}
 
 @dataclass(frozen=True)
 class Outcome:
-    """What one library run showed: its violations by check, the guard
-    that raised, its behaviour digest and its failed requests."""
+    """What one pinned run showed: its violations by check, the guard
+    that raised, its track digests and its failed requests."""
 
     violations: Tuple[str, ...] = ()
     crash: str = ""
-    digest: str = ""
+    tracks: Dict[str, str] = field(default_factory=dict)
     failed: int = 0
 
     @property
@@ -253,7 +280,32 @@ def observe(spec: ScenarioSpec, arm: str) -> Outcome:
     return Outcome(
         violations=tuple(sorted({v["invariant"]
                                  for v in result.violations})),
-        digest=result.behaviour_digest, failed=result.requests_failed)
+        tracks=result.tracks, failed=result.requests_failed)
+
+
+def library_runs() -> Iterator[Tuple[str, ScenarioSpec, str]]:
+    """``(run key, spec, arm)`` of every library run, in curriculum
+    order."""
+    for spec in all_scenarios():
+        for arm in ARMS:
+            yield f"{spec.name}:{arm}", spec, arm
+
+
+def observe_skew_lb(arm: str) -> Outcome:
+    result = skew_lb.run_arm(arm, seed=SKEW_LB_SEED,
+                             duration=SKEW_LB_DURATION)
+    return Outcome(
+        violations=("trace-checker",) if result.violations else (),
+        tracks=result.tracks, failed=result.failed)
+
+
+def pinned_runs() -> Iterator[Tuple[str, Callable[[], Outcome]]]:
+    """``(run key, run)`` of every pinned run: the library at seed 0,
+    then the ``skew_lb`` arms."""
+    for key, spec, arm in library_runs():
+        yield key, partial(observe, spec, arm)
+    for arm in ("sm", "static"):
+        yield f"skew_lb:{arm}", partial(observe_skew_lb, arm)
 
 
 def guard(error: Exception) -> str:
@@ -268,35 +320,52 @@ def guard(error: Exception) -> str:
     return f"{where}: {type(error).__name__}"
 
 
-def row(name: str, outcomes: Dict[Tuple[str, str], Outcome],
-        pinned: Dict[str, Dict[str, str]],
-        failed_before: int) -> List[str]:
+def row(name: str, outcomes: Dict[str, Outcome],
+        pins: Dict[str, Dict[str, str]], failed_before: int) -> List[str]:
     checks = sorted({check for o in outcomes.values() for check in o.violations})
     oracle_runs = sum(1 for o in outcomes.values() if o.violations)
     crashes = sorted({o.crash for o in outcomes.values() if o.crash})
     crash_runs = sum(1 for o in outcomes.values() if o.crash)
-    moved = sum(1 for (scenario, arm), o in outcomes.items()
-                if o.digest != pinned[scenario][arm])
-    first = next((f"{scenario}:{arm}:{SEED}"
-                  for (scenario, arm), o in outcomes.items() if o.killed),
+    # A crashed run counts as moved, but journals no track to name.
+    moves = [moved(o.tracks, pins[key])
+             for key, o in outcomes.items() if not o.crash]
+    runs_moved = sum(1 for tracks in moves if tracks) + crash_runs
+    by_track = Counter(track for tracks in moves for track in tracks)
+    tracks = ", ".join(sorted(by_track, key=lambda t: (-by_track[t], t)))
+    first = next((f"{key}:{SEED}" for key, o in outcomes.items() if o.killed),
                  NONE)
     failed = sum(o.failed for o in outcomes.values())
     return [name,
             f"{', '.join(checks)} ({oracle_runs} runs)" if checks else NONE,
             f"{'; '.join(crashes)} ({crash_runs} runs)" if crashes else NONE,
-            f"{moved}/{len(outcomes)}", first,
+            f"{runs_moved}/{len(outcomes)} {tracks}".rstrip(), first,
             f"{failed_before:,} -> {failed:,}"]
 
 
-def kill_matrix() -> str:
-    pinned = json.loads(LIBRARY_DIGESTS.read_text())
-    runs = [(spec, arm) for spec in all_scenarios() for arm in ARMS]
-    clean = {(spec.name, arm): observe(spec, arm) for spec, arm in runs}
-    drift = [key for key, o in clean.items()
-             if o.killed or o.digest != pinned[key[0]][key[1]]]
+def unpinned(key: str, outcome: Outcome,
+             pins: Dict[str, Dict[str, str]]) -> str:
+    """What is wrong with an unmutated run, or ``""``: the checks that
+    fired, the guard that raised and the tracks that left their pin."""
+    what = []
+    if outcome.violations:
+        what.append(f"oracle {', '.join(outcome.violations)}")
+    if outcome.crash:
+        what.append(f"crash {outcome.crash}")
+    else:
+        tracks = moved(outcome.tracks, pins.get(key, {}))
+        if tracks:
+            what.append(f"moved {' + '.join(tracks)}")
+    return "; ".join(what)
+
+
+def kill_matrix(pins: Dict[str, Dict[str, str]]) -> str:
+    runs = list(library_runs())
+    clean = {key: observe(spec, arm) for key, spec, arm in runs}
+    drift = [f"  {key}: {what}" for key, o in clean.items()
+             if (what := unpinned(key, o, pins))]
     if drift:
-        raise SystemExit(f"the unmutated system is not clean or not as "
-                         f"pinned: {drift}; fix that first")
+        raise SystemExit("the unmutated system is not clean or not as "
+                         "pinned; fix that first:\n" + "\n".join(drift))
     failed_before = sum(o.failed for o in clean.values())
     header = ["mutant", "oracle", "crash", "pin", "first kill",
               "failed requests"]
@@ -309,9 +378,8 @@ def kill_matrix() -> str:
     summary = {"oracle": 0, "crash": 0, "pin only": 0, "nothing": 0}
     for mutant in CATALOGUE:
         with mutant:
-            outcomes = {(spec.name, arm): observe(spec, arm)
-                        for spec, arm in runs}
-        cells = row(mutant.name, outcomes, pinned, failed_before)
+            outcomes = {key: observe(spec, arm) for key, spec, arm in runs}
+        cells = row(mutant.name, outcomes, pins, failed_before)
         lines.append("| " + " | ".join(cells) + " |")
         if cells[1] != NONE:
             summary["oracle"] += 1
@@ -327,6 +395,36 @@ def kill_matrix() -> str:
     return "\n".join(lines) + "\n"
 
 
+def repin() -> Dict[str, Dict[str, str]]:
+    """Pin every run of :func:`pinned_runs` as this tree runs it, write
+    :data:`PINS`, and print the runs grouped by the tracks that moved."""
+    old = load_pins() if PINS.exists() else {}
+    pins, moves = {}, []
+    for key, run in pinned_runs():
+        outcome = run()
+        if outcome.killed:
+            raise SystemExit(f"{key} is not clean "
+                             f"({unpinned(key, outcome, old)}); fix that "
+                             f"first")
+        pins[key] = {track: digest[:PREFIX]
+                     for track, digest in outcome.tracks.items()}
+        moves.append(moved(pins[key], old.get(key, {})))
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"Re-pinned {len(pins)} runs in {PINS.relative_to(ROOT)}:")
+    for line in moved_table(moves):
+        print(f"  {line}")
+    return pins
+
+
+def moved_table(moves: Iterable[List[str]]) -> List[str]:
+    """One line per set of moved tracks, most runs first: "57 runs:
+    `solver`", or "59 runs: nothing moved"."""
+    groups = Counter(" + ".join(f"`{track}`" for track in tracks)
+                     or "nothing moved" for tracks in moves)
+    return [f"{runs} run{'s' * (runs != 1)}: {tracks}" for tracks, runs in
+            sorted(groups.items(), key=lambda group: (-group[1], group[0]))]
+
+
 def killed_in(table: str) -> Dict[str, Tuple[str, str]]:
     """mutant -> (scenario, arm) of its first kill, for every row of a
     printed table that some oracle or crash killed."""
@@ -339,17 +437,28 @@ def killed_in(table: str) -> Dict[str, Tuple[str, str]]:
     return kills
 
 
-def main() -> int:
-    table = kill_matrix()
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(
+        description="Print the kill matrix; exit 1 unless it is "
+                    f"{TABLE.relative_to(ROOT)}.")
+    parser.add_argument(
+        "--repin", action="store_true",
+        help=f"rewrite {PINS.relative_to(ROOT)} and "
+             f"{TABLE.relative_to(ROOT)} from this tree")
+    args = parser.parse_args(argv)
+    pins = repin() if args.repin else load_pins()
+    table = kill_matrix(pins)
     sys.stdout.write(table)
     differ = list(difflib.unified_diff(
         TABLE.read_text().splitlines(), table.splitlines(),
         str(TABLE.relative_to(ROOT)), "printed", lineterm="", n=0))
     if differ:
         print("\n".join(differ), file=sys.stderr)
-        return 1
-    return 0
+    if args.repin:
+        TABLE.write_text(table)
+        return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

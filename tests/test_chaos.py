@@ -1,9 +1,7 @@
 """Chaos engine tests: scenario determinism, the fault oracle, injector
 overlap semantics, Twine down-holds, and maintenance accounting."""
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -30,6 +28,7 @@ from repro.obs.tracer import Journal, Tracer
 from repro.sim.engine import Engine
 from repro.sim.failures import CrashInjector
 from repro.sim.network import Network
+from tests.mutants import load_pins, moved, pinned_runs
 
 
 def make_twine(machines=10, region="FRC"):
@@ -208,40 +207,22 @@ class TestScenarioLibrary:
         assert not result.violations and not result.dropped, result.violations
 
 
-LIBRARY_DIGESTS = (Path(__file__).parent / "fixtures"
-                   / "chaos_library_digests.json")
-
-
-def write_library_digests():
-    """Re-pin: scenario -> arm -> ``behaviour_digest`` of every library
-    run at seed 0, written to ``chaos_library_digests.json``."""
-    digests = {spec.name: {arm: run_scenario(spec, arm=arm, seed=0)
-                           .behaviour_digest for arm in ARMS}
-               for spec in all_scenarios()}
-    LIBRARY_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True)
-                               + "\n")
-
-
 @pytest.mark.parametrize("name, arm", [(spec.name, arm)
                                        for spec in all_scenarios()
                                        for arm in ARMS])
 def test_library_run_is_clean_and_pinned(name, arm):
-    """Every library scenario in both arms at seed 0 runs clean and is
-    held to its ``behaviour_digest`` (the journal minus the engine track
-    and record positions, so only a change in what the simulated system
-    does moves it).  These are the runs ``tests/mutants.py`` seeds bugs
-    into; its pin column counts the ones a mutant moves.  After an
-    intentional behaviour change, regenerate the fixture with::
-
-        PYTHONPATH=src python -c \\
-            "import tests.test_chaos as t; t.write_library_digests()"
-
-    and say in the commit which runs moved and why."""
+    """Every library scenario in every arm at seed 0 runs clean and is
+    held to its pins: one per journal track, record positions left out,
+    so only a change in what the simulated system does moves one, and a
+    failure names the tracks that moved.  These are the runs
+    ``tests/mutants.py`` seeds bugs into.  After an intentional behaviour
+    change, ``make repin`` rewrites the pins and prints what moved; say
+    in the commit which tracks moved and why."""
     result = run_scenario(get(name), arm=arm, seed=0)
     assert not result.violations and not result.dropped, result.violations
-    pinned = json.loads(LIBRARY_DIGESTS.read_text())
-    assert set(pinned) == set(SCENARIOS)
-    assert result.behaviour_digest == pinned[name][arm]
+    pins = load_pins()
+    assert set(pins) == {key for key, _run in pinned_runs()}
+    assert moved(result.tracks, pins[f"{name}:{arm}"]) == []
 
 
 def _library_run(spec, obs):
@@ -278,8 +259,8 @@ def test_library_run_untraced_matches_traced(name):
     spec = get(name)
     traced = Observability()
     assert _library_run(spec, NO_OBS) == _library_run(spec, traced)
-    pinned = json.loads(LIBRARY_DIGESTS.read_text())
-    assert traced.journal.behaviour_digest() == pinned[name]["sm"]
+    assert moved(traced.journal.track_digests(),
+                 load_pins()[f"{name}:sm"]) == []
 
 
 def test_a_library_run_samples_each_settled_rpc_and_journals_each_failure(

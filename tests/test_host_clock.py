@@ -14,7 +14,6 @@ simulator itself runs is measured from outside ``src/``, by ``bench/``.
 """
 
 import ast
-import json
 import re
 from pathlib import Path
 
@@ -22,10 +21,9 @@ import pytest
 
 from repro.chaos import get, run_scenario
 from repro.solver import local_search
+from tests.mutants import load_pins, moved
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-LIBRARY_DIGESTS = (Path(__file__).parent / "fixtures"
-                   / "chaos_library_digests.json")
 
 HOST_CLOCK = re.compile(
     r"\btime\.(?:perf_counter|monotonic|time|process_time)(?:_ns)?\s*\("
@@ -76,8 +74,7 @@ class JumpingClock:
                                   "hot_shard_kill"])
 def test_a_slow_host_changes_no_decision(name, monkeypatch):
     """Library runs whose solves move shards keep their pinned
-    ``behaviour_digest`` however slow the host's clock says it is."""
+    pins however slow the host's clock says it is."""
     monkeypatch.setattr(local_search, "time", JumpingClock())
     result = run_scenario(get(name), arm="sm", seed=0)
-    pinned = json.loads(LIBRARY_DIGESTS.read_text())
-    assert result.behaviour_digest == pinned[name]["sm"]
+    assert moved(result.tracks, load_pins()[f"{name}:sm"]) == []

@@ -83,10 +83,10 @@ class TestJournal:
         fill(t2)
         assert t1.journal.digest() == t2.journal.digest()
 
-    def test_behaviour_digest_ignores_positions(self):
+    def test_track_digests_ignore_positions(self):
         """Same records on each track, interleaved across tracks in
         another order, which shifts their seq: digest() moves,
-        behaviour_digest() does not."""
+        track_digests() do not."""
         def behave(tracer, shards_first):
             if shards_first:
                 tracer.instant("shards", "transition", 1.5, {"op": "add"})
@@ -99,16 +99,14 @@ class TestJournal:
         behave(t1, shards_first=False)
         behave(t2, shards_first=True)
         assert t1.journal.digest() != t2.journal.digest()
-        assert (t1.journal.behaviour_digest()
-                == t2.journal.behaviour_digest())
+        assert t1.journal.track_digests() == t2.journal.track_digests()
         t2.instant("shards", "transition", 2.5, {"op": "drop"})
-        assert (t1.journal.behaviour_digest()
-                != t2.journal.behaviour_digest())
+        assert t1.journal.track_digests() != t2.journal.track_digests()
 
     def test_track_digests_move_only_the_track_that_changed(self):
         """One hash per track, each over that track's rows alone: spans opened on another track renumber none of its spans
         (span ids count per track), so only the changed track's hash
-        moves, and ``behaviour_digest`` with it."""
+        moves."""
         def behave(tracer, drains):
             for _ in range(drains):
                 span = tracer.begin("orchestrator", "drain", 0.5)
@@ -128,9 +126,7 @@ class TestJournal:
         assert list(d1) == list(d2) == ["migration", "orchestrator"]
         assert d1["migration"] == d2["migration"]
         assert d1["orchestrator"] != d2["orchestrator"]
-        assert (t1.journal.behaviour_digest()
-                != t2.journal.behaviour_digest()
-                == t3.journal.behaviour_digest())
+        assert d2 == t3.journal.track_digests()
 
     def test_null_tracer_records_nothing(self):
         span = NO_TRACER.begin("a", "op", 1.0)
@@ -187,7 +183,7 @@ class TestJournal:
             assert list(ring) == list(fresh)
         assert ring.tracks() == fresh.tracks()
         assert ring.digest() == fresh.digest()
-        assert ring.behaviour_digest() == fresh.behaviour_digest()
+        assert ring.track_digests() == fresh.track_digests()
 
 
 # -- the digest contract -----------------------------------------------------
@@ -226,8 +222,9 @@ def _journal(rows, capacity=1 << 20):
 
 
 def _digests(rows):
+    """``digest()`` and the items of ``track_digests()``."""
     journal = _journal(rows)
-    return journal.digest(), journal.behaviour_digest()
+    return journal.digest(), tuple(journal.track_digests().items())
 
 
 def _with_args(rows, index, args):
@@ -237,9 +234,9 @@ def _with_args(rows, index, args):
 
 
 class TestDigestContract:
-    """Both digests see every record field, every arg value and its type;
-    they do not see arg insertion order.  ``behaviour_digest`` does not
-    see ``seq``."""
+    """``digest`` and the track digests see every record field, every arg
+    value and its type; they do not see arg insertion order.  The track
+    digests do not see ``seq``."""
 
     @settings(max_examples=80, deadline=None)
     @given(rows=_ROWS, rng=st.randoms())
@@ -284,7 +281,7 @@ class TestDigestContract:
         seen = [_digests(_with_args(rows, index, {**args, "k": value}))
                 for value in values]
         assert len({digest for digest, _ in seen}) == len(values)
-        assert len({behaviour for _, behaviour in seen}) == len(values)
+        assert len({tracks for _, tracks in seen}) == len(values)
 
     @settings(max_examples=60, deadline=None)
     @given(rows=_ROWS.filter(bool), data=st.data())
@@ -328,7 +325,7 @@ class TestDigestContract:
     @settings(max_examples=60, deadline=None)
     @given(rows=_ROWS,
            order=st.permutations(("net", "shards", "chaos")))
-    def test_behaviour_digest_ignores_seq(self, rows, order):
+    def test_track_digests_ignore_seq(self, rows, order):
         """The rows regrouped track by track, each track's own order
         kept: every seq moves with its row, and only ``digest`` sees
         it."""
@@ -351,7 +348,7 @@ class TestDigestContract:
         for record in ring:
             fresh.append(record)
         assert ring.digest() == fresh.digest()
-        assert ring.behaviour_digest() == fresh.behaviour_digest()
+        assert ring.track_digests() == fresh.track_digests()
         assert [record.seq for record in fresh][0] == dropped
 
 
@@ -441,7 +438,7 @@ class TestExport:
         loaded = read_jsonl(str(path))
         assert loaded.appended == result.records
         assert loaded.digest() == result.digest
-        assert loaded.behaviour_digest() == result.behaviour_digest
+        assert loaded.track_digests() == result.tracks
 
     def test_jsonl_roundtrip_of_a_ring_that_dropped(self, tmp_path):
         tracer = Tracer(Journal(capacity=5))
@@ -454,7 +451,7 @@ class TestExport:
         assert [record.seq for record in loaded][0] == 8 == \
             tracer.journal.dropped
         assert loaded.digest() == tracer.journal.digest()
-        assert loaded.behaviour_digest() == tracer.journal.behaviour_digest()
+        assert loaded.track_digests() == tracer.journal.track_digests()
 
     @pytest.mark.parametrize("bad_line, needle", [
         ('{"seq": 2, "kind": "I", "tr', "not JSON: Unterminated string"),

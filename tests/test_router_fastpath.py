@@ -12,7 +12,7 @@ pin its contract:
   lives in ``repro.app.client.clamped_rate``).
 
 Seed parity of the request path is pinned by the chaos library's
-``behaviour_digest``s (``tests/test_chaos.py``).
+per-track pins (``tests/test_chaos.py``).
 """
 
 import random

@@ -135,6 +135,11 @@ def test_replaced_tables_and_tasks_are_gone():
     engine = Engine()   # the sampler's state was set per instance
     assert not hasattr(engine, "_trace_sample")
     assert not hasattr(engine, "_trace")
+    # The one combined journal hash: a pin is a digest per track
+    # (``Journal.track_digests``), so a moved pin names its tracks.
+    assert modules_matching(r"behaviour_digest") == []
+    from repro.obs.tracer import Journal
+    assert not hasattr(Journal, "behaviour_digest")
 
 
 def test_figures_run_through_the_scenario_engine():

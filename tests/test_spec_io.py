@@ -165,8 +165,8 @@ def test_a_figure_is_a_spec_file(build, tmp_path):
     path.write_text(json.dumps(spec.to_dict()))
     loaded = load_spec(path)
     assert loaded == spec
-    assert (run_scenario(loaded).behaviour_digest
-            == run_scenario(spec).behaviour_digest)
+    assert (run_scenario(loaded).tracks
+            == run_scenario(spec).tracks)
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -318,6 +318,11 @@ MALFORMED = [
      "action 'rolling_upgrade' is instantaneous and takes no duration"),
     (_doc(actions=[{"at": 1.0, "kind": "probe", "duration": 5.0}]),
      "action 'probe' is instantaneous and takes no duration"),
+    # A fraction, bounded as final_ready_min is: a probe wanting more
+    # than every shard ready could never pass.
+    (_doc(actions=[{"at": 1.0, "kind": "probe",
+                    "params": {"check": "ready_fraction", "min": 1.5}}]),
+     "param 'min' must be <= 1.0, got 1.5"),
 ]
 
 
