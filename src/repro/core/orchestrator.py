@@ -338,7 +338,7 @@ class Orchestrator:
             self._tracer.instant(
                 "orchestrator", "publish", None,
                 {"app": self.spec.name, "version": snapshot.version,
-                 "entries": snapshot.entry_count})
+                 "entries": len(snapshot)})
 
     def _write_assignments(self, address: str) -> None:
         path = f"{self._assignments_root}/{layout.node_name(address)}"

@@ -7,9 +7,14 @@ through the service discovery system; application clients route with the
 snapshot, never with the live table (§3.2).
 
 Scale notes (§6, Figs 15/16): the paper runs O(10^5-10^6) shards per
-application, so both the storage and the publish path here are sized for
-a million entries:
+application, so the table, the map and the publish path are sized for a
+million entries, and none keeps an object per shard for the collector:
 
+* :class:`AssignmentTable` indexes replicas by the key index's column: a
+  slot holds ``None``, the shard's lone :class:`ReplicaAssignment`, or a
+  list once it has two.  Dirty shards are column ints (an "all dirty"
+  flag before the first snapshot) and understaffed ones a ``bytearray``
+  of flags, so a build keeps per shard only the replica it added.
 * A :class:`ShardMap` is stored *columnar* — one shared
   :class:`AppKeyIndex` (shard ids + ``array('q')`` key bounds + the
   sorted interval permutation, identical across every version of an
@@ -18,8 +23,7 @@ a million entries:
   Unchanged chunks are shared between versions, so a steady-state
   publish allocates O(changed + chunks) instead of O(shards).
   :class:`ShardMapEntry` objects are built on each ``entry()`` /
-  ``entry_at()`` call and never kept, so reading a map leaves no
-  per-shard object behind for the collector to scan.
+  ``entry_at()`` call and never kept.
 * :meth:`AssignmentTable.snapshot_delta` emits a versioned
   :class:`ShardMapDelta` (the changed shards' column indices and new
   column values + the base version it applies to) straight from the
@@ -140,8 +144,8 @@ class AppKeyIndex:
         # Sorted from the caller's sequence, not the array, whose items
         # are boxed anew on every read; the lows in that order are the
         # sorted lows.
-        self.sorted_order: Tuple[int, ...] = tuple(
-            sorted(range(size), key=key_lows.__getitem__))
+        self.sorted_order = array("q", sorted(range(size),
+                                              key=key_lows.__getitem__))
         self.sorted_lows = array("q", sorted(key_lows))
 
     @classmethod
@@ -150,9 +154,6 @@ class AppKeyIndex:
         return cls([s.shard_id for s in shards],
                    [s.key_range.low for s in shards],
                    [s.key_range.high for s in shards])
-
-    def __len__(self) -> int:
-        return len(self.shard_ids)
 
     def same_layout(self, other: "AppKeyIndex") -> bool:
         """Same shards with the same key bounds in the same column order."""
@@ -228,10 +229,6 @@ class ShardMap:
     @property
     def key_index(self) -> AppKeyIndex:
         return self._index
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._index.shard_ids)
 
     def __len__(self) -> int:
         return len(self._index.shard_ids)
@@ -329,13 +326,9 @@ class ShardMap:
             return False
         if not self._index.same_layout(other._index):
             return False
-        for a, b in zip(self._primaries, other._primaries):
-            if a is not b and a != b:
-                return False
-        for a, b in zip(self._secondaries, other._secondaries):
-            if a is not b and a != b:
-                return False
-        return True
+        return all(a is b or a == b for a, b in zip(
+            self._primaries + self._secondaries,
+            other._primaries + other._secondaries))
 
     def __hash__(self) -> int:
         return hash((self.app, self.version))
@@ -362,15 +355,10 @@ def map_wire_bytes(shard_map: ShardMap) -> int:
     size = _HEADER_OVERHEAD + len(shard_map.app)
     size += sum(len(shard_id) for shard_id in index.shard_ids)
     size += _ENTRY_OVERHEAD * len(index.shard_ids)
-    for chunk in shard_map._primaries:
-        for primary in chunk:
-            if primary is not None:
-                size += len(primary)
-    for chunk in shard_map._secondaries:
-        for secondaries in chunk:
-            for secondary in secondaries:
-                size += len(secondary)
-    return size
+    size += sum(len(primary) for chunk in shard_map._primaries
+                for primary in chunk if primary is not None)
+    return size + sum(len(secondary) for chunk in shard_map._secondaries
+                      for secondaries in chunk for secondary in secondaries)
 
 
 def delta_wire_bytes(delta: ShardMapDelta) -> int:
@@ -400,20 +388,23 @@ class AssignmentTable:
         # complete by construction — emergency placement, failover drops
         # and MiniSM partitions included.
         self.tracer = tracer
+        self._key_index = AppKeyIndex.from_spec(spec)
+        size = len(spec.shards)
         self._replicas: Dict[str, ReplicaAssignment] = {}
-        self._by_shard: Dict[str, List[ReplicaAssignment]] = {
-            shard.shard_id: [] for shard in spec.shards}
+        # By column: None, the lone replica, or a list of two or more in
+        # insertion order (the solver's tie rule).
+        self._by_shard: list = [None] * size
         self._by_address: Dict[str, List[ReplicaAssignment]] = {}
         self._version = itertools.count(1)
         self.last_version = 0
         self._replica_counter = itertools.count()
         # Incremental snapshot state: the static key index is shared by
         # every snapshot; the routable columns are chunked and patched
-        # copy-on-write, so only shards mutated since the last snapshot
-        # (the ``_dirty`` set) cost anything at publish time.
-        self._dirty: set = set(self._by_shard)
-        self._key_index = AppKeyIndex.from_spec(spec)
-        size = len(self._key_index)
+        # copy-on-write, so only columns mutated since the last snapshot
+        # (``_dirty``; every column before the first, ``_all_dirty``)
+        # cost anything at publish time.
+        self._dirty: Set[int] = set()
+        self._all_dirty = True
         self._col_primaries: List[list] = _chunked([None] * size)
         self._col_secondaries: List[list] = _chunked([()] * size)
         # Chunks shared with an already-published map must be copied
@@ -425,12 +416,11 @@ class AssignmentTable:
         # address changed, since the orchestrator last persisted them.
         self._dirty_addresses: set = set()
         self._dirty_replicas: set = set()
-        # Shards short of live replicas, or (in an app with primaries)
-        # without a live primary — the only ones emergency placement can
-        # act on.  Kept current by add/drop/set_state/set_role; relocate
-        # changes neither count nor role, so it stays out of this.
+        # A flag per column: short of live replicas or, in an app with
+        # primaries, of a live primary — what emergency placement acts on.
+        # Every mutator but relocate (count and roles unchanged) keeps it.
         self._needs_primary = spec.has_primaries()
-        self._understaffed: set = set(self._by_shard)
+        self._understaffed = bytearray(b"\x01") * size
         # Ids of replicas dropped since the orchestrator last persisted
         # its state (adds need no log: they sit at the tail of
         # ``_replicas``).
@@ -446,43 +436,57 @@ class AssignmentTable:
 
     def add(self, shard_id: str, address: str, role: Role,
             state: ReplicaState = _PENDING) -> ReplicaAssignment:
-        replicas = self._by_shard.get(shard_id)
-        if replicas is None:
+        column = self._key_index.index_of.get(shard_id)
+        if column is None:
             raise KeyError(f"unknown shard {shard_id!r}")
-        if (replicas and role is _PRIMARY
+        slot = self._by_shard[column]
+        if (slot is not None and role is _PRIMARY
                 and self.primary_of(shard_id) is not None):
             raise ValueError(f"shard {shard_id} already has a primary")
         replica_id = f"{shard_id}#{next(self._replica_counter)}"
         replica = ReplicaAssignment(replica_id, shard_id, address, role, state)
         self._replicas[replica_id] = replica
-        replicas.append(replica)
+        if type(slot) is list:
+            slot.append(replica)
+        else:
+            self._by_shard[column] = (replica if slot is None
+                                      else [slot, replica])
         hosted = self._by_address.get(address)
         if hosted is None:
             self._by_address[address] = [replica]
         else:
             hosted.append(replica)
-        self._dirty.add(shard_id)
+        if not self._all_dirty:
+            self._dirty.add(column)
         self._dirty_addresses.add(address)
-        if shard_id in self._understaffed:
-            self._restaff(shard_id)
+        if self._understaffed[column]:
+            self._restaff(column)
         if self.tracer.enabled:
             self._trace_transition("add", replica)
         return replica
 
-    def _restaff(self, shard_id: str) -> None:
-        """Re-derive one shard's membership in the understaffed set."""
+    def _touch(self, replica: ReplicaAssignment) -> int:
+        """Mark a replica, its shard and its address dirty; its column."""
+        column = self._key_index.index_of[replica.shard_id]
+        if not self._all_dirty:
+            self._dirty.add(column)
+        self._dirty_addresses.add(replica.address)
+        self._dirty_replicas.add(replica)
+        return column
+
+    def _restaff(self, column: int) -> None:
+        """Re-derive one column's understaffed flag."""
+        slot = self._by_shard[column]
         live = 0
         has_primary = not self._needs_primary
-        for replica in self._by_shard[shard_id]:
+        for replica in (slot if type(slot) is list
+                        else () if slot is None else (slot,)):
             if replica.state is not _DROPPED:
                 live += 1
                 if replica.role is _PRIMARY:
                     has_primary = True
-        index = self._key_index.index_of[shard_id]
-        if has_primary and live >= self.spec.shards[index].replica_count:
-            self._understaffed.discard(shard_id)
-        else:
-            self._understaffed.add(shard_id)
+        self._understaffed[column] = not (
+            has_primary and live >= self.spec.shards[column].replica_count)
 
     def _trace_transition(self, op: str, replica: ReplicaAssignment) -> None:
         """Journal one replica transition on the ``shards`` track (the
@@ -498,9 +502,14 @@ class AssignmentTable:
         if replica is None:
             return
         replica.state = _DROPPED
-        self._by_shard[replica.shard_id].remove(replica)
-        self._dirty.add(replica.shard_id)
-        self._dirty_addresses.add(replica.address)
+        column = self._touch(replica)
+        slot = self._by_shard[column]
+        if slot is replica:
+            self._by_shard[column] = None
+        else:
+            slot.remove(replica)
+            if len(slot) == 1:
+                self._by_shard[column] = slot[0]
         self._dirty_replicas.discard(replica)
         bucket = self._by_address.get(replica.address, [])
         if replica in bucket:
@@ -508,17 +517,14 @@ class AssignmentTable:
             if not bucket:
                 del self._by_address[replica.address]
         self._dropped_log.append(replica_id)
-        self._restaff(replica.shard_id)
+        self._restaff(column)
         if self.tracer.enabled:
             self._trace_transition("drop", replica)
 
     def set_state(self, replica_id: str, state: ReplicaState) -> None:
         replica = self._replicas[replica_id]
         replica.state = state
-        self._dirty.add(replica.shard_id)
-        self._dirty_addresses.add(replica.address)
-        self._dirty_replicas.add(replica)
-        self._restaff(replica.shard_id)
+        self._restaff(self._touch(replica))
         if self.tracer.enabled:
             self._trace_transition("set_state", replica)
 
@@ -531,10 +537,7 @@ class AssignmentTable:
                     f"shard {replica.shard_id} already has primary "
                     f"{current.replica_id}")
         replica.role = role
-        self._dirty.add(replica.shard_id)
-        self._dirty_addresses.add(replica.address)
-        self._dirty_replicas.add(replica)
-        self._restaff(replica.shard_id)
+        self._restaff(self._touch(replica))
         if self.tracer.enabled:
             self._trace_transition("set_role", replica)
 
@@ -548,9 +551,7 @@ class AssignmentTable:
                 del self._by_address[replica.address]
         replica.address = new_address
         self._by_address.setdefault(new_address, []).append(replica)
-        self._dirty.add(replica.shard_id)
-        self._dirty_addresses.add(new_address)
-        self._dirty_replicas.add(replica)
+        self._touch(replica)
         if self.tracer.enabled:
             self._trace_transition("relocate", replica)
 
@@ -560,16 +561,15 @@ class AssignmentTable:
         return self._replicas[replica_id]
 
     def replicas_of(self, shard_id: str) -> List[ReplicaAssignment]:
-        return list(self._by_shard[shard_id])
+        return list(self.replicas_view(shard_id))
 
-    def replicas_view(self, shard_id: str) -> List[ReplicaAssignment]:
-        """The internal replica list for a shard — read-only by contract.
-
-        Hot-path alternative to :meth:`replicas_of` (no per-call copy);
-        callers must not mutate the returned list or hold it across
-        table mutations.
-        """
-        return self._by_shard[shard_id]
+    def replicas_view(self, shard_id: str) -> Sequence[ReplicaAssignment]:
+        """:meth:`replicas_of` without the copy: read-only by contract,
+        and not to be held across table mutations."""
+        slot = self._by_shard[self._key_index.index_of[shard_id]]
+        if type(slot) is list:
+            return slot
+        return () if slot is None else (slot,)
 
     def consume_dirty_addresses(self) -> set:
         """Addresses whose assignments changed since the last call.
@@ -602,14 +602,16 @@ class AssignmentTable:
     def understaffed_shards(self) -> List[ShardSpec]:
         """Shards with fewer live replicas than their spec asks for, or
         lacking a live primary in an app that has primaries — in spec
-        order.  O(understaffed), not O(shards)."""
-        index_of = self._key_index.index_of
-        shards = self.spec.shards
-        return [shards[i] for i in sorted(
-            index_of[shard_id] for shard_id in self._understaffed)]
+        order.  One C-level scan of a byte per shard."""
+        flags, shards, found = self._understaffed, self.spec.shards, []
+        column = flags.find(1)
+        while column >= 0:
+            found.append(shards[column])
+            column = flags.find(1, column + 1)
+        return found
 
     def primary_of(self, shard_id: str) -> Optional[ReplicaAssignment]:
-        for replica in self._by_shard[shard_id]:
+        for replica in self.replicas_view(shard_id):
             if replica.role is _PRIMARY:
                 return replica
         return None
@@ -638,7 +640,7 @@ class AssignmentTable:
         unplanned outage".
         """
         count = 0
-        for replica in self._by_shard[shard_id]:
+        for replica in self.replicas_view(shard_id):
             if not replica.available or replica.address in down_addresses:
                 count += 1
         return count
@@ -661,24 +663,26 @@ class AssignmentTable:
         indices: List[int] = []
         primaries: List[Optional[str]] = []
         secondary_tuples: List[Tuple[str, ...]] = []
-        # With every shard dirty (a first snapshot) the same ids are
-        # sorted from the key index: in spec order they come in long
-        # presorted runs, where the set's hash order has none.
-        key_index = self._key_index
-        shard_ids = key_index.shard_ids
-        dirty = sorted(shard_ids if len(self._dirty) == len(shard_ids)
-                       else self._dirty)
-        self._dirty.clear()
-        index_of = key_index.index_of
+        # With every column dirty (a first snapshot) all columns are
+        # sorted: in spec order their ids come in long presorted runs.
+        by_id = self._key_index.shard_ids.__getitem__
+        if self._all_dirty:
+            self._all_dirty = False
+            dirty = sorted(range(len(self._by_shard)), key=by_id)
+        else:
+            dirty = sorted(self._dirty, key=by_id)
+            self._dirty.clear()
         by_shard = self._by_shard
         primaries_col = self._col_primaries
         secondaries_col = self._col_secondaries
         shared = self._chunk_shared
         intern = self._sec_intern
-        for shard_id in dirty:
+        for i in dirty:
             primary: Optional[str] = None
             secondaries: List[str] = []
-            for replica in by_shard[shard_id]:
+            slot = by_shard[i]
+            for replica in (slot if type(slot) is list
+                            else () if slot is None else (slot,)):
                 if replica.state is _READY:
                     if replica.role is _PRIMARY:
                         primary = replica.address
@@ -689,7 +693,6 @@ class AssignmentTable:
                 secondary_tuple = intern.setdefault(key, key)
             else:
                 secondary_tuple = ()
-            i = index_of[shard_id]
             chunk = i >> _CHUNK_SHIFT
             if shared[chunk]:
                 primaries_col[chunk] = primaries_col[chunk][:]
@@ -742,12 +745,8 @@ class AssignmentTable:
         indices, primaries, secondaries = self._rebuild_dirty()
         shard_map = self._make_map()
         delta = ShardMapDelta(
-            app=self.spec.name,
-            version=shard_map.version,
-            base_version=base_version,
-            key_index=self._key_index,
-            indices=tuple(indices),
-            primaries=tuple(primaries),
-            secondaries=tuple(secondaries),
-        )
+            app=self.spec.name, version=shard_map.version,
+            base_version=base_version, key_index=self._key_index,
+            indices=tuple(indices), primaries=tuple(primaries),
+            secondaries=tuple(secondaries))
         return shard_map, delta

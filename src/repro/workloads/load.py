@@ -13,9 +13,10 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Callable, List
+from typing import Callable
 
 DAY = 86_400.0
 
@@ -136,9 +137,9 @@ class ZipfKeySampler:
         self.stride = stride
         self.offset = 0
         # Left-to-right running sums of ``rank ** -skew`` in one C-level
-        # pass; ``-float(skew)`` keeps every term and sum a float when
-        # ``skew`` is an int.
-        self._cdf: List[float] = list(accumulate(
+        # pass, kept as unboxed doubles; ``-float(skew)`` keeps every term
+        # and sum a float when ``skew`` is an int.
+        self._cdf = array("d", accumulate(
             map(pow, range(1, key_space + 1), repeat(-float(skew)))))
         self._total = self._cdf[-1]
 

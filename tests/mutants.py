@@ -55,7 +55,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
@@ -358,9 +359,13 @@ def unpinned(key: str, outcome: Outcome,
     return "; ".join(what)
 
 
-def kill_matrix(pins: Dict[str, Dict[str, str]]) -> str:
-    runs = list(library_runs())
-    clean = {key: observe(spec, arm) for key, spec, arm in runs}
+def kill_matrix(pins: Dict[str, Dict[str, str]],
+                seen: Optional[Dict[str, Outcome]] = None) -> str:
+    """The table; ``seen`` holds unmutated runs already observed (by
+    :func:`repin`), which the clean check takes instead of re-running."""
+    runs, seen = list(library_runs()), seen or {}
+    clean = {key: seen[key] if key in seen else observe(spec, arm)
+             for key, spec, arm in runs}
     drift = [f"  {key}: {what}" for key, o in clean.items()
              if (what := unpinned(key, o, pins))]
     if drift:
@@ -395,13 +400,14 @@ def kill_matrix(pins: Dict[str, Dict[str, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def repin() -> Dict[str, Dict[str, str]]:
+def repin() -> Tuple[Dict[str, Dict[str, str]], Dict[str, Outcome]]:
     """Pin every run of :func:`pinned_runs` as this tree runs it, write
-    :data:`PINS`, and print the runs grouped by the tracks that moved."""
+    :data:`PINS`, and print the runs grouped by the tracks that moved;
+    returns the pins and the outcomes they were cut from."""
     old = load_pins() if PINS.exists() else {}
-    pins, moves = {}, []
+    pins, moves, outcomes = {}, [], {}
     for key, run in pinned_runs():
-        outcome = run()
+        outcome = outcomes[key] = run()
         if outcome.killed:
             raise SystemExit(f"{key} is not clean "
                              f"({unpinned(key, outcome, old)}); fix that "
@@ -413,7 +419,7 @@ def repin() -> Dict[str, Dict[str, str]]:
     print(f"Re-pinned {len(pins)} runs in {PINS.relative_to(ROOT)}:")
     for line in moved_table(moves):
         print(f"  {line}")
-    return pins
+    return pins, outcomes
 
 
 def moved_table(moves: Iterable[List[str]]) -> List[str]:
@@ -446,8 +452,8 @@ def main(argv: List[str]) -> int:
         help=f"rewrite {PINS.relative_to(ROOT)} and "
              f"{TABLE.relative_to(ROOT)} from this tree")
     args = parser.parse_args(argv)
-    pins = repin() if args.repin else load_pins()
-    table = kill_matrix(pins)
+    pins, seen = repin() if args.repin else (load_pins(), {})
+    table = kill_matrix(pins, seen)
     sys.stdout.write(table)
     differ = list(difflib.unified_diff(
         TABLE.read_text().splitlines(), table.splitlines(),

@@ -15,8 +15,13 @@ key index are bulk passes: the frames they enter, comprehensions and
 generator expressions included, do not grow with the shard count.
 Elsewhere comprehensions are not counted: whether they get a frame of
 their own depends on the interpreter (3.12 inlines them).
+
+What the build leaves behind is pinned the same way, as objects the
+collector tracks: the table indexes replicas by column, so per shard it
+keeps only the one ``ReplicaAssignment`` it was asked to add.
 """
 
+import gc
 from collections import Counter
 
 import pytest
@@ -54,7 +59,7 @@ def test_uniform_app_build_call_budget():
 
     calls, table = count_calls(lambda: AssignmentTable(spec))
     assert calls == Counter({"__init__": 2, "from_spec": 1, "_chunked": 2,
-                             "__len__": 1, "has_primaries": 1})
+                             "has_primaries": 1})
 
     calls, replicas = count_calls(lambda: add_primaries(table))
     assert len(replicas) == SHARDS
@@ -67,6 +72,32 @@ def test_uniform_app_build_call_budget():
     assert len(delta.indices) == SHARDS
     last = SHARDS - 1
     assert shard_map.primary_at(last) == f"srv/{last % SERVERS}"
+
+
+def tracked_by_build(shards: int) -> int:
+    """GC-tracked objects that ``AssignmentTable(spec)`` and one ``add``
+    per shard leave alive, net of one per replica, one list per address
+    and the copy-on-write chunks of the two routable columns."""
+    spec = uniform_app(shards)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        table = AssignmentTable(spec)
+        replicas = add_primaries(table)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(replicas) == shards
+    return grown - shards - SERVERS - 2 * len(table._col_primaries)
+
+
+def test_build_tracks_one_object_per_replica():
+    """A per-shard container anywhere in the table shows here as a
+    remainder that grows with the shard count."""
+    small, large = tracked_by_build(SHARDS // 10), tracked_by_build(SHARDS)
+    assert small == large
+    assert 0 < large <= 24
 
 
 def test_bulk_passes_enter_no_frame_per_shard():

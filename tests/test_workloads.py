@@ -3,7 +3,10 @@
 import json
 import math
 import random
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import pytest
@@ -135,6 +138,24 @@ class TestZipf:
         assert [value.hex() for value in sampler._cdf] == [
             value.hex() for value in cdf]
         assert sampler._total.hex() == total.hex()
+
+    def test_samples_equal_bisect_over_a_list_cdf(self):
+        """The CDF is an ``array('d')`` of the same doubles a list of
+        floats would hold, so every draw lands on the rank a
+        ``bisect_left`` over that list picks."""
+        key_space, skew, stride = 10_000, 1.1, 17
+        sampler = ZipfKeySampler(key_space, skew=skew, stride=stride)
+        assert isinstance(sampler._cdf, array)
+        assert sampler._cdf.typecode == "d"
+        cdf = list(accumulate(map(pow, range(1, key_space + 1),
+                                  repeat(-skew))))
+        oracle_rng, rng = random.Random(9), random.Random(9)
+        expected = []
+        for _ in range(1_000):
+            rank = min(bisect_left(cdf, oracle_rng.random() * cdf[-1]),
+                       key_space - 1)
+            expected.append(rank * stride % key_space)
+        assert [sampler(rng) for _ in range(1_000)] == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
